@@ -55,7 +55,6 @@ impl<T: Scalar> TiledQr<T> {
             workers: opts.get_workers(),
             policy: opts.get_schedule(),
             trace: opts.get_tracing(),
-            workspace: opts.get_workspace(),
             cost: opts.get_cost_model(),
             drift: opts.get_drift(),
         };
@@ -396,13 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn workspace_policies_produce_identical_factors() {
-        use tileqr_kernels::WorkspacePolicy;
+    fn arena_backed_pool_matches_the_sequential_path() {
         let a = random_matrix::<f64>(40, 40, 16);
-        let base = QrOptions::new().tile_size(8).workers(3);
-        let pw = TiledQr::factor(&a, &base.workspace(WorkspacePolicy::PerWorker)).unwrap();
-        let pc = TiledQr::factor(&a, &base.workspace(WorkspacePolicy::PerCall)).unwrap();
-        assert_eq!(pw.r(), pc.r(), "scratch strategy must not change bits");
+        let base = QrOptions::new().tile_size(8);
+        let seq = TiledQr::factor(&a, &base.workers(1)).unwrap();
+        let par = TiledQr::factor(&a, &base.workers(3)).unwrap();
+        assert_eq!(seq.r(), par.r(), "per-worker arenas must not change bits");
     }
 
     #[test]

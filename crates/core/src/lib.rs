@@ -61,7 +61,7 @@ pub mod kernels {
         geqrt, geqrt_apply, geqrt_apply_ws, geqrt_ib, geqrt_ib_apply, geqrt_ib_apply_ws,
         geqrt_ib_ws, geqrt_ws, larfg, tsmqr, tsmqr_apply, tsmqr_apply_ws, tsqrt, tsqrt_ws, ttmqr,
         ttmqr_apply, ttmqr_apply_ws, ttqrt, ttqrt_ws, unmqr, unmqr_ws, ApplySide,
-        HouseholderReflector, Workspace, WorkspacePolicy,
+        HouseholderReflector, Workspace,
     };
 }
 

@@ -1,7 +1,6 @@
 //! Factorization options.
 
 use tileqr_dag::{CostModel, EliminationOrder, TreePolicy};
-use tileqr_kernels::WorkspacePolicy;
 use tileqr_runtime::{DriftConfig, FaultTolerance, SchedulePolicy, ServiceConfig, TraceConfig};
 
 /// Options controlling a [`crate::TiledQr`] factorization.
@@ -14,7 +13,6 @@ pub struct QrOptions {
     fault_tolerance: Option<FaultTolerance>,
     tracing: TraceConfig,
     inner_block: Option<usize>,
-    workspace: WorkspacePolicy,
     cost: CostModel,
     drift: DriftConfig,
 }
@@ -32,7 +30,6 @@ impl Default for QrOptions {
             fault_tolerance: None,
             tracing: TraceConfig::default(),
             inner_block: None,
-            workspace: WorkspacePolicy::default(),
             cost: CostModel::default(),
             drift: DriftConfig::default(),
         }
@@ -119,17 +116,6 @@ impl QrOptions {
         self
     }
 
-    /// Kernel-scratch strategy for the execution hot path:
-    /// [`WorkspacePolicy::PerWorker`] (default) reuses one pre-sized arena
-    /// per computing thread — zero steady-state heap allocations —
-    /// while [`WorkspacePolicy::PerCall`] re-allocates scratch in every
-    /// kernel invocation (the baseline behaviour, kept for comparison).
-    /// Both produce bit-identical factors.
-    pub fn workspace(mut self, policy: WorkspacePolicy) -> Self {
-        self.workspace = policy;
-        self
-    }
-
     /// Task-cost model for scheduling priorities:
     /// [`CostModel::Flops`] (default) ranks by kernel flop counts, while
     /// [`CostModel::Calibrated`] ranks by measured microseconds from
@@ -187,11 +173,6 @@ impl QrOptions {
         self.inner_block
     }
 
-    /// Configured workspace policy.
-    pub fn get_workspace(&self) -> WorkspacePolicy {
-        self.workspace
-    }
-
     /// Configured cost model ([`CostModel::Flops`] by default).
     pub fn get_cost_model(&self) -> CostModel {
         self.cost
@@ -203,7 +184,7 @@ impl QrOptions {
     }
 
     /// Derive a resident-service configuration from these options: the
-    /// worker count, schedule policy, workspace policy, and (if set)
+    /// worker count, schedule policy, cost model, and (if set)
     /// fault-tolerance budget carry over; admission and batching bounds
     /// take the service defaults. Pair with
     /// [`TiledQr::factor_on`](crate::TiledQr::factor_on) to route the
@@ -214,7 +195,6 @@ impl QrOptions {
             workers: self.workers,
             policy: self.schedule,
             fault_tolerance: self.fault_tolerance.unwrap_or_default(),
-            workspace: self.workspace,
             cost: self.cost,
             drift: self.drift,
             ..ServiceConfig::default()
@@ -239,16 +219,12 @@ mod tests {
         assert_eq!(o.get_fault_tolerance(), None, "fail fast by default");
         assert!(!o.get_tracing().enabled, "tracing off by default");
         assert_eq!(o.get_inner_block(), None, "full-tile factors by default");
-        assert_eq!(o.get_workspace(), WorkspacePolicy::PerWorker);
     }
 
     #[test]
     fn memory_knobs() {
-        let o = QrOptions::new()
-            .inner_block(4)
-            .workspace(WorkspacePolicy::PerCall);
+        let o = QrOptions::new().inner_block(4);
         assert_eq!(o.get_inner_block(), Some(4));
-        assert_eq!(o.get_workspace(), WorkspacePolicy::PerCall);
     }
 
     #[test]

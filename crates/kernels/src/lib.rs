@@ -53,7 +53,7 @@ pub use geqrt_ib::{geqrt_ib, geqrt_ib_apply, geqrt_ib_apply_ws, geqrt_ib_ws};
 pub use householder::{larfg, HouseholderReflector};
 pub use tsqrt::{tsmqr, tsmqr_apply, tsmqr_apply_ws, tsqrt, tsqrt_ws};
 pub use ttqrt::{ttmqr, ttmqr_apply, ttmqr_apply_ws, ttqrt, ttqrt_ws};
-pub use workspace::{Workspace, WorkspacePolicy};
+pub use workspace::Workspace;
 
 /// Which orthogonal factor to apply in an update kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -28,18 +28,6 @@
 
 use tileqr_matrix::{MatrixViewMut, Scalar};
 
-/// Who owns kernel scratch during parallel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorkspacePolicy {
-    /// One [`Workspace`] per worker thread, created before the task loop
-    /// and reused for every kernel — the allocation-free steady state.
-    #[default]
-    PerWorker,
-    /// A fresh workspace per task (the seed behaviour, kept as the
-    /// explicit slow path for A/B measurement and leak hunting).
-    PerCall,
-}
-
 /// Grow-once scratch arena backing the `*_ws` kernels.
 #[derive(Debug, Clone)]
 pub struct Workspace<T: Scalar> {
@@ -170,10 +158,5 @@ mod tests {
         tmp.fill(3.0);
         assert!(w.as_slice().iter().all(|&x| x == 2.0));
         assert!(tmp.iter().all(|&x| x == 3.0));
-    }
-
-    #[test]
-    fn policy_default_is_per_worker() {
-        assert_eq!(WorkspacePolicy::default(), WorkspacePolicy::PerWorker);
     }
 }

@@ -1,0 +1,582 @@
+//! The one DAG engine under both drivers (the paper's single Fig. 7
+//! manager loop).
+//!
+//! The scoped pool ([`parallel_factor_ft`](crate::parallel_factor_ft) and
+//! friends) and the resident [`service`](crate::service) manager own
+//! their threads and channels differently — scoped workers that are never
+//! respawned versus resident slots that always are — but what they do
+//! *per DAG* is the same, and lives here exactly once, thread-free and
+//! channel-free:
+//!
+//! * [`run_attempt`] — the worker-side body of one task attempt: fault
+//!   seam, staging, kernel, optional worker-side commit, optional spans.
+//! * [`DagRun`] — the per-DAG state machine: readiness, dispatch order,
+//!   the `committed` fence, the per-task attempt budget, drift
+//!   re-weighting, and the counters that become a [`RunReport`].
+//! * [`Slots`] — which worker slot is running what since when: the idle
+//!   stack, the "is this the report I am waiting for" test, and the
+//!   stall watchdog's scan.
+//!
+//! Because none of it touches a thread or a channel, the testkit drives
+//! [`DagRun`] directly through adversarial event orders (duplicate,
+//! late, and post-commit reports) without sleeps.
+
+use crate::error::RuntimeError;
+use crate::pool::{model_weight, RunReport};
+use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
+use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
+use tileqr_dag::{bottom_levels, class_slot, ClassCosts, CostModel, TaskGraph, TaskId, TaskKind};
+use tileqr_kernels::exec::{CompletedTask, SharedFactorState};
+use tileqr_kernels::Workspace;
+use tileqr_matrix::{MatrixError, Scalar};
+use tileqr_obs::{
+    DriftConfig, DriftDetector, HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder,
+};
+
+/// Nanosecond trace timestamp of `t` relative to the run's `epoch`.
+#[inline]
+fn ns_at(epoch: Instant, t: Instant) -> u64 {
+    t.duration_since(epoch).as_nanos() as u64
+}
+
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// What one attempt that ran to completion hands back.
+pub struct Attempt<T: Scalar> {
+    /// The task's outputs, awaiting the manager's fenced commit. `None`
+    /// when the worker already committed them itself (unfenced mode).
+    pub completed: Option<Box<CompletedTask<T>>>,
+    /// Time inside `stage` (slot lock waits + pointer swaps).
+    pub stage_wait: Duration,
+    /// Time inside the worker-side `commit` (zero when fenced).
+    pub commit_wait: Duration,
+    /// Kernel-only duration — the drift detector's input.
+    pub compute: Duration,
+}
+
+/// How one attempt ended, as a worker reports it to its manager.
+pub enum Outcome<T: Scalar> {
+    /// The attempt ran to completion.
+    Done(Attempt<T>),
+    /// The kernel (or an injected transient fault) returned an error.
+    Failed(MatrixError),
+    /// The attempt panicked; the worker thread retires after reporting.
+    Panicked(String),
+}
+
+/// Run attempt `attempt` (0-based) of `task` on the calling worker thread.
+///
+/// `fenced` selects the fault-tolerant discipline: staging clones written
+/// tiles so the shared state stays untouched, and the outputs travel back
+/// for the manager to commit behind [`DagRun`]'s fence. Unfenced, staging
+/// swaps tiles out (zero-copy) and the worker commits its own result — a
+/// failed attempt is then unrecoverable, because its inputs are gone.
+/// `lane` is the worker's recorder plus the run's epoch when tracing.
+/// Panics are caught and reported, never propagated.
+pub fn run_attempt<T: Scalar>(
+    shared: &SharedFactorState<T>,
+    kind: TaskKind,
+    (task, attempt): (TaskId, u32),
+    injector: Option<&dyn FaultInjector>,
+    fenced: bool,
+    ws: &mut Workspace<T>,
+    lane: Option<(&mut WorkerRecorder, Instant)>,
+) -> Outcome<T> {
+    let result = catch_unwind(AssertUnwindSafe(|| -> Result<Attempt<T>, MatrixError> {
+        let fault = injector.map_or(InjectedFault::None, |f| f.before_attempt(task, attempt));
+        match fault {
+            InjectedFault::None | InjectedFault::PoisonNan => {}
+            InjectedFault::Panic => panic!("injected panic: task {task} attempt {attempt}"),
+            InjectedFault::TransientError => {
+                return Err(MatrixError::Runtime {
+                    reason: format!("injected transient failure: task {task} attempt {attempt}"),
+                })
+            }
+            InjectedFault::Stall(d) => std::thread::sleep(d),
+        }
+        let t0 = Instant::now();
+        let staged = if fenced {
+            shared.stage_preserving(kind)
+        } else {
+            shared.stage(kind)
+        }?;
+        let t_staged = Instant::now();
+        let mut done = staged.compute_with(ws)?;
+        let t_done = Instant::now();
+        if fault == InjectedFault::PoisonNan {
+            // NaN-corrupt the output *after* the kernel ran: the seam for
+            // a manager-side poison scan at the commit fence.
+            done.poison();
+        }
+        let (completed, t_end) = if fenced {
+            (Some(Box::new(done)), t_done)
+        } else {
+            shared.commit(done);
+            (None, Instant::now())
+        };
+        if let Some((rec, epoch)) = lane {
+            let (s0, s1, s2) = (
+                ns_at(epoch, t0),
+                ns_at(epoch, t_staged),
+                ns_at(epoch, t_done),
+            );
+            rec.record(RawEvent::interval(RawKind::Stage, task, attempt, s0, s1));
+            rec.record(RawEvent::interval(RawKind::Compute, task, attempt, s1, s2));
+            if !fenced {
+                let s3 = ns_at(epoch, t_end);
+                rec.record(RawEvent::interval(RawKind::Commit, task, attempt, s2, s3));
+            }
+        }
+        Ok(Attempt {
+            completed,
+            stage_wait: t_staged.duration_since(t0),
+            commit_wait: t_end.duration_since(t_done),
+            compute: t_done.duration_since(t_staged),
+        })
+    }));
+    match result {
+        Ok(Ok(done)) => Outcome::Done(done),
+        Ok(Err(e)) => Outcome::Failed(e),
+        Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
+    }
+}
+
+/// The counters a run accumulates on its way to a [`RunReport`].
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    tasks_per_worker: Vec<u64>,
+    stage_wait: Duration,
+    commit_wait: Duration,
+    retries: u64,
+    requeues: u64,
+    worker_deaths: u64,
+    drift_reweights: u64,
+}
+
+impl Tally {
+    /// A run that needed no manager: `tasks` tasks in program order on
+    /// lane `worker` of `workers` (the pool's inline path, a service
+    /// batch unit), with nothing else to report.
+    pub(crate) fn one_lane(workers: usize, worker: usize, tasks: u64) -> Self {
+        let mut tasks_per_worker = vec![0; workers];
+        tasks_per_worker[worker] = tasks;
+        Tally {
+            tasks_per_worker,
+            ..Tally::default()
+        }
+    }
+
+    pub(crate) fn into_report(
+        self,
+        max_ready_depth: usize,
+        policy: SchedulePolicy,
+        elapsed: Duration,
+        trace: Option<Trace>,
+        counters: HotPathCounters,
+    ) -> RunReport {
+        RunReport {
+            tasks_per_worker: self.tasks_per_worker,
+            elapsed,
+            stage_wait: self.stage_wait,
+            commit_wait: self.commit_wait,
+            max_ready_depth,
+            policy,
+            retries: self.retries,
+            requeues: self.requeues,
+            worker_deaths: self.worker_deaths,
+            drift_reweights: self.drift_reweights,
+            trace,
+            counters,
+        }
+    }
+}
+
+/// The state machine of one DAG execution, owned by whichever manager
+/// drives it. The driver feeds it events (a dispatch, a worker report,
+/// a watchdog retirement) and it answers with what to do next; it never
+/// blocks, spawns, or sends.
+///
+/// Re-execution is safe because of the **commit fence**: a task's outputs
+/// are applied at most once, by [`on_done`](Self::on_done), and the first
+/// result wins — duplicate attempts staged identical inputs (nothing that
+/// conflicts runs before the commit), so their outputs are bit-identical.
+/// A failure is charged to a task's attempt budget only when it comes
+/// from the slot the manager is waiting on *and* the task is still
+/// uncommitted; late or superseded reports are ignored.
+pub struct DagRun {
+    tracker: ReadyTracker,
+    queue: ReadyQueue,
+    committed: Vec<bool>,
+    attempts: Vec<u32>,
+    in_flight: usize,
+    halted: bool,
+    b: usize,
+    /// Armed iff drift detection is on and the cost model is calibrated:
+    /// the detector plus the *original* calibration. The detector's
+    /// ratios are absolute against that, so each re-weight scales the
+    /// original, never already-scaled costs.
+    drift: Option<(DriftDetector, ClassCosts)>,
+    drift_panel: usize,
+    /// The manager's own trace lane (ready/dispatch/recovery instants and
+    /// the fenced commits) plus the run's epoch.
+    lane: Option<(WorkerRecorder, Instant)>,
+    tally: Tally,
+}
+
+impl DagRun {
+    /// Start a run of `graph` at tile size `b` over `workers` worker
+    /// slots, with the sources already in the ready set. `lane`, when
+    /// tracing, is the manager's recorder plus the run's epoch.
+    pub fn new(
+        graph: &TaskGraph,
+        order: DispatchOrder,
+        cost: CostModel,
+        drift: DriftConfig,
+        b: usize,
+        workers: usize,
+        lane: Option<(WorkerRecorder, Instant)>,
+    ) -> Self {
+        let mut run = DagRun {
+            tracker: ReadyTracker::new(graph),
+            queue: ReadyQueue::for_order(order, graph, model_weight(cost, b)),
+            committed: vec![false; graph.len()],
+            attempts: vec![0; graph.len()],
+            in_flight: 0,
+            halted: false,
+            b,
+            drift: drift
+                .enabled
+                .then(|| cost.class_costs())
+                .flatten()
+                .map(|base| (DriftDetector::new(drift, base.expected_us(b)), base)),
+            drift_panel: 0,
+            lane,
+            tally: Tally {
+                tasks_per_worker: vec![0; workers],
+                ..Tally::default()
+            },
+        };
+        for t in run.tracker.initial_ready(graph) {
+            run.mark(RawKind::Ready, t, 0);
+            run.queue.push(t);
+        }
+        run
+    }
+
+    /// Record an instant on the manager lane (no-op when untraced).
+    fn mark(&mut self, kind: RawKind, task: TaskId, aux: u64) {
+        if let Some((rec, epoch)) = self.lane.as_mut() {
+            let now = ns_at(*epoch, Instant::now());
+            rec.record(RawEvent::instant(kind, task, aux, now));
+        }
+    }
+
+    /// Whether every task has been committed.
+    pub fn all_done(&self) -> bool {
+        self.tracker.all_done()
+    }
+
+    /// Tasks committed so far.
+    pub fn completed(&self) -> usize {
+        self.tracker.completed()
+    }
+
+    /// Attempts dispatched and not yet reported (or retired).
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    /// Ready tasks a [`pop_ready`](Self::pop_ready) could hand out now
+    /// (none once halted).
+    pub fn ready_len(&self) -> usize {
+        if self.halted {
+            0
+        } else {
+            self.queue.len()
+        }
+    }
+
+    /// Whether a `Done` for `task` would still be committed: the run is
+    /// live and no earlier result won the fence.
+    pub fn accepts(&self, task: TaskId) -> bool {
+        !self.halted && !self.committed[task]
+    }
+
+    /// Stop dispatching and committing; in-flight attempts only drain.
+    /// The driver halts a run it is abandoning (a fatal error, a
+    /// cancelled job); an exhausted retry budget halts it by itself.
+    pub fn halt(&mut self) {
+        self.halted = true;
+    }
+
+    /// Whether the run was halted.
+    pub fn is_halted(&self) -> bool {
+        self.halted
+    }
+
+    /// Next task for worker slot `w` under the run's dispatch order, with
+    /// its 0-based attempt number — charged to the task's budget and
+    /// counted in flight. Entries superseded by a harvested late result
+    /// are skipped.
+    pub fn pop_ready(&mut self, w: usize) -> Option<(TaskId, u32)> {
+        if self.halted {
+            return None;
+        }
+        loop {
+            let t = self.queue.pop()?;
+            if self.committed[t] {
+                continue;
+            }
+            self.attempts[t] += 1;
+            self.in_flight += 1;
+            self.mark(RawKind::Dispatch, t, w as u64);
+            return Some((t, self.attempts[t] - 1));
+        }
+    }
+
+    /// The dispatch of `t` to slot `w` never reached a worker (dead
+    /// channel): refund the attempt and put the task back.
+    pub fn undo_dispatch(&mut self, t: TaskId, w: usize) {
+        self.attempts[t] -= 1;
+        self.in_flight -= 1;
+        self.tally.requeues += 1;
+        self.mark(RawKind::Requeue, t, w as u64);
+        self.queue.push(t);
+    }
+
+    /// Count a worker death that no report will announce (slot `w` found
+    /// dead at dispatch).
+    pub fn worker_died(&mut self, w: usize) {
+        self.tally.worker_deaths += 1;
+        self.mark(RawKind::WorkerDeath, RawEvent::NO_TASK, w as u64);
+    }
+
+    /// A parked retry of `t` is due: back into the ready set, unless a
+    /// late result committed it in the meantime.
+    pub fn wake(&mut self, t: TaskId) {
+        if !self.committed[t] {
+            self.queue.push(t);
+        }
+    }
+
+    fn settle(&mut self, expected: bool) {
+        if expected {
+            self.in_flight -= 1;
+        }
+    }
+
+    /// Attempt `attempt` of `t` completed on slot `w`. `expected` says
+    /// whether it is the report the manager was waiting on for that slot;
+    /// a late `Done` from a retired worker still gets its shot at the
+    /// fence. Returns `true` when this result was committed (outputs
+    /// applied to `shared`, successors readied), `false` when it was
+    /// dropped as a duplicate or because the run is halted.
+    pub fn on_done<T: Scalar>(
+        &mut self,
+        graph: &TaskGraph,
+        shared: &SharedFactorState<T>,
+        (t, attempt): (TaskId, u32),
+        w: usize,
+        expected: bool,
+        done: Attempt<T>,
+    ) -> bool {
+        self.settle(expected);
+        self.tally.stage_wait += done.stage_wait;
+        self.tally.commit_wait += done.commit_wait;
+        if !self.accepts(t) {
+            return false;
+        }
+        if let Some(outputs) = done.completed {
+            let t0 = Instant::now();
+            shared.commit(*outputs);
+            let t1 = Instant::now();
+            self.tally.commit_wait += t1.duration_since(t0);
+            if let Some((rec, epoch)) = self.lane.as_mut() {
+                let (c0, c1) = (ns_at(*epoch, t0), ns_at(*epoch, t1));
+                rec.record(RawEvent::interval(RawKind::Commit, t, attempt, c0, c1));
+            }
+        }
+        self.committed[t] = true;
+        self.tally.tasks_per_worker[w] += 1;
+        let kind = graph.task(t);
+        if let Some((detector, base)) = self.drift.as_mut() {
+            detector.record(class_slot(kind.class()), done.compute.as_secs_f64() * 1e6);
+            // Panel boundary: the first committed task of a later panel
+            // closes the previous panel's window.
+            if kind.panel() > self.drift_panel {
+                self.drift_panel = kind.panel();
+                if let Some(ratios) = detector.check() {
+                    let (scaled, b) = (base.scaled(ratios), self.b);
+                    self.queue
+                        .reprioritize(bottom_levels(graph, |k| scaled.cost_us(k, b)));
+                    self.tally.drift_reweights += 1;
+                }
+            }
+        }
+        for r in self.tracker.complete(graph, t) {
+            self.mark(RawKind::Ready, r, 0);
+            self.queue.push(r);
+        }
+        true
+    }
+
+    /// An attempt of `t` returned an error. Returns whether the driver
+    /// should [`charge_retry`](Self::charge_retry) (or, unfenced, fail the
+    /// run): only for the expected report of a still-uncommitted task.
+    pub fn on_failed(&mut self, t: TaskId, expected: bool) -> bool {
+        self.settle(expected);
+        expected && self.accepts(t)
+    }
+
+    /// The worker on slot `w` was lost mid-attempt of `t`: it reported a
+    /// panic, or the stall watchdog retired it (then `expected` is true by
+    /// construction — the watchdog only scans live slots). Counts the
+    /// death; returns whether the task needs a retry, as
+    /// [`on_failed`](Self::on_failed) does.
+    pub fn on_panicked(&mut self, t: TaskId, w: usize, expected: bool) -> bool {
+        self.settle(expected);
+        if !expected {
+            return false;
+        }
+        self.worker_died(w);
+        if !self.accepts(t) {
+            return false;
+        }
+        self.tally.requeues += 1;
+        self.mark(RawKind::Requeue, t, w as u64);
+        true
+    }
+
+    /// Charge a lost attempt of `t` to its budget. `Ok(when)`: park the
+    /// task and [`wake`](Self::wake) it at `when` (deterministic backoff).
+    /// `Err`: the budget is spent — the run halts, so this surfaces at
+    /// most once per run.
+    pub fn charge_retry(
+        &mut self,
+        ft: &FaultTolerance,
+        t: TaskId,
+        last: String,
+    ) -> Result<Instant, RuntimeError> {
+        let attempts = self.attempts[t];
+        if attempts >= ft.max_attempts {
+            self.halted = true;
+            return Err(RuntimeError::RetriesExhausted {
+                task: t,
+                attempts,
+                last,
+            });
+        }
+        self.tally.retries += 1;
+        self.mark(RawKind::Retry, t, u64::from(attempts));
+        Ok(Instant::now() + ft.backoff(attempts))
+    }
+
+    /// Detach the manager's trace lane for merging (`None` if untraced).
+    pub fn take_lane(&mut self) -> Option<WorkerRecorder> {
+        self.lane.take().map(|(rec, _)| rec)
+    }
+
+    /// Close the books: the run's counters as a [`RunReport`]. `elapsed`,
+    /// the merged `trace` and the memory `counters` are the driver's to
+    /// measure.
+    pub fn into_report(
+        self,
+        elapsed: Duration,
+        trace: Option<Trace>,
+        counters: HotPathCounters,
+    ) -> RunReport {
+        let (depth, policy) = (self.queue.max_depth(), self.queue.policy());
+        self.tally
+            .into_report(depth, policy, elapsed, trace, counters)
+    }
+}
+
+/// Which worker slot is running what, since when. `K` names an in-flight
+/// attempt: a `TaskId` in the pool, `(job, task, attempt)` in the service.
+#[derive(Debug)]
+pub struct Slots<K> {
+    idle: Vec<usize>,
+    in_flight_of: Vec<Option<(K, Instant)>>,
+}
+
+impl<K: Copy + PartialEq> Slots<K> {
+    /// `workers` slots, all idle.
+    pub fn new(workers: usize) -> Self {
+        Slots {
+            idle: (0..workers).rev().collect(),
+            in_flight_of: vec![None; workers],
+        }
+    }
+
+    /// Take an idle slot off the stack. The caller either gives it work
+    /// (and [`watch`](Self::watch)es it, if the watchdog should see it),
+    /// [`free`](Self::free)s it, or — a dead worker nobody respawns —
+    /// keeps it forever.
+    pub fn claim(&mut self) -> Option<usize> {
+        self.idle.pop()
+    }
+
+    /// Slot `w` started attempt `key` now.
+    pub fn watch(&mut self, w: usize, key: K) {
+        self.in_flight_of[w] = Some((key, Instant::now()));
+    }
+
+    /// Slot `w` is idle (again).
+    pub fn free(&mut self, w: usize) {
+        self.in_flight_of[w] = None;
+        self.idle.push(w);
+    }
+
+    /// Whether slot `w` is waiting on exactly attempt `key`. False for a
+    /// late report from a worker the watchdog already retired: that slot
+    /// was cleared (and, in the service, handed to a fresh thread).
+    pub fn is_expected(&self, w: usize, key: K) -> bool {
+        self.in_flight_of[w].is_some_and(|(k, _)| k == key)
+    }
+
+    /// A report for `key` arrived from slot `w`. If it is the expected one
+    /// the slot is cleared and — when the worker is still `alive` —
+    /// returned to the idle stack. Returns [`is_expected`](Self::is_expected).
+    pub fn settle(&mut self, w: usize, key: K, alive: bool) -> bool {
+        let expected = self.is_expected(w, key);
+        if expected {
+            self.in_flight_of[w] = None;
+            if alive {
+                self.idle.push(w);
+            }
+        }
+        expected
+    }
+
+    /// Earliest instant a watched attempt crosses the stall `bound`.
+    pub fn earliest_stall_expiry(&self, bound: Duration) -> Option<Instant> {
+        let watched = self.in_flight_of.iter().flatten();
+        watched.map(|&(_, since)| since + bound).min()
+    }
+
+    /// Retire every slot whose attempt has been in flight for `bound` or
+    /// longer at `now`: the slots are cleared (not idled — the worker is
+    /// presumed stuck) and returned with their attempt keys.
+    pub fn take_stalled(&mut self, bound: Duration, now: Instant) -> Vec<(usize, K)> {
+        let mut stalled = Vec::new();
+        for (w, slot) in self.in_flight_of.iter_mut().enumerate() {
+            if let Some((key, since)) = *slot {
+                if now.saturating_duration_since(since) >= bound {
+                    *slot = None;
+                    stalled.push((w, key));
+                }
+            }
+        }
+        stalled
+    }
+}

@@ -13,20 +13,25 @@
 //! *staging* a task clones `Arc` handles for its read inputs and swaps its
 //! written tiles out, so each critical section is a pointer exchange on one
 //! slot — the `O(b³)` kernel itself runs lock-free on owned data and
-//! *commit* swaps results back in. Readiness bookkeeping lives in the
-//! manager loop ([`ReadyTracker`]), fed by a completion channel; the
-//! manager orders the ready set by [`SchedulePolicy`] — FIFO or highest
-//! static bottom level first ([`ReadyQueue`]). Determinism of the *result*
-//! (not the schedule) is guaranteed because every task writes a disjoint
-//! tile set.
+//! *commit* swaps results back in. Determinism of the *result* (not the
+//! schedule) is guaranteed because every task writes a disjoint tile set.
 //!
-//! Fault tolerance: workers run under `catch_unwind`, so a panic never
+//! One engine, two drivers: everything a manager does *per DAG* —
+//! readiness ([`ReadyTracker`]), [`SchedulePolicy`] order
+//! ([`ReadyQueue`]), the commit fence, the retry budget, the stall
+//! watchdog's bookkeeping, drift re-weighting — and the worker-side body
+//! of one task attempt live once, thread-free, in [`engine`]. The pool
+//! ([`parallel_factor`] and friends) drives it with scoped threads that
+//! are never respawned; [`QrService`] drives one engine run per job with
+//! resident threads that always are.
+//!
+//! Fault tolerance: attempts run under `catch_unwind`, so a panic never
 //! hangs or aborts the process. [`parallel_factor_ft`] goes further —
-//! non-destructive staging plus a manager-side commit fence make task
-//! re-execution idempotent, so panicked or stalled workers are retired
-//! and their tasks retried (bounded attempts, deterministic backoff)
-//! while the run continues degraded. Failures surface as structured
-//! [`RuntimeError`]s and recovery activity is reported in
+//! non-destructive staging plus the engine's manager-side commit fence
+//! make task re-execution idempotent, so panicked or stalled workers are
+//! retired and their tasks retried (bounded attempts, deterministic
+//! backoff) while the run continues degraded. Failures surface as
+//! structured [`RuntimeError`]s and recovery activity is reported in
 //! [`RunReport`]'s `retries` / `requeues` / `worker_deaths` fields.
 //!
 //! Observability: enabling [`TraceConfig`] in the [`PoolConfig`] makes
@@ -45,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod engine;
 mod error;
 mod pool;
 pub mod recovery;

@@ -1,46 +1,45 @@
-//! Manager + computing-thread pool (paper Fig. 7).
+//! Manager + computing-thread pool (paper Fig. 7): the scoped driver of
+//! the shared [`engine`](crate::engine).
 //!
-//! The calling thread is the **manager**: it owns DAG readiness
-//! ([`ReadyTracker`]), orders the ready set by [`SchedulePolicy`]
-//! ([`ReadyQueue`]), and hands one task at a time to each idle worker over
-//! that worker's private channel. **Computing threads** stage the task's
-//! tiles out of the [`SharedFactorState`] (per-slot locks, pointer swaps
-//! only), run the kernel on owned/`Arc`-shared data with no lock held, and
-//! commit the results back the same way. Dispatching at most one task per
-//! worker keeps the ready set on the manager's side, which is what lets
-//! the priority policy actually pick the next task instead of draining a
-//! prefetched FIFO.
+//! The calling thread is the **manager**: it owns one [`DagRun`] (DAG
+//! readiness, [`SchedulePolicy`] order, commit fence, retry budget) and
+//! hands one task at a time to each idle worker over that worker's
+//! private channel. **Computing threads** are scoped to the call; each
+//! runs [`run_attempt`] per task — stage the tiles out of the
+//! [`SharedFactorState`] (per-slot locks, pointer swaps only), run the
+//! kernel on owned/`Arc`-shared data with no lock held, commit the same
+//! way. Dispatching at most one task per worker keeps the ready set on
+//! the manager's side, which is what lets the priority policy actually
+//! pick the next task instead of draining a prefetched FIFO.
 //!
-//! Two execution modes share the manager loop:
+//! Two execution modes share the loop, selected by `ft`:
 //!
-//! * **Fast** (the default): staging swaps written tiles out of the shared
-//!   state (zero-copy) and workers commit their own results. A worker
-//!   panic or kernel error is *isolated* (`catch_unwind`, no hang, no
-//!   abort) but fatal to the run, because the destructively-staged inputs
-//!   of the failed task are gone.
-//! * **Fault-tolerant** ([`parallel_factor_ft`]): staging clones written
-//!   tiles (`stage_preserving`) so the shared state is untouched until
-//!   commit, and all commits happen on the manager behind a per-task
-//!   `committed` fence. That makes re-execution idempotent: a panicked or
-//!   stalled worker is retired, its in-flight task is requeued with
-//!   bounded retry + deterministic backoff, and a late result from a
-//!   retired worker is either harvested (first commit wins) or dropped.
+//! * **Fast** (`None`, the default): unfenced attempts — zero-copy
+//!   staging, worker-side commits. A worker panic or kernel error is
+//!   *isolated* (no hang, no abort) but fatal to the run, because the
+//!   destructively-staged inputs of the failed task are gone.
+//! * **Fault-tolerant** ([`parallel_factor_ft`]): fenced attempts, so
+//!   re-execution is idempotent: a panicked or stalled worker is retired
+//!   *for good* (this pool never respawns; an emptied pool is
+//!   [`RuntimeError::AllWorkersDead`]), its task requeued with bounded
+//!   retry + deterministic backoff, and a late result from a retired
+//!   worker is either harvested (first commit wins) or dropped.
 
+use crate::engine::{run_attempt, DagRun, Outcome, Slots, Tally};
 use crate::error::RuntimeError;
-use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
-use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};
+use crate::recovery::{FaultInjector, FaultTolerance};
+use crate::scheduler::{DispatchOrder, SchedulePolicy};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use tileqr_dag::{bottom_levels, class_slot, CostModel, TaskGraph, TaskId, TaskKind};
-use tileqr_kernels::exec::{CompletedTask, FactorState, SharedFactorState};
-use tileqr_kernels::{flops, Workspace, WorkspacePolicy};
+use tileqr_dag::{CostModel, TaskGraph, TaskId, TaskKind};
+use tileqr_kernels::exec::{FactorState, SharedFactorState};
+use tileqr_kernels::{flops, Workspace};
 use tileqr_matrix::{MatrixError, Result, Scalar};
 use tileqr_obs::{
-    merge_recorders, DriftConfig, DriftDetector, HotPathCounters, KernelHistograms, RawEvent,
-    RawKind, Trace, TraceConfig, WorkerRecorder,
+    merge_recorders, DriftConfig, HotPathCounters, KernelHistograms, RawEvent, RawKind, Trace,
+    TraceConfig, WorkerRecorder,
 };
 
 /// Worker-pool configuration.
@@ -53,11 +52,6 @@ pub struct PoolConfig {
     /// Lifecycle tracing. Disabled by default; when disabled the pool
     /// allocates no recorders and reads no extra clocks.
     pub trace: TraceConfig,
-    /// Kernel-scratch strategy. [`WorkspacePolicy::PerWorker`] (default)
-    /// gives each computing thread one pre-sized arena reused across all
-    /// its tasks — zero steady-state allocations. `PerCall` re-allocates
-    /// scratch inside every kernel, the pre-arena baseline behaviour.
-    pub workspace: WorkspacePolicy,
     /// Where bottom-level priorities come from: flop counts (default) or
     /// calibrated per-class timing curves, so
     /// [`SchedulePolicy::CriticalPath`] can rank by measured microseconds.
@@ -118,7 +112,10 @@ pub struct RunReport {
     /// fault-tolerant mode, the fenced commits).
     pub trace: Option<Trace>,
     /// Memory-discipline counters: copy-on-write fallback clones plus
-    /// workspace-arena bytes and growths, summed over all workers.
+    /// workspace-arena bytes and growths, summed over all workers. Jobs
+    /// of a resident [`QrService`](crate::QrService) report
+    /// `workspace_bytes` / `workspace_resizes` as 0: its arenas outlive
+    /// the job, so neither is attributable to it.
     pub counters: HotPathCounters,
 }
 
@@ -286,17 +283,12 @@ fn run_inline<T: Scalar>(
     let trace = if trace_cfg.enabled {
         // Inline runs have no staging or commit contention; one compute
         // span per task on the single worker lane is the whole story.
+        let ns = || started.elapsed().as_nanos() as u64;
         let mut rec = WorkerRecorder::new(trace_cfg.capacity_per_lane.max(graph.len()));
         for tid in 0..graph.len() {
-            let t0 = ns_since(started);
+            let t0 = ns();
             state.execute(graph.task(tid))?;
-            rec.record(RawEvent::interval(
-                RawKind::Compute,
-                tid,
-                0,
-                t0,
-                ns_since(started),
-            ));
+            rec.record(RawEvent::interval(RawKind::Compute, tid, 0, t0, ns()));
         }
         Some(merge_recorders(&[rec], vec!["worker0".to_string()], graph))
     } else {
@@ -311,91 +303,47 @@ fn run_inline<T: Scalar>(
         workspace_bytes: state.workspace_bytes(),
         workspace_resizes: state.workspace_resizes(),
     };
-    Ok((
-        state,
-        RunReport {
-            tasks_per_worker: vec![graph.len() as u64],
-            elapsed: started.elapsed(),
-            stage_wait: Duration::ZERO,
-            commit_wait: Duration::ZERO,
-            max_ready_depth: 0,
-            policy,
-            retries: 0,
-            requeues: 0,
-            worker_deaths: 0,
-            drift_reweights: 0,
-            trace,
-            counters,
-        },
-    ))
+    let report = Tally::one_lane(1, 0, graph.len() as u64).into_report(
+        0,
+        policy,
+        started.elapsed(),
+        trace,
+        counters,
+    );
+    Ok((state, report))
 }
 
-/// Nanoseconds elapsed since `base`, as the trace timestamp.
-#[inline]
-fn ns_since(base: Instant) -> u64 {
-    base.elapsed().as_nanos() as u64
-}
-
-/// Nanosecond trace timestamp of an already-captured `Instant`.
-#[inline]
-fn ns_since_at(base: Instant, t: Instant) -> u64 {
-    t.duration_since(base).as_nanos() as u64
-}
-
-/// What a worker sends back per attempt.
-enum WorkerOutcome<T: Scalar> {
-    /// The attempt ran to completion. `completed` carries the outputs in
-    /// fault-tolerant mode (the manager commits); in fast mode the worker
-    /// already committed and sends `None`.
-    Done {
-        completed: Option<Box<CompletedTask<T>>>,
-        stage_wait: Duration,
-        commit_wait: Duration,
-        /// Kernel-only duration of the attempt — the drift detector's
-        /// input (measured in both modes, trace on or off).
-        compute: Duration,
-    },
-    /// The kernel (or an injected transient fault) returned an error.
-    Failed(MatrixError),
-    /// The attempt panicked; the worker retires itself after reporting.
-    Panicked(String),
-}
-
+/// One worker report: how attempt `at = (task, attempt)` ended on `worker`.
 struct Completion<T: Scalar> {
-    task: TaskId,
+    at: (TaskId, u32),
     worker: usize,
-    attempt: u32,
-    outcome: WorkerOutcome<T>,
+    outcome: Outcome<T>,
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Backoff-parked retries, earliest wake-up first.
+type Parked = BinaryHeap<Reverse<(Instant, TaskId)>>;
+
+/// Charge a lost attempt of `t` to its budget: park the retry, or record
+/// the exhausted budget as the run's fatal error.
+fn park_retry(
+    run: &mut DagRun,
+    parked: &mut Parked,
+    fatal: &mut Option<RuntimeError>,
+    ft: &FaultTolerance,
+    t: TaskId,
+    last: String,
+) {
+    match run.charge_retry(ft, t, last) {
+        Ok(when) => parked.push(Reverse((when, t))),
+        Err(e) => *fatal = Some(e),
     }
 }
 
-struct ManagerStats {
-    tasks_per_worker: Vec<u64>,
-    stage_wait: Duration,
-    commit_wait: Duration,
-    max_ready_depth: usize,
-    retries: u64,
-    requeues: u64,
-    worker_deaths: u64,
-    drift_reweights: u64,
-    trace: Option<Trace>,
-}
-
-/// What one worker attempt hands back: the completed task when the
-/// commit is deferred to the manager (fault-tolerant mode), plus the
-/// stage wait, commit wait, and kernel-only compute time.
-type AttemptOutput<T> = (Option<Box<CompletedTask<T>>>, Duration, Duration, Duration);
-
-/// The unified manager loop behind every multi-worker entry point.
+/// The pool driver behind every multi-worker entry point: scoped worker
+/// threads that are never respawned (an emptied pool is
+/// [`RuntimeError::AllWorkersDead`]) around one [`DagRun`]. `ft` selects
+/// the engine's fenced, retryable discipline; without it a fault is
+/// isolated but fatal.
 fn run_pool<T: Scalar>(
     state: FactorState<T>,
     graph: &TaskGraph,
@@ -410,9 +358,8 @@ fn run_pool<T: Scalar>(
     let shared = SharedFactorState::new(state);
     let ib = shared.inner_block();
     let (done_tx, done_rx) = mpsc::channel::<Completion<T>>();
-    let ft_mode = ft.is_some();
+    let fenced = ft.is_some();
     let trace_cfg = config.trace;
-    let per_worker_ws = config.workspace == WorkspacePolicy::PerWorker;
     // Retired workers hand their recorder back over this channel; the
     // manager collects them after closing the dispatch channels.
     let (rec_tx, rec_rx) = mpsc::channel::<(usize, WorkerRecorder)>();
@@ -420,7 +367,7 @@ fn run_pool<T: Scalar>(
     // here; drained after the scope joins, so it never blocks.
     let (ws_tx, ws_rx) = mpsc::channel::<(usize, u64)>();
 
-    let run_result: std::result::Result<ManagerStats, RuntimeError> = std::thread::scope(|scope| {
+    let run_result = std::thread::scope(|scope| {
         // One private channel per worker: the manager chooses *which*
         // idle worker gets the next task, so no shared ready queue
         // exists on the worker side. `None` marks a retired worker.
@@ -438,123 +385,19 @@ fn run_pool<T: Scalar>(
             // One arena per computing thread, sized once for the run's
             // (b, ib): every kernel this worker executes borrows scratch
             // from it instead of allocating.
-            let mut ws = if per_worker_ws {
-                Workspace::<T>::new(b, ib)
-            } else {
-                Workspace::minimal()
-            };
+            let mut ws = Workspace::<T>::new(b, ib);
             scope.spawn(move || {
-                while let Ok((tid, attempt)) = rx.recv() {
-                    let task = graph.task(tid);
-                    let rec_ref = &mut rec;
-                    let ws_ref = &mut ws;
-                    let result = catch_unwind(AssertUnwindSafe(|| -> Result<AttemptOutput<T>> {
-                        let fault = injector
-                            .map_or(InjectedFault::None, |f| f.before_attempt(tid, attempt));
-                        match fault {
-                            InjectedFault::None | InjectedFault::PoisonNan => {}
-                            InjectedFault::Panic => {
-                                panic!("injected panic: task {tid} attempt {attempt}")
-                            }
-                            InjectedFault::TransientError => {
-                                return Err(MatrixError::Runtime {
-                                    reason: format!(
-                                        "injected transient failure: task {tid} attempt {attempt}"
-                                    ),
-                                })
-                            }
-                            InjectedFault::Stall(d) => std::thread::sleep(d),
-                        }
-                        let t0 = Instant::now();
-                        let staged = if ft_mode {
-                            shared.stage_preserving(task)
-                        } else {
-                            shared.stage(task)
-                        }?;
-                        let t_staged = Instant::now();
-                        let stage_wait = t_staged.duration_since(t0);
-                        let mut done = if per_worker_ws {
-                            staged.compute_with(ws_ref)?
-                        } else {
-                            // PerCall baseline: throwaway scratch every task.
-                            staged.compute()?
-                        };
-                        let compute = t_staged.elapsed();
-                        if fault == InjectedFault::PoisonNan {
-                            // NaN-corrupt the output *after* the kernel ran;
-                            // the pool path has no poison fence (that
-                            // containment lives in the service), so this
-                            // seam is only consulted by service tests here.
-                            done.poison();
-                        }
-                        if ft_mode {
-                            if let Some(r) = rec_ref.as_mut() {
-                                let now = ns_since(started);
-                                let t0 = ns_since_at(started, t0);
-                                let ts = ns_since_at(started, t_staged);
-                                r.record(RawEvent::interval(RawKind::Stage, tid, attempt, t0, ts));
-                                r.record(RawEvent::interval(
-                                    RawKind::Compute,
-                                    tid,
-                                    attempt,
-                                    ts,
-                                    now,
-                                ));
-                            }
-                            // Commit on the manager, behind the fence.
-                            Ok((Some(Box::new(done)), stage_wait, Duration::ZERO, compute))
-                        } else {
-                            let t1 = Instant::now();
-                            shared.commit(done);
-                            if let Some(r) = rec_ref.as_mut() {
-                                let now = ns_since(started);
-                                let t0 = ns_since_at(started, t0);
-                                let ts = ns_since_at(started, t_staged);
-                                let tc = ns_since_at(started, t1);
-                                r.record(RawEvent::interval(RawKind::Stage, tid, attempt, t0, ts));
-                                r.record(RawEvent::interval(
-                                    RawKind::Compute,
-                                    tid,
-                                    attempt,
-                                    ts,
-                                    tc,
-                                ));
-                                r.record(RawEvent::interval(
-                                    RawKind::Commit,
-                                    tid,
-                                    attempt,
-                                    tc,
-                                    now,
-                                ));
-                            }
-                            Ok((None, stage_wait, t1.elapsed(), compute))
-                        }
-                    }));
-                    let (outcome, retire) = match result {
-                        Ok(Ok((completed, stage_wait, commit_wait, compute))) => (
-                            WorkerOutcome::Done {
-                                completed,
-                                stage_wait,
-                                commit_wait,
-                                compute,
-                            },
-                            false,
-                        ),
-                        Ok(Err(e)) => (WorkerOutcome::Failed(e), false),
-                        Err(payload) => (
-                            WorkerOutcome::Panicked(panic_message(payload.as_ref())),
-                            true,
-                        ),
+                while let Ok(at) = rx.recv() {
+                    let lane = rec.as_mut().map(|r| (r, started));
+                    let kind = graph.task(at.0);
+                    let outcome = run_attempt(shared, kind, at, injector, fenced, &mut ws, lane);
+                    let retire = matches!(outcome, Outcome::Panicked(_));
+                    let report = Completion {
+                        at,
+                        worker: worker_id,
+                        outcome,
                     };
-                    let gone = done_tx
-                        .send(Completion {
-                            task: tid,
-                            worker: worker_id,
-                            attempt,
-                            outcome,
-                        })
-                        .is_err();
-                    if gone || retire {
+                    if done_tx.send(report).is_err() || retire {
                         break;
                     }
                 }
@@ -568,101 +411,15 @@ fn run_pool<T: Scalar>(
         drop(rec_tx);
         drop(ws_tx);
 
-        // Manager loop: readiness tracking + policy-ordered dispatch +
-        // recovery bookkeeping.
-        let total = graph.len();
-        let mut tracker = ReadyTracker::new(graph);
-        let mut queue = ReadyQueue::for_order(order, graph, model_weight(config.cost, b));
-        // Drift re-weighting state: only armed when the run both asked for
-        // it and has a calibrated model to measure against. `base` is the
-        // *original* calibration; the detector's ratios are absolute vs
-        // that, so each re-weight scales `base`, never the scaled costs.
-        let mut drift_state = config
-            .drift
+        // The manager: feed the engine dispatches and worker reports.
+        let lane = trace_cfg
             .enabled
-            .then(|| config.cost.class_costs())
-            .flatten()
-            .map(|base| (DriftDetector::new(config.drift, base.expected_us(b)), base));
-        let mut drift_panel = 0usize;
-        // The manager's own lane: ready/dispatch/recovery instants, plus
-        // the fenced commits in fault-tolerant mode.
-        let mut mgr_rec = trace_cfg
-            .enabled
-            .then(|| WorkerRecorder::new(trace_cfg.capacity_per_lane));
-        for t in tracker.initial_ready(graph) {
-            if let Some(r) = mgr_rec.as_mut() {
-                r.record(RawEvent::instant(RawKind::Ready, t, 0, ns_since(started)));
-            }
-            queue.push(t);
-        }
-        let mut idle: Vec<usize> = (0..workers).rev().collect();
-        let mut alive = vec![true; workers];
-        let mut in_flight_of: Vec<Option<(TaskId, Instant)>> = vec![None; workers];
-        let mut in_flight = 0usize;
-        let mut committed = vec![false; total];
-        let mut completed = 0usize;
-        let mut attempts = vec![0u32; total];
-        let mut parked: BinaryHeap<Reverse<(Instant, TaskId)>> = BinaryHeap::new();
+            .then(|| (WorkerRecorder::new(trace_cfg.capacity_per_lane), started));
+        let mut run = DagRun::new(graph, order, config.cost, config.drift, b, workers, lane);
+        let mut slots = Slots::<TaskId>::new(workers);
+        let mut parked = Parked::new();
         let mut fatal: Option<RuntimeError> = None;
-        let mut stats = ManagerStats {
-            tasks_per_worker: vec![0u64; workers],
-            stage_wait: Duration::ZERO,
-            commit_wait: Duration::ZERO,
-            max_ready_depth: 0,
-            retries: 0,
-            requeues: 0,
-            worker_deaths: 0,
-            drift_reweights: 0,
-            trace: None,
-        };
-
-        // Park `t` for a backoff-delayed retry, or fail the run once
-        // its attempt budget is gone.
-        macro_rules! retry_or_fail {
-            ($t:expr, $last:expr) => {{
-                let t: TaskId = $t;
-                let ftc = ft.expect("retries only happen in fault-tolerant mode");
-                if attempts[t] >= ftc.max_attempts {
-                    if fatal.is_none() {
-                        fatal = Some(RuntimeError::RetriesExhausted {
-                            task: t,
-                            attempts: attempts[t],
-                            last: $last,
-                        });
-                    }
-                } else {
-                    stats.retries += 1;
-                    if let Some(r) = mgr_rec.as_mut() {
-                        r.record(RawEvent::instant(
-                            RawKind::Retry,
-                            t,
-                            attempts[t] as u64,
-                            ns_since(started),
-                        ));
-                    }
-                    let delay = ftc.backoff(attempts[t]);
-                    parked.push(Reverse((Instant::now() + delay, t)));
-                }
-            }};
-        }
-
-        // Record a worker-death (and optional requeue) instant pair.
-        macro_rules! trace_death {
-            ($w:expr, $t:expr) => {{
-                if let Some(r) = mgr_rec.as_mut() {
-                    let now = ns_since(started);
-                    r.record(RawEvent::instant(
-                        RawKind::WorkerDeath,
-                        RawEvent::NO_TASK,
-                        $w as u64,
-                        now,
-                    ));
-                    if let Some(t) = $t {
-                        r.record(RawEvent::instant(RawKind::Requeue, t, $w as u64, now));
-                    }
-                }
-            }};
-        }
+        let stall = ft.and_then(|f| f.stall_timeout.map(|st| (f, st)));
 
         loop {
             // Wake parked retries whose backoff has elapsed.
@@ -672,64 +429,43 @@ fn run_pool<T: Scalar>(
                     break;
                 }
                 parked.pop();
-                if !committed[t] {
-                    queue.push(t);
-                }
+                run.wake(t);
             }
 
-            // Dispatch: pair ready tasks with alive idle workers.
-            while fatal.is_none() {
-                while idle.last().is_some_and(|&w| !alive[w]) {
-                    idle.pop();
-                }
-                let Some(&w) = idle.last() else { break };
-                let Some(t) = queue.pop() else { break };
-                if committed[t] {
-                    continue; // superseded by a harvested late result
-                }
-                idle.pop();
-                attempts[t] += 1;
-                let attempt = attempts[t] - 1;
-                let sent = task_txs[w]
-                    .as_ref()
-                    .is_some_and(|tx| tx.send((t, attempt)).is_ok());
-                if sent {
-                    if let Some(r) = mgr_rec.as_mut() {
-                        r.record(RawEvent::instant(
-                            RawKind::Dispatch,
-                            t,
-                            w as u64,
-                            ns_since(started),
-                        ));
-                    }
-                    in_flight_of[w] = Some((t, Instant::now()));
-                    in_flight += 1;
+            // Dispatch: pair ready tasks with idle workers.
+            while let Some(w) = slots.claim() {
+                let Some(next) = run.pop_ready(w) else {
+                    slots.free(w);
+                    break;
+                };
+                if task_txs[w].as_ref().is_some_and(|tx| tx.send(next).is_ok()) {
+                    slots.watch(w, next.0);
                 } else {
-                    // Worker vanished without reporting: retire it and
-                    // put the task back (the attempt never started).
-                    alive[w] = false;
+                    // Worker vanished without reporting: retire it (the
+                    // slot stays claimed forever) and put the task back —
+                    // the attempt never started.
                     task_txs[w] = None;
-                    stats.worker_deaths += 1;
-                    attempts[t] -= 1;
-                    stats.requeues += 1;
-                    trace_death!(w, Some(t));
-                    queue.push(t);
+                    run.worker_died(w);
+                    run.undo_dispatch(next.0, w);
                 }
             }
 
             // Termination.
-            if completed == total {
+            if run.all_done() {
                 break;
             }
-            if in_flight == 0 {
+            if run.in_flight() == 0 {
                 if fatal.is_some() {
                     break;
                 }
-                if !alive.iter().any(|&a| a) {
-                    fatal = Some(RuntimeError::AllWorkersDead { completed, total });
+                if task_txs.iter().all(Option::is_none) {
+                    fatal = Some(RuntimeError::AllWorkersDead {
+                        completed: run.completed(),
+                        total: graph.len(),
+                    });
                     break;
                 }
-                if parked.is_empty() && queue.is_empty() {
+                if parked.is_empty() && run.ready_len() == 0 {
                     // Unreachable: every uncommitted task is queued,
                     // parked, in flight, or behind one that is. Guard
                     // instead of hanging if the invariant ever breaks.
@@ -738,229 +474,109 @@ fn run_pool<T: Scalar>(
                 }
             }
 
-            // Wait for the next completion, bounded by the earliest
-            // parked wake-up or watchdog expiry.
-            let mut deadline: Option<Instant> = parked.peek().map(|&Reverse((when, _))| when);
-            if let Some(st) = ft.and_then(|f| f.stall_timeout) {
-                for w in 0..workers {
-                    if !alive[w] {
-                        continue;
-                    }
-                    if let Some((_, since)) = in_flight_of[w] {
-                        let dl = since + st;
-                        deadline = Some(deadline.map_or(dl, |d| d.min(dl)));
-                    }
-                }
-            }
-            let received = match deadline {
-                None => match done_rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => {
-                        if fatal.is_none() {
-                            fatal = Some(RuntimeError::Disconnected { in_flight });
-                        }
-                        break;
-                    }
-                },
+            // Wait for the next report, bounded by the earliest parked
+            // wake-up or watchdog expiry.
+            let wake = parked.peek().map(|&Reverse((when, _))| when);
+            let expiry = stall.and_then(|(_, st)| slots.earliest_stall_expiry(st));
+            let received = match wake.into_iter().chain(expiry).min() {
+                None => done_rx.recv().map(Some).ok(),
                 Some(dl) => {
-                    let wait = dl.saturating_duration_since(Instant::now());
-                    match done_rx.recv_timeout(wait) {
-                        Ok(m) => Some(m),
-                        Err(mpsc::RecvTimeoutError::Timeout) => None,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            if fatal.is_none() {
-                                fatal = Some(RuntimeError::Disconnected { in_flight });
-                            }
-                            break;
-                        }
+                    match done_rx.recv_timeout(dl.saturating_duration_since(Instant::now())) {
+                        Ok(m) => Some(Some(m)),
+                        Err(mpsc::RecvTimeoutError::Timeout) => Some(None),
+                        Err(mpsc::RecvTimeoutError::Disconnected) => None,
                     }
                 }
             };
-
+            let Some(received) = received else {
+                fatal.get_or_insert(RuntimeError::Disconnected {
+                    in_flight: run.in_flight(),
+                });
+                break;
+            };
             let Some(Completion {
-                task: t,
+                at,
                 worker: w,
-                attempt: done_attempt,
                 outcome,
             }) = received
             else {
-                // Timeout: sweep the watchdog, retiring stalled workers
-                // and requeueing their tasks.
-                if let Some(st) = ft.and_then(|f| f.stall_timeout) {
-                    let now = Instant::now();
-                    for w in 0..workers {
-                        if !alive[w] {
-                            continue;
-                        }
-                        let Some((t, since)) = in_flight_of[w] else {
-                            continue;
-                        };
-                        if now.duration_since(since) >= st {
-                            alive[w] = false;
-                            task_txs[w] = None;
-                            in_flight_of[w] = None;
-                            in_flight -= 1;
-                            stats.worker_deaths += 1;
-                            if !committed[t] {
-                                stats.requeues += 1;
-                                trace_death!(w, Some(t));
-                                retry_or_fail!(t, format!("worker {w} stalled past {st:?}"));
-                            } else {
-                                trace_death!(w, None::<TaskId>);
-                            }
+                // Timeout: the watchdog retires stalled workers (for
+                // good — this pool never respawns) and requeues their
+                // tasks.
+                if let Some((ftc, st)) = stall {
+                    for (w, t) in slots.take_stalled(st, Instant::now()) {
+                        task_txs[w] = None;
+                        if run.on_panicked(t, w, true) {
+                            let last = format!("worker {w} stalled past {st:?}");
+                            park_retry(&mut run, &mut parked, &mut fatal, &ftc, t, last);
                         }
                     }
                 }
                 continue;
             };
 
-            // `expected` distinguishes the attempt the manager is
-            // waiting on from a late report by a retired worker.
-            let expected = alive[w] && in_flight_of[w].is_some_and(|(xt, _)| xt == t);
-            if expected {
-                in_flight_of[w] = None;
-                in_flight -= 1;
-            }
-            match outcome {
-                WorkerOutcome::Done {
-                    completed: payload,
-                    stage_wait,
-                    commit_wait,
-                    compute,
-                } => {
-                    stats.stage_wait += stage_wait;
-                    stats.commit_wait += commit_wait;
-                    if !committed[t] {
-                        if let Some((detector, base)) = drift_state.as_mut() {
-                            let kind = graph.task(t);
-                            detector.record(class_slot(kind.class()), compute.as_secs_f64() * 1e6);
-                            // Panel boundary: the first committed task of a
-                            // later panel closes the previous panel's window.
-                            if kind.panel() > drift_panel {
-                                drift_panel = kind.panel();
-                                if let Some(ratios) = detector.check() {
-                                    let scaled = base.scaled(ratios);
-                                    queue.reprioritize(bottom_levels(graph, |k| {
-                                        scaled.cost_us(k, b)
-                                    }));
-                                    stats.drift_reweights += 1;
-                                }
-                            }
-                        }
-                        // First result wins — even from a retired
-                        // worker: duplicate attempts stage identical
-                        // inputs (nothing conflicting runs before the
-                        // commit), so outputs are bit-identical.
-                        if let Some(done) = payload {
-                            let t1 = Instant::now();
-                            shared.commit(*done);
-                            stats.commit_wait += t1.elapsed();
-                            if let Some(r) = mgr_rec.as_mut() {
-                                r.record(RawEvent::interval(
-                                    RawKind::Commit,
-                                    t,
-                                    done_attempt,
-                                    ns_since_at(started, t1),
-                                    ns_since(started),
-                                ));
-                            }
-                        }
-                        committed[t] = true;
-                        completed += 1;
-                        stats.tasks_per_worker[w] += 1;
-                        let ready = tracker.complete(graph, t);
-                        if fatal.is_none() {
-                            for r in ready {
-                                if let Some(rec) = mgr_rec.as_mut() {
-                                    rec.record(RawEvent::instant(
-                                        RawKind::Ready,
-                                        r,
-                                        0,
-                                        ns_since(started),
-                                    ));
-                                }
-                                queue.push(r);
-                            }
-                        }
-                    }
-                    if expected {
-                        idle.push(w);
-                    }
+            let t = at.0;
+            let alive = !matches!(outcome, Outcome::Panicked(_));
+            let expected = slots.settle(w, t, alive);
+            // A lost attempt costs a retry when fenced, the run when not
+            // (destructive staging lost the task's inputs).
+            let lost = match outcome {
+                Outcome::Done(done) => {
+                    run.on_done(graph, &shared, at, w, expected, done);
+                    None
                 }
-                WorkerOutcome::Failed(e) => {
-                    if expected {
-                        idle.push(w);
-                        if !committed[t] {
-                            if ft_mode {
-                                retry_or_fail!(t, e.to_string());
-                            } else if fatal.is_none() {
-                                fatal = Some(RuntimeError::Kernel { task: t, source: e });
-                            }
-                        }
-                    }
-                    // A late failure from a retired worker is ignored:
-                    // its task was already requeued at retirement.
+                Outcome::Failed(source) => run
+                    .on_failed(t, expected)
+                    .then_some(RuntimeError::Kernel { task: t, source }),
+                Outcome::Panicked(message) => {
+                    task_txs[w] = None;
+                    run.on_panicked(t, w, expected)
+                        .then_some(RuntimeError::TaskPanicked {
+                            task: t,
+                            worker: w,
+                            message,
+                        })
                 }
-                WorkerOutcome::Panicked(message) => {
-                    if alive[w] {
-                        alive[w] = false;
-                        task_txs[w] = None;
-                        stats.worker_deaths += 1;
-                        trace_death!(w, None::<TaskId>);
-                    }
-                    if expected && !committed[t] {
-                        stats.requeues += 1;
-                        if let Some(r) = mgr_rec.as_mut() {
-                            r.record(RawEvent::instant(
-                                RawKind::Requeue,
-                                t,
-                                w as u64,
-                                ns_since(started),
-                            ));
-                        }
-                        if ft_mode {
-                            retry_or_fail!(t, format!("panic: {message}"));
-                        } else if fatal.is_none() {
-                            fatal = Some(RuntimeError::TaskPanicked {
-                                task: t,
-                                worker: w,
-                                message,
-                            });
-                        }
-                    }
+            };
+            match (lost, ft) {
+                (None, _) => {}
+                (Some(cause), Some(ftc)) => {
+                    let last = cause.to_string();
+                    park_retry(&mut run, &mut parked, &mut fatal, &ftc, t, last);
+                }
+                (Some(cause), None) => {
+                    run.halt();
+                    fatal = Some(cause);
                 }
             }
         }
 
-        stats.max_ready_depth = queue.max_depth();
         drop(task_txs); // workers exit
-        if let Some(mgr) = mgr_rec {
+        if let Some(e) = fatal {
+            return Err(e);
+        }
+        debug_assert!(run.all_done());
+        let trace = run.take_lane().map(|mgr| {
             // Blocks until every worker (even one finishing a late
             // attempt) has exited and returned its recorder — exactly
             // the join the enclosing scope performs anyway.
-            let mut slots: Vec<Option<WorkerRecorder>> = (0..workers).map(|_| None).collect();
+            let mut by_worker: Vec<Option<WorkerRecorder>> = (0..workers).map(|_| None).collect();
             for (w, r) in rec_rx.iter() {
-                slots[w] = Some(r);
+                by_worker[w] = Some(r);
             }
-            let mut recorders: Vec<WorkerRecorder> = slots
+            let mut recorders: Vec<WorkerRecorder> = by_worker
                 .into_iter()
                 .map(|s| s.unwrap_or_else(|| WorkerRecorder::new(1)))
                 .collect();
             recorders.push(mgr);
             let mut lanes: Vec<String> = (0..workers).map(|w| format!("worker{w}")).collect();
             lanes.push("manager".to_string());
-            stats.trace = Some(merge_recorders(&recorders, lanes, graph));
-        }
-        match fatal {
-            Some(e) => Err(e),
-            None => {
-                debug_assert!(tracker.all_done());
-                Ok(stats)
-            }
-        }
+            merge_recorders(&recorders, lanes, graph)
+        });
+        Ok((run, trace))
     });
 
-    let stats = run_result?;
+    let (run, trace) = run_result?;
     // Every worker has exited (the scope joined them), so this drains
     // without blocking. Workers that died before reporting simply
     // contribute nothing.
@@ -971,23 +587,8 @@ fn run_pool<T: Scalar>(
     }
     let state = shared.into_state();
     counters.cow_clones = state.cow_clones();
-    Ok((
-        state,
-        RunReport {
-            tasks_per_worker: stats.tasks_per_worker,
-            elapsed: started.elapsed(),
-            stage_wait: stats.stage_wait,
-            commit_wait: stats.commit_wait,
-            max_ready_depth: stats.max_ready_depth,
-            policy: order.base_policy(),
-            retries: stats.retries,
-            requeues: stats.requeues,
-            worker_deaths: stats.worker_deaths,
-            drift_reweights: stats.drift_reweights,
-            trace: stats.trace,
-            counters,
-        },
-    ))
+    let report = run.into_report(started.elapsed(), trace, counters);
+    Ok((state, report))
 }
 
 #[cfg(test)]
@@ -1295,12 +896,12 @@ mod tests {
         // hits the copy-on-write fallback, and per-worker arenas sized at
         // spawn never grow.
         let a = random_matrix::<f64>(24, 24, 41);
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let (_, g, seq_tiles) = sequential_tiles(&a, 4);
         for workers in [1usize, 2, 4] {
             // Freshly-tiled input each run: no external handle may survive,
             // or the first take of each shared tile would count as a COW.
             let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-            let (_, report) = super::parallel_factor_traced(
+            let (st, report) = super::parallel_factor_traced(
                 FactorState::new(tiled),
                 &g,
                 PoolConfig {
@@ -1309,42 +910,12 @@ mod tests {
                 },
             )
             .unwrap();
+            assert_eq!(st.tiles().to_matrix(), seq_tiles, "workers={workers}");
             assert_eq!(report.cow_clones(), 0, "workers={workers}");
             assert_eq!(report.counters.workspace_resizes, 0, "workers={workers}");
             assert!(report.counters.workspace_bytes > 0, "workers={workers}");
             assert!(report.counters.is_clean());
         }
-    }
-
-    #[test]
-    fn per_call_workspace_policy_matches_per_worker_bitwise() {
-        let a = random_matrix::<f64>(24, 24, 42);
-        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
-        let (per_worker, _) = super::parallel_factor_traced(
-            FactorState::new(tiled.clone()),
-            &g,
-            PoolConfig {
-                workers: 3,
-                workspace: WorkspacePolicy::PerWorker,
-                ..PoolConfig::default()
-            },
-        )
-        .unwrap();
-        let (per_call, report) = super::parallel_factor_traced(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 3,
-                workspace: WorkspacePolicy::PerCall,
-                ..PoolConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(per_worker.tiles().to_matrix(), per_call.tiles().to_matrix());
-        // PerCall tracks no arena: the throwaway scratch is invisible.
-        assert_eq!(report.counters.workspace_bytes, 0);
-        assert_eq!(report.cow_clones(), 0);
     }
 
     #[test]

@@ -27,20 +27,18 @@
 //!   otherwise idle; pending batches compete in the same virtual-time
 //!   order as regular jobs (keyed by their oldest member), so batching
 //!   adds no starvation risk.
-//! * **Execution**: identical to the fault-tolerant pool path —
-//!   non-destructive staging plus a manager-side commit fence make task
-//!   re-execution idempotent, so the bit-identity guarantee survives DAG
-//!   interleaving: every task still writes a disjoint tile set of its own
-//!   job's [`SharedFactorState`].
-//! * **Recovery**: a worker panic retires only that thread; the manager
-//!   respawns the slot (the pool never shrinks) and charges the retry to
-//!   the *victim job's* attempt budget alone. Other in-flight jobs are
-//!   untouched. Exhausted budgets fail that one job with a structured
-//!   [`ServiceError::Runtime`]. When
-//!   [`FaultTolerance::stall_timeout`] is set, a **stall watchdog** in
-//!   the dispatch loop retires any worker whose in-flight task exceeds
-//!   the bound, respawns the slot, and requeues the task exactly once
-//!   through the same retry path.
+//! * **Execution and recovery**: the fault-tolerant pool path, literally
+//!   — every interleaved job owns one [`DagRun`] of the shared
+//!   [`engine`](crate::engine), and workers run its fenced
+//!   [`run_attempt`]. Non-destructive staging plus the engine's commit
+//!   fence make re-execution idempotent, so bit-identity survives DAG
+//!   interleaving, and a lost attempt is charged to the *victim job's*
+//!   budget alone: exhausting it fails that one job with a structured
+//!   [`ServiceError::Runtime`]. What this driver adds is the thread
+//!   lifecycle: a panicked worker — or, with
+//!   [`FaultTolerance::stall_timeout`] set, one the **stall watchdog**
+//!   finds past the bound — is retired and its slot *respawned* (the pool
+//!   never shrinks).
 //! * **Job lifecycle**: a job can carry a [`JobSpec::deadline`]; expired
 //!   queued jobs are **shed** before they consume worker time
 //!   ([`ServiceError::DeadlineExceeded`]). [`JobHandle::cancel`]
@@ -62,10 +60,11 @@
 //! service-wide queue-wait / latency histograms plus queue-depth
 //! high-water marks are readable at any time via [`QrService::stats`].
 
+use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots, Tally};
 use crate::error::RuntimeError;
-use crate::pool::{model_weight, panic_message, RunReport};
-use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
-use crate::scheduler::{ReadyQueue, ReadyTracker, SchedulePolicy};
+use crate::pool::{model_weight, RunReport};
+use crate::recovery::{FaultInjector, FaultTolerance};
+use crate::scheduler::{DispatchOrder, SchedulePolicy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
@@ -76,17 +75,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{
-    bottom_levels, class_slot, ClassCosts, CostModel, EliminationOrder, EliminationTree, TaskGraph,
-    TaskId, TaskKind, TreePolicy,
+    class_slot, CostModel, EliminationOrder, EliminationTree, TaskGraph, TaskId, TaskKind,
+    TreePolicy,
 };
-use tileqr_kernels::exec::{
-    apply_q_dense, apply_qt_dense, CompletedTask, FactorState, SharedFactorState,
-};
-use tileqr_kernels::{Workspace, WorkspacePolicy};
+use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, SharedFactorState};
+use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
-use tileqr_obs::{
-    DriftConfig, DriftDetector, HotPathCounters, LatencyHistogram, LifecycleCounters,
-};
+use tileqr_obs::{DriftConfig, HotPathCounters, LatencyHistogram, LifecycleCounters};
 
 /// Job identifier, unique per service instance (1-based).
 pub type JobId = u64;
@@ -154,8 +149,6 @@ pub struct ServiceConfig {
     /// Per-job retry budget and backoff for panicked or transiently
     /// failed tasks.
     pub fault_tolerance: FaultTolerance,
-    /// Kernel-scratch strategy for the resident workers.
-    pub workspace: WorkspacePolicy,
     /// Default task-cost model for bottom-level priorities and WFQ
     /// virtual time (per-job [`JobSpec::cost_model`] overrides it).
     pub cost: CostModel,
@@ -173,7 +166,6 @@ impl Default for ServiceConfig {
             batch_max_tasks: 4,
             batch_max_jobs: 8,
             fault_tolerance: FaultTolerance::default(),
-            workspace: WorkspacePolicy::default(),
             cost: CostModel::default(),
             drift: DriftConfig::default(),
         }
@@ -747,43 +739,83 @@ struct JobMeta<T: Scalar> {
     result_tx: ResultTx<T>,
 }
 
-struct NewJob<T: Scalar> {
-    id: JobId,
+/// What every execution path needs of a job to produce its output: the
+/// factor state, the DAG over it, the original (unpadded) dimensions, and
+/// what to compute once the DAG has run.
+struct JobBody<T: Scalar> {
     state: FactorState<T>,
     graph: Arc<TaskGraph>,
     rows: usize,
     cols: usize,
-    b: usize,
     payload: Payload<T>,
-    class: PriorityClass,
+}
+
+/// A submission as it reaches the manager; `meta`'s dispatch-count and
+/// backlog stamps are the manager's to fill in at admission.
+struct NewJob<T: Scalar> {
+    meta: JobMeta<T>,
+    body: JobBody<T>,
+    b: usize,
     cost: CostModel,
     tuning: JobTuning,
     injector: Option<SharedInjector>,
-    submitted: Instant,
-    deadline: Option<Duration>,
-    result_tx: ResultTx<T>,
 }
 
+/// A job small enough to batch: queued, grouped and executed whole.
+struct SmallJob<T: Scalar> {
+    meta: JobMeta<T>,
+    body: JobBody<T>,
+    vtime: f64,
+}
+
+/// Everything a [`JobResult`] carries besides the output — assembled
+/// when a job's DAG finishes and handed along (through the epilogue
+/// worker, if there is one) to the moment of delivery.
+struct Delivery<T: Scalar> {
+    meta: JobMeta<T>,
+    report: RunReport,
+    batched: bool,
+    task_latency: LatencyHistogram,
+    class_compute_us: [f64; 3],
+    class_tasks: [u64; 3],
+}
+
+/// Why a composite (batch / epilogue) unit failed on its worker.
 enum UnitFailure {
     Numeric(MatrixError),
     Panicked(String),
 }
 
-enum TaskOutcome<T: Scalar> {
-    Done {
-        completed: Box<CompletedTask<T>>,
-        stage_wait: Duration,
-        compute_ns: u64,
-    },
-    Failed(MatrixError),
-    Panicked(String),
+impl UnitFailure {
+    fn into_error(self, worker: usize) -> ServiceError {
+        match self {
+            UnitFailure::Numeric(e) => ServiceError::Numeric(e),
+            UnitFailure::Panicked(message) => ServiceError::Runtime(RuntimeError::TaskPanicked {
+                task: 0,
+                worker,
+                message,
+            }),
+        }
+    }
 }
 
+/// Run a composite unit under `catch_unwind`, so a panic fails the unit's
+/// job instead of killing the resident worker.
+fn guarded<R>(unit: impl FnOnce() -> Result<R, MatrixError>) -> Result<R, UnitFailure> {
+    match catch_unwind(AssertUnwindSafe(unit)) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(UnitFailure::Numeric(e)),
+        Err(payload) => Err(UnitFailure::Panicked(panic_message(payload.as_ref()))),
+    }
+}
+
+/// The in-flight attempt a worker slot is watched for.
+type AttemptKey = (JobId, TaskId, u32);
+
 struct TaskDone<T: Scalar> {
-    job: JobId,
-    task: TaskId,
+    key: AttemptKey,
     worker: usize,
-    outcome: TaskOutcome<T>,
+    outcome: Outcome<T>,
 }
 
 struct BatchItem<T: Scalar> {
@@ -793,55 +825,30 @@ struct BatchItem<T: Scalar> {
     tasks: u64,
 }
 
-struct BatchDone<T: Scalar> {
-    worker: usize,
-    items: Vec<BatchItem<T>>,
-}
-
 struct EpilogueDone<T: Scalar> {
-    job: JobId,
     worker: usize,
+    delivery: Delivery<T>,
     result: Result<JobOutput<T>, UnitFailure>,
 }
 
 enum Msg<T: Scalar> {
     Submit(Box<NewJob<T>>),
     TaskDone(Box<TaskDone<T>>),
-    BatchDone(BatchDone<T>),
+    BatchDone(usize, Vec<BatchItem<T>>),
     EpilogueDone(Box<EpilogueDone<T>>),
     Cancel(JobId),
     Drain(mpsc::Sender<()>),
 }
 
-struct BatchUnit<T: Scalar> {
-    meta: JobMeta<T>,
-    state: FactorState<T>,
-    graph: Arc<TaskGraph>,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
-}
-
-struct EpilogueUnit<T: Scalar> {
-    job: JobId,
-    state: FactorState<T>,
-    graph: Arc<TaskGraph>,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
-}
-
 enum Work<T: Scalar> {
     Task {
-        job: JobId,
-        task: TaskId,
+        key: AttemptKey,
         kind: TaskKind,
-        attempt: u32,
         shared: Arc<SharedFactorState<T>>,
         injector: Option<SharedInjector>,
     },
-    Batch(Vec<BatchUnit<T>>),
-    Epilogue(Box<EpilogueUnit<T>>),
+    Batch(Vec<SmallJob<T>>),
+    Epilogue(Box<(Delivery<T>, JobBody<T>)>),
 }
 
 /// Run the epilogue of a finished DAG: wrap the state into the job's
@@ -850,20 +857,15 @@ enum Work<T: Scalar> {
 /// The solve path mirrors `TiledQr::solve` exactly (pad, `Qᵀ b`, back
 /// substitution on the leading `cols` entries) so a service solve is
 /// bit-identical to the single-matrix API.
-fn finish_output<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
-) -> Result<JobOutput<T>, MatrixError> {
+fn finish_output<T: Scalar>(body: JobBody<T>) -> Result<JobOutput<T>, MatrixError> {
+    let (state, graph, rows, cols) = (body.state, body.graph.as_ref(), body.rows, body.cols);
     let wrap = |state: FactorState<T>| FactoredJob {
         state,
         graph: graph.clone(),
         rows,
         cols,
     };
-    match payload {
+    match body.payload {
         Payload::Factor => Ok(JobOutput::Factored(wrap(state))),
         Payload::Solve { rhs } => {
             let (pm, _) = state.tiles().padded_dims();
@@ -900,170 +902,68 @@ fn finish_output<T: Scalar>(
 // worker thread
 // ---------------------------------------------------------------------------
 
-fn worker_loop<T: Scalar>(
-    worker_id: usize,
-    rx: mpsc::Receiver<Work<T>>,
-    tx: mpsc::Sender<Msg<T>>,
-    per_worker_ws: bool,
-) {
+fn worker_loop<T: Scalar>(worker_id: usize, rx: mpsc::Receiver<Work<T>>, tx: mpsc::Sender<Msg<T>>) {
     // One arena per resident thread, grown on demand to the largest
     // (b, ib) the worker has seen — steady state allocates nothing.
     let mut ws = Workspace::<T>::minimal();
     while let Ok(work) = rx.recv() {
-        match work {
+        let (report, retire) = match work {
             Work::Task {
-                job,
-                task,
+                key,
                 kind,
-                attempt,
                 shared,
                 injector,
             } => {
-                let ws_ref = &mut ws;
-                let result = catch_unwind(AssertUnwindSafe(
-                    || -> Result<(Box<CompletedTask<T>>, Duration, u64), MatrixError> {
-                        let fault = injector
-                            .as_deref()
-                            .map_or(InjectedFault::None, |f| f.before_attempt(task, attempt));
-                        match fault {
-                            InjectedFault::None | InjectedFault::PoisonNan => {}
-                            InjectedFault::Panic => {
-                                panic!("injected panic: task {task} attempt {attempt}")
-                            }
-                            InjectedFault::TransientError => {
-                                return Err(MatrixError::Runtime {
-                                    reason: format!(
-                                        "injected transient failure: task {task} attempt {attempt}"
-                                    ),
-                                })
-                            }
-                            InjectedFault::Stall(d) => std::thread::sleep(d),
-                        }
-                        let t0 = Instant::now();
-                        let staged = shared.stage_preserving(kind)?;
-                        let t1 = Instant::now();
-                        let mut done = if per_worker_ws {
-                            staged.compute_with(ws_ref)?
-                        } else {
-                            staged.compute()?
-                        };
-                        if fault == InjectedFault::PoisonNan {
-                            // NaN-corrupt the output *after* the kernel ran,
-                            // exercising the manager's commit-fence scan.
-                            done.poison();
-                        }
-                        Ok((
-                            Box::new(done),
-                            t1.duration_since(t0),
-                            t1.elapsed().as_nanos() as u64,
-                        ))
-                    },
-                ));
+                let injector = injector.as_deref().map(|f| f as &dyn FaultInjector);
+                let attempt = (key.1, key.2);
+                let outcome = run_attempt(&shared, kind, attempt, injector, true, &mut ws, None);
                 // Drop the state handle *before* reporting: when the
                 // manager sees the job's last completion it can then
                 // reclaim unique ownership immediately.
                 drop(shared);
-                let (outcome, retire) = match result {
-                    Ok(Ok((completed, stage_wait, compute_ns))) => (
-                        TaskOutcome::Done {
-                            completed,
-                            stage_wait,
-                            compute_ns,
-                        },
-                        false,
-                    ),
-                    Ok(Err(e)) => (TaskOutcome::Failed(e), false),
-                    Err(payload) => (TaskOutcome::Panicked(panic_message(payload.as_ref())), true),
+                let retire = matches!(outcome, Outcome::Panicked(_));
+                let done = TaskDone {
+                    key,
+                    worker: worker_id,
+                    outcome,
                 };
-                let gone = tx
-                    .send(Msg::TaskDone(Box::new(TaskDone {
-                        job,
-                        task,
-                        worker: worker_id,
-                        outcome,
-                    })))
-                    .is_err();
-                if gone || retire {
-                    break;
-                }
+                (Msg::TaskDone(Box::new(done)), retire)
             }
             Work::Batch(units) => {
-                let mut items = Vec::with_capacity(units.len());
-                for unit in units {
-                    let BatchUnit {
-                        meta,
-                        mut state,
-                        graph,
-                        rows,
-                        cols,
-                        payload,
-                    } = unit;
-                    let tasks = graph.len() as u64;
+                let run_unit = |SmallJob { meta, mut body, .. }: SmallJob<T>| {
+                    let tasks = body.graph.len() as u64;
                     let t0 = Instant::now();
-                    let graph_ref = &graph;
-                    let run = catch_unwind(AssertUnwindSafe(
-                        move || -> Result<(JobOutput<T>, LatencyHistogram), MatrixError> {
-                            let mut hist = LatencyHistogram::new();
-                            for tid in 0..graph_ref.len() {
-                                let k0 = Instant::now();
-                                state.execute(graph_ref.task(tid))?;
-                                hist.record_ns(k0.elapsed().as_nanos() as u64);
-                            }
-                            let out = finish_output(state, graph_ref, rows, cols, payload)?;
-                            Ok((out, hist))
-                        },
-                    ));
-                    let result = match run {
-                        Ok(Ok(v)) => Ok(v),
-                        Ok(Err(e)) => Err(UnitFailure::Numeric(e)),
-                        Err(payload) => Err(UnitFailure::Panicked(panic_message(payload.as_ref()))),
-                    };
-                    items.push(BatchItem {
+                    let result = guarded(move || {
+                        let mut hist = LatencyHistogram::new();
+                        for tid in 0..body.graph.len() {
+                            let k0 = Instant::now();
+                            body.state.execute(body.graph.task(tid))?;
+                            hist.record_ns(k0.elapsed().as_nanos() as u64);
+                        }
+                        Ok((finish_output(body)?, hist))
+                    });
+                    BatchItem {
                         meta,
                         result,
                         elapsed: t0.elapsed(),
                         tasks,
-                    });
-                }
-                if tx
-                    .send(Msg::BatchDone(BatchDone {
-                        worker: worker_id,
-                        items,
-                    }))
-                    .is_err()
-                {
-                    break;
-                }
+                    }
+                };
+                let items = units.into_iter().map(run_unit).collect();
+                (Msg::BatchDone(worker_id, items), false)
             }
             Work::Epilogue(unit) => {
-                let EpilogueUnit {
-                    job,
-                    state,
-                    graph,
-                    rows,
-                    cols,
-                    payload,
-                } = *unit;
-                let graph_ref = &graph;
-                let run = catch_unwind(AssertUnwindSafe(move || {
-                    finish_output(state, graph_ref, rows, cols, payload)
-                }));
-                let result = match run {
-                    Ok(Ok(v)) => Ok(v),
-                    Ok(Err(e)) => Err(UnitFailure::Numeric(e)),
-                    Err(payload) => Err(UnitFailure::Panicked(panic_message(payload.as_ref()))),
+                let (delivery, body) = *unit;
+                let done = EpilogueDone {
+                    worker: worker_id,
+                    delivery,
+                    result: guarded(move || finish_output(body)),
                 };
-                if tx
-                    .send(Msg::EpilogueDone(Box::new(EpilogueDone {
-                        job,
-                        worker: worker_id,
-                        result,
-                    })))
-                    .is_err()
-                {
-                    break;
-                }
+                (Msg::EpilogueDone(Box::new(done)), false)
             }
+        };
+        if tx.send(report).is_err() || retire {
+            break;
         }
     }
 }
@@ -1072,70 +972,31 @@ fn worker_loop<T: Scalar>(
 // manager
 // ---------------------------------------------------------------------------
 
-enum InFlight {
-    Task {
-        job: JobId,
-        task: TaskId,
-        /// Dispatch time, read by the stall watchdog.
-        since: Instant,
-    },
-    /// Batch or epilogue unit — outside watchdog jurisdiction (composite
-    /// units have no per-task retry identity to requeue).
-    Other,
-}
-
+/// One interleaved (DAG-path) job: the engine's [`DagRun`] plus what only
+/// the service knows about it — its fair-share position, its lifecycle
+/// stamps, and the per-job measurements that ride on the [`JobResult`].
 struct JobState<T: Scalar> {
     meta: JobMeta<T>,
+    /// The job's [`JobBody`], taken apart while workers share the state;
+    /// reassembled when the DAG is done and the `Arc` is unique again.
     shared: Option<Arc<SharedFactorState<T>>>,
     graph: Arc<TaskGraph>,
     rows: usize,
     cols: usize,
+    payload: Payload<T>,
     b: usize,
-    payload: Option<Payload<T>>,
     weight: f64,
     cost: CostModel,
-    /// Armed iff drift detection is on and the job has calibrated costs:
-    /// the detector plus the *original* calibration its ratios scale.
-    drift: Option<(DriftDetector, ClassCosts)>,
-    drift_panel: usize,
-    drift_reweights: u64,
-    class_compute_us: [f64; 3],
-    class_tasks: [u64; 3],
     vtime: f64,
-    tracker: ReadyTracker,
-    ready: ReadyQueue,
-    committed: Vec<bool>,
-    attempts: Vec<u32>,
-    in_flight: usize,
-    /// Set by [`Msg::Cancel`]: stop dispatching, drain in-flight work,
-    /// then resolve with [`ServiceError::Cancelled`].
-    cancelled: bool,
+    /// Readiness, fence, retry budget, drift and counters. A cancelled
+    /// job is a halted run: nothing more dispatches or commits, and the
+    /// job resolves once its in-flight attempts have drained.
+    run: DagRun,
     injector: Option<SharedInjector>,
     started: Option<Instant>,
-    tasks_per_worker: Vec<u64>,
-    stage_wait: Duration,
-    commit_wait: Duration,
-    retries: u64,
-    requeues: u64,
-    worker_deaths: u64,
+    class_compute_us: [f64; 3],
+    class_tasks: [u64; 3],
     task_latency: LatencyHistogram,
-    report: Option<RunReport>,
-}
-
-impl<T: Scalar> JobState<T> {
-    fn pending_work(&self) -> bool {
-        !self.tracker.all_done()
-    }
-}
-
-struct SmallJob<T: Scalar> {
-    meta: JobMeta<T>,
-    state: FactorState<T>,
-    graph: Arc<TaskGraph>,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
-    vtime: f64,
 }
 
 struct PendingBatch<T: Scalar> {
@@ -1145,22 +1006,28 @@ struct PendingBatch<T: Scalar> {
 
 struct WorkerSlot<T: Scalar> {
     tx: mpsc::Sender<Work<T>>,
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
 }
 
+/// The service driver: resident worker threads that are respawned on
+/// death (the pool never shrinks), admission, weighted-fair choice among
+/// many [`DagRun`]s and small-job batches, deadlines, cancellation and
+/// epilogues. Everything per-DAG is the engine's.
 struct Manager<T: Scalar> {
     cfg: ServiceConfig,
     workers: usize,
     rx: mpsc::Receiver<Msg<T>>,
     msg_tx: mpsc::Sender<Msg<T>>,
-    slots: Vec<WorkerSlot<T>>,
+    threads: Vec<WorkerSlot<T>>,
     graveyard: Vec<JoinHandle<()>>,
-    idle: Vec<usize>,
-    in_flight_of: Vec<Option<InFlight>>,
+    /// Batch and epilogue units occupy a slot unwatched: composite units
+    /// have no per-task retry identity for the watchdog to requeue.
+    slots: Slots<AttemptKey>,
     jobs: HashMap<JobId, JobState<T>>,
-    smalls: VecDeque<SmallJob<T>>,
+    smalls: Vec<SmallJob<T>>,
     batches: VecDeque<PendingBatch<T>>,
-    batch_in_flight: usize,
+    /// Batch and epilogue units currently on a worker.
+    units_in_flight: usize,
     epi_queue: VecDeque<Work<T>>,
     finalize_pending: Vec<JobId>,
     parked: BinaryHeap<Reverse<(Instant, JobId, TaskId)>>,
@@ -1204,14 +1071,13 @@ impl<T: Scalar> Manager<T> {
             workers,
             rx,
             msg_tx,
-            slots: Vec::with_capacity(workers),
+            threads: Vec::with_capacity(workers),
             graveyard: Vec::new(),
-            idle: (0..workers).rev().collect(),
-            in_flight_of: (0..workers).map(|_| None).collect(),
+            slots: Slots::new(workers),
             jobs: HashMap::new(),
-            smalls: VecDeque::new(),
+            smalls: Vec::new(),
             batches: VecDeque::new(),
-            batch_in_flight: 0,
+            units_in_flight: 0,
             epi_queue: VecDeque::new(),
             finalize_pending: Vec::new(),
             parked: BinaryHeap::new(),
@@ -1224,7 +1090,7 @@ impl<T: Scalar> Manager<T> {
         };
         for w in 0..workers {
             let slot = mgr.spawn_worker(w);
-            mgr.slots.push(slot);
+            mgr.threads.push(slot);
         }
         mgr
     }
@@ -1232,94 +1098,54 @@ impl<T: Scalar> Manager<T> {
     fn spawn_worker(&self, id: usize) -> WorkerSlot<T> {
         let (tx, rx) = mpsc::channel::<Work<T>>();
         let msg_tx = self.msg_tx.clone();
-        let per_worker = self.cfg.workspace == WorkspacePolicy::PerWorker;
         let handle = std::thread::Builder::new()
             .name(format!("qr-service-worker-{id}"))
-            .spawn(move || worker_loop(id, rx, msg_tx, per_worker))
+            .spawn(move || worker_loop(id, rx, msg_tx))
             .expect("spawn service worker");
-        WorkerSlot {
-            tx,
-            handle: Some(handle),
-        }
+        WorkerSlot { tx, handle }
     }
 
-    /// Replace a retired worker thread so the pool never shrinks.
+    /// Replace the retired worker thread of claimed slot `w`, so the pool
+    /// never shrinks, and return the slot to the idle stack.
     fn respawn(&mut self, w: usize) {
-        let mut slot = self.spawn_worker(w);
-        std::mem::swap(&mut self.slots[w], &mut slot);
-        if let Some(h) = slot.handle.take() {
-            self.graveyard.push(h);
-        }
-        self.in_flight_of[w] = None;
-        if !self.idle.contains(&w) {
-            self.idle.push(w);
-        }
+        let fresh = self.spawn_worker(w);
+        let retired = std::mem::replace(&mut self.threads[w], fresh);
+        self.graveyard.push(retired.handle);
+        self.slots.free(w);
     }
 
     /// Virtual time a newly admitted job starts at: the minimum over the
     /// current backlog, so no new arrival is ordered behind work that
     /// came after it and no idle period inflates anyone's credit.
     fn arrival_vtime(&self) -> f64 {
-        let mut v = f64::INFINITY;
-        for j in self.jobs.values() {
-            if j.pending_work() {
-                v = v.min(j.vtime);
-            }
-        }
-        for s in &self.smalls {
-            v = v.min(s.vtime);
-        }
-        for b in &self.batches {
-            v = v.min(b.vtime);
-        }
-        if v.is_finite() {
-            v
+        let dag = self.jobs.values().filter(|j| !j.run.all_done());
+        let queued = self.smalls.iter().map(|s| s.vtime);
+        let batched = self.batches.iter().map(|b| b.vtime);
+        let backlog = dag.map(|j| j.vtime).chain(queued).chain(batched);
+        let earliest = backlog.fold(f64::INFINITY, f64::min);
+        if earliest.is_finite() {
+            earliest
         } else {
             self.vclock
         }
     }
 
     fn backlog_size(&self) -> u64 {
-        let active = self.jobs.values().filter(|j| j.pending_work()).count();
+        let active = self.jobs.values().filter(|j| !j.run.all_done()).count();
         (active + self.smalls.len() + self.batches.iter().map(|b| b.units.len()).sum::<usize>())
             as u64
     }
 
     fn handle_submit(&mut self, nj: NewJob<T>) {
-        let NewJob {
-            id,
-            state,
-            graph,
-            rows,
-            cols,
-            b,
-            payload,
-            class,
-            cost,
-            tuning,
-            injector,
-            submitted,
-            deadline,
-            result_tx,
-        } = nj;
-        let backlog = self.backlog_size();
-        let meta = JobMeta {
-            id,
-            class,
-            submitted,
-            deadline: deadline.map(|d| submitted + d),
-            submit_dispatch_count: self.dispatch_count,
-            backlog_at_submit: backlog,
-            queue_wait: Duration::ZERO,
-            dispatch_delay_tasks: 0,
-            result_tx,
-        };
+        let (mut meta, body, injector) = (nj.meta, nj.body, nj.injector);
+        meta.submit_dispatch_count = self.dispatch_count;
+        meta.backlog_at_submit = self.backlog_size();
         let vtime = self.arrival_vtime();
         {
             let mut m = self.metrics.lock().unwrap();
             m.jobs_submitted += 1;
             m.max_jobs_in_flight = m.max_jobs_in_flight.max(self.gate.in_flight());
-            match tuning {
+            match nj.tuning {
                 JobTuning::Standard => {}
                 JobTuning::Probe => m.probe_jobs += 1,
                 JobTuning::Tuned => m.tuned_jobs += 1,
@@ -1328,87 +1154,47 @@ impl<T: Scalar> Manager<T> {
         // Admission-time shed: the deadline may already be unmeetable —
         // typically because `submit` blocked on a saturated gate while it
         // burned away. Reject before the job costs any scheduling state.
-        if Self::meta_expired(&meta, Instant::now()) {
-            self.shed_meta(meta);
-            return;
+        if meta.deadline.is_some_and(|d| Instant::now() >= d) {
+            return self.shed_meta(meta);
         }
         let batchable = self.cfg.batching_enabled()
-            && graph.len() <= self.cfg.batch_max_tasks
+            && body.graph.len() <= self.cfg.batch_max_tasks
             && injector.is_none();
         if batchable {
-            self.smalls.push_back(SmallJob {
-                meta,
-                state,
-                graph,
-                rows,
-                cols,
-                payload,
-                vtime,
-            });
+            self.smalls.push(SmallJob { meta, body, vtime });
             if self.smalls.len() >= self.cfg.batch_max_jobs {
                 self.flush_smalls();
             }
             return;
         }
-        let total = graph.len();
-        let tracker = ReadyTracker::new(&graph);
-        let mut ready = ReadyQueue::for_policy(self.cfg.policy, &graph, model_weight(cost, b));
-        for t in tracker.initial_ready(&graph) {
-            ready.push(t);
-        }
-        let drift = self
-            .cfg
-            .drift
-            .enabled
-            .then(|| cost.class_costs())
-            .flatten()
-            .map(|base| {
-                (
-                    DriftDetector::new(self.cfg.drift, base.expected_us(b)),
-                    base,
-                )
-            });
+        let order = DispatchOrder::Policy(self.cfg.policy);
+        let (cost, drift, b) = (nj.cost, self.cfg.drift, nj.b);
         let job = JobState {
+            weight: meta.class.weight(),
             meta,
-            shared: Some(Arc::new(SharedFactorState::new(state))),
-            graph,
-            rows,
-            cols,
+            run: DagRun::new(&body.graph, order, cost, drift, b, self.workers, None),
+            shared: Some(Arc::new(SharedFactorState::new(body.state))),
+            graph: body.graph,
+            rows: body.rows,
+            cols: body.cols,
+            payload: body.payload,
             b,
-            payload: Some(payload),
-            weight: class.weight(),
             cost,
-            drift,
-            drift_panel: 0,
-            drift_reweights: 0,
-            class_compute_us: [0.0; 3],
-            class_tasks: [0; 3],
             vtime,
-            tracker,
-            ready,
-            committed: vec![false; total],
-            attempts: vec![0u32; total],
-            in_flight: 0,
-            cancelled: false,
             injector,
             started: None,
-            tasks_per_worker: vec![0u64; self.workers],
-            stage_wait: Duration::ZERO,
-            commit_wait: Duration::ZERO,
-            retries: 0,
-            requeues: 0,
-            worker_deaths: 0,
+            class_compute_us: [0.0; 3],
+            class_tasks: [0; 3],
             task_latency: LatencyHistogram::new(),
-            report: None,
         };
-        self.jobs.insert(id, job);
+        self.jobs.insert(job.meta.id, job);
     }
 
     fn flush_smalls(&mut self) {
         if self.smalls.is_empty() {
             return;
         }
-        let units: Vec<SmallJob<T>> = self.smalls.drain(..).collect();
+        let units = std::mem::take(&mut self.smalls);
         let vtime = units.iter().map(|u| u.vtime).fold(f64::INFINITY, f64::min);
         self.batches.push_back(PendingBatch { units, vtime });
     }
@@ -1422,129 +1208,92 @@ impl<T: Scalar> Manager<T> {
             }
             self.parked.pop();
             if let Some(j) = self.jobs.get_mut(&job) {
-                if !j.committed[task] {
-                    j.ready.push(task);
-                }
+                j.run.wake(task);
             }
         }
     }
 
-    /// Whether a queued job's deadline has expired.
-    fn meta_expired(meta: &JobMeta<T>, now: Instant) -> bool {
-        meta.deadline.is_some_and(|d| now >= d)
-    }
-
-    /// Shed one queued job past its deadline: resolve the handle with
-    /// [`ServiceError::DeadlineExceeded`] and release the admission slot.
-    fn shed_meta(&mut self, meta: JobMeta<T>) {
-        let now = Instant::now();
-        let deadline = meta.deadline.expect("only deadline-bearing jobs shed");
-        let err = ServiceError::DeadlineExceeded {
-            deadline: deadline.duration_since(meta.submitted),
-            late_by: now.saturating_duration_since(deadline),
-        };
+    /// Resolve a job's handle with `err`, release its admission slot and
+    /// count the failure (plus its lifecycle counter, if it has one).
+    fn resolve_err(&mut self, meta: JobMeta<T>, err: ServiceError) {
+        let mut m = self.metrics.lock().unwrap();
+        m.jobs_failed += 1;
+        match err {
+            ServiceError::DeadlineExceeded { .. } => m.lifecycle.jobs_shed += 1,
+            ServiceError::Cancelled => m.lifecycle.jobs_cancelled += 1,
+            _ => {}
+        }
+        drop(m);
         // Release before resolving the handle so a waiter that sees the
         // error can immediately reuse the admission slot.
         self.gate.release();
         let _ = meta.result_tx.send(Err(err));
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_failed += 1;
-        m.lifecycle.jobs_shed += 1;
     }
 
-    /// Resolve one queued (never-dispatched) job as cancelled.
-    fn cancel_meta(&mut self, meta: JobMeta<T>) {
-        self.gate.release();
-        let _ = meta.result_tx.send(Err(ServiceError::Cancelled));
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_failed += 1;
-        m.lifecycle.jobs_cancelled += 1;
+    /// Shed one queued job past its deadline.
+    fn shed_meta(&mut self, meta: JobMeta<T>) {
+        let deadline = meta.deadline.expect("only deadline-bearing jobs shed");
+        let err = ServiceError::DeadlineExceeded {
+            deadline: deadline.duration_since(meta.submitted),
+            late_by: Instant::now().saturating_duration_since(deadline),
+        };
+        self.resolve_err(meta, err);
     }
 
     /// Earliest deadline among still-queued jobs (bounds the run loop's
     /// recv timeout so sheds fire without needing message traffic).
     fn earliest_queued_deadline(&self) -> Option<Instant> {
-        let dag = self
-            .jobs
-            .values()
-            .filter(|j| j.started.is_none() && !j.cancelled)
-            .filter_map(|j| j.meta.deadline);
-        let small = self.smalls.iter().filter_map(|s| s.meta.deadline);
-        let batched = self
-            .batches
-            .iter()
-            .flat_map(|b| b.units.iter())
-            .filter_map(|u| u.meta.deadline);
-        dag.chain(small).chain(batched).min()
+        let dag = self.jobs.values().filter(|j| j.started.is_none());
+        let small = self.smalls.iter();
+        let batched = self.batches.iter().flat_map(|b| &b.units);
+        let queued = small.chain(batched).map(|u| &u.meta);
+        let metas = dag.map(|j| &j.meta).chain(queued);
+        metas.filter_map(|m| m.deadline).min()
+    }
+
+    /// Pull every still-queued (undispatched) small job whose meta matches
+    /// `pick` out of the small-job queue and the pending batches.
+    fn take_queued(&mut self, pick: impl Fn(&JobMeta<T>) -> bool) -> Vec<JobMeta<T>> {
+        let mut taken = Vec::new();
+        let batched = self.batches.iter_mut().map(|b| &mut b.units);
+        for units in std::iter::once(&mut self.smalls).chain(batched) {
+            // The meta is needed by value (to resolve its channel), so a
+            // queue with a match is rebuilt rather than `retain`ed.
+            if units.iter().any(|u| pick(&u.meta)) {
+                let (out, keep): (Vec<_>, Vec<_>) = std::mem::take(units)
+                    .into_iter()
+                    .partition(|u| pick(&u.meta));
+                *units = keep;
+                taken.extend(out.into_iter().map(|u| u.meta));
+            }
+        }
+        self.batches.retain(|b| !b.units.is_empty());
+        taken
     }
 
     /// Shed every queued job whose deadline has passed. A job counts as
     /// queued until its first task (or batch) dispatches; after that it
     /// runs to completion — a deadline bounds *waiting*, not execution.
+    /// (A never-started job is never a cancelled one: cancelling a job
+    /// with nothing in flight resolves it on the spot.)
     fn sweep_shed(&mut self) {
         let now = Instant::now();
-        let expired: Vec<JobId> = self
+        let expired = |m: &JobMeta<T>| m.deadline.is_some_and(|d| now >= d);
+        let dag: Vec<JobId> = self
             .jobs
             .iter()
-            .filter(|(_, j)| {
-                j.started.is_none() && !j.cancelled && Self::meta_expired(&j.meta, now)
-            })
+            .filter(|(_, j)| j.started.is_none() && expired(&j.meta))
             .map(|(&id, _)| id)
             .collect();
-        for id in expired {
-            if let Some(job) = self.jobs.remove(&id) {
-                self.shed_meta(job.meta);
-            }
+        let mut late = self.take_queued(expired);
+        late.extend(
+            dag.iter()
+                .filter_map(|id| self.jobs.remove(id))
+                .map(|j| j.meta),
+        );
+        for meta in late {
+            self.shed_meta(meta);
         }
-        // Shedding needs the meta by value (to resolve its channel), so
-        // rebuild the small/batch queues rather than `retain` in place.
-        let expired_queued = self
-            .smalls
-            .iter()
-            .map(|s| &s.meta)
-            .chain(
-                self.batches
-                    .iter()
-                    .flat_map(|b| b.units.iter().map(|u| &u.meta)),
-            )
-            .any(|m| Self::meta_expired(m, now));
-        if expired_queued {
-            let smalls = std::mem::take(&mut self.smalls);
-            for s in smalls {
-                if Self::meta_expired(&s.meta, now) {
-                    self.shed_meta(s.meta);
-                } else {
-                    self.smalls.push_back(s);
-                }
-            }
-            let batches = std::mem::take(&mut self.batches);
-            for mut b in batches {
-                let units = std::mem::take(&mut b.units);
-                for u in units {
-                    if Self::meta_expired(&u.meta, now) {
-                        self.shed_meta(u.meta);
-                    } else {
-                        b.units.push(u);
-                    }
-                }
-                if !b.units.is_empty() {
-                    self.batches.push_back(b);
-                }
-            }
-        }
-    }
-
-    /// Earliest instant at which a live worker's in-flight task crosses
-    /// the stall bound (None when the watchdog is disabled or idle).
-    fn earliest_stall_expiry(&self) -> Option<Instant> {
-        let bound = self.cfg.fault_tolerance.stall_timeout?;
-        self.in_flight_of
-            .iter()
-            .filter_map(|f| match f {
-                Some(InFlight::Task { since, .. }) => Some(*since + bound),
-                _ => None,
-            })
-            .min()
     }
 
     /// Stall watchdog: retire any worker whose in-flight task has aged
@@ -1556,83 +1305,41 @@ impl<T: Scalar> Manager<T> {
         let Some(bound) = self.cfg.fault_tolerance.stall_timeout else {
             return;
         };
-        let now = Instant::now();
-        let stalled: Vec<(usize, JobId, TaskId)> = self
-            .in_flight_of
-            .iter()
-            .enumerate()
-            .filter_map(|(w, f)| match f {
-                Some(InFlight::Task { job, task, since })
-                    if now.saturating_duration_since(*since) >= bound =>
-                {
-                    Some((w, *job, *task))
-                }
-                _ => None,
-            })
-            .collect();
-        for (w, id, task) in stalled {
+        for (w, (id, task, _)) in self.slots.take_stalled(bound, Instant::now()) {
             self.respawn(w);
             self.metrics.lock().unwrap().lifecycle.watchdog_retirements += 1;
-            let mut requeue = false;
-            let mut drained_cancel = false;
-            if let Some(job) = self.jobs.get_mut(&id) {
-                job.in_flight = job.in_flight.saturating_sub(1);
-                job.worker_deaths += 1;
-                if job.cancelled {
-                    drained_cancel = job.in_flight == 0 && !job.tracker.all_done();
-                } else if !job.committed[task] {
-                    job.requeues += 1;
-                    requeue = true;
-                }
-            }
-            if requeue {
-                self.retry_or_fail(
-                    id,
-                    task,
-                    MatrixError::Runtime {
-                        reason: format!("worker {w} stalled past {bound:?}"),
-                    },
-                );
-            }
-            if drained_cancel {
-                self.cancel_finish(id);
-            }
+            let lost = format!("worker {w} stalled past {bound:?}");
+            self.after_loss(id, task, w, true, lost);
         }
     }
 
-    /// Resolve a cancelled DAG job whose in-flight work has drained.
-    fn cancel_finish(&mut self, id: JobId) {
-        let Some(job) = self.jobs.remove(&id) else {
+    /// The worker on slot `w` was lost mid-attempt of `task` (panic
+    /// report or watchdog retirement): charge the retry to the *victim
+    /// job's* budget alone, or finish draining it if it was cancelled.
+    fn after_loss(&mut self, id: JobId, task: TaskId, w: usize, expected: bool, last: String) {
+        let Some(job) = self.jobs.get_mut(&id) else {
             return;
         };
-        self.gate.release();
-        let _ = job.meta.result_tx.send(Err(ServiceError::Cancelled));
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_failed += 1;
-        m.lifecycle.jobs_cancelled += 1;
+        if job.run.on_panicked(task, w, expected) {
+            self.retry_or_fail(id, task, last);
+        } else {
+            self.finish_if_drained(id);
+        }
+    }
+
+    /// Resolve a cancelled DAG job once its in-flight work has drained.
+    fn finish_if_drained(&mut self, id: JobId) {
+        let drained = |j: &JobState<T>| j.run.is_halted() && j.run.in_flight() == 0;
+        if self.jobs.get(&id).is_some_and(drained) {
+            self.fail_job(id, ServiceError::Cancelled);
+        }
     }
 
     fn handle_cancel(&mut self, id: JobId) {
-        // Still waiting in the small-job queue: resolve immediately.
-        if let Some(pos) = self.smalls.iter().position(|s| s.meta.id == id) {
-            let small = self.smalls.remove(pos).expect("position just found");
-            self.cancel_meta(small.meta);
-            return;
-        }
-        // Queued inside a pending (undispatched) batch: pull the unit out.
-        let found = self.batches.iter().enumerate().find_map(|(bi, b)| {
-            b.units
-                .iter()
-                .position(|u| u.meta.id == id)
-                .map(|ui| (bi, ui))
-        });
-        if let Some((bi, ui)) = found {
-            let unit = self.batches[bi].units.remove(ui);
-            if self.batches[bi].units.is_empty() {
-                self.batches.remove(bi);
-            }
-            self.cancel_meta(unit.meta);
-            return;
+        // Still queued as a small job or inside a pending (undispatched)
+        // batch: pull the unit out and resolve immediately.
+        if let Some(meta) = self.take_queued(|m| m.id == id).pop() {
+            return self.resolve_err(meta, ServiceError::Cancelled);
         }
         // DAG-path job. If its graph already completed, completion wins
         // (the finalize/epilogue path delivers the normal result); a
@@ -1640,14 +1347,12 @@ impl<T: Scalar> Manager<T> {
         let Some(job) = self.jobs.get_mut(&id) else {
             return;
         };
-        if job.payload.is_none() || job.tracker.all_done() {
+        if job.run.all_done() {
             return;
         }
-        job.cancelled = true;
         // Forget queued work; in-flight attempts drain at the fence.
-        if job.in_flight == 0 {
-            self.cancel_finish(id);
-        }
+        job.run.halt();
+        self.finish_if_drained(id);
     }
 
     /// Try to reclaim unique ownership of completed DAGs and move them to
@@ -1656,170 +1361,129 @@ impl<T: Scalar> Manager<T> {
     /// a straggler clone (late result from a retired worker) just defers
     /// the job to the next loop iteration.
     fn run_finalize(&mut self) {
-        enum Next<T: Scalar> {
-            Defer,
-            Complete(Box<JobOutput<T>>, RunReport),
-            Epilogue(Box<EpilogueUnit<T>>, RunReport),
-        }
-        let pending = std::mem::take(&mut self.finalize_pending);
-        for id in pending {
-            let policy = self.cfg.policy;
-            let next = {
-                let Some(job) = self.jobs.get_mut(&id) else {
-                    continue;
-                };
-                let Some(arc) = job.shared.take() else {
-                    continue;
-                };
-                match Arc::try_unwrap(arc) {
-                    Err(arc) => {
-                        job.shared = Some(arc);
-                        Next::Defer
-                    }
-                    Ok(sh) => {
-                        let state = sh.into_state();
-                        let counters = HotPathCounters {
-                            cow_clones: state.cow_clones(),
-                            ..HotPathCounters::default()
-                        };
-                        let report = RunReport {
-                            tasks_per_worker: job.tasks_per_worker.clone(),
-                            elapsed: job.started.map(|s| s.elapsed()).unwrap_or_default(),
-                            stage_wait: job.stage_wait,
-                            commit_wait: job.commit_wait,
-                            max_ready_depth: job.ready.max_depth(),
-                            policy,
-                            retries: job.retries,
-                            requeues: job.requeues,
-                            worker_deaths: job.worker_deaths,
-                            drift_reweights: job.drift_reweights,
-                            trace: None,
-                            counters,
-                        };
-                        let payload = job.payload.take().expect("payload taken once");
-                        match payload {
-                            Payload::Factor => Next::Complete(
-                                Box::new(JobOutput::Factored(FactoredJob {
-                                    state,
-                                    graph: job.graph.as_ref().clone(),
-                                    rows: job.rows,
-                                    cols: job.cols,
-                                })),
-                                report,
-                            ),
-                            payload => Next::Epilogue(
-                                Box::new(EpilogueUnit {
-                                    job: id,
-                                    state,
-                                    graph: Arc::clone(&job.graph),
-                                    rows: job.rows,
-                                    cols: job.cols,
-                                    payload,
-                                }),
-                                report,
-                            ),
-                        }
-                    }
-                }
+        for id in std::mem::take(&mut self.finalize_pending) {
+            let Some(job) = self.jobs.get_mut(&id) else {
+                continue;
             };
-            match next {
-                Next::Defer => self.finalize_pending.push(id),
-                Next::Complete(output, report) => self.complete_job(id, *output, report, false),
-                Next::Epilogue(unit, report) => {
-                    if let Some(job) = self.jobs.get_mut(&id) {
-                        job.report = Some(report);
-                    }
-                    self.epi_queue.push_back(Work::Epilogue(unit));
+            let Some(arc) = job.shared.take() else {
+                continue;
+            };
+            match Arc::try_unwrap(arc) {
+                Err(arc) => {
+                    job.shared = Some(arc);
+                    self.finalize_pending.push(id);
+                }
+                Ok(shared) => {
+                    let job = self.jobs.remove(&id).expect("looked up above");
+                    self.finish_dag(job, shared.into_state());
                 }
             }
         }
     }
 
-    fn record_done(&mut self, class: PriorityClass, queue_wait: Duration, latency: Duration) {
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_completed += 1;
-        m.queue_wait.record_ns(queue_wait.as_nanos() as u64);
-        m.latency.record_ns(latency.as_nanos() as u64);
-        m.class_latency[class.index()].record_ns(latency.as_nanos() as u64);
-    }
-
-    /// Deliver a success for a DAG-path job and retire its state.
-    fn complete_job(&mut self, id: JobId, output: JobOutput<T>, report: RunReport, batched: bool) {
-        let Some(job) = self.jobs.remove(&id) else {
-            return;
+    /// A job's DAG is done and its state is the manager's alone again:
+    /// close the run into its report, then deliver (plain factorizations)
+    /// or queue the epilogue (solve / apply) for a worker.
+    fn finish_dag(&mut self, job: JobState<T>, state: FactorState<T>) {
+        // The resident arenas outlive the job, so only the state's own
+        // copy-on-write count is attributable to it.
+        let counters = HotPathCounters {
+            cow_clones: state.cow_clones(),
+            ..HotPathCounters::default()
         };
-        let queue_wait = job
-            .started
-            .map(|s| s.duration_since(job.meta.submitted))
-            .unwrap_or_default();
-        let latency = job.meta.submitted.elapsed();
-        let result = JobResult {
-            job: id,
-            class: job.meta.class,
-            output,
-            report,
-            queue_wait,
-            latency,
-            dispatch_delay_tasks: job.meta.dispatch_delay_tasks,
-            backlog_at_submit: job.meta.backlog_at_submit,
-            batched,
+        let elapsed = job.started.map(|s| s.elapsed()).unwrap_or_default();
+        let delivery = Delivery {
+            meta: job.meta,
+            report: job.run.into_report(elapsed, None, counters),
+            batched: false,
             task_latency: job.task_latency,
             class_compute_us: job.class_compute_us,
             class_tasks: job.class_tasks,
         };
-        if job.drift_reweights > 0 {
-            self.metrics.lock().unwrap().drift_reweights += job.drift_reweights;
+        let body = JobBody {
+            state,
+            graph: job.graph,
+            rows: job.rows,
+            cols: job.cols,
+            payload: job.payload,
+        };
+        if matches!(body.payload, Payload::Factor) {
+            let result = finish_output(body).map_err(UnitFailure::Numeric);
+            self.deliver(delivery, result, 0);
+        } else {
+            let unit = Box::new((delivery, body));
+            self.epi_queue.push_back(Work::Epilogue(unit));
         }
+    }
+
+    /// Resolve a finished job's handle: the result with everything that
+    /// rides on it, or the failure of its composite unit on `worker`.
+    fn deliver(
+        &mut self,
+        delivery: Delivery<T>,
+        output: Result<JobOutput<T>, UnitFailure>,
+        worker: usize,
+    ) {
+        let Delivery { meta, report, .. } = delivery;
+        let output = match output {
+            Ok(output) => output,
+            Err(f) => return self.resolve_err(meta, f.into_error(worker)),
+        };
+        let latency = meta.submitted.elapsed();
+        {
+            let mut m = self.metrics.lock().unwrap();
+            m.jobs_completed += 1;
+            m.drift_reweights += report.drift_reweights;
+            m.queue_wait.record_ns(meta.queue_wait.as_nanos() as u64);
+            m.latency.record_ns(latency.as_nanos() as u64);
+            m.class_latency[meta.class.index()].record_ns(latency.as_nanos() as u64);
+        }
+        let result = JobResult {
+            job: meta.id,
+            class: meta.class,
+            output,
+            report,
+            queue_wait: meta.queue_wait,
+            latency,
+            dispatch_delay_tasks: meta.dispatch_delay_tasks,
+            backlog_at_submit: meta.backlog_at_submit,
+            batched: delivery.batched,
+            task_latency: delivery.task_latency,
+            class_compute_us: delivery.class_compute_us,
+            class_tasks: delivery.class_tasks,
+        };
         // Release before resolving the handle so a waiter that sees the
         // result can immediately reuse the admission slot.
         self.gate.release();
-        let _ = job.meta.result_tx.send(Ok(result));
-        self.record_done(job.meta.class, queue_wait, latency);
+        let _ = meta.result_tx.send(Ok(result));
     }
 
     /// Deliver a failure for a DAG-path job and drop its remaining state.
     fn fail_job(&mut self, id: JobId, err: ServiceError) {
-        let Some(job) = self.jobs.remove(&id) else {
-            return;
-        };
-        self.gate.release();
-        let _ = job.meta.result_tx.send(Err(err));
-        self.metrics.lock().unwrap().jobs_failed += 1;
+        if let Some(job) = self.jobs.remove(&id) {
+            self.resolve_err(job.meta, err);
+        }
     }
 
     /// Charge a failed attempt to the job's budget: park a retry or fail
     /// the job once the budget is spent. Only this job is affected.
-    fn retry_or_fail(&mut self, id: JobId, task: TaskId, last: MatrixError) {
-        let ftc = self.cfg.fault_tolerance;
-        let attempts = match self.jobs.get(&id) {
-            Some(job) => job.attempts[task],
-            None => return,
-        };
-        if attempts >= ftc.max_attempts {
-            self.fail_job(
-                id,
-                ServiceError::Runtime(RuntimeError::RetriesExhausted {
-                    task,
-                    attempts,
-                    last: last.to_string(),
-                }),
-            );
+    fn retry_or_fail(&mut self, id: JobId, task: TaskId, last: String) {
+        let Some(job) = self.jobs.get_mut(&id) else {
             return;
+        };
+        match job.run.charge_retry(&self.cfg.fault_tolerance, task, last) {
+            Ok(wake) => self.parked.push(Reverse((wake, id, task))),
+            Err(e) => self.fail_job(id, ServiceError::Runtime(e)),
         }
-        if let Some(job) = self.jobs.get_mut(&id) {
-            job.retries += 1;
-        }
-        let wake = Instant::now() + ftc.backoff(attempts);
-        self.parked.push(Reverse((wake, id, task)));
     }
 
     fn handle_task_done(&mut self, done: TaskDone<T>) {
         let TaskDone {
-            job: id,
-            task,
+            key,
             worker,
             outcome,
         } = done;
+        let (id, task, attempt) = key;
         // Is this the result we dispatched to this worker slot? A late
         // report from a watchdog-retired thread fails this check: its
         // slot was already respawned, so it must not touch slot state
@@ -1827,248 +1491,105 @@ impl<T: Scalar> Manager<T> {
         // in-flight accounting (the watchdog already charged it). A
         // stale `Done` still gets a shot at the commit fence below —
         // first result wins, whoever produced it.
-        let expected = matches!(
-            self.in_flight_of[worker],
-            Some(InFlight::Task { job: j, task: t, .. }) if j == id && t == task
-        );
-        if expected {
-            self.in_flight_of[worker] = None;
-            if !matches!(outcome, TaskOutcome::Panicked(_)) {
-                self.idle.push(worker);
-            }
-        }
-        let mut respawn_needed = false;
-        let mut retry_err: Option<MatrixError> = None;
-        let mut poisoned: Option<(usize, usize)> = None;
-        let mut drained_cancel = false;
-        {
-            let Some(job) = self.jobs.get_mut(&id) else {
-                // Job already failed and was removed; drop the late result.
-                if expected && matches!(outcome, TaskOutcome::Panicked(_)) {
-                    self.respawn(worker);
-                }
-                return;
-            };
-            if expected {
-                job.in_flight = job.in_flight.saturating_sub(1);
-            }
-            match outcome {
-                TaskOutcome::Done {
-                    completed,
-                    stage_wait,
-                    compute_ns,
-                } => {
-                    job.stage_wait += stage_wait;
-                    job.task_latency.record_ns(compute_ns);
-                    // Commit fence: first result wins, duplicates from
-                    // retried attempts are dropped. A cancelled job stops
-                    // committing here so its DAG drains instead of
-                    // advancing (the attempt's staging was non-destructive,
-                    // so dropping the result leaves clean state).
-                    if !job.committed[task] && !job.cancelled {
-                        // Poison fence: scan panel-factor output before it
-                        // becomes an input of downstream tasks.
-                        if is_panel_factor(job.graph.task(task)) {
-                            poisoned = completed.first_non_finite();
-                        }
-                        if poisoned.is_none() {
-                            let t0 = Instant::now();
-                            job.shared
-                                .as_ref()
-                                .expect("state present while tasks run")
-                                .commit(*completed);
-                            job.commit_wait += t0.elapsed();
-                            job.committed[task] = true;
-                            job.tasks_per_worker[worker] += 1;
-                            let kind = job.graph.task(task);
-                            let slot = class_slot(kind.class());
-                            let compute_us = compute_ns as f64 / 1e3;
-                            job.class_compute_us[slot] += compute_us;
-                            job.class_tasks[slot] += 1;
-                            if let Some((detector, base)) = job.drift.as_mut() {
-                                detector.record(slot, compute_us);
-                                // Panel boundary: first commit of a later
-                                // panel closes the previous panel's window.
-                                if kind.panel() > job.drift_panel {
-                                    job.drift_panel = kind.panel();
-                                    if let Some(ratios) = detector.check() {
-                                        let scaled = base.scaled(ratios);
-                                        let b = job.b;
-                                        job.ready.reprioritize(bottom_levels(&job.graph, |k| {
-                                            scaled.cost_us(k, b)
-                                        }));
-                                        job.drift_reweights += 1;
-                                    }
-                                }
-                            }
-                            let graph = Arc::clone(&job.graph);
-                            for s in job.tracker.complete(&graph, task) {
-                                job.ready.push(s);
-                            }
-                            if job.tracker.all_done() {
-                                self.finalize_pending.push(id);
-                            }
-                        }
-                    }
-                }
-                TaskOutcome::Failed(e) => {
-                    if !job.cancelled {
-                        retry_err = Some(e);
-                    }
-                }
-                TaskOutcome::Panicked(message) => {
-                    if expected {
-                        job.worker_deaths += 1;
-                        respawn_needed = true;
-                        if !job.cancelled {
-                            job.requeues += 1;
-                            retry_err = Some(MatrixError::Runtime {
-                                reason: format!("worker {worker} panicked: {message}"),
-                            });
-                        }
-                    }
-                }
-            }
-            if job.cancelled && job.in_flight == 0 && !job.tracker.all_done() {
-                drained_cancel = true;
-            }
-        }
-        if respawn_needed {
+        let alive = !matches!(outcome, Outcome::Panicked(_));
+        let expected = self.slots.settle(worker, key, alive);
+        if expected && !alive {
             self.respawn(worker);
         }
-        if let Some(tile) = poisoned {
-            // Fail only the victim: its state is dropped before the NaN
-            // was ever committed, so no other tile (or job) saw it.
-            self.metrics.lock().unwrap().lifecycle.poison_detected += 1;
-            self.fail_job(
-                id,
-                ServiceError::NumericalBreakdown {
-                    task: Some(task),
-                    tile,
-                },
-            );
-            return;
-        }
-        if let Some(e) = retry_err {
-            self.retry_or_fail(id, task, e);
-        }
-        if drained_cancel {
-            self.cancel_finish(id);
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return; // job already failed and was removed; drop the late result
+        };
+        match outcome {
+            Outcome::Done(done) => {
+                let compute_ns = done.compute.as_nanos() as u64;
+                job.task_latency.record_ns(compute_ns);
+                let kind = job.graph.task(task);
+                // Poison fence: scan panel-factor output before it becomes
+                // an input of downstream tasks.
+                let scan = job.run.accepts(task) && is_panel_factor(kind);
+                let outputs = done.completed.as_deref().filter(|_| scan);
+                let poisoned = outputs.and_then(|c| c.first_non_finite());
+                if let Some(tile) = poisoned {
+                    // Fail only the victim: its state is dropped before the
+                    // NaN was ever committed, so no other tile (or job) saw
+                    // it.
+                    self.metrics.lock().unwrap().lifecycle.poison_detected += 1;
+                    let task = Some(task);
+                    return self.fail_job(id, ServiceError::NumericalBreakdown { task, tile });
+                }
+                let shared = job.shared.as_ref().expect("state present while tasks run");
+                let at = (task, attempt);
+                if job
+                    .run
+                    .on_done(&job.graph, shared, at, worker, expected, done)
+                {
+                    let slot = class_slot(kind.class());
+                    job.class_compute_us[slot] += compute_ns as f64 / 1e3;
+                    job.class_tasks[slot] += 1;
+                    if job.run.all_done() {
+                        self.finalize_pending.push(id);
+                    }
+                }
+                self.finish_if_drained(id);
+            }
+            Outcome::Failed(e) => {
+                if job.run.on_failed(task, expected) {
+                    self.retry_or_fail(id, task, e.to_string());
+                } else {
+                    self.finish_if_drained(id);
+                }
+            }
+            Outcome::Panicked(message) => {
+                let last = format!("worker {worker} panicked: {message}");
+                self.after_loss(id, task, worker, expected, last);
+            }
         }
     }
 
-    fn handle_batch_done(&mut self, done: BatchDone<T>) {
-        let BatchDone { worker, items } = done;
-        self.in_flight_of[worker] = None;
-        self.idle.push(worker);
-        self.batch_in_flight -= 1;
+    fn handle_batch_done(&mut self, worker: usize, items: Vec<BatchItem<T>>) {
+        self.slots.free(worker);
+        self.units_in_flight -= 1;
         for item in items {
-            let BatchItem {
-                meta,
-                result,
-                elapsed,
-                tasks,
-            } = item;
-            match result {
-                Ok((output, task_latency)) => {
-                    let mut tasks_per_worker = vec![0u64; self.workers];
-                    tasks_per_worker[worker] = tasks;
-                    let counters = HotPathCounters {
-                        cow_clones: output.factor().state.cow_clones(),
-                        ..HotPathCounters::default()
-                    };
-                    let report = RunReport {
-                        tasks_per_worker,
-                        elapsed,
-                        stage_wait: Duration::ZERO,
-                        commit_wait: Duration::ZERO,
-                        max_ready_depth: 0,
-                        policy: self.cfg.policy,
-                        retries: 0,
-                        requeues: 0,
-                        worker_deaths: 0,
-                        drift_reweights: 0,
-                        trace: None,
-                        counters,
-                    };
-                    let latency = meta.submitted.elapsed();
-                    let result = JobResult {
-                        job: meta.id,
-                        class: meta.class,
-                        output,
-                        report,
-                        queue_wait: meta.queue_wait,
-                        latency,
-                        dispatch_delay_tasks: meta.dispatch_delay_tasks,
-                        backlog_at_submit: meta.backlog_at_submit,
-                        batched: true,
-                        task_latency,
-                        class_compute_us: [0.0; 3],
-                        class_tasks: [0; 3],
-                    };
-                    self.gate.release();
-                    let _ = meta.result_tx.send(Ok(result));
-                    self.record_done(meta.class, meta.queue_wait, latency);
-                }
-                Err(f) => {
-                    let err = match f {
-                        UnitFailure::Numeric(e) => ServiceError::Numeric(e),
-                        UnitFailure::Panicked(message) => {
-                            ServiceError::Runtime(RuntimeError::TaskPanicked {
-                                task: 0,
-                                worker,
-                                message,
-                            })
-                        }
-                    };
-                    self.gate.release();
-                    let _ = meta.result_tx.send(Err(err));
-                    self.metrics.lock().unwrap().jobs_failed += 1;
-                }
-            }
+            let (output, task_latency) = match item.result {
+                Ok((output, hist)) => (Ok(output), hist),
+                Err(f) => (Err(f), LatencyHistogram::new()),
+            };
+            let counters = HotPathCounters {
+                cow_clones: output.as_ref().map_or(0, |o| o.factor().state.cow_clones()),
+                ..HotPathCounters::default()
+            };
+            let report = Tally::one_lane(self.workers, worker, item.tasks).into_report(
+                0,
+                self.cfg.policy,
+                item.elapsed,
+                None,
+                counters,
+            );
+            let delivery = Delivery {
+                meta: item.meta,
+                report,
+                batched: true,
+                task_latency,
+                class_compute_us: [0.0; 3],
+                class_tasks: [0; 3],
+            };
+            self.deliver(delivery, output, worker);
         }
     }
 
     fn handle_epilogue_done(&mut self, done: EpilogueDone<T>) {
-        let EpilogueDone {
-            job: id,
-            worker,
-            result,
-        } = done;
-        self.in_flight_of[worker] = None;
-        self.idle.push(worker);
-        match result {
-            Ok(output) => {
-                let report = self
-                    .jobs
-                    .get_mut(&id)
-                    .and_then(|j| j.report.take())
-                    .expect("epilogue job has a stashed report");
-                self.complete_job(id, output, report, false);
-            }
-            Err(f) => {
-                let err = match f {
-                    UnitFailure::Numeric(e) => ServiceError::Numeric(e),
-                    UnitFailure::Panicked(message) => {
-                        ServiceError::Runtime(RuntimeError::TaskPanicked {
-                            task: 0,
-                            worker,
-                            message,
-                        })
-                    }
-                };
-                self.fail_job(id, err);
-            }
-        }
+        self.slots.free(done.worker);
+        self.units_in_flight -= 1;
+        self.deliver(done.delivery, done.result, done.worker);
     }
 
     /// Pick the backlogged job with the smallest virtual time. Cancelled
-    /// jobs are skipped: their remaining ready tasks are abandoned while
-    /// in-flight attempts drain.
+    /// jobs report nothing ready: their remaining tasks are abandoned
+    /// while in-flight attempts drain.
     fn pick_wfq_job(&self) -> Option<(f64, JobId)> {
         self.jobs
             .iter()
-            .filter(|(_, j)| !j.ready.is_empty() && !j.cancelled)
+            .filter(|(_, j)| j.run.ready_len() > 0)
             .map(|(&id, j)| (j.vtime, id))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
     }
@@ -2083,12 +1604,14 @@ impl<T: Scalar> Manager<T> {
 
     /// Hand work to idle workers: epilogues first (short, completes an
     /// admitted job), then the weighted-fair choice between regular job
-    /// tasks and pending small-job batches.
+    /// tasks and pending small-job batches. Each `dispatch_*` consumes the
+    /// claimed slot `w`: on return it is busy or back on the idle stack.
     fn dispatch(&mut self) {
-        while let Some(&w) = self.idle.last() {
+        while let Some(w) = self.slots.claim() {
             if let Some(work) = self.epi_queue.pop_front() {
-                if let Some(back) = self.try_send(w, work, InFlight::Other) {
-                    self.epi_queue.push_front(back);
+                match self.try_send(w, work) {
+                    None => self.units_in_flight += 1,
+                    Some(back) => self.epi_queue.push_front(back),
                 }
                 continue;
             }
@@ -2101,7 +1624,10 @@ impl<T: Scalar> Manager<T> {
                 best_batch = self.pick_batch();
             }
             match (best_job, best_batch) {
-                (None, None) => break,
+                (None, None) => {
+                    self.slots.free(w);
+                    break;
+                }
                 (Some((jv, id)), Some((bv, bi))) => {
                     if bv <= jv {
                         self.dispatch_batch(w, bi);
@@ -2114,127 +1640,79 @@ impl<T: Scalar> Manager<T> {
             }
         }
         let depth: usize =
-            self.jobs.values().map(|j| j.ready.len()).sum::<usize>() + self.smalls.len();
+            self.jobs.values().map(|j| j.run.ready_len()).sum::<usize>() + self.smalls.len();
         let mut m = self.metrics.lock().unwrap();
         m.max_ready_depth = m.max_ready_depth.max(depth);
     }
 
-    /// Send a unit to worker `w`. On success the worker leaves the idle
-    /// stack; on a dead dispatch channel (a just-panicked worker whose
-    /// report is still queued) the slot is respawned and the unit handed
-    /// back to the caller to re-queue.
-    fn try_send(&mut self, w: usize, work: Work<T>, marker: InFlight) -> Option<Work<T>> {
-        match self.slots[w].tx.send(work) {
-            Ok(()) => {
-                self.idle.pop();
-                self.in_flight_of[w] = Some(marker);
-                None
-            }
-            Err(mpsc::SendError(work)) => {
-                self.respawn(w);
-                Some(work)
-            }
-        }
+    /// Send a unit to claimed worker `w`. On a dead dispatch channel (a
+    /// just-panicked worker whose report is still queued) the slot is
+    /// respawned — idle again — and the unit handed back to re-queue.
+    fn try_send(&mut self, w: usize, work: Work<T>) -> Option<Work<T>> {
+        let mpsc::SendError(work) = self.threads[w].tx.send(work).err()?;
+        self.respawn(w);
+        Some(work)
     }
 
     fn dispatch_task(&mut self, w: usize, id: JobId) {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return;
-        };
-        // Skip entries already committed via a racing retry.
-        let task = loop {
-            match job.ready.pop() {
-                Some(t) if job.committed[t] => continue,
-                Some(t) => break t,
-                None => return,
-            }
+        let job = self.jobs.get_mut(&id).expect("picked from the job table");
+        let Some((task, attempt)) = job.run.pop_ready(w) else {
+            // Every ready entry was superseded by a racing retry.
+            return self.slots.free(w);
         };
         if job.started.is_none() {
-            job.started = Some(Instant::now());
-            job.meta.queue_wait = job.started.unwrap().duration_since(job.meta.submitted);
+            let now = Instant::now();
+            job.started = Some(now);
+            job.meta.queue_wait = now.duration_since(job.meta.submitted);
             job.meta.dispatch_delay_tasks = self.dispatch_count - job.meta.submit_dispatch_count;
         }
-        job.attempts[task] += 1;
         let kind = job.graph.task(task);
+        let key = (id, task, attempt);
         let work = Work::Task {
-            job: id,
-            task,
+            key,
             kind,
-            // Worker-facing attempt numbers are 0-based, matching the
-            // pool path and `ScriptedFaults`' `attempt < count` window.
-            attempt: job.attempts[task] - 1,
             shared: Arc::clone(job.shared.as_ref().expect("state present while tasks run")),
             injector: job.injector.clone(),
         };
-        job.in_flight += 1;
         self.dispatch_count += 1;
         self.vclock = job.vtime;
         job.vtime += task_cost(job.cost, job.b, kind) / job.weight;
         self.metrics.lock().unwrap().tasks_dispatched += 1;
-        let marker = InFlight::Task {
-            job: id,
-            task,
-            since: Instant::now(),
-        };
-        if self.try_send(w, work, marker).is_some() {
+        if self.try_send(w, work).is_none() {
+            self.slots.watch(w, key);
+        } else if let Some(job) = self.jobs.get_mut(&id) {
             // Dead channel: undo the dispatch so the retry path stays
             // honest, and put the task back in the ready set.
-            if let Some(job) = self.jobs.get_mut(&id) {
-                job.attempts[task] -= 1;
-                job.in_flight -= 1;
-                job.requeues += 1;
-                job.ready.push(task);
-            }
+            job.run.undo_dispatch(task, w);
         }
     }
 
     fn dispatch_batch(&mut self, w: usize, index: usize) {
         let Some(mut batch) = self.batches.remove(index) else {
-            return;
+            return self.slots.free(w);
         };
         self.vclock = batch.vtime;
         let now = Instant::now();
-        let mut units = Vec::with_capacity(batch.units.len());
-        for mut small in batch.units.drain(..) {
+        for small in &mut batch.units {
             small.meta.queue_wait = now.duration_since(small.meta.submitted);
             small.meta.dispatch_delay_tasks =
                 self.dispatch_count - small.meta.submit_dispatch_count;
             self.dispatch_count += 1;
-            units.push(BatchUnit {
-                meta: small.meta,
-                state: small.state,
-                graph: small.graph,
-                rows: small.rows,
-                cols: small.cols,
-                payload: small.payload,
-            });
         }
-        let count = units.len() as u64;
-        match self.try_send(w, Work::Batch(units), InFlight::Other) {
+        let count = batch.units.len() as u64;
+        match self.try_send(w, Work::Batch(batch.units)) {
             None => {
                 let mut m = self.metrics.lock().unwrap();
                 m.batches += 1;
                 m.jobs_batched += count;
                 m.tasks_dispatched += count;
                 drop(m);
-                self.batch_in_flight += 1;
+                self.units_in_flight += 1;
             }
             Some(Work::Batch(units)) => {
                 // Dead channel: re-queue the batch untouched; the metas
                 // are restamped on the next dispatch.
                 let vtime = batch.vtime;
-                let units = units
-                    .into_iter()
-                    .map(|u| SmallJob {
-                        meta: u.meta,
-                        state: u.state,
-                        graph: u.graph,
-                        rows: u.rows,
-                        cols: u.cols,
-                        payload: u.payload,
-                        vtime,
-                    })
-                    .collect();
                 self.batches.push_back(PendingBatch { units, vtime });
             }
             Some(_) => unreachable!("batch send returns batch work"),
@@ -2246,14 +1724,14 @@ impl<T: Scalar> Manager<T> {
             && self.smalls.is_empty()
             && self.batches.is_empty()
             && self.epi_queue.is_empty()
-            && self.batch_in_flight == 0
+            && self.units_in_flight == 0
     }
 
     fn handle(&mut self, msg: Msg<T>) {
         match msg {
             Msg::Submit(nj) => self.handle_submit(*nj),
             Msg::TaskDone(d) => self.handle_task_done(*d),
-            Msg::BatchDone(d) => self.handle_batch_done(d),
+            Msg::BatchDone(worker, items) => self.handle_batch_done(worker, items),
             Msg::EpilogueDone(d) => self.handle_epilogue_done(*d),
             Msg::Cancel(id) => self.handle_cancel(id),
             Msg::Drain(ack) => {
@@ -2277,29 +1755,26 @@ impl<T: Scalar> Manager<T> {
             // deadlines, watchdog expiries, and deferred finalizations
             // all need the loop to spin again without a new message
             // arriving.
-            let mut timeout: Option<Duration> = None;
-            if let Some(Reverse((deadline, _, _))) = self.parked.peek() {
-                let d = deadline.saturating_duration_since(Instant::now());
-                timeout = Some(timeout.map_or(d, |t| t.min(d)));
-            }
-            if let Some(shed_at) = self.earliest_queued_deadline() {
-                let d = shed_at.saturating_duration_since(Instant::now());
-                timeout = Some(timeout.map_or(d, |t| t.min(d)));
-            }
-            if let Some(expiry) = self.earliest_stall_expiry() {
-                let d = expiry.saturating_duration_since(Instant::now());
-                timeout = Some(timeout.map_or(d, |t| t.min(d)));
-            }
-            if !self.finalize_pending.is_empty() {
-                let d = Duration::from_millis(1);
-                timeout = Some(timeout.map_or(d, |t| t.min(d)));
-            }
-            let first = match timeout {
-                Some(d) => match self.rx.recv_timeout(d) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                },
+            let stall = self.cfg.fault_tolerance.stall_timeout;
+            let retry = self.parked.peek().map(|&Reverse((at, _, _))| at);
+            let wake = [
+                retry,
+                self.earliest_queued_deadline(),
+                stall.and_then(|bound| self.slots.earliest_stall_expiry(bound)),
+                (!self.finalize_pending.is_empty())
+                    .then(|| Instant::now() + Duration::from_millis(1)),
+            ];
+            let first = match wake.into_iter().flatten().min() {
+                Some(at) => {
+                    match self
+                        .rx
+                        .recv_timeout(at.saturating_duration_since(Instant::now()))
+                    {
+                        Ok(m) => Some(m),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    }
+                }
                 None => match self.rx.recv() {
                     Ok(m) => Some(m),
                     Err(_) => break,
@@ -2317,12 +1792,9 @@ impl<T: Scalar> Manager<T> {
         }
         // Close dispatch channels so every worker's recv loop ends, then
         // join current and retired threads.
-        let slots = std::mem::take(&mut self.slots);
-        for slot in slots {
+        for slot in std::mem::take(&mut self.threads) {
             drop(slot.tx);
-            if let Some(h) = slot.handle {
-                let _ = h.join();
-            }
+            let _ = slot.handle.join();
         }
         for h in std::mem::take(&mut self.graveyard) {
             let _ = h.join();
@@ -2477,21 +1949,30 @@ impl<T: Scalar> QrService<T> {
         self.gate.acquire(block)?;
         let id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
         let (result_tx, result_rx) = mpsc::channel();
+        let submitted = Instant::now();
         let msg = Msg::Submit(Box::new(NewJob {
-            id,
-            state,
-            graph,
-            rows,
-            cols,
+            meta: JobMeta {
+                id,
+                class: spec.priority,
+                submitted,
+                deadline: spec.deadline.map(|d| submitted + d),
+                submit_dispatch_count: 0,
+                backlog_at_submit: 0,
+                queue_wait: Duration::ZERO,
+                dispatch_delay_tasks: 0,
+                result_tx,
+            },
+            body: JobBody {
+                state,
+                graph,
+                rows,
+                cols,
+                payload: spec.payload,
+            },
             b,
-            payload: spec.payload,
-            class: spec.priority,
             cost: spec.cost.unwrap_or(self.default_cost),
             tuning: spec.tuning,
             injector: spec.injector,
-            submitted: Instant::now(),
-            deadline: spec.deadline,
-            result_tx,
         }));
         let guard = self.tx.lock().unwrap();
         match guard.as_ref() {

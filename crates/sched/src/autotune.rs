@@ -1,17 +1,14 @@
-//! Tile-size auto-tuning — the Song et al. (ICS'12) baseline from the
-//! paper's related work (§VII).
+//! Tile-size auto-tuning — the probe idea of Song et al. (ICS'12) from
+//! the paper's related work (§VII), on this repo's plan selector.
 //!
 //! Song et al. first run a small probe problem to find the best tile size
 //! for the system, then reuse it at full scale. The paper under
 //! reproduction argues for a *fixed* tile size (16) with load balancing by
-//! tile *count* instead; this module implements the probe-based tuner so
-//! the two approaches can be compared (see the `ablation` experiments).
+//! tile *count* instead; [`tune_plan`] implements the probe sweep so the
+//! two approaches can be compared.
 
-use crate::distribution::DistributionStrategy;
-use crate::fastsim::simulate_fast;
-use crate::plan::{plan_with, MainDevicePolicy};
 use crate::select::select_plan;
-use tileqr_sim::{DeviceProfile, Platform};
+use tileqr_sim::DeviceProfile;
 
 /// Result of a tile-size probe sweep.
 #[derive(Debug, Clone)]
@@ -22,16 +19,12 @@ pub struct TuneResult {
     pub probes: Vec<(usize, f64)>,
 }
 
-/// The unified tuning path: sweep every candidate tile size on an
-/// `n_probe x n_probe` probe problem through the geometry-aware plan
-/// selector ([`select_plan`]) over a *calibrated* single-device profile,
-/// and report the per-tile best predicted time (each tile's fastest
-/// elimination tree). Returns the same [`TuneResult`] shape as the
-/// legacy Song-style sweep, so existing consumers compare directly —
-/// but the prediction now runs over measured kernel curves (e.g. fit by
-/// `obs::calibrate` or the service-level online tuner) instead of the
-/// hand-configured heterogeneous platform, and picks the tree jointly
-/// with the tile size.
+/// Sweep every candidate tile size on an `n_probe x n_probe` probe
+/// problem through the geometry-aware plan selector ([`select_plan`]) over
+/// a *calibrated* single-device profile (e.g. fit by `obs::calibrate` or
+/// the service-level online tuner), and report the per-tile best predicted
+/// time — each tile's fastest elimination tree, so the tree is tuned
+/// jointly with the tile size.
 pub fn tune_plan(profile: &DeviceProfile, n_probe: usize, candidates: &[usize]) -> TuneResult {
     assert!(!candidates.is_empty(), "need at least one candidate");
     let selection = select_plan(profile, n_probe, n_probe, candidates);
@@ -53,48 +46,7 @@ pub fn tune_plan(profile: &DeviceProfile, n_probe: usize, candidates: &[usize]) 
     }
 }
 
-/// Probe every candidate tile size on an `n_probe`-sized problem and pick
-/// the fastest. `make_platform` rebuilds the platform for a given tile
-/// size (the kernel-time curves are functions of `b`, so the platform
-/// config must change with it).
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by `tune_plan`, which sweeps the same candidates through the \
-            calibrated plan selector (`select::select_plan`) and tunes the elimination \
-            tree jointly; kept as the Song et al. baseline for the ablation"
-)]
-pub fn tune_tile_size(
-    make_platform: impl Fn(usize) -> Platform,
-    n_probe: usize,
-    candidates: &[usize],
-) -> TuneResult {
-    assert!(!candidates.is_empty(), "need at least one candidate");
-    let mut probes = Vec::with_capacity(candidates.len());
-    for &b in candidates {
-        assert!(b > 0, "tile sizes must be positive");
-        let platform = make_platform(b);
-        let nt = n_probe.div_ceil(b).max(1);
-        let plan = plan_with(
-            &platform,
-            nt,
-            nt,
-            MainDevicePolicy::Auto,
-            DistributionStrategy::GuideArray,
-            None,
-        );
-        let stats = simulate_fast(&platform, &plan, nt, nt);
-        probes.push((b, stats.makespan_s()));
-    }
-    let best_tile = probes
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("non-empty")
-        .0;
-    TuneResult { best_tile, probes }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use tileqr_sim::profiles;
@@ -122,30 +74,9 @@ mod tests {
     }
 
     #[test]
-    fn picks_a_candidate() {
-        let r = tune_tile_size(profiles::paper_testbed, 640, &[8, 16, 32]);
-        assert!([8, 16, 32].contains(&r.best_tile));
-        assert_eq!(r.probes.len(), 3);
-        assert!(r.probes.iter().all(|&(_, t)| t > 0.0));
-    }
-
-    #[test]
     fn single_candidate_is_trivial() {
-        let r = tune_tile_size(profiles::paper_testbed, 320, &[16]);
+        let p = profiles::paper_testbed(16).device(0).clone();
+        let r = tune_plan(&p, 320, &[16]);
         assert_eq!(r.best_tile, 16);
-    }
-
-    #[test]
-    fn extreme_tiles_lose() {
-        // Very small tiles drown in per-kernel overhead; very large tiles
-        // kill parallelism. A mid-range size must win the probe.
-        let r = tune_tile_size(profiles::paper_testbed, 1280, &[2, 16, 320]);
-        assert_eq!(r.best_tile, 16, "{:?}", r.probes);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_candidates_panic() {
-        let _ = tune_tile_size(profiles::paper_testbed, 320, &[]);
     }
 }

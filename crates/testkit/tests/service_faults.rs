@@ -11,7 +11,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tileqr::runtime::{
-    FaultTolerance, JobSpec, QrService, RuntimeError, ScriptedFaults, ServiceConfig, ServiceError,
+    FaultInjector, FaultTolerance, InjectedFault, JobSpec, QrService, RuntimeError, ScriptedFaults,
+    ServiceConfig, ServiceError,
 };
 use tileqr_dag::{EliminationOrder, TaskGraph};
 use tileqr_kernels::exec::FactorState;
@@ -343,4 +344,75 @@ fn cancel_after_completion_is_noop() {
     let stats = svc.shutdown();
     assert_eq!(stats.lifecycle.jobs_cancelled, 0);
     assert_eq!(stats.jobs_completed, 1);
+}
+
+/// Attempt 0 of task 0 outlives the watchdog and *then* reports `late`;
+/// every other attempt dawdles a few milliseconds and runs clean. By the
+/// time the late report lands, the watchdog has retired that worker and
+/// the retry has long committed task 0.
+struct LateReport(InjectedFault);
+
+impl FaultInjector for LateReport {
+    fn before_attempt(&self, task: usize, attempt: u32) -> InjectedFault {
+        if (task, attempt) == (0, 0) {
+            std::thread::sleep(Duration::from_millis(150));
+            self.0
+        } else {
+            InjectedFault::Stall(Duration::from_millis(4))
+        }
+    }
+}
+
+/// Run one 48x48 job (b = 8) under `LateReport(late)` on a 2-worker
+/// service whose budget is exactly one retry, and hold it to the pool's
+/// rule: a failure is charged only when it is the report the slot is
+/// waiting on *and* the task is still uncommitted. The retirement already
+/// charged the one retry; the late report must be ignored, not exhaust
+/// the budget of a task that is done.
+fn late_report_is_ignored(late: InjectedFault) {
+    let svc = QrService::<f64>::start(ServiceConfig {
+        workers: 2,
+        fault_tolerance: FaultTolerance {
+            max_attempts: 2,
+            stall_timeout: Some(Duration::from_millis(40)),
+            ..FaultTolerance::default()
+        },
+        ..ServiceConfig::default()
+    });
+    let a = random_matrix::<f64>(48, 48, 71);
+    let want = sequential(&a, 8);
+    let h = svc
+        .submit(
+            JobSpec::factor(a)
+                .tile_size(8)
+                .faults(Arc::new(LateReport(late))),
+        )
+        .unwrap();
+    let res = match h.wait() {
+        Ok(res) => res,
+        Err(e) => panic!("late {late:?} from a retired worker failed the job: {e}"),
+    };
+    assert_eq!(res.output.factor().state.tiles().to_matrix(), want);
+    assert_eq!(res.report.retries, 1, "only the retirement charges a retry");
+    assert_eq!(res.report.requeues, 1);
+    assert_eq!(res.report.worker_deaths, 1);
+    let stats = svc.shutdown();
+    assert_eq!(stats.lifecycle.watchdog_retirements, 1);
+    assert_eq!((stats.jobs_completed, stats.jobs_failed), (1, 0));
+}
+
+/// Regression: the service's hand-ported watchdog charged a late `Failed`
+/// from a retired worker to the budget of an already-committed task and
+/// failed the job with `RetriesExhausted`.
+#[test]
+fn late_failure_from_retired_worker_is_ignored() {
+    late_report_is_ignored(InjectedFault::TransientError);
+}
+
+/// The `Panicked` twin: the retired thread dies on waking. Its slot
+/// already belongs to a healthy replacement, which must not be respawned
+/// (or blamed) a second time.
+#[test]
+fn late_panic_from_retired_worker_is_ignored() {
+    late_report_is_ignored(InjectedFault::Panic);
 }

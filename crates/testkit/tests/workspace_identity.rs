@@ -2,18 +2,15 @@
 //!
 //! The workspace arena changed *where* kernel scratch lives, and packing
 //! changed *how* reflector blocks are traversed — neither may change a
-//! single bit of the output. Every test here runs the factorization with
-//! reused per-worker arenas ([`WorkspacePolicy::PerWorker`]) and with
-//! per-call scratch ([`WorkspacePolicy::PerCall`], the seed's allocation
-//! behaviour) across the CI worker/policy sweep, then holds the full
-//! factored tile matrix **and every stored `T` factor** (panel factors
+//! single bit of the output. Every test here runs the factorization on
+//! the pool's reused per-worker arenas across the CI worker/policy sweep,
+//! then holds the full factored tile matrix **and every stored `T` factor** (panel factors
 //! via [`FactorState::geqrt_panel_factor`], elimination factors via
 //! [`FactorState::elim_factor_any`]) to byte identity with the sequential
 //! ground truth — with and without injected faults.
 
 use tileqr_dag::{EliminationOrder, EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
-use tileqr_kernels::WorkspacePolicy;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
@@ -67,25 +64,22 @@ fn arena_runs_match_the_sequential_path_bitwise() {
     let (tiled, g, seq) = sequential(&a, 8);
     for workers in workers_under_test() {
         for policy in policies_under_test() {
-            for workspace in [WorkspacePolicy::PerWorker, WorkspacePolicy::PerCall] {
-                let (state, report) = parallel_factor_traced(
-                    FactorState::new(tiled.clone()),
-                    &g,
-                    PoolConfig {
-                        workers,
-                        policy,
-                        workspace,
-                        ..PoolConfig::default()
-                    },
-                )
-                .expect("factorization");
-                let ctx = format!("workers={workers} policy={policy:?} workspace={workspace:?}");
-                assert_factors_identical(&state, &seq, &ctx);
-                assert_eq!(
-                    report.counters.workspace_resizes, 0,
-                    "{ctx}: pre-sized arenas must never regrow"
-                );
-            }
+            let (state, report) = parallel_factor_traced(
+                FactorState::new(tiled.clone()),
+                &g,
+                PoolConfig {
+                    workers,
+                    policy,
+                    ..PoolConfig::default()
+                },
+            )
+            .expect("factorization");
+            let ctx = format!("workers={workers} policy={policy:?}");
+            assert_factors_identical(&state, &seq, &ctx);
+            assert_eq!(
+                report.counters.workspace_resizes, 0,
+                "{ctx}: pre-sized arenas must never regrow"
+            );
         }
     }
 }
@@ -96,39 +90,36 @@ fn arena_runs_with_fault_injection_stay_bit_identical() {
     let (tiled, g, seq) = sequential(&a, 8);
     for workers in workers_under_test().into_iter().filter(|&w| w >= 2) {
         for policy in policies_under_test() {
-            for workspace in [WorkspacePolicy::PerWorker, WorkspacePolicy::PerCall] {
-                // A worker death plus transient kernel failures: requeued
-                // attempts re-run on a *different* worker's arena, which
-                // must be invisible in the factors.
-                let inj = ScriptedFaults::new()
-                    .panic_on(g.len() / 2, 1)
-                    .fail_on(g.len() / 4, 1)
-                    .fail_on(g.len() - 1, 1);
-                let (state, report) = parallel_factor_ft(
-                    FactorState::new(tiled.clone()),
-                    &g,
-                    PoolConfig {
-                        workers,
-                        policy,
-                        workspace,
-                        ..PoolConfig::default()
-                    },
-                    Some(FaultTolerance {
-                        max_attempts: 4,
-                        ..FaultTolerance::default()
-                    }),
-                    Some(&inj),
-                )
-                .expect("recovery must succeed");
-                let ctx = format!("workers={workers} policy={policy:?} workspace={workspace:?}");
-                assert_factors_identical(&state, &seq, &ctx);
-                assert!(report.retries >= 2, "{ctx}: the injected faults must fire");
-                assert_eq!(
-                    report.counters.cow_clones, 0,
-                    "{ctx}: ft staging clones are deliberate copies, never counted COW falls"
-                );
-                assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
-            }
+            // A worker death plus transient kernel failures: requeued
+            // attempts re-run on a *different* worker's arena, which
+            // must be invisible in the factors.
+            let inj = ScriptedFaults::new()
+                .panic_on(g.len() / 2, 1)
+                .fail_on(g.len() / 4, 1)
+                .fail_on(g.len() - 1, 1);
+            let (state, report) = parallel_factor_ft(
+                FactorState::new(tiled.clone()),
+                &g,
+                PoolConfig {
+                    workers,
+                    policy,
+                    ..PoolConfig::default()
+                },
+                Some(FaultTolerance {
+                    max_attempts: 4,
+                    ..FaultTolerance::default()
+                }),
+                Some(&inj),
+            )
+            .expect("recovery must succeed");
+            let ctx = format!("workers={workers} policy={policy:?}");
+            assert_factors_identical(&state, &seq, &ctx);
+            assert!(report.retries >= 2, "{ctx}: the injected faults must fire");
+            assert_eq!(
+                report.counters.cow_clones, 0,
+                "{ctx}: ft staging clones are deliberate copies, never counted COW falls"
+            );
+            assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
         }
     }
 }
@@ -147,21 +138,18 @@ fn arena_runs_stay_bit_identical_for_every_elimination_tree() {
         let mut seq = FactorState::new(tiled.clone());
         seq.run_all(&g).unwrap();
         for workers in workers_under_test() {
-            for workspace in [WorkspacePolicy::PerWorker, WorkspacePolicy::PerCall] {
-                let (state, report) = parallel_factor_traced(
-                    FactorState::new(tiled.clone()),
-                    &g,
-                    PoolConfig {
-                        workers,
-                        workspace,
-                        ..PoolConfig::default()
-                    },
-                )
-                .expect("factorization");
-                let ctx = format!("tree={tree} workers={workers} workspace={workspace:?}");
-                assert_factors_identical(&state, &seq, &ctx);
-                assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
-            }
+            let (state, report) = parallel_factor_traced(
+                FactorState::new(tiled.clone()),
+                &g,
+                PoolConfig {
+                    workers,
+                    ..PoolConfig::default()
+                },
+            )
+            .expect("factorization");
+            let ctx = format!("tree={tree} workers={workers}");
+            assert_factors_identical(&state, &seq, &ctx);
+            assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
         }
     }
 }
@@ -179,22 +167,18 @@ fn inner_blocked_arena_runs_match_sequential_bitwise() {
     seq.run_all(&g).unwrap();
     for workers in workers_under_test() {
         for policy in policies_under_test() {
-            for workspace in [WorkspacePolicy::PerWorker, WorkspacePolicy::PerCall] {
-                let (state, _) = parallel_factor_traced(
-                    FactorState::with_inner_block(tiled.clone(), 4),
-                    &g,
-                    PoolConfig {
-                        workers,
-                        policy,
-                        workspace,
-                        ..PoolConfig::default()
-                    },
-                )
-                .expect("factorization");
-                let ctx =
-                    format!("ib=4 workers={workers} policy={policy:?} workspace={workspace:?}");
-                assert_factors_identical(&state, &seq, &ctx);
-            }
+            let (state, _) = parallel_factor_traced(
+                FactorState::with_inner_block(tiled.clone(), 4),
+                &g,
+                PoolConfig {
+                    workers,
+                    policy,
+                    ..PoolConfig::default()
+                },
+            )
+            .expect("factorization");
+            let ctx = format!("ib=4 workers={workers} policy={policy:?}");
+            assert_factors_identical(&state, &seq, &ctx);
         }
     }
 }

@@ -1,11 +1,7 @@
-//! Tile-size auto-tuning, two ways:
-//!
-//! 1. the Song et al. (ICS'12) baseline — probe a small matrix at several
-//!    tile sizes on the simulated heterogeneous testbed and pick the
-//!    fastest (kept as `autotune::tune_tile_size`, deprecated), and
-//! 2. the unified path — `autotune::tune_plan` sweeps the same candidates
-//!    through the calibrated plan selector, choosing the elimination tree
-//!    jointly with the tile size over one device's measured curves.
+//! Tile-size auto-tuning: `autotune::tune_plan` probes a small matrix at
+//! several tile sizes through the calibrated plan selector, choosing the
+//! elimination tree jointly with the tile size over one device's measured
+//! curves (the Song et al. ICS'12 probe idea, on the repo's one selector).
 //!
 //! ```text
 //! cargo run --release --example tile_size_autotune [probe_size]
@@ -22,10 +18,14 @@ fn main() {
     let candidates = [4usize, 8, 12, 16, 20, 24, 28, 32, 48, 64];
     println!("probing a {probe}x{probe} matrix at tile sizes {candidates:?} ...");
 
-    #[allow(deprecated)] // the Song et al. baseline, kept for comparison
-    let result = autotune::tune_tile_size(profiles::paper_testbed, probe, &candidates);
-    println!("\nSong-style heterogeneous probe sweep:");
-    println!(" tile |  simulated time");
+    // The sweep runs through the plan selector over one calibrated
+    // device profile and tunes the elimination tree jointly with the tile
+    // size. The service-level online tuner (tileqr::TunedQrService) feeds
+    // *measured* profiles into this same selector.
+    let device = profiles::paper_testbed(16).device(0).clone();
+    let result = autotune::tune_plan(&device, probe, &candidates);
+    println!("\nselector sweep on {} alone:", device.name);
+    println!(" tile |  predicted time (best tree)");
     for (b, secs) in &result.probes {
         let marker = if *b == result.best_tile {
             "  <- best"
@@ -34,41 +34,6 @@ fn main() {
         };
         println!("{b:>5} |  {secs:>10.5} s{marker}");
     }
-
-    println!("\nauto-tuned tile size: {}", result.best_tile);
-    println!("paper's fixed choice: 16 (\"because the number of cores of the CPU and GPUs are the power of 2\")");
-    let fixed = result
-        .probes
-        .iter()
-        .find(|(b, _)| *b == 16)
-        .map(|&(_, t)| t);
-    if let (Some(fixed), Some(&(_, best))) = (
-        fixed,
-        result.probes.iter().find(|(b, _)| *b == result.best_tile),
-    ) {
-        println!(
-            "auto-tuned vs fixed-16: {:+.1}%",
-            100.0 * (best / fixed - 1.0)
-        );
-    }
-
-    // The unified path: same TuneResult, but the sweep runs through the
-    // plan selector over one calibrated device profile and tunes the
-    // elimination tree jointly with the tile size. The service-level
-    // online tuner (tileqr::TunedQrService) feeds *measured* profiles
-    // into this same selector.
-    let device = profiles::paper_testbed(16).device(0).clone();
-    let unified = autotune::tune_plan(&device, probe, &candidates);
-    println!("\nunified selector sweep on {} alone:", device.name);
-    println!(" tile |  predicted time (best tree)");
-    for (b, secs) in &unified.probes {
-        let marker = if *b == unified.best_tile {
-            "  <- best"
-        } else {
-            ""
-        };
-        println!("{b:>5} |  {secs:>10.5} s{marker}");
-    }
-    println!("unified-tuned tile size: {}", unified.best_tile);
+    println!("auto-tuned tile size: {}", result.best_tile);
     println!("OK");
 }
