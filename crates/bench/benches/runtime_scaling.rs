@@ -1,4 +1,4 @@
-//! Real-thread scalability of the manager/worker runtime (the host-side
+//! Real-thread scalability of the self-scheduling pool (the host-side
 //! analogue of the paper's Fig. 8), A/B'd against the seed's global-lock
 //! FIFO runtime ([`tileqr_bench::baseline`]).
 //!

@@ -8,7 +8,7 @@
 //! 1. **Numerics** — a complete tiled QR factorization built on
 //!    hand-written Householder kernels (`GEQRT`, `UNMQR`, `TSQRT`,
 //!    `TSMQR`, and the tree-variant `TTQRT`/`TTMQR`), runnable
-//!    sequentially or on a manager/worker thread pool:
+//!    sequentially or on a pool of self-scheduling worker threads:
 //!
 //!    ```
 //!    use tileqr::prelude::*;

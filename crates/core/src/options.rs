@@ -87,8 +87,8 @@ impl QrOptions {
     /// Enable fault-tolerant execution: worker panics and kernel errors
     /// are retried within `ft`'s budget instead of failing the run, and
     /// stalled workers are retired by the watchdog. Costs one tile-clone
-    /// per task staging (so requeues are possible) plus manager-side
-    /// commits; the factors remain bit-identical to the sequential run.
+    /// per task staging (so requeues are possible) plus commits
+    /// serialized behind the engine's fence; the factors remain bit-identical to the sequential run.
     /// Irrelevant when `workers == 1`.
     pub fn fault_tolerance(mut self, ft: FaultTolerance) -> Self {
         self.fault_tolerance = Some(ft);
@@ -96,7 +96,8 @@ impl QrOptions {
     }
 
     /// Record a lifecycle trace of the run: per-worker
-    /// stage/compute/commit spans plus manager scheduling instants,
+    /// stage/compute/commit spans plus the scheduling instants on a
+    /// `manager` lane,
     /// surfaced through [`crate::TiledQr::factor_traced`]'s
     /// [`tileqr_runtime::RunReport::trace`]. Off by default — a disabled
     /// config costs nothing on the execution hot path.

@@ -3,10 +3,11 @@
 //!
 //! The scoped pool ([`parallel_factor_ft`](crate::parallel_factor_ft) and
 //! friends) and the resident [`service`](crate::service) manager own
-//! their threads and channels differently — scoped workers that are never
-//! respawned versus resident slots that always are — but what they do
-//! *per DAG* is the same, and lives here exactly once, thread-free and
-//! channel-free:
+//! their threads differently — scoped self-scheduling workers that are
+//! never respawned versus resident slots that always are — but what they
+//! do *per DAG* is the same, and lives here exactly once, thread-free
+//! ("the manager" below is whoever holds the [`DagRun`]: the service's
+//! manager thread, or the pool worker inside the pool lock):
 //!
 //! * [`run_attempt`] — the worker-side body of one task attempt: fault
 //!   seam, staging, kernel, optional worker-side commit, optional spans.
@@ -39,6 +40,14 @@ use tileqr_obs::{
 #[inline]
 fn ns_at(epoch: Instant, t: Instant) -> u64 {
     t.duration_since(epoch).as_nanos() as u64
+}
+
+/// Record an instant on a manager `lane` (no-op when untraced).
+fn mark(lane: &mut Option<(WorkerRecorder, Instant)>, kind: RawKind, task: TaskId, aux: u64) {
+    if let Some((rec, epoch)) = lane {
+        let now = ns_at(*epoch, Instant::now());
+        rec.record(RawEvent::instant(kind, task, aux, now));
+    }
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -267,18 +276,10 @@ impl DagRun {
             },
         };
         for t in run.tracker.initial_ready(graph) {
-            run.mark(RawKind::Ready, t, 0);
+            mark(&mut run.lane, RawKind::Ready, t, 0);
             run.queue.push(t);
         }
         run
-    }
-
-    /// Record an instant on the manager lane (no-op when untraced).
-    fn mark(&mut self, kind: RawKind, task: TaskId, aux: u64) {
-        if let Some((rec, epoch)) = self.lane.as_mut() {
-            let now = ns_at(*epoch, Instant::now());
-            rec.record(RawEvent::instant(kind, task, aux, now));
-        }
     }
 
     /// Whether every task has been committed.
@@ -339,7 +340,7 @@ impl DagRun {
             }
             self.attempts[t] += 1;
             self.in_flight += 1;
-            self.mark(RawKind::Dispatch, t, w as u64);
+            mark(&mut self.lane, RawKind::Dispatch, t, w as u64);
             return Some((t, self.attempts[t] - 1));
         }
     }
@@ -350,7 +351,7 @@ impl DagRun {
         self.attempts[t] -= 1;
         self.in_flight -= 1;
         self.tally.requeues += 1;
-        self.mark(RawKind::Requeue, t, w as u64);
+        mark(&mut self.lane, RawKind::Requeue, t, w as u64);
         self.queue.push(t);
     }
 
@@ -358,7 +359,8 @@ impl DagRun {
     /// dead at dispatch).
     pub fn worker_died(&mut self, w: usize) {
         self.tally.worker_deaths += 1;
-        self.mark(RawKind::WorkerDeath, RawEvent::NO_TASK, w as u64);
+        let no_task = RawEvent::NO_TASK;
+        mark(&mut self.lane, RawKind::WorkerDeath, no_task, w as u64);
     }
 
     /// A parked retry of `t` is due: back into the ready set, unless a
@@ -423,10 +425,11 @@ impl DagRun {
                 }
             }
         }
-        for r in self.tracker.complete(graph, t) {
-            self.mark(RawKind::Ready, r, 0);
-            self.queue.push(r);
-        }
+        let (queue, lane) = (&mut self.queue, &mut self.lane);
+        self.tracker.complete(graph, t, |r| {
+            mark(lane, RawKind::Ready, r, 0);
+            queue.push(r);
+        });
         true
     }
 
@@ -453,7 +456,7 @@ impl DagRun {
             return false;
         }
         self.tally.requeues += 1;
-        self.mark(RawKind::Requeue, t, w as u64);
+        mark(&mut self.lane, RawKind::Requeue, t, w as u64);
         true
     }
 
@@ -477,7 +480,7 @@ impl DagRun {
             });
         }
         self.tally.retries += 1;
-        self.mark(RawKind::Retry, t, u64::from(attempts));
+        mark(&mut self.lane, RawKind::Retry, t, u64::from(attempts));
         Ok(Instant::now() + ft.backoff(attempts))
     }
 

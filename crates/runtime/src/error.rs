@@ -1,8 +1,8 @@
 //! Structured errors for the parallel runtime.
 //!
-//! The manager loop used to die on an `unwrap`/`expect` chain the moment
-//! anything unusual happened (worker panic, channel closure). Every one
-//! of those conditions is now a [`RuntimeError`] variant, so callers can
+//! Nothing unusual that happens during a run (a worker panic, a stall, a
+//! thread dying mid-bookkeeping) is an `unwrap`/`expect`: every one of
+//! those conditions is a [`RuntimeError`] variant, so callers can
 //! distinguish "a kernel reported a numerical problem" from "a worker
 //! thread died" from "the retry budget ran out" — and the legacy
 //! [`tileqr_matrix::Result`]-returning entry points keep working through
@@ -52,8 +52,8 @@ pub enum RuntimeError {
         /// Total tasks in the graph.
         total: usize,
     },
-    /// The completion channel closed while tasks were still in flight —
-    /// worker threads vanished without reporting.
+    /// The pool's bookkeeping broke down — a worker thread died outside a
+    /// task attempt, or tasks were left that nothing could make ready.
     Disconnected {
         /// Tasks that were dispatched but never reported back.
         in_flight: usize,
@@ -85,7 +85,7 @@ impl fmt::Display for RuntimeError {
             ),
             RuntimeError::Disconnected { in_flight } => write!(
                 f,
-                "completion channel closed with {in_flight} tasks in flight"
+                "pool bookkeeping broke down with {in_flight} tasks in flight"
             ),
         }
     }

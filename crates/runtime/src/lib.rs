@@ -1,12 +1,12 @@
 //! Shared-memory parallel tiled-QR runtime.
 //!
-//! Mirrors the paper's execution structure (Fig. 7) on host threads: a
-//! **manager thread** tracks DAG readiness and hands tasks out; a pool of
-//! **computing threads** executes kernels. On the paper's machine the
-//! computing threads drive GPUs; here they drive host cores directly —
-//! the heterogeneous behaviour is studied in the simulator crates, while
-//! this runtime demonstrates real parallel speedup of the same DAG on the
-//! hardware we do have.
+//! The paper's execution structure (Fig. 7) is a **manager thread** that
+//! tracks DAG readiness and hands tasks to **computing threads** driving
+//! GPUs. Here they drive host cores, where a task at the paper's b = 16
+//! is a few microseconds and cannot afford a dispatcher in the loop: the
+//! pool's workers schedule themselves, each taking the best ready task
+//! off the shared DAG state under one lock. The manager survives where it
+//! feeds *devices* (the simulator crates) and in the multi-job service.
 //!
 //! Concurrency design: tiles and T factors live in per-slot locked cells
 //! of a [`SharedFactorState`](tileqr_kernels::exec::SharedFactorState);
@@ -16,18 +16,18 @@
 //! *commit* swaps results back in. Determinism of the *result* (not the
 //! schedule) is guaranteed because every task writes a disjoint tile set.
 //!
-//! One engine, two drivers: everything a manager does *per DAG* —
+//! One engine, two drivers: everything a scheduler does *per DAG* —
 //! readiness ([`ReadyTracker`]), [`SchedulePolicy`] order
 //! ([`ReadyQueue`]), the commit fence, the retry budget, the stall
 //! watchdog's bookkeeping, drift re-weighting — and the worker-side body
 //! of one task attempt live once, thread-free, in [`engine`]. The pool
-//! ([`parallel_factor`] and friends) drives it with scoped threads that
-//! are never respawned; [`QrService`] drives one engine run per job with
-//! resident threads that always are.
+//! ([`parallel_factor`] and friends) drives it from its scoped workers,
+//! which are never respawned; [`QrService`]'s manager drives one engine
+//! run per job with resident threads that always are.
 //!
 //! Fault tolerance: attempts run under `catch_unwind`, so a panic never
 //! hangs or aborts the process. [`parallel_factor_ft`] goes further —
-//! non-destructive staging plus the engine's manager-side commit fence
+//! non-destructive staging plus the engine's first-commit-wins fence
 //! make task re-execution idempotent, so panicked or stalled workers are
 //! retired and their tasks retried (bounded attempts, deterministic
 //! backoff) while the run continues degraded. Failures surface as
@@ -36,8 +36,8 @@
 //!
 //! Observability: enabling [`TraceConfig`] in the [`PoolConfig`] makes
 //! every worker record its task lifecycle (stage/compute/commit spans,
-//! plus manager-side ready/dispatch/recovery instants) into a per-thread
-//! ring buffer, merged at join into the unified
+//! plus the scheduler's ready/dispatch/recovery instants on a `manager`
+//! lane) into a per-thread ring buffer, merged at join into the unified
 //! [`Trace`](tileqr_obs::Trace) carried by [`RunReport::trace`] — see
 //! the `tileqr-obs` crate for Chrome-trace export, latency histograms,
 //! and sim-vs-real calibration built on top.

@@ -1,16 +1,17 @@
-//! Manager + computing-thread pool (paper Fig. 7): the scoped driver of
-//! the shared [`engine`](crate::engine).
+//! Self-scheduling computing-thread pool: the scoped driver of the shared
+//! [`engine`](crate::engine) (DESIGN.md §9).
 //!
-//! The calling thread is the **manager**: it owns one [`DagRun`] (DAG
-//! readiness, [`SchedulePolicy`] order, commit fence, retry budget) and
-//! hands one task at a time to each idle worker over that worker's
-//! private channel. **Computing threads** are scoped to the call; each
-//! runs [`run_attempt`] per task — stage the tiles out of the
-//! [`SharedFactorState`] (per-slot locks, pointer swaps only), run the
-//! kernel on owned/`Arc`-shared data with no lock held, commit the same
-//! way. Dispatching at most one task per worker keeps the ready set on
-//! the manager's side, which is what lets the priority policy actually
-//! pick the next task instead of draining a prefetched FIFO.
+//! The paper's Fig. 7 puts a manager thread between the DAG and the
+//! computing threads; at its tile size (b = 16, a few µs per task) that
+//! hand-off *is* the run on host cores. So each **computing thread**
+//! takes its own next task, as in Buttari et al.: one [`DagRun`] sits
+//! behind one lock, and a worker loops *lock → settle its previous
+//! attempt → pop the best ready task → unlock → [`run_attempt`]*,
+//! sleeping only while nothing is ready. Staging, the kernel and the
+//! worker-side commit all run outside that lock, and the ready set stays
+//! global and un-prefetched, so the [`SchedulePolicy`] means what it
+//! says. The **calling thread** touches no task: it waits for the run to
+//! end, and in fault-tolerant mode it is the timer (retries, watchdog).
 //!
 //! Two execution modes share the loop, selected by `ft`:
 //!
@@ -23,7 +24,8 @@
 //!   *for good* (this pool never respawns; an emptied pool is
 //!   [`RuntimeError::AllWorkersDead`]), its task requeued with bounded
 //!   retry + deterministic backoff, and a late result from a retired
-//!   worker is either harvested (first commit wins) or dropped.
+//!   worker is either harvested (first commit wins, under the pool lock)
+//!   or dropped.
 
 use crate::engine::{run_attempt, DagRun, Outcome, Slots, Tally};
 use crate::error::RuntimeError;
@@ -31,7 +33,7 @@ use crate::recovery::{FaultInjector, FaultTolerance};
 use crate::scheduler::{DispatchOrder, SchedulePolicy};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
+use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tileqr_dag::{CostModel, TaskGraph, TaskId, TaskKind};
 use tileqr_kernels::exec::{FactorState, SharedFactorState};
@@ -57,7 +59,7 @@ pub struct PoolConfig {
     /// [`SchedulePolicy::CriticalPath`] can rank by measured microseconds.
     pub cost: CostModel,
     /// Performance-drift re-weighting. Requires a
-    /// [`CostModel::Calibrated`] model; at panel boundaries the manager
+    /// [`CostModel::Calibrated`] model; at panel boundaries the engine
     /// compares measured compute durations against the model and, past
     /// the damped threshold, recomputes bottom levels for the remaining
     /// DAG in place. Off by default.
@@ -89,7 +91,7 @@ pub struct RunReport {
     pub stage_wait: Duration,
     /// Total time workers spent inside `commit`, summed across workers.
     pub commit_wait: Duration,
-    /// High-water mark of the manager's ready-set depth.
+    /// High-water mark of the ready-set depth.
     pub max_ready_depth: usize,
     /// Dispatch policy the run used.
     pub policy: SchedulePolicy,
@@ -97,12 +99,11 @@ pub struct RunReport {
     /// error, worker panic, or stall).
     pub retries: u64,
     /// In-flight tasks returned to the pending set because their worker
-    /// died (panic, stall retirement, or a dead dispatch channel).
+    /// died (panic or stall retirement).
     pub requeues: u64,
-    /// Workers retired mid-run (panicked, stalled past the watchdog, or
-    /// found dead at dispatch).
+    /// Workers retired mid-run (panicked or stalled past the watchdog).
     pub worker_deaths: u64,
-    /// Times the drift detector fired and the manager re-ranked the ready
+    /// Times the drift detector fired and the engine re-ranked the ready
     /// set under freshly scaled costs. Always 0 unless the run had a
     /// calibrated cost model and drift detection enabled.
     pub drift_reweights: u64,
@@ -211,20 +212,18 @@ pub fn parallel_factor_traced<T: Scalar>(
     graph: &TaskGraph,
     config: PoolConfig,
 ) -> Result<(FactorState<T>, RunReport)> {
-    let started = Instant::now();
-    let workers = config.effective_workers().max(1);
-    if workers == 1 || graph.len() <= 1 {
+    if config.effective_workers() <= 1 {
         // Degenerate pool: run inline in program order.
-        return run_inline(state, graph, config.policy, started, config.trace);
+        return run_inline(state, graph, config.policy, Instant::now(), config.trace);
     }
     parallel_factor_ordered(state, graph, config, DispatchOrder::Policy(config.policy))
 }
 
 /// [`parallel_factor_traced`] dispatching under an explicit
 /// [`DispatchOrder`] — the testkit's hook for driving the *real* pool
-/// (threads, channels, staged commits and all) through adversarial and
+/// (threads, wake-ups, staged commits and all) through adversarial and
 /// seeded ready-set orders. Unlike [`parallel_factor_traced`], a
-/// single-worker config still runs the manager loop, so `workers == 1`
+/// single-worker config still runs the pool loop, so `workers == 1`
 /// honours the requested order instead of falling back to program order
 /// (the single-worker-starvation scenario).
 pub fn parallel_factor_ordered<T: Scalar>(
@@ -313,37 +312,134 @@ fn run_inline<T: Scalar>(
     Ok((state, report))
 }
 
-/// One worker report: how attempt `at = (task, attempt)` ended on `worker`.
-struct Completion<T: Scalar> {
-    at: (TaskId, u32),
-    worker: usize,
-    outcome: Outcome<T>,
+/// What the workers and the calling thread share, behind the one lock.
+struct PoolState<'a> {
+    graph: &'a TaskGraph,
+    /// `Some` selects the fenced, retryable discipline.
+    ft: Option<FaultTolerance>,
+    run: DagRun,
+    /// Attempts the watchdog is clocking, when `ft` sets a stall timeout.
+    slots: Slots<TaskId>,
+    /// Backoff-parked retries, earliest wake-up first.
+    parked: BinaryHeap<Reverse<(Instant, TaskId)>>,
+    fatal: Option<RuntimeError>,
+    /// Workers that neither panicked nor were retired by the watchdog.
+    live: usize,
+    /// Workers asleep waiting for a ready task.
+    sleepers: usize,
 }
 
-/// Backoff-parked retries, earliest wake-up first.
-type Parked = BinaryHeap<Reverse<(Instant, TaskId)>>;
+impl PoolState<'_> {
+    /// Whether workers should stop taking tasks.
+    fn finished(&self) -> bool {
+        self.fatal.is_some() || self.run.all_done()
+    }
 
-/// Charge a lost attempt of `t` to its budget: park the retry, or record
-/// the exhausted budget as the run's fatal error.
-fn park_retry(
-    run: &mut DagRun,
-    parked: &mut Parked,
-    fatal: &mut Option<RuntimeError>,
-    ft: &FaultTolerance,
-    t: TaskId,
-    last: String,
-) {
-    match run.charge_retry(ft, t, last) {
-        Ok(when) => parked.push(Reverse((when, t))),
-        Err(e) => *fatal = Some(e),
+    /// Abandon the run with `e` (the first fatal error wins).
+    fn fail(&mut self, e: RuntimeError) {
+        self.run.halt();
+        self.fatal.get_or_insert(e);
+    }
+
+    /// Charge a lost attempt of `t` to its budget: park the retry, or
+    /// record the exhausted budget as the run's fatal error.
+    fn park_retry(&mut self, ft: &FaultTolerance, t: TaskId, last: String) {
+        match self.run.charge_retry(ft, t, last) {
+            Ok(when) => self.parked.push(Reverse((when, t))),
+            Err(e) => self.fail(e),
+        }
+    }
+
+    /// The fenced mode's timers: move due retries back to the ready set
+    /// and retire workers stalled past the watchdog bound (for good — no
+    /// respawn), requeueing their tasks. Returns when to look again.
+    fn run_timers(&mut self) -> Option<Instant> {
+        let ft = self.ft?;
+        let now = Instant::now();
+        while let Some(&Reverse((when, t))) = self.parked.peek() {
+            if when > now {
+                break;
+            }
+            self.parked.pop();
+            self.run.wake(t);
+        }
+        let expiry = ft.stall_timeout.map(|st| {
+            for (w, t) in self.slots.take_stalled(st, now) {
+                self.live -= 1;
+                if self.run.on_panicked(t, w, true) {
+                    self.park_retry(&ft, t, format!("worker {w} stalled past {st:?}"));
+                }
+            }
+            // No attempt that starts after `now` can expire before this.
+            self.slots.earliest_stall_expiry(st).unwrap_or(now + st)
+        });
+        let wake = self.parked.peek().map(|&Reverse((when, _))| when);
+        wake.into_iter().chain(expiry).min()
+    }
+
+    /// Settle worker `w`'s report of how attempt `at` ended; `expected`
+    /// is false if the watchdog retired `w` while it was away. Returns
+    /// whether the worker lives on: not after a panic or a retirement.
+    fn settle<T: Scalar>(
+        &mut self,
+        shared: &SharedFactorState<T>,
+        w: usize,
+        at: (TaskId, u32),
+        expected: bool,
+        outcome: Outcome<T>,
+    ) -> bool {
+        let t = at.0;
+        let panicked = matches!(outcome, Outcome::Panicked(_));
+        self.live -= usize::from(panicked && expected);
+        // A lost attempt costs a retry when fenced, the run when not
+        // (destructive staging lost the task's inputs).
+        let lost = match outcome {
+            Outcome::Done(done) => {
+                self.run.on_done(self.graph, shared, at, w, expected, done);
+                None
+            }
+            Outcome::Failed(source) => self
+                .run
+                .on_failed(t, expected)
+                .then_some(RuntimeError::Kernel { task: t, source }),
+            Outcome::Panicked(message) => {
+                self.run
+                    .on_panicked(t, w, expected)
+                    .then_some(RuntimeError::TaskPanicked {
+                        task: t,
+                        worker: w,
+                        message,
+                    })
+            }
+        };
+        match (lost, self.ft) {
+            (None, _) => {}
+            (Some(cause), Some(ft)) => self.park_retry(&ft, t, cause.to_string()),
+            (Some(cause), None) => self.fail(cause),
+        }
+        expected && !panicked
     }
 }
 
-/// The pool driver behind every multi-worker entry point: scoped worker
-/// threads that are never respawned (an emptied pool is
-/// [`RuntimeError::AllWorkersDead`]) around one [`DagRun`]. `ft` selects
-/// the engine's fenced, retryable discipline; without it a fault is
-/// isolated but fatal.
+type PoolGuard<'g, 'a> = MutexGuard<'g, PoolState<'a>>;
+
+/// The guard out of a lock or wait result. A poisoned lock means a thread
+/// panicked mid-bookkeeping: the books cannot be trusted any more, so the
+/// run fails instead of panicking a second time.
+fn recover<'g, 'a>(r: LockResult<PoolGuard<'g, 'a>>) -> PoolGuard<'g, 'a> {
+    r.unwrap_or_else(|poisoned| {
+        let mut g = poisoned.into_inner();
+        let in_flight = g.run.in_flight();
+        g.fail(RuntimeError::Disconnected { in_flight });
+        g
+    })
+}
+
+/// The pool driver behind every multi-worker entry point: scoped,
+/// self-scheduling worker threads that are never respawned (an emptied
+/// pool is [`RuntimeError::AllWorkersDead`]) around one [`DagRun`]. `ft`
+/// selects the engine's fenced, retryable discipline; without it a fault
+/// is isolated but fatal.
 fn run_pool<T: Scalar>(
     state: FactorState<T>,
     graph: &TaskGraph,
@@ -357,234 +453,134 @@ fn run_pool<T: Scalar>(
     let b = state.tiles().tile_size();
     let shared = SharedFactorState::new(state);
     let ib = shared.inner_block();
-    let (done_tx, done_rx) = mpsc::channel::<Completion<T>>();
-    let fenced = ft.is_some();
+    let watched = ft.is_some_and(|ft| ft.stall_timeout.is_some());
     let trace_cfg = config.trace;
-    // Retired workers hand their recorder back over this channel; the
-    // manager collects them after closing the dispatch channels.
-    let (rec_tx, rec_rx) = mpsc::channel::<(usize, WorkerRecorder)>();
-    // Exiting workers report their arena's final size and growth count
-    // here; drained after the scope joins, so it never blocks.
-    let (ws_tx, ws_rx) = mpsc::channel::<(usize, u64)>();
-
-    let run_result = std::thread::scope(|scope| {
-        // One private channel per worker: the manager chooses *which*
-        // idle worker gets the next task, so no shared ready queue
-        // exists on the worker side. `None` marks a retired worker.
-        let mut task_txs: Vec<Option<mpsc::Sender<(TaskId, u32)>>> = Vec::with_capacity(workers);
-        for worker_id in 0..workers {
-            let (tx, rx) = mpsc::channel::<(TaskId, u32)>();
-            task_txs.push(Some(tx));
-            let done_tx = done_tx.clone();
-            let rec_tx = rec_tx.clone();
-            let ws_tx = ws_tx.clone();
-            let shared = &shared;
-            let mut rec = trace_cfg
-                .enabled
-                .then(|| WorkerRecorder::new(trace_cfg.capacity_per_lane));
-            // One arena per computing thread, sized once for the run's
-            // (b, ib): every kernel this worker executes borrows scratch
-            // from it instead of allocating.
-            let mut ws = Workspace::<T>::new(b, ib);
-            scope.spawn(move || {
-                while let Ok(at) = rx.recv() {
-                    let lane = rec.as_mut().map(|r| (r, started));
-                    let kind = graph.task(at.0);
-                    let outcome = run_attempt(shared, kind, at, injector, fenced, &mut ws, lane);
-                    let retire = matches!(outcome, Outcome::Panicked(_));
-                    let report = Completion {
-                        at,
-                        worker: worker_id,
-                        outcome,
-                    };
-                    if done_tx.send(report).is_err() || retire {
-                        break;
-                    }
-                }
-                if let Some(r) = rec {
-                    let _ = rec_tx.send((worker_id, r));
-                }
-                let _ = ws_tx.send((ws.bytes(), ws.resizes()));
-            });
-        }
-        drop(done_tx);
-        drop(rec_tx);
-        drop(ws_tx);
-
-        // The manager: feed the engine dispatches and worker reports.
-        let lane = trace_cfg
+    let recorder = || {
+        trace_cfg
             .enabled
-            .then(|| (WorkerRecorder::new(trace_cfg.capacity_per_lane), started));
-        let mut run = DagRun::new(graph, order, config.cost, config.drift, b, workers, lane);
-        let mut slots = Slots::<TaskId>::new(workers);
-        let mut parked = Parked::new();
-        let mut fatal: Option<RuntimeError> = None;
-        let stall = ft.and_then(|f| f.stall_timeout.map(|st| (f, st)));
+            .then(|| WorkerRecorder::new(trace_cfg.capacity_per_lane))
+    };
+    let lane = recorder().map(|rec| (rec, started));
+    let pool = Mutex::new(PoolState {
+        graph,
+        ft,
+        run: DagRun::new(graph, order, config.cost, config.drift, b, workers, lane),
+        slots: Slots::new(workers),
+        parked: BinaryHeap::new(),
+        fatal: None,
+        live: workers,
+        sleepers: 0,
+    });
+    // Two wait queues on the one lock: workers sleep on `work` while
+    // nothing is ready; the calling thread sleeps on `caller` until the
+    // run ends, a worker dies, or a timer is due or newly set.
+    let (work, caller) = (Condvar::new(), Condvar::new());
 
-        loop {
-            // Wake parked retries whose backoff has elapsed.
-            let now = Instant::now();
-            while let Some(&Reverse((when, t))) = parked.peek() {
-                if when > now {
-                    break;
-                }
-                parked.pop();
-                run.wake(t);
-            }
-
-            // Dispatch: pair ready tasks with idle workers.
-            while let Some(w) = slots.claim() {
-                let Some(next) = run.pop_ready(w) else {
-                    slots.free(w);
-                    break;
-                };
-                if task_txs[w].as_ref().is_some_and(|tx| tx.send(next).is_ok()) {
-                    slots.watch(w, next.0);
+    // A computing thread; the lock never covers `run_attempt`. Returns its
+    // trace lane and its arena's final size and growth count.
+    let worker = |w: usize| {
+        let mut rec = recorder();
+        // One arena per computing thread, sized once for the run's
+        // (b, ib): every kernel this worker executes borrows scratch
+        // from it instead of allocating.
+        let mut ws = Workspace::<T>::new(b, ib);
+        // `alive`: neither panicked nor retired by the watchdog.
+        let (mut g, mut alive) = (recover(pool.lock()), true);
+        while alive && !g.finished() {
+            let Some(at) = g.run.pop_ready(w) else {
+                if g.run.in_flight() == 0 && g.parked.is_empty() {
+                    // Unreachable while every uncommitted task is queued,
+                    // parked, in flight or behind one that is; never hang.
+                    g.fail(RuntimeError::Disconnected { in_flight: 0 });
                 } else {
-                    // Worker vanished without reporting: retire it (the
-                    // slot stays claimed forever) and put the task back —
-                    // the attempt never started.
-                    task_txs[w] = None;
-                    run.worker_died(w);
-                    run.undo_dispatch(next.0, w);
-                }
-            }
-
-            // Termination.
-            if run.all_done() {
-                break;
-            }
-            if run.in_flight() == 0 {
-                if fatal.is_some() {
-                    break;
-                }
-                if task_txs.iter().all(Option::is_none) {
-                    fatal = Some(RuntimeError::AllWorkersDead {
-                        completed: run.completed(),
-                        total: graph.len(),
-                    });
-                    break;
-                }
-                if parked.is_empty() && run.ready_len() == 0 {
-                    // Unreachable: every uncommitted task is queued,
-                    // parked, in flight, or behind one that is. Guard
-                    // instead of hanging if the invariant ever breaks.
-                    fatal = Some(RuntimeError::Disconnected { in_flight: 0 });
-                    break;
-                }
-            }
-
-            // Wait for the next report, bounded by the earliest parked
-            // wake-up or watchdog expiry.
-            let wake = parked.peek().map(|&Reverse((when, _))| when);
-            let expiry = stall.and_then(|(_, st)| slots.earliest_stall_expiry(st));
-            let received = match wake.into_iter().chain(expiry).min() {
-                None => done_rx.recv().map(Some).ok(),
-                Some(dl) => {
-                    match done_rx.recv_timeout(dl.saturating_duration_since(Instant::now())) {
-                        Ok(m) => Some(Some(m)),
-                        Err(mpsc::RecvTimeoutError::Timeout) => Some(None),
-                        Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-            };
-            let Some(received) = received else {
-                fatal.get_or_insert(RuntimeError::Disconnected {
-                    in_flight: run.in_flight(),
-                });
-                break;
-            };
-            let Some(Completion {
-                at,
-                worker: w,
-                outcome,
-            }) = received
-            else {
-                // Timeout: the watchdog retires stalled workers (for
-                // good — this pool never respawns) and requeues their
-                // tasks.
-                if let Some((ftc, st)) = stall {
-                    for (w, t) in slots.take_stalled(st, Instant::now()) {
-                        task_txs[w] = None;
-                        if run.on_panicked(t, w, true) {
-                            let last = format!("worker {w} stalled past {st:?}");
-                            park_retry(&mut run, &mut parked, &mut fatal, &ftc, t, last);
-                        }
-                    }
+                    g.sleepers += 1;
+                    g = recover(work.wait(g));
+                    g.sleepers -= 1;
                 }
                 continue;
             };
-
-            let t = at.0;
-            let alive = !matches!(outcome, Outcome::Panicked(_));
-            let expected = slots.settle(w, t, alive);
-            // A lost attempt costs a retry when fenced, the run when not
-            // (destructive staging lost the task's inputs).
-            let lost = match outcome {
-                Outcome::Done(done) => {
-                    run.on_done(graph, &shared, at, w, expected, done);
-                    None
-                }
-                Outcome::Failed(source) => run
-                    .on_failed(t, expected)
-                    .then_some(RuntimeError::Kernel { task: t, source }),
-                Outcome::Panicked(message) => {
-                    task_txs[w] = None;
-                    run.on_panicked(t, w, expected)
-                        .then_some(RuntimeError::TaskPanicked {
-                            task: t,
-                            worker: w,
-                            message,
-                        })
-                }
-            };
-            match (lost, ft) {
-                (None, _) => {}
-                (Some(cause), Some(ftc)) => {
-                    let last = cause.to_string();
-                    park_retry(&mut run, &mut parked, &mut fatal, &ftc, t, last);
-                }
-                (Some(cause), None) => {
-                    run.halt();
-                    fatal = Some(cause);
-                }
+            // Wake a sleeper only when there is one and a task left for
+            // it, so a busy run makes no futex call per task.
+            if g.sleepers > 0 && g.run.ready_len() > 0 {
+                work.notify_one();
+            }
+            if watched {
+                g.slots.watch(w, at.0);
+            }
+            drop(g);
+            let lane = rec.as_mut().map(|r| (r, started));
+            let kind = graph.task(at.0);
+            let outcome = run_attempt(&shared, kind, at, injector, ft.is_some(), &mut ws, lane);
+            let lost = !matches!(outcome, Outcome::Done(_));
+            g = recover(pool.lock());
+            let expected = !watched || g.slots.settle(w, at.0, false);
+            alive = g.settle(&shared, w, at, expected, outcome);
+            if lost {
+                // A retry was parked (a new deadline) or the run failed.
+                caller.notify_one();
             }
         }
+        drop(g);
+        // A worker leaves because the run ended or because it died: both
+        // are what the calling thread waits for.
+        caller.notify_one();
+        (rec, ws.bytes(), ws.resizes())
+    };
 
-        drop(task_txs); // workers exit
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        debug_assert!(run.all_done());
-        let trace = run.take_lane().map(|mgr| {
-            // Blocks until every worker (even one finishing a late
-            // attempt) has exited and returned its recorder — exactly
-            // the join the enclosing scope performs anyway.
-            let mut by_worker: Vec<Option<WorkerRecorder>> = (0..workers).map(|_| None).collect();
-            for (w, r) in rec_rx.iter() {
-                by_worker[w] = Some(r);
+    let lanes: Vec<_> = std::thread::scope(|scope| {
+        let worker = &worker;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| scope.spawn(move || worker(w)))
+            .collect();
+
+        let mut g = recover(pool.lock());
+        loop {
+            let deadline = g.run_timers();
+            if g.sleepers > 0 && g.run.ready_len() > 0 {
+                work.notify_one();
             }
-            let mut recorders: Vec<WorkerRecorder> = by_worker
-                .into_iter()
-                .map(|s| s.unwrap_or_else(|| WorkerRecorder::new(1)))
-                .collect();
-            recorders.push(mgr);
-            let mut lanes: Vec<String> = (0..workers).map(|w| format!("worker{w}")).collect();
-            lanes.push("manager".to_string());
-            merge_recorders(&recorders, lanes, graph)
-        });
-        Ok((run, trace))
+            if g.live == 0 && !g.finished() {
+                let (completed, total) = (g.run.completed(), graph.len());
+                g.fail(RuntimeError::AllWorkersDead { completed, total });
+            }
+            if g.finished() {
+                break;
+            }
+            g = recover(match deadline {
+                None => caller.wait(g),
+                Some(dl) => caller
+                    .wait_timeout(g, dl.saturating_duration_since(Instant::now()))
+                    .map(|(g, _)| g)
+                    .map_err(|poisoned| PoisonError::new(poisoned.into_inner().0)),
+            });
+        }
+        drop(g);
+        // The sleepers learn of the end here. Then join every worker, even
+        // one finishing a late attempt; one that panicked outside
+        // `catch_unwind` contributes nothing.
+        work.notify_all();
+        handles.into_iter().map(|h| h.join().ok()).collect()
     });
 
-    let (run, trace) = run_result?;
-    // Every worker has exited (the scope joined them), so this drains
-    // without blocking. Workers that died before reporting simply
-    // contribute nothing.
+    let state = pool.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let PoolState { mut run, fatal, .. } = state;
+    fatal.map_or(Ok(()), Err)?;
+    debug_assert!(run.all_done());
     let mut counters = HotPathCounters::default();
-    for (bytes, resizes) in ws_rx.try_iter() {
+    let mut recorders = Vec::new();
+    for (rec, bytes, resizes) in lanes.into_iter().map(Option::unwrap_or_default) {
         counters.workspace_bytes += bytes;
         counters.workspace_resizes += resizes;
+        if trace_cfg.enabled {
+            recorders.push(rec.unwrap_or_else(|| WorkerRecorder::new(1)));
+        }
     }
+    let trace = run.take_lane().map(|mgr| {
+        recorders.push(mgr);
+        let mut lanes: Vec<String> = (0..workers).map(|w| format!("worker{w}")).collect();
+        lanes.push("manager".to_string());
+        merge_recorders(&recorders, lanes, graph)
+    });
     let state = shared.into_state();
     counters.cow_clones = state.cow_clones();
     let report = run.into_report(started.elapsed(), trace, counters);
@@ -1071,6 +1067,38 @@ mod tests {
             RuntimeError::TaskPanicked { task, .. } => assert_eq!(task, 2),
             other => panic!("expected TaskPanicked, got {other}"),
         }
+    }
+
+    #[test]
+    fn poisoned_pool_lock_fails_the_run_without_a_second_panic() {
+        let graph = TaskGraph::build(2, 2, EliminationOrder::FlatTs);
+        let (cfg, order) = (
+            PoolConfig::default(),
+            DispatchOrder::Policy(SchedulePolicy::Fifo),
+        );
+        let pool = Mutex::new(PoolState {
+            graph: &graph,
+            ft: None,
+            run: DagRun::new(&graph, order, cfg.cost, cfg.drift, 4, 2, None),
+            slots: Slots::new(2),
+            parked: BinaryHeap::new(),
+            fatal: None,
+            live: 2,
+            sleepers: 0,
+        });
+        // A worker dying mid-bookkeeping poisons the lock...
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = pool.lock().unwrap();
+                panic!("mid-bookkeeping");
+            })
+            .join()
+        });
+        assert!(died.is_err() && pool.is_poisoned());
+        // ...and whoever takes it next fails the run instead of panicking.
+        let g = recover(pool.lock());
+        assert!(g.finished() && g.run.is_halted());
+        assert_eq!(g.fatal, Some(RuntimeError::Disconnected { in_flight: 0 }));
     }
 
     #[test]

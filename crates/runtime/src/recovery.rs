@@ -1,11 +1,11 @@
 //! Fault-tolerance policy and deterministic fault injection for the pool.
 //!
-//! [`FaultTolerance`] bounds how hard the manager fights to finish a run:
+//! [`FaultTolerance`] bounds how hard a driver fights to finish a run:
 //! at most `max_attempts` executions per task, separated by deterministic
 //! exponential backoff, with an optional stall watchdog that retires a
 //! worker whose in-flight task exceeds `stall_timeout`. Recovery is only
 //! *safe* because the fault-tolerant pool stages non-destructively and
-//! commits exactly once on the manager side (see `DESIGN.md` §11) — a
+//! commits exactly once behind the engine's fence (see `DESIGN.md` §11) — a
 //! requeued task always re-reads clean inputs and a late duplicate result
 //! is dropped at the commit fence.
 //!

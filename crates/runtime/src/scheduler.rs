@@ -1,10 +1,10 @@
-//! DAG readiness bookkeeping and dispatch ordering for the manager thread.
+//! DAG readiness bookkeeping and dispatch ordering.
 
 use std::collections::{BinaryHeap, VecDeque};
 use tileqr_dag::{TaskGraph, TaskId};
 use tileqr_matrix::Rng64;
 
-/// Order in which the manager hands ready tasks to idle workers.
+/// Order in which ready tasks are handed to idle workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
     /// Discovery order: tasks dispatch in the order they became ready.
@@ -311,9 +311,8 @@ impl ReadyQueue {
     }
 }
 
-/// Tracks which tasks are ready as predecessors complete — the manager
-/// thread's core data structure. Pure and single-threaded by design; the
-/// pool owns the concurrency.
+/// Tracks which tasks are ready as predecessors complete. Pure and
+/// single-threaded by design; the drivers own the concurrency.
 #[derive(Debug)]
 pub struct ReadyTracker {
     remaining_preds: Vec<usize>,
@@ -337,18 +336,16 @@ impl ReadyTracker {
         graph.sources()
     }
 
-    /// Record `task` as complete; returns the tasks that just became
-    /// ready.
-    pub fn complete(&mut self, graph: &TaskGraph, task: TaskId) -> Vec<TaskId> {
+    /// Record `task` as complete, handing each task that just became ready
+    /// to `ready` (no allocation: the pool calls this under its lock).
+    pub fn complete(&mut self, graph: &TaskGraph, task: TaskId, mut ready: impl FnMut(TaskId)) {
         self.completed += 1;
-        let mut newly = Vec::new();
         for &s in graph.succs(task) {
             self.remaining_preds[s] -= 1;
             if self.remaining_preds[s] == 0 {
-                newly.push(s);
+                ready(s);
             }
         }
-        newly
     }
 
     /// `true` once every task has completed.
@@ -375,7 +372,7 @@ mod tests {
         let mut seen = 0;
         while let Some(t) = frontier.pop() {
             seen += 1;
-            frontier.extend(tr.complete(&g, t));
+            tr.complete(&g, t, |r| frontier.push(r));
         }
         assert_eq!(seen, g.len());
         assert!(tr.all_done());
@@ -386,7 +383,9 @@ mod tests {
         let g = TaskGraph::build(3, 3, EliminationOrder::FlatTs);
         let mut tr = ReadyTracker::new(&g);
         // Completing the first GEQRT readies its direct successors only.
-        let newly = tr.complete(&g, 0);
+        let mut newly = Vec::new();
+        tr.complete(&g, 0, |r| newly.push(r));
+        assert!(!newly.is_empty());
         for &t in &newly {
             assert!(g.preds(t).iter().all(|&p| p == 0));
         }
@@ -445,9 +444,7 @@ mod tests {
                 );
                 done[t] = true;
                 drained += 1;
-                for ready in tr.complete(&g, t) {
-                    q.push(ready);
-                }
+                tr.complete(&g, t, |ready| q.push(ready));
             }
             assert_eq!(drained, g.len());
             assert!(tr.all_done());
@@ -528,9 +525,7 @@ mod tests {
                 );
                 done[t] = true;
                 drained += 1;
-                for ready in tr.complete(&g, t) {
-                    q.push(ready);
-                }
+                tr.complete(&g, t, |ready| q.push(ready));
             }
             assert_eq!(drained, g.len(), "{order:?}");
         }

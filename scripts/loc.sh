@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Non-test Rust line counts of the layers ROADMAP aim 2 tracks, plus the
-# two gates that keep `crates/runtime` at one execution engine:
+# gates that keep `crates/runtime` at one execution engine:
 #
 #   * `crates/runtime` must stay within the budget in scripts/loc_budget;
 #   * each engine marker (a call or construction that the pool and the
 #     service each used to spell out themselves) may occur at most once
-#     in non-test runtime code.
+#     in non-test runtime code;
+#   * the pool's workers schedule themselves under one lock: no `mpsc`
+#     (no manager round trip per task) in non-test `pool.rs`.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -50,4 +52,10 @@ for marker in "${markers[@]}"; do
         status=1
     fi
 done
+
+if hits=$(non_test crates/runtime/src/pool.rs | grep mpsc); then
+    echo "FAIL: mpsc in non-test pool.rs (workers must self-schedule, not be fed over channels):" >&2
+    echo "$hits" >&2
+    status=1
+fi
 exit $status
