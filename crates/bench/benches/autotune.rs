@@ -27,8 +27,7 @@ use tileqr::dag::{
     TaskGraph, TaskKind,
 };
 use tileqr::gen::random_matrix;
-use tileqr::kernels::flops;
-use tileqr::runtime::{DriftConfig, SchedulePolicy, ServiceConfig};
+use tileqr::runtime::{model_weight, DriftConfig, SchedulePolicy, ServiceConfig};
 use tileqr::{JobPlan, QrOptions, TiledQr, TunedQrService, TunerConfig};
 use tileqr_bench::harness;
 
@@ -42,17 +41,6 @@ fn measured_costs() -> ClassCosts {
         triangulation: c(4.0, 0.012),
         elimination: c(4.0, 0.012),
         update: c(2.0, 0.001),
-    }
-}
-
-fn flop_weight(b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
-    move |t| match t {
-        TaskKind::Geqrt { .. } => flops::geqrt_flops(b) as f64,
-        TaskKind::Unmqr { .. } => flops::unmqr_flops(b) as f64,
-        TaskKind::Tsqrt { .. } => flops::tsqrt_flops(b) as f64,
-        TaskKind::Tsmqr { .. } => flops::tsmqr_flops(b) as f64,
-        TaskKind::Ttqrt { .. } => flops::ttqrt_flops(b) as f64,
-        TaskKind::Ttmqr { .. } => flops::ttmqr_flops(b) as f64,
     }
 }
 
@@ -81,7 +69,7 @@ fn main() {
     harness::header("listsim/policy");
     for (mt, nt) in [(8usize, 8usize), (32, 2)] {
         let graph = TaskGraph::build(mt, nt, EliminationOrder::FlatTs);
-        let flop_pri = bottom_levels(&graph, flop_weight(b));
+        let flop_pri = bottom_levels(&graph, model_weight(CostModel::Flops, b));
         let cal_pri = bottom_levels(&graph, dur);
         for workers in [4usize, 16] {
             let fifo_us = list_makespan(&graph, workers, ListOrder::Fifo, dur);

@@ -5,7 +5,7 @@
 
 use std::hint::black_box;
 use tileqr::gen::random_matrix;
-use tileqr::kernels::{flops, geqrt, tsmqr, tsqrt, unmqr};
+use tileqr::kernels::{flops, geqrt_ws, tsmqr_apply_ws, tsqrt_ws, unmqr_ws, ApplySide, Workspace};
 use tileqr::Matrix;
 use tileqr_bench::harness;
 
@@ -14,14 +14,16 @@ const SAMPLES: usize = 20;
 
 fn factored_tile(b: usize, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
     let mut a = random_matrix::<f64>(b, b, seed);
-    let t = geqrt(&mut a).unwrap();
+    let mut t = Matrix::zeros(b, b);
+    geqrt_ws(&mut a, &mut t, &mut Workspace::new(b, b)).unwrap();
     (a, t)
 }
 
 fn eliminated_pair(b: usize, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
     let mut r1 = random_matrix::<f64>(b, b, seed).upper_triangular();
     let mut v2 = random_matrix::<f64>(b, b, seed + 1);
-    let t = tsqrt(&mut r1, &mut v2).unwrap();
+    let mut t = Matrix::zeros(b, b);
+    tsqrt_ws(&mut r1, &mut v2, &mut t, &mut Workspace::new(b, b)).unwrap();
     (v2, t)
 }
 
@@ -29,6 +31,7 @@ fn main() {
     harness::header("fig4_host/geqrt");
     for b in TILE_SIZES {
         let a = random_matrix::<f64>(b, b, 1);
+        let (mut t, mut ws) = (Matrix::zeros(b, b), Workspace::new(b, b));
         harness::bench_with_flops(
             "fig4_host/geqrt",
             &b.to_string(),
@@ -36,7 +39,8 @@ fn main() {
             flops::geqrt_flops(b),
             || {
                 let mut work = a.clone();
-                black_box(geqrt(&mut work).unwrap());
+                geqrt_ws(&mut work, &mut t, &mut ws).unwrap();
+                black_box((&work, &t));
             },
         );
     }
@@ -45,6 +49,7 @@ fn main() {
     for b in TILE_SIZES {
         let r1 = random_matrix::<f64>(b, b, 2).upper_triangular();
         let a2 = random_matrix::<f64>(b, b, 3);
+        let (mut t, mut ws) = (Matrix::zeros(b, b), Workspace::new(b, b));
         harness::bench_with_flops(
             "fig4_host/tsqrt",
             &b.to_string(),
@@ -53,7 +58,8 @@ fn main() {
             || {
                 let mut r = r1.clone();
                 let mut a = a2.clone();
-                black_box(tsqrt(&mut r, &mut a).unwrap());
+                tsqrt_ws(&mut r, &mut a, &mut t, &mut ws).unwrap();
+                black_box((&r, &t));
             },
         );
     }
@@ -62,6 +68,7 @@ fn main() {
     for b in TILE_SIZES {
         let (vr, t) = factored_tile(b, 4);
         let c0 = random_matrix::<f64>(b, b, 5);
+        let mut ws = Workspace::new(b, b);
         harness::bench_with_flops(
             "fig4_host/unmqr",
             &b.to_string(),
@@ -69,7 +76,7 @@ fn main() {
             flops::unmqr_flops(b),
             || {
                 let mut c = c0.clone();
-                unmqr(&vr, &t, &mut c).unwrap();
+                unmqr_ws(&vr, &t, &mut c, &mut ws).unwrap();
                 black_box(&c);
             },
         );
@@ -80,6 +87,7 @@ fn main() {
         let (v2, t) = eliminated_pair(b, 6);
         let a1 = random_matrix::<f64>(b, b, 7);
         let a2 = random_matrix::<f64>(b, b, 8);
+        let mut ws = Workspace::new(b, b);
         harness::bench_with_flops(
             "fig4_host/tsmqr",
             &b.to_string(),
@@ -88,7 +96,7 @@ fn main() {
             || {
                 let mut x1 = a1.clone();
                 let mut x2 = a2.clone();
-                tsmqr(&v2, &t, &mut x1, &mut x2).unwrap();
+                tsmqr_apply_ws(&v2, &t, &mut x1, &mut x2, ApplySide::Transpose, &mut ws).unwrap();
                 black_box((&x1, &x2));
             },
         );

@@ -12,7 +12,9 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use tileqr::dag::{TaskGraph, TaskId, TaskKind};
-use tileqr::kernels::{geqrt, geqrt_apply, tsmqr_apply, tsqrt, ttmqr_apply, ttqrt, ApplySide};
+use tileqr::kernels::{
+    geqrt_ws, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, unmqr_ws, ApplySide, Workspace,
+};
 use tileqr::{Matrix, MatrixError, TiledMatrix};
 
 type Result<T> = std::result::Result<T, MatrixError>;
@@ -101,21 +103,27 @@ fn stage(state: &State, task: TaskKind) -> Staged {
 }
 
 fn compute(task: TaskKind, staged: Staged) -> Result<Done> {
+    // The seed allocated every kernel's scratch and `T` factor per call;
+    // a throwaway grow-on-demand workspace per task keeps that cost.
+    let ws = &mut Workspace::minimal();
     Ok(match (task, staged) {
         (TaskKind::Geqrt { .. }, Staged::Factor { mut tile }) => {
-            let tfac = geqrt(&mut tile)?;
+            let mut tfac = Matrix::zeros(tile.cols(), tile.cols());
+            geqrt_ws(&mut tile, &mut tfac, ws)?;
             Done::Factor { tile, tfac }
         }
         (TaskKind::Unmqr { .. }, Staged::Update { vr, tfac, mut c }) => {
-            geqrt_apply(&vr, &tfac, &mut c, ApplySide::Transpose)?;
+            unmqr_ws(&vr, &tfac, &mut c, ws)?;
             Done::Update { c }
         }
         (TaskKind::Tsqrt { .. }, Staged::Elim { mut r1, mut a2 }) => {
-            let tfac = tsqrt(&mut r1, &mut a2)?;
+            let mut tfac = Matrix::zeros(r1.rows(), r1.rows());
+            tsqrt_ws(&mut r1, &mut a2, &mut tfac, ws)?;
             Done::Elim { r1, a2, tfac }
         }
         (TaskKind::Ttqrt { .. }, Staged::Elim { mut r1, mut a2 }) => {
-            let tfac = ttqrt(&mut r1, &mut a2)?;
+            let mut tfac = Matrix::zeros(r1.rows(), r1.rows());
+            ttqrt_ws(&mut r1, &mut a2, &mut tfac, ws)?;
             Done::Elim { r1, a2, tfac }
         }
         (
@@ -127,7 +135,7 @@ fn compute(task: TaskKind, staged: Staged) -> Result<Done> {
                 mut a2,
             },
         ) => {
-            tsmqr_apply(&v2, &tfac, &mut a1, &mut a2, ApplySide::Transpose)?;
+            tsmqr_apply_ws(&v2, &tfac, &mut a1, &mut a2, ApplySide::Transpose, ws)?;
             Done::PairUpdate { a1, a2 }
         }
         (
@@ -139,7 +147,7 @@ fn compute(task: TaskKind, staged: Staged) -> Result<Done> {
                 mut a2,
             },
         ) => {
-            ttmqr_apply(&v2, &tfac, &mut a1, &mut a2, ApplySide::Transpose)?;
+            ttmqr_apply_ws(&v2, &tfac, &mut a1, &mut a2, ApplySide::Transpose, ws)?;
             Done::PairUpdate { a1, a2 }
         }
         _ => unreachable!("task/staged kind mismatch"),

@@ -337,7 +337,7 @@ pub fn legacy_ttmqr_apply<T: Scalar>(
 mod tests {
     use super::*;
     use tileqr::gen::random_matrix;
-    use tileqr::kernels::{geqrt, tsqrt, ttqrt};
+    use tileqr::kernels::{geqrt_ws, tsqrt_ws, ttqrt_ws, Workspace};
 
     /// The frozen copies must agree with the production kernels on the
     /// factorization path to tight tolerance. The comparison used to be
@@ -349,9 +349,10 @@ mod tests {
     fn legacy_factor_kernels_match_production_numerically() {
         const TOL: f64 = 1e-12;
         let b = 16;
+        let (ws, mut t_new) = (&mut Workspace::new(b, b), Matrix::zeros(b, b));
         let mut a_new = random_matrix::<f64>(b, b, 5);
         let mut a_old = a_new.clone();
-        let t_new = geqrt(&mut a_new).unwrap();
+        geqrt_ws(&mut a_new, &mut t_new, ws).unwrap();
         let t_old = legacy_geqrt(&mut a_old).unwrap();
         assert!(a_new.approx_eq(&a_old, TOL));
         assert!(t_new.approx_eq(&t_old, TOL));
@@ -360,7 +361,7 @@ mod tests {
         let mut a2_new = random_matrix::<f64>(b, b, 7);
         let mut r1_old = r1_new.clone();
         let mut a2_old = a2_new.clone();
-        let t_new = tsqrt(&mut r1_new, &mut a2_new).unwrap();
+        tsqrt_ws(&mut r1_new, &mut a2_new, &mut t_new, ws).unwrap();
         let t_old = legacy_tsqrt(&mut r1_old, &mut a2_old).unwrap();
         assert!(r1_new.approx_eq(&r1_old, TOL));
         assert!(a2_new.approx_eq(&a2_old, TOL));
@@ -370,7 +371,7 @@ mod tests {
         let mut q_new = random_matrix::<f64>(b, b, 9).upper_triangular();
         let mut p_old = p_new.clone();
         let mut q_old = q_new.clone();
-        let t_new = ttqrt(&mut p_new, &mut q_new).unwrap();
+        ttqrt_ws(&mut p_new, &mut q_new, &mut t_new, ws).unwrap();
         let t_old = legacy_ttqrt(&mut p_old, &mut q_old).unwrap();
         assert!(p_new.approx_eq(&p_old, TOL));
         assert!(q_new.approx_eq(&q_old, TOL));
@@ -381,15 +382,16 @@ mod tests {
     /// changed the W accumulation), so they are compared to tolerance.
     #[test]
     fn legacy_apply_kernels_match_production_numerically() {
-        use tileqr::kernels::{geqrt_apply, tsmqr_apply, ttmqr_apply};
+        use tileqr::kernels::{geqrt_apply_ws, tsmqr_apply_ws, ttmqr_apply_ws};
         let b = 16;
+        let ws = &mut Workspace::new(b, b);
         let mut vr = random_matrix::<f64>(b, b, 10);
         let t = legacy_geqrt(&mut vr).unwrap();
         let c0 = random_matrix::<f64>(b, b, 11);
 
         let mut c_new = c0.clone();
         let mut c_old = c0.clone();
-        geqrt_apply(&vr, &t, &mut c_new, ApplySide::Transpose).unwrap();
+        geqrt_apply_ws(&vr, &t, &mut c_new, ApplySide::Transpose, ws).unwrap();
         legacy_geqrt_apply(&vr, &t, &mut c_old, ApplySide::Transpose).unwrap();
         assert!(c_new.approx_eq(&c_old, 1e-12));
 
@@ -400,7 +402,7 @@ mod tests {
         let a2_0 = random_matrix::<f64>(b, b, 15);
         let (mut a1_new, mut a2_new) = (a1_0.clone(), a2_0.clone());
         let (mut a1_old, mut a2_old) = (a1_0.clone(), a2_0.clone());
-        tsmqr_apply(&v2, &t, &mut a1_new, &mut a2_new, ApplySide::Transpose).unwrap();
+        tsmqr_apply_ws(&v2, &t, &mut a1_new, &mut a2_new, ApplySide::Transpose, ws).unwrap();
         legacy_tsmqr_apply(&v2, &t, &mut a1_old, &mut a2_old, ApplySide::Transpose).unwrap();
         assert!(a1_new.approx_eq(&a1_old, 1e-12));
         assert!(a2_new.approx_eq(&a2_old, 1e-12));
@@ -410,7 +412,7 @@ mod tests {
         let t = legacy_ttqrt(&mut p, &mut q).unwrap();
         let (mut a1_new, mut a2_new) = (a1_0.clone(), a2_0.clone());
         let (mut a1_old, mut a2_old) = (a1_0, a2_0);
-        ttmqr_apply(&q, &t, &mut a1_new, &mut a2_new, ApplySide::Transpose).unwrap();
+        ttmqr_apply_ws(&q, &t, &mut a1_new, &mut a2_new, ApplySide::Transpose, ws).unwrap();
         legacy_ttmqr_apply(&q, &t, &mut a1_old, &mut a2_old, ApplySide::Transpose).unwrap();
         assert!(a1_new.approx_eq(&a1_old, 1e-12));
         assert!(a2_new.approx_eq(&a2_old, 1e-12));

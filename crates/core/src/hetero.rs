@@ -6,14 +6,15 @@
 //! pipeline: Algorithm 2 (main device) → Algorithm 3 (device count) →
 //! Algorithm 4 (guide-array distribution) → simulated execution.
 
+pub use tileqr_dag::{ClassCosts, CostCurve, KernelClass};
 pub use tileqr_sched::{
     assign, autotune, device_count, distribution, fastsim, guide, main_select, plan, ratio, replan,
     rowblock, select, AdaptiveRun, Distribution, DistributionStrategy, HeteroPlan,
     MainDevicePolicy, ReplanEvent, ReplanPolicy, Selection, TreeScore,
 };
 pub use tileqr_sim::{
-    engine, profiles, DeviceId, DeviceKind, DeviceProfile, FaultPlan, KernelClass, KernelTiming,
-    Link, Platform, SimConfig, SimStats, StepTimes,
+    engine, profiles, DeviceId, DeviceKind, DeviceProfile, FaultPlan, Link, Platform, SimConfig,
+    SimStats,
 };
 
 /// Outcome of planning + simulating one heterogeneous tiled-QR run.

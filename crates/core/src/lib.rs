@@ -58,10 +58,8 @@ pub mod kernels {
     pub use tileqr_kernels::reference;
     pub use tileqr_kernels::validate;
     pub use tileqr_kernels::{
-        geqrt, geqrt_apply, geqrt_apply_ws, geqrt_ib, geqrt_ib_apply, geqrt_ib_apply_ws,
-        geqrt_ib_ws, geqrt_ws, larfg, tsmqr, tsmqr_apply, tsmqr_apply_ws, tsqrt, tsqrt_ws, ttmqr,
-        ttmqr_apply, ttmqr_apply_ws, ttqrt, ttqrt_ws, unmqr, unmqr_ws, ApplySide,
-        HouseholderReflector, Workspace,
+        geqrt_apply_ws, geqrt_ib_apply_ws, geqrt_ib_ws, geqrt_ws, larfg, tsmqr_apply_ws, tsqrt_ws,
+        ttmqr_apply_ws, ttqrt_ws, unmqr_ws, ApplySide, HouseholderReflector, Workspace,
     };
 }
 
@@ -73,10 +71,10 @@ pub mod dag {
 /// Parallel runtime (re-export of `tileqr-runtime`).
 pub mod runtime {
     pub use tileqr_runtime::{
-        parallel_factor, parallel_factor_ft, parallel_factor_ordered, parallel_factor_traced,
-        DispatchOrder, FaultInjector, FaultTolerance, InjectedFault, NoFaults, PoolConfig,
-        ReadyQueue, ReadyTracker, RunReport, RuntimeError, SchedulePolicy, ScriptedFaults,
-        TraceConfig,
+        model_weight, parallel_factor, parallel_factor_ft, parallel_factor_ordered,
+        parallel_factor_traced, DispatchOrder, FaultInjector, FaultTolerance, InjectedFault,
+        NoFaults, PoolConfig, ReadyQueue, ReadyTracker, RunReport, RuntimeError, SchedulePolicy,
+        ScriptedFaults, TraceConfig,
     };
     pub use tileqr_runtime::{ClassCosts, CostCurve, CostModel, DriftConfig};
     pub use tileqr_runtime::{

@@ -16,7 +16,8 @@
 //!    measured profile: `tileqr_sched::select::select_plan` sweeps
 //!    `(tile size, elimination tree)` candidates through the
 //!    discrete-event simulator and the winner runs with
-//!    [`CostModel::Calibrated`] priorities, tagged [`JobTuning::Tuned`].
+//!    [`tileqr_runtime::CostModel::Calibrated`] priorities, tagged
+//!    [`JobTuning::Tuned`].
 //! 4. Fitted profiles **persist** as JSON
 //!    ([`tileqr_obs::ProfileStore`]): point `TILEQR_PROFILE` (or
 //!    [`TunerConfig::profile_path`]) at a store file and later services
@@ -35,7 +36,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use crate::factor::TiledQr;
-use tileqr_dag::{EliminationTree, TreePolicy};
+use tileqr_dag::{EliminationTree, KernelClass, TreePolicy};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 use tileqr_obs::{
     cost_model, default_profile_path, fit_step_times, fitted_profile, KernelSample, ProfileStore,
@@ -43,9 +44,9 @@ use tileqr_obs::{
 use tileqr_runtime::service::{
     JobOutput, JobResult, JobSpec, JobTuning, QrService, ServiceConfig, ServiceStats,
 };
-use tileqr_runtime::{CostModel, RunReport};
+use tileqr_runtime::RunReport;
 use tileqr_sched::select::{select_plan, Selection};
-use tileqr_sim::{DeviceKind, DeviceProfile, KernelClass};
+use tileqr_sim::{DeviceKind, DeviceProfile};
 
 /// Knobs for the online tuner.
 #[derive(Debug, Clone)]
@@ -277,12 +278,8 @@ impl<T: Scalar> TunedQrService<T> {
         let Some(ShapeEntry::Probing { samples, .. }) = shapes.get_mut(&(rows, cols)) else {
             return;
         };
-        let classes = [
-            KernelClass::Triangulation,
-            KernelClass::Elimination,
-            KernelClass::Update,
-        ];
-        for (slot, class) in classes.into_iter().enumerate() {
+        for class in KernelClass::ALL {
+            let slot = class.slot();
             let n = result.class_tasks[slot];
             if n > 0 {
                 samples.push(KernelSample {
@@ -317,13 +314,6 @@ impl<T: Scalar> TunedQrService<T> {
 fn parse_shape_key(key: &str) -> Option<(usize, usize)> {
     let (r, c) = key.split_once('x')?;
     Some((r.parse().ok()?, c.parse().ok()?))
-}
-
-/// A calibrated-cost [`CostModel`] for a shape class, once tuned —
-/// convenience for driving plain [`TiledQr::factor`] runs (or the pool)
-/// from a service-fitted profile.
-pub fn tuned_cost_model(service_profile: &DeviceProfile) -> CostModel {
-    cost_model(service_profile)
 }
 
 #[cfg(test)]

@@ -1,23 +1,73 @@
-//! Pluggable task-cost models for scheduling priorities.
+//! The cost vocabulary: what a tile kernel costs, written down once.
+//!
+//! Everything the paper optimises (Alg. 2–4, Eqs. 10–11) is driven by one
+//! datum — the Fig. 4 per-step timing curve `t(b) = c0 + c1·b² + c2·b³`
+//! microseconds for triangulation, elimination and the updates. This
+//! module owns that datum for every layer: the curve ([`CostCurve`]), the
+//! three classes and the one `TaskKind → class` mapping ([`KernelClass`]),
+//! the per-device table ([`ClassCosts`] — a simulated `DeviceProfile`
+//! carries one, `obs::calibrate` fits one, the profile JSON stores one)
+//! and the scheduler's choice of weight source ([`CostModel`]).
 //!
 //! Bottom-level priorities ([`crate::bottom_levels`]) are only as good as
 //! the per-task weights they sum. The flop model is a safe default but
 //! ignores launch overhead and memory traffic, which is exactly why
-//! critical-path priority can lose to FIFO on a real host. A [`CostModel`]
-//! makes the weight source explicit: either the flop counts, or a
-//! *calibrated* set of per-class timing curves ([`ClassCosts`]) fitted
-//! from measured kernel spans (`obs::calibrate` produces them from a
-//! `DeviceProfile`).
+//! critical-path priority can lose to FIFO on a real host;
+//! [`CostModel::Calibrated`] ranks by measured microseconds instead.
 //!
-//! The types here are pure `Copy` data with no simulator dependency, so
-//! every layer — `PoolConfig`, `ServiceConfig`, `QrOptions` — can carry a
-//! model without growing its dependency graph. Curves follow the paper's
-//! Fig. 4 form `t(b) = c0 + c1·b² + c2·b³` microseconds.
+//! The types here are pure `Copy` data, so every layer — `PoolConfig`,
+//! `ServiceConfig`, `QrOptions`, the simulator — can carry them without
+//! growing its dependency graph. The per-task accessors are `#[inline]`:
+//! the simulators in other crates call them once per simulated task
+//! (without it `sim::engine` measured ~8 % fewer tasks per second).
 
 use crate::task::{StepClass, TaskKind};
 
-/// One timing curve `t(b) = c0 + c1·b² + c2·b³` (microseconds), the
-/// dependency-free mirror of the simulator's `KernelTiming`.
+/// The three timing curves of the paper's Fig. 4: triangulation (T),
+/// elimination (E), and the updates (UT and UE, which the paper plots as a
+/// single curve).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KernelClass {
+    /// `GEQRT`.
+    Triangulation,
+    /// `TSQRT` / `TTQRT`.
+    Elimination,
+    /// `UNMQR` / `TSMQR` / `TTMQR` (one shared curve, as in Fig. 4).
+    Update,
+}
+
+impl KernelClass {
+    /// Every class, in [`slot`](KernelClass::slot) order.
+    pub const ALL: [KernelClass; 3] = [
+        KernelClass::Triangulation,
+        KernelClass::Elimination,
+        KernelClass::Update,
+    ];
+
+    /// The curve a DAG task bills to.
+    #[inline]
+    pub fn of(task: TaskKind) -> KernelClass {
+        match task.class() {
+            StepClass::Triangulation => KernelClass::Triangulation,
+            StepClass::Elimination => KernelClass::Elimination,
+            StepClass::UpdateTriangulation | StepClass::UpdateElimination => KernelClass::Update,
+        }
+    }
+
+    /// Index into per-class `[_; 3]` tables: 0 triangulation,
+    /// 1 elimination, 2 update.
+    pub fn slot(self) -> usize {
+        self as usize
+    }
+}
+
+/// Kernel latency model `t(b) = c0 + c1·b² + c2·b³` microseconds for one
+/// tile kernel at tile size `b`.
+///
+/// The cubic term tracks the `O(b³)` kernel flops, the quadratic term the
+/// `O(b²)` memory traffic, and the constant the launch overhead (dominant
+/// on GPUs at small tiles — visible as the flat left end of every Fig. 4
+/// curve).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostCurve {
     /// Launch/setup overhead, microseconds.
@@ -30,13 +80,14 @@ pub struct CostCurve {
 
 impl CostCurve {
     /// Predicted latency at tile size `b`, microseconds.
+    #[inline]
     pub fn eval_us(&self, b: usize) -> f64 {
         let b = b as f64;
         self.c0 + self.c1 * b * b + self.c2 * b * b * b
     }
 
-    /// The curve scaled by a uniform factor (used by drift re-weighting:
-    /// an observed slowdown multiplies the whole curve).
+    /// The curve scaled by a uniform factor (an observed or injected
+    /// slowdown multiplies the whole curve).
     pub fn scaled(&self, factor: f64) -> CostCurve {
         CostCurve {
             c0: self.c0 * factor,
@@ -46,10 +97,7 @@ impl CostCurve {
     }
 }
 
-/// Calibrated per-class cost curves: one per timing class of the paper's
-/// Fig. 4 (triangulation, elimination, and a shared update curve — UT
-/// and UE plot as one line there, and the simulator models them the same
-/// way).
+/// The full per-device cost table: one curve per [`KernelClass`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassCosts {
     /// `GEQRT` curve.
@@ -60,44 +108,32 @@ pub struct ClassCosts {
     pub update: CostCurve,
 }
 
-/// Index of a [`StepClass`] into the three-curve table: 0 triangulation,
-/// 1 elimination, 2 update (UT and UE share slot 2).
-pub fn class_slot(class: StepClass) -> usize {
-    match class {
-        StepClass::Triangulation => 0,
-        StepClass::Elimination => 1,
-        StepClass::UpdateTriangulation | StepClass::UpdateElimination => 2,
-    }
-}
-
 impl ClassCosts {
-    /// The curve a [`StepClass`] bills to.
-    pub fn curve(&self, class: StepClass) -> CostCurve {
-        match class_slot(class) {
-            0 => self.triangulation,
-            1 => self.elimination,
-            _ => self.update,
+    /// The curve of one class.
+    #[inline]
+    pub fn curve(&self, class: KernelClass) -> CostCurve {
+        match class {
+            KernelClass::Triangulation => self.triangulation,
+            KernelClass::Elimination => self.elimination,
+            KernelClass::Update => self.update,
         }
     }
 
     /// Predicted cost of one task at tile size `b`, microseconds.
+    #[inline]
     pub fn cost_us(&self, kind: TaskKind, b: usize) -> f64 {
-        self.curve(kind.class()).eval_us(b)
+        self.curve(KernelClass::of(kind)).eval_us(b)
     }
 
-    /// Expected per-task latency of each class slot at tile size `b`
-    /// (`[triangulation, elimination, update]` µs) — the drift detector's
-    /// baseline.
+    /// Expected per-task latency of each class at tile size `b`, µs, by
+    /// [`KernelClass::slot`] — the drift detector's baseline.
     pub fn expected_us(&self, b: usize) -> [f64; 3] {
-        [
-            self.triangulation.eval_us(b),
-            self.elimination.eval_us(b),
-            self.update.eval_us(b),
-        ]
+        KernelClass::ALL.map(|class| self.curve(class).eval_us(b))
     }
 
     /// Costs with each class curve scaled by its slot's factor (drift
-    /// re-weighting applies the observed per-class slowdown ratios).
+    /// re-weighting applies the observed per-class slowdown ratios; a
+    /// degraded simulated device applies one factor to all three).
     pub fn scaled(&self, factors: [f64; 3]) -> ClassCosts {
         ClassCosts {
             triangulation: self.triangulation.scaled(factors[0]),
@@ -125,14 +161,6 @@ impl CostModel {
         match self {
             CostModel::Flops => "flops",
             CostModel::Calibrated(_) => "calibrated",
-        }
-    }
-
-    /// The calibrated curves, when present.
-    pub fn class_costs(&self) -> Option<ClassCosts> {
-        match self {
-            CostModel::Flops => None,
-            CostModel::Calibrated(c) => Some(*c),
         }
     }
 }
@@ -185,10 +213,51 @@ mod tests {
             k: 0,
         };
         assert_eq!(c.cost_us(ut, 16), c.cost_us(ue, 16));
-        assert_eq!(class_slot(StepClass::UpdateTriangulation), 2);
-        assert_eq!(class_slot(StepClass::UpdateElimination), 2);
-        assert_eq!(class_slot(StepClass::Triangulation), 0);
-        assert_eq!(class_slot(StepClass::Elimination), 1);
+        assert_eq!(
+            c.expected_us(16)[KernelClass::Update.slot()],
+            c.cost_us(ut, 16)
+        );
+    }
+
+    #[test]
+    fn class_mapping() {
+        use KernelClass::*;
+        let (p, i, j, k) = (0, 1, 1, 0);
+        let table = [
+            (TaskKind::Geqrt { i: 0, k }, Triangulation),
+            (TaskKind::Unmqr { i: 0, j, k }, Update),
+            (TaskKind::Tsqrt { p, i, k }, Elimination),
+            (TaskKind::Tsmqr { p, i, j, k }, Update),
+            (TaskKind::Ttqrt { p, i, k }, Elimination),
+            (TaskKind::Ttmqr { p, i, j, k }, Update),
+        ];
+        for (task, class) in table {
+            assert_eq!(KernelClass::of(task), class, "{task:?}");
+        }
+        for (slot, class) in KernelClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.slot(), slot);
+        }
+    }
+
+    #[test]
+    fn cubic_dominates_at_large_tiles() {
+        let t = CostCurve {
+            c0: 20.0,
+            c1: 0.02,
+            c2: 0.019,
+        };
+        let r = t.eval_us(56) / t.eval_us(28);
+        assert!(r > 6.0 && r < 8.5, "expected near-cubic growth, got {r}");
+    }
+
+    #[test]
+    fn overhead_dominates_at_small_tiles() {
+        let t = CostCurve {
+            c0: 20.0,
+            c1: 0.02,
+            c2: 0.019,
+        };
+        assert!(t.eval_us(4) < 1.2 * t.c0);
     }
 
     #[test]
@@ -205,7 +274,5 @@ mod tests {
         assert_eq!(CostModel::default(), CostModel::Flops);
         let m = CostModel::Calibrated(costs());
         assert_eq!(m.name(), "calibrated");
-        assert_eq!(m.class_costs(), Some(costs()));
-        assert_eq!(CostModel::Flops.class_costs(), None);
     }
 }

@@ -27,7 +27,7 @@ mod task;
 pub mod topo;
 pub mod tree;
 
-pub use cost::{class_slot, ClassCosts, CostCurve, CostModel};
+pub use cost::{ClassCosts, CostCurve, CostModel, KernelClass};
 pub use critical_path::bottom_levels;
 pub use graph::{EliminationOrder, TaskGraph};
 pub use listsim::{list_makespan, ListOrder};

@@ -8,7 +8,7 @@
 //! 1. [`FactorState::stage`] — move the written tiles out of the state
 //!    (pointer swap against a shared zero placeholder) and hand read tiles
 //!    / `T` factors to the task as `Arc` clones — **no `O(b²)` copies**,
-//! 2. [`StagedTask::compute`] — no shared state: run the kernel on owned
+//! 2. [`StagedTask::compute_with`] — no shared state: run the kernel on owned
 //!    (written) and `Arc`-shared (read) data,
 //! 3. [`FactorState::commit`] — put results back (pointer swaps again).
 //!
@@ -33,8 +33,8 @@
 
 use crate::workspace::Workspace;
 use crate::{
-    geqrt_apply, geqrt_apply_ws, geqrt_ib_apply, geqrt_ib_apply_ws, geqrt_ib_ws, geqrt_ws,
-    tsmqr_apply, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply, ttmqr_apply_ws, ttqrt_ws, ApplySide,
+    geqrt_apply_ws, geqrt_ib_apply_ws, geqrt_ib_ws, geqrt_ws, tsmqr_apply_ws, tsqrt_ws,
+    ttmqr_apply_ws, ttqrt_ws, ApplySide,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,7 +56,7 @@ fn unwrap_or_clone<T: Scalar>(a: Arc<Matrix<T>>, cow: &AtomicU64) -> Matrix<T> {
 
 /// The reflector `T` factor(s) of one `GEQRT` panel tile: a single
 /// full-tile factor (inner block = tile size, the default) or PLASMA-style
-/// per-panel factors from [`geqrt_ib`](crate::geqrt_ib).
+/// per-panel factors from [`geqrt_ib_ws`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PanelFactor<T: Scalar> {
     /// One `b x b` factor covering the whole tile.
@@ -82,14 +82,6 @@ impl<T: Scalar> PanelFactor<T> {
         match self {
             PanelFactor::Full(t) => geqrt_apply_ws(vr, t, c, side, ws),
             PanelFactor::Blocked { ib, tfacs } => geqrt_ib_apply_ws(vr, tfacs, *ib, c, side, ws),
-        }
-    }
-
-    /// Allocating variant of [`apply_ws`](Self::apply_ws) for cold paths.
-    fn apply(&self, vr: &Matrix<T>, c: &mut Matrix<T>, side: ApplySide) -> Result<()> {
-        match self {
-            PanelFactor::Full(t) => geqrt_apply(vr, t, c, side),
-            PanelFactor::Blocked { ib, tfacs } => geqrt_ib_apply(vr, tfacs, *ib, c, side),
         }
     }
 }
@@ -666,13 +658,6 @@ impl<T: Scalar> SharedFactorState<T> {
 }
 
 impl<T: Scalar> StagedTask<T> {
-    /// Phase 2 with a throwaway workspace: allocates scratch on every call.
-    /// Kept for API compatibility and cold paths; hot loops should thread a
-    /// per-worker arena through [`compute_with`](Self::compute_with).
-    pub fn compute(self) -> Result<CompletedTask<T>> {
-        self.compute_with(&mut Workspace::minimal())
-    }
-
     /// Phase 2: the actual kernel, on owned/shared data — runs without any
     /// lock. All scratch is borrowed from `ws`; once the arena has warmed
     /// up to the tile size, the only heap allocations left are the task's
@@ -834,10 +819,10 @@ pub fn apply_qt_dense<T: Scalar>(
     graph: &TaskGraph,
     c: &mut Matrix<T>,
 ) -> Result<()> {
-    let b = state.tiles.tile_size();
     check_rows(state, c)?;
+    let mut ws = Workspace::new(state.tiles.tile_size(), state.ib);
     for &task in graph.tasks() {
-        apply_factor_task(state, task, c, b, ApplySide::Transpose)?;
+        apply_factor_task(state, task, c, ApplySide::Transpose, &mut ws)?;
     }
     Ok(())
 }
@@ -850,10 +835,10 @@ pub fn apply_q_dense<T: Scalar>(
     graph: &TaskGraph,
     c: &mut Matrix<T>,
 ) -> Result<()> {
-    let b = state.tiles.tile_size();
     check_rows(state, c)?;
+    let mut ws = Workspace::new(state.tiles.tile_size(), state.ib);
     for &task in graph.tasks().iter().rev() {
-        apply_factor_task(state, task, c, b, ApplySide::NoTranspose)?;
+        apply_factor_task(state, task, c, ApplySide::NoTranspose, &mut ws)?;
     }
     Ok(())
 }
@@ -874,9 +859,10 @@ fn apply_factor_task<T: Scalar>(
     state: &FactorState<T>,
     task: TaskKind,
     c: &mut Matrix<T>,
-    b: usize,
     side: ApplySide,
+    ws: &mut Workspace<T>,
 ) -> Result<()> {
+    let b = state.tiles.tile_size();
     match task {
         TaskKind::Geqrt { i, k } => {
             let vr = state.tiles.tile(i, k);
@@ -888,7 +874,7 @@ fn apply_factor_task<T: Scalar>(
                     rhs: (0, 0),
                 })?;
             let mut block = row_block(c, i, b);
-            tfac.apply(vr, &mut block, side)?;
+            tfac.apply_ws(vr, &mut block, side, ws)?;
             set_row_block(c, i, &block);
         }
         TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => {
@@ -903,9 +889,9 @@ fn apply_factor_task<T: Scalar>(
             let mut a1 = row_block(c, p, b);
             let mut a2 = row_block(c, i, b);
             if matches!(task, TaskKind::Tsqrt { .. }) {
-                tsmqr_apply(v2, tfac, &mut a1, &mut a2, side)?;
+                tsmqr_apply_ws(v2, tfac, &mut a1, &mut a2, side, ws)?;
             } else {
-                ttmqr_apply(v2, tfac, &mut a1, &mut a2, side)?;
+                ttmqr_apply_ws(v2, tfac, &mut a1, &mut a2, side, ws)?;
             }
             set_row_block(c, p, &a1);
             set_row_block(c, i, &a2);
@@ -1063,7 +1049,7 @@ mod tests {
         let mut st2 = FactorState::new(tiled);
         for &t in g.tasks() {
             let staged = st2.stage(t).unwrap();
-            let done = staged.compute().unwrap();
+            let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
             st2.commit(done);
         }
         assert_eq!(st1.tiles().to_matrix(), st2.tiles().to_matrix());
@@ -1095,7 +1081,7 @@ mod tests {
             _ => panic!("UNMQR staged wrong input kind"),
         }
         // Finish the task so the state stays consistent.
-        let done = staged.compute().unwrap();
+        let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
         st.commit(done);
     }
 
@@ -1117,7 +1103,7 @@ mod tests {
             }
             _ => panic!("GEQRT staged wrong input kind"),
         }
-        let done = staged.compute().unwrap();
+        let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
         st.commit(done);
     }
 
@@ -1138,7 +1124,7 @@ mod tests {
             let shared = SharedFactorState::new(FactorState::new(tiled));
             for &t in g.tasks() {
                 let staged = shared.stage(t).unwrap();
-                let done = staged.compute().unwrap();
+                let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
                 shared.commit(done);
             }
             let st = shared.into_state();
@@ -1177,7 +1163,7 @@ mod tests {
         let staged = st.stage(TaskKind::Geqrt { i: 0, k: 0 }).unwrap();
         assert_eq!(st.cow_clones(), 1, "external handle must force a clone");
         drop(external);
-        let done = staged.compute().unwrap();
+        let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
         st.commit(done);
         // No further slow-path hits once the handle is gone.
         st.execute(TaskKind::Unmqr { i: 0, j: 1, k: 0 }).unwrap();
@@ -1216,7 +1202,7 @@ mod tests {
         let shared = SharedFactorState::new(FactorState::new(tiled));
         for &t in g.tasks() {
             let staged = shared.stage(t).unwrap();
-            let done = staged.compute().unwrap();
+            let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
             shared.commit(done);
         }
         assert_eq!(shared.cow_clones(), 0);

@@ -48,6 +48,20 @@ pub fn ttmqr_flops(b: usize) -> u64 {
     (11 * b * b * b) / 4
 }
 
+/// Flops of one DAG task at tile size `b` — the one `TaskKind → flops`
+/// map (the scheduler's flop weights and the benches' work totals).
+pub fn task_flops(kind: tileqr_dag::TaskKind, b: usize) -> u64 {
+    use tileqr_dag::TaskKind::*;
+    match kind {
+        Geqrt { .. } => geqrt_flops(b),
+        Unmqr { .. } => unmqr_flops(b),
+        Tsqrt { .. } => tsqrt_flops(b),
+        Tsmqr { .. } => tsmqr_flops(b),
+        Ttqrt { .. } => ttqrt_flops(b),
+        Ttmqr { .. } => ttmqr_flops(b),
+    }
+}
+
 /// Total flops of a full QR factorization of an `m x n` matrix
 /// (`2mn² − (2/3)n³`, the textbook Householder count).
 pub fn qr_flops(m: usize, n: usize) -> u64 {
@@ -114,6 +128,20 @@ mod tests {
         let t2 = tiled_qr_flops(16, 16, b) as f64;
         let ratio = t2 / t1;
         assert!(ratio > 6.0 && ratio < 9.0, "bad cubic scaling: {ratio}");
+    }
+
+    #[test]
+    fn task_flops_sums_to_the_tiled_total() {
+        use tileqr_dag::{EliminationOrder, TaskGraph, TaskKind};
+        let g = TaskGraph::build(5, 3, EliminationOrder::FlatTs);
+        let sum: u64 = g.tasks().iter().map(|&t| task_flops(t, 16)).sum();
+        assert_eq!(sum, tiled_qr_flops(5, 3, 16));
+        let (p, i, j, k) = (0, 1, 1, 0);
+        assert_eq!(task_flops(TaskKind::Ttqrt { p, i, k }, 16), ttqrt_flops(16));
+        assert_eq!(
+            task_flops(TaskKind::Ttmqr { p, i, j, k }, 16),
+            ttmqr_flops(16)
+        );
     }
 
     #[test]

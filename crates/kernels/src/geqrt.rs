@@ -18,20 +18,10 @@ use tileqr_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Scalar};
 /// QR-factor one tile in place (PLASMA `CORE_geqrt` with inner block = n).
 ///
 /// `a` is `m x n` with `m >= n`. On exit the upper triangle of `a` is `R`
-/// and the strict lower part stores the Householder vectors. Returns the
-/// `n x n` upper-triangular block-reflector factor `T`.
-///
-/// Allocating convenience wrapper over [`geqrt_ws`].
-pub fn geqrt<T: Scalar>(a: &mut Matrix<T>) -> Result<Matrix<T>> {
-    let n = a.cols();
-    let mut tfac = Matrix::zeros(n, n);
-    geqrt_ws(a, &mut tfac, &mut Workspace::minimal())?;
-    Ok(tfac)
-}
-
-/// [`geqrt`] with caller-provided output and scratch: writes the `T`
-/// factor into `tfac` (shape `n x n`, overwritten) and borrows the
-/// reflector-accumulation vector from `ws` — no heap allocation.
+/// and the strict lower part stores the Householder vectors. The `n x n`
+/// upper-triangular block-reflector factor `T` is written into `tfac`
+/// (overwritten) and the reflector-accumulation vector is borrowed from
+/// `ws` — no heap allocation.
 pub fn geqrt_ws<T: Scalar>(
     a: &mut Matrix<T>,
     tfac: &mut Matrix<T>,
@@ -117,24 +107,13 @@ pub(crate) fn extend_tfac_col<T: Scalar>(
     }
 }
 
-/// Apply the block reflector from [`geqrt`] to `c`.
+/// Apply the block reflector from [`geqrt_ws`] to `c`.
 ///
 /// `vr` is the factored tile (V below the diagonal), `tfac` its `T` factor.
 /// Computes `c ← Qᵀ c` ([`ApplySide::Transpose`]) or `c ← Q c`
-/// ([`ApplySide::NoTranspose`]) where `Q = I − V T Vᵀ`.
-///
-/// Allocating convenience wrapper over [`geqrt_apply_ws`].
-pub fn geqrt_apply<T: Scalar>(
-    vr: &Matrix<T>,
-    tfac: &Matrix<T>,
-    c: &mut Matrix<T>,
-    side: ApplySide,
-) -> Result<()> {
-    geqrt_apply_ws(vr, tfac, c, side, &mut Workspace::minimal())
-}
-
-/// [`geqrt_apply`] borrowing the `W` block and `op(T)` column buffer from
-/// `ws` — no heap allocation when the workspace is presized.
+/// ([`ApplySide::NoTranspose`]) where `Q = I − V T Vᵀ`. The `W` block and
+/// `op(T)` column buffer are borrowed from `ws` — no heap allocation when
+/// the workspace is presized.
 pub fn geqrt_apply_ws<T: Scalar>(
     vr: &Matrix<T>,
     tfac: &Matrix<T>,
@@ -225,12 +204,8 @@ pub(crate) fn apply_tfac_in_place<T: Scalar>(
 }
 
 /// Update-for-triangulation step (paper Eq. 6): `c ← Qᵀ c` using the
-/// factorization produced by [`geqrt`] on the diagonal tile.
-pub fn unmqr<T: Scalar>(vr: &Matrix<T>, tfac: &Matrix<T>, c: &mut Matrix<T>) -> Result<()> {
-    geqrt_apply(vr, tfac, c, ApplySide::Transpose)
-}
-
-/// [`unmqr`] borrowing scratch from `ws` — no heap allocation.
+/// factorization produced by [`geqrt_ws`] on the diagonal tile, borrowing
+/// scratch from `ws` — no heap allocation.
 pub fn unmqr_ws<T: Scalar>(
     vr: &Matrix<T>,
     tfac: &Matrix<T>,
@@ -246,21 +221,29 @@ mod tests {
     use tileqr_matrix::gen::random_matrix;
     use tileqr_matrix::ops::{frobenius_norm, matmul, orthogonality_defect};
 
+    /// Factor `a` in place with `ws`, returning its `T` factor.
+    fn factor(a: &mut Matrix<f64>, ws: &mut Workspace<f64>) -> Result<Matrix<f64>> {
+        let mut tfac = Matrix::zeros(a.cols(), a.cols());
+        geqrt_ws(a, &mut tfac, ws)?;
+        Ok(tfac)
+    }
+
     /// Explicitly form Q = I - V T V^T from a factored tile.
-    fn form_q(vr: &Matrix<f64>, tfac: &Matrix<f64>) -> Matrix<f64> {
+    fn form_q(vr: &Matrix<f64>, tfac: &Matrix<f64>, ws: &mut Workspace<f64>) -> Matrix<f64> {
         let m = vr.rows();
         let mut q = Matrix::identity(m);
-        geqrt_apply(vr, tfac, &mut q, ApplySide::NoTranspose).unwrap();
+        geqrt_apply_ws(vr, tfac, &mut q, ApplySide::NoTranspose, ws).unwrap();
         q
     }
 
     #[test]
     fn factorizes_square_tile() {
+        let ws = &mut Workspace::new(8, 8);
         let a0 = random_matrix::<f64>(8, 8, 1);
         let mut a = a0.clone();
-        let t = geqrt(&mut a).unwrap();
+        let t = factor(&mut a, ws).unwrap();
         let r = a.upper_triangular();
-        let q = form_q(&a, &t);
+        let q = form_q(&a, &t, ws);
         let qr = matmul(&q, &r).unwrap();
         assert!(
             qr.approx_eq(&a0, 1e-12),
@@ -272,12 +255,13 @@ mod tests {
 
     #[test]
     fn factorizes_tall_tile() {
+        let ws = &mut Workspace::new(12, 12);
         let a0 = random_matrix::<f64>(12, 5, 2);
         let mut a = a0.clone();
-        let t = geqrt(&mut a).unwrap();
+        let t = factor(&mut a, ws).unwrap();
         assert_eq!(t.dims(), (5, 5));
-        let q = form_q(&a, &t); // 12x12
-                                // R is the 12x5 upper trapezoid.
+        let q = form_q(&a, &t, ws); // 12x12
+                                    // R is the 12x5 upper trapezoid.
         let mut r = Matrix::zeros(12, 5);
         for j in 0..5 {
             for i in 0..=j {
@@ -291,13 +275,13 @@ mod tests {
     #[test]
     fn rejects_wide_tile() {
         let mut a = Matrix::<f64>::zeros(3, 5);
-        assert!(geqrt(&mut a).is_err());
+        assert!(factor(&mut a, &mut Workspace::new(5, 5)).is_err());
     }
 
     #[test]
     fn tfac_is_upper_triangular() {
         let mut a = random_matrix::<f64>(6, 6, 3);
-        let t = geqrt(&mut a).unwrap();
+        let t = factor(&mut a, &mut Workspace::new(6, 6)).unwrap();
         for j in 0..6 {
             for i in j + 1..6 {
                 assert_eq!(t[(i, j)], 0.0);
@@ -307,55 +291,59 @@ mod tests {
 
     #[test]
     fn unmqr_matches_explicit_qt() {
+        let ws = &mut Workspace::new(6, 6);
         let a0 = random_matrix::<f64>(6, 6, 4);
         let mut a = a0.clone();
-        let t = geqrt(&mut a).unwrap();
-        let q = form_q(&a, &t);
+        let t = factor(&mut a, ws).unwrap();
+        let q = form_q(&a, &t, ws);
 
         let c0 = random_matrix::<f64>(6, 4, 5);
         let mut c = c0.clone();
-        unmqr(&a, &t, &mut c).unwrap();
+        unmqr_ws(&a, &t, &mut c, ws).unwrap();
         let expect = matmul(&q.transpose(), &c0).unwrap();
         assert!(c.approx_eq(&expect, 1e-12));
     }
 
     #[test]
     fn apply_q_then_qt_is_identity() {
+        let ws = &mut Workspace::new(7, 7);
         let mut a = random_matrix::<f64>(7, 7, 6);
-        let t = geqrt(&mut a).unwrap();
+        let t = factor(&mut a, ws).unwrap();
         let c0 = random_matrix::<f64>(7, 3, 7);
         let mut c = c0.clone();
-        geqrt_apply(&a, &t, &mut c, ApplySide::NoTranspose).unwrap();
-        geqrt_apply(&a, &t, &mut c, ApplySide::Transpose).unwrap();
+        geqrt_apply_ws(&a, &t, &mut c, ApplySide::NoTranspose, ws).unwrap();
+        geqrt_apply_ws(&a, &t, &mut c, ApplySide::Transpose, ws).unwrap();
         assert!(c.approx_eq(&c0, 1e-12));
     }
 
     #[test]
     fn qt_a_equals_r() {
         // Applying Q^T to the original tile must reproduce R.
+        let ws = &mut Workspace::new(5, 5);
         let a0 = random_matrix::<f64>(5, 5, 8);
         let mut a = a0.clone();
-        let t = geqrt(&mut a).unwrap();
+        let t = factor(&mut a, ws).unwrap();
         let mut c = a0.clone();
-        unmqr(&a, &t, &mut c).unwrap();
+        unmqr_ws(&a, &t, &mut c, ws).unwrap();
         assert!(c.approx_eq(&a.upper_triangular(), 1e-12));
     }
 
     #[test]
     fn apply_shape_errors() {
+        let ws = &mut Workspace::new(4, 4);
         let mut a = random_matrix::<f64>(4, 4, 9);
-        let t = geqrt(&mut a).unwrap();
+        let t = factor(&mut a, ws).unwrap();
         let mut bad_rows = Matrix::<f64>::zeros(5, 2);
-        assert!(unmqr(&a, &t, &mut bad_rows).is_err());
+        assert!(unmqr_ws(&a, &t, &mut bad_rows, ws).is_err());
         let bad_t = Matrix::<f64>::zeros(3, 3);
         let mut c = Matrix::<f64>::zeros(4, 2);
-        assert!(unmqr(&a, &bad_t, &mut c).is_err());
+        assert!(unmqr_ws(&a, &bad_t, &mut c, ws).is_err());
     }
 
     #[test]
     fn identity_tile_factorizes_trivially() {
         let mut a = Matrix::<f64>::identity(4);
-        let t = geqrt(&mut a).unwrap();
+        let t = factor(&mut a, &mut Workspace::new(4, 4)).unwrap();
         // Identity is already triangular: V = 0, R = I (taus all zero).
         assert!(a.approx_eq(&Matrix::identity(4), 1e-15));
         for i in 0..4 {
@@ -367,8 +355,8 @@ mod tests {
     fn deterministic() {
         let mut a1 = random_matrix::<f64>(8, 8, 10);
         let mut a2 = a1.clone();
-        let t1 = geqrt(&mut a1).unwrap();
-        let t2 = geqrt(&mut a2).unwrap();
+        let t1 = factor(&mut a1, &mut Workspace::new(8, 8)).unwrap();
+        let t2 = factor(&mut a2, &mut Workspace::new(8, 8)).unwrap();
         assert_eq!(a1, a2);
         assert_eq!(t1, t2);
     }
@@ -376,13 +364,13 @@ mod tests {
     #[test]
     fn ws_variant_bit_identical_and_reusable_dirty() {
         // One reused (never-zeroed) workspace across many tiles must give
-        // byte-identical results to the allocating wrapper: every scratch
-        // read is preceded by a write in the same invocation.
+        // byte-identical results to a fresh workspace per call: every
+        // scratch read is preceded by a write in the same invocation.
         let mut ws = Workspace::new(8, 8);
         for seed in 0..6 {
             let a0 = random_matrix::<f64>(8, 8, 100 + seed);
             let mut a_ref = a0.clone();
-            let t_ref = geqrt(&mut a_ref).unwrap();
+            let t_ref = factor(&mut a_ref, &mut Workspace::new(8, 8)).unwrap();
 
             let mut a = a0.clone();
             let mut t = Matrix::filled(8, 8, f64::NAN); // poison the output
@@ -392,7 +380,8 @@ mod tests {
 
             let c0 = random_matrix::<f64>(8, 5, 200 + seed);
             let mut c_ref = c0.clone();
-            geqrt_apply(&a_ref, &t_ref, &mut c_ref, ApplySide::Transpose).unwrap();
+            let fresh = &mut Workspace::new(8, 8);
+            geqrt_apply_ws(&a_ref, &t_ref, &mut c_ref, ApplySide::Transpose, fresh).unwrap();
             let mut c = c0.clone();
             geqrt_apply_ws(&a, &t, &mut c, ApplySide::Transpose, &mut ws).unwrap();
             assert_eq!(c, c_ref);
@@ -404,6 +393,6 @@ mod tests {
     fn ws_variant_rejects_wrong_tfac_shape() {
         let mut a = random_matrix::<f64>(4, 4, 11);
         let mut bad = Matrix::<f64>::zeros(3, 3);
-        assert!(geqrt_ws(&mut a, &mut bad, &mut Workspace::minimal()).is_err());
+        assert!(geqrt_ws(&mut a, &mut bad, &mut Workspace::new(4, 4)).is_err());
     }
 }

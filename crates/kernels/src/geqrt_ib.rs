@@ -1,6 +1,6 @@
 //! `GEQRT` with inner blocking (PLASMA-style `ib`).
 //!
-//! The crate's default [`geqrt`](crate::geqrt) uses inner block size equal
+//! The crate's default [`geqrt_ws`](crate::geqrt_ws) uses inner block size equal
 //! to the tile size — one `T` factor for the whole tile, maximal BLAS-3
 //! fraction in the updates but `O(b³)` extra work building `T`. PLASMA's
 //! kernels instead factor the tile in panels of `ib` columns with one
@@ -19,18 +19,11 @@ use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 /// QR-factor a tile in place with inner block size `ib`.
 ///
 /// `a` is `m x n`, `m >= n`; on exit it holds `R` above the diagonal and
-/// the Householder vectors below, exactly like [`crate::geqrt`]. Returns
+/// the Householder vectors below, exactly like [`crate::geqrt_ws`]. Returns
 /// one upper-triangular `T` factor per column panel (each at most
-/// `ib x ib`; the last may be smaller).
-///
-/// Allocating convenience wrapper over [`geqrt_ib_ws`].
-pub fn geqrt_ib<T: Scalar>(a: &mut Matrix<T>, ib: usize) -> Result<Vec<Matrix<T>>> {
-    geqrt_ib_ws(a, ib, &mut Workspace::minimal())
-}
-
-/// [`geqrt_ib`] borrowing all scratch from `ws`. The per-panel `T`
-/// factors are outputs and still allocated; the panel-application scratch
-/// (packed panel, `W` block, `op(T)` buffer) comes from the arena.
+/// `ib x ib`; the last may be smaller). The per-panel `T` factors are
+/// outputs and allocated; the panel-application scratch (`W` block,
+/// `op(T)` buffer) is borrowed from `ws`.
 pub fn geqrt_ib_ws<T: Scalar>(
     a: &mut Matrix<T>,
     ib: usize,
@@ -152,21 +145,8 @@ fn apply_panel<T: Scalar>(
     Ok(())
 }
 
-/// Apply `Q` or `Qᵀ` from a [`geqrt_ib`] factorization to a dense `c`
-/// (`c.rows() == vr.rows()`).
-///
-/// Allocating convenience wrapper over [`geqrt_ib_apply_ws`].
-pub fn geqrt_ib_apply<T: Scalar>(
-    vr: &Matrix<T>,
-    tfacs: &[Matrix<T>],
-    ib: usize,
-    c: &mut Matrix<T>,
-    side: ApplySide,
-) -> Result<()> {
-    geqrt_ib_apply_ws(vr, tfacs, ib, c, side, &mut Workspace::minimal())
-}
-
-/// [`geqrt_ib_apply`] borrowing all scratch from `ws` — no heap
+/// Apply `Q` or `Qᵀ` from a [`geqrt_ib_ws`] factorization to a dense `c`
+/// (`c.rows() == vr.rows()`), borrowing all scratch from `ws` — no heap
 /// allocation when the workspace is presized. Each panel is consumed in
 /// place by the strict-lower microkernel primitives (no pack pass).
 pub fn geqrt_ib_apply_ws<T: Scalar>(
@@ -231,23 +211,30 @@ pub fn geqrt_ib_apply_ws<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geqrt;
+    use crate::geqrt_ws;
     use tileqr_matrix::gen::random_matrix;
     use tileqr_matrix::ops::{matmul, orthogonality_defect, relative_residual};
 
-    fn form_q(vr: &Matrix<f64>, tfacs: &[Matrix<f64>], ib: usize) -> Matrix<f64> {
+    fn form_q(
+        vr: &Matrix<f64>,
+        tfacs: &[Matrix<f64>],
+        ib: usize,
+        ws: &mut Workspace<f64>,
+    ) -> Matrix<f64> {
         let mut q = Matrix::identity(vr.rows());
-        geqrt_ib_apply(vr, tfacs, ib, &mut q, ApplySide::NoTranspose).unwrap();
+        geqrt_ib_apply_ws(vr, tfacs, ib, &mut q, ApplySide::NoTranspose, ws).unwrap();
         q
     }
 
     #[test]
     fn ib_equal_to_n_matches_plain_geqrt() {
+        let ws = &mut Workspace::new(8, 8);
         let a0 = random_matrix::<f64>(8, 8, 1);
         let mut a1 = a0.clone();
-        let t1 = geqrt(&mut a1).unwrap();
+        let mut t1 = Matrix::zeros(8, 8);
+        geqrt_ws(&mut a1, &mut t1, ws).unwrap();
         let mut a2 = a0.clone();
-        let t2 = geqrt_ib(&mut a2, 8).unwrap();
+        let t2 = geqrt_ib_ws(&mut a2, 8, ws).unwrap();
         assert_eq!(t2.len(), 1);
         assert!(a1.approx_eq(&a2, 1e-13));
         assert!(t1.approx_eq(&t2[0], 1e-13));
@@ -255,12 +242,13 @@ mod tests {
 
     #[test]
     fn every_ib_reconstructs() {
+        let ws = &mut Workspace::new(12, 12);
         let a0 = random_matrix::<f64>(12, 12, 2);
         for ib in [1usize, 2, 3, 4, 5, 6, 12] {
             let mut a = a0.clone();
-            let ts = geqrt_ib(&mut a, ib).unwrap();
+            let ts = geqrt_ib_ws(&mut a, ib, ws).unwrap();
             assert_eq!(ts.len(), 12usize.div_ceil(ib));
-            let q = form_q(&a, &ts, ib);
+            let q = form_q(&a, &ts, ib, ws);
             let r = a.upper_triangular();
             assert!(relative_residual(&a0, &q, &r).unwrap() < 1e-13, "ib={ib}");
             assert!(orthogonality_defect(&q).unwrap() < 1e-13, "ib={ib}");
@@ -269,14 +257,15 @@ mod tests {
 
     #[test]
     fn r_identical_across_inner_blockings() {
+        let ws = &mut Workspace::new(10, 10);
         // R is determined by A alone (same sign convention), so every ib
         // must produce the same R bit-for-bit-ish.
         let a0 = random_matrix::<f64>(10, 10, 3);
         let mut a_full = a0.clone();
-        let _ = geqrt(&mut a_full).unwrap();
+        geqrt_ws(&mut a_full, &mut Matrix::zeros(10, 10), ws).unwrap();
         for ib in [1usize, 3, 5] {
             let mut a = a0.clone();
-            let _ = geqrt_ib(&mut a, ib).unwrap();
+            let _ = geqrt_ib_ws(&mut a, ib, ws).unwrap();
             assert!(
                 a.upper_triangular()
                     .approx_eq(&a_full.upper_triangular(), 1e-12),
@@ -287,10 +276,11 @@ mod tests {
 
     #[test]
     fn tall_tiles_supported() {
+        let ws = &mut Workspace::new(16, 16);
         let a0 = random_matrix::<f64>(16, 6, 4);
         let mut a = a0.clone();
-        let ts = geqrt_ib(&mut a, 4).unwrap();
-        let q = form_q(&a, &ts, 4);
+        let ts = geqrt_ib_ws(&mut a, 4, ws).unwrap();
+        let q = form_q(&a, &ts, 4, ws);
         let mut r = Matrix::zeros(16, 6);
         for j in 0..6 {
             for i in 0..=j {
@@ -303,12 +293,13 @@ mod tests {
 
     #[test]
     fn apply_qt_then_q_round_trips() {
+        let ws = &mut Workspace::new(9, 9);
         let mut a = random_matrix::<f64>(9, 9, 5);
-        let ts = geqrt_ib(&mut a, 3).unwrap();
+        let ts = geqrt_ib_ws(&mut a, 3, ws).unwrap();
         let c0 = random_matrix::<f64>(9, 4, 6);
         let mut c = c0.clone();
-        geqrt_ib_apply(&a, &ts, 3, &mut c, ApplySide::Transpose).unwrap();
-        geqrt_ib_apply(&a, &ts, 3, &mut c, ApplySide::NoTranspose).unwrap();
+        geqrt_ib_apply_ws(&a, &ts, 3, &mut c, ApplySide::Transpose, ws).unwrap();
+        geqrt_ib_apply_ws(&a, &ts, 3, &mut c, ApplySide::NoTranspose, ws).unwrap();
         assert!(c.approx_eq(&c0, 1e-12));
     }
 
@@ -318,7 +309,8 @@ mod tests {
         for seed in 0..4 {
             let a0 = random_matrix::<f64>(12, 12, 300 + seed);
             let mut a_ref = a0.clone();
-            let ts_ref = geqrt_ib(&mut a_ref, 4).unwrap();
+            let fresh = &mut Workspace::new(12, 4);
+            let ts_ref = geqrt_ib_ws(&mut a_ref, 4, fresh).unwrap();
 
             let mut a = a0.clone();
             let ts = geqrt_ib_ws(&mut a, 4, &mut ws).unwrap();
@@ -327,7 +319,7 @@ mod tests {
 
             let c0 = random_matrix::<f64>(12, 6, 400 + seed);
             let mut c_ref = c0.clone();
-            geqrt_ib_apply(&a_ref, &ts_ref, 4, &mut c_ref, ApplySide::Transpose).unwrap();
+            geqrt_ib_apply_ws(&a_ref, &ts_ref, 4, &mut c_ref, ApplySide::Transpose, fresh).unwrap();
             let mut c = c0.clone();
             geqrt_ib_apply_ws(&a, &ts, 4, &mut c, ApplySide::Transpose, &mut ws).unwrap();
             assert_eq!(c, c_ref);
@@ -337,14 +329,15 @@ mod tests {
 
     #[test]
     fn bad_arguments_rejected() {
+        let ws = &mut Workspace::new(5, 5);
         let mut wide = Matrix::<f64>::zeros(3, 5);
-        assert!(geqrt_ib(&mut wide, 2).is_err());
+        assert!(geqrt_ib_ws(&mut wide, 2, ws).is_err());
         let mut sq = random_matrix::<f64>(4, 4, 7);
-        assert!(geqrt_ib(&mut sq, 0).is_err());
-        let ts = geqrt_ib(&mut sq, 2).unwrap();
+        assert!(geqrt_ib_ws(&mut sq, 0, ws).is_err());
+        let ts = geqrt_ib_ws(&mut sq, 2, ws).unwrap();
         let mut c = Matrix::<f64>::zeros(4, 2);
-        assert!(geqrt_ib_apply(&sq, &ts[..1], 2, &mut c, ApplySide::Transpose).is_err());
+        assert!(geqrt_ib_apply_ws(&sq, &ts[..1], 2, &mut c, ApplySide::Transpose, ws).is_err());
         let mut bad_rows = Matrix::<f64>::zeros(5, 2);
-        assert!(geqrt_ib_apply(&sq, &ts, 2, &mut bad_rows, ApplySide::Transpose).is_err());
+        assert!(geqrt_ib_apply_ws(&sq, &ts, 2, &mut bad_rows, ApplySide::Transpose, ws).is_err());
     }
 }

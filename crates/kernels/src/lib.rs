@@ -5,23 +5,24 @@
 //!
 //! | Paper step                 | LAPACK/PLASMA name | Function        |
 //! |----------------------------|--------------------|-----------------|
-//! | Triangulation (T)          | `GEQRT`            | [`geqrt`]       |
-//! | Update for triangulation (UT) | `UNMQR`         | [`unmqr`]       |
-//! | Elimination (E), TS flavour   | `TSQRT`         | [`tsqrt`]       |
-//! | Update for elimination (UE), TS flavour | `TSMQR` | [`tsmqr`]     |
-//! | Elimination (E), TT flavour   | `TTQRT`         | [`ttqrt`]       |
-//! | Update for elimination (UE), TT flavour | `TTMQR` | [`ttmqr`]     |
+//! | Triangulation (T)          | `GEQRT`            | [`geqrt_ws`]    |
+//! | Update for triangulation (UT) | `UNMQR`         | [`unmqr_ws`]    |
+//! | Elimination (E), TS flavour   | `TSQRT`         | [`tsqrt_ws`]    |
+//! | Update for elimination (UE), TS flavour | `TSMQR` | [`tsmqr_apply_ws`] |
+//! | Elimination (E), TT flavour   | `TTQRT`         | [`ttqrt_ws`]    |
+//! | Update for elimination (UE), TT flavour | `TTMQR` | [`ttmqr_apply_ws`] |
 //!
 //! Conventions follow LAPACK's compact-WY representation: each elementary
 //! reflector is `H = I − τ v vᵀ` with `v₀ = 1` stored implicitly, and a
 //! block of `k` reflectors is `Q = I − V T Vᵀ` with `T` upper triangular
-//! (the output of [`geqrt`]/[`tsqrt`]/[`ttqrt`]).
+//! (the output of [`geqrt_ws`]/[`tsqrt_ws`]/[`ttqrt_ws`]).
 //!
-//! Every kernel has two entry points: the allocating legacy signature
-//! (`geqrt`, `tsmqr_apply`, …) and a `*_ws` variant that borrows all
-//! scratch from a reusable [`Workspace`] arena and allocates nothing on
-//! the heap. The legacy wrappers call straight into the `*_ws` code with
-//! a grow-on-demand workspace, so the two paths cannot drift apart.
+//! Every kernel has one entry point, the `*_ws` function: it writes its
+//! `T` factor into a caller-provided tile, borrows all scratch from a
+//! reusable [`Workspace`] arena and allocates nothing on the heap. A
+//! caller that runs one kernel in isolation builds a `Workspace` for it;
+//! anything that loops (the runtime's workers, `apply_q*_dense`) builds
+//! one and reuses it.
 //!
 //! The crate also ships the paper's Algorithm 1 — plain unblocked
 //! Householder QR — in [`mod@reference`], used as the ground truth by the test
@@ -48,11 +49,11 @@ mod ttqrt;
 pub mod validate;
 mod workspace;
 
-pub use geqrt::{geqrt, geqrt_apply, geqrt_apply_ws, geqrt_ws, unmqr, unmqr_ws};
-pub use geqrt_ib::{geqrt_ib, geqrt_ib_apply, geqrt_ib_apply_ws, geqrt_ib_ws};
+pub use geqrt::{geqrt_apply_ws, geqrt_ws, unmqr_ws};
+pub use geqrt_ib::{geqrt_ib_apply_ws, geqrt_ib_ws};
 pub use householder::{larfg, HouseholderReflector};
-pub use tsqrt::{tsmqr, tsmqr_apply, tsmqr_apply_ws, tsqrt, tsqrt_ws};
-pub use ttqrt::{ttmqr, ttmqr_apply, ttmqr_apply_ws, ttqrt, ttqrt_ws};
+pub use tsqrt::{tsmqr_apply_ws, tsqrt_ws};
+pub use ttqrt::{ttmqr_apply_ws, ttqrt_ws};
 pub use workspace::Workspace;
 
 /// Which orthogonal factor to apply in an update kernel.

@@ -28,21 +28,11 @@ use tileqr_matrix::{ops, Matrix, MatrixError, Result, Scalar};
 /// `CORE_tsqrt`).
 ///
 /// `r1` is `n x n` (upper triangular on entry and exit); `a2` is `m2 x n`
-/// and on exit stores the Householder block `V2`. Returns the `n x n`
+/// and on exit stores the Householder block `V2`. The `n x n`
 /// upper-triangular `T` factor of the block reflector `Q = I − V T Vᵀ`
-/// with `V = [I; V2]`.
-///
-/// Allocating convenience wrapper over [`tsqrt_ws`].
-pub fn tsqrt<T: Scalar>(r1: &mut Matrix<T>, a2: &mut Matrix<T>) -> Result<Matrix<T>> {
-    let n = r1.rows();
-    let mut tfac = Matrix::zeros(n, n);
-    tsqrt_ws(r1, a2, &mut tfac, &mut Workspace::minimal())?;
-    Ok(tfac)
-}
-
-/// [`tsqrt`] with caller-provided output and scratch: the `T` factor is
-/// written into `tfac` (shape `n x n`, overwritten) and the reflector
-/// accumulation vector is borrowed from `ws` — no heap allocation.
+/// with `V = [I; V2]` is written into `tfac` (overwritten) and the
+/// reflector accumulation vector is borrowed from `ws` — no heap
+/// allocation.
 pub fn tsqrt_ws<T: Scalar>(
     r1: &mut Matrix<T>,
     a2: &mut Matrix<T>,
@@ -112,24 +102,13 @@ pub fn tsqrt_ws<T: Scalar>(
     Ok(())
 }
 
-/// Apply the block reflector from [`tsqrt`] to a stacked pair `[a1; a2]`.
+/// Apply the block reflector from [`tsqrt_ws`] to a stacked pair
+/// `[a1; a2]` — with [`ApplySide::Transpose`] this is the paper's
+/// update-for-elimination step `TSMQR` (Eq. 9).
 ///
 /// `v2` is the Householder block stored where the eliminated tile was,
-/// `tfac` the `T` factor. `a1` is `n x nc`, `a2` is `m2 x nc`.
-///
-/// Allocating convenience wrapper over [`tsmqr_apply_ws`].
-pub fn tsmqr_apply<T: Scalar>(
-    v2: &Matrix<T>,
-    tfac: &Matrix<T>,
-    a1: &mut Matrix<T>,
-    a2: &mut Matrix<T>,
-    side: ApplySide,
-) -> Result<()> {
-    tsmqr_apply_ws(v2, tfac, a1, a2, side, &mut Workspace::minimal())
-}
-
-/// [`tsmqr_apply`] borrowing all scratch from `ws`. The `W = V2ᵀA2`
-/// accumulation runs as fused register-blocked column dots straight off
+/// `tfac` the `T` factor. `a1` is `n x nc`, `a2` is `m2 x nc`. All scratch
+/// is borrowed from `ws`. The `W = V2ᵀA2` accumulation runs as fused register-blocked column dots straight off
 /// the tile storage — `V2`'s columns are already contiguous and
 /// L1-resident at tile sizes, so the seed's `V2ᵀ` pack pass was pure
 /// overhead (it is what sank the small-`b` update kernels); the update
@@ -178,23 +157,23 @@ pub fn tsmqr_apply_ws<T: Scalar>(
     Ok(())
 }
 
-/// Update-for-elimination step (paper Eq. 9): `[a1; a2] ← Qᵀ [a1; a2]`
-/// using the factorization produced by [`tsqrt`].
-pub fn tsmqr<T: Scalar>(
-    v2: &Matrix<T>,
-    tfac: &Matrix<T>,
-    a1: &mut Matrix<T>,
-    a2: &mut Matrix<T>,
-) -> Result<()> {
-    tsmqr_apply(v2, tfac, a1, a2, ApplySide::Transpose)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geqrt::geqrt;
+    use crate::geqrt::geqrt_ws;
     use tileqr_matrix::gen::random_matrix;
     use tileqr_matrix::ops::{matmul, orthogonality_defect};
+
+    /// Eliminate `a2` against `r1` with `ws`, returning the `T` factor.
+    fn factor(
+        r1: &mut Matrix<f64>,
+        a2: &mut Matrix<f64>,
+        ws: &mut Workspace<f64>,
+    ) -> Result<Matrix<f64>> {
+        let mut tfac = Matrix::zeros(r1.rows(), r1.rows());
+        tsqrt_ws(r1, a2, &mut tfac, ws)?;
+        Ok(tfac)
+    }
 
     /// Stack two equal-width matrices vertically.
     fn vstack(top: &Matrix<f64>, bot: &Matrix<f64>) -> Matrix<f64> {
@@ -209,7 +188,7 @@ mod tests {
     }
 
     /// Explicitly form the (n+m2) x (n+m2) Q of a TSQRT factorization.
-    fn form_q(v2: &Matrix<f64>, tfac: &Matrix<f64>) -> Matrix<f64> {
+    fn form_q(v2: &Matrix<f64>, tfac: &Matrix<f64>, ws: &mut Workspace<f64>) -> Matrix<f64> {
         let n = tfac.rows();
         let m2 = v2.rows();
         let total = n + m2;
@@ -217,7 +196,7 @@ mod tests {
         // Apply Q to each block column of the identity via tsmqr_apply.
         let mut top = q.submatrix(0, 0, n, total).unwrap();
         let mut bot = q.submatrix(n, 0, m2, total).unwrap();
-        tsmqr_apply(v2, tfac, &mut top, &mut bot, ApplySide::NoTranspose).unwrap();
+        tsmqr_apply_ws(v2, tfac, &mut top, &mut bot, ApplySide::NoTranspose, ws).unwrap();
         q.set_submatrix(0, 0, &top).unwrap();
         q.set_submatrix(n, 0, &bot).unwrap();
         q
@@ -225,20 +204,21 @@ mod tests {
 
     #[test]
     fn eliminates_square_block() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 6;
         // Build a triangulated top tile first.
         let mut top = random_matrix::<f64>(n, n, 1);
-        let _ = geqrt(&mut top).unwrap();
+        geqrt_ws(&mut top, &mut Matrix::zeros(n, n), ws).unwrap();
         let r1_0 = top.upper_triangular();
         let a2_0 = random_matrix::<f64>(n, n, 2);
 
         let mut r1 = r1_0.clone();
         let mut a2 = a2_0.clone();
-        let t = tsqrt(&mut r1, &mut a2).unwrap();
+        let t = factor(&mut r1, &mut a2, ws).unwrap();
 
         // [R1_new; 0] must equal Q^T [R1_0; A2_0].
         let stacked = vstack(&r1_0, &a2_0);
-        let q = form_q(&a2, &t);
+        let q = form_q(&a2, &t, ws);
         assert!(orthogonality_defect(&q).unwrap() < 1e-13);
         let qt_s = matmul(&q.transpose(), &stacked).unwrap();
         let expect = vstack(&r1.upper_triangular(), &Matrix::zeros(n, n));
@@ -249,16 +229,17 @@ mod tests {
 
     #[test]
     fn qr_reconstructs_stack() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 5;
         let mut top = random_matrix::<f64>(n, n, 3);
-        let _ = geqrt(&mut top).unwrap();
+        geqrt_ws(&mut top, &mut Matrix::zeros(n, n), ws).unwrap();
         let r1_0 = top.upper_triangular();
         let a2_0 = random_matrix::<f64>(n, n, 4);
 
         let mut r1 = r1_0.clone();
         let mut a2 = a2_0.clone();
-        let t = tsqrt(&mut r1, &mut a2).unwrap();
-        let q = form_q(&a2, &t);
+        let t = factor(&mut r1, &mut a2, ws).unwrap();
+        let q = form_q(&a2, &t, ws);
         let r_full = vstack(&r1, &Matrix::zeros(n, n));
         let qr = matmul(&q, &r_full).unwrap();
         assert!(qr.approx_eq(&vstack(&r1_0, &a2_0), 1e-12));
@@ -266,6 +247,7 @@ mod tests {
 
     #[test]
     fn tall_bottom_tile() {
+        let ws = &mut Workspace::new(8, 8);
         // TSQRT also handles m2 != n bottom blocks (used by tall tiles).
         let n = 4;
         let m2 = 9;
@@ -276,25 +258,26 @@ mod tests {
         let a2_0 = random_matrix::<f64>(m2, n, 6);
         let r1_0 = r1.clone();
         let mut a2 = a2_0.clone();
-        let t = tsqrt(&mut r1, &mut a2).unwrap();
-        let q = form_q(&a2, &t);
+        let t = factor(&mut r1, &mut a2, ws).unwrap();
+        let q = form_q(&a2, &t, ws);
         let qr = matmul(&q, &vstack(&r1, &Matrix::zeros(m2, n))).unwrap();
         assert!(qr.approx_eq(&vstack(&r1_0, &a2_0), 1e-12));
     }
 
     #[test]
     fn tsmqr_matches_explicit_qt() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 5;
         let mut r1 = random_matrix::<f64>(n, n, 7).upper_triangular();
         let mut a2 = random_matrix::<f64>(n, n, 8);
-        let t = tsqrt(&mut r1, &mut a2).unwrap();
-        let q = form_q(&a2, &t);
+        let t = factor(&mut r1, &mut a2, ws).unwrap();
+        let q = form_q(&a2, &t, ws);
 
         let c1_0 = random_matrix::<f64>(n, 3, 9);
         let c2_0 = random_matrix::<f64>(n, 3, 10);
         let mut c1 = c1_0.clone();
         let mut c2 = c2_0.clone();
-        tsmqr(&a2, &t, &mut c1, &mut c2).unwrap();
+        tsmqr_apply_ws(&a2, &t, &mut c1, &mut c2, ApplySide::Transpose, ws).unwrap();
 
         let expect = matmul(&q.transpose(), &vstack(&c1_0, &c2_0)).unwrap();
         assert!(vstack(&c1, &c2).approx_eq(&expect, 1e-12));
@@ -302,36 +285,42 @@ mod tests {
 
     #[test]
     fn apply_q_then_qt_round_trip() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 4;
         let mut r1 = random_matrix::<f64>(n, n, 11).upper_triangular();
         let mut a2 = random_matrix::<f64>(n, n, 12);
-        let t = tsqrt(&mut r1, &mut a2).unwrap();
+        let t = factor(&mut r1, &mut a2, ws).unwrap();
         let c1_0 = random_matrix::<f64>(n, 2, 13);
         let c2_0 = random_matrix::<f64>(n, 2, 14);
         let mut c1 = c1_0.clone();
         let mut c2 = c2_0.clone();
-        tsmqr_apply(&a2, &t, &mut c1, &mut c2, ApplySide::NoTranspose).unwrap();
-        tsmqr_apply(&a2, &t, &mut c1, &mut c2, ApplySide::Transpose).unwrap();
+        tsmqr_apply_ws(&a2, &t, &mut c1, &mut c2, ApplySide::NoTranspose, ws).unwrap();
+        tsmqr_apply_ws(&a2, &t, &mut c1, &mut c2, ApplySide::Transpose, ws).unwrap();
         assert!(c1.approx_eq(&c1_0, 1e-12));
         assert!(c2.approx_eq(&c2_0, 1e-12));
     }
 
     #[test]
     fn shape_errors() {
+        let ws = &mut Workspace::new(8, 8);
         let mut rect = Matrix::<f64>::zeros(3, 4);
         let mut a2 = Matrix::<f64>::zeros(4, 4);
-        assert!(tsqrt(&mut rect, &mut a2).is_err());
+        assert!(factor(&mut rect, &mut a2, ws).is_err());
         let mut r1 = Matrix::<f64>::identity(3);
-        assert!(tsqrt(&mut r1, &mut a2).is_err());
+        assert!(factor(&mut r1, &mut a2, ws).is_err());
 
         let v2 = Matrix::<f64>::zeros(4, 4);
         let t = Matrix::<f64>::zeros(4, 4);
         let mut a1_bad = Matrix::<f64>::zeros(3, 2);
         let mut a2_ok = Matrix::<f64>::zeros(4, 2);
-        assert!(tsmqr(&v2, &t, &mut a1_bad, &mut a2_ok).is_err());
+        assert!(
+            tsmqr_apply_ws(&v2, &t, &mut a1_bad, &mut a2_ok, ApplySide::Transpose, ws).is_err()
+        );
         let mut a1_ok = Matrix::<f64>::zeros(4, 2);
         let mut a2_bad = Matrix::<f64>::zeros(5, 2);
-        assert!(tsmqr(&v2, &t, &mut a1_ok, &mut a2_bad).is_err());
+        assert!(
+            tsmqr_apply_ws(&v2, &t, &mut a1_ok, &mut a2_bad, ApplySide::Transpose, ws).is_err()
+        );
     }
 
     #[test]
@@ -346,7 +335,8 @@ mod tests {
 
             let mut r1_ref = r1_0.clone();
             let mut a2_ref = a2_0.clone();
-            let t_ref = tsqrt(&mut r1_ref, &mut a2_ref).unwrap();
+            let fresh = &mut Workspace::new(n, n);
+            let t_ref = factor(&mut r1_ref, &mut a2_ref, fresh).unwrap();
 
             let mut r1 = r1_0.clone();
             let mut a2 = a2_0.clone();
@@ -360,7 +350,15 @@ mod tests {
             let c2_0 = random_matrix::<f64>(n, 4, 80 + seed);
             let mut c1_ref = c1_0.clone();
             let mut c2_ref = c2_0.clone();
-            tsmqr_apply(&a2, &t, &mut c1_ref, &mut c2_ref, ApplySide::Transpose).unwrap();
+            tsmqr_apply_ws(
+                &a2,
+                &t,
+                &mut c1_ref,
+                &mut c2_ref,
+                ApplySide::Transpose,
+                fresh,
+            )
+            .unwrap();
             let mut c1 = c1_0.clone();
             let mut c2 = c2_0.clone();
             tsmqr_apply_ws(&a2, &t, &mut c1, &mut c2, ApplySide::Transpose, &mut ws).unwrap();
@@ -372,11 +370,12 @@ mod tests {
 
     #[test]
     fn zero_bottom_tile_is_noop() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 4;
         let r1_0 = random_matrix::<f64>(n, n, 15).upper_triangular();
         let mut r1 = r1_0.clone();
         let mut a2 = Matrix::<f64>::zeros(n, n);
-        let t = tsqrt(&mut r1, &mut a2).unwrap();
+        let t = factor(&mut r1, &mut a2, ws).unwrap();
         // Nothing to eliminate: R1 unchanged, taus zero.
         assert!(r1.approx_eq(&r1_0, 1e-15));
         for i in 0..n {

@@ -22,20 +22,9 @@ use tileqr_matrix::{ops, Matrix, MatrixError, Result, Scalar};
 ///
 /// Both tiles are `n x n`. On exit `r1` holds the merged triangular factor
 /// and the upper triangle of `r2` stores the (triangular) Householder block
-/// `V2`. Returns the `n x n` `T` factor with `Q = I − V T Vᵀ`,
-/// `V = [I; V2]`.
-///
-/// Allocating convenience wrapper over [`ttqrt_ws`].
-pub fn ttqrt<T: Scalar>(r1: &mut Matrix<T>, r2: &mut Matrix<T>) -> Result<Matrix<T>> {
-    let n = r1.rows();
-    let mut tfac = Matrix::zeros(n, n);
-    ttqrt_ws(r1, r2, &mut tfac, &mut Workspace::minimal())?;
-    Ok(tfac)
-}
-
-/// [`ttqrt`] with caller-provided output and scratch: the `T` factor is
-/// written into `tfac` (shape `n x n`, overwritten) and the reflector
-/// accumulation vector is borrowed from `ws` — no heap allocation.
+/// `V2`. The `n x n` `T` factor with `Q = I − V T Vᵀ`, `V = [I; V2]`, is
+/// written into `tfac` (overwritten) and the reflector accumulation vector
+/// is borrowed from `ws` — no heap allocation.
 pub fn ttqrt_ws<T: Scalar>(
     r1: &mut Matrix<T>,
     r2: &mut Matrix<T>,
@@ -105,21 +94,10 @@ pub fn ttqrt_ws<T: Scalar>(
     Ok(())
 }
 
-/// Apply the block reflector from [`ttqrt`] to a stacked pair `[a1; a2]`,
-/// exploiting the triangular structure of `v2`.
-///
-/// Allocating convenience wrapper over [`ttmqr_apply_ws`].
-pub fn ttmqr_apply<T: Scalar>(
-    v2: &Matrix<T>,
-    tfac: &Matrix<T>,
-    a1: &mut Matrix<T>,
-    a2: &mut Matrix<T>,
-    side: ApplySide,
-) -> Result<()> {
-    ttmqr_apply_ws(v2, tfac, a1, a2, side, &mut Workspace::minimal())
-}
-
-/// [`ttmqr_apply`] borrowing the `W` block and `op(T)` column buffer from
+/// Apply the block reflector from [`ttqrt_ws`] to a stacked pair
+/// `[a1; a2]`, exploiting the triangular structure of `v2` — with
+/// [`ApplySide::Transpose`] this is the TT update-for-elimination step
+/// `TTMQR`. The `W` block and `op(T)` column buffer are borrowed from
 /// `ws` — no heap allocation. The triangular profile of `V2` already makes
 /// every dot/axpy a contiguous prefix, so no packing is needed here.
 pub fn ttmqr_apply_ws<T: Scalar>(
@@ -164,22 +142,23 @@ pub fn ttmqr_apply_ws<T: Scalar>(
     Ok(())
 }
 
-/// Update-for-elimination for TT factorizations: `[a1; a2] ← Qᵀ [a1; a2]`.
-pub fn ttmqr<T: Scalar>(
-    v2: &Matrix<T>,
-    tfac: &Matrix<T>,
-    a1: &mut Matrix<T>,
-    a2: &mut Matrix<T>,
-) -> Result<()> {
-    ttmqr_apply(v2, tfac, a1, a2, ApplySide::Transpose)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tsqrt::tsqrt;
+    use crate::tsqrt::tsqrt_ws;
     use tileqr_matrix::gen::random_matrix;
     use tileqr_matrix::ops::matmul;
+
+    /// Eliminate `r2` against `r1` with `ws`, returning the `T` factor.
+    fn factor(
+        r1: &mut Matrix<f64>,
+        r2: &mut Matrix<f64>,
+        ws: &mut Workspace<f64>,
+    ) -> Result<Matrix<f64>> {
+        let mut tfac = Matrix::zeros(r1.rows(), r1.rows());
+        ttqrt_ws(r1, r2, &mut tfac, ws)?;
+        Ok(tfac)
+    }
 
     fn vstack(top: &Matrix<f64>, bot: &Matrix<f64>) -> Matrix<f64> {
         Matrix::from_fn(top.rows() + bot.rows(), top.cols(), |i, j| {
@@ -191,12 +170,12 @@ mod tests {
         })
     }
 
-    fn form_q(v2: &Matrix<f64>, tfac: &Matrix<f64>) -> Matrix<f64> {
+    fn form_q(v2: &Matrix<f64>, tfac: &Matrix<f64>, ws: &mut Workspace<f64>) -> Matrix<f64> {
         let n = tfac.rows();
         let mut q = Matrix::identity(2 * n);
         let mut top = q.submatrix(0, 0, n, 2 * n).unwrap();
         let mut bot = q.submatrix(n, 0, n, 2 * n).unwrap();
-        ttmqr_apply(v2, tfac, &mut top, &mut bot, ApplySide::NoTranspose).unwrap();
+        ttmqr_apply_ws(v2, tfac, &mut top, &mut bot, ApplySide::NoTranspose, ws).unwrap();
         q.set_submatrix(0, 0, &top).unwrap();
         q.set_submatrix(n, 0, &bot).unwrap();
         q
@@ -208,14 +187,15 @@ mod tests {
 
     #[test]
     fn eliminates_triangular_pair() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 6;
         let r1_0 = random_upper(n, 1);
         let r2_0 = random_upper(n, 2);
         let mut r1 = r1_0.clone();
         let mut r2 = r2_0.clone();
-        let t = ttqrt(&mut r1, &mut r2).unwrap();
+        let t = factor(&mut r1, &mut r2, ws).unwrap();
 
-        let q = form_q(&r2, &t);
+        let q = form_q(&r2, &t, ws);
         let qt_s = matmul(&q.transpose(), &vstack(&r1_0, &r2_0)).unwrap();
         let expect = vstack(&r1.upper_triangular(), &Matrix::zeros(n, n));
         assert!(qt_s.approx_eq(&expect, 1e-12));
@@ -224,10 +204,11 @@ mod tests {
 
     #[test]
     fn v_stays_upper_triangular() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 5;
         let mut r1 = random_upper(n, 3);
         let mut r2 = random_upper(n, 4);
-        let _ = ttqrt(&mut r1, &mut r2).unwrap();
+        let _ = factor(&mut r1, &mut r2, ws).unwrap();
         for j in 0..n {
             for i in j + 1..n {
                 assert_eq!(r2[(i, j)], 0.0, "V2 fill-in at ({i},{j})");
@@ -237,6 +218,7 @@ mod tests {
 
     #[test]
     fn matches_tsqrt_result_up_to_signs() {
+        let ws = &mut Workspace::new(8, 8);
         // TTQRT and TSQRT on the same (triangular) input produce R factors
         // equal up to row signs; |R| must match.
         let n = 5;
@@ -245,11 +227,11 @@ mod tests {
 
         let mut r1a = r1_0.clone();
         let mut r2a = r2_0.clone();
-        let _ = ttqrt(&mut r1a, &mut r2a).unwrap();
+        let _ = factor(&mut r1a, &mut r2a, ws).unwrap();
 
         let mut r1b = r1_0.clone();
         let mut r2b = r2_0.clone();
-        let _ = tsqrt(&mut r1b, &mut r2b).unwrap();
+        tsqrt_ws(&mut r1b, &mut r2b, &mut Matrix::zeros(n, n), ws).unwrap();
 
         for j in 0..n {
             for i in 0..=j {
@@ -265,59 +247,63 @@ mod tests {
 
     #[test]
     fn ttmqr_matches_explicit_qt() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 4;
         let mut r1 = random_upper(n, 7);
         let mut r2 = random_upper(n, 8);
-        let t = ttqrt(&mut r1, &mut r2).unwrap();
-        let q = form_q(&r2, &t);
+        let t = factor(&mut r1, &mut r2, ws).unwrap();
+        let q = form_q(&r2, &t, ws);
 
         let c1_0 = random_matrix::<f64>(n, 3, 9);
         let c2_0 = random_matrix::<f64>(n, 3, 10);
         let mut c1 = c1_0.clone();
         let mut c2 = c2_0.clone();
-        ttmqr(&r2, &t, &mut c1, &mut c2).unwrap();
+        ttmqr_apply_ws(&r2, &t, &mut c1, &mut c2, ApplySide::Transpose, ws).unwrap();
         let expect = matmul(&q.transpose(), &vstack(&c1_0, &c2_0)).unwrap();
         assert!(vstack(&c1, &c2).approx_eq(&expect, 1e-12));
     }
 
     #[test]
     fn round_trip_q_qt() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 4;
         let mut r1 = random_upper(n, 11);
         let mut r2 = random_upper(n, 12);
-        let t = ttqrt(&mut r1, &mut r2).unwrap();
+        let t = factor(&mut r1, &mut r2, ws).unwrap();
         let c1_0 = random_matrix::<f64>(n, 2, 13);
         let c2_0 = random_matrix::<f64>(n, 2, 14);
         let mut c1 = c1_0.clone();
         let mut c2 = c2_0.clone();
-        ttmqr_apply(&r2, &t, &mut c1, &mut c2, ApplySide::NoTranspose).unwrap();
-        ttmqr_apply(&r2, &t, &mut c1, &mut c2, ApplySide::Transpose).unwrap();
+        ttmqr_apply_ws(&r2, &t, &mut c1, &mut c2, ApplySide::NoTranspose, ws).unwrap();
+        ttmqr_apply_ws(&r2, &t, &mut c1, &mut c2, ApplySide::Transpose, ws).unwrap();
         assert!(c1.approx_eq(&c1_0, 1e-12));
         assert!(c2.approx_eq(&c2_0, 1e-12));
     }
 
     #[test]
     fn shape_errors() {
+        let ws = &mut Workspace::new(8, 8);
         let mut r1 = Matrix::<f64>::zeros(3, 4);
         let mut r2 = Matrix::<f64>::zeros(4, 4);
-        assert!(ttqrt(&mut r1, &mut r2).is_err());
+        assert!(factor(&mut r1, &mut r2, ws).is_err());
         let mut r1 = Matrix::<f64>::identity(3);
-        assert!(ttqrt(&mut r1, &mut r2).is_err());
+        assert!(factor(&mut r1, &mut r2, ws).is_err());
 
         let v2 = Matrix::<f64>::identity(4);
         let t = Matrix::<f64>::zeros(4, 4);
         let mut a1 = Matrix::<f64>::zeros(4, 2);
         let mut a2 = Matrix::<f64>::zeros(3, 2);
-        assert!(ttmqr(&v2, &t, &mut a1, &mut a2).is_err());
+        assert!(ttmqr_apply_ws(&v2, &t, &mut a1, &mut a2, ApplySide::Transpose, ws).is_err());
     }
 
     #[test]
     fn zero_bottom_triangle_is_noop() {
+        let ws = &mut Workspace::new(8, 8);
         let n = 4;
         let r1_0 = random_upper(n, 15);
         let mut r1 = r1_0.clone();
         let mut r2 = Matrix::<f64>::zeros(n, n);
-        let t = ttqrt(&mut r1, &mut r2).unwrap();
+        let t = factor(&mut r1, &mut r2, ws).unwrap();
         assert!(r1.approx_eq(&r1_0, 1e-15));
         for i in 0..n {
             assert_eq!(t[(i, i)], 0.0);

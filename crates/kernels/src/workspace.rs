@@ -2,11 +2,9 @@
 //!
 //! Every kernel in this crate needs the same small set of scratch blocks:
 //! a reflector-accumulation vector `z`, a `T`-application vector `tmp`,
-//! and the `W = VᵀC` work block. The seed kernels allocated these with
-//! `vec!`/`Matrix::zeros` on every invocation, which made the steady-state
-//! hot path allocator-bound. A [`Workspace`] is sized once from the tile
-//! geometry `(b, ib)` and handed to the `*_ws` kernel entry points, which
-//! borrow slices out of it instead of allocating.
+//! and the `W = VᵀC` work block. A [`Workspace`] is sized once from the
+//! tile geometry `(b, ib)` and passed to the kernels — their only entry
+//! points take one — which borrow slices out of it instead of allocating.
 //!
 //! Sizing (scalars, for tile size `b`, inner block `ib ≤ b`):
 //!
@@ -15,10 +13,6 @@
 //! | `z`    | `b`      | `geqrt_ws`/`tsqrt_ws`/`ttqrt_ws` reflector dot accumulation |
 //! | `tmp`  | `b`      | `apply_tfac_in_place` (one column of `op(T)·W`) |
 //! | `w`    | `b·b`    | the `W` block of every update kernel (`n × nc ≤ b × b` on the tile path) |
-//!
-//! (The microkernel rewrite removed the packed-panel buffer: the fused
-//! column primitives of [`crate::micro`] read reflector columns in place,
-//! column-major and unit-stride, so there is nothing left to pack.)
 //!
 //! Requests beyond the presized capacity (e.g. applying `Q` to a dense
 //! right-hand side wider than one tile) grow the buffer and are counted in
@@ -60,10 +54,9 @@ impl<T: Scalar> Workspace<T> {
         }
     }
 
-    /// Empty workspace that grows on first use. This is what the
-    /// allocating compatibility wrappers (`geqrt`, `tsmqr_apply`, …) pass,
-    /// so the legacy API keeps its per-call allocation behaviour while
-    /// sharing one code path with the `*_ws` variants.
+    /// Empty workspace that grows on first use — for a caller that does
+    /// not know its tile size up front (a resident service worker serves
+    /// jobs of any `b`; its arena settles at the largest it has seen).
     pub fn minimal() -> Self {
         Workspace {
             z: Vec::new(),
@@ -71,13 +64,6 @@ impl<T: Scalar> Workspace<T> {
             w: Vec::new(),
             resizes: 0,
         }
-    }
-
-    /// Reflector-accumulation vector of length `n` (the `z` of the factor
-    /// kernels). Contents are unspecified; the kernels write before reading.
-    pub fn reflector_scratch(&mut self, n: usize) -> &mut [T] {
-        ensure(&mut self.z, n, &mut self.resizes);
-        &mut self.z[..n]
     }
 
     /// Scratch for a factor kernel: the reflector-accumulation vector `z`
@@ -121,7 +107,6 @@ mod tests {
     fn presized_requests_do_not_resize() {
         let mut ws = Workspace::<f64>::new(8, 4);
         for _ in 0..10 {
-            let _ = ws.reflector_scratch(8);
             let _ = ws.factor_scratch(8);
             let _ = ws.apply_scratch(8, 8);
         }
@@ -145,8 +130,8 @@ mod tests {
     #[test]
     fn minimal_starts_empty_and_grows() {
         let mut ws = Workspace::<f64>::minimal();
-        let _ = ws.reflector_scratch(6);
-        assert_eq!(ws.resizes(), 1);
+        let _ = ws.factor_scratch(6);
+        assert_eq!(ws.resizes(), 2);
         assert!(ws.bytes() >= 6 * std::mem::size_of::<f64>());
     }
 

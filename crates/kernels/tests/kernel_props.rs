@@ -2,9 +2,12 @@
 //! preserve the invariants that make tiled QR correct, across a sweep of
 //! deterministic seeded random inputs (48 cases per property, matching the
 //! breadth of the previous proptest suite without the external dependency).
+//! Each property reuses one never-cleared workspace and `T` tile across
+//! its cases, as the runtime's workers do.
 
 use tileqr_kernels::{
-    geqrt, geqrt_apply, larfg, tsmqr_apply, tsqrt, ttmqr_apply, ttqrt, ApplySide,
+    geqrt_apply_ws, geqrt_ws, larfg, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, ApplySide,
+    Workspace,
 };
 use tileqr_matrix::ops::{frobenius_norm, matmul, nrm2};
 use tileqr_matrix::{Matrix, Rng64};
@@ -54,11 +57,12 @@ fn larfg_always_annihilates() {
 
 #[test]
 fn geqrt_preserves_column_norms_of_r() {
+    let (ws, mut t) = (&mut Workspace::new(6, 6), Matrix::zeros(6, 6));
     for case in 0..CASES {
         // QR preserves each leading-column norm: ||R[..,0]|| == ||A[..,0]||.
         let a = seeded_matrix(6, 2000 + case);
         let mut work = a.clone();
-        let _ = geqrt(&mut work).unwrap();
+        geqrt_ws(&mut work, &mut t, ws).unwrap();
         let r0 = work[(0, 0)].abs();
         assert!(
             (r0 - nrm2(a.col(0))).abs() <= 1e-10 * nrm2(a.col(0)).max(1.0),
@@ -69,33 +73,35 @@ fn geqrt_preserves_column_norms_of_r() {
 
 #[test]
 fn geqrt_apply_is_orthogonal() {
+    let (ws, mut t) = (&mut Workspace::new(5, 5), Matrix::zeros(5, 5));
     for case in 0..CASES {
         // Applying Q^T then Q must be the identity, and it must preserve
         // Frobenius norm.
         let a = seeded_matrix(5, 3000 + case);
         let mut vr = a.clone();
-        let t = geqrt(&mut vr).unwrap();
+        geqrt_ws(&mut vr, &mut t, ws).unwrap();
         let c0 = Matrix::from_fn(5, 3, |i, j| (i * 3 + j) as f64 - 7.0);
         let mut c = c0.clone();
-        geqrt_apply(&vr, &t, &mut c, ApplySide::Transpose).unwrap();
+        geqrt_apply_ws(&vr, &t, &mut c, ApplySide::Transpose, ws).unwrap();
         assert!(
             (frobenius_norm(&c) - frobenius_norm(&c0)).abs() <= 1e-9 * frobenius_norm(&c0).max(1.0),
             "case {case}"
         );
-        geqrt_apply(&vr, &t, &mut c, ApplySide::NoTranspose).unwrap();
+        geqrt_apply_ws(&vr, &t, &mut c, ApplySide::NoTranspose, ws).unwrap();
         assert!(c.approx_eq(&c0, 1e-9), "case {case}");
     }
 }
 
 #[test]
 fn tsqrt_preserves_stacked_norm() {
+    let (ws, mut t) = (&mut Workspace::new(4, 4), Matrix::zeros(4, 4));
     for case in 0..CASES {
         let top = seeded_matrix(4, 4000 + case);
         let bot = seeded_matrix(4, 4100 + case);
         let r1_0 = top.upper_triangular();
         let mut r1 = r1_0.clone();
         let mut a2 = bot.clone();
-        let _ = tsqrt(&mut r1, &mut a2).unwrap();
+        tsqrt_ws(&mut r1, &mut a2, &mut t, ws).unwrap();
         // Orthogonal transform: per-column norms of [R1; A2] preserved in R1.
         for j in 0..4 {
             let before = {
@@ -114,6 +120,7 @@ fn tsqrt_preserves_stacked_norm() {
 
 #[test]
 fn tsmqr_apply_round_trips() {
+    let (ws, mut t) = (&mut Workspace::new(4, 4), Matrix::zeros(4, 4));
     for case in 0..CASES {
         let top = seeded_matrix(4, 5000 + case);
         let bot = seeded_matrix(4, 5100 + case);
@@ -121,10 +128,10 @@ fn tsmqr_apply_round_trips() {
         let c2 = seeded_matrix(4, 5300 + case);
         let mut r1 = top.upper_triangular();
         let mut v2 = bot.clone();
-        let t = tsqrt(&mut r1, &mut v2).unwrap();
+        tsqrt_ws(&mut r1, &mut v2, &mut t, ws).unwrap();
         let mut x1 = c1.clone();
         let mut x2 = c2.clone();
-        tsmqr_apply(&v2, &t, &mut x1, &mut x2, ApplySide::Transpose).unwrap();
+        tsmqr_apply_ws(&v2, &t, &mut x1, &mut x2, ApplySide::Transpose, ws).unwrap();
         // Norm of the stack preserved.
         let before = frobenius_norm(&vstack(&c1, &c2));
         let after = frobenius_norm(&vstack(&x1, &x2));
@@ -132,7 +139,7 @@ fn tsmqr_apply_round_trips() {
             (before - after).abs() <= 1e-9 * before.max(1.0),
             "case {case}"
         );
-        tsmqr_apply(&v2, &t, &mut x1, &mut x2, ApplySide::NoTranspose).unwrap();
+        tsmqr_apply_ws(&v2, &t, &mut x1, &mut x2, ApplySide::NoTranspose, ws).unwrap();
         assert!(x1.approx_eq(&c1, 1e-9), "case {case}");
         assert!(x2.approx_eq(&c2, 1e-9), "case {case}");
     }
@@ -140,12 +147,13 @@ fn tsmqr_apply_round_trips() {
 
 #[test]
 fn ttqrt_keeps_triangular_structure() {
+    let (ws, mut t) = (&mut Workspace::new(5, 5), Matrix::zeros(5, 5));
     for case in 0..CASES {
         let top = seeded_matrix(5, 6000 + case);
         let bot = seeded_matrix(5, 6100 + case);
         let mut r1 = top.upper_triangular();
         let mut r2 = bot.upper_triangular();
-        let _ = ttqrt(&mut r1, &mut r2).unwrap();
+        ttqrt_ws(&mut r1, &mut r2, &mut t, ws).unwrap();
         for j in 0..5 {
             for i in j + 1..5 {
                 assert_eq!(r1[(i, j)], 0.0, "case {case} at ({i},{j})");
@@ -157,6 +165,7 @@ fn ttqrt_keeps_triangular_structure() {
 
 #[test]
 fn ttmqr_is_orthogonal() {
+    let (ws, mut t) = (&mut Workspace::new(4, 4), Matrix::zeros(4, 4));
     for case in 0..CASES {
         let top = seeded_matrix(4, 7000 + case);
         let bot = seeded_matrix(4, 7100 + case);
@@ -164,11 +173,11 @@ fn ttmqr_is_orthogonal() {
         let c2 = seeded_matrix(4, 7300 + case);
         let mut r1 = top.upper_triangular();
         let mut v2 = bot.upper_triangular();
-        let t = ttqrt(&mut r1, &mut v2).unwrap();
+        ttqrt_ws(&mut r1, &mut v2, &mut t, ws).unwrap();
         let mut x1 = c1.clone();
         let mut x2 = c2.clone();
-        ttmqr_apply(&v2, &t, &mut x1, &mut x2, ApplySide::Transpose).unwrap();
-        ttmqr_apply(&v2, &t, &mut x1, &mut x2, ApplySide::NoTranspose).unwrap();
+        ttmqr_apply_ws(&v2, &t, &mut x1, &mut x2, ApplySide::Transpose, ws).unwrap();
+        ttmqr_apply_ws(&v2, &t, &mut x1, &mut x2, ApplySide::NoTranspose, ws).unwrap();
         assert!(x1.approx_eq(&c1, 1e-9), "case {case}");
         assert!(x2.approx_eq(&c2, 1e-9), "case {case}");
     }
@@ -176,13 +185,14 @@ fn ttmqr_is_orthogonal() {
 
 #[test]
 fn full_tile_qr_reconstructs() {
+    let (ws, mut t) = (&mut Workspace::new(6, 6), Matrix::zeros(6, 6));
     for case in 0..CASES {
         // QR of [A] via GEQRT + explicit Q: ||A - QR|| tiny.
         let a = seeded_matrix(6, 8000 + case);
         let mut vr = a.clone();
-        let t = geqrt(&mut vr).unwrap();
+        geqrt_ws(&mut vr, &mut t, ws).unwrap();
         let mut q = Matrix::identity(6);
-        geqrt_apply(&vr, &t, &mut q, ApplySide::NoTranspose).unwrap();
+        geqrt_apply_ws(&vr, &t, &mut q, ApplySide::NoTranspose, ws).unwrap();
         let r = vr.upper_triangular();
         let qr = matmul(&q, &r).unwrap();
         let scale = frobenius_norm(&a).max(1.0);

@@ -3,22 +3,19 @@
 //!
 //! The paper's Algorithms 2–4 are driven entirely by the per-kernel
 //! timing curves of its Fig. 4 (`t(b) = c0 + c1·b² + c2·b³`). The
-//! simulator carries those curves as [`StepTimes`]; this module closes
-//! the loop in the other direction: given compute spans recorded from
-//! *any* source — the real thread pool or the simulator itself — it
-//! least-squares-fits the three coefficients per kernel class and
-//! reports how far the fitted model's predictions sit from a reference
-//! profile ([`profile_error`]) or from a recorded run's makespan
-//! ([`sim_vs_real`]). Feeding the fitted [`DeviceProfile`] back into the
-//! Alg. 2/3 planners turns them from paper-constant-driven into
-//! measurement-driven.
+//! simulator and the schedulers carry those curves as one [`ClassCosts`]
+//! table; this module closes the loop in the other direction: given
+//! compute spans recorded from *any* source — the real thread pool or
+//! the simulator itself — it least-squares-fits the three coefficients
+//! per kernel class and reports how far the fitted model's predictions
+//! sit from a reference profile ([`profile_error`]) or from a recorded
+//! run's makespan ([`sim_vs_real`]). Feeding the fitted [`DeviceProfile`]
+//! back into the Alg. 2/3 planners turns them from
+//! paper-constant-driven into measurement-driven.
 
 use crate::span::{Phase, Trace};
-use tileqr_dag::{ClassCosts, CostCurve, CostModel, TaskGraph};
-use tileqr_sim::{
-    engine, DeviceKind, DeviceProfile, KernelClass, KernelTiming, Link, Platform, SimConfig,
-    StepTimes,
-};
+use tileqr_dag::{ClassCosts, CostCurve, CostModel, KernelClass, TaskGraph};
+use tileqr_sim::{engine, DeviceKind, DeviceProfile, Link, Platform, SimConfig};
 
 /// One measured kernel execution: class, tile size it ran at, duration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +74,7 @@ fn solve3(mut m: [[f64; 3]; 3], mut y: [f64; 3]) -> Option<[f64; 3]> {
 /// Least-squares fit of one timing curve `t(b) = c0 + c1·b² + c2·b³`
 /// over `(b, duration)` points. Needs ≥ 3 distinct tile sizes; negative
 /// coefficients (possible under measurement noise) clamp to 0.
-fn fit_curve(points: &[(usize, f64)]) -> Option<KernelTiming> {
+fn fit_curve(points: &[(usize, f64)]) -> Option<CostCurve> {
     let mut distinct: Vec<usize> = points.iter().map(|p| p.0).collect();
     distinct.sort_unstable();
     distinct.dedup();
@@ -98,16 +95,16 @@ fn fit_curve(points: &[(usize, f64)]) -> Option<KernelTiming> {
         }
     }
     let c = solve3(m, y)?;
-    Some(KernelTiming {
+    Some(CostCurve {
         c0: c[0].max(0.0),
         c1: c[1].max(0.0),
         c2: c[2].max(0.0),
     })
 }
 
-/// Fit a full [`StepTimes`] table from samples spanning ≥ 3 tile sizes
+/// Fit a full [`ClassCosts`] table from samples spanning ≥ 3 tile sizes
 /// per class. `None` if any class lacks the data.
-pub fn fit_step_times(samples: &[KernelSample]) -> Option<StepTimes> {
+pub fn fit_step_times(samples: &[KernelSample]) -> Option<ClassCosts> {
     let of = |class: KernelClass| {
         let pts: Vec<(usize, f64)> = samples
             .iter()
@@ -116,7 +113,7 @@ pub fn fit_step_times(samples: &[KernelSample]) -> Option<StepTimes> {
             .collect();
         fit_curve(&pts)
     };
-    Some(StepTimes {
+    Some(ClassCosts {
         triangulation: of(KernelClass::Triangulation)?,
         elimination: of(KernelClass::Elimination)?,
         update: of(KernelClass::Update)?,
@@ -130,7 +127,7 @@ pub fn fitted_profile(
     name: &str,
     kind: DeviceKind,
     cores: usize,
-    times: StepTimes,
+    times: ClassCosts,
 ) -> DeviceProfile {
     DeviceProfile {
         name: name.to_string(),
@@ -140,61 +137,26 @@ pub fn fitted_profile(
     }
 }
 
-/// Bridge a simulator [`StepTimes`] table into the scheduler's
-/// dependency-free [`ClassCosts`] (same curves, different crate).
-pub fn class_costs(times: &StepTimes) -> ClassCosts {
-    let curve = |t: KernelTiming| CostCurve {
-        c0: t.c0,
-        c1: t.c1,
-        c2: t.c2,
-    };
-    ClassCosts {
-        triangulation: curve(times.triangulation),
-        elimination: curve(times.elimination),
-        update: curve(times.update),
-    }
-}
-
-/// Inverse of [`class_costs`]: scheduler curves back into simulator form
-/// (used when a drift-scaled model is fed to the planners).
-pub fn step_times_of(costs: &ClassCosts) -> StepTimes {
-    let curve = |c: CostCurve| KernelTiming {
-        c0: c.c0,
-        c1: c.c1,
-        c2: c.c2,
-    };
-    StepTimes {
-        triangulation: curve(costs.triangulation),
-        elimination: curve(costs.elimination),
-        update: curve(costs.update),
-    }
-}
-
 /// The [`CostModel`] a calibrated profile induces: measured-microsecond
 /// weights for `SchedulePolicy::CriticalPath`.
 pub fn cost_model(profile: &DeviceProfile) -> CostModel {
-    CostModel::Calibrated(class_costs(&profile.times))
+    CostModel::Calibrated(profile.times)
 }
 
 /// Maximum relative error of `fitted` vs `truth`, per kernel class, over
 /// the tile sizes in `bs`: `[triangulation, elimination, update]`.
-pub fn profile_error(fitted: &StepTimes, truth: &StepTimes, bs: &[usize]) -> [f64; 3] {
-    let classes = [
-        KernelClass::Triangulation,
-        KernelClass::Elimination,
-        KernelClass::Update,
-    ];
-    let mut out = [0.0f64; 3];
-    for (slot, &class) in out.iter_mut().zip(classes.iter()) {
+pub fn profile_error(fitted: &ClassCosts, truth: &ClassCosts, bs: &[usize]) -> [f64; 3] {
+    KernelClass::ALL.map(|class| {
+        let (truth, fitted) = (truth.curve(class), fitted.curve(class));
+        let mut worst = 0.0f64;
         for &b in bs {
-            let t = truth.time_us(class, b);
-            let f = fitted.time_us(class, b);
+            let (t, f) = (truth.eval_us(b), fitted.eval_us(b));
             if t > 0.0 {
-                *slot = slot.max((f - t).abs() / t);
+                worst = worst.max((f - t).abs() / t);
             }
         }
-    }
-    out
+        worst
+    })
 }
 
 /// Sim-vs-real comparison of one recorded run.
@@ -226,7 +188,7 @@ impl SimVsReal {
 /// Replay `graph` through the simulator on a single calibrated device
 /// with `workers`-way parallelism and compare against the recorded run.
 ///
-/// This is the calibration loop's verdict: fit [`StepTimes`] from the
+/// This is the calibration loop's verdict: fit [`ClassCosts`] from the
 /// trace ([`fit_step_times`]), hand them here, and the report says how
 /// closely the Alg. 2/3 cost model would have predicted the real pool.
 pub fn sim_vs_real(
@@ -234,7 +196,7 @@ pub fn sim_vs_real(
     graph: &TaskGraph,
     workers: usize,
     tile_size: usize,
-    fitted: StepTimes,
+    fitted: ClassCosts,
 ) -> SimVsReal {
     let dev = fitted_profile("calibrated-host", DeviceKind::Cpu, workers, fitted);
     let platform = Platform::new(
@@ -266,18 +228,18 @@ mod tests {
 
     #[test]
     fn fit_recovers_exact_curve_from_clean_points() {
-        let truth = KernelTiming {
+        let truth = CostCurve {
             c0: 20.0,
             c1: 0.02,
             c2: 0.019,
         };
         let pts: Vec<(usize, f64)> = [4usize, 8, 16, 24, 32]
             .iter()
-            .map(|&b| (b, truth.time_us(b)))
+            .map(|&b| (b, truth.eval_us(b)))
             .collect();
         let fit = fit_curve(&pts).unwrap();
         for b in [4usize, 12, 28, 40] {
-            let (t, f) = (truth.time_us(b), fit.time_us(b));
+            let (t, f) = (truth.eval_us(b), fit.eval_us(b));
             assert!((t - f).abs() / t < 1e-9, "b={b}: {t} vs {f}");
         }
     }
@@ -293,15 +255,11 @@ mod tests {
         let truth = profiles::gtx580().times;
         let mut samples = Vec::new();
         for b in [4usize, 8, 16, 24, 32] {
-            for class in [
-                KernelClass::Triangulation,
-                KernelClass::Elimination,
-                KernelClass::Update,
-            ] {
+            for class in KernelClass::ALL {
                 samples.push(KernelSample {
                     class,
                     tile_size: b,
-                    duration_us: truth.time_us(class, b),
+                    duration_us: truth.curve(class).eval_us(b),
                 });
             }
         }
@@ -317,27 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn class_costs_round_trips_step_times() {
-        let times = profiles::gtx580().times;
-        let costs = class_costs(&times);
-        assert_eq!(step_times_of(&costs), times);
-        for b in [8usize, 16, 32] {
-            assert!(
-                (costs.triangulation.eval_us(b) - times.time_us(KernelClass::Triangulation, b))
-                    .abs()
-                    < 1e-12
-            );
-            assert!(
-                (costs.update.eval_us(b) - times.time_us(KernelClass::Update, b)).abs() < 1e-12
-            );
-        }
-    }
-
-    #[test]
     fn cost_model_of_profile_is_calibrated() {
         let p = profiles::gtx580();
         let m = cost_model(&p);
         assert_eq!(m.name(), "calibrated");
-        assert_eq!(m.class_costs(), Some(class_costs(&p.times)));
+        assert_eq!(m, CostModel::Calibrated(p.times));
     }
 }

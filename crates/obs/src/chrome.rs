@@ -10,11 +10,11 @@
 //!
 //! No JSON library exists in the container, so the writer is hand-rolled
 //! (the format needs only numbers and escaped strings) and [`validate`]
-//! is a minimal recursive-descent JSON parser used by the snapshot suite
-//! to guarantee the writer never emits malformed output.
+//! runs the crate's one JSON reader over the result: the snapshot suite
+//! uses it to guarantee the writer never emits malformed output.
 
+use crate::json::escape;
 use crate::span::{Phase, Trace};
-use std::fmt::Write as _;
 
 /// Keys every exported span event carries, in emission order — the
 /// schema contract frozen by the snapshot test.
@@ -22,24 +22,6 @@ pub const SPAN_FIELDS: [&str; 8] = ["name", "cat", "ph", "ts", "dur", "pid", "ti
 
 /// Keys every exported instant event carries, in emission order.
 pub const INSTANT_FIELDS: [&str; 7] = ["name", "cat", "ph", "ts", "s", "pid", "tid"];
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Display name of a span: kernel shorthand plus panel, e.g. `GEQRT k2`.
 fn span_name(s: &crate::span::Span) -> String {
@@ -145,200 +127,9 @@ pub fn export_compute_only(trace: &Trace) -> String {
     export(&compute)
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON validator (recursive descent, no allocation of a DOM).
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&c) = self.s.get(self.i) {
-            if c == b' ' || c == b'\t' || c == b'\n' || c == b'\r' {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        self.depth += 1;
-        if self.depth > 256 {
-            return Err(self.err("nesting too deep"));
-        }
-        self.skip_ws();
-        let r = match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        };
-        self.depth -= 1;
-        r
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.s[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        while let Some(c) = self.peek() {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(()),
-                b'\\' => match self.peek() {
-                    Some(b'"') | Some(b'\\') | Some(b'/') | Some(b'b') | Some(b'f')
-                    | Some(b'n') | Some(b'r') | Some(b't') => self.i += 1,
-                    Some(b'u') => {
-                        self.i += 1;
-                        for _ in 0..4 {
-                            match self.peek() {
-                                Some(h) if h.is_ascii_hexdigit() => self.i += 1,
-                                _ => return Err(self.err("bad \\u escape")),
-                            }
-                        }
-                    }
-                    _ => return Err(self.err("bad escape")),
-                },
-                c if c < 0x20 => return Err(self.err("raw control char in string")),
-                _ => {}
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let mut digits = 0;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(self.err("number needs digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(self.err("fraction needs digits"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.i += 1;
-            }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.i += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(self.err("exponent needs digits"));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Validate that `s` is one well-formed JSON document.
 pub fn validate(s: &str) -> Result<(), String> {
-    let mut p = Parser {
-        s: s.as_bytes(),
-        i: 0,
-        depth: 0,
-    };
-    p.value()?;
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(())
+    crate::json::parse(s).map(drop)
 }
 
 /// Extract every `"ts":<number>` value in emission order — the snapshot

@@ -54,7 +54,7 @@ impl DriftConfig {
 /// against expected latencies from the active cost model.
 ///
 /// Classes are the three timing-curve slots of the paper's Fig. 4
-/// (`dag::class_slot`): 0 triangulation, 1 elimination, 2 update.
+/// (`dag::KernelClass::slot`): 0 triangulation, 1 elimination, 2 update.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     cfg: DriftConfig,

@@ -26,13 +26,14 @@ pub mod chrome;
 pub mod counters;
 pub mod drift;
 pub mod hist;
+mod json;
 pub mod profile_json;
 pub mod recorder;
 pub mod span;
 
 pub use calibrate::{
-    class_costs, cost_model, fit_step_times, fitted_profile, profile_error, samples_from_trace,
-    sim_vs_real, step_times_of, KernelSample, SimVsReal,
+    cost_model, fit_step_times, fitted_profile, profile_error, samples_from_trace, sim_vs_real,
+    KernelSample, SimVsReal,
 };
 pub use counters::{HotPathCounters, LifecycleCounters};
 pub use drift::{DriftConfig, DriftDetector};

@@ -2,10 +2,9 @@
 //!
 //! Calibration probes cost real jobs, so the service wants to warm-start
 //! from the fits of a previous process. The container has no serde; this
-//! module writes and parses a small, fixed-schema JSON document with a
-//! ~100-line recursive-descent parser (objects, arrays, strings with
-//! basic escapes, numbers, booleans, null — everything the schema needs
-//! and nothing more).
+//! module writes a small, fixed-schema JSON document and reads it back
+//! through the crate's one JSON parser (`json.rs`), then validates every
+//! field: the file comes from outside the process.
 //!
 //! Schema (`ProfileStore`):
 //!
@@ -21,8 +20,10 @@
 //! environment variable ([`default_profile_path`]); the service-level
 //! tuner loads it at start and saves after each new fit.
 
+use crate::json::{self, escape, Json};
 use std::path::{Path, PathBuf};
-use tileqr_sim::{DeviceKind, DeviceProfile, KernelTiming, StepTimes};
+use tileqr_dag::{ClassCosts, CostCurve};
+use tileqr_sim::{DeviceKind, DeviceProfile};
 
 /// Environment variable naming the profile-store path the service-level
 /// tuner warm-starts from.
@@ -71,12 +72,10 @@ impl ProfileStore {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str("\n    {\"key\": ");
-            push_json_string(&mut s, key);
-            s.push_str(", \"name\": ");
-            push_json_string(&mut s, &p.name);
             s.push_str(&format!(
-                ", \"kind\": \"{}\", \"cores\": {}, \"times\": {{",
+                "\n    {{\"key\": \"{}\", \"name\": \"{}\", \"kind\": \"{}\", \"cores\": {}, \"times\": {{",
+                escape(key),
+                escape(&p.name),
                 match p.kind {
                     DeviceKind::Cpu => "cpu",
                     DeviceKind::Gpu => "gpu",
@@ -108,7 +107,7 @@ impl ProfileStore {
     /// Parse a store from JSON produced by [`ProfileStore::to_json`] (or
     /// hand-edited to the same schema).
     pub fn from_json(text: &str) -> Result<ProfileStore, String> {
-        let root = parse_json(text)?;
+        let root = json::parse(text)?;
         let profiles = root
             .field("profiles")
             .ok_or("missing \"profiles\" array")?
@@ -175,7 +174,7 @@ fn profile_from_value(v: &Json) -> Result<DeviceProfile, String> {
         .filter(|c| *c >= 1.0 && c.fract() == 0.0)
         .ok_or("profile missing positive integer \"cores\"")? as usize;
     let times = v.field("times").ok_or("profile missing \"times\"")?;
-    let curve = |label: &str| -> Result<KernelTiming, String> {
+    let curve = |label: &str| -> Result<CostCurve, String> {
         let t = times
             .field(label)
             .ok_or_else(|| format!("times missing \"{label}\""))?;
@@ -185,7 +184,7 @@ fn profile_from_value(v: &Json) -> Result<DeviceProfile, String> {
                 .filter(|v| v.is_finite() && *v >= 0.0)
                 .ok_or_else(|| format!("curve \"{label}\" missing finite non-negative \"{c}\""))
         };
-        Ok(KernelTiming {
+        Ok(CostCurve {
             c0: coeff("c0")?,
             c1: coeff("c1")?,
             c2: coeff("c2")?,
@@ -195,223 +194,12 @@ fn profile_from_value(v: &Json) -> Result<DeviceProfile, String> {
         name: name.to_string(),
         kind,
         cores,
-        times: StepTimes {
+        times: ClassCosts {
             triangulation: curve("triangulation")?,
             elimination: curve("elimination")?,
             update: curve("update")?,
         },
     })
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// minimal JSON value + recursive-descent parser
-// ---------------------------------------------------------------------------
-
-enum Json {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn field(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", ch as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("bad \\u escape")?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid utf-8")?;
-                let ch = s.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        fields.push((key, parse_value(b, pos)?));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
 use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use tileqr_dag::{bottom_levels, class_slot, ClassCosts, CostModel, TaskGraph, TaskId, TaskKind};
+use tileqr_dag::{bottom_levels, ClassCosts, CostModel, KernelClass, TaskGraph, TaskId, TaskKind};
 use tileqr_kernels::exec::{CompletedTask, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
@@ -263,11 +263,12 @@ impl DagRun {
             in_flight: 0,
             halted: false,
             b,
-            drift: drift
-                .enabled
-                .then(|| cost.class_costs())
-                .flatten()
-                .map(|base| (DriftDetector::new(drift, base.expected_us(b)), base)),
+            drift: match cost {
+                CostModel::Calibrated(base) if drift.enabled => {
+                    Some((DriftDetector::new(drift, base.expected_us(b)), base))
+                }
+                _ => None,
+            },
             drift_panel: 0,
             lane,
             tally: Tally {
@@ -412,7 +413,10 @@ impl DagRun {
         self.tally.tasks_per_worker[w] += 1;
         let kind = graph.task(t);
         if let Some((detector, base)) = self.drift.as_mut() {
-            detector.record(class_slot(kind.class()), done.compute.as_secs_f64() * 1e6);
+            detector.record(
+                KernelClass::of(kind).slot(),
+                done.compute.as_secs_f64() * 1e6,
+            );
             // Panel boundary: the first committed task of a later panel
             // closes the previous panel's window.
             if kind.panel() > self.drift_panel {

@@ -59,8 +59,8 @@ pub mod service;
 
 pub use error::RuntimeError;
 pub use pool::{
-    parallel_factor, parallel_factor_ft, parallel_factor_ordered, parallel_factor_traced,
-    PoolConfig, RunReport,
+    model_weight, parallel_factor, parallel_factor_ft, parallel_factor_ordered,
+    parallel_factor_traced, PoolConfig, RunReport,
 };
 pub use recovery::{FaultInjector, FaultTolerance, InjectedFault, NoFaults, ScriptedFaults};
 pub use scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};

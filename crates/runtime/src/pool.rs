@@ -172,24 +172,12 @@ impl RunReport {
     }
 }
 
-/// Per-kernel flop counts as scheduling weights, so the bottom levels
-/// reflect real work, not just DAG depth.
-pub(crate) fn flop_weight(b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
-    move |t| match t {
-        TaskKind::Geqrt { .. } => flops::geqrt_flops(b) as f64,
-        TaskKind::Unmqr { .. } => flops::unmqr_flops(b) as f64,
-        TaskKind::Tsqrt { .. } => flops::tsqrt_flops(b) as f64,
-        TaskKind::Tsmqr { .. } => flops::tsmqr_flops(b) as f64,
-        TaskKind::Ttqrt { .. } => flops::ttqrt_flops(b) as f64,
-        TaskKind::Ttmqr { .. } => flops::ttmqr_flops(b) as f64,
-    }
-}
-
-/// Task weight under the run's [`CostModel`]: flops (the seed behaviour)
-/// or calibrated microseconds at tile size `b`.
-pub(crate) fn model_weight(cost: CostModel, b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
+/// Task weight under the run's [`CostModel`] at tile size `b`: kernel
+/// flop counts (the seed behaviour — bottom levels reflect real work, not
+/// just DAG depth) or calibrated microseconds.
+pub fn model_weight(cost: CostModel, b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
     move |t| match cost {
-        CostModel::Flops => flop_weight(b)(t),
+        CostModel::Flops => flops::task_flops(t, b) as f64,
         CostModel::Calibrated(c) => c.cost_us(t, b),
     }
 }

@@ -75,7 +75,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{
-    class_slot, CostModel, EliminationOrder, EliminationTree, TaskGraph, TaskId, TaskKind,
+    CostModel, EliminationOrder, EliminationTree, KernelClass, TaskGraph, TaskId, TaskKind,
     TreePolicy,
 };
 use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, SharedFactorState};
@@ -1523,7 +1523,7 @@ impl<T: Scalar> Manager<T> {
                     .run
                     .on_done(&job.graph, shared, at, worker, expected, done)
                 {
-                    let slot = class_slot(kind.class());
+                    let slot = KernelClass::of(kind).slot();
                     job.class_compute_us[slot] += compute_ns as f64 / 1e3;
                     job.class_tasks[slot] += 1;
                     if job.run.all_done() {

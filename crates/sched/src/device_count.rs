@@ -7,7 +7,8 @@
 //! always give the best performance for some sizes of matrices" (§III-C).
 
 use crate::distribution::{Distribution, DistributionStrategy};
-use tileqr_sim::{DeviceId, KernelClass, Platform};
+use tileqr_dag::KernelClass;
+use tileqr_sim::{DeviceId, Platform};
 
 /// Prediction for one candidate device count.
 #[derive(Debug, Clone, PartialEq)]

@@ -25,7 +25,8 @@
 use crate::plan::{HeteroPlan, MainDevicePolicy};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use tileqr_sim::{KernelClass, Platform, SimStats};
+use tileqr_dag::KernelClass;
+use tileqr_sim::{Platform, SimStats};
 
 /// Total-ordering wrapper so `f64` times can live in a heap.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -35,8 +35,8 @@ pub struct MainSelection {
 fn te_chain_us(platform: &Platform, dev: DeviceId, mt: usize) -> f64 {
     let b = platform.config().tile_size;
     let d = platform.device(dev);
-    let t = d.kernel_time_us(tileqr_sim::KernelClass::Triangulation, b);
-    let e = d.kernel_time_us(tileqr_sim::KernelClass::Elimination, b);
+    let t = d.kernel_time_us(tileqr_dag::KernelClass::Triangulation, b);
+    let e = d.kernel_time_us(tileqr_dag::KernelClass::Elimination, b);
     t + (mt.saturating_sub(1)) as f64 * e
 }
 

@@ -193,10 +193,11 @@ pub fn tree_selector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tileqr_sim::{DeviceKind, KernelTiming, StepTimes};
+    use tileqr_dag::{ClassCosts, CostCurve};
+    use tileqr_sim::DeviceKind;
 
     fn profile(cores: usize) -> DeviceProfile {
-        let t = |c0: f64, c3: f64| KernelTiming {
+        let t = |c0: f64, c3: f64| CostCurve {
             c0,
             c1: 0.0,
             c2: c3,
@@ -205,7 +206,7 @@ mod tests {
             name: format!("synthetic-{cores}c"),
             kind: DeviceKind::Cpu,
             cores,
-            times: StepTimes {
+            times: ClassCosts {
                 triangulation: t(2.0, 0.004),
                 elimination: t(2.0, 0.004),
                 update: t(2.0, 0.006),

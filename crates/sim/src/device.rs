@@ -1,6 +1,6 @@
 //! Simulated compute devices.
 
-use crate::timing::{KernelClass, StepTimes};
+use tileqr_dag::{ClassCosts, KernelClass};
 
 /// Index of a device within a [`crate::Platform`].
 pub type DeviceId = usize;
@@ -39,7 +39,7 @@ pub struct DeviceProfile {
     /// Number of parallel cores (paper: 4 / 512 / 1536).
     pub cores: usize,
     /// Per-kernel timing curves.
-    pub times: StepTimes,
+    pub times: ClassCosts,
 }
 
 impl DeviceProfile {
@@ -54,7 +54,7 @@ impl DeviceProfile {
 
     /// Latency of one `class` kernel at tile size `b`, microseconds.
     pub fn kernel_time_us(&self, class: KernelClass, b: usize) -> f64 {
-        self.times.time_us(class, b)
+        self.times.curve(class).eval_us(b)
     }
 
     /// Update throughput in tiles per microsecond at tile size `b`
@@ -73,25 +73,12 @@ impl DeviceProfile {
     /// for a whole run.
     pub fn slowed(&self, factor: f64) -> DeviceProfile {
         assert!(factor >= 1.0, "degradation must not speed the device up");
-        let scale = |t: &StepTimes| StepTimes {
-            triangulation: scale_timing(t.triangulation, factor),
-            elimination: scale_timing(t.elimination, factor),
-            update: scale_timing(t.update, factor),
-        };
         DeviceProfile {
             name: format!("{}-slow{factor}", self.name),
             kind: self.kind,
             cores: self.cores,
-            times: scale(&self.times),
+            times: self.times.scaled([factor; 3]),
         }
-    }
-}
-
-fn scale_timing(t: crate::timing::KernelTiming, factor: f64) -> crate::timing::KernelTiming {
-    crate::timing::KernelTiming {
-        c0: t.c0 * factor,
-        c1: t.c1 * factor,
-        c2: t.c2 * factor,
     }
 }
 
@@ -137,11 +124,7 @@ mod tests {
     fn cpu_is_slowest_everywhere() {
         let cpu = profiles::cpu_i7_3820();
         for dev in [profiles::gtx580(), profiles::gtx680()] {
-            for class in [
-                KernelClass::Triangulation,
-                KernelClass::Elimination,
-                KernelClass::Update,
-            ] {
+            for class in KernelClass::ALL {
                 assert!(cpu.kernel_time_us(class, 16) > dev.kernel_time_us(class, 16));
             }
             assert!(cpu.update_throughput(16) < dev.update_throughput(16));

@@ -29,7 +29,6 @@ mod link;
 mod platform;
 pub mod profiles;
 pub mod stats;
-mod timing;
 pub mod trace;
 
 pub use device::{DeviceId, DeviceKind, DeviceProfile, GPU_OVERSUBSCRIPTION};
@@ -37,5 +36,4 @@ pub use fault::{DeviceDeath, DeviceFault, FaultPlan, KernelFault, LinkFault};
 pub use link::Link;
 pub use platform::{Platform, SimConfig};
 pub use stats::SimStats;
-pub use timing::{KernelClass, KernelTiming, StepTimes};
 pub use trace::{TaskSpan, Timeline, TransferSpan};

@@ -2,8 +2,7 @@
 
 use crate::device::{DeviceId, DeviceProfile};
 use crate::link::Link;
-use crate::timing::KernelClass;
-use tileqr_dag::TaskKind;
+use tileqr_dag::{KernelClass, TaskKind};
 
 /// Simulation-wide constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

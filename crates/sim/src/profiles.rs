@@ -25,7 +25,7 @@
 use crate::device::{DeviceKind, DeviceProfile};
 use crate::link::Link;
 use crate::platform::{Platform, SimConfig};
-use crate::timing::{KernelTiming, StepTimes};
+use tileqr_dag::{ClassCosts, CostCurve};
 
 /// NVIDIA GTX580: 512 cores, fastest per-kernel times (Fig. 4a).
 pub fn gtx580() -> DeviceProfile {
@@ -33,18 +33,18 @@ pub fn gtx580() -> DeviceProfile {
         name: "GTX580".to_string(),
         kind: DeviceKind::Gpu,
         cores: 512,
-        times: StepTimes {
-            triangulation: KernelTiming {
+        times: ClassCosts {
+            triangulation: CostCurve {
                 c0: 20.0,
                 c1: 0.020,
                 c2: 0.0190,
             },
-            elimination: KernelTiming {
+            elimination: CostCurve {
                 c0: 18.0,
                 c1: 0.015,
                 c2: 0.0145,
             },
-            update: KernelTiming {
+            update: CostCurve {
                 c0: 12.0,
                 c1: 0.005,
                 c2: 0.0037,
@@ -60,18 +60,18 @@ pub fn gtx680() -> DeviceProfile {
         name: "GTX680".to_string(),
         kind: DeviceKind::Gpu,
         cores: 1536,
-        times: StepTimes {
-            triangulation: KernelTiming {
+        times: ClassCosts {
+            triangulation: CostCurve {
                 c0: 25.0,
                 c1: 0.030,
                 c2: 0.0285,
             },
-            elimination: KernelTiming {
+            elimination: CostCurve {
                 c0: 22.0,
                 c1: 0.020,
                 c2: 0.0213,
             },
-            update: KernelTiming {
+            update: CostCurve {
                 c0: 14.0,
                 c1: 0.007,
                 c2: 0.0046,
@@ -86,18 +86,18 @@ pub fn cpu_i7_3820() -> DeviceProfile {
         name: "CPU-i7-3820".to_string(),
         kind: DeviceKind::Cpu,
         cores: 4,
-        times: StepTimes {
-            triangulation: KernelTiming {
+        times: ClassCosts {
+            triangulation: CostCurve {
                 c0: 30.0,
                 c1: 0.100,
                 c2: 0.1200,
             },
-            elimination: KernelTiming {
+            elimination: CostCurve {
                 c0: 28.0,
                 c1: 0.080,
                 c2: 0.0980,
             },
-            update: KernelTiming {
+            update: CostCurve {
                 c0: 15.0,
                 c1: 0.030,
                 c2: 0.0300,
@@ -118,18 +118,18 @@ pub fn xeon_phi() -> DeviceProfile {
         name: "XeonPhi-5110P".to_string(),
         kind: DeviceKind::Cpu,
         cores: 244,
-        times: StepTimes {
-            triangulation: KernelTiming {
+        times: ClassCosts {
+            triangulation: CostCurve {
                 c0: 35.0,
                 c1: 0.060,
                 c2: 0.0600,
             },
-            elimination: KernelTiming {
+            elimination: CostCurve {
                 c0: 32.0,
                 c1: 0.050,
                 c2: 0.0500,
             },
-            update: KernelTiming {
+            update: CostCurve {
                 c0: 16.0,
                 c1: 0.015,
                 c2: 0.0150,
@@ -174,7 +174,7 @@ pub fn testbed_subset(n_gpus: usize, with_cpu: bool, tile_size: usize) -> Platfo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::KernelClass;
+    use tileqr_dag::KernelClass;
 
     #[test]
     fn fig4_anchor_points() {

@@ -13,6 +13,7 @@
 
 use tileqr_dag::{EliminationOrder, EliminationTree, TaskGraph, TaskId, TaskKind};
 use tileqr_kernels::exec::{FactorState, SharedFactorState};
+use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Result, Rng64, TiledMatrix};
 use tileqr_runtime::SchedulePolicy;
 
@@ -96,6 +97,7 @@ pub fn explore(
 ) -> Result<Exploration> {
     let cap = strategy.workers_cap(workers);
     let priorities = tileqr_dag::critical_path::bottom_levels(graph, flop_weight);
+    let mut ws = Workspace::new(tiles.tile_size(), tiles.tile_size());
     let shared = SharedFactorState::new(FactorState::new(tiles));
 
     let mut indegree: Vec<usize> = graph.indegrees();
@@ -129,7 +131,7 @@ pub fn explore(
             _ => 0,
         };
         let (task, staged) = in_flight.remove(done_idx);
-        shared.commit(staged.compute()?);
+        shared.commit(staged.compute_with(&mut ws)?);
         completion_order.push(task);
         for &s in graph.succs(task) {
             indegree[s] -= 1;

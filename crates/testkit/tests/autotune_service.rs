@@ -15,10 +15,11 @@ use std::path::PathBuf;
 use tileqr::dag::TreePolicy;
 use tileqr::runtime::{SchedulePolicy, ServiceConfig};
 use tileqr::{JobPlan, QrOptions, TiledQr, TunedQrService, TunerConfig};
+use tileqr_dag::{ClassCosts, CostCurve};
 use tileqr_matrix::gen::random_matrix;
 use tileqr_obs::ProfileStore;
 use tileqr_sched::select::select_plan;
-use tileqr_sim::{DeviceKind, DeviceProfile, KernelTiming, StepTimes};
+use tileqr_sim::{DeviceKind, DeviceProfile};
 
 /// A unique scratch path per test (the suites run in one process; the
 /// names must not collide).
@@ -30,12 +31,12 @@ fn scratch_path(tag: &str) -> PathBuf {
 }
 
 fn synthetic_profile(cores: usize) -> DeviceProfile {
-    let t = |c0: f64, c2: f64| KernelTiming { c0, c1: 0.0, c2 };
+    let t = |c0: f64, c2: f64| CostCurve { c0, c1: 0.0, c2 };
     DeviceProfile {
         name: format!("synthetic-{cores}c"),
         kind: DeviceKind::Cpu,
         cores,
-        times: StepTimes {
+        times: ClassCosts {
             triangulation: t(2.0, 0.004),
             elimination: t(2.0, 0.004),
             update: t(2.0, 0.006),
@@ -183,4 +184,32 @@ fn shape_classes_tune_independently() {
     let stats = svc.shutdown();
     assert_eq!(stats.probe_jobs, 6);
     assert_eq!(stats.tuned_jobs, 2);
+}
+
+/// A hostile profile file — a megabyte of open brackets — is an `Err`
+/// from both JSON entry points, never a stack overflow, and a service
+/// pointed at it starts and plans exactly as if no file existed.
+#[test]
+fn deeply_nested_document_is_an_error_not_an_abort() {
+    let a = random_matrix::<f64>(48, 48, 41);
+    let tiles = [4usize, 8, 16];
+    for (tag, unit) in [("arrays", "["), ("objects", "{\"a\":")] {
+        let doc = unit.repeat(1_000_000);
+        assert!(ProfileStore::from_json(&doc).is_err(), "{tag}");
+        assert!(tileqr_obs::chrome::validate(&doc).is_err(), "{tag}");
+
+        let path = scratch_path(tag);
+        std::fs::write(&path, &doc).unwrap();
+        let hostile: TunedQrService<f64> =
+            TunedQrService::start_with(service_config(), tuner(&tiles, Some(path.clone())));
+        let no_file: TunedQrService<f64> =
+            TunedQrService::start_with(service_config(), tuner(&tiles, None));
+        assert!(hostile.profile_for(48, 48).is_none(), "{tag}");
+        assert_eq!(hostile.plan_for(48, 48), no_file.plan_for(48, 48), "{tag}");
+        let (_, _, plan) = hostile.factor(&a).unwrap();
+        assert_eq!(plan, JobPlan::Probe { tile_size: 4 }, "{tag}");
+        assert_eq!(hostile.shutdown().probe_jobs, 1, "{tag}");
+        no_file.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
 }

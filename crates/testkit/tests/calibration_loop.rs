@@ -20,9 +20,8 @@ use tileqr::dag::{
     bottom_levels, list_makespan, ClassCosts, CostCurve, CostModel, EliminationOrder,
     EliminationTree, ListOrder, TaskGraph, TaskKind, TreePolicy,
 };
-use tileqr::runtime::DriftConfig;
+use tileqr::runtime::{model_weight, DriftConfig};
 use tileqr::{QrOptions, TiledQr};
-use tileqr_kernels::flops;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::Matrix;
 use tileqr_obs::DriftDetector;
@@ -205,17 +204,6 @@ fn detector_damps_isolated_spike() {
 
 // ---- Simulator goldens: measured beats (or ties) flops. ----
 
-fn flop_weight(b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
-    move |t| match t {
-        TaskKind::Geqrt { .. } => flops::geqrt_flops(b) as f64,
-        TaskKind::Unmqr { .. } => flops::unmqr_flops(b) as f64,
-        TaskKind::Tsqrt { .. } => flops::tsqrt_flops(b) as f64,
-        TaskKind::Tsmqr { .. } => flops::tsmqr_flops(b) as f64,
-        TaskKind::Ttqrt { .. } => flops::ttqrt_flops(b) as f64,
-        TaskKind::Ttmqr { .. } => flops::ttmqr_flops(b) as f64,
-    }
-}
-
 /// On the reference grids at 4 and 16 simulated cores, critical path
 /// ranked by measured microseconds is never worse than FIFO and never
 /// worse than critical path ranked by flops — the whole point of
@@ -227,7 +215,7 @@ fn measured_priorities_golden_on_reference_grids() {
     let dur = |k: TaskKind| costs.cost_us(k, b);
     for (mt, nt) in [(8usize, 8usize), (32, 2)] {
         let graph = TaskGraph::build(mt, nt, EliminationOrder::FlatTs);
-        let flop_pri = bottom_levels(&graph, flop_weight(b));
+        let flop_pri = bottom_levels(&graph, model_weight(CostModel::Flops, b));
         let cal_pri = bottom_levels(&graph, dur);
         for workers in [4usize, 16] {
             let fifo = list_makespan(&graph, workers, ListOrder::Fifo, dur);
@@ -251,7 +239,7 @@ fn measured_priorities_golden_on_reference_grids() {
     let fifo = list_makespan(&graph, 4, ListOrder::Fifo, dur4);
     let cal_pri = bottom_levels(&graph, dur4);
     let cp_measured = list_makespan(&graph, 4, ListOrder::Priority(&cal_pri), dur4);
-    let flop_pri = bottom_levels(&graph, flop_weight(b));
+    let flop_pri = bottom_levels(&graph, model_weight(CostModel::Flops, b));
     let cp_flops = list_makespan(&graph, 4, ListOrder::Priority(&flop_pri), dur4);
     assert!(
         cp_measured < cp_flops && cp_flops < fifo,

@@ -122,7 +122,7 @@ impl<'g> Machine<'g> {
                 None,
             ),
             slots: Slots::new(WORKERS),
-            ws: Workspace::minimal(),
+            ws: Workspace::new(B, B),
             ft: FaultTolerance {
                 max_attempts: budget,
                 ..FaultTolerance::default()

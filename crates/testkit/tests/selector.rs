@@ -8,24 +8,21 @@
 //! deterministically, across tall-skinny, square, and wide tile grids.
 
 use tileqr::prelude::*;
-use tileqr_dag::{EliminationTree, TaskGraph, TreePolicy};
+use tileqr_dag::{ClassCosts, CostCurve, EliminationTree, KernelClass, TaskGraph, TreePolicy};
 use tileqr_matrix::gen::random_matrix;
 use tileqr_obs::calibrate::{fit_step_times, fitted_profile, KernelSample};
 use tileqr_sched::select::{
     candidate_trees, choose_tree, predict_makespan_us, select_tree, tree_selector,
 };
-use tileqr_sim::{
-    engine, DeviceKind, DeviceProfile, KernelClass, KernelTiming, Link, Platform, SimConfig,
-    StepTimes,
-};
+use tileqr_sim::{engine, DeviceKind, DeviceProfile, Link, Platform, SimConfig};
 
 fn synthetic_profile(cores: usize) -> DeviceProfile {
-    let t = |c0: f64, c2: f64| KernelTiming { c0, c1: 0.0, c2 };
+    let t = |c0: f64, c2: f64| CostCurve { c0, c1: 0.0, c2 };
     DeviceProfile {
         name: format!("golden-{cores}c"),
         kind: DeviceKind::Cpu,
         cores,
-        times: StepTimes {
+        times: ClassCosts {
             triangulation: t(2.0, 0.004),
             elimination: t(2.0, 0.004),
             update: t(2.0, 0.006),
@@ -164,11 +161,7 @@ fn calibrated_pipeline_feeds_the_service_selector() {
     // samples are synthetic but follow a c0 + c2*b^3 law, so the fit is
     // exact and the resulting profile deterministic.
     let mut samples = Vec::new();
-    for class in [
-        KernelClass::Triangulation,
-        KernelClass::Elimination,
-        KernelClass::Update,
-    ] {
+    for class in KernelClass::ALL {
         for b in [8usize, 16, 32] {
             let b3 = (b as f64).powi(3);
             samples.push(KernelSample {

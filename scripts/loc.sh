@@ -1,15 +1,21 @@
 #!/usr/bin/env bash
 # Non-test Rust line counts of the layers ROADMAP aim 2 tracks, plus the
-# gates that keep `crates/runtime` at one execution engine:
+# gates that keep each decision written down once:
 #
-#   * `crates/runtime` must stay within the budget in scripts/loc_budget;
-#   * each engine marker (a call or construction that the pool and the
-#     service each used to spell out themselves) may occur at most once
-#     in non-test runtime code;
-#   * the pool's workers schedule themselves under one lock: no `mpsc`
-#     (no manager round trip per task) in non-test `pool.rs`.
+#   * every layer listed in scripts/loc_budget must stay within its budget;
+#   * one execution engine: each engine marker (a call or construction that
+#     the pool and the service each used to spell out themselves) may occur
+#     at most once in non-test runtime code, and the pool's workers schedule
+#     themselves under one lock: no `mpsc` (no manager round trip per task)
+#     in non-test `pool.rs`;
+#   * one cost vocabulary: `dag::cost` defines the Fig. 4 curve, table and
+#     class; no second definition and no bridge function anywhere else;
+#   * one JSON reader and one string escaper in `crates/obs`;
+#   * one entry point per kernel: only the `*_ws` functions are public.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
+# `crates/bench/src/legacy_kernels.rs` (the frozen seed kernels) is exempt
+# from the mirror gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,25 +24,42 @@ non_test() {
     awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$1"
 }
 
-count() {
-    local total=0 f
+# Non-test part of every src/*.rs under the given directories.
+non_test_all() {
+    local f
     for f in $(find "$@" -path '*/src/*' -name '*.rs' | sort); do
-        total=$((total + $(non_test "$f" | wc -l)))
+        [ "$f" = crates/bench/src/legacy_kernels.rs ] || non_test "$f"
     done
-    echo "$total"
 }
 
-runtime=$(count crates/runtime)
-echo "crates/runtime            $runtime"
-echo "crates/sched + crates/sim $(count crates/sched crates/sim)"
-echo "crates/kernels            $(count crates/kernels)"
+count() {
+    non_test_all "$@" | wc -l
+}
 
 status=0
-budget=$(grep -v '^#' scripts/loc_budget | tr -d '[:space:]')
-if [ "$runtime" -gt "$budget" ]; then
-    echo "FAIL: crates/runtime has $runtime non-test lines, budget is $budget" >&2
+fail() {
+    echo "FAIL: $1" >&2
+    [ -z "${2:-}" ] || echo "$2" >&2
     status=1
-fi
+}
+
+# `layer budget` lines; `a+b` sums the two directories.
+while read -r layer budget; do
+    n=$(count ${layer//+/ })
+    printf '%-26s %6d  (budget %d)\n' "$layer" "$n" "$budget"
+    [ "$n" -le "$budget" ] || fail "$layer has $n non-test lines, budget is $budget"
+done < <(grep -v '^#' scripts/loc_budget)
+printf '%-26s %6d\n' crates/dag "$(count crates/dag)"
+
+# `where` (directories) must hold exactly `want` non-test lines matching
+# the extended regex `pattern`.
+expect() {
+    local want=$1 pattern=$2 what=$3 hits n
+    shift 3
+    hits=$(non_test_all "$@" | grep -E "$pattern" || true)
+    n=$(printf '%s' "$hits" | grep -c . || true)
+    [ "$n" -eq "$want" ] || fail "$what: found $n, want $want" "$hits"
+}
 
 # error.rs declares and prints `RetriesExhausted`; everything else in the
 # crate may only *construct* it, once.
@@ -46,16 +69,19 @@ for marker in "${markers[@]}"; do
         [ "$(basename "$f")" = error.rs ] || non_test "$f"
     done | grep -E "$marker" || true)
     n=$(printf '%s' "$hits" | grep -c . || true)
-    if [ "$n" -gt 1 ]; then
-        echo "FAIL: engine marker /$marker/ occurs $n times in non-test runtime code:" >&2
-        echo "$hits" >&2
-        status=1
-    fi
+    [ "$n" -le 1 ] || fail "engine marker /$marker/ occurs $n times in non-test runtime code:" "$hits"
 done
 
 if hits=$(non_test crates/runtime/src/pool.rs | grep mpsc); then
-    echo "FAIL: mpsc in non-test pool.rs (workers must self-schedule, not be fed over channels):" >&2
-    echo "$hits" >&2
-    status=1
+    fail "mpsc in non-test pool.rs (workers must self-schedule, not be fed over channels):" "$hits"
 fi
+
+expect 0 'struct (KernelTiming|StepTimes)|fn (class_costs|step_times_of|class_slot)\b' \
+    "mirror of the dag::cost vocabulary" crates
+expect 1 'enum KernelClass\b' "definitions of KernelClass" crates
+expect 1 'fn (parse_)?value\(' "JSON value parsers in crates/obs" crates/obs
+expect 1 'fn skip_ws\b' "JSON whitespace skippers in crates/obs" crates/obs
+expect 1 "'\\\\n' => .*push_str" "JSON string escapers in crates/obs" crates/obs
+expect 0 'pub fn (geqrt|geqrt_apply|geqrt_ib|geqrt_ib_apply|unmqr|tsqrt|tsmqr|tsmqr_apply|ttqrt|ttmqr|ttmqr_apply)<' \
+    "allocating (non-_ws) kernel entry points" crates/kernels
 exit $status

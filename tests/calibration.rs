@@ -5,7 +5,7 @@
 //! makespan.
 
 use tileqr::dag::{EliminationOrder, TaskGraph};
-use tileqr::hetero::{engine, profiles, DeviceKind, Link, Platform, SimConfig, StepTimes};
+use tileqr::hetero::{engine, profiles, ClassCosts, DeviceKind, Link, Platform, SimConfig};
 use tileqr::obs::{
     fit_step_times, fitted_profile, profile_error, samples_from_trace, sim_vs_real, KernelSample,
     Trace,
@@ -164,6 +164,6 @@ fn sim_vs_real_reports_on_a_real_pool_run() {
 
 #[test]
 fn profile_error_is_zero_against_itself() {
-    let truth: StepTimes = profiles::gtx580().times;
+    let truth: ClassCosts = profiles::gtx580().times;
     assert_eq!(profile_error(&truth, &truth, &TILE_SIZES), [0.0, 0.0, 0.0]);
 }
