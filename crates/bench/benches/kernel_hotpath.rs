@@ -533,7 +533,6 @@ fn main() {
     let _ = writeln!(json, "  \"host\": {{");
     let _ = writeln!(json, "    \"cores\": {cores},");
     let _ = writeln!(json, "    \"arch\": \"{}\",", std::env::consts::ARCH);
-    let _ = writeln!(json, "    \"simd_feature\": {},", cfg!(feature = "simd"));
     let _ = writeln!(json, "    \"backend\": \"{backend}\"");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"kernels\": [");

@@ -30,10 +30,9 @@
 //! ([`validate`]).
 
 // `deny` instead of `forbid`: the kernels are safe code except for the
-// narrowly scoped, documented allows inside `micro/autovec.rs` (AVX2
-// multiversioning of the safe scalar backend) and `micro/simd.rs`
-// (AVX2+FMA intrinsics behind the `simd` cargo feature). Everything else
-// in the crate still refuses `unsafe` at compile time.
+// narrowly scoped, documented allows inside `micro/simd.rs` (the AVX2+FMA
+// intrinsics core x86-64 hosts select by runtime detection). Everything
+// else in the crate still refuses `unsafe` at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -12,12 +12,12 @@
 //! The accumulation order is fixed by this file alone: lane `i % LANES`
 //! takes element `i`, tails land in lane 0, and lanes reduce as
 //! `(a0+a1)+(a2+a3)`. That order is what the determinism contract of
-//! [`crate::micro`] promises for the default backend.
+//! [`crate::micro`] promises for the `Blocked` backend on every host.
 
 use super::{Core, LANES};
 use tileqr_matrix::Scalar;
 
-/// The default backend: safe, autovectorization-friendly scalar blocks.
+/// The portable core: safe, autovectorization-friendly scalar blocks.
 pub(crate) struct ScalarCore;
 
 impl<T: Scalar> Core<T> for ScalarCore {

@@ -22,33 +22,35 @@
 //!   (`b ≤ 64`) fit in a single strip, so the strip loop only engages on
 //!   the tall panels of `geqrt_ib_apply` and dense right-hand sides.
 //!
-//! Two backends sit behind one dispatch point:
+//! Two register cores sit behind one dispatch point, and the host — not a
+//! build option — picks between them:
 //!
-//! * `block` — safe scalar-blocked code, the default everywhere. On
-//!   x86-64 hosts with AVX2 the same skeletons run through an
-//!   `#[target_feature(enable = "avx2")]` monomorphization (`autovec`)
-//!   picked by runtime detection — bit-identical results, just compiled
-//!   at 4-wide vector width instead of the baseline SSE2.
-//! * `simd` (cargo feature `simd`, x86-64 only) — `core::arch` AVX2+FMA
-//!   intrinsics with runtime feature detection, `f64` only.
+//! * `block` — safe scalar-blocked code: the portable path (every
+//!   non-x86-64 host, every `f32` panel, x86-64 without AVX2+FMA) and the
+//!   host-independent reference the agreement tests compare against.
+//! * `simd` (x86-64 only) — `core::arch` AVX2+FMA intrinsics, `f64` only,
+//!   selected by `is_x86_feature_detected!` for primitives that touch at
+//!   least [`VECTOR_MIN_WORK`] elements.
 //!
-//! `autovec.rs` and `simd.rs` are the only places in the crate that use
-//! `unsafe` (see the crate-level `#![deny(unsafe_code)]` and the scoped,
-//! documented allows in those two files).
+//! `simd.rs` is the only place in the crate that uses `unsafe` (see the
+//! crate-level `#![deny(unsafe_code)]` and the scoped, documented allows
+//! in that file).
 //!
-//! **Determinism contract**: for a fixed backend, every primitive
-//! performs a fixed sequence of operations determined solely by the
-//! argument shapes — results are bit-reproducible run to run and across
+//! **Determinism contract**: on a fixed host, every primitive performs a
+//! fixed sequence of operations determined solely by the argument shapes
+//! and element type — results are bit-reproducible run to run and across
 //! sequential/parallel executors (which is what the testkit bit-identity
 //! sweeps assert). That contract is over *shapes*, not over one global
 //! loop order: below [`NAIVE_MAX_WORK`] touched elements a primitive runs
 //! a plain sequential per-column loop (the blocked machinery costs more
-//! than it saves there), and at or above it the lane-blocked order with
-//! the fixed `(a0+a1)+(a2+a3)` reduction tree applies. Both tiers are
-//! chosen by shape alone, never by data or host. The two backends differ
-//! from each other by rounding only (FMA contracts `a·b+c` to one
-//! rounding; the scalar backend keeps two), so cross-backend agreement is
-//! held to the condition-scaled oracle budgets instead of bit equality.
+//! than it saves there), from there to [`VECTOR_MIN_WORK`] the
+//! lane-blocked scalar order with the fixed `(a0+a1)+(a2+a3)` reduction
+//! tree, and above it the detected core. The tier is chosen by shape and
+//! host, never by data. The two cores differ from each other by rounding
+//! only (FMA contracts `a·b+c` to one rounding; the scalar core keeps
+//! two), so `f64` results on an AVX2+FMA host differ from those of any
+//! other host by that rounding, and cross-backend agreement is held to the
+//! condition-scaled oracle budgets instead of bit equality.
 //!
 //! All primitives take column-major panels as a base slice plus a column
 //! stride `ld` (column `j` starts at `ys[j * ld]`), which lets kernels
@@ -56,12 +58,11 @@
 //! are already contiguous and L1-resident, so a pack pass is pure
 //! overhead (it is what caused the seed's `ttmqr b=8` regression).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use tileqr_matrix::Scalar;
 
-#[cfg(target_arch = "x86_64")]
-mod autovec;
 mod block;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod simd;
 
 /// Columns fused per pass (the BLIS-style `axpyf`/`dotf` fuse factor).
@@ -73,21 +74,24 @@ pub const LANES: usize = 4;
 /// of `KC` f64s ≈ 20 KiB, sized to stay resident in a 32 KiB L1d.
 pub const KC: usize = 512;
 
-/// Which microkernel backend is executing.
+/// Which register core `f64` primitives run on above [`VECTOR_MIN_WORK`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Safe scalar register-blocked code (autovectorized by LLVM).
+    /// Safe scalar register-blocked code: the portable path and the
+    /// host-independent reference.
     Blocked,
-    /// AVX2+FMA intrinsics (`simd` cargo feature, x86-64, `f64` panels).
+    /// AVX2+FMA intrinsics (x86-64 hosts that report both, `f64` panels).
     Simd,
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-static FORCE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
+/// Set while [`force_backend`] pins [`Backend::Blocked`].
+static PIN_BLOCKED: AtomicBool = AtomicBool::new(false);
 
-/// Backend that `f64` primitives will use for the next calls.
+/// Backend that `f64` primitives will use for the next calls:
+/// [`Backend::Simd`] iff this is an x86-64 host reporting AVX2 and FMA and
+/// [`force_backend`] has not pinned [`Backend::Blocked`].
 pub fn active_backend() -> Backend {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd::enabled::<f64>() {
         return Backend::Simd;
     }
@@ -96,28 +100,12 @@ pub fn active_backend() -> Backend {
 
 /// Test hook: pin the backend (`None` restores runtime detection).
 ///
-/// Forcing [`Backend::Simd`] is a no-op unless the `simd` feature is
-/// compiled in *and* the host supports AVX2+FMA; forcing
-/// [`Backend::Blocked`] always works. Used by the backend-agreement
-/// tests; not part of the stable API.
+/// Forcing [`Backend::Blocked`] always works; forcing [`Backend::Simd`]
+/// cannot conjure a core the host lacks, so it reads as `None`. Used by
+/// the backend-agreement tests; not part of the stable API.
 #[doc(hidden)]
 pub fn force_backend(backend: Option<Backend>) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        let v = match backend {
-            None => 0,
-            Some(Backend::Blocked) => 1,
-            Some(Backend::Simd) => 2,
-        };
-        FORCE.store(v, std::sync::atomic::Ordering::Relaxed);
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    let _ = backend;
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub(crate) fn forced() -> u8 {
-    FORCE.load(std::sync::atomic::Ordering::Relaxed)
+    PIN_BLOCKED.store(backend == Some(Backend::Blocked), Ordering::Relaxed);
 }
 
 /// The register-level core a backend must provide. Slice lengths are
@@ -501,8 +489,8 @@ fn larf_head_impl<T: Scalar, C: Core<T>>(vk: &[T], tau: T, cols: &mut [T], ld: u
 
 // ---------------------------------------------------------------------------
 // Public primitives: one dispatch point per shape. The simd path engages
-// only for `f64` with the `simd` feature compiled in and AVX2+FMA present
-// at runtime; everything else takes the safe scalar-blocked backend.
+// only for `f64` on an x86-64 host with AVX2+FMA present at runtime;
+// everything else takes the safe scalar-blocked core.
 // ---------------------------------------------------------------------------
 
 /// Below this many touched elements a primitive runs a plain sequential
@@ -517,13 +505,11 @@ fn larf_head_impl<T: Scalar, C: Core<T>>(vk: &[T], tau: T, cols: &mut [T], ld: u
 const NAIVE_MAX_WORK: usize = 128;
 
 /// Minimum number of touched elements before a primitive is worth routing
-/// through the runtime-detected vector paths. `#[target_feature]` functions
+/// through the runtime-detected vector core. `#[target_feature]` functions
 /// cannot inline into their SSE2 callers, so each vector-path call pays a
 /// real function-call + slice-cast toll; below this much work the fully
-/// inlined scalar block path wins. The cutoff only picks between
-/// bit-identical implementations of the `Blocked` backend (and trims the
-/// `Simd` backend's small-shape overhead the same way), so it affects
-/// speed, never results.
+/// inlined scalar block path wins. Like [`NAIVE_MAX_WORK`] it is a
+/// function of shape alone, so which core a call rounds with is too.
 const VECTOR_MIN_WORK: usize = 512;
 
 /// Sequential dot for the naive small-shape tier.
@@ -549,7 +535,7 @@ fn seq_axpy<T: Scalar, const SUB: bool>(a: T, c: &[T], y: &mut [T]) {
 }
 
 macro_rules! dispatch {
-    ($work:expr, $naive:expr, $simd_call:expr, $auto_call:expr, $block_call:expr) => {{
+    ($work:expr, $naive:expr, $simd_call:expr, $block_call:expr) => {{
         let work = $work;
         // Tiny shapes: run the inlined sequential loops; the blocked
         // skeleton's overhead dominates at this size.
@@ -557,20 +543,10 @@ macro_rules! dispatch {
             $naive;
             return;
         }
-        if work >= VECTOR_MIN_WORK {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if simd::enabled::<T>() {
-                $simd_call;
-                return;
-            }
-            // AVX2 compilation of the same scalar-blocked skeleton —
-            // bit-identical to the plain build (see `autovec`), so this is
-            // still the `Blocked` backend, not a third behaviour.
-            #[cfg(target_arch = "x86_64")]
-            if autovec::enabled::<T>() {
-                $auto_call;
-                return;
-            }
+        #[cfg(target_arch = "x86_64")]
+        if work >= VECTOR_MIN_WORK && simd::enabled::<T>() {
+            $simd_call;
+            return;
         }
         $block_call
     }};
@@ -585,7 +561,6 @@ pub fn dotf<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
             *o = seq_dot(x, &ys[j * ld..j * ld + x.len()]);
         },
         simd::dotf(x, ys, ld, n, out),
-        autovec::dotf(x, ys, ld, n, out),
         dotf_impl::<T, block::ScalarCore>(x, ys, ld, n, out)
     );
 }
@@ -600,7 +575,6 @@ pub fn dotf_tri<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, len0: usize, 
             *o = seq_dot(&x[..d], &ys[j * ld..j * ld + d]);
         },
         simd::dotf_tri(x, ys, ld, n, len0, out),
-        autovec::dotf_tri(x, ys, ld, n, len0, out),
         dotf_tri_impl::<T, block::ScalarCore>(x, ys, ld, n, len0, out)
     );
 }
@@ -619,7 +593,6 @@ pub fn dotf_lo<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T])
             };
         },
         simd::dotf_lo(x, ys, ld, n, out),
-        autovec::dotf_lo(x, ys, ld, n, out),
         dotf_lo_impl::<T, block::ScalarCore>(x, ys, ld, n, out)
     );
 }
@@ -633,7 +606,6 @@ pub fn axpyf_sub<T: Scalar>(alphas: &[T], ys: &[T], ld: usize, n: usize, y: &mut
             seq_axpy::<T, true>(aj, &ys[j * ld..j * ld + y.len()], y);
         },
         simd::axpyf_sub(alphas, ys, ld, n, y),
-        autovec::axpyf_sub(alphas, ys, ld, n, y),
         axpyf_impl::<T, block::ScalarCore, true>(alphas, ys, ld, n, y)
     );
 }
@@ -655,7 +627,6 @@ pub fn axpyf_tri_add<T: Scalar>(
             seq_axpy::<T, false>(aj, &ys[j * ld..j * ld + d], &mut y[..d]);
         },
         simd::axpyf_tri_add(alphas, ys, ld, n, len0, y),
-        autovec::axpyf_tri_add(alphas, ys, ld, n, len0, y),
         axpyf_tri_impl::<T, block::ScalarCore, false>(alphas, ys, ld, n, len0, y)
     );
 }
@@ -677,7 +648,6 @@ pub fn axpyf_tri_sub<T: Scalar>(
             seq_axpy::<T, true>(aj, &ys[j * ld..j * ld + d], &mut y[..d]);
         },
         simd::axpyf_tri_sub(alphas, ys, ld, n, len0, y),
-        autovec::axpyf_tri_sub(alphas, ys, ld, n, len0, y),
         axpyf_tri_impl::<T, block::ScalarCore, true>(alphas, ys, ld, n, len0, y)
     );
 }
@@ -694,7 +664,6 @@ pub fn axpyf_lo_sub<T: Scalar>(alphas: &[T], ys: &[T], ld: usize, n: usize, y: &
             }
         },
         simd::axpyf_lo_sub(alphas, ys, ld, n, y),
-        autovec::axpyf_lo_sub(alphas, ys, ld, n, y),
         axpyf_lo_impl::<T, block::ScalarCore, true>(alphas, ys, ld, n, y)
     );
 }
@@ -708,7 +677,6 @@ pub fn rank1f_sub<T: Scalar>(x: &[T], w: &[T], ys: &mut [T], ld: usize, len: usi
             seq_axpy::<T, true>(wj, &x[..len], &mut ys[j * ld..j * ld + len]);
         },
         simd::rank1f_sub(x, w, ys, ld, len, n),
-        autovec::rank1f_sub(x, w, ys, ld, len, n),
         rank1f_impl::<T, block::ScalarCore>(x, w, ys, ld, len, n)
     );
 }
@@ -727,7 +695,6 @@ pub fn larf_head<T: Scalar>(vk: &[T], tau: T, cols: &mut [T], ld: usize, n: usiz
             seq_axpy::<T, true>(w, vk, &mut c[1..]);
         },
         simd::larf_head(vk, tau, cols, ld, n),
-        autovec::larf_head(vk, tau, cols, ld, n),
         larf_head_impl::<T, block::ScalarCore>(vk, tau, cols, ld, n)
     );
 }

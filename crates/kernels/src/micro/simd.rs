@@ -1,4 +1,5 @@
-//! AVX2+FMA backend (`simd` cargo feature, x86-64, `f64` only).
+//! AVX2+FMA backend (x86-64, `f64` only): compiled on every x86-64 build,
+//! entered only on hosts where [`enabled`] detects both features.
 //!
 //! This file is the only place in the crate allowed to use `unsafe`
 //! (the crate root carries `#![deny(unsafe_code)]`; each use here is an
@@ -27,6 +28,7 @@ use super::{axpyf_impl, axpyf_lo_impl, axpyf_tri_impl, Core};
 use super::{dotf_impl, dotf_lo_impl, dotf_tri_impl, larf_head_impl, rank1f_impl};
 use core::arch::x86_64::*;
 use std::any::TypeId;
+use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 use tileqr_matrix::Scalar;
 
@@ -38,10 +40,7 @@ pub(crate) fn enabled<T: 'static>() -> bool {
     if TypeId::of::<T>() != TypeId::of::<f64>() {
         return false;
     }
-    match super::forced() {
-        1 => false,
-        _ => detect(),
-    }
+    !super::PIN_BLOCKED.load(Ordering::Relaxed) && detect()
 }
 
 fn detect() -> bool {

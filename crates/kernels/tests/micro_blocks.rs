@@ -7,20 +7,23 @@
 //! `KC` L1 strip boundary. Comparisons use summation-order-aware error
 //! bounds (any two orderings of an `L`-term sum differ by at most
 //! `O(L·ε)` times the absolute-value sum), so the same suite passes
-//! whichever backend — scalar-blocked, AVX2-autovec, or the `simd`
-//! feature's intrinsics — the dispatcher picks for a given shape.
+//! whichever core — scalar-blocked everywhere, or the AVX2+FMA intrinsics
+//! an x86-64 host with both features detects — the dispatcher picks for a
+//! given shape.
 //!
-//! The backend-agreement test pins each backend in turn through the
-//! `force_backend` hook and checks (a) bit-determinism of repeated calls
-//! within one backend and (b) cross-backend agreement within the same
-//! rounding budgets. In a default build forcing `Simd` is a no-op and the
-//! test degenerates to the (still useful) determinism check.
+//! The backend-agreement test drives all nine primitives with each backend
+//! pinned in turn through the `force_backend` hook and checks (a)
+//! bit-determinism of repeated calls within one backend, (b) cross-backend
+//! agreement within the same rounding budgets, and (c) that `f32` panels
+//! never leave the scalar core. On a host without AVX2+FMA forcing `Simd`
+//! changes nothing and (b) compares the scalar core with itself.
 
 use std::sync::Mutex;
 use tileqr_kernels::micro::{
     self, active_backend, dotf, dotf_lo, dotf_tri, force_backend, larf_head, rank1f_sub, Backend,
     KC, LANES, NR,
 };
+use tileqr_matrix::Scalar;
 
 /// Serializes tests that touch the process-global backend override.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
@@ -270,48 +273,55 @@ fn axpyf_tri_variants_match_naive() {
 
 #[test]
 fn rank1f_matches_naive() {
-    for &len in &lens() {
-        for &n in &widths() {
-            let ld = len + 3;
-            let x = vec_of(41, len);
-            let w = vec_of(42, n);
-            let ys0 = vec_of(43, ld * n.max(1));
-            let mut ys = ys0.clone();
-            rank1f_sub(&x, &w, &mut ys, ld, len, n);
-            for j in 0..n {
-                for i in 0..len {
-                    let want = ys0[j * ld + i] - w[j] * x[i];
-                    if active_backend() == Backend::Blocked {
-                        // One multiply and one subtract per element, no
-                        // reassociation anywhere: the scalar-blocked
-                        // backend (including its AVX2-autovec build) must
-                        // be bit-exact against the naive reference.
-                        assert_eq!(
-                            ys[j * ld + i].to_bits(),
-                            want.to_bits(),
-                            "rank1f_sub len={len} n={n} j={j} i={i}"
-                        );
-                    } else {
-                        // The simd backend contracts the pair into an FMA
-                        // (one rounding instead of two).
-                        assert_close(
-                            ys[j * ld + i],
-                            want,
-                            2,
-                            want.abs() + (w[j] * x[i]).abs(),
-                            &format!("rank1f_sub len={len} n={n} j={j} i={i}"),
-                        );
+    // Pinned so the bit-exact branch runs on every host, then as detected.
+    let _guard = BACKEND_LOCK.lock().unwrap();
+    for pin in [Some(Backend::Blocked), None] {
+        force_backend(pin);
+        let backend = active_backend();
+        for &len in &lens() {
+            for &n in &widths() {
+                let ld = len + 3;
+                let x = vec_of(41, len);
+                let w = vec_of(42, n);
+                let ys0 = vec_of(43, ld * n.max(1));
+                let mut ys = ys0.clone();
+                rank1f_sub(&x, &w, &mut ys, ld, len, n);
+                for j in 0..n {
+                    for i in 0..len {
+                        let want = ys0[j * ld + i] - w[j] * x[i];
+                        if backend == Backend::Blocked {
+                            // One multiply and one subtract per element, no
+                            // reassociation anywhere: the scalar-blocked
+                            // backend must be bit-exact against the naive
+                            // reference.
+                            assert_eq!(
+                                ys[j * ld + i].to_bits(),
+                                want.to_bits(),
+                                "rank1f_sub len={len} n={n} j={j} i={i}"
+                            );
+                        } else {
+                            // The simd backend contracts the pair into an
+                            // FMA (one rounding instead of two).
+                            assert_close(
+                                ys[j * ld + i],
+                                want,
+                                2,
+                                want.abs() + (w[j] * x[i]).abs(),
+                                &format!("rank1f_sub len={len} n={n} j={j} i={i}"),
+                            );
+                        }
                     }
                 }
-            }
-            // Padding rows between columns must stay untouched.
-            for j in 0..n {
-                for i in len..ld {
-                    assert_eq!(ys[j * ld + i], ys0[j * ld + i], "rank1f pad j={j} i={i}");
+                // Padding rows between columns must stay untouched.
+                for j in 0..n {
+                    for i in len..ld {
+                        assert_eq!(ys[j * ld + i], ys0[j * ld + i], "rank1f pad j={j} i={i}");
+                    }
                 }
             }
         }
     }
+    force_backend(None);
 }
 
 #[test]
@@ -355,9 +365,57 @@ fn larf_head_matches_naive_reflector_application() {
     }
 }
 
-/// In rank1f terms the `w`-vector side: a simd backend must agree with the
-/// scalar-blocked backend within the same rounding budgets, and each
-/// backend must be bit-deterministic call to call.
+/// All nine primitives on one `(len, n)` shape: per primitive its name, its
+/// output, and the `(terms, abs)` rounding budget two cores may differ by.
+fn run_all<T: Scalar>(len: usize, n: usize) -> Vec<(&'static str, Vec<T>, (usize, f64))> {
+    let t_vec = |seed: u64, len: usize| -> Vec<T> {
+        vec_of(seed, len).into_iter().map(T::from_f64).collect()
+    };
+    let ld = len + 1;
+    // Trapezoids whose longest column is `len`.
+    let len0 = len + 1 - n;
+    let x = t_vec(61, len);
+    let ys = t_vec(62, ld * n);
+    let alphas = t_vec(63, n);
+    let y0 = t_vec(64, len);
+    let cols0 = t_vec(65, ld * n);
+    let dot = (len, len as f64);
+    let axpy = (n + 1, n as f64 + 1.0);
+
+    let mut results = Vec::new();
+    let mut out = vec![T::ZERO; n];
+    dotf(&x, &ys, ld, n, &mut out);
+    results.push(("dotf", out.clone(), dot));
+    dotf_tri(&x, &ys, ld, n, len0, &mut out);
+    results.push(("dotf_tri", out.clone(), dot));
+    dotf_lo(&x, &ys, ld, n, &mut out);
+    results.push(("dotf_lo", out, dot));
+
+    let mut y = y0.clone();
+    micro::axpyf_sub(&alphas, &ys, ld, n, &mut y);
+    results.push(("axpyf_sub", y, axpy));
+    let mut y = y0.clone();
+    micro::axpyf_tri_add(&alphas, &ys, ld, n, len0, &mut y);
+    results.push(("axpyf_tri_add", y, axpy));
+    let mut y = y0.clone();
+    micro::axpyf_tri_sub(&alphas, &ys, ld, n, len0, &mut y);
+    results.push(("axpyf_tri_sub", y, axpy));
+    let mut y = y0;
+    micro::axpyf_lo_sub(&alphas, &ys, ld, n, &mut y);
+    results.push(("axpyf_lo_sub", y, axpy));
+
+    let mut cols = cols0.clone();
+    rank1f_sub(&x, &alphas, &mut cols, ld, len, n);
+    results.push(("rank1f_sub", cols, (2, 2.0)));
+    let mut cols = cols0;
+    larf_head(&x[..len - 1], T::from_f64(0.83), &mut cols, ld, n);
+    results.push(("larf_head", cols, (len + 2, len as f64)));
+    results
+}
+
+/// The simd backend must agree with the scalar-blocked backend within the
+/// rounding budgets on every primitive, each backend must be
+/// bit-deterministic call to call, and `f32` must not notice the pin.
 #[test]
 fn backends_agree_and_are_deterministic() {
     let _guard = BACKEND_LOCK.lock().unwrap();
@@ -365,63 +423,50 @@ fn backends_agree_and_are_deterministic() {
     // Shapes spanning all three dispatch tiers.
     let shapes: Vec<(usize, usize)> = vec![(3, 2), (13, 5), (40, 8), (130, 7), (KC + 13, 8)];
 
-    let run = |len: usize, n: usize| -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let ld = len + 1;
-        let x = vec_of(61, len);
-        let ys = vec_of(62, ld * n);
-        let alphas = vec_of(63, n);
-        let mut out = vec![0.0; n];
-        dotf(&x, &ys, ld, n, &mut out);
-        let mut y = vec_of(64, len);
-        micro::axpyf_sub(&alphas, &ys, ld, n, &mut y);
-        let mut cols = vec_of(65, ld * n);
-        larf_head(&x[..len.saturating_sub(1)], 0.83, &mut cols, ld, n);
-        (out, y, cols)
-    };
-
+    force_backend(None);
+    let detected = active_backend();
+    let mut differed = false;
     for &(len, n) in &shapes {
         force_backend(Some(Backend::Blocked));
         assert_eq!(active_backend(), Backend::Blocked);
-        let a1 = run(len, n);
-        let a2 = run(len, n);
+        let a1 = run_all::<f64>(len, n);
+        let a2 = run_all::<f64>(len, n);
         assert_eq!(a1, a2, "blocked backend must be deterministic ({len},{n})");
+        let s1 = run_all::<f32>(len, n);
 
         force_backend(Some(Backend::Simd));
-        let b1 = run(len, n);
-        let b2 = run(len, n);
+        let b1 = run_all::<f64>(len, n);
+        let b2 = run_all::<f64>(len, n);
         assert_eq!(b1, b2, "simd backend must be deterministic ({len},{n})");
+        let s2 = run_all::<f32>(len, n);
+        differed |= a1 != b1;
 
-        // Cross-backend: same values within the rounding budget. (In a
-        // default build Simd is a no-op force and these are identical.)
-        for (g, w) in b1.0.iter().zip(&a1.0) {
-            assert_close(
-                *g,
-                *w,
-                len,
-                len as f64,
-                &format!("x-backend dotf ({len},{n})"),
-            );
+        // Cross-backend: same values within the rounding budget. (Where
+        // `Simd` is not detected the force changes nothing and these are
+        // identical.)
+        for ((name, got, (terms, abs)), (_, want, _)) in b1.iter().zip(&a1) {
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(want) {
+                assert_close(
+                    *g,
+                    *w,
+                    *terms,
+                    *abs,
+                    &format!("x-backend {name} ({len},{n})"),
+                );
+            }
         }
-        for (g, w) in b1.1.iter().zip(&a1.1) {
-            assert_close(
-                *g,
-                *w,
-                n + 1,
-                n as f64 + 1.0,
-                &format!("x-backend axpyf ({len},{n})"),
-            );
-        }
-        for (g, w) in b1.2.iter().zip(&a1.2) {
-            assert_close(
-                *g,
-                *w,
-                len + 2,
-                len as f64,
-                &format!("x-backend larf ({len},{n})"),
-            );
-        }
+
+        // The intrinsics are `f64`-only: an `f32` panel takes the scalar
+        // core under either pin and unpinned, to the bit.
+        force_backend(None);
+        let s3 = run_all::<f32>(len, n);
+        assert_eq!(s1, s2, "f32 must ignore the backend pin ({len},{n})");
+        assert_eq!(s1, s3, "f32 must ignore detection ({len},{n})");
     }
-    force_backend(None);
+    // Where the FMA core is detected the pins must select different code,
+    // or everything above compared the scalar core with itself.
+    assert_eq!(differed, detected == Backend::Simd);
 }
 
 /// The dispatcher must pick tiers by shape alone — calling the same shape

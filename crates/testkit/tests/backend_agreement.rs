@@ -1,7 +1,8 @@
 //! Cross-backend agreement for the microkernel dispatch layer.
 //!
-//! The kernels crate ships two microkernel backends (safe scalar-blocked,
-//! and AVX2+FMA intrinsics behind the `simd` cargo feature). They are
+//! The kernels crate ships two register cores: safe scalar-blocked code
+//! (the portable path and the reference) and the AVX2+FMA intrinsics an
+//! x86-64 host with both features selects by runtime detection. They are
 //! *not* bit-identical to each other — FMA contracts rounding steps — so
 //! the contract is split in two:
 //!
@@ -13,10 +14,14 @@
 //!    condition-scaled differential budget of [`tileqr_testkit::oracle`],
 //!    and both backends pass the full residual/orthogonality oracles.
 //!
-//! In a default (no-`simd`) build, forcing the `Simd` backend is a no-op
-//! and the cross-backend checks degenerate to exact self-comparison —
-//! still a valid (if trivial) instance of the contract, so the same test
-//! binary runs in both CI legs.
+//! The FMA core only engages on primitives that touch at least
+//! `VECTOR_MIN_WORK` elements, which no kernel does at b ≤ 16: the
+//! family therefore includes b = 32 and b = 64 geometries, and where the
+//! host detects `Simd` the two `R`s are required to differ in at least one
+//! bit, so the comparison cannot degenerate into one core against itself.
+//! On a host without AVX2+FMA forcing `Simd` changes nothing and the
+//! cross-backend checks are exact self-comparison — a valid (if trivial)
+//! instance of the contract.
 
 use std::sync::Mutex;
 use tileqr::kernels::micro::{self, Backend};
@@ -33,11 +38,20 @@ fn factor_r(a: &Matrix<f64>, b: usize) -> (Matrix<f64>, Matrix<f64>) {
     (f.q().unwrap(), f.r())
 }
 
-fn family() -> Vec<(&'static str, Matrix<f64>, f64)> {
+/// `(name, A, κ budget, tile sizes)`; the last two rows are the ones whose
+/// kernels reach the vector tier.
+fn family() -> Vec<(&'static str, Matrix<f64>, f64, &'static [usize])> {
     vec![
-        ("random-24", random_matrix::<f64>(24, 24, 71), 1e3),
-        ("random-odd-30x18", random_matrix::<f64>(30, 18, 72), 1e3),
-        ("graded-40", graded(40, 40, 1e-2, 73), 1e6),
+        ("random-24", random_matrix::<f64>(24, 24, 71), 1e3, &[5, 8]),
+        (
+            "random-odd-30x18",
+            random_matrix::<f64>(30, 18, 72),
+            1e3,
+            &[5, 8],
+        ),
+        ("graded-40", graded(40, 40, 1e-2, 73), 1e6, &[5, 8]),
+        ("random-96x64", random_matrix::<f64>(96, 64, 74), 1e3, &[32]),
+        ("random-128", random_matrix::<f64>(128, 128, 75), 1e3, &[64]),
     ]
 }
 
@@ -46,8 +60,8 @@ fn each_backend_is_bit_deterministic() {
     let _guard = BACKEND_LOCK.lock().unwrap();
     for backend in [Backend::Blocked, Backend::Simd] {
         micro::force_backend(Some(backend));
-        for (name, a, _) in family() {
-            for b in [5usize, 8] {
+        for (name, a, _, tiles) in family() {
+            for &b in tiles {
                 let (q1, r1) = factor_r(&a, b);
                 let (q2, r2) = factor_r(&a, b);
                 assert_eq!(r1, r2, "{name} b={b}: R must repeat bit-identically");
@@ -61,8 +75,10 @@ fn each_backend_is_bit_deterministic() {
 #[test]
 fn backends_agree_within_condition_scaled_budgets() {
     let _guard = BACKEND_LOCK.lock().unwrap();
-    for (name, a, kappa) in family() {
-        for b in [5usize, 8] {
+    micro::force_backend(None);
+    let detected = micro::active_backend();
+    for (name, a, kappa, tiles) in family() {
+        for &b in tiles {
             micro::force_backend(Some(Backend::Blocked));
             let (qs, rs) = factor_r(&a, b);
             micro::force_backend(Some(Backend::Simd));
@@ -88,23 +104,37 @@ fn backends_agree_within_condition_scaled_budgets() {
                     );
                 }
             }
+
+            // Two cores really ran: where every kernel reaches the vector
+            // tier and the FMA core is detected, the roundings differ.
+            if b >= 32 && detected == Backend::Simd {
+                assert_ne!(rs, rv, "{name} b={b}: both pins ran the same core");
+            }
         }
     }
 }
 
-/// The backend choice is observable through `active_backend` and must
-/// round-trip through the force hook.
+/// The backend is what the host reports, not what the build was given:
+/// `Simd` iff x86-64 with AVX2 and FMA, `Blocked` elsewhere, and pinning
+/// `Blocked` always takes.
 #[test]
 fn force_hook_round_trips() {
     let _guard = BACKEND_LOCK.lock().unwrap();
     micro::force_backend(Some(Backend::Blocked));
     assert_eq!(micro::active_backend(), Backend::Blocked);
     micro::force_backend(None);
-    let detected = micro::active_backend();
-    if cfg!(feature = "simd") {
-        // Whatever detection says, it must be stable call to call.
-        assert_eq!(micro::active_backend(), detected);
+    #[cfg(target_arch = "x86_64")]
+    let has_fma_core = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let has_fma_core = false;
+    let expected = if has_fma_core {
+        Backend::Simd
     } else {
-        assert_eq!(detected, Backend::Blocked, "default build has one backend");
-    }
+        Backend::Blocked
+    };
+    assert_eq!(micro::active_backend(), expected);
+    // A `Simd` pin cannot conjure a core the host lacks.
+    micro::force_backend(Some(Backend::Simd));
+    assert_eq!(micro::active_backend(), expected);
+    micro::force_backend(None);
 }

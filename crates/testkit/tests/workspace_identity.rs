@@ -59,27 +59,31 @@ fn assert_factors_identical(got: &FactorState<f64>, want: &FactorState<f64>, ctx
 #[test]
 fn arena_runs_match_the_sequential_path_bitwise() {
     // Rectangular on purpose: exercises TSQRT/TSMQR rows below the
-    // diagonal as well as the panel chain.
-    let a = random_matrix::<f64>(40, 32, 0xA1);
-    let (tiled, g, seq) = sequential(&a, 8);
-    for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            let (state, report) = parallel_factor_traced(
-                FactorState::new(tiled.clone()),
-                &g,
-                PoolConfig {
-                    workers,
-                    policy,
-                    ..PoolConfig::default()
-                },
-            )
-            .expect("factorization");
-            let ctx = format!("workers={workers} policy={policy:?}");
-            assert_factors_identical(&state, &seq, &ctx);
-            assert_eq!(
-                report.counters.workspace_resizes, 0,
-                "{ctx}: pre-sized arenas must never regrow"
-            );
+    // diagonal as well as the panel chain. b = 8 stays in the scalar
+    // tiers; at b = 32 the kernels reach the vector tier, so the invariant
+    // is held over whichever core the host detects.
+    for (rows, cols, b) in [(40, 32, 8), (96, 64, 32)] {
+        let a = random_matrix::<f64>(rows, cols, 0xA1);
+        let (tiled, g, seq) = sequential(&a, b);
+        for workers in workers_under_test() {
+            for policy in policies_under_test() {
+                let (state, report) = parallel_factor_traced(
+                    FactorState::new(tiled.clone()),
+                    &g,
+                    PoolConfig {
+                        workers,
+                        policy,
+                        ..PoolConfig::default()
+                    },
+                )
+                .expect("factorization");
+                let ctx = format!("{rows}x{cols} b={b} workers={workers} policy={policy:?}");
+                assert_factors_identical(&state, &seq, &ctx);
+                assert_eq!(
+                    report.counters.workspace_resizes, 0,
+                    "{ctx}: pre-sized arenas must never regrow"
+                );
+            }
         }
     }
 }
@@ -128,28 +132,31 @@ fn arena_runs_with_fault_injection_stay_bit_identical() {
 fn arena_runs_stay_bit_identical_for_every_elimination_tree() {
     // The TT and TSQR trees route through TTQRT/TTMQR kernels whose
     // scratch shapes differ from the TS chain — the arena must serve
-    // them all without changing a bit.
-    let a = random_matrix::<f64>(40, 16, 0xA5);
+    // them all without changing a bit, in the scalar tiers (b = 8) and in
+    // the vector tier (b = 32) alike. Both geometries are 5×2 tile grids.
     let mut trees = EliminationTree::zoo();
     trees.push(EliminationTree::Tsqr(2));
-    for tree in trees {
-        let tiled = TiledMatrix::from_matrix(&a, 8).unwrap();
-        let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), tree);
-        let mut seq = FactorState::new(tiled.clone());
-        seq.run_all(&g).unwrap();
-        for workers in workers_under_test() {
-            let (state, report) = parallel_factor_traced(
-                FactorState::new(tiled.clone()),
-                &g,
-                PoolConfig {
-                    workers,
-                    ..PoolConfig::default()
-                },
-            )
-            .expect("factorization");
-            let ctx = format!("tree={tree} workers={workers}");
-            assert_factors_identical(&state, &seq, &ctx);
-            assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
+    for (rows, cols, b) in [(40, 16, 8), (160, 64, 32)] {
+        let a = random_matrix::<f64>(rows, cols, 0xA5);
+        for &tree in &trees {
+            let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
+            let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), tree);
+            let mut seq = FactorState::new(tiled.clone());
+            seq.run_all(&g).unwrap();
+            for workers in workers_under_test() {
+                let (state, report) = parallel_factor_traced(
+                    FactorState::new(tiled.clone()),
+                    &g,
+                    PoolConfig {
+                        workers,
+                        ..PoolConfig::default()
+                    },
+                )
+                .expect("factorization");
+                let ctx = format!("{rows}x{cols} b={b} tree={tree} workers={workers}");
+                assert_factors_identical(&state, &seq, &ctx);
+                assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
+            }
         }
     }
 }

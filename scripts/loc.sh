@@ -11,7 +11,9 @@
 #   * one cost vocabulary: `dag::cost` defines the Fig. 4 curve, table and
 #     class; no second definition and no bridge function anywhere else;
 #   * one JSON reader and one string escaper in `crates/obs`;
-#   * one entry point per kernel: only the `*_ws` functions are public.
+#   * one entry point per kernel: only the `*_ws` functions are public;
+#   * one vector backend, picked by runtime detection: no `simd` cargo
+#     feature, no `autovec` tier, one `unsafe` file in `crates/kernels`.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 # `crates/bench/src/legacy_kernels.rs` (the frozen seed kernels) is exempt
@@ -84,4 +86,13 @@ expect 1 'fn skip_ws\b' "JSON whitespace skippers in crates/obs" crates/obs
 expect 1 "'\\\\n' => .*push_str" "JSON string escapers in crates/obs" crates/obs
 expect 0 'pub fn (geqrt|geqrt_apply|geqrt_ib|geqrt_ib_apply|unmqr|tsqrt|tsmqr|tsmqr_apply|ttqrt|ttmqr|ttmqr_apply)<' \
     "allocating (non-_ws) kernel entry points" crates/kernels
+
+# Tests, benches and manifests count here too, so this one is a plain grep.
+if hits=$(grep -rnE 'feature = "simd"|^simd = \[' crates --include='*.rs' --include=Cargo.toml); then
+    fail "the \`simd\` cargo feature is back (the FMA core is picked by runtime detection):" "$hits"
+fi
+expect 0 'mod autovec\b' "the autovec tier" crates/kernels
+hits=$(grep -rl 'allow(unsafe_code)' crates/kernels/src || true)
+n=$(printf '%s' "$hits" | grep -c . || true)
+[ "$n" -eq 1 ] || fail "files under crates/kernels/src with allow(unsafe_code): found $n, want 1" "$hits"
 exit $status
