@@ -12,10 +12,11 @@
 //!    kernel class, the curves are fit
 //!    ([`tileqr_obs::fit_step_times`]) into a calibrated
 //!    [`DeviceProfile`] and the shape flips to *tuned*.
-//! 3. **Every later job** of that shape resolves its plan from the
-//!    measured profile: `tileqr_sched::select::select_plan` sweeps
-//!    `(tile size, elimination tree)` candidates through the
-//!    discrete-event simulator and the winner runs with
+//! 3. **Every later job** of that shape runs the plan the measured
+//!    profile selects: at the flip, `tileqr_sched::select::select_plan`
+//!    sweeps `(tile size, elimination tree)` candidates through the
+//!    discrete-event simulator — once per fitted profile, not per job —
+//!    and the winner runs with
 //!    [`tileqr_runtime::CostModel::Calibrated`] priorities, tagged
 //!    [`JobTuning::Tuned`].
 //! 4. Fitted profiles **persist** as JSON
@@ -80,8 +81,20 @@ enum ShapeEntry {
         samples: Vec<KernelSample>,
         probed: Vec<usize>,
     },
-    /// Calibrated: plans resolve from this fitted profile.
-    Ready { profile: DeviceProfile },
+    /// Calibrated: plans resolve from this fitted profile. The selector's
+    /// inputs change only when the profile is refitted, so its ranking is
+    /// computed once, here, not per job.
+    Ready {
+        profile: DeviceProfile,
+        selection: Selection,
+    },
+}
+
+impl ShapeEntry {
+    fn ready(profile: DeviceProfile, rows: usize, cols: usize, probe_tiles: &[usize]) -> Self {
+        let selection = select_plan(&profile, rows, cols, probe_tiles);
+        ShapeEntry::Ready { profile, selection }
+    }
 }
 
 /// The plan one job runs under (resolved at submit time).
@@ -103,6 +116,16 @@ pub enum JobPlan {
     /// Probes exhausted without a fittable profile (degenerate shapes
     /// that never exercise all kernel classes); runs with defaults.
     Standard,
+}
+
+impl JobPlan {
+    /// The measured plan a calibrated shape's ranking stands for.
+    fn tuned(selection: &Selection) -> Self {
+        JobPlan::Tuned {
+            tile_size: selection.best.tile_size,
+            tree: selection.best.tree,
+        }
+    }
 }
 
 /// A resident [`QrService`] with an online per-shape autotuner in front
@@ -136,8 +159,9 @@ impl<T: Scalar> TunedQrService<T> {
         if let Some(p) = &path {
             if let Ok(store) = ProfileStore::load(p) {
                 for (key, profile) in store.entries {
-                    if let Some(shape) = parse_shape_key(&key) {
-                        shapes.insert(shape, ShapeEntry::Ready { profile });
+                    if let Some((rows, cols)) = parse_shape_key(&key) {
+                        let entry = ShapeEntry::ready(profile, rows, cols, &tuner.probe_tiles);
+                        shapes.insert((rows, cols), entry);
                     }
                 }
             }
@@ -159,7 +183,7 @@ impl<T: Scalar> TunedQrService<T> {
     /// Fitted profile for a shape class, once calibrated.
     pub fn profile_for(&self, rows: usize, cols: usize) -> Option<DeviceProfile> {
         match self.shapes.lock().unwrap().get(&(rows, cols)) {
-            Some(ShapeEntry::Ready { profile }) => Some(profile.clone()),
+            Some(ShapeEntry::Ready { profile, .. }) => Some(profile.clone()),
             _ => None,
         }
     }
@@ -167,21 +191,17 @@ impl<T: Scalar> TunedQrService<T> {
     /// The full selector ranking a tuned shape's next job would plan
     /// from (`None` while the shape is still probing).
     pub fn selection_for(&self, rows: usize, cols: usize) -> Option<Selection> {
-        self.profile_for(rows, cols)
-            .map(|p| select_plan(&p, rows, cols, &self.probe_tiles))
+        match self.shapes.lock().unwrap().get(&(rows, cols)) {
+            Some(ShapeEntry::Ready { selection, .. }) => Some(selection.clone()),
+            _ => None,
+        }
     }
 
     /// The plan the *next* `factor` call of this shape would run under
     /// (does not consume a probe slot).
     pub fn plan_for(&self, rows: usize, cols: usize) -> JobPlan {
         match self.shapes.lock().unwrap().get(&(rows, cols)) {
-            Some(ShapeEntry::Ready { profile }) => {
-                let best = select_plan(profile, rows, cols, &self.probe_tiles).best;
-                JobPlan::Tuned {
-                    tile_size: best.tile_size,
-                    tree: best.tree,
-                }
-            }
+            Some(ShapeEntry::Ready { selection, .. }) => JobPlan::tuned(selection),
             Some(ShapeEntry::Probing { probed, .. }) => {
                 match self.probe_tiles.iter().find(|b| !probed.contains(b)) {
                     Some(&b) => JobPlan::Probe { tile_size: b },
@@ -252,13 +272,7 @@ impl<T: Scalar> TunedQrService<T> {
                 probed: Vec::new(),
             });
         match entry {
-            ShapeEntry::Ready { profile } => {
-                let best = select_plan(profile, rows, cols, &self.probe_tiles).best;
-                JobPlan::Tuned {
-                    tile_size: best.tile_size,
-                    tree: best.tree,
-                }
-            }
+            ShapeEntry::Ready { selection, .. } => JobPlan::tuned(selection),
             ShapeEntry::Probing { probed, .. } => {
                 match self.probe_tiles.iter().find(|b| !probed.contains(b)) {
                     Some(&b) => {
@@ -297,7 +311,8 @@ impl<T: Scalar> TunedQrService<T> {
                 times,
             );
             self.persist(rows, cols, &profile);
-            shapes.insert((rows, cols), ShapeEntry::Ready { profile });
+            let entry = ShapeEntry::ready(profile, rows, cols, &self.probe_tiles);
+            shapes.insert((rows, cols), entry);
         }
     }
 
@@ -310,10 +325,13 @@ impl<T: Scalar> TunedQrService<T> {
     }
 }
 
-/// Parse a `"RxC"` store key back into a shape class.
+/// Parse a `"RxC"` store key back into a shape class. The store is a
+/// file from outside: an empty shape is no shape (the selector, run on
+/// every loaded entry, rejects it).
 fn parse_shape_key(key: &str) -> Option<(usize, usize)> {
     let (r, c) = key.split_once('x')?;
-    Some((r.parse().ok()?, c.parse().ok()?))
+    let shape: (usize, usize) = (r.parse().ok()?, c.parse().ok()?);
+    (shape.0 > 0 && shape.1 > 0).then_some(shape)
 }
 
 #[cfg(test)]
@@ -354,6 +372,11 @@ mod tests {
         // Fourth job runs tuned off the fitted profile.
         let profile = svc.profile_for(48, 48).expect("profile fitted");
         assert!(profile.cores >= 1);
+        assert_eq!(
+            svc.selection_for(48, 48),
+            Some(select_plan(&profile, 48, 48, &[4, 8, 16])),
+            "the kept ranking is the selector's on the fitted profile"
+        );
         let (f, _, plan) = svc.factor(&a).unwrap();
         let JobPlan::Tuned { tile_size, tree } = plan else {
             panic!("expected a tuned plan, got {plan:?}");
@@ -388,5 +411,6 @@ mod tests {
         assert_eq!(parse_shape_key("256x128"), Some((256, 128)));
         assert_eq!(parse_shape_key("junk"), None);
         assert_eq!(parse_shape_key("12x"), None);
+        assert_eq!(parse_shape_key("0x8"), None);
     }
 }

@@ -2,21 +2,21 @@
 //! manager loop).
 //!
 //! The scoped pool ([`parallel_factor_ft`](crate::parallel_factor_ft) and
-//! friends) and the resident [`service`](crate::service) manager own
-//! their threads differently — scoped self-scheduling workers that are
-//! never respawned versus resident slots that always are — but what they
-//! do *per DAG* is the same, and lives here exactly once, thread-free
-//! ("the manager" below is whoever holds the [`DagRun`]: the service's
-//! manager thread, or the pool worker inside the pool lock):
+//! friends) and the resident [`service`](crate::service) own their
+//! threads differently — scoped self-scheduling workers that are never
+//! respawned versus resident self-scheduling workers that always are —
+//! but what they do *per DAG* is the same, and lives here exactly once,
+//! thread-free ("the manager" below is whoever holds the [`DagRun`]: a
+//! worker, or a driver's timer thread, inside that driver's one lock):
 //!
 //! * [`run_attempt`] — the worker-side body of one task attempt: fault
 //!   seam, staging, kernel, optional worker-side commit, optional spans.
 //! * [`DagRun`] — the per-DAG state machine: readiness, dispatch order,
 //!   the `committed` fence, the per-task attempt budget, drift
 //!   re-weighting, and the counters that become a [`RunReport`].
-//! * [`Slots`] — which worker slot is running what since when: the idle
-//!   stack, the "is this the report I am waiting for" test, and the
-//!   stall watchdog's scan.
+//! * [`Slots`] — which worker slot is running what since when: the "is
+//!   this the report I am waiting for" test and the stall watchdog's
+//!   scan.
 //!
 //! Because none of it touches a thread or a channel, the testkit drives
 //! [`DagRun`] directly through adversarial event orders (duplicate,
@@ -124,7 +124,7 @@ pub fn run_attempt<T: Scalar>(
         let t_done = Instant::now();
         if fault == InjectedFault::PoisonNan {
             // NaN-corrupt the output *after* the kernel ran: the seam for
-            // a manager-side poison scan at the commit fence.
+            // a driver's poison scan ahead of the commit fence.
             done.poison();
         }
         let (completed, t_end) = if fenced {
@@ -346,24 +346,6 @@ impl DagRun {
         }
     }
 
-    /// The dispatch of `t` to slot `w` never reached a worker (dead
-    /// channel): refund the attempt and put the task back.
-    pub fn undo_dispatch(&mut self, t: TaskId, w: usize) {
-        self.attempts[t] -= 1;
-        self.in_flight -= 1;
-        self.tally.requeues += 1;
-        mark(&mut self.lane, RawKind::Requeue, t, w as u64);
-        self.queue.push(t);
-    }
-
-    /// Count a worker death that no report will announce (slot `w` found
-    /// dead at dispatch).
-    pub fn worker_died(&mut self, w: usize) {
-        self.tally.worker_deaths += 1;
-        let no_task = RawEvent::NO_TASK;
-        mark(&mut self.lane, RawKind::WorkerDeath, no_task, w as u64);
-    }
-
     /// A parked retry of `t` is due: back into the ready set, unless a
     /// late result committed it in the meantime.
     pub fn wake(&mut self, t: TaskId) {
@@ -455,7 +437,9 @@ impl DagRun {
         if !expected {
             return false;
         }
-        self.worker_died(w);
+        self.tally.worker_deaths += 1;
+        let no_task = RawEvent::NO_TASK;
+        mark(&mut self.lane, RawKind::WorkerDeath, no_task, w as u64);
         if !self.accepts(t) {
             return false;
         }
@@ -508,29 +492,20 @@ impl DagRun {
     }
 }
 
-/// Which worker slot is running what, since when. `K` names an in-flight
-/// attempt: a `TaskId` in the pool, `(job, task, attempt)` in the service.
+/// Which worker slot is running what, since when — the stall watchdog's
+/// view of the workers. `K` names an in-flight attempt: a `TaskId` in the
+/// pool, `(job, task, attempt)` in the service.
 #[derive(Debug)]
 pub struct Slots<K> {
-    idle: Vec<usize>,
     in_flight_of: Vec<Option<(K, Instant)>>,
 }
 
 impl<K: Copy + PartialEq> Slots<K> {
-    /// `workers` slots, all idle.
+    /// `workers` slots, none running anything.
     pub fn new(workers: usize) -> Self {
         Slots {
-            idle: (0..workers).rev().collect(),
             in_flight_of: vec![None; workers],
         }
-    }
-
-    /// Take an idle slot off the stack. The caller either gives it work
-    /// (and [`watch`](Self::watch)es it, if the watchdog should see it),
-    /// [`free`](Self::free)s it, or — a dead worker nobody respawns —
-    /// keeps it forever.
-    pub fn claim(&mut self) -> Option<usize> {
-        self.idle.pop()
     }
 
     /// Slot `w` started attempt `key` now.
@@ -538,29 +513,14 @@ impl<K: Copy + PartialEq> Slots<K> {
         self.in_flight_of[w] = Some((key, Instant::now()));
     }
 
-    /// Slot `w` is idle (again).
-    pub fn free(&mut self, w: usize) {
-        self.in_flight_of[w] = None;
-        self.idle.push(w);
-    }
-
-    /// Whether slot `w` is waiting on exactly attempt `key`. False for a
-    /// late report from a worker the watchdog already retired: that slot
+    /// A report for `key` arrived from slot `w`. Returns whether the slot
+    /// was waiting on exactly that attempt, and clears it if so. False for
+    /// a late report from a worker the watchdog already retired: that slot
     /// was cleared (and, in the service, handed to a fresh thread).
-    pub fn is_expected(&self, w: usize, key: K) -> bool {
-        self.in_flight_of[w].is_some_and(|(k, _)| k == key)
-    }
-
-    /// A report for `key` arrived from slot `w`. If it is the expected one
-    /// the slot is cleared and — when the worker is still `alive` —
-    /// returned to the idle stack. Returns [`is_expected`](Self::is_expected).
-    pub fn settle(&mut self, w: usize, key: K, alive: bool) -> bool {
-        let expected = self.is_expected(w, key);
+    pub fn settle(&mut self, w: usize, key: K) -> bool {
+        let expected = self.in_flight_of[w].is_some_and(|(k, _)| k == key);
         if expected {
             self.in_flight_of[w] = None;
-            if alive {
-                self.idle.push(w);
-            }
         }
         expected
     }
@@ -572,8 +532,8 @@ impl<K: Copy + PartialEq> Slots<K> {
     }
 
     /// Retire every slot whose attempt has been in flight for `bound` or
-    /// longer at `now`: the slots are cleared (not idled — the worker is
-    /// presumed stuck) and returned with their attempt keys.
+    /// longer at `now`: the slots are cleared (the worker is presumed
+    /// stuck) and returned with their attempt keys.
     pub fn take_stalled(&mut self, bound: Duration, now: Instant) -> Vec<(usize, K)> {
         let mut stalled = Vec::new();
         for (w, slot) in self.in_flight_of.iter_mut().enumerate() {

@@ -4,9 +4,10 @@
 //! tracks DAG readiness and hands tasks to **computing threads** driving
 //! GPUs. Here they drive host cores, where a task at the paper's b = 16
 //! is a few microseconds and cannot afford a dispatcher in the loop: the
-//! pool's workers schedule themselves, each taking the best ready task
-//! off the shared DAG state under one lock. The manager survives where it
-//! feeds *devices* (the simulator crates) and in the multi-job service.
+//! workers of the pool and of the multi-job service schedule themselves,
+//! each taking the best ready task off the shared DAG state under one
+//! lock. The manager survives where it feeds *devices* (the simulator
+//! crates).
 //!
 //! Concurrency design: tiles and T factors live in per-slot locked cells
 //! of a [`SharedFactorState`](tileqr_kernels::exec::SharedFactorState);
@@ -22,8 +23,8 @@
 //! watchdog's bookkeeping, drift re-weighting — and the worker-side body
 //! of one task attempt live once, thread-free, in [`engine`]. The pool
 //! ([`parallel_factor`] and friends) drives it from its scoped workers,
-//! which are never respawned; [`QrService`]'s manager drives one engine
-//! run per job with resident threads that always are.
+//! which are never respawned; [`QrService`]'s resident workers, which
+//! always are, drive one engine run per job.
 //!
 //! Fault tolerance: attempts run under `catch_unwind`, so a panic never
 //! hangs or aborts the process. [`parallel_factor_ft`] goes further —

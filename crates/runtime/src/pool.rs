@@ -501,7 +501,7 @@ fn run_pool<T: Scalar>(
             let outcome = run_attempt(&shared, kind, at, injector, ft.is_some(), &mut ws, lane);
             let lost = !matches!(outcome, Outcome::Done(_));
             g = recover(pool.lock());
-            let expected = !watched || g.slots.settle(w, at.0, false);
+            let expected = !watched || g.slots.settle(w, at.0);
             alive = g.settle(&shared, w, at, expected, outcome);
             if lost {
                 // A retry was parked (a new deadline) or the run failed.

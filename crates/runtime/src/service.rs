@@ -4,29 +4,36 @@
 //! down around one matrix, the service keeps a **long-lived worker pool**
 //! and accepts a *stream* of jobs — factor, least-squares solve, Q-apply —
 //! through a submission handle. Tasks from many concurrent job DAGs are
-//! interleaved through one manager-owned ready structure with per-job
+//! interleaved through one shared ready structure with per-job
 //! **fair-share accounting** (weighted virtual time, one weight per
 //! [`PriorityClass`]), so a flood of bulk work cannot starve interactive
 //! jobs.
 //!
-//! Architecture (one manager thread, `workers` computing threads):
+//! Architecture: `workers` computing threads that **schedule themselves**
+//! — all the scheduling state (the job table, the queues, the stats) is
+//! one `Core` behind one lock, and a worker loops *lock → settle its
+//! previous attempt → pick the next `(job, task)` → unlock → run it*,
+//! sleeping only while nothing is ready; no thread stands between the
+//! DAGs and the workers (the same departure from the paper's Fig. 7
+//! manager that the pool makes, see `DESIGN.md` §9). Submitters and
+//! cancelling handles act on the core from their own threads, and one
+//! **timer thread** does what only a clock can start.
 //!
 //! * **Admission**: `max_in_flight` bounds submitted-but-unfinished jobs.
 //!   [`QrService::submit`] blocks for a slot (backpressure);
 //!   [`QrService::try_submit`] fails fast with [`ServiceError::Saturated`].
 //! * **Fair share**: each job carries a virtual time; dispatching a task
-//!   advances it by `task_flops / class_weight`. The manager always serves
-//!   the backlogged job with the smallest virtual time, and a newly
+//!   advances it by `task_flops / class_weight`. A worker always takes
+//!   from the backlogged job with the smallest virtual time, and a newly
 //!   admitted job starts at the *minimum* virtual time of the current
 //!   backlog — it can never be scheduled behind work that arrived after
 //!   it, and a heavy job cannot monopolise the pool.
 //! * **Batching**: jobs whose DAG is at most `batch_max_tasks` tasks are
-//!   grouped into a composite unit executed sequentially on one worker —
-//!   per-task dispatch overhead is the dominant cost at that size. A
-//!   batch flushes when `batch_max_jobs` accumulate or when workers would
-//!   otherwise idle; pending batches compete in the same virtual-time
-//!   order as regular jobs (keyed by their oldest member), so batching
-//!   adds no starvation risk.
+//!   grouped into a composite unit executed sequentially on one worker.
+//!   A batch flushes when `batch_max_jobs` accumulate or when a worker
+//!   would otherwise idle; pending batches compete in the same
+//!   virtual-time order as regular jobs (keyed by their oldest member),
+//!   so batching adds no starvation risk.
 //! * **Execution and recovery**: the fault-tolerant pool path, literally
 //!   — every interleaved job owns one [`DagRun`] of the shared
 //!   [`engine`](crate::engine), and workers run its fenced
@@ -37,23 +44,27 @@
 //!   [`ServiceError::Runtime`]. What this driver adds is the thread
 //!   lifecycle: a panicked worker — or, with
 //!   [`FaultTolerance::stall_timeout`] set, one the **stall watchdog**
-//!   finds past the bound — is retired and its slot *respawned* (the pool
-//!   never shrinks).
+//!   finds past the bound — is retired and its slot *respawned* by the
+//!   timer (the pool never shrinks).
+//! * **Completion**: the worker whose commit completes a job's DAG takes
+//!   the job out of the table, runs its epilogue (solve / apply) with the
+//!   lock released, and resolves the handle itself.
 //! * **Job lifecycle**: a job can carry a [`JobSpec::deadline`]; expired
 //!   queued jobs are **shed** before they consume worker time
-//!   ([`ServiceError::DeadlineExceeded`]). [`JobHandle::cancel`]
-//!   cooperatively drains a job at the fenced-commit boundary —
-//!   in-flight attempts retire cleanly, the admission slot and WFQ state
-//!   are released, and concurrent jobs are untouched
-//!   ([`ServiceError::Cancelled`]).
+//!   ([`ServiceError::DeadlineExceeded`]) — by the timer when the
+//!   deadline passes, or by the worker that would otherwise have started
+//!   the job. [`JobHandle::cancel`] cooperatively drains a job at the
+//!   fenced-commit boundary — in-flight attempts retire cleanly, the
+//!   admission slot and WFQ state are released, and concurrent jobs are
+//!   untouched ([`ServiceError::Cancelled`]).
 //! * **Poison containment**: submission rejects non-finite inputs
-//!   synchronously, and the commit fence scans panel-factor outputs —
-//!   a NaN/Inf produced mid-run fails only the victim job with a
-//!   structured [`ServiceError::NumericalBreakdown`] instead of
+//!   synchronously, and workers scan panel-factor outputs ahead of the
+//!   commit fence — a NaN/Inf produced mid-run fails only the victim job
+//!   with a structured [`ServiceError::NumericalBreakdown`] instead of
 //!   propagating through downstream tiles.
 //! * **Shutdown**: [`QrService::shutdown`] (and `Drop`) closes admission,
-//!   drains every queued and in-flight job to its completion channel —
-//!   zero lost jobs — then joins all threads.
+//!   drains every queued and in-flight job to its handle — zero lost
+//!   jobs — then joins all threads.
 //!
 //! Instrumentation flows through the existing `tileqr-obs` types: per-job
 //! task-compute [`LatencyHistogram`]s ride on each [`JobResult`], and
@@ -69,9 +80,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{
@@ -401,7 +410,7 @@ impl<T: Scalar> JobOutput<T> {
     }
 }
 
-/// Everything a job gets back on its completion channel.
+/// Everything a job gets back through its [`JobHandle`].
 pub struct JobResult<T: Scalar> {
     /// The job's service-assigned id.
     pub job: JobId,
@@ -481,8 +490,8 @@ pub enum ServiceError {
         /// poisoned tile.
         tile: (usize, usize),
     },
-    /// The service dropped the completion channel without a result
-    /// (manager died — should not happen).
+    /// The service dropped the job's reply slot without a result (a
+    /// service thread died — should not happen).
     Lost,
 }
 
@@ -516,7 +525,7 @@ impl fmt::Display for ServiceError {
                     tile.0, tile.1
                 ),
             },
-            ServiceError::Lost => write!(f, "service lost the job (manager terminated)"),
+            ServiceError::Lost => write!(f, "service lost the job (a service thread terminated)"),
         }
     }
 }
@@ -558,11 +567,91 @@ impl fmt::Display for WaitTimeout {
 
 impl std::error::Error for WaitTimeout {}
 
+/// What a job resolves to.
+type JobReply<T> = Result<JobResult<T>, ServiceError>;
+
+struct ReplyState<T: Scalar> {
+    reply: Option<JobReply<T>>,
+    /// The sending half is gone: nothing more will arrive.
+    closed: bool,
+}
+
+/// The one-shot slot a job's reply reaches its [`JobHandle`] through.
+struct ReplySlot<T: Scalar> {
+    state: Mutex<ReplyState<T>>,
+    ready: Condvar,
+}
+
+impl<T: Scalar> ReplySlot<T> {
+    /// An unresolved slot and its sending half.
+    fn open() -> (Arc<Self>, ReplyTx<T>) {
+        let state = Mutex::new(ReplyState {
+            reply: None,
+            closed: false,
+        });
+        let ready = Condvar::new();
+        let slot = Arc::new(ReplySlot { state, ready });
+        (Arc::clone(&slot), ReplyTx(slot))
+    }
+
+    /// Every update under this lock is a single field store, so the state
+    /// is valid even if a holder panicked.
+    fn state(&self) -> MutexGuard<'_, ReplyState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take the reply, waiting for it until `deadline` (for ever if
+    /// `None`). A reply that is already there is returned whatever the
+    /// deadline; a slot closed without one reads [`ServiceError::Lost`].
+    fn take(&self, deadline: Option<Instant>) -> Result<JobReply<T>, WaitTimeout> {
+        let mut s = self.state();
+        loop {
+            if let Some(reply) = s.reply.take() {
+                return Ok(reply);
+            }
+            if s.closed {
+                return Ok(Err(ServiceError::Lost));
+            }
+            s = match deadline {
+                None => self.ready.wait(s).unwrap_or_else(PoisonError::into_inner),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(WaitTimeout);
+                    }
+                    let woken = self.ready.wait_timeout(s, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+    }
+}
+
+/// The sending half of a [`ReplySlot`], carried by the job's [`JobMeta`]
+/// wherever the job goes. Dropping it unresolved — the service lost the
+/// job — resolves the handle with [`ServiceError::Lost`].
+struct ReplyTx<T: Scalar>(Arc<ReplySlot<T>>);
+
+impl<T: Scalar> ReplyTx<T> {
+    /// Resolve the handle. Dropping `self` closes the slot and wakes the
+    /// waiter.
+    fn send(self, reply: JobReply<T>) {
+        self.0.state().reply = Some(reply);
+    }
+}
+
+impl<T: Scalar> Drop for ReplyTx<T> {
+    fn drop(&mut self) {
+        self.0.state().closed = true;
+        self.0.ready.notify_all();
+    }
+}
+
 /// Handle to one submitted job; redeem it with [`JobHandle::wait`].
 pub struct JobHandle<T: Scalar> {
     id: JobId,
-    rx: mpsc::Receiver<Result<JobResult<T>, ServiceError>>,
-    ctl: mpsc::Sender<Msg<T>>,
+    reply: Arc<ReplySlot<T>>,
+    service: Weak<Shared<T>>,
 }
 
 impl<T: Scalar> JobHandle<T> {
@@ -573,7 +662,8 @@ impl<T: Scalar> JobHandle<T> {
 
     /// Block until the job completes (or fails) and return its result.
     pub fn wait(self) -> Result<JobResult<T>, ServiceError> {
-        self.rx.recv().unwrap_or(Err(ServiceError::Lost))
+        // No deadline, so no timeout.
+        self.reply.take(None).unwrap_or(Err(ServiceError::Lost))
     }
 
     /// Wait at most `timeout` for the result. On timeout the handle is
@@ -584,33 +674,34 @@ impl<T: Scalar> JobHandle<T> {
         &self,
         timeout: Duration,
     ) -> Result<Result<JobResult<T>, ServiceError>, WaitTimeout> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Ok(r),
-            Err(RecvTimeoutError::Timeout) => Err(WaitTimeout),
-            Err(RecvTimeoutError::Disconnected) => Ok(Err(ServiceError::Lost)),
-        }
+        // A bound past the end of the clock is no bound.
+        self.reply.take(Instant::now().checked_add(timeout))
     }
 
-    /// Request cooperative cancellation. The manager stops dispatching
+    /// Request cooperative cancellation. The service stops dispatching
     /// the job's remaining tasks, lets in-flight attempts drain at the
     /// fenced-commit boundary (no preemption — concurrent jobs stay
     /// bit-identical), releases the admission slot and fair-share state,
-    /// and resolves the handle with [`ServiceError::Cancelled`].
+    /// and resolves the handle with [`ServiceError::Cancelled`] — on this
+    /// thread if nothing of the job is in flight, else on the worker that
+    /// settles its last attempt.
     ///
     /// Cancellation races completion: if the job finishes first the
     /// handle resolves with the normal result and the cancel is a no-op.
     /// Safe to call more than once.
     pub fn cancel(&self) {
-        // A send error means the manager already shut down; the handle
-        // will resolve through the drain path regardless.
-        let _ = self.ctl.send(Msg::Cancel(self.id));
+        // A service that has shut down resolved every handle on its way
+        // out: nothing is left to cancel.
+        if let Some(service) = self.service.upgrade() {
+            service.cancel(&mut service.lock(), self.id);
+        }
     }
 }
 
 /// Service-wide counters and histograms, readable via [`QrService::stats`].
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
-    /// Jobs accepted by the manager.
+    /// Jobs accepted by the service.
     pub jobs_submitted: u64,
     /// Jobs that delivered a successful result.
     pub jobs_completed: u64,
@@ -654,78 +745,13 @@ impl ServiceStats {
 }
 
 // ---------------------------------------------------------------------------
-// admission gate
+// what a job is made of, on its way through the service
 // ---------------------------------------------------------------------------
 
-struct GateState {
-    in_flight: usize,
-    accepting: bool,
-}
-
-struct Gate {
-    capacity: usize,
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new(capacity: usize) -> Self {
-        Gate {
-            capacity,
-            state: Mutex::new(GateState {
-                in_flight: 0,
-                accepting: true,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self, block: bool) -> Result<(), ServiceError> {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if !s.accepting {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if self.capacity == 0 || s.in_flight < self.capacity {
-                s.in_flight += 1;
-                return Ok(());
-            }
-            if !block {
-                return Err(ServiceError::Saturated {
-                    in_flight: s.in_flight,
-                    max_in_flight: self.capacity,
-                });
-            }
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-
-    fn release(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.in_flight = s.in_flight.saturating_sub(1);
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap().accepting = false;
-        self.cv.notify_all();
-    }
-
-    fn in_flight(&self) -> usize {
-        self.state.lock().unwrap().in_flight
-    }
-}
-
-// ---------------------------------------------------------------------------
-// wire types between submitter, manager, and workers
-// ---------------------------------------------------------------------------
-
-type ResultTx<T> = mpsc::Sender<Result<JobResult<T>, ServiceError>>;
 type SharedInjector = Arc<dyn FaultInjector + Send + Sync>;
 
-/// Identity + timing + completion channel of one job, carried through
-/// whichever path (interleaved / batched / epilogue) executes it.
+/// Identity + timing + reply slot of one job, carried through whichever
+/// path (interleaved / batched / epilogue) executes it.
 struct JobMeta<T: Scalar> {
     id: JobId,
     class: PriorityClass,
@@ -736,7 +762,7 @@ struct JobMeta<T: Scalar> {
     backlog_at_submit: u64,
     queue_wait: Duration,
     dispatch_delay_tasks: u64,
-    result_tx: ResultTx<T>,
+    reply: ReplyTx<T>,
 }
 
 /// What every execution path needs of a job to produce its output: the
@@ -744,21 +770,10 @@ struct JobMeta<T: Scalar> {
 /// what to compute once the DAG has run.
 struct JobBody<T: Scalar> {
     state: FactorState<T>,
-    graph: Arc<TaskGraph>,
+    graph: TaskGraph,
     rows: usize,
     cols: usize,
     payload: Payload<T>,
-}
-
-/// A submission as it reaches the manager; `meta`'s dispatch-count and
-/// backlog stamps are the manager's to fill in at admission.
-struct NewJob<T: Scalar> {
-    meta: JobMeta<T>,
-    body: JobBody<T>,
-    b: usize,
-    cost: CostModel,
-    tuning: JobTuning,
-    injector: Option<SharedInjector>,
 }
 
 /// A job small enough to batch: queued, grouped and executed whole.
@@ -768,9 +783,17 @@ struct SmallJob<T: Scalar> {
     vtime: f64,
 }
 
+/// A submission as `submit` builds it on the caller's thread — everything
+/// that needs no lock, the engine's [`DagRun`] included. Its id, its
+/// dispatch-count and backlog stamps and its virtual time are filled in
+/// under the lock, at admission.
+enum Admission<T: Scalar> {
+    Small(Box<SmallJob<T>>),
+    Dag(Box<JobState<T>>),
+}
+
 /// Everything a [`JobResult`] carries besides the output — assembled
-/// when a job's DAG finishes and handed along (through the epilogue
-/// worker, if there is one) to the moment of delivery.
+/// when a job's DAG finishes and handed along to the moment of delivery.
 struct Delivery<T: Scalar> {
     meta: JobMeta<T>,
     report: RunReport,
@@ -779,6 +802,10 @@ struct Delivery<T: Scalar> {
     class_compute_us: [f64; 3],
     class_tasks: [u64; 3],
 }
+
+/// A job whose DAG is complete and whose state is nobody else's any more:
+/// what is left is the epilogue and the delivery, both outside the lock.
+type Finished<T> = (Delivery<T>, JobBody<T>);
 
 /// Why a composite (batch / epilogue) unit failed on its worker.
 enum UnitFailure {
@@ -812,43 +839,17 @@ fn guarded<R>(unit: impl FnOnce() -> Result<R, MatrixError>) -> Result<R, UnitFa
 /// The in-flight attempt a worker slot is watched for.
 type AttemptKey = (JobId, TaskId, u32);
 
-struct TaskDone<T: Scalar> {
-    key: AttemptKey,
-    worker: usize,
-    outcome: Outcome<T>,
-}
-
-struct BatchItem<T: Scalar> {
-    meta: JobMeta<T>,
-    result: Result<(JobOutput<T>, LatencyHistogram), UnitFailure>,
-    elapsed: Duration,
-    tasks: u64,
-}
-
-struct EpilogueDone<T: Scalar> {
-    worker: usize,
-    delivery: Delivery<T>,
-    result: Result<JobOutput<T>, UnitFailure>,
-}
-
-enum Msg<T: Scalar> {
-    Submit(Box<NewJob<T>>),
-    TaskDone(Box<TaskDone<T>>),
-    BatchDone(usize, Vec<BatchItem<T>>),
-    EpilogueDone(Box<EpilogueDone<T>>),
-    Cancel(JobId),
-    Drain(mpsc::Sender<()>),
-}
-
-enum Work<T: Scalar> {
+/// What a worker takes from the core to run with the lock released.
+enum Unit<T: Scalar> {
+    /// One fenced attempt of one task of an interleaved job.
     Task {
         key: AttemptKey,
         kind: TaskKind,
         shared: Arc<SharedFactorState<T>>,
         injector: Option<SharedInjector>,
     },
+    /// A composite of small jobs, each run whole and in order.
     Batch(Vec<SmallJob<T>>),
-    Epilogue(Box<(Delivery<T>, JobBody<T>)>),
 }
 
 /// Run the epilogue of a finished DAG: wrap the state into the job's
@@ -858,26 +859,32 @@ enum Work<T: Scalar> {
 /// substitution on the leading `cols` entries) so a service solve is
 /// bit-identical to the single-matrix API.
 fn finish_output<T: Scalar>(body: JobBody<T>) -> Result<JobOutput<T>, MatrixError> {
-    let (state, graph, rows, cols) = (body.state, body.graph.as_ref(), body.rows, body.cols);
-    let wrap = |state: FactorState<T>| FactoredJob {
+    let JobBody {
         state,
-        graph: graph.clone(),
+        graph,
+        rows,
+        cols,
+        payload,
+    } = body;
+    let wrap = |state, graph| FactoredJob {
+        state,
+        graph,
         rows,
         cols,
     };
-    match body.payload {
-        Payload::Factor => Ok(JobOutput::Factored(wrap(state))),
+    match payload {
+        Payload::Factor => Ok(JobOutput::Factored(wrap(state, graph))),
         Payload::Solve { rhs } => {
             let (pm, _) = state.tiles().padded_dims();
             let bm = Matrix::from_col_major(rows, 1, rhs)?;
             let mut work = Matrix::zeros(pm, 1);
             work.set_submatrix(0, 0, &bm)?;
-            apply_qt_dense(&state, graph, &mut work)?;
+            apply_qt_dense(&state, &graph, &mut work)?;
             let r_sq = state.r_matrix().submatrix(0, 0, cols, cols)?;
             let x = tileqr_matrix::ops::solve_upper_triangular(&r_sq, &work.as_slice()[..cols])?;
             Ok(JobOutput::Solved {
                 x,
-                factor: wrap(state),
+                factor: wrap(state, graph),
             })
         }
         Payload::Apply { c, transpose } => {
@@ -885,91 +892,21 @@ fn finish_output<T: Scalar>(body: JobBody<T>) -> Result<JobOutput<T>, MatrixErro
             let mut work = Matrix::zeros(pm, c.cols());
             work.set_submatrix(0, 0, &c)?;
             if transpose {
-                apply_qt_dense(&state, graph, &mut work)?;
+                apply_qt_dense(&state, &graph, &mut work)?;
             } else {
-                apply_q_dense(&state, graph, &mut work)?;
+                apply_q_dense(&state, &graph, &mut work)?;
             }
             let out = work.submatrix(0, 0, rows, c.cols())?;
             Ok(JobOutput::Applied {
                 c: out,
-                factor: wrap(state),
+                factor: wrap(state, graph),
             })
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// worker thread
-// ---------------------------------------------------------------------------
-
-fn worker_loop<T: Scalar>(worker_id: usize, rx: mpsc::Receiver<Work<T>>, tx: mpsc::Sender<Msg<T>>) {
-    // One arena per resident thread, grown on demand to the largest
-    // (b, ib) the worker has seen — steady state allocates nothing.
-    let mut ws = Workspace::<T>::minimal();
-    while let Ok(work) = rx.recv() {
-        let (report, retire) = match work {
-            Work::Task {
-                key,
-                kind,
-                shared,
-                injector,
-            } => {
-                let injector = injector.as_deref().map(|f| f as &dyn FaultInjector);
-                let attempt = (key.1, key.2);
-                let outcome = run_attempt(&shared, kind, attempt, injector, true, &mut ws, None);
-                // Drop the state handle *before* reporting: when the
-                // manager sees the job's last completion it can then
-                // reclaim unique ownership immediately.
-                drop(shared);
-                let retire = matches!(outcome, Outcome::Panicked(_));
-                let done = TaskDone {
-                    key,
-                    worker: worker_id,
-                    outcome,
-                };
-                (Msg::TaskDone(Box::new(done)), retire)
-            }
-            Work::Batch(units) => {
-                let run_unit = |SmallJob { meta, mut body, .. }: SmallJob<T>| {
-                    let tasks = body.graph.len() as u64;
-                    let t0 = Instant::now();
-                    let result = guarded(move || {
-                        let mut hist = LatencyHistogram::new();
-                        for tid in 0..body.graph.len() {
-                            let k0 = Instant::now();
-                            body.state.execute(body.graph.task(tid))?;
-                            hist.record_ns(k0.elapsed().as_nanos() as u64);
-                        }
-                        Ok((finish_output(body)?, hist))
-                    });
-                    BatchItem {
-                        meta,
-                        result,
-                        elapsed: t0.elapsed(),
-                        tasks,
-                    }
-                };
-                let items = units.into_iter().map(run_unit).collect();
-                (Msg::BatchDone(worker_id, items), false)
-            }
-            Work::Epilogue(unit) => {
-                let (delivery, body) = *unit;
-                let done = EpilogueDone {
-                    worker: worker_id,
-                    delivery,
-                    result: guarded(move || finish_output(body)),
-                };
-                (Msg::EpilogueDone(Box::new(done)), false)
-            }
-        };
-        if tx.send(report).is_err() || retire {
-            break;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// manager
+// the core: what every thread of the service shares, behind the one lock
 // ---------------------------------------------------------------------------
 
 /// One interleaved (DAG-path) job: the engine's [`DagRun`] plus what only
@@ -977,10 +914,10 @@ fn worker_loop<T: Scalar>(worker_id: usize, rx: mpsc::Receiver<Work<T>>, tx: mps
 /// stamps, and the per-job measurements that ride on the [`JobResult`].
 struct JobState<T: Scalar> {
     meta: JobMeta<T>,
-    /// The job's [`JobBody`], taken apart while workers share the state;
-    /// reassembled when the DAG is done and the `Arc` is unique again.
-    shared: Option<Arc<SharedFactorState<T>>>,
-    graph: Arc<TaskGraph>,
+    /// Workers clone the handle for the length of one attempt; when the
+    /// DAG is done it is unique again and the state is reclaimed.
+    shared: Arc<SharedFactorState<T>>,
+    graph: TaskGraph,
     rows: usize,
     cols: usize,
     payload: Payload<T>,
@@ -1004,39 +941,33 @@ struct PendingBatch<T: Scalar> {
     vtime: f64,
 }
 
-struct WorkerSlot<T: Scalar> {
-    tx: mpsc::Sender<Work<T>>,
-    handle: JoinHandle<()>,
-}
-
-/// The service driver: resident worker threads that are respawned on
-/// death (the pool never shrinks), admission, weighted-fair choice among
-/// many [`DagRun`]s and small-job batches, deadlines, cancellation and
-/// epilogues. Everything per-DAG is the engine's.
-struct Manager<T: Scalar> {
-    cfg: ServiceConfig,
-    workers: usize,
-    rx: mpsc::Receiver<Msg<T>>,
-    msg_tx: mpsc::Sender<Msg<T>>,
-    threads: Vec<WorkerSlot<T>>,
-    graveyard: Vec<JoinHandle<()>>,
-    /// Batch and epilogue units occupy a slot unwatched: composite units
-    /// have no per-task retry identity for the watchdog to requeue.
+/// The scheduling state of the service. Workers, the timer, submitters and
+/// cancelling handles all act on it directly, under [`Shared::core`].
+struct Core<T: Scalar> {
+    /// Admission is closed: workers and the timer leave once nothing is
+    /// in flight.
+    draining: bool,
+    /// Admitted and not yet resolved jobs — what `max_in_flight` bounds.
+    in_flight: usize,
+    next_job: JobId,
+    /// Attempts the stall watchdog is clocking. Batch and epilogue units
+    /// run unwatched: composite units have no per-task retry identity for
+    /// the watchdog to requeue.
     slots: Slots<AttemptKey>,
     jobs: HashMap<JobId, JobState<T>>,
     smalls: Vec<SmallJob<T>>,
     batches: VecDeque<PendingBatch<T>>,
-    /// Batch and epilogue units currently on a worker.
-    units_in_flight: usize,
-    epi_queue: VecDeque<Work<T>>,
+    /// Completed DAGs whose state a straggler attempt still shares.
     finalize_pending: Vec<JobId>,
     parked: BinaryHeap<Reverse<(Instant, JobId, TaskId)>>,
+    /// Slots whose worker is lost — it reported a panic and left, or the
+    /// watchdog retired it — for the timer to respawn.
+    dead: Vec<usize>,
     vclock: f64,
     dispatch_count: u64,
-    draining: bool,
-    drain_ack: Option<mpsc::Sender<()>>,
-    gate: Arc<Gate>,
-    metrics: Arc<Mutex<ServiceStats>>,
+    /// Workers asleep waiting for a ready unit.
+    sleepers: usize,
+    stats: ServiceStats,
 }
 
 /// Cost of one task under the job's model, scaled to keep virtual times
@@ -1048,7 +979,7 @@ fn task_cost(cost: CostModel, b: usize, kind: TaskKind) -> f64 {
 }
 
 /// Panel-factor kinds are the poison chokepoint: every downstream update
-/// consumes their tiles or T factors, so scanning them at the commit
+/// consumes their tiles or T factors, so scanning them ahead of the commit
 /// fence catches a NaN/Inf before it spreads beyond one tile column.
 fn is_panel_factor(kind: TaskKind) -> bool {
     matches!(
@@ -1057,63 +988,7 @@ fn is_panel_factor(kind: TaskKind) -> bool {
     )
 }
 
-impl<T: Scalar> Manager<T> {
-    fn new(
-        cfg: ServiceConfig,
-        workers: usize,
-        rx: mpsc::Receiver<Msg<T>>,
-        msg_tx: mpsc::Sender<Msg<T>>,
-        gate: Arc<Gate>,
-        metrics: Arc<Mutex<ServiceStats>>,
-    ) -> Self {
-        let mut mgr = Manager {
-            cfg,
-            workers,
-            rx,
-            msg_tx,
-            threads: Vec::with_capacity(workers),
-            graveyard: Vec::new(),
-            slots: Slots::new(workers),
-            jobs: HashMap::new(),
-            smalls: Vec::new(),
-            batches: VecDeque::new(),
-            units_in_flight: 0,
-            epi_queue: VecDeque::new(),
-            finalize_pending: Vec::new(),
-            parked: BinaryHeap::new(),
-            vclock: 0.0,
-            dispatch_count: 0,
-            draining: false,
-            drain_ack: None,
-            gate,
-            metrics,
-        };
-        for w in 0..workers {
-            let slot = mgr.spawn_worker(w);
-            mgr.threads.push(slot);
-        }
-        mgr
-    }
-
-    fn spawn_worker(&self, id: usize) -> WorkerSlot<T> {
-        let (tx, rx) = mpsc::channel::<Work<T>>();
-        let msg_tx = self.msg_tx.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("qr-service-worker-{id}"))
-            .spawn(move || worker_loop(id, rx, msg_tx))
-            .expect("spawn service worker");
-        WorkerSlot { tx, handle }
-    }
-
-    /// Replace the retired worker thread of claimed slot `w`, so the pool
-    /// never shrinks, and return the slot to the idle stack.
-    fn respawn(&mut self, w: usize) {
-        let fresh = self.spawn_worker(w);
-        let retired = std::mem::replace(&mut self.threads[w], fresh);
-        self.graveyard.push(retired.handle);
-        self.slots.free(w);
-    }
-
+impl<T: Scalar> Core<T> {
     /// Virtual time a newly admitted job starts at: the minimum over the
     /// current backlog, so no new arrival is ordered behind work that
     /// came after it and no idle period inflates anyone's credit.
@@ -1134,60 +1009,6 @@ impl<T: Scalar> Manager<T> {
         let active = self.jobs.values().filter(|j| !j.run.all_done()).count();
         (active + self.smalls.len() + self.batches.iter().map(|b| b.units.len()).sum::<usize>())
             as u64
-    }
-
-    fn handle_submit(&mut self, nj: NewJob<T>) {
-        let (mut meta, body, injector) = (nj.meta, nj.body, nj.injector);
-        meta.submit_dispatch_count = self.dispatch_count;
-        meta.backlog_at_submit = self.backlog_size();
-        let vtime = self.arrival_vtime();
-        {
-            let mut m = self.metrics.lock().unwrap();
-            m.jobs_submitted += 1;
-            m.max_jobs_in_flight = m.max_jobs_in_flight.max(self.gate.in_flight());
-            match nj.tuning {
-                JobTuning::Standard => {}
-                JobTuning::Probe => m.probe_jobs += 1,
-                JobTuning::Tuned => m.tuned_jobs += 1,
-            }
-        }
-        // Admission-time shed: the deadline may already be unmeetable —
-        // typically because `submit` blocked on a saturated gate while it
-        // burned away. Reject before the job costs any scheduling state.
-        if meta.deadline.is_some_and(|d| Instant::now() >= d) {
-            return self.shed_meta(meta);
-        }
-        let batchable = self.cfg.batching_enabled()
-            && body.graph.len() <= self.cfg.batch_max_tasks
-            && injector.is_none();
-        if batchable {
-            self.smalls.push(SmallJob { meta, body, vtime });
-            if self.smalls.len() >= self.cfg.batch_max_jobs {
-                self.flush_smalls();
-            }
-            return;
-        }
-        let order = DispatchOrder::Policy(self.cfg.policy);
-        let (cost, drift, b) = (nj.cost, self.cfg.drift, nj.b);
-        let job = JobState {
-            weight: meta.class.weight(),
-            meta,
-            run: DagRun::new(&body.graph, order, cost, drift, b, self.workers, None),
-            shared: Some(Arc::new(SharedFactorState::new(body.state))),
-            graph: body.graph,
-            rows: body.rows,
-            cols: body.cols,
-            payload: body.payload,
-            b,
-            cost,
-            vtime,
-            injector,
-            started: None,
-            class_compute_us: [0.0; 3],
-            class_tasks: [0; 3],
-            task_latency: LatencyHistogram::new(),
-        };
-        self.jobs.insert(job.meta.id, job);
     }
 
     fn flush_smalls(&mut self) {
@@ -1213,35 +1034,8 @@ impl<T: Scalar> Manager<T> {
         }
     }
 
-    /// Resolve a job's handle with `err`, release its admission slot and
-    /// count the failure (plus its lifecycle counter, if it has one).
-    fn resolve_err(&mut self, meta: JobMeta<T>, err: ServiceError) {
-        let mut m = self.metrics.lock().unwrap();
-        m.jobs_failed += 1;
-        match err {
-            ServiceError::DeadlineExceeded { .. } => m.lifecycle.jobs_shed += 1,
-            ServiceError::Cancelled => m.lifecycle.jobs_cancelled += 1,
-            _ => {}
-        }
-        drop(m);
-        // Release before resolving the handle so a waiter that sees the
-        // error can immediately reuse the admission slot.
-        self.gate.release();
-        let _ = meta.result_tx.send(Err(err));
-    }
-
-    /// Shed one queued job past its deadline.
-    fn shed_meta(&mut self, meta: JobMeta<T>) {
-        let deadline = meta.deadline.expect("only deadline-bearing jobs shed");
-        let err = ServiceError::DeadlineExceeded {
-            deadline: deadline.duration_since(meta.submitted),
-            late_by: Instant::now().saturating_duration_since(deadline),
-        };
-        self.resolve_err(meta, err);
-    }
-
-    /// Earliest deadline among still-queued jobs (bounds the run loop's
-    /// recv timeout so sheds fire without needing message traffic).
+    /// Earliest deadline among still-queued jobs (the timer sleeps no
+    /// longer than this, so sheds fire without any other traffic).
     fn earliest_queued_deadline(&self) -> Option<Instant> {
         let dag = self.jobs.values().filter(|j| j.started.is_none());
         let small = self.smalls.iter();
@@ -1257,7 +1051,7 @@ impl<T: Scalar> Manager<T> {
         let mut taken = Vec::new();
         let batched = self.batches.iter_mut().map(|b| &mut b.units);
         for units in std::iter::once(&mut self.smalls).chain(batched) {
-            // The meta is needed by value (to resolve its channel), so a
+            // The meta is needed by value (to resolve its handle), so a
             // queue with a match is rebuilt rather than `retain`ed.
             if units.iter().any(|u| pick(&u.meta)) {
                 let (out, keep): (Vec<_>, Vec<_>) = std::mem::take(units)
@@ -1271,80 +1065,253 @@ impl<T: Scalar> Manager<T> {
         taken
     }
 
+    /// The backlogged job with the smallest virtual time, and the ready
+    /// tasks of all jobs together. Cancelled jobs report nothing ready:
+    /// their remaining tasks are abandoned while in-flight attempts drain.
+    fn pick_wfq_job(&self) -> (Option<(f64, JobId)>, usize) {
+        let mut ready = 0;
+        let backlogged = self.jobs.iter().filter_map(|(&id, j)| {
+            let n = j.run.ready_len();
+            ready += n;
+            (n > 0).then_some((j.vtime, id))
+        });
+        let best = backlogged.min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        (best, ready)
+    }
+
+    fn pick_batch(&self) -> Option<(f64, usize)> {
+        self.batches
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (b.vtime, i))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    }
+
+    /// Whether a worker that looked now would find a unit to take.
+    fn has_ready(&self) -> bool {
+        !self.batches.is_empty()
+            || !self.smalls.is_empty()
+            || self.jobs.values().any(|j| j.run.ready_len() > 0)
+    }
+}
+
+/// The service driver's shared half: the core and its one lock, the wait
+/// queues on it, and what never changes after start. Resident worker
+/// threads schedule themselves over it — weighted-fair choice among many
+/// [`DagRun`]s and small-job batches, settle, commit, epilogue, delivery —
+/// submitters and cancelling handles act on it from their own threads, and
+/// the timer thread keeps the clock-driven rest (see [`timer_loop`]).
+/// Everything per-DAG is the engine's.
+struct Shared<T: Scalar> {
+    cfg: ServiceConfig,
+    workers: usize,
+    core: Mutex<Core<T>>,
+    /// Workers sleep here while nothing is ready.
+    work: Condvar,
+    /// The timer sleeps here until its next deadline is due, or someone
+    /// has set an earlier one or has left it something to do.
+    timer: Condvar,
+    /// Submitters blocked on the admission bound sleep here.
+    admission: Condvar,
+}
+
+const POISONED: &str = "service core lock poisoned: a service thread panicked mid-bookkeeping";
+
+impl<T: Scalar> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, Core<T>> {
+        self.core.lock().expect(POISONED)
+    }
+
+    /// Whether attempts are clocked for the stall watchdog.
+    fn watched(&self) -> bool {
+        self.cfg.fault_tolerance.stall_timeout.is_some()
+    }
+
+    /// Admit `job` (on the submitter's thread) once the admission bound
+    /// has room for it — or refuse it: stamp it, count it, queue it, and
+    /// wake whoever has to learn of it.
+    fn admit(
+        &self,
+        mut core: MutexGuard<'_, Core<T>>,
+        mut job: Admission<T>,
+        tuning: JobTuning,
+        block: bool,
+    ) -> Result<JobId, ServiceError> {
+        let max_in_flight = self.cfg.max_in_flight;
+        while !core.draining && max_in_flight > 0 && core.in_flight >= max_in_flight {
+            if !block {
+                return Err(ServiceError::Saturated {
+                    in_flight: core.in_flight,
+                    max_in_flight,
+                });
+            }
+            core = self.admission.wait(core).expect(POISONED);
+        }
+        if core.draining {
+            return Err(ServiceError::ShuttingDown);
+        }
+        let core = &mut *core;
+        core.in_flight += 1;
+        core.next_job += 1;
+        let (id, vtime) = (core.next_job, core.arrival_vtime());
+        let meta = match &mut job {
+            Admission::Small(small) => &mut small.meta,
+            Admission::Dag(dag) => &mut dag.meta,
+        };
+        meta.id = id;
+        meta.submit_dispatch_count = core.dispatch_count;
+        meta.backlog_at_submit = core.backlog_size();
+        let deadline = meta.deadline;
+        let m = &mut core.stats;
+        m.jobs_submitted += 1;
+        m.max_jobs_in_flight = m.max_jobs_in_flight.max(core.in_flight);
+        match tuning {
+            JobTuning::Standard => {}
+            JobTuning::Probe => m.probe_jobs += 1,
+            JobTuning::Tuned => m.tuned_jobs += 1,
+        }
+        match job {
+            Admission::Small(mut small) => {
+                small.vtime = vtime;
+                core.smalls.push(*small);
+                if core.smalls.len() >= self.cfg.batch_max_jobs {
+                    core.flush_smalls();
+                }
+            }
+            Admission::Dag(mut dag) => {
+                dag.vtime = vtime;
+                core.jobs.insert(id, *dag);
+            }
+        }
+        if core.sleepers > 0 {
+            self.work.notify_one();
+        }
+        // The timer has to learn of a deadline to shed at (at once, if it
+        // burned away while `submit` blocked on a saturated gate), and of
+        // attempts to clock where there may have been none.
+        if deadline.is_some() || self.watched() {
+            self.timer.notify_one();
+        }
+        Ok(id)
+    }
+
+    /// A job is about to resolve: give its admission slot back first, so a
+    /// waiter that sees the result can reuse it at once.
+    fn release(&self, core: &mut Core<T>) {
+        core.in_flight -= 1;
+        self.admission.notify_all();
+        if core.draining {
+            self.timer.notify_one();
+        }
+    }
+
+    /// Resolve a job's handle with `err`, release its admission slot and
+    /// count the failure (plus its lifecycle counter, if it has one).
+    fn resolve_err(&self, core: &mut Core<T>, meta: JobMeta<T>, err: ServiceError) {
+        let m = &mut core.stats;
+        m.jobs_failed += 1;
+        match err {
+            ServiceError::DeadlineExceeded { .. } => m.lifecycle.jobs_shed += 1,
+            ServiceError::Cancelled => m.lifecycle.jobs_cancelled += 1,
+            _ => {}
+        }
+        self.release(core);
+        meta.reply.send(Err(err));
+    }
+
+    /// Shed one queued job past its deadline.
+    fn shed(&self, core: &mut Core<T>, meta: JobMeta<T>) {
+        let deadline = meta.deadline.expect("only deadline-bearing jobs shed");
+        let err = ServiceError::DeadlineExceeded {
+            deadline: deadline.duration_since(meta.submitted),
+            late_by: Instant::now().saturating_duration_since(deadline),
+        };
+        self.resolve_err(core, meta, err);
+    }
+
     /// Shed every queued job whose deadline has passed. A job counts as
     /// queued until its first task (or batch) dispatches; after that it
     /// runs to completion — a deadline bounds *waiting*, not execution.
     /// (A never-started job is never a cancelled one: cancelling a job
     /// with nothing in flight resolves it on the spot.)
-    fn sweep_shed(&mut self) {
+    fn sweep_shed(&self, core: &mut Core<T>) {
         let now = Instant::now();
         let expired = |m: &JobMeta<T>| m.deadline.is_some_and(|d| now >= d);
-        let dag: Vec<JobId> = self
+        let dag: Vec<JobId> = core
             .jobs
             .iter()
             .filter(|(_, j)| j.started.is_none() && expired(&j.meta))
             .map(|(&id, _)| id)
             .collect();
-        let mut late = self.take_queued(expired);
+        let mut late = core.take_queued(expired);
         late.extend(
             dag.iter()
-                .filter_map(|id| self.jobs.remove(id))
+                .filter_map(|id| core.jobs.remove(id))
                 .map(|j| j.meta),
         );
         for meta in late {
-            self.shed_meta(meta);
+            self.shed(core, meta);
         }
     }
 
     /// Stall watchdog: retire any worker whose in-flight task has aged
-    /// past `stall_timeout`, respawn the slot (the pool never shrinks),
-    /// and requeue the task exactly once through the normal retry path.
-    /// The stalled thread's eventual late result (if it ever wakes) is
-    /// deduplicated at the commit fence like any other stale attempt.
-    fn sweep_watchdog(&mut self) {
+    /// past `stall_timeout`, leave its slot for respawn (the pool never
+    /// shrinks) and requeue the task exactly once through the normal retry
+    /// path. The stalled thread's eventual late result (if it ever wakes)
+    /// is deduplicated at the commit fence like any other stale attempt.
+    fn sweep_watchdog(&self, core: &mut Core<T>) {
         let Some(bound) = self.cfg.fault_tolerance.stall_timeout else {
             return;
         };
-        for (w, (id, task, _)) in self.slots.take_stalled(bound, Instant::now()) {
-            self.respawn(w);
-            self.metrics.lock().unwrap().lifecycle.watchdog_retirements += 1;
+        for (w, (id, task, _)) in core.slots.take_stalled(bound, Instant::now()) {
+            core.dead.push(w);
+            core.stats.lifecycle.watchdog_retirements += 1;
             let lost = format!("worker {w} stalled past {bound:?}");
-            self.after_loss(id, task, w, true, lost);
+            self.after_loss(core, id, task, w, true, lost);
         }
     }
 
     /// The worker on slot `w` was lost mid-attempt of `task` (panic
     /// report or watchdog retirement): charge the retry to the *victim
     /// job's* budget alone, or finish draining it if it was cancelled.
-    fn after_loss(&mut self, id: JobId, task: TaskId, w: usize, expected: bool, last: String) {
-        let Some(job) = self.jobs.get_mut(&id) else {
+    fn after_loss(
+        &self,
+        core: &mut Core<T>,
+        id: JobId,
+        task: TaskId,
+        w: usize,
+        expected: bool,
+        last: String,
+    ) {
+        let Some(job) = core.jobs.get_mut(&id) else {
             return;
         };
         if job.run.on_panicked(task, w, expected) {
-            self.retry_or_fail(id, task, last);
+            self.retry_or_fail(core, id, task, last);
         } else {
-            self.finish_if_drained(id);
+            self.finish_if_drained(core, id);
         }
     }
 
     /// Resolve a cancelled DAG job once its in-flight work has drained.
-    fn finish_if_drained(&mut self, id: JobId) {
+    fn finish_if_drained(&self, core: &mut Core<T>, id: JobId) {
         let drained = |j: &JobState<T>| j.run.is_halted() && j.run.in_flight() == 0;
-        if self.jobs.get(&id).is_some_and(drained) {
-            self.fail_job(id, ServiceError::Cancelled);
+        if core.jobs.get(&id).is_some_and(drained) {
+            self.fail_job(core, id, ServiceError::Cancelled);
         }
     }
 
-    fn handle_cancel(&mut self, id: JobId) {
+    /// [`JobHandle::cancel`], on the cancelling thread.
+    fn cancel(&self, core: &mut Core<T>, id: JobId) {
         // Still queued as a small job or inside a pending (undispatched)
         // batch: pull the unit out and resolve immediately.
-        if let Some(meta) = self.take_queued(|m| m.id == id).pop() {
-            return self.resolve_err(meta, ServiceError::Cancelled);
+        if let Some(meta) = core.take_queued(|m| m.id == id).pop() {
+            return self.resolve_err(core, meta, ServiceError::Cancelled);
         }
         // DAG-path job. If its graph already completed, completion wins
-        // (the finalize/epilogue path delivers the normal result); a
-        // batch already on a worker likewise runs to delivery.
-        let Some(job) = self.jobs.get_mut(&id) else {
+        // (the finishing worker delivers the normal result); a batch
+        // already on a worker likewise runs to delivery.
+        let Some(job) = core.jobs.get_mut(&id) else {
             return;
         };
         if job.run.all_done() {
@@ -1352,39 +1319,26 @@ impl<T: Scalar> Manager<T> {
         }
         // Forget queued work; in-flight attempts drain at the fence.
         job.run.halt();
-        self.finish_if_drained(id);
+        self.finish_if_drained(core, id);
     }
 
-    /// Try to reclaim unique ownership of completed DAGs and move them to
-    /// their epilogue (or completion). Workers drop their state handles
-    /// before reporting, so this almost always succeeds on the first try;
-    /// a straggler clone (late result from a retired worker) just defers
-    /// the job to the next loop iteration.
-    fn run_finalize(&mut self) {
-        for id in std::mem::take(&mut self.finalize_pending) {
-            let Some(job) = self.jobs.get_mut(&id) else {
-                continue;
-            };
-            let Some(arc) = job.shared.take() else {
-                continue;
-            };
-            match Arc::try_unwrap(arc) {
-                Err(arc) => {
-                    job.shared = Some(arc);
-                    self.finalize_pending.push(id);
-                }
-                Ok(shared) => {
-                    let job = self.jobs.remove(&id).expect("looked up above");
-                    self.finish_dag(job, shared.into_state());
-                }
+    /// `id`'s DAG is complete: take the job out of the table and reclaim
+    /// unique ownership of its state. Workers drop their state handles
+    /// before they settle, so this almost always succeeds on the spot; a
+    /// straggler clone (the late attempt of a retired worker) puts the job
+    /// back for the timer to try again.
+    fn retire(&self, core: &mut Core<T>, id: JobId) -> Option<Finished<T>> {
+        let mut job = core.jobs.remove(&id)?;
+        let state = match Arc::try_unwrap(job.shared) {
+            Ok(shared) => shared.into_state(),
+            Err(shared) => {
+                job.shared = shared;
+                core.jobs.insert(id, job);
+                core.finalize_pending.push(id);
+                self.timer.notify_one();
+                return None;
             }
-        }
-    }
-
-    /// A job's DAG is done and its state is the manager's alone again:
-    /// close the run into its report, then deliver (plain factorizations)
-    /// or queue the epilogue (solve / apply) for a worker.
-    fn finish_dag(&mut self, job: JobState<T>, state: FactorState<T>) {
+        };
         // The resident arenas outlive the job, so only the state's own
         // copy-on-write count is attributable to it.
         let counters = HotPathCounters {
@@ -1407,19 +1361,22 @@ impl<T: Scalar> Manager<T> {
             cols: job.cols,
             payload: job.payload,
         };
-        if matches!(body.payload, Payload::Factor) {
-            let result = finish_output(body).map_err(UnitFailure::Numeric);
-            self.deliver(delivery, result, 0);
-        } else {
-            let unit = Box::new((delivery, body));
-            self.epi_queue.push_back(Work::Epilogue(unit));
-        }
+        Some((delivery, body))
+    }
+
+    /// Run a finished job's epilogue and deliver the result, on the
+    /// calling thread — `worker`'s, or the timer's for a deferred job —
+    /// with the lock released.
+    fn finish(&self, (delivery, body): Finished<T>, worker: usize) {
+        let output = guarded(move || finish_output(body));
+        self.deliver(delivery, output, worker);
     }
 
     /// Resolve a finished job's handle: the result with everything that
     /// rides on it, or the failure of its composite unit on `worker`.
+    /// Called with the lock released; takes it only to count.
     fn deliver(
-        &mut self,
+        &self,
         delivery: Delivery<T>,
         output: Result<JobOutput<T>, UnitFailure>,
         worker: usize,
@@ -1427,16 +1384,18 @@ impl<T: Scalar> Manager<T> {
         let Delivery { meta, report, .. } = delivery;
         let output = match output {
             Ok(output) => output,
-            Err(f) => return self.resolve_err(meta, f.into_error(worker)),
+            Err(f) => return self.resolve_err(&mut self.lock(), meta, f.into_error(worker)),
         };
         let latency = meta.submitted.elapsed();
         {
-            let mut m = self.metrics.lock().unwrap();
+            let mut core = self.lock();
+            let m = &mut core.stats;
             m.jobs_completed += 1;
             m.drift_reweights += report.drift_reweights;
             m.queue_wait.record_ns(meta.queue_wait.as_nanos() as u64);
             m.latency.record_ns(latency.as_nanos() as u64);
             m.class_latency[meta.class.index()].record_ns(latency.as_nanos() as u64);
+            self.release(&mut core);
         }
         let result = JobResult {
             job: meta.id,
@@ -1452,353 +1411,373 @@ impl<T: Scalar> Manager<T> {
             class_compute_us: delivery.class_compute_us,
             class_tasks: delivery.class_tasks,
         };
-        // Release before resolving the handle so a waiter that sees the
-        // result can immediately reuse the admission slot.
-        self.gate.release();
-        let _ = meta.result_tx.send(Ok(result));
+        meta.reply.send(Ok(result));
+    }
+
+    /// Run one small job of a batch whole on `worker` — its tasks in
+    /// program order, then its epilogue — and deliver it.
+    fn run_small(&self, worker: usize, small: SmallJob<T>) {
+        let SmallJob { meta, mut body, .. } = small;
+        let tasks = body.graph.len() as u64;
+        let t0 = Instant::now();
+        let mut task_latency = LatencyHistogram::new();
+        let output = guarded(|| {
+            for tid in 0..body.graph.len() {
+                let k0 = Instant::now();
+                body.state.execute(body.graph.task(tid))?;
+                task_latency.record_ns(k0.elapsed().as_nanos() as u64);
+            }
+            finish_output(body)
+        });
+        let counters = HotPathCounters {
+            cow_clones: output.as_ref().map_or(0, |o| o.factor().state.cow_clones()),
+            ..HotPathCounters::default()
+        };
+        let lane = Tally::one_lane(self.workers, worker, tasks);
+        let delivery = Delivery {
+            meta,
+            report: lane.into_report(0, self.cfg.policy, t0.elapsed(), None, counters),
+            batched: true,
+            task_latency,
+            class_compute_us: [0.0; 3],
+            class_tasks: [0; 3],
+        };
+        self.deliver(delivery, output, worker);
     }
 
     /// Deliver a failure for a DAG-path job and drop its remaining state.
-    fn fail_job(&mut self, id: JobId, err: ServiceError) {
-        if let Some(job) = self.jobs.remove(&id) {
-            self.resolve_err(job.meta, err);
+    fn fail_job(&self, core: &mut Core<T>, id: JobId, err: ServiceError) {
+        if let Some(job) = core.jobs.remove(&id) {
+            self.resolve_err(core, job.meta, err);
         }
     }
 
-    /// Charge a failed attempt to the job's budget: park a retry or fail
-    /// the job once the budget is spent. Only this job is affected.
-    fn retry_or_fail(&mut self, id: JobId, task: TaskId, last: String) {
-        let Some(job) = self.jobs.get_mut(&id) else {
+    /// Charge a failed attempt to the job's budget: park a retry (a new
+    /// deadline for the timer) or fail the job once the budget is spent.
+    /// Only this job is affected.
+    fn retry_or_fail(&self, core: &mut Core<T>, id: JobId, task: TaskId, last: String) {
+        let Some(job) = core.jobs.get_mut(&id) else {
             return;
         };
         match job.run.charge_retry(&self.cfg.fault_tolerance, task, last) {
-            Ok(wake) => self.parked.push(Reverse((wake, id, task))),
-            Err(e) => self.fail_job(id, ServiceError::Runtime(e)),
+            Ok(wake) => {
+                core.parked.push(Reverse((wake, id, task)));
+                self.timer.notify_one();
+            }
+            Err(e) => self.fail_job(core, id, ServiceError::Runtime(e)),
         }
     }
 
-    fn handle_task_done(&mut self, done: TaskDone<T>) {
-        let TaskDone {
-            key,
-            worker,
-            outcome,
-        } = done;
-        let (id, task, attempt) = key;
-        // Is this the result we dispatched to this worker slot? A late
-        // report from a watchdog-retired thread fails this check: its
-        // slot was already respawned, so it must not touch slot state
-        // (respawning again would kill the healthy replacement) or
-        // in-flight accounting (the watchdog already charged it). A
-        // stale `Done` still gets a shot at the commit fence below —
-        // first result wins, whoever produced it.
-        let alive = !matches!(outcome, Outcome::Panicked(_));
-        let expected = self.slots.settle(worker, key, alive);
-        if expected && !alive {
-            self.respawn(worker);
-        }
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return; // job already failed and was removed; drop the late result
-        };
+    /// Settle how attempt `key` ended on slot `w`. `expected` is false if
+    /// the watchdog retired `w` while it was away: such a report must not
+    /// touch in-flight accounting (the watchdog already charged it), but a
+    /// stale `Done` still gets a shot at the commit fence — first result
+    /// wins, whoever produced it. `poisoned` is the worker's scan of a
+    /// panel-factor output. Returns the job, if this commit was its last.
+    fn settle(
+        &self,
+        core: &mut Core<T>,
+        w: usize,
+        (id, task, attempt): AttemptKey,
+        expected: bool,
+        outcome: Outcome<T>,
+        poisoned: Option<(usize, usize)>,
+    ) -> Option<Finished<T>> {
+        // Job already failed and was removed: drop the late result.
+        let job = core.jobs.get_mut(&id)?;
         match outcome {
             Outcome::Done(done) => {
                 let compute_ns = done.compute.as_nanos() as u64;
                 job.task_latency.record_ns(compute_ns);
-                let kind = job.graph.task(task);
-                // Poison fence: scan panel-factor output before it becomes
-                // an input of downstream tasks.
-                let scan = job.run.accepts(task) && is_panel_factor(kind);
-                let outputs = done.completed.as_deref().filter(|_| scan);
-                let poisoned = outputs.and_then(|c| c.first_non_finite());
-                if let Some(tile) = poisoned {
+                // Poison fence: the output must not become an input of
+                // downstream tasks.
+                if let Some(tile) = poisoned.filter(|_| job.run.accepts(task)) {
                     // Fail only the victim: its state is dropped before the
                     // NaN was ever committed, so no other tile (or job) saw
                     // it.
-                    self.metrics.lock().unwrap().lifecycle.poison_detected += 1;
+                    core.stats.lifecycle.poison_detected += 1;
                     let task = Some(task);
-                    return self.fail_job(id, ServiceError::NumericalBreakdown { task, tile });
+                    let err = ServiceError::NumericalBreakdown { task, tile };
+                    self.fail_job(core, id, err);
+                    return None;
                 }
-                let shared = job.shared.as_ref().expect("state present while tasks run");
                 let at = (task, attempt);
                 if job
                     .run
-                    .on_done(&job.graph, shared, at, worker, expected, done)
+                    .on_done(&job.graph, &job.shared, at, w, expected, done)
                 {
-                    let slot = KernelClass::of(kind).slot();
+                    let slot = KernelClass::of(job.graph.task(task)).slot();
                     job.class_compute_us[slot] += compute_ns as f64 / 1e3;
                     job.class_tasks[slot] += 1;
                     if job.run.all_done() {
-                        self.finalize_pending.push(id);
+                        return self.retire(core, id);
                     }
                 }
-                self.finish_if_drained(id);
+                self.finish_if_drained(core, id);
             }
             Outcome::Failed(e) => {
                 if job.run.on_failed(task, expected) {
-                    self.retry_or_fail(id, task, e.to_string());
+                    self.retry_or_fail(core, id, task, e.to_string());
                 } else {
-                    self.finish_if_drained(id);
+                    self.finish_if_drained(core, id);
                 }
             }
             Outcome::Panicked(message) => {
-                let last = format!("worker {worker} panicked: {message}");
-                self.after_loss(id, task, worker, expected, last);
+                let last = format!("worker {w} panicked: {message}");
+                self.after_loss(core, id, task, w, expected, last);
             }
         }
+        None
     }
 
-    fn handle_batch_done(&mut self, worker: usize, items: Vec<BatchItem<T>>) {
-        self.slots.free(worker);
-        self.units_in_flight -= 1;
-        for item in items {
-            let (output, task_latency) = match item.result {
-                Ok((output, hist)) => (Ok(output), hist),
-                Err(f) => (Err(f), LatencyHistogram::new()),
-            };
-            let counters = HotPathCounters {
-                cow_clones: output.as_ref().map_or(0, |o| o.factor().state.cow_clones()),
-                ..HotPathCounters::default()
-            };
-            let report = Tally::one_lane(self.workers, worker, item.tasks).into_report(
-                0,
-                self.cfg.policy,
-                item.elapsed,
-                None,
-                counters,
-            );
-            let delivery = Delivery {
-                meta: item.meta,
-                report,
-                batched: true,
-                task_latency,
-                class_compute_us: [0.0; 3],
-                class_tasks: [0; 3],
-            };
-            self.deliver(delivery, output, worker);
-        }
-    }
-
-    fn handle_epilogue_done(&mut self, done: EpilogueDone<T>) {
-        self.slots.free(done.worker);
-        self.units_in_flight -= 1;
-        self.deliver(done.delivery, done.result, done.worker);
-    }
-
-    /// Pick the backlogged job with the smallest virtual time. Cancelled
-    /// jobs report nothing ready: their remaining tasks are abandoned
-    /// while in-flight attempts drain.
-    fn pick_wfq_job(&self) -> Option<(f64, JobId)> {
-        self.jobs
-            .iter()
-            .filter(|(_, j)| j.run.ready_len() > 0)
-            .map(|(&id, j)| (j.vtime, id))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-    }
-
-    fn pick_batch(&self) -> Option<(f64, usize)> {
-        self.batches
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.vtime, i))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-    }
-
-    /// Hand work to idle workers: epilogues first (short, completes an
-    /// admitted job), then the weighted-fair choice between regular job
-    /// tasks and pending small-job batches. Each `dispatch_*` consumes the
-    /// claimed slot `w`: on return it is busy or back on the idle stack.
-    fn dispatch(&mut self) {
-        while let Some(w) = self.slots.claim() {
-            if let Some(work) = self.epi_queue.pop_front() {
-                match self.try_send(w, work) {
-                    None => self.units_in_flight += 1,
-                    Some(back) => self.epi_queue.push_front(back),
-                }
-                continue;
-            }
-            let best_job = self.pick_wfq_job();
-            let mut best_batch = self.pick_batch();
+    /// Take the next unit for worker `w`: the weighted-fair choice between
+    /// the backlogged job with the smallest virtual time and the best
+    /// pending small-job batch, charged and stamped as dispatched.
+    fn next_unit(&self, core: &mut Core<T>, w: usize) -> Option<Unit<T>> {
+        loop {
+            let (best_job, ready) = core.pick_wfq_job();
+            let mut best_batch = core.pick_batch();
             // Nothing regular to run but accumulated smalls: flush a
             // partial batch rather than letting the worker idle.
-            if best_job.is_none() && best_batch.is_none() && !self.smalls.is_empty() {
-                self.flush_smalls();
-                best_batch = self.pick_batch();
+            if best_job.is_none() && best_batch.is_none() && !core.smalls.is_empty() {
+                core.flush_smalls();
+                best_batch = core.pick_batch();
             }
-            match (best_job, best_batch) {
-                (None, None) => {
-                    self.slots.free(w);
-                    break;
-                }
-                (Some((jv, id)), Some((bv, bi))) => {
-                    if bv <= jv {
-                        self.dispatch_batch(w, bi);
-                    } else {
-                        self.dispatch_task(w, id);
-                    }
-                }
-                (Some((_, id)), None) => self.dispatch_task(w, id),
-                (None, Some((_, bi))) => self.dispatch_batch(w, bi),
+            let (unit, left) = match (best_job, best_batch) {
+                (None, None) => return None,
+                (Some((jv, _)), Some((bv, bi))) if bv <= jv => (self.take_batch(core, bi), ready),
+                (Some((_, id)), _) => (self.take_task(core, w, id), ready - 1),
+                (None, Some((_, bi))) => (self.take_batch(core, bi), ready),
+            };
+            // `None`: the pick was shed, or all its ready entries were
+            // superseded by a racing retry. Choose again.
+            if unit.is_some() {
+                let depth = left + core.smalls.len();
+                core.stats.max_ready_depth = core.stats.max_ready_depth.max(depth);
+                return unit;
             }
         }
-        let depth: usize =
-            self.jobs.values().map(|j| j.run.ready_len()).sum::<usize>() + self.smalls.len();
-        let mut m = self.metrics.lock().unwrap();
-        m.max_ready_depth = m.max_ready_depth.max(depth);
     }
 
-    /// Send a unit to claimed worker `w`. On a dead dispatch channel (a
-    /// just-panicked worker whose report is still queued) the slot is
-    /// respawned — idle again — and the unit handed back to re-queue.
-    fn try_send(&mut self, w: usize, work: Work<T>) -> Option<Work<T>> {
-        let mpsc::SendError(work) = self.threads[w].tx.send(work).err()?;
-        self.respawn(w);
-        Some(work)
-    }
-
-    fn dispatch_task(&mut self, w: usize, id: JobId) {
-        let job = self.jobs.get_mut(&id).expect("picked from the job table");
-        let Some((task, attempt)) = job.run.pop_ready(w) else {
-            // Every ready entry was superseded by a racing retry.
-            return self.slots.free(w);
-        };
-        if job.started.is_none() {
-            let now = Instant::now();
+    fn take_task(&self, core: &mut Core<T>, w: usize, id: JobId) -> Option<Unit<T>> {
+        let job = core.jobs.get_mut(&id).expect("picked from the job table");
+        let first = job.started.is_none().then(Instant::now);
+        // A deadline bounds waiting: a job past it is shed, not started.
+        if first.is_some_and(|now| job.meta.deadline.is_some_and(|d| now >= d)) {
+            self.sweep_shed(core);
+            return None;
+        }
+        let (task, attempt) = job.run.pop_ready(w)?;
+        if let Some(now) = first {
             job.started = Some(now);
             job.meta.queue_wait = now.duration_since(job.meta.submitted);
-            job.meta.dispatch_delay_tasks = self.dispatch_count - job.meta.submit_dispatch_count;
+            job.meta.dispatch_delay_tasks = core.dispatch_count - job.meta.submit_dispatch_count;
         }
         let kind = job.graph.task(task);
         let key = (id, task, attempt);
-        let work = Work::Task {
+        core.dispatch_count += 1;
+        core.vclock = job.vtime;
+        job.vtime += task_cost(job.cost, job.b, kind) / job.weight;
+        core.stats.tasks_dispatched += 1;
+        if self.watched() {
+            core.slots.watch(w, key);
+        }
+        Some(Unit::Task {
             key,
             kind,
-            shared: Arc::clone(job.shared.as_ref().expect("state present while tasks run")),
+            shared: Arc::clone(&job.shared),
             injector: job.injector.clone(),
-        };
-        self.dispatch_count += 1;
-        self.vclock = job.vtime;
-        job.vtime += task_cost(job.cost, job.b, kind) / job.weight;
-        self.metrics.lock().unwrap().tasks_dispatched += 1;
-        if self.try_send(w, work).is_none() {
-            self.slots.watch(w, key);
-        } else if let Some(job) = self.jobs.get_mut(&id) {
-            // Dead channel: undo the dispatch so the retry path stays
-            // honest, and put the task back in the ready set.
-            job.run.undo_dispatch(task, w);
-        }
+        })
     }
 
-    fn dispatch_batch(&mut self, w: usize, index: usize) {
-        let Some(mut batch) = self.batches.remove(index) else {
-            return self.slots.free(w);
-        };
-        self.vclock = batch.vtime;
+    fn take_batch(&self, core: &mut Core<T>, index: usize) -> Option<Unit<T>> {
         let now = Instant::now();
+        let expired = |u: &SmallJob<T>| u.meta.deadline.is_some_and(|d| now >= d);
+        // As for a job's first task: shed what is past its deadline.
+        if core.batches[index].units.iter().any(expired) {
+            self.sweep_shed(core);
+            return None;
+        }
+        let mut batch = core.batches.remove(index)?;
+        core.vclock = batch.vtime;
         for small in &mut batch.units {
             small.meta.queue_wait = now.duration_since(small.meta.submitted);
             small.meta.dispatch_delay_tasks =
-                self.dispatch_count - small.meta.submit_dispatch_count;
-            self.dispatch_count += 1;
+                core.dispatch_count - small.meta.submit_dispatch_count;
+            core.dispatch_count += 1;
         }
         let count = batch.units.len() as u64;
-        match self.try_send(w, Work::Batch(batch.units)) {
-            None => {
-                let mut m = self.metrics.lock().unwrap();
-                m.batches += 1;
-                m.jobs_batched += count;
-                m.tasks_dispatched += count;
-                drop(m);
-                self.units_in_flight += 1;
+        let m = &mut core.stats;
+        m.batches += 1;
+        m.jobs_batched += count;
+        m.tasks_dispatched += count;
+        Some(Unit::Batch(batch.units))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// computing threads
+// ---------------------------------------------------------------------------
+
+/// A resident computing thread on slot `w`: take a unit under the lock,
+/// run it with the lock released, settle it under the lock, and — for the
+/// commit that completes a job — run that job's epilogue and deliver its
+/// result, again with the lock released. Sleeps on `work` only while the
+/// core has nothing ready.
+fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
+    // One arena per resident thread, grown on demand to the largest
+    // (b, ib) the worker has seen — steady state allocates nothing.
+    let mut ws = Workspace::<T>::minimal();
+    let mut core = sh.lock();
+    loop {
+        let Some(unit) = sh.next_unit(&mut core, w) else {
+            if core.draining && core.in_flight == 0 {
+                return;
             }
-            Some(Work::Batch(units)) => {
-                // Dead channel: re-queue the batch untouched; the metas
-                // are restamped on the next dispatch.
-                let vtime = batch.vtime;
-                self.batches.push_back(PendingBatch { units, vtime });
-            }
-            Some(_) => unreachable!("batch send returns batch work"),
+            core.sleepers += 1;
+            core = sh.work.wait(core).expect(POISONED);
+            core.sleepers -= 1;
+            continue;
+        };
+        // Wake a sleeper only when there is one and a unit left for it,
+        // so a busy service makes no futex call per task.
+        if core.sleepers > 0 && core.has_ready() {
+            sh.work.notify_one();
         }
-    }
-
-    fn is_drained(&self) -> bool {
-        self.jobs.is_empty()
-            && self.smalls.is_empty()
-            && self.batches.is_empty()
-            && self.epi_queue.is_empty()
-            && self.units_in_flight == 0
-    }
-
-    fn handle(&mut self, msg: Msg<T>) {
-        match msg {
-            Msg::Submit(nj) => self.handle_submit(*nj),
-            Msg::TaskDone(d) => self.handle_task_done(*d),
-            Msg::BatchDone(worker, items) => self.handle_batch_done(worker, items),
-            Msg::EpilogueDone(d) => self.handle_epilogue_done(*d),
-            Msg::Cancel(id) => self.handle_cancel(id),
-            Msg::Drain(ack) => {
-                self.draining = true;
-                self.drain_ack = Some(ack);
-            }
-        }
-    }
-
-    fn run(mut self) {
-        loop {
-            self.wake_parked();
-            self.sweep_shed();
-            self.sweep_watchdog();
-            self.run_finalize();
-            self.dispatch();
-            if self.draining && self.is_drained() {
-                break;
-            }
-            // Pick a wait bound: due parked retries, queued-job
-            // deadlines, watchdog expiries, and deferred finalizations
-            // all need the loop to spin again without a new message
-            // arriving.
-            let stall = self.cfg.fault_tolerance.stall_timeout;
-            let retry = self.parked.peek().map(|&Reverse((at, _, _))| at);
-            let wake = [
-                retry,
-                self.earliest_queued_deadline(),
-                stall.and_then(|bound| self.slots.earliest_stall_expiry(bound)),
-                (!self.finalize_pending.is_empty())
-                    .then(|| Instant::now() + Duration::from_millis(1)),
-            ];
-            let first = match wake.into_iter().flatten().min() {
-                Some(at) => {
-                    match self
-                        .rx
-                        .recv_timeout(at.saturating_duration_since(Instant::now()))
-                    {
-                        Ok(m) => Some(m),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
+        drop(core);
+        match unit {
+            Unit::Task {
+                key,
+                kind,
+                shared,
+                injector,
+            } => {
+                let injector = injector.as_deref().map(|f| f as &dyn FaultInjector);
+                let at = (key.1, key.2);
+                let outcome = run_attempt(&shared, kind, at, injector, true, &mut ws, None);
+                // Drop the state handle *before* settling: if this was the
+                // job's last task, the state is then unique and reclaimed
+                // on the spot.
+                drop(shared);
+                let poisoned = match &outcome {
+                    Outcome::Done(done) if is_panel_factor(kind) => {
+                        done.completed.as_deref().and_then(|c| c.first_non_finite())
                     }
+                    _ => None,
+                };
+                let panicked = matches!(outcome, Outcome::Panicked(_));
+                core = sh.lock();
+                // Is this the attempt slot `w` is clocked for? Not if the
+                // watchdog retired this thread while it was away: the slot
+                // belongs to its replacement, and this thread must leave.
+                let expected = !sh.watched() || core.slots.settle(w, key);
+                let finished = sh.settle(&mut core, w, key, expected, outcome, poisoned);
+                if let Some(job) = finished {
+                    drop(core);
+                    sh.finish(job, w);
+                    core = sh.lock();
                 }
-                None => match self.rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                },
-            };
-            if let Some(m) = first {
-                self.handle(m);
-                while let Ok(m) = self.rx.try_recv() {
-                    self.handle(m);
+                if panicked || !expected {
+                    // A thread that panicked retires (its slot is the
+                    // timer's to respawn), and either kind of leaver may
+                    // have left ready work behind with everyone asleep.
+                    if expected {
+                        core.dead.push(w);
+                    }
+                    sh.timer.notify_one();
+                    return;
                 }
             }
+            Unit::Batch(units) => {
+                for small in units {
+                    sh.run_small(w, small);
+                }
+                core = sh.lock();
+            }
         }
-        if let Some(ack) = self.drain_ack.take() {
-            let _ = ack.send(());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// timer thread
+// ---------------------------------------------------------------------------
+
+fn spawn_worker<T: Scalar>(sh: &Arc<Shared<T>>, w: usize) -> JoinHandle<()> {
+    let sh = Arc::clone(sh);
+    std::thread::Builder::new()
+        .name(format!("qr-service-worker-{w}"))
+        .spawn(move || worker_loop(&sh, w))
+        .expect("spawn service worker")
+}
+
+/// The service's timer thread — what the pool's calling thread is to its
+/// workers. It owns the worker threads and does what only a clock can
+/// start: wake parked retries, shed queued jobs at their deadline, retire
+/// workers stalled past the watchdog bound, respawn every lost worker
+/// (retired, or gone after reporting a panic — the pool never shrinks),
+/// finalize a completed job once the straggler sharing its state lets go,
+/// and, at shutdown, stop the service when the core has drained and join
+/// every thread. Between those it sleeps on `timer`.
+fn timer_loop<T: Scalar>(sh: Arc<Shared<T>>) {
+    let mut threads: Vec<_> = (0..sh.workers).map(|w| spawn_worker(&sh, w)).collect();
+    let mut graveyard = Vec::new();
+    let mut core = sh.lock();
+    loop {
+        core.wake_parked();
+        sh.sweep_shed(&mut core);
+        sh.sweep_watchdog(&mut core);
+        for w in std::mem::take(&mut core.dead) {
+            graveyard.push(std::mem::replace(&mut threads[w], spawn_worker(&sh, w)));
         }
-        // Close dispatch channels so every worker's recv loop ends, then
-        // join current and retired threads.
-        for slot in std::mem::take(&mut self.threads) {
-            drop(slot.tx);
-            let _ = slot.handle.join();
+        let pending = std::mem::take(&mut core.finalize_pending);
+        let finished: Vec<_> = pending
+            .into_iter()
+            .filter_map(|id| sh.retire(&mut core, id))
+            .collect();
+        if !finished.is_empty() {
+            drop(core);
+            for job in finished {
+                sh.finish(job, 0);
+            }
+            core = sh.lock();
+            continue;
         }
-        for h in std::mem::take(&mut self.graveyard) {
-            let _ = h.join();
+        if core.sleepers > 0 && core.has_ready() {
+            sh.work.notify_one();
         }
+        if core.draining && core.in_flight == 0 {
+            break;
+        }
+        // Sleep until the earliest of: a parked retry, a queued job's
+        // deadline, a watchdog expiry (no attempt that starts after `now`
+        // can expire before `now + bound`), the next look at a deferred
+        // finalization. Whoever sets an earlier one notifies.
+        let now = Instant::now();
+        let stall = sh.cfg.fault_tolerance.stall_timeout;
+        let clocked = stall.filter(|_| !core.jobs.is_empty());
+        let wake = [
+            core.parked.peek().map(|&Reverse((at, _, _))| at),
+            core.earliest_queued_deadline(),
+            clocked.map(|bound| {
+                let expiry = core.slots.earliest_stall_expiry(bound);
+                expiry.unwrap_or(now + bound)
+            }),
+            (!core.finalize_pending.is_empty()).then(|| now + Duration::from_millis(1)),
+        ];
+        core = match wake.into_iter().flatten().min() {
+            None => sh.timer.wait(core).expect(POISONED),
+            Some(at) => {
+                let left = at.saturating_duration_since(now);
+                sh.timer.wait_timeout(core, left).expect(POISONED).0
+            }
+        };
+    }
+    drop(core);
+    // The sleepers learn of the stop here; a worker still delivering sees
+    // it when it next looks. Then join current and retired threads.
+    sh.work.notify_all();
+    for handle in threads.into_iter().chain(graveyard) {
+        let _ = handle.join();
     }
 }
 
@@ -1825,13 +1804,9 @@ impl<T: Scalar> Manager<T> {
 /// service.shutdown();
 /// ```
 pub struct QrService<T: Scalar> {
-    tx: Mutex<Option<mpsc::Sender<Msg<T>>>>,
-    gate: Arc<Gate>,
-    metrics: Arc<Mutex<ServiceStats>>,
-    manager: Mutex<Option<JoinHandle<()>>>,
-    next_job: AtomicU64,
+    shared: Arc<Shared<T>>,
+    timer: Mutex<Option<JoinHandle<()>>>,
     selector: Option<Arc<TreeSelector>>,
-    default_cost: CostModel,
 }
 
 /// Per-job elimination-tree planner: maps a job's tile geometry and tile
@@ -1841,43 +1816,55 @@ pub struct QrService<T: Scalar> {
 pub type TreeSelector = dyn Fn(usize, usize, usize) -> EliminationTree + Send + Sync;
 
 impl<T: Scalar> QrService<T> {
-    /// Spawn the manager and the resident worker pool.
+    /// Spawn the resident worker pool and its timer thread.
     pub fn start(config: ServiceConfig) -> Self {
         Self::start_inner(config, None)
     }
 
     /// [`QrService::start`] with a geometry-aware tree planner: every job
     /// submitted with [`TreePolicy::Auto`] has its elimination tree
-    /// chosen by `selector` at admission time (on the submitting thread —
-    /// the manager loop never pays for planning). Jobs with a fixed
-    /// policy bypass the selector entirely.
+    /// chosen by `selector` at admission time, on the submitting thread
+    /// and before it takes the service's lock — the workers never wait
+    /// for planning. Jobs with a fixed policy bypass the selector
+    /// entirely.
     pub fn start_with_tree_selector(config: ServiceConfig, selector: Arc<TreeSelector>) -> Self {
         Self::start_inner(config, Some(selector))
     }
 
     fn start_inner(config: ServiceConfig, selector: Option<Arc<TreeSelector>>) -> Self {
         let workers = config.effective_workers().max(1);
-        let default_cost = config.cost;
-        let gate = Arc::new(Gate::new(config.max_in_flight));
-        let metrics = Arc::new(Mutex::new(ServiceStats::default()));
-        let (tx, rx) = mpsc::channel::<Msg<T>>();
-        let mgr_tx = tx.clone();
-        let mgr_gate = Arc::clone(&gate);
-        let mgr_metrics = Arc::clone(&metrics);
-        let manager = std::thread::Builder::new()
-            .name("qr-service-manager".into())
-            .spawn(move || {
-                Manager::new(config, workers, rx, mgr_tx, mgr_gate, mgr_metrics).run();
-            })
-            .expect("spawn service manager");
+        let shared = Arc::new(Shared {
+            cfg: config,
+            workers,
+            core: Mutex::new(Core {
+                draining: false,
+                in_flight: 0,
+                next_job: 0,
+                slots: Slots::new(workers),
+                jobs: HashMap::new(),
+                smalls: Vec::new(),
+                batches: VecDeque::new(),
+                finalize_pending: Vec::new(),
+                parked: BinaryHeap::new(),
+                dead: Vec::new(),
+                vclock: 0.0,
+                dispatch_count: 0,
+                sleepers: 0,
+                stats: ServiceStats::default(),
+            }),
+            work: Condvar::new(),
+            timer: Condvar::new(),
+            admission: Condvar::new(),
+        });
+        let sh = Arc::clone(&shared);
+        let timer = std::thread::Builder::new()
+            .name("qr-service-timer".into())
+            .spawn(move || timer_loop(sh))
+            .expect("spawn service timer");
         QrService {
-            tx: Mutex::new(Some(tx)),
-            gate,
-            metrics,
-            manager: Mutex::new(Some(manager)),
-            next_job: AtomicU64::new(0),
+            shared,
+            timer: Mutex::new(Some(timer)),
             selector,
-            default_cost,
         }
     }
 
@@ -1894,8 +1881,9 @@ impl<T: Scalar> QrService<T> {
     }
 
     fn submit_inner(&self, spec: JobSpec<T>, block: bool) -> Result<JobHandle<T>, ServiceError> {
-        // Validate and tile on the caller's thread so the manager loop
-        // stays lean; spec errors cost no admission slot.
+        // Validate, tile, plan and build the job's run state on the
+        // caller's thread, before the lock; spec errors cost no admission
+        // slot.
         let (rows, cols) = (spec.a.rows(), spec.a.cols());
         if rows < cols {
             return Err(ServiceError::Numeric(MatrixError::DimensionMismatch {
@@ -1941,78 +1929,98 @@ impl<T: Scalar> QrService<T> {
                 None => EliminationTree::default_for(mt, nt),
             },
         };
-        let graph = Arc::new(TaskGraph::build_tree(mt, nt, tree));
+        let graph = TaskGraph::build_tree(mt, nt, tree);
         let state = match spec.inner_block {
             Some(ib) => FactorState::with_inner_block(tiled, ib),
             None => FactorState::new(tiled),
         };
-        self.gate.acquire(block)?;
-        let id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
-        let (result_tx, result_rx) = mpsc::channel();
+        let sh = &self.shared;
+        let (reply, reply_tx) = ReplySlot::open();
         let submitted = Instant::now();
-        let msg = Msg::Submit(Box::new(NewJob {
-            meta: JobMeta {
-                id,
-                class: spec.priority,
-                submitted,
-                deadline: spec.deadline.map(|d| submitted + d),
-                submit_dispatch_count: 0,
-                backlog_at_submit: 0,
-                queue_wait: Duration::ZERO,
-                dispatch_delay_tasks: 0,
-                result_tx,
-            },
-            body: JobBody {
+        let meta = JobMeta {
+            id: 0,
+            class: spec.priority,
+            submitted,
+            deadline: spec.deadline.map(|d| submitted + d),
+            submit_dispatch_count: 0,
+            backlog_at_submit: 0,
+            queue_wait: Duration::ZERO,
+            dispatch_delay_tasks: 0,
+            reply: reply_tx,
+        };
+        let batchable = sh.cfg.batching_enabled()
+            && graph.len() <= sh.cfg.batch_max_tasks
+            && spec.injector.is_none();
+        let job = if batchable {
+            let body = JobBody {
                 state,
                 graph,
                 rows,
                 cols,
                 payload: spec.payload,
-            },
-            b,
-            cost: spec.cost.unwrap_or(self.default_cost),
-            tuning: spec.tuning,
-            injector: spec.injector,
-        }));
-        let guard = self.tx.lock().unwrap();
-        match guard.as_ref() {
-            Some(tx) if tx.send(msg).is_ok() => Ok(JobHandle {
-                id,
-                rx: result_rx,
-                ctl: tx.clone(),
-            }),
-            _ => {
-                drop(guard);
-                self.gate.release();
-                Err(ServiceError::ShuttingDown)
-            }
-        }
+            };
+            Admission::Small(Box::new(SmallJob {
+                meta,
+                body,
+                vtime: 0.0,
+            }))
+        } else {
+            let order = DispatchOrder::Policy(sh.cfg.policy);
+            let cost = spec.cost.unwrap_or(sh.cfg.cost);
+            Admission::Dag(Box::new(JobState {
+                weight: meta.class.weight(),
+                meta,
+                run: DagRun::new(&graph, order, cost, sh.cfg.drift, b, sh.workers, None),
+                shared: Arc::new(SharedFactorState::new(state)),
+                graph,
+                rows,
+                cols,
+                payload: spec.payload,
+                b,
+                cost,
+                vtime: 0.0,
+                injector: spec.injector,
+                started: None,
+                class_compute_us: [0.0; 3],
+                class_tasks: [0; 3],
+                task_latency: LatencyHistogram::new(),
+            }))
+        };
+        let id = sh.admit(sh.lock(), job, spec.tuning, block)?;
+        Ok(JobHandle {
+            id,
+            reply,
+            service: Arc::downgrade(sh),
+        })
     }
 
     /// Snapshot the service-wide counters and histograms.
     pub fn stats(&self) -> ServiceStats {
-        self.metrics.lock().unwrap().clone()
+        self.shared.lock().stats.clone()
     }
 
     /// Stop admission, drain every queued and in-flight job to its
-    /// completion channel (zero lost jobs), join all threads, and return
-    /// the final stats.
+    /// handle (zero lost jobs), join all threads, and return the final
+    /// stats.
     pub fn shutdown(self) -> ServiceStats {
         self.shutdown_inner();
-        self.metrics.lock().unwrap().clone()
+        self.stats()
     }
 
+    /// Also `Drop`'s body, so it must not panic on a poisoned lock; both
+    /// updates are single stores that leave the data valid. No submitter
+    /// can be blocked on the admission bound here: `submit` borrows the
+    /// service this call owns.
     fn shutdown_inner(&self) {
-        self.gate.close();
-        let tx_opt = self.tx.lock().unwrap().take();
-        if let Some(tx) = tx_opt {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            if tx.send(Msg::Drain(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
-        }
-        if let Some(h) = self.manager.lock().unwrap().take() {
-            let _ = h.join();
+        (self.shared.core.lock())
+            .unwrap_or_else(PoisonError::into_inner)
+            .draining = true;
+        self.shared.timer.notify_one();
+        let timer = (self.timer.lock())
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(handle) = timer {
+            let _ = handle.join();
         }
     }
 }
@@ -2086,7 +2094,7 @@ mod tests {
 
     #[test]
     fn auto_policy_routes_through_installed_selector() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&calls);
         let service = QrService::<f64>::start_with_tree_selector(
@@ -2316,6 +2324,57 @@ mod tests {
         h2.wait().unwrap();
         let stats = service.shutdown();
         assert_eq!(stats.lifecycle.jobs_cancelled, u64::from(cancelled));
+    }
+
+    /// A handle on a reply slot of its own, with no service behind it.
+    fn detached_handle() -> (JobHandle<f64>, ReplyTx<f64>) {
+        let (reply, tx) = ReplySlot::open();
+        let handle = JobHandle {
+            id: 1,
+            reply,
+            service: Weak::new(),
+        };
+        (handle, tx)
+    }
+
+    #[test]
+    fn dropped_reply_sender_resolves_the_handle_lost() {
+        let (h, tx) = detached_handle();
+        assert!(matches!(h.wait_timeout(Duration::ZERO), Err(WaitTimeout)));
+        drop(tx);
+        assert!(matches!(
+            h.wait_timeout(Duration::ZERO),
+            Ok(Err(ServiceError::Lost))
+        ));
+        assert!(matches!(h.wait(), Err(ServiceError::Lost)));
+    }
+
+    #[test]
+    fn reply_already_set_beats_a_zero_timeout() {
+        let (h, tx) = detached_handle();
+        tx.send(Err(ServiceError::Cancelled));
+        assert!(matches!(
+            h.wait_timeout(Duration::ZERO),
+            Ok(Err(ServiceError::Cancelled))
+        ));
+        // One shot: the reply was taken and its sender is gone.
+        assert!(matches!(h.wait(), Err(ServiceError::Lost)));
+    }
+
+    #[test]
+    fn cancel_after_shutdown_is_a_noop() {
+        let service = QrService::<f64>::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let h = service
+            .submit(JobSpec::factor(random_matrix::<f64>(24, 24, 51)).tile_size(8))
+            .unwrap();
+        let stats = service.shutdown();
+        assert!(h.service.upgrade().is_none(), "the service is gone");
+        h.cancel();
+        assert_eq!(stats.lifecycle.jobs_cancelled, 0);
+        h.wait().expect("the drain resolved the handle");
     }
 
     #[test]

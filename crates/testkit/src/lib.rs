@@ -38,7 +38,34 @@ pub mod chaos;
 pub mod explorer;
 pub mod oracle;
 
+use std::sync::mpsc;
+use std::time::Duration;
 use tileqr_runtime::SchedulePolicy;
+
+/// Run `body` on its own thread and fail — instead of hanging — if it
+/// has not returned within `limit`: the guard every lost-wake-up test of
+/// the self-scheduling drivers runs under.
+pub fn within<R: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    body: impl FnOnce() -> R + Send + 'static,
+) -> R {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(r) => r,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("{what}: still running after {limit:?} — lost wake-up or missed termination")
+        }
+        // The body panicked (a failed assertion): re-raise it.
+        Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("sender dropped without sending or panicking"),
+        },
+    }
+}
 
 /// Worker counts the integration suites should sweep. Reads
 /// `TILEQR_TESTKIT_WORKERS` (e.g. `"1,2,4"`); defaults to `[1, 2, 4]`.

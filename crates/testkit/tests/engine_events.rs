@@ -10,7 +10,6 @@
 //! * a watchdog sweep retiring every busy slot, whose attempts then report
 //!   *late* — sometimes before the retry (harvested), sometimes after,
 //! * `Failed` / `Panicked` reports for tasks that are already committed,
-//! * dispatches that hit a dead channel and are undone,
 //! * retries woken before and after a late result superseded them.
 //!
 //! An independent model of the charging rule (a lost attempt counts only
@@ -93,6 +92,9 @@ struct Machine<'g> {
     shared: SharedFactorState<f64>,
     run: DagRun,
     slots: Slots<Key>,
+    /// The model's own idle-slot stack: which slots a driver could hand
+    /// the next task to (the engine only tracks what is in flight).
+    idle: Vec<usize>,
     ws: Workspace<f64>,
     ft: FaultTolerance,
     flights: Vec<Flight>,
@@ -122,6 +124,7 @@ impl<'g> Machine<'g> {
                 None,
             ),
             slots: Slots::new(WORKERS),
+            idle: (0..WORKERS).rev().collect(),
             ws: Workspace::new(B, B),
             ft: FaultTolerance {
                 max_attempts: budget,
@@ -154,7 +157,7 @@ impl<'g> Machine<'g> {
     /// The report stays in flight until [`deliver`](Self::deliver)ed.
     fn dispatch(&mut self, w: usize, fault: InjectedFault) -> Option<Key> {
         let Some(key) = self.run.pop_ready(w) else {
-            self.slots.free(w);
+            self.idle.push(w);
             return None;
         };
         let outcome = self.attempt(key, fault);
@@ -178,10 +181,9 @@ impl<'g> Machine<'g> {
     fn deliver(&mut self, i: usize) {
         let Flight { w, key, outcome } = self.flights.swap_remove(i);
         let t = key.0;
-        let alive = !matches!(outcome, Outcome::Panicked(_));
-        let expected = self.slots.settle(w, key, alive);
-        if expected && !alive {
-            self.slots.free(w); // respawned
+        let expected = self.slots.settle(w, key);
+        if expected {
+            self.idle.push(w); // the same worker, or its respawned slot
         }
         let live = !self.run.is_halted() && !self.committed[t];
         match outcome {
@@ -221,7 +223,7 @@ impl<'g> Machine<'g> {
     fn watchdog(&mut self) {
         let far = Instant::now() + Duration::from_secs(3600);
         for (w, (t, _)) in self.slots.take_stalled(Duration::from_secs(1), far) {
-            self.slots.free(w);
+            self.idle.push(w); // respawned
             let live = !self.run.is_halted() && !self.committed[t];
             assert_eq!(self.run.on_panicked(t, w, true), live);
             self.want.worker_deaths += 1;
@@ -263,20 +265,7 @@ fn storm(tiled: TiledMatrix<f64>, g: &TaskGraph, order: DispatchOrder, seed: u64
     let mut rng = Rng64::seed_from_u64(seed);
     let mut draw = move |n: u64| rng.next_u64() % n;
     loop {
-        while let Some(w) = m.slots.claim() {
-            if draw(12) == 0 {
-                // Dead channel: the dispatch never reaches a worker.
-                let Some((t, _)) = m.run.pop_ready(w) else {
-                    m.slots.free(w);
-                    break;
-                };
-                m.run.worker_died(w);
-                m.run.undo_dispatch(t, w);
-                m.want.worker_deaths += 1;
-                m.want.requeues += 1;
-                m.slots.free(w); // respawned
-                continue;
-            }
+        while let Some(w) = m.idle.pop() {
             let fault = match draw(10) {
                 0 => InjectedFault::TransientError,
                 1 => InjectedFault::Panic,
@@ -347,12 +336,12 @@ fn reports_after_commit_never_charge_the_budget() {
         let fifo = DispatchOrder::Policy(SchedulePolicy::Fifo);
         // One retry is the whole budget: a second charge would be fatal.
         let mut m = Machine::new(tiled, &g, fifo, 2);
-        let w = m.slots.claim().unwrap();
+        let w = m.idle.pop().unwrap();
         assert_eq!(m.dispatch(w, late), Some((0, 0)));
         m.watchdog();
         assert_eq!(m.want.retries, 1);
         m.run.wake(m.parked.pop().unwrap());
-        let w = m.slots.claim().unwrap();
+        let w = m.idle.pop().unwrap();
         assert_eq!(m.dispatch(w, InjectedFault::None), Some((0, 1)));
         m.deliver(1); // the retry commits task 0 ...
         assert!(m.committed[0]);
@@ -360,7 +349,7 @@ fn reports_after_commit_never_charge_the_budget() {
         assert!(m.errors.is_empty(), "late {late:?}: {:?}", m.errors);
         // Drain the rest of the DAG cleanly.
         while !m.run.all_done() {
-            while let Some(w) = m.slots.claim() {
+            while let Some(w) = m.idle.pop() {
                 if m.dispatch(w, InjectedFault::None).is_none() {
                     break;
                 }
@@ -380,14 +369,14 @@ fn late_done_from_retired_slot_is_harvested_first() {
     let (tiled, g) = fixture(16, 16, EliminationTree::Flat);
     let reference = sequential(&tiled, &g);
     let mut m = Machine::new(tiled, &g, DispatchOrder::Lifo, 2);
-    let w = m.slots.claim().unwrap();
+    let w = m.idle.pop().unwrap();
     assert_eq!(m.dispatch(w, InjectedFault::None), Some((0, 0)));
     m.watchdog();
     m.deliver(0); // late, unexpected — and first
     assert!(m.committed[0]);
     m.run.wake(m.parked.pop().unwrap());
     while !m.run.all_done() {
-        while let Some(w) = m.slots.claim() {
+        while let Some(w) = m.idle.pop() {
             match m.dispatch(w, InjectedFault::None) {
                 Some((t, _)) => assert_ne!(t, 0, "the superseded retry must be skipped"),
                 None => break,
@@ -410,7 +399,7 @@ fn exhausted_budget_surfaces_exactly_once() {
     let mut m = Machine::new(tiled, &g, DispatchOrder::Lifo, 2);
     // Every slot takes a source that fails its first attempt.
     let mut sources = Vec::new();
-    while let Some(w) = m.slots.claim() {
+    while let Some(w) = m.idle.pop() {
         match m.dispatch(w, InjectedFault::TransientError) {
             Some((t, 0)) => sources.push(t),
             other => {
@@ -424,7 +413,7 @@ fn exhausted_budget_surfaces_exactly_once() {
     m.deliver(0);
     assert_eq!(m.parked, vec![doomed], "first failure parks a retry");
     m.run.wake(m.parked.pop().unwrap());
-    let w = m.slots.claim().unwrap();
+    let w = m.idle.pop().unwrap();
     assert_eq!(
         m.dispatch(w, InjectedFault::TransientError),
         Some((doomed, 1))
@@ -442,9 +431,9 @@ fn exhausted_budget_surfaces_exactly_once() {
     };
     assert_eq!(m.errors, vec![exhausted]);
     assert!(m.run.is_halted() && !m.run.all_done());
-    let w = m.slots.claim().unwrap();
+    let w = m.idle.pop().unwrap();
     assert_eq!(m.run.pop_ready(w), None, "a halted run dispatches nothing");
-    m.slots.free(w);
+    m.idle.push(w);
     let report = m.finish(&reference);
     assert_eq!(report.retries, 1);
 }

@@ -10,7 +10,6 @@
 //! workers are asleep most of the time and every hand-over goes through
 //! a wake-up.
 
-use std::sync::mpsc;
 use std::time::Duration;
 use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
 use tileqr_kernels::exec::FactorState;
@@ -20,33 +19,9 @@ use tileqr_runtime::{
     parallel_factor_ft, parallel_factor_ordered, DispatchOrder, FaultInjector, FaultTolerance,
     InjectedFault, PoolConfig, RunReport, RuntimeError, SchedulePolicy, ScriptedFaults,
 };
-use tileqr_testkit::{policies_under_test, workers_under_test};
+use tileqr_testkit::{policies_under_test, within, workers_under_test};
 
 const B: usize = 4;
-
-/// Run `body` on its own thread and fail — instead of hanging — if it
-/// has not returned within `limit`.
-fn within<R: Send + 'static>(
-    limit: Duration,
-    what: &str,
-    body: impl FnOnce() -> R + Send + 'static,
-) -> R {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let _ = tx.send(body());
-    });
-    match rx.recv_timeout(limit) {
-        Ok(r) => r,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("{what}: still running after {limit:?} — lost wake-up or missed termination")
-        }
-        // The body panicked (a failed assertion): re-raise it.
-        Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(()) => unreachable!("sender dropped without sending or panicking"),
-        },
-    }
-}
 
 /// An `mt × nt` tile grid under `tree`: input tiles, graph, and the
 /// sequential factorization every run must reproduce bit for bit.

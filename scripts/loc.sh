@@ -5,9 +5,10 @@
 #   * every layer listed in scripts/loc_budget must stay within its budget;
 #   * one execution engine: each engine marker (a call or construction that
 #     the pool and the service each used to spell out themselves) may occur
-#     at most once in non-test runtime code, and the pool's workers schedule
-#     themselves under one lock: no `mpsc` (no manager round trip per task)
-#     in non-test `pool.rs`;
+#     at most once in non-test runtime code, and the workers of both drivers
+#     schedule themselves under one lock: no `mpsc` (no manager round trip
+#     per task, no channel per job) in non-test `pool.rs` or `service.rs`,
+#     and none of the service's old wire types anywhere in the crate;
 #   * one cost vocabulary: `dag::cost` defines the Fig. 4 curve, table and
 #     class; no second definition and no bridge function anywhere else;
 #   * one JSON reader and one string escaper in `crates/obs`;
@@ -74,9 +75,12 @@ for marker in "${markers[@]}"; do
     [ "$n" -le 1 ] || fail "engine marker /$marker/ occurs $n times in non-test runtime code:" "$hits"
 done
 
-if hits=$(non_test crates/runtime/src/pool.rs | grep mpsc); then
-    fail "mpsc in non-test pool.rs (workers must self-schedule, not be fed over channels):" "$hits"
-fi
+for driver in pool service; do
+    if hits=$(non_test crates/runtime/src/$driver.rs | grep mpsc); then
+        fail "mpsc in non-test $driver.rs (workers must self-schedule, not be fed over channels):" "$hits"
+    fi
+done
+expect 0 'TaskDone|Work::Task|EpilogueDone' "manager/worker wire types of the service" crates/runtime
 
 expect 0 'struct (KernelTiming|StepTimes)|fn (class_costs|step_times_of|class_slot)\b' \
     "mirror of the dag::cost vocabulary" crates
