@@ -186,8 +186,8 @@ impl QrOptions {
 
     /// Derive a resident-service configuration from these options: the
     /// worker count, schedule policy, cost model, and (if set)
-    /// fault-tolerance budget carry over; admission and batching bounds
-    /// take the service defaults. Pair with
+    /// fault-tolerance budget carry over; the admission bound takes the
+    /// service default. Pair with
     /// [`TiledQr::factor_on`](crate::TiledQr::factor_on) to route the
     /// single-matrix path through one long-lived
     /// [`QrService`](tileqr_runtime::QrService).

@@ -174,8 +174,8 @@ pub(crate) struct Tally {
 
 impl Tally {
     /// A run that needed no manager: `tasks` tasks in program order on
-    /// lane `worker` of `workers` (the pool's inline path, a service
-    /// batch unit), with nothing else to report.
+    /// lane `worker` of `workers` (the pool's inline path), with nothing
+    /// else to report.
     pub(crate) fn one_lane(workers: usize, worker: usize, tasks: u64) -> Self {
         let mut tasks_per_worker = vec![0; workers];
         tasks_per_worker[worker] = tasks;

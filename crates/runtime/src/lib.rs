@@ -45,8 +45,8 @@
 //!
 //! Service mode: [`QrService`] keeps the pool *resident* and serves a
 //! stream of factor / solve / apply jobs, interleaving many job DAGs
-//! with weighted fair-share scheduling, priority classes, admission
-//! control, and small-job batching — see the [`service`] module docs.
+//! with weighted fair-share scheduling, priority classes, and admission
+//! control — see the [`service`] module docs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

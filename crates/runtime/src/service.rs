@@ -27,15 +27,10 @@
 //!   from the backlogged job with the smallest virtual time, and a newly
 //!   admitted job starts at the *minimum* virtual time of the current
 //!   backlog — it can never be scheduled behind work that arrived after
-//!   it, and a heavy job cannot monopolise the pool.
-//! * **Batching**: jobs whose DAG is at most `batch_max_tasks` tasks are
-//!   grouped into a composite unit executed sequentially on one worker.
-//!   A batch flushes when `batch_max_jobs` accumulate or when a worker
-//!   would otherwise idle; pending batches compete in the same
-//!   virtual-time order as regular jobs (keyed by their oldest member),
-//!   so batching adds no starvation risk.
+//!   it, and a heavy job cannot monopolise the pool. A one-task job is a
+//!   job like any other: it takes the same route, one task long.
 //! * **Execution and recovery**: the fault-tolerant pool path, literally
-//!   — every interleaved job owns one [`DagRun`] of the shared
+//!   — every job owns one [`DagRun`] of the shared
 //!   [`engine`](crate::engine), and workers run its fenced
 //!   [`run_attempt`]. Non-destructive staging plus the engine's commit
 //!   fence make re-execution idempotent, so bit-identity survives DAG
@@ -71,13 +66,13 @@
 //! service-wide queue-wait / latency histograms plus queue-depth
 //! high-water marks are readable at any time via [`QrService::stats`].
 
-use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots, Tally};
+use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
 use crate::pool::{model_weight, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
 use crate::scheduler::{DispatchOrder, SchedulePolicy};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
@@ -147,14 +142,6 @@ pub struct ServiceConfig {
     /// Admission bound: maximum submitted-but-unfinished jobs. `0` means
     /// unbounded (no backpressure).
     pub max_in_flight: usize,
-    /// Jobs whose DAG has at most this many tasks are batched into
-    /// composite units instead of being interleaved task-by-task.
-    /// `0` disables batching.
-    pub batch_max_tasks: usize,
-    /// A pending batch flushes once this many small jobs accumulate
-    /// (it also flushes early whenever workers would otherwise idle).
-    /// Values `<= 1` disable batching.
-    pub batch_max_jobs: usize,
     /// Per-job retry budget and backoff for panicked or transiently
     /// failed tasks.
     pub fault_tolerance: FaultTolerance,
@@ -172,8 +159,6 @@ impl Default for ServiceConfig {
             workers: 0,
             policy: SchedulePolicy::default(),
             max_in_flight: 64,
-            batch_max_tasks: 4,
-            batch_max_jobs: 8,
             fault_tolerance: FaultTolerance::default(),
             cost: CostModel::default(),
             drift: DriftConfig::default(),
@@ -189,10 +174,6 @@ impl ServiceConfig {
         } else {
             std::thread::available_parallelism().map_or(1, |v| v.get())
         }
-    }
-
-    fn batching_enabled(&self) -> bool {
-        self.batch_max_tasks > 0 && self.batch_max_jobs > 1
     }
 }
 
@@ -313,8 +294,7 @@ impl<T: Scalar> JobSpec<T> {
     }
 
     /// Attach a fault injector consulted before every task attempt of
-    /// *this job only* (testing hook; disables batching for the job so
-    /// every attempt routes through the retryable task path).
+    /// *this job only* (testing hook).
     pub fn faults(mut self, injector: Arc<dyn FaultInjector + Send + Sync>) -> Self {
         self.injector = Some(injector);
         self
@@ -418,9 +398,8 @@ pub struct JobResult<T: Scalar> {
     pub class: PriorityClass,
     /// The computed product.
     pub output: JobOutput<T>,
-    /// Execution report (task spread, recovery counters, …). For batched
-    /// jobs the report covers the composite unit's share attributed to
-    /// this job.
+    /// Execution report of the job's own DAG run (task spread, recovery
+    /// counters, …).
     pub report: RunReport,
     /// Submission → first dispatch of any of the job's tasks.
     pub queue_wait: Duration,
@@ -433,14 +412,11 @@ pub struct JobResult<T: Scalar> {
     /// Jobs with pending work at the moment this job was admitted
     /// (the backlog it had to share the pool with).
     pub backlog_at_submit: u64,
-    /// Whether the job executed inside a composite small-job batch.
-    pub batched: bool,
     /// Per-task kernel compute latencies of this job alone.
     pub task_latency: LatencyHistogram,
     /// Total measured kernel time per timing-class slot
     /// (`[triangulation, elimination, update]`, µs) — the raw material
-    /// the online autotuner fits profiles from. All zeros for batched
-    /// jobs, which bypass per-task accounting.
+    /// the online autotuner fits profiles from.
     pub class_compute_us: [f64; 3],
     /// Committed tasks per timing-class slot (pairs with
     /// [`JobResult::class_compute_us`] to give per-class means).
@@ -707,14 +683,17 @@ pub struct ServiceStats {
     pub jobs_completed: u64,
     /// Jobs that delivered an error.
     pub jobs_failed: u64,
-    /// Jobs that executed inside composite batches.
+    /// Always 0 since PR 18 (small-job batching is gone); removed with
+    /// the `service.jobs_batched` row in the next `benchmark` PR, the only
+    /// reader.
     pub jobs_batched: u64,
-    /// Composite batch units dispatched.
+    /// Always 0 since PR 18; removed with the `service.batches` row in the
+    /// next `benchmark` PR, the only reader.
     pub batches: u64,
-    /// Individual task dispatches (batched jobs count once per job).
+    /// Individual task dispatches.
     pub tasks_dispatched: u64,
     /// High-water mark of the total ready backlog (ready tasks across
-    /// all jobs plus undispatched small jobs).
+    /// all jobs).
     pub max_ready_depth: usize,
     /// High-water mark of concurrently admitted jobs.
     pub max_jobs_in_flight: usize,
@@ -750,8 +729,8 @@ impl ServiceStats {
 
 type SharedInjector = Arc<dyn FaultInjector + Send + Sync>;
 
-/// Identity + timing + reply slot of one job, carried through whichever
-/// path (interleaved / batched / epilogue) executes it.
+/// Identity + timing + reply slot of one job, carried from admission
+/// through its DAG and epilogue to delivery.
 struct JobMeta<T: Scalar> {
     id: JobId,
     class: PriorityClass,
@@ -765,9 +744,9 @@ struct JobMeta<T: Scalar> {
     reply: ReplyTx<T>,
 }
 
-/// What every execution path needs of a job to produce its output: the
-/// factor state, the DAG over it, the original (unpadded) dimensions, and
-/// what to compute once the DAG has run.
+/// What the epilogue needs of a job to produce its output: the factor
+/// state, the DAG over it, the original (unpadded) dimensions, and what to
+/// compute once the DAG has run.
 struct JobBody<T: Scalar> {
     state: FactorState<T>,
     graph: TaskGraph,
@@ -776,28 +755,11 @@ struct JobBody<T: Scalar> {
     payload: Payload<T>,
 }
 
-/// A job small enough to batch: queued, grouped and executed whole.
-struct SmallJob<T: Scalar> {
-    meta: JobMeta<T>,
-    body: JobBody<T>,
-    vtime: f64,
-}
-
-/// A submission as `submit` builds it on the caller's thread — everything
-/// that needs no lock, the engine's [`DagRun`] included. Its id, its
-/// dispatch-count and backlog stamps and its virtual time are filled in
-/// under the lock, at admission.
-enum Admission<T: Scalar> {
-    Small(Box<SmallJob<T>>),
-    Dag(Box<JobState<T>>),
-}
-
 /// Everything a [`JobResult`] carries besides the output — assembled
 /// when a job's DAG finishes and handed along to the moment of delivery.
 struct Delivery<T: Scalar> {
     meta: JobMeta<T>,
     report: RunReport,
-    batched: bool,
     task_latency: LatencyHistogram,
     class_compute_us: [f64; 3],
     class_tasks: [u64; 3],
@@ -807,49 +769,16 @@ struct Delivery<T: Scalar> {
 /// what is left is the epilogue and the delivery, both outside the lock.
 type Finished<T> = (Delivery<T>, JobBody<T>);
 
-/// Why a composite (batch / epilogue) unit failed on its worker.
-enum UnitFailure {
-    Numeric(MatrixError),
-    Panicked(String),
-}
-
-impl UnitFailure {
-    fn into_error(self, worker: usize) -> ServiceError {
-        match self {
-            UnitFailure::Numeric(e) => ServiceError::Numeric(e),
-            UnitFailure::Panicked(message) => ServiceError::Runtime(RuntimeError::TaskPanicked {
-                task: 0,
-                worker,
-                message,
-            }),
-        }
-    }
-}
-
-/// Run a composite unit under `catch_unwind`, so a panic fails the unit's
-/// job instead of killing the resident worker.
-fn guarded<R>(unit: impl FnOnce() -> Result<R, MatrixError>) -> Result<R, UnitFailure> {
-    match catch_unwind(AssertUnwindSafe(unit)) {
-        Ok(Ok(v)) => Ok(v),
-        Ok(Err(e)) => Err(UnitFailure::Numeric(e)),
-        Err(payload) => Err(UnitFailure::Panicked(panic_message(payload.as_ref()))),
-    }
-}
-
 /// The in-flight attempt a worker slot is watched for.
 type AttemptKey = (JobId, TaskId, u32);
 
-/// What a worker takes from the core to run with the lock released.
-enum Unit<T: Scalar> {
-    /// One fenced attempt of one task of an interleaved job.
-    Task {
-        key: AttemptKey,
-        kind: TaskKind,
-        shared: Arc<SharedFactorState<T>>,
-        injector: Option<SharedInjector>,
-    },
-    /// A composite of small jobs, each run whole and in order.
-    Batch(Vec<SmallJob<T>>),
+/// What a worker takes from the core to run with the lock released: one
+/// fenced attempt of one task of one job.
+struct Unit<T: Scalar> {
+    key: AttemptKey,
+    kind: TaskKind,
+    shared: Arc<SharedFactorState<T>>,
+    injector: Option<SharedInjector>,
 }
 
 /// Run the epilogue of a finished DAG: wrap the state into the job's
@@ -909,9 +838,12 @@ fn finish_output<T: Scalar>(body: JobBody<T>) -> Result<JobOutput<T>, MatrixErro
 // the core: what every thread of the service shares, behind the one lock
 // ---------------------------------------------------------------------------
 
-/// One interleaved (DAG-path) job: the engine's [`DagRun`] plus what only
-/// the service knows about it — its fair-share position, its lifecycle
-/// stamps, and the per-job measurements that ride on the [`JobResult`].
+/// One admitted job: the engine's [`DagRun`] plus what only the service
+/// knows about it — its fair-share position, its lifecycle stamps, and the
+/// per-job measurements that ride on the [`JobResult`]. `submit` builds it
+/// on the caller's thread — everything that needs no lock, the run
+/// included; its id, its dispatch-count and backlog stamps and its virtual
+/// time are filled in under the lock, at admission.
 struct JobState<T: Scalar> {
     meta: JobMeta<T>,
     /// Workers clone the handle for the length of one attempt; when the
@@ -936,11 +868,6 @@ struct JobState<T: Scalar> {
     task_latency: LatencyHistogram,
 }
 
-struct PendingBatch<T: Scalar> {
-    units: Vec<SmallJob<T>>,
-    vtime: f64,
-}
-
 /// The scheduling state of the service. Workers, the timer, submitters and
 /// cancelling handles all act on it directly, under [`Shared::core`].
 struct Core<T: Scalar> {
@@ -950,13 +877,10 @@ struct Core<T: Scalar> {
     /// Admitted and not yet resolved jobs — what `max_in_flight` bounds.
     in_flight: usize,
     next_job: JobId,
-    /// Attempts the stall watchdog is clocking. Batch and epilogue units
-    /// run unwatched: composite units have no per-task retry identity for
-    /// the watchdog to requeue.
+    /// Attempts the stall watchdog is clocking. Epilogues run unwatched:
+    /// they have no per-task retry identity for the watchdog to requeue.
     slots: Slots<AttemptKey>,
     jobs: HashMap<JobId, JobState<T>>,
-    smalls: Vec<SmallJob<T>>,
-    batches: VecDeque<PendingBatch<T>>,
     /// Completed DAGs whose state a straggler attempt still shares.
     finalize_pending: Vec<JobId>,
     parked: BinaryHeap<Reverse<(Instant, JobId, TaskId)>>,
@@ -993,11 +917,8 @@ impl<T: Scalar> Core<T> {
     /// current backlog, so no new arrival is ordered behind work that
     /// came after it and no idle period inflates anyone's credit.
     fn arrival_vtime(&self) -> f64 {
-        let dag = self.jobs.values().filter(|j| !j.run.all_done());
-        let queued = self.smalls.iter().map(|s| s.vtime);
-        let batched = self.batches.iter().map(|b| b.vtime);
-        let backlog = dag.map(|j| j.vtime).chain(queued).chain(batched);
-        let earliest = backlog.fold(f64::INFINITY, f64::min);
+        let backlog = self.jobs.values().filter(|j| !j.run.all_done());
+        let earliest = backlog.map(|j| j.vtime).fold(f64::INFINITY, f64::min);
         if earliest.is_finite() {
             earliest
         } else {
@@ -1006,18 +927,7 @@ impl<T: Scalar> Core<T> {
     }
 
     fn backlog_size(&self) -> u64 {
-        let active = self.jobs.values().filter(|j| !j.run.all_done()).count();
-        (active + self.smalls.len() + self.batches.iter().map(|b| b.units.len()).sum::<usize>())
-            as u64
-    }
-
-    fn flush_smalls(&mut self) {
-        if self.smalls.is_empty() {
-            return;
-        }
-        let units = std::mem::take(&mut self.smalls);
-        let vtime = units.iter().map(|u| u.vtime).fold(f64::INFINITY, f64::min);
-        self.batches.push_back(PendingBatch { units, vtime });
+        self.jobs.values().filter(|j| !j.run.all_done()).count() as u64
     }
 
     /// Move due parked retries back into their job's ready set.
@@ -1037,32 +947,8 @@ impl<T: Scalar> Core<T> {
     /// Earliest deadline among still-queued jobs (the timer sleeps no
     /// longer than this, so sheds fire without any other traffic).
     fn earliest_queued_deadline(&self) -> Option<Instant> {
-        let dag = self.jobs.values().filter(|j| j.started.is_none());
-        let small = self.smalls.iter();
-        let batched = self.batches.iter().flat_map(|b| &b.units);
-        let queued = small.chain(batched).map(|u| &u.meta);
-        let metas = dag.map(|j| &j.meta).chain(queued);
-        metas.filter_map(|m| m.deadline).min()
-    }
-
-    /// Pull every still-queued (undispatched) small job whose meta matches
-    /// `pick` out of the small-job queue and the pending batches.
-    fn take_queued(&mut self, pick: impl Fn(&JobMeta<T>) -> bool) -> Vec<JobMeta<T>> {
-        let mut taken = Vec::new();
-        let batched = self.batches.iter_mut().map(|b| &mut b.units);
-        for units in std::iter::once(&mut self.smalls).chain(batched) {
-            // The meta is needed by value (to resolve its handle), so a
-            // queue with a match is rebuilt rather than `retain`ed.
-            if units.iter().any(|u| pick(&u.meta)) {
-                let (out, keep): (Vec<_>, Vec<_>) = std::mem::take(units)
-                    .into_iter()
-                    .partition(|u| pick(&u.meta));
-                *units = keep;
-                taken.extend(out.into_iter().map(|u| u.meta));
-            }
-        }
-        self.batches.retain(|b| !b.units.is_empty());
-        taken
+        let queued = self.jobs.values().filter(|j| j.started.is_none());
+        queued.filter_map(|j| j.meta.deadline).min()
     }
 
     /// The backlogged job with the smallest virtual time, and the ready
@@ -1079,26 +965,16 @@ impl<T: Scalar> Core<T> {
         (best, ready)
     }
 
-    fn pick_batch(&self) -> Option<(f64, usize)> {
-        self.batches
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.vtime, i))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-    }
-
     /// Whether a worker that looked now would find a unit to take.
     fn has_ready(&self) -> bool {
-        !self.batches.is_empty()
-            || !self.smalls.is_empty()
-            || self.jobs.values().any(|j| j.run.ready_len() > 0)
+        self.jobs.values().any(|j| j.run.ready_len() > 0)
     }
 }
 
 /// The service driver's shared half: the core and its one lock, the wait
 /// queues on it, and what never changes after start. Resident worker
 /// threads schedule themselves over it — weighted-fair choice among many
-/// [`DagRun`]s and small-job batches, settle, commit, epilogue, delivery —
+/// [`DagRun`]s, settle, commit, epilogue, delivery —
 /// submitters and cancelling handles act on it from their own threads, and
 /// the timer thread keeps the clock-driven rest (see [`timer_loop`]).
 /// Everything per-DAG is the engine's.
@@ -1133,7 +1009,7 @@ impl<T: Scalar> Shared<T> {
     fn admit(
         &self,
         mut core: MutexGuard<'_, Core<T>>,
-        mut job: Admission<T>,
+        mut job: Box<JobState<T>>,
         tuning: JobTuning,
         block: bool,
     ) -> Result<JobId, ServiceError> {
@@ -1153,15 +1029,12 @@ impl<T: Scalar> Shared<T> {
         let core = &mut *core;
         core.in_flight += 1;
         core.next_job += 1;
-        let (id, vtime) = (core.next_job, core.arrival_vtime());
-        let meta = match &mut job {
-            Admission::Small(small) => &mut small.meta,
-            Admission::Dag(dag) => &mut dag.meta,
-        };
-        meta.id = id;
-        meta.submit_dispatch_count = core.dispatch_count;
-        meta.backlog_at_submit = core.backlog_size();
-        let deadline = meta.deadline;
+        let id = core.next_job;
+        job.vtime = core.arrival_vtime();
+        job.meta.id = id;
+        job.meta.submit_dispatch_count = core.dispatch_count;
+        job.meta.backlog_at_submit = core.backlog_size();
+        let deadline = job.meta.deadline;
         let m = &mut core.stats;
         m.jobs_submitted += 1;
         m.max_jobs_in_flight = m.max_jobs_in_flight.max(core.in_flight);
@@ -1170,19 +1043,7 @@ impl<T: Scalar> Shared<T> {
             JobTuning::Probe => m.probe_jobs += 1,
             JobTuning::Tuned => m.tuned_jobs += 1,
         }
-        match job {
-            Admission::Small(mut small) => {
-                small.vtime = vtime;
-                core.smalls.push(*small);
-                if core.smalls.len() >= self.cfg.batch_max_jobs {
-                    core.flush_smalls();
-                }
-            }
-            Admission::Dag(mut dag) => {
-                dag.vtime = vtime;
-                core.jobs.insert(id, *dag);
-            }
-        }
+        core.jobs.insert(id, *job);
         if core.sleepers > 0 {
             self.work.notify_one();
         }
@@ -1219,38 +1080,26 @@ impl<T: Scalar> Shared<T> {
         meta.reply.send(Err(err));
     }
 
-    /// Shed one queued job past its deadline.
-    fn shed(&self, core: &mut Core<T>, meta: JobMeta<T>) {
-        let deadline = meta.deadline.expect("only deadline-bearing jobs shed");
-        let err = ServiceError::DeadlineExceeded {
-            deadline: deadline.duration_since(meta.submitted),
-            late_by: Instant::now().saturating_duration_since(deadline),
-        };
-        self.resolve_err(core, meta, err);
-    }
-
     /// Shed every queued job whose deadline has passed. A job counts as
-    /// queued until its first task (or batch) dispatches; after that it
-    /// runs to completion — a deadline bounds *waiting*, not execution.
-    /// (A never-started job is never a cancelled one: cancelling a job
-    /// with nothing in flight resolves it on the spot.)
+    /// queued until its first task dispatches; after that it runs to
+    /// completion — a deadline bounds *waiting*, not execution. (A
+    /// never-started job is never a cancelled one: cancelling a job with
+    /// nothing in flight resolves it on the spot.)
     fn sweep_shed(&self, core: &mut Core<T>) {
         let now = Instant::now();
-        let expired = |m: &JobMeta<T>| m.deadline.is_some_and(|d| now >= d);
-        let dag: Vec<JobId> = core
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.started.is_none() && expired(&j.meta))
-            .map(|(&id, _)| id)
+        let queued = core.jobs.iter().filter(|(_, j)| j.started.is_none());
+        let late: Vec<_> = queued
+            .filter_map(|(&id, j)| {
+                let deadline = j.meta.deadline.filter(|&d| now >= d)?;
+                let err = ServiceError::DeadlineExceeded {
+                    deadline: deadline.duration_since(j.meta.submitted),
+                    late_by: now.saturating_duration_since(deadline),
+                };
+                Some((id, err))
+            })
             .collect();
-        let mut late = core.take_queued(expired);
-        late.extend(
-            dag.iter()
-                .filter_map(|id| core.jobs.remove(id))
-                .map(|j| j.meta),
-        );
-        for meta in late {
-            self.shed(core, meta);
+        for (id, err) in late {
+            self.fail_job(core, id, err);
         }
     }
 
@@ -1293,7 +1142,7 @@ impl<T: Scalar> Shared<T> {
         }
     }
 
-    /// Resolve a cancelled DAG job once its in-flight work has drained.
+    /// Resolve a cancelled job once its in-flight work has drained.
     fn finish_if_drained(&self, core: &mut Core<T>, id: JobId) {
         let drained = |j: &JobState<T>| j.run.is_halted() && j.run.in_flight() == 0;
         if core.jobs.get(&id).is_some_and(drained) {
@@ -1303,21 +1152,16 @@ impl<T: Scalar> Shared<T> {
 
     /// [`JobHandle::cancel`], on the cancelling thread.
     fn cancel(&self, core: &mut Core<T>, id: JobId) {
-        // Still queued as a small job or inside a pending (undispatched)
-        // batch: pull the unit out and resolve immediately.
-        if let Some(meta) = core.take_queued(|m| m.id == id).pop() {
-            return self.resolve_err(core, meta, ServiceError::Cancelled);
-        }
-        // DAG-path job. If its graph already completed, completion wins
-        // (the finishing worker delivers the normal result); a batch
-        // already on a worker likewise runs to delivery.
+        // If the job's graph already completed, completion wins (the
+        // finishing worker delivers the normal result).
         let Some(job) = core.jobs.get_mut(&id) else {
             return;
         };
         if job.run.all_done() {
             return;
         }
-        // Forget queued work; in-flight attempts drain at the fence.
+        // Forget queued work; in-flight attempts drain at the fence, and
+        // a job with none — still queued, say — resolves here.
         job.run.halt();
         self.finish_if_drained(core, id);
     }
@@ -1349,7 +1193,6 @@ impl<T: Scalar> Shared<T> {
         let delivery = Delivery {
             meta: job.meta,
             report: job.run.into_report(elapsed, None, counters),
-            batched: false,
             task_latency: job.task_latency,
             class_compute_us: job.class_compute_us,
             class_tasks: job.class_tasks,
@@ -1364,27 +1207,25 @@ impl<T: Scalar> Shared<T> {
         Some((delivery, body))
     }
 
-    /// Run a finished job's epilogue and deliver the result, on the
-    /// calling thread — `worker`'s, or the timer's for a deferred job —
-    /// with the lock released.
+    /// Run a finished job's epilogue and resolve its handle — the result
+    /// with everything that rides on it, or the epilogue's failure — on
+    /// the calling thread (`worker`'s, or the timer's for a deferred job)
+    /// with the lock released; it is taken only to count. A panicking
+    /// epilogue fails its job instead of killing the resident worker.
     fn finish(&self, (delivery, body): Finished<T>, worker: usize) {
-        let output = guarded(move || finish_output(body));
-        self.deliver(delivery, output, worker);
-    }
-
-    /// Resolve a finished job's handle: the result with everything that
-    /// rides on it, or the failure of its composite unit on `worker`.
-    /// Called with the lock released; takes it only to count.
-    fn deliver(
-        &self,
-        delivery: Delivery<T>,
-        output: Result<JobOutput<T>, UnitFailure>,
-        worker: usize,
-    ) {
         let Delivery { meta, report, .. } = delivery;
+        let output = catch_unwind(AssertUnwindSafe(move || finish_output(body)))
+            .map_err(|payload| {
+                ServiceError::Runtime(RuntimeError::TaskPanicked {
+                    task: 0,
+                    worker,
+                    message: panic_message(payload.as_ref()),
+                })
+            })
+            .and_then(|output| output.map_err(ServiceError::Numeric));
         let output = match output {
             Ok(output) => output,
-            Err(f) => return self.resolve_err(&mut self.lock(), meta, f.into_error(worker)),
+            Err(err) => return self.resolve_err(&mut self.lock(), meta, err),
         };
         let latency = meta.submitted.elapsed();
         {
@@ -1406,7 +1247,6 @@ impl<T: Scalar> Shared<T> {
             latency,
             dispatch_delay_tasks: meta.dispatch_delay_tasks,
             backlog_at_submit: meta.backlog_at_submit,
-            batched: delivery.batched,
             task_latency: delivery.task_latency,
             class_compute_us: delivery.class_compute_us,
             class_tasks: delivery.class_tasks,
@@ -1414,38 +1254,7 @@ impl<T: Scalar> Shared<T> {
         meta.reply.send(Ok(result));
     }
 
-    /// Run one small job of a batch whole on `worker` — its tasks in
-    /// program order, then its epilogue — and deliver it.
-    fn run_small(&self, worker: usize, small: SmallJob<T>) {
-        let SmallJob { meta, mut body, .. } = small;
-        let tasks = body.graph.len() as u64;
-        let t0 = Instant::now();
-        let mut task_latency = LatencyHistogram::new();
-        let output = guarded(|| {
-            for tid in 0..body.graph.len() {
-                let k0 = Instant::now();
-                body.state.execute(body.graph.task(tid))?;
-                task_latency.record_ns(k0.elapsed().as_nanos() as u64);
-            }
-            finish_output(body)
-        });
-        let counters = HotPathCounters {
-            cow_clones: output.as_ref().map_or(0, |o| o.factor().state.cow_clones()),
-            ..HotPathCounters::default()
-        };
-        let lane = Tally::one_lane(self.workers, worker, tasks);
-        let delivery = Delivery {
-            meta,
-            report: lane.into_report(0, self.cfg.policy, t0.elapsed(), None, counters),
-            batched: true,
-            task_latency,
-            class_compute_us: [0.0; 3],
-            class_tasks: [0; 3],
-        };
-        self.deliver(delivery, output, worker);
-    }
-
-    /// Deliver a failure for a DAG-path job and drop its remaining state.
+    /// Deliver a failure for a job still in the table and drop its state.
     fn fail_job(&self, core: &mut Core<T>, id: JobId, err: ServiceError) {
         if let Some(job) = core.jobs.remove(&id) {
             self.resolve_err(core, job.meta, err);
@@ -1530,31 +1339,17 @@ impl<T: Scalar> Shared<T> {
         None
     }
 
-    /// Take the next unit for worker `w`: the weighted-fair choice between
-    /// the backlogged job with the smallest virtual time and the best
-    /// pending small-job batch, charged and stamped as dispatched.
+    /// Take the next unit for worker `w`: a task of the backlogged job
+    /// with the smallest virtual time, charged and stamped as dispatched.
     fn next_unit(&self, core: &mut Core<T>, w: usize) -> Option<Unit<T>> {
         loop {
-            let (best_job, ready) = core.pick_wfq_job();
-            let mut best_batch = core.pick_batch();
-            // Nothing regular to run but accumulated smalls: flush a
-            // partial batch rather than letting the worker idle.
-            if best_job.is_none() && best_batch.is_none() && !core.smalls.is_empty() {
-                core.flush_smalls();
-                best_batch = core.pick_batch();
-            }
-            let (unit, left) = match (best_job, best_batch) {
-                (None, None) => return None,
-                (Some((jv, _)), Some((bv, bi))) if bv <= jv => (self.take_batch(core, bi), ready),
-                (Some((_, id)), _) => (self.take_task(core, w, id), ready - 1),
-                (None, Some((_, bi))) => (self.take_batch(core, bi), ready),
-            };
+            let (best, ready) = core.pick_wfq_job();
+            let (_, id) = best?;
             // `None`: the pick was shed, or all its ready entries were
             // superseded by a racing retry. Choose again.
-            if unit.is_some() {
-                let depth = left + core.smalls.len();
-                core.stats.max_ready_depth = core.stats.max_ready_depth.max(depth);
-                return unit;
+            if let Some(unit) = self.take_task(core, w, id) {
+                core.stats.max_ready_depth = core.stats.max_ready_depth.max(ready - 1);
+                return Some(unit);
             }
         }
     }
@@ -1582,36 +1377,12 @@ impl<T: Scalar> Shared<T> {
         if self.watched() {
             core.slots.watch(w, key);
         }
-        Some(Unit::Task {
+        Some(Unit {
             key,
             kind,
             shared: Arc::clone(&job.shared),
             injector: job.injector.clone(),
         })
-    }
-
-    fn take_batch(&self, core: &mut Core<T>, index: usize) -> Option<Unit<T>> {
-        let now = Instant::now();
-        let expired = |u: &SmallJob<T>| u.meta.deadline.is_some_and(|d| now >= d);
-        // As for a job's first task: shed what is past its deadline.
-        if core.batches[index].units.iter().any(expired) {
-            self.sweep_shed(core);
-            return None;
-        }
-        let mut batch = core.batches.remove(index)?;
-        core.vclock = batch.vtime;
-        for small in &mut batch.units {
-            small.meta.queue_wait = now.duration_since(small.meta.submitted);
-            small.meta.dispatch_delay_tasks =
-                core.dispatch_count - small.meta.submit_dispatch_count;
-            core.dispatch_count += 1;
-        }
-        let count = batch.units.len() as u64;
-        let m = &mut core.stats;
-        m.batches += 1;
-        m.jobs_batched += count;
-        m.tasks_dispatched += count;
-        Some(Unit::Batch(batch.units))
     }
 }
 
@@ -1645,55 +1416,45 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
             sh.work.notify_one();
         }
         drop(core);
-        match unit {
-            Unit::Task {
-                key,
-                kind,
-                shared,
-                injector,
-            } => {
-                let injector = injector.as_deref().map(|f| f as &dyn FaultInjector);
-                let at = (key.1, key.2);
-                let outcome = run_attempt(&shared, kind, at, injector, true, &mut ws, None);
-                // Drop the state handle *before* settling: if this was the
-                // job's last task, the state is then unique and reclaimed
-                // on the spot.
-                drop(shared);
-                let poisoned = match &outcome {
-                    Outcome::Done(done) if is_panel_factor(kind) => {
-                        done.completed.as_deref().and_then(|c| c.first_non_finite())
-                    }
-                    _ => None,
-                };
-                let panicked = matches!(outcome, Outcome::Panicked(_));
-                core = sh.lock();
-                // Is this the attempt slot `w` is clocked for? Not if the
-                // watchdog retired this thread while it was away: the slot
-                // belongs to its replacement, and this thread must leave.
-                let expected = !sh.watched() || core.slots.settle(w, key);
-                let finished = sh.settle(&mut core, w, key, expected, outcome, poisoned);
-                if let Some(job) = finished {
-                    drop(core);
-                    sh.finish(job, w);
-                    core = sh.lock();
-                }
-                if panicked || !expected {
-                    // A thread that panicked retires (its slot is the
-                    // timer's to respawn), and either kind of leaver may
-                    // have left ready work behind with everyone asleep.
-                    if expected {
-                        core.dead.push(w);
-                    }
-                    sh.timer.notify_one();
-                    return;
-                }
+        let Unit {
+            key,
+            kind,
+            shared,
+            injector,
+        } = unit;
+        let injector = injector.as_deref().map(|f| f as &dyn FaultInjector);
+        let at = (key.1, key.2);
+        let outcome = run_attempt(&shared, kind, at, injector, true, &mut ws, None);
+        // Drop the state handle *before* settling: if this was the job's
+        // last task, the state is then unique and reclaimed on the spot.
+        drop(shared);
+        let poisoned = match &outcome {
+            Outcome::Done(done) if is_panel_factor(kind) => {
+                done.completed.as_deref().and_then(|c| c.first_non_finite())
             }
-            Unit::Batch(units) => {
-                for small in units {
-                    sh.run_small(w, small);
-                }
-                core = sh.lock();
+            _ => None,
+        };
+        let panicked = matches!(outcome, Outcome::Panicked(_));
+        core = sh.lock();
+        // Is this the attempt slot `w` is clocked for? Not if the watchdog
+        // retired this thread while it was away: the slot belongs to its
+        // replacement, and this thread must leave.
+        let expected = !sh.watched() || core.slots.settle(w, key);
+        let finished = sh.settle(&mut core, w, key, expected, outcome, poisoned);
+        if let Some(job) = finished {
+            drop(core);
+            sh.finish(job, w);
+            core = sh.lock();
+        }
+        if panicked || !expected {
+            // A thread that panicked retires (its slot is the timer's to
+            // respawn), and either kind of leaver may have left ready work
+            // behind with everyone asleep.
+            if expected {
+                core.dead.push(w);
             }
+            sh.timer.notify_one();
+            return;
         }
     }
 }
@@ -1842,8 +1603,6 @@ impl<T: Scalar> QrService<T> {
                 next_job: 0,
                 slots: Slots::new(workers),
                 jobs: HashMap::new(),
-                smalls: Vec::new(),
-                batches: VecDeque::new(),
                 finalize_pending: Vec::new(),
                 parked: BinaryHeap::new(),
                 dead: Vec::new(),
@@ -1948,44 +1707,26 @@ impl<T: Scalar> QrService<T> {
             dispatch_delay_tasks: 0,
             reply: reply_tx,
         };
-        let batchable = sh.cfg.batching_enabled()
-            && graph.len() <= sh.cfg.batch_max_tasks
-            && spec.injector.is_none();
-        let job = if batchable {
-            let body = JobBody {
-                state,
-                graph,
-                rows,
-                cols,
-                payload: spec.payload,
-            };
-            Admission::Small(Box::new(SmallJob {
-                meta,
-                body,
-                vtime: 0.0,
-            }))
-        } else {
-            let order = DispatchOrder::Policy(sh.cfg.policy);
-            let cost = spec.cost.unwrap_or(sh.cfg.cost);
-            Admission::Dag(Box::new(JobState {
-                weight: meta.class.weight(),
-                meta,
-                run: DagRun::new(&graph, order, cost, sh.cfg.drift, b, sh.workers, None),
-                shared: Arc::new(SharedFactorState::new(state)),
-                graph,
-                rows,
-                cols,
-                payload: spec.payload,
-                b,
-                cost,
-                vtime: 0.0,
-                injector: spec.injector,
-                started: None,
-                class_compute_us: [0.0; 3],
-                class_tasks: [0; 3],
-                task_latency: LatencyHistogram::new(),
-            }))
-        };
+        let order = DispatchOrder::Policy(sh.cfg.policy);
+        let cost = spec.cost.unwrap_or(sh.cfg.cost);
+        let job = Box::new(JobState {
+            weight: meta.class.weight(),
+            meta,
+            run: DagRun::new(&graph, order, cost, sh.cfg.drift, b, sh.workers, None),
+            shared: Arc::new(SharedFactorState::new(state)),
+            graph,
+            rows,
+            cols,
+            payload: spec.payload,
+            b,
+            cost,
+            vtime: 0.0,
+            injector: spec.injector,
+            started: None,
+            class_compute_us: [0.0; 3],
+            class_tasks: [0; 3],
+            task_latency: LatencyHistogram::new(),
+        });
         let id = sh.admit(sh.lock(), job, spec.tuning, block)?;
         Ok(JobHandle {
             id,
@@ -2252,13 +1993,61 @@ mod tests {
         assert_eq!(stats.lifecycle.poison_detected, 0);
     }
 
+    /// A finite input whose first panel factor overflows is contained at
+    /// the poison fence whatever the job's size — one task or thirty —
+    /// and a healthy one-task neighbour is untouched.
+    #[test]
+    fn overflowing_panel_factor_is_contained_at_every_job_size() {
+        // Every column norm exceeds f64::MAX, every entry is finite.
+        let overflowing = |n: usize| {
+            Matrix::from_fn(
+                n,
+                n,
+                |i, j| {
+                    if (i + j) % 2 == 0 {
+                        1.5e308
+                    } else {
+                        -1.2e308
+                    }
+                },
+            )
+        };
+        for (n, b, tasks) in [(16, 16, 1), (32, 8, 30)] {
+            let service = QrService::<f64>::start(ServiceConfig::default());
+            let a = overflowing(n);
+            assert_eq!(a.first_non_finite(), None);
+            let healthy = random_matrix::<f64>(16, 16, 61);
+            let doomed = service.submit(JobSpec::factor(a).tile_size(b)).unwrap();
+            let neighbour = service
+                .submit(JobSpec::factor(healthy.clone()).tile_size(16))
+                .unwrap();
+            match doomed.wait() {
+                Err(ServiceError::NumericalBreakdown { task, tile }) => {
+                    assert_eq!((task, tile), (Some(0), (0, 0)), "{tasks}-task job");
+                }
+                other => panic!(
+                    "{tasks}-task job: expected breakdown, got {:?}",
+                    other.map(|r| r.output.factor().r_matrix()[(0, 0)])
+                ),
+            }
+            let r = neighbour.wait().unwrap();
+            assert_eq!(r.output.factor().graph.len(), 1);
+            assert_eq!(
+                r.output.factor().state.tiles().to_matrix(),
+                sequential_tiles(&healthy, 16, EliminationOrder::FlatTs)
+            );
+            let stats = service.shutdown();
+            assert_eq!(stats.lifecycle.poison_detected, 1);
+            assert_eq!((stats.jobs_failed, stats.jobs_completed), (1, 1));
+        }
+    }
+
     #[test]
     fn expired_deadline_sheds_queued_job() {
         // One worker pinned by a long-running job; a second job with a
         // zero deadline must be shed before it ever dispatches.
         let service = QrService::<f64>::start(ServiceConfig {
             workers: 1,
-            batch_max_tasks: 0,
             ..ServiceConfig::default()
         });
         let blocker = service
@@ -2307,7 +2096,6 @@ mod tests {
         let service = QrService::<f64>::start(ServiceConfig {
             workers: 1,
             max_in_flight: 1,
-            batch_max_tasks: 0,
             ..ServiceConfig::default()
         });
         let h = service

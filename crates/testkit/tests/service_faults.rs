@@ -35,7 +35,8 @@ fn sequential(a: &Matrix<f64>, b: usize) -> Matrix<f64> {
 
 /// A worker panic mid-job kills only that job's attempt: the victim
 /// retries to a bit-identical result with `worker_deaths == 1`, while
-/// concurrent clean jobs finish with zeroed recovery counters.
+/// concurrent clean jobs finish with zeroed recovery counters — at every
+/// job size, down to a two-task victim beside a one-task neighbour.
 #[test]
 fn panic_charges_only_the_victim_job() {
     for workers in workers_under_test() {
@@ -50,6 +51,10 @@ fn panic_charges_only_the_victim_job() {
         let want_victim = sequential(&a_victim, 8);
         let want_clean = sequential(&a_clean, 8);
         let want_transient = sequential(&a_transient, 8);
+        let a_two_task = random_matrix::<f64>(16, 8, 14);
+        let a_one_task = random_matrix::<f64>(8, 8, 15);
+        let want_two_task = sequential(&a_two_task, 8);
+        let want_one_task = sequential(&a_one_task, 8);
 
         let h_victim = svc
             .submit(
@@ -65,6 +70,16 @@ fn panic_charges_only_the_victim_job() {
                     .tile_size(8)
                     .faults(Arc::new(ScriptedFaults::new().fail_on(2, 1))),
             )
+            .unwrap();
+        let h_two_task = svc
+            .submit(
+                JobSpec::factor(a_two_task)
+                    .tile_size(8)
+                    .faults(Arc::new(ScriptedFaults::new().panic_on(0, 1))),
+            )
+            .unwrap();
+        let h_one_task = svc
+            .submit(JobSpec::factor(a_one_task).tile_size(8))
             .unwrap();
 
         let victim = h_victim.wait().unwrap();
@@ -98,6 +113,31 @@ fn panic_charges_only_the_victim_job() {
         assert_eq!(
             transient.report.retries, 1,
             "one scripted transient, one retry"
+        );
+
+        let two_task = h_two_task.wait().unwrap();
+        assert_eq!(two_task.output.factor().graph.len(), 2);
+        assert_eq!(
+            two_task.output.factor().state.tiles().to_matrix(),
+            want_two_task
+        );
+        assert_eq!(two_task.report.worker_deaths, 1);
+        assert_eq!(two_task.report.retries, 1, "one scripted panic, one retry");
+
+        let one_task = h_one_task.wait().unwrap();
+        assert_eq!(one_task.output.factor().graph.len(), 1);
+        assert_eq!(
+            one_task.output.factor().state.tiles().to_matrix(),
+            want_one_task
+        );
+        assert_eq!(
+            (
+                one_task.report.worker_deaths,
+                one_task.report.retries,
+                one_task.report.requeues
+            ),
+            (0, 0, 0),
+            "one-task neighbour charged for the panic"
         );
 
         svc.shutdown();

@@ -1,9 +1,9 @@
 //! Service-path bit-identity: every job factored through a resident
 //! [`QrService`] must produce **bit-identical** factors to the same
 //! matrix factored sequentially — across worker counts, schedule
-//! policies, concurrent job counts, and with small-job batching on or
-//! off. The service interleaves many job DAGs through one shared ready
-//! queue, so this is the strongest statement that per-job
+//! policies, concurrent job counts, and job sizes down to one task. The
+//! service interleaves many job DAGs through one shared ready queue, so
+//! this is the strongest statement that per-job
 //! `SharedFactorState` isolation plus the fenced commit protocol keep
 //! jobs from perturbing each other's numbers.
 
@@ -74,13 +74,12 @@ fn service_factor_bit_identical_across_sweep() {
     }
 }
 
-/// Sub-threshold jobs routed through the composite-batch path must be
-/// bit-identical to the same jobs run unbatched (and to the sequential
-/// reference). `batch_max_jobs <= 1` disables batching entirely.
+/// One- and two-task jobs take the same route as every other job: each is
+/// bit-identical to the sequential reference, and each carries the
+/// per-class samples and the run report of its own `DagRun`.
 #[test]
-fn batched_small_jobs_bit_identical_to_unbatched() {
-    // 8x8 (1 task) and 16x8 (2 tasks) at b=8 are both under the
-    // default batch_max_tasks = 4 threshold.
+fn small_jobs_bit_identical_to_sequential() {
+    // 8x8 (1 task) and 16x8 (2 tasks) at b=8.
     let specs: Vec<(Matrix<f64>, usize)> = (0..8u64)
         .map(|i| {
             let m = if i % 2 == 0 { 8 } else { 16 };
@@ -92,37 +91,31 @@ fn batched_small_jobs_bit_identical_to_unbatched() {
         .map(|(a, b)| sequential(a, *b, EliminationOrder::FlatTs))
         .collect();
 
-    for &batch_max_jobs in &[1usize, 8] {
-        let svc = QrService::<f64>::start(ServiceConfig {
-            workers: 2,
-            batch_max_jobs,
-            ..ServiceConfig::default()
-        });
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|(a, b)| {
-                svc.submit(JobSpec::factor(a.clone()).tile_size(*b))
-                    .unwrap()
-            })
-            .collect();
-        for (h, want) in handles.into_iter().zip(&expected) {
-            let res = h.wait().unwrap();
-            let got = res.output.factor().state.tiles().to_matrix();
-            assert_eq!(&got, want, "batching={} diverged", batch_max_jobs > 1);
-            assert_eq!(
-                res.batched,
-                batch_max_jobs > 1,
-                "batch routing flag wrong for batch_max_jobs={batch_max_jobs}"
-            );
-        }
-        let stats = svc.shutdown();
-        if batch_max_jobs > 1 {
-            assert_eq!(stats.jobs_batched, 8, "all sub-threshold jobs should batch");
-            assert!(stats.batches >= 1);
-        } else {
-            assert_eq!(stats.jobs_batched, 0, "batching disabled must not batch");
-        }
+    let svc = QrService::<f64>::start(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    let handles: Vec<_> = specs
+        .iter()
+        .map(|(a, b)| {
+            svc.submit(JobSpec::factor(a.clone()).tile_size(*b))
+                .unwrap()
+        })
+        .collect();
+    let mut tasks = 0;
+    for (h, want) in handles.into_iter().zip(&expected) {
+        let res = h.wait().unwrap();
+        let factor = res.output.factor();
+        assert_eq!(&factor.state.tiles().to_matrix(), want);
+        let graph_len = factor.graph.len() as u64;
+        assert!(graph_len <= 2);
+        assert_eq!(res.class_tasks.iter().sum::<u64>(), graph_len);
+        assert_eq!(res.report.tasks_per_worker.iter().sum::<u64>(), graph_len);
+        tasks += graph_len;
     }
+    let stats = svc.shutdown();
+    assert_eq!(stats.jobs_completed, 8);
+    assert_eq!(stats.tasks_dispatched, tasks);
 }
 
 /// Solve and Q-apply jobs must match the direct single-matrix

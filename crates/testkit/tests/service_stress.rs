@@ -117,7 +117,6 @@ fn fair_share_bounds_interactive_queue_delay() {
     let workers = 2;
     let svc = QrService::<f64>::start(ServiceConfig {
         workers,
-        batch_max_jobs: 1, // disable batching: the bound is per-DAG-dispatch
         ..ServiceConfig::default()
     });
 
@@ -203,7 +202,7 @@ fn backpressure_blocks_then_unblocks() {
 }
 
 /// Drain-on-shutdown: shutting down immediately after a burst of
-/// mixed submissions (including batchable smalls) loses nothing —
+/// mixed submissions (one-task jobs included) loses nothing —
 /// every handle resolves with a correct result.
 #[test]
 fn shutdown_drains_all_in_flight_jobs() {

@@ -129,6 +129,38 @@ fn narrow_jobs_never_lose_a_wakeup() {
     }
 }
 
+/// A burst of one-task jobs, fewer than there are workers, into a pool
+/// that has gone back to sleep: a one-task job is a job — it waits in no
+/// queue of its own for company or for an idle worker to flush it — so
+/// each submit has to wake a sleeper for its one task. Hangs without
+/// `work.notify_one()` in `Shared::admit`.
+#[test]
+fn a_burst_of_one_task_jobs_wakes_a_sleeping_pool() {
+    for workers in workers_under_test() {
+        for policy in policies_under_test() {
+            within(LIMIT, "one-task burst", move || {
+                let (a, tasks, r) = case(1, 1, EliminationTree::Flat);
+                assert_eq!(tasks, 1);
+                let svc = service(workers, policy, FaultTolerance::default());
+                let jobs = workers.saturating_sub(1).max(1);
+                for round in 0..50 {
+                    let handles: Vec<_> = (0..jobs)
+                        .map(|_| svc.submit(spec(&a, EliminationTree::Flat)).unwrap())
+                        .collect();
+                    for h in handles {
+                        let res = h.wait().unwrap();
+                        assert_eq!(res.output.factor().r_matrix(), r, "round={round}");
+                        assert_eq!(res.class_tasks.iter().sum::<u64>(), 1);
+                    }
+                }
+                let stats = svc.shutdown();
+                assert_eq!(stats.jobs_completed as usize, 50 * jobs);
+                assert_eq!(stats.tasks_dispatched, stats.jobs_completed);
+            });
+        }
+    }
+}
+
 /// Task 0 fails once and nothing else is runnable: while its retry is
 /// parked *every* worker is asleep and the timer has no deadline. Hangs
 /// without `timer.notify_one()` in `Shared::retry_or_fail` (the timer
@@ -294,42 +326,93 @@ fn cancel_during_a_stalled_attempt_resolves_when_it_drains() {
     }
 }
 
-/// A job with a 5 ms deadline is queued behind the one worker of a service
-/// while that worker is held for 400 ms: only the timer can shed it on
-/// time, and it was asleep with no deadline when the job arrived. Without
-/// `timer.notify_one()` in `Shared::admit` the job is shed only when the
-/// worker comes back for it, ~400 ms late, and `late_by` below fails.
-/// Either way none of its tasks is ever dispatched.
+/// A one-task job queued behind the held worker of a one-worker service
+/// is cancelled: nothing of it is in flight, so `cancel()` itself resolves
+/// the handle — `Cancelled` is in the reply slot when the call returns —
+/// and gives the admission slot back to a submitter asleep on the bound.
+/// That submitter hangs without `admission.notify_all()` in
+/// `Shared::release`.
 #[test]
-fn queued_deadline_is_shed_by_the_timer_behind_a_held_worker() {
-    within(LIMIT, "deadline", || {
+fn cancelling_a_queued_one_task_job_resolves_it_on_the_spot() {
+    within(LIMIT, "queued cancel", || {
         let (a, tasks, r) = flat3();
-        let svc = service(1, SchedulePolicy::Fifo, FaultTolerance::default());
-        let (held, started) = HeldSource::new(Duration::from_millis(400));
+        let (one, _, one_r) = case(1, 1, EliminationTree::Flat);
+        let svc = QrService::start(ServiceConfig {
+            workers: 1,
+            max_in_flight: 2,
+            ..ServiceConfig::default()
+        });
+        let (held, started) = HeldSource::new(Duration::from_millis(300));
         let blocker = svc
             .submit(spec(&a, EliminationTree::Flat).faults(held))
             .unwrap();
         started.recv().unwrap();
-        let deadline = Duration::from_millis(5);
-        let doomed = svc
-            .submit(spec(&a, EliminationTree::Flat).deadline(deadline))
-            .unwrap();
-        match doomed.wait() {
-            Err(ServiceError::DeadlineExceeded {
-                deadline: d,
-                late_by,
-            }) => {
-                assert_eq!(d, deadline);
-                assert!(
-                    late_by < Duration::from_millis(200),
-                    "shed {late_by:?} late"
-                );
-            }
-            other => panic!("expected a shed, got ok={}", other.is_ok()),
-        }
+        let queued = svc.submit(spec(&one, EliminationTree::Flat)).unwrap();
+        assert!(matches!(
+            svc.try_submit(spec(&one, EliminationTree::Flat)),
+            Err(ServiceError::Saturated { .. })
+        ));
+        std::thread::scope(|s| {
+            let waiting = s.spawn(|| svc.submit(spec(&one, EliminationTree::Flat)).unwrap());
+            // Long enough for the submitter to be asleep on the bound.
+            std::thread::sleep(Duration::from_millis(30));
+            queued.cancel();
+            assert!(matches!(
+                queued.wait_timeout(Duration::ZERO),
+                Ok(Err(ServiceError::Cancelled))
+            ));
+            assert_eq!(r_of(waiting.join().unwrap()), one_r);
+        });
         assert_eq!(r_of(blocker), r);
         let stats = svc.shutdown();
-        assert_eq!(stats.lifecycle.jobs_shed, 1);
-        assert_eq!(stats.tasks_dispatched as usize, tasks, "only the blocker's");
+        assert_eq!(stats.lifecycle.jobs_cancelled, 1);
+        assert_eq!(
+            stats.tasks_dispatched as usize,
+            tasks + 1,
+            "none of the cancelled job's"
+        );
     });
+}
+
+/// A job with a 5 ms deadline — nine tasks, or one — is queued behind the
+/// one worker of a service while that worker is held for 400 ms: only the
+/// timer can shed it on time, and it was asleep with no deadline when the
+/// job arrived. Without `timer.notify_one()` in `Shared::admit` the job is
+/// shed only when the worker comes back for it, ~400 ms late, and
+/// `late_by` below fails. Either way none of its tasks is ever dispatched.
+#[test]
+fn queued_deadline_is_shed_by_the_timer_behind_a_held_worker() {
+    for doomed_grid in [3, 1] {
+        within(LIMIT, "deadline", move || {
+            let (a, tasks, r) = flat3();
+            let (doomed_a, _, _) = case(doomed_grid, doomed_grid, EliminationTree::Flat);
+            let svc = service(1, SchedulePolicy::Fifo, FaultTolerance::default());
+            let (held, started) = HeldSource::new(Duration::from_millis(400));
+            let blocker = svc
+                .submit(spec(&a, EliminationTree::Flat).faults(held))
+                .unwrap();
+            started.recv().unwrap();
+            let deadline = Duration::from_millis(5);
+            let doomed = svc
+                .submit(spec(&doomed_a, EliminationTree::Flat).deadline(deadline))
+                .unwrap();
+            match doomed.wait() {
+                Err(ServiceError::DeadlineExceeded {
+                    deadline: d,
+                    late_by,
+                }) => {
+                    assert_eq!(d, deadline);
+                    assert!(
+                        late_by < Duration::from_millis(200),
+                        "shed {late_by:?} late"
+                    );
+                }
+                other => panic!("expected a shed, got ok={}", other.is_ok()),
+            }
+            assert_eq!(r_of(blocker), r);
+            let stats = svc.shutdown();
+            assert_eq!(stats.lifecycle.jobs_shed, 1);
+            assert_eq!(stats.tasks_dispatched as usize, tasks, "only the blocker's");
+        });
+    }
 }

@@ -8,7 +8,8 @@
 #     at most once in non-test runtime code, and the workers of both drivers
 #     schedule themselves under one lock: no `mpsc` (no manager round trip
 #     per task, no channel per job) in non-test `pool.rs` or `service.rs`,
-#     and none of the service's old wire types anywhere in the crate;
+#     none of the service's old wire types anywhere in the crate, and no
+#     small-job batching: every job of the service is a `DagRun`;
 #   * one cost vocabulary: `dag::cost` defines the Fig. 4 curve, table and
 #     class; no second definition and no bridge function anywhere else;
 #   * one JSON reader and one string escaper in `crates/obs`;
@@ -81,6 +82,8 @@ for driver in pool service; do
     fi
 done
 expect 0 'TaskDone|Work::Task|EpilogueDone' "manager/worker wire types of the service" crates/runtime
+expect 0 'SmallJob|PendingBatch|Unit::Batch|batch_max_|run_small' \
+    "small-job batching (a second path through the service)" crates/runtime
 
 expect 0 'struct (KernelTiming|StepTimes)|fn (class_costs|step_times_of|class_slot)\b' \
     "mirror of the dag::cost vocabulary" crates
