@@ -41,17 +41,25 @@ use std::sync::{Arc, Mutex};
 use tileqr_dag::{TaskGraph, TaskKind};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
 
-/// Take ownership of an `Arc`'s payload. The DAG's WAR/WAW edges guarantee
-/// the handle is unique when a writer stages a tile (all readers have
-/// committed and dropped their clones), so this is normally a move; the
-/// clone fallback only fires if an external handle is still alive, and
+/// Make a staged tile's handle the only one, so the task can write through
+/// it and commit can put the same allocation back. The DAG's WAR/WAW edges
+/// guarantee the handle is unique when a writer stages a tile (all readers
+/// have committed and dropped their clones), so this is normally a no-op;
+/// the clone fallback only fires if an external handle is still alive, and
 /// every such full-tile copy is counted — it is the copy-on-write slow
 /// path the runtime surfaces as `RunReport::cow_clones`.
-fn unwrap_or_clone<T: Scalar>(a: Arc<Matrix<T>>, cow: &AtomicU64) -> Matrix<T> {
-    Arc::try_unwrap(a).unwrap_or_else(|arc| {
+fn unique<T: Scalar>(mut a: Arc<Matrix<T>>, cow: &AtomicU64) -> Arc<Matrix<T>> {
+    if Arc::get_mut(&mut a).is_none() {
         cow.fetch_add(1, Ordering::Relaxed);
-        (*arc).clone()
-    })
+        a = Arc::new((*a).clone());
+    }
+    a
+}
+
+/// Write access to a tile staged by [`unique`] (or freshly cloned by
+/// `stage_preserving`): the task holds its only handle until commit.
+fn owned<T: Scalar>(a: &mut Arc<Matrix<T>>) -> &mut Matrix<T> {
+    Arc::get_mut(a).expect("a staged tile has one handle")
 }
 
 /// The reflector `T` factor(s) of one `GEQRT` panel tile: a single
@@ -141,21 +149,24 @@ pub struct StagedTask<T: Scalar> {
 
 enum Inputs<T: Scalar> {
     /// GEQRT: the tile to factor (taken) and the inner block size.
-    Factor { tile: Matrix<T>, ib: usize },
+    Factor { tile: Arc<Matrix<T>>, ib: usize },
     /// UNMQR: shared factored tile + its T factor, plus the target (taken).
     Update {
         vr: Arc<Matrix<T>>,
         tfac: Arc<PanelFactor<T>>,
-        c: Matrix<T>,
+        c: Arc<Matrix<T>>,
     },
     /// TSQRT/TTQRT: pivot and eliminated tiles (both taken).
-    Elim { r1: Matrix<T>, a2: Matrix<T> },
+    Elim {
+        r1: Arc<Matrix<T>>,
+        a2: Arc<Matrix<T>>,
+    },
     /// TSMQR/TTMQR: shared V2 + T factor, plus both targets (taken).
     PairUpdate {
         v2: Arc<Matrix<T>>,
         tfac: Arc<Matrix<T>>,
-        a1: Matrix<T>,
-        a2: Matrix<T>,
+        a1: Arc<Matrix<T>>,
+        a2: Arc<Matrix<T>>,
     },
 }
 
@@ -165,22 +176,24 @@ pub struct CompletedTask<T: Scalar> {
     outputs: Outputs<T>,
 }
 
+/// Written tiles travel as the handles they were staged with, so commit is
+/// a pointer store: the update tasks allocate nothing.
 enum Outputs<T: Scalar> {
     Factor {
-        tile: Matrix<T>,
+        tile: Arc<Matrix<T>>,
         tfac: PanelFactor<T>,
     },
     Update {
-        c: Matrix<T>,
+        c: Arc<Matrix<T>>,
     },
     Elim {
-        r1: Matrix<T>,
-        a2: Matrix<T>,
+        r1: Arc<Matrix<T>>,
+        a2: Arc<Matrix<T>>,
         tfac: Matrix<T>,
     },
     PairUpdate {
-        a1: Matrix<T>,
-        a2: Matrix<T>,
+        a1: Arc<Matrix<T>>,
+        a2: Arc<Matrix<T>>,
     },
 }
 
@@ -235,7 +248,7 @@ impl<T: Scalar> FactorState<T> {
         self.ib
     }
 
-    /// How many copy-on-write fallback clones [`unwrap_or_clone`] took.
+    /// How many copy-on-write fallback clones [`unique`] took.
     /// Single-owner execution (sequential, or the pool's move-based
     /// staging) keeps this at 0; every increment is a full `O(b²)` tile
     /// copy that should not have happened.
@@ -286,10 +299,10 @@ impl<T: Scalar> FactorState<T> {
     }
 
     /// Move tile `(i, j)` out for writing: a pointer swap against the shared
-    /// zero placeholder, then (normally) a move out of the unique `Arc`.
-    fn take_tile(&mut self, i: usize, j: usize) -> Matrix<T> {
+    /// zero placeholder; the handle that comes out is (normally) unique.
+    fn take_tile(&mut self, i: usize, j: usize) -> Arc<Matrix<T>> {
         let arc = self.tiles.swap_tile_shared(i, j, Arc::clone(&self.empty));
-        unwrap_or_clone(arc, &self.cow)
+        unique(arc, &self.cow)
     }
 
     /// Phase 1: extract this task's inputs (take written tiles, share read
@@ -336,18 +349,18 @@ impl<T: Scalar> FactorState<T> {
     pub fn commit(&mut self, done: CompletedTask<T>) {
         match (done.task, done.outputs) {
             (TaskKind::Geqrt { i, k }, Outputs::Factor { tile, tfac }) => {
-                self.tiles.set_tile(i, k, tile);
+                self.tiles.set_tile_shared(i, k, tile);
                 self.geqrt_t[i * self.nt + k] = Some(Arc::new(tfac));
             }
             (TaskKind::Unmqr { i, j, .. }, Outputs::Update { c }) => {
-                self.tiles.set_tile(i, j, c);
+                self.tiles.set_tile_shared(i, j, c);
             }
             (
                 TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
                 Outputs::Elim { r1, a2, tfac },
             ) => {
-                self.tiles.set_tile(p, k, r1);
-                self.tiles.set_tile(i, k, a2);
+                self.tiles.set_tile_shared(p, k, r1);
+                self.tiles.set_tile_shared(i, k, a2);
                 self.elim_t[i * self.nt + k] = Some(ElimFactor {
                     p,
                     tfac: Arc::new(tfac),
@@ -357,8 +370,8 @@ impl<T: Scalar> FactorState<T> {
                 TaskKind::Tsmqr { p, i, j, .. } | TaskKind::Ttmqr { p, i, j, .. },
                 Outputs::PairUpdate { a1, a2 },
             ) => {
-                self.tiles.set_tile(p, j, a1);
-                self.tiles.set_tile(i, j, a2);
+                self.tiles.set_tile_shared(p, j, a1);
+                self.tiles.set_tile_shared(i, j, a2);
             }
             _ => unreachable!("task/output kind mismatch"),
         }
@@ -500,74 +513,35 @@ impl<T: Scalar> SharedFactorState<T> {
     }
 
     /// Take tile `(i, j)` for writing. The swap happens under the slot
-    /// lock; the (normally free) `Arc` unwrap happens outside it.
-    fn take_tile(&self, i: usize, j: usize) -> Matrix<T> {
+    /// lock; the (normally free) uniqueness check happens outside it.
+    fn take_tile(&self, i: usize, j: usize) -> Arc<Matrix<T>> {
         let arc = {
             let mut slot = self.tiles[self.idx(i, j)]
                 .lock()
                 .expect("tile slot poisoned");
             std::mem::replace(&mut *slot, Arc::clone(&self.empty))
         };
-        unwrap_or_clone(arc, &self.cow)
+        unique(arc, &self.cow)
     }
 
     /// Copy tile `(i, j)` for writing, leaving the slot's contents in
     /// place. Costs an `O(b²)` clone, which buys the fault-tolerant pool
     /// its requeue safety: if the attempt dies mid-kernel, the slot still
     /// holds the pre-task value and a retry stages clean inputs.
-    fn clone_tile(&self, i: usize, j: usize) -> Matrix<T> {
-        (*self.read_tile(i, j)).clone()
+    fn clone_tile(&self, i: usize, j: usize) -> Arc<Matrix<T>> {
+        Arc::new((*self.read_tile(i, j)).clone())
     }
 
-    fn put_tile(&self, i: usize, j: usize, tile: Matrix<T>) {
-        let arc = Arc::new(tile);
+    fn put_tile(&self, i: usize, j: usize, tile: Arc<Matrix<T>>) {
         *self.tiles[self.idx(i, j)]
             .lock()
-            .expect("tile slot poisoned") = arc;
+            .expect("tile slot poisoned") = tile;
     }
 
     /// Phase 1 (parallel): identical contract to [`FactorState::stage`] but
     /// takes `&self` and locks only the slots this task touches.
     pub fn stage(&self, task: TaskKind) -> Result<StagedTask<T>> {
-        let inputs = match task {
-            TaskKind::Geqrt { i, k } => Inputs::Factor {
-                tile: self.take_tile(i, k),
-                ib: self.ib,
-            },
-            TaskKind::Unmqr { i, j, k } => {
-                let tfac = self.geqrt_t[self.idx(i, k)]
-                    .lock()
-                    .expect("factor slot poisoned")
-                    .as_ref()
-                    .ok_or_else(missing_factor_err)?
-                    .clone();
-                Inputs::Update {
-                    vr: self.read_tile(i, k),
-                    tfac,
-                    c: self.take_tile(i, j),
-                }
-            }
-            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => Inputs::Elim {
-                r1: self.take_tile(p, k),
-                a2: self.take_tile(i, k),
-            },
-            TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k } => {
-                let tfac = match &*self.elim_t[self.idx(i, k)]
-                    .lock()
-                    .expect("factor slot poisoned")
-                {
-                    Some(e) if e.p == p => Arc::clone(&e.tfac),
-                    _ => return Err(missing_factor_err()),
-                };
-                Inputs::PairUpdate {
-                    v2: self.read_tile(i, k),
-                    tfac,
-                    a1: self.take_tile(p, j),
-                    a2: self.take_tile(i, j),
-                }
-            }
-        };
-        Ok(StagedTask { task, inputs })
+        self.stage_with(task, Self::take_tile)
     }
 
     /// Non-destructive variant of [`stage`](Self::stage): written tiles are
@@ -579,9 +553,18 @@ impl<T: Scalar> SharedFactorState<T> {
     /// `O(b²)` copy per written tile (small next to the `O(b³)` kernel)
     /// for idempotent re-execution.
     pub fn stage_preserving(&self, task: TaskKind) -> Result<StagedTask<T>> {
+        self.stage_with(task, Self::clone_tile)
+    }
+
+    /// Stage `task`, taking each tile it writes through `written`.
+    fn stage_with(
+        &self,
+        task: TaskKind,
+        written: fn(&Self, usize, usize) -> Arc<Matrix<T>>,
+    ) -> Result<StagedTask<T>> {
         let inputs = match task {
             TaskKind::Geqrt { i, k } => Inputs::Factor {
-                tile: self.clone_tile(i, k),
+                tile: written(self, i, k),
                 ib: self.ib,
             },
             TaskKind::Unmqr { i, j, k } => {
@@ -594,12 +577,12 @@ impl<T: Scalar> SharedFactorState<T> {
                 Inputs::Update {
                     vr: self.read_tile(i, k),
                     tfac,
-                    c: self.clone_tile(i, j),
+                    c: written(self, i, j),
                 }
             }
             TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => Inputs::Elim {
-                r1: self.clone_tile(p, k),
-                a2: self.clone_tile(i, k),
+                r1: written(self, p, k),
+                a2: written(self, i, k),
             },
             TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k } => {
                 let tfac = match &*self.elim_t[self.idx(i, k)]
@@ -612,8 +595,8 @@ impl<T: Scalar> SharedFactorState<T> {
                 Inputs::PairUpdate {
                     v2: self.read_tile(i, k),
                     tfac,
-                    a1: self.clone_tile(p, j),
-                    a2: self.clone_tile(i, j),
+                    a1: written(self, p, j),
+                    a2: written(self, i, j),
                 }
             }
         };
@@ -665,35 +648,36 @@ impl<T: Scalar> StagedTask<T> {
     pub fn compute_with(self, ws: &mut Workspace<T>) -> Result<CompletedTask<T>> {
         let outputs = match (self.task, self.inputs) {
             (TaskKind::Geqrt { .. }, Inputs::Factor { mut tile, ib }) => {
-                let tfac = if ib >= tile.cols().min(tile.rows()) {
-                    let n = tile.cols();
+                let a = owned(&mut tile);
+                let tfac = if ib >= a.cols().min(a.rows()) {
+                    let n = a.cols();
                     let mut t = Matrix::zeros(n, n);
-                    geqrt_ws(&mut tile, &mut t, ws)?;
+                    geqrt_ws(a, &mut t, ws)?;
                     PanelFactor::Full(t)
                 } else {
-                    let tfacs = geqrt_ib_ws(&mut tile, ib, ws)?;
+                    let tfacs = geqrt_ib_ws(a, ib, ws)?;
                     PanelFactor::Blocked { ib, tfacs }
                 };
                 Outputs::Factor { tile, tfac }
             }
             (TaskKind::Unmqr { .. }, Inputs::Update { vr, tfac, mut c }) => {
-                tfac.apply_ws(&vr, &mut c, ApplySide::Transpose, ws)?;
+                tfac.apply_ws(&vr, owned(&mut c), ApplySide::Transpose, ws)?;
                 Outputs::Update { c }
             }
             (TaskKind::Tsqrt { .. }, Inputs::Elim { mut r1, mut a2 }) => {
                 let n = r1.cols();
                 let mut tfac = Matrix::zeros(n, n);
-                tsqrt_ws(&mut r1, &mut a2, &mut tfac, ws)?;
+                tsqrt_ws(owned(&mut r1), owned(&mut a2), &mut tfac, ws)?;
                 Outputs::Elim { r1, a2, tfac }
             }
             (TaskKind::Ttqrt { .. }, Inputs::Elim { mut r1, mut a2 }) => {
                 let n = r1.cols();
                 let mut tfac = Matrix::zeros(n, n);
-                ttqrt_ws(&mut r1, &mut a2, &mut tfac, ws)?;
+                ttqrt_ws(owned(&mut r1), owned(&mut a2), &mut tfac, ws)?;
                 Outputs::Elim { r1, a2, tfac }
             }
             (
-                TaskKind::Tsmqr { .. },
+                task @ (TaskKind::Tsmqr { .. } | TaskKind::Ttmqr { .. }),
                 Inputs::PairUpdate {
                     v2,
                     tfac,
@@ -701,19 +685,12 @@ impl<T: Scalar> StagedTask<T> {
                     mut a2,
                 },
             ) => {
-                tsmqr_apply_ws(&v2, &tfac, &mut a1, &mut a2, ApplySide::Transpose, ws)?;
-                Outputs::PairUpdate { a1, a2 }
-            }
-            (
-                TaskKind::Ttmqr { .. },
-                Inputs::PairUpdate {
-                    v2,
-                    tfac,
-                    mut a1,
-                    mut a2,
-                },
-            ) => {
-                ttmqr_apply_ws(&v2, &tfac, &mut a1, &mut a2, ApplySide::Transpose, ws)?;
+                let (c1, c2) = (owned(&mut a1), owned(&mut a2));
+                if matches!(task, TaskKind::Tsmqr { .. }) {
+                    tsmqr_apply_ws(&v2, &tfac, c1, c2, ApplySide::Transpose, ws)?;
+                } else {
+                    ttmqr_apply_ws(&v2, &tfac, c1, c2, ApplySide::Transpose, ws)?;
+                }
                 Outputs::PairUpdate { a1, a2 }
             }
             _ => unreachable!("task/input kind mismatch"),
@@ -792,7 +769,7 @@ impl<T: Scalar> CompletedTask<T> {
             Outputs::Elim { r1, .. } => r1,
             Outputs::PairUpdate { a1, .. } => a1,
         };
-        if let Some(v) = target.as_mut_slice().first_mut() {
+        if let Some(v) = owned(target).as_mut_slice().first_mut() {
             *v = nan;
         }
     }

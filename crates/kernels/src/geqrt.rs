@@ -10,10 +10,10 @@
 //! the diagonal (paper Eq. 6, the "update for triangulation" step).
 
 use crate::householder::larfg;
-use crate::micro;
+use crate::micro::{self, Cols, ColsMut, Shape};
 use crate::workspace::Workspace;
 use crate::ApplySide;
-use tileqr_matrix::{Matrix, MatrixError, MatrixViewMut, Result, Scalar};
+use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 
 /// QR-factor one tile in place (PLASMA `CORE_geqrt` with inner block = n).
 ///
@@ -109,11 +109,11 @@ pub(crate) fn extend_tfac_col<T: Scalar>(
 
 /// Apply the block reflector from [`geqrt_ws`] to `c`.
 ///
-/// `vr` is the factored tile (V below the diagonal), `tfac` its `T` factor.
-/// Computes `c ← Qᵀ c` ([`ApplySide::Transpose`]) or `c ← Q c`
-/// ([`ApplySide::NoTranspose`]) where `Q = I − V T Vᵀ`. The `W` block and
-/// `op(T)` column buffer are borrowed from `ws` — no heap allocation when
-/// the workspace is presized.
+/// `vr` is the factored tile (V below the diagonal), `tfac` its `T` factor
+/// as the factor kernel wrote it (upper triangular, zeros stored below the
+/// diagonal). Computes `c ← Qᵀ c` ([`ApplySide::Transpose`]) or `c ← Q c`
+/// ([`ApplySide::NoTranspose`]) where `Q = I − V T Vᵀ`. All scratch is
+/// borrowed from `ws` — no heap allocation when the workspace is presized.
 pub fn geqrt_apply_ws<T: Scalar>(
     vr: &Matrix<T>,
     tfac: &Matrix<T>,
@@ -136,71 +136,84 @@ pub fn geqrt_apply_ws<T: Scalar>(
             rhs: c.dims(),
         });
     }
-    let nc = c.cols();
-    let (mut w, tmp) = ws.apply_scratch(n, nc);
-
-    // W = V^T C  (V unit lower trapezoidal): fused strict-lower column
-    // dots straight off the tile storage (no packing — the columns are
-    // already contiguous and L1-resident), then the implicit
-    // unit-diagonal term added on top. Every element of W is written
-    // before it is read, so the recycled scratch needs no zeroing.
-    for jc in 0..nc {
-        let cc = c.col(jc);
-        let wc = w.col_mut(jc);
-        micro::dotf_lo(cc, vr.as_slice(), m, n, wc);
-        for (wi, &ci) in wc.iter_mut().zip(cc) {
-            *wi += ci;
-        }
-    }
-
-    // W = op(T) W with T upper triangular.
-    apply_tfac_in_place(tfac, &mut w, tmp, side);
-
-    // C -= V W: unit diagonal peeled, then one fused lower-trapezoid
-    // sweep per column.
-    for jc in 0..nc {
-        let wc = w.col(jc);
-        let cc = c.col_mut(jc);
-        for (ci, &wi) in cc.iter_mut().zip(wc) {
-            *ci -= wi;
-        }
-        micro::axpyf_lo_sub(wc, vr.as_slice(), m, n, cc);
-    }
+    let dims = (m, c.cols());
+    let (v, c) = ((vr.as_slice(), m), (c.as_mut_slice(), m));
+    apply_panel(v, tfac, c, dims, side, ws);
     Ok(())
 }
 
-/// Multiply `w ← op(T) w` for upper-triangular `T`, in place, column by
-/// column. Shared by the GEQRT/TSQRT/TTQRT apply paths; `tmp` is the
-/// caller's length-`n` column buffer (workspace-owned, so the apply paths
-/// cannot drift apart in their scratch sizing).
-pub(crate) fn apply_tfac_in_place<T: Scalar>(
+/// Apply the block reflector of one GEQRT panel to `rows x nc` of `c`: `v`
+/// starts at the panel's diagonal entry (`rows x tfac.rows()`, unit lower
+/// trapezoidal, `R` above the diagonal). The panel is staged once into the
+/// workspace with its unit diagonal and zeros written out — a `rows·pw`
+/// copy against `~4·rows·pw·nc` flops — so the register tiles sweep it as
+/// a dense operand and skip the zero triangle by row block.
+pub(crate) fn apply_panel<T: Scalar>(
+    (v, ldv): Cols<T>,
     tfac: &Matrix<T>,
-    w: &mut MatrixViewMut<'_, T>,
-    tmp: &mut [T],
+    c: ColsMut<T>,
+    (rows, nc): (usize, usize),
     side: ApplySide,
+    ws: &mut Workspace<T>,
+) {
+    let pw = tfac.rows();
+    let (w, tw, vs) = ws.apply_scratch(pw, nc, rows * pw);
+    for (j, col) in vs.chunks_exact_mut(rows).enumerate() {
+        let d = j.min(rows);
+        col[..d].fill(T::ZERO);
+        if let Some((one, below)) = col[d..].split_first_mut() {
+            *one = T::ONE;
+            below.copy_from_slice(&v[j * ldv + j + 1..j * ldv + rows]);
+        }
+    }
+    let dims = (rows, nc);
+    apply_reflector((vs, rows), Shape::Lower, tfac, None, c, dims, side, (w, tw));
+}
+
+/// The three products of every update kernel, `Q = I − V T Vᵀ` applied to
+/// `[top; c]` with `V = [I; v]` when `top` is given (the TS/TT pair
+/// updates: `top` is `n x nc`, contiguous) and to `c` alone with `V = v`
+/// otherwise:
+///
+/// ```text
+/// W  = [top +] vᵀ c        micro::gemm_tn
+/// W' = op(T) W             micro::gemm_tn (Tᵀ) / micro::gemm_nn_sub (T)
+/// top −= W';  c −= v W'    micro::gemm_nn_sub
+/// ```
+///
+/// `v` is `rows x n` with the zeros `shape` promises, `tfac` is upper
+/// triangular **with its zeros stored** (what every factor kernel writes),
+/// `w`/`tw` are `n·nc` scratch.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_reflector<T: Scalar>(
+    v: Cols<T>,
+    shape: Shape,
+    tfac: &Matrix<T>,
+    top: Option<&mut [T]>,
+    (c, ldc): ColsMut<T>,
+    (rows, nc): (usize, usize),
+    side: ApplySide,
+    (w, tw): (&mut [T], &mut [T]),
 ) {
     let n = tfac.rows();
-    let nc = w.cols();
-    let tmp = &mut tmp[..n];
-    for jc in 0..nc {
-        {
-            let wc = w.col(jc);
-            match side {
-                ApplySide::Transpose => {
-                    // (T^T w)[i] = sum_{p <= i} T[p,i] w[p]: fused dots
-                    // over the stored prefixes of T's columns.
-                    micro::dotf_tri(wc, tfac.as_slice(), n, n, 1, tmp);
-                }
-                ApplySide::NoTranspose => {
-                    // (T w)[i] = sum_{p >= i} T[i,p] w[p]: fused axpys of
-                    // T's column prefixes scaled by w.
-                    tmp.fill(T::ZERO);
-                    micro::axpyf_tri_add(wc, tfac.as_slice(), n, n, 1, tmp);
-                }
-            }
+    let t = (tfac.as_slice(), n);
+    let add = top.as_deref().map(|a1| (a1, n));
+    micro::gemm_tn(v, shape, (c, ldc), add, (w, n), (n, nc, rows));
+    match side {
+        ApplySide::Transpose => micro::gemm_tn(t, Shape::Upper, (w, n), None, (tw, n), (n, nc, n)),
+        ApplySide::NoTranspose => {
+            // The one subtracting primitive on a zeroed block, negated.
+            tw.fill(T::ZERO);
+            micro::gemm_nn_sub(t, Shape::Upper, (w, n), (tw, n), (n, nc, n));
+            tw.iter_mut().for_each(|x| *x = -*x);
         }
-        w.col_mut(jc).copy_from_slice(tmp);
     }
+    if let Some(a1) = top {
+        for (a, &x) in a1.iter_mut().zip(tw.iter()) {
+            *a -= x;
+        }
+    }
+    micro::gemm_nn_sub(v, shape, (tw, n), (c, ldc), (rows, nc, n));
 }
 
 /// Update-for-triangulation step (paper Eq. 6): `c ← Qᵀ c` using the

@@ -9,7 +9,7 @@
 //! inherits from PLASMA can be measured (see
 //! `benches/elimination_trees.rs` and the DESIGN.md ablation list).
 
-use crate::geqrt::extend_tfac_col;
+use crate::geqrt::{apply_panel, extend_tfac_col};
 use crate::householder::larfg;
 use crate::micro;
 use crate::workspace::Workspace;
@@ -86,9 +86,12 @@ pub fn geqrt_ib_ws<T: Scalar>(
             }
         }
 
-        // Apply the finished panel's block reflector to trailing columns.
+        // Apply the finished panel's block reflector to the trailing
+        // columns; the split keeps the panel borrowable beside them.
         if e < n {
-            apply_panel(a, s, e, &tfac, e, n, ApplySide::Transpose, ws)?;
+            let (panel, trailing) = a.as_mut_slice().split_at_mut(e * m);
+            let (v, c) = ((&panel[s * m + s..], m), (&mut trailing[s..], m));
+            apply_panel(v, &tfac, c, (m - s, n - e), ApplySide::Transpose, ws);
         }
         tfacs.push(tfac);
         s = e;
@@ -96,59 +99,9 @@ pub fn geqrt_ib_ws<T: Scalar>(
     Ok(tfacs)
 }
 
-/// Apply the block reflector of panel columns `[s, e)` of `vr` to the
-/// column range `[c0, c1)` of the same matrix, in place.
-///
-/// The unit-lower-trapezoidal panel is consumed straight out of `a` by the
-/// strict-lower microkernel primitives (unit diagonal peeled by this
-/// caller) — at tile sizes the panel columns are contiguous and
-/// L1-resident, so the seed's explicit pack pass was pure overhead.
-#[allow(clippy::too_many_arguments)]
-fn apply_panel<T: Scalar>(
-    a: &mut Matrix<T>,
-    s: usize,
-    e: usize,
-    tfac: &Matrix<T>,
-    c0: usize,
-    c1: usize,
-    side: ApplySide,
-    ws: &mut Workspace<T>,
-) -> Result<()> {
-    let m = a.rows();
-    let pw = e - s;
-    let nc = c1 - c0;
-    let (mut w, tmp) = ws.apply_scratch(pw, nc);
-    // W = V^T C: fused strict-lower column dots off the panel in place;
-    // the implicit unit diagonal contributes C's row s+li, folded in after.
-    for (jc, wj) in (c0..c1).zip(0..nc) {
-        let cc = &a.col(jc)[s..];
-        let wc = w.col_mut(wj);
-        micro::dotf_lo(cc, &a.as_slice()[s * m + s..], m, pw, wc);
-        for (li, wi) in wc.iter_mut().enumerate() {
-            *wi += cc[li];
-        }
-    }
-    crate::geqrt::apply_tfac_in_place(tfac, &mut w, tmp, side);
-    // C -= V W: unit-diagonal rows peeled, then one fused multi-column
-    // axpy sweep per column. The split keeps the panel (left of c0)
-    // immutably borrowable while the trailing columns are updated.
-    let (left, right) = a.as_mut_slice().split_at_mut(c0 * m);
-    let vbase = &left[s * m + s..];
-    for (jc, wj) in (c0..c1).zip(0..nc) {
-        let cc = &mut right[(jc - c0) * m + s..(jc - c0 + 1) * m];
-        let wc = w.col(wj);
-        for (li, &wi) in wc.iter().enumerate() {
-            cc[li] -= wi;
-        }
-        micro::axpyf_lo_sub(wc, vbase, m, pw, cc);
-    }
-    Ok(())
-}
-
 /// Apply `Q` or `Qᵀ` from a [`geqrt_ib_ws`] factorization to a dense `c`
 /// (`c.rows() == vr.rows()`), borrowing all scratch from `ws` — no heap
-/// allocation when the workspace is presized. Each panel is consumed in
-/// place by the strict-lower microkernel primitives (no pack pass).
+/// allocation when the workspace is presized.
 pub fn geqrt_ib_apply_ws<T: Scalar>(
     vr: &Matrix<T>,
     tfacs: &[Matrix<T>],
@@ -178,32 +131,8 @@ pub fn geqrt_ib_apply_ws<T: Scalar>(
             ApplySide::NoTranspose => np - 1 - idx,
         };
         let s = p * ib;
-        let e = (s + ib).min(n);
-        let pw = e - s;
-        let tfac = &tfacs[p];
-        let (mut w, tmp) = ws.apply_scratch(pw, nc);
-        let vbase = &vr.as_slice()[s * m + s..];
-        // W = V_p^T C: fused strict-lower column dots, unit diagonal
-        // (C's row s+li) folded in after.
-        for jc in 0..nc {
-            let cc = &c.col(jc)[s..];
-            let wc = w.col_mut(jc);
-            micro::dotf_lo(cc, vbase, m, pw, wc);
-            for (li, wi) in wc.iter_mut().enumerate() {
-                *wi += cc[li];
-            }
-        }
-        crate::geqrt::apply_tfac_in_place(tfac, &mut w, tmp, side);
-        // C -= V_p W: unit-diagonal rows peeled, then one fused
-        // multi-column axpy sweep per column.
-        for jc in 0..nc {
-            let cc = &mut c.col_mut(jc)[s..];
-            let wc = w.col(jc);
-            for (li, &wi) in wc.iter().enumerate() {
-                cc[li] -= wi;
-            }
-            micro::axpyf_lo_sub(wc, vbase, m, pw, cc);
-        }
+        let (v, cs) = (&vr.as_slice()[s * m + s..], &mut c.as_mut_slice()[s..]);
+        apply_panel((v, m), &tfacs[p], (cs, m), (m - s, nc), side, ws);
     }
     Ok(())
 }

@@ -14,7 +14,7 @@
 //! `(a0+a1)+(a2+a3)`. That order is what the determinism contract of
 //! [`crate::micro`] promises for the `Blocked` backend on every host.
 
-use super::{Core, LANES};
+use super::{Cols, ColsMut, Core, LANES};
 use tileqr_matrix::Scalar;
 
 /// The portable core: safe, autovectorization-friendly scalar blocks.
@@ -22,106 +22,19 @@ pub(crate) struct ScalarCore;
 
 impl<T: Scalar> Core<T> for ScalarCore {
     #[inline(always)]
-    fn dot1(x: &[T], c: &[T]) -> T {
-        let n = x.len();
-        let c = &c[..n];
-        let mut a = [T::ZERO; LANES];
-        let mut xc = x.chunks_exact(LANES);
-        let mut cc = c.chunks_exact(LANES);
-        for (xs, cs) in (&mut xc).zip(&mut cc) {
-            for l in 0..LANES {
-                a[l] += xs[l] * cs[l];
-            }
-        }
-        for (&xv, &cv) in xc.remainder().iter().zip(cc.remainder()) {
-            a[0] += xv * cv;
-        }
-        (a[0] + a[1]) + (a[2] + a[3])
-    }
-
-    #[inline(always)]
-    fn dot4(x: &[T], c0: &[T], c1: &[T], c2: &[T], c3: &[T]) -> [T; 4] {
-        let n = x.len();
-        let (c0, c1, c2, c3) = (&c0[..n], &c1[..n], &c2[..n], &c3[..n]);
-        let mut a0 = [T::ZERO; LANES];
-        let mut a1 = [T::ZERO; LANES];
-        let mut a2 = [T::ZERO; LANES];
-        let mut a3 = [T::ZERO; LANES];
-        // One contiguous LANES-wide strip per column, each in its own
-        // lane loop: this is the shape the vectorizer maps onto a single
-        // vector load + mul + add per column. Interleaving the columns
-        // inside the lane loop instead makes SLP transpose the problem
-        // into per-row gathers across the four columns — ~3x slower.
-        // Per-accumulator the operation sequence is identical either
-        // way, so the blocked results stay bit-for-bit the same.
-        let mut i = 0;
-        while i + LANES <= n {
-            let xs = &x[i..i + LANES];
-            let y0 = &c0[i..i + LANES];
-            let y1 = &c1[i..i + LANES];
-            let y2 = &c2[i..i + LANES];
-            let y3 = &c3[i..i + LANES];
-            for l in 0..LANES {
-                a0[l] += xs[l] * y0[l];
-            }
-            for l in 0..LANES {
-                a1[l] += xs[l] * y1[l];
-            }
-            for l in 0..LANES {
-                a2[l] += xs[l] * y2[l];
-            }
-            for l in 0..LANES {
-                a3[l] += xs[l] * y3[l];
-            }
-            i += LANES;
-        }
-        while i < n {
-            let xv = x[i];
-            a0[0] += xv * c0[i];
-            a1[0] += xv * c1[i];
-            a2[0] += xv * c2[i];
-            a3[0] += xv * c3[i];
-            i += 1;
-        }
-        [
-            (a0[0] + a0[1]) + (a0[2] + a0[3]),
-            (a1[0] + a1[1]) + (a1[2] + a1[3]),
-            (a2[0] + a2[1]) + (a2[2] + a2[3]),
-            (a3[0] + a3[1]) + (a3[2] + a3[3]),
-        ]
-    }
-
-    #[inline(always)]
-    fn axpy1<const SUB: bool>(a: T, c: &[T], y: &mut [T]) {
+    fn axpy1(a: T, c: &[T], y: &mut [T]) {
         let c = &c[..y.len()];
         for (yi, &ci) in y.iter_mut().zip(c) {
-            if SUB {
-                *yi -= a * ci;
-            } else {
-                *yi += a * ci;
-            }
+            *yi += a * ci;
         }
     }
 
     #[inline(always)]
-    fn axpy4<const SUB: bool>(a: [T; 4], c0: &[T], c1: &[T], c2: &[T], c3: &[T], y: &mut [T]) {
+    fn axpy4(a: [T; 4], c0: &[T], c1: &[T], c2: &[T], c3: &[T], y: &mut [T]) {
         let n = y.len();
         let (c0, c1, c2, c3) = (&c0[..n], &c1[..n], &c2[..n], &c3[..n]);
         for (i, yi) in y.iter_mut().enumerate() {
-            let t = (a[0] * c0[i] + a[1] * c1[i]) + (a[2] * c2[i] + a[3] * c3[i]);
-            if SUB {
-                *yi -= t;
-            } else {
-                *yi += t;
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn rank1_1(x: &[T], w: T, c: &mut [T]) {
-        let x = &x[..c.len()];
-        for (ci, &xi) in c.iter_mut().zip(x) {
-            *ci -= w * xi;
+            *yi += (a[0] * c0[i] + a[1] * c1[i]) + (a[2] * c2[i] + a[3] * c3[i]);
         }
     }
 
@@ -135,6 +48,60 @@ impl<T: Scalar> Core<T> for ScalarCore {
             c1[i] -= w[1] * xv;
             c2[i] -= w[2] * xv;
             c3[i] -= w[3] * xv;
+        }
+    }
+
+    // One pass per column of `Y`/`C`: at most `4·LANES` accumulators live,
+    // which is what fits the sixteen SSE2 registers the vectorizer has; the
+    // full `MR x NR` block at once spills and runs at half the speed.
+    #[inline(always)]
+    fn tn_tile<const MR: usize, const NR: usize>(x: [&[T]; MR], y: [&[T]; NR]) -> [[T; MR]; NR] {
+        let k = x[0].len();
+        let x = x.map(|c| &c[..k]);
+        y.map(|yb| {
+            let yb = &yb[..k];
+            let mut acc = [[T::ZERO; LANES]; MR];
+            let mut p = 0;
+            while p + LANES <= k {
+                let ys = &yb[p..p + LANES];
+                for (xa, lanes) in x.iter().zip(&mut acc) {
+                    let xs = &xa[p..p + LANES];
+                    for l in 0..LANES {
+                        lanes[l] += xs[l] * ys[l];
+                    }
+                }
+                p += LANES;
+            }
+            while p < k {
+                for (xa, lanes) in x.iter().zip(&mut acc) {
+                    lanes[0] += xa[p] * yb[p];
+                }
+                p += 1;
+            }
+            acc.map(|l| (l[0] + l[1]) + (l[2] + l[3]))
+        })
+    }
+
+    #[inline(always)]
+    fn nn_tile<const MV: usize, const NR: usize>(
+        (a, lda): Cols<T>,
+        b: [&[T]; NR],
+        (c, ldc): ColsMut<T>,
+    ) {
+        for (j, bj) in b.iter().enumerate() {
+            let cj = &mut c[j * ldc..j * ldc + MV * LANES];
+            let mut acc = [[T::ZERO; LANES]; MV];
+            for (p, &w) in bj.iter().enumerate() {
+                let col = &a[p * lda..p * lda + MV * LANES];
+                for (rows, lanes) in col.chunks_exact(LANES).zip(&mut acc) {
+                    for l in 0..LANES {
+                        lanes[l] += rows[l] * w;
+                    }
+                }
+            }
+            for (ci, s) in cj.iter_mut().zip(acc.iter().flatten()) {
+                *ci -= *s;
+            }
         }
     }
 }

@@ -1,26 +1,26 @@
 //! Register-blocked microkernel layer shared by every tile kernel.
 //!
-//! The `_ws` kernels in this crate all reduce to a handful of level-1.5
-//! BLAS shapes: fused multi-column dots (`W = VᵀC`), fused multi-column
-//! axpys (`C -= V·W`), rank-1 fan-outs (the trailing update of a single
-//! reflector), and their trapezoidal variants for the TT/TS tile
-//! structures. The seed implementation ran each of these as one scalar
-//! `dot`/`axpy` per column — a latency-bound chain of dependent adds that
-//! LLVM cannot vectorize (strict FP semantics forbid reassociation).
+//! The `_ws` kernels split into two kinds of work, and this module has one
+//! family of primitives for each:
 //!
-//! This module restructures those loops around two blocking levels:
-//!
-//! * **Register level** — dots carry [`LANES`] independent accumulators
-//!   (the reduction tree is fixed: `(a0+a1)+(a2+a3)`), and all primitives
-//!   fuse [`NR`] columns per pass so each load of the shared vector feeds
-//!   `NR` multiply-adds. The fused loop bodies are branch-free and
-//!   autovectorize on the safe backend.
-//! * **Cache level** — the dense primitives walk long vectors in
-//!   [`KC`]-element strips: one strip of the shared vector is reused
-//!   across *all* columns while it is L1-resident (`(NR+1)·KC·8` bytes ≈
-//!   20 KiB per working set, inside a 32 KiB L1d). Tile-shaped operands
-//!   (`b ≤ 64`) fit in a single strip, so the strip loop only engages on
-//!   the tall panels of `geqrt_ib_apply` and dense right-hand sides.
+//! * **Level 3 — the update kernels.** Applying a block reflector
+//!   (`UNMQR`, `TSMQR`, `TTMQR`, the inner-blocked panels, both
+//!   [`ApplySide`](crate::ApplySide)s) is three matrix products, `W = VᵀC`,
+//!   `op(T)·W` and `C −= V·W`. [`gemm_tn`] computes an `MR x NR` tile of
+//!   dot products at a time with both operands read down their contiguous
+//!   columns; [`gemm_nn_sub`] an outer-product tile with its second operand
+//!   broadcast. Each loaded vector feeds three to six multiply-adds and
+//!   twelve independent accumulators hide the FMA latency. Nothing is
+//!   packed: tiles are column-major, which is the layout both tiles want.
+//!   A triangular operand is described by a [`Shape`], and the skeleton
+//!   skips its zero triangle a row block at a time.
+//! * **Level 1.5 — the factor kernels.** One reflector at a time leaves
+//!   fused multi-column dots ([`dotf`], [`dotf_tri`]), a rank-1 fan-out
+//!   ([`rank1f_sub`], [`larf_head`]) and the `T`-column build
+//!   ([`axpyf_tri_add`]): [`NR`] columns share each load of the common
+//!   vector, dots carry [`LANES`] accumulators, and long vectors are walked
+//!   in [`KC`]-element strips so the shared strip stays L1-resident across
+//!   all columns (tile-shaped operands fit one strip).
 //!
 //! Two register cores sit behind one dispatch point, and the host — not a
 //! build option — picks between them:
@@ -29,8 +29,8 @@
 //!   non-x86-64 host, every `f32` panel, x86-64 without AVX2+FMA) and the
 //!   host-independent reference the agreement tests compare against.
 //! * `simd` (x86-64 only) — `core::arch` AVX2+FMA intrinsics, `f64` only,
-//!   selected by `is_x86_feature_detected!` for primitives that touch at
-//!   least [`VECTOR_MIN_WORK`] elements.
+//!   selected by `is_x86_feature_detected!`: always for the level-3
+//!   primitives, from [`VECTOR_MIN_WORK`] touched elements for the rest.
 //!
 //! `simd.rs` is the only place in the crate that uses `unsafe` (see the
 //! crate-level `#![deny(unsafe_code)]` and the scoped, documented allows
@@ -41,23 +41,22 @@
 //! and element type — results are bit-reproducible run to run and across
 //! sequential/parallel executors (which is what the testkit bit-identity
 //! sweeps assert). That contract is over *shapes*, not over one global
-//! loop order: below [`NAIVE_MAX_WORK`] touched elements a primitive runs
-//! a plain sequential per-column loop (the blocked machinery costs more
-//! than it saves there), from there to [`VECTOR_MIN_WORK`] the
+//! loop order: a level-1.5 primitive runs on the detected vector core from
+//! [`VECTOR_MIN_WORK`] touched elements, and otherwise as a plain
+//! sequential per-column loop below [`NAIVE_MAX_WORK`] and in the
 //! lane-blocked scalar order with the fixed `(a0+a1)+(a2+a3)` reduction
-//! tree, and above it the detected core. The tier is chosen by shape and
-//! host, never by data. The two cores differ from each other by rounding
-//! only (FMA contracts `a·b+c` to one rounding; the scalar core keeps
-//! two), so `f64` results on an AVX2+FMA host differ from those of any
-//! other host by that rounding, and cross-backend agreement is held to the
-//! condition-scaled oracle budgets instead of bit equality.
+//! tree above it. The tier is chosen by shape and host, never by data. The
+//! two cores differ from each other by rounding only (FMA contracts
+//! `a·b+c` to one rounding; the scalar core keeps two), so `f64` results
+//! on an AVX2+FMA host differ from those of any other host by that
+//! rounding, and cross-backend agreement is held to the condition-scaled
+//! oracle budgets instead of bit equality.
 //!
 //! All primitives take column-major panels as a base slice plus a column
-//! stride `ld` (column `j` starts at `ys[j * ld]`), which lets kernels
-//! pass tile storage directly without packing: at tile sizes the columns
-//! are already contiguous and L1-resident, so a pack pass is pure
-//! overhead (it is what caused the seed's `ttmqr b=8` regression).
+//! stride `ld` (column `j` starts at `ys[j * ld]`), so kernels pass tile
+//! storage directly.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tileqr_matrix::Scalar;
 
@@ -74,7 +73,8 @@ pub const LANES: usize = 4;
 /// of `KC` f64s ≈ 20 KiB, sized to stay resident in a 32 KiB L1d.
 pub const KC: usize = 512;
 
-/// Which register core `f64` primitives run on above [`VECTOR_MIN_WORK`].
+/// Which register core `f64` primitives run on (the level-1.5 ones from
+/// [`VECTOR_MIN_WORK`] touched elements).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Safe scalar register-blocked code: the portable path and the
@@ -112,18 +112,21 @@ pub fn force_backend(backend: Option<Backend>) {
 /// already matched by the blocking skeletons; implementations only fix
 /// the accumulation order and instruction selection.
 pub(crate) trait Core<T: Scalar> {
-    /// `dot(x, c)` with [`LANES`] accumulators and a fixed reduction tree.
-    fn dot1(x: &[T], c: &[T]) -> T;
-    /// Four column dots sharing each load of `x`.
-    fn dot4(x: &[T], c0: &[T], c1: &[T], c2: &[T], c3: &[T]) -> [T; 4];
-    /// `y ∓= a · c` (SUB selects subtraction).
-    fn axpy1<const SUB: bool>(a: T, c: &[T], y: &mut [T]);
-    /// `y ∓= a0·c0 + a1·c1 + a2·c2 + a3·c3`, one pass over `y`.
-    fn axpy4<const SUB: bool>(a: [T; 4], c0: &[T], c1: &[T], c2: &[T], c3: &[T], y: &mut [T]);
-    /// `c -= w · x` (single-column rank-1 update).
-    fn rank1_1(x: &[T], w: T, c: &mut [T]);
+    /// `y += a · c`.
+    fn axpy1(a: T, c: &[T], y: &mut [T]);
+    /// `y += a0·c0 + a1·c1 + a2·c2 + a3·c3`, one pass over `y`.
+    fn axpy4(a: [T; 4], c0: &[T], c1: &[T], c2: &[T], c3: &[T], y: &mut [T]);
     /// Rank-1 fan-out: `ci -= wi · x` for four columns per load of `x`.
     fn rank1_4(x: &[T], w: [T; 4], c0: &mut [T], c1: &mut [T], c2: &mut [T], c3: &mut [T]);
+    /// Dot-product register tile: `r[b][a] = dot(x[a], y[b])` over
+    /// `x[0].len()` rows, [`LANES`] accumulator lanes per dot and a fixed
+    /// reduction tree. `4 x 1` against a shared vector is the fused column
+    /// dot of the level-1.5 skeletons, `1 x 1` the plain dot.
+    fn tn_tile<const MR: usize, const NR: usize>(x: [&[T]; MR], y: [&[T]; NR]) -> [[T; MR]; NR];
+    /// Outer-product register tile over `b[0].len()` steps:
+    /// `c[j·ldc + r] -= Σ_p a[p·lda + r] · b[j][p]` for the `MV·LANES` rows
+    /// `r`, summed in registers in `p` order and subtracted once.
+    fn nn_tile<const MV: usize, const NR: usize>(a: Cols<T>, b: [&[T]; NR], c: ColsMut<T>);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,14 +149,7 @@ fn dotf_impl<T: Scalar, C: Core<T>>(x: &[T], ys: &[T], ld: usize, n: usize, out:
         let sl = r1 - r0;
         let mut j = 0;
         while j + NR <= n {
-            let b = j * ld + r0;
-            let d = C::dot4(
-                xs,
-                &ys[b..b + sl],
-                &ys[b + ld..b + ld + sl],
-                &ys[b + 2 * ld..b + 2 * ld + sl],
-                &ys[b + 3 * ld..b + 3 * ld + sl],
-            );
+            let [d] = C::tn_tile(cols_at::<T, NR>((ys, ld), j, &(r0..r1)), [xs]);
             if first {
                 out[j..j + NR].copy_from_slice(&d);
             } else {
@@ -165,7 +161,7 @@ fn dotf_impl<T: Scalar, C: Core<T>>(x: &[T], ys: &[T], ld: usize, n: usize, out:
         }
         while j < n {
             let b = j * ld + r0;
-            let d = C::dot1(xs, &ys[b..b + sl]);
+            let [[d]] = C::tn_tile([&ys[b..b + sl]], [xs]);
             if first {
                 out[j] = d;
             } else {
@@ -205,7 +201,7 @@ fn dotf_tri_impl<T: Scalar, C: Core<T>>(
         let c1 = &ys[b + ld..b + ld + d + 1];
         let c2 = &ys[b + 2 * ld..b + 2 * ld + d + 2];
         let c3 = &ys[b + 3 * ld..b + 3 * ld + d + 3];
-        let mut v = C::dot4(&x[..d], c0, &c1[..d], &c2[..d], &c3[..d]);
+        let [mut v] = C::tn_tile([c0, &c1[..d], &c2[..d], &c3[..d]], [&x[..d]]);
         v[1] += x[d] * c1[d];
         v[2] += x[d] * c2[d];
         v[2] += x[d + 1] * c2[d + 1];
@@ -217,102 +213,16 @@ fn dotf_tri_impl<T: Scalar, C: Core<T>>(
     }
     while j < n {
         let d = len0 + j;
-        out[j] = C::dot1(&x[..d], &ys[j * ld..j * ld + d]);
+        [[out[j]]] = C::tn_tile([&ys[j * ld..j * ld + d]], [&x[..d]]);
         j += 1;
     }
 }
 
-/// Strict-lower-trapezoid fused dots: column `j` is valid on rows
-/// `[j+1, x.len())` (the unit diagonal is the caller's to add).
-/// `out[j] = dot(x[j+1..], col_j[j+1..])`.
-#[inline(always)]
-fn dotf_lo_impl<T: Scalar, C: Core<T>>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
-    let len = x.len();
-    debug_assert!(out.len() >= n);
-    let mut j = 0;
-    while j + NR <= n {
-        let b = j * ld;
-        let h = (j + NR).min(len);
-        let mut v = [T::ZERO; NR];
-        for (t, vt) in v.iter_mut().enumerate() {
-            let c = &ys[b + t * ld..b + t * ld + len];
-            let mut acc = T::ZERO;
-            for r in (j + t + 1)..h {
-                acc += x[r] * c[r];
-            }
-            *vt = acc;
-        }
-        if h < len {
-            let d = C::dot4(
-                &x[h..],
-                &ys[b + h..b + len],
-                &ys[b + ld + h..b + ld + len],
-                &ys[b + 2 * ld + h..b + 2 * ld + len],
-                &ys[b + 3 * ld + h..b + 3 * ld + len],
-            );
-            for (vt, dt) in v.iter_mut().zip(d) {
-                *vt += dt;
-            }
-        }
-        out[j..j + NR].copy_from_slice(&v);
-        j += NR;
-    }
-    while j < n {
-        out[j] = if j + 1 < len {
-            C::dot1(&x[j + 1..], &ys[j * ld + j + 1..j * ld + len])
-        } else {
-            T::ZERO
-        };
-        j += 1;
-    }
-}
-
-/// Dense fused axpy: `y ∓= Σ_j alphas[j] · col_j`, strip-blocked so each
-/// `y` strip stays L1-resident across all column blocks. The strip loop
-/// partitions rows, so per-element operation order is unchanged by it.
-#[inline(always)]
-fn axpyf_impl<T: Scalar, C: Core<T>, const SUB: bool>(
-    alphas: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    y: &mut [T],
-) {
-    let len = y.len();
-    debug_assert!(alphas.len() >= n);
-    debug_assert!(n == 0 || ys.len() >= (n - 1) * ld + len);
-    let mut r0 = 0;
-    while r0 < len {
-        let r1 = (r0 + KC).min(len);
-        let sl = r1 - r0;
-        let yw = &mut y[r0..r1];
-        let mut j = 0;
-        while j + NR <= n {
-            let b = j * ld + r0;
-            C::axpy4::<SUB>(
-                [alphas[j], alphas[j + 1], alphas[j + 2], alphas[j + 3]],
-                &ys[b..b + sl],
-                &ys[b + ld..b + ld + sl],
-                &ys[b + 2 * ld..b + 2 * ld + sl],
-                &ys[b + 3 * ld..b + 3 * ld + sl],
-                yw,
-            );
-            j += NR;
-        }
-        while j < n {
-            let b = j * ld + r0;
-            C::axpy1::<SUB>(alphas[j], &ys[b..b + sl], yw);
-            j += 1;
-        }
-        r0 = r1;
-    }
-}
-
-/// Prefix-column fused axpy: column `j` has length `len0 + j` and updates
-/// `y[..len0+j]`. Dense common prefix per column block, ragged tails as
+/// Prefix-column fused axpy: column `j` has length `len0 + j` and is added
+/// to `y[..len0+j]`. Dense common prefix per column block, ragged tails as
 /// short single-column axpys.
 #[inline(always)]
-fn axpyf_tri_impl<T: Scalar, C: Core<T>, const SUB: bool>(
+fn axpyf_tri_impl<T: Scalar, C: Core<T>>(
     alphas: &[T],
     ys: &[T],
     ld: usize,
@@ -326,7 +236,7 @@ fn axpyf_tri_impl<T: Scalar, C: Core<T>, const SUB: bool>(
     while j + NR <= n {
         let d = len0 + j;
         let b = j * ld;
-        C::axpy4::<SUB>(
+        C::axpy4(
             [alphas[j], alphas[j + 1], alphas[j + 2], alphas[j + 3]],
             &ys[b..b + d],
             &ys[b + ld..b + ld + d],
@@ -336,64 +246,13 @@ fn axpyf_tri_impl<T: Scalar, C: Core<T>, const SUB: bool>(
         );
         for t in 1..NR {
             let c = &ys[b + t * ld..b + t * ld + d + t];
-            C::axpy1::<SUB>(alphas[j + t], &c[d..], &mut y[d..d + t]);
+            C::axpy1(alphas[j + t], &c[d..], &mut y[d..d + t]);
         }
         j += NR;
     }
     while j < n {
         let d = len0 + j;
-        C::axpy1::<SUB>(alphas[j], &ys[j * ld..j * ld + d], &mut y[..d]);
-        j += 1;
-    }
-}
-
-/// Strict-lower-trapezoid fused axpy: column `j` is valid on rows
-/// `[j+1, y.len())`; `y[j+1..] ∓= alphas[j] · col_j[j+1..]` (unit
-/// diagonal peeled by the caller).
-#[inline(always)]
-fn axpyf_lo_impl<T: Scalar, C: Core<T>, const SUB: bool>(
-    alphas: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    y: &mut [T],
-) {
-    let len = y.len();
-    debug_assert!(alphas.len() >= n);
-    let mut j = 0;
-    while j + NR <= n {
-        let b = j * ld;
-        let h = (j + NR).min(len);
-        for t in 0..NR {
-            let lo = j + t + 1;
-            if lo < h {
-                C::axpy1::<SUB>(
-                    alphas[j + t],
-                    &ys[b + t * ld + lo..b + t * ld + h],
-                    &mut y[lo..h],
-                );
-            }
-        }
-        if h < len {
-            C::axpy4::<SUB>(
-                [alphas[j], alphas[j + 1], alphas[j + 2], alphas[j + 3]],
-                &ys[b + h..b + len],
-                &ys[b + ld + h..b + ld + len],
-                &ys[b + 2 * ld + h..b + 2 * ld + len],
-                &ys[b + 3 * ld + h..b + 3 * ld + len],
-                &mut y[h..],
-            );
-        }
-        j += NR;
-    }
-    while j < n {
-        if j + 1 < len {
-            C::axpy1::<SUB>(
-                alphas[j],
-                &ys[j * ld + j + 1..j * ld + len],
-                &mut y[j + 1..],
-            );
-        }
+        C::axpy1(alphas[j], &ys[j * ld..j * ld + d], &mut y[..d]);
         j += 1;
     }
 }
@@ -433,7 +292,7 @@ fn rank1f_impl<T: Scalar, C: Core<T>>(
         j += NR;
     }
     while j < n {
-        C::rank1_1(x, w[j], &mut ys[j * ld..j * ld + len]);
+        C::axpy1(-w[j], x, &mut ys[j * ld..j * ld + len]);
         j += 1;
     }
 }
@@ -458,7 +317,7 @@ fn larf_head_impl<T: Scalar, C: Core<T>>(vk: &[T], tau: T, cols: &mut [T], ld: u
         let c1 = &mut c1[..cl];
         let c2 = &mut c2[..cl];
         let c3 = &mut rest[..cl];
-        let mut w = C::dot4(vk, &c0[1..], &c1[1..], &c2[1..], &c3[1..]);
+        let [mut w] = C::tn_tile([&c0[1..], &c1[1..], &c2[1..], &c3[1..]], [vk]);
         w[0] = (c0[0] + w[0]) * tau;
         w[1] = (c1[0] + w[1]) * tau;
         w[2] = (c2[0] + w[2]) * tau;
@@ -479,11 +338,241 @@ fn larf_head_impl<T: Scalar, C: Core<T>>(vk: &[T], tau: T, cols: &mut [T], ld: u
     }
     while j < n {
         let c = &mut cols[j * ld..j * ld + cl];
-        let mut w = C::dot1(vk, &c[1..]);
+        let [[mut w]] = C::tn_tile([&c[1..]], [vk]);
         w = (c[0] + w) * tau;
         c[0] -= w;
-        C::rank1_1(vk, w, &mut c[1..]);
+        C::axpy1(-w, vk, &mut c[1..]);
         j += 1;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Level-3 skeletons: the three products of a block-reflector apply, each a
+// sweep of register tiles over operands read in place.
+// ---------------------------------------------------------------------------
+
+/// Zero structure the caller promises for the first operand of
+/// [`gemm_tn`] / [`gemm_nn_sub`]. The skeletons skip the promised region
+/// a row block at a time and read whatever is stored in the rest of it, so
+/// the zeros must really be there: an operand whose other triangle holds
+/// something else is staged into scratch first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// No promise: every entry is read.
+    Dense,
+    /// Entry `(r, c)` is zero wherever `r > c`.
+    Upper,
+    /// Entry `(r, c)` is zero wherever `r < c`.
+    Lower,
+}
+
+impl Shape {
+    /// Rows in which columns `[c0, c1)` of a `rows`-row operand can be nonzero.
+    fn rows_of(self, c0: usize, c1: usize, rows: usize) -> Range<usize> {
+        match self {
+            Shape::Dense => 0..rows,
+            Shape::Upper => 0..c1.min(rows),
+            Shape::Lower => c0.min(rows)..rows,
+        }
+    }
+
+    /// Columns in which rows `[r0, r1)` of a `cols`-column operand can be nonzero.
+    fn cols_of(self, r0: usize, r1: usize, cols: usize) -> Range<usize> {
+        match self {
+            Shape::Dense => 0..cols,
+            Shape::Upper => r0.min(cols)..cols,
+            Shape::Lower => 0..r1.min(cols),
+        }
+    }
+}
+
+/// A column-major operand of a level-3 primitive: the base slice and the
+/// column stride (column `j` starts at `.0[j * .1]`).
+pub type Cols<'a, T> = (&'a [T], usize);
+/// The written operand of a level-3 primitive, as [`Cols`].
+pub type ColsMut<'a, T> = (&'a mut [T], usize);
+
+/// [`gemm_tn`] register tile: columns of `X` by columns of `Y` (twelve
+/// accumulators plus the operands fill the sixteen AVX2 registers).
+const TN_MR: usize = 4;
+const TN_NR: usize = 3;
+/// [`gemm_nn_sub`] register tile: `NN_MV·LANES` rows by `NN_NR` columns of
+/// `C` (twelve accumulators again); leftover columns go four at a time,
+/// then singly over `NN_MV1·LANES` rows to keep four accumulators in flight.
+const NN_MV: usize = 2;
+const NN_NR: usize = 6;
+const NN_MV1: usize = 4;
+
+/// `N` consecutive columns of a panel from column `j`, cut to `rows`.
+#[inline(always)]
+fn cols_at<'a, T, const N: usize>(
+    (ys, ld): Cols<'a, T>,
+    j: usize,
+    rows: &Range<usize>,
+) -> [&'a [T]; N] {
+    // A plain loop: `array::from_fn` with this closure is left an
+    // out-of-line call per tile.
+    let mut cols: [&[T]; N] = [&[]; N];
+    for (t, col) in cols.iter_mut().enumerate() {
+        *col = &ys[(j + t) * ld..][rows.clone()];
+    }
+    cols
+}
+
+/// `out = [add +] XᵀY` with `X` `k x m`, `Y` `k x n`, `out`/`add` `m x n`:
+/// one tile of dot products per `TN_MR x TN_NR` block of `out`, both
+/// operands read down their contiguous columns. Ragged edges take narrower
+/// tiles.
+#[inline(always)]
+fn gemm_tn_impl<T: Scalar, C: Core<T>>(
+    x: Cols<T>,
+    shape: Shape,
+    y: Cols<T>,
+    add: Option<Cols<T>>,
+    out: ColsMut<T>,
+    (m, n, k): (usize, usize, usize),
+) {
+    let mut i = 0;
+    while i + TN_MR <= m {
+        let rows = shape.rows_of(i, i + TN_MR, k);
+        tn_rows::<T, C, TN_MR>(cols_at(x, i, &rows), y, &rows, add, (out.0, out.1), i, n);
+        i += TN_MR;
+    }
+    while i < m {
+        let rows = shape.rows_of(i, i + 1, k);
+        tn_rows::<T, C, 1>(cols_at(x, i, &rows), y, &rows, add, (out.0, out.1), i, n);
+        i += 1;
+    }
+}
+
+/// One row block of [`gemm_tn_impl`]: `MR` columns of `X` (rows `i..` of
+/// `out`) against every column of `Y`.
+#[inline(always)]
+fn tn_rows<T: Scalar, C: Core<T>, const MR: usize>(
+    xs: [&[T]; MR],
+    y: Cols<T>,
+    rows: &Range<usize>,
+    add: Option<Cols<T>>,
+    (out, ldo): ColsMut<T>,
+    i: usize,
+    n: usize,
+) {
+    // Three columns at a time; a last four go as two pairs, not 3 + 1.
+    let mut j = 0;
+    while n - j == TN_NR || n - j > TN_NR + 1 {
+        let tile = C::tn_tile(xs, cols_at::<T, TN_NR>(y, j, rows));
+        tn_store(&tile, add, (out, ldo), i, j);
+        j += TN_NR;
+    }
+    while n - j >= 2 {
+        let tile = C::tn_tile(xs, cols_at::<T, 2>(y, j, rows));
+        tn_store(&tile, add, (out, ldo), i, j);
+        j += 2;
+    }
+    if j < n {
+        let tile = C::tn_tile(xs, cols_at::<T, 1>(y, j, rows));
+        tn_store(&tile, add, (out, ldo), i, j);
+    }
+}
+
+/// Write one finished tile of [`tn_rows`] to rows `i..`, columns `j..` of
+/// `out`. (A function, not a closure: the closure stayed an out-of-line
+/// call per tile inside the vector-core monomorphization.)
+#[inline(always)]
+fn tn_store<T: Scalar, const MR: usize>(
+    tile: &[[T; MR]],
+    add: Option<Cols<T>>,
+    (out, ldo): ColsMut<T>,
+    i: usize,
+    j: usize,
+) {
+    for (t, col) in tile.iter().enumerate() {
+        let o: &mut [T; MR] = (&mut out[(j + t) * ldo + i..][..MR])
+            .try_into()
+            .expect("MR rows");
+        // Summed in a local so the store is one vector wide.
+        let mut sum = *col;
+        if let Some((a, lda)) = add {
+            for (s, &a) in sum.iter_mut().zip(&a[(j + t) * lda + i..][..MR]) {
+                *s += a;
+            }
+        }
+        *o = sum;
+    }
+}
+
+/// `C -= A·B` with `A` `m x k`, `B` `k x n`, `C` `m x n`: one
+/// outer-product tile per `NN_MV·LANES x NN_NR` block of `C`, `A` read down
+/// its columns and `B` broadcast.
+#[inline(always)]
+fn gemm_nn_sub_impl<T: Scalar, C: Core<T>>(
+    a: Cols<T>,
+    shape: Shape,
+    (b, ldb): Cols<T>,
+    (c, ldc): ColsMut<T>,
+    (m, n, k): (usize, usize, usize),
+) {
+    let mut j = 0;
+    while j + NN_NR <= n {
+        nn_cols::<T, C, NN_MV, NN_NR>(a, shape, (b, ldb), (c, ldc), j, m, k);
+        j += NN_NR;
+    }
+    if j + 4 <= n {
+        nn_cols::<T, C, NN_MV, 4>(a, shape, (b, ldb), (c, ldc), j, m, k);
+        j += 4;
+    }
+    while j < n {
+        nn_cols::<T, C, NN_MV1, 1>(a, shape, (b, ldb), (c, ldc), j, m, k);
+        j += 1;
+    }
+}
+
+/// `NR` columns of [`gemm_nn_sub_impl`] from column `j`: tall tiles down
+/// the rows, then one-vector tiles, then single rows.
+#[inline(always)]
+fn nn_cols<T: Scalar, C: Core<T>, const MV: usize, const NR: usize>(
+    a: Cols<T>,
+    shape: Shape,
+    (b, ldb): Cols<T>,
+    (c, ldc): ColsMut<T>,
+    j: usize,
+    m: usize,
+    k: usize,
+) {
+    let (b, c) = ((&b[j * ldb..], ldb), &mut c[j * ldc..]);
+    let mut i = 0;
+    while i + MV * LANES <= m {
+        nn_block::<T, C, MV, NR>(a, shape.cols_of(i, i + MV * LANES, k), b, (c, ldc), i);
+        i += MV * LANES;
+    }
+    while i + LANES <= m {
+        nn_block::<T, C, 1, NR>(a, shape.cols_of(i, i + LANES, k), b, (c, ldc), i);
+        i += LANES;
+    }
+    while i < m {
+        for t in 0..NR {
+            let mut s = T::ZERO;
+            for p in shape.cols_of(i, i + 1, k) {
+                s += a.0[p * a.1 + i] * b.0[t * ldb + p];
+            }
+            c[t * ldc + i] -= s;
+        }
+        i += 1;
+    }
+}
+
+/// One register tile of [`nn_cols`]: rows `i..i + MV·LANES`, steps `ps`.
+#[inline(always)]
+fn nn_block<T: Scalar, C: Core<T>, const MV: usize, const NR: usize>(
+    (a, lda): Cols<T>,
+    ps: Range<usize>,
+    b: Cols<T>,
+    (c, ldc): ColsMut<T>,
+    i: usize,
+) {
+    if !ps.is_empty() {
+        let a = (&a[ps.start * lda + i..], lda);
+        C::nn_tile::<MV, NR>(a, cols_at(b, 0, &ps), (&mut c[i..], ldc));
     }
 }
 
@@ -493,24 +582,28 @@ fn larf_head_impl<T: Scalar, C: Core<T>>(vk: &[T], tau: T, cols: &mut [T], ld: u
 // everything else takes the safe scalar-blocked core.
 // ---------------------------------------------------------------------------
 
-/// Below this many touched elements a primitive runs a plain sequential
-/// per-column loop instead of the blocked skeleton. At ~100 flops the
-/// register-blocking machinery (group/tail selection, lane reductions,
-/// out-of-line calls) costs more than the latency chains it breaks — the
-/// GEQRT trailing update and `T`-factor extension at `b = 8` are the
-/// canonical victims (the b = 8 trailing `larf_head` touches ~98
-/// elements). The tier is selected purely by argument shape, so results
-/// stay a deterministic function of shape (see the module-level
-/// contract).
+/// Below this many touched elements the *scalar* core loses to a plain
+/// sequential per-column loop: at ~100 flops the register-blocking
+/// machinery (group/tail selection, lane reductions, out-of-line calls)
+/// costs more than the latency chains it breaks — the GEQRT trailing update
+/// and `T`-factor extension at `b = 8` are the canonical victims (the b = 8
+/// trailing `larf_head` touches ~98 elements). It governs the hosts and
+/// element types the scalar core serves; where the vector core is detected
+/// [`VECTOR_MIN_WORK`] decides first. The tier is selected purely by
+/// argument shape, so results stay a deterministic function of shape (see
+/// the module-level contract).
 const NAIVE_MAX_WORK: usize = 128;
 
-/// Minimum number of touched elements before a primitive is worth routing
-/// through the runtime-detected vector core. `#[target_feature]` functions
-/// cannot inline into their SSE2 callers, so each vector-path call pays a
-/// real function-call + slice-cast toll; below this much work the fully
-/// inlined scalar block path wins. Like [`NAIVE_MAX_WORK`] it is a
-/// function of shape alone, so which core a call rounds with is too.
-const VECTOR_MIN_WORK: usize = 512;
+/// Minimum number of touched elements before a level-1.5 primitive is
+/// routed through the runtime-detected vector core; below it the plain
+/// loop runs. `#[target_feature]` functions cannot inline into their SSE2
+/// callers, so each vector-path call pays a real function-call +
+/// slice-cast toll, which the FMA core earns back from one 4-lane strip of
+/// eight columns on (DESIGN §14 has the sweep: 16 to 64 read alike, 512
+/// costs the b = 16 factor kernels 10–20 %, b = 8 does not notice). Like
+/// [`NAIVE_MAX_WORK`] it is a function of shape alone, so which core a
+/// call rounds with is too.
+const VECTOR_MIN_WORK: usize = 32;
 
 /// Sequential dot for the naive small-shape tier.
 #[inline(always)]
@@ -537,15 +630,15 @@ fn seq_axpy<T: Scalar, const SUB: bool>(a: T, c: &[T], y: &mut [T]) {
 macro_rules! dispatch {
     ($work:expr, $naive:expr, $simd_call:expr, $block_call:expr) => {{
         let work = $work;
-        // Tiny shapes: run the inlined sequential loops; the blocked
-        // skeleton's overhead dominates at this size.
-        if work < NAIVE_MAX_WORK {
-            $naive;
-            return;
-        }
         #[cfg(target_arch = "x86_64")]
         if work >= VECTOR_MIN_WORK && simd::enabled::<T>() {
             $simd_call;
+            return;
+        }
+        // Tiny shapes (and, with the vector core present, everything it
+        // did not take): the inlined sequential loops.
+        if work < NAIVE_MAX_WORK {
+            $naive;
             return;
         }
         $block_call
@@ -579,37 +672,6 @@ pub fn dotf_tri<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, len0: usize, 
     );
 }
 
-/// Strict-lower dots: `out[j] = dot(x[j+1..], col_j[j+1..])`, unit
-/// diagonal left to the caller.
-#[inline]
-pub fn dotf_lo<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
-    dispatch!(
-        (x.len() * n).saturating_sub(n * n / 2),
-        for (j, o) in out[..n].iter_mut().enumerate() {
-            *o = if j + 1 < x.len() {
-                seq_dot(&x[j + 1..], &ys[j * ld + j + 1..j * ld + x.len()])
-            } else {
-                T::ZERO
-            };
-        },
-        simd::dotf_lo(x, ys, ld, n, out),
-        dotf_lo_impl::<T, block::ScalarCore>(x, ys, ld, n, out)
-    );
-}
-
-/// `y -= Σ_j alphas[j] · col_j` over `y.len()` rows.
-#[inline]
-pub fn axpyf_sub<T: Scalar>(alphas: &[T], ys: &[T], ld: usize, n: usize, y: &mut [T]) {
-    dispatch!(
-        y.len() * n,
-        for (j, &aj) in alphas[..n].iter().enumerate() {
-            seq_axpy::<T, true>(aj, &ys[j * ld..j * ld + y.len()], y);
-        },
-        simd::axpyf_sub(alphas, ys, ld, n, y),
-        axpyf_impl::<T, block::ScalarCore, true>(alphas, ys, ld, n, y)
-    );
-}
-
 /// `y[..len0+j] += alphas[j] · col_j` for prefix columns of length `len0+j`.
 #[inline]
 pub fn axpyf_tri_add<T: Scalar>(
@@ -627,44 +689,7 @@ pub fn axpyf_tri_add<T: Scalar>(
             seq_axpy::<T, false>(aj, &ys[j * ld..j * ld + d], &mut y[..d]);
         },
         simd::axpyf_tri_add(alphas, ys, ld, n, len0, y),
-        axpyf_tri_impl::<T, block::ScalarCore, false>(alphas, ys, ld, n, len0, y)
-    );
-}
-
-/// `y[..len0+j] -= alphas[j] · col_j` for prefix columns of length `len0+j`.
-#[inline]
-pub fn axpyf_tri_sub<T: Scalar>(
-    alphas: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    y: &mut [T],
-) {
-    dispatch!(
-        n * len0 + n * n / 2,
-        for (j, &aj) in alphas[..n].iter().enumerate() {
-            let d = len0 + j;
-            seq_axpy::<T, true>(aj, &ys[j * ld..j * ld + d], &mut y[..d]);
-        },
-        simd::axpyf_tri_sub(alphas, ys, ld, n, len0, y),
-        axpyf_tri_impl::<T, block::ScalarCore, true>(alphas, ys, ld, n, len0, y)
-    );
-}
-
-/// `y[j+1..] -= alphas[j] · col_j[j+1..]` for strict-lower columns.
-#[inline]
-pub fn axpyf_lo_sub<T: Scalar>(alphas: &[T], ys: &[T], ld: usize, n: usize, y: &mut [T]) {
-    dispatch!(
-        (y.len() * n).saturating_sub(n * n / 2),
-        for (j, &aj) in alphas[..n].iter().enumerate() {
-            if j + 1 < y.len() {
-                let c = &ys[j * ld + j + 1..j * ld + y.len()];
-                seq_axpy::<T, true>(aj, c, &mut y[j + 1..]);
-            }
-        },
-        simd::axpyf_lo_sub(alphas, ys, ld, n, y),
-        axpyf_lo_impl::<T, block::ScalarCore, true>(alphas, ys, ld, n, y)
+        axpyf_tri_impl::<T, block::ScalarCore>(alphas, ys, ld, n, len0, y)
     );
 }
 
@@ -697,6 +722,40 @@ pub fn larf_head<T: Scalar>(vk: &[T], tau: T, cols: &mut [T], ld: usize, n: usiz
         simd::larf_head(vk, tau, cols, ld, n),
         larf_head_impl::<T, block::ScalarCore>(vk, tau, cols, ld, n)
     );
+}
+
+/// `out = [add +] XᵀY`: `X` is `k x m` with the zero structure `shape`
+/// promises, `Y` is `k x n`, `out` and `add` are `m x n`; `dims` is
+/// `(m, n, k)`. Every element of `out` is written, none is read.
+pub fn gemm_tn<T: Scalar>(
+    x: Cols<T>,
+    shape: Shape,
+    y: Cols<T>,
+    add: Option<Cols<T>>,
+    out: ColsMut<T>,
+    dims: (usize, usize, usize),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::enabled::<T>() {
+        return simd::gemm_tn(x, shape, y, add, out, dims);
+    }
+    gemm_tn_impl::<T, block::ScalarCore>(x, shape, y, add, out, dims)
+}
+
+/// `C -= A·B`: `A` is `m x k` with the zero structure `shape` promises,
+/// `B` is `k x n`, `C` is `m x n`; `dims` is `(m, n, k)`.
+pub fn gemm_nn_sub<T: Scalar>(
+    a: Cols<T>,
+    shape: Shape,
+    b: Cols<T>,
+    c: ColsMut<T>,
+    dims: (usize, usize, usize),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::enabled::<T>() {
+        return simd::gemm_nn_sub(a, shape, b, c, dims);
+    }
+    gemm_nn_sub_impl::<T, block::ScalarCore>(a, shape, b, c, dims)
 }
 
 #[cfg(test)]

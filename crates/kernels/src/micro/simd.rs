@@ -20,12 +20,14 @@
 //!
 //! Determinism: the instruction sequence is fixed per argument shape —
 //! vector lanes accumulate in the same fixed pattern as the scalar
-//! backend and reduce `(a0+a1)+(a2+a3)` (pairwise across 128-bit halves),
-//! with scalar `mul_add` tails. Results differ from the `block` backend
-//! by FMA rounding only.
+//! backend and reduce `(a0+a1)+(a2+a3)` (pairwise across 128-bit halves);
+//! the dot tile folds its ragged last rows into the lanes under a load
+//! mask, the axpy/rank-1 blocks take scalar `mul_add` tails. Results differ
+//! from the `block` backend by FMA rounding and, for lengths that are not
+//! a multiple of four, by which lane the tail lands in.
 
-use super::{axpyf_impl, axpyf_lo_impl, axpyf_tri_impl, Core};
-use super::{dotf_impl, dotf_lo_impl, dotf_tri_impl, larf_head_impl, rank1f_impl};
+use super::{axpyf_tri_impl, dotf_impl, dotf_tri_impl, larf_head_impl, rank1f_impl};
+use super::{gemm_nn_sub_impl, gemm_tn_impl, Cols, ColsMut, Core, Shape};
 use core::arch::x86_64::*;
 use std::any::TypeId;
 use std::sync::atomic::Ordering;
@@ -34,13 +36,18 @@ use tileqr_matrix::Scalar;
 
 /// Does the simd backend apply to element type `T` on this host right now?
 ///
-/// True iff `T` is `f64`, the CPU reports AVX2+FMA, and the test hook
-/// ([`super::force_backend`]) has not pinned the scalar backend.
+/// True iff [`supported`] and the test hook ([`super::force_backend`]) has
+/// not pinned the scalar backend.
 pub(crate) fn enabled<T: 'static>() -> bool {
-    if TypeId::of::<T>() != TypeId::of::<f64>() {
-        return false;
-    }
-    !super::PIN_BLOCKED.load(Ordering::Relaxed) && detect()
+    supported::<T>() && !super::PIN_BLOCKED.load(Ordering::Relaxed)
+}
+
+/// The precondition of every entry point below: `T` is `f64` and the CPU
+/// reports AVX2+FMA. The pin is a dispatch preference, not part of it — a
+/// concurrent `force_backend` between the dispatcher's check and the entry
+/// changes nothing the `unsafe` code relies on.
+fn supported<T: 'static>() -> bool {
+    TypeId::of::<T>() == TypeId::of::<f64>() && detect()
 }
 
 fn detect() -> bool {
@@ -67,19 +74,19 @@ fn cast_mut<T: 'static>(x: &mut [T]) -> &mut [f64] {
     unsafe { core::slice::from_raw_parts_mut(x.as_mut_ptr().cast::<f64>(), x.len()) }
 }
 
-// Each primitive gets a generic wrapper (re-checks [`enabled`] — one
+// Each primitive gets a generic wrapper (re-checks [`supported`] — one
 // `TypeId` compare plus a cached feature probe — so the feature
 // precondition of the inner call is locally guaranteed) and one
 // `#[target_feature]` monomorphization of the shared blocking skeleton,
 // so the [`AvxCore`] register blocks inline into feature-enabled code.
 
 /// SAFETY-pattern note: every `unsafe { *_avx(..) }` call below is
-/// preceded by an `assert!(enabled::<T>())`, which implies AVX2+FMA were
+/// preceded by an `assert!(supported::<T>())`, which implies AVX2+FMA were
 /// detected at runtime on this CPU.
 macro_rules! gated {
     ($call:expr) => {{
         #[allow(unsafe_code)]
-        // SAFETY: `enabled` (asserted by the caller one line up) verified
+        // SAFETY: `supported` (asserted by the caller one line up) verified
         // AVX2+FMA via `is_x86_feature_detected!`.
         unsafe {
             $call
@@ -88,7 +95,7 @@ macro_rules! gated {
 }
 
 pub(crate) fn dotf<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
+    assert!(supported::<T>(), "simd backend entered without gating");
     gated!(dotf_avx(cast(x), cast(ys), ld, n, cast_mut(out)))
 }
 
@@ -106,7 +113,7 @@ pub(crate) fn dotf_tri<T: Scalar>(
     len0: usize,
     out: &mut [T],
 ) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
+    assert!(supported::<T>(), "simd backend entered without gating");
     gated!(dotf_tri_avx(cast(x), cast(ys), ld, n, len0, cast_mut(out)))
 }
 
@@ -114,28 +121,6 @@ pub(crate) fn dotf_tri<T: Scalar>(
 #[allow(unsafe_code)]
 unsafe fn dotf_tri_avx(x: &[f64], ys: &[f64], ld: usize, n: usize, len0: usize, out: &mut [f64]) {
     dotf_tri_impl::<f64, AvxCore>(x, ys, ld, n, len0, out)
-}
-
-pub(crate) fn dotf_lo<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
-    gated!(dotf_lo_avx(cast(x), cast(ys), ld, n, cast_mut(out)))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn dotf_lo_avx(x: &[f64], ys: &[f64], ld: usize, n: usize, out: &mut [f64]) {
-    dotf_lo_impl::<f64, AvxCore>(x, ys, ld, n, out)
-}
-
-pub(crate) fn axpyf_sub<T: Scalar>(alphas: &[T], ys: &[T], ld: usize, n: usize, y: &mut [T]) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
-    gated!(axpyf_sub_avx(cast(alphas), cast(ys), ld, n, cast_mut(y)))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn axpyf_sub_avx(alphas: &[f64], ys: &[f64], ld: usize, n: usize, y: &mut [f64]) {
-    axpyf_impl::<f64, AvxCore, true>(alphas, ys, ld, n, y)
 }
 
 pub(crate) fn axpyf_tri_add<T: Scalar>(
@@ -146,7 +131,7 @@ pub(crate) fn axpyf_tri_add<T: Scalar>(
     len0: usize,
     y: &mut [T],
 ) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
+    assert!(supported::<T>(), "simd backend entered without gating");
     gated!(axpyf_tri_add_avx(
         cast(alphas),
         cast(ys),
@@ -167,50 +152,7 @@ unsafe fn axpyf_tri_add_avx(
     len0: usize,
     y: &mut [f64],
 ) {
-    axpyf_tri_impl::<f64, AvxCore, false>(alphas, ys, ld, n, len0, y)
-}
-
-pub(crate) fn axpyf_tri_sub<T: Scalar>(
-    alphas: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    y: &mut [T],
-) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
-    gated!(axpyf_tri_sub_avx(
-        cast(alphas),
-        cast(ys),
-        ld,
-        n,
-        len0,
-        cast_mut(y)
-    ))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn axpyf_tri_sub_avx(
-    alphas: &[f64],
-    ys: &[f64],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    y: &mut [f64],
-) {
-    axpyf_tri_impl::<f64, AvxCore, true>(alphas, ys, ld, n, len0, y)
-}
-
-pub(crate) fn axpyf_lo_sub<T: Scalar>(alphas: &[T], ys: &[T], ld: usize, n: usize, y: &mut [T]) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
-    gated!(axpyf_lo_sub_avx(cast(alphas), cast(ys), ld, n, cast_mut(y)))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn axpyf_lo_sub_avx(alphas: &[f64], ys: &[f64], ld: usize, n: usize, y: &mut [f64]) {
-    axpyf_lo_impl::<f64, AvxCore, true>(alphas, ys, ld, n, y)
+    axpyf_tri_impl::<f64, AvxCore>(alphas, ys, ld, n, len0, y)
 }
 
 pub(crate) fn rank1f_sub<T: Scalar>(
@@ -221,7 +163,7 @@ pub(crate) fn rank1f_sub<T: Scalar>(
     len: usize,
     n: usize,
 ) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
+    assert!(supported::<T>(), "simd backend entered without gating");
     gated!(rank1f_sub_avx(cast(x), cast(w), cast_mut(ys), ld, len, n))
 }
 
@@ -232,7 +174,7 @@ unsafe fn rank1f_sub_avx(x: &[f64], w: &[f64], ys: &mut [f64], ld: usize, len: u
 }
 
 pub(crate) fn larf_head<T: Scalar>(vk: &[T], tau: T, cols: &mut [T], ld: usize, n: usize) {
-    assert!(enabled::<T>(), "simd backend entered without gating");
+    assert!(supported::<T>(), "simd backend entered without gating");
     gated!(larf_head_avx(cast(vk), tau.to_f64(), cast_mut(cols), ld, n))
 }
 
@@ -242,8 +184,72 @@ unsafe fn larf_head_avx(vk: &[f64], tau: f64, cols: &mut [f64], ld: usize, n: us
     larf_head_impl::<f64, AvxCore>(vk, tau, cols, ld, n)
 }
 
+pub(crate) fn gemm_tn<T: Scalar>(
+    x: Cols<T>,
+    shape: Shape,
+    y: Cols<T>,
+    add: Option<Cols<T>>,
+    out: ColsMut<T>,
+    dims: (usize, usize, usize),
+) {
+    assert!(supported::<T>(), "simd backend entered without gating");
+    fn f<T: 'static>((data, ld): Cols<T>) -> Cols<f64> {
+        (cast(data), ld)
+    }
+    gated!(gemm_tn_avx(
+        f(x),
+        shape,
+        f(y),
+        add.map(f),
+        (cast_mut(out.0), out.1),
+        dims
+    ))
+}
+
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(unsafe_code)]
+unsafe fn gemm_tn_avx(
+    x: Cols<f64>,
+    shape: Shape,
+    y: Cols<f64>,
+    add: Option<Cols<f64>>,
+    out: ColsMut<f64>,
+    dims: (usize, usize, usize),
+) {
+    gemm_tn_impl::<f64, AvxCore>(x, shape, y, add, out, dims)
+}
+
+pub(crate) fn gemm_nn_sub<T: Scalar>(
+    (a, lda): Cols<T>,
+    shape: Shape,
+    (b, ldb): Cols<T>,
+    (c, ldc): ColsMut<T>,
+    dims: (usize, usize, usize),
+) {
+    assert!(supported::<T>(), "simd backend entered without gating");
+    gated!(gemm_nn_sub_avx(
+        (cast(a), lda),
+        shape,
+        (cast(b), ldb),
+        (cast_mut(c), ldc),
+        dims
+    ))
+}
+
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(unsafe_code)]
+unsafe fn gemm_nn_sub_avx(
+    a: Cols<f64>,
+    shape: Shape,
+    b: Cols<f64>,
+    c: ColsMut<f64>,
+    dims: (usize, usize, usize),
+) {
+    gemm_nn_sub_impl::<f64, AvxCore>(a, shape, b, c, dims)
+}
+
 /// Register core in AVX2+FMA intrinsics: one `f64x4` accumulator per
-/// column, FMA-contracted multiply-adds, scalar `mul_add` tails.
+/// column, FMA-contracted multiply-adds, masked or scalar `mul_add` tails.
 ///
 /// These methods contain `unsafe` intrinsic blocks that are only correct
 /// on an AVX2+FMA CPU; they are reachable solely through the
@@ -265,71 +271,16 @@ fn hsum(v: __m256d) -> f64 {
     }
 }
 
+/// Load masks for a ragged last vector: the window starting at `4 - r` has
+/// its first `r` lanes set.
+static TAIL_MASK: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+
 impl Core<f64> for AvxCore {
     #[inline(always)]
     #[allow(unsafe_code)]
-    fn dot1(x: &[f64], c: &[f64]) -> f64 {
-        let n = x.len();
-        let c = &c[..n];
-        // SAFETY: loads stay in-bounds (`i + 4 <= n` guards every 4-wide
-        // load of slices of length >= n); AVX2+FMA per module contract.
-        unsafe {
-            let mut acc = _mm256_setzero_pd();
-            let mut i = 0;
-            while i + 4 <= n {
-                let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-                let cv = _mm256_loadu_pd(c.as_ptr().add(i));
-                acc = _mm256_fmadd_pd(xv, cv, acc);
-                i += 4;
-            }
-            let mut s = hsum(acc);
-            while i < n {
-                s = x[i].mul_add(c[i], s);
-                i += 1;
-            }
-            s
-        }
-    }
-
-    #[inline(always)]
-    #[allow(unsafe_code)]
-    fn dot4(x: &[f64], c0: &[f64], c1: &[f64], c2: &[f64], c3: &[f64]) -> [f64; 4] {
-        let n = x.len();
-        let (c0, c1, c2, c3) = (&c0[..n], &c1[..n], &c2[..n], &c3[..n]);
-        // SAFETY: as in `dot1`; each column slice has length >= n.
-        unsafe {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut a2 = _mm256_setzero_pd();
-            let mut a3 = _mm256_setzero_pd();
-            let mut i = 0;
-            while i + 4 <= n {
-                let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-                a0 = _mm256_fmadd_pd(xv, _mm256_loadu_pd(c0.as_ptr().add(i)), a0);
-                a1 = _mm256_fmadd_pd(xv, _mm256_loadu_pd(c1.as_ptr().add(i)), a1);
-                a2 = _mm256_fmadd_pd(xv, _mm256_loadu_pd(c2.as_ptr().add(i)), a2);
-                a3 = _mm256_fmadd_pd(xv, _mm256_loadu_pd(c3.as_ptr().add(i)), a3);
-                i += 4;
-            }
-            let mut s = [hsum(a0), hsum(a1), hsum(a2), hsum(a3)];
-            while i < n {
-                let xv = x[i];
-                s[0] = xv.mul_add(c0[i], s[0]);
-                s[1] = xv.mul_add(c1[i], s[1]);
-                s[2] = xv.mul_add(c2[i], s[2]);
-                s[3] = xv.mul_add(c3[i], s[3]);
-                i += 1;
-            }
-            s
-        }
-    }
-
-    #[inline(always)]
-    #[allow(unsafe_code)]
-    fn axpy1<const SUB: bool>(a: f64, c: &[f64], y: &mut [f64]) {
+    fn axpy1(a: f64, c: &[f64], y: &mut [f64]) {
         let n = y.len();
         let c = &c[..n];
-        let a = if SUB { -a } else { a };
         // SAFETY: in-bounds 4-wide loads/stores under `i + 4 <= n`.
         unsafe {
             let av = _mm256_set1_pd(a);
@@ -349,23 +300,15 @@ impl Core<f64> for AvxCore {
 
     #[inline(always)]
     #[allow(unsafe_code)]
-    fn axpy4<const SUB: bool>(
-        a: [f64; 4],
-        c0: &[f64],
-        c1: &[f64],
-        c2: &[f64],
-        c3: &[f64],
-        y: &mut [f64],
-    ) {
+    fn axpy4(a: [f64; 4], c0: &[f64], c1: &[f64], c2: &[f64], c3: &[f64], y: &mut [f64]) {
         let n = y.len();
         let (c0, c1, c2, c3) = (&c0[..n], &c1[..n], &c2[..n], &c3[..n]);
-        let s = if SUB { -1.0 } else { 1.0 };
         // SAFETY: in-bounds 4-wide loads/stores under `i + 4 <= n`.
         unsafe {
-            let a0 = _mm256_set1_pd(s * a[0]);
-            let a1 = _mm256_set1_pd(s * a[1]);
-            let a2 = _mm256_set1_pd(s * a[2]);
-            let a3 = _mm256_set1_pd(s * a[3]);
+            let a0 = _mm256_set1_pd(a[0]);
+            let a1 = _mm256_set1_pd(a[1]);
+            let a2 = _mm256_set1_pd(a[2]);
+            let a3 = _mm256_set1_pd(a[3]);
             let mut i = 0;
             while i + 4 <= n {
                 let mut yv = _mm256_loadu_pd(y.as_ptr().add(i));
@@ -378,33 +321,11 @@ impl Core<f64> for AvxCore {
             }
             while i < n {
                 let mut t = y[i];
-                t = (s * a[0]).mul_add(c0[i], t);
-                t = (s * a[1]).mul_add(c1[i], t);
-                t = (s * a[2]).mul_add(c2[i], t);
-                t = (s * a[3]).mul_add(c3[i], t);
+                t = a[0].mul_add(c0[i], t);
+                t = a[1].mul_add(c1[i], t);
+                t = a[2].mul_add(c2[i], t);
+                t = a[3].mul_add(c3[i], t);
                 y[i] = t;
-                i += 1;
-            }
-        }
-    }
-
-    #[inline(always)]
-    #[allow(unsafe_code)]
-    fn rank1_1(x: &[f64], w: f64, c: &mut [f64]) {
-        let n = c.len();
-        let x = &x[..n];
-        // SAFETY: in-bounds 4-wide loads/stores under `i + 4 <= n`.
-        unsafe {
-            let wv = _mm256_set1_pd(w);
-            let mut i = 0;
-            while i + 4 <= n {
-                let cv = _mm256_loadu_pd(c.as_ptr().add(i));
-                let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-                _mm256_storeu_pd(c.as_mut_ptr().add(i), _mm256_fnmadd_pd(wv, xv, cv));
-                i += 4;
-            }
-            while i < n {
-                c[i] = (-w).mul_add(x[i], c[i]);
                 i += 1;
             }
         }
@@ -449,6 +370,103 @@ impl Core<f64> for AvxCore {
                 c2[i] = (-w[2]).mul_add(xv, c2[i]);
                 c3[i] = (-w[3]).mul_add(xv, c3[i]);
                 i += 1;
+            }
+        }
+    }
+
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn tn_tile<const MR: usize, const NR: usize>(
+        x: [&[f64]; MR],
+        y: [&[f64]; NR],
+    ) -> [[f64; MR]; NR] {
+        let k = x[0].len();
+        let (x, y) = (x.map(|c| &c[..k]), y.map(|c| &c[..k]));
+        let mut r = [[0.0; MR]; NR];
+        // SAFETY: every slice was cut to length k above and each 4-wide load
+        // reads rows `4s..4s+4` with `s < k/4`; the masked loads touch only
+        // the `k % 4` rows from `k/4*4` on (the mask's leading lanes); a
+        // 4-wide store fills one `[f64; 4]`.
+        unsafe {
+            let mut acc = [[_mm256_setzero_pd(); MR]; NR];
+            for s in 0..k / 4 {
+                let yv: [__m256d; NR] =
+                    std::array::from_fn(|b| _mm256_loadu_pd(y[b].as_ptr().add(4 * s)));
+                for a in 0..MR {
+                    let xv = _mm256_loadu_pd(x[a].as_ptr().add(4 * s));
+                    for b in 0..NR {
+                        acc[b][a] = _mm256_fmadd_pd(xv, yv[b], acc[b][a]);
+                    }
+                }
+            }
+            // The ragged last rows ride the same lanes under a load mask, so
+            // there is no scalar tail.
+            if k % 4 != 0 {
+                let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(4 - k % 4).cast());
+                let base = k / 4 * 4;
+                let yv: [__m256d; NR] =
+                    std::array::from_fn(|b| _mm256_maskload_pd(y[b].as_ptr().add(base), mask));
+                for a in 0..MR {
+                    let xv = _mm256_maskload_pd(x[a].as_ptr().add(base), mask);
+                    for b in 0..NR {
+                        acc[b][a] = _mm256_fmadd_pd(xv, yv[b], acc[b][a]);
+                    }
+                }
+            }
+            for b in 0..NR {
+                if MR == 4 {
+                    // Four horizontal sums at once, each (l0+l1)+(l2+l3).
+                    let t0 = _mm256_hadd_pd(acc[b][0], acc[b][1]);
+                    let t1 = _mm256_hadd_pd(acc[b][2], acc[b][3]);
+                    let lo = _mm256_permute2f128_pd::<0x20>(t0, t1);
+                    let hi = _mm256_permute2f128_pd::<0x31>(t0, t1);
+                    _mm256_storeu_pd(r[b].as_mut_ptr(), _mm256_add_pd(lo, hi));
+                } else {
+                    for a in 0..MR {
+                        r[b][a] = hsum(acc[b][a]);
+                    }
+                }
+            }
+        }
+        r
+    }
+
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn nn_tile<const MV: usize, const NR: usize>(
+        (a, lda): Cols<f64>,
+        b: [&[f64]; NR],
+        (c, ldc): ColsMut<f64>,
+    ) {
+        let kk = b[0].len();
+        let rows = 4 * MV;
+        if kk == 0 {
+            return;
+        }
+        assert!(a.len() >= (kk - 1) * lda + rows && b.iter().all(|bj| bj.len() >= kk));
+        assert!(c.len() >= (NR - 1) * ldc + rows);
+        // SAFETY: column p of the tile is a[p*lda .. p*lda + rows] with
+        // p < kk, inside `a` by the first assert, which also bounds the
+        // reads b[j][p]; the loads and stores on column j cover
+        // c[j*ldc .. j*ldc + rows] with j < NR, inside `c` by the second.
+        unsafe {
+            let mut acc = [[_mm256_setzero_pd(); MV]; NR];
+            let mut ap = a.as_ptr();
+            for p in 0..kk {
+                let av: [__m256d; MV] = std::array::from_fn(|v| _mm256_loadu_pd(ap.add(4 * v)));
+                for j in 0..NR {
+                    let bv = _mm256_set1_pd(*b[j].get_unchecked(p));
+                    for v in 0..MV {
+                        acc[j][v] = _mm256_fmadd_pd(av[v], bv, acc[j][v]);
+                    }
+                }
+                ap = ap.wrapping_add(lda);
+            }
+            for (j, accj) in acc.into_iter().enumerate() {
+                for (v, s) in accj.into_iter().enumerate() {
+                    let cp = c.as_mut_ptr().add(j * ldc + 4 * v);
+                    _mm256_storeu_pd(cp, _mm256_sub_pd(_mm256_loadu_pd(cp), s));
+                }
             }
         }
     }

@@ -17,12 +17,12 @@
 //! `TSMQR` (paper Eq. 9) applies the resulting `Qᵀ` (or `Q`) to a stacked
 //! pair of tiles `[A1; A2]` on the right — the "update for elimination".
 
-use crate::geqrt::{apply_tfac_in_place, extend_tfac_col};
+use crate::geqrt::{apply_reflector, extend_tfac_col};
 use crate::householder::larfg;
-use crate::micro;
+use crate::micro::{self, Shape};
 use crate::workspace::Workspace;
 use crate::ApplySide;
-use tileqr_matrix::{ops, Matrix, MatrixError, Result, Scalar};
+use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 
 /// Eliminate tile `a2` against the triangular tile `r1` (PLASMA
 /// `CORE_tsqrt`).
@@ -107,12 +107,11 @@ pub fn tsqrt_ws<T: Scalar>(
 /// update-for-elimination step `TSMQR` (Eq. 9).
 ///
 /// `v2` is the Householder block stored where the eliminated tile was,
-/// `tfac` the `T` factor. `a1` is `n x nc`, `a2` is `m2 x nc`. All scratch
-/// is borrowed from `ws`. The `W = V2ᵀA2` accumulation runs as fused register-blocked column dots straight off
-/// the tile storage — `V2`'s columns are already contiguous and
-/// L1-resident at tile sizes, so the seed's `V2ᵀ` pack pass was pure
-/// overhead (it is what sank the small-`b` update kernels); the update
-/// sweeps are fused multi-column axpys.
+/// `tfac` the `T` factor as [`tsqrt_ws`] wrote it (upper triangular, zeros
+/// stored below the diagonal). `a1` is `n x nc`, `a2` is `m2 x nc`. All
+/// scratch is borrowed from `ws`. The three products — `W = A1 + V2ᵀA2`,
+/// `op(T)·W`, `A2 −= V2·W` — run as level-3 register tiles straight off
+/// the tile storage: `V2`'s columns are contiguous, so nothing is packed.
 pub fn tsmqr_apply_ws<T: Scalar>(
     v2: &Matrix<T>,
     tfac: &Matrix<T>,
@@ -131,29 +130,10 @@ pub fn tsmqr_apply_ws<T: Scalar>(
     }
     let nc = a1.cols();
     let m2 = v2.rows();
-    let (mut w, tmp) = ws.apply_scratch(n, nc);
-
-    // W = [I; V2]^T [A1; A2] = A1 + V2ᵀA2: fused column dots of each A2
-    // column against V2's (contiguous) columns, then A1 folded in.
-    for jc in 0..nc {
-        let a2c = a2.col(jc);
-        let wc = w.col_mut(jc);
-        micro::dotf(a2c, v2.as_slice(), m2, n, wc);
-        for (wi, &ai) in wc.iter_mut().zip(a1.col(jc)) {
-            *wi += ai;
-        }
-    }
-
-    // W = op(T) W.
-    apply_tfac_in_place(tfac, &mut w, tmp, side);
-
-    // [A1; A2] -= [I; V2] W: A1 gets W subtracted directly; A2 takes one
-    // fused multi-column axpy sweep per column.
-    for jc in 0..nc {
-        let wc = w.col(jc);
-        ops::axpy(-T::ONE, wc, a1.col_mut(jc));
-        micro::axpyf_sub(wc, v2.as_slice(), m2, n, a2.col_mut(jc));
-    }
+    let (w, tw, _) = ws.apply_scratch(n, nc, 0);
+    let (v, c) = ((v2.as_slice(), m2), (a2.as_mut_slice(), m2));
+    let top = a1.as_mut_slice();
+    apply_reflector(v, Shape::Dense, tfac, Some(top), c, (m2, nc), side, (w, tw));
     Ok(())
 }
 

@@ -10,12 +10,12 @@
 //! arithmetic, and unlike TSQRT its updates to different row pairs commute,
 //! which is what enables reduction trees.
 
-use crate::geqrt::{apply_tfac_in_place, extend_tfac_col};
+use crate::geqrt::{apply_reflector, extend_tfac_col};
 use crate::householder::larfg;
-use crate::micro;
+use crate::micro::{self, Shape};
 use crate::workspace::Workspace;
 use crate::ApplySide;
-use tileqr_matrix::{ops, Matrix, MatrixError, Result, Scalar};
+use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 
 /// Eliminate the upper-triangular tile `r2` against the upper-triangular
 /// tile `r1` (PLASMA `CORE_ttqrt`).
@@ -97,9 +97,12 @@ pub fn ttqrt_ws<T: Scalar>(
 /// Apply the block reflector from [`ttqrt_ws`] to a stacked pair
 /// `[a1; a2]`, exploiting the triangular structure of `v2` — with
 /// [`ApplySide::Transpose`] this is the TT update-for-elimination step
-/// `TTMQR`. The `W` block and `op(T)` column buffer are borrowed from
-/// `ws` — no heap allocation. The triangular profile of `V2` already makes
-/// every dot/axpy a contiguous prefix, so no packing is needed here.
+/// `TTMQR`. `tfac` is the `T` factor as [`ttqrt_ws`] wrote it (upper
+/// triangular, zeros stored below the diagonal). All scratch is borrowed
+/// from `ws` — no heap allocation. Below its diagonal the `v2` tile still
+/// holds the `GEQRT` reflectors of that tile, so its upper triangle is
+/// staged once into the workspace with the zeros written out (`n²` copies
+/// against `3n²·nc` flops) and the register tiles skip them by row block.
 pub fn ttmqr_apply_ws<T: Scalar>(
     v2: &Matrix<T>,
     tfac: &Matrix<T>,
@@ -117,28 +120,13 @@ pub fn ttmqr_apply_ws<T: Scalar>(
         });
     }
     let nc = a1.cols();
-    let (mut w, tmp) = ws.apply_scratch(n, nc);
-
-    // W = A1 + V2^T A2, with V2 upper triangular (column i supported on
-    // rows 0..=i): fused triangular column dots, then A1 folded in.
-    for jc in 0..nc {
-        let a2c = a2.col(jc);
-        let wc = w.col_mut(jc);
-        micro::dotf_tri(a2c, v2.as_slice(), n, n, 1, wc);
-        for (wi, &ai) in wc.iter_mut().zip(a1.col(jc)) {
-            *wi += ai;
-        }
+    let (w, tw, vs) = ws.apply_scratch(n, nc, n * n);
+    for (j, dst) in vs.chunks_exact_mut(n).enumerate() {
+        dst[..=j].copy_from_slice(&v2.col(j)[..=j]);
+        dst[j + 1..].fill(T::ZERO);
     }
-
-    apply_tfac_in_place(tfac, &mut w, tmp, side);
-
-    // [A1; A2] -= [I; V2] W: fused triangular multi-column axpy sweep
-    // over V2's stored prefixes.
-    for jc in 0..nc {
-        let wc = w.col(jc);
-        ops::axpy(-T::ONE, wc, a1.col_mut(jc));
-        micro::axpyf_tri_sub(wc, v2.as_slice(), n, n, 1, a2.col_mut(jc));
-    }
+    let (v, top, c) = ((&*vs, n), a1.as_mut_slice(), (a2.as_mut_slice(), n));
+    apply_reflector(v, Shape::Upper, tfac, Some(top), c, (n, nc), side, (w, tw));
     Ok(())
 }
 

@@ -1,26 +1,30 @@
 //! Reusable per-thread scratch arena for the tile kernels.
 //!
 //! Every kernel in this crate needs the same small set of scratch blocks:
-//! a reflector-accumulation vector `z`, a `T`-application vector `tmp`,
-//! and the `W = VᵀC` work block. A [`Workspace`] is sized once from the
-//! tile geometry `(b, ib)` and passed to the kernels — their only entry
-//! points take one — which borrow slices out of it instead of allocating.
+//! two reflector-accumulation vectors for the factor kernels, and for the
+//! update kernels the `W = VᵀC` work block, a second block for `op(T)·W`
+//! and a staging block for a triangular `V`. A [`Workspace`] is sized once
+//! from the tile geometry `(b, ib)` and passed to the kernels — their only
+//! entry points take one — which borrow slices out of it instead of
+//! allocating.
 //!
 //! Sizing (scalars, for tile size `b`, inner block `ib ≤ b`):
 //!
 //! | buffer | capacity | used by |
 //! |--------|----------|---------|
 //! | `z`    | `b`      | `geqrt_ws`/`tsqrt_ws`/`ttqrt_ws` reflector dot accumulation |
-//! | `tmp`  | `b`      | `apply_tfac_in_place` (one column of `op(T)·W`) |
+//! | `tmp`  | `b`      | the factor kernels' `T`-column accumulator and trailing-update weights |
 //! | `w`    | `b·b`    | the `W` block of every update kernel (`n × nc ≤ b × b` on the tile path) |
+//! | `tw`   | `b·b`    | `op(T)·W`, out of place: both sides of `T` are one `micro::gemm_*` call into a second block (an in-place bottom-up product would serve `Tᵀ` only) |
+//! | `v`    | `b·b`    | `UNMQR`/`TTMQR`: `V` copied once per call with its unit diagonal and zeros written out, so the tiles can sweep it as a dense operand |
 //!
 //! Requests beyond the presized capacity (e.g. applying `Q` to a dense
 //! right-hand side wider than one tile) grow the buffer and are counted in
 //! [`resizes`](Workspace::resizes); on the tile-sized steady state that
-//! counter stays at zero, which the `kernel_hotpath` bench asserts with a
-//! counting allocator.
+//! counter stays at zero, which `tests/steady_state_allocs.rs` asserts
+//! with a counting allocator.
 
-use tileqr_matrix::{MatrixViewMut, Scalar};
+use tileqr_matrix::Scalar;
 
 /// Grow-once scratch arena backing the `*_ws` kernels.
 #[derive(Debug, Clone)]
@@ -28,6 +32,8 @@ pub struct Workspace<T: Scalar> {
     z: Vec<T>,
     tmp: Vec<T>,
     w: Vec<T>,
+    tw: Vec<T>,
+    v: Vec<T>,
     resizes: u64,
 }
 
@@ -50,6 +56,8 @@ impl<T: Scalar> Workspace<T> {
             z: vec![T::ZERO; b],
             tmp: vec![T::ZERO; b],
             w: vec![T::ZERO; b * b],
+            tw: vec![T::ZERO; b * b],
+            v: vec![T::ZERO; b * b],
             resizes: 0,
         }
     }
@@ -62,6 +70,8 @@ impl<T: Scalar> Workspace<T> {
             z: Vec::new(),
             tmp: Vec::new(),
             w: Vec::new(),
+            tw: Vec::new(),
+            v: Vec::new(),
             resizes: 0,
         }
     }
@@ -76,20 +86,29 @@ impl<T: Scalar> Workspace<T> {
         (&mut self.z[..n], &mut self.tmp[..n])
     }
 
-    /// Scratch for an update kernel: the `wr × wc` work block `W` plus the
-    /// length-`wr` column buffer for `op(T)·W`.
-    pub fn apply_scratch(&mut self, wr: usize, wc: usize) -> (MatrixViewMut<'_, T>, &mut [T]) {
+    /// Scratch for an update kernel: the `wr × wc` work block `W`, a second
+    /// one for `op(T)·W`, and `vlen` scalars to stage a triangular `V` in.
+    /// Contents are unspecified; the kernels write before reading.
+    pub fn apply_scratch(
+        &mut self,
+        wr: usize,
+        wc: usize,
+        vlen: usize,
+    ) -> (&mut [T], &mut [T], &mut [T]) {
         ensure(&mut self.w, wr * wc, &mut self.resizes);
-        ensure(&mut self.tmp, wr, &mut self.resizes);
+        ensure(&mut self.tw, wr * wc, &mut self.resizes);
+        ensure(&mut self.v, vlen, &mut self.resizes);
         (
-            MatrixViewMut::new(wr, wc, &mut self.w[..wr * wc]),
-            &mut self.tmp[..wr],
+            &mut self.w[..wr * wc],
+            &mut self.tw[..wr * wc],
+            &mut self.v[..vlen],
         )
     }
 
     /// Total capacity currently held, in bytes.
     pub fn bytes(&self) -> usize {
-        (self.z.capacity() + self.tmp.capacity() + self.w.capacity()) * std::mem::size_of::<T>()
+        let scalars = [&self.z, &self.tmp, &self.w, &self.tw, &self.v];
+        scalars.iter().map(|b| b.capacity()).sum::<usize>() * std::mem::size_of::<T>()
     }
 
     /// How many times a scratch request outgrew the arena (0 in the sized
@@ -108,7 +127,7 @@ mod tests {
         let mut ws = Workspace::<f64>::new(8, 4);
         for _ in 0..10 {
             let _ = ws.factor_scratch(8);
-            let _ = ws.apply_scratch(8, 8);
+            let _ = ws.apply_scratch(8, 8, 64);
         }
         assert_eq!(ws.resizes(), 0);
     }
@@ -117,14 +136,13 @@ mod tests {
     fn oversized_request_grows_and_counts() {
         let mut ws = Workspace::<f64>::new(4, 4);
         {
-            let (w, tmp) = ws.apply_scratch(4, 12);
-            assert_eq!((w.rows(), w.cols()), (4, 12));
-            assert_eq!(tmp.len(), 4);
+            let (w, tw, v) = ws.apply_scratch(4, 12, 16);
+            assert_eq!((w.len(), tw.len(), v.len()), (48, 48, 16));
         }
-        assert_eq!(ws.resizes(), 1);
-        // Second identical request is served from the grown buffer.
-        let _ = ws.apply_scratch(4, 12);
-        assert_eq!(ws.resizes(), 1);
+        assert_eq!(ws.resizes(), 2);
+        // Second identical request is served from the grown buffers.
+        let _ = ws.apply_scratch(4, 12, 16);
+        assert_eq!(ws.resizes(), 2);
     }
 
     #[test]
@@ -138,10 +156,12 @@ mod tests {
     #[test]
     fn views_are_disjoint() {
         let mut ws = Workspace::<f64>::new(4, 2);
-        let (mut w, tmp) = ws.apply_scratch(4, 3);
+        let (w, tw, v) = ws.apply_scratch(4, 3, 8);
         w.fill(2.0);
-        tmp.fill(3.0);
-        assert!(w.as_slice().iter().all(|&x| x == 2.0));
-        assert!(tmp.iter().all(|&x| x == 3.0));
+        tw.fill(3.0);
+        v.fill(4.0);
+        assert!(w.iter().all(|&x| x == 2.0));
+        assert!(tw.iter().all(|&x| x == 3.0));
+        assert!(v.iter().all(|&x| x == 4.0));
     }
 }

@@ -11,19 +11,29 @@
 //! an x86-64 host with both features detects — the dispatcher picks for a
 //! given shape.
 //!
-//! The backend-agreement test drives all nine primitives with each backend
+//! The backend-agreement test drives all seven primitives with each backend
 //! pinned in turn through the `force_backend` hook and checks (a)
 //! bit-determinism of repeated calls within one backend, (b) cross-backend
 //! agreement within the same rounding budgets, and (c) that `f32` panels
 //! never leave the scalar core. On a host without AVX2+FMA forcing `Simd`
 //! changes nothing and (b) compares the scalar core with itself.
+//!
+//! The two level-3 primitives ([`gemm_tn`], [`gemm_nn_sub`]) are swept over
+//! a cube of shapes that straddles every tile edge, and the update kernels
+//! built on them are held to `apply_q ∘ apply_qt = I` and `QᵀA = R` for
+//! TS, TT and inner-blocked factors.
 
 use std::sync::Mutex;
 use tileqr_kernels::micro::{
-    self, active_backend, dotf, dotf_lo, dotf_tri, force_backend, larf_head, rank1f_sub, Backend,
-    KC, LANES, NR,
+    self, active_backend, dotf, dotf_tri, force_backend, gemm_nn_sub, gemm_tn, larf_head,
+    rank1f_sub, Backend, Shape, KC, LANES, NR,
 };
-use tileqr_matrix::Scalar;
+use tileqr_kernels::{
+    geqrt_ib_apply_ws, geqrt_ib_ws, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, ApplySide,
+    Workspace,
+};
+use tileqr_matrix::gen::random_matrix;
+use tileqr_matrix::{Matrix, Scalar};
 
 /// Serializes tests that touch the process-global backend override.
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
@@ -146,92 +156,6 @@ fn dotf_tri_matches_naive_over_trapezoids() {
 }
 
 #[test]
-fn dotf_lo_matches_naive_below_the_diagonal() {
-    for &len in &lens() {
-        for &n in &widths() {
-            if n > len {
-                continue;
-            }
-            let ld = len + 1;
-            let x = vec_of(11, len);
-            let ys = vec_of(12, ld * n.max(1));
-            let mut out = vec![f64::NAN; n];
-            dotf_lo(&x, &ys, ld, n, &mut out);
-            for j in 0..n {
-                let want: f64 = if j + 1 < len {
-                    x[j + 1..]
-                        .iter()
-                        .zip(&ys[j * ld + j + 1..j * ld + len])
-                        .map(|(a, b)| a * b)
-                        .sum()
-                } else {
-                    0.0
-                };
-                let abs = len as f64;
-                assert_close(
-                    out[j],
-                    want,
-                    len,
-                    abs,
-                    &format!("dotf_lo len={len} n={n} j={j}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn axpyf_variants_match_naive() {
-    for &len in &lens() {
-        for &n in &widths() {
-            let ld = len + 2;
-            let alphas = vec_of(21, n);
-            let ys = vec_of(22, ld * n.max(1));
-            let y0 = vec_of(23, len);
-
-            let mut y = y0.clone();
-            micro::axpyf_sub(&alphas, &ys, ld, n, &mut y);
-            for i in 0..len {
-                let mut want = y0[i];
-                let mut abs = y0[i].abs();
-                for j in 0..n {
-                    want -= alphas[j] * ys[j * ld + i];
-                    abs += (alphas[j] * ys[j * ld + i]).abs();
-                }
-                assert_close(
-                    y[i],
-                    want,
-                    n + 1,
-                    abs,
-                    &format!("axpyf_sub len={len} n={n} i={i}"),
-                );
-            }
-
-            // Strict-lower flavour: column j only touches rows j+1.. .
-            if n <= len {
-                let mut y = y0.clone();
-                micro::axpyf_lo_sub(&alphas, &ys, ld, n, &mut y);
-                for i in 0..len {
-                    let mut want = y0[i];
-                    let mut abs = y0[i].abs();
-                    for j in 0..n.min(i) {
-                        want -= alphas[j] * ys[j * ld + i];
-                        abs += (alphas[j] * ys[j * ld + i]).abs();
-                    }
-                    assert_close(
-                        y[i],
-                        want,
-                        n + 1,
-                        abs,
-                        &format!("axpyf_lo_sub len={len} n={n} i={i}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn axpyf_tri_variants_match_naive() {
     for &len0 in &[0usize, 1, 4, 9, 33, 140] {
         for &n in &widths() {
@@ -241,31 +165,25 @@ fn axpyf_tri_variants_match_naive() {
             let ys = vec_of(32, ld * n.max(1));
             let y0 = vec_of(33, maxlen);
 
-            for sub in [false, true] {
-                let mut y = y0.clone();
-                if sub {
-                    micro::axpyf_tri_sub(&alphas, &ys, ld, n, len0, &mut y);
-                } else {
-                    micro::axpyf_tri_add(&alphas, &ys, ld, n, len0, &mut y);
-                }
-                for i in 0..maxlen {
-                    let mut want = y0[i];
-                    let mut abs = y0[i].abs();
-                    for j in 0..n {
-                        if i < len0 + j {
-                            let t = alphas[j] * ys[j * ld + i];
-                            want += if sub { -t } else { t };
-                            abs += t.abs();
-                        }
+            let mut y = y0.clone();
+            micro::axpyf_tri_add(&alphas, &ys, ld, n, len0, &mut y);
+            for i in 0..maxlen {
+                let mut want = y0[i];
+                let mut abs = y0[i].abs();
+                for j in 0..n {
+                    if i < len0 + j {
+                        let t = alphas[j] * ys[j * ld + i];
+                        want += t;
+                        abs += t.abs();
                     }
-                    assert_close(
-                        y[i],
-                        want,
-                        n + 1,
-                        abs,
-                        &format!("axpyf_tri sub={sub} len0={len0} n={n} i={i}"),
-                    );
                 }
+                assert_close(
+                    y[i],
+                    want,
+                    n + 1,
+                    abs,
+                    &format!("axpyf_tri_add len0={len0} n={n} i={i}"),
+                );
             }
         }
     }
@@ -365,7 +283,7 @@ fn larf_head_matches_naive_reflector_application() {
     }
 }
 
-/// All nine primitives on one `(len, n)` shape: per primitive its name, its
+/// All seven primitives on one `(len, n)` shape: per primitive its name, its
 /// output, and the `(terms, abs)` rounding budget two cores may differ by.
 fn run_all<T: Scalar>(len: usize, n: usize) -> Vec<(&'static str, Vec<T>, (usize, f64))> {
     let t_vec = |seed: u64, len: usize| -> Vec<T> {
@@ -387,29 +305,40 @@ fn run_all<T: Scalar>(len: usize, n: usize) -> Vec<(&'static str, Vec<T>, (usize
     dotf(&x, &ys, ld, n, &mut out);
     results.push(("dotf", out.clone(), dot));
     dotf_tri(&x, &ys, ld, n, len0, &mut out);
-    results.push(("dotf_tri", out.clone(), dot));
-    dotf_lo(&x, &ys, ld, n, &mut out);
-    results.push(("dotf_lo", out, dot));
+    results.push(("dotf_tri", out, dot));
 
-    let mut y = y0.clone();
-    micro::axpyf_sub(&alphas, &ys, ld, n, &mut y);
-    results.push(("axpyf_sub", y, axpy));
-    let mut y = y0.clone();
+    let mut y = y0;
     micro::axpyf_tri_add(&alphas, &ys, ld, n, len0, &mut y);
     results.push(("axpyf_tri_add", y, axpy));
-    let mut y = y0.clone();
-    micro::axpyf_tri_sub(&alphas, &ys, ld, n, len0, &mut y);
-    results.push(("axpyf_tri_sub", y, axpy));
-    let mut y = y0;
-    micro::axpyf_lo_sub(&alphas, &ys, ld, n, &mut y);
-    results.push(("axpyf_lo_sub", y, axpy));
 
     let mut cols = cols0.clone();
     rank1f_sub(&x, &alphas, &mut cols, ld, len, n);
     results.push(("rank1f_sub", cols, (2, 2.0)));
-    let mut cols = cols0;
+    let mut cols = cols0.clone();
     larf_head(&x[..len - 1], T::from_f64(0.83), &mut cols, ld, n);
     results.push(("larf_head", cols, (len + 2, len as f64)));
+
+    // The panel as both operands: `out = YᵀY` (n x n), then `C -= Y·out`.
+    let mut gram = vec![T::ZERO; n * n];
+    gemm_tn(
+        (&ys, ld),
+        Shape::Dense,
+        (&ys, ld),
+        None,
+        (&mut gram, n),
+        (n, n, len),
+    );
+    results.push(("gemm_tn", gram.clone(), dot));
+    let mut cols = cols0;
+    gemm_nn_sub(
+        (&ys, ld),
+        Shape::Dense,
+        (&gram, n),
+        (&mut cols, ld),
+        (len, n, n),
+    );
+    let gram_abs = n as f64 * len as f64;
+    results.push(("gemm_nn_sub", cols, (len + n, gram_abs + 1.0)));
     results
 }
 
@@ -495,5 +424,241 @@ fn tier_selection_is_a_pure_function_of_shape() {
     let again = probe(99);
     for (a, b) in first.iter().zip(&again) {
         assert_eq!(a.to_bits(), b.to_bits(), "same shape, same bits");
+    }
+}
+
+/// Sizes that straddle every register-tile edge of the level-3 skeletons
+/// (4- and 3-wide dot tiles, 8/16-row by 6/4/1-column outer-product tiles).
+const DIMS: [usize; 17] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65];
+
+/// Column-major `rows x cols` operand with leading dimension `ld`, zeros
+/// written out wherever `shape` promises them.
+fn operand(seed: u64, rows: usize, cols: usize, ld: usize, shape: Shape) -> Vec<f64> {
+    let mut v = vec_of(seed, ld * cols);
+    for c in 0..cols {
+        for r in 0..rows {
+            let zero = match shape {
+                Shape::Dense => false,
+                Shape::Upper => r > c,
+                Shape::Lower => r < c,
+            };
+            if zero {
+                v[c * ld + r] = 0.0;
+            }
+        }
+    }
+    v
+}
+
+/// `gemm_tn` and `gemm_nn_sub` on one shape against naive triple loops:
+/// dirty output, padded leading dimensions, twice for bit equality.
+fn check_gemm(m: usize, n: usize, k: usize, shape: Shape, with_add: bool) {
+    let ctx = format!("({m},{n},{k}) {shape:?} add={with_add}");
+    let seed = (m * 10_007 + n * 101 + k) as u64;
+
+    // out = [add +] XᵀY: X is k x m, Y is k x n.
+    let (ldx, ldy, lda, ldo) = (k + 1, k + 2, m + 1, m + 3);
+    let x = operand(seed, k, m, ldx, shape);
+    let y = vec_of(seed + 1, ldy * n);
+    let add = vec_of(seed + 2, lda * n);
+    let run_tn = || {
+        let mut out = vec![f64::NAN; ldo * n];
+        let add = with_add.then_some((&add[..], lda));
+        gemm_tn((&x, ldx), shape, (&y, ldy), add, (&mut out, ldo), (m, n, k));
+        out
+    };
+    let out = run_tn();
+    assert!(
+        out.iter()
+            .zip(&run_tn())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "gemm_tn {ctx}: not bit-reproducible"
+    );
+    for j in 0..n {
+        for i in 0..m {
+            let (mut want, mut abs) = (0.0, 0.0);
+            if with_add {
+                want = add[j * lda + i];
+                abs = want.abs();
+            }
+            for p in 0..k {
+                let t = x[i * ldx + p] * y[j * ldy + p];
+                want += t;
+                abs += t.abs();
+            }
+            assert_close(
+                out[j * ldo + i],
+                want,
+                k + 1,
+                abs,
+                &format!("gemm_tn {ctx} [{i},{j}]"),
+            );
+        }
+        for pad in &out[j * ldo + m..(j + 1) * ldo] {
+            assert!(
+                pad.is_nan(),
+                "gemm_tn {ctx}: wrote past row {m} of column {j}"
+            );
+        }
+    }
+
+    // C -= A·B: A is m x k, B is k x n.
+    let (lda, ldb, ldc) = (m + 2, k + 1, m + 1);
+    let a = operand(seed + 3, m, k, lda, shape);
+    let b = vec_of(seed + 4, ldb * n);
+    let c0 = vec_of(seed + 5, ldc * n);
+    let run_nn = || {
+        let mut c = c0.clone();
+        gemm_nn_sub((&a, lda), shape, (&b, ldb), (&mut c, ldc), (m, n, k));
+        c
+    };
+    let c = run_nn();
+    assert!(
+        c.iter()
+            .zip(&run_nn())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "gemm_nn_sub {ctx}: not bit-reproducible"
+    );
+    for j in 0..n {
+        for i in 0..m {
+            let mut want = c0[j * ldc + i];
+            let mut abs = want.abs();
+            for p in 0..k {
+                let t = a[p * lda + i] * b[j * ldb + p];
+                want -= t;
+                abs += t.abs();
+            }
+            assert_close(
+                c[j * ldc + i],
+                want,
+                k + 1,
+                abs,
+                &format!("gemm_nn_sub {ctx} [{i},{j}]"),
+            );
+        }
+        assert_eq!(
+            c[j * ldc + m],
+            c0[j * ldc + m],
+            "gemm_nn_sub {ctx}: pad row of column {j}"
+        );
+    }
+}
+
+#[test]
+fn gemm_tiles_match_naive_over_the_shape_cube() {
+    let _guard = BACKEND_LOCK.lock().unwrap();
+    for pin in [Some(Backend::Blocked), None] {
+        force_backend(pin);
+        for &m in &DIMS {
+            for &n in &DIMS {
+                for &k in &DIMS {
+                    check_gemm(m, n, k, Shape::Dense, (m + n + k) % 2 == 1);
+                }
+            }
+        }
+        // The triangular ranges depend on (m, k) alone; a few widths cover
+        // the column tiles they are crossed with.
+        for shape in [Shape::Upper, Shape::Lower] {
+            for &m in &DIMS {
+                for &k in &DIMS {
+                    for (n, with_add) in [(1, false), (4, true), (7, false), (13, true)] {
+                        check_gemm(m, n, k, shape, with_add);
+                    }
+                }
+            }
+        }
+    }
+    force_backend(None);
+}
+
+/// `‖a − b‖_max` over two equal-shape matrices.
+fn max_diff(a: &Matrix<f64>, b: &Matrix<f64>) -> f64 {
+    assert_eq!(a.dims(), b.dims());
+    let pairs = a.as_slice().iter().zip(b.as_slice());
+    pairs.map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+}
+
+/// The column counts the update kernels are swept over at tile size `b`.
+fn widths_at(b: usize) -> [usize; 5] {
+    [1, 3, 4, 5, b]
+}
+
+/// TS and TT pair updates: `Qᵀ[R1; A2] = [R; 0]` and `Q(QᵀC) = C`, with the
+/// eliminated TT tile carrying foreign data below its diagonal (as a tile
+/// that went through `GEQRT` does).
+#[test]
+fn pair_updates_invert_and_triangularize() {
+    for &b in &[1usize, 3, 8, 10, 12, 20, 64] {
+        let tol = 1e-13 * (b as f64).max(4.0);
+        let ws = &mut Workspace::new(b, b);
+        let r1_0 = random_matrix::<f64>(b, b, 500 + b as u64).upper_triangular();
+        let below_0 = random_matrix::<f64>(b, b, 600 + b as u64);
+        for tt in [false, true] {
+            let (mut r1, mut v2) = (r1_0.clone(), below_0.clone());
+            let mut tfac = Matrix::zeros(b, b);
+            let (apply, eliminated): (ApplyPair, _) = if tt {
+                ttqrt_ws(&mut r1, &mut v2, &mut tfac, ws).unwrap();
+                (ttmqr_apply_ws, below_0.upper_triangular())
+            } else {
+                tsqrt_ws(&mut r1, &mut v2, &mut tfac, ws).unwrap();
+                (tsmqr_apply_ws, below_0.clone())
+            };
+            let (mut top, mut bot) = (r1_0.clone(), eliminated);
+            apply(&v2, &tfac, &mut top, &mut bot, ApplySide::Transpose, ws).unwrap();
+            assert!(
+                max_diff(&top, &r1.upper_triangular()) < tol,
+                "QᵀA top, b={b} tt={tt}"
+            );
+            assert!(
+                max_diff(&bot, &Matrix::zeros(b, b)) < tol,
+                "QᵀA bottom, b={b} tt={tt}"
+            );
+            for nc in widths_at(b) {
+                let c1_0 = random_matrix::<f64>(b, nc, 700 + nc as u64);
+                let c2_0 = random_matrix::<f64>(b, nc, 800 + nc as u64);
+                let (mut c1, mut c2) = (c1_0.clone(), c2_0.clone());
+                apply(&v2, &tfac, &mut c1, &mut c2, ApplySide::Transpose, ws).unwrap();
+                apply(&v2, &tfac, &mut c1, &mut c2, ApplySide::NoTranspose, ws).unwrap();
+                let ctx = format!("b={b} nc={nc} tt={tt}");
+                assert!(max_diff(&c1, &c1_0) < tol, "round trip top, {ctx}");
+                assert!(max_diff(&c2, &c2_0) < tol, "round trip bottom, {ctx}");
+            }
+        }
+    }
+}
+
+type ApplyPair = fn(
+    &Matrix<f64>,
+    &Matrix<f64>,
+    &mut Matrix<f64>,
+    &mut Matrix<f64>,
+    ApplySide,
+    &mut Workspace<f64>,
+) -> tileqr_matrix::Result<()>;
+
+/// GEQRT panels (full-tile and inner-blocked): `QᵀA = R` and `Q(QᵀC) = C`.
+#[test]
+fn panel_updates_invert_and_triangularize() {
+    for &b in &[1usize, 3, 8, 10, 12, 20, 64] {
+        let tol = 1e-13 * (b as f64).max(4.0);
+        for ib in [b, b.div_ceil(3)] {
+            let ws = &mut Workspace::new(b, ib);
+            let a0 = random_matrix::<f64>(b, b, 900 + b as u64);
+            let mut vr = a0.clone();
+            let tfacs = geqrt_ib_ws(&mut vr, ib, ws).unwrap();
+            let mut qta = a0.clone();
+            geqrt_ib_apply_ws(&vr, &tfacs, ib, &mut qta, ApplySide::Transpose, ws).unwrap();
+            assert!(
+                max_diff(&qta, &vr.upper_triangular()) < tol,
+                "QᵀA = R, b={b} ib={ib}"
+            );
+            for nc in widths_at(b) {
+                let c0 = random_matrix::<f64>(b, nc, 950 + nc as u64);
+                let mut c = c0.clone();
+                geqrt_ib_apply_ws(&vr, &tfacs, ib, &mut c, ApplySide::Transpose, ws).unwrap();
+                geqrt_ib_apply_ws(&vr, &tfacs, ib, &mut c, ApplySide::NoTranspose, ws).unwrap();
+                assert!(max_diff(&c, &c0) < tol, "round trip, b={b} ib={ib} nc={nc}");
+            }
+        }
     }
 }

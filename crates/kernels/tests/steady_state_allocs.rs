@@ -1,0 +1,126 @@
+//! Steady-state allocation count of the update tasks, held by a counting
+//! `#[global_allocator]`.
+//!
+//! After warm-up, stage → `compute_with` → commit of a `UNMQR`, `TSMQR` or
+//! `TTMQR` task acquires no heap memory: written tiles travel as the `Arc`
+//! handles they were staged with (commit is a pointer store), read tiles
+//! and `T` factors are `Arc` clones, and every scratch block comes out of
+//! a tile-sized [`Workspace`] that never grows.
+//!
+//! The counter is process-wide, so this binary holds exactly one `#[test]`:
+//! nothing else may allocate while a region is being counted.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use tileqr_dag::TaskKind;
+use tileqr_kernels::exec::{FactorState, SharedFactorState};
+use tileqr_kernels::Workspace;
+use tileqr_matrix::gen::random_matrix;
+use tileqr_matrix::TiledMatrix;
+
+static ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator plus one relaxed counter bump per acquisition.
+struct CountingAlloc;
+
+// SAFETY: every operation defers directly to `System` with the caller's
+// arguments; the counter bump has no effect on the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap acquisitions made while `f` runs.
+fn acquisitions(f: impl FnOnce()) -> u64 {
+    let before = ACQUISITIONS.load(Ordering::Relaxed);
+    f();
+    ACQUISITIONS.load(Ordering::Relaxed) - before
+}
+
+/// The two ways column 0 of a 2 x 2-tile matrix gets eliminated (a tile has
+/// one elimination factor, so each needs its own state): the factor tasks
+/// that must have committed, then the update tasks they enable. Re-running
+/// an update applies the same orthogonal factor again, so the steady state
+/// can be repeated on one matrix without the values drifting.
+fn cases() -> [(Vec<TaskKind>, Vec<TaskKind>); 2] {
+    let (p, i, j, k) = (0, 1, 1, 0);
+    let ts = (
+        vec![TaskKind::Geqrt { i: 0, k }, TaskKind::Tsqrt { p, i, k }],
+        vec![
+            TaskKind::Unmqr { i: 0, j, k },
+            TaskKind::Tsmqr { p, i, j, k },
+        ],
+    );
+    let tt = (
+        vec![
+            TaskKind::Geqrt { i: 0, k },
+            TaskKind::Geqrt { i, k },
+            TaskKind::Ttqrt { p, i, k },
+        ],
+        vec![TaskKind::Ttmqr { p, i, j, k }],
+    );
+    [ts, tt]
+}
+
+#[test]
+fn update_tasks_allocate_nothing_in_steady_state() {
+    for b in [16usize, 64] {
+        for (factors, updates) in cases() {
+            // Sequential state: its own arena, driven through `execute`.
+            let a = random_matrix::<f64>(2 * b, 2 * b, 77);
+            let mut state = FactorState::new(TiledMatrix::from_matrix(&a, b).unwrap());
+            for task in factors {
+                state.execute(task).unwrap();
+            }
+            for &task in &updates {
+                state.execute(task).unwrap();
+                let n = acquisitions(|| {
+                    for _ in 0..3 {
+                        state.execute(task).unwrap();
+                    }
+                });
+                assert_eq!(n, 0, "FactorState, b = {b}: {task:?} allocated");
+            }
+            assert_eq!(state.workspace_resizes(), 0, "arena grew at b = {b}");
+            assert_eq!(state.cow_clones(), 0);
+
+            // Shared state: per-slot locks, the worker brings the arena.
+            let shared = SharedFactorState::new(state);
+            let mut ws = Workspace::new(b, b);
+            for &task in &updates {
+                let mut cycle = || {
+                    let staged = shared.stage(task).unwrap();
+                    shared.commit(staged.compute_with(&mut ws).unwrap());
+                };
+                cycle();
+                let n = acquisitions(|| (0..3).for_each(|_| cycle()));
+                assert_eq!(n, 0, "SharedFactorState, b = {b}: {task:?} allocated");
+            }
+            assert_eq!(ws.resizes(), 0, "worker arena grew at b = {b}");
+            assert_eq!(shared.cow_clones(), 0);
+        }
+    }
+}

@@ -114,3 +114,37 @@ fn extreme_scales_factor_without_overflow() {
         assert!(rep.passes(), "scale 1e{exp}: {rep:?}");
     }
 }
+
+/// `f32` panels never reach the vector core, so since the update kernels
+/// became register tiles they are the one element type that runs the
+/// *scalar* tiles through the full stack on every host. A square flat-TS
+/// factorization and a tall TSQR tree (TT kernels), factor and apply, at
+/// the `f32`-scaled backward-stability budget.
+#[test]
+fn f32_factor_and_apply_pass_f32_scaled_oracles() {
+    use tileqr::TreePolicy;
+    use tileqr_kernels::validate::{check_qr, qr_tolerance};
+    use tileqr_matrix::gen::random_matrix;
+
+    for (m, n, tree) in [(96, 96, TreePolicy::default()), (256, 32, TreePolicy::Auto)] {
+        let a = random_matrix::<f32>(m, n, (m + n) as u64);
+        let opts = QrOptions::new().tile_size(16).tree(tree);
+        let f = TiledQr::factor(&a, &opts).unwrap();
+        let (q, r) = (f.q().unwrap(), f.r());
+        let tol = qr_tolerance::<f32>(m, n);
+        let rep = check_qr(&a, &q, &r).unwrap();
+        assert!(rep.passes(tol), "{m}x{n} factor: {rep:?} vs {tol}");
+
+        // Apply without forming Q: QᵀA = R, and Q(QᵀC) = C on a
+        // four-column right-hand side (the narrow tile remainders).
+        let scale = a.max_abs() * (m as f32).sqrt();
+        let qta = f.apply_qt(&a).unwrap();
+        assert!(qta.approx_eq(&r, tol * scale), "{m}x{n}: QᵀA != R");
+        let c = random_matrix::<f32>(m, 4, 99);
+        let back = f.apply_q(&f.apply_qt(&c).unwrap()).unwrap();
+        assert!(
+            back.approx_eq(&c, tol * (m as f32).sqrt()),
+            "{m}x{n}: Q Qᵀ C != C"
+        );
+    }
+}
