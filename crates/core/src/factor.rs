@@ -47,10 +47,7 @@ impl<T: Scalar> TiledQr<T> {
             .get_tree()
             .resolve(tiled.tile_rows(), tiled.tile_cols());
         let graph = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), tree);
-        let state = match opts.get_inner_block() {
-            Some(ib) => FactorState::with_inner_block(tiled, ib),
-            None => FactorState::new(tiled),
-        };
+        let state = FactorState::new(tiled);
         let config = PoolConfig {
             workers: opts.get_workers(),
             policy: opts.get_schedule(),
@@ -90,13 +87,10 @@ impl<T: Scalar> TiledQr<T> {
         a: &Matrix<T>,
         opts: &QrOptions,
     ) -> Result<(Self, RunReport)> {
-        let mut spec = JobSpec::factor(a.clone())
+        let spec = JobSpec::factor(a.clone())
             .tile_size(opts.get_tile_size())
             .tree(opts.get_tree())
             .cost_model(opts.get_cost_model());
-        if let Some(ib) = opts.get_inner_block() {
-            spec = spec.inner_block(ib);
-        }
         let handle = service.submit(spec).map_err(MatrixError::from)?;
         let result = handle.wait().map_err(MatrixError::from)?;
         let report = result.report;
@@ -378,14 +372,16 @@ mod tests {
     }
 
     #[test]
-    fn inner_blocked_option_factorizes_correctly() {
+    fn recursive_panel_tile_size_factorizes_correctly() {
+        // b = 20 splits every panel 12 + 8 (and the 12 again), with ragged
+        // edge tiles: the level-3 factor path end to end.
         let a = random_matrix::<f64>(32, 32, 15);
-        let f = TiledQr::factor(&a, &QrOptions::new().tile_size(8).inner_block(4)).unwrap();
+        let f = TiledQr::factor(&a, &QrOptions::new().tile_size(20)).unwrap();
         let q = f.q().unwrap();
         let r = f.r();
         assert!(relative_residual(&a, &q, &r).unwrap() < 1e-13);
         assert!(orthogonality_defect(&q).unwrap() < 1e-13);
-        // Solves work off the inner-blocked factors too.
+        // Solves work off the merged `T` factors too.
         let x_true = random_vector::<f64>(32, 16);
         let b = matvec(&a, &x_true).unwrap();
         let x = f.solve(&b).unwrap();

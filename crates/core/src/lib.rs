@@ -52,14 +52,14 @@ pub use tileqr_matrix::ops;
 
 /// Low-level tile kernels, for users composing their own algorithms.
 pub mod kernels {
-    pub use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, PanelFactor};
+    pub use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState};
     pub use tileqr_kernels::flops;
     pub use tileqr_kernels::micro;
     pub use tileqr_kernels::reference;
     pub use tileqr_kernels::validate;
     pub use tileqr_kernels::{
-        geqrt_apply_ws, geqrt_ib_apply_ws, geqrt_ib_ws, geqrt_ws, larfg, tsmqr_apply_ws, tsqrt_ws,
-        ttmqr_apply_ws, ttqrt_ws, unmqr_ws, ApplySide, HouseholderReflector, Workspace,
+        geqrt_apply_ws, geqrt_ws, larfg, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws,
+        unmqr_ws, ApplySide, HouseholderReflector, Workspace,
     };
 }
 

@@ -12,15 +12,13 @@ pub struct QrOptions {
     schedule: SchedulePolicy,
     fault_tolerance: Option<FaultTolerance>,
     tracing: TraceConfig,
-    inner_block: Option<usize>,
     cost: CostModel,
     drift: DriftConfig,
 }
 
 impl Default for QrOptions {
     /// Tile size 16 (the paper's choice, §V), TS elimination, sequential,
-    /// FIFO dispatch, tracing off, full-tile inner blocking, per-worker
-    /// scratch arenas.
+    /// FIFO dispatch, tracing off, per-worker scratch arenas.
     fn default() -> Self {
         QrOptions {
             tile_size: 16,
@@ -29,7 +27,6 @@ impl Default for QrOptions {
             schedule: SchedulePolicy::Fifo,
             fault_tolerance: None,
             tracing: TraceConfig::default(),
-            inner_block: None,
             cost: CostModel::default(),
             drift: DriftConfig::default(),
         }
@@ -106,17 +103,6 @@ impl QrOptions {
         self
     }
 
-    /// Inner block size `ib` for `GEQRT` panels (PLASMA-style). `None`
-    /// (the default) factors each tile with one full-tile `T` factor;
-    /// `Some(ib)` with `ib < b` stores one factor per `ib`-column panel,
-    /// trading slightly more apply work for smaller working sets. Clamped
-    /// to `[1, b]` at execution.
-    pub fn inner_block(mut self, ib: usize) -> Self {
-        assert!(ib > 0, "inner block must be positive");
-        self.inner_block = Some(ib);
-        self
-    }
-
     /// Task-cost model for scheduling priorities:
     /// [`CostModel::Flops`] (default) ranks by kernel flop counts, while
     /// [`CostModel::Calibrated`] ranks by measured microseconds from
@@ -169,11 +155,6 @@ impl QrOptions {
         self.tracing
     }
 
-    /// Configured inner block (`None` = full-tile factors).
-    pub fn get_inner_block(&self) -> Option<usize> {
-        self.inner_block
-    }
-
     /// Configured cost model ([`CostModel::Flops`] by default).
     pub fn get_cost_model(&self) -> CostModel {
         self.cost
@@ -219,19 +200,6 @@ mod tests {
         assert_eq!(o.get_schedule(), SchedulePolicy::Fifo);
         assert_eq!(o.get_fault_tolerance(), None, "fail fast by default");
         assert!(!o.get_tracing().enabled, "tracing off by default");
-        assert_eq!(o.get_inner_block(), None, "full-tile factors by default");
-    }
-
-    #[test]
-    fn memory_knobs() {
-        let o = QrOptions::new().inner_block(4);
-        assert_eq!(o.get_inner_block(), Some(4));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_inner_block_rejected() {
-        let _ = QrOptions::new().inner_block(0);
     }
 
     #[test]

@@ -33,8 +33,7 @@
 
 use crate::workspace::Workspace;
 use crate::{
-    geqrt_apply_ws, geqrt_ib_apply_ws, geqrt_ib_ws, geqrt_ws, tsmqr_apply_ws, tsqrt_ws,
-    ttmqr_apply_ws, ttqrt_ws, ApplySide,
+    geqrt_apply_ws, geqrt_ws, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, ApplySide,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,38 +61,6 @@ fn owned<T: Scalar>(a: &mut Arc<Matrix<T>>) -> &mut Matrix<T> {
     Arc::get_mut(a).expect("a staged tile has one handle")
 }
 
-/// The reflector `T` factor(s) of one `GEQRT` panel tile: a single
-/// full-tile factor (inner block = tile size, the default) or PLASMA-style
-/// per-panel factors from [`geqrt_ib_ws`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum PanelFactor<T: Scalar> {
-    /// One `b x b` factor covering the whole tile.
-    Full(Matrix<T>),
-    /// Inner-blocked factorization: one factor per `ib`-column panel.
-    Blocked {
-        /// Inner block size the tile was factored with.
-        ib: usize,
-        /// Per-panel upper-triangular factors, leftmost panel first.
-        tfacs: Vec<Matrix<T>>,
-    },
-}
-
-impl<T: Scalar> PanelFactor<T> {
-    /// Apply this factor's `Q`/`Qᵀ` to `c`, borrowing scratch from `ws`.
-    fn apply_ws(
-        &self,
-        vr: &Matrix<T>,
-        c: &mut Matrix<T>,
-        side: ApplySide,
-        ws: &mut Workspace<T>,
-    ) -> Result<()> {
-        match self {
-            PanelFactor::Full(t) => geqrt_apply_ws(vr, t, c, side, ws),
-            PanelFactor::Blocked { ib, tfacs } => geqrt_ib_apply_ws(vr, tfacs, *ib, c, side, ws),
-        }
-    }
-}
-
 /// An elimination `T` factor together with the pivot row it merged into.
 #[derive(Debug, Clone)]
 struct ElimFactor<T: Scalar> {
@@ -106,11 +73,8 @@ struct ElimFactor<T: Scalar> {
 pub struct FactorState<T: Scalar> {
     tiles: TiledMatrix<T>,
     nt: usize,
-    /// Inner block size handed to `GEQRT` (`ib == b` means one full-tile
-    /// `T` factor, the default).
-    ib: usize,
     /// `T` factors of `GEQRT`, dense-indexed by the factored tile `i*nt+k`.
-    geqrt_t: Vec<Option<Arc<PanelFactor<T>>>>,
+    geqrt_t: Vec<Option<Arc<Matrix<T>>>>,
     /// `T` factors of `TSQRT`/`TTQRT`, dense-indexed by the *eliminated*
     /// tile `i*nt+k` (which determines the pivot `p`, stored alongside).
     elim_t: Vec<Option<ElimFactor<T>>>,
@@ -128,7 +92,6 @@ impl<T: Scalar> Clone for FactorState<T> {
         FactorState {
             tiles: self.tiles.clone(),
             nt: self.nt,
-            ib: self.ib,
             geqrt_t: self.geqrt_t.clone(),
             elim_t: self.elim_t.clone(),
             empty: Arc::clone(&self.empty),
@@ -148,12 +111,12 @@ pub struct StagedTask<T: Scalar> {
 }
 
 enum Inputs<T: Scalar> {
-    /// GEQRT: the tile to factor (taken) and the inner block size.
-    Factor { tile: Arc<Matrix<T>>, ib: usize },
+    /// GEQRT: the tile to factor (taken).
+    Factor { tile: Arc<Matrix<T>> },
     /// UNMQR: shared factored tile + its T factor, plus the target (taken).
     Update {
         vr: Arc<Matrix<T>>,
-        tfac: Arc<PanelFactor<T>>,
+        tfac: Arc<Matrix<T>>,
         c: Arc<Matrix<T>>,
     },
     /// TSQRT/TTQRT: pivot and eliminated tiles (both taken).
@@ -181,7 +144,7 @@ pub struct CompletedTask<T: Scalar> {
 enum Outputs<T: Scalar> {
     Factor {
         tile: Arc<Matrix<T>>,
-        tfac: PanelFactor<T>,
+        tfac: Matrix<T>,
     },
     Update {
         c: Arc<Matrix<T>>,
@@ -206,30 +169,18 @@ fn missing_factor_err() -> MatrixError {
 }
 
 impl<T: Scalar> FactorState<T> {
-    /// Wrap a tiled matrix for factorization with the default inner block
-    /// (`ib = b`: one full-tile `T` factor per panel, the seed behaviour).
+    /// Wrap a tiled matrix for factorization.
     pub fn new(tiles: TiledMatrix<T>) -> Self {
-        let b = tiles.tile_size();
-        Self::with_inner_block(tiles, b)
-    }
-
-    /// Wrap a tiled matrix for factorization with inner block size `ib`
-    /// (clamped to `[1, b]`). `GEQRT` tasks factor in `ib`-column panels
-    /// and store [`PanelFactor::Blocked`] factors; `ib == b` is the
-    /// full-tile default.
-    pub fn with_inner_block(tiles: TiledMatrix<T>, ib: usize) -> Self {
         let (mt, nt) = (tiles.tile_rows(), tiles.tile_cols());
         let b = tiles.tile_size();
-        let ib = ib.clamp(1, b.max(1));
         FactorState {
             tiles,
             nt,
-            ib,
             geqrt_t: vec![None; mt * nt],
             elim_t: vec![None; mt * nt],
             empty: Arc::new(Matrix::zeros(b, b)),
             cow: Arc::new(AtomicU64::new(0)),
-            ws: Workspace::new(b, ib),
+            ws: Workspace::new(b, b),
         }
     }
 
@@ -241,11 +192,6 @@ impl<T: Scalar> FactorState<T> {
     /// Consume the state, returning the tiled matrix.
     pub fn into_tiles(self) -> TiledMatrix<T> {
         self.tiles
-    }
-
-    /// Inner block size `GEQRT` tasks factor with.
-    pub fn inner_block(&self) -> usize {
-        self.ib
     }
 
     /// How many copy-on-write fallback clones [`unique`] took.
@@ -266,18 +212,8 @@ impl<T: Scalar> FactorState<T> {
         self.ws.resizes()
     }
 
-    /// `T` factor of `GEQRT` on tile `(i, k)`, if computed with the
-    /// default full-tile inner blocking. Inner-blocked factors are reached
-    /// through [`geqrt_panel_factor`](Self::geqrt_panel_factor).
+    /// `T` factor of `GEQRT` on tile `(i, k)`, if computed.
     pub fn geqrt_factor(&self, i: usize, k: usize) -> Option<&Matrix<T>> {
-        match self.geqrt_t[i * self.nt + k].as_deref() {
-            Some(PanelFactor::Full(t)) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// The full panel factor (single or inner-blocked) of tile `(i, k)`.
-    pub fn geqrt_panel_factor(&self, i: usize, k: usize) -> Option<&PanelFactor<T>> {
         self.geqrt_t[i * self.nt + k].as_deref()
     }
 
@@ -312,7 +248,6 @@ impl<T: Scalar> FactorState<T> {
         let inputs = match task {
             TaskKind::Geqrt { i, k } => Inputs::Factor {
                 tile: self.take_tile(i, k),
-                ib: self.ib,
             },
             TaskKind::Unmqr { i, j, k } => {
                 let tfac = self.geqrt_t[i * self.nt + k]
@@ -416,9 +351,8 @@ pub struct SharedFactorState<T: Scalar> {
     /// back into on [`into_state`](Self::into_state).
     template: Mutex<TiledMatrix<T>>,
     nt: usize,
-    ib: usize,
     tiles: Vec<Mutex<Arc<Matrix<T>>>>,
-    geqrt_t: Vec<Mutex<Option<Arc<PanelFactor<T>>>>>,
+    geqrt_t: Vec<Mutex<Option<Arc<Matrix<T>>>>>,
     elim_t: Vec<Mutex<Option<ElimFactor<T>>>>,
     empty: Arc<Matrix<T>>,
     cow: Arc<AtomicU64>,
@@ -433,7 +367,6 @@ impl<T: Scalar> SharedFactorState<T> {
         let FactorState {
             mut tiles,
             nt,
-            ib,
             geqrt_t,
             elim_t,
             empty,
@@ -450,7 +383,6 @@ impl<T: Scalar> SharedFactorState<T> {
         SharedFactorState {
             template: Mutex::new(tiles),
             nt,
-            ib,
             tiles: slots,
             geqrt_t: geqrt_t.into_iter().map(Mutex::new).collect(),
             elim_t: elim_t.into_iter().map(Mutex::new).collect(),
@@ -470,7 +402,6 @@ impl<T: Scalar> SharedFactorState<T> {
         FactorState {
             tiles,
             nt: self.nt,
-            ib: self.ib,
             geqrt_t: self
                 .geqrt_t
                 .into_iter()
@@ -485,11 +416,6 @@ impl<T: Scalar> SharedFactorState<T> {
             cow: self.cow,
             ws: self.ws,
         }
-    }
-
-    /// Inner block size `GEQRT` tasks factor with (workspace sizing input).
-    pub fn inner_block(&self) -> usize {
-        self.ib
     }
 
     /// Copy-on-write fallback clones taken so far (see
@@ -565,7 +491,6 @@ impl<T: Scalar> SharedFactorState<T> {
         let inputs = match task {
             TaskKind::Geqrt { i, k } => Inputs::Factor {
                 tile: written(self, i, k),
-                ib: self.ib,
             },
             TaskKind::Unmqr { i, j, k } => {
                 let tfac = self.geqrt_t[self.idx(i, k)]
@@ -647,21 +572,14 @@ impl<T: Scalar> StagedTask<T> {
     /// own `T`-factor outputs.
     pub fn compute_with(self, ws: &mut Workspace<T>) -> Result<CompletedTask<T>> {
         let outputs = match (self.task, self.inputs) {
-            (TaskKind::Geqrt { .. }, Inputs::Factor { mut tile, ib }) => {
-                let a = owned(&mut tile);
-                let tfac = if ib >= a.cols().min(a.rows()) {
-                    let n = a.cols();
-                    let mut t = Matrix::zeros(n, n);
-                    geqrt_ws(a, &mut t, ws)?;
-                    PanelFactor::Full(t)
-                } else {
-                    let tfacs = geqrt_ib_ws(a, ib, ws)?;
-                    PanelFactor::Blocked { ib, tfacs }
-                };
+            (TaskKind::Geqrt { .. }, Inputs::Factor { mut tile }) => {
+                let n = tile.cols();
+                let mut tfac = Matrix::zeros(n, n);
+                geqrt_ws(owned(&mut tile), &mut tfac, ws)?;
                 Outputs::Factor { tile, tfac }
             }
             (TaskKind::Unmqr { .. }, Inputs::Update { vr, tfac, mut c }) => {
-                tfac.apply_ws(&vr, owned(&mut c), ApplySide::Transpose, ws)?;
+                geqrt_apply_ws(&vr, &tfac, owned(&mut c), ApplySide::Transpose, ws)?;
                 Outputs::Update { c }
             }
             (TaskKind::Tsqrt { .. }, Inputs::Elim { mut r1, mut a2 }) => {
@@ -721,13 +639,9 @@ impl<T: Scalar> CompletedTask<T> {
     /// downstream tiles.
     pub fn first_non_finite(&self) -> Option<(usize, usize)> {
         let dirty = |m: &Matrix<T>| !m.all_finite();
-        let panel_dirty = |p: &PanelFactor<T>| match p {
-            PanelFactor::Full(t) => dirty(t),
-            PanelFactor::Blocked { tfacs, .. } => tfacs.iter().any(&dirty),
-        };
         match (&self.task, &self.outputs) {
             (TaskKind::Geqrt { i, k }, Outputs::Factor { tile, tfac }) => {
-                (dirty(tile) || panel_dirty(tfac)).then_some((*i, *k))
+                (dirty(tile) || dirty(tfac)).then_some((*i, *k))
             }
             (TaskKind::Unmqr { i, j, .. }, Outputs::Update { c }) => dirty(c).then_some((*i, *j)),
             (
@@ -797,7 +711,8 @@ pub fn apply_qt_dense<T: Scalar>(
     c: &mut Matrix<T>,
 ) -> Result<()> {
     check_rows(state, c)?;
-    let mut ws = Workspace::new(state.tiles.tile_size(), state.ib);
+    let b = state.tiles.tile_size();
+    let mut ws = Workspace::new(b, b);
     for &task in graph.tasks() {
         apply_factor_task(state, task, c, ApplySide::Transpose, &mut ws)?;
     }
@@ -813,7 +728,8 @@ pub fn apply_q_dense<T: Scalar>(
     c: &mut Matrix<T>,
 ) -> Result<()> {
     check_rows(state, c)?;
-    let mut ws = Workspace::new(state.tiles.tile_size(), state.ib);
+    let b = state.tiles.tile_size();
+    let mut ws = Workspace::new(b, b);
     for &task in graph.tasks().iter().rev() {
         apply_factor_task(state, task, c, ApplySide::NoTranspose, &mut ws)?;
     }
@@ -844,14 +760,14 @@ fn apply_factor_task<T: Scalar>(
         TaskKind::Geqrt { i, k } => {
             let vr = state.tiles.tile(i, k);
             let tfac = state
-                .geqrt_panel_factor(i, k)
+                .geqrt_factor(i, k)
                 .ok_or(MatrixError::DimensionMismatch {
                     op: "apply: GEQRT factor missing",
                     lhs: (i, k),
                     rhs: (0, 0),
                 })?;
             let mut block = row_block(c, i, b);
-            tfac.apply_ws(vr, &mut block, side, ws)?;
+            geqrt_apply_ws(vr, tfac, &mut block, side, ws)?;
             set_row_block(c, i, &block);
         }
         TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => {
@@ -1148,27 +1064,22 @@ mod tests {
     }
 
     #[test]
-    fn inner_blocked_factorization_reconstructs() {
-        let a = random_matrix::<f64>(16, 16, 13);
-        let tiled = TiledMatrix::from_matrix(&a, 8).unwrap();
-        let g = TaskGraph::build(2, 2, EliminationOrder::FlatTs);
-        let mut st = FactorState::with_inner_block(tiled, 4);
-        assert_eq!(st.inner_block(), 4);
-        st.run_all(&g).unwrap();
-        // Full-tile accessor must refuse blocked factors...
-        assert!(st.geqrt_factor(0, 0).is_none());
-        // ...while the panel accessor exposes them.
-        assert!(matches!(
-            st.geqrt_panel_factor(0, 0),
-            Some(PanelFactor::Blocked { ib: 4, .. })
-        ));
-        let q = form_q(&st, &g);
-        let r = st.r_matrix();
-        let qr = matmul(&q, &r).unwrap();
-        assert!(qr.approx_eq(&a, 1e-11), "ib-blocked QR != A");
-        assert!(orthogonality_defect(&q).unwrap() < 1e-12);
-        assert_eq!(st.cow_clones(), 0);
-        assert_eq!(st.workspace_resizes(), 0);
+    fn recursive_panel_factorization_reconstructs() {
+        // b = 20: every factor kernel splits its tile 12 + 8 and the 12
+        // again, so the stored `T`s are merged ones; exact 2 x 2 grid, TS
+        // and TT eliminations.
+        for order in [EliminationOrder::FlatTs, EliminationOrder::BinaryTt] {
+            let (a, st, g) = factor(40, 20, order);
+            let t = st.geqrt_factor(0, 0).expect("GEQRT(0,0) ran");
+            assert_eq!(t.dims(), (20, 20));
+            assert!(t[(0, 18)] != 0.0, "T's off-diagonal blocks are filled");
+            let q = form_q(&st, &g);
+            let qr = matmul(&q, &st.r_matrix()).unwrap();
+            assert!(qr.approx_eq(&a, 1e-11), "{order:?}: QR != A");
+            assert!(orthogonality_defect(&q).unwrap() < 1e-12, "{order:?}");
+            assert_eq!(st.cow_clones(), 0);
+            assert_eq!(st.workspace_resizes(), 0);
+        }
     }
 
     #[test]
@@ -1183,7 +1094,6 @@ mod tests {
             shared.commit(done);
         }
         assert_eq!(shared.cow_clones(), 0);
-        assert_eq!(shared.inner_block(), 4);
         let st = shared.into_state();
         assert_eq!(st.cow_clones(), 0);
     }

@@ -1,10 +1,13 @@
 //! Floating-point operation models for the tile kernels.
 //!
-//! Leading-order flop counts for the kernels as implemented in this crate
-//! (compact-WY with inner block size equal to the tile size `b`). These are
-//! used for GFLOP/s reporting in the benches and as arithmetic-intensity
-//! inputs to the device timing models — the simulator's calibrated curves
-//! (see `tileqr-sim`) are fitted per device on top of these shapes.
+//! Leading-order flop counts of the textbook kernels (compact-WY, one
+//! `b x b` `T` per tile). These are used for GFLOP/s reporting in the
+//! benches and as arithmetic-intensity inputs to the device timing models —
+//! the simulator's calibrated curves (see `tileqr-sim`) are fitted per
+//! device on top of these shapes. The factor kernels as implemented block
+//! recursively and spend somewhat more (DESIGN §14: 3.8 b³ for a `TSQRT`
+//! against the 3 b³ counted here); the models stay the textbook ones so
+//! GFLOP/s rows remain comparable across kernel implementations.
 
 /// Flops of `GEQRT` on a `b x b` tile: the `(4/3)b³` factorization plus
 /// roughly `(1/3)b³` for building the `T` factor.

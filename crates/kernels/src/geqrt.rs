@@ -9,19 +9,20 @@
 //! `UNMQR` applies `Qᵀ` from such a factorization to a tile on the right of
 //! the diagonal (paper Eq. 6, the "update for triangulation" step).
 
-use crate::householder::larfg;
+use crate::factor::{stage_unit_lower, Panel, Top};
 use crate::micro::{self, Cols, ColsMut, Shape};
 use crate::workspace::Workspace;
 use crate::ApplySide;
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 
-/// QR-factor one tile in place (PLASMA `CORE_geqrt` with inner block = n).
+/// QR-factor one tile in place (PLASMA `CORE_geqrt`, with one `T` for the
+/// whole tile instead of a strip of inner-block factors).
 ///
 /// `a` is `m x n` with `m >= n`. On exit the upper triangle of `a` is `R`
 /// and the strict lower part stores the Householder vectors. The `n x n`
 /// upper-triangular block-reflector factor `T` is written into `tfac`
-/// (overwritten) and the reflector-accumulation vector is borrowed from
-/// `ws` — no heap allocation.
+/// (overwritten) and all scratch is borrowed from `ws` — no heap
+/// allocation.
 pub fn geqrt_ws<T: Scalar>(
     a: &mut Matrix<T>,
     tfac: &mut Matrix<T>,
@@ -42,69 +43,15 @@ pub fn geqrt_ws<T: Scalar>(
             rhs: tfac.dims(),
         });
     }
-    tfac.as_mut_slice().fill(T::ZERO);
-    let (z, acc) = ws.factor_scratch(n);
-
-    for k in 0..n {
-        // Generate reflector H_k annihilating a[k+1.., k].
-        let tau = {
-            let ck = a.col_mut(k);
-            let alpha = ck[k];
-            let (head, tail) = ck.split_at_mut(k + 1);
-            let h = larfg(alpha, tail);
-            head[k] = h.beta;
-            h.tau
-        };
-
-        // Apply H_k to the trailing columns k+1..n: one fused
-        // register-blocked sweep over the [head; tail] column slices
-        // starting at row k (column j of the sweep is a[(k.., j)]).
-        if tau != T::ZERO && k + 1 < n {
-            let (head, tail) = a.as_mut_slice().split_at_mut((k + 1) * m + k);
-            let vk = &head[k * m + k + 1..k * m + m];
-            micro::larf_head(vk, tau, tail, m, n - k - 1);
-        }
-
-        // Incrementally extend the T factor:
-        //   T[k,k]    = tau_k
-        //   T[0..k,k] = -tau_k * T[0..k,0..k] * (V[:,0..k]^T v_k)
-        tfac[(k, k)] = tau;
-        if tau != T::ZERO && k > 0 {
-            // z_i = V[:,i]^T v_k with both unit diagonals implicit: fused
-            // column dots over the stored entries (rows k+1..m), then the
-            // row-k term V[k,i] * 1 folded in.
-            {
-                let vk = &a.col(k)[k + 1..];
-                micro::dotf(vk, &a.as_slice()[k + 1..], m, k, &mut z[..k]);
-            }
-            for (i, zi) in z.iter_mut().enumerate().take(k) {
-                *zi += a[(k, i)];
-            }
-            extend_tfac_col(tfac, k, tau, z, acc);
-        }
+    Panel {
+        top: Top::Own,
+        v: a.as_mut_slice(),
+        t: tfac.as_mut_slice(),
+        m,
+        n,
     }
+    .run(ws);
     Ok(())
-}
-
-/// Write column `k` of a factor kernel's `T`:
-/// `T[0..k, k] = -tau * T[0..k, 0..k] * z[0..k]` with `T` upper
-/// triangular, computed as fused prefix-column axpys over `T`'s stored
-/// columns (`acc` is caller scratch of length >= `k`). Shared by
-/// GEQRT/TSQRT/TTQRT and the inner-blocked panels.
-pub(crate) fn extend_tfac_col<T: Scalar>(
-    tfac: &mut Matrix<T>,
-    k: usize,
-    tau: T,
-    z: &[T],
-    acc: &mut [T],
-) {
-    let ld = tfac.rows();
-    let acc = &mut acc[..k];
-    acc.fill(T::ZERO);
-    micro::axpyf_tri_add(&z[..k], tfac.as_slice(), ld, k, 1, acc);
-    for (i, &ai) in acc.iter().enumerate() {
-        tfac[(i, k)] = -tau * ai;
-    }
 }
 
 /// Apply the block reflector from [`geqrt_ws`] to `c`.
@@ -136,38 +83,16 @@ pub fn geqrt_apply_ws<T: Scalar>(
             rhs: c.dims(),
         });
     }
-    let dims = (m, c.cols());
-    let (v, c) = ((vr.as_slice(), m), (c.as_mut_slice(), m));
-    apply_panel(v, tfac, c, dims, side, ws);
+    // The tile is staged once into the workspace with its unit diagonal
+    // and zeros written out — an `m·n` copy against `~4·m·n·nc` flops — so
+    // the register tiles sweep it as a dense operand and skip the zero
+    // triangle by row block.
+    let nc = c.cols();
+    let (w, tw, vs) = ws.apply_scratch(n, nc, m * n);
+    stage_unit_lower(vr.as_slice(), m, 0..n, &(0..m), vs);
+    let c = (c.as_mut_slice(), m);
+    apply_reflector((vs, m), Shape::Lower, tfac, None, c, (m, nc), side, (w, tw));
     Ok(())
-}
-
-/// Apply the block reflector of one GEQRT panel to `rows x nc` of `c`: `v`
-/// starts at the panel's diagonal entry (`rows x tfac.rows()`, unit lower
-/// trapezoidal, `R` above the diagonal). The panel is staged once into the
-/// workspace with its unit diagonal and zeros written out — a `rows·pw`
-/// copy against `~4·rows·pw·nc` flops — so the register tiles sweep it as
-/// a dense operand and skip the zero triangle by row block.
-pub(crate) fn apply_panel<T: Scalar>(
-    (v, ldv): Cols<T>,
-    tfac: &Matrix<T>,
-    c: ColsMut<T>,
-    (rows, nc): (usize, usize),
-    side: ApplySide,
-    ws: &mut Workspace<T>,
-) {
-    let pw = tfac.rows();
-    let (w, tw, vs) = ws.apply_scratch(pw, nc, rows * pw);
-    for (j, col) in vs.chunks_exact_mut(rows).enumerate() {
-        let d = j.min(rows);
-        col[..d].fill(T::ZERO);
-        if let Some((one, below)) = col[d..].split_first_mut() {
-            *one = T::ONE;
-            below.copy_from_slice(&v[j * ldv + j + 1..j * ldv + rows]);
-        }
-    }
-    let dims = (rows, nc);
-    apply_reflector((vs, rows), Shape::Lower, tfac, None, c, dims, side, (w, tw));
 }
 
 /// The three products of every update kernel, `Q = I − V T Vᵀ` applied to

@@ -37,9 +37,9 @@
 #![warn(missing_docs)]
 
 pub mod exec;
+mod factor;
 pub mod flops;
 mod geqrt;
-mod geqrt_ib;
 mod householder;
 pub mod micro;
 pub mod reference;
@@ -49,7 +49,6 @@ pub mod validate;
 mod workspace;
 
 pub use geqrt::{geqrt_apply_ws, geqrt_ws, unmqr_ws};
-pub use geqrt_ib::{geqrt_ib_apply_ws, geqrt_ib_ws};
 pub use householder::{larfg, HouseholderReflector};
 pub use tsqrt::{tsmqr_apply_ws, tsqrt_ws};
 pub use ttqrt::{ttmqr_apply_ws, ttqrt_ws};

@@ -30,15 +30,6 @@ impl<T: Scalar> Core<T> for ScalarCore {
     }
 
     #[inline(always)]
-    fn axpy4(a: [T; 4], c0: &[T], c1: &[T], c2: &[T], c3: &[T], y: &mut [T]) {
-        let n = y.len();
-        let (c0, c1, c2, c3) = (&c0[..n], &c1[..n], &c2[..n], &c3[..n]);
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi += (a[0] * c0[i] + a[1] * c1[i]) + (a[2] * c2[i] + a[3] * c3[i]);
-        }
-    }
-
-    #[inline(always)]
     fn rank1_4(x: &[T], w: [T; 4], c0: &mut [T], c1: &mut [T], c2: &mut [T], c3: &mut [T]) {
         let n = c0.len();
         let x = &x[..n];

@@ -3,10 +3,11 @@
 //! The `_ws` kernels split into two kinds of work, and this module has one
 //! family of primitives for each:
 //!
-//! * **Level 3 — the update kernels.** Applying a block reflector
-//!   (`UNMQR`, `TSMQR`, `TTMQR`, the inner-blocked panels, both
-//!   [`ApplySide`](crate::ApplySide)s) is three matrix products, `W = VᵀC`,
-//!   `op(T)·W` and `C −= V·W`. [`gemm_tn`] computes an `MR x NR` tile of
+//! * **Level 3 — block reflectors.** Applying one (`UNMQR`, `TSMQR`,
+//!   `TTMQR`, both [`ApplySide`](crate::ApplySide)s, and the applies inside
+//!   the factor kernels' recursion) is three matrix products, `W = VᵀC`,
+//!   `op(T)·W` and `C −= V·W`; merging two `T` factors is three more.
+//!   [`gemm_tn`] computes an `MR x NR` tile of
 //!   dot products at a time with both operands read down their contiguous
 //!   columns; [`gemm_nn_sub`] an outer-product tile with its second operand
 //!   broadcast. Each loaded vector feeds three to six multiply-adds and
@@ -14,10 +15,10 @@
 //!   packed: tiles are column-major, which is the layout both tiles want.
 //!   A triangular operand is described by a [`Shape`], and the skeleton
 //!   skips its zero triangle a row block at a time.
-//! * **Level 1.5 — the factor kernels.** One reflector at a time leaves
-//!   fused multi-column dots ([`dotf`], [`dotf_tri`]), a rank-1 fan-out
-//!   ([`rank1f_sub`], [`larf_head`]) and the `T`-column build
-//!   ([`axpyf_tri_add`]): [`NR`] columns share each load of the common
+//! * **Level 1.5 — the factor kernels' base case.** One reflector at a
+//!   time over a panel a few columns wide leaves fused multi-column dots
+//!   ([`dotf`]) and a rank-1 fan-out ([`rank1f_sub`]): [`NR`] columns share
+//!   each load of the common
 //!   vector, dots carry [`LANES`] accumulators, and long vectors are walked
 //!   in [`KC`]-element strips so the shared strip stays L1-resident across
 //!   all columns (tile-shaped operands fit one strip).
@@ -64,7 +65,7 @@ mod block;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 
-/// Columns fused per pass (the BLIS-style `axpyf`/`dotf` fuse factor).
+/// Columns fused per pass (the BLIS-style `dotf` fuse factor).
 pub const NR: usize = 4;
 /// Independent accumulator lanes per dot product (breaks the FP add
 /// latency chain; matches one AVX2 `f64x4` register on the simd backend).
@@ -114,8 +115,6 @@ pub fn force_backend(backend: Option<Backend>) {
 pub(crate) trait Core<T: Scalar> {
     /// `y += a · c`.
     fn axpy1(a: T, c: &[T], y: &mut [T]);
-    /// `y += a0·c0 + a1·c1 + a2·c2 + a3·c3`, one pass over `y`.
-    fn axpy4(a: [T; 4], c0: &[T], c1: &[T], c2: &[T], c3: &[T], y: &mut [T]);
     /// Rank-1 fan-out: `ci -= wi · x` for four columns per load of `x`.
     fn rank1_4(x: &[T], w: [T; 4], c0: &mut [T], c1: &mut [T], c2: &mut [T], c3: &mut [T]);
     /// Dot-product register tile: `r[b][a] = dot(x[a], y[b])` over
@@ -177,86 +176,6 @@ fn dotf_impl<T: Scalar, C: Core<T>>(x: &[T], ys: &[T], ld: usize, n: usize, out:
     }
 }
 
-/// Prefix-column (upper-trapezoid) fused dots: column `j` has length
-/// `len0 + j`; `out[j] = dot(x[..len0+j], col_j)`. Blocks of [`NR`]
-/// columns share the dense common prefix; the ragged tail of each column
-/// is folded in scalar-wise. Operands are tile-bounded (TT shapes), so
-/// no strip loop is needed.
-#[inline(always)]
-fn dotf_tri_impl<T: Scalar, C: Core<T>>(
-    x: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    out: &mut [T],
-) {
-    debug_assert!(out.len() >= n);
-    debug_assert!(n == 0 || x.len() >= len0 + n - 1);
-    let mut j = 0;
-    while j + NR <= n {
-        let d = len0 + j;
-        let b = j * ld;
-        let c0 = &ys[b..b + d];
-        let c1 = &ys[b + ld..b + ld + d + 1];
-        let c2 = &ys[b + 2 * ld..b + 2 * ld + d + 2];
-        let c3 = &ys[b + 3 * ld..b + 3 * ld + d + 3];
-        let [mut v] = C::tn_tile([c0, &c1[..d], &c2[..d], &c3[..d]], [&x[..d]]);
-        v[1] += x[d] * c1[d];
-        v[2] += x[d] * c2[d];
-        v[2] += x[d + 1] * c2[d + 1];
-        v[3] += x[d] * c3[d];
-        v[3] += x[d + 1] * c3[d + 1];
-        v[3] += x[d + 2] * c3[d + 2];
-        out[j..j + NR].copy_from_slice(&v);
-        j += NR;
-    }
-    while j < n {
-        let d = len0 + j;
-        [[out[j]]] = C::tn_tile([&ys[j * ld..j * ld + d]], [&x[..d]]);
-        j += 1;
-    }
-}
-
-/// Prefix-column fused axpy: column `j` has length `len0 + j` and is added
-/// to `y[..len0+j]`. Dense common prefix per column block, ragged tails as
-/// short single-column axpys.
-#[inline(always)]
-fn axpyf_tri_impl<T: Scalar, C: Core<T>>(
-    alphas: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    y: &mut [T],
-) {
-    debug_assert!(alphas.len() >= n);
-    debug_assert!(n == 0 || y.len() >= len0 + n - 1);
-    let mut j = 0;
-    while j + NR <= n {
-        let d = len0 + j;
-        let b = j * ld;
-        C::axpy4(
-            [alphas[j], alphas[j + 1], alphas[j + 2], alphas[j + 3]],
-            &ys[b..b + d],
-            &ys[b + ld..b + ld + d],
-            &ys[b + 2 * ld..b + 2 * ld + d],
-            &ys[b + 3 * ld..b + 3 * ld + d],
-            &mut y[..d],
-        );
-        for t in 1..NR {
-            let c = &ys[b + t * ld..b + t * ld + d + t];
-            C::axpy1(alphas[j + t], &c[d..], &mut y[d..d + t]);
-        }
-        j += NR;
-    }
-    while j < n {
-        let d = len0 + j;
-        C::axpy1(alphas[j], &ys[j * ld..j * ld + d], &mut y[..d]);
-        j += 1;
-    }
-}
-
 /// Rank-1 fan-out: `col_j[..len] -= w[j] · x[..len]` for `n` columns,
 /// sharing each load of `x` across [`NR`] columns.
 #[inline(always)]
@@ -293,55 +212,6 @@ fn rank1f_impl<T: Scalar, C: Core<T>>(
     }
     while j < n {
         C::axpy1(-w[j], x, &mut ys[j * ld..j * ld + len]);
-        j += 1;
-    }
-}
-
-/// Fused single-reflector trailing update (the GEQRT inner loop): each
-/// column is `[head; tail]` of length `1 + vk.len()` starting at
-/// `cols[j * ld]`. Per column: `w = (head + dot(vk, tail)) · tau`,
-/// `head -= w`, `tail -= w · vk` — with dots and the rank-1 fan-out
-/// fused over [`NR`] columns.
-#[inline(always)]
-fn larf_head_impl<T: Scalar, C: Core<T>>(vk: &[T], tau: T, cols: &mut [T], ld: usize, n: usize) {
-    let mt = vk.len();
-    let cl = mt + 1;
-    debug_assert!(n == 0 || cols.len() >= (n - 1) * ld + cl);
-    let mut j = 0;
-    while j + NR <= n {
-        let buf = &mut cols[j * ld..];
-        let (c0, rest) = buf.split_at_mut(ld);
-        let (c1, rest) = rest.split_at_mut(ld);
-        let (c2, rest) = rest.split_at_mut(ld);
-        let c0 = &mut c0[..cl];
-        let c1 = &mut c1[..cl];
-        let c2 = &mut c2[..cl];
-        let c3 = &mut rest[..cl];
-        let [mut w] = C::tn_tile([&c0[1..], &c1[1..], &c2[1..], &c3[1..]], [vk]);
-        w[0] = (c0[0] + w[0]) * tau;
-        w[1] = (c1[0] + w[1]) * tau;
-        w[2] = (c2[0] + w[2]) * tau;
-        w[3] = (c3[0] + w[3]) * tau;
-        c0[0] -= w[0];
-        c1[0] -= w[1];
-        c2[0] -= w[2];
-        c3[0] -= w[3];
-        C::rank1_4(
-            vk,
-            w,
-            &mut c0[1..],
-            &mut c1[1..],
-            &mut c2[1..],
-            &mut c3[1..],
-        );
-        j += NR;
-    }
-    while j < n {
-        let c = &mut cols[j * ld..j * ld + cl];
-        let [[mut w]] = C::tn_tile([&c[1..]], [vk]);
-        w = (c[0] + w) * tau;
-        c[0] -= w;
-        C::axpy1(-w, vk, &mut c[1..]);
         j += 1;
     }
 }
@@ -585,9 +455,9 @@ fn nn_block<T: Scalar, C: Core<T>, const MV: usize, const NR: usize>(
 /// Below this many touched elements the *scalar* core loses to a plain
 /// sequential per-column loop: at ~100 flops the register-blocking
 /// machinery (group/tail selection, lane reductions, out-of-line calls)
-/// costs more than the latency chains it breaks — the GEQRT trailing update
-/// and `T`-factor extension at `b = 8` are the canonical victims (the b = 8
-/// trailing `larf_head` touches ~98 elements). It governs the hosts and
+/// costs more than the latency chains it breaks — the factor kernels'
+/// in-panel trailing update at `b = 8` is the canonical victim (~50
+/// elements per call). It governs the hosts and
 /// element types the scalar core serves; where the vector core is detected
 /// [`VECTOR_MIN_WORK`] decides first. The tier is selected purely by
 /// argument shape, so results stay a deterministic function of shape (see
@@ -658,41 +528,6 @@ pub fn dotf<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
     );
 }
 
-/// Prefix-column dots: `out[j] = dot(x[..len0+j], ys[j*ld .. j*ld+len0+j])`.
-#[inline]
-pub fn dotf_tri<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, len0: usize, out: &mut [T]) {
-    dispatch!(
-        n * len0 + n * n / 2,
-        for (j, o) in out[..n].iter_mut().enumerate() {
-            let d = len0 + j;
-            *o = seq_dot(&x[..d], &ys[j * ld..j * ld + d]);
-        },
-        simd::dotf_tri(x, ys, ld, n, len0, out),
-        dotf_tri_impl::<T, block::ScalarCore>(x, ys, ld, n, len0, out)
-    );
-}
-
-/// `y[..len0+j] += alphas[j] · col_j` for prefix columns of length `len0+j`.
-#[inline]
-pub fn axpyf_tri_add<T: Scalar>(
-    alphas: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    y: &mut [T],
-) {
-    dispatch!(
-        n * len0 + n * n / 2,
-        for (j, &aj) in alphas[..n].iter().enumerate() {
-            let d = len0 + j;
-            seq_axpy::<T, false>(aj, &ys[j * ld..j * ld + d], &mut y[..d]);
-        },
-        simd::axpyf_tri_add(alphas, ys, ld, n, len0, y),
-        axpyf_tri_impl::<T, block::ScalarCore>(alphas, ys, ld, n, len0, y)
-    );
-}
-
 /// `col_j[..len] -= w[j] · x[..len]` for `n` columns at stride `ld`.
 #[inline]
 pub fn rank1f_sub<T: Scalar>(x: &[T], w: &[T], ys: &mut [T], ld: usize, len: usize, n: usize) {
@@ -703,24 +538,6 @@ pub fn rank1f_sub<T: Scalar>(x: &[T], w: &[T], ys: &mut [T], ld: usize, len: usi
         },
         simd::rank1f_sub(x, w, ys, ld, len, n),
         rank1f_impl::<T, block::ScalarCore>(x, w, ys, ld, len, n)
-    );
-}
-
-/// Fused Householder trailing update over `n` columns (see
-/// [`larf_head_impl`] for the per-column contract).
-#[inline]
-pub fn larf_head<T: Scalar>(vk: &[T], tau: T, cols: &mut [T], ld: usize, n: usize) {
-    dispatch!(
-        vk.len() * n * 2,
-        for j in 0..n {
-            let c = &mut cols[j * ld..j * ld + vk.len() + 1];
-            let mut w = c[0] + seq_dot(vk, &c[1..]);
-            w *= tau;
-            c[0] -= w;
-            seq_axpy::<T, true>(w, vk, &mut c[1..]);
-        },
-        simd::larf_head(vk, tau, cols, ld, n),
-        larf_head_impl::<T, block::ScalarCore>(vk, tau, cols, ld, n)
     );
 }
 

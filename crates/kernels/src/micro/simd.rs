@@ -26,8 +26,8 @@
 //! from the `block` backend by FMA rounding and, for lengths that are not
 //! a multiple of four, by which lane the tail lands in.
 
-use super::{axpyf_tri_impl, dotf_impl, dotf_tri_impl, larf_head_impl, rank1f_impl};
-use super::{gemm_nn_sub_impl, gemm_tn_impl, Cols, ColsMut, Core, Shape};
+use super::{dotf_impl, gemm_nn_sub_impl, gemm_tn_impl, rank1f_impl};
+use super::{Cols, ColsMut, Core, Shape};
 use core::arch::x86_64::*;
 use std::any::TypeId;
 use std::sync::atomic::Ordering;
@@ -105,56 +105,6 @@ unsafe fn dotf_avx(x: &[f64], ys: &[f64], ld: usize, n: usize, out: &mut [f64]) 
     dotf_impl::<f64, AvxCore>(x, ys, ld, n, out)
 }
 
-pub(crate) fn dotf_tri<T: Scalar>(
-    x: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    out: &mut [T],
-) {
-    assert!(supported::<T>(), "simd backend entered without gating");
-    gated!(dotf_tri_avx(cast(x), cast(ys), ld, n, len0, cast_mut(out)))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn dotf_tri_avx(x: &[f64], ys: &[f64], ld: usize, n: usize, len0: usize, out: &mut [f64]) {
-    dotf_tri_impl::<f64, AvxCore>(x, ys, ld, n, len0, out)
-}
-
-pub(crate) fn axpyf_tri_add<T: Scalar>(
-    alphas: &[T],
-    ys: &[T],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    y: &mut [T],
-) {
-    assert!(supported::<T>(), "simd backend entered without gating");
-    gated!(axpyf_tri_add_avx(
-        cast(alphas),
-        cast(ys),
-        ld,
-        n,
-        len0,
-        cast_mut(y)
-    ))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn axpyf_tri_add_avx(
-    alphas: &[f64],
-    ys: &[f64],
-    ld: usize,
-    n: usize,
-    len0: usize,
-    y: &mut [f64],
-) {
-    axpyf_tri_impl::<f64, AvxCore>(alphas, ys, ld, n, len0, y)
-}
-
 pub(crate) fn rank1f_sub<T: Scalar>(
     x: &[T],
     w: &[T],
@@ -171,17 +121,6 @@ pub(crate) fn rank1f_sub<T: Scalar>(
 #[allow(unsafe_code)]
 unsafe fn rank1f_sub_avx(x: &[f64], w: &[f64], ys: &mut [f64], ld: usize, len: usize, n: usize) {
     rank1f_impl::<f64, AvxCore>(x, w, ys, ld, len, n)
-}
-
-pub(crate) fn larf_head<T: Scalar>(vk: &[T], tau: T, cols: &mut [T], ld: usize, n: usize) {
-    assert!(supported::<T>(), "simd backend entered without gating");
-    gated!(larf_head_avx(cast(vk), tau.to_f64(), cast_mut(cols), ld, n))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn larf_head_avx(vk: &[f64], tau: f64, cols: &mut [f64], ld: usize, n: usize) {
-    larf_head_impl::<f64, AvxCore>(vk, tau, cols, ld, n)
 }
 
 pub(crate) fn gemm_tn<T: Scalar>(
@@ -293,39 +232,6 @@ impl Core<f64> for AvxCore {
             }
             while i < n {
                 y[i] = a.mul_add(c[i], y[i]);
-                i += 1;
-            }
-        }
-    }
-
-    #[inline(always)]
-    #[allow(unsafe_code)]
-    fn axpy4(a: [f64; 4], c0: &[f64], c1: &[f64], c2: &[f64], c3: &[f64], y: &mut [f64]) {
-        let n = y.len();
-        let (c0, c1, c2, c3) = (&c0[..n], &c1[..n], &c2[..n], &c3[..n]);
-        // SAFETY: in-bounds 4-wide loads/stores under `i + 4 <= n`.
-        unsafe {
-            let a0 = _mm256_set1_pd(a[0]);
-            let a1 = _mm256_set1_pd(a[1]);
-            let a2 = _mm256_set1_pd(a[2]);
-            let a3 = _mm256_set1_pd(a[3]);
-            let mut i = 0;
-            while i + 4 <= n {
-                let mut yv = _mm256_loadu_pd(y.as_ptr().add(i));
-                yv = _mm256_fmadd_pd(a0, _mm256_loadu_pd(c0.as_ptr().add(i)), yv);
-                yv = _mm256_fmadd_pd(a1, _mm256_loadu_pd(c1.as_ptr().add(i)), yv);
-                yv = _mm256_fmadd_pd(a2, _mm256_loadu_pd(c2.as_ptr().add(i)), yv);
-                yv = _mm256_fmadd_pd(a3, _mm256_loadu_pd(c3.as_ptr().add(i)), yv);
-                _mm256_storeu_pd(y.as_mut_ptr().add(i), yv);
-                i += 4;
-            }
-            while i < n {
-                let mut t = y[i];
-                t = a[0].mul_add(c0[i], t);
-                t = a[1].mul_add(c1[i], t);
-                t = a[2].mul_add(c2[i], t);
-                t = a[3].mul_add(c3[i], t);
-                y[i] = t;
                 i += 1;
             }
         }

@@ -17,9 +17,9 @@
 //! `TSMQR` (paper Eq. 9) applies the resulting `Qᵀ` (or `Q`) to a stacked
 //! pair of tiles `[A1; A2]` on the right — the "update for elimination".
 
-use crate::geqrt::{apply_reflector, extend_tfac_col};
-use crate::householder::larfg;
-use crate::micro::{self, Shape};
+use crate::factor::{Panel, Top};
+use crate::geqrt::apply_reflector;
+use crate::micro::Shape;
 use crate::workspace::Workspace;
 use crate::ApplySide;
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
@@ -30,9 +30,8 @@ use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 /// `r1` is `n x n` (upper triangular on entry and exit); `a2` is `m2 x n`
 /// and on exit stores the Householder block `V2`. The `n x n`
 /// upper-triangular `T` factor of the block reflector `Q = I − V T Vᵀ`
-/// with `V = [I; V2]` is written into `tfac` (overwritten) and the
-/// reflector accumulation vector is borrowed from `ws` — no heap
-/// allocation.
+/// with `V = [I; V2]` is written into `tfac` (overwritten) and all scratch
+/// is borrowed from `ws` — no heap allocation.
 pub fn tsqrt_ws<T: Scalar>(
     r1: &mut Matrix<T>,
     a2: &mut Matrix<T>,
@@ -57,48 +56,14 @@ pub fn tsqrt_ws<T: Scalar>(
             rhs: tfac.dims(),
         });
     }
-    tfac.as_mut_slice().fill(T::ZERO);
-    let m2 = a2.rows();
-    let (z, wv) = ws.factor_scratch(n);
-
-    for k in 0..n {
-        // Reflector annihilating a2[:, k] against the diagonal entry r1[k,k].
-        let alpha = r1[(k, k)];
-        let tau = {
-            let ck = a2.col_mut(k);
-            let h = larfg(alpha, ck);
-            r1[(k, k)] = h.beta;
-            h.tau
-        };
-
-        // Apply H_k to trailing columns of the stacked pair: fused column
-        // dots for all the w_j at once, the (strided) r1 row-k heads folded
-        // in scalar-wise, then one rank-1 fan-out over V2's columns.
-        if tau != T::ZERO && k + 1 < n {
-            let nt = n - k - 1;
-            let tail = &mut a2.as_mut_slice()[k * m2..];
-            let (vk, rest) = tail.split_at_mut(m2);
-            let wv = &mut wv[..nt];
-            micro::dotf(vk, rest, m2, nt, wv);
-            for (t, wj) in wv.iter_mut().enumerate() {
-                let j = k + 1 + t;
-                *wj = (r1[(k, j)] + *wj) * tau;
-                r1[(k, j)] -= *wj;
-            }
-            micro::rank1f_sub(vk, wv, rest, m2, m2, nt);
-        }
-
-        // Extend T: the top identity block contributes nothing to V_i^T v_k
-        // for i != k, so z reduces to V2 inner products.
-        tfac[(k, k)] = tau;
-        if tau != T::ZERO && k > 0 {
-            {
-                let vk = a2.col(k);
-                micro::dotf(vk, a2.as_slice(), m2, k, &mut z[..k]);
-            }
-            extend_tfac_col(tfac, k, tau, z, wv);
-        }
+    Panel {
+        top: Top::Square(r1.as_mut_slice()),
+        m: a2.rows(),
+        v: a2.as_mut_slice(),
+        t: tfac.as_mut_slice(),
+        n,
     }
+    .run(ws);
     Ok(())
 }
 

@@ -10,9 +10,9 @@
 //! arithmetic, and unlike TSQRT its updates to different row pairs commute,
 //! which is what enables reduction trees.
 
-use crate::geqrt::{apply_reflector, extend_tfac_col};
-use crate::householder::larfg;
-use crate::micro::{self, Shape};
+use crate::factor::{stage_upper, Panel, Top};
+use crate::geqrt::apply_reflector;
+use crate::micro::Shape;
 use crate::workspace::Workspace;
 use crate::ApplySide;
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
@@ -23,8 +23,8 @@ use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 /// Both tiles are `n x n`. On exit `r1` holds the merged triangular factor
 /// and the upper triangle of `r2` stores the (triangular) Householder block
 /// `V2`. The `n x n` `T` factor with `Q = I − V T Vᵀ`, `V = [I; V2]`, is
-/// written into `tfac` (overwritten) and the reflector accumulation vector
-/// is borrowed from `ws` — no heap allocation.
+/// written into `tfac` (overwritten) and all scratch is borrowed from `ws`
+/// — no heap allocation.
 pub fn ttqrt_ws<T: Scalar>(
     r1: &mut Matrix<T>,
     r2: &mut Matrix<T>,
@@ -49,48 +49,14 @@ pub fn ttqrt_ws<T: Scalar>(
             rhs: tfac.dims(),
         });
     }
-    tfac.as_mut_slice().fill(T::ZERO);
-    let (z, wv) = ws.factor_scratch(n);
-
-    for k in 0..n {
-        // Column k of R2 is nonzero only in rows 0..=k.
-        let alpha = r1[(k, k)];
-        let tau = {
-            let ck = &mut r2.col_mut(k)[..=k];
-            let h = larfg(alpha, ck);
-            r1[(k, k)] = h.beta;
-            h.tau
-        };
-
-        // Fused trailing update: all column dots against v_k in one
-        // register-blocked sweep over R2's prefix rows, then one fused
-        // rank-1 update — the dots/axpys only ever touch rows 0..=k.
-        if tau != T::ZERO && k + 1 < n {
-            let nt = n - k - 1;
-            let tail = &mut r2.as_mut_slice()[k * n..];
-            let (vkc, rest) = tail.split_at_mut(n);
-            let vk = &vkc[..=k];
-            let wv = &mut wv[..nt];
-            micro::dotf(vk, rest, n, nt, wv);
-            for (t, wj) in wv.iter_mut().enumerate() {
-                let j = k + 1 + t;
-                *wj = (r1[(k, j)] + *wj) * tau;
-                r1[(k, j)] -= *wj;
-            }
-            micro::rank1f_sub(vk, wv, rest, n, k + 1, nt);
-        }
-
-        tfac[(k, k)] = tau;
-        if tau != T::ZERO && k > 0 {
-            {
-                // v_i is supported on rows 0..=i, a subset of v_k's
-                // support: prefix-length column dots (triangular fused dot).
-                let vk = &r2.col(k)[..=k];
-                micro::dotf_tri(vk, r2.as_slice(), n, k, 1, &mut z[..k]);
-            }
-            extend_tfac_col(tfac, k, tau, z, wv);
-        }
+    Panel {
+        top: Top::Triangle(r1.as_mut_slice()),
+        v: r2.as_mut_slice(),
+        t: tfac.as_mut_slice(),
+        m: n,
+        n,
     }
+    .run(ws);
     Ok(())
 }
 
@@ -121,10 +87,7 @@ pub fn ttmqr_apply_ws<T: Scalar>(
     }
     let nc = a1.cols();
     let (w, tw, vs) = ws.apply_scratch(n, nc, n * n);
-    for (j, dst) in vs.chunks_exact_mut(n).enumerate() {
-        dst[..=j].copy_from_slice(&v2.col(j)[..=j]);
-        dst[j + 1..].fill(T::ZERO);
-    }
+    stage_upper(v2.as_slice(), n, 0..n, vs);
     let (v, top, c) = ((&*vs, n), a1.as_mut_slice(), (a2.as_mut_slice(), n));
     apply_reflector(v, Shape::Upper, tfac, Some(top), c, (n, nc), side, (w, tw));
     Ok(())

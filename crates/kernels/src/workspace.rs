@@ -1,22 +1,22 @@
 //! Reusable per-thread scratch arena for the tile kernels.
 //!
 //! Every kernel in this crate needs the same small set of scratch blocks:
-//! two reflector-accumulation vectors for the factor kernels, and for the
-//! update kernels the `W = VᵀC` work block, a second block for `op(T)·W`
-//! and a staging block for a triangular `V`. A [`Workspace`] is sized once
-//! from the tile geometry `(b, ib)` and passed to the kernels — their only
-//! entry points take one — which borrow slices out of it instead of
-//! allocating.
+//! a weight vector for the factor kernels' reflector loop, and for the
+//! block-reflector products — the update kernels, and the applies and `T`
+//! merges inside the factor kernels — the `W = VᵀC` work block, a second
+//! block for `op(T)·W` and a staging block for a triangular `V`. A
+//! [`Workspace`] is sized once from the tile size `b` and passed to the
+//! kernels — their only entry points take one — which borrow slices out of
+//! it instead of allocating.
 //!
-//! Sizing (scalars, for tile size `b`, inner block `ib ≤ b`):
+//! Sizing (scalars, for tile size `b`):
 //!
 //! | buffer | capacity | used by |
 //! |--------|----------|---------|
-//! | `z`    | `b`      | `geqrt_ws`/`tsqrt_ws`/`ttqrt_ws` reflector dot accumulation |
-//! | `tmp`  | `b`      | the factor kernels' `T`-column accumulator and trailing-update weights |
-//! | `w`    | `b·b`    | the `W` block of every update kernel (`n × nc ≤ b × b` on the tile path) |
+//! | `tmp`  | `b`      | the factor kernels' in-panel trailing-update weights |
+//! | `w`    | `b·b`    | the `W` block of every update kernel (`n × nc ≤ b × b` on the tile path); inside a factor kernel at most `(b/2)²` |
 //! | `tw`   | `b·b`    | `op(T)·W`, out of place: both sides of `T` are one `micro::gemm_*` call into a second block (an in-place bottom-up product would serve `Tᵀ` only) |
-//! | `v`    | `b·b`    | `UNMQR`/`TTMQR`: `V` copied once per call with its unit diagonal and zeros written out, so the tiles can sweep it as a dense operand |
+//! | `v`    | `b·b`    | `UNMQR`/`TTMQR` and the `GEQRT`/`TTQRT` recursion: a block of `V` copied once per product with its unit diagonal and zeros written out, so the tiles can sweep it as a dense operand |
 //!
 //! Requests beyond the presized capacity (e.g. applying `Q` to a dense
 //! right-hand side wider than one tile) grow the buffer and are counted in
@@ -29,7 +29,6 @@ use tileqr_matrix::Scalar;
 /// Grow-once scratch arena backing the `*_ws` kernels.
 #[derive(Debug, Clone)]
 pub struct Workspace<T: Scalar> {
-    z: Vec<T>,
     tmp: Vec<T>,
     w: Vec<T>,
     tw: Vec<T>,
@@ -45,15 +44,14 @@ fn ensure<T: Scalar>(buf: &mut Vec<T>, len: usize, resizes: &mut u64) {
 }
 
 impl<T: Scalar> Workspace<T> {
-    /// Workspace presized for tiles of size `b` with inner block `ib`.
+    /// Workspace presized for tiles of size `b`.
     ///
-    /// `ib` never exceeds `b`, so every kernel's scratch is covered by the
-    /// `b`/`b·b` capacities below; the parameter is part of the signature
-    /// because it is the sizing contract the runtime plumbs through.
-    pub fn new(b: usize, ib: usize) -> Self {
-        debug_assert!(ib >= 1 && ib <= b.max(1), "inner block {ib} vs tile {b}");
+    /// The second argument is ignored: it was the inner block size when
+    /// that was an option, and stays in the signature only because the
+    /// benchmark package (`perf/`, not editable alongside the library)
+    /// calls `Workspace::new(b, b)`.
+    pub fn new(b: usize, _ib: usize) -> Self {
         Workspace {
-            z: vec![T::ZERO; b],
             tmp: vec![T::ZERO; b],
             w: vec![T::ZERO; b * b],
             tw: vec![T::ZERO; b * b],
@@ -67,7 +65,6 @@ impl<T: Scalar> Workspace<T> {
     /// jobs of any `b`; its arena settles at the largest it has seen).
     pub fn minimal() -> Self {
         Workspace {
-            z: Vec::new(),
             tmp: Vec::new(),
             w: Vec::new(),
             tw: Vec::new(),
@@ -76,14 +73,11 @@ impl<T: Scalar> Workspace<T> {
         }
     }
 
-    /// Scratch for a factor kernel: the reflector-accumulation vector `z`
-    /// plus a second length-`n` buffer (the `T`-column accumulator of the
-    /// microkernel path, also reused for fused trailing-update weights).
-    /// Contents are unspecified; the kernels write before reading.
-    pub fn factor_scratch(&mut self, n: usize) -> (&mut [T], &mut [T]) {
-        ensure(&mut self.z, n, &mut self.resizes);
+    /// Scratch for a factor kernel's reflector loop: `n` trailing-update
+    /// weights. Contents are unspecified; the kernels write before reading.
+    pub fn factor_scratch(&mut self, n: usize) -> &mut [T] {
         ensure(&mut self.tmp, n, &mut self.resizes);
-        (&mut self.z[..n], &mut self.tmp[..n])
+        &mut self.tmp[..n]
     }
 
     /// Scratch for an update kernel: the `wr × wc` work block `W`, a second
@@ -107,7 +101,7 @@ impl<T: Scalar> Workspace<T> {
 
     /// Total capacity currently held, in bytes.
     pub fn bytes(&self) -> usize {
-        let scalars = [&self.z, &self.tmp, &self.w, &self.tw, &self.v];
+        let scalars = [&self.tmp, &self.w, &self.tw, &self.v];
         scalars.iter().map(|b| b.capacity()).sum::<usize>() * std::mem::size_of::<T>()
     }
 
@@ -149,7 +143,7 @@ mod tests {
     fn minimal_starts_empty_and_grows() {
         let mut ws = Workspace::<f64>::minimal();
         let _ = ws.factor_scratch(6);
-        assert_eq!(ws.resizes(), 2);
+        assert_eq!(ws.resizes(), 1);
         assert!(ws.bytes() >= 6 * std::mem::size_of::<f64>());
     }
 

@@ -4,12 +4,19 @@
 //! breadth of the previous proptest suite without the external dependency).
 //! Each property reuses one never-cleared workspace and `T` tile across
 //! its cases, as the runtime's workers do.
+//!
+//! The last test is the sweep for the blocked factor path: the properties
+//! above run at tile widths where the recursion never engages (`n <= 8`),
+//! so it repeats them — and the checks only the level-3 merge can break —
+//! at widths that split once, several times and raggedly.
 
+use tileqr_kernels::micro::{force_backend, Backend};
 use tileqr_kernels::{
     geqrt_apply_ws, geqrt_ws, larfg, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, ApplySide,
     Workspace,
 };
-use tileqr_matrix::ops::{frobenius_norm, matmul, nrm2};
+use tileqr_matrix::gen::random_matrix;
+use tileqr_matrix::ops::{frobenius_norm, matmul, nrm2, orthogonality_defect};
 use tileqr_matrix::{Matrix, Rng64};
 
 const CASES: u64 = 48;
@@ -200,5 +207,317 @@ fn full_tile_qr_reconstructs() {
             frobenius_norm(&qr.sub(&a).unwrap()) <= 1e-10 * scale,
             "case {case}: residual too large"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The blocked factor path: GEQRT / TSQRT / TTQRT at widths that recurse.
+// ---------------------------------------------------------------------------
+
+/// Which columns of the factored block are forced to `tau == 0`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Zeros {
+    /// Dense random input.
+    None,
+    /// Nothing to annihilate anywhere: every `tau` is zero.
+    All,
+    /// The middle third of the columns has nothing to annihilate (and, for
+    /// the stacked kernels, nothing above for earlier reflectors to fill it
+    /// with), so `tau == 0` starts and stops in mid-panel.
+    Middle,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    /// `m x n` tile.
+    Geqrt { m: usize },
+    /// `n x n` triangle over an `m2 x n` tile.
+    Tsqrt { m2: usize },
+    /// Two `n x n` triangles; the lower one keeps junk below its diagonal,
+    /// as a `GEQRT`-factored tile does.
+    Ttqrt,
+}
+
+/// A factor kernel's result in dense form: the stacked input, `U` (unit
+/// entries written out), `T`, and the stacked output `[R; 0]`.
+struct Factored {
+    input: Matrix<f64>,
+    u: Matrix<f64>,
+    t: Matrix<f64>,
+    r: Matrix<f64>,
+    /// The raw output tiles, for run-to-run bit comparison.
+    raw: (Matrix<f64>, Matrix<f64>),
+}
+
+/// Fill every scratch block of `ws` with NaN: a kernel that reads scratch
+/// before writing it poisons its output.
+fn dirty(ws: &mut Workspace<f64>, m: usize, n: usize) {
+    ws.factor_scratch(n).fill(f64::NAN);
+    let (w, tw, v) = ws.apply_scratch(n, n, m * n);
+    w.fill(f64::NAN);
+    tw.fill(f64::NAN);
+    v.fill(f64::NAN);
+}
+
+fn run_kernel(
+    kernel: Kernel,
+    n: usize,
+    zeros: Zeros,
+    seed: u64,
+    ws: &mut Workspace<f64>,
+) -> Factored {
+    let mid = n / 3..n - n / 3;
+    let forced = |j: usize| zeros == Zeros::All || (zeros == Zeros::Middle && mid.contains(&j));
+    let mut t = Matrix::filled(n, n, f64::NAN);
+    match kernel {
+        Kernel::Geqrt { m } => {
+            // Block upper triangular in thirds with an upper triangular
+            // middle block: the first third's reflectors stop above it, so
+            // its columns reach their turn with nothing below the diagonal.
+            let full = random_matrix::<f64>(m, n, seed);
+            let a0 = Matrix::from_fn(m, n, |i, j| {
+                let cleared = (forced(j) && i > j)
+                    || (zeros == Zeros::Middle && j < mid.start && i >= mid.start);
+                if cleared {
+                    0.0
+                } else {
+                    full[(i, j)]
+                }
+            });
+            let mut a = a0.clone();
+            dirty(ws, m, n);
+            geqrt_ws(&mut a, &mut t, ws).unwrap();
+            let u = Matrix::from_fn(m, n, |i, j| match i.cmp(&j) {
+                std::cmp::Ordering::Less => 0.0,
+                std::cmp::Ordering::Equal => 1.0,
+                std::cmp::Ordering::Greater => a[(i, j)],
+            });
+            let r = Matrix::from_fn(m, n, |i, j| if i <= j { a[(i, j)] } else { 0.0 });
+            Factored {
+                input: a0,
+                u,
+                t,
+                r,
+                raw: (a.clone(), a),
+            }
+        }
+        Kernel::Tsqrt { .. } | Kernel::Ttqrt => {
+            let tt = matches!(kernel, Kernel::Ttqrt);
+            let m2 = if let Kernel::Tsqrt { m2 } = kernel {
+                m2
+            } else {
+                n
+            };
+            let top = random_matrix::<f64>(n, n, seed);
+            let r1_0 = Matrix::from_fn(n, n, |i, j| {
+                // Nothing above a forced column for earlier reflectors to
+                // spread into the lower tile.
+                let guard = zeros == Zeros::Middle && mid.contains(&j) && i < mid.start;
+                if i > j || guard {
+                    0.0
+                } else {
+                    top[(i, j)]
+                }
+            });
+            // What the kernel may read of the lower tile, and what it holds.
+            let live = |i: usize, j: usize| (!tt || i <= j) && !forced(j);
+            let full = random_matrix::<f64>(m2, n, seed ^ 0x55);
+            let a2_0 = Matrix::from_fn(m2, n, |i, j| if live(i, j) { full[(i, j)] } else { 0.0 });
+            let mut r1 = r1_0.clone();
+            let mut a2 = Matrix::from_fn(m2, n, |i, j| {
+                if tt && i > j {
+                    full[(i, j)] // older reflectors: not this kernel's to read
+                } else {
+                    a2_0[(i, j)]
+                }
+            });
+            let junk = a2.clone();
+            dirty(ws, m2.max(n), n);
+            if tt {
+                ttqrt_ws(&mut r1, &mut a2, &mut t, ws).unwrap();
+            } else {
+                tsqrt_ws(&mut r1, &mut a2, &mut t, ws).unwrap();
+            }
+            for j in 0..n {
+                for i in j + 1..n {
+                    assert_eq!(r1[(i, j)], 0.0, "{kernel:?} n={n}: r1 fill-in at ({i},{j})");
+                    if tt {
+                        assert_eq!(
+                            a2[(i, j)],
+                            junk[(i, j)],
+                            "{kernel:?} n={n}: wrote below V's diagonal"
+                        );
+                    }
+                }
+            }
+            let u = Matrix::from_fn(n + m2, n, |i, j| {
+                if i < n {
+                    f64::from(i == j)
+                } else if !tt || i - n <= j {
+                    a2[(i - n, j)]
+                } else {
+                    0.0
+                }
+            });
+            let r = vstack(&r1, &Matrix::zeros(m2, n));
+            Factored {
+                input: vstack(&r1_0, &a2_0),
+                u,
+                t,
+                r,
+                raw: (r1, a2),
+            }
+        }
+    }
+}
+
+/// `T` rebuilt one column at a time from `U` and the `tau`s on `T`'s
+/// diagonal (LAPACK `larft`, forward columnwise) in plain loops.
+fn larft_reference(u: &Matrix<f64>, t: &Matrix<f64>) -> Matrix<f64> {
+    let n = t.rows();
+    let mut want = Matrix::zeros(n, n);
+    for k in 0..n {
+        let tau = t[(k, k)];
+        want[(k, k)] = tau;
+        let z: Vec<f64> = (0..k)
+            .map(|i| (0..u.rows()).map(|r| u[(r, i)] * u[(r, k)]).sum())
+            .collect();
+        for i in 0..k {
+            let dot: f64 = (i..k).map(|l| want[(i, l)] * z[l]).sum();
+            want[(i, k)] = -tau * dot;
+        }
+    }
+    want
+}
+
+fn check_factored(what: &str, f: &Factored) {
+    let n = f.t.rows();
+    let rows = f.u.rows();
+    assert!(
+        f.t.all_finite() && f.u.all_finite() && f.r.all_finite(),
+        "{what}: non-finite output"
+    );
+    for j in 0..n {
+        for i in j + 1..n {
+            // `Shape::Upper` is a promise about stored values.
+            assert!(
+                f.t[(i, j)] == 0.0,
+                "{what}: T[{i},{j}] = {} below the diagonal",
+                f.t[(i, j)]
+            );
+        }
+    }
+    let want = larft_reference(&f.u, &f.t);
+    let err = frobenius_norm(&f.t.sub(&want).unwrap());
+    assert!(
+        err <= 1e-13 * n as f64,
+        "{what}: T off its larft reference by {err:e}"
+    );
+
+    // Q = I − U T Uᵀ, dense.
+    let ut = matmul(&f.u, &f.t).unwrap();
+    let q = Matrix::identity(rows)
+        .sub(&matmul(&ut, &f.u.transpose()).unwrap())
+        .unwrap();
+    let defect = orthogonality_defect(&q).unwrap();
+    assert!(
+        defect <= 1e-14 * rows as f64,
+        "{what}: orthogonality defect {defect:e}"
+    );
+    let qta = matmul(&q.transpose(), &f.input).unwrap();
+    let scale = frobenius_norm(&f.input).max(1.0);
+    let resid = frobenius_norm(&qta.sub(&f.r).unwrap());
+    assert!(
+        resid <= 1e-14 * rows as f64 * scale,
+        "{what}: ‖QᵀA − R‖ = {resid:e}"
+    );
+}
+
+/// `apply_q ∘ apply_qt = I` through the update kernel that reads this
+/// factor, and `Qᵀ` of the input is `[R; 0]` through it too.
+fn check_apply(what: &str, kernel: Kernel, f: &Factored, ws: &mut Workspace<f64>) {
+    let n = f.t.rows();
+    let rows = f.u.rows();
+    let c0 = {
+        let mut c = random_matrix::<f64>(rows, n + 3, 77);
+        c.set_submatrix(0, 0, &f.input).unwrap();
+        c
+    };
+    let mut c = c0.clone();
+    let mut apply = |c: &mut Matrix<f64>, side: ApplySide| match kernel {
+        Kernel::Geqrt { .. } => geqrt_apply_ws(&f.raw.0, &f.t, c, side, ws).unwrap(),
+        Kernel::Tsqrt { .. } | Kernel::Ttqrt => {
+            let mut top = c.submatrix(0, 0, n, c.cols()).unwrap();
+            let mut bot = c.submatrix(n, 0, rows - n, c.cols()).unwrap();
+            if matches!(kernel, Kernel::Ttqrt) {
+                ttmqr_apply_ws(&f.raw.1, &f.t, &mut top, &mut bot, side, ws).unwrap();
+            } else {
+                tsmqr_apply_ws(&f.raw.1, &f.t, &mut top, &mut bot, side, ws).unwrap();
+            }
+            c.set_submatrix(0, 0, &top).unwrap();
+            c.set_submatrix(n, 0, &bot).unwrap();
+        }
+    };
+    apply(&mut c, ApplySide::Transpose);
+    let scale = frobenius_norm(&c0).max(1.0);
+    let got_r = c.submatrix(0, 0, rows, n).unwrap();
+    let resid = frobenius_norm(&got_r.sub(&f.r).unwrap());
+    assert!(
+        resid <= 1e-14 * rows as f64 * scale,
+        "{what}: applied QᵀA − R = {resid:e}"
+    );
+    apply(&mut c, ApplySide::NoTranspose);
+    let back = frobenius_norm(&c.sub(&c0).unwrap());
+    assert!(
+        back <= 1e-14 * rows as f64 * scale,
+        "{what}: Q Qᵀ C − C = {back:e}"
+    );
+}
+
+#[test]
+fn blocked_factor_sweep() {
+    // One workspace for the whole sweep, sized for nothing: it grows to the
+    // largest shape and is handed over dirty every time.
+    let ws = &mut Workspace::<f64>::minimal();
+    let widths = (1..=9).chain([12, 17, 20, 31, 32, 33, 64, 65]);
+    for n in widths {
+        let mut kernels = vec![
+            Kernel::Geqrt { m: n },
+            Kernel::Geqrt { m: n + n / 2 + 3 },
+            Kernel::Ttqrt,
+        ];
+        kernels.extend([(n / 2).max(1), n, 2 * n + 3].map(|m2| Kernel::Tsqrt { m2 }));
+        for kernel in kernels {
+            for zeros in [Zeros::None, Zeros::Middle, Zeros::All] {
+                for pin in [Some(Backend::Blocked), None] {
+                    // Only this test pins the backend in this binary; the
+                    // others are tolerance checks and hold on either core.
+                    force_backend(pin);
+                    let what = format!("{kernel:?} n={n} {zeros:?} pin={pin:?}");
+                    let seed = 9000 + n as u64;
+                    let f = run_kernel(kernel, n, zeros, seed, ws);
+                    check_factored(&what, &f);
+                    check_apply(&what, kernel, &f, ws);
+                    if zeros != Zeros::None {
+                        let zero_taus = (0..n).filter(|&k| f.t[(k, k)] == 0.0).count();
+                        let want = if zeros == Zeros::All {
+                            n
+                        } else {
+                            n - n / 3 - n / 3
+                        };
+                        assert!(
+                            zero_taus >= want,
+                            "{what}: {zero_taus} zero taus, want {want}"
+                        );
+                    }
+                    let again = run_kernel(kernel, n, zeros, seed, ws);
+                    assert!(
+                        again.raw == f.raw && again.t == f.t,
+                        "{what}: two runs of one shape differ bitwise"
+                    );
+                }
+                force_backend(None);
+            }
+        }
     }
 }

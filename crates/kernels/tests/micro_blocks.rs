@@ -11,7 +11,7 @@
 //! an x86-64 host with both features detects — the dispatcher picks for a
 //! given shape.
 //!
-//! The backend-agreement test drives all seven primitives with each backend
+//! The backend-agreement test drives all four primitives with each backend
 //! pinned in turn through the `force_backend` hook and checks (a)
 //! bit-determinism of repeated calls within one backend, (b) cross-backend
 //! agreement within the same rounding budgets, and (c) that `f32` panels
@@ -21,15 +21,16 @@
 //! The two level-3 primitives ([`gemm_tn`], [`gemm_nn_sub`]) are swept over
 //! a cube of shapes that straddles every tile edge, and the update kernels
 //! built on them are held to `apply_q ∘ apply_qt = I` and `QᵀA = R` for
-//! TS, TT and inner-blocked factors.
+//! TS, TT and GEQRT factors, at tile widths on both sides of the factor
+//! kernels' recursion threshold.
 
 use std::sync::Mutex;
 use tileqr_kernels::micro::{
-    self, active_backend, dotf, dotf_tri, force_backend, gemm_nn_sub, gemm_tn, larf_head,
-    rank1f_sub, Backend, Shape, KC, LANES, NR,
+    active_backend, dotf, force_backend, gemm_nn_sub, gemm_tn, rank1f_sub, Backend, Shape, KC,
+    LANES, NR,
 };
 use tileqr_kernels::{
-    geqrt_ib_apply_ws, geqrt_ib_ws, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, ApplySide,
+    geqrt_apply_ws, geqrt_ws, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, ApplySide,
     Workspace,
 };
 use tileqr_matrix::gen::random_matrix;
@@ -129,67 +130,6 @@ fn dotf_matches_naive_over_odd_shapes() {
 }
 
 #[test]
-fn dotf_tri_matches_naive_over_trapezoids() {
-    for &len0 in &[0usize, 1, 3, 5, 17, 40, 129] {
-        for &n in &widths() {
-            let maxlen = len0 + n.saturating_sub(1);
-            let ld = maxlen + 2;
-            let x = vec_of(7, maxlen);
-            let ys = vec_of(8, ld * n.max(1));
-            let mut out = vec![f64::NAN; n];
-            dotf_tri(&x, &ys, ld, n, len0, &mut out);
-            for j in 0..n {
-                let d = len0 + j;
-                let c = &ys[j * ld..j * ld + d];
-                let want: f64 = x[..d].iter().zip(c).map(|(a, b)| a * b).sum();
-                let abs: f64 = x[..d].iter().zip(c).map(|(a, b)| (a * b).abs()).sum();
-                assert_close(
-                    out[j],
-                    want,
-                    d,
-                    abs,
-                    &format!("dotf_tri len0={len0} n={n} j={j}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn axpyf_tri_variants_match_naive() {
-    for &len0 in &[0usize, 1, 4, 9, 33, 140] {
-        for &n in &widths() {
-            let maxlen = len0 + n.saturating_sub(1);
-            let ld = maxlen + 1;
-            let alphas = vec_of(31, n);
-            let ys = vec_of(32, ld * n.max(1));
-            let y0 = vec_of(33, maxlen);
-
-            let mut y = y0.clone();
-            micro::axpyf_tri_add(&alphas, &ys, ld, n, len0, &mut y);
-            for i in 0..maxlen {
-                let mut want = y0[i];
-                let mut abs = y0[i].abs();
-                for j in 0..n {
-                    if i < len0 + j {
-                        let t = alphas[j] * ys[j * ld + i];
-                        want += t;
-                        abs += t.abs();
-                    }
-                }
-                assert_close(
-                    y[i],
-                    want,
-                    n + 1,
-                    abs,
-                    &format!("axpyf_tri_add len0={len0} n={n} i={i}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn rank1f_matches_naive() {
     // Pinned so the bit-exact branch runs on every host, then as detected.
     let _guard = BACKEND_LOCK.lock().unwrap();
@@ -242,81 +182,27 @@ fn rank1f_matches_naive() {
     force_backend(None);
 }
 
-#[test]
-fn larf_head_matches_naive_reflector_application() {
-    for &vlen in &[0usize, 1, 3, 7, 12, 31, 63, 200] {
-        for &n in &widths() {
-            let ld = vlen + 1 + 2;
-            let vk = vec_of(51, vlen);
-            let tau = 0.7318;
-            let cols0 = vec_of(52, ld * n.max(1));
-            let mut cols = cols0.clone();
-            larf_head(&vk, tau, &mut cols, ld, n);
-            for j in 0..n {
-                let c0 = &cols0[j * ld..j * ld + vlen + 1];
-                let mut w = c0[0];
-                let mut abs = c0[0].abs();
-                for i in 0..vlen {
-                    w += vk[i] * c0[1 + i];
-                    abs += (vk[i] * c0[1 + i]).abs();
-                }
-                w *= tau;
-                let got = &cols[j * ld..j * ld + vlen + 1];
-                assert_close(
-                    got[0],
-                    c0[0] - w,
-                    vlen + 2,
-                    abs,
-                    &format!("larf_head head vlen={vlen} n={n} j={j}"),
-                );
-                for i in 0..vlen {
-                    assert_close(
-                        got[1 + i],
-                        c0[1 + i] - w * vk[i],
-                        vlen + 3,
-                        abs + (w * vk[i]).abs(),
-                        &format!("larf_head tail vlen={vlen} n={n} j={j} i={i}"),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// All seven primitives on one `(len, n)` shape: per primitive its name, its
+/// All four primitives on one `(len, n)` shape: per primitive its name, its
 /// output, and the `(terms, abs)` rounding budget two cores may differ by.
 fn run_all<T: Scalar>(len: usize, n: usize) -> Vec<(&'static str, Vec<T>, (usize, f64))> {
     let t_vec = |seed: u64, len: usize| -> Vec<T> {
         vec_of(seed, len).into_iter().map(T::from_f64).collect()
     };
     let ld = len + 1;
-    // Trapezoids whose longest column is `len`.
-    let len0 = len + 1 - n;
     let x = t_vec(61, len);
     let ys = t_vec(62, ld * n);
     let alphas = t_vec(63, n);
-    let y0 = t_vec(64, len);
     let cols0 = t_vec(65, ld * n);
     let dot = (len, len as f64);
-    let axpy = (n + 1, n as f64 + 1.0);
 
     let mut results = Vec::new();
     let mut out = vec![T::ZERO; n];
     dotf(&x, &ys, ld, n, &mut out);
-    results.push(("dotf", out.clone(), dot));
-    dotf_tri(&x, &ys, ld, n, len0, &mut out);
-    results.push(("dotf_tri", out, dot));
-
-    let mut y = y0;
-    micro::axpyf_tri_add(&alphas, &ys, ld, n, len0, &mut y);
-    results.push(("axpyf_tri_add", y, axpy));
+    results.push(("dotf", out, dot));
 
     let mut cols = cols0.clone();
     rank1f_sub(&x, &alphas, &mut cols, ld, len, n);
     results.push(("rank1f_sub", cols, (2, 2.0)));
-    let mut cols = cols0.clone();
-    larf_head(&x[..len - 1], T::from_f64(0.83), &mut cols, ld, n);
-    results.push(("larf_head", cols, (len + 2, len as f64)));
 
     // The panel as both operands: `out = YᵀY` (n x n), then `C -= Y·out`.
     let mut gram = vec![T::ZERO; n * n];
@@ -636,29 +522,28 @@ type ApplyPair = fn(
     &mut Workspace<f64>,
 ) -> tileqr_matrix::Result<()>;
 
-/// GEQRT panels (full-tile and inner-blocked): `QᵀA = R` and `Q(QᵀC) = C`.
+/// GEQRT panels: `QᵀA = R` and `Q(QᵀC) = C`.
 #[test]
 fn panel_updates_invert_and_triangularize() {
     for &b in &[1usize, 3, 8, 10, 12, 20, 64] {
         let tol = 1e-13 * (b as f64).max(4.0);
-        for ib in [b, b.div_ceil(3)] {
-            let ws = &mut Workspace::new(b, ib);
-            let a0 = random_matrix::<f64>(b, b, 900 + b as u64);
-            let mut vr = a0.clone();
-            let tfacs = geqrt_ib_ws(&mut vr, ib, ws).unwrap();
-            let mut qta = a0.clone();
-            geqrt_ib_apply_ws(&vr, &tfacs, ib, &mut qta, ApplySide::Transpose, ws).unwrap();
-            assert!(
-                max_diff(&qta, &vr.upper_triangular()) < tol,
-                "QᵀA = R, b={b} ib={ib}"
-            );
-            for nc in widths_at(b) {
-                let c0 = random_matrix::<f64>(b, nc, 950 + nc as u64);
-                let mut c = c0.clone();
-                geqrt_ib_apply_ws(&vr, &tfacs, ib, &mut c, ApplySide::Transpose, ws).unwrap();
-                geqrt_ib_apply_ws(&vr, &tfacs, ib, &mut c, ApplySide::NoTranspose, ws).unwrap();
-                assert!(max_diff(&c, &c0) < tol, "round trip, b={b} ib={ib} nc={nc}");
-            }
+        let ws = &mut Workspace::new(b, b);
+        let a0 = random_matrix::<f64>(b, b, 900 + b as u64);
+        let mut vr = a0.clone();
+        let mut tfac = Matrix::zeros(b, b);
+        geqrt_ws(&mut vr, &mut tfac, ws).unwrap();
+        let mut qta = a0.clone();
+        geqrt_apply_ws(&vr, &tfac, &mut qta, ApplySide::Transpose, ws).unwrap();
+        assert!(
+            max_diff(&qta, &vr.upper_triangular()) < tol,
+            "QᵀA = R, b={b}"
+        );
+        for nc in widths_at(b) {
+            let c0 = random_matrix::<f64>(b, nc, 950 + nc as u64);
+            let mut c = c0.clone();
+            geqrt_apply_ws(&vr, &tfac, &mut c, ApplySide::Transpose, ws).unwrap();
+            geqrt_apply_ws(&vr, &tfac, &mut c, ApplySide::NoTranspose, ws).unwrap();
+            assert!(max_diff(&c, &c0) < tol, "round trip, b={b} nc={nc}");
         }
     }
 }

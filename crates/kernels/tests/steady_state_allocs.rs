@@ -1,11 +1,14 @@
-//! Steady-state allocation count of the update tasks, held by a counting
+//! Steady-state allocation count of every task kind, held by a counting
 //! `#[global_allocator]`.
 //!
 //! After warm-up, stage → `compute_with` → commit of a `UNMQR`, `TSMQR` or
 //! `TTMQR` task acquires no heap memory: written tiles travel as the `Arc`
 //! handles they were staged with (commit is a pointer store), read tiles
 //! and `T` factors are `Arc` clones, and every scratch block comes out of
-//! a tile-sized [`Workspace`] that never grows.
+//! a tile-sized [`Workspace`] that never grows. A `GEQRT`, `TSQRT` or
+//! `TTQRT` task acquires exactly its output — the `T` matrix and the `Arc`
+//! it is shared through — and nothing for the recursion inside the kernel:
+//! its applies, merges and staged `V` blocks fit the same arena.
 //!
 //! The counter is process-wide, so this binary holds exactly one `#[test]`:
 //! nothing else may allocate while a region is being counted.
@@ -85,6 +88,9 @@ fn cases() -> [(Vec<TaskKind>, Vec<TaskKind>); 2] {
     [ts, tt]
 }
 
+/// Acquisitions of one factor task: its `T` matrix and the `Arc` around it.
+const T_OUTPUT: u64 = 2;
+
 #[test]
 fn update_tasks_allocate_nothing_in_steady_state() {
     for b in [16usize, 64] {
@@ -92,8 +98,17 @@ fn update_tasks_allocate_nothing_in_steady_state() {
             // Sequential state: its own arena, driven through `execute`.
             let a = random_matrix::<f64>(2 * b, 2 * b, 77);
             let mut state = FactorState::new(TiledMatrix::from_matrix(&a, b).unwrap());
-            for task in factors {
+            for &task in &factors {
                 state.execute(task).unwrap();
+            }
+            // Re-factoring a factored tile is just another factorization.
+            for &task in &factors {
+                let n = acquisitions(|| {
+                    for _ in 0..3 {
+                        state.execute(task).unwrap();
+                    }
+                });
+                assert_eq!(n, 3 * T_OUTPUT, "FactorState, b = {b}: {task:?}");
             }
             for &task in &updates {
                 state.execute(task).unwrap();
@@ -110,14 +125,16 @@ fn update_tasks_allocate_nothing_in_steady_state() {
             // Shared state: per-slot locks, the worker brings the arena.
             let shared = SharedFactorState::new(state);
             let mut ws = Workspace::new(b, b);
-            for &task in &updates {
+            for (&task, want) in
+                (updates.iter().map(|t| (t, 0))).chain(factors.iter().map(|t| (t, T_OUTPUT)))
+            {
                 let mut cycle = || {
                     let staged = shared.stage(task).unwrap();
                     shared.commit(staged.compute_with(&mut ws).unwrap());
                 };
                 cycle();
                 let n = acquisitions(|| (0..3).for_each(|_| cycle()));
-                assert_eq!(n, 0, "SharedFactorState, b = {b}: {task:?} allocated");
+                assert_eq!(n, 3 * want, "SharedFactorState, b = {b}: {task:?}");
             }
             assert_eq!(ws.resizes(), 0, "worker arena grew at b = {b}");
             assert_eq!(shared.cow_clones(), 0);

@@ -36,6 +36,8 @@ pub trait Scalar:
     const ONE: Self;
     /// Machine epsilon of this precision.
     const EPSILON: Self;
+    /// Smallest positive normal value of this precision (LAPACK `safmin`).
+    const MIN_POSITIVE: Self;
 
     /// Square root.
     fn sqrt(self) -> Self;
@@ -64,6 +66,7 @@ macro_rules! impl_scalar {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
             const EPSILON: Self = <$t>::EPSILON;
+            const MIN_POSITIVE: Self = <$t>::MIN_POSITIVE;
 
             #[inline]
             fn sqrt(self) -> Self {
@@ -129,6 +132,10 @@ mod tests {
         assert_eq!(f64::ZERO, 0.0);
         assert_eq!(f64::ONE, 1.0);
         assert_eq!(f32::ONE, 1.0f32);
+        // Each precision carries its own threshold, not f64's cast down.
+        assert_eq!(<f64 as Scalar>::MIN_POSITIVE, f64::MIN_POSITIVE);
+        assert_eq!(<f32 as Scalar>::MIN_POSITIVE, f32::MIN_POSITIVE);
+        assert!(<f32 as Scalar>::MIN_POSITIVE.to_f64() > 1e200 * <f64 as Scalar>::MIN_POSITIVE);
     }
 
     #[test]

@@ -440,7 +440,6 @@ fn run_pool<T: Scalar>(
     let workers = config.effective_workers().max(1);
     let b = state.tiles().tile_size();
     let shared = SharedFactorState::new(state);
-    let ib = shared.inner_block();
     let watched = ft.is_some_and(|ft| ft.stall_timeout.is_some());
     let trace_cfg = config.trace;
     let recorder = || {
@@ -471,7 +470,7 @@ fn run_pool<T: Scalar>(
         // One arena per computing thread, sized once for the run's
         // (b, ib): every kernel this worker executes borrows scratch
         // from it instead of allocating.
-        let mut ws = Workspace::<T>::new(b, ib);
+        let mut ws = Workspace::<T>::new(b, b);
         // `alive`: neither panicked nor retired by the watchdog.
         let (mut g, mut alive) = (recover(pool.lock()), true);
         while alive && !g.finished() {

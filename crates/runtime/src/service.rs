@@ -194,7 +194,6 @@ pub struct JobSpec<T: Scalar> {
     payload: Payload<T>,
     tile_size: usize,
     tree: TreePolicy,
-    inner_block: Option<usize>,
     priority: PriorityClass,
     deadline: Option<Duration>,
     injector: Option<Arc<dyn FaultInjector + Send + Sync>>,
@@ -209,7 +208,6 @@ impl<T: Scalar> JobSpec<T> {
             payload,
             tile_size: 16,
             tree: TreePolicy::default(),
-            inner_block: None,
             priority: PriorityClass::Standard,
             deadline: None,
             injector: None,
@@ -265,12 +263,6 @@ impl<T: Scalar> JobSpec<T> {
     /// the geometry heuristic [`EliminationTree::default_for`].
     pub fn tree(mut self, policy: TreePolicy) -> Self {
         self.tree = policy;
-        self
-    }
-
-    /// Inner blocking factor for the panel kernels.
-    pub fn inner_block(mut self, ib: usize) -> Self {
-        self.inner_block = Some(ib);
         self
     }
 
@@ -1689,10 +1681,7 @@ impl<T: Scalar> QrService<T> {
             },
         };
         let graph = TaskGraph::build_tree(mt, nt, tree);
-        let state = match spec.inner_block {
-            Some(ib) => FactorState::with_inner_block(tiled, ib),
-            None => FactorState::new(tiled),
-        };
+        let state = FactorState::new(tiled);
         let sh = &self.shared;
         let (reply, reply_tx) = ReplySlot::open();
         let submitted = Instant::now();
@@ -1995,10 +1984,12 @@ mod tests {
 
     /// A finite input whose first panel factor overflows is contained at
     /// the poison fence whatever the job's size — one task or thirty —
-    /// and a healthy one-task neighbour is untouched.
+    /// and wherever inside the kernel the overflow happens, and a healthy
+    /// one-task neighbour is untouched.
     #[test]
     fn overflowing_panel_factor_is_contained_at_every_job_size() {
-        // Every column norm exceeds f64::MAX, every entry is finite.
+        // Every column norm exceeds f64::MAX, every entry is finite: the
+        // first `larfg` already returns a non-finite reflector.
         let overflowing = |n: usize| {
             Matrix::from_fn(
                 n,
@@ -2012,9 +2003,31 @@ mod tests {
                 },
             )
         };
-        for (n, b, tasks) in [(16, 16, 1), (32, 8, 30)] {
+        // Every column norm is finite, so every reflector of the left half
+        // of the b = 32 tile is too; the right half is nearly parallel to
+        // column 0, whose `tau` is nearly 2, so it is the level-3 apply
+        // inside GEQRT (`T₁₁ᵀ·(V₁ᵀC)`) that leaves the range.
+        let late = Matrix::from_fn(32, 32, |i, j| {
+            let e0 = if i == 0 {
+                1.0
+            } else {
+                1e-3 * ((i * 7 + j) % 5) as f64
+            };
+            match j {
+                0 => e0,
+                1..=15 => ((i * 13 + j * 29) % 17) as f64 / 17.0 - 0.4,
+                _ => 1.2e308 * e0,
+            }
+        });
+        for j in 0..32 {
+            assert!(tileqr_matrix::ops::nrm2(late.col(j)).is_finite());
+        }
+        for (a, b, tasks) in [
+            (overflowing(16), 16, 1),
+            (overflowing(32), 8, 30),
+            (late, 32, 1),
+        ] {
             let service = QrService::<f64>::start(ServiceConfig::default());
-            let a = overflowing(n);
             assert_eq!(a.first_non_finite(), None);
             let healthy = random_matrix::<f64>(16, 16, 61);
             let doomed = service.submit(JobSpec::factor(a).tile_size(b)).unwrap();

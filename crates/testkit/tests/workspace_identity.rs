@@ -5,16 +5,17 @@
 //! single bit of the output. Every test here runs the factorization on
 //! the pool's reused per-worker arenas across the CI worker/policy sweep,
 //! then holds the full factored tile matrix **and every stored `T` factor** (panel factors
-//! via [`FactorState::geqrt_panel_factor`], elimination factors via
+//! via [`FactorState::geqrt_factor`], elimination factors via
 //! [`FactorState::elim_factor_any`]) to byte identity with the sequential
 //! ground truth — with and without injected faults.
 
-use tileqr_dag::{EliminationOrder, EliminationTree, TaskGraph};
+use tileqr_dag::{EliminationOrder, EliminationTree, TaskGraph, TreePolicy};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
-    parallel_factor_ft, parallel_factor_traced, FaultTolerance, PoolConfig, ScriptedFaults,
+    parallel_factor_ft, parallel_factor_traced, FaultTolerance, JobSpec, PoolConfig, QrService,
+    ScriptedFaults, ServiceConfig,
 };
 use tileqr_testkit::{policies_under_test, workers_under_test};
 
@@ -43,8 +44,8 @@ fn assert_factors_identical(got: &FactorState<f64>, want: &FactorState<f64>, ctx
     for i in 0..mt {
         for k in 0..nt {
             assert_eq!(
-                got.geqrt_panel_factor(i, k),
-                want.geqrt_panel_factor(i, k),
+                got.geqrt_factor(i, k),
+                want.geqrt_factor(i, k),
                 "{ctx}: panel T factor ({i},{k}) must be bit-identical"
             );
             assert_eq!(
@@ -162,30 +163,50 @@ fn arena_runs_stay_bit_identical_for_every_elimination_tree() {
 }
 
 #[test]
-fn inner_blocked_arena_runs_match_sequential_bitwise() {
-    let a = random_matrix::<f64>(32, 32, 0xA3);
-    let tiled = TiledMatrix::from_matrix(&a, 8).unwrap();
-    let g = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    );
-    let mut seq = FactorState::with_inner_block(tiled.clone(), 4);
-    seq.run_all(&g).unwrap();
-    for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            let (state, _) = parallel_factor_traced(
-                FactorState::with_inner_block(tiled.clone(), 4),
-                &g,
-                PoolConfig {
-                    workers,
-                    policy,
-                    ..PoolConfig::default()
-                },
-            )
-            .expect("factorization");
-            let ctx = format!("ib=4 workers={workers} policy={policy:?}");
-            assert_factors_identical(&state, &seq, &ctx);
+fn recursive_panel_arena_runs_match_sequential_bitwise() {
+    // Tile widths at which the factor kernels recurse — b = 20 splits every
+    // panel 12 + 8 and the 12 again, b = 32 splits 16 + 16 and each into
+    // 8s — on shapes that leave ragged (zero-padded) edge tiles, over a TS
+    // chain (GEQRT, TSQRT) and a TT tree (TTQRT). The level-3 applies and
+    // `T` merges inside the kernels must be as schedule-blind as the
+    // reflector loop: pool at 1/2/4 workers and the resident service
+    // against `run_all`, bitwise.
+    for (rows, cols, b) in [(70, 50, 20), (100, 72, 32)] {
+        let a = random_matrix::<f64>(rows, cols, 0xA3);
+        for tree in [EliminationTree::Flat, EliminationTree::Binary] {
+            let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
+            let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), tree);
+            let mut seq = FactorState::new(tiled.clone());
+            seq.run_all(&g).unwrap();
+            for workers in [1, 2, 4] {
+                for policy in policies_under_test() {
+                    let (state, report) = parallel_factor_traced(
+                        FactorState::new(tiled.clone()),
+                        &g,
+                        PoolConfig {
+                            workers,
+                            policy,
+                            ..PoolConfig::default()
+                        },
+                    )
+                    .expect("factorization");
+                    let ctx =
+                        format!("{rows}x{cols} b={b} tree={tree} workers={workers} {policy:?}");
+                    assert_factors_identical(&state, &seq, &ctx);
+                    assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
+                }
+            }
+            let svc = QrService::<f64>::start(ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            });
+            let spec = JobSpec::factor(a.clone())
+                .tile_size(b)
+                .tree(TreePolicy::Fixed(tree));
+            let res = svc.submit(spec).unwrap().wait().unwrap();
+            let ctx = format!("{rows}x{cols} b={b} tree={tree} service");
+            assert_factors_identical(&res.output.factor().state, &seq, &ctx);
+            svc.shutdown();
         }
     }
 }

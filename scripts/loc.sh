@@ -17,7 +17,11 @@
 #   * one vector backend, picked by runtime detection: no `simd` cargo
 #     feature, no `autovec` tier, one `unsafe` file in `crates/kernels`;
 #   * one apply path: the update kernels are the level-3 register tiles, so
-#     the level-1.5 sweeps they replaced stay deleted.
+#     the level-1.5 sweeps they replaced stay deleted;
+#   * one factor path: GEQRT/TSQRT/TTQRT share one recursive routine with
+#     one reflector loop (`larfg` has one call site in the kernels),
+#     and the inner block size is derived, not an option — no `ib` knob, no
+#     second factor format, in library, tests or benches.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 # `crates/bench/src/legacy_kernels.rs` (the frozen seed kernels) is exempt
@@ -93,7 +97,7 @@ expect 1 'enum KernelClass\b' "definitions of KernelClass" crates
 expect 1 'fn (parse_)?value\(' "JSON value parsers in crates/obs" crates/obs
 expect 1 'fn skip_ws\b' "JSON whitespace skippers in crates/obs" crates/obs
 expect 1 "'\\\\n' => .*push_str" "JSON string escapers in crates/obs" crates/obs
-expect 0 'pub fn (geqrt|geqrt_apply|geqrt_ib|geqrt_ib_apply|unmqr|tsqrt|tsmqr|tsmqr_apply|ttqrt|ttmqr|ttmqr_apply)<' \
+expect 0 'pub fn (geqrt|geqrt_apply|unmqr|tsqrt|tsmqr|tsmqr_apply|ttqrt|ttmqr|ttmqr_apply)<' \
     "allocating (non-_ws) kernel entry points" crates/kernels
 
 # Tests, benches and manifests count here too, so this one is a plain grep.
@@ -106,4 +110,16 @@ hits=$(grep -rl 'allow(unsafe_code)' crates/kernels/src || true)
     fail "allow(unsafe_code) under crates/kernels/src belongs to micro/simd.rs alone:" "$hits"
 expect 0 '\b(axpyf_sub|axpyf_tri_sub|axpyf_lo_sub|dotf_lo|apply_tfac_in_place)\b' \
     "level-1.5 apply primitives (the update kernels are gemm_tn/gemm_nn_sub tiles)" crates/kernels
+
+# Tests and benches count for the knob, like the `simd` feature above.
+if hits=$(grep -rnE 'geqrt_ib|PanelFactor|inner_block|with_inner_block' crates --include='*.rs' --include=Cargo.toml); then
+    fail "the inner-block option is back (the factor kernels derive their blocking from the tile width):" "$hits"
+fi
+# (`reference.rs` is the paper's Algorithm 1, the oracle the tests compare
+# against, not a kernel.)
+hits=$(for f in $(find crates/kernels/src -name '*.rs' ! -name householder.rs ! -name reference.rs | sort); do
+    non_test "$f"
+done | grep -E '\blarfg\(' || true)
+n=$(printf '%s' "$hits" | grep -c . || true)
+[ "$n" -eq 1 ] || fail "larfg( call sites in the kernels: found $n, want 1 (one reflector loop):" "$hits"
 exit $status
