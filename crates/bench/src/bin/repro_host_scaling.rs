@@ -6,7 +6,7 @@
 //! Usage: `repro_host_scaling [n] [b] [--json out.json]`
 
 use std::fmt::Write as _;
-use tileqr::dag::{EliminationOrder, TaskGraph};
+use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::gen::random_matrix;
 use tileqr::kernels::{flops, FactorState};
 use tileqr::runtime::{parallel_factor_traced, PoolConfig, SchedulePolicy};
@@ -32,11 +32,7 @@ fn main() {
 
     let a = random_matrix::<f64>(n, n, 11);
     let tiled = TiledMatrix::from_matrix(&a, b).expect("tiling");
-    let graph = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    );
+    let graph = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
     let gflop = flops::qr_flops(n, n) as f64 / 1e9;
     let max = std::thread::available_parallelism().map_or(1, |v| v.get());
 

@@ -4,7 +4,7 @@
 //! sizes 4–28; our device profiles are *calibrated to those curves*, so
 //! this experiment prints the model and doubles as the calibration audit.
 //! (Real measured host-kernel latencies — the same experiment run on the
-//! hardware we actually have — live in `benches/kernels.rs`.)
+//! hardware we actually have — are `perf --trace 1`'s `kernels.*_ns` rows.)
 
 use crate::experiments::print_table;
 use tileqr::hetero::{profiles, DeviceProfile, KernelClass};

@@ -1,11 +1,9 @@
-//! Minimal timing harness for the `cargo bench` targets.
+//! Minimal timing harness for the one `cargo bench` target left,
+//! `tree_geometry` (speed claims live in `perf/`, not here).
 //!
-//! The container has no external benchmarking framework, so each bench
-//! target is a plain `fn main()` that calls [`bench`] / [`bench_with_flops`]
-//! and prints one formatted row per case: median / min over a fixed number
-//! of timed runs after a warmup. Medians of wall-clock runs are noisy
-//! compared to a statistical harness, but entirely adequate for the
-//! order-of-magnitude shapes these benches exist to show.
+//! The container has no external benchmarking framework, so the target is
+//! a plain `fn main()` that calls [`bench`] and prints one formatted row per
+//! case: median / min over a fixed number of timed runs after a warmup.
 
 use std::time::Instant;
 
@@ -42,43 +40,6 @@ pub fn measure<F: FnMut()>(samples: usize, mut f: F) -> Stats {
     }
 }
 
-/// Like [`measure`], but each timed sample repeats `f` enough times to
-/// fill roughly [`CALIBRATION_TARGET_SECS`] (calibrated on the warmup
-/// call) and reports per-call statistics. A single sub-microsecond call
-/// is dominated by timer granularity and scheduler jitter; batching makes
-/// small-kernel medians reproducible run to run.
-pub fn measure_calibrated<F: FnMut()>(samples: usize, mut f: F) -> Stats {
-    const CALIBRATION_TARGET_SECS: f64 = 20e-6;
-    let samples = samples.max(1);
-    f(); // warmup: first call pays cold-cache/page-fault costs
-         // Calibrate from warm calls; the cold first call overestimates the
-         // per-call time and would leave each sample under-batched.
-    let t0 = Instant::now();
-    f();
-    f();
-    let once = t0.elapsed().as_secs_f64() / 2.0;
-    let iters = if once > 0.0 {
-        ((CALIBRATION_TARGET_SECS / once).ceil() as usize).clamp(1, 4096)
-    } else {
-        4096
-    };
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        times.push(t0.elapsed().as_secs_f64() / iters as f64);
-    }
-    times.sort_by(f64::total_cmp);
-    Stats {
-        min: times[0],
-        median: times[times.len() / 2],
-        mean: times.iter().sum::<f64>() / times.len() as f64,
-        samples,
-    }
-}
-
 /// Run and print one benchmark case: `group/case  median  min`.
 pub fn bench<F: FnMut()>(group: &str, case: &str, samples: usize, f: F) -> Stats {
     let stats = measure(samples, f);
@@ -91,32 +52,13 @@ pub fn bench<F: FnMut()>(group: &str, case: &str, samples: usize, f: F) -> Stats
     stats
 }
 
-/// Like [`bench`], also printing throughput from a flop count.
-pub fn bench_with_flops<F: FnMut()>(
-    group: &str,
-    case: &str,
-    samples: usize,
-    flops: u64,
-    f: F,
-) -> Stats {
-    let stats = measure(samples, f);
-    println!(
-        "{:<40} {:>12} {:>12} {:>10.2} GFLOP/s",
-        format!("{group}/{case}"),
-        format_secs(stats.median),
-        format_secs(stats.min),
-        flops as f64 / stats.median / 1e9,
-    );
-    stats
-}
-
 /// Print the column header matching [`bench`]'s rows.
 pub fn header(title: &str) {
     println!("\n== {title} ==");
     println!("{:<40} {:>12} {:>12}", "case", "median", "min");
 }
 
-/// Host-parallelism guard shared by every bench artifact writer: the
+/// Host-parallelism guard of the bench artifact writer: the
 /// detected core count plus, on single-core hosts, the standard warning
 /// that parallelism-sensitive numbers are not meaningful there.
 #[derive(Debug, Clone)]

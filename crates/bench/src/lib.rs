@@ -21,10 +21,7 @@
 //! wins, by what factor, where crossovers fall — are the reproduction
 //! target, not absolute 2013 wall-clock numbers (see `EXPERIMENTS.md`).
 
-pub mod alloc_counter;
-pub mod baseline;
 pub mod experiments;
 pub mod harness;
-pub mod legacy_kernels;
 
 pub use experiments::*;

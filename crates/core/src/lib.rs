@@ -42,7 +42,7 @@ pub use factor::TiledQr;
 pub use options::QrOptions;
 pub use tune::{JobPlan, TunedQrService, TunerConfig};
 
-pub use tileqr_dag::{EliminationOrder, EliminationTree, TreePolicy};
+pub use tileqr_dag::{EliminationTree, TreePolicy};
 pub use tileqr_matrix::{Matrix, MatrixError, Rng64, Scalar, TiledMatrix};
 
 /// Workload generators (re-export of `tileqr-matrix`'s `gen` module).
@@ -100,7 +100,7 @@ pub fn qr<T: Scalar>(a: &Matrix<T>) -> tileqr_matrix::Result<(Matrix<T>, Matrix<
 /// Everything most users need.
 pub mod prelude {
     pub use crate::{qr, QrOptions, TiledQr, TunedQrService};
-    pub use tileqr_dag::{EliminationOrder, EliminationTree, TreePolicy};
+    pub use tileqr_dag::{EliminationTree, TreePolicy};
     pub use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
     pub use tileqr_runtime::{
         FaultTolerance, JobSpec, PriorityClass, QrService, SchedulePolicy, ServiceConfig,

@@ -1,6 +1,6 @@
 //! Factorization options.
 
-use tileqr_dag::{CostModel, EliminationOrder, TreePolicy};
+use tileqr_dag::{CostModel, TreePolicy};
 use tileqr_runtime::{DriftConfig, FaultTolerance, SchedulePolicy, ServiceConfig, TraceConfig};
 
 /// Options controlling a [`crate::TiledQr`] factorization.
@@ -44,15 +44,6 @@ impl QrOptions {
     pub fn tile_size(mut self, b: usize) -> Self {
         assert!(b > 0, "tile size must be positive");
         self.tile_size = b;
-        self
-    }
-
-    /// Elimination order (TS flat chain by default; TT trees shorten the
-    /// critical path of tall matrices). Shorthand for
-    /// [`tree`](Self::tree) with the corresponding fixed
-    /// [`tileqr_dag::EliminationTree`]; kept for the paper-vocabulary API.
-    pub fn order(mut self, order: EliminationOrder) -> Self {
-        self.tree = TreePolicy::Fixed(order.into());
         self
     }
 
@@ -219,7 +210,7 @@ mod tests {
     fn builder_chains() {
         let o = QrOptions::new()
             .tile_size(32)
-            .order(EliminationOrder::BinaryTt)
+            .tree(TreePolicy::Fixed(tileqr_dag::EliminationTree::Binary))
             .workers(0)
             .schedule(SchedulePolicy::CriticalPath);
         assert_eq!(o.get_tile_size(), 32);

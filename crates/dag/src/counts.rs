@@ -18,7 +18,7 @@
 //! exact kernel-level numbers; [`paper_table1`] the paper's reported ones.
 
 use crate::tree::MergeKind;
-use crate::{EliminationOrder, EliminationTree, StepClass, TaskGraph};
+use crate::{EliminationTree, StepClass, TaskGraph};
 
 /// Exact kernel counts for one TS panel over a remaining `M x N` tile grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +94,7 @@ pub fn table1_consistent(m: usize, n: usize) -> bool {
 /// Exact per-panel counts read off a freshly built DAG (used to cross-check
 /// the closed forms).
 pub fn panel_counts_from_dag(m: usize, n: usize) -> PanelCounts {
-    let g = TaskGraph::build(m, n, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(m, n, EliminationTree::Flat);
     let mut c = PanelCounts {
         geqrt: 0,
         tsqrt: 0,
@@ -196,7 +196,7 @@ mod tests {
     fn closed_forms_match_dag() {
         for (m, n) in [(1, 1), (3, 3), (5, 2), (2, 5), (8, 8)] {
             assert_eq!(exact_panel_counts(m, n), panel_counts_from_dag(m, n));
-            let g = TaskGraph::build(m, n, EliminationOrder::FlatTs);
+            let g = TaskGraph::build_tree(m, n, EliminationTree::Flat);
             assert_eq!(g.len(), total_ts_tasks(m, n));
         }
     }
@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn class_totals_sum_to_len() {
-        let g = TaskGraph::build(6, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 4, EliminationTree::Flat);
         let (t, e, ut, ue) = class_totals(&g);
         assert_eq!(t + e + ut + ue, g.len());
         assert_eq!(t, 4, "one GEQRT per panel");

@@ -64,24 +64,24 @@ pub fn critical_path(g: &TaskGraph, weight: impl Fn(TaskKind) -> f64) -> Vec<Tas
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EliminationOrder, StepClass};
+    use crate::{EliminationTree, StepClass};
 
     #[test]
     fn unit_depth_of_single_task() {
-        let g = TaskGraph::build(1, 1, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(1, 1, EliminationTree::Flat);
         assert_eq!(critical_path_length(&g, |_| 1.0), 1.0);
     }
 
     #[test]
     fn unit_depth_grows_with_grid() {
-        let d3 = critical_path_length(&TaskGraph::build(3, 3, EliminationOrder::FlatTs), |_| 1.0);
-        let d6 = critical_path_length(&TaskGraph::build(6, 6, EliminationOrder::FlatTs), |_| 1.0);
+        let d3 = critical_path_length(&TaskGraph::build_tree(3, 3, EliminationTree::Flat), |_| 1.0);
+        let d6 = critical_path_length(&TaskGraph::build_tree(6, 6, EliminationTree::Flat), |_| 1.0);
         assert!(d6 > d3);
     }
 
     #[test]
     fn path_is_connected_and_maximal() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let path = critical_path(&g, |_| 1.0);
         assert_eq!(path.len() as f64, critical_path_length(&g, |_| 1.0));
         for w in path.windows(2) {
@@ -94,7 +94,7 @@ mod tests {
     fn weights_shift_the_path_through_expensive_tasks() {
         // Make eliminations enormously expensive: the critical path must be
         // dominated by E tasks.
-        let g = TaskGraph::build(5, 5, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 5, EliminationTree::Flat);
         let w = |t: TaskKind| match t.class() {
             StepClass::Elimination => 100.0,
             _ => 1.0,
@@ -114,7 +114,7 @@ mod tests {
     fn bottom_levels_match_critical_path_length() {
         // max over sources of bottom level == critical path length, and
         // every edge must be monotone: pred level > succ level.
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let w = |t: TaskKind| match t.class() {
             StepClass::Triangulation => 3.0,
             StepClass::Elimination => 5.0,
@@ -139,7 +139,7 @@ mod tests {
         // The GEQRT unlocking a whole trailing submatrix must outrank the
         // bulk updates of the previous panel — the heart of critical-path
         // dispatch.
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let levels = bottom_levels(&g, |_| 1.0);
         let mut geqrt_level = None;
         let mut update_level = None;
@@ -165,8 +165,8 @@ mod tests {
     #[test]
     fn binary_tree_shortens_weighted_path() {
         let w = |_| 1.0;
-        let flat = critical_path_length(&TaskGraph::build(32, 2, EliminationOrder::FlatTs), w);
-        let tree = critical_path_length(&TaskGraph::build(32, 2, EliminationOrder::BinaryTt), w);
+        let flat = critical_path_length(&TaskGraph::build_tree(32, 2, EliminationTree::Flat), w);
+        let tree = critical_path_length(&TaskGraph::build_tree(32, 2, EliminationTree::Binary), w);
         assert!(tree < flat, "tree {tree} !< flat {flat}");
     }
 }

@@ -36,11 +36,11 @@ pub fn to_dot(g: &TaskGraph) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EliminationOrder;
+    use crate::EliminationTree;
 
     #[test]
     fn dot_contains_all_nodes_and_edges() {
-        let g = TaskGraph::build(3, 3, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
         let dot = to_dot(&g);
         assert!(dot.starts_with("digraph"));
         for id in 0..g.len() {
@@ -53,7 +53,7 @@ mod tests {
 
     #[test]
     fn labels_use_paper_shorthand() {
-        let g = TaskGraph::build(2, 2, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
         let dot = to_dot(&g);
         assert!(dot.contains("T(0,0)"));
         assert!(dot.contains("E(0,1,0)"));

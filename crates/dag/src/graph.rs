@@ -4,23 +4,6 @@ use crate::task::{TaskId, TaskKind, TileCoord};
 use crate::tree::{EliminationTree, MergeKind};
 use std::collections::HashMap;
 
-/// Which elimination order the DAG encodes.
-///
-/// The paper exclusively uses [`EliminationOrder::FlatTs`] (its Fig. 2–3:
-/// one `GEQRT` per panel and a sequential chain of `TSQRT`s down the
-/// column). The TT orders are the standard tree extensions (Bouwmeester et
-/// al., SC'11) included for the ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EliminationOrder {
-    /// One `GEQRT` then a sequential `TSQRT` chain (the paper's algorithm).
-    FlatTs,
-    /// `GEQRT` on every panel tile, then a sequential `TTQRT` chain.
-    FlatTt,
-    /// `GEQRT` on every panel tile, then a binary `TTQRT` reduction tree —
-    /// the shortest critical path for tall panels.
-    BinaryTt,
-}
-
 /// The tiled-QR task DAG.
 ///
 /// Tasks are stored in program order; edges are derived from tile-level
@@ -106,14 +89,6 @@ impl Builder {
 }
 
 impl TaskGraph {
-    /// Build the DAG for an `mt x nt` tile grid with one of the legacy
-    /// elimination orders — a thin wrapper over [`TaskGraph::build_tree`]
-    /// that emits the *identical* task sequence the pre-zoo builders
-    /// produced. Panics if the grid is empty.
-    pub fn build(mt: usize, nt: usize, order: EliminationOrder) -> Self {
-        Self::build_tree(mt, nt, order.into())
-    }
-
     /// Build the DAG for an `mt x nt` tile grid with any tree from the
     /// elimination zoo. Per panel `k` the builder emits one `GEQRT` (plus
     /// its `UNMQR` row updates) for every panel row that is not a TS
@@ -310,7 +285,7 @@ mod tests {
     fn three_by_three_ts_matches_paper_fig2() {
         // Paper Fig. 2: a 3x3 grid runs 3 panels; panel k has
         // 1 GEQRT, (3-k-1) TSQRT, (3-k-1) UNMQR, (3-k-1)^2 TSMQR.
-        let g = TaskGraph::build(3, 3, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
         let count = |c: StepClass| g.tasks().iter().filter(|t| t.class() == c).count();
         assert_eq!(count(StepClass::Triangulation), 3);
         assert_eq!(count(StepClass::Elimination), 2 + 1);
@@ -321,7 +296,7 @@ mod tests {
 
     #[test]
     fn first_geqrt_is_sole_source_in_ts() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let sources = g.sources();
         assert_eq!(sources, vec![0]);
         assert_eq!(g.task(0), TaskKind::Geqrt { i: 0, k: 0 });
@@ -331,7 +306,7 @@ mod tests {
     fn fig3_dependencies_present() {
         // Check the canonical edges of the paper's Fig. 3 on a 3x3 grid:
         // T(0) -> UT(0,j), T(0) -> E(0,1,0), E chain, E -> UE, UE -> next T.
-        let g = TaskGraph::build(3, 3, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
         let find = |kind: TaskKind| {
             g.tasks()
                 .iter()
@@ -367,7 +342,7 @@ mod tests {
 
     #[test]
     fn single_tile_grid() {
-        let g = TaskGraph::build(1, 1, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(1, 1, EliminationTree::Flat);
         assert_eq!(g.len(), 1);
         assert_eq!(g.task(0), TaskKind::Geqrt { i: 0, k: 0 });
         assert!(g.preds(0).is_empty());
@@ -377,14 +352,14 @@ mod tests {
     #[test]
     fn tall_grid_counts() {
         // 5x2 grid, TS: panel 0: 1 T + 4 E + 1 UT + 4 UE; panel 1: 1 T + 3 E.
-        let g = TaskGraph::build(5, 2, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 2, EliminationTree::Flat);
         assert_eq!(g.len(), (1 + 4 + 1 + 4) + (1 + 3));
     }
 
     #[test]
     fn wide_grid_counts() {
         // 2x5 grid, TS: panel 0: 1 T + 1 E + 4 UT + 4 UE; panel 1: 1 T + 3 UT.
-        let g = TaskGraph::build(2, 5, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(2, 5, EliminationTree::Flat);
         assert_eq!(g.len(), (1 + 1 + 4 + 4) + (1 + 3));
     }
 
@@ -392,7 +367,7 @@ mod tests {
     fn binary_tt_has_log_depth_eliminations() {
         // 8 rows, 1 column: flat TS needs a 7-long chain; binary TT pairs
         // rows in 3 rounds (4 + 2 + 1 TTQRTs).
-        let g = TaskGraph::build(8, 1, EliminationOrder::BinaryTt);
+        let g = TaskGraph::build_tree(8, 1, EliminationTree::Binary);
         let ttqrts: Vec<_> = g
             .tasks()
             .iter()
@@ -409,7 +384,7 @@ mod tests {
 
     #[test]
     fn flat_tt_counts() {
-        let g = TaskGraph::build(4, 1, EliminationOrder::FlatTt);
+        let g = TaskGraph::build_tree(4, 1, EliminationTree::FlatTt);
         let geqrts = g
             .tasks()
             .iter()
@@ -426,7 +401,7 @@ mod tests {
 
     #[test]
     fn succs_mirror_preds() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         for id in 0..g.len() {
             for &p in g.preds(id) {
                 assert!(g.succs(p).contains(&id));
@@ -441,11 +416,11 @@ mod tests {
     fn edges_point_forward_in_program_order() {
         // Program order is a valid topological order by construction.
         for order in [
-            EliminationOrder::FlatTs,
-            EliminationOrder::FlatTt,
-            EliminationOrder::BinaryTt,
+            EliminationTree::Flat,
+            EliminationTree::FlatTt,
+            EliminationTree::Binary,
         ] {
-            let g = TaskGraph::build(5, 4, order);
+            let g = TaskGraph::build_tree(5, 4, order);
             for id in 0..g.len() {
                 for &p in g.preds(id) {
                     assert!(p < id, "{order:?}: back edge {p} -> {id}");
@@ -457,21 +432,13 @@ mod tests {
     #[test]
     #[should_panic]
     fn empty_grid_panics() {
-        let _ = TaskGraph::build(0, 3, EliminationOrder::FlatTs);
+        let _ = TaskGraph::build_tree(0, 3, EliminationTree::Flat);
     }
 
     fn zoo_plus_tsqr() -> Vec<EliminationTree> {
         let mut trees = EliminationTree::zoo();
         trees.push(EliminationTree::Tsqr(2));
         trees
-    }
-
-    #[test]
-    fn legacy_build_records_converted_tree() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::BinaryTt);
-        assert_eq!(g.tree(), EliminationTree::Binary);
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
-        assert_eq!(g.tree(), EliminationTree::Flat);
     }
 
     #[test]

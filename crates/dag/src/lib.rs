@@ -29,7 +29,7 @@ pub mod tree;
 
 pub use cost::{ClassCosts, CostCurve, CostModel, KernelClass};
 pub use critical_path::bottom_levels;
-pub use graph::{EliminationOrder, TaskGraph};
+pub use graph::TaskGraph;
 pub use listsim::{list_makespan, ListOrder};
 pub use task::{StepClass, TaskId, TaskKind, TileCoord};
 pub use tree::{EliminationTree, MergeKind, MergeOp, TreePolicy};

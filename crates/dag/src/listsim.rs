@@ -96,7 +96,7 @@ pub fn list_makespan(
 mod tests {
     use super::*;
     use crate::critical_path::bottom_levels;
-    use crate::graph::EliminationOrder;
+    use crate::EliminationTree;
 
     fn unit(_: TaskKind) -> f64 {
         1.0
@@ -104,14 +104,14 @@ mod tests {
 
     #[test]
     fn serial_makespan_is_total_work() {
-        let g = TaskGraph::build(3, 3, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
         let m = list_makespan(&g, 1, ListOrder::Fifo, unit);
         assert_eq!(m, g.len() as f64);
     }
 
     #[test]
     fn more_workers_never_hurt_with_unit_tasks() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let m1 = list_makespan(&g, 1, ListOrder::Fifo, unit);
         let m4 = list_makespan(&g, 4, ListOrder::Fifo, unit);
         assert!(m4 <= m1);
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn deterministic_per_input() {
-        let g = TaskGraph::build(5, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 4, EliminationTree::Flat);
         let levels = bottom_levels(&g, |_| 1.0);
         let a = list_makespan(&g, 3, ListOrder::Priority(&levels), unit);
         let b = list_makespan(&g, 3, ListOrder::Priority(&levels), unit);
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn priority_matches_fifo_bound_on_serial_device() {
         // One worker executes the same total work regardless of order.
-        let g = TaskGraph::build(4, 3, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 3, EliminationTree::Flat);
         let levels = bottom_levels(&g, |_| 1.0);
         let f = list_makespan(&g, 1, ListOrder::Fifo, unit);
         let p = list_makespan(&g, 1, ListOrder::Priority(&levels), unit);
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_zero() {
-        let g = TaskGraph::build(1, 1, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(1, 1, EliminationTree::Flat);
         // A 1x1 grid has exactly one task; exercise the non-empty floor.
         assert_eq!(list_makespan(&g, 2, ListOrder::Fifo, unit), 1.0);
     }

@@ -57,11 +57,11 @@ pub fn parallelism_profile(g: &TaskGraph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EliminationOrder;
+    use crate::EliminationTree;
 
     #[test]
     fn topo_order_respects_edges() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let order = topological_order(&g);
         assert_eq!(order.len(), g.len());
         let mut pos = vec![0usize; g.len()];
@@ -78,17 +78,17 @@ mod tests {
     #[test]
     fn builders_are_acyclic() {
         for order in [
-            EliminationOrder::FlatTs,
-            EliminationOrder::FlatTt,
-            EliminationOrder::BinaryTt,
+            EliminationTree::Flat,
+            EliminationTree::FlatTt,
+            EliminationTree::Binary,
         ] {
-            assert!(is_acyclic(&TaskGraph::build(6, 5, order)));
+            assert!(is_acyclic(&TaskGraph::build_tree(6, 5, order)));
         }
     }
 
     #[test]
     fn profile_sums_to_task_count() {
-        let g = TaskGraph::build(5, 5, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 5, EliminationTree::Flat);
         let profile = parallelism_profile(&g);
         assert_eq!(profile.iter().sum::<usize>(), g.len());
         assert_eq!(profile[0], 1, "only the first GEQRT is initially ready");
@@ -96,8 +96,8 @@ mod tests {
 
     #[test]
     fn wider_grids_expose_more_parallelism() {
-        let narrow = parallelism_profile(&TaskGraph::build(4, 4, EliminationOrder::FlatTs));
-        let wide = parallelism_profile(&TaskGraph::build(8, 8, EliminationOrder::FlatTs));
+        let narrow = parallelism_profile(&TaskGraph::build_tree(4, 4, EliminationTree::Flat));
+        let wide = parallelism_profile(&TaskGraph::build_tree(8, 8, EliminationTree::Flat));
         assert!(
             wide.iter().max().unwrap() > narrow.iter().max().unwrap(),
             "peak parallelism must grow with grid size"
@@ -106,8 +106,8 @@ mod tests {
 
     #[test]
     fn binary_tree_shortens_profile_on_tall_grid() {
-        let flat = parallelism_profile(&TaskGraph::build(16, 1, EliminationOrder::FlatTs));
-        let tree = parallelism_profile(&TaskGraph::build(16, 1, EliminationOrder::BinaryTt));
+        let flat = parallelism_profile(&TaskGraph::build_tree(16, 1, EliminationTree::Flat));
+        let tree = parallelism_profile(&TaskGraph::build_tree(16, 1, EliminationTree::Binary));
         assert!(
             tree.len() < flat.len(),
             "binary tree depth {} !< flat chain depth {}",

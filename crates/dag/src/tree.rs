@@ -223,16 +223,6 @@ impl std::fmt::Display for EliminationTree {
     }
 }
 
-impl From<crate::EliminationOrder> for EliminationTree {
-    fn from(order: crate::EliminationOrder) -> Self {
-        match order {
-            crate::EliminationOrder::FlatTs => EliminationTree::Flat,
-            crate::EliminationOrder::FlatTt => EliminationTree::FlatTt,
-            crate::EliminationOrder::BinaryTt => EliminationTree::Binary,
-        }
-    }
-}
-
 /// How a factorization chooses its elimination tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TreePolicy {
@@ -466,23 +456,6 @@ mod tests {
             EliminationTree::Fibonacci
         );
         assert_eq!(TreePolicy::default().resolve(5, 5), EliminationTree::Flat);
-    }
-
-    #[test]
-    fn legacy_order_conversion() {
-        use crate::EliminationOrder;
-        assert_eq!(
-            EliminationTree::from(EliminationOrder::FlatTs),
-            EliminationTree::Flat
-        );
-        assert_eq!(
-            EliminationTree::from(EliminationOrder::FlatTt),
-            EliminationTree::FlatTt
-        );
-        assert_eq!(
-            EliminationTree::from(EliminationOrder::BinaryTt),
-            EliminationTree::Binary
-        );
     }
 
     #[test]

@@ -798,18 +798,18 @@ fn apply_factor_task<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tileqr_dag::EliminationOrder;
+    use tileqr_dag::EliminationTree;
     use tileqr_matrix::gen::random_matrix;
     use tileqr_matrix::ops::{matmul, orthogonality_defect};
 
     fn factor(
         n: usize,
         b: usize,
-        order: EliminationOrder,
+        order: EliminationTree,
     ) -> (Matrix<f64>, FactorState<f64>, TaskGraph) {
         let a = random_matrix::<f64>(n, n, 42);
         let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
-        let g = TaskGraph::build(tiled.tile_rows(), tiled.tile_cols(), order);
+        let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
         let mut st = FactorState::new(tiled);
         st.run_all(&g).unwrap();
         (a, st, g)
@@ -824,7 +824,7 @@ mod tests {
 
     #[test]
     fn tiled_qr_reconstructs_exact_grid() {
-        let (a, st, g) = factor(12, 4, EliminationOrder::FlatTs);
+        let (a, st, g) = factor(12, 4, EliminationTree::Flat);
         let q = form_q(&st, &g);
         let r_full = {
             // R on the padded grid.
@@ -841,7 +841,7 @@ mod tests {
         // 10x10 with tile 4 -> padded to 12x12 with unit-diagonal padding.
         let a = random_matrix::<f64>(10, 10, 7);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(3, 3, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
         let mut st = FactorState::new(tiled);
         st.run_all(&g).unwrap();
         let q = form_q(&st, &g);
@@ -870,7 +870,7 @@ mod tests {
 
     #[test]
     fn tt_orders_also_factorize() {
-        for order in [EliminationOrder::FlatTt, EliminationOrder::BinaryTt] {
+        for order in [EliminationTree::FlatTt, EliminationTree::Binary] {
             let (a, st, g) = factor(16, 4, order);
             let q = form_q(&st, &g);
             let r = st.r_matrix();
@@ -881,7 +881,7 @@ mod tests {
 
     #[test]
     fn r_matches_reference_up_to_signs() {
-        let (a, st, g) = factor(12, 4, EliminationOrder::FlatTs);
+        let (a, st, g) = factor(12, 4, EliminationTree::Flat);
         let _ = g;
         let r_tiled = st.r_matrix();
         let (_, r_ref) = crate::reference::householder_qr(&a).unwrap();
@@ -897,7 +897,7 @@ mod tests {
 
     #[test]
     fn apply_qt_then_q_round_trips() {
-        let (_, st, g) = factor(12, 4, EliminationOrder::FlatTs);
+        let (_, st, g) = factor(12, 4, EliminationTree::Flat);
         let c0 = random_matrix::<f64>(12, 3, 5);
         let mut c = c0.clone();
         apply_qt_dense(&st, &g, &mut c).unwrap();
@@ -907,7 +907,7 @@ mod tests {
 
     #[test]
     fn qt_a_gives_r() {
-        let (a, st, g) = factor(12, 4, EliminationOrder::FlatTs);
+        let (a, st, g) = factor(12, 4, EliminationTree::Flat);
         let mut c = a.clone();
         apply_qt_dense(&st, &g, &mut c).unwrap();
         let r = st.r_matrix();
@@ -925,7 +925,7 @@ mod tests {
 
     #[test]
     fn apply_rejects_wrong_row_count() {
-        let (_, st, g) = factor(12, 4, EliminationOrder::FlatTs);
+        let (_, st, g) = factor(12, 4, EliminationTree::Flat);
         let mut c = Matrix::<f64>::zeros(9, 2);
         assert!(apply_qt_dense(&st, &g, &mut c).is_err());
     }
@@ -934,7 +934,7 @@ mod tests {
     fn staged_compute_outside_state_matches_execute() {
         let a = random_matrix::<f64>(8, 8, 3);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(2, 2, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
 
         let mut st1 = FactorState::new(tiled.clone());
         st1.run_all(&g).unwrap();
@@ -1003,13 +1003,13 @@ mod tests {
     #[test]
     fn shared_state_matches_sequential() {
         for order in [
-            EliminationOrder::FlatTs,
-            EliminationOrder::FlatTt,
-            EliminationOrder::BinaryTt,
+            EliminationTree::Flat,
+            EliminationTree::FlatTt,
+            EliminationTree::Binary,
         ] {
             let a = random_matrix::<f64>(16, 16, 9);
             let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-            let g = TaskGraph::build(4, 4, order);
+            let g = TaskGraph::build_tree(4, 4, order);
 
             let mut seq = FactorState::new(tiled.clone());
             seq.run_all(&g).unwrap();
@@ -1034,9 +1034,9 @@ mod tests {
         // `run_all` never hits the copy-on-write fallback, and the arena
         // sized at construction never grows.
         for order in [
-            EliminationOrder::FlatTs,
-            EliminationOrder::FlatTt,
-            EliminationOrder::BinaryTt,
+            EliminationTree::Flat,
+            EliminationTree::FlatTt,
+            EliminationTree::Binary,
         ] {
             let (_, st, _) = factor(16, 4, order);
             assert_eq!(st.cow_clones(), 0, "{order:?} hit the COW slow path");
@@ -1068,7 +1068,7 @@ mod tests {
         // b = 20: every factor kernel splits its tile 12 + 8 and the 12
         // again, so the stored `T`s are merged ones; exact 2 x 2 grid, TS
         // and TT eliminations.
-        for order in [EliminationOrder::FlatTs, EliminationOrder::BinaryTt] {
+        for order in [EliminationTree::Flat, EliminationTree::Binary] {
             let (a, st, g) = factor(40, 20, order);
             let t = st.geqrt_factor(0, 0).expect("GEQRT(0,0) ran");
             assert_eq!(t.dims(), (20, 20));
@@ -1086,7 +1086,7 @@ mod tests {
     fn shared_state_counts_cow_and_round_trips_counters() {
         let a = random_matrix::<f64>(8, 8, 17);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(2, 2, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
         let shared = SharedFactorState::new(FactorState::new(tiled));
         for &t in g.tasks() {
             let staged = shared.stage(t).unwrap();

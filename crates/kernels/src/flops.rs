@@ -135,8 +135,8 @@ mod tests {
 
     #[test]
     fn task_flops_sums_to_the_tiled_total() {
-        use tileqr_dag::{EliminationOrder, TaskGraph, TaskKind};
-        let g = TaskGraph::build(5, 3, EliminationOrder::FlatTs);
+        use tileqr_dag::{EliminationTree, TaskGraph, TaskKind};
+        let g = TaskGraph::build_tree(5, 3, EliminationTree::Flat);
         let sum: u64 = g.tasks().iter().map(|&t| task_flops(t, 16)).sum();
         assert_eq!(sum, tiled_qr_flops(5, 3, 16));
         let (p, i, j, k) = (0, 1, 1, 0);

@@ -60,19 +60,6 @@ impl<T: Scalar> Workspace<T> {
         }
     }
 
-    /// Empty workspace that grows on first use — for a caller that does
-    /// not know its tile size up front (a resident service worker serves
-    /// jobs of any `b`; its arena settles at the largest it has seen).
-    pub fn minimal() -> Self {
-        Workspace {
-            tmp: Vec::new(),
-            w: Vec::new(),
-            tw: Vec::new(),
-            v: Vec::new(),
-            resizes: 0,
-        }
-    }
-
     /// Scratch for a factor kernel's reflector loop: `n` trailing-update
     /// weights. Contents are unspecified; the kernels write before reading.
     pub fn factor_scratch(&mut self, n: usize) -> &mut [T] {
@@ -137,14 +124,6 @@ mod tests {
         // Second identical request is served from the grown buffers.
         let _ = ws.apply_scratch(4, 12, 16);
         assert_eq!(ws.resizes(), 2);
-    }
-
-    #[test]
-    fn minimal_starts_empty_and_grows() {
-        let mut ws = Workspace::<f64>::minimal();
-        let _ = ws.factor_scratch(6);
-        assert_eq!(ws.resizes(), 1);
-        assert!(ws.bytes() >= 6 * std::mem::size_of::<f64>());
     }
 
     #[test]

@@ -476,9 +476,9 @@ fn check_apply(what: &str, kernel: Kernel, f: &Factored, ws: &mut Workspace<f64>
 
 #[test]
 fn blocked_factor_sweep() {
-    // One workspace for the whole sweep, sized for nothing: it grows to the
-    // largest shape and is handed over dirty every time.
-    let ws = &mut Workspace::<f64>::minimal();
+    // One workspace for the whole sweep, sized for the widest tile: it is
+    // handed over dirty every time.
+    let ws = &mut Workspace::<f64>::new(65, 65);
     let widths = (1..=9).chain([12, 17, 20, 31, 32, 33, 64, 65]);
     for n in widths {
         let mut kernels = vec![

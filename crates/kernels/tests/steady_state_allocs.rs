@@ -15,7 +15,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tileqr_dag::TaskKind;
+use tileqr_dag::{EliminationTree, KernelClass, TaskGraph, TaskKind};
 use tileqr_kernels::exec::{FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::gen::random_matrix;
@@ -140,4 +140,16 @@ fn update_tasks_allocate_nothing_in_steady_state() {
             assert_eq!(shared.cow_clones(), 0);
         }
     }
+
+    // A whole factorization, not one task at a time: the paper's 8 x 8
+    // grid at b = 16 acquires its factor tasks' outputs and nothing else.
+    let (nt, b) = (8, 16);
+    let g = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
+    let is_factor = |t: &&TaskKind| KernelClass::of(**t) != KernelClass::Update;
+    let factors = g.tasks().iter().filter(is_factor).count() as u64;
+    let a = random_matrix::<f64>(nt * b, nt * b, 78);
+    let mut state = FactorState::new(TiledMatrix::from_matrix(&a, b).unwrap());
+    let n = acquisitions(|| state.run_all(&g).unwrap());
+    assert_eq!(n, T_OUTPUT * factors, "run_all, 8 x 8 tiles");
+    assert_eq!(state.workspace_resizes(), 0);
 }

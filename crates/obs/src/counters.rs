@@ -4,7 +4,7 @@
 //! move (never copy) through the stage/compute/commit cycle, and kernel
 //! scratch comes from a pre-sized per-worker [`Workspace`] arena that
 //! never grows. [`HotPathCounters`] is the observable form of that
-//! promise — the runtime fills one in per run and the benches/tests
+//! promise — the runtime fills one in per run and the tests
 //! assert the zero columns stay zero.
 //!
 //! [`Workspace`]: https://docs.rs/tileqr-kernels

@@ -268,7 +268,7 @@ pub fn merge_recorders(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tileqr_dag::EliminationOrder;
+    use tileqr_dag::EliminationTree;
 
     #[test]
     fn ring_overwrites_oldest_without_allocating() {
@@ -288,7 +288,7 @@ mod tests {
 
     #[test]
     fn merge_resolves_kinds_and_sorts() {
-        let g = TaskGraph::build(2, 2, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
         let mut w0 = WorkerRecorder::new(16);
         let mut w1 = WorkerRecorder::new(16);
         w1.record(RawEvent::interval(RawKind::Compute, 1, 0, 5_000, 9_000));

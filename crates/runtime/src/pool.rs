@@ -578,7 +578,7 @@ fn run_pool<T: Scalar>(
 mod tests {
     use super::*;
     use crate::recovery::ScriptedFaults;
-    use tileqr_dag::EliminationOrder;
+    use tileqr_dag::EliminationTree;
     use tileqr_kernels::exec::{apply_q_dense, FactorState};
     use tileqr_matrix::gen::random_matrix;
     use tileqr_matrix::ops::matmul;
@@ -591,11 +591,7 @@ mod tests {
     ) -> (Matrix<f64>, FactorState<f64>, TaskGraph) {
         let a = random_matrix::<f64>(n, n, 99);
         let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
-        let g = TaskGraph::build(
-            tiled.tile_rows(),
-            tiled.tile_cols(),
-            EliminationOrder::FlatTs,
-        );
+        let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
         let st = parallel_factor(
             FactorState::new(tiled),
             &g,
@@ -611,11 +607,7 @@ mod tests {
     /// Sequential reference for bit-identity checks.
     fn sequential_tiles(a: &Matrix<f64>, b: usize) -> (TiledMatrix<f64>, TaskGraph, Matrix<f64>) {
         let tiled = TiledMatrix::from_matrix(a, b).unwrap();
-        let g = TaskGraph::build(
-            tiled.tile_rows(),
-            tiled.tile_cols(),
-            EliminationOrder::FlatTs,
-        );
+        let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
         let mut seq = FactorState::new(tiled.clone());
         seq.run_all(&g).unwrap();
         let m = seq.tiles().to_matrix();
@@ -626,7 +618,7 @@ mod tests {
     fn parallel_matches_sequential() {
         let a = random_matrix::<f64>(24, 24, 1);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
 
         let mut seq = FactorState::new(tiled.clone());
         seq.run_all(&g).unwrap();
@@ -649,7 +641,7 @@ mod tests {
     fn critical_path_policy_matches_fifo_bitwise() {
         let a = random_matrix::<f64>(24, 24, 2);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
 
         let fifo = parallel_factor(
             FactorState::new(tiled.clone()),
@@ -716,7 +708,7 @@ mod tests {
     fn tt_order_in_parallel() {
         let a = random_matrix::<f64>(32, 8, 5);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(8, 2, EliminationOrder::BinaryTt);
+        let g = TaskGraph::build_tree(8, 2, EliminationTree::Binary);
         let st = parallel_factor(
             FactorState::new(tiled),
             &g,
@@ -739,7 +731,7 @@ mod tests {
     fn run_report_accounts_every_task() {
         let a = random_matrix::<f64>(32, 32, 5);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(8, 8, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
         let (_, report) = super::parallel_factor_traced(
             FactorState::new(tiled),
             &g,
@@ -769,7 +761,7 @@ mod tests {
     fn adversarial_orders_match_sequential_bitwise() {
         let a = random_matrix::<f64>(24, 24, 17);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let mut seq = FactorState::new(tiled.clone());
         seq.run_all(&g).unwrap();
         let seq_tiles = seq.tiles().to_matrix();
@@ -811,7 +803,7 @@ mod tests {
     fn traced_run_captures_full_lifecycle() {
         let a = random_matrix::<f64>(24, 24, 8);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let (_, report) = super::parallel_factor_traced(
             FactorState::new(tiled),
             &g,
@@ -836,7 +828,7 @@ mod tests {
     fn untraced_run_reports_no_trace() {
         let a = random_matrix::<f64>(16, 16, 9);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let (_, report) = super::parallel_factor_traced(
             FactorState::new(tiled),
             &g,
@@ -978,7 +970,7 @@ mod tests {
     fn ft_exhausted_retries_is_structured_error() {
         let a = random_matrix::<f64>(16, 16, 33);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let faults = ScriptedFaults::new().fail_on(1, 99);
         let err = parallel_factor_ft(
             FactorState::new(tiled),
@@ -1007,7 +999,7 @@ mod tests {
     fn ft_all_workers_dead_is_structured_error() {
         let a = random_matrix::<f64>(16, 16, 34);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         // Task 0 panics on every attempt: each try kills one worker, so a
         // 2-worker pool empties before the generous attempt budget does.
         let faults = ScriptedFaults::new().panic_on(0, 99);
@@ -1037,7 +1029,7 @@ mod tests {
         // fatal, because destructive staging lost the task's inputs.
         let a = random_matrix::<f64>(16, 16, 35);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let faults = ScriptedFaults::new().panic_on(2, 1);
         let err = parallel_factor_ft(
             FactorState::new(tiled),
@@ -1058,7 +1050,7 @@ mod tests {
 
     #[test]
     fn poisoned_pool_lock_fails_the_run_without_a_second_panic() {
-        let graph = TaskGraph::build(2, 2, EliminationOrder::FlatTs);
+        let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
         let (cfg, order) = (
             PoolConfig::default(),
             DispatchOrder::Policy(SchedulePolicy::Fifo),

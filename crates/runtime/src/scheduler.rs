@@ -362,11 +362,11 @@ impl ReadyTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tileqr_dag::EliminationOrder;
+    use tileqr_dag::EliminationTree;
 
     #[test]
     fn drains_whole_graph() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let mut tr = ReadyTracker::new(&g);
         let mut frontier = tr.initial_ready(&g);
         let mut seen = 0;
@@ -380,7 +380,7 @@ mod tests {
 
     #[test]
     fn readiness_only_after_all_preds() {
-        let g = TaskGraph::build(3, 3, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
         let mut tr = ReadyTracker::new(&g);
         // Completing the first GEQRT readies its direct successors only.
         let mut newly = Vec::new();
@@ -425,8 +425,8 @@ mod tests {
         // manager does, and check the dispatch-safety invariant: when a
         // task pops, every predecessor must already have completed —
         // regardless of how the heap reorders the ready set.
-        for order in [EliminationOrder::FlatTs, EliminationOrder::BinaryTt] {
-            let g = TaskGraph::build(5, 5, order);
+        for order in [EliminationTree::Flat, EliminationTree::Binary] {
+            let g = TaskGraph::build_tree(5, 5, order);
             // Adversarial priorities: *reverse* of program order, so the
             // heap aggressively prefers late tasks whenever it legally can.
             let priorities: Vec<f64> = (0..g.len()).map(|id| id as f64).collect();
@@ -502,7 +502,7 @@ mod tests {
     fn every_order_drains_a_dag_safely() {
         // The dispatch-safety invariant must hold under every exploration
         // order, not just the production policies.
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let orders = [
             DispatchOrder::Policy(SchedulePolicy::Fifo),
             DispatchOrder::Policy(SchedulePolicy::CriticalPath),
@@ -555,7 +555,7 @@ mod tests {
 
     #[test]
     fn for_policy_uses_bottom_levels() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let q = ReadyQueue::for_policy(SchedulePolicy::CriticalPath, &g, |_| 1.0);
         assert_eq!(q.policy(), SchedulePolicy::CriticalPath);
         let f = ReadyQueue::for_policy(SchedulePolicy::Fifo, &g, |_| 1.0);

@@ -79,8 +79,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{
-    CostModel, EliminationOrder, EliminationTree, KernelClass, TaskGraph, TaskId, TaskKind,
-    TreePolicy,
+    CostModel, EliminationTree, KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy,
 };
 use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
@@ -245,14 +244,6 @@ impl<T: Scalar> JobSpec<T> {
     /// Tile size `b` (default 16, clamped to at least 1).
     pub fn tile_size(mut self, b: usize) -> Self {
         self.tile_size = b.max(1);
-        self
-    }
-
-    /// Elimination order of the task DAG (default [`EliminationOrder::FlatTs`]).
-    /// Shorthand for [`JobSpec::tree`] with the corresponding fixed
-    /// [`EliminationTree`].
-    pub fn order(mut self, order: EliminationOrder) -> Self {
-        self.tree = TreePolicy::Fixed(order.into());
         self
     }
 
@@ -769,6 +760,7 @@ type AttemptKey = (JobId, TaskId, u32);
 struct Unit<T: Scalar> {
     key: AttemptKey,
     kind: TaskKind,
+    b: usize,
     shared: Arc<SharedFactorState<T>>,
     injector: Option<SharedInjector>,
 }
@@ -1372,6 +1364,7 @@ impl<T: Scalar> Shared<T> {
         Some(Unit {
             key,
             kind,
+            b: job.b,
             shared: Arc::clone(&job.shared),
             injector: job.injector.clone(),
         })
@@ -1388,9 +1381,10 @@ impl<T: Scalar> Shared<T> {
 /// result, again with the lock released. Sleeps on `work` only while the
 /// core has nothing ready.
 fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
-    // One arena per resident thread, grown on demand to the largest
-    // (b, ib) the worker has seen — steady state allocates nothing.
-    let mut ws = Workspace::<T>::minimal();
+    // One arena per resident thread, re-sized when a unit's tile size
+    // exceeds the largest the worker has seen — steady state allocates
+    // nothing.
+    let (mut ws, mut sized_for) = (Workspace::<T>::new(0, 0), 0);
     let mut core = sh.lock();
     loop {
         let Some(unit) = sh.next_unit(&mut core, w) else {
@@ -1411,9 +1405,13 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
         let Unit {
             key,
             kind,
+            b,
             shared,
             injector,
         } = unit;
+        if b > sized_for {
+            (ws, sized_for) = (Workspace::new(b, b), b);
+        }
         let injector = injector.as_deref().map(|f| f as &dyn FaultInjector);
         let at = (key.1, key.2);
         let outcome = run_attempt(&shared, kind, at, injector, true, &mut ws, None);
@@ -1766,9 +1764,9 @@ mod tests {
     use super::*;
     use tileqr_matrix::gen::random_matrix;
 
-    fn sequential_tiles(a: &Matrix<f64>, b: usize, order: EliminationOrder) -> Matrix<f64> {
+    fn sequential_tiles(a: &Matrix<f64>, b: usize, order: EliminationTree) -> Matrix<f64> {
         let tiled = TiledMatrix::from_matrix(a, b).unwrap();
-        let g = TaskGraph::build(tiled.tile_rows(), tiled.tile_cols(), order);
+        let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
         let mut st = FactorState::new(tiled);
         st.run_all(&g).unwrap();
         st.tiles().to_matrix()
@@ -1790,7 +1788,7 @@ mod tests {
         };
         assert_eq!(
             f.state.tiles().to_matrix(),
-            sequential_tiles(&a, 8, EliminationOrder::FlatTs)
+            sequential_tiles(&a, 8, EliminationTree::Flat)
         );
         assert_eq!(r.report.total_tasks(), f.graph.len() as u64);
         service.shutdown();
@@ -1814,7 +1812,7 @@ mod tests {
             let r = h.wait().unwrap();
             assert_eq!(
                 r.output.factor().state.tiles().to_matrix(),
-                sequential_tiles(a, 8, EliminationOrder::FlatTs)
+                sequential_tiles(a, 8, EliminationTree::Flat)
             );
         }
         let stats = service.shutdown();
@@ -2047,7 +2045,7 @@ mod tests {
             assert_eq!(r.output.factor().graph.len(), 1);
             assert_eq!(
                 r.output.factor().state.tiles().to_matrix(),
-                sequential_tiles(&healthy, 16, EliminationOrder::FlatTs)
+                sequential_tiles(&healthy, 16, EliminationTree::Flat)
             );
             let stats = service.shutdown();
             assert_eq!(stats.lifecycle.poison_detected, 1);

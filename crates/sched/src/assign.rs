@@ -33,14 +33,14 @@ pub fn assign_tasks(g: &TaskGraph, dist: &Distribution, policy: MainDevicePolicy
 mod tests {
     use super::*;
     use crate::distribution::DistributionStrategy;
-    use tileqr_dag::{EliminationOrder, StepClass};
+    use tileqr_dag::{EliminationTree, StepClass};
     use tileqr_sim::profiles;
 
     #[test]
     fn te_tasks_go_to_main() {
         let p = profiles::paper_testbed(16);
         let d = Distribution::build(&p, 0, &[0, 1, 2, 3], DistributionStrategy::GuideArray);
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let a = assign_tasks(&g, &d, MainDevicePolicy::Auto);
         for (task, &dev) in g.tasks().iter().zip(&a) {
             if task.class().is_main_device_work() {
@@ -53,7 +53,7 @@ mod tests {
     fn updates_follow_column_owner() {
         let p = profiles::paper_testbed(16);
         let d = Distribution::build(&p, 0, &[0, 1, 2, 3], DistributionStrategy::GuideArray);
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let a = assign_tasks(&g, &d, MainDevicePolicy::Auto);
         for (task, &dev) in g.tasks().iter().zip(&a) {
             if !task.class().is_main_device_work() {
@@ -66,7 +66,7 @@ mod tests {
     fn none_policy_uses_panel_owner() {
         let p = profiles::paper_testbed(16);
         let d = Distribution::build(&p, 0, &[0, 1, 2], DistributionStrategy::Even);
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let a = assign_tasks(&g, &d, MainDevicePolicy::None);
         for (task, &dev) in g.tasks().iter().zip(&a) {
             if matches!(

@@ -41,7 +41,7 @@ pub fn assign_rowblocks(g: &TaskGraph, mt: usize, ndev: usize) -> Vec<DeviceId> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tileqr_dag::EliminationOrder;
+    use tileqr_dag::EliminationTree;
     use tileqr_sim::{engine, profiles};
 
     #[test]
@@ -61,7 +61,7 @@ mod tests {
 
     #[test]
     fn assignment_covers_all_devices() {
-        let g = TaskGraph::build(12, 12, EliminationOrder::BinaryTt);
+        let g = TaskGraph::build_tree(12, 12, EliminationTree::Binary);
         let a = assign_rowblocks(&g, 12, 4);
         assert_eq!(a.len(), g.len());
         for d in 0..4 {
@@ -72,8 +72,8 @@ mod tests {
     #[test]
     fn rowblock_runs_on_the_simulator() {
         let p = profiles::testbed_subset(3, false, 16);
-        for order in [EliminationOrder::FlatTs, EliminationOrder::BinaryTt] {
-            let g = TaskGraph::build(24, 24, order);
+        for order in [EliminationTree::Flat, EliminationTree::Binary] {
+            let g = TaskGraph::build_tree(24, 24, order);
             let a = assign_rowblocks(&g, 24, p.num_devices());
             let stats = engine::simulate(&g, &p, &a);
             assert!(stats.makespan_us > 0.0);
@@ -94,11 +94,11 @@ mod tests {
         let mt = 64;
         let weight = |t: tileqr_dag::TaskKind| p.task_time_us(0, t);
         let flat_cp = tileqr_dag::critical_path::critical_path_length(
-            &TaskGraph::build(mt, 2, EliminationOrder::FlatTs),
+            &TaskGraph::build_tree(mt, 2, EliminationTree::Flat),
             weight,
         );
         let tree_cp = tileqr_dag::critical_path::critical_path_length(
-            &TaskGraph::build(mt, 2, EliminationOrder::BinaryTt),
+            &TaskGraph::build_tree(mt, 2, EliminationTree::Binary),
             weight,
         );
         assert!(tree_cp < flat_cp, "tree CP {tree_cp} !< flat CP {flat_cp}");
@@ -112,7 +112,7 @@ mod tests {
         // not lose to the CAQR-style row bands.
         let p = profiles::testbed_subset(3, false, 16);
         let nt = 24;
-        let g = TaskGraph::build(nt, nt, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
         let row = engine::simulate(&g, &p, &assign_rowblocks(&g, nt, 3));
         let hp = crate::plan::plan_with(
             &p,

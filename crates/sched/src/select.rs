@@ -66,9 +66,23 @@ pub fn candidate_trees(mt: usize, nt: usize) -> Vec<EliminationTree> {
     trees
 }
 
+/// The single-device platform every prediction runs on (no bus traffic).
+fn one_device(profile: &DeviceProfile, b: usize) -> Platform {
+    let config = SimConfig {
+        tile_size: b,
+        elem_bytes: 8,
+    };
+    Platform::new(vec![profile.clone()], Link::pcie2_x16(), config)
+}
+
+/// Simulated makespan (µs) of `g` with every task on `platform`'s device.
+fn makespan_us(g: &TaskGraph, platform: &Platform) -> f64 {
+    engine::simulate(g, platform, &vec![0; g.len()]).makespan_us
+}
+
 /// Predicted makespan (µs) of `tree` on an `mt x nt` grid at tile size
 /// `b`, on a single device described by `profile`. Deterministic per
-/// input; no fault model, no bus traffic (single device).
+/// input; no fault model.
 pub fn predict_makespan_us(
     profile: &DeviceProfile,
     mt: usize,
@@ -77,16 +91,7 @@ pub fn predict_makespan_us(
     tree: EliminationTree,
 ) -> f64 {
     let g = TaskGraph::build_tree(mt, nt, tree);
-    let platform = Platform::new(
-        vec![profile.clone()],
-        Link::pcie2_x16(),
-        SimConfig {
-            tile_size: b,
-            elem_bytes: 8,
-        },
-    );
-    let assignment = vec![0; g.len()];
-    engine::simulate(&g, &platform, &assignment).makespan_us
+    makespan_us(&g, &one_device(profile, b))
 }
 
 /// Score every candidate tree for an `mt x nt` grid at tile size `b`
@@ -106,21 +111,23 @@ pub fn select_candidates(
 ) -> Selection {
     assert!(mt > 0 && nt > 0, "empty tile grid");
     assert!(!trees.is_empty(), "no candidate trees");
-    let mut ranked: Vec<TreeScore> = trees
-        .iter()
-        .map(|&tree| {
-            let tasks = TaskGraph::build_tree(mt, nt, tree).len();
-            TreeScore {
-                tree,
-                tile_size: b,
-                grid: (mt, nt),
-                tasks,
-                makespan_us: predict_makespan_us(profile, mt, nt, b, tree),
-            }
-        })
-        .collect();
-    // Stable keys: makespan, then fewer tasks, then label — so equal
-    // predictions rank deterministically.
+    let platform = one_device(profile, b);
+    let score = |&tree| {
+        let g = TaskGraph::build_tree(mt, nt, tree);
+        TreeScore {
+            tree,
+            tile_size: b,
+            grid: (mt, nt),
+            tasks: g.len(),
+            makespan_us: makespan_us(&g, &platform),
+        }
+    };
+    rank(trees.iter().map(score).collect())
+}
+
+/// Best first. Stable keys: makespan, then fewer tasks, then label — so
+/// equal predictions rank deterministically.
+fn rank(mut ranked: Vec<TreeScore>) -> Selection {
     ranked.sort_by(|x, y| {
         x.makespan_us
             .total_cmp(&y.makespan_us)
@@ -151,16 +158,7 @@ pub fn select_plan(
         let nt = cols.div_ceil(b);
         all.extend(select_tree(profile, mt, nt, b).ranked);
     }
-    all.sort_by(|x, y| {
-        x.makespan_us
-            .total_cmp(&y.makespan_us)
-            .then(x.tasks.cmp(&y.tasks))
-            .then(x.tree.label().cmp(&y.tree.label()))
-    });
-    Selection {
-        best: all[0].clone(),
-        ranked: all,
-    }
+    rank(all)
 }
 
 /// Resolve a [`TreePolicy`] for an `mt x nt` grid at tile size `b`:

@@ -315,7 +315,7 @@ fn simulate_impl(
 mod tests {
     use super::*;
     use crate::profiles;
-    use tileqr_dag::{EliminationOrder, StepClass, TaskGraph};
+    use tileqr_dag::{EliminationTree, StepClass, TaskGraph};
 
     fn all_on(g: &TaskGraph, dev: DeviceId) -> Vec<DeviceId> {
         vec![dev; g.len()]
@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn single_task_single_device() {
-        let g = TaskGraph::build(1, 1, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(1, 1, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let s = simulate(&g, &p, &all_on(&g, 0));
         let expect = p.task_time_us(0, g.task(0));
@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn single_device_has_no_communication() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let s = simulate(&g, &p, &all_on(&g, 1));
         assert_eq!(s.bus_busy_us, 0.0);
@@ -359,7 +359,7 @@ mod tests {
 
     #[test]
     fn makespan_at_least_critical_path_and_at_most_serial() {
-        let g = TaskGraph::build(5, 5, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 5, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let assign = all_on(&g, 0);
         let s = simulate(&g, &p, &assign);
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn cross_device_assignment_produces_transfers() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let s = simulate(&g, &p, &column_cyclic(&g, 3));
         assert!(s.transfer_count > 0);
@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn deterministic_replay() {
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = column_cyclic(&g, 4);
         let s1 = simulate(&g, &p, &a);
@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn faster_device_finishes_sooner() {
-        let g = TaskGraph::build(5, 5, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 5, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let on_gpu = simulate(&g, &p, &all_on(&g, 0));
         let on_cpu = simulate(&g, &p, &all_on(&g, 3));
@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn busy_time_equals_task_durations() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = column_cyclic(&g, 2);
         let s = simulate(&g, &p, &a);
@@ -422,14 +422,14 @@ mod tests {
         // of Fig. 5 comes from the batched per-panel transfers and is
         // asserted against the fast simulator in the sched crate.
         let p = profiles::paper_testbed(16);
-        let g = TaskGraph::build(12, 12, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(12, 12, EliminationTree::Flat);
         let f = simulate(&g, &p, &column_cyclic(&g, 4)).comm_fraction();
         assert!(f > 0.0 && f < 0.5, "comm fraction {f}");
     }
 
     #[test]
     fn class_counts_preserved() {
-        let g = TaskGraph::build(5, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 4, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = column_cyclic(&g, 4);
         let s = simulate(&g, &p, &a);
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_and_respects_slots() {
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = column_cyclic(&g, 4);
         let plain = simulate(&g, &p, &a);
@@ -474,7 +474,7 @@ mod tests {
 
     #[test]
     fn empty_fault_plan_is_transparent() {
-        let g = TaskGraph::build(5, 5, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 5, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = column_cyclic(&g, 3);
         let plain = simulate(&g, &p, &a);
@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn device_slowdown_stretches_makespan_monotonically() {
-        let g = TaskGraph::build(5, 5, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(5, 5, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = all_on(&g, 0);
         let base = simulate(&g, &p, &a).makespan_us;
@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn link_stall_delays_only_communicating_runs() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let stall = crate::FaultPlan::none().with_link_stall(0.0, 50_000.0);
         // Single-device run never touches the bus: stall is invisible.
@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn link_storm_inflates_bus_time() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = column_cyclic(&g, 3);
         let clean = simulate(&g, &p, &a);
@@ -533,7 +533,7 @@ mod tests {
 
     #[test]
     fn transient_kernel_failures_retry_and_complete() {
-        let g = TaskGraph::build(4, 4, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = column_cyclic(&g, 2);
         let clean = simulate(&g, &p, &a);
@@ -554,7 +554,7 @@ mod tests {
 
     #[test]
     fn faulted_runs_are_deterministic() {
-        let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let a = column_cyclic(&g, 4);
         let plan = crate::FaultPlan::none()
@@ -569,7 +569,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn wrong_assignment_length_panics() {
-        let g = TaskGraph::build(2, 2, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
         let p = profiles::paper_testbed(16);
         let _ = simulate(&g, &p, &[0]);
     }

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-use tileqr_dag::{EliminationOrder, TaskGraph};
+use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::rng::Rng64;
@@ -211,11 +211,8 @@ impl GroundTruth {
         self.cache.entry((n, seed)).or_insert_with(|| {
             let a = random_matrix::<f64>(n, n, seed);
             let tiled = TiledMatrix::from_matrix(&a, tile).unwrap();
-            let g = TaskGraph::build(
-                tiled.tile_rows(),
-                tiled.tile_cols(),
-                EliminationOrder::FlatTs,
-            );
+            let g =
+                TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
             let mut st = FactorState::new(tiled);
             st.run_all(&g).unwrap();
             st.tiles().to_matrix()
@@ -239,7 +236,7 @@ fn pick<T: Copy>(rng: &mut Rng64, options: &[T]) -> T {
 /// `b` (used to aim scripted faults at a random but valid task).
 fn dag_len(n: usize, b: usize) -> usize {
     let t = n.div_ceil(b);
-    TaskGraph::build(t, t, EliminationOrder::FlatTs).len()
+    TaskGraph::build_tree(t, t, EliminationTree::Flat).len()
 }
 
 /// Run one seeded storm and assert the global lifecycle invariants.

@@ -11,7 +11,7 @@
 //! adversarial rule. Every exploration is reproducible from its
 //! [`ExploreStrategy`] alone.
 
-use tileqr_dag::{EliminationOrder, EliminationTree, TaskGraph, TaskId, TaskKind};
+use tileqr_dag::{EliminationTree, TaskGraph, TaskId, TaskKind};
 use tileqr_kernels::exec::{FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Result, Rng64, TiledMatrix};
@@ -181,20 +181,10 @@ fn argbest(ready: &[TaskId], score: impl Fn(TaskId) -> f64) -> usize {
     best
 }
 
-/// Convenience wrapper: tile `a`, explore one interleaving, and return
-/// it alongside the sequential reference state for bit-identity checks.
-pub fn explore_vs_sequential(
-    a: &Matrix<f64>,
-    tile_size: usize,
-    order: EliminationOrder,
-    workers: usize,
-    strategy: ExploreStrategy,
-) -> Result<(Exploration, FactorState<f64>)> {
-    explore_tree_vs_sequential(a, tile_size, order.into(), workers, strategy)
-}
-
-/// Tree-generic [`explore_vs_sequential`]: any member of the elimination
-/// zoo, including the TSQR fast-path DAG on tall-skinny grids.
+/// Convenience wrapper: tile `a`, explore one interleaving of any member of
+/// the elimination zoo (including the TSQR fast-path DAG on tall-skinny
+/// grids), and return it alongside the sequential reference state for
+/// bit-identity checks.
 pub fn explore_tree_vs_sequential(
     a: &Matrix<f64>,
     tile_size: usize,
@@ -247,8 +237,8 @@ mod tests {
             ExploreStrategy::LifoStarvation,
         ] {
             let (exp, reference) =
-                explore_vs_sequential(&a, 8, EliminationOrder::FlatTs, 3, strategy).unwrap();
-            let expected = TaskGraph::build(3, 3, EliminationOrder::FlatTs).len();
+                explore_tree_vs_sequential(&a, 8, EliminationTree::Flat, 3, strategy).unwrap();
+            let expected = TaskGraph::build_tree(3, 3, EliminationTree::Flat).len();
             assert_eq!(exp.completion_order.len(), expected);
             assert_bit_identical(&exp.state, &reference);
         }
@@ -262,7 +252,7 @@ mod tests {
                 seed,
                 policy: SchedulePolicy::Fifo,
             };
-            explore_vs_sequential(&a, 8, EliminationOrder::FlatTs, 4, strategy)
+            explore_tree_vs_sequential(&a, 8, EliminationTree::Flat, 4, strategy)
                 .unwrap()
                 .0
         };
@@ -276,10 +266,10 @@ mod tests {
     #[test]
     fn starvation_runs_single_slot() {
         let a = random_matrix::<f64>(16, 16, 8);
-        let (exp, reference) = explore_vs_sequential(
+        let (exp, reference) = explore_tree_vs_sequential(
             &a,
             8,
-            EliminationOrder::FlatTs,
+            EliminationTree::Flat,
             8,
             ExploreStrategy::LifoStarvation,
         )

@@ -17,8 +17,8 @@
 //!    critical-path-by-flops on the reference grids.
 
 use tileqr::dag::{
-    bottom_levels, list_makespan, ClassCosts, CostCurve, CostModel, EliminationOrder,
-    EliminationTree, ListOrder, TaskGraph, TaskKind, TreePolicy,
+    bottom_levels, list_makespan, ClassCosts, CostCurve, CostModel, EliminationTree, ListOrder,
+    TaskGraph, TaskKind, TreePolicy,
 };
 use tileqr::runtime::{model_weight, DriftConfig};
 use tileqr::{QrOptions, TiledQr};
@@ -214,7 +214,7 @@ fn measured_priorities_golden_on_reference_grids() {
     let costs = measured_costs();
     let dur = |k: TaskKind| costs.cost_us(k, b);
     for (mt, nt) in [(8usize, 8usize), (32, 2)] {
-        let graph = TaskGraph::build(mt, nt, EliminationOrder::FlatTs);
+        let graph = TaskGraph::build_tree(mt, nt, EliminationTree::Flat);
         let flop_pri = bottom_levels(&graph, model_weight(CostModel::Flops, b));
         let cal_pri = bottom_levels(&graph, dur);
         for workers in [4usize, 16] {
@@ -234,7 +234,7 @@ fn measured_priorities_golden_on_reference_grids() {
     // And the gap is real somewhere: on the 8x8 grid at 4 workers the
     // measured ranking strictly beats both baselines (golden values
     // pinned by the deterministic scheduler).
-    let graph = TaskGraph::build(8, 8, EliminationOrder::FlatTs);
+    let graph = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
     let dur4 = |k: TaskKind| costs.cost_us(k, b);
     let fifo = list_makespan(&graph, 4, ListOrder::Fifo, dur4);
     let cal_pri = bottom_levels(&graph, dur4);

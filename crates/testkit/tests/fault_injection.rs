@@ -9,7 +9,7 @@
 //! selections stay valid, makespans move monotonically with fault
 //! magnitude, and no fault ever deadlocks or loses work.
 
-use tileqr_dag::{EliminationOrder, TaskGraph};
+use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_sched::assign::assign_tasks;
 use tileqr_sched::device_count::select_device_count;
 use tileqr_sched::main_select::select_main_device;
@@ -50,7 +50,7 @@ fn degraded_testbed(slow_device: usize, factor: f64, tile_size: usize) -> Platfo
 
 #[test]
 fn device_slowdown_degrades_makespan_monotonically() {
-    let g = TaskGraph::build(8, 8, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
     let platform = profiles::paper_testbed(16);
     let assignment = testbed_assignment(&g, &platform);
     let clean = simulate(&g, &platform, &assignment).makespan_us;
@@ -73,7 +73,7 @@ fn device_slowdown_degrades_makespan_monotonically() {
 
 #[test]
 fn link_faults_degrade_predictably() {
-    let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
     let platform = profiles::paper_testbed(16);
     let assignment = testbed_assignment(&g, &platform);
     let clean = simulate(&g, &platform, &assignment);
@@ -109,7 +109,7 @@ fn link_faults_degrade_predictably() {
 
 #[test]
 fn transient_kernel_failures_conserve_work() {
-    let g = TaskGraph::build(6, 6, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
     let platform = profiles::paper_testbed(16);
     let assignment = testbed_assignment(&g, &platform);
     let clean = simulate(&g, &platform, &assignment);
@@ -215,7 +215,7 @@ fn alg3_predictions_worsen_as_participants_degrade() {
 
 #[test]
 fn fault_runs_replay_bit_exactly() {
-    let g = TaskGraph::build(7, 7, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(7, 7, EliminationTree::Flat);
     let platform = profiles::paper_testbed(16);
     let assignment = testbed_assignment(&g, &platform);
     let plan = FaultPlan::none()

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 use tileqr::{QrOptions, TiledQr};
-use tileqr_dag::{EliminationOrder, EliminationTree, TaskGraph};
+use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
@@ -25,11 +25,7 @@ use tileqr_testkit::{policies_under_test, workers_under_test};
 /// Sequential ground truth: factored tile matrix plus the task graph.
 fn sequential(a: &Matrix<f64>, b: usize) -> (TiledMatrix<f64>, TaskGraph, Matrix<f64>) {
     let tiled = TiledMatrix::from_matrix(a, b).unwrap();
-    let g = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    );
+    let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
     let mut seq = FactorState::new(tiled.clone());
     seq.run_all(&g).unwrap();
     let m = seq.tiles().to_matrix();

@@ -14,7 +14,7 @@
 //!    iff faults were injected.
 
 use std::collections::BTreeSet;
-use tileqr_dag::{counts, EliminationOrder, TaskGraph};
+use tileqr_dag::{counts, EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::TiledMatrix;
 use tileqr_obs::{kind_index, EventKind, Phase, Trace, TraceConfig};
@@ -31,11 +31,7 @@ const SEED: u64 = 424_242;
 fn fixture() -> (TiledMatrix<f64>, TaskGraph) {
     let a = tileqr_matrix::gen::random_matrix::<f64>(N, N, SEED);
     let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
-    let g = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    );
+    let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
     (tiled, g)
 }
 

@@ -7,7 +7,7 @@
 //! to the numerical oracle.
 
 use tileqr::{QrOptions, TiledQr};
-use tileqr_dag::EliminationOrder;
+use tileqr_dag::{EliminationTree, TreePolicy};
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::Matrix;
 use tileqr_testkit::oracle::verify_qr;
@@ -73,11 +73,11 @@ fn edge_geometries_survive_all_elimination_orders() {
     for (name, m, n, b) in edge_geometries() {
         let a = random_matrix::<f64>(m, n, 13 * m as u64 + n as u64);
         for order in [
-            EliminationOrder::FlatTs,
-            EliminationOrder::FlatTt,
-            EliminationOrder::BinaryTt,
+            EliminationTree::Flat,
+            EliminationTree::FlatTt,
+            EliminationTree::Binary,
         ] {
-            let opts = QrOptions::new().tile_size(b).order(order);
+            let opts = QrOptions::new().tile_size(b).tree(TreePolicy::Fixed(order));
             let seq_r = TiledQr::factor(&a, &opts).unwrap().r();
             let par = TiledQr::factor(&a, &opts.workers(4)).unwrap();
             assert_eq!(par.r(), seq_r, "{name} {order:?}");

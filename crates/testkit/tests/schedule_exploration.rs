@@ -9,13 +9,13 @@
 
 use std::collections::HashSet;
 
-use tileqr_dag::{EliminationOrder, TaskGraph};
+use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::TiledMatrix;
 use tileqr_runtime::{parallel_factor_ordered, DispatchOrder, PoolConfig, SchedulePolicy};
 use tileqr_testkit::explorer::{
-    assert_bit_identical, explore, explore_vs_sequential, ExploreStrategy,
+    assert_bit_identical, explore, explore_tree_vs_sequential, ExploreStrategy,
 };
 use tileqr_testkit::{policies_under_test, workers_under_test};
 
@@ -24,11 +24,7 @@ const B: usize = 8;
 
 fn sequential_reference(a: &tileqr_matrix::Matrix<f64>) -> (FactorState<f64>, TaskGraph) {
     let tiled = TiledMatrix::from_matrix(a, B).unwrap();
-    let graph = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    );
+    let graph = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
     let mut state = FactorState::new(tiled);
     state.run_all(&graph).unwrap();
     (state, graph)
@@ -71,7 +67,8 @@ fn adversarial_strategies_are_bit_identical_across_worker_counts() {
             ExploreStrategy::LifoStarvation,
         ] {
             let (exp, reference) =
-                explore_vs_sequential(&a, B, EliminationOrder::FlatTs, workers, strategy).unwrap();
+                explore_tree_vs_sequential(&a, B, EliminationTree::Flat, workers, strategy)
+                    .unwrap();
             assert_bit_identical(&exp.state, &reference);
         }
     }
@@ -80,13 +77,13 @@ fn adversarial_strategies_are_bit_identical_across_worker_counts() {
 #[test]
 fn exploration_covers_binary_tree_elimination_too() {
     let a = random_matrix::<f64>(48, 24, 17);
-    for order in [EliminationOrder::FlatTt, EliminationOrder::BinaryTt] {
+    for order in [EliminationTree::FlatTt, EliminationTree::Binary] {
         for seed in 0..25 {
             let strategy = ExploreStrategy::Seeded {
                 seed,
                 policy: SchedulePolicy::CriticalPath,
             };
-            let (exp, reference) = explore_vs_sequential(&a, B, order, 3, strategy).unwrap();
+            let (exp, reference) = explore_tree_vs_sequential(&a, B, order, 3, strategy).unwrap();
             assert_bit_identical(&exp.state, &reference);
         }
     }

@@ -14,7 +14,7 @@ use tileqr::runtime::{
     FaultInjector, FaultTolerance, InjectedFault, JobSpec, QrService, RuntimeError, ScriptedFaults,
     ServiceConfig, ServiceError,
 };
-use tileqr_dag::{EliminationOrder, TaskGraph};
+use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
@@ -23,11 +23,7 @@ use tileqr_testkit::workers_under_test;
 /// Sequential ground truth for one job.
 fn sequential(a: &Matrix<f64>, b: usize) -> Matrix<f64> {
     let tiled = TiledMatrix::from_matrix(a, b).unwrap();
-    let g = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    );
+    let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
     let mut seq = FactorState::new(tiled);
     seq.run_all(&g).unwrap();
     seq.tiles().to_matrix()
@@ -316,12 +312,8 @@ fn cancel_vs_complete_race_at_every_task_index() {
     let a = random_matrix::<f64>(24, 24, 61);
     let want = sequential(&a, 8);
     let tiled = TiledMatrix::from_matrix(&a, 8).unwrap();
-    let tasks = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    )
-    .len();
+    let tasks =
+        TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat).len();
 
     let mut cancelled = 0u64;
     let mut completed = 0u64;

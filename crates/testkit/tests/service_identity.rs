@@ -9,16 +9,16 @@
 
 use tileqr::runtime::{JobOutput, JobSpec, PriorityClass, QrService, ServiceConfig};
 use tileqr::{QrOptions, TiledQr};
-use tileqr_dag::{EliminationOrder, TaskGraph};
+use tileqr_dag::{EliminationTree, TaskGraph, TreePolicy};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_testkit::{policies_under_test, workers_under_test};
 
 /// Sequential ground truth for one job: the factored tile matrix.
-fn sequential(a: &Matrix<f64>, b: usize, order: EliminationOrder) -> Matrix<f64> {
+fn sequential(a: &Matrix<f64>, b: usize, order: EliminationTree) -> Matrix<f64> {
     let tiled = TiledMatrix::from_matrix(a, b).unwrap();
-    let g = TaskGraph::build(tiled.tile_rows(), tiled.tile_cols(), order);
+    let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
     let mut seq = FactorState::new(tiled);
     seq.run_all(&g).unwrap();
     seq.tiles().to_matrix()
@@ -27,12 +27,12 @@ fn sequential(a: &Matrix<f64>, b: usize, order: EliminationOrder) -> Matrix<f64>
 /// Mixed-size workload: job `i` cycles through square, rectangular,
 /// tall-skinny, and non-tile-multiple shapes so concurrent DAGs differ
 /// in depth and width.
-fn job_matrix(i: u64) -> (Matrix<f64>, usize, EliminationOrder) {
+fn job_matrix(i: u64) -> (Matrix<f64>, usize, EliminationTree) {
     let shapes = [
-        (24, 24, EliminationOrder::FlatTs),
-        (40, 16, EliminationOrder::FlatTt),
-        (16, 16, EliminationOrder::FlatTs),
-        (33, 20, EliminationOrder::BinaryTt),
+        (24, 24, EliminationTree::Flat),
+        (40, 16, EliminationTree::FlatTt),
+        (16, 16, EliminationTree::Flat),
+        (33, 20, EliminationTree::Binary),
     ];
     let (m, n, order) = shapes[(i % 4) as usize];
     (random_matrix::<f64>(m, n, 1000 + i), 8, order)
@@ -55,7 +55,9 @@ fn service_factor_bit_identical_across_sweep() {
                 for i in 0..jobs as u64 {
                     let (a, b, order) = job_matrix(i);
                     expected.push(sequential(&a, b, order));
-                    let spec = JobSpec::factor(a).tile_size(b).order(order);
+                    let spec = JobSpec::factor(a)
+                        .tile_size(b)
+                        .tree(TreePolicy::Fixed(order));
                     handles.push(svc.submit(spec).unwrap());
                 }
                 for (h, want) in handles.into_iter().zip(expected) {
@@ -88,7 +90,7 @@ fn small_jobs_bit_identical_to_sequential() {
         .collect();
     let expected: Vec<Matrix<f64>> = specs
         .iter()
-        .map(|(a, b)| sequential(a, *b, EliminationOrder::FlatTs))
+        .map(|(a, b)| sequential(a, *b, EliminationTree::Flat))
         .collect();
 
     let svc = QrService::<f64>::start(ServiceConfig {
@@ -198,7 +200,7 @@ fn factor_on_matches_standalone_factor() {
 #[test]
 fn priority_classes_bit_identical() {
     let a = random_matrix::<f64>(40, 24, 9);
-    let want = sequential(&a, 8, EliminationOrder::FlatTs);
+    let want = sequential(&a, 8, EliminationTree::Flat);
     let svc = QrService::<f64>::start(ServiceConfig {
         workers: 4,
         ..ServiceConfig::default()

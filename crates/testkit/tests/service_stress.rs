@@ -6,7 +6,7 @@
 //! holding every factor to bit identity with the sequential path.
 
 use tileqr::runtime::{JobSpec, PriorityClass, QrService, ServiceConfig, ServiceError};
-use tileqr_dag::{EliminationOrder, TaskGraph};
+use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, Rng64, TiledMatrix};
@@ -15,11 +15,7 @@ use tileqr_testkit::workers_under_test;
 /// Sequential ground truth for one job.
 fn sequential(a: &Matrix<f64>, b: usize) -> Matrix<f64> {
     let tiled = TiledMatrix::from_matrix(a, b).unwrap();
-    let g = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    );
+    let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
     let mut seq = FactorState::new(tiled);
     seq.run_all(&g).unwrap();
     seq.tiles().to_matrix()

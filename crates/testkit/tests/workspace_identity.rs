@@ -9,7 +9,7 @@
 //! [`FactorState::elim_factor_any`]) to byte identity with the sequential
 //! ground truth — with and without injected faults.
 
-use tileqr_dag::{EliminationOrder, EliminationTree, TaskGraph, TreePolicy};
+use tileqr_dag::{EliminationTree, TaskGraph, TreePolicy};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
@@ -22,11 +22,7 @@ use tileqr_testkit::{policies_under_test, workers_under_test};
 /// Sequential ground truth (which itself runs on a reused arena).
 fn sequential(a: &Matrix<f64>, b: usize) -> (TiledMatrix<f64>, TaskGraph, FactorState<f64>) {
     let tiled = TiledMatrix::from_matrix(a, b).unwrap();
-    let g = TaskGraph::build(
-        tiled.tile_rows(),
-        tiled.tile_cols(),
-        EliminationOrder::FlatTs,
-    );
+    let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
     let mut seq = FactorState::new(tiled.clone());
     seq.run_all(&g).unwrap();
     (tiled, g, seq)
@@ -219,11 +215,7 @@ fn counters_are_clean_on_uniquely_owned_input() {
     let a = random_matrix::<f64>(48, 48, 0xA4);
     for workers in workers_under_test() {
         let tiled = TiledMatrix::from_matrix(&a, 8).unwrap();
-        let g = TaskGraph::build(
-            tiled.tile_rows(),
-            tiled.tile_cols(),
-            EliminationOrder::FlatTs,
-        );
+        let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
         let (_, report) = parallel_factor_traced(
             FactorState::new(tiled),
             &g,

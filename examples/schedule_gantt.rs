@@ -8,7 +8,7 @@
 //! cargo run --release --example schedule_gantt [tile_grid] [width]
 //! ```
 
-use tileqr::dag::{EliminationOrder, TaskGraph};
+use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::hetero::{assign, engine, plan, profiles, DistributionStrategy, MainDevicePolicy};
 use tileqr::obs::Trace;
 
@@ -26,7 +26,7 @@ fn main() {
         DistributionStrategy::GuideArray,
         Some(platform.num_devices()),
     );
-    let graph = TaskGraph::build(nt, nt, EliminationOrder::FlatTs);
+    let graph = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let assignment = assign::assign_tasks(&graph, &hp.distribution, hp.policy);
 
     let (stats, timeline) = engine::simulate_traced(&graph, &platform, &assignment);

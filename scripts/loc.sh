@@ -21,11 +21,13 @@
 #   * one factor path: GEQRT/TSQRT/TTQRT share one recursive routine with
 #     one reflector loop (`larfg` has one call site in the kernels),
 #     and the inner block size is derived, not an option — no `ib` knob, no
-#     second factor format, in library, tests or benches.
+#     second factor format, in library, tests or benches;
+#   * one benchmark system: speed claims are `perf/` rows, so the frozen
+#     seed kernels, the global-lock baseline runtime and the `BENCH_*.json`
+#     of the retired `cargo bench` targets stay deleted, and one way to name
+#     a tree: `EliminationTree`, no legacy `EliminationOrder`.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
-# `crates/bench/src/legacy_kernels.rs` (the frozen seed kernels) is exempt
-# from the mirror gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,7 +40,7 @@ non_test() {
 non_test_all() {
     local f
     for f in $(find "$@" -path '*/src/*' -name '*.rs' | sort); do
-        [ "$f" = crates/bench/src/legacy_kernels.rs ] || non_test "$f"
+        non_test "$f"
     done
 }
 
@@ -122,4 +124,11 @@ hits=$(for f in $(find crates/kernels/src -name '*.rs' ! -name householder.rs ! 
 done | grep -E '\blarfg\(' || true)
 n=$(printf '%s' "$hits" | grep -c . || true)
 [ "$n" -eq 1 ] || fail "larfg( call sites in the kernels: found $n, want 1 (one reflector loop):" "$hits"
+
+# Tests, benches and examples count here too.
+if hits=$(grep -rnE 'legacy_kernels|global_lock_factor|EliminationOrder' crates tests examples); then
+    fail "a retired name is back (seed kernels, global-lock baseline, legacy elimination order):" "$hits"
+fi
+hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
+[ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status

@@ -4,14 +4,14 @@
 //! run no matter how many workers execute it or in which order the
 //! scheduler dispatches the ready set.
 
-use tileqr::dag::{EliminationOrder, TaskGraph};
+use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::kernels::FactorState;
 use tileqr::runtime::{parallel_factor, PoolConfig, SchedulePolicy};
 use tileqr::{Matrix, TiledMatrix};
 
-fn factor_sequential(a: &Matrix<f64>, b: usize, order: EliminationOrder) -> FactorState<f64> {
+fn factor_sequential(a: &Matrix<f64>, b: usize, order: EliminationTree) -> FactorState<f64> {
     let tiled = TiledMatrix::from_matrix(a, b).unwrap();
-    let g = TaskGraph::build(tiled.tile_rows(), tiled.tile_cols(), order);
+    let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
     let mut st = FactorState::new(tiled);
     st.run_all(&g).unwrap();
     st
@@ -21,14 +21,14 @@ fn factor_sequential(a: &Matrix<f64>, b: usize, order: EliminationOrder) -> Fact
 fn parallel_runs_bit_identical_to_sequential_across_the_sweep() {
     let a = tileqr::gen::random_matrix::<f64>(48, 48, 4242);
     let b = 8;
-    for order in [EliminationOrder::FlatTs, EliminationOrder::BinaryTt] {
+    for order in [EliminationTree::Flat, EliminationTree::Binary] {
         let seq = factor_sequential(&a, b, order);
         let seq_tiles = seq.tiles().to_matrix();
         let seq_r = seq.r_matrix();
         for workers in [1usize, 2, 4, 8] {
             for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
                 let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
-                let g = TaskGraph::build(tiled.tile_rows(), tiled.tile_cols(), order);
+                let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
                 let st = parallel_factor(
                     FactorState::new(tiled),
                     &g,
@@ -61,13 +61,13 @@ fn tall_matrix_sweep_is_bit_identical() {
     // Tall grid: exercises the TT tree merges under contention.
     let a = tileqr::gen::random_matrix::<f64>(64, 16, 77);
     let b = 8;
-    for order in [EliminationOrder::FlatTs, EliminationOrder::BinaryTt] {
+    for order in [EliminationTree::Flat, EliminationTree::Binary] {
         let seq = factor_sequential(&a, b, order);
         let seq_tiles = seq.tiles().to_matrix();
         for workers in [2usize, 8] {
             for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
                 let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
-                let g = TaskGraph::build(tiled.tile_rows(), tiled.tile_cols(), order);
+                let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
                 let st = parallel_factor(
                     FactorState::new(tiled),
                     &g,

@@ -4,7 +4,7 @@
 //! simulator calibrated from a run's own spans re-predicts that run's
 //! makespan.
 
-use tileqr::dag::{EliminationOrder, TaskGraph};
+use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::hetero::{engine, profiles, ClassCosts, DeviceKind, Link, Platform, SimConfig};
 use tileqr::obs::{
     fit_step_times, fitted_profile, profile_error, samples_from_trace, sim_vs_real, KernelSample,
@@ -30,7 +30,7 @@ fn simulated_samples(
             elem_bytes: 8,
         },
     );
-    let graph = TaskGraph::build(nt, nt, EliminationOrder::FlatTs);
+    let graph = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let assignment = vec![0usize; graph.len()];
     let (_, timeline) = engine::simulate_traced(&graph, &platform, &assignment);
     let trace = Trace::from_timeline(&timeline, std::slice::from_ref(&truth.name));
@@ -98,7 +98,7 @@ fn calibrated_simulator_repredicts_the_run_it_was_fitted_from() {
             elem_bytes: 8,
         },
     );
-    let graph = TaskGraph::build(nt, nt, EliminationOrder::FlatTs);
+    let graph = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let assignment = vec![0usize; graph.len()];
     let (stats, timeline) = engine::simulate_traced(&graph, &platform, &assignment);
     let trace = Trace::from_timeline(&timeline, std::slice::from_ref(&truth.name));

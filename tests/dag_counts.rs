@@ -1,14 +1,14 @@
 //! Paper Table I: the number of tiles operated per step for a remaining
 //! `M x N` panel, cross-checked against the exact DAG.
 
-use tileqr::dag::{counts, EliminationOrder, StepClass, TaskGraph};
+use tileqr::dag::{counts, EliminationTree, StepClass, TaskGraph};
 
 #[test]
 fn table1_formulas_hold_for_every_panel() {
     // Walk a real factorization DAG panel by panel and verify the paper's
     // accounting identities: T+E tasks = M, UT+UE tasks = M(N-1).
     let (mt, nt) = (9, 7);
-    let g = TaskGraph::build(mt, nt, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(mt, nt, EliminationTree::Flat);
     for k in 0..mt.min(nt) {
         let m = mt - k;
         let n = nt - k;
@@ -44,14 +44,14 @@ fn exact_counts_match_dag_for_many_shapes() {
 #[test]
 fn total_task_count_closed_form() {
     for (m, n) in [(4, 4), (10, 6), (6, 10), (16, 16)] {
-        let g = TaskGraph::build(m, n, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(m, n, EliminationTree::Flat);
         assert_eq!(g.len(), counts::total_ts_tasks(m, n), "{m}x{n}");
     }
 }
 
 #[test]
 fn class_totals_reconcile() {
-    let g = TaskGraph::build(10, 10, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(10, 10, EliminationTree::Flat);
     let (t, e, ut, ue) = counts::class_totals(&g);
     // One GEQRT per panel; eliminations sum over panels of (M-k-1).
     assert_eq!(t, 10);

@@ -2,7 +2,7 @@
 //! deterministic seeded random inputs (the breadth of the previous
 //! proptest suite, without the external dependency).
 
-use tileqr::dag::{counts, critical_path, topo, EliminationOrder, TaskGraph};
+use tileqr::dag::{counts, critical_path, topo, EliminationTree, TaskGraph};
 use tileqr::hetero::{guide, ratio};
 use tileqr::kernels::validate;
 use tileqr::ops;
@@ -71,11 +71,11 @@ fn dag_is_always_acyclic_and_complete() {
         let mt = rng.range_i64(1, 11) as usize;
         let nt = rng.range_i64(1, 11) as usize;
         let order = [
-            EliminationOrder::FlatTs,
-            EliminationOrder::FlatTt,
-            EliminationOrder::BinaryTt,
+            EliminationTree::Flat,
+            EliminationTree::FlatTt,
+            EliminationTree::Binary,
         ][rng.range_i64(0, 2) as usize];
-        let g = TaskGraph::build(mt, nt, order);
+        let g = TaskGraph::build_tree(mt, nt, order);
         assert!(topo::is_acyclic(&g), "{mt}x{nt} {order:?}");
         // Every non-source task has a pred; sources are GEQRTs.
         for id in g.sources() {
@@ -99,7 +99,7 @@ fn ts_task_count_closed_form() {
         let mut rng = Rng64::seed_from_u64(5000 + case);
         let mt = rng.range_i64(1, 15) as usize;
         let nt = rng.range_i64(1, 15) as usize;
-        let g = TaskGraph::build(mt, nt, EliminationOrder::FlatTs);
+        let g = TaskGraph::build_tree(mt, nt, EliminationTree::Flat);
         assert_eq!(g.len(), counts::total_ts_tasks(mt, nt), "{mt}x{nt}");
     }
 }

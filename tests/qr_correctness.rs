@@ -25,12 +25,17 @@ fn check_factorization(n_rows: usize, n_cols: usize, opts: &QrOptions, seed: u64
 #[test]
 fn square_matrices_all_orders() {
     for order in [
-        EliminationOrder::FlatTs,
-        EliminationOrder::FlatTt,
-        EliminationOrder::BinaryTt,
+        EliminationTree::Flat,
+        EliminationTree::FlatTt,
+        EliminationTree::Binary,
     ] {
         for n in [8, 16, 24, 48] {
-            check_factorization(n, n, &QrOptions::new().tile_size(8).order(order), 1);
+            check_factorization(
+                n,
+                n,
+                &QrOptions::new().tile_size(8).tree(TreePolicy::Fixed(order)),
+                1,
+            );
         }
     }
 }
@@ -147,8 +152,12 @@ fn parallel_and_sequential_bitwise_equal() {
 fn q_times_r_equals_a_for_tt_orders_with_padding() {
     // Padding + TT trees at once — the trickiest corner.
     let a = gen::random_matrix::<f64>(27, 27, 11);
-    for order in [EliminationOrder::FlatTt, EliminationOrder::BinaryTt] {
-        let f = TiledQr::factor(&a, &QrOptions::new().tile_size(8).order(order)).unwrap();
+    for order in [EliminationTree::FlatTt, EliminationTree::Binary] {
+        let f = TiledQr::factor(
+            &a,
+            &QrOptions::new().tile_size(8).tree(TreePolicy::Fixed(order)),
+        )
+        .unwrap();
         let qr = matmul(&f.q().unwrap(), &f.r()).unwrap();
         assert!(qr.approx_eq(&a, 1e-11), "{order:?}");
     }

@@ -1,7 +1,7 @@
 //! Validate the fast column-granularity simulator against the exact
 //! task-level discrete-event simulator on grids where both run.
 
-use tileqr::dag::{EliminationOrder, TaskGraph};
+use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::hetero::{
     assign, engine, fastsim, plan, profiles, DistributionStrategy, MainDevicePolicy,
 };
@@ -16,7 +16,7 @@ fn both_makespans(nt: usize, force_p: usize) -> (f64, f64) {
         DistributionStrategy::GuideArray,
         Some(force_p),
     );
-    let g = TaskGraph::build(nt, nt, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let a = assign::assign_tasks(&g, &hp.distribution, hp.policy);
     let exact = engine::simulate(&g, &p, &a).makespan_us;
     let fast = fastsim::simulate_fast(&p, &hp, nt, nt).makespan_us;
@@ -81,7 +81,7 @@ fn both_charge_zero_comm_for_single_device() {
         DistributionStrategy::GuideArray,
         Some(1),
     );
-    let g = TaskGraph::build(12, 12, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(12, 12, EliminationTree::Flat);
     let a = assign::assign_tasks(&g, &hp.distribution, hp.policy);
     assert_eq!(engine::simulate(&g, &p, &a).bytes_transferred, 0);
     assert_eq!(fastsim::simulate_fast(&p, &hp, 12, 12).bytes_transferred, 0);
@@ -100,7 +100,7 @@ fn busy_times_match_exactly_between_simulators() {
         DistributionStrategy::GuideArray,
         Some(3),
     );
-    let g = TaskGraph::build(20, 20, EliminationOrder::FlatTs);
+    let g = TaskGraph::build_tree(20, 20, EliminationTree::Flat);
     let a = assign::assign_tasks(&g, &hp.distribution, hp.policy);
     let exact = engine::simulate(&g, &p, &a);
     let fast = fastsim::simulate_fast(&p, &hp, 20, 20);

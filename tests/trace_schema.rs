@@ -4,7 +4,7 @@
 //! pool and from the simulator alike (the two sides share one
 //! [`tileqr::obs::Trace`] model, so one exporter serves both).
 
-use tileqr::dag::{EliminationOrder, TaskGraph};
+use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::hetero::{assign, engine, plan, profiles, DistributionStrategy, MainDevicePolicy};
 use tileqr::obs::{chrome, EventKind, Trace};
 use tileqr::prelude::*;
@@ -34,7 +34,7 @@ fn sim_trace() -> (Trace, usize) {
         DistributionStrategy::GuideArray,
         Some(platform.num_devices()),
     );
-    let graph = TaskGraph::build(nt, nt, EliminationOrder::FlatTs);
+    let graph = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let assignment = assign::assign_tasks(&graph, &hp.distribution, hp.policy);
     let (_, timeline) = engine::simulate_traced(&graph, &platform, &assignment);
     let lanes: Vec<String> = (0..platform.num_devices())
