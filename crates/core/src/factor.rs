@@ -136,6 +136,18 @@ impl<T: Scalar> TiledQr<T> {
         full
     }
 
+    /// The `cols x cols` triangle of `R` a solve reads (an out-of-bounds
+    /// error for a wide matrix, which has none).
+    fn r_square(&self) -> Result<Matrix<T>> {
+        if self.rows < self.cols {
+            return Err(MatrixError::OutOfBounds {
+                index: (self.cols, self.cols),
+                dims: (self.rows, self.cols),
+            });
+        }
+        Ok(self.state.r_rows(self.cols))
+    }
+
     /// Materialize the orthogonal factor `Q` (`rows x rows`).
     pub fn q(&self) -> Result<Matrix<T>> {
         let (pm, _) = self.state.tiles().padded_dims();
@@ -186,14 +198,14 @@ impl<T: Scalar> TiledQr<T> {
         }
         let bm = Matrix::from_col_major(self.rows, 1, b.to_vec())?;
         let qtb = self.apply_qt(&bm)?;
-        let r_sq = self.r().submatrix(0, 0, self.cols, self.cols)?;
+        let r_sq = self.r_square()?;
         tileqr_matrix::ops::solve_upper_triangular(&r_sq, &qtb.as_slice()[..self.cols])
     }
 
     /// Solve against multiple right-hand sides at once.
     pub fn solve_matrix(&self, b: &Matrix<T>) -> Result<Matrix<T>> {
         let qtb = self.apply_qt(b)?;
-        let r_sq = self.r().submatrix(0, 0, self.cols, self.cols)?;
+        let r_sq = self.r_square()?;
         let top = qtb.submatrix(0, 0, self.cols, b.cols())?;
         tileqr_matrix::ops::solve_upper_triangular_matrix(&r_sq, &top)
     }
@@ -207,8 +219,7 @@ impl<T: Scalar> TiledQr<T> {
                 dims: (self.rows, self.cols),
             });
         }
-        let r = self.r();
-        tileqr_matrix::ops::triangular_condition_est(&r, 30)
+        tileqr_matrix::ops::triangular_condition_est(&self.state.r_rows(self.cols), 30)
     }
 
     /// Absolute value of `det(A)` for square `A`: the product of `|R|`'s
@@ -219,7 +230,7 @@ impl<T: Scalar> TiledQr<T> {
                 dims: (self.rows, self.cols),
             });
         }
-        let r = self.r();
+        let r = self.state.r_rows(self.cols);
         let mut d = T::ONE;
         for i in 0..self.cols {
             d *= r[(i, i)].abs();

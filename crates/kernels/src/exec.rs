@@ -334,9 +334,24 @@ impl<T: Scalar> FactorState<T> {
     /// Assembled `R` factor: the upper-triangular result, dense, with the
     /// original (unpadded) dimensions.
     pub fn r_matrix(&self) -> Matrix<T> {
-        let full = self.tiles.to_matrix();
-        let (m, n) = full.dims();
-        Matrix::from_fn(m, n, |i, j| if i <= j { full[(i, j)] } else { T::ZERO })
+        self.r_rows(self.tiles.dense_dims().0)
+    }
+
+    /// The first `m` rows of [`r_matrix`](Self::r_matrix) (a solve reads
+    /// `cols`), by column runs out of the tiles on and above the diagonal.
+    pub fn r_rows(&self, m: usize) -> Matrix<T> {
+        let (b, n) = (self.tiles.tile_size(), self.tiles.dense_dims().1);
+        let mut r = Matrix::zeros(m, n);
+        for j in 0..n {
+            let (tj, cj) = (j / b, j % b);
+            let live = (j + 1).min(m);
+            for ti in 0..live.div_ceil(b) {
+                let len = (live - ti * b).min(b);
+                let run = &self.tiles.tile(ti, tj).col(cj)[..len];
+                r.col_mut(j)[ti * b..ti * b + len].copy_from_slice(run);
+            }
+        }
+        r
     }
 }
 

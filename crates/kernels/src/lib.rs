@@ -30,8 +30,8 @@
 //! ([`validate`]).
 
 // `deny` instead of `forbid`: the kernels are safe code except for the
-// narrowly scoped, documented allows inside `micro/simd.rs` (the AVX2+FMA
-// intrinsics core x86-64 hosts select by runtime detection). Everything
+// narrowly scoped, documented allows inside `micro/simd.rs` (the 512- or
+// 256-bit vector core x86-64 hosts select by runtime detection). Everything
 // else in the crate still refuses `unsafe` at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,43 +2,47 @@
 //!
 //! Every loop here is written so LLVM's autovectorizer can keep the
 //! element type's native width busy under the default x86-64 target
-//! (SSE2): dots carry [`LANES`](super::LANES) independent accumulators
-//! (the dependent-add chain of a naive `iter().sum()` dot is the thing
-//! strict FP semantics forbid LLVM from breaking up), and the axpy /
-//! rank-1 bodies are single-assignment per element with no cross-iteration
-//! dependence. Slices are pre-truncated to the trip count so bounds
-//! checks vanish from the inner loops.
+//! (SSE2): dots carry [`LANES`] independent accumulators (the dependent-add
+//! chain of a naive `iter().sum()` dot is the thing strict FP semantics
+//! forbid LLVM from breaking up), the rank-1 body is single-assignment per
+//! element, and slices are pre-truncated to the trip count so bounds checks
+//! vanish from the inner loops.
 //!
 //! The accumulation order is fixed by this file alone: lane `i % LANES`
 //! takes element `i`, tails land in lane 0, and lanes reduce as
 //! `(a0+a1)+(a2+a3)`. That order is what the determinism contract of
 //! [`crate::micro`] promises for the `Blocked` backend on every host.
 
-use super::{Cols, ColsMut, Core, LANES};
+use super::{Cols, ColsMut, Core};
+use std::ops::Range;
 use tileqr_matrix::Scalar;
 
 /// The portable core: safe, autovectorization-friendly scalar blocks.
 pub(crate) struct ScalarCore;
 
+/// Independent accumulator lanes per dot product (breaks the FP add latency
+/// chain) and rows per block of the outer-product tile.
+const LANES: usize = 4;
+
+/// The level-3 register tiles, sized for the vectorizer's sixteen SSE2
+/// registers: a 4 x 3 dot tile, two four-row blocks by six columns of
+/// outer product.
+impl ScalarCore {
+    pub(crate) const TN_MR: usize = 4;
+    pub(crate) const TN_NR: usize = 3;
+    pub(crate) const NN_MV: usize = 2;
+    pub(crate) const NN_NR: usize = 6;
+}
+
 impl<T: Scalar> Core<T> for ScalarCore {
-    #[inline(always)]
-    fn axpy1(a: T, c: &[T], y: &mut [T]) {
-        let c = &c[..y.len()];
-        for (yi, &ci) in y.iter_mut().zip(c) {
-            *yi += a * ci;
-        }
-    }
+    const LANES: usize = LANES;
 
     #[inline(always)]
-    fn rank1_4(x: &[T], w: [T; 4], c0: &mut [T], c1: &mut [T], c2: &mut [T], c3: &mut [T]) {
-        let n = c0.len();
-        let x = &x[..n];
-        let (c1, c2, c3) = (&mut c1[..n], &mut c2[..n], &mut c3[..n]);
-        for (i, &xv) in x.iter().enumerate() {
-            c0[i] -= w[0] * xv;
-            c1[i] -= w[1] * xv;
-            c2[i] -= w[2] * xv;
-            c3[i] -= w[3] * xv;
+    fn rank1<const N: usize>(x: &[T], w: [T; N], cols: [&mut [T]; N]) {
+        for (col, wj) in cols.into_iter().zip(w) {
+            for (ci, &xi) in col.iter_mut().zip(x) {
+                *ci -= wj * xi;
+            }
         }
     }
 
@@ -78,15 +82,28 @@ impl<T: Scalar> Core<T> for ScalarCore {
         (a, lda): Cols<T>,
         b: [&[T]; NR],
         (c, ldc): ColsMut<T>,
+        rows: usize,
+        // Every step runs on every row: the zeros outside `inner` are stored.
+        _inner: Range<usize>,
     ) {
         for (j, bj) in b.iter().enumerate() {
-            let cj = &mut c[j * ldc..j * ldc + MV * LANES];
+            let cj = &mut c[j * ldc..j * ldc + rows];
             let mut acc = [[T::ZERO; LANES]; MV];
-            for (p, &w) in bj.iter().enumerate() {
-                let col = &a[p * lda..p * lda + MV * LANES];
-                for (rows, lanes) in col.chunks_exact(LANES).zip(&mut acc) {
-                    for l in 0..LANES {
-                        lanes[l] += rows[l] * w;
+            if rows == MV * LANES {
+                for (p, &w) in bj.iter().enumerate() {
+                    let col = &a[p * lda..p * lda + MV * LANES];
+                    for (rows, lanes) in col.chunks_exact(LANES).zip(&mut acc) {
+                        for l in 0..LANES {
+                            lanes[l] += rows[l] * w;
+                        }
+                    }
+                }
+            } else {
+                // A ragged last block: the same sums, one row at a time.
+                for (p, &w) in bj.iter().enumerate() {
+                    let col = &a[p * lda..p * lda + rows];
+                    for (s, &r) in acc.iter_mut().flatten().zip(col) {
+                        *s += r * w;
                     }
                 }
             }

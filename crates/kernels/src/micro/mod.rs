@@ -7,35 +7,35 @@
 //!   `TTMQR`, both [`ApplySide`](crate::ApplySide)s, and the applies inside
 //!   the factor kernels' recursion) is three matrix products, `W = VᵀC`,
 //!   `op(T)·W` and `C −= V·W`; merging two `T` factors is three more.
-//!   [`gemm_tn`] computes an `MR x NR` tile of
-//!   dot products at a time with both operands read down their contiguous
-//!   columns; [`gemm_nn_sub`] an outer-product tile with its second operand
-//!   broadcast. Each loaded vector feeds three to six multiply-adds and
-//!   twelve independent accumulators hide the FMA latency. Nothing is
-//!   packed: tiles are column-major, which is the layout both tiles want.
-//!   A triangular operand is described by a [`Shape`], and the skeleton
-//!   skips its zero triangle a row block at a time.
+//!   [`gemm_tn`] computes an `MR x NR` tile of dot products at a time with
+//!   both operands read down their contiguous columns; [`gemm_nn_sub`] an
+//!   outer-product tile with its second operand broadcast. Each loaded
+//!   vector feeds three to eight multiply-adds and twelve to twenty-four
+//!   independent accumulators hide the FMA latency. Nothing is packed:
+//!   tiles are column-major, which is the layout both tiles want. A
+//!   triangular operand is described by a [`Shape`], and the skeleton skips
+//!   its zero triangle a vector of rows at a time.
 //! * **Level 1.5 — the factor kernels' base case.** One reflector at a
 //!   time over a panel a few columns wide leaves fused multi-column dots
 //!   ([`dotf`]) and a rank-1 fan-out ([`rank1f_sub`]): [`NR`] columns share
-//!   each load of the common
-//!   vector, dots carry [`LANES`] accumulators, and long vectors are walked
-//!   in [`KC`]-element strips so the shared strip stays L1-resident across
-//!   all columns (tile-shaped operands fit one strip).
+//!   each load of the common vector, and a dot carries one register of
+//!   accumulator lanes.
 //!
-//! Two register cores sit behind one dispatch point, and the host — not a
+//! The register cores sit behind one dispatch point, and the host — not a
 //! build option — picks between them:
 //!
 //! * `block` — safe scalar-blocked code: the portable path (every
-//!   non-x86-64 host, every `f32` panel, x86-64 without AVX2+FMA) and the
-//!   host-independent reference the agreement tests compare against.
-//! * `simd` (x86-64 only) — `core::arch` AVX2+FMA intrinsics, `f64` only,
-//!   selected by `is_x86_feature_detected!`: always for the level-3
-//!   primitives, from [`VECTOR_MIN_WORK`] touched elements for the rest.
+//!   non-x86-64 host, x86-64 without AVX2+FMA) and the host-independent
+//!   reference the agreement tests compare against.
+//! * `simd` (x86-64 only, and the crate's only `unsafe`) — `core::arch`
+//!   intrinsics behind a small vector abstraction, one body instantiated
+//!   for `f64` and `f32` at 512 bits (AVX-512F/VL) and at 256 (AVX2+FMA).
+//!   A host runs the widest width it detects and only that one: always for
+//!   the level-3 primitives, from the instantiation's `MIN_WORK` touched
+//!   elements for the rest.
 //!
-//! `simd.rs` is the only place in the crate that uses `unsafe` (see the
-//! crate-level `#![deny(unsafe_code)]` and the scoped, documented allows
-//! in that file).
+//! Each core names its own register tile (lanes, the two tile shapes, the
+//! work threshold); the skeletons below are compiled per core at its shape.
 //!
 //! **Determinism contract**: on a fixed host, every primitive performs a
 //! fixed sequence of operations determined solely by the argument shapes
@@ -43,22 +43,20 @@
 //! sequential/parallel executors (which is what the testkit bit-identity
 //! sweeps assert). That contract is over *shapes*, not over one global
 //! loop order: a level-1.5 primitive runs on the detected vector core from
-//! [`VECTOR_MIN_WORK`] touched elements, and otherwise as a plain
+//! that core's `MIN_WORK` touched elements, and otherwise as a plain
 //! sequential per-column loop below [`NAIVE_MAX_WORK`] and in the
-//! lane-blocked scalar order with the fixed `(a0+a1)+(a2+a3)` reduction
-//! tree above it. The tier is chosen by shape and host, never by data. The
-//! two cores differ from each other by rounding only (FMA contracts
-//! `a·b+c` to one rounding; the scalar core keeps two), so `f64` results
-//! on an AVX2+FMA host differ from those of any other host by that
-//! rounding, and cross-backend agreement is held to the condition-scaled
-//! oracle budgets instead of bit equality.
+//! lane-blocked scalar order above it. The tier is chosen by shape and
+//! host, never by data. The cores differ by rounding only (FMA contracts
+//! `a·b+c` to one rounding, a wider vector sums in a different order), so
+//! a 512-bit host, a 256-bit host and a host with neither differ by that,
+//! and cross-backend agreement is held to the condition-scaled oracle
+//! budgets instead of bit equality.
 //!
-//! All primitives take column-major panels as a base slice plus a column
-//! stride `ld` (column `j` starts at `ys[j * ld]`), so kernels pass tile
-//! storage directly.
+//! Primitives take column-major panels as a base slice plus a column stride
+//! `ld` (column `j` starts at `ys[j * ld]`), so kernels pass tile storage.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use tileqr_matrix::Scalar;
 
 mod block;
@@ -67,163 +65,194 @@ mod simd;
 
 /// Columns fused per pass (the BLIS-style `dotf` fuse factor).
 pub const NR: usize = 4;
-/// Independent accumulator lanes per dot product (breaks the FP add
-/// latency chain; matches one AVX2 `f64x4` register on the simd backend).
-pub const LANES: usize = 4;
-/// L1 strip length (elements) for the dense primitives: `(NR+1)` slices
-/// of `KC` f64s ≈ 20 KiB, sized to stay resident in a 32 KiB L1d.
-pub const KC: usize = 512;
 
-/// Which register core `f64` primitives run on (the level-1.5 ones from
-/// [`VECTOR_MIN_WORK`] touched elements).
+/// Which register core the primitives run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Safe scalar register-blocked code: the portable path and the
     /// host-independent reference.
     Blocked,
-    /// AVX2+FMA intrinsics (x86-64 hosts that report both, `f64` panels).
+    /// Vector intrinsics, `f64` and `f32` alike: 512-bit on x86-64 hosts
+    /// that report AVX-512F/VL, 256-bit on those with AVX2+FMA only.
     Simd,
 }
 
-/// Set while [`force_backend`] pins [`Backend::Blocked`].
-static PIN_BLOCKED: AtomicBool = AtomicBool::new(false);
+/// Test pins: bit 0 [`force_backend`]'s `Blocked`, bit 1 the narrow width.
+static PINS: AtomicU8 = AtomicU8::new(0);
 
-/// Backend that `f64` primitives will use for the next calls:
-/// [`Backend::Simd`] iff this is an x86-64 host reporting AVX2 and FMA and
-/// [`force_backend`] has not pinned [`Backend::Blocked`].
+/// Set or clear one pin and hand both to the vector backend; returns the
+/// width in bits it runs at when it runs (0: none).
+fn pin(bit: u8, on: bool) -> u32 {
+    let pins = if on {
+        PINS.fetch_or(bit, Ordering::Relaxed) | bit
+    } else {
+        PINS.fetch_and(!bit, Ordering::Relaxed) & !bit
+    };
+    #[cfg(target_arch = "x86_64")]
+    return simd::set_pins(pins & 1 != 0, pins & 2 != 0);
+    #[cfg(not(target_arch = "x86_64"))]
+    (pins as u32 & 0)
+}
+
+/// Backend of the next calls: [`Backend::Simd`] iff this is an x86-64 host
+/// reporting AVX2 and FMA and [`force_backend`] has not pinned `Blocked`.
 pub fn active_backend() -> Backend {
     #[cfg(target_arch = "x86_64")]
-    if simd::enabled::<f64>() {
+    if simd::pick::<f64>(usize::MAX).is_some() {
         return Backend::Simd;
     }
     Backend::Blocked
 }
 
-/// Test hook: pin the backend (`None` restores runtime detection).
-///
-/// Forcing [`Backend::Blocked`] always works; forcing [`Backend::Simd`]
-/// cannot conjure a core the host lacks, so it reads as `None`. Used by
-/// the backend-agreement tests; not part of the stable API.
+/// Test hook: pin the backend (`None` restores runtime detection). Forcing
+/// [`Backend::Simd`] cannot conjure a core the host lacks, so it reads as
+/// `None`. Used by the backend-agreement tests; not part of the stable API.
 #[doc(hidden)]
 pub fn force_backend(backend: Option<Backend>) {
-    PIN_BLOCKED.store(backend == Some(Backend::Blocked), Ordering::Relaxed);
+    pin(1, backend == Some(Backend::Blocked));
+}
+
+/// Test hook: `Some(256)` makes a host that detects 512-bit vectors run the
+/// 256-bit instantiations, so both are tested where both can execute;
+/// `None` restores the widest. It cannot widen or undo a [`force_backend`]
+/// pin. Returns the width in bits the vector core now runs at when it runs
+/// (0: the host has none). Not part of the stable API.
+#[doc(hidden)]
+pub fn force_vector_bits(bits: Option<u32>) -> u32 {
+    pin(2, bits.is_some_and(|b| b < 512))
 }
 
 /// The register-level core a backend must provide. Slice lengths are
-/// already matched by the blocking skeletons; implementations only fix
-/// the accumulation order and instruction selection.
+/// already matched by the blocking skeletons; implementations only fix the
+/// accumulation order and instruction selection. A core names its register
+/// tile too: `LANES` here, the level-3 tile shapes as the const parameters
+/// its entry points give the skeletons.
 pub(crate) trait Core<T: Scalar> {
-    /// `y += a · c`.
-    fn axpy1(a: T, c: &[T], y: &mut [T]);
-    /// Rank-1 fan-out: `ci -= wi · x` for four columns per load of `x`.
-    fn rank1_4(x: &[T], w: [T; 4], c0: &mut [T], c1: &mut [T], c2: &mut [T], c3: &mut [T]);
+    /// Elements per vector register: the row granularity of `nn_tile`.
+    const LANES: usize;
+    /// Rank-1 fan-out: `cols[j] -= w[j] · x` for `N` columns per load of `x`.
+    fn rank1<const N: usize>(x: &[T], w: [T; N], cols: [&mut [T]; N]);
     /// Dot-product register tile: `r[b][a] = dot(x[a], y[b])` over
-    /// `x[0].len()` rows, [`LANES`] accumulator lanes per dot and a fixed
-    /// reduction tree. `4 x 1` against a shared vector is the fused column
-    /// dot of the level-1.5 skeletons, `1 x 1` the plain dot.
+    /// `x[0].len()` rows, one register of accumulator lanes per dot and a
+    /// fixed reduction tree (`4 x 1`: the fused column dot of level 1.5).
     fn tn_tile<const MR: usize, const NR: usize>(x: [&[T]; MR], y: [&[T]; NR]) -> [[T; MR]; NR];
     /// Outer-product register tile over `b[0].len()` steps:
-    /// `c[j·ldc + r] -= Σ_p a[p·lda + r] · b[j][p]` for the `MV·LANES` rows
-    /// `r`, summed in registers in `p` order and subtracted once.
-    fn nn_tile<const MV: usize, const NR: usize>(a: Cols<T>, b: [&[T]; NR], c: ColsMut<T>);
+    /// `c[j·ldc + r] -= Σ_p a[p·lda + r] · b[j][p]` for the first `rows`
+    /// rows `r` — `MV` whole vectors, or at most one when `MV` is 1 —
+    /// summed in registers in `p` order and subtracted once. Outside the
+    /// steps `inner`, `a` is zero except in its first vector of rows (before)
+    /// or its last (after): a core may run those steps on that vector alone.
+    fn nn_tile<const MV: usize, const NR: usize>(
+        a: Cols<T>,
+        b: [&[T]; NR],
+        c: ColsMut<T>,
+        rows: usize,
+        inner: Range<usize>,
+    );
 }
 
-// ---------------------------------------------------------------------------
-// Blocking skeletons, generic over the register core. These fix the strip
-// and column-block structure once so both backends share it exactly.
-// ---------------------------------------------------------------------------
+/// A column-major operand of a primitive: the base slice and the column
+/// stride (column `j` starts at `.0[j * .1]`).
+pub type Cols<'a, T> = (&'a [T], usize);
+/// The written operand of a level-3 primitive, as [`Cols`].
+pub type ColsMut<'a, T> = (&'a mut [T], usize);
+/// Arguments of the four primitives, in the order of their public
+/// signatures, as the one value a skeleton and its vector entries take.
+pub(crate) type DotArgs<'a, T> = (&'a [T], &'a [T], usize, usize, &'a mut [T]);
+pub(crate) type RankArgs<'a, T> = (&'a [T], &'a [T], &'a mut [T], usize, usize, usize);
+type Dims = (usize, usize, usize);
+pub(crate) type TnArgs<'a, T> = (
+    Cols<'a, T>,
+    Shape,
+    Cols<'a, T>,
+    Option<Cols<'a, T>>,
+    ColsMut<'a, T>,
+    Dims,
+);
+pub(crate) type NnArgs<'a, T> = (Cols<'a, T>, Shape, Cols<'a, T>, ColsMut<'a, T>, Dims);
+
+// Blocking skeletons, generic over the register core: the column-block
+// structure is fixed once, so every core shares it exactly.
+
+/// `N` consecutive columns of a panel from column `j`, cut to `rows`.
+#[inline(always)]
+fn cols_at<'a, T, const N: usize>(
+    (ys, ld): Cols<'a, T>,
+    j: usize,
+    rows: &Range<usize>,
+) -> [&'a [T]; N] {
+    // (`array::from_fn` with this closure stays an out-of-line call.)
+    let mut cols: [&[T]; N] = [&[]; N];
+    for (t, col) in cols.iter_mut().enumerate() {
+        *col = &ys[(j + t) * ld..][rows.clone()];
+    }
+    cols
+}
+
+/// `$tile!(w)` for the literal `w` equal to `$width`: a column remainder
+/// runs as one tile of exactly its width.
+macro_rules! narrow {
+    ($width:expr, [$($w:literal)*], $tile:ident) => {
+        match $width {
+            $($w => $tile!($w),)*
+            _ => {}
+        }
+    };
+}
 
 /// `out[j] = dot(x, col_j)` for `n` equal-length columns (`col_j =
-/// ys[j*ld .. j*ld + x.len()]`), strip-blocked over the length.
+/// ys[j*ld .. j*ld + x.len()]`).
 #[inline(always)]
-fn dotf_impl<T: Scalar, C: Core<T>>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
-    let len = x.len();
-    debug_assert!(out.len() >= n);
-    debug_assert!(n == 0 || ys.len() >= (n - 1) * ld + len);
-    let mut r0 = 0;
-    let mut first = true;
-    loop {
-        let r1 = (r0 + KC).min(len);
-        let xs = &x[r0..r1];
-        let sl = r1 - r0;
-        let mut j = 0;
-        while j + NR <= n {
-            let [d] = C::tn_tile(cols_at::<T, NR>((ys, ld), j, &(r0..r1)), [xs]);
-            if first {
-                out[j..j + NR].copy_from_slice(&d);
-            } else {
-                for (o, v) in out[j..j + NR].iter_mut().zip(d) {
-                    *o += v;
-                }
-            }
-            j += NR;
-        }
-        while j < n {
-            let b = j * ld + r0;
-            let [[d]] = C::tn_tile([&ys[b..b + sl]], [xs]);
-            if first {
-                out[j] = d;
-            } else {
-                out[j] += d;
-            }
-            j += 1;
-        }
-        first = false;
-        r0 = r1;
-        if r0 >= len {
-            break;
-        }
+fn dotf_impl<T: Scalar, C: Core<T>>((x, ys, ld, n, out): DotArgs<T>) {
+    debug_assert!(out.len() >= n && (n == 0 || ys.len() >= (n - 1) * ld + x.len()));
+    let mut j = 0;
+    macro_rules! tile {
+        ($w:literal) => {{
+            let [d] = C::tn_tile(cols_at::<T, $w>((ys, ld), j, &(0..x.len())), [x]);
+            out[j..j + $w].copy_from_slice(&d);
+        }};
     }
+    // `NR` columns at a time, then the last one to three as one tile.
+    while j + NR <= n {
+        tile!(4);
+        j += NR;
+    }
+    narrow!(n - j, [1 2 3], tile);
 }
 
 /// Rank-1 fan-out: `col_j[..len] -= w[j] · x[..len]` for `n` columns,
 /// sharing each load of `x` across [`NR`] columns.
 #[inline(always)]
-fn rank1f_impl<T: Scalar, C: Core<T>>(
-    x: &[T],
-    w: &[T],
-    ys: &mut [T],
-    ld: usize,
-    len: usize,
-    n: usize,
-) {
-    debug_assert!(w.len() >= n);
-    debug_assert!(x.len() >= len);
-    debug_assert!(
-        ld >= len || n <= 1,
-        "columns would alias (ld {ld} < len {len})"
-    );
+fn rank1f_impl<T: Scalar, C: Core<T>>((x, w, ys, ld, len, n): RankArgs<T>) {
+    debug_assert!(w.len() >= n && x.len() >= len);
+    debug_assert!(ld >= len || n <= 1, "columns would alias");
     let x = &x[..len];
     let mut j = 0;
+    macro_rules! tile {
+        ($w:literal) => {{
+            let mut rest = &mut ys[j * ld..];
+            let cols: [&mut [T]; $w] = std::array::from_fn(|t| {
+                let (col, tail) =
+                    std::mem::take(&mut rest).split_at_mut(if t + 1 < $w { ld } else { len });
+                rest = tail;
+                &mut col[..len]
+            });
+            C::rank1(x, std::array::from_fn(|t| w[j + t]), cols);
+        }};
+    }
     while j + NR <= n {
-        let buf = &mut ys[j * ld..];
-        let (c0, rest) = buf.split_at_mut(ld);
-        let (c1, rest) = rest.split_at_mut(ld);
-        let (c2, rest) = rest.split_at_mut(ld);
-        C::rank1_4(
-            x,
-            [w[j], w[j + 1], w[j + 2], w[j + 3]],
-            &mut c0[..len],
-            &mut c1[..len],
-            &mut c2[..len],
-            &mut rest[..len],
-        );
+        tile!(4);
         j += NR;
     }
-    while j < n {
-        C::axpy1(-w[j], x, &mut ys[j * ld..j * ld + len]);
-        j += 1;
-    }
+    narrow!(n - j, [1 2 3], tile);
 }
 
-// ---------------------------------------------------------------------------
 // Level-3 skeletons: the three products of a block-reflector apply, each a
 // sweep of register tiles over operands read in place.
-// ---------------------------------------------------------------------------
 
 /// Zero structure the caller promises for the first operand of
-/// [`gemm_tn`] / [`gemm_nn_sub`]. The skeletons skip the promised region
-/// a row block at a time and read whatever is stored in the rest of it, so
+/// [`gemm_tn`] / [`gemm_nn_sub`]. The skeletons skip the promised region a
+/// vector of rows at a time and read what is stored in the rest of it, so
 /// the zeros must really be there: an operand whose other triangle holds
 /// something else is staged into scratch first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,69 +285,36 @@ impl Shape {
     }
 }
 
-/// A column-major operand of a level-3 primitive: the base slice and the
-/// column stride (column `j` starts at `.0[j * .1]`).
-pub type Cols<'a, T> = (&'a [T], usize);
-/// The written operand of a level-3 primitive, as [`Cols`].
-pub type ColsMut<'a, T> = (&'a mut [T], usize);
-
-/// [`gemm_tn`] register tile: columns of `X` by columns of `Y` (twelve
-/// accumulators plus the operands fill the sixteen AVX2 registers).
-const TN_MR: usize = 4;
-const TN_NR: usize = 3;
-/// [`gemm_nn_sub`] register tile: `NN_MV·LANES` rows by `NN_NR` columns of
-/// `C` (twelve accumulators again); leftover columns go four at a time,
-/// then singly over `NN_MV1·LANES` rows to keep four accumulators in flight.
-const NN_MV: usize = 2;
-const NN_NR: usize = 6;
-const NN_MV1: usize = 4;
-
-/// `N` consecutive columns of a panel from column `j`, cut to `rows`.
-#[inline(always)]
-fn cols_at<'a, T, const N: usize>(
-    (ys, ld): Cols<'a, T>,
-    j: usize,
-    rows: &Range<usize>,
-) -> [&'a [T]; N] {
-    // A plain loop: `array::from_fn` with this closure is left an
-    // out-of-line call per tile.
-    let mut cols: [&[T]; N] = [&[]; N];
-    for (t, col) in cols.iter_mut().enumerate() {
-        *col = &ys[(j + t) * ld..][rows.clone()];
-    }
-    cols
-}
-
 /// `out = [add +] XᵀY` with `X` `k x m`, `Y` `k x n`, `out`/`add` `m x n`:
-/// one tile of dot products per `TN_MR x TN_NR` block of `out`, both
-/// operands read down their contiguous columns. Ragged edges take narrower
-/// tiles.
+/// one tile of dot products per `MR x NR` block of `out`, both operands read
+/// down their contiguous columns. Ragged edges take narrower tiles.
 #[inline(always)]
-fn gemm_tn_impl<T: Scalar, C: Core<T>>(
-    x: Cols<T>,
-    shape: Shape,
-    y: Cols<T>,
-    add: Option<Cols<T>>,
-    out: ColsMut<T>,
-    (m, n, k): (usize, usize, usize),
+fn gemm_tn_impl<T: Scalar, C: Core<T>, const MR: usize, const NR: usize>(
+    (x, shape, y, add, out, (m, n, k)): TnArgs<T>,
 ) {
+    // A clipped dot starts on a whole vector (the zeros above it are
+    // stored, and a vector that starts mid-line splits every load).
+    let rows_of = |c0, c1| {
+        let rows = shape.rows_of(c0, c1, k);
+        rows.start - rows.start % C::LANES..rows.end
+    };
     let mut i = 0;
-    while i + TN_MR <= m {
-        let rows = shape.rows_of(i, i + TN_MR, k);
-        tn_rows::<T, C, TN_MR>(cols_at(x, i, &rows), y, &rows, add, (out.0, out.1), i, n);
-        i += TN_MR;
+    while i + MR <= m {
+        let rows = rows_of(i, i + MR);
+        tn_rows::<T, C, MR, NR>(cols_at(x, i, &rows), y, &rows, add, (out.0, out.1), i, n);
+        i += MR;
     }
     while i < m {
-        let rows = shape.rows_of(i, i + 1, k);
-        tn_rows::<T, C, 1>(cols_at(x, i, &rows), y, &rows, add, (out.0, out.1), i, n);
+        let rows = rows_of(i, i + 1);
+        tn_rows::<T, C, 1, NR>(cols_at(x, i, &rows), y, &rows, add, (out.0, out.1), i, n);
         i += 1;
     }
 }
 
 /// One row block of [`gemm_tn_impl`]: `MR` columns of `X` (rows `i..` of
-/// `out`) against every column of `Y`.
+/// `out`) against every column of `Y`, `NR` at a time.
 #[inline(always)]
-fn tn_rows<T: Scalar, C: Core<T>, const MR: usize>(
+fn tn_rows<T: Scalar, C: Core<T>, const MR: usize, const NR: usize>(
     xs: [&[T]; MR],
     y: Cols<T>,
     rows: &Range<usize>,
@@ -327,81 +323,69 @@ fn tn_rows<T: Scalar, C: Core<T>, const MR: usize>(
     i: usize,
     n: usize,
 ) {
-    // Three columns at a time; a last four go as two pairs, not 3 + 1.
     let mut j = 0;
-    while n - j == TN_NR || n - j > TN_NR + 1 {
-        let tile = C::tn_tile(xs, cols_at::<T, TN_NR>(y, j, rows));
-        tn_store(&tile, add, (out, ldo), i, j);
-        j += TN_NR;
-    }
-    while n - j >= 2 {
-        let tile = C::tn_tile(xs, cols_at::<T, 2>(y, j, rows));
-        tn_store(&tile, add, (out, ldo), i, j);
-        j += 2;
-    }
-    if j < n {
-        let tile = C::tn_tile(xs, cols_at::<T, 1>(y, j, rows));
-        tn_store(&tile, add, (out, ldo), i, j);
-    }
-}
-
-/// Write one finished tile of [`tn_rows`] to rows `i..`, columns `j..` of
-/// `out`. (A function, not a closure: the closure stayed an out-of-line
-/// call per tile inside the vector-core monomorphization.)
-#[inline(always)]
-fn tn_store<T: Scalar, const MR: usize>(
-    tile: &[[T; MR]],
-    add: Option<Cols<T>>,
-    (out, ldo): ColsMut<T>,
-    i: usize,
-    j: usize,
-) {
-    for (t, col) in tile.iter().enumerate() {
-        let o: &mut [T; MR] = (&mut out[(j + t) * ldo + i..][..MR])
-            .try_into()
-            .expect("MR rows");
-        // Summed in a local so the store is one vector wide.
-        let mut sum = *col;
-        if let Some((a, lda)) = add {
-            for (s, &a) in sum.iter_mut().zip(&a[(j + t) * lda + i..][..MR]) {
-                *s += a;
+    // One `MR x w` tile into rows `i..`, columns `j..` of `out`. (The `if`
+    // keeps tiles wider than this core's out of its code.)
+    macro_rules! tile {
+        ($w:literal) => {
+            if $w <= NR {
+                let tile = C::tn_tile(xs, cols_at::<T, $w>(y, j, rows));
+                for (t, col) in tile.iter().enumerate() {
+                    let at = (j + t) * ldo + i;
+                    // Summed in a local so the store is one vector wide.
+                    let mut sum = *col;
+                    if let Some((a, lda)) = add {
+                        for (s, &a) in sum.iter_mut().zip(&a[(j + t) * lda + i..][..MR]) {
+                            *s += a;
+                        }
+                    }
+                    let o: &mut [T; MR] = (&mut out[at..][..MR]).try_into().expect("MR rows");
+                    *o = sum;
+                }
             }
-        }
-        *o = sum;
+        };
+    }
+    // Full tiles stop short of a one-column remainder: a last `NR + 1`
+    // columns go as two halves (2 + 2, 4 + 3), never `NR` + 1.
+    while n - j == NR || n - j > NR + 1 {
+        narrow!(NR, [3 6], tile);
+        j += NR;
+    }
+    let rest = n - j;
+    let first = if rest > NR { rest.div_ceil(2) } else { rest };
+    for width in [first, rest - first] {
+        narrow!(width, [1 2 3 4 5], tile);
+        j += width;
     }
 }
 
 /// `C -= A·B` with `A` `m x k`, `B` `k x n`, `C` `m x n`: one
-/// outer-product tile per `NN_MV·LANES x NN_NR` block of `C`, `A` read down
-/// its columns and `B` broadcast.
+/// outer-product tile per `MV·LANES x NR` block of `C`, `A` read down its
+/// columns and `B` broadcast. Leftover columns go four at a time, then singly.
 #[inline(always)]
-fn gemm_nn_sub_impl<T: Scalar, C: Core<T>>(
-    a: Cols<T>,
-    shape: Shape,
-    (b, ldb): Cols<T>,
-    (c, ldc): ColsMut<T>,
-    (m, n, k): (usize, usize, usize),
+fn gemm_nn_sub_impl<T: Scalar, C: Core<T>, const MV: usize, const NR: usize>(
+    (a, shape, b, (c, ldc), (m, n, k)): NnArgs<T>,
 ) {
     let mut j = 0;
-    while j + NN_NR <= n {
-        nn_cols::<T, C, NN_MV, NN_NR>(a, shape, (b, ldb), (c, ldc), j, m, k);
-        j += NN_NR;
+    while j + NR <= n {
+        nn_cols::<T, C, MV, NR>(a, shape, b, (c, ldc), j, m, k);
+        j += NR;
     }
     if j + 4 <= n {
-        nn_cols::<T, C, NN_MV, 4>(a, shape, (b, ldb), (c, ldc), j, m, k);
+        nn_cols::<T, C, MV, 4>(a, shape, b, (c, ldc), j, m, k);
         j += 4;
     }
     while j < n {
-        nn_cols::<T, C, NN_MV1, 1>(a, shape, (b, ldb), (c, ldc), j, m, k);
+        nn_cols::<T, C, MV, 1>(a, shape, b, (c, ldc), j, m, k);
         j += 1;
     }
 }
 
-/// `NR` columns of [`gemm_nn_sub_impl`] from column `j`: tall tiles down
-/// the rows, then one-vector tiles, then single rows.
+/// `NR` columns of [`gemm_nn_sub_impl`] from column `j`: `MV`-vector tiles
+/// down the rows, then one vector at a time, the last one ragged.
 #[inline(always)]
 fn nn_cols<T: Scalar, C: Core<T>, const MV: usize, const NR: usize>(
-    a: Cols<T>,
+    (a, lda): Cols<T>,
     shape: Shape,
     (b, ldb): Cols<T>,
     (c, ldc): ColsMut<T>,
@@ -410,108 +394,67 @@ fn nn_cols<T: Scalar, C: Core<T>, const MV: usize, const NR: usize>(
     k: usize,
 ) {
     let (b, c) = ((&b[j * ldb..], ldb), &mut c[j * ldc..]);
+    let (one, tall) = (C::LANES, MV * C::LANES);
     let mut i = 0;
-    while i + MV * LANES <= m {
-        nn_block::<T, C, MV, NR>(a, shape.cols_of(i, i + MV * LANES, k), b, (c, ldc), i);
-        i += MV * LANES;
+    // One register tile: `$rows` rows from `i`, steps `$ps`, every vector of
+    // rows on the steps `$inner`.
+    macro_rules! tile {
+        ($mv:tt, $rows:expr, $ps:expr, $inner:expr) => {{
+            let (ps, inner): (Range<usize>, Range<usize>) = ($ps, $inner);
+            if !ps.is_empty() {
+                let (a, c) = ((&a[ps.start * lda + i..], lda), (&mut c[i..], ldc));
+                let inner = inner.start - ps.start..inner.end - ps.start;
+                C::nn_tile::<$mv, NR>(a, cols_at(b, 0, &ps), c, $rows, inner);
+            }
+        }};
     }
-    while i + LANES <= m {
-        nn_block::<T, C, 1, NR>(a, shape.cols_of(i, i + LANES, k), b, (c, ldc), i);
-        i += LANES;
+    while i + tall <= m {
+        // A triangle is clipped per vector, not per tile: the steps only the
+        // first vector of rows (`Upper`) or the last (`Lower`) needs stay out.
+        let ps = shape.cols_of(i, i + tall, k);
+        let inner = match shape {
+            Shape::Upper if MV > 1 => shape.cols_of(i + one, i + tall, k).start..ps.end,
+            Shape::Lower if MV > 1 => ps.start..shape.cols_of(i, i + tall - one, k).end,
+            _ => ps.clone(),
+        };
+        tile!(MV, tall, ps, inner);
+        i += tall;
     }
     while i < m {
-        for t in 0..NR {
-            let mut s = T::ZERO;
-            for p in shape.cols_of(i, i + 1, k) {
-                s += a.0[p * a.1 + i] * b.0[t * ldb + p];
-            }
-            c[t * ldc + i] -= s;
-        }
-        i += 1;
+        let rows = (m - i).min(one);
+        let ps = shape.cols_of(i, i + rows, k);
+        tile!(1, rows, ps.clone(), ps);
+        i += rows;
     }
 }
 
-/// One register tile of [`nn_cols`]: rows `i..i + MV·LANES`, steps `ps`.
-#[inline(always)]
-fn nn_block<T: Scalar, C: Core<T>, const MV: usize, const NR: usize>(
-    (a, lda): Cols<T>,
-    ps: Range<usize>,
-    b: Cols<T>,
-    (c, ldc): ColsMut<T>,
-    i: usize,
-) {
-    if !ps.is_empty() {
-        let a = (&a[ps.start * lda + i..], lda);
-        C::nn_tile::<MV, NR>(a, cols_at(b, 0, &ps), (&mut c[i..], ldc));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Public primitives: one dispatch point per shape. The simd path engages
-// only for `f64` on an x86-64 host with AVX2+FMA present at runtime;
-// everything else takes the safe scalar-blocked core.
-// ---------------------------------------------------------------------------
+// Public primitives: one dispatch point per shape. The simd path engages on
+// an x86-64 host with a vector width present at runtime; everything else
+// takes the safe scalar-blocked core.
 
 /// Below this many touched elements the *scalar* core loses to a plain
 /// sequential per-column loop: at ~100 flops the register-blocking
-/// machinery (group/tail selection, lane reductions, out-of-line calls)
-/// costs more than the latency chains it breaks — the factor kernels'
-/// in-panel trailing update at `b = 8` is the canonical victim (~50
-/// elements per call). It governs the hosts and
-/// element types the scalar core serves; where the vector core is detected
-/// [`VECTOR_MIN_WORK`] decides first. The tier is selected purely by
-/// argument shape, so results stay a deterministic function of shape (see
-/// the module-level contract).
+/// machinery (group/tail selection, lane reductions) costs more than the
+/// latency chains it breaks — the factor kernels' in-panel trailing update
+/// at `b = 8` is the canonical victim. It governs the hosts the scalar core
+/// serves; where a vector core is detected that core's `MIN_WORK` decides
+/// first, and below it the plain loop runs (DESIGN §14 has the sweeps). Both
+/// are functions of shape alone, so which core a call rounds with is too.
 const NAIVE_MAX_WORK: usize = 128;
 
-/// Minimum number of touched elements before a level-1.5 primitive is
-/// routed through the runtime-detected vector core; below it the plain
-/// loop runs. `#[target_feature]` functions cannot inline into their SSE2
-/// callers, so each vector-path call pays a real function-call +
-/// slice-cast toll, which the FMA core earns back from one 4-lane strip of
-/// eight columns on (DESIGN §14 has the sweep: 16 to 64 read alike, 512
-/// costs the b = 16 factor kernels 10–20 %, b = 8 does not notice). Like
-/// [`NAIVE_MAX_WORK`] it is a function of shape alone, so which core a
-/// call rounds with is too.
-const VECTOR_MIN_WORK: usize = 32;
-
-/// Sequential dot for the naive small-shape tier.
-#[inline(always)]
-fn seq_dot<T: Scalar>(x: &[T], c: &[T]) -> T {
-    let mut s = T::ZERO;
-    for (&xi, &ci) in x.iter().zip(c) {
-        s += xi * ci;
-    }
-    s
-}
-
-/// Sequential axpy for the naive small-shape tier.
-#[inline(always)]
-fn seq_axpy<T: Scalar, const SUB: bool>(a: T, c: &[T], y: &mut [T]) {
-    for (yi, &ci) in y.iter_mut().zip(c) {
-        if SUB {
-            *yi -= a * ci;
-        } else {
-            *yi += a * ci;
-        }
-    }
-}
-
 macro_rules! dispatch {
-    ($work:expr, $naive:expr, $simd_call:expr, $block_call:expr) => {{
+    ($work:expr, $naive:expr, $args:expr, $simd:ident, $block:ident) => {{
         let work = $work;
         #[cfg(target_arch = "x86_64")]
-        if work >= VECTOR_MIN_WORK && simd::enabled::<T>() {
-            $simd_call;
-            return;
+        if let Some(core) = simd::pick::<T>(work) {
+            return simd::$simd(core, $args);
         }
-        // Tiny shapes (and, with the vector core present, everything it
-        // did not take): the inlined sequential loops.
+        // Tiny shapes, and what a vector core did not take: plain loops.
         if work < NAIVE_MAX_WORK {
             $naive;
             return;
         }
-        $block_call
+        $block::<T, block::ScalarCore>($args)
     }};
 }
 
@@ -521,10 +464,12 @@ pub fn dotf<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
     dispatch!(
         x.len() * n,
         for (j, o) in out[..n].iter_mut().enumerate() {
-            *o = seq_dot(x, &ys[j * ld..j * ld + x.len()]);
+            let col = &ys[j * ld..j * ld + x.len()];
+            *o = x.iter().zip(col).fold(T::ZERO, |s, (&xi, &ci)| s + xi * ci);
         },
-        simd::dotf(x, ys, ld, n, out),
-        dotf_impl::<T, block::ScalarCore>(x, ys, ld, n, out)
+        (x, ys, ld, n, out),
+        dotf,
+        dotf_impl
     );
 }
 
@@ -534,16 +479,20 @@ pub fn rank1f_sub<T: Scalar>(x: &[T], w: &[T], ys: &mut [T], ld: usize, len: usi
     dispatch!(
         len * n,
         for (j, &wj) in w[..n].iter().enumerate() {
-            seq_axpy::<T, true>(wj, &x[..len], &mut ys[j * ld..j * ld + len]);
+            for (yi, &xi) in ys[j * ld..j * ld + len].iter_mut().zip(&x[..len]) {
+                *yi -= wj * xi;
+            }
         },
-        simd::rank1f_sub(x, w, ys, ld, len, n),
-        rank1f_impl::<T, block::ScalarCore>(x, w, ys, ld, len, n)
+        (x, w, ys, ld, len, n),
+        rank1f_sub,
+        rank1f_impl
     );
 }
 
 /// `out = [add +] XᵀY`: `X` is `k x m` with the zero structure `shape`
 /// promises, `Y` is `k x n`, `out` and `add` are `m x n`; `dims` is
 /// `(m, n, k)`. Every element of `out` is written, none is read.
+#[inline]
 pub fn gemm_tn<T: Scalar>(
     x: Cols<T>,
     shape: Shape,
@@ -552,15 +501,18 @@ pub fn gemm_tn<T: Scalar>(
     out: ColsMut<T>,
     dims: (usize, usize, usize),
 ) {
+    use block::ScalarCore as S;
+    let args = (x, shape, y, add, out, dims);
     #[cfg(target_arch = "x86_64")]
-    if simd::enabled::<T>() {
-        return simd::gemm_tn(x, shape, y, add, out, dims);
+    if let Some(core) = simd::pick::<T>(usize::MAX) {
+        return simd::gemm_tn(core, args);
     }
-    gemm_tn_impl::<T, block::ScalarCore>(x, shape, y, add, out, dims)
+    gemm_tn_impl::<T, S, { S::TN_MR }, { S::TN_NR }>(args)
 }
 
 /// `C -= A·B`: `A` is `m x k` with the zero structure `shape` promises,
 /// `B` is `k x n`, `C` is `m x n`; `dims` is `(m, n, k)`.
+#[inline]
 pub fn gemm_nn_sub<T: Scalar>(
     a: Cols<T>,
     shape: Shape,
@@ -568,11 +520,12 @@ pub fn gemm_nn_sub<T: Scalar>(
     c: ColsMut<T>,
     dims: (usize, usize, usize),
 ) {
+    use block::ScalarCore as S;
     #[cfg(target_arch = "x86_64")]
-    if simd::enabled::<T>() {
-        return simd::gemm_nn_sub(a, shape, b, c, dims);
+    if let Some(core) = simd::pick::<T>(usize::MAX) {
+        return simd::gemm_nn_sub(core, (a, shape, b, c, dims));
     }
-    gemm_nn_sub_impl::<T, block::ScalarCore>(a, shape, b, c, dims)
+    gemm_nn_sub_impl::<T, S, { S::NN_MV }, { S::NN_NR }>((a, shape, b, c, dims))
 }
 
 #[cfg(test)]
@@ -602,8 +555,9 @@ mod tests {
 
     #[test]
     fn dotf_strips_are_pure_tiling() {
-        // A length crossing the strip boundary still matches naive.
-        let len = KC + 37;
+        // A long vector (many steps at every width, a ragged last one)
+        // still matches naive.
+        let len = 512 + 37;
         let n = 6;
         let ld = len;
         let x = seq(len, 0.5);

@@ -1,281 +1,358 @@
-//! AVX2+FMA backend (x86-64, `f64` only): compiled on every x86-64 build,
-//! entered only on hosts where [`enabled`] detects both features.
+//! Vector backend (x86-64): the register-level bodies of [`Core`], written
+//! once over a small [`Vector`] abstraction and instantiated four times —
+//! `f64x8` + `f32x16` (AVX-512F/VL) and `f64x4` + `f32x8` (AVX2+FMA). All
+//! four are compiled on every x86-64 build; a host enters the widest width
+//! it detects and only that one.
 //!
-//! This file is the only place in the crate allowed to use `unsafe`
-//! (the crate root carries `#![deny(unsafe_code)]`; each use here is an
-//! item-scoped `#[allow]` with a SAFETY argument). Exactly two kinds of
-//! unsafety appear:
+//! This file is the only place in the crate allowed to use `unsafe` (the
+//! crate root carries `#![deny(unsafe_code)]`; each use here is an
+//! item-scoped `#[allow]` with a SAFETY argument). Three kinds appear:
+//! **slice reinterpretation** ([`cast`]: the primitives are generic over
+//! [`Scalar`], the instantiations are over `f32` and `f64`);
+//! **`#[target_feature]` calls** (the skeletons from [`super`] are
+//! monomorphized inside feature-enabled functions so the [`VecCore`] bodies
+//! inline there; an entry point takes a [`Pick`], which only [`pick`] can
+//! make and only for features `is_x86_feature_detected!` reported); and
+//! **intrinsics on raw pointers** (every body asserts its slices first and
+//! says which accesses that covers).
 //!
-//! 1. **Slice reinterpretation** — the public primitives are generic over
-//!    [`Scalar`], so the `f64`-only intrinsic path receives `&[T]` and
-//!    casts to `&[f64]` after a `TypeId` equality check ([`enabled`]
-//!    returns `false` for every other `T`, and each wrapper re-asserts).
-//!    Same size, same alignment, same validity invariants: the cast is a
-//!    no-op reinterpretation.
-//! 2. **`#[target_feature]` calls** — the blocking skeletons from
-//!    [`super`] are monomorphized inside `#[target_feature(enable =
-//!    "avx2,fma")]` functions so the [`AvxCore`] register blocks inline
-//!    into feature-enabled code. [`enabled`] gates every entry on
-//!    `is_x86_feature_detected!`, so the CPU support precondition holds.
-//!
-//! Determinism: the instruction sequence is fixed per argument shape —
-//! vector lanes accumulate in the same fixed pattern as the scalar
-//! backend and reduce `(a0+a1)+(a2+a3)` (pairwise across 128-bit halves);
-//! the dot tile folds its ragged last rows into the lanes under a load
-//! mask, the axpy/rank-1 blocks take scalar `mul_add` tails. Results differ
-//! from the `block` backend by FMA rounding and, for lengths that are not
-//! a multiple of four, by which lane the tail lands in.
+//! Determinism: the instruction sequence is fixed per argument shape and
+//! instantiation — element `i` of a dot accumulates in lane `i % LANES`, a
+//! ragged last vector rides the same lanes under a mask (a native `__mmask`
+//! at 512 bits, a compared index vector at 256), lanes reduce by halving.
 
 use super::{dotf_impl, gemm_nn_sub_impl, gemm_tn_impl, rank1f_impl};
-use super::{Cols, ColsMut, Core, Shape};
+use super::{Cols, ColsMut, Core, DotArgs, NnArgs, RankArgs, TnArgs};
 use core::arch::x86_64::*;
 use std::any::TypeId;
-use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
+use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 use tileqr_matrix::Scalar;
 
-/// Does the simd backend apply to element type `T` on this host right now?
-///
-/// True iff [`supported`] and the test hook ([`super::force_backend`]) has
-/// not pinned the scalar backend.
-pub(crate) fn enabled<T: 'static>() -> bool {
-    supported::<T>() && !super::PIN_BLOCKED.load(Ordering::Relaxed)
+#[derive(Clone, Copy)]
+#[rustfmt::skip]
+enum Inst { D256, S256, D512, S512 }
+
+/// Proof that this host can execute one instantiation for the element type
+/// asked about: the private field keeps [`pick`] its only maker.
+#[derive(Clone, Copy)]
+pub(crate) struct Pick(Inst);
+
+/// Width in bits the vector core runs at for the next calls (0: the scalar
+/// core runs; `UNSET`: not computed yet): what the CPU reports, cut down by
+/// the test pins, in one word so a dispatch is one load.
+static WIDTH: AtomicU32 = AtomicU32::new(UNSET);
+const UNSET: u32 = u32::MAX;
+
+/// Recompute [`WIDTH`]: 256 with AVX2+FMA, 512 with AVX-512F/VL too unless
+/// `narrow`, 0 without either or when `blocked`. Returns the width the
+/// vector core runs at when it runs.
+pub(super) fn set_pins(blocked: bool, narrow: bool) -> u32 {
+    let fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+    let wide = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl");
+    let bits = [0, 256, 512][usize::from(fma) + usize::from(fma && wide && !narrow)];
+    WIDTH.store(if blocked { 0 } else { bits }, Ordering::Relaxed);
+    bits
 }
 
-/// The precondition of every entry point below: `T` is `f64` and the CPU
-/// reports AVX2+FMA. The pin is a dispatch preference, not part of it — a
-/// concurrent `force_backend` between the dispatcher's check and the entry
-/// changes nothing the `unsafe` code relies on.
-fn supported<T: 'static>() -> bool {
-    TypeId::of::<T>() == TypeId::of::<f64>() && detect()
+/// No instantiation's `MIN_WORK` is under this.
+const MIN_WORK_FLOOR: usize = 32;
+
+/// The instantiation a call on `T` touching `work` elements takes, if any:
+/// the active width's for `f64` or `f32`, from its `MIN_WORK` on.
+#[inline]
+pub(crate) fn pick<T: 'static>(work: usize) -> Option<Pick> {
+    // The naive tier's calls are a few nanoseconds long: out before the load.
+    if work < MIN_WORK_FLOOR {
+        return None;
+    }
+    let bits = match WIDTH.load(Ordering::Relaxed) {
+        // No pin can be in force yet: setting one writes `WIDTH`.
+        UNSET => set_pins(false, false),
+        bits => bits,
+    };
+    let is = |e: TypeId| TypeId::of::<T>() == e;
+    let (inst, min_work) = match (bits, is(TypeId::of::<f64>()), is(TypeId::of::<f32>())) {
+        (512, true, _) => (Inst::D512, __m512d::MIN_WORK),
+        (256, true, _) => (Inst::D256, __m256d::MIN_WORK),
+        (512, _, true) => (Inst::S512, __m512::MIN_WORK),
+        (256, _, true) => (Inst::S256, __m256::MIN_WORK),
+        _ => return None,
+    };
+    (work >= min_work).then_some(Pick(inst))
 }
 
-fn detect() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-}
-
-/// Reinterpret `&[T]` as `&[f64]`.
+/// `&[T]` as `&[E]`, the same type.
 #[inline(always)]
 #[allow(unsafe_code)]
-fn cast<T: 'static>(x: &[T]) -> &[f64] {
-    assert_eq!(TypeId::of::<T>(), TypeId::of::<f64>());
-    // SAFETY: T is f64 (checked above): identical layout, alignment, and
+fn cast<T: 'static, E: 'static>(x: &[T]) -> &[E] {
+    assert_eq!(TypeId::of::<T>(), TypeId::of::<E>());
+    // SAFETY: T is E (checked above): identical layout, alignment, and
     // bit-validity, so reinterpreting the same region is a no-op.
-    unsafe { core::slice::from_raw_parts(x.as_ptr().cast::<f64>(), x.len()) }
+    unsafe { core::slice::from_raw_parts(x.as_ptr().cast::<E>(), x.len()) }
 }
 
-/// Reinterpret `&mut [T]` as `&mut [f64]`.
+/// `&mut [T]` as `&mut [E]`, the same type.
 #[inline(always)]
 #[allow(unsafe_code)]
-fn cast_mut<T: 'static>(x: &mut [T]) -> &mut [f64] {
-    assert_eq!(TypeId::of::<T>(), TypeId::of::<f64>());
+fn cast_mut<T: 'static, E: 'static>(x: &mut [T]) -> &mut [E] {
+    assert_eq!(TypeId::of::<T>(), TypeId::of::<E>());
     // SAFETY: as in `cast`; the unique borrow is carried through.
-    unsafe { core::slice::from_raw_parts_mut(x.as_mut_ptr().cast::<f64>(), x.len()) }
+    unsafe { core::slice::from_raw_parts_mut(x.as_mut_ptr().cast::<E>(), x.len()) }
 }
 
-// Each primitive gets a generic wrapper (re-checks [`supported`] — one
-// `TypeId` compare plus a cached feature probe — so the feature
-// precondition of the inner call is locally guaranteed) and one
-// `#[target_feature]` monomorphization of the shared blocking skeleton,
-// so the [`AvxCore`] register blocks inline into feature-enabled code.
-
-/// SAFETY-pattern note: every `unsafe { *_avx(..) }` call below is
-/// preceded by an `assert!(supported::<T>())`, which implies AVX2+FMA were
-/// detected at runtime on this CPU.
-macro_rules! gated {
-    ($call:expr) => {{
-        #[allow(unsafe_code)]
-        // SAFETY: `supported` (asserted by the caller one line up) verified
-        // AVX2+FMA via `is_x86_feature_detected!`.
-        unsafe {
-            $call
-        }
-    }};
-}
-
-pub(crate) fn dotf<T: Scalar>(x: &[T], ys: &[T], ld: usize, n: usize, out: &mut [T]) {
-    assert!(supported::<T>(), "simd backend entered without gating");
-    gated!(dotf_avx(cast(x), cast(ys), ld, n, cast_mut(out)))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn dotf_avx(x: &[f64], ys: &[f64], ld: usize, n: usize, out: &mut [f64]) {
-    dotf_impl::<f64, AvxCore>(x, ys, ld, n, out)
-}
-
-pub(crate) fn rank1f_sub<T: Scalar>(
-    x: &[T],
-    w: &[T],
-    ys: &mut [T],
-    ld: usize,
-    len: usize,
-    n: usize,
-) {
-    assert!(supported::<T>(), "simd backend entered without gating");
-    gated!(rank1f_sub_avx(cast(x), cast(w), cast_mut(ys), ld, len, n))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn rank1f_sub_avx(x: &[f64], w: &[f64], ys: &mut [f64], ld: usize, len: usize, n: usize) {
-    rank1f_impl::<f64, AvxCore>(x, w, ys, ld, len, n)
-}
-
-pub(crate) fn gemm_tn<T: Scalar>(
-    x: Cols<T>,
-    shape: Shape,
-    y: Cols<T>,
-    add: Option<Cols<T>>,
-    out: ColsMut<T>,
-    dims: (usize, usize, usize),
-) {
-    assert!(supported::<T>(), "simd backend entered without gating");
-    fn f<T: 'static>((data, ld): Cols<T>) -> Cols<f64> {
-        (cast(data), ld)
-    }
-    gated!(gemm_tn_avx(
-        f(x),
-        shape,
-        f(y),
-        add.map(f),
-        (cast_mut(out.0), out.1),
-        dims
-    ))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn gemm_tn_avx(
-    x: Cols<f64>,
-    shape: Shape,
-    y: Cols<f64>,
-    add: Option<Cols<f64>>,
-    out: ColsMut<f64>,
-    dims: (usize, usize, usize),
-) {
-    gemm_tn_impl::<f64, AvxCore>(x, shape, y, add, out, dims)
-}
-
-pub(crate) fn gemm_nn_sub<T: Scalar>(
-    (a, lda): Cols<T>,
-    shape: Shape,
-    (b, ldb): Cols<T>,
-    (c, ldc): ColsMut<T>,
-    dims: (usize, usize, usize),
-) {
-    assert!(supported::<T>(), "simd backend entered without gating");
-    gated!(gemm_nn_sub_avx(
-        (cast(a), lda),
-        shape,
-        (cast(b), ldb),
-        (cast_mut(c), ldc),
-        dims
-    ))
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn gemm_nn_sub_avx(
-    a: Cols<f64>,
-    shape: Shape,
-    b: Cols<f64>,
-    c: ColsMut<f64>,
-    dims: (usize, usize, usize),
-) {
-    gemm_nn_sub_impl::<f64, AvxCore>(a, shape, b, c, dims)
-}
-
-/// Register core in AVX2+FMA intrinsics: one `f64x4` accumulator per
-/// column, FMA-contracted multiply-adds, masked or scalar `mul_add` tails.
-///
-/// These methods contain `unsafe` intrinsic blocks that are only correct
-/// on an AVX2+FMA CPU; they are reachable solely through the
-/// `#[target_feature]` monomorphizations above, which [`enabled`] gates.
-pub(crate) struct AvxCore;
-
-/// Horizontal sum of a `f64x4`, fixed tree `(a0+a1)+(a2+a3)` via the
-/// 128-bit halves.
 #[inline(always)]
-#[allow(unsafe_code)]
-fn hsum(v: __m256d) -> f64 {
-    // SAFETY: AVX intrinsics; callers run under `target_feature(avx2)`.
-    unsafe {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd::<1>(v);
-        let s = _mm_add_pd(lo, hi); // (a0+a2, a1+a3)
-        let t = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-        _mm_cvtsd_f64(t)
-    }
+fn cols<T: 'static, E: 'static>((data, ld): Cols<T>) -> Cols<E> {
+    (cast(data), ld)
 }
 
-/// Load masks for a ragged last vector: the window starting at `4 - r` has
-/// its first `r` lanes set.
-static TAIL_MASK: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+/// One module per instantiation: the four shared blocking skeletons
+/// monomorphized over `VecCore<$v>` inside `#[target_feature]` functions, at
+/// the vector type's tile shape. (Through one generic function taking the
+/// skeleton as a closure the intrinsics stop inlining.)
+macro_rules! instantiate {
+    ($name:ident, $v:ty, $features:literal) => {
+        #[allow(unsafe_code)]
+        mod $name {
+            use super::*;
+            type E = <$v as Vector>::Elem;
+            type C = VecCore<$v>;
 
-impl Core<f64> for AvxCore {
-    #[inline(always)]
-    #[allow(unsafe_code)]
-    fn axpy1(a: f64, c: &[f64], y: &mut [f64]) {
-        let n = y.len();
-        let c = &c[..n];
-        // SAFETY: in-bounds 4-wide loads/stores under `i + 4 <= n`.
-        unsafe {
-            let av = _mm256_set1_pd(a);
-            let mut i = 0;
-            while i + 4 <= n {
-                let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-                let cv = _mm256_loadu_pd(c.as_ptr().add(i));
-                _mm256_storeu_pd(y.as_mut_ptr().add(i), _mm256_fmadd_pd(av, cv, yv));
-                i += 4;
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn dotf<T: Scalar>((x, ys, ld, n, out): DotArgs<T>) {
+                dotf_impl::<E, C>((cast(x), cast(ys), ld, n, cast_mut(out)))
             }
-            while i < n {
-                y[i] = a.mul_add(c[i], y[i]);
-                i += 1;
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn rank1f_sub<T: Scalar>((x, w, ys, ld, len, n): RankArgs<T>) {
+                rank1f_impl::<E, C>((cast(x), cast(w), cast_mut(ys), ld, len, n))
+            }
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn gemm_tn<T: Scalar>((x, shape, y, add, out, dims): TnArgs<T>) {
+                let (x, y, add, out) = (cols(x), cols(y), add.map(cols), (cast_mut(out.0), out.1));
+                gemm_tn_impl::<E, C, { <$v>::TN_MR }, { <$v>::TN_NR }>((
+                    x, shape, y, add, out, dims,
+                ))
+            }
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn gemm_nn_sub<T: Scalar>((a, shape, b, c, dims): NnArgs<T>) {
+                let args = (cols(a), shape, cols(b), (cast_mut(c.0), c.1), dims);
+                gemm_nn_sub_impl::<E, C, { <$v>::NN_MV }, { <$v>::NN_NR }>(args)
             }
         }
-    }
+    };
+}
+instantiate!(d256, __m256d, "avx2,fma");
+instantiate!(s256, __m256, "avx2,fma");
+instantiate!(d512, __m512d, "avx512f,avx512vl,avx2,fma");
+instantiate!(s512, __m512, "avx512f,avx512vl,avx2,fma");
+
+/// The entry point `$f` of the vector backend: `$f` of the instantiation a
+/// [`Pick`] names.
+macro_rules! entry {
+    ($f:ident, $args:ident) => {
+        #[inline(always)]
+        pub(crate) fn $f<T: Scalar>(Pick(inst): Pick, args: $args<T>) {
+            #[allow(unsafe_code)]
+            // SAFETY: a `Pick` is made by `pick` alone, for an instantiation
+            // at or below the width `set_pins` read from the CPU, so the
+            // features the callee enables are present.
+            unsafe {
+                match inst {
+                    Inst::D256 => d256::$f(args),
+                    Inst::S256 => s256::$f(args),
+                    Inst::D512 => d512::$f(args),
+                    Inst::S512 => s512::$f(args),
+                }
+            }
+        }
+    };
+}
+entry!(dotf, DotArgs);
+entry!(rank1f_sub, RankArgs);
+entry!(gemm_tn, TnArgs);
+entry!(gemm_nn_sub, NnArgs);
+
+/// One vector register of `LANES` elements and the handful of operations
+/// the bodies below are written in; the consts are the instantiation's
+/// register tiles (DESIGN §14 has the table and what lost to it).
+///
+/// # Safety
+///
+/// Every method is an intrinsic of the implementing width: the caller runs
+/// under a `#[target_feature]` that enables it. `load`/`store` touch `LANES`
+/// elements from `p`, the `_head` forms only the lanes the mask keeps.
+#[allow(unsafe_code)]
+pub(crate) trait Vector: Copy {
+    type Elem: Scalar;
+    type Mask: Copy;
+    const LANES: usize;
+    /// `gemm_tn` tile: columns of `X` by columns of `Y`.
+    const TN_MR: usize = 4;
+    const TN_NR: usize;
+    /// `gemm_nn_sub` tile: vectors of rows by columns of `C`.
+    const NN_MV: usize = 2;
+    const NN_NR: usize;
+    /// Touched elements from which a level-1.5 call is worth its entry
+    /// (feature-enabled code cannot inline into its callers).
+    const MIN_WORK: usize;
+
+    unsafe fn zero() -> Self;
+    unsafe fn splat(x: Self::Elem) -> Self;
+    unsafe fn load(p: *const Self::Elem) -> Self;
+    unsafe fn store(self, p: *mut Self::Elem);
+    /// Mask keeping the first `n <= LANES` lanes.
+    unsafe fn head(n: usize) -> Self::Mask;
+    unsafe fn load_head(p: *const Self::Elem, m: Self::Mask) -> Self;
+    unsafe fn store_head(self, p: *mut Self::Elem, m: Self::Mask);
+    /// `self · b + c`, one rounding.
+    unsafe fn fma(self, b: Self, c: Self) -> Self;
+    /// `c − self · b`, one rounding.
+    unsafe fn fnma(self, b: Self, c: Self) -> Self;
+    unsafe fn sub(self, b: Self) -> Self;
+    /// The lane sums of four vectors, each reduced by halving, to `out[..4]`
+    /// in one store (scalar ones stall the vector load that reads it back).
+    unsafe fn sum4(v: [Self; 4], out: *mut Self::Elem);
+}
+
+/// `impl Vector`: tile consts, seven same-named intrinsics, and the three
+/// mask operations and the reduction as expressions.
+macro_rules! vector {
+    ($v:ty, $e:ty, $mask:ty, lanes $l:literal, tn_nr $tn:literal, nn_nr $nn:literal, min_work $w:literal,
+     $zero:ident $set1:ident $load:ident $store:ident $fma:ident $fnma:ident $sub:ident,
+     |$n:ident| $head:expr, |$lp:ident, $lm:ident| $lh:expr, |$sv:ident, $sp:ident, $sm:ident| $sh:expr,
+     |$a:ident, $out:ident| $sum:block) => {
+        #[allow(unsafe_code)]
+        #[rustfmt::skip]
+        impl Vector for $v {
+            type Elem = $e;
+            type Mask = $mask;
+            const LANES: usize = $l;
+            const TN_NR: usize = $tn;
+            const NN_NR: usize = $nn;
+            const MIN_WORK: usize = $w;
+            #[inline(always)] unsafe fn zero() -> Self { $zero() }
+            #[inline(always)] unsafe fn splat(x: $e) -> Self { $set1(x) }
+            #[inline(always)] unsafe fn load(p: *const $e) -> Self { $load(p) }
+            #[inline(always)] unsafe fn store(self, p: *mut $e) { $store(p, self) }
+            #[inline(always)] unsafe fn fma(self, b: Self, c: Self) -> Self { $fma(self, b, c) }
+            #[inline(always)] unsafe fn fnma(self, b: Self, c: Self) -> Self { $fnma(self, b, c) }
+            #[inline(always)] unsafe fn sub(self, b: Self) -> Self { $sub(self, b) }
+            #[inline(always)] unsafe fn head($n: usize) -> $mask { $head }
+            #[inline(always)] unsafe fn load_head($lp: *const $e, $lm: $mask) -> Self { $lh }
+            #[inline(always)] unsafe fn store_head(self, $sp: *mut $e, $sm: $mask) { let $sv = self; $sh }
+            #[inline(always)] unsafe fn sum4($a: [Self; 4], $out: *mut $e) $sum
+        }
+    };
+}
+
+// Sixteen registers: twelve accumulators and the operands of one step.
+vector!(__m256d, f64, __m256i, lanes 4, tn_nr 3, nn_nr 6, min_work 32,
+_mm256_setzero_pd _mm256_set1_pd _mm256_loadu_pd _mm256_storeu_pd
+_mm256_fmadd_pd _mm256_fnmadd_pd _mm256_sub_pd,
+|n| _mm256_cmpgt_epi64(_mm256_set1_epi64x(n as i64), _mm256_setr_epi64x(0, 1, 2, 3)),
+|p, m| _mm256_maskload_pd(p, m), |v, p, m| _mm256_maskstore_pd(p, m, v),
+|a, out| {
+    // Each (l0+l1)+(l2+l3), four at once.
+    let (t0, t1) = (_mm256_hadd_pd(a[0], a[1]), _mm256_hadd_pd(a[2], a[3]));
+    let lo = _mm256_permute2f128_pd::<0x20>(t0, t1);
+    _mm256_storeu_pd(out, _mm256_add_pd(lo, _mm256_permute2f128_pd::<0x31>(t0, t1)));
+});
+vector!(__m256, f32, __m256i, lanes 8, tn_nr 3, nn_nr 6, min_work 32,
+_mm256_setzero_ps _mm256_set1_ps _mm256_loadu_ps _mm256_storeu_ps
+_mm256_fmadd_ps _mm256_fnmadd_ps _mm256_sub_ps,
+|n| _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+|p, m| _mm256_maskload_ps(p, m), |v, p, m| _mm256_maskstore_ps(p, m, v),
+|a, out| {
+    // Pairs, then fours, inside each 128-bit half; then the halves.
+    let t = _mm256_hadd_ps(_mm256_hadd_ps(a[0], a[1]), _mm256_hadd_ps(a[2], a[3]));
+    _mm_storeu_ps(out, _mm_add_ps(_mm256_castps256_ps128(t), _mm256_extractf128_ps::<1>(t)));
+});
+// Thirty-two registers: 24 accumulators and seven operands for the dot
+// tile, sixteen accumulators for the outer product. Under `min_work` 64 a
+// call's one or two half-empty vectors lose to the plain loop (§14).
+vector!(__m512d, f64, __mmask8, lanes 8, tn_nr 6, nn_nr 8, min_work 64,
+_mm512_setzero_pd _mm512_set1_pd _mm512_loadu_pd _mm512_storeu_pd
+_mm512_fmadd_pd _mm512_fnmadd_pd _mm512_sub_pd,
+|n| ((1u32 << n) - 1) as __mmask8,
+|p, m| _mm512_maskz_loadu_pd(m, p), |v, p, m| _mm512_mask_storeu_pd(p, m, v),
+|a, out| {
+    // Two vectors fold into one per level — a blend keeps one half of
+    // each, one shuffle brings the other halves alongside — so four sums
+    // cost four shuffles: neighbours, 128-bit lanes, 256-bit halves.
+    // (Halving each vector alone is ten, more than a b = 16 tile's FMAs.)
+    let pairs = |a, b| _mm512_add_pd(_mm512_mask_blend_pd(0xAA, a, b), _mm512_shuffle_pd::<0x55>(a, b));
+    let (t0, t1) = (pairs(a[0], a[1]), pairs(a[2], a[3]));
+    let other = _mm512_permutex2var_pd(t0, _mm512_setr_epi64(2, 3, 8, 9, 6, 7, 12, 13), t1);
+    let lanes = _mm512_add_pd(_mm512_mask_blend_pd(0xCC, t0, t1), other);
+    let hi = _mm512_extractf64x4_pd::<1>(lanes);
+    _mm256_storeu_pd(out, _mm256_add_pd(_mm512_castpd512_pd256(lanes), hi));
+});
+vector!(__m512, f32, __mmask16, lanes 16, tn_nr 6, nn_nr 8, min_work 64,
+_mm512_setzero_ps _mm512_set1_ps _mm512_loadu_ps _mm512_storeu_ps
+_mm512_fmadd_ps _mm512_fnmadd_ps _mm512_sub_ps,
+|n| ((1u32 << n) - 1) as __mmask16,
+|p, m| _mm512_maskz_loadu_ps(m, p), |v, p, m| _mm512_mask_storeu_ps(p, m, v),
+|a, out| {
+    // As `f64x8`, one more level: neighbours, 64-bit pairs, lanes halved.
+    let next = _mm512_setr_epi32(1, 16, 3, 18, 5, 20, 7, 22, 9, 24, 11, 26, 13, 28, 15, 30);
+    let pairs = |a, b| _mm512_add_ps(_mm512_mask_blend_ps(0xAAAA, a, b), _mm512_permutex2var_ps(a, next, b));
+    let (t0, t1) = (pairs(a[0], a[1]), pairs(a[2], a[3]));
+    let other = _mm512_setr_epi32(2, 3, 16, 17, 6, 7, 20, 21, 10, 11, 24, 25, 14, 15, 28, 29);
+    let fours = _mm512_add_ps(_mm512_mask_blend_ps(0xCCCC, t0, t1), _mm512_permutex2var_ps(t0, other, t1));
+    let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(fours)));
+    let half = _mm256_add_ps(_mm512_castps512_ps256(fours), hi);
+    _mm_storeu_ps(out, _mm_add_ps(_mm256_castps256_ps128(half), _mm256_extractf128_ps::<1>(half)));
+});
+
+/// Register core over one [`Vector`] type: one accumulator register per dot
+/// or per vector of an outer-product column, FMA-contracted multiply-adds,
+/// ragged tails under a mask. Its `unsafe` blocks are only correct on a CPU
+/// with the vector type's features: they are reachable solely through the
+/// `#[target_feature]` monomorphizations above, which a [`Pick`] gates.
+pub(crate) struct VecCore<V>(PhantomData<V>);
+
+impl<V: Vector> Core<V::Elem> for VecCore<V> {
+    const LANES: usize = V::LANES;
 
     #[inline(always)]
     #[allow(unsafe_code)]
-    fn rank1_4(
-        x: &[f64],
-        w: [f64; 4],
-        c0: &mut [f64],
-        c1: &mut [f64],
-        c2: &mut [f64],
-        c3: &mut [f64],
-    ) {
-        let n = c0.len();
-        let x = &x[..n];
-        // SAFETY: in-bounds 4-wide loads/stores under `i + 4 <= n`; the
-        // four column slices are disjoint by the skeleton's split_at_mut.
+    fn rank1<const N: usize>(x: &[V::Elem], w: [V::Elem; N], cols: [&mut [V::Elem]; N]) {
+        let n = cols[0].len();
+        let xp = x[..n].as_ptr();
+        let mut cp = [std::ptr::null_mut(); N];
+        for (p, c) in cp.iter_mut().zip(cols) {
+            *p = c[..n].as_mut_ptr();
+        }
+        // A ragged length ends in one more *whole* vector over its last
+        // `LANES` elements, computed from the old values before the loop and
+        // stored after it (shared lanes get the same bits twice; a masked
+        // store is slow at 256 bits). Only a length under a vector is masked.
+        // SAFETY: every slice was cut to `n`; a whole-vector access at `i`
+        // has `i <= last = n - LANES`, the masked ones touch `n < LANES`
+        // elements; the columns are disjoint borrows.
         unsafe {
-            let w0 = _mm256_set1_pd(w[0]);
-            let w1 = _mm256_set1_pd(w[1]);
-            let w2 = _mm256_set1_pd(w[2]);
-            let w3 = _mm256_set1_pd(w[3]);
-            let mut i = 0;
-            while i + 4 <= n {
-                let xv = _mm256_loadu_pd(x.as_ptr().add(i));
-                let v0 = _mm256_loadu_pd(c0.as_ptr().add(i));
-                let v1 = _mm256_loadu_pd(c1.as_ptr().add(i));
-                let v2 = _mm256_loadu_pd(c2.as_ptr().add(i));
-                let v3 = _mm256_loadu_pd(c3.as_ptr().add(i));
-                _mm256_storeu_pd(c0.as_mut_ptr().add(i), _mm256_fnmadd_pd(w0, xv, v0));
-                _mm256_storeu_pd(c1.as_mut_ptr().add(i), _mm256_fnmadd_pd(w1, xv, v1));
-                _mm256_storeu_pd(c2.as_mut_ptr().add(i), _mm256_fnmadd_pd(w2, xv, v2));
-                _mm256_storeu_pd(c3.as_mut_ptr().add(i), _mm256_fnmadd_pd(w3, xv, v3));
-                i += 4;
+            let wv: [V; N] = std::array::from_fn(|j| V::splat(w[j]));
+            if n < V::LANES {
+                let (m, xv) = (V::head(n), V::load_head(xp, V::head(n)));
+                for j in 0..N {
+                    wv[j].fnma(xv, V::load_head(cp[j], m)).store_head(cp[j], m);
+                }
+                return;
             }
-            while i < n {
-                let xv = x[i];
-                c0[i] = (-w[0]).mul_add(xv, c0[i]);
-                c1[i] = (-w[1]).mul_add(xv, c1[i]);
-                c2[i] = (-w[2]).mul_add(xv, c2[i]);
-                c3[i] = (-w[3]).mul_add(xv, c3[i]);
-                i += 1;
+            let at = |i: usize| -> [V; N] {
+                let xv = V::load(xp.add(i));
+                std::array::from_fn(|j| wv[j].fnma(xv, V::load(cp[j].add(i))))
+            };
+            let (last, end) = (n - V::LANES, at(n - V::LANES));
+            for i in (0..last).step_by(V::LANES) {
+                let now = at(i);
+                for j in 0..N {
+                    now[j].store(cp[j].add(i));
+                }
+            }
+            for j in 0..N {
+                end[j].store(cp[j].add(last));
             }
         }
     }
@@ -283,55 +360,57 @@ impl Core<f64> for AvxCore {
     #[inline(always)]
     #[allow(unsafe_code)]
     fn tn_tile<const MR: usize, const NR: usize>(
-        x: [&[f64]; MR],
-        y: [&[f64]; NR],
-    ) -> [[f64; MR]; NR] {
+        x: [&[V::Elem]; MR],
+        y: [&[V::Elem]; NR],
+    ) -> [[V::Elem; MR]; NR] {
         let k = x[0].len();
-        let (x, y) = (x.map(|c| &c[..k]), y.map(|c| &c[..k]));
-        let mut r = [[0.0; MR]; NR];
-        // SAFETY: every slice was cut to length k above and each 4-wide load
-        // reads rows `4s..4s+4` with `s < k/4`; the masked loads touch only
-        // the `k % 4` rows from `k/4*4` on (the mask's leading lanes); a
-        // 4-wide store fills one `[f64; 4]`.
+        assert!(x.iter().chain(&y).all(|c| c.len() >= k));
+        let full = k / V::LANES * V::LANES;
+        let mut r = [[V::Elem::ZERO; MR]; NR];
+        // SAFETY: every slice holds `k` rows (asserted); the unmasked steps
+        // read rows `p..p + LANES` with `p + LANES <= full <= k`, the masked
+        // one the `k - full` rows from `full` on; a whole group of sums is
+        // stored at `g + 4 <= MR·NR`, the length of `flat`.
         unsafe {
-            let mut acc = [[_mm256_setzero_pd(); MR]; NR];
-            for s in 0..k / 4 {
-                let yv: [__m256d; NR] =
-                    std::array::from_fn(|b| _mm256_loadu_pd(y[b].as_ptr().add(4 * s)));
-                for a in 0..MR {
-                    let xv = _mm256_loadu_pd(x[a].as_ptr().add(4 * s));
-                    for b in 0..NR {
-                        acc[b][a] = _mm256_fmadd_pd(xv, yv[b], acc[b][a]);
-                    }
-                }
-            }
-            // The ragged last rows ride the same lanes under a load mask, so
-            // there is no scalar tail.
-            if k % 4 != 0 {
-                let mask = _mm256_loadu_si256(TAIL_MASK.as_ptr().add(4 - k % 4).cast());
-                let base = k / 4 * 4;
-                let yv: [__m256d; NR] =
-                    std::array::from_fn(|b| _mm256_maskload_pd(y[b].as_ptr().add(base), mask));
-                for a in 0..MR {
-                    let xv = _mm256_maskload_pd(x[a].as_ptr().add(base), mask);
-                    for b in 0..NR {
-                        acc[b][a] = _mm256_fmadd_pd(xv, yv[b], acc[b][a]);
-                    }
-                }
-            }
-            for b in 0..NR {
-                if MR == 4 {
-                    // Four horizontal sums at once, each (l0+l1)+(l2+l3).
-                    let t0 = _mm256_hadd_pd(acc[b][0], acc[b][1]);
-                    let t1 = _mm256_hadd_pd(acc[b][2], acc[b][3]);
-                    let lo = _mm256_permute2f128_pd::<0x20>(t0, t1);
-                    let hi = _mm256_permute2f128_pd::<0x31>(t0, t1);
-                    _mm256_storeu_pd(r[b].as_mut_ptr(), _mm256_add_pd(lo, hi));
-                } else {
+            let mut acc = [[V::zero(); MR]; NR];
+            macro_rules! step {
+                ($get:expr) => {{
+                    let get = $get;
+                    let yv: [V; NR] = std::array::from_fn(|b| get(y[b]));
                     for a in 0..MR {
-                        r[b][a] = hsum(acc[b][a]);
+                        let xv = get(x[a]);
+                        for b in 0..NR {
+                            acc[b][a] = xv.fma(yv[b], acc[b][a]);
+                        }
                     }
-                }
+                }};
+            }
+            for p in (0..full).step_by(V::LANES) {
+                step!(|c: &[V::Elem]| V::load(c.as_ptr().add(p)));
+            }
+            // The ragged last rows ride the same lanes under a mask, so
+            // there is no scalar tail.
+            if full < k {
+                let m = V::head(k - full);
+                step!(|c: &[V::Elem]| V::load_head(c.as_ptr().add(full), m));
+            }
+            // Accumulators reduce four at a time in `(b, a)` order, each group
+            // straight into its slots of `r`; a last one is zero-padded.
+            let four = |g: usize| -> [V; 4] {
+                std::array::from_fn(|t| match g + t {
+                    i if i < MR * NR => acc[i / MR][i % MR],
+                    _ => V::zero(),
+                })
+            };
+            let flat = r.as_flattened_mut();
+            let whole = MR * NR / 4 * 4;
+            for g in (0..whole).step_by(4) {
+                V::sum4(four(g), flat.as_mut_ptr().add(g));
+            }
+            if whole < MR * NR {
+                let mut last = [V::Elem::ZERO; 4];
+                V::sum4(four(whole), last.as_mut_ptr());
+                flat[whole..].copy_from_slice(&last[..MR * NR - whole]);
             }
         }
         r
@@ -340,38 +419,73 @@ impl Core<f64> for AvxCore {
     #[inline(always)]
     #[allow(unsafe_code)]
     fn nn_tile<const MV: usize, const NR: usize>(
-        (a, lda): Cols<f64>,
-        b: [&[f64]; NR],
-        (c, ldc): ColsMut<f64>,
+        (a, lda): Cols<V::Elem>,
+        b: [&[V::Elem]; NR],
+        (c, ldc): ColsMut<V::Elem>,
+        rows: usize,
+        inner: Range<usize>,
     ) {
         let kk = b[0].len();
-        let rows = 4 * MV;
         if kk == 0 {
             return;
         }
+        // A one-vector tile is always masked (the skeleton's ragged last
+        // rows), a taller one never.
+        let whole = if MV == 1 {
+            rows.min(V::LANES)
+        } else {
+            MV * V::LANES
+        };
+        assert!(rows == whole && rows > 0 && inner.start <= inner.end && inner.end <= kk);
         assert!(a.len() >= (kk - 1) * lda + rows && b.iter().all(|bj| bj.len() >= kk));
         assert!(c.len() >= (NR - 1) * ldc + rows);
         // SAFETY: column p of the tile is a[p*lda .. p*lda + rows] with
-        // p < kk, inside `a` by the first assert, which also bounds the
-        // reads b[j][p]; the loads and stores on column j cover
-        // c[j*ldc .. j*ldc + rows] with j < NR, inside `c` by the second.
+        // p < kk, inside `a` by the second assert, which also bounds the
+        // reads b[j][p]; column j < NR of `c` is c[j*ldc .. j*ldc + rows],
+        // inside `c` by the third. By the first, a masked access touches
+        // `rows <= LANES` lanes, an unmasked tile is `MV` whole vectors, and
+        // `inner` is inside `0..kk`.
         unsafe {
-            let mut acc = [[_mm256_setzero_pd(); MV]; NR];
-            let mut ap = a.as_ptr();
-            for p in 0..kk {
-                let av: [__m256d; MV] = std::array::from_fn(|v| _mm256_loadu_pd(ap.add(4 * v)));
+            let m = V::head(rows.min(V::LANES));
+            let get = |p: usize, v: usize| {
+                let at = a.as_ptr().add(p * lda + V::LANES * v);
+                if MV == 1 {
+                    V::load_head(at, m)
+                } else {
+                    V::load(at)
+                }
+            };
+            let mut acc = [[V::zero(); MV]; NR];
+            // One vector's steps outside `inner`, into the same accumulators.
+            macro_rules! solo {
+                ($steps:expr, $v:expr) => {
+                    for p in $steps {
+                        let av = get(p, $v);
+                        for j in 0..NR {
+                            acc[j][$v] = av.fma(V::splat(*b[j].get_unchecked(p)), acc[j][$v]);
+                        }
+                    }
+                };
+            }
+            solo!(0..inner.start, 0);
+            for p in inner.clone() {
+                let av: [V; MV] = std::array::from_fn(|v| get(p, v));
                 for j in 0..NR {
-                    let bv = _mm256_set1_pd(*b[j].get_unchecked(p));
+                    let bv = V::splat(*b[j].get_unchecked(p));
                     for v in 0..MV {
-                        acc[j][v] = _mm256_fmadd_pd(av[v], bv, acc[j][v]);
+                        acc[j][v] = av[v].fma(bv, acc[j][v]);
                     }
                 }
-                ap = ap.wrapping_add(lda);
             }
+            solo!(inner.end..kk, MV - 1);
             for (j, accj) in acc.into_iter().enumerate() {
                 for (v, s) in accj.into_iter().enumerate() {
-                    let cp = c.as_mut_ptr().add(j * ldc + 4 * v);
-                    _mm256_storeu_pd(cp, _mm256_sub_pd(_mm256_loadu_pd(cp), s));
+                    let cp = c.as_mut_ptr().add(j * ldc + V::LANES * v);
+                    if MV == 1 {
+                        V::load_head(cp, m).sub(s).store_head(cp, m);
+                    } else {
+                        V::load(cp).sub(s).store(cp);
+                    }
                 }
             }
         }

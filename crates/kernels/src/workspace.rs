@@ -21,25 +21,26 @@
 //! Requests beyond the presized capacity (e.g. applying `Q` to a dense
 //! right-hand side wider than one tile) grow the buffer and are counted in
 //! [`resizes`](Workspace::resizes); on the tile-sized steady state that
-//! counter stays at zero, which `tests/steady_state_allocs.rs` asserts
-//! with a counting allocator.
+//! counter stays at zero, which `tests/steady_state_allocs.rs` asserts with
+//! a counting allocator. Each buffer is a one-column [`Matrix`], so it
+//! starts on a 64-byte boundary like the tiles (§13), cloned or grown too.
 
-use tileqr_matrix::Scalar;
+use tileqr_matrix::{Matrix, Scalar};
 
 /// Grow-once scratch arena backing the `*_ws` kernels.
 #[derive(Debug, Clone)]
 pub struct Workspace<T: Scalar> {
-    tmp: Vec<T>,
-    w: Vec<T>,
-    tw: Vec<T>,
-    v: Vec<T>,
+    tmp: Matrix<T>,
+    w: Matrix<T>,
+    tw: Matrix<T>,
+    v: Matrix<T>,
     resizes: u64,
 }
 
-fn ensure<T: Scalar>(buf: &mut Vec<T>, len: usize, resizes: &mut u64) {
-    if buf.len() < len {
+fn ensure<T: Scalar>(buf: &mut Matrix<T>, len: usize, resizes: &mut u64) {
+    if buf.rows() < len {
         *resizes += 1;
-        buf.resize(len, T::ZERO);
+        *buf = Matrix::zeros(len, 1);
     }
 }
 
@@ -52,10 +53,10 @@ impl<T: Scalar> Workspace<T> {
     /// calls `Workspace::new(b, b)`.
     pub fn new(b: usize, _ib: usize) -> Self {
         Workspace {
-            tmp: vec![T::ZERO; b],
-            w: vec![T::ZERO; b * b],
-            tw: vec![T::ZERO; b * b],
-            v: vec![T::ZERO; b * b],
+            tmp: Matrix::zeros(b, 1),
+            w: Matrix::zeros(b * b, 1),
+            tw: Matrix::zeros(b * b, 1),
+            v: Matrix::zeros(b * b, 1),
             resizes: 0,
         }
     }
@@ -64,7 +65,7 @@ impl<T: Scalar> Workspace<T> {
     /// weights. Contents are unspecified; the kernels write before reading.
     pub fn factor_scratch(&mut self, n: usize) -> &mut [T] {
         ensure(&mut self.tmp, n, &mut self.resizes);
-        &mut self.tmp[..n]
+        &mut self.tmp.as_mut_slice()[..n]
     }
 
     /// Scratch for an update kernel: the `wr × wc` work block `W`, a second
@@ -80,16 +81,16 @@ impl<T: Scalar> Workspace<T> {
         ensure(&mut self.tw, wr * wc, &mut self.resizes);
         ensure(&mut self.v, vlen, &mut self.resizes);
         (
-            &mut self.w[..wr * wc],
-            &mut self.tw[..wr * wc],
-            &mut self.v[..vlen],
+            &mut self.w.as_mut_slice()[..wr * wc],
+            &mut self.tw.as_mut_slice()[..wr * wc],
+            &mut self.v.as_mut_slice()[..vlen],
         )
     }
 
-    /// Total capacity currently held, in bytes.
+    /// Total scratch currently held, in bytes.
     pub fn bytes(&self) -> usize {
         let scalars = [&self.tmp, &self.w, &self.tw, &self.v];
-        scalars.iter().map(|b| b.capacity()).sum::<usize>() * std::mem::size_of::<T>()
+        scalars.iter().map(|b| b.rows()).sum::<usize>() * std::mem::size_of::<T>()
     }
 
     /// How many times a scratch request outgrew the arena (0 in the sized

@@ -8,16 +8,18 @@
 //! The last test is the sweep for the blocked factor path: the properties
 //! above run at tile widths where the recursion never engages (`n <= 8`),
 //! so it repeats them — and the checks only the level-3 merge can break —
-//! at widths that split once, several times and raggedly.
+//! at widths that split once, several times and raggedly, on every register
+//! core this host can execute (scalar, 256-bit and, where detected, 512-bit)
+//! and for both element types, `f32` at `f32`-scaled budgets.
 
-use tileqr_kernels::micro::{force_backend, Backend};
+use tileqr_kernels::micro::{force_backend, force_vector_bits, Backend};
 use tileqr_kernels::{
     geqrt_apply_ws, geqrt_ws, larfg, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, ApplySide,
     Workspace,
 };
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::ops::{frobenius_norm, matmul, nrm2, orthogonality_defect};
-use tileqr_matrix::{Matrix, Rng64};
+use tileqr_matrix::{Matrix, Rng64, Scalar};
 
 const CASES: u64 = 48;
 
@@ -251,24 +253,37 @@ struct Factored {
 
 /// Fill every scratch block of `ws` with NaN: a kernel that reads scratch
 /// before writing it poisons its output.
-fn dirty(ws: &mut Workspace<f64>, m: usize, n: usize) {
-    ws.factor_scratch(n).fill(f64::NAN);
+fn dirty<T: Scalar>(ws: &mut Workspace<T>, m: usize, n: usize) {
+    let nan = T::from_f64(f64::NAN);
+    ws.factor_scratch(n).fill(nan);
     let (w, tw, v) = ws.apply_scratch(n, n, m * n);
-    w.fill(f64::NAN);
-    tw.fill(f64::NAN);
-    v.fill(f64::NAN);
+    w.fill(nan);
+    tw.fill(nan);
+    v.fill(nan);
 }
 
-fn run_kernel(
+/// `a` rounded to the element type the kernel runs in.
+fn narrow<T: Scalar>(a: &Matrix<f64>) -> Matrix<T> {
+    Matrix::from_fn(a.rows(), a.cols(), |i, j| T::from_f64(a[(i, j)]))
+}
+
+/// `a` in `f64`, exactly: the checks run in `f64` whatever the kernel ran in.
+fn wide<T: Scalar>(a: &Matrix<T>) -> Matrix<f64> {
+    Matrix::from_fn(a.rows(), a.cols(), |i, j| a[(i, j)].to_f64())
+}
+
+/// One factor kernel in element type `T` on inputs rounded to `T`; the
+/// result in `f64`.
+fn run_kernel<T: Scalar>(
     kernel: Kernel,
     n: usize,
     zeros: Zeros,
     seed: u64,
-    ws: &mut Workspace<f64>,
+    ws: &mut Workspace<T>,
 ) -> Factored {
     let mid = n / 3..n - n / 3;
     let forced = |j: usize| zeros == Zeros::All || (zeros == Zeros::Middle && mid.contains(&j));
-    let mut t = Matrix::filled(n, n, f64::NAN);
+    let mut t = Matrix::filled(n, n, T::from_f64(f64::NAN));
     match kernel {
         Kernel::Geqrt { m } => {
             // Block upper triangular in thirds with an upper triangular
@@ -284,9 +299,11 @@ fn run_kernel(
                     full[(i, j)]
                 }
             });
-            let mut a = a0.clone();
+            let mut a = narrow::<T>(&a0);
+            let a0 = wide(&a);
             dirty(ws, m, n);
             geqrt_ws(&mut a, &mut t, ws).unwrap();
+            let (a, t) = (wide(&a), wide(&t));
             let u = Matrix::from_fn(m, n, |i, j| match i.cmp(&j) {
                 std::cmp::Ordering::Less => 0.0,
                 std::cmp::Ordering::Equal => 1.0,
@@ -323,21 +340,23 @@ fn run_kernel(
             let live = |i: usize, j: usize| (!tt || i <= j) && !forced(j);
             let full = random_matrix::<f64>(m2, n, seed ^ 0x55);
             let a2_0 = Matrix::from_fn(m2, n, |i, j| if live(i, j) { full[(i, j)] } else { 0.0 });
-            let mut r1 = r1_0.clone();
-            let mut a2 = Matrix::from_fn(m2, n, |i, j| {
+            let mut r1 = narrow::<T>(&r1_0);
+            let mut a2 = narrow::<T>(&Matrix::from_fn(m2, n, |i, j| {
                 if tt && i > j {
                     full[(i, j)] // older reflectors: not this kernel's to read
                 } else {
                     a2_0[(i, j)]
                 }
-            });
-            let junk = a2.clone();
+            }));
+            let (r1_0, a2_0) = (wide(&r1), wide(&narrow::<T>(&a2_0)));
+            let junk = wide(&a2);
             dirty(ws, m2.max(n), n);
             if tt {
                 ttqrt_ws(&mut r1, &mut a2, &mut t, ws).unwrap();
             } else {
                 tsqrt_ws(&mut r1, &mut a2, &mut t, ws).unwrap();
             }
+            let (r1, a2, t) = (wide(&r1), wide(&a2), wide(&t));
             for j in 0..n {
                 for i in j + 1..n {
                     assert_eq!(r1[(i, j)], 0.0, "{kernel:?} n={n}: r1 fill-in at ({i},{j})");
@@ -390,7 +409,8 @@ fn larft_reference(u: &Matrix<f64>, t: &Matrix<f64>) -> Matrix<f64> {
     want
 }
 
-fn check_factored(what: &str, f: &Factored) {
+/// `eps` is the kernel's element-type epsilon over `f64`'s: 1 for `f64`.
+fn check_factored(what: &str, f: &Factored, eps: f64) {
     let n = f.t.rows();
     let rows = f.u.rows();
     assert!(
@@ -410,7 +430,7 @@ fn check_factored(what: &str, f: &Factored) {
     let want = larft_reference(&f.u, &f.t);
     let err = frobenius_norm(&f.t.sub(&want).unwrap());
     assert!(
-        err <= 1e-13 * n as f64,
+        err <= 1e-13 * eps * n as f64,
         "{what}: T off its larft reference by {err:e}"
     );
 
@@ -421,14 +441,14 @@ fn check_factored(what: &str, f: &Factored) {
         .unwrap();
     let defect = orthogonality_defect(&q).unwrap();
     assert!(
-        defect <= 1e-14 * rows as f64,
+        defect <= 1e-14 * eps * rows as f64,
         "{what}: orthogonality defect {defect:e}"
     );
     let qta = matmul(&q.transpose(), &f.input).unwrap();
     let scale = frobenius_norm(&f.input).max(1.0);
     let resid = frobenius_norm(&qta.sub(&f.r).unwrap());
     assert!(
-        resid <= 1e-14 * rows as f64 * scale,
+        resid <= 1e-14 * eps * rows as f64 * scale,
         "{what}: ‖QᵀA − R‖ = {resid:e}"
     );
 }
@@ -474,11 +494,15 @@ fn check_apply(what: &str, kernel: Kernel, f: &Factored, ws: &mut Workspace<f64>
     );
 }
 
-#[test]
-fn blocked_factor_sweep() {
+/// The sweep in element type `T` on the register core pinned by the
+/// caller: every factor kernel at every width and zero pattern, twice for
+/// bit equality; `f64` results also go through the update kernels.
+fn factor_sweep<T: Scalar>(core: &str) {
+    let eps = T::EPSILON.to_f64() / f64::EPSILON;
     // One workspace for the whole sweep, sized for the widest tile: it is
     // handed over dirty every time.
-    let ws = &mut Workspace::<f64>::new(65, 65);
+    let ws = &mut Workspace::<T>::new(65, 65);
+    let ws64 = &mut Workspace::<f64>::new(65, 65);
     let widths = (1..=9).chain([12, 17, 20, 31, 32, 33, 64, 65]);
     for n in widths {
         let mut kernels = vec![
@@ -489,35 +513,50 @@ fn blocked_factor_sweep() {
         kernels.extend([(n / 2).max(1), n, 2 * n + 3].map(|m2| Kernel::Tsqrt { m2 }));
         for kernel in kernels {
             for zeros in [Zeros::None, Zeros::Middle, Zeros::All] {
-                for pin in [Some(Backend::Blocked), None] {
-                    // Only this test pins the backend in this binary; the
-                    // others are tolerance checks and hold on either core.
-                    force_backend(pin);
-                    let what = format!("{kernel:?} n={n} {zeros:?} pin={pin:?}");
-                    let seed = 9000 + n as u64;
-                    let f = run_kernel(kernel, n, zeros, seed, ws);
-                    check_factored(&what, &f);
-                    check_apply(&what, kernel, &f, ws);
-                    if zeros != Zeros::None {
-                        let zero_taus = (0..n).filter(|&k| f.t[(k, k)] == 0.0).count();
-                        let want = if zeros == Zeros::All {
-                            n
-                        } else {
-                            n - n / 3 - n / 3
-                        };
-                        assert!(
-                            zero_taus >= want,
-                            "{what}: {zero_taus} zero taus, want {want}"
-                        );
-                    }
-                    let again = run_kernel(kernel, n, zeros, seed, ws);
+                let what = format!("{kernel:?} n={n} {zeros:?} core={core} eps={eps:e}");
+                let seed = 9000 + n as u64;
+                let f = run_kernel(kernel, n, zeros, seed, ws);
+                check_factored(&what, &f, eps);
+                if eps == 1.0 {
+                    check_apply(&what, kernel, &f, ws64);
+                }
+                if zeros != Zeros::None {
+                    let zero_taus = (0..n).filter(|&k| f.t[(k, k)] == 0.0).count();
+                    let want = if zeros == Zeros::All {
+                        n
+                    } else {
+                        n - n / 3 - n / 3
+                    };
                     assert!(
-                        again.raw == f.raw && again.t == f.t,
-                        "{what}: two runs of one shape differ bitwise"
+                        zero_taus >= want,
+                        "{what}: {zero_taus} zero taus, want {want}"
                     );
                 }
-                force_backend(None);
+                let again = run_kernel(kernel, n, zeros, seed, ws);
+                assert!(
+                    again.raw == f.raw && again.t == f.t,
+                    "{what}: two runs of one shape differ bitwise"
+                );
             }
         }
     }
+}
+
+#[test]
+fn blocked_factor_sweep() {
+    // Only this test pins the core in this binary; the others are tolerance
+    // checks and hold on any.
+    force_backend(None);
+    let widest = force_vector_bits(None);
+    let mut cores = vec![("scalar", Some(Backend::Blocked), None)];
+    cores.extend((widest >= 256).then_some(("256-bit", None, Some(256))));
+    cores.extend((widest >= 512).then_some(("512-bit", None, None)));
+    for (core, backend, bits) in cores {
+        force_backend(backend);
+        force_vector_bits(bits);
+        factor_sweep::<f64>(core);
+        factor_sweep::<f32>(core);
+    }
+    force_backend(None);
+    force_vector_bits(None);
 }

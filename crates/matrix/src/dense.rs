@@ -2,18 +2,101 @@
 
 use crate::{MatrixError, Result, Scalar};
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Deref, DerefMut, Index, IndexMut};
+
+/// Byte alignment of every [`Matrix`]'s element `(0, 0)`: one cache line,
+/// which is also the widest vector the kernels load (a 512-bit load from
+/// an address that is not a multiple of 64 splits a line every time).
+const ALIGN: usize = 64;
+
+/// `len` elements starting on an [`ALIGN`]-byte boundary, in safe code: the
+/// `Vec` is over-allocated by just under one line and `off` skips to the
+/// first aligned element. The offset belongs to one allocation, so `clone`
+/// derives it again for the copy's.
+struct Aligned<T> {
+    buf: Vec<T>,
+    off: usize,
+    len: usize,
+}
+
+impl<T: Scalar> Aligned<T> {
+    /// Elements between `buf`'s base and its first aligned element.
+    fn offset_of(buf: &[T]) -> usize {
+        (buf.as_ptr() as usize).wrapping_neg() % ALIGN / std::mem::size_of::<T>()
+    }
+
+    fn filled(len: usize, value: T) -> Self {
+        if len == 0 {
+            return Self::from_vec(Vec::new());
+        }
+        let slack = ALIGN / std::mem::size_of::<T>() - 1;
+        let buf = vec![value; len + slack];
+        let off = Self::offset_of(&buf);
+        Aligned { buf, off, len }
+    }
+
+    fn copy_of(data: &[T]) -> Self {
+        let mut out = Self::filled(data.len(), T::ZERO);
+        out.copy_from_slice(data);
+        out
+    }
+
+    /// Keeps `data`'s allocation when it already starts on a line (or is
+    /// empty) and copies it otherwise.
+    fn from_vec(data: Vec<T>) -> Self {
+        if data.is_empty() || Self::offset_of(&data) == 0 {
+            let len = data.len();
+            return Aligned {
+                buf: data,
+                off: 0,
+                len,
+            };
+        }
+        Self::copy_of(&data)
+    }
+}
+
+impl<T> Deref for Aligned<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        &self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl<T> DerefMut for Aligned<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl<T: Scalar> Clone for Aligned<T> {
+    fn clone(&self) -> Self {
+        Self::copy_of(self)
+    }
+}
+
+impl<T: Scalar> PartialEq for Aligned<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
 
 /// Dense matrix stored in column-major order (like Fortran / LAPACK).
 ///
-/// Element `(i, j)` lives at `data[i + j * rows]`. Column-major storage is
-/// chosen because the Householder kernels sweep down columns, and it matches
-/// the convention of the PLASMA kernels the paper builds on.
+/// Element `(i, j)` lives at `as_slice()[i + j * rows]`, and element
+/// `(0, 0)` on a 64-byte boundary — in a fresh matrix, in a clone (so in a
+/// copy-on-write tile too) and in one built from a caller's `Vec`.
+/// Column-major storage is chosen because the Householder kernels sweep
+/// down columns, and it matches the convention of the PLASMA kernels the
+/// paper builds on.
 #[derive(Clone, PartialEq)]
 pub struct Matrix<T: Scalar> {
     rows: usize,
     cols: usize,
-    data: Vec<T>,
+    data: Aligned<T>,
 }
 
 impl<T: Scalar> Matrix<T> {
@@ -22,7 +105,7 @@ impl<T: Scalar> Matrix<T> {
         Matrix {
             rows,
             cols,
-            data: vec![T::ZERO; rows * cols],
+            data: Aligned::filled(rows * cols, T::ZERO),
         }
     }
 
@@ -31,7 +114,7 @@ impl<T: Scalar> Matrix<T> {
         Matrix {
             rows,
             cols,
-            data: vec![value; rows * cols],
+            data: Aligned::filled(rows * cols, value),
         }
     }
 
@@ -46,13 +129,13 @@ impl<T: Scalar> Matrix<T> {
 
     /// Build a matrix by evaluating `f(i, j)` for every element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for j in 0..cols {
-            for i in 0..rows {
-                data.push(f(i, j));
+        let mut m = Self::zeros(rows, cols);
+        for (j, col) in m.data.chunks_exact_mut(rows.max(1)).enumerate() {
+            for (i, v) in col.iter_mut().enumerate() {
+                *v = f(i, j);
             }
         }
-        Matrix { rows, cols, data }
+        m
     }
 
     /// Construct from a column-major element buffer.
@@ -65,6 +148,7 @@ impl<T: Scalar> Matrix<T> {
                 actual: data.len(),
             });
         }
+        let data = Aligned::from_vec(data);
         Ok(Matrix { rows, cols, data })
     }
 
@@ -259,22 +343,16 @@ impl<T: Scalar> Matrix<T> {
                 rhs: other.dims(),
             });
         }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
+        let mut out = self.clone();
+        for (a, &b) in out.data.iter_mut().zip(other.data.iter()) {
+            *a = f(*a, b);
+        }
+        Ok(out)
     }
 
     /// Scale every element by `s` in place.
     pub fn scale_mut(&mut self, s: T) {
-        for v in &mut self.data {
+        for v in self.data.iter_mut() {
             *v *= s;
         }
     }
@@ -314,7 +392,7 @@ impl<T: Scalar> Matrix<T> {
             && self
                 .data
                 .iter()
-                .zip(&other.data)
+                .zip(other.data.iter())
                 .all(|(&a, &b)| (a - b).abs() <= tol)
     }
 

@@ -45,21 +45,23 @@ impl<T: Scalar> TiledMatrix<T> {
         let mut tiles = Vec::with_capacity(mt * nt);
         for ti in 0..mt {
             for tj in 0..nt {
-                let r0 = ti * tile_size;
-                let c0 = tj * tile_size;
-                let tile = Matrix::from_fn(tile_size, tile_size, |i, j| {
-                    let (gi, gj) = (r0 + i, c0 + j);
-                    if gi < rows && gj < cols {
-                        a[(gi, gj)]
-                    } else if gi == gj {
-                        // Unit diagonal on the padded region keeps a padded
-                        // square matrix nonsingular, so R stays invertible
-                        // and solves on padded systems work unchanged.
-                        T::ONE
-                    } else {
-                        T::ZERO
+                let (r0, c0) = (ti * tile_size, tj * tile_size);
+                let nr = rows.saturating_sub(r0).min(tile_size);
+                let nc = cols.saturating_sub(c0).min(tile_size);
+                let mut tile = Matrix::zeros(tile_size, tile_size);
+                for j in 0..nc {
+                    tile.col_mut(j)[..nr].copy_from_slice(&a.col(c0 + j)[r0..r0 + nr]);
+                }
+                if nr < tile_size || nc < tile_size {
+                    // Unit diagonal on the padded region keeps a padded
+                    // square matrix nonsingular, so R stays invertible
+                    // and solves on padded systems work unchanged.
+                    for d in r0.max(c0)..(r0.min(c0) + tile_size) {
+                        if d >= rows || d >= cols {
+                            tile[(d - r0, d - c0)] = T::ONE;
+                        }
                     }
-                });
+                }
                 tiles.push(Arc::new(tile));
             }
         }
@@ -81,24 +83,12 @@ impl<T: Scalar> TiledMatrix<T> {
     /// Reassemble the dense matrix, stripping edge padding.
     pub fn to_matrix(&self) -> Matrix<T> {
         let mut a = Matrix::zeros(self.rows, self.cols);
-        for ti in 0..self.mt {
-            for tj in 0..self.nt {
-                let tile = self.tile(ti, tj);
-                let r0 = ti * self.tile_size;
-                let c0 = tj * self.tile_size;
-                for j in 0..self.tile_size {
-                    let gj = c0 + j;
-                    if gj >= self.cols {
-                        break;
-                    }
-                    for i in 0..self.tile_size {
-                        let gi = r0 + i;
-                        if gi >= self.rows {
-                            break;
-                        }
-                        a[(gi, gj)] = tile[(i, j)];
-                    }
-                }
+        for (ti, tj, tile) in self.iter_tiles() {
+            let (r0, c0) = (ti * self.tile_size, tj * self.tile_size);
+            let nr = self.rows.saturating_sub(r0).min(self.tile_size);
+            let nc = self.cols.saturating_sub(c0).min(self.tile_size);
+            for j in 0..nc {
+                a.col_mut(c0 + j)[r0..r0 + nr].copy_from_slice(&tile.col(j)[..nr]);
             }
         }
         a
@@ -243,6 +233,58 @@ mod tests {
         assert_eq!(t.dense_dims(), (5, 7));
         assert_eq!(t.padded_dims(), (8, 8));
         assert_eq!(t.to_matrix(), a);
+    }
+
+    /// Every ragged edge against the element rule the column-run copies
+    /// replaced: data inside, a unit diagonal and zeros in the padding.
+    #[test]
+    fn ragged_edges_match_the_element_rule() {
+        let b = 4;
+        let dims = [1, b - 1, b + 1, 2 * b + 3];
+        for rows in dims {
+            for cols in dims {
+                let a = seq_matrix(rows, cols);
+                let t = TiledMatrix::from_matrix(&a, b).unwrap();
+                for (ti, tj, tile) in t.iter_tiles() {
+                    let want = Matrix::from_fn(b, b, |i, j| {
+                        let (gi, gj) = (ti * b + i, tj * b + j);
+                        if gi < rows && gj < cols {
+                            a[(gi, gj)]
+                        } else if gi == gj {
+                            1.0
+                        } else {
+                            0.0
+                        }
+                    });
+                    assert_eq!(*tile, want, "{rows}x{cols} tile ({ti},{tj})");
+                }
+                assert_eq!(t.to_matrix(), a, "{rows}x{cols}");
+            }
+        }
+    }
+
+    /// Tiles start on a cache line however they came to be: tiled, cloned
+    /// (the offset is per allocation) or copied on write.
+    #[test]
+    fn tiles_are_line_aligned_after_clone_and_cow() {
+        let aligned = |t: &TiledMatrix<f32>| {
+            t.iter_tiles()
+                .all(|(_, _, tile)| (tile.as_slice().as_ptr() as usize).is_multiple_of(64))
+        };
+        let a = Matrix::<f32>::from_fn(7, 9, |i, j| (i + 10 * j) as f32);
+        let mut t = TiledMatrix::from_matrix(&a, 3).unwrap();
+        assert!(aligned(&t));
+        assert!(aligned(&t.clone()));
+        let readers: Vec<_> = (0..3).map(|j| t.tile_shared(1, j)).collect();
+        for j in 0..3 {
+            t.tile_mut(1, j)[(0, 0)] = -1.0;
+        }
+        assert!(aligned(&t));
+        assert_eq!(readers[0][(0, 0)], a[(3, 0)]);
+        let v = a.as_slice().to_vec();
+        let m = Matrix::from_col_major(7, 9, v).unwrap();
+        assert_eq!(m.as_slice().as_ptr() as usize % 64, 0);
+        assert_eq!(m, a);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use tileqr_dag::{EliminationTree, TaskGraph, TaskId, TaskKind};
 use tileqr_kernels::exec::{FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
-use tileqr_matrix::{Matrix, Result, Rng64, TiledMatrix};
+use tileqr_matrix::{Matrix, Result, Rng64, Scalar, TiledMatrix};
 use tileqr_runtime::SchedulePolicy;
 
 /// How the virtual machine resolves its two nondeterministic choices.
@@ -51,16 +51,17 @@ impl ExploreStrategy {
     }
 }
 
-/// Outcome of one explored interleaving.
+/// Outcome of one explored interleaving (of an `f64` factorization unless
+/// said otherwise).
 #[derive(Debug)]
-pub struct Exploration {
+pub struct Exploration<T: Scalar = f64> {
     /// Order in which tasks committed — the schedule's fingerprint.
     pub completion_order: Vec<TaskId>,
     /// Final factorization state, reassembled for comparison.
-    pub state: FactorState<f64>,
+    pub state: FactorState<T>,
 }
 
-impl Exploration {
+impl<T: Scalar> Exploration<T> {
     /// Compact order fingerprint for distinct-interleaving counting.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over the completion order: collision-safe enough to
@@ -89,12 +90,12 @@ fn flop_weight(task: TaskKind) -> f64 {
 /// Run one interleaving of `graph` over `tiles` on a virtual
 /// `workers`-slot machine. Returns the reassembled state and the
 /// completion order.
-pub fn explore(
-    tiles: TiledMatrix<f64>,
+pub fn explore<T: Scalar>(
+    tiles: TiledMatrix<T>,
     graph: &TaskGraph,
     workers: usize,
     strategy: ExploreStrategy,
-) -> Result<Exploration> {
+) -> Result<Exploration<T>> {
     let cap = strategy.workers_cap(workers);
     let priorities = tileqr_dag::critical_path::bottom_levels(graph, flop_weight);
     let mut ws = Workspace::new(tiles.tile_size(), tiles.tile_size());
@@ -103,7 +104,7 @@ pub fn explore(
     let mut indegree: Vec<usize> = graph.indegrees();
     let mut ready: Vec<TaskId> = graph.sources();
     // In-flight tasks, oldest first: (task id, staged inputs).
-    let mut in_flight: Vec<(TaskId, tileqr_kernels::exec::StagedTask<f64>)> = Vec::new();
+    let mut in_flight: Vec<(TaskId, tileqr_kernels::exec::StagedTask<T>)> = Vec::new();
     let mut completion_order = Vec::with_capacity(graph.len());
     let mut rng = match strategy {
         ExploreStrategy::Seeded { seed, .. } => Rng64::seed_from_u64(seed),
@@ -185,13 +186,13 @@ fn argbest(ready: &[TaskId], score: impl Fn(TaskId) -> f64) -> usize {
 /// the elimination zoo (including the TSQR fast-path DAG on tall-skinny
 /// grids), and return it alongside the sequential reference state for
 /// bit-identity checks.
-pub fn explore_tree_vs_sequential(
-    a: &Matrix<f64>,
+pub fn explore_tree_vs_sequential<T: Scalar>(
+    a: &Matrix<T>,
     tile_size: usize,
     tree: EliminationTree,
     workers: usize,
     strategy: ExploreStrategy,
-) -> Result<(Exploration, FactorState<f64>)> {
+) -> Result<(Exploration<T>, FactorState<T>)> {
     let tiled = TiledMatrix::from_matrix(a, tile_size)?;
     let graph = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), tree);
     let mut reference = FactorState::new(tiled.clone());
@@ -202,7 +203,7 @@ pub fn explore_tree_vs_sequential(
 
 /// Assert an exploration reproduced the sequential factorization
 /// *bitwise*: every tile and every `T` factor.
-pub fn assert_bit_identical(explored: &FactorState<f64>, reference: &FactorState<f64>) {
+pub fn assert_bit_identical<T: Scalar>(explored: &FactorState<T>, reference: &FactorState<T>) {
     assert_eq!(
         explored.tiles().to_matrix(),
         reference.tiles().to_matrix(),

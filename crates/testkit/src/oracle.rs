@@ -11,9 +11,11 @@
 
 use tileqr_kernels::reference::householder_qr;
 use tileqr_kernels::validate::{check_qr, qr_tolerance, QrReport};
-use tileqr_matrix::{Matrix, Result};
+use tileqr_matrix::{Matrix, Result, Scalar};
 
-/// Verdict of the oracle suite for one factorization.
+/// Verdict of the oracle suite for one factorization. Every number is in
+/// `f64` whatever element type the factorization ran in; `eps` remembers
+/// that type's machine epsilon, which the budgets scale with.
 #[derive(Debug, Clone)]
 pub struct OracleReport {
     /// The raw residual / orthogonality / triangularity metrics.
@@ -22,6 +24,8 @@ pub struct OracleReport {
     pub tolerance: f64,
     /// Condition estimate used for the scaling (`1.0` when unknown).
     pub kappa: f64,
+    /// Machine epsilon of the element type the factorization ran in.
+    pub eps: f64,
     /// Max entrywise `|R| − |R_ref|` deviation, relative to `‖A‖_F`
     /// (`None` when the differential check was skipped).
     pub r_deviation: Option<f64>,
@@ -33,28 +37,29 @@ impl OracleReport {
         self.report.passes(self.tolerance)
             && self
                 .r_deviation
-                .map_or(true, |d| d <= differential_tolerance(self.kappa))
+                .is_none_or(|d| d <= differential_tolerance(self.eps, self.kappa))
     }
 }
 
-/// Residual/orthogonality budget for an `m x n` factorization of a
-/// matrix with condition estimate `kappa`: the backward-stability
-/// tolerance of the kernels crate, widened by `1 + log10(κ)`. Backward
-/// error does not grow with κ in exact theory, but extreme grading
-/// inflates the *computed norms* the metrics divide by, so a modest
-/// logarithmic allowance keeps the oracle sharp without false alarms.
-pub fn condition_scaled_tolerance(m: usize, n: usize, kappa: f64) -> f64 {
-    let base: f64 = qr_tolerance(m, n);
-    base * (1.0 + kappa.max(1.0).log10())
+/// Residual/orthogonality budget for an `m x n` factorization in element
+/// type `T` of a matrix with condition estimate `kappa`: the
+/// backward-stability tolerance of the kernels crate, widened by
+/// `1 + log10(κ)`. Backward error does not grow with κ in exact theory, but
+/// extreme grading inflates the *computed norms* the metrics divide by, so a
+/// modest logarithmic allowance keeps the oracle sharp without false alarms.
+pub fn condition_scaled_tolerance<T: Scalar>(m: usize, n: usize, kappa: f64) -> f64 {
+    qr_tolerance::<T>(m, n).to_f64() * (1.0 + kappa.max(1.0).log10())
 }
 
-/// Budget for the differential `|R|` comparison: forward error in `R` is
-/// `O(ε·κ)`, so the bound scales linearly with the condition estimate.
-pub fn differential_tolerance(kappa: f64) -> f64 {
-    100.0 * f64::EPSILON * kappa.max(1.0)
+/// Budget for the differential `|R|` comparison at machine epsilon `eps`:
+/// forward error in `R` is `O(ε·κ)`, so the bound scales linearly with the
+/// condition estimate.
+pub fn differential_tolerance(eps: f64, kappa: f64) -> f64 {
+    100.0 * eps * kappa.max(1.0)
 }
 
-/// Run the full oracle suite on a computed factorization `A ≈ Q R`.
+/// Run the full oracle suite on a computed factorization `A ≈ Q R` in
+/// element type `T`, at budgets scaled by `T`'s epsilon.
 ///
 /// `kappa` is the caller's condition estimate (pass `None` when
 /// unavailable — bounds then assume a well-conditioned matrix). The
@@ -62,26 +67,34 @@ pub fn differential_tolerance(kappa: f64) -> f64 {
 /// Householder path and compares `|R|` entrywise (absolute values,
 /// because the sign of each row of `R` is a free choice the two
 /// algorithms make independently).
-pub fn verify_qr(
-    a: &Matrix<f64>,
-    q: &Matrix<f64>,
-    r: &Matrix<f64>,
+pub fn verify_qr<T: Scalar>(
+    a: &Matrix<T>,
+    q: &Matrix<T>,
+    r: &Matrix<T>,
     kappa: Option<f64>,
 ) -> Result<OracleReport> {
     let (m, n) = a.dims();
     let kappa = kappa.unwrap_or(1.0);
-    let report = check_qr(a, q, r)?;
-    let tolerance = condition_scaled_tolerance(m, n, kappa);
+    let eps = T::EPSILON.to_f64();
+    let got = check_qr(a, q, r)?;
+    let report = QrReport {
+        residual: got.residual.to_f64(),
+        orthogonality: got.orthogonality.to_f64(),
+        max_below_diagonal: got.max_below_diagonal.to_f64(),
+    };
+    let tolerance = condition_scaled_tolerance::<T>(m, n, kappa);
 
     // Differential check only while ε·κ still leaves the bound meaningful.
-    let r_deviation = if kappa < 1e12 {
+    let r_deviation = if kappa * eps < 1e12 * f64::EPSILON {
         let (_, r_ref) = householder_qr(a)?;
-        let scale = tileqr_matrix::ops::frobenius_norm(a).max(f64::MIN_POSITIVE);
+        let scale = tileqr_matrix::ops::frobenius_norm(a)
+            .to_f64()
+            .max(f64::MIN_POSITIVE);
         let mut worst = 0.0f64;
         for i in 0..n.min(m) {
             for j in 0..n {
                 let dev = (r[(i, j)].abs() - r_ref[(i, j)].abs()).abs();
-                worst = worst.max(dev / scale);
+                worst = worst.max(dev.to_f64() / scale);
             }
         }
         Some(worst)
@@ -93,6 +106,7 @@ pub fn verify_qr(
         report,
         tolerance,
         kappa,
+        eps,
         r_deviation,
     })
 }
@@ -122,11 +136,13 @@ mod tests {
 
     #[test]
     fn tolerance_scales_with_condition() {
-        let base = condition_scaled_tolerance(32, 32, 1.0);
-        let hard = condition_scaled_tolerance(32, 32, 1e10);
+        let base = condition_scaled_tolerance::<f64>(32, 32, 1.0);
+        let hard = condition_scaled_tolerance::<f64>(32, 32, 1e10);
         assert!(hard > base);
         assert!(hard < base * 20.0, "growth stays logarithmic");
-        assert!(differential_tolerance(1e8) > differential_tolerance(1.0));
+        assert!(
+            differential_tolerance(f64::EPSILON, 1e8) > differential_tolerance(f64::EPSILON, 1.0)
+        );
     }
 
     #[test]

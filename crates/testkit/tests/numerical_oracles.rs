@@ -93,7 +93,7 @@ fn residuals_stay_condition_independent() {
     let fh = factor(&hard, 1);
     let hard_rep = verify_qr(&hard, &fh.q().unwrap(), &fh.r(), Some(1e16)).unwrap();
 
-    let base = condition_scaled_tolerance(40, 40, 1.0);
+    let base = condition_scaled_tolerance::<f64>(40, 40, 1.0);
     assert!(easy_rep.report.residual < base);
     assert!(
         hard_rep.report.residual < base * 10.0,
@@ -115,18 +115,24 @@ fn extreme_scales_factor_without_overflow() {
     }
 }
 
-/// `f32` panels never reach the vector core, so since the update kernels
-/// became register tiles they are the one element type that runs the
-/// *scalar* tiles through the full stack on every host. A square flat-TS
-/// factorization and a tall TSQR tree (TT kernels), factor and apply, at
-/// the `f32`-scaled backward-stability budget.
+/// `f32`, the paper's element type, takes the same register core `f64`
+/// does on every host (and agrees with the scalar core within the `f32`
+/// budget, bit-deterministically per core: `micro_blocks`,
+/// `backend_agreement`). A square flat-TS factorization, a square binary
+/// tree and a tall TSQR tree (TT kernels), factor and apply, at the
+/// `f32`-scaled backward-stability budget and the κ-scaled `|R|` oracle.
 #[test]
 fn f32_factor_and_apply_pass_f32_scaled_oracles() {
-    use tileqr::TreePolicy;
+    use tileqr::{EliminationTree, TreePolicy};
     use tileqr_kernels::validate::{check_qr, qr_tolerance};
     use tileqr_matrix::gen::random_matrix;
 
-    for (m, n, tree) in [(96, 96, TreePolicy::default()), (256, 32, TreePolicy::Auto)] {
+    let binary = TreePolicy::Fixed(EliminationTree::Binary);
+    for (m, n, tree) in [
+        (96, 96, TreePolicy::default()),
+        (96, 96, binary),
+        (256, 32, TreePolicy::Auto),
+    ] {
         let a = random_matrix::<f32>(m, n, (m + n) as u64);
         let opts = QrOptions::new().tile_size(16).tree(tree);
         let f = TiledQr::factor(&a, &opts).unwrap();
@@ -134,6 +140,9 @@ fn f32_factor_and_apply_pass_f32_scaled_oracles() {
         let tol = qr_tolerance::<f32>(m, n);
         let rep = check_qr(&a, &q, &r).unwrap();
         assert!(rep.passes(tol), "{m}x{n} factor: {rep:?} vs {tol}");
+        let oracle = verify_qr(&a, &q, &r, Some(1e3)).unwrap();
+        assert!(oracle.passes(), "{m}x{n} {tree:?}: {oracle:?}");
+        assert!(oracle.r_deviation.is_some() && oracle.eps == f64::from(f32::EPSILON));
 
         // Apply without forming Q: QᵀA = R, and Q(QᵀC) = C on a
         // four-column right-hand side (the narrow tile remainders).

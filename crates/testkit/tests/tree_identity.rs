@@ -8,7 +8,8 @@
 //! These tests drive 100+ distinct fingerprinted interleavings per
 //! tree × schedule policy through the virtual explorer, then hold each
 //! tree's factors to the condition-scaled numerical oracles over the
-//! adversarial generator family.
+//! adversarial generator family. The flat and binary trees repeat both in
+//! `f32`, the paper's element type, at `f32`-scaled budgets.
 
 use std::collections::HashSet;
 
@@ -76,6 +77,63 @@ fn adversarial_strategies_are_bit_identical_for_every_tree() {
                     explore_tree_vs_sequential(&a, 8, tree, workers, strategy).unwrap();
                 assert_bit_identical(&exp.state, &reference);
             }
+        }
+    }
+}
+
+/// `f32` through the explorer: seeded and adversarial interleavings of the
+/// flat and binary trees at b = 8 and at the paper's b = 16 (where every
+/// kernel takes the vector core on a host that has one) commit the
+/// sequential factorization bit for bit.
+#[test]
+fn f32_interleavings_are_bit_identical_on_flat_and_binary_trees() {
+    for (rows, cols, b) in [(48, 16, 8), (96, 32, 16)] {
+        let a = random_matrix::<f32>(rows, cols, 0xF32 + b as u64);
+        for tree in [EliminationTree::Flat, EliminationTree::Binary] {
+            let mut strategies = vec![
+                ExploreStrategy::ReversePriority,
+                ExploreStrategy::AntiAffinity,
+                ExploreStrategy::LifoStarvation,
+            ];
+            for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
+                strategies.extend((0..12).map(|seed| ExploreStrategy::Seeded { seed, policy }));
+            }
+            let mut fingerprints = HashSet::new();
+            for strategy in strategies {
+                let (exp, reference) =
+                    explore_tree_vs_sequential(&a, b, tree, 4, strategy).unwrap();
+                fingerprints.insert(exp.fingerprint());
+                assert_bit_identical(&exp.state, &reference);
+            }
+            assert!(
+                fingerprints.len() >= 12,
+                "{tree} b={b}: schedule space collapsed"
+            );
+        }
+    }
+}
+
+/// The oracles at `f32`'s epsilon: graded and well-conditioned inputs whose
+/// κ leaves `ε·κ` meaningful in single precision, flat and binary trees.
+#[test]
+fn f32_trees_pass_condition_scaled_oracles() {
+    let narrow =
+        |a: Matrix<f64>| Matrix::<f32>::from_fn(a.rows(), a.cols(), |i, j| a[(i, j)] as f32);
+    let family = [
+        ("random", narrow(random_matrix(48, 16, 0x41)), 1e2, 8),
+        ("graded", narrow(graded(48, 16, 0.7, 0x42)), 1e3, 8),
+        ("random-b16", narrow(random_matrix(96, 32, 0x43)), 1e2, 16),
+    ];
+    for tree in [EliminationTree::Flat, EliminationTree::Binary] {
+        for (name, a, kappa, b) in &family {
+            let opts = QrOptions::new()
+                .tile_size(*b)
+                .tree(TreePolicy::Fixed(tree))
+                .workers(2);
+            let f = TiledQr::factor(a, &opts).unwrap();
+            let rep = verify_qr(a, &f.q().unwrap(), &f.r(), Some(*kappa)).unwrap();
+            assert!(rep.passes(), "{tree} on {name} (f32): {rep:?}");
+            assert!(rep.r_deviation.is_some(), "{name}: |R| check must run");
         }
     }
 }

@@ -15,7 +15,10 @@
 #   * one JSON reader and one string escaper in `crates/obs`;
 #   * one entry point per kernel: only the `*_ws` functions are public;
 #   * one vector backend, picked by runtime detection: no `simd` cargo
-#     feature, no `autovec` tier, one `unsafe` file in `crates/kernels`;
+#     feature, no `autovec` tier, one `unsafe` file in `crates/kernels`; and
+#     one vector body per primitive, instantiated per width and element
+#     type: no `f64`-only gate (`fn supported`, which tested `TypeId`) and
+#     no load-mask table (`TAIL_MASK`) beside the native masks;
 #   * one apply path: the update kernels are the level-3 register tiles, so
 #     the level-1.5 sweeps they replaced stay deleted;
 #   * one factor path: GEQRT/TSQRT/TTQRT share one recursive routine with
@@ -110,6 +113,8 @@ expect 0 'mod autovec\b' "the autovec tier" crates/kernels
 hits=$(grep -rl 'allow(unsafe_code)' crates/kernels/src || true)
 [ "$hits" = crates/kernels/src/micro/simd.rs ] ||
     fail "allow(unsafe_code) under crates/kernels/src belongs to micro/simd.rs alone:" "$hits"
+expect 0 'fn supported\b|TAIL_MASK' \
+    "the f64-only vector gate / the AVX2 tail-mask table (one generic vector body)" crates/kernels
 expect 0 '\b(axpyf_sub|axpyf_tri_sub|axpyf_lo_sub|dotf_lo|apply_tfac_in_place)\b' \
     "level-1.5 apply primitives (the update kernels are gemm_tn/gemm_nn_sub tiles)" crates/kernels
 

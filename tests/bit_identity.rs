@@ -2,14 +2,15 @@
 //! writes a disjoint tile set and the kernels themselves are deterministic,
 //! the factorization result must be **bit-identical** to the sequential
 //! run no matter how many workers execute it or in which order the
-//! scheduler dispatches the ready set.
+//! scheduler dispatches the ready set — for `f64` and for `f32` (the
+//! paper's element type), whichever register core the host runs.
 
 use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::kernels::FactorState;
 use tileqr::runtime::{parallel_factor, PoolConfig, SchedulePolicy};
-use tileqr::{Matrix, TiledMatrix};
+use tileqr::{Matrix, Scalar, TiledMatrix};
 
-fn factor_sequential(a: &Matrix<f64>, b: usize, order: EliminationTree) -> FactorState<f64> {
+fn factor_sequential<T: Scalar>(a: &Matrix<T>, b: usize, order: EliminationTree) -> FactorState<T> {
     let tiled = TiledMatrix::from_matrix(a, b).unwrap();
     let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
     let mut st = FactorState::new(tiled);
@@ -17,17 +18,16 @@ fn factor_sequential(a: &Matrix<f64>, b: usize, order: EliminationTree) -> Facto
     st
 }
 
-#[test]
-fn parallel_runs_bit_identical_to_sequential_across_the_sweep() {
-    let a = tileqr::gen::random_matrix::<f64>(48, 48, 4242);
-    let b = 8;
+/// The pool at every worker count and policy against `run_all`, on the flat
+/// and the binary tree.
+fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize]) {
     for order in [EliminationTree::Flat, EliminationTree::Binary] {
-        let seq = factor_sequential(&a, b, order);
+        let seq = factor_sequential(a, b, order);
         let seq_tiles = seq.tiles().to_matrix();
         let seq_r = seq.r_matrix();
-        for workers in [1usize, 2, 4, 8] {
+        for &workers in workers {
             for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
-                let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
+                let tiled = TiledMatrix::from_matrix(a, b).unwrap();
                 let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
                 let st = parallel_factor(
                     FactorState::new(tiled),
@@ -40,16 +40,16 @@ fn parallel_runs_bit_identical_to_sequential_across_the_sweep() {
                 )
                 .unwrap();
                 // Bit-identical, not approximately equal: `==` on the raw
-                // f64 storage.
+                // storage.
                 assert_eq!(
                     st.tiles().to_matrix(),
                     seq_tiles,
-                    "{order:?} workers={workers} {policy:?}: factored tiles diverged"
+                    "{order:?} b={b} workers={workers} {policy:?}: factored tiles diverged"
                 );
                 assert_eq!(
                     st.r_matrix(),
                     seq_r,
-                    "{order:?} workers={workers} {policy:?}: R diverged"
+                    "{order:?} b={b} workers={workers} {policy:?}: R diverged"
                 );
             }
         }
@@ -57,33 +57,24 @@ fn parallel_runs_bit_identical_to_sequential_across_the_sweep() {
 }
 
 #[test]
+fn parallel_runs_bit_identical_to_sequential_across_the_sweep() {
+    let a = tileqr::gen::random_matrix::<f64>(48, 48, 4242);
+    sweep(&a, 8, &[1, 2, 4, 8]);
+}
+
+#[test]
 fn tall_matrix_sweep_is_bit_identical() {
     // Tall grid: exercises the TT tree merges under contention.
     let a = tileqr::gen::random_matrix::<f64>(64, 16, 77);
-    let b = 8;
-    for order in [EliminationTree::Flat, EliminationTree::Binary] {
-        let seq = factor_sequential(&a, b, order);
-        let seq_tiles = seq.tiles().to_matrix();
-        for workers in [2usize, 8] {
-            for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
-                let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
-                let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
-                let st = parallel_factor(
-                    FactorState::new(tiled),
-                    &g,
-                    PoolConfig {
-                        workers,
-                        policy,
-                        ..PoolConfig::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    st.tiles().to_matrix(),
-                    seq_tiles,
-                    "{order:?} workers={workers} {policy:?}"
-                );
-            }
-        }
+    sweep(&a, 8, &[2, 8]);
+}
+
+#[test]
+fn f32_sweeps_are_bit_identical() {
+    // Square and tall, at a tile size under one 16-lane vector and at the
+    // paper's b = 16, where every kernel takes the vector core.
+    for (rows, cols, b) in [(48, 48, 8), (64, 16, 8), (96, 64, 16), (128, 32, 16)] {
+        let a = tileqr::gen::random_matrix::<f32>(rows, cols, (rows * 31 + cols) as u64);
+        sweep(&a, b, &[1, 2, 4]);
     }
 }
