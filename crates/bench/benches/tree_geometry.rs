@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use tileqr::dag::critical_path::critical_path_length;
 use tileqr::dag::{TaskGraph, TreePolicy};
 use tileqr::gen::random_matrix;
-use tileqr::hetero::select::{candidate_trees, select_candidates};
+use tileqr::hetero::select::{candidate_trees, select_tree};
 use tileqr::hetero::{profiles, DeviceKind, DeviceProfile};
 use tileqr::kernels::flops;
 use tileqr::obs::{fit_step_times, fitted_profile, samples_from_trace, KernelSample};
@@ -121,7 +121,7 @@ fn main() {
     for (label, rows, cols, b) in geometries {
         let (mt, nt) = (rows.div_ceil(b), cols.div_ceil(b));
         let trees = candidate_trees(mt, nt);
-        let selection = select_candidates(&profile, mt, nt, b, &trees);
+        let selection = select_tree(&profile, mt, nt, b);
         let factorable = rows >= cols;
         let gflop = flops::qr_flops(rows, cols) as f64 / 1e9;
         let a = factorable.then(|| random_matrix::<f64>(rows, cols, 0xBE));

@@ -8,9 +8,9 @@
 
 pub use tileqr_dag::{ClassCosts, CostCurve, KernelClass};
 pub use tileqr_sched::{
-    assign, autotune, device_count, distribution, fastsim, guide, main_select, plan, ratio, replan,
-    rowblock, select, AdaptiveRun, Distribution, DistributionStrategy, HeteroPlan,
-    MainDevicePolicy, ReplanEvent, ReplanPolicy, Selection, TreeScore,
+    assign, device_count, distribution, fastsim, guide, main_select, plan, ratio, replan, rowblock,
+    select, AdaptiveRun, Distribution, DistributionStrategy, HeteroPlan, MainDevicePolicy,
+    ReplanEvent, ReplanPolicy, Selection, TreeScore,
 };
 pub use tileqr_sim::{
     engine, profiles, DeviceId, DeviceKind, DeviceProfile, FaultPlan, Link, Platform, SimConfig,

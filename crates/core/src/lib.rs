@@ -79,7 +79,7 @@ pub mod runtime {
     pub use tileqr_runtime::{ClassCosts, CostCurve, CostModel, DriftConfig};
     pub use tileqr_runtime::{
         FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, JobTuning, PriorityClass,
-        QrService, ServiceConfig, ServiceError, ServiceStats, TreeSelector, WaitTimeout,
+        QrService, ServiceConfig, ServiceError, ServiceStats, WaitTimeout,
     };
 }
 

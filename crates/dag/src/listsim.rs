@@ -1,18 +1,21 @@
 //! Deterministic list-scheduling makespan simulator.
 //!
-//! A minimal discrete-event replay of the runtime's manager loop: `w`
+//! A minimal discrete-event replay of the runtime's dispatch loop: `w`
 //! identical workers, a ready set ordered either FIFO (by readiness) or
 //! by static priority, each task occupying one worker for its modelled
-//! duration. It exists to answer scheduling questions *about the order
-//! itself* — e.g. "does critical-path priority under calibrated weights
-//! beat FIFO on this grid?" — without threads, noise, or a full platform
-//! model, so goldens can assert makespan inequalities exactly.
+//! duration. It answers the k-identical-cores questions — the tree
+//! selector's "which tree finishes first on this profile?", calibration's
+//! "would the fitted costs have predicted this run?", the goldens' "does
+//! critical-path priority beat FIFO here?" — without threads, noise, or
+//! a device and bus model (that is `sim::engine`'s domain, DESIGN §7).
 //!
 //! Every tie (ready order, completion order) breaks by task id, so the
 //! simulation is a pure function of its inputs.
 
 use crate::graph::TaskGraph;
 use crate::task::TaskKind;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Ready-set ordering replayed by [`list_makespan`].
 #[derive(Debug, Clone, Copy)]
@@ -45,10 +48,12 @@ pub fn list_makespan(
 
     let mut remaining_preds: Vec<usize> = graph.indegrees();
     // Ready pool: FIFO keeps arrival order; priority scans for the max.
-    let mut ready: Vec<usize> = (0..n).filter(|&t| remaining_preds[t] == 0).collect();
-    // Running tasks as (finish_time, task id); at most `workers` entries,
-    // so linear scans stay cheap.
-    let mut running: Vec<(f64, usize)> = Vec::with_capacity(workers);
+    let mut ready: VecDeque<usize> = (0..n).filter(|&t| remaining_preds[t] == 0).collect();
+    // Running tasks as a min-heap of (finish time, task id). Finish times
+    // are never negative, so their bit patterns order like the values.
+    // `workers` can come from a profile file: no more than `n` tasks ever
+    // run at once, so never allocate by it.
+    let mut running = BinaryHeap::with_capacity(workers.min(n));
     let mut now = 0.0f64;
     let mut done = 0usize;
 
@@ -69,23 +74,20 @@ pub fn list_makespan(
                     best
                 }
             };
-            let task = ready.remove(pick);
-            running.push((now + duration(graph.task(task)).max(0.0), task));
+            let task = ready.remove(pick).expect("pick indexes the ready pool");
+            let finish = now + duration(graph.task(task)).max(0.0);
+            running.push(Reverse((finish.to_bits(), task)));
         }
         // Advance to the next completion (earliest finish, ties by id).
-        let idx = running
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(i, _)| i)
+        let Reverse((finish, task)) = running
+            .pop()
             .expect("non-empty running set while tasks remain");
-        let (finish, task) = running.swap_remove(idx);
-        now = finish;
+        now = f64::from_bits(finish);
         done += 1;
         for &s in graph.succs(task) {
             remaining_preds[s] -= 1;
             if remaining_preds[s] == 0 {
-                ready.push(s);
+                ready.push_back(s);
             }
         }
     }
@@ -137,6 +139,16 @@ mod tests {
         let f = list_makespan(&g, 1, ListOrder::Fifo, unit);
         let p = list_makespan(&g, 1, ListOrder::Priority(&levels), unit);
         assert_eq!(f, p);
+    }
+
+    #[test]
+    fn unbounded_workers_run_the_weighted_critical_path() {
+        // `workers` reaches here from a stored profile: an absurd count
+        // must neither allocate by it nor change the answer.
+        let g = TaskGraph::build_tree(6, 4, EliminationTree::Greedy);
+        let weight = |k: TaskKind| 1.0 + crate::KernelClass::of(k).slot() as f64;
+        let cp = crate::critical_path::critical_path_length(&g, weight);
+        assert_eq!(list_makespan(&g, usize::MAX, ListOrder::Fifo, weight), cp);
     }
 
     #[test]

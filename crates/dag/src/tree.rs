@@ -202,10 +202,10 @@ impl EliminationTree {
         ((mt as f64).sqrt().ceil() as usize).max(1)
     }
 
-    /// Geometry heuristic used when [`TreePolicy::Auto`] has no
-    /// calibration profile: tall-skinny grids (`nt <= 2`) take the TSQR
-    /// fast path, markedly tall grids take `Greedy`, everything else the
-    /// paper's `Flat` chain.
+    /// The geometry heuristic [`TreePolicy::Auto`] resolves to, no
+    /// calibration profile needed: tall-skinny grids (`nt <= 2`) take the
+    /// TSQR fast path, markedly tall grids take `Greedy`, everything else
+    /// the paper's `Flat` chain.
     pub fn default_for(mt: usize, nt: usize) -> EliminationTree {
         if nt <= 2 && mt >= 4 {
             EliminationTree::Tsqr(Self::tsqr_domain(mt))
@@ -228,8 +228,8 @@ impl std::fmt::Display for EliminationTree {
 pub enum TreePolicy {
     /// Use exactly this tree.
     Fixed(EliminationTree),
-    /// Pick per geometry: a calibrated selector (`sched::select`) when
-    /// one is wired in, otherwise [`EliminationTree::default_for`].
+    /// Pick per geometry: the geometry heuristic
+    /// ([`EliminationTree::default_for`]).
     Auto,
 }
 
@@ -241,8 +241,8 @@ impl Default for TreePolicy {
 }
 
 impl TreePolicy {
-    /// Resolve to a concrete tree for an `mt × nt` grid without a
-    /// calibration profile (the "sane default" degradation of `Auto`).
+    /// Resolve to a concrete tree for an `mt × nt` grid: `Auto` is the
+    /// geometry heuristic, needing no calibration profile.
     pub fn resolve(self, mt: usize, nt: usize) -> EliminationTree {
         match self {
             TreePolicy::Fixed(tree) => tree,

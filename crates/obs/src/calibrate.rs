@@ -14,8 +14,10 @@
 //! paper-constant-driven into measurement-driven.
 
 use crate::span::{Phase, Trace};
-use tileqr_dag::{ClassCosts, CostCurve, CostModel, KernelClass, TaskGraph};
-use tileqr_sim::{engine, DeviceKind, DeviceProfile, Link, Platform, SimConfig};
+use tileqr_dag::{
+    list_makespan, ClassCosts, CostCurve, CostModel, KernelClass, ListOrder, TaskGraph,
+};
+use tileqr_sim::{DeviceKind, DeviceProfile};
 
 /// One measured kernel execution: class, tile size it ran at, duration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,14 +166,11 @@ pub fn profile_error(fitted: &ClassCosts, truth: &ClassCosts, bs: &[usize]) -> [
 pub struct SimVsReal {
     /// Makespan of the recorded (real) run, µs.
     pub real_makespan_us: f64,
-    /// Makespan the calibrated simulator predicts for the same graph on
+    /// Makespan the calibrated cost model predicts for the same graph on
     /// the same worker count, µs.
     pub sim_makespan_us: f64,
     /// Sum of real compute-span durations, µs (the serial work volume).
     pub real_compute_us: f64,
-    /// Simulated critical-path (longest device-busy chain) proxy: the
-    /// simulator's per-device busy maximum, µs.
-    pub sim_busy_max_us: f64,
 }
 
 impl SimVsReal {
@@ -185,12 +184,14 @@ impl SimVsReal {
     }
 }
 
-/// Replay `graph` through the simulator on a single calibrated device
-/// with `workers`-way parallelism and compare against the recorded run.
+/// List-schedule `graph` on `workers` identical cores, in the drivers'
+/// default FIFO order, with every kernel taking its `fitted` cost at
+/// `tile_size`, and compare against the recorded run.
 ///
 /// This is the calibration loop's verdict: fit [`ClassCosts`] from the
 /// trace ([`fit_step_times`]), hand them here, and the report says how
-/// closely the Alg. 2/3 cost model would have predicted the real pool.
+/// closely the cost model the tree selector plans with would have
+/// predicted the real pool.
 pub fn sim_vs_real(
     trace: &Trace,
     graph: &TaskGraph,
@@ -198,26 +199,14 @@ pub fn sim_vs_real(
     tile_size: usize,
     fitted: ClassCosts,
 ) -> SimVsReal {
-    let dev = fitted_profile("calibrated-host", DeviceKind::Cpu, workers, fitted);
-    let platform = Platform::new(
-        vec![dev],
-        Link::pcie2_x16(),
-        SimConfig {
-            tile_size,
-            elem_bytes: 8,
-        },
-    );
-    let assignment = vec![0usize; graph.len()];
-    let stats = engine::simulate(graph, &platform, &assignment);
-    let real_compute_us: f64 = trace
-        .phase_spans(Phase::Compute)
-        .map(|s| s.duration_us())
-        .sum();
+    let cost = |kind| fitted.cost_us(kind, tile_size);
     SimVsReal {
         real_makespan_us: trace.makespan_us(),
-        sim_makespan_us: stats.makespan_us,
-        real_compute_us,
-        sim_busy_max_us: stats.device_busy_us.iter().copied().fold(0.0f64, f64::max),
+        sim_makespan_us: list_makespan(graph, workers.max(1), ListOrder::Fifo, cost),
+        real_compute_us: trace
+            .phase_spans(Phase::Compute)
+            .map(|s| s.duration_us())
+            .sum(),
     }
 }
 

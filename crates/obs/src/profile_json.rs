@@ -29,6 +29,11 @@ use tileqr_sim::{DeviceKind, DeviceProfile};
 /// tuner warm-starts from.
 pub const PROFILE_ENV: &str = "TILEQR_PROFILE";
 
+/// Largest `cores` a stored profile may claim. The planners multiply it
+/// (`DeviceProfile::slots`) and size work by it, so a file must not be
+/// able to make it overflow; 2^20 is far above any real device.
+const MAX_CORES: f64 = (1u32 << 20) as f64;
+
 /// The profile-store path from [`PROFILE_ENV`], when set and non-empty.
 pub fn default_profile_path() -> Option<PathBuf> {
     match std::env::var(PROFILE_ENV) {
@@ -171,8 +176,8 @@ fn profile_from_value(v: &Json) -> Result<DeviceProfile, String> {
     let cores = v
         .field("cores")
         .and_then(Json::as_f64)
-        .filter(|c| *c >= 1.0 && c.fract() == 0.0)
-        .ok_or("profile missing positive integer \"cores\"")? as usize;
+        .filter(|c| (1.0..=MAX_CORES).contains(c) && c.fract() == 0.0)
+        .ok_or("profile missing \"cores\" (an integer in 1..=2^20)")? as usize;
     let times = v.field("times").ok_or("profile missing \"times\"")?;
     let curve = |label: &str| -> Result<CostCurve, String> {
         let t = times
@@ -266,10 +271,21 @@ mod tests {
             "{\"profiles\": [{\"key\": \"a\"}]}",
             "{\"profiles\": [{\"key\": \"a\", \"name\": \"x\", \"kind\": \"tpu\", \"cores\": 1, \"times\": {}}]}",
             "{\"profiles\": []} trailing",
+            // `cores` is multiplied by the planners: 1e300 (an integer as
+            // far as `fract` can tell) and 2^20 + 1 must not reach them.
+            "{\"profiles\": [{\"key\": \"a\", \"name\": \"x\", \"kind\": \"gpu\", \"cores\": 1e300, \"times\": {\"triangulation\": {\"c0\": 0, \"c1\": 0, \"c2\": 0}, \"elimination\": {\"c0\": 0, \"c1\": 0, \"c2\": 0}, \"update\": {\"c0\": 0, \"c1\": 0, \"c2\": 0}}}]}",
+            "{\"profiles\": [{\"key\": \"a\", \"name\": \"x\", \"kind\": \"cpu\", \"cores\": 1048577, \"times\": {\"triangulation\": {\"c0\": 0, \"c1\": 0, \"c2\": 0}, \"elimination\": {\"c0\": 0, \"c1\": 0, \"c2\": 0}, \"update\": {\"c0\": 0, \"c1\": 0, \"c2\": 0}}}]}",
             "{\"profiles\": [{\"key\": \"a\", \"name\": \"x\", \"kind\": \"cpu\", \"cores\": 1, \"times\": {\"triangulation\": {\"c0\": -1, \"c1\": 0, \"c2\": 0}, \"elimination\": {\"c0\": 0, \"c1\": 0, \"c2\": 0}, \"update\": {\"c0\": 0, \"c1\": 0, \"c2\": 0}}}]}",
         ] {
             assert!(ProfileStore::from_json(bad).is_err(), "accepted: {bad}");
         }
+        // The bound itself is a legal core count.
+        let mut p = sample();
+        p.cores = 1 << 20;
+        assert_eq!(
+            profile_from_json(&profile_to_json(&p)).unwrap().slots(1),
+            8 << 20
+        );
     }
 
     #[test]

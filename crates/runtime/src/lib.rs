@@ -67,7 +67,7 @@ pub use recovery::{FaultInjector, FaultTolerance, InjectedFault, NoFaults, Scrip
 pub use scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};
 pub use service::{
     FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, JobTuning, PriorityClass,
-    QrService, ServiceConfig, ServiceError, ServiceStats, TreeSelector, WaitTimeout,
+    QrService, ServiceConfig, ServiceError, ServiceStats, WaitTimeout,
 };
 pub use tileqr_dag::{ClassCosts, CostCurve, CostModel};
 pub use tileqr_obs::{DriftConfig, TraceConfig};

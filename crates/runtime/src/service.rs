@@ -78,9 +78,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tileqr_dag::{
-    CostModel, EliminationTree, KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy,
-};
+use tileqr_dag::{CostModel, KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
 use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
@@ -248,10 +246,8 @@ impl<T: Scalar> JobSpec<T> {
     }
 
     /// Elimination-tree policy for the task DAG (default: fixed flat TS
-    /// chain). [`TreePolicy::Auto`] defers the choice to the service's
-    /// per-job planner: the calibrated selector installed via
-    /// [`QrService::start_with_tree_selector`] when present, otherwise
-    /// the geometry heuristic [`EliminationTree::default_for`].
+    /// chain). [`TreePolicy::Auto`] resolves at admission to the geometry
+    /// heuristic ([`TreePolicy::resolve`]).
     pub fn tree(mut self, policy: TreePolicy) -> Self {
         self.tree = policy;
         self
@@ -1557,32 +1553,11 @@ fn timer_loop<T: Scalar>(sh: Arc<Shared<T>>) {
 pub struct QrService<T: Scalar> {
     shared: Arc<Shared<T>>,
     timer: Mutex<Option<JoinHandle<()>>>,
-    selector: Option<Arc<TreeSelector>>,
 }
-
-/// Per-job elimination-tree planner: maps a job's tile geometry and tile
-/// size `(mt, nt, b)` to the tree its DAG should use. Consulted only for
-/// jobs submitted with [`TreePolicy::Auto`]; typically produced from a
-/// calibrated device profile by `tileqr_sched::select::tree_selector`.
-pub type TreeSelector = dyn Fn(usize, usize, usize) -> EliminationTree + Send + Sync;
 
 impl<T: Scalar> QrService<T> {
     /// Spawn the resident worker pool and its timer thread.
     pub fn start(config: ServiceConfig) -> Self {
-        Self::start_inner(config, None)
-    }
-
-    /// [`QrService::start`] with a geometry-aware tree planner: every job
-    /// submitted with [`TreePolicy::Auto`] has its elimination tree
-    /// chosen by `selector` at admission time, on the submitting thread
-    /// and before it takes the service's lock — the workers never wait
-    /// for planning. Jobs with a fixed policy bypass the selector
-    /// entirely.
-    pub fn start_with_tree_selector(config: ServiceConfig, selector: Arc<TreeSelector>) -> Self {
-        Self::start_inner(config, Some(selector))
-    }
-
-    fn start_inner(config: ServiceConfig, selector: Option<Arc<TreeSelector>>) -> Self {
         let workers = config.effective_workers().max(1);
         let shared = Arc::new(Shared {
             cfg: config,
@@ -1613,7 +1588,6 @@ impl<T: Scalar> QrService<T> {
         QrService {
             shared,
             timer: Mutex::new(Some(timer)),
-            selector,
         }
     }
 
@@ -1671,14 +1645,7 @@ impl<T: Scalar> QrService<T> {
             });
         }
         let (mt, nt) = (tiled.tile_rows(), tiled.tile_cols());
-        let tree = match spec.tree {
-            TreePolicy::Fixed(tree) => tree,
-            TreePolicy::Auto => match &self.selector {
-                Some(plan) => plan(mt, nt, b),
-                None => EliminationTree::default_for(mt, nt),
-            },
-        };
-        let graph = TaskGraph::build_tree(mt, nt, tree);
+        let graph = TaskGraph::build_tree(mt, nt, spec.tree.resolve(mt, nt));
         let state = FactorState::new(tiled);
         let sh = &self.shared;
         let (reply, reply_tx) = ReplySlot::open();
@@ -1762,6 +1729,7 @@ impl<T: Scalar> Drop for QrService<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tileqr_dag::EliminationTree;
     use tileqr_matrix::gen::random_matrix;
 
     fn sequential_tiles(a: &Matrix<f64>, b: usize, order: EliminationTree) -> Matrix<f64> {
@@ -1818,46 +1786,6 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.jobs_completed, 8);
         assert_eq!(stats.jobs_failed, 0);
-    }
-
-    #[test]
-    fn auto_policy_routes_through_installed_selector() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&calls);
-        let service = QrService::<f64>::start_with_tree_selector(
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-            Arc::new(move |mt, nt, b| {
-                seen.fetch_add(1, Ordering::SeqCst);
-                assert_eq!((mt, nt, b), (6, 6, 8));
-                EliminationTree::Greedy
-            }),
-        );
-        let a = random_matrix::<f64>(48, 48, 31);
-        // Auto consults the selector; a fixed policy must bypass it.
-        let auto = service
-            .submit(
-                JobSpec::factor(a.clone())
-                    .tile_size(8)
-                    .tree(TreePolicy::Auto),
-            )
-            .unwrap();
-        let fixed = service
-            .submit(
-                JobSpec::factor(a)
-                    .tile_size(8)
-                    .tree(TreePolicy::Fixed(EliminationTree::Flat)),
-            )
-            .unwrap();
-        let ga = auto.wait().unwrap().output.factor().graph.tree();
-        let gf = fixed.wait().unwrap().output.factor().graph.tree();
-        assert_eq!(ga, EliminationTree::Greedy);
-        assert_eq!(gf, EliminationTree::Flat);
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        service.shutdown();
     }
 
     #[test]

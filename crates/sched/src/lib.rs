@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod assign;
-pub mod autotune;
 pub mod device_count;
 pub mod distribution;
 pub mod fastsim;
@@ -46,4 +45,4 @@ pub mod select;
 pub use distribution::{Distribution, DistributionStrategy};
 pub use plan::{HeteroPlan, MainDevicePolicy};
 pub use replan::{simulate_adaptive, AdaptiveRun, ReplanEvent, ReplanPolicy};
-pub use select::{choose_tree, select_plan, select_tree, Selection, TreeScore};
+pub use select::{select_plan, select_tree, Selection, TreeScore};

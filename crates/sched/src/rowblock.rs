@@ -7,7 +7,7 @@
 //! lives, and eliminations across bands use the TT tree kernels. The paper
 //! argues column distribution suits a single shared-bus node better; this
 //! module provides the row-block assignment so the claim can be measured
-//! (see `tests/scheduler_pipeline.rs`).
+//! (this module's unit tests run both schemes through `sim::engine`).
 
 use tileqr_dag::{TaskGraph, TaskKind};
 use tileqr_sim::DeviceId;

@@ -8,21 +8,21 @@
 //! `b`, and how much parallelism the device actually has — exactly the
 //! kind of question the workspace answers by *simulating*, not guessing.
 //!
-//! [`select_tree`] builds each candidate tree's DAG and replays it
-//! through the discrete-event engine on a single-device platform whose
-//! timing curves come from a calibrated [`DeviceProfile`] (fit from real
-//! compute spans by `obs::calibrate`). The predicted-makespan winner
-//! becomes the plan; `TreePolicy::Auto` in the core options and the
-//! service's per-job planning route here when a profile is available and
-//! degrade to [`EliminationTree::default_for`] when not.
+//! [`select_tree`] builds each candidate tree's DAG and list-schedules it
+//! ([`tileqr_dag::list_makespan`]) on the `k = profile.slots(b)` identical
+//! cores of one device, in the FIFO order both host drivers dispatch in by
+//! default, with kernel weights from a calibrated [`DeviceProfile`] (fit
+//! from real compute spans by `obs::calibrate`). The predicted-makespan
+//! winner becomes the plan. The one caller that turns a measured profile
+//! into a job's plan is the online tuner (`TunedQrService` in the core
+//! crate), through [`select_plan`].
 //!
 //! The prediction is deterministic per `(tree, profile, geometry)`: the
-//! engine breaks every tie by task id, so two calls always return the
-//! same ranking.
+//! list scheduler breaks every tie by task id, so two calls always return
+//! the same ranking.
 
-use std::sync::Arc;
-use tileqr_dag::{EliminationTree, TaskGraph, TreePolicy};
-use tileqr_sim::{engine, DeviceProfile, Link, Platform, SimConfig};
+use tileqr_dag::{list_makespan, EliminationTree, ListOrder, TaskGraph};
+use tileqr_sim::DeviceProfile;
 
 /// Predicted cost of one `(tree, tile-size)` candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,63 +66,22 @@ pub fn candidate_trees(mt: usize, nt: usize) -> Vec<EliminationTree> {
     trees
 }
 
-/// The single-device platform every prediction runs on (no bus traffic).
-fn one_device(profile: &DeviceProfile, b: usize) -> Platform {
-    let config = SimConfig {
-        tile_size: b,
-        elem_bytes: 8,
-    };
-    Platform::new(vec![profile.clone()], Link::pcie2_x16(), config)
-}
-
-/// Simulated makespan (µs) of `g` with every task on `platform`'s device.
-fn makespan_us(g: &TaskGraph, platform: &Platform) -> f64 {
-    engine::simulate(g, platform, &vec![0; g.len()]).makespan_us
-}
-
-/// Predicted makespan (µs) of `tree` on an `mt x nt` grid at tile size
-/// `b`, on a single device described by `profile`. Deterministic per
-/// input; no fault model.
-pub fn predict_makespan_us(
-    profile: &DeviceProfile,
-    mt: usize,
-    nt: usize,
-    b: usize,
-    tree: EliminationTree,
-) -> f64 {
-    let g = TaskGraph::build_tree(mt, nt, tree);
-    makespan_us(&g, &one_device(profile, b))
-}
-
 /// Score every candidate tree for an `mt x nt` grid at tile size `b`
 /// and return the ranking. Panics on an empty grid.
 pub fn select_tree(profile: &DeviceProfile, mt: usize, nt: usize, b: usize) -> Selection {
-    select_candidates(profile, mt, nt, b, &candidate_trees(mt, nt))
-}
-
-/// [`select_tree`] over an explicit candidate list (used by the bench to
-/// score the same zoo it measures).
-pub fn select_candidates(
-    profile: &DeviceProfile,
-    mt: usize,
-    nt: usize,
-    b: usize,
-    trees: &[EliminationTree],
-) -> Selection {
     assert!(mt > 0 && nt > 0, "empty tile grid");
-    assert!(!trees.is_empty(), "no candidate trees");
-    let platform = one_device(profile, b);
-    let score = |&tree| {
+    let score = |tree| {
         let g = TaskGraph::build_tree(mt, nt, tree);
+        let cost = |kind| profile.times.cost_us(kind, b);
         TreeScore {
             tree,
             tile_size: b,
             grid: (mt, nt),
             tasks: g.len(),
-            makespan_us: makespan_us(&g, &platform),
+            makespan_us: list_makespan(&g, profile.slots(b), ListOrder::Fifo, cost),
         }
     };
-    rank(trees.iter().map(score).collect())
+    rank(candidate_trees(mt, nt).into_iter().map(score).collect())
 }
 
 /// Best first. Stable keys: makespan, then fewer tasks, then label — so
@@ -159,33 +118,6 @@ pub fn select_plan(
         all.extend(select_tree(profile, mt, nt, b).ranked);
     }
     rank(all)
-}
-
-/// Resolve a [`TreePolicy`] for an `mt x nt` grid at tile size `b`:
-/// `Fixed` is identity; `Auto` runs the calibrated selector when a
-/// profile is present and falls back to the geometry heuristic
-/// ([`EliminationTree::default_for`]) when not.
-pub fn choose_tree(
-    profile: Option<&DeviceProfile>,
-    policy: TreePolicy,
-    mt: usize,
-    nt: usize,
-    b: usize,
-) -> EliminationTree {
-    match (policy, profile) {
-        (TreePolicy::Fixed(tree), _) => tree,
-        (TreePolicy::Auto, Some(p)) => select_tree(p, mt, nt, b).best.tree,
-        (TreePolicy::Auto, None) => EliminationTree::default_for(mt, nt),
-    }
-}
-
-/// Package a calibrated profile as the `(mt, nt, b) -> tree` closure the
-/// service's per-job planner accepts
-/// (`QrService::start_with_tree_selector`).
-pub fn tree_selector(
-    profile: DeviceProfile,
-) -> Arc<dyn Fn(usize, usize, usize) -> EliminationTree + Send + Sync> {
-    Arc::new(move |mt, nt, b| select_tree(&profile, mt, nt, b).best.tree)
 }
 
 #[cfg(test)]
@@ -245,30 +177,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_without_profile_degrades_to_heuristic() {
-        assert_eq!(
-            choose_tree(None, TreePolicy::Auto, 16, 1, 16),
-            EliminationTree::default_for(16, 1)
-        );
-        assert_eq!(
-            choose_tree(None, TreePolicy::Fixed(EliminationTree::Greedy), 16, 1, 16),
-            EliminationTree::Greedy
-        );
-    }
-
-    #[test]
-    fn selector_closure_matches_direct_call() {
-        let p = profile(8);
-        let f = tree_selector(p.clone());
-        assert_eq!(f(16, 1, 16), select_tree(&p, 16, 1, 16).best.tree);
-    }
-
-    #[test]
     fn plan_sweep_covers_all_tile_sizes() {
         let p = profile(4);
         let sel = select_plan(&p, 256, 32, &[16, 32]);
         assert!(sel.ranked.iter().any(|s| s.tile_size == 16));
         assert!(sel.ranked.iter().any(|s| s.tile_size == 32));
         assert!(sel.best.makespan_us <= sel.ranked.last().unwrap().makespan_us);
+    }
+
+    #[test]
+    #[should_panic(expected = "no tile-size candidates")]
+    fn plan_sweep_rejects_empty_candidates() {
+        let _ = select_plan(&profile(4), 320, 320, &[]);
     }
 }

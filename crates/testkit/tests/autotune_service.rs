@@ -213,3 +213,48 @@ fn deeply_nested_document_is_an_error_not_an_abort() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// A store whose `cores` no device has: `1e300` passes an integer check
+/// (`fract() == 0`) and would overflow `DeviceProfile::slots`. The entry
+/// is malformed, so the whole file — the good entry beside it included —
+/// loads as "no profile": both shapes probe afresh, nothing panics, and
+/// the same file without the hostile entry warm-starts.
+#[test]
+fn oversized_cores_entry_is_no_profile_not_a_panic() {
+    let tiles = [4usize, 8, 16];
+    let good = synthetic_profile(2);
+    let mut store = ProfileStore::new();
+    store.insert("48x48", good.clone());
+    store.insert("64x32", good);
+    let clean = store.to_json();
+    // Only the second entry's `cores` changes.
+    let cores = "\"cores\": 2";
+    let at = clean.rfind(cores).unwrap();
+    let hostile = format!(
+        "{}\"cores\": 1e300{}",
+        &clean[..at],
+        &clean[at + cores.len()..]
+    );
+    assert!(ProfileStore::from_json(&clean).is_ok());
+    assert!(ProfileStore::from_json(&hostile).is_err());
+
+    let path = scratch_path("cores");
+    std::fs::write(&path, &hostile).unwrap();
+    let svc: TunedQrService<f64> =
+        TunedQrService::start_with(service_config(), tuner(&tiles, Some(path.clone())));
+    for (rows, cols) in [(48usize, 48usize), (64, 32)] {
+        assert!(svc.profile_for(rows, cols).is_none(), "{rows}x{cols}");
+        assert_eq!(svc.plan_for(rows, cols), JobPlan::Probe { tile_size: 4 });
+    }
+    let (_, _, plan) = svc.factor(&random_matrix::<f64>(64, 32, 43)).unwrap();
+    assert_eq!(plan, JobPlan::Probe { tile_size: 4 });
+    assert_eq!(svc.shutdown().probe_jobs, 1);
+
+    std::fs::write(&path, &clean).unwrap();
+    let warm: TunedQrService<f64> =
+        TunedQrService::start_with(service_config(), tuner(&tiles, Some(path.clone())));
+    assert!(matches!(warm.plan_for(48, 48), JobPlan::Tuned { .. }));
+    assert!(matches!(warm.plan_for(64, 32), JobPlan::Tuned { .. }));
+    warm.shutdown();
+    let _ = std::fs::remove_file(&path);
+}

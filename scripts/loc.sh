@@ -28,7 +28,11 @@
 #   * one benchmark system: speed claims are `perf/` rows, so the frozen
 #     seed kernels, the global-lock baseline runtime and the `BENCH_*.json`
 #     of the retired `cargo bench` targets stay deleted, and one way to name
-#     a tree: `EliminationTree`, no legacy `EliminationOrder`.
+#     a tree: `EliminationTree`, no legacy `EliminationOrder`;
+#   * one road from a calibrated profile to a plan (`core::tune` ->
+#     `select_plan`): no selector hook in the service, no second tuner, and
+#     the k-identical-cores question goes to `dag::listsim`, so nothing in
+#     `sched` or `obs` puts a bus behind a one-device question.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -134,6 +138,12 @@ n=$(printf '%s' "$hits" | grep -c . || true)
 if hits=$(grep -rnE 'legacy_kernels|global_lock_factor|EliminationOrder' crates tests examples); then
     fail "a retired name is back (seed kernels, global-lock baseline, legacy elimination order):" "$hits"
 fi
+# Tests and examples count for the retired names, like `EliminationOrder`.
+road='start_with_tree_selector|TreeSelector|fn (tree_selector|choose_tree|predict_makespan_us|select_candidates|tune_plan)\b'
+if hits=$(grep -rnE "$road" crates tests examples); then
+    fail "a second road from a profile to a plan is back (core::tune -> select_plan is the one):" "$hits"
+fi
+expect 0 'pcie2_x16' "a bus behind a one-device question" crates/sched crates/obs
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
