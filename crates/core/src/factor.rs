@@ -77,8 +77,8 @@ impl<T: Scalar> TiledQr<T> {
 
     /// Factor `a` through a resident [`QrService`] — the single-matrix
     /// path expressed as a one-job service call. The job inherits the
-    /// tile size, elimination-tree policy, and inner block from `opts` (worker
-    /// count, schedule policy, and fault tolerance are properties of the
+    /// tile size and elimination-tree policy from `opts` (worker count,
+    /// schedule policy, and fault tolerance are properties of the
     /// service itself — see [`QrOptions::to_service_config`]). Blocks
     /// until the service completes the job; the returned [`RunReport`]
     /// covers this job alone.

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::factor::TiledQr;
 use tileqr_dag::{EliminationTree, KernelClass, TreePolicy};
@@ -175,6 +175,14 @@ impl<T: Scalar> TunedQrService<T> {
         }
     }
 
+    /// The shape table. A panic under its lock — a fit or a selection on
+    /// hostile samples — leaves it structurally valid (the shape is still
+    /// `Probing`, with the samples it had), so a poisoned lock is taken
+    /// anyway: later submissions degrade to probing instead of panicking.
+    fn shapes(&self) -> MutexGuard<'_, HashMap<(usize, usize), ShapeEntry>> {
+        self.shapes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The wrapped service, for submitting untuned jobs alongside.
     pub fn service(&self) -> &QrService<T> {
         &self.service
@@ -182,7 +190,7 @@ impl<T: Scalar> TunedQrService<T> {
 
     /// Fitted profile for a shape class, once calibrated.
     pub fn profile_for(&self, rows: usize, cols: usize) -> Option<DeviceProfile> {
-        match self.shapes.lock().unwrap().get(&(rows, cols)) {
+        match self.shapes().get(&(rows, cols)) {
             Some(ShapeEntry::Ready { profile, .. }) => Some(profile.clone()),
             _ => None,
         }
@@ -191,7 +199,7 @@ impl<T: Scalar> TunedQrService<T> {
     /// The full selector ranking a tuned shape's next job would plan
     /// from (`None` while the shape is still probing).
     pub fn selection_for(&self, rows: usize, cols: usize) -> Option<Selection> {
-        match self.shapes.lock().unwrap().get(&(rows, cols)) {
+        match self.shapes().get(&(rows, cols)) {
             Some(ShapeEntry::Ready { selection, .. }) => Some(selection.clone()),
             _ => None,
         }
@@ -200,7 +208,7 @@ impl<T: Scalar> TunedQrService<T> {
     /// The plan the *next* `factor` call of this shape would run under
     /// (does not consume a probe slot).
     pub fn plan_for(&self, rows: usize, cols: usize) -> JobPlan {
-        match self.shapes.lock().unwrap().get(&(rows, cols)) {
+        match self.shapes().get(&(rows, cols)) {
             Some(ShapeEntry::Ready { selection, .. }) => JobPlan::tuned(selection),
             Some(ShapeEntry::Probing { probed, .. }) => {
                 match self.probe_tiles.iter().find(|b| !probed.contains(b)) {
@@ -264,7 +272,7 @@ impl<T: Scalar> TunedQrService<T> {
 
     /// Resolve (and claim, for probes) the plan for one submission.
     fn claim_plan(&self, rows: usize, cols: usize) -> JobPlan {
-        let mut shapes = self.shapes.lock().unwrap();
+        let mut shapes = self.shapes();
         let entry = shapes
             .entry((rows, cols))
             .or_insert_with(|| ShapeEntry::Probing {
@@ -288,7 +296,7 @@ impl<T: Scalar> TunedQrService<T> {
     /// Fold one probe job's per-class means into the shape's sample set
     /// and fit a profile once enough distinct tile sizes reported.
     fn absorb_probe(&self, rows: usize, cols: usize, b: usize, result: &JobResult<T>) {
-        let mut shapes = self.shapes.lock().unwrap();
+        let mut shapes = self.shapes();
         let Some(ShapeEntry::Probing { samples, .. }) = shapes.get_mut(&(rows, cols)) else {
             return;
         };
@@ -353,6 +361,29 @@ mod tests {
                 profile_path: None,
             },
         )
+    }
+
+    #[test]
+    fn a_panic_under_the_shape_lock_degrades_to_probing() {
+        let svc = service();
+        let a = random_matrix::<f64>(32, 32, 9);
+        assert!(matches!(svc.factor(&a).unwrap().2, JobPlan::Probe { .. }));
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _shapes = svc.shapes.lock().unwrap();
+                panic!("mid-fit");
+            })
+            .join()
+        });
+        assert!(died.is_err() && svc.shapes.is_poisoned());
+        // The shape keeps probing where it was; nothing panics again.
+        assert_eq!(svc.plan_for(32, 32), JobPlan::Probe { tile_size: 8 });
+        assert!(svc.profile_for(32, 32).is_none());
+        let (f, _, plan) = svc.factor(&a).unwrap();
+        assert_eq!(plan, JobPlan::Probe { tile_size: 8 });
+        let seq = TiledQr::factor(&a, &crate::QrOptions::new().tile_size(8)).unwrap();
+        assert_eq!(f.r(), seq.r());
+        assert_eq!(svc.shutdown().probe_jobs, 2);
     }
 
     #[test]

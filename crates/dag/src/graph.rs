@@ -3,20 +3,22 @@
 use crate::task::{TaskId, TaskKind, TileCoord};
 use crate::tree::{EliminationTree, MergeKind};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The tiled-QR task DAG.
 ///
 /// Tasks are stored in program order; edges are derived from tile-level
 /// data-flow (read-after-write, write-after-read, write-after-write), which
 /// reproduces exactly the dependence structure of the paper's Fig. 3.
+/// Immutable once built, so a clone shares the vectors: `clone()` is O(1).
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
     mt: usize,
     nt: usize,
     tree: EliminationTree,
-    tasks: Vec<TaskKind>,
-    preds: Vec<Vec<TaskId>>,
-    succs: Vec<Vec<TaskId>>,
+    tasks: Arc<Vec<TaskKind>>,
+    preds: Arc<Vec<Vec<TaskId>>>,
+    succs: Arc<Vec<Vec<TaskId>>>,
 }
 
 /// Per-tile data-flow state used during construction.
@@ -81,9 +83,9 @@ impl Builder {
             mt,
             nt,
             tree,
-            tasks: self.tasks,
-            preds: self.preds,
-            succs,
+            tasks: Arc::new(self.tasks),
+            preds: Arc::new(self.preds),
+            succs: Arc::new(succs),
         }
     }
 }

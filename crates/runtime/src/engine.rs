@@ -1,13 +1,11 @@
-//! The one DAG engine under both drivers (the paper's single Fig. 7
+//! The one DAG engine under the host driver (the paper's single Fig. 7
 //! manager loop).
 //!
-//! The scoped pool ([`parallel_factor_ft`](crate::parallel_factor_ft) and
-//! friends) and the resident [`service`](crate::service) own their
-//! threads differently — scoped self-scheduling workers that are never
-//! respawned versus resident self-scheduling workers that always are —
-//! but what they do *per DAG* is the same, and lives here exactly once,
-//! thread-free ("the manager" below is whoever holds the [`DagRun`]: a
-//! worker, or a driver's timer thread, inside that driver's one lock):
+//! What the driver in [`service`](crate::service) does *per DAG* — for a
+//! job of the resident service or for the one job of a one-shot run —
+//! lives here exactly once, thread-free ("the manager" below is whoever
+//! holds the [`DagRun`]: a worker, or the driver's clock thread, inside
+//! the driver's one lock):
 //!
 //! * [`run_attempt`] — the worker-side body of one task attempt: fault
 //!   seam, staging, kernel, optional worker-side commit, optional spans.
@@ -174,8 +172,8 @@ pub(crate) struct Tally {
 
 impl Tally {
     /// A run that needed no manager: `tasks` tasks in program order on
-    /// lane `worker` of `workers` (the pool's inline path), with nothing
-    /// else to report.
+    /// lane `worker` of `workers` (the inline path), with nothing else to
+    /// report.
     pub(crate) fn one_lane(workers: usize, worker: usize, tasks: u64) -> Self {
         let mut tasks_per_worker = vec![0; workers];
         tasks_per_worker[worker] = tasks;
@@ -286,11 +284,6 @@ impl DagRun {
     /// Whether every task has been committed.
     pub fn all_done(&self) -> bool {
         self.tracker.all_done()
-    }
-
-    /// Tasks committed so far.
-    pub fn completed(&self) -> usize {
-        self.tracker.completed()
     }
 
     /// Attempts dispatched and not yet reported (or retired).
@@ -493,8 +486,8 @@ impl DagRun {
 }
 
 /// Which worker slot is running what, since when — the stall watchdog's
-/// view of the workers. `K` names an in-flight attempt: a `TaskId` in the
-/// pool, `(job, task, attempt)` in the service.
+/// view of the workers. `K` names an in-flight attempt: `(job, task,
+/// attempt)` in the driver.
 #[derive(Debug)]
 pub struct Slots<K> {
     in_flight_of: Vec<Option<(K, Instant)>>,
@@ -516,7 +509,7 @@ impl<K: Copy + PartialEq> Slots<K> {
     /// A report for `key` arrived from slot `w`. Returns whether the slot
     /// was waiting on exactly that attempt, and clears it if so. False for
     /// a late report from a worker the watchdog already retired: that slot
-    /// was cleared (and, in the service, handed to a fresh thread).
+    /// was cleared (and handed to a fresh thread).
     pub fn settle(&mut self, w: usize, key: K) -> bool {
         let expected = self.in_flight_of[w].is_some_and(|(k, _)| k == key);
         if expected {

@@ -44,14 +44,6 @@ pub enum RuntimeError {
         /// Diagnostic from the final failed attempt.
         last: String,
     },
-    /// Every worker died (panicked or stalled past the watchdog) before
-    /// the DAG finished.
-    AllWorkersDead {
-        /// Tasks committed before the pool emptied.
-        completed: usize,
-        /// Total tasks in the graph.
-        total: usize,
-    },
     /// The pool's bookkeeping broke down — a worker thread died outside a
     /// task attempt, or tasks were left that nothing could make ready.
     Disconnected {
@@ -78,10 +70,6 @@ impl fmt::Display for RuntimeError {
             } => write!(
                 f,
                 "task {task} failed on all {attempts} attempts; last error: {last}"
-            ),
-            RuntimeError::AllWorkersDead { completed, total } => write!(
-                f,
-                "all workers died with {completed}/{total} tasks committed"
             ),
             RuntimeError::Disconnected { in_flight } => write!(
                 f,
@@ -146,11 +134,8 @@ mod tests {
         let root = std::error::Error::source(runtime).expect("kernel errors chain");
         assert!(root.to_string().contains("singular"));
         // Non-kernel variants terminate the chain.
-        let dead = RuntimeError::AllWorkersDead {
-            completed: 1,
-            total: 2,
-        };
-        assert!(std::error::Error::source(&dead).is_none());
+        let lost = RuntimeError::Disconnected { in_flight: 1 };
+        assert!(std::error::Error::source(&lost).is_none());
     }
 
     #[test]
@@ -161,12 +146,9 @@ mod tests {
             source: src.clone(),
         };
         assert_eq!(MatrixError::from(e), src);
-        let dead = RuntimeError::AllWorkersDead {
-            completed: 4,
-            total: 9,
-        };
-        match MatrixError::from(dead) {
-            MatrixError::Runtime { reason } => assert!(reason.contains("4/9")),
+        let lost = RuntimeError::Disconnected { in_flight: 4 };
+        match MatrixError::from(lost) {
+            MatrixError::Runtime { reason } => assert!(reason.contains("4 tasks in flight")),
             other => panic!("expected Runtime variant, got {other:?}"),
         }
     }

@@ -17,21 +17,24 @@
 //! *commit* swaps results back in. Determinism of the *result* (not the
 //! schedule) is guaranteed because every task writes a disjoint tile set.
 //!
-//! One engine, two drivers: everything a scheduler does *per DAG* —
+//! One engine, one driver: everything a scheduler does *per DAG* —
 //! readiness ([`ReadyTracker`]), [`SchedulePolicy`] order
 //! ([`ReadyQueue`]), the commit fence, the retry budget, the stall
 //! watchdog's bookkeeping, drift re-weighting — and the worker-side body
-//! of one task attempt live once, thread-free, in [`engine`]. The pool
-//! ([`parallel_factor`] and friends) drives it from its scoped workers,
-//! which are never respawned; [`QrService`]'s resident workers, which
-//! always are, drive one engine run per job.
+//! of one task attempt live once, thread-free, in [`engine`]; the threads
+//! around it — self-scheduling workers over a table of engine runs behind
+//! one lock, one thread keeping the clock, every lost worker respawned —
+//! live once in [`service`]. [`QrService`] keeps one instance of that
+//! driver resident, one engine run per job; a one-shot run
+//! ([`parallel_factor`] and friends) is a one-job instance scoped to the
+//! call, with the calling thread as its clock.
 //!
 //! Fault tolerance: attempts run under `catch_unwind`, so a panic never
 //! hangs or aborts the process. [`parallel_factor_ft`] goes further —
 //! non-destructive staging plus the engine's first-commit-wins fence
 //! make task re-execution idempotent, so panicked or stalled workers are
-//! retired and their tasks retried (bounded attempts, deterministic
-//! backoff) while the run continues degraded. Failures surface as
+//! retired and replaced and their tasks retried (bounded attempts,
+//! deterministic backoff). Failures surface as
 //! structured [`RuntimeError`]s and recovery activity is reported in
 //! [`RunReport`]'s `retries` / `requeues` / `worker_deaths` fields.
 //!
@@ -43,7 +46,7 @@
 //! the `tileqr-obs` crate for Chrome-trace export, latency histograms,
 //! and sim-vs-real calibration built on top.
 //!
-//! Service mode: [`QrService`] keeps the pool *resident* and serves a
+//! Service mode: [`QrService`] keeps the workers *resident* and serves a
 //! stream of factor / solve / apply jobs, interleaving many job DAGs
 //! with weighted fair-share scheduling, priority classes, and admission
 //! control — see the [`service`] module docs.

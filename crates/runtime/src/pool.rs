@@ -1,43 +1,25 @@
-//! Self-scheduling computing-thread pool: the scoped driver of the shared
-//! [`engine`](crate::engine) (DESIGN.md §9).
+//! One-shot runs: configuration, report and entry points.
 //!
-//! The paper's Fig. 7 puts a manager thread between the DAG and the
-//! computing threads; at its tile size (b = 16, a few µs per task) that
-//! hand-off *is* the run on host cores. So each **computing thread**
-//! takes its own next task, as in Buttari et al.: one [`DagRun`] sits
-//! behind one lock, and a worker loops *lock → settle its previous
-//! attempt → pop the best ready task → unlock → [`run_attempt`]*,
-//! sleeping only while nothing is ready. Staging, the kernel and the
-//! worker-side commit all run outside that lock, and the ready set stays
-//! global and un-prefetched, so the [`SchedulePolicy`] means what it
-//! says. The **calling thread** touches no task: it waits for the run to
-//! end, and in fault-tolerant mode it is the timer (retries, watchdog).
-//!
-//! Two execution modes share the loop, selected by `ft`:
-//!
-//! * **Fast** (`None`, the default): unfenced attempts — zero-copy
-//!   staging, worker-side commits. A worker panic or kernel error is
-//!   *isolated* (no hang, no abort) but fatal to the run, because the
-//!   destructively-staged inputs of the failed task are gone.
-//! * **Fault-tolerant** ([`parallel_factor_ft`]): fenced attempts, so
-//!   re-execution is idempotent: a panicked or stalled worker is retired
-//!   *for good* (this pool never respawns; an emptied pool is
-//!   [`RuntimeError::AllWorkersDead`]), its task requeued with bounded
-//!   retry + deterministic backoff, and a late result from a retired
-//!   worker is either harvested (first commit wins, under the pool lock)
-//!   or dropped.
+//! A multi-worker run is a one-job, call-scoped instance of the host
+//! driver in [`service`](crate::service) (DESIGN.md §9): self-scheduling
+//! workers behind one lock, the calling thread as its clock. Without a
+//! [`FaultTolerance`] it runs **unfenced** — zero-copy staging,
+//! worker-side commits; a worker panic or kernel error is *isolated* (no
+//! hang, no abort) but fatal to the run, because the destructively-staged
+//! inputs of the failed task are gone. With one ([`parallel_factor_ft`])
+//! attempts are fenced, so re-execution is idempotent, exactly as for a
+//! job of the resident service. [`parallel_factor`] at `workers == 1` runs
+//! inline on the calling thread: no thread, no lock, program order.
 
-use crate::engine::{run_attempt, DagRun, Outcome, Slots, Tally};
+use crate::engine::Tally;
 use crate::error::RuntimeError;
 use crate::recovery::{FaultInjector, FaultTolerance};
 use crate::scheduler::{DispatchOrder, SchedulePolicy};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
+use crate::service::run_pool;
 use std::time::{Duration, Instant};
-use tileqr_dag::{CostModel, TaskGraph, TaskId, TaskKind};
-use tileqr_kernels::exec::{FactorState, SharedFactorState};
-use tileqr_kernels::{flops, Workspace};
+use tileqr_dag::{CostModel, TaskGraph, TaskKind};
+use tileqr_kernels::exec::FactorState;
+use tileqr_kernels::flops;
 use tileqr_matrix::{MatrixError, Result, Scalar};
 use tileqr_obs::{
     merge_recorders, DriftConfig, HotPathCounters, KernelHistograms, RawEvent, RawKind, Trace,
@@ -208,10 +190,10 @@ pub fn parallel_factor_traced<T: Scalar>(
 }
 
 /// [`parallel_factor_traced`] dispatching under an explicit
-/// [`DispatchOrder`] — the testkit's hook for driving the *real* pool
+/// [`DispatchOrder`] — the testkit's hook for driving the *real* driver
 /// (threads, wake-ups, staged commits and all) through adversarial and
 /// seeded ready-set orders. Unlike [`parallel_factor_traced`], a
-/// single-worker config still runs the pool loop, so `workers == 1`
+/// single-worker config still runs the driver, so `workers == 1`
 /// honours the requested order instead of falling back to program order
 /// (the single-worker-starvation scenario).
 pub fn parallel_factor_ordered<T: Scalar>(
@@ -229,15 +211,16 @@ pub fn parallel_factor_ordered<T: Scalar>(
 
 /// Fault-tolerant (or fault-isolated) parallel factorization.
 ///
-/// With `ft = Some(..)` the pool recovers from worker panics, transient
-/// kernel failures, and stalls: the worker is retired (or the error
-/// absorbed), the task is requeued after deterministic backoff, and the
-/// run continues degraded on the remaining workers — failing only with a
-/// structured [`RuntimeError`] once the per-task attempt budget or the
-/// worker pool itself is exhausted. With `ft = None` the pool runs the
-/// zero-copy fast path: a fault still cannot hang or abort the process
-/// (workers execute under `catch_unwind`), but it fails the run, because
-/// destructive staging makes re-execution unsafe.
+/// With `ft = Some(..)` the run recovers from worker panics, transient
+/// kernel failures, and stalls: the worker is retired and a fresh thread
+/// takes its slot (or the error is absorbed), the task is requeued after
+/// deterministic backoff — failing only with a structured
+/// [`RuntimeError`] once the per-task attempt budget is exhausted — and a
+/// panel factor that comes out non-finite fails the run at that task
+/// ([`RuntimeError::Kernel`]) instead of spreading. With `ft = None` the
+/// run takes the zero-copy fast path: a fault still cannot hang or abort
+/// the process (every attempt's panics are caught), but it fails the
+/// run, because destructive staging makes re-execution unsafe.
 ///
 /// `injector` is the deterministic test seam — consulted before every
 /// attempt, it can script panics, transient failures, and stalls at exact
@@ -297,280 +280,6 @@ fn run_inline<T: Scalar>(
         trace,
         counters,
     );
-    Ok((state, report))
-}
-
-/// What the workers and the calling thread share, behind the one lock.
-struct PoolState<'a> {
-    graph: &'a TaskGraph,
-    /// `Some` selects the fenced, retryable discipline.
-    ft: Option<FaultTolerance>,
-    run: DagRun,
-    /// Attempts the watchdog is clocking, when `ft` sets a stall timeout.
-    slots: Slots<TaskId>,
-    /// Backoff-parked retries, earliest wake-up first.
-    parked: BinaryHeap<Reverse<(Instant, TaskId)>>,
-    fatal: Option<RuntimeError>,
-    /// Workers that neither panicked nor were retired by the watchdog.
-    live: usize,
-    /// Workers asleep waiting for a ready task.
-    sleepers: usize,
-}
-
-impl PoolState<'_> {
-    /// Whether workers should stop taking tasks.
-    fn finished(&self) -> bool {
-        self.fatal.is_some() || self.run.all_done()
-    }
-
-    /// Abandon the run with `e` (the first fatal error wins).
-    fn fail(&mut self, e: RuntimeError) {
-        self.run.halt();
-        self.fatal.get_or_insert(e);
-    }
-
-    /// Charge a lost attempt of `t` to its budget: park the retry, or
-    /// record the exhausted budget as the run's fatal error.
-    fn park_retry(&mut self, ft: &FaultTolerance, t: TaskId, last: String) {
-        match self.run.charge_retry(ft, t, last) {
-            Ok(when) => self.parked.push(Reverse((when, t))),
-            Err(e) => self.fail(e),
-        }
-    }
-
-    /// The fenced mode's timers: move due retries back to the ready set
-    /// and retire workers stalled past the watchdog bound (for good — no
-    /// respawn), requeueing their tasks. Returns when to look again.
-    fn run_timers(&mut self) -> Option<Instant> {
-        let ft = self.ft?;
-        let now = Instant::now();
-        while let Some(&Reverse((when, t))) = self.parked.peek() {
-            if when > now {
-                break;
-            }
-            self.parked.pop();
-            self.run.wake(t);
-        }
-        let expiry = ft.stall_timeout.map(|st| {
-            for (w, t) in self.slots.take_stalled(st, now) {
-                self.live -= 1;
-                if self.run.on_panicked(t, w, true) {
-                    self.park_retry(&ft, t, format!("worker {w} stalled past {st:?}"));
-                }
-            }
-            // No attempt that starts after `now` can expire before this.
-            self.slots.earliest_stall_expiry(st).unwrap_or(now + st)
-        });
-        let wake = self.parked.peek().map(|&Reverse((when, _))| when);
-        wake.into_iter().chain(expiry).min()
-    }
-
-    /// Settle worker `w`'s report of how attempt `at` ended; `expected`
-    /// is false if the watchdog retired `w` while it was away. Returns
-    /// whether the worker lives on: not after a panic or a retirement.
-    fn settle<T: Scalar>(
-        &mut self,
-        shared: &SharedFactorState<T>,
-        w: usize,
-        at: (TaskId, u32),
-        expected: bool,
-        outcome: Outcome<T>,
-    ) -> bool {
-        let t = at.0;
-        let panicked = matches!(outcome, Outcome::Panicked(_));
-        self.live -= usize::from(panicked && expected);
-        // A lost attempt costs a retry when fenced, the run when not
-        // (destructive staging lost the task's inputs).
-        let lost = match outcome {
-            Outcome::Done(done) => {
-                self.run.on_done(self.graph, shared, at, w, expected, done);
-                None
-            }
-            Outcome::Failed(source) => self
-                .run
-                .on_failed(t, expected)
-                .then_some(RuntimeError::Kernel { task: t, source }),
-            Outcome::Panicked(message) => {
-                self.run
-                    .on_panicked(t, w, expected)
-                    .then_some(RuntimeError::TaskPanicked {
-                        task: t,
-                        worker: w,
-                        message,
-                    })
-            }
-        };
-        match (lost, self.ft) {
-            (None, _) => {}
-            (Some(cause), Some(ft)) => self.park_retry(&ft, t, cause.to_string()),
-            (Some(cause), None) => self.fail(cause),
-        }
-        expected && !panicked
-    }
-}
-
-type PoolGuard<'g, 'a> = MutexGuard<'g, PoolState<'a>>;
-
-/// The guard out of a lock or wait result. A poisoned lock means a thread
-/// panicked mid-bookkeeping: the books cannot be trusted any more, so the
-/// run fails instead of panicking a second time.
-fn recover<'g, 'a>(r: LockResult<PoolGuard<'g, 'a>>) -> PoolGuard<'g, 'a> {
-    r.unwrap_or_else(|poisoned| {
-        let mut g = poisoned.into_inner();
-        let in_flight = g.run.in_flight();
-        g.fail(RuntimeError::Disconnected { in_flight });
-        g
-    })
-}
-
-/// The pool driver behind every multi-worker entry point: scoped,
-/// self-scheduling worker threads that are never respawned (an emptied
-/// pool is [`RuntimeError::AllWorkersDead`]) around one [`DagRun`]. `ft`
-/// selects the engine's fenced, retryable discipline; without it a fault
-/// is isolated but fatal.
-fn run_pool<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    config: PoolConfig,
-    order: DispatchOrder,
-    ft: Option<FaultTolerance>,
-    injector: Option<&dyn FaultInjector>,
-) -> std::result::Result<(FactorState<T>, RunReport), RuntimeError> {
-    let started = Instant::now();
-    let workers = config.effective_workers().max(1);
-    let b = state.tiles().tile_size();
-    let shared = SharedFactorState::new(state);
-    let watched = ft.is_some_and(|ft| ft.stall_timeout.is_some());
-    let trace_cfg = config.trace;
-    let recorder = || {
-        trace_cfg
-            .enabled
-            .then(|| WorkerRecorder::new(trace_cfg.capacity_per_lane))
-    };
-    let lane = recorder().map(|rec| (rec, started));
-    let pool = Mutex::new(PoolState {
-        graph,
-        ft,
-        run: DagRun::new(graph, order, config.cost, config.drift, b, workers, lane),
-        slots: Slots::new(workers),
-        parked: BinaryHeap::new(),
-        fatal: None,
-        live: workers,
-        sleepers: 0,
-    });
-    // Two wait queues on the one lock: workers sleep on `work` while
-    // nothing is ready; the calling thread sleeps on `caller` until the
-    // run ends, a worker dies, or a timer is due or newly set.
-    let (work, caller) = (Condvar::new(), Condvar::new());
-
-    // A computing thread; the lock never covers `run_attempt`. Returns its
-    // trace lane and its arena's final size and growth count.
-    let worker = |w: usize| {
-        let mut rec = recorder();
-        // One arena per computing thread, sized once for the run's
-        // (b, ib): every kernel this worker executes borrows scratch
-        // from it instead of allocating.
-        let mut ws = Workspace::<T>::new(b, b);
-        // `alive`: neither panicked nor retired by the watchdog.
-        let (mut g, mut alive) = (recover(pool.lock()), true);
-        while alive && !g.finished() {
-            let Some(at) = g.run.pop_ready(w) else {
-                if g.run.in_flight() == 0 && g.parked.is_empty() {
-                    // Unreachable while every uncommitted task is queued,
-                    // parked, in flight or behind one that is; never hang.
-                    g.fail(RuntimeError::Disconnected { in_flight: 0 });
-                } else {
-                    g.sleepers += 1;
-                    g = recover(work.wait(g));
-                    g.sleepers -= 1;
-                }
-                continue;
-            };
-            // Wake a sleeper only when there is one and a task left for
-            // it, so a busy run makes no futex call per task.
-            if g.sleepers > 0 && g.run.ready_len() > 0 {
-                work.notify_one();
-            }
-            if watched {
-                g.slots.watch(w, at.0);
-            }
-            drop(g);
-            let lane = rec.as_mut().map(|r| (r, started));
-            let kind = graph.task(at.0);
-            let outcome = run_attempt(&shared, kind, at, injector, ft.is_some(), &mut ws, lane);
-            let lost = !matches!(outcome, Outcome::Done(_));
-            g = recover(pool.lock());
-            let expected = !watched || g.slots.settle(w, at.0);
-            alive = g.settle(&shared, w, at, expected, outcome);
-            if lost {
-                // A retry was parked (a new deadline) or the run failed.
-                caller.notify_one();
-            }
-        }
-        drop(g);
-        // A worker leaves because the run ended or because it died: both
-        // are what the calling thread waits for.
-        caller.notify_one();
-        (rec, ws.bytes(), ws.resizes())
-    };
-
-    let lanes: Vec<_> = std::thread::scope(|scope| {
-        let worker = &worker;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| scope.spawn(move || worker(w)))
-            .collect();
-
-        let mut g = recover(pool.lock());
-        loop {
-            let deadline = g.run_timers();
-            if g.sleepers > 0 && g.run.ready_len() > 0 {
-                work.notify_one();
-            }
-            if g.live == 0 && !g.finished() {
-                let (completed, total) = (g.run.completed(), graph.len());
-                g.fail(RuntimeError::AllWorkersDead { completed, total });
-            }
-            if g.finished() {
-                break;
-            }
-            g = recover(match deadline {
-                None => caller.wait(g),
-                Some(dl) => caller
-                    .wait_timeout(g, dl.saturating_duration_since(Instant::now()))
-                    .map(|(g, _)| g)
-                    .map_err(|poisoned| PoisonError::new(poisoned.into_inner().0)),
-            });
-        }
-        drop(g);
-        // The sleepers learn of the end here. Then join every worker, even
-        // one finishing a late attempt; one that panicked outside
-        // `catch_unwind` contributes nothing.
-        work.notify_all();
-        handles.into_iter().map(|h| h.join().ok()).collect()
-    });
-
-    let state = pool.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let PoolState { mut run, fatal, .. } = state;
-    fatal.map_or(Ok(()), Err)?;
-    debug_assert!(run.all_done());
-    let mut counters = HotPathCounters::default();
-    let mut recorders = Vec::new();
-    for (rec, bytes, resizes) in lanes.into_iter().map(Option::unwrap_or_default) {
-        counters.workspace_bytes += bytes;
-        counters.workspace_resizes += resizes;
-        if trace_cfg.enabled {
-            recorders.push(rec.unwrap_or_else(|| WorkerRecorder::new(1)));
-        }
-    }
-    let trace = run.take_lane().map(|mgr| {
-        recorders.push(mgr);
-        let mut lanes: Vec<String> = (0..workers).map(|w| format!("worker{w}")).collect();
-        lanes.push("manager".to_string());
-        merge_recorders(&recorders, lanes, graph)
-    });
-    let state = shared.into_state();
-    counters.cow_clones = state.cow_clones();
-    let report = run.into_report(started.elapsed(), trace, counters);
     Ok((state, report))
 }
 
@@ -996,12 +705,13 @@ mod tests {
     }
 
     #[test]
-    fn ft_all_workers_dead_is_structured_error() {
+    fn ft_task_that_always_panics_exhausts_its_budget() {
         let a = random_matrix::<f64>(16, 16, 34);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
-        // Task 0 panics on every attempt: each try kills one worker, so a
-        // 2-worker pool empties before the generous attempt budget does.
+        // Task 0 panics on every attempt: each try costs a thread, every
+        // lost slot is respawned, so what runs out is the attempt budget,
+        // not the pool.
         let faults = ScriptedFaults::new().panic_on(0, 99);
         let err = parallel_factor_ft(
             FactorState::new(tiled),
@@ -1011,15 +721,17 @@ mod tests {
                 ..PoolConfig::default()
             },
             Some(FaultTolerance {
-                max_attempts: 99,
+                max_attempts: 5,
                 ..FaultTolerance::default()
             }),
             Some(&faults),
         )
         .unwrap_err();
         match err {
-            RuntimeError::AllWorkersDead { total, .. } => assert_eq!(total, g.len()),
-            other => panic!("expected AllWorkersDead, got {other}"),
+            RuntimeError::RetriesExhausted { task, attempts, .. } => {
+                assert_eq!((task, attempts), (0, 5));
+            }
+            other => panic!("expected RetriesExhausted, got {other}"),
         }
     }
 
@@ -1046,38 +758,6 @@ mod tests {
             RuntimeError::TaskPanicked { task, .. } => assert_eq!(task, 2),
             other => panic!("expected TaskPanicked, got {other}"),
         }
-    }
-
-    #[test]
-    fn poisoned_pool_lock_fails_the_run_without_a_second_panic() {
-        let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
-        let (cfg, order) = (
-            PoolConfig::default(),
-            DispatchOrder::Policy(SchedulePolicy::Fifo),
-        );
-        let pool = Mutex::new(PoolState {
-            graph: &graph,
-            ft: None,
-            run: DagRun::new(&graph, order, cfg.cost, cfg.drift, 4, 2, None),
-            slots: Slots::new(2),
-            parked: BinaryHeap::new(),
-            fatal: None,
-            live: 2,
-            sleepers: 0,
-        });
-        // A worker dying mid-bookkeeping poisons the lock...
-        let died = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _g = pool.lock().unwrap();
-                panic!("mid-bookkeeping");
-            })
-            .join()
-        });
-        assert!(died.is_err() && pool.is_poisoned());
-        // ...and whoever takes it next fails the run instead of panicking.
-        let g = recover(pool.lock());
-        assert!(g.finished() && g.run.is_halted());
-        assert_eq!(g.fatal, Some(RuntimeError::Disconnected { in_flight: 0 }));
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! `QrService`: a resident multi-matrix throughput service.
+//! `QrService`: a resident multi-matrix throughput service — and the one
+//! host driver every multi-worker run goes through.
 //!
-//! Where [`parallel_factor`](crate::parallel_factor) spins a pool up and
-//! down around one matrix, the service keeps a **long-lived worker pool**
-//! and accepts a *stream* of jobs — factor, least-squares solve, Q-apply —
-//! through a submission handle. Tasks from many concurrent job DAGs are
-//! interleaved through one shared ready structure with per-job
-//! **fair-share accounting** (weighted virtual time, one weight per
+//! Where [`parallel_factor`](crate::parallel_factor) runs one matrix and
+//! returns, the service keeps a **long-lived worker pool** and accepts a
+//! *stream* of jobs — factor, least-squares solve, Q-apply — through a
+//! submission handle. Tasks from many concurrent job DAGs are interleaved
+//! through one shared ready structure with per-job **fair-share
+//! accounting** (weighted virtual time, one weight per
 //! [`PriorityClass`]), so a flood of bulk work cannot starve interactive
 //! jobs.
 //!
@@ -14,10 +15,12 @@
 //! one `Core` behind one lock, and a worker loops *lock → settle its
 //! previous attempt → pick the next `(job, task)` → unlock → run it*,
 //! sleeping only while nothing is ready; no thread stands between the
-//! DAGs and the workers (the same departure from the paper's Fig. 7
-//! manager that the pool makes, see `DESIGN.md` §9). Submitters and
-//! cancelling handles act on the core from their own threads, and one
-//! **timer thread** does what only a clock can start.
+//! DAGs and the workers (the departure from the paper's Fig. 7 manager
+//! that a few-µs task forces on host cores, see `DESIGN.md` §9).
+//! Submitters and cancelling handles act on the core from their own
+//! threads, and one **timer thread** does what only a clock can start. A
+//! one-shot run is the same driver (`run_pool`): a one-job instance on
+//! the caller's stack, the calling thread as its timer.
 //!
 //! * **Admission**: `max_in_flight` bounds submitted-but-unfinished jobs.
 //!   [`QrService::submit`] blocks for a slot (backpressure);
@@ -29,18 +32,19 @@
 //!   backlog — it can never be scheduled behind work that arrived after
 //!   it, and a heavy job cannot monopolise the pool. A one-task job is a
 //!   job like any other: it takes the same route, one task long.
-//! * **Execution and recovery**: the fault-tolerant pool path, literally
-//!   — every job owns one [`DagRun`] of the shared
-//!   [`engine`](crate::engine), and workers run its fenced
+//! * **Execution and recovery**: every job owns one [`DagRun`] of the
+//!   shared [`engine`](crate::engine), and workers run its fenced
 //!   [`run_attempt`]. Non-destructive staging plus the engine's commit
 //!   fence make re-execution idempotent, so bit-identity survives DAG
 //!   interleaving, and a lost attempt is charged to the *victim job's*
 //!   budget alone: exhausting it fails that one job with a structured
-//!   [`ServiceError::Runtime`]. What this driver adds is the thread
-//!   lifecycle: a panicked worker — or, with
+//!   [`ServiceError::Runtime`]. A panicked worker — or, with
 //!   [`FaultTolerance::stall_timeout`] set, one the **stall watchdog**
 //!   finds past the bound — is retired and its slot *respawned* by the
-//!   timer (the pool never shrinks).
+//!   timer (the pool never shrinks). A thread that panics *holding the
+//!   lock* closes the instance instead of panicking every other thread:
+//!   admission shuts, every job in the table fails with
+//!   [`RuntimeError::Disconnected`], the threads leave.
 //! * **Completion**: the worker whose commit completes a job's DAG takes
 //!   the job out of the table, runs its epilogue (solve / apply) with the
 //!   lock released, and resolves the handle itself.
@@ -68,21 +72,24 @@
 
 use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
-use crate::pool::{model_weight, RunReport};
+use crate::pool::{model_weight, PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
 use crate::scheduler::{DispatchOrder, SchedulePolicy};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{CostModel, KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
 use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
-use tileqr_obs::{DriftConfig, HotPathCounters, LatencyHistogram, LifecycleCounters};
+use tileqr_obs::{
+    merge_recorders, DriftConfig, HotPathCounters, LatencyHistogram, LifecycleCounters,
+    TraceConfig, WorkerRecorder,
+};
 
 /// Job identifier, unique per service instance (1-based).
 pub type JobId = u64;
@@ -708,8 +715,10 @@ impl ServiceStats {
 
 type SharedInjector = Arc<dyn FaultInjector + Send + Sync>;
 
-/// Identity + timing + reply slot of one job, carried from admission
-/// through its DAG and epilogue to delivery.
+/// What of a job is carried from admission through its DAG and epilogue
+/// to delivery: identity, timing, the reply slot, the DAG and what to
+/// compute once it has run, and the per-job measurements that ride on the
+/// [`JobResult`].
 struct JobMeta<T: Scalar> {
     id: JobId,
     class: PriorityClass,
@@ -721,32 +730,16 @@ struct JobMeta<T: Scalar> {
     queue_wait: Duration,
     dispatch_delay_tasks: u64,
     reply: ReplyTx<T>,
-}
-
-/// What the epilogue needs of a job to produce its output: the factor
-/// state, the DAG over it, the original (unpadded) dimensions, and what to
-/// compute once the DAG has run.
-struct JobBody<T: Scalar> {
-    state: FactorState<T>,
     graph: TaskGraph,
-    rows: usize,
-    cols: usize,
     payload: Payload<T>,
-}
-
-/// Everything a [`JobResult`] carries besides the output — assembled
-/// when a job's DAG finishes and handed along to the moment of delivery.
-struct Delivery<T: Scalar> {
-    meta: JobMeta<T>,
-    report: RunReport,
-    task_latency: LatencyHistogram,
     class_compute_us: [f64; 3],
     class_tasks: [u64; 3],
+    task_latency: LatencyHistogram,
 }
 
 /// A job whose DAG is complete and whose state is nobody else's any more:
 /// what is left is the epilogue and the delivery, both outside the lock.
-type Finished<T> = (Delivery<T>, JobBody<T>);
+type Finished<T> = (JobMeta<T>, FactorState<T>, RunReport);
 
 /// The in-flight attempt a worker slot is watched for.
 type AttemptKey = (JobId, TaskId, u32);
@@ -767,14 +760,12 @@ struct Unit<T: Scalar> {
 /// The solve path mirrors `TiledQr::solve` exactly (pad, `Qᵀ b`, back
 /// substitution on the leading `cols` entries) so a service solve is
 /// bit-identical to the single-matrix API.
-fn finish_output<T: Scalar>(body: JobBody<T>) -> Result<JobOutput<T>, MatrixError> {
-    let JobBody {
-        state,
-        graph,
-        rows,
-        cols,
-        payload,
-    } = body;
+fn finish_output<T: Scalar>(
+    state: FactorState<T>,
+    graph: TaskGraph,
+    payload: Payload<T>,
+) -> Result<JobOutput<T>, MatrixError> {
+    let (rows, cols) = state.tiles().dense_dims();
     let wrap = |state, graph| FactoredJob {
         state,
         graph,
@@ -815,26 +806,21 @@ fn finish_output<T: Scalar>(body: JobBody<T>) -> Result<JobOutput<T>, MatrixErro
 }
 
 // ---------------------------------------------------------------------------
-// the core: what every thread of the service shares, behind the one lock
+// the core: what every thread of an instance shares, behind the one lock
 // ---------------------------------------------------------------------------
 
-/// One admitted job: the engine's [`DagRun`] plus what only the service
-/// knows about it — its fair-share position, its lifecycle stamps, and the
-/// per-job measurements that ride on the [`JobResult`]. `submit` builds it
-/// on the caller's thread — everything that needs no lock, the run
-/// included; its id, its dispatch-count and backlog stamps and its virtual
-/// time are filled in under the lock, at admission.
+/// One admitted job: the engine's [`DagRun`] plus what only the driver
+/// knows about it — its fair-share position and its lifecycle stamps,
+/// beside what it carries to delivery. [`Shared::job`]
+/// builds it on the caller's thread — everything that needs no lock, the
+/// run included; its id, its dispatch-count and backlog stamps and its
+/// virtual time are filled in under the lock, at admission.
 struct JobState<T: Scalar> {
     meta: JobMeta<T>,
     /// Workers clone the handle for the length of one attempt; when the
     /// DAG is done it is unique again and the state is reclaimed.
     shared: Arc<SharedFactorState<T>>,
-    graph: TaskGraph,
-    rows: usize,
-    cols: usize,
-    payload: Payload<T>,
     b: usize,
-    weight: f64,
     cost: CostModel,
     vtime: f64,
     /// Readiness, fence, retry budget, drift and counters. A cancelled
@@ -843,12 +829,9 @@ struct JobState<T: Scalar> {
     run: DagRun,
     injector: Option<SharedInjector>,
     started: Option<Instant>,
-    class_compute_us: [f64; 3],
-    class_tasks: [u64; 3],
-    task_latency: LatencyHistogram,
 }
 
-/// The scheduling state of the service. Workers, the timer, submitters and
+/// The scheduling state of an instance. Workers, the timer, submitters and
 /// cancelling handles all act on it directly, under [`Shared::core`].
 struct Core<T: Scalar> {
     /// Admission is closed: workers and the timer leave once nothing is
@@ -860,7 +843,7 @@ struct Core<T: Scalar> {
     /// Attempts the stall watchdog is clocking. Epilogues run unwatched:
     /// they have no per-task retry identity for the watchdog to requeue.
     slots: Slots<AttemptKey>,
-    jobs: HashMap<JobId, JobState<T>>,
+    jobs: BTreeMap<JobId, Box<JobState<T>>>,
     /// Completed DAGs whose state a straggler attempt still shares.
     finalize_pending: Vec<JobId>,
     parked: BinaryHeap<Reverse<(Instant, JobId, TaskId)>>,
@@ -872,6 +855,12 @@ struct Core<T: Scalar> {
     /// Workers asleep waiting for a ready unit.
     sleepers: usize,
     stats: ServiceStats,
+    /// What a traced instance's threads and retired runs leave behind: one
+    /// lane per worker slot, then the manager's. Empty when untraced.
+    lanes: Vec<Option<WorkerRecorder>>,
+    /// Final size and growth count of every arena a thread that has left
+    /// held, summed.
+    arenas: HotPathCounters,
 }
 
 /// Cost of one task under the job's model, scaled to keep virtual times
@@ -890,6 +879,15 @@ fn is_panel_factor(kind: TaskKind) -> bool {
         kind,
         TaskKind::Geqrt { .. } | TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. }
     )
+}
+
+/// Leave `rec` on `lane`. A respawned slot is one lane: the later thread's
+/// events join the earlier one's.
+fn deposit(lane: &mut Option<WorkerRecorder>, rec: WorkerRecorder) {
+    match lane {
+        Some(held) => rec.events().into_iter().for_each(|ev| held.record(ev)),
+        None => *lane = Some(rec),
+    }
 }
 
 impl<T: Scalar> Core<T> {
@@ -951,16 +949,24 @@ impl<T: Scalar> Core<T> {
     }
 }
 
-/// The service driver's shared half: the core and its one lock, the wait
-/// queues on it, and what never changes after start. Resident worker
-/// threads schedule themselves over it — weighted-fair choice among many
-/// [`DagRun`]s, settle, commit, epilogue, delivery —
-/// submitters and cancelling handles act on it from their own threads, and
-/// the timer thread keeps the clock-driven rest (see [`timer_loop`]).
-/// Everything per-DAG is the engine's.
+/// The host driver's shared half: the core and its one lock, the wait
+/// queues on it, and what never changes after start. Worker threads
+/// schedule themselves over it — weighted-fair choice among many
+/// [`DagRun`]s, settle, commit, epilogue, delivery — submitters and
+/// cancelling handles act on it from their own threads, and one thread
+/// keeps the clock-driven rest (see [`timer_loop`]). Everything per-DAG is
+/// the engine's. A [`QrService`] keeps one instance resident; a one-shot
+/// [`run_pool`] keeps one on its stack for the length of the call.
 struct Shared<T: Scalar> {
     cfg: ServiceConfig,
     workers: usize,
+    /// `Some`: fenced attempts, retried within this budget. `None`, the
+    /// one-shot fast mode: zero-copy staging and worker-side commits, so a
+    /// lost attempt fails its job at once — its inputs are gone.
+    ft: Option<FaultTolerance>,
+    /// `Some`: every worker thread and every job's run record a lane,
+    /// timestamped from this epoch.
+    trace: Option<(TraceConfig, Instant)>,
     core: Mutex<Core<T>>,
     /// Workers sleep here while nothing is ready.
     work: Condvar,
@@ -971,16 +977,116 @@ struct Shared<T: Scalar> {
     admission: Condvar,
 }
 
-const POISONED: &str = "service core lock poisoned: a service thread panicked mid-bookkeeping";
-
 impl<T: Scalar> Shared<T> {
-    fn lock(&self) -> MutexGuard<'_, Core<T>> {
-        self.core.lock().expect(POISONED)
+    fn new(
+        cfg: ServiceConfig,
+        ft: Option<FaultTolerance>,
+        trace: Option<(TraceConfig, Instant)>,
+    ) -> Self {
+        let workers = cfg.effective_workers().max(1);
+        let lanes = trace.map_or(0, |_| workers + 1);
+        Shared {
+            cfg,
+            workers,
+            ft,
+            trace,
+            core: Mutex::new(Core {
+                draining: false,
+                in_flight: 0,
+                next_job: 0,
+                slots: Slots::new(workers),
+                jobs: BTreeMap::new(),
+                finalize_pending: Vec::new(),
+                parked: BinaryHeap::new(),
+                dead: Vec::new(),
+                vclock: 0.0,
+                dispatch_count: 0,
+                sleepers: 0,
+                stats: ServiceStats::default(),
+                lanes: (0..lanes).map(|_| None).collect(),
+                arenas: HotPathCounters::default(),
+            }),
+            work: Condvar::new(),
+            timer: Condvar::new(),
+            admission: Condvar::new(),
+        }
     }
 
-    /// Whether attempts are clocked for the stall watchdog.
-    fn watched(&self) -> bool {
-        self.cfg.fault_tolerance.stall_timeout.is_some()
+    fn lock(&self) -> MutexGuard<'_, Core<T>> {
+        self.guard(self.core.lock())
+    }
+
+    /// The guard out of a lock or wait result. A poisoned lock means a
+    /// thread panicked mid-bookkeeping: the books cannot be trusted any
+    /// more, so instead of panicking a second time the instance closes —
+    /// admission shuts, every job in the table fails with
+    /// [`RuntimeError::Disconnected`] (no handle is left unresolved), and
+    /// the threads leave as for a drained instance.
+    fn guard<'g>(&self, r: LockResult<MutexGuard<'g, Core<T>>>) -> MutexGuard<'g, Core<T>> {
+        r.unwrap_or_else(|poisoned| {
+            self.core.clear_poison();
+            let mut core = poisoned.into_inner();
+            core.draining = true;
+            while let Some((&id, job)) = core.jobs.first_key_value() {
+                let in_flight = job.run.in_flight();
+                let err = ServiceError::Runtime(RuntimeError::Disconnected { in_flight });
+                self.fail_job(&mut core, id, err);
+            }
+            self.timer.notify_one();
+            core
+        })
+    }
+
+    /// The stall watchdog's bound; attempts are clocked iff there is one.
+    fn stall_bound(&self) -> Option<Duration> {
+        self.ft?.stall_timeout
+    }
+
+    /// Build a Standard-class, deadline-free job that runs `graph` over
+    /// `state` and then `payload`, and the slot its reply arrives in — on
+    /// the caller's thread, before the lock.
+    fn job(
+        &self,
+        state: FactorState<T>,
+        graph: TaskGraph,
+        order: DispatchOrder,
+        cost: CostModel,
+        payload: Payload<T>,
+    ) -> (Box<JobState<T>>, Arc<ReplySlot<T>>) {
+        let (reply, reply_tx) = ReplySlot::open();
+        let meta = JobMeta {
+            id: 0,
+            class: PriorityClass::Standard,
+            submitted: Instant::now(),
+            deadline: None,
+            submit_dispatch_count: 0,
+            backlog_at_submit: 0,
+            queue_wait: Duration::ZERO,
+            dispatch_delay_tasks: 0,
+            reply: reply_tx,
+            graph,
+            payload,
+            class_compute_us: [0.0; 3],
+            class_tasks: [0; 3],
+            task_latency: LatencyHistogram::new(),
+        };
+        let b = state.tiles().tile_size();
+        let lane = self.trace.map(|(cfg, epoch)| {
+            let rec = WorkerRecorder::new(cfg.capacity_per_lane);
+            (rec, epoch)
+        });
+        let drift = self.cfg.drift;
+        let job = Box::new(JobState {
+            run: DagRun::new(&meta.graph, order, cost, drift, b, self.workers, lane),
+            meta,
+            shared: Arc::new(SharedFactorState::new(state)),
+            b,
+            cost,
+            vtime: 0.0,
+            injector: None,
+            started: None,
+        });
+        (job, reply)
     }
 
     /// Admit `job` (on the submitter's thread) once the admission bound
@@ -1001,7 +1107,7 @@ impl<T: Scalar> Shared<T> {
                     max_in_flight,
                 });
             }
-            core = self.admission.wait(core).expect(POISONED);
+            core = self.guard(self.admission.wait(core));
         }
         if core.draining {
             return Err(ServiceError::ShuttingDown);
@@ -1023,14 +1129,14 @@ impl<T: Scalar> Shared<T> {
             JobTuning::Probe => m.probe_jobs += 1,
             JobTuning::Tuned => m.tuned_jobs += 1,
         }
-        core.jobs.insert(id, *job);
+        core.jobs.insert(id, job);
         if core.sleepers > 0 {
             self.work.notify_one();
         }
         // The timer has to learn of a deadline to shed at (at once, if it
         // burned away while `submit` blocked on a saturated gate), and of
         // attempts to clock where there may have been none.
-        if deadline.is_some() || self.watched() {
+        if deadline.is_some() || self.stall_bound().is_some() {
             self.timer.notify_one();
         }
         Ok(id)
@@ -1048,7 +1154,7 @@ impl<T: Scalar> Shared<T> {
 
     /// Resolve a job's handle with `err`, release its admission slot and
     /// count the failure (plus its lifecycle counter, if it has one).
-    fn resolve_err(&self, core: &mut Core<T>, meta: JobMeta<T>, err: ServiceError) {
+    fn resolve_err(&self, core: &mut Core<T>, reply: ReplyTx<T>, err: ServiceError) {
         let m = &mut core.stats;
         m.jobs_failed += 1;
         match err {
@@ -1057,7 +1163,7 @@ impl<T: Scalar> Shared<T> {
             _ => {}
         }
         self.release(core);
-        meta.reply.send(Err(err));
+        reply.send(Err(err));
     }
 
     /// Shed every queued job whose deadline has passed. A job counts as
@@ -1084,48 +1190,33 @@ impl<T: Scalar> Shared<T> {
     }
 
     /// Stall watchdog: retire any worker whose in-flight task has aged
-    /// past `stall_timeout`, leave its slot for respawn (the pool never
+    /// past the bound, leave its slot for respawn (an instance never
     /// shrinks) and requeue the task exactly once through the normal retry
     /// path. The stalled thread's eventual late result (if it ever wakes)
     /// is deduplicated at the commit fence like any other stale attempt.
     fn sweep_watchdog(&self, core: &mut Core<T>) {
-        let Some(bound) = self.cfg.fault_tolerance.stall_timeout else {
+        let Some((ft, bound)) = self.ft.and_then(|ft| Some((ft, ft.stall_timeout?))) else {
             return;
         };
         for (w, (id, task, _)) in core.slots.take_stalled(bound, Instant::now()) {
             core.dead.push(w);
             core.stats.lifecycle.watchdog_retirements += 1;
-            let lost = format!("worker {w} stalled past {bound:?}");
-            self.after_loss(core, id, task, w, true, lost);
-        }
-    }
-
-    /// The worker on slot `w` was lost mid-attempt of `task` (panic
-    /// report or watchdog retirement): charge the retry to the *victim
-    /// job's* budget alone, or finish draining it if it was cancelled.
-    fn after_loss(
-        &self,
-        core: &mut Core<T>,
-        id: JobId,
-        task: TaskId,
-        w: usize,
-        expected: bool,
-        last: String,
-    ) {
-        let Some(job) = core.jobs.get_mut(&id) else {
-            return;
-        };
-        if job.run.on_panicked(task, w, expected) {
-            self.retry_or_fail(core, id, task, last);
-        } else {
-            self.finish_if_drained(core, id);
+            let Some(job) = core.jobs.get_mut(&id) else {
+                continue;
+            };
+            if job.run.on_panicked(task, w, true) {
+                let last = format!("worker {w} stalled past {bound:?}");
+                self.retry_or_fail(core, &ft, id, task, last);
+            } else {
+                self.finish_if_drained(core, id);
+            }
         }
     }
 
     /// Resolve a cancelled job once its in-flight work has drained.
     fn finish_if_drained(&self, core: &mut Core<T>, id: JobId) {
-        let drained = |j: &JobState<T>| j.run.is_halted() && j.run.in_flight() == 0;
-        if core.jobs.get(&id).is_some_and(drained) {
+        let job = core.jobs.get(&id);
+        if job.is_some_and(|j| j.run.is_halted() && j.run.in_flight() == 0) {
             self.fail_job(core, id, ServiceError::Cancelled);
         }
     }
@@ -1163,38 +1254,29 @@ impl<T: Scalar> Shared<T> {
                 return None;
             }
         };
-        // The resident arenas outlive the job, so only the state's own
+        if let Some(lane) = job.run.take_lane() {
+            deposit(&mut core.lanes[self.workers], lane);
+        }
+        // The arenas outlive the job, so only the state's own
         // copy-on-write count is attributable to it.
         let counters = HotPathCounters {
             cow_clones: state.cow_clones(),
             ..HotPathCounters::default()
         };
         let elapsed = job.started.map(|s| s.elapsed()).unwrap_or_default();
-        let delivery = Delivery {
-            meta: job.meta,
-            report: job.run.into_report(elapsed, None, counters),
-            task_latency: job.task_latency,
-            class_compute_us: job.class_compute_us,
-            class_tasks: job.class_tasks,
-        };
-        let body = JobBody {
-            state,
-            graph: job.graph,
-            rows: job.rows,
-            cols: job.cols,
-            payload: job.payload,
-        };
-        Some((delivery, body))
+        let report = job.run.into_report(elapsed, None, counters);
+        Some((job.meta, state, report))
     }
 
     /// Run a finished job's epilogue and resolve its handle — the result
     /// with everything that rides on it, or the epilogue's failure — on
     /// the calling thread (`worker`'s, or the timer's for a deferred job)
     /// with the lock released; it is taken only to count. A panicking
-    /// epilogue fails its job instead of killing the resident worker.
-    fn finish(&self, (delivery, body): Finished<T>, worker: usize) {
-        let Delivery { meta, report, .. } = delivery;
-        let output = catch_unwind(AssertUnwindSafe(move || finish_output(body)))
+    /// epilogue fails its job instead of killing the worker.
+    fn finish(&self, (meta, state, report): Finished<T>, worker: usize) {
+        let (graph, payload) = (meta.graph, meta.payload);
+        let epilogue = move || finish_output(state, graph, payload);
+        let output = catch_unwind(AssertUnwindSafe(epilogue))
             .map_err(|payload| {
                 ServiceError::Runtime(RuntimeError::TaskPanicked {
                     task: 0,
@@ -1205,7 +1287,7 @@ impl<T: Scalar> Shared<T> {
             .and_then(|output| output.map_err(ServiceError::Numeric));
         let output = match output {
             Ok(output) => output,
-            Err(err) => return self.resolve_err(&mut self.lock(), meta, err),
+            Err(err) => return self.resolve_err(&mut self.lock(), meta.reply, err),
         };
         let latency = meta.submitted.elapsed();
         {
@@ -1227,9 +1309,9 @@ impl<T: Scalar> Shared<T> {
             latency,
             dispatch_delay_tasks: meta.dispatch_delay_tasks,
             backlog_at_submit: meta.backlog_at_submit,
-            task_latency: delivery.task_latency,
-            class_compute_us: delivery.class_compute_us,
-            class_tasks: delivery.class_tasks,
+            task_latency: meta.task_latency,
+            class_compute_us: meta.class_compute_us,
+            class_tasks: meta.class_tasks,
         };
         meta.reply.send(Ok(result));
     }
@@ -1237,18 +1319,25 @@ impl<T: Scalar> Shared<T> {
     /// Deliver a failure for a job still in the table and drop its state.
     fn fail_job(&self, core: &mut Core<T>, id: JobId, err: ServiceError) {
         if let Some(job) = core.jobs.remove(&id) {
-            self.resolve_err(core, job.meta, err);
+            self.resolve_err(core, job.meta.reply, err);
         }
     }
 
-    /// Charge a failed attempt to the job's budget: park a retry (a new
+    /// Charge a lost attempt to the job's budget: park a retry (a new
     /// deadline for the timer) or fail the job once the budget is spent.
     /// Only this job is affected.
-    fn retry_or_fail(&self, core: &mut Core<T>, id: JobId, task: TaskId, last: String) {
+    fn retry_or_fail(
+        &self,
+        core: &mut Core<T>,
+        ft: &FaultTolerance,
+        id: JobId,
+        task: TaskId,
+        last: String,
+    ) {
         let Some(job) = core.jobs.get_mut(&id) else {
             return;
         };
-        match job.run.charge_retry(&self.cfg.fault_tolerance, task, last) {
+        match job.run.charge_retry(ft, task, last) {
             Ok(wake) => {
                 core.parked.push(Reverse((wake, id, task)));
                 self.timer.notify_one();
@@ -1274,10 +1363,10 @@ impl<T: Scalar> Shared<T> {
     ) -> Option<Finished<T>> {
         // Job already failed and was removed: drop the late result.
         let job = core.jobs.get_mut(&id)?;
-        match outcome {
+        let lost = match outcome {
             Outcome::Done(done) => {
                 let compute_ns = done.compute.as_nanos() as u64;
-                job.task_latency.record_ns(compute_ns);
+                job.meta.task_latency.record_ns(compute_ns);
                 // Poison fence: the output must not become an input of
                 // downstream tasks.
                 if let Some(tile) = poisoned.filter(|_| job.run.accepts(task)) {
@@ -1293,28 +1382,36 @@ impl<T: Scalar> Shared<T> {
                 let at = (task, attempt);
                 if job
                     .run
-                    .on_done(&job.graph, &job.shared, at, w, expected, done)
+                    .on_done(&job.meta.graph, &job.shared, at, w, expected, done)
                 {
-                    let slot = KernelClass::of(job.graph.task(task)).slot();
-                    job.class_compute_us[slot] += compute_ns as f64 / 1e3;
-                    job.class_tasks[slot] += 1;
-                    if job.run.all_done() {
-                        return self.retire(core, id);
-                    }
+                    let slot = KernelClass::of(job.meta.graph.task(task)).slot();
+                    job.meta.class_compute_us[slot] += compute_ns as f64 / 1e3;
+                    job.meta.class_tasks[slot] += 1;
+                    // The common case ends here, without another look-up.
+                    let last = job.run.all_done();
+                    return last.then(|| self.retire(core, id)).flatten();
                 }
-                self.finish_if_drained(core, id);
+                None
             }
-            Outcome::Failed(e) => {
-                if job.run.on_failed(task, expected) {
-                    self.retry_or_fail(core, id, task, e.to_string());
-                } else {
-                    self.finish_if_drained(core, id);
-                }
-            }
+            Outcome::Failed(source) => job
+                .run
+                .on_failed(task, expected)
+                .then_some(RuntimeError::Kernel { task, source }),
             Outcome::Panicked(message) => {
-                let last = format!("worker {w} panicked: {message}");
-                self.after_loss(core, id, task, w, expected, last);
+                let lost = job.run.on_panicked(task, w, expected);
+                lost.then_some(RuntimeError::TaskPanicked {
+                    task,
+                    worker: w,
+                    message,
+                })
             }
+        };
+        // A lost attempt costs a retry when fenced, the job when not
+        // (destructive staging lost the task's inputs).
+        match (lost, self.ft) {
+            (None, _) => self.finish_if_drained(core, id),
+            (Some(cause), None) => self.fail_job(core, id, ServiceError::Runtime(cause)),
+            (Some(cause), Some(ft)) => self.retry_or_fail(core, &ft, id, task, cause.to_string()),
         }
         None
     }
@@ -1348,13 +1445,13 @@ impl<T: Scalar> Shared<T> {
             job.meta.queue_wait = now.duration_since(job.meta.submitted);
             job.meta.dispatch_delay_tasks = core.dispatch_count - job.meta.submit_dispatch_count;
         }
-        let kind = job.graph.task(task);
+        let kind = job.meta.graph.task(task);
         let key = (id, task, attempt);
         core.dispatch_count += 1;
         core.vclock = job.vtime;
-        job.vtime += task_cost(job.cost, job.b, kind) / job.weight;
+        job.vtime += task_cost(job.cost, job.b, kind) / job.meta.class.weight();
         core.stats.tasks_dispatched += 1;
-        if self.watched() {
+        if self.stall_bound().is_some() {
             core.slots.watch(w, key);
         }
         Some(Unit {
@@ -1368,32 +1465,33 @@ impl<T: Scalar> Shared<T> {
 }
 
 // ---------------------------------------------------------------------------
-// computing threads
+// the threads of an instance
 // ---------------------------------------------------------------------------
 
-/// A resident computing thread on slot `w`: take a unit under the lock,
-/// run it with the lock released, settle it under the lock, and — for the
-/// commit that completes a job — run that job's epilogue and deliver its
-/// result, again with the lock released. Sleeps on `work` only while the
-/// core has nothing ready.
-fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
-    // One arena per resident thread, re-sized when a unit's tile size
-    // exceeds the largest the worker has seen — steady state allocates
-    // nothing.
+/// A computing thread on slot `w`: take a unit under the lock, run it with
+/// the lock released, settle it under the lock, and — for the commit that
+/// completes a job — run that job's epilogue and deliver its result, again
+/// with the lock released. Sleeps on `work` only while the core has
+/// nothing ready. `injector` stands in for jobs that carry none of their
+/// own (a one-shot run's borrowed test seam).
+fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultInjector>) {
+    let mut rec = (sh.trace).map(|(cfg, _)| WorkerRecorder::new(cfg.capacity_per_lane));
+    // One arena per thread, re-sized when a unit's tile size exceeds the
+    // largest the worker has seen — steady state allocates nothing.
     let (mut ws, mut sized_for) = (Workspace::<T>::new(0, 0), 0);
     let mut core = sh.lock();
     loop {
         let Some(unit) = sh.next_unit(&mut core, w) else {
             if core.draining && core.in_flight == 0 {
-                return;
+                break;
             }
             core.sleepers += 1;
-            core = sh.work.wait(core).expect(POISONED);
+            core = sh.guard(sh.work.wait(core));
             core.sleepers -= 1;
             continue;
         };
         // Wake a sleeper only when there is one and a unit left for it,
-        // so a busy service makes no futex call per task.
+        // so a busy instance makes no futex call per task.
         if core.sleepers > 0 && core.has_ready() {
             sh.work.notify_one();
         }
@@ -1403,29 +1501,30 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
             kind,
             b,
             shared,
-            injector,
+            injector: own,
         } = unit;
         if b > sized_for {
             (ws, sized_for) = (Workspace::new(b, b), b);
         }
-        let injector = injector.as_deref().map(|f| f as &dyn FaultInjector);
-        let at = (key.1, key.2);
-        let outcome = run_attempt(&shared, kind, at, injector, true, &mut ws, None);
+        let own = own.as_deref().map(|f| f as &dyn FaultInjector);
+        let lane = rec.as_mut().zip(sh.trace.map(|(_, epoch)| epoch));
+        let (at, fenced) = ((key.1, key.2), sh.ft.is_some());
+        let outcome = run_attempt(&shared, kind, at, own.or(injector), fenced, &mut ws, lane);
         // Drop the state handle *before* settling: if this was the job's
         // last task, the state is then unique and reclaimed on the spot.
         drop(shared);
-        let poisoned = match &outcome {
-            Outcome::Done(done) if is_panel_factor(kind) => {
-                done.completed.as_deref().and_then(|c| c.first_non_finite())
-            }
-            _ => None,
+        let scanned = if let (Outcome::Done(done), true) = (&outcome, is_panel_factor(kind)) {
+            done.completed.as_deref()
+        } else {
+            None
         };
+        let poisoned = scanned.and_then(|c| c.first_non_finite());
         let panicked = matches!(outcome, Outcome::Panicked(_));
         core = sh.lock();
         // Is this the attempt slot `w` is clocked for? Not if the watchdog
         // retired this thread while it was away: the slot belongs to its
         // replacement, and this thread must leave.
-        let expected = !sh.watched() || core.slots.settle(w, key);
+        let expected = sh.stall_bound().is_none() || core.slots.settle(w, key);
         let finished = sh.settle(&mut core, w, key, expected, outcome, poisoned);
         if let Some(job) = finished {
             drop(core);
@@ -1440,92 +1539,164 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
                 core.dead.push(w);
             }
             sh.timer.notify_one();
-            return;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// timer thread
-// ---------------------------------------------------------------------------
-
-fn spawn_worker<T: Scalar>(sh: &Arc<Shared<T>>, w: usize) -> JoinHandle<()> {
-    let sh = Arc::clone(sh);
-    std::thread::Builder::new()
-        .name(format!("qr-service-worker-{w}"))
-        .spawn(move || worker_loop(&sh, w))
-        .expect("spawn service worker")
-}
-
-/// The service's timer thread — what the pool's calling thread is to its
-/// workers. It owns the worker threads and does what only a clock can
-/// start: wake parked retries, shed queued jobs at their deadline, retire
-/// workers stalled past the watchdog bound, respawn every lost worker
-/// (retired, or gone after reporting a panic — the pool never shrinks),
-/// finalize a completed job once the straggler sharing its state lets go,
-/// and, at shutdown, stop the service when the core has drained and join
-/// every thread. Between those it sleeps on `timer`.
-fn timer_loop<T: Scalar>(sh: Arc<Shared<T>>) {
-    let mut threads: Vec<_> = (0..sh.workers).map(|w| spawn_worker(&sh, w)).collect();
-    let mut graveyard = Vec::new();
-    let mut core = sh.lock();
-    loop {
-        core.wake_parked();
-        sh.sweep_shed(&mut core);
-        sh.sweep_watchdog(&mut core);
-        for w in std::mem::take(&mut core.dead) {
-            graveyard.push(std::mem::replace(&mut threads[w], spawn_worker(&sh, w)));
-        }
-        let pending = std::mem::take(&mut core.finalize_pending);
-        let finished: Vec<_> = pending
-            .into_iter()
-            .filter_map(|id| sh.retire(&mut core, id))
-            .collect();
-        if !finished.is_empty() {
-            drop(core);
-            for job in finished {
-                sh.finish(job, 0);
-            }
-            core = sh.lock();
-            continue;
-        }
-        if core.sleepers > 0 && core.has_ready() {
-            sh.work.notify_one();
-        }
-        if core.draining && core.in_flight == 0 {
             break;
         }
-        // Sleep until the earliest of: a parked retry, a queued job's
-        // deadline, a watchdog expiry (no attempt that starts after `now`
-        // can expire before `now + bound`), the next look at a deferred
-        // finalization. Whoever sets an earlier one notifies.
-        let now = Instant::now();
-        let stall = sh.cfg.fault_tolerance.stall_timeout;
-        let clocked = stall.filter(|_| !core.jobs.is_empty());
-        let wake = [
-            core.parked.peek().map(|&Reverse((at, _, _))| at),
-            core.earliest_queued_deadline(),
-            clocked.map(|bound| {
-                let expiry = core.slots.earliest_stall_expiry(bound);
-                expiry.unwrap_or(now + bound)
-            }),
-            (!core.finalize_pending.is_empty()).then(|| now + Duration::from_millis(1)),
-        ];
-        core = match wake.into_iter().flatten().min() {
-            None => sh.timer.wait(core).expect(POISONED),
-            Some(at) => {
-                let left = at.saturating_duration_since(now);
-                sh.timer.wait_timeout(core, left).expect(POISONED).0
-            }
+    }
+    core.arenas.workspace_bytes += ws.bytes();
+    core.arenas.workspace_resizes += ws.resizes();
+    if let Some(rec) = rec {
+        deposit(&mut core.lanes[w], rec);
+    }
+}
+
+/// The clock of an instance, on the service's timer thread or on the
+/// thread that called a one-shot run. It owns the worker threads —
+/// scoped, so they may borrow the instance and are all joined on the way
+/// out — and does what only a clock can start: wake parked retries, shed
+/// queued jobs at their deadline, retire workers stalled past the watchdog
+/// bound, respawn every lost worker (retired, or gone after reporting a
+/// panic — an instance never shrinks), finalize a completed job once the
+/// straggler sharing its state lets go, and stop the instance when
+/// admission is closed and the core has drained. Between those it sleeps
+/// on `timer`.
+fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
+    std::thread::scope(|scope| {
+        let mut threads = Vec::new();
+        let mut spawn = |w: usize| {
+            let thread = std::thread::Builder::new()
+                .name(format!("qr-worker-{w}"))
+                .spawn_scoped(scope, move || worker_loop(sh, w, injector));
+            threads.push(thread.expect("spawn worker"));
         };
+        (0..sh.workers).for_each(&mut spawn);
+        let mut core = sh.lock();
+        loop {
+            core.wake_parked();
+            sh.sweep_shed(&mut core);
+            sh.sweep_watchdog(&mut core);
+            let pending = std::mem::take(&mut core.finalize_pending);
+            let finished: Vec<_> = pending
+                .into_iter()
+                .filter_map(|id| sh.retire(&mut core, id))
+                .collect();
+            if !finished.is_empty() {
+                drop(core);
+                for job in finished {
+                    sh.finish(job, 0);
+                }
+                core = sh.lock();
+                continue;
+            }
+            if core.draining && core.in_flight == 0 {
+                break;
+            }
+            std::mem::take(&mut core.dead)
+                .into_iter()
+                .for_each(&mut spawn);
+            if core.sleepers > 0 && core.has_ready() {
+                sh.work.notify_one();
+            }
+            // Sleep until the earliest of: a parked retry, a queued job's
+            // deadline, a watchdog expiry (no attempt that starts after
+            // `now` can expire before `now + bound`), the next look at a
+            // deferred finalization. Whoever sets an earlier one notifies.
+            let now = Instant::now();
+            let clocked = sh.stall_bound().filter(|_| !core.jobs.is_empty());
+            let wake = [
+                core.parked.peek().map(|&Reverse((at, _, _))| at),
+                core.earliest_queued_deadline(),
+                clocked.map(|bound| {
+                    let expiry = core.slots.earliest_stall_expiry(bound);
+                    expiry.unwrap_or(now + bound)
+                }),
+                (!core.finalize_pending.is_empty()).then(|| now + Duration::from_millis(1)),
+            ];
+            core = sh.guard(match wake.into_iter().flatten().min() {
+                None => sh.timer.wait(core),
+                Some(at) => {
+                    let woken = sh
+                        .timer
+                        .wait_timeout(core, at.saturating_duration_since(now));
+                    let woken = woken.map(|(core, _)| core);
+                    woken.map_err(|poisoned| PoisonError::new(poisoned.into_inner().0))
+                }
+            });
+        }
+        drop(core);
+        // The sleepers learn of the stop here; a worker still delivering
+        // sees it when it next looks. Then join every thread, even one
+        // finishing a late attempt; one that panicked outside an attempt
+        // has nothing to add, and must not panic this thread in turn.
+        sh.work.notify_all();
+        for thread in threads {
+            let _ = thread.join();
+        }
+    });
+}
+
+/// A one-shot run ([`parallel_factor`](crate::parallel_factor) and
+/// friends, `workers > 1`) as a one-job instance of this driver on the
+/// caller's stack: `state` over `graph` is admitted as its only job,
+/// admission closes behind it, and the calling thread keeps the clock
+/// until the instance has drained. What a one-shot run sets that the
+/// resident service does not: `ft` may be `None` (the unfenced fast mode),
+/// tracing may be on, and `injector` is borrowed for the call.
+pub(crate) fn run_pool<T: Scalar>(
+    state: FactorState<T>,
+    graph: &TaskGraph,
+    config: PoolConfig,
+    order: DispatchOrder,
+    ft: Option<FaultTolerance>,
+    injector: Option<&dyn FaultInjector>,
+) -> Result<(FactorState<T>, RunReport), RuntimeError> {
+    let started = Instant::now();
+    let cfg = ServiceConfig {
+        workers: config.effective_workers(),
+        policy: config.policy,
+        max_in_flight: 0,
+        fault_tolerance: ft.unwrap_or_default(),
+        cost: config.cost,
+        drift: config.drift,
+    };
+    let trace = config.trace.enabled.then_some((config.trace, started));
+    let sh = Shared::new(cfg, ft, trace);
+    let (job, reply) = sh.job(state, graph.clone(), order, config.cost, Payload::Factor);
+    let admitted = sh.admit(sh.lock(), job, JobTuning::Standard, false);
+    sh.lock().draining = true;
+    timer_loop(&sh, injector);
+    let result = admitted.and_then(|_| reply.take(None).unwrap_or(Err(ServiceError::Lost)));
+    let JobResult {
+        output, mut report, ..
+    } = result.map_err(|e| match e {
+        ServiceError::Runtime(e) => e,
+        // The poison fence of a fenced run: a kernel failure a caller can
+        // match on, carrying the service's message.
+        ServiceError::NumericalBreakdown {
+            task: Some(task), ..
+        } => RuntimeError::Kernel {
+            task,
+            source: MatrixError::Runtime {
+                reason: e.to_string(),
+            },
+        },
+        // Nothing else can happen to the one job of a scoped instance.
+        _ => RuntimeError::Disconnected { in_flight: 0 },
+    })?;
+    let Shared { workers, core, .. } = sh;
+    let core = core.into_inner().unwrap_or_else(PoisonError::into_inner);
+    report.elapsed = started.elapsed();
+    report.counters.workspace_bytes = core.arenas.workspace_bytes;
+    report.counters.workspace_resizes = core.arenas.workspace_resizes;
+    if trace.is_some() {
+        let lanes = core.lanes.into_iter();
+        let recorders: Vec<_> = lanes
+            .map(|lane| lane.unwrap_or_else(|| WorkerRecorder::new(1)))
+            .collect();
+        let mut names: Vec<String> = (0..workers).map(|w| format!("worker{w}")).collect();
+        names.push("manager".to_string());
+        report.trace = Some(merge_recorders(&recorders, names, graph));
     }
-    drop(core);
-    // The sleepers learn of the stop here; a worker still delivering sees
-    // it when it next looks. Then join current and retired threads.
-    sh.work.notify_all();
-    for handle in threads.into_iter().chain(graveyard) {
-        let _ = handle.join();
-    }
+    Ok((output.into_factor().state, report))
 }
 
 // ---------------------------------------------------------------------------
@@ -1556,34 +1727,13 @@ pub struct QrService<T: Scalar> {
 }
 
 impl<T: Scalar> QrService<T> {
-    /// Spawn the resident worker pool and its timer thread.
+    /// Spawn the timer thread, which spawns the resident worker pool.
     pub fn start(config: ServiceConfig) -> Self {
-        let workers = config.effective_workers().max(1);
-        let shared = Arc::new(Shared {
-            cfg: config,
-            workers,
-            core: Mutex::new(Core {
-                draining: false,
-                in_flight: 0,
-                next_job: 0,
-                slots: Slots::new(workers),
-                jobs: HashMap::new(),
-                finalize_pending: Vec::new(),
-                parked: BinaryHeap::new(),
-                dead: Vec::new(),
-                vclock: 0.0,
-                dispatch_count: 0,
-                sleepers: 0,
-                stats: ServiceStats::default(),
-            }),
-            work: Condvar::new(),
-            timer: Condvar::new(),
-            admission: Condvar::new(),
-        });
+        let shared = Arc::new(Shared::new(config, Some(config.fault_tolerance), None));
         let sh = Arc::clone(&shared);
         let timer = std::thread::Builder::new()
             .name("qr-service-timer".into())
-            .spawn(move || timer_loop(sh))
+            .spawn(move || timer_loop(&sh, None))
             .expect("spawn service timer");
         QrService {
             shared,
@@ -1646,41 +1796,13 @@ impl<T: Scalar> QrService<T> {
         }
         let (mt, nt) = (tiled.tile_rows(), tiled.tile_cols());
         let graph = TaskGraph::build_tree(mt, nt, spec.tree.resolve(mt, nt));
-        let state = FactorState::new(tiled);
         let sh = &self.shared;
-        let (reply, reply_tx) = ReplySlot::open();
-        let submitted = Instant::now();
-        let meta = JobMeta {
-            id: 0,
-            class: spec.priority,
-            submitted,
-            deadline: spec.deadline.map(|d| submitted + d),
-            submit_dispatch_count: 0,
-            backlog_at_submit: 0,
-            queue_wait: Duration::ZERO,
-            dispatch_delay_tasks: 0,
-            reply: reply_tx,
-        };
         let order = DispatchOrder::Policy(sh.cfg.policy);
         let cost = spec.cost.unwrap_or(sh.cfg.cost);
-        let job = Box::new(JobState {
-            weight: meta.class.weight(),
-            meta,
-            run: DagRun::new(&graph, order, cost, sh.cfg.drift, b, sh.workers, None),
-            shared: Arc::new(SharedFactorState::new(state)),
-            graph,
-            rows,
-            cols,
-            payload: spec.payload,
-            b,
-            cost,
-            vtime: 0.0,
-            injector: spec.injector,
-            started: None,
-            class_compute_us: [0.0; 3],
-            class_tasks: [0; 3],
-            task_latency: LatencyHistogram::new(),
-        });
+        let (mut job, reply) = sh.job(FactorState::new(tiled), graph, order, cost, spec.payload);
+        job.meta.class = spec.priority;
+        job.meta.deadline = spec.deadline.map(|d| job.meta.submitted + d);
+        job.injector = spec.injector;
         let id = sh.admit(sh.lock(), job, spec.tuning, block)?;
         Ok(JobHandle {
             id,
@@ -1702,14 +1824,11 @@ impl<T: Scalar> QrService<T> {
         self.stats()
     }
 
-    /// Also `Drop`'s body, so it must not panic on a poisoned lock; both
-    /// updates are single stores that leave the data valid. No submitter
-    /// can be blocked on the admission bound here: `submit` borrows the
-    /// service this call owns.
+    /// Also `Drop`'s body, so it must not panic: [`Shared::lock`] does not,
+    /// even on a poisoned lock. No submitter can be blocked on the
+    /// admission bound here: `submit` borrows the service this call owns.
     fn shutdown_inner(&self) {
-        (self.shared.core.lock())
-            .unwrap_or_else(PoisonError::into_inner)
-            .draining = true;
+        self.shared.lock().draining = true;
         self.shared.timer.notify_one();
         let timer = (self.timer.lock())
             .unwrap_or_else(PoisonError::into_inner)
@@ -2051,6 +2170,45 @@ mod tests {
         h2.wait().unwrap();
         let stats = service.shutdown();
         assert_eq!(stats.lifecycle.jobs_cancelled, u64::from(cancelled));
+    }
+
+    #[test]
+    fn poisoned_lock_fails_every_job_without_a_second_panic() {
+        let sh = Shared::<f64>::new(ServiceConfig::default(), None, None);
+        let job = || {
+            let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(8, 8, 1), 4).unwrap();
+            let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
+            let order = DispatchOrder::Policy(SchedulePolicy::Fifo);
+            let state = FactorState::new(tiled);
+            sh.job(state, graph, order, CostModel::Flops, Payload::Factor)
+        };
+        let (admitted, reply) = job();
+        sh.admit(sh.lock(), admitted, JobTuning::Standard, false)
+            .unwrap();
+        // A thread dying mid-bookkeeping poisons the lock...
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _core = sh.core.lock().unwrap();
+                panic!("mid-bookkeeping");
+            })
+            .join()
+        });
+        assert!(died.is_err() && sh.core.is_poisoned());
+        // ...and whoever takes it next closes the instance instead of
+        // panicking: no job left in the table, none left unresolved.
+        let core = sh.lock();
+        assert!(core.draining && core.jobs.is_empty() && core.in_flight == 0);
+        drop(core);
+        let lost = ServiceError::Runtime(RuntimeError::Disconnected { in_flight: 0 });
+        assert_eq!(
+            reply.take(None).unwrap().err().map(|e| e.to_string()),
+            Some(lost.to_string())
+        );
+        let (late, _) = job();
+        assert!(matches!(
+            sh.admit(sh.lock(), late, JobTuning::Standard, true),
+            Err(ServiceError::ShuttingDown)
+        ));
     }
 
     /// A handle on a reply slot of its own, with no service behind it.

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 use tileqr::{QrOptions, TiledQr};
-use tileqr_dag::{EliminationTree, TaskGraph};
+use tileqr_dag::{EliminationTree, TaskGraph, TaskKind};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
@@ -190,6 +190,43 @@ fn exhausted_retry_budget_is_a_structured_error_not_a_hang() {
         }
         other => panic!("expected RetriesExhausted, got {other}"),
     }
+}
+
+#[test]
+fn fenced_run_fails_at_a_poisoned_panel_factor() {
+    // The fence a service job has: a panel factor that comes out
+    // non-finite fails the run at that task, before any update reads it.
+    let a = random_matrix::<f64>(32, 32, 0xF7);
+    let (tiled, g, _) = sequential(&a, 8);
+    let later = (g.tasks().iter())
+        .position(|t| matches!(t, TaskKind::Tsqrt { .. }))
+        .unwrap();
+    for workers in workers_under_test() {
+        for policy in policies_under_test() {
+            for victim in [0, later] {
+                let inj = ScriptedFaults::new().poison_on(victim, 1);
+                let err = ft_run(&tiled, &g, workers, policy, FaultTolerance::default(), &inj)
+                    .expect_err("a poisoned panel factor must not commit");
+                match &err {
+                    RuntimeError::Kernel { task, source } => {
+                        assert_eq!(*task, victim, "workers={workers}");
+                        assert!(source.to_string().contains("non-finite"), "{source}");
+                    }
+                    other => panic!("expected Kernel, got {other}"),
+                }
+            }
+        }
+    }
+    // Unfenced runs commit on the worker: nothing stands between a poisoned
+    // output and `R`, as before.
+    let inj = ScriptedFaults::new().poison_on(0, 1);
+    let config = PoolConfig {
+        workers: 2,
+        ..PoolConfig::default()
+    };
+    let (state, _) =
+        parallel_factor_ft(FactorState::new(tiled), &g, config, None, Some(&inj)).unwrap();
+    assert!(state.r_matrix().first_non_finite().is_some());
 }
 
 #[test]

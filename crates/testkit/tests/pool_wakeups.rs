@@ -1,9 +1,9 @@
 //! Wake-up and termination of the self-scheduling pool.
 //!
-//! Workers take their own next task under the pool's one lock and sleep
-//! on a condvar only when nothing is ready; the calling thread sleeps
-//! until the run ends, a worker dies, or a timer (parked retry,
-//! watchdog) is due. The failure mode of that design is a *lost
+//! Workers take their own next task under the driver's one lock and sleep
+//! on a condvar only when nothing is ready; the calling thread keeps the
+//! clock: it sleeps until the run ends, a worker dies (its slot is
+//! respawned), or a timer (parked retry, watchdog) is due. The failure mode of that design is a *lost
 //! wake-up*: a run that never returns. Every case here therefore runs
 //! real threads under a watchdog thread that fails the test instead of
 //! hanging, on graphs whose ready set keeps draining to zero — so most
@@ -211,22 +211,35 @@ fn watchdog_retires_a_stalled_worker_while_the_other_sleeps() {
     }
 }
 
+/// Panics attempt 0 of tasks 0 and 1 — the two sources of a 2 × 1 binary
+/// tree — once both are in hand, so each of a 2-worker run's first two
+/// threads is holding one and dies of it.
+struct BothDie(std::sync::Barrier);
+
+impl FaultInjector for BothDie {
+    fn before_attempt(&self, task: TaskId, attempt: u32) -> InjectedFault {
+        if task < 2 && attempt == 0 {
+            self.0.wait();
+            return InjectedFault::Panic;
+        }
+        InjectedFault::None
+    }
+}
+
 #[test]
-fn emptied_pool_is_all_workers_dead() {
+fn a_run_whose_first_threads_all_die_finishes_on_respawned_ones() {
+    // Every lost slot is respawned, so the run ends on threads that did not
+    // exist when it started.
     for policy in policies_under_test() {
-        let (err, tasks) = within(Duration::from_secs(30), "emptied pool", move || {
-            let (tiled, g, _) = flat3();
-            let inj = ScriptedFaults::new().panic_on(0, 99);
-            let ft = FaultTolerance {
-                max_attempts: 99,
-                ..FaultTolerance::default()
-            };
-            let err = ft_run(&tiled, &g, config(2, policy), Some(ft), &inj).unwrap_err();
-            (err, g.len())
+        within(Duration::from_secs(30), "respawn", move || {
+            let (tiled, g, r) = case(2, 1, EliminationTree::Binary);
+            let inj = BothDie(std::sync::Barrier::new(2));
+            let ft = Some(FaultTolerance::default());
+            let (st, report) = ft_run(&tiled, &g, config(2, policy), ft, &inj).unwrap();
+            assert_eq!(st.r_matrix(), r);
+            assert_eq!(report.worker_deaths, 2);
+            assert_eq!((report.requeues, report.retries), (2, 2));
+            assert_eq!(report.total_tasks() as usize, g.len());
         });
-        assert!(
-            matches!(err, RuntimeError::AllWorkersDead { completed: 0, total } if total == tasks),
-            "{err}"
-        );
     }
 }

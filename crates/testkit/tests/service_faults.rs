@@ -448,3 +448,74 @@ fn late_failure_from_retired_worker_is_ignored() {
 fn late_panic_from_retired_worker_is_ignored() {
     late_report_is_ignored(InjectedFault::Panic);
 }
+
+/// Parks every attempt on a three-way barrier twice: once so the test knows
+/// both jobs are in flight, once until the test has broken the service.
+struct Parked(std::sync::Barrier);
+
+impl FaultInjector for Parked {
+    fn before_attempt(&self, _task: usize, _attempt: u32) -> InjectedFault {
+        self.0.wait();
+        self.0.wait();
+        InjectedFault::None
+    }
+}
+
+/// The one piece of caller code the service runs under its lock is a job's
+/// injector being dropped with the job.
+struct PanicsWhenDropped;
+
+impl FaultInjector for PanicsWhenDropped {
+    fn before_attempt(&self, _task: usize, _attempt: u32) -> InjectedFault {
+        InjectedFault::None
+    }
+}
+
+impl Drop for PanicsWhenDropped {
+    fn drop(&mut self) {
+        panic!("dropped under the service lock");
+    }
+}
+
+/// A thread that panics holding the service lock closes the service, it
+/// does not take every other thread down with it: the jobs in flight fail
+/// with `Disconnected` (none reads `Lost`, none hangs), a later `submit`
+/// reads `ShuttingDown`, and `stats` / `shutdown` return.
+#[test]
+fn poisoned_lock_fails_the_jobs_in_flight_and_closes_the_service() {
+    tileqr_testkit::within(Duration::from_secs(30), "poisoned service", || {
+        let svc = QrService::<f64>::start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        // Two one-task jobs, one per worker, both parked mid-attempt.
+        let parked = Arc::new(Parked(std::sync::Barrier::new(3)));
+        let one_task = |seed| JobSpec::factor(random_matrix::<f64>(8, 8, seed)).tile_size(8);
+        let in_flight: Vec<_> = (0..2)
+            .map(|i| svc.submit(one_task(70 + i).faults(parked.clone())).unwrap())
+            .collect();
+        parked.0.wait();
+        // A third job, still queued: cancelling it resolves it on this
+        // thread, under the lock, and drops its injector there.
+        let queued = svc
+            .submit(one_task(72).faults(Arc::new(PanicsWhenDropped)))
+            .unwrap();
+        let cancel = std::panic::AssertUnwindSafe(|| queued.cancel());
+        assert!(std::panic::catch_unwind(cancel).is_err());
+        assert!(matches!(queued.wait(), Err(ServiceError::Cancelled)));
+        parked.0.wait();
+        for h in in_flight {
+            match h.wait() {
+                Err(ServiceError::Runtime(RuntimeError::Disconnected { in_flight: 1 })) => {}
+                other => panic!("expected Disconnected, got {:?}", other.err()),
+            }
+        }
+        assert!(matches!(
+            svc.submit(one_task(73)),
+            Err(ServiceError::ShuttingDown)
+        ));
+        assert_eq!(svc.stats().jobs_failed, 3);
+        let stats = svc.shutdown();
+        assert_eq!((stats.jobs_submitted, stats.jobs_completed), (3, 0));
+    });
+}

@@ -9,15 +9,17 @@
 //! tree × schedule policy through the virtual explorer, then hold each
 //! tree's factors to the condition-scaled numerical oracles over the
 //! adversarial generator family. The flat and binary trees repeat both in
-//! `f32`, the paper's element type, at `f32`-scaled budgets.
+//! `f32`, the paper's element type, at `f32`-scaled budgets; Greedy,
+//! Fibonacci and the `Auto` policy's TSQR run `f32` through the real driver.
 
 use std::collections::HashSet;
 
 use tileqr::{QrOptions, TiledQr, TreePolicy};
-use tileqr_dag::EliminationTree;
+use tileqr_dag::{EliminationTree, TaskGraph};
+use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::{graded, hilbert_like, near_rank_deficient, random_matrix};
-use tileqr_matrix::Matrix;
-use tileqr_runtime::SchedulePolicy;
+use tileqr_matrix::{Matrix, TiledMatrix};
+use tileqr_runtime::{QrService, SchedulePolicy};
 use tileqr_testkit::explorer::{assert_bit_identical, explore_tree_vs_sequential, ExploreStrategy};
 use tileqr_testkit::oracle::verify_qr;
 use tileqr_testkit::workers_under_test;
@@ -134,6 +136,48 @@ fn f32_trees_pass_condition_scaled_oracles() {
             let rep = verify_qr(a, &f.q().unwrap(), &f.r(), Some(*kappa)).unwrap();
             assert!(rep.passes(), "{tree} on {name} (f32): {rep:?}");
             assert!(rep.r_deviation.is_some(), "{name}: |R| check must run");
+        }
+    }
+}
+
+/// `f32` on the trees the two tests above skip — Greedy, Fibonacci, and
+/// `TreePolicy::Auto`, which resolves a tall-skinny grid to TSQR — through
+/// the host driver at every worker count under test: a one-shot run, a job
+/// of a resident service and the sequential `run_all` are one factorization
+/// bit for bit, and it passes the oracles at `f32`'s epsilon.
+#[test]
+fn f32_greedy_fibonacci_and_auto_agree_across_one_shot_service_and_sequential() {
+    let (rows, cols, b) = (192, 32, 16);
+    let a = random_matrix::<f32>(rows, cols, 0xF33);
+    let auto = EliminationTree::default_for(rows / b, cols / b);
+    assert!(matches!(auto, EliminationTree::Tsqr(_)));
+    for (policy, tree) in [
+        (
+            TreePolicy::Fixed(EliminationTree::Greedy),
+            EliminationTree::Greedy,
+        ),
+        (
+            TreePolicy::Fixed(EliminationTree::Fibonacci),
+            EliminationTree::Fibonacci,
+        ),
+        (TreePolicy::Auto, auto),
+    ] {
+        let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
+        let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), tree);
+        let mut sequential = FactorState::new(tiled);
+        sequential.run_all(&g).unwrap();
+        for workers in workers_under_test() {
+            let opts = QrOptions::new().tile_size(b).tree(policy).workers(workers);
+            let one_shot = TiledQr::factor(&a, &opts).unwrap();
+            assert_eq!(one_shot.graph().tree(), tree, "{policy:?}");
+            assert_bit_identical(one_shot.state(), &sequential);
+            let service = QrService::start(opts.to_service_config());
+            let (job, _) = TiledQr::factor_on(&service, &a, &opts).unwrap();
+            assert_eq!(job.graph().tree(), tree, "{policy:?} on the service");
+            assert_bit_identical(job.state(), &sequential);
+            service.shutdown();
+            let rep = verify_qr(&a, &one_shot.q().unwrap(), &one_shot.r(), Some(1e2)).unwrap();
+            assert!(rep.passes(), "{tree} workers={workers} (f32): {rep:?}");
         }
     }
 }

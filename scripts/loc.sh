@@ -5,11 +5,17 @@
 #   * every layer listed in scripts/loc_budget must stay within its budget;
 #   * one execution engine: each engine marker (a call or construction that
 #     the pool and the service each used to spell out themselves) may occur
-#     at most once in non-test runtime code, and the workers of both drivers
-#     schedule themselves under one lock: no `mpsc` (no manager round trip
-#     per task, no channel per job) in non-test `pool.rs` or `service.rs`,
-#     none of the service's old wire types anywhere in the crate, and no
-#     small-job batching: every job of the service is a `DagRun`;
+#     at most once in non-test runtime code;
+#   * one host driver: "self-scheduling workers + one clock thread over a
+#     table of `DagRun`s behind one lock" is written once, in `service.rs`
+#     — one `worker_loop`, one `timer_loop`, workers spawned at one
+#     `spawn_scoped` and no thread spawned anywhere else but the service's
+#     timer; the scoped pool's own state, its no-respawn error and the
+#     detached-worker spawner stay deleted, tests included; `pool.rs` holds
+#     no thread or lock at all; the workers schedule themselves: no `mpsc`
+#     (no manager round trip per task, no channel per job), none of the
+#     service's old wire types anywhere in the crate, and no small-job
+#     batching: every job is a `DagRun`;
 #   * one cost vocabulary: `dag::cost` defines the Fig. 4 curve, table and
 #     class; no second definition and no bridge function anywhere else;
 #   * one JSON reader and one string escaper in `crates/obs`;
@@ -91,11 +97,17 @@ for marker in "${markers[@]}"; do
     [ "$n" -le 1 ] || fail "engine marker /$marker/ occurs $n times in non-test runtime code:" "$hits"
 done
 
-for driver in pool service; do
-    if hits=$(non_test crates/runtime/src/$driver.rs | grep mpsc); then
-        fail "mpsc in non-test $driver.rs (workers must self-schedule, not be fed over channels):" "$hits"
-    fi
-done
+# One driver. Tests count for the deleted names, so that one is a plain grep.
+if hits=$(grep -rnE 'struct PoolState|AllWorkersDead|fn spawn_worker\b' crates); then
+    fail "the scoped pool's own driver is back (a one-shot run is a one-job instance of service.rs):" "$hits"
+fi
+expect 1 'fn worker_loop\b' "worker loops in the runtime" crates/runtime
+expect 1 'fn timer_loop\b' "clock loops in the runtime" crates/runtime
+expect 1 'spawn_scoped' "places a worker thread is spawned" crates/runtime
+expect 1 'thread::spawn|\.spawn\(' "detached spawns (QrService::start's timer is the one)" crates/runtime
+expect 0 'mpsc' "channels in the runtime (workers self-schedule)" crates/runtime
+hits=$(non_test crates/runtime/src/pool.rs | grep -E 'Mutex|Condvar|BinaryHeap|catch_unwind|thread::scope|spawn' || true)
+[ -z "$hits" ] || fail "pool.rs is config, report, entry points and the inline path; threads and locks live in service.rs:" "$hits"
 expect 0 'TaskDone|Work::Task|EpilogueDone' "manager/worker wire types of the service" crates/runtime
 expect 0 'SmallJob|PendingBatch|Unit::Batch|batch_max_|run_small' \
     "small-job batching (a second path through the service)" crates/runtime

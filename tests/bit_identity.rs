@@ -18,10 +18,12 @@ fn factor_sequential<T: Scalar>(a: &Matrix<T>, b: usize, order: EliminationTree)
     st
 }
 
-/// The pool at every worker count and policy against `run_all`, on the flat
-/// and the binary tree.
-fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize]) {
-    for order in [EliminationTree::Flat, EliminationTree::Binary] {
+const FLAT_AND_BINARY: [EliminationTree; 2] = [EliminationTree::Flat, EliminationTree::Binary];
+
+/// The driver at every worker count and policy against `run_all`, on each
+/// of `trees`.
+fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize], trees: &[EliminationTree]) {
+    for &order in trees {
         let seq = factor_sequential(a, b, order);
         let seq_tiles = seq.tiles().to_matrix();
         let seq_r = seq.r_matrix();
@@ -59,14 +61,14 @@ fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize]) {
 #[test]
 fn parallel_runs_bit_identical_to_sequential_across_the_sweep() {
     let a = tileqr::gen::random_matrix::<f64>(48, 48, 4242);
-    sweep(&a, 8, &[1, 2, 4, 8]);
+    sweep(&a, 8, &[1, 2, 4, 8], &FLAT_AND_BINARY);
 }
 
 #[test]
 fn tall_matrix_sweep_is_bit_identical() {
     // Tall grid: exercises the TT tree merges under contention.
     let a = tileqr::gen::random_matrix::<f64>(64, 16, 77);
-    sweep(&a, 8, &[2, 8]);
+    sweep(&a, 8, &[2, 8], &FLAT_AND_BINARY);
 }
 
 #[test]
@@ -75,6 +77,18 @@ fn f32_sweeps_are_bit_identical() {
     // paper's b = 16, where every kernel takes the vector core.
     for (rows, cols, b) in [(48, 48, 8), (64, 16, 8), (96, 64, 16), (128, 32, 16)] {
         let a = tileqr::gen::random_matrix::<f32>(rows, cols, (rows * 31 + cols) as u64);
-        sweep(&a, b, &[1, 2, 4]);
+        sweep(&a, b, &[1, 2, 4], &FLAT_AND_BINARY);
     }
+}
+
+#[test]
+fn f32_sweeps_are_bit_identical_on_greedy_fibonacci_and_tsqr() {
+    // The TT trees and the tall-skinny tree `TreePolicy::Auto` resolves to,
+    // in the paper's element type at the paper's tile size.
+    let (rows, cols, b) = (192, 32, 16);
+    let a = tileqr::gen::random_matrix::<f32>(rows, cols, 0xF32);
+    let tsqr = EliminationTree::default_for(rows / b, cols / b);
+    assert!(matches!(tsqr, EliminationTree::Tsqr(_)));
+    let trees = [EliminationTree::Greedy, EliminationTree::Fibonacci, tsqr];
+    sweep(&a, b, &[1, 2, 4], &trees);
 }
