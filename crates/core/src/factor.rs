@@ -52,8 +52,6 @@ impl<T: Scalar> TiledQr<T> {
             workers: opts.get_workers(),
             policy: opts.get_schedule(),
             trace: opts.get_tracing(),
-            cost: opts.get_cost_model(),
-            drift: opts.get_drift(),
         };
         let (state, report) = match opts.get_fault_tolerance() {
             // A single worker runs inline either way, so fault tolerance
@@ -89,8 +87,7 @@ impl<T: Scalar> TiledQr<T> {
     ) -> Result<(Self, RunReport)> {
         let spec = JobSpec::factor(a.clone())
             .tile_size(opts.get_tile_size())
-            .tree(opts.get_tree())
-            .cost_model(opts.get_cost_model());
+            .tree(opts.get_tree());
         let handle = service.submit(spec).map_err(MatrixError::from)?;
         let result = handle.wait().map_err(MatrixError::from)?;
         let report = result.report;

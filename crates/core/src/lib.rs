@@ -76,7 +76,7 @@ pub mod runtime {
         NoFaults, PoolConfig, ReadyQueue, ReadyTracker, RunReport, RuntimeError, SchedulePolicy,
         ScriptedFaults, TraceConfig,
     };
-    pub use tileqr_runtime::{ClassCosts, CostCurve, CostModel, DriftConfig};
+    pub use tileqr_runtime::{ClassCosts, CostCurve, CostModel};
     pub use tileqr_runtime::{
         FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, JobTuning, PriorityClass,
         QrService, ServiceConfig, ServiceError, ServiceStats, WaitTimeout,

@@ -1,7 +1,7 @@
 //! Factorization options.
 
-use tileqr_dag::{CostModel, TreePolicy};
-use tileqr_runtime::{DriftConfig, FaultTolerance, SchedulePolicy, ServiceConfig, TraceConfig};
+use tileqr_dag::TreePolicy;
+use tileqr_runtime::{FaultTolerance, SchedulePolicy, ServiceConfig, TraceConfig};
 
 /// Options controlling a [`crate::TiledQr`] factorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -12,8 +12,6 @@ pub struct QrOptions {
     schedule: SchedulePolicy,
     fault_tolerance: Option<FaultTolerance>,
     tracing: TraceConfig,
-    cost: CostModel,
-    drift: DriftConfig,
 }
 
 impl Default for QrOptions {
@@ -27,8 +25,6 @@ impl Default for QrOptions {
             schedule: SchedulePolicy::Fifo,
             fault_tolerance: None,
             tracing: TraceConfig::default(),
-            cost: CostModel::default(),
-            drift: DriftConfig::default(),
         }
     }
 }
@@ -94,28 +90,6 @@ impl QrOptions {
         self
     }
 
-    /// Task-cost model for scheduling priorities:
-    /// [`CostModel::Flops`] (default) ranks by kernel flop counts, while
-    /// [`CostModel::Calibrated`] ranks by measured microseconds from
-    /// fitted per-class timing curves (`tileqr::obs::cost_model` derives
-    /// one from a calibrated device profile). Affects only dispatch
-    /// order; the factors stay bit-identical.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Online drift re-weighting: with a calibrated cost model, the
-    /// runtime compares live kernel durations against the model at panel
-    /// boundaries and re-ranks the remaining DAG once the damped
-    /// threshold is crossed. Off by default; requires
-    /// [`cost_model`](Self::cost_model) with calibrated curves to have
-    /// any effect.
-    pub fn drift(mut self, drift: DriftConfig) -> Self {
-        self.drift = drift;
-        self
-    }
-
     /// Configured tile size.
     pub fn get_tile_size(&self) -> usize {
         self.tile_size
@@ -146,20 +120,9 @@ impl QrOptions {
         self.tracing
     }
 
-    /// Configured cost model ([`CostModel::Flops`] by default).
-    pub fn get_cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// Configured drift re-weighting (disabled by default).
-    pub fn get_drift(&self) -> DriftConfig {
-        self.drift
-    }
-
     /// Derive a resident-service configuration from these options: the
-    /// worker count, schedule policy, cost model, and (if set)
-    /// fault-tolerance budget carry over; the admission bound takes the
-    /// service default. Pair with
+    /// worker count, schedule policy, and (if set) fault-tolerance budget
+    /// carry over; the admission bound takes the service default. Pair with
     /// [`TiledQr::factor_on`](crate::TiledQr::factor_on) to route the
     /// single-matrix path through one long-lived
     /// [`QrService`](tileqr_runtime::QrService).
@@ -168,8 +131,6 @@ impl QrOptions {
             workers: self.workers,
             policy: self.schedule,
             fault_tolerance: self.fault_tolerance.unwrap_or_default(),
-            cost: self.cost,
-            drift: self.drift,
             ..ServiceConfig::default()
         }
     }
@@ -235,39 +196,5 @@ mod tests {
     #[should_panic]
     fn zero_tile_rejected() {
         let _ = QrOptions::new().tile_size(0);
-    }
-
-    #[test]
-    fn cost_and_drift_knobs_flow_into_service_config() {
-        use tileqr_dag::{ClassCosts, CostCurve};
-        let costs = ClassCosts {
-            triangulation: CostCurve {
-                c0: 2.0,
-                c1: 0.0,
-                c2: 0.004,
-            },
-            elimination: CostCurve {
-                c0: 2.0,
-                c1: 0.0,
-                c2: 0.004,
-            },
-            update: CostCurve {
-                c0: 2.0,
-                c1: 0.0,
-                c2: 0.006,
-            },
-        };
-        let o = QrOptions::new()
-            .cost_model(CostModel::Calibrated(costs))
-            .drift(DriftConfig::on());
-        assert_eq!(o.get_cost_model(), CostModel::Calibrated(costs));
-        assert!(o.get_drift().enabled);
-        let sc = o.to_service_config();
-        assert_eq!(sc.cost, CostModel::Calibrated(costs));
-        assert!(sc.drift.enabled);
-        // Defaults stay inert.
-        let d = QrOptions::default();
-        assert_eq!(d.get_cost_model(), CostModel::Flops);
-        assert!(!d.get_drift().enabled);
     }
 }

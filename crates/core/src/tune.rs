@@ -14,20 +14,24 @@
 //!    [`DeviceProfile`] and the shape flips to *tuned*.
 //! 3. **Every later job** of that shape runs the plan the measured
 //!    profile selects: at the flip, `tileqr_sched::select::select_plan`
-//!    sweeps `(tile size, elimination tree)` candidates through the
-//!    discrete-event simulator — once per fitted profile, not per job —
-//!    and the winner runs with
-//!    [`tileqr_runtime::CostModel::Calibrated`] priorities, tagged
-//!    [`JobTuning::Tuned`].
+//!    list-schedules `(tile size, elimination tree)` candidates over the
+//!    fitted curves (`tileqr_dag::list_makespan`) — once per fitted
+//!    profile, not per job — and the winner runs tagged
+//!    [`JobTuning::Tuned`] with its [`JobSpec::cost_model`] set to
+//!    [`tileqr_runtime::CostModel::Calibrated`]: the measured curves
+//!    price its WFQ charge always and rank its ready set under
+//!    `SchedulePolicy::CriticalPath`. This is the one road by which
+//!    measured costs reach a run.
 //! 4. Fitted profiles **persist** as JSON
 //!    ([`tileqr_obs::ProfileStore`]): point `TILEQR_PROFILE` (or
 //!    [`TunerConfig::profile_path`]) at a store file and later services
 //!    warm-start tuned — zero probe jobs for known shapes.
 //!
-//! This unifies the Song-style probe tuner (`tileqr::hetero::autotune`)
-//! with the geometry-aware tree selector into one tuning path over real
-//! measurements: the probe *is* the calibration run, and the sweep is a
-//! simulation over fitted curves instead of repeated real runs.
+//! The Song-style probe tuner and the geometry-aware tree selector are
+//! one tuning path over real measurements — [`TunedQrService`] in front
+//! of `tileqr_sched::select::select_plan`: the probe *is* the
+//! calibration run, and the sweep is a schedule over fitted curves
+//! instead of repeated real runs.
 //!
 //! Probing is a scheduling concern only — probe jobs produce exactly the
 //! same bit-exact factors as tuned or standard jobs.

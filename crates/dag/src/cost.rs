@@ -15,11 +15,12 @@
 //! critical-path priority can lose to FIFO on a real host;
 //! [`CostModel::Calibrated`] ranks by measured microseconds instead.
 //!
-//! The types here are pure `Copy` data, so every layer — `PoolConfig`,
-//! `ServiceConfig`, `QrOptions`, the simulator — can carry them without
-//! growing its dependency graph. The per-task accessors are `#[inline]`:
-//! the simulators in other crates call them once per simulated task
-//! (without it `sim::engine` measured ~8 % fewer tasks per second).
+//! The types here are pure `Copy` data, so every layer — a service job
+//! (`JobSpec::cost_model`, set by the online tuner), the profile JSON,
+//! the simulator — can carry them without growing its dependency graph.
+//! The per-task accessors are `#[inline]`: the simulators in other crates
+//! call them once per simulated task (without it `sim::engine` measured
+//! ~8 % fewer tasks per second).
 
 use crate::task::{StepClass, TaskKind};
 
@@ -125,20 +126,13 @@ impl ClassCosts {
         self.curve(KernelClass::of(kind)).eval_us(b)
     }
 
-    /// Expected per-task latency of each class at tile size `b`, µs, by
-    /// [`KernelClass::slot`] — the drift detector's baseline.
-    pub fn expected_us(&self, b: usize) -> [f64; 3] {
-        KernelClass::ALL.map(|class| self.curve(class).eval_us(b))
-    }
-
-    /// Costs with each class curve scaled by its slot's factor (drift
-    /// re-weighting applies the observed per-class slowdown ratios; a
-    /// degraded simulated device applies one factor to all three).
-    pub fn scaled(&self, factors: [f64; 3]) -> ClassCosts {
+    /// Costs with every class curve scaled by `factor` (a degraded
+    /// simulated device).
+    pub fn scaled(&self, factor: f64) -> ClassCosts {
         ClassCosts {
-            triangulation: self.triangulation.scaled(factors[0]),
-            elimination: self.elimination.scaled(factors[1]),
-            update: self.update.scaled(factors[2]),
+            triangulation: self.triangulation.scaled(factor),
+            elimination: self.elimination.scaled(factor),
+            update: self.update.scaled(factor),
         }
     }
 }
@@ -153,16 +147,6 @@ pub enum CostModel {
     /// Measured microseconds from calibrated per-class curves; makes
     /// `SchedulePolicy::CriticalPath` rank by predicted wall time.
     Calibrated(ClassCosts),
-}
-
-impl CostModel {
-    /// Stable lowercase name for logs and bench artifacts.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CostModel::Flops => "flops",
-            CostModel::Calibrated(_) => "calibrated",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,10 +197,7 @@ mod tests {
             k: 0,
         };
         assert_eq!(c.cost_us(ut, 16), c.cost_us(ue, 16));
-        assert_eq!(
-            c.expected_us(16)[KernelClass::Update.slot()],
-            c.cost_us(ut, 16)
-        );
+        assert_eq!(c.curve(KernelClass::Update).eval_us(16), c.cost_us(ut, 16));
     }
 
     #[test]
@@ -262,17 +243,19 @@ mod tests {
 
     #[test]
     fn scaled_applies_per_slot() {
-        let c = costs().scaled([2.0, 3.0, 4.0]);
-        assert!((c.triangulation.eval_us(8) - 2.0 * costs().triangulation.eval_us(8)).abs() < 1e-9);
-        assert!((c.elimination.eval_us(8) - 3.0 * costs().elimination.eval_us(8)).abs() < 1e-9);
-        assert!((c.update.eval_us(8) - 4.0 * costs().update.eval_us(8)).abs() < 1e-9);
+        let c = costs().scaled(3.0);
+        for class in KernelClass::ALL {
+            let (got, base) = (c.curve(class).eval_us(8), costs().curve(class).eval_us(8));
+            assert!((got - 3.0 * base).abs() < 1e-9, "{class:?}");
+        }
     }
 
     #[test]
     fn model_names_and_extraction() {
-        assert_eq!(CostModel::Flops.name(), "flops");
+        // The default stays inert: a job that names no model is weighed
+        // by flops, exactly as a one-shot run.
         assert_eq!(CostModel::default(), CostModel::Flops);
         let m = CostModel::Calibrated(costs());
-        assert_eq!(m.name(), "calibrated");
+        assert!(matches!(m, CostModel::Calibrated(c) if c == costs()));
     }
 }

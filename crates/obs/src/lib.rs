@@ -24,7 +24,6 @@
 pub mod calibrate;
 pub mod chrome;
 pub mod counters;
-pub mod drift;
 pub mod hist;
 mod json;
 pub mod profile_json;
@@ -36,7 +35,6 @@ pub use calibrate::{
     KernelSample, SimVsReal,
 };
 pub use counters::{HotPathCounters, LifecycleCounters};
-pub use drift::{DriftConfig, DriftDetector};
 pub use hist::{bucket_bounds, bucket_of, KernelHistograms, LatencyHistogram, NUM_BUCKETS};
 pub use profile_json::{
     default_profile_path, profile_from_json, profile_to_json, ProfileStore, PROFILE_ENV,

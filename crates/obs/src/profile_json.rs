@@ -288,6 +288,76 @@ mod tests {
         );
     }
 
+    /// The store is the one input from outside the process that reaches a
+    /// job's cost model (the tuner's `JobSpec::cost_model`). Several
+    /// hundred seeded mutations of a valid two-entry document — truncated,
+    /// one number replaced by `NaN` / `-1` / `1e400` / nothing, one byte
+    /// dropped or doubled — never panic the reader, and whatever it still
+    /// accepts holds only finite, non-negative curves and a sane `cores`.
+    #[test]
+    fn seeded_mutations_never_panic_or_admit_bad_curves() {
+        use tileqr_dag::KernelClass;
+        let mut store = ProfileStore::new();
+        store.insert("256x128", sample());
+        store.insert("64x64", sample().slowed(2.0));
+        let clean = store.to_json().into_bytes();
+        // Byte ranges of the numeric values (`cores` and the coefficients).
+        let is_num = |b: u8| b.is_ascii_digit() || b"-+.eE".contains(&b);
+        let mut numbers = Vec::new();
+        for i in 2..clean.len() {
+            if &clean[i - 2..i] == b": " && is_num(clean[i]) {
+                let len = clean[i..].iter().take_while(|&&b| is_num(b)).count();
+                numbers.push((i, i + len));
+            }
+        }
+        assert_eq!(numbers.len(), 2 * 10, "cores + 9 coefficients per entry");
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let mut accepted = 0;
+        for case in 0..800 {
+            let mut doc = clean.clone();
+            match case % 4 {
+                0 => doc.truncate(below(clean.len())),
+                1 => {
+                    let (s, e) = numbers[below(numbers.len())];
+                    let with = ["NaN", "-1", "1e400", ""][below(4)];
+                    doc.splice(s..e, with.bytes());
+                }
+                2 => {
+                    doc.remove(below(clean.len()));
+                }
+                _ => {
+                    let i = below(clean.len());
+                    doc.insert(i, clean[i]);
+                }
+            }
+            let doc = String::from_utf8(doc).expect("the document is ASCII");
+            let parsed = std::panic::catch_unwind(|| ProfileStore::from_json(&doc));
+            let Ok(store) = parsed.unwrap_or_else(|_| panic!("case {case} panicked on {doc}"))
+            else {
+                continue;
+            };
+            accepted += 1;
+            for (key, p) in &store.entries {
+                assert!((1..=1 << 20).contains(&p.cores), "case {case} {key}: {doc}");
+                for class in KernelClass::ALL {
+                    let c = p.times.curve(class);
+                    for v in [c.c0, c.c1, c.c2] {
+                        assert!(v.is_finite() && v >= 0.0, "case {case} {key}: {doc}");
+                    }
+                }
+            }
+        }
+        // Some mutations (a doubled digit, a truncated trailing newline)
+        // leave a valid document: the accept branch above did run.
+        assert!(accepted > 0);
+    }
+
     #[test]
     fn missing_env_var_yields_no_default_path() {
         // PROFILE_ENV is not set in the test environment.

@@ -10,8 +10,8 @@
 //! * [`run_attempt`] — the worker-side body of one task attempt: fault
 //!   seam, staging, kernel, optional worker-side commit, optional spans.
 //! * [`DagRun`] — the per-DAG state machine: readiness, dispatch order,
-//!   the `committed` fence, the per-task attempt budget, drift
-//!   re-weighting, and the counters that become a [`RunReport`].
+//!   the `committed` fence, the per-task attempt budget, and the
+//!   counters that become a [`RunReport`].
 //! * [`Slots`] — which worker slot is running what since when: the "is
 //!   this the report I am waiting for" test and the stall watchdog's
 //!   scan.
@@ -26,13 +26,11 @@ use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
 use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use tileqr_dag::{bottom_levels, ClassCosts, CostModel, KernelClass, TaskGraph, TaskId, TaskKind};
+use tileqr_dag::{CostModel, TaskGraph, TaskId, TaskKind};
 use tileqr_kernels::exec::{CompletedTask, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
-use tileqr_obs::{
-    DriftConfig, DriftDetector, HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder,
-};
+use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder};
 
 /// Nanosecond trace timestamp of `t` relative to the run's `epoch`.
 #[inline]
@@ -67,7 +65,8 @@ pub struct Attempt<T: Scalar> {
     pub stage_wait: Duration,
     /// Time inside the worker-side `commit` (zero when fenced).
     pub commit_wait: Duration,
-    /// Kernel-only duration — the drift detector's input.
+    /// Kernel-only duration — a job's task latency and per-class compute
+    /// time (the tuner's probe samples).
     pub compute: Duration,
 }
 
@@ -167,7 +166,6 @@ pub(crate) struct Tally {
     retries: u64,
     requeues: u64,
     worker_deaths: u64,
-    drift_reweights: u64,
 }
 
 impl Tally {
@@ -201,7 +199,6 @@ impl Tally {
             retries: self.retries,
             requeues: self.requeues,
             worker_deaths: self.worker_deaths,
-            drift_reweights: self.drift_reweights,
             trace,
             counters,
         }
@@ -227,13 +224,6 @@ pub struct DagRun {
     attempts: Vec<u32>,
     in_flight: usize,
     halted: bool,
-    b: usize,
-    /// Armed iff drift detection is on and the cost model is calibrated:
-    /// the detector plus the *original* calibration. The detector's
-    /// ratios are absolute against that, so each re-weight scales the
-    /// original, never already-scaled costs.
-    drift: Option<(DriftDetector, ClassCosts)>,
-    drift_panel: usize,
     /// The manager's own trace lane (ready/dispatch/recovery instants and
     /// the fenced commits) plus the run's epoch.
     lane: Option<(WorkerRecorder, Instant)>,
@@ -242,13 +232,13 @@ pub struct DagRun {
 
 impl DagRun {
     /// Start a run of `graph` at tile size `b` over `workers` worker
-    /// slots, with the sources already in the ready set. `lane`, when
-    /// tracing, is the manager's recorder plus the run's epoch.
+    /// slots, with the sources already in the ready set. `cost` weighs
+    /// the bottom levels of a priority order. `lane`, when tracing, is
+    /// the manager's recorder plus the run's epoch.
     pub fn new(
         graph: &TaskGraph,
         order: DispatchOrder,
         cost: CostModel,
-        drift: DriftConfig,
         b: usize,
         workers: usize,
         lane: Option<(WorkerRecorder, Instant)>,
@@ -260,14 +250,6 @@ impl DagRun {
             attempts: vec![0; graph.len()],
             in_flight: 0,
             halted: false,
-            b,
-            drift: match cost {
-                CostModel::Calibrated(base) if drift.enabled => {
-                    Some((DriftDetector::new(drift, base.expected_us(b)), base))
-                }
-                _ => None,
-            },
-            drift_panel: 0,
             lane,
             tally: Tally {
                 tasks_per_worker: vec![0; workers],
@@ -386,24 +368,6 @@ impl DagRun {
         }
         self.committed[t] = true;
         self.tally.tasks_per_worker[w] += 1;
-        let kind = graph.task(t);
-        if let Some((detector, base)) = self.drift.as_mut() {
-            detector.record(
-                KernelClass::of(kind).slot(),
-                done.compute.as_secs_f64() * 1e6,
-            );
-            // Panel boundary: the first committed task of a later panel
-            // closes the previous panel's window.
-            if kind.panel() > self.drift_panel {
-                self.drift_panel = kind.panel();
-                if let Some(ratios) = detector.check() {
-                    let (scaled, b) = (base.scaled(ratios), self.b);
-                    self.queue
-                        .reprioritize(bottom_levels(graph, |k| scaled.cost_us(k, b)));
-                    self.tally.drift_reweights += 1;
-                }
-            }
-        }
         let (queue, lane) = (&mut self.queue, &mut self.lane);
         self.tracker.complete(graph, t, |r| {
             mark(lane, RawKind::Ready, r, 0);

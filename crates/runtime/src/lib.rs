@@ -20,7 +20,7 @@
 //! One engine, one driver: everything a scheduler does *per DAG* —
 //! readiness ([`ReadyTracker`]), [`SchedulePolicy`] order
 //! ([`ReadyQueue`]), the commit fence, the retry budget, the stall
-//! watchdog's bookkeeping, drift re-weighting — and the worker-side body
+//! watchdog's bookkeeping — and the worker-side body
 //! of one task attempt live once, thread-free, in [`engine`]; the threads
 //! around it — self-scheduling workers over a table of engine runs behind
 //! one lock, one thread keeping the clock, every lost worker respawned —
@@ -73,4 +73,4 @@ pub use service::{
     QrService, ServiceConfig, ServiceError, ServiceStats, WaitTimeout,
 };
 pub use tileqr_dag::{ClassCosts, CostCurve, CostModel};
-pub use tileqr_obs::{DriftConfig, TraceConfig};
+pub use tileqr_obs::TraceConfig;

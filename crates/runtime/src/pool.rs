@@ -22,8 +22,8 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::flops;
 use tileqr_matrix::{MatrixError, Result, Scalar};
 use tileqr_obs::{
-    merge_recorders, DriftConfig, HotPathCounters, KernelHistograms, RawEvent, RawKind, Trace,
-    TraceConfig, WorkerRecorder,
+    merge_recorders, HotPathCounters, KernelHistograms, RawEvent, RawKind, Trace, TraceConfig,
+    WorkerRecorder,
 };
 
 /// Worker-pool configuration.
@@ -36,16 +36,6 @@ pub struct PoolConfig {
     /// Lifecycle tracing. Disabled by default; when disabled the pool
     /// allocates no recorders and reads no extra clocks.
     pub trace: TraceConfig,
-    /// Where bottom-level priorities come from: flop counts (default) or
-    /// calibrated per-class timing curves, so
-    /// [`SchedulePolicy::CriticalPath`] can rank by measured microseconds.
-    pub cost: CostModel,
-    /// Performance-drift re-weighting. Requires a
-    /// [`CostModel::Calibrated`] model; at panel boundaries the engine
-    /// compares measured compute durations against the model and, past
-    /// the damped threshold, recomputes bottom levels for the remaining
-    /// DAG in place. Off by default.
-    pub drift: DriftConfig,
 }
 
 impl PoolConfig {
@@ -85,10 +75,6 @@ pub struct RunReport {
     pub requeues: u64,
     /// Workers retired mid-run (panicked or stalled past the watchdog).
     pub worker_deaths: u64,
-    /// Times the drift detector fired and the engine re-ranked the ready
-    /// set under freshly scaled costs. Always 0 unless the run had a
-    /// calibrated cost model and drift detection enabled.
-    pub drift_reweights: u64,
     /// Unified lifecycle trace of the run — `Some` iff the run's
     /// [`TraceConfig`] was enabled. One lane per worker plus a `manager`
     /// lane carrying ready/dispatch/recovery instants (and, in
@@ -136,17 +122,6 @@ impl RunReport {
         max / avg
     }
 
-    /// Total lock-path time (stage + commit) as a fraction of `elapsed`
-    /// summed over workers — how much of the run the hot path spent
-    /// touching shared state.
-    pub fn lock_fraction(&self) -> f64 {
-        let denom = self.elapsed.as_secs_f64() * self.tasks_per_worker.len().max(1) as f64;
-        if denom == 0.0 {
-            return 0.0;
-        }
-        (self.stage_wait.as_secs_f64() + self.commit_wait.as_secs_f64()) / denom
-    }
-
     /// Per-kernel latency histograms over the run's compute spans.
     /// `None` when the run was not traced.
     pub fn kernel_histograms(&self) -> Option<KernelHistograms> {
@@ -154,9 +129,10 @@ impl RunReport {
     }
 }
 
-/// Task weight under the run's [`CostModel`] at tile size `b`: kernel
-/// flop counts (the seed behaviour — bottom levels reflect real work, not
-/// just DAG depth) or calibrated microseconds.
+/// Task weight under a job's [`CostModel`] at tile size `b`: kernel flop
+/// counts (a one-shot run's, and a service job's by default — bottom
+/// levels reflect real work, not just DAG depth) or the calibrated
+/// microseconds a tuned job carries.
 pub fn model_weight(cost: CostModel, b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
     move |t| match cost {
         CostModel::Flops => flops::task_flops(t, b) as f64,
@@ -461,9 +437,10 @@ mod tests {
         assert_eq!(report.retries, 0);
         assert_eq!(report.requeues, 0);
         assert_eq!(report.worker_deaths, 0);
-        // The whole point of per-tile ownership: the lock path is a sliver
-        // of the run.
-        assert!(report.lock_fraction() < 0.5);
+        // The whole point of per-tile ownership: the lock path (stage +
+        // commit, summed over the 3 workers) is a sliver of the run.
+        let lock_path = report.stage_wait + report.commit_wait;
+        assert!(lock_path.as_secs_f64() < 0.5 * 3.0 * report.elapsed.as_secs_f64());
     }
 
     #[test]
@@ -565,7 +542,6 @@ mod tests {
             retries: 0,
             requeues: 0,
             worker_deaths: 0,
-            drift_reweights: 0,
             trace: None,
             counters: HotPathCounters::default(),
         };

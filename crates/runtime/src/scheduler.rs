@@ -188,16 +188,6 @@ impl ReadyQueue {
         }
     }
 
-    /// Build a queue for `policy`, computing priorities from `graph` and a
-    /// per-task weight when the policy needs them.
-    pub fn for_policy(
-        policy: SchedulePolicy,
-        graph: &TaskGraph,
-        weight: impl Fn(tileqr_dag::TaskKind) -> f64,
-    ) -> Self {
-        Self::for_order(DispatchOrder::Policy(policy), graph, weight)
-    }
-
     /// Build a queue for any [`DispatchOrder`], computing priorities from
     /// `graph` and a per-task weight when the order needs them.
     pub fn for_order(
@@ -277,32 +267,6 @@ impl ReadyQueue {
     /// `true` when no task is ready.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Swap in a new priority table mid-run and rebuild the heap over the
-    /// currently-ready tasks — the drift re-weighting hook. Priority-based
-    /// queues drain and re-push every ready entry under the new table;
-    /// order-insensitive disciplines (FIFO/LIFO/seeded) ignore the call.
-    /// Returns `true` when the queue actually re-ranked.
-    pub fn reprioritize(&mut self, new_priorities: Vec<f64>) -> bool {
-        match &mut self.repr {
-            QueueRepr::Heap {
-                heap,
-                priorities,
-                sign,
-            } => {
-                *priorities = new_priorities;
-                let old = std::mem::take(heap);
-                for entry in old {
-                    heap.push(Prioritized {
-                        priority: *sign * priorities.get(entry.id).copied().unwrap_or(0.0),
-                        id: entry.id,
-                    });
-                }
-                true
-            }
-            _ => false,
-        }
     }
 
     /// High-water mark of the ready-set depth over the queue's lifetime.
@@ -512,6 +476,8 @@ mod tests {
         ];
         for order in orders {
             let mut q = ReadyQueue::for_order(order, &g, |_| 1.0);
+            assert_eq!(q.order(), order);
+            assert_eq!(q.policy(), order.base_policy());
             let mut tr = ReadyTracker::new(&g);
             let mut done = vec![false; g.len()];
             for t in tr.initial_ready(&g) {
@@ -529,36 +495,5 @@ mod tests {
             }
             assert_eq!(drained, g.len(), "{order:?}");
         }
-    }
-
-    #[test]
-    fn reprioritize_reranks_ready_tasks_in_place() {
-        let mut q = ReadyQueue::critical_path(vec![1.0, 2.0, 3.0, 4.0]);
-        for id in 0..4 {
-            q.push(id);
-        }
-        // Invert the table mid-run: ranks must follow the new priorities.
-        assert!(q.reprioritize(vec![4.0, 3.0, 2.0, 1.0]));
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-
-        // FIFO is order-insensitive: the call is a no-op.
-        let mut f = ReadyQueue::fifo();
-        f.push(7);
-        f.push(3);
-        assert!(!f.reprioritize(vec![0.0; 8]));
-        assert_eq!(f.pop(), Some(7));
-        assert_eq!(f.pop(), Some(3));
-    }
-
-    #[test]
-    fn for_policy_uses_bottom_levels() {
-        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
-        let q = ReadyQueue::for_policy(SchedulePolicy::CriticalPath, &g, |_| 1.0);
-        assert_eq!(q.policy(), SchedulePolicy::CriticalPath);
-        let f = ReadyQueue::for_policy(SchedulePolicy::Fifo, &g, |_| 1.0);
-        assert_eq!(f.policy(), SchedulePolicy::Fifo);
     }
 }

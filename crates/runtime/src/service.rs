@@ -26,12 +26,13 @@
 //!   [`QrService::submit`] blocks for a slot (backpressure);
 //!   [`QrService::try_submit`] fails fast with [`ServiceError::Saturated`].
 //! * **Fair share**: each job carries a virtual time; dispatching a task
-//!   advances it by `task_flops / class_weight`. A worker always takes
-//!   from the backlogged job with the smallest virtual time, and a newly
-//!   admitted job starts at the *minimum* virtual time of the current
-//!   backlog — it can never be scheduled behind work that arrived after
-//!   it, and a heavy job cannot monopolise the pool. A one-task job is a
-//!   job like any other: it takes the same route, one task long.
+//!   advances it by `task_cost / class_weight`, the cost in flops or in
+//!   the calibrated µs of the job's [`JobSpec::cost_model`]. A worker
+//!   always takes from the backlogged job with the smallest virtual time,
+//!   and a newly admitted job starts at the *minimum* virtual time of the
+//!   current backlog — it can never be scheduled behind work that arrived
+//!   after it, and a heavy job cannot monopolise the pool. A one-task job
+//!   is a job like any other: it takes the same route, one task long.
 //! * **Execution and recovery**: every job owns one [`DagRun`] of the
 //!   shared [`engine`](crate::engine), and workers run its fenced
 //!   [`run_attempt`]. Non-destructive staging plus the engine's commit
@@ -87,8 +88,8 @@ use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, SharedFac
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
 use tileqr_obs::{
-    merge_recorders, DriftConfig, HotPathCounters, LatencyHistogram, LifecycleCounters,
-    TraceConfig, WorkerRecorder,
+    merge_recorders, HotPathCounters, LatencyHistogram, LifecycleCounters, TraceConfig,
+    WorkerRecorder,
 };
 
 /// Job identifier, unique per service instance (1-based).
@@ -149,12 +150,6 @@ pub struct ServiceConfig {
     /// Per-job retry budget and backoff for panicked or transiently
     /// failed tasks.
     pub fault_tolerance: FaultTolerance,
-    /// Default task-cost model for bottom-level priorities and WFQ
-    /// virtual time (per-job [`JobSpec::cost_model`] overrides it).
-    pub cost: CostModel,
-    /// Per-job performance-drift re-weighting (needs a calibrated cost
-    /// model, the service default or a per-job override). Off by default.
-    pub drift: DriftConfig,
 }
 
 impl Default for ServiceConfig {
@@ -164,8 +159,6 @@ impl Default for ServiceConfig {
             policy: SchedulePolicy::default(),
             max_in_flight: 64,
             fault_tolerance: FaultTolerance::default(),
-            cost: CostModel::default(),
-            drift: DriftConfig::default(),
         }
     }
 }
@@ -201,7 +194,7 @@ pub struct JobSpec<T: Scalar> {
     priority: PriorityClass,
     deadline: Option<Duration>,
     injector: Option<Arc<dyn FaultInjector + Send + Sync>>,
-    cost: Option<CostModel>,
+    cost: CostModel,
     tuning: JobTuning,
 }
 
@@ -215,7 +208,7 @@ impl<T: Scalar> JobSpec<T> {
             priority: PriorityClass::Standard,
             deadline: None,
             injector: None,
-            cost: None,
+            cost: CostModel::Flops,
             tuning: JobTuning::Standard,
         }
     }
@@ -286,10 +279,13 @@ impl<T: Scalar> JobSpec<T> {
         self
     }
 
-    /// Override the service's default [`CostModel`] for this job's
-    /// priorities and fair-share accounting.
+    /// The [`CostModel`] that weighs this job's tasks (default
+    /// [`CostModel::Flops`]): its WFQ charge per task always, and its
+    /// bottom-level priorities under [`SchedulePolicy::CriticalPath`].
+    /// The one way measured costs enter a run — the online tuner sets
+    /// [`CostModel::Calibrated`] on every tuned job.
     pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = Some(cost);
+        self.cost = cost;
         self
     }
 
@@ -693,9 +689,6 @@ pub struct ServiceStats {
     /// cancelled, poisoned panel factors contained, and stalled workers
     /// retired by the watchdog.
     pub lifecycle: LifecycleCounters,
-    /// Times a job's drift detector fired and its remaining DAG was
-    /// re-ranked under freshly scaled calibrated costs.
-    pub drift_reweights: u64,
     /// Jobs submitted tagged [`JobTuning::Probe`] (paid calibration).
     pub probe_jobs: u64,
     /// Jobs submitted tagged [`JobTuning::Tuned`] (ran on measured plans).
@@ -823,7 +816,7 @@ struct JobState<T: Scalar> {
     b: usize,
     cost: CostModel,
     vtime: f64,
-    /// Readiness, fence, retry budget, drift and counters. A cancelled
+    /// Readiness, fence, retry budget and counters. A cancelled
     /// job is a halted run: nothing more dispatches or commits, and the
     /// job resolves once its in-flight attempts have drained.
     run: DagRun,
@@ -1075,9 +1068,8 @@ impl<T: Scalar> Shared<T> {
             let rec = WorkerRecorder::new(cfg.capacity_per_lane);
             (rec, epoch)
         });
-        let drift = self.cfg.drift;
         let job = Box::new(JobState {
-            run: DagRun::new(&meta.graph, order, cost, drift, b, self.workers, lane),
+            run: DagRun::new(&meta.graph, order, cost, b, self.workers, lane),
             meta,
             shared: Arc::new(SharedFactorState::new(state)),
             b,
@@ -1294,7 +1286,6 @@ impl<T: Scalar> Shared<T> {
             let mut core = self.lock();
             let m = &mut core.stats;
             m.jobs_completed += 1;
-            m.drift_reweights += report.drift_reweights;
             m.queue_wait.record_ns(meta.queue_wait.as_nanos() as u64);
             m.latency.record_ns(latency.as_nanos() as u64);
             m.class_latency[meta.class.index()].record_ns(latency.as_nanos() as u64);
@@ -1655,12 +1646,16 @@ pub(crate) fn run_pool<T: Scalar>(
         policy: config.policy,
         max_in_flight: 0,
         fault_tolerance: ft.unwrap_or_default(),
-        cost: config.cost,
-        drift: config.drift,
     };
     let trace = config.trace.enabled.then_some((config.trace, started));
     let sh = Shared::new(cfg, ft, trace);
-    let (job, reply) = sh.job(state, graph.clone(), order, config.cost, Payload::Factor);
+    let (job, reply) = sh.job(
+        state,
+        graph.clone(),
+        order,
+        CostModel::Flops,
+        Payload::Factor,
+    );
     let admitted = sh.admit(sh.lock(), job, JobTuning::Standard, false);
     sh.lock().draining = true;
     timer_loop(&sh, injector);
@@ -1798,8 +1793,8 @@ impl<T: Scalar> QrService<T> {
         let graph = TaskGraph::build_tree(mt, nt, spec.tree.resolve(mt, nt));
         let sh = &self.shared;
         let order = DispatchOrder::Policy(sh.cfg.policy);
-        let cost = spec.cost.unwrap_or(sh.cfg.cost);
-        let (mut job, reply) = sh.job(FactorState::new(tiled), graph, order, cost, spec.payload);
+        let state = FactorState::new(tiled);
+        let (mut job, reply) = sh.job(state, graph, order, spec.cost, spec.payload);
         job.meta.class = spec.priority;
         job.meta.deadline = spec.deadline.map(|d| job.meta.submitted + d);
         job.injector = spec.injector;

@@ -77,7 +77,7 @@ impl DeviceProfile {
             name: format!("{}-slow{factor}", self.name),
             kind: self.kind,
             cores: self.cores,
-            times: self.times.scaled([factor; 3]),
+            times: self.times.scaled(factor),
         }
     }
 }

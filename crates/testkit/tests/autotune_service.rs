@@ -258,3 +258,36 @@ fn oversized_cores_entry_is_no_profile_not_a_panic() {
     warm.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+/// A document the store rejects (one curve coefficient turned negative)
+/// at `TunerConfig::profile_path` is no profile: the tuner probes, and the
+/// probe's `R` is bit-identical to the sequential run of its tile size.
+#[test]
+fn rejected_profile_document_probes_bit_identically() {
+    let tiles = [4usize, 8, 16];
+    let mut store = ProfileStore::new();
+    store.insert("48x48", synthetic_profile(2));
+    store.insert("64x32", synthetic_profile(2));
+    let clean = store.to_json();
+    let coeff = "\"c2\": 0.006";
+    let at = clean.find(coeff).unwrap();
+    let rejected = format!("{}\"c2\": -1{}", &clean[..at], &clean[at + coeff.len()..]);
+    assert!(ProfileStore::from_json(&rejected).is_err());
+
+    let path = scratch_path("rejected");
+    std::fs::write(&path, &rejected).unwrap();
+    let svc: TunedQrService<f64> =
+        TunedQrService::start_with(service_config(), tuner(&tiles, Some(path.clone())));
+    assert!(svc.profile_for(48, 48).is_none());
+    let a = random_matrix::<f64>(48, 48, 47);
+    let (f, _, plan) = svc.factor(&a).unwrap();
+    assert_eq!(plan, JobPlan::Probe { tile_size: 4 });
+    let seq = TiledQr::factor(&a, &QrOptions::new().tile_size(4)).unwrap();
+    assert_eq!(
+        f.r(),
+        seq.r(),
+        "a probe after a rejected store stays bit-exact"
+    );
+    assert_eq!(svc.shutdown().probe_jobs, 1);
+    let _ = std::fs::remove_file(&path);
+}

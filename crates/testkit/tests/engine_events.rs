@@ -25,7 +25,7 @@ use tileqr_kernels::exec::{FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Rng64, TiledMatrix};
-use tileqr_obs::{DriftConfig, HotPathCounters};
+use tileqr_obs::HotPathCounters;
 use tileqr_runtime::engine::{run_attempt, DagRun, Outcome, Slots};
 use tileqr_runtime::{
     DispatchOrder, FaultInjector, FaultTolerance, InjectedFault, RunReport, RuntimeError,
@@ -114,15 +114,7 @@ impl<'g> Machine<'g> {
         Machine {
             graph,
             shared: SharedFactorState::new(FactorState::new(tiled)),
-            run: DagRun::new(
-                graph,
-                order,
-                CostModel::Flops,
-                DriftConfig::default(),
-                B,
-                WORKERS,
-                None,
-            ),
+            run: DagRun::new(graph, order, CostModel::Flops, B, WORKERS, None),
             slots: Slots::new(WORKERS),
             idle: (0..WORKERS).rev().collect(),
             ws: Workspace::new(B, B),

@@ -72,7 +72,6 @@ fn golden_traces_across_workers_and_policies() {
                     workers,
                     policy,
                     trace: TraceConfig::enabled(),
-                    ..PoolConfig::default()
                 },
                 DispatchOrder::Policy(policy),
             )

@@ -38,7 +38,11 @@
 #   * one road from a calibrated profile to a plan (`core::tune` ->
 #     `select_plan`): no selector hook in the service, no second tuner, and
 #     the k-identical-cores question goes to `dag::listsim`, so nothing in
-#     `sched` or `obs` puts a bus behind a one-device question.
+#     `sched` or `obs` puts a bus behind a one-device question;
+#   * one road for measured costs into a run: `JobSpec::cost_model`, set by
+#     the tuner — no drift re-weighting, no cost or drift field on a public
+#     config, and the helpers nothing called (`ReadyQueue::for_policy`,
+#     `RunReport::lock_fraction`, `CostModel::name`) stay deleted.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -88,7 +92,7 @@ expect() {
 
 # error.rs declares and prints `RetriesExhausted`; everything else in the
 # crate may only *construct* it, once.
-markers=('\.before_attempt\(' 'stage_preserving\(' 'RetriesExhausted \{' '\.reprioritize\(' '\.backoff\(')
+markers=('\.before_attempt\(' 'stage_preserving\(' 'RetriesExhausted \{' '\.backoff\(')
 for marker in "${markers[@]}"; do
     hits=$(for f in crates/runtime/src/*.rs; do
         [ "$(basename "$f")" = error.rs ] || non_test "$f"
@@ -156,6 +160,14 @@ if hits=$(grep -rnE "$road" crates tests examples); then
     fail "a second road from a profile to a plan is back (core::tune -> select_plan is the one):" "$hits"
 fi
 expect 0 'pcie2_x16' "a bus behind a one-device question" crates/sched crates/obs
+# Tests and examples count for the retired names here too.
+drift='DriftConfig|DriftDetector|drift_reweights|fn (reprioritize|expected_us|for_policy|lock_fraction)\b'
+if hits=$(grep -rnE "$drift" crates tests examples); then
+    fail "a second road for measured costs is back (JobSpec::cost_model is the one):" "$hits"
+fi
+expect 0 'fn name\b' "CostModel::name (nothing called it)" crates/dag/src/cost.rs
+expect 0 'pub (cost|drift):' "a public config field carrying a cost model" crates/runtime crates/core
+expect 1 'pub fn cost_model\(' "public cost-model setters (JobSpec's is the one)" crates/runtime crates/core
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
