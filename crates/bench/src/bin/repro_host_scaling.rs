@@ -1,7 +1,7 @@
 //! Real-thread analogue of the paper's Fig. 8 on the machine we actually
 //! have: tiled QR wall time versus computing-thread count, with per-worker
-//! load balance from the manager/worker runtime (paper Fig. 7), under both
-//! dispatch policies.
+//! load balance from the self-scheduling driver (FIFO dispatch, the one
+//! production order).
 //!
 //! Usage: `repro_host_scaling [n] [b] [--json out.json]`
 
@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::gen::random_matrix;
 use tileqr::kernels::{flops, FactorState};
-use tileqr::runtime::{parallel_factor_traced, PoolConfig, SchedulePolicy};
+use tileqr::runtime::{parallel_factor_traced, PoolConfig};
 use tileqr::TiledMatrix;
 
 fn main() {
@@ -42,53 +42,48 @@ fn main() {
         gflop
     );
     println!(
-        "{:>14}  {:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>10}",
-        "policy", "workers", "seconds", "speedup", "GFLOP/s", "imbalance", "lock-wait"
+        "{:>8}  {:>10}  {:>8}  {:>10}  {:>10}  {:>10}",
+        "workers", "seconds", "speedup", "GFLOP/s", "imbalance", "lock-wait"
     );
 
     let mut json_rows = String::new();
-    for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
-        let mut baseline = 0.0f64;
-        let mut w = 1usize;
-        while w <= max {
-            let (_, report) = parallel_factor_traced(
-                FactorState::new(tiled.clone()),
-                &graph,
-                PoolConfig {
-                    workers: w,
-                    policy,
-                    ..PoolConfig::default()
-                },
-            )
-            .expect("factorization");
-            let secs = report.elapsed.as_secs_f64();
-            if w == 1 {
-                baseline = secs;
-            }
-            let lock_wait = report.stage_wait.as_secs_f64() + report.commit_wait.as_secs_f64();
-            println!(
-                "{:>14}  {:>8}  {:>10.4}  {:>7.2}x  {:>10.2}  {:>10.2}  {:>9.2}ms",
-                policy.name(),
-                w,
-                secs,
-                baseline / secs,
-                gflop / secs,
-                report.imbalance(),
-                lock_wait * 1e3
-            );
-            if !json_rows.is_empty() {
-                json_rows.push_str(",\n");
-            }
-            let _ = write!(
-                json_rows,
-                "    {{\"policy\": \"{}\", \"workers\": {w}, \"seconds\": {secs:.6}, \"gflops\": {:.3}, \"imbalance\": {:.4}, \"lock_wait_s\": {lock_wait:.6}, \"max_ready_depth\": {}}}",
-                policy.name(),
-                gflop / secs,
-                report.imbalance(),
-                report.max_ready_depth
-            );
-            w *= 2;
+    let mut baseline = 0.0f64;
+    let mut w = 1usize;
+    while w <= max {
+        let (_, report) = parallel_factor_traced(
+            FactorState::new(tiled.clone()),
+            &graph,
+            PoolConfig {
+                workers: w,
+                ..PoolConfig::default()
+            },
+        )
+        .expect("factorization");
+        let secs = report.elapsed.as_secs_f64();
+        if w == 1 {
+            baseline = secs;
         }
+        let lock_wait = report.stage_wait.as_secs_f64() + report.commit_wait.as_secs_f64();
+        println!(
+            "{:>8}  {:>10.4}  {:>7.2}x  {:>10.2}  {:>10.2}  {:>9.2}ms",
+            w,
+            secs,
+            baseline / secs,
+            gflop / secs,
+            report.imbalance(),
+            lock_wait * 1e3
+        );
+        if !json_rows.is_empty() {
+            json_rows.push_str(",\n");
+        }
+        let _ = write!(
+            json_rows,
+            "    {{\"workers\": {w}, \"seconds\": {secs:.6}, \"gflops\": {:.3}, \"imbalance\": {:.4}, \"lock_wait_s\": {lock_wait:.6}, \"max_ready_depth\": {}}}",
+            gflop / secs,
+            report.imbalance(),
+            report.max_ready_depth
+        );
+        w *= 2;
     }
 
     if let Some(path) = json_path {

@@ -50,7 +50,6 @@ impl<T: Scalar> TiledQr<T> {
         let state = FactorState::new(tiled);
         let config = PoolConfig {
             workers: opts.get_workers(),
-            policy: opts.get_schedule(),
             trace: opts.get_tracing(),
         };
         let (state, report) = match opts.get_fault_tolerance() {
@@ -75,9 +74,9 @@ impl<T: Scalar> TiledQr<T> {
 
     /// Factor `a` through a resident [`QrService`] — the single-matrix
     /// path expressed as a one-job service call. The job inherits the
-    /// tile size and elimination-tree policy from `opts` (worker count,
-    /// schedule policy, and fault tolerance are properties of the
-    /// service itself — see [`QrOptions::to_service_config`]). Blocks
+    /// tile size and elimination-tree policy from `opts` (worker count
+    /// and fault tolerance are properties of the service itself — see
+    /// [`QrOptions::to_service_config`]). Blocks
     /// until the service completes the job; the returned [`RunReport`]
     /// covers this job alone.
     pub fn factor_on(

@@ -73,8 +73,8 @@ pub mod runtime {
     pub use tileqr_runtime::{
         model_weight, parallel_factor, parallel_factor_ft, parallel_factor_ordered,
         parallel_factor_traced, DispatchOrder, FaultInjector, FaultTolerance, InjectedFault,
-        NoFaults, PoolConfig, ReadyQueue, ReadyTracker, RunReport, RuntimeError, SchedulePolicy,
-        ScriptedFaults, TraceConfig,
+        NoFaults, PoolConfig, ReadyQueue, ReadyTracker, RunReport, RuntimeError, ScriptedFaults,
+        TraceConfig,
     };
     pub use tileqr_runtime::{ClassCosts, CostCurve, CostModel};
     pub use tileqr_runtime::{
@@ -102,7 +102,5 @@ pub mod prelude {
     pub use crate::{qr, QrOptions, TiledQr, TunedQrService};
     pub use tileqr_dag::{EliminationTree, TreePolicy};
     pub use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
-    pub use tileqr_runtime::{
-        FaultTolerance, JobSpec, PriorityClass, QrService, SchedulePolicy, ServiceConfig,
-    };
+    pub use tileqr_runtime::{FaultTolerance, JobSpec, PriorityClass, QrService, ServiceConfig};
 }

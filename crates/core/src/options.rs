@@ -1,7 +1,7 @@
 //! Factorization options.
 
 use tileqr_dag::TreePolicy;
-use tileqr_runtime::{FaultTolerance, SchedulePolicy, ServiceConfig, TraceConfig};
+use tileqr_runtime::{FaultTolerance, ServiceConfig, TraceConfig};
 
 /// Options controlling a [`crate::TiledQr`] factorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -9,20 +9,18 @@ pub struct QrOptions {
     tile_size: usize,
     tree: TreePolicy,
     workers: usize,
-    schedule: SchedulePolicy,
     fault_tolerance: Option<FaultTolerance>,
     tracing: TraceConfig,
 }
 
 impl Default for QrOptions {
     /// Tile size 16 (the paper's choice, §V), TS elimination, sequential,
-    /// FIFO dispatch, tracing off, per-worker scratch arenas.
+    /// fail fast, tracing off.
     fn default() -> Self {
         QrOptions {
             tile_size: 16,
             tree: TreePolicy::default(),
             workers: 1,
-            schedule: SchedulePolicy::Fifo,
             fault_tolerance: None,
             tracing: TraceConfig::default(),
         }
@@ -57,14 +55,6 @@ impl QrOptions {
     /// available core.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Dispatch policy for the parallel runtime: FIFO (default) or
-    /// critical-path-priority. Irrelevant when `workers == 1`; the two
-    /// policies produce bit-identical factors either way.
-    pub fn schedule(mut self, policy: SchedulePolicy) -> Self {
-        self.schedule = policy;
         self
     }
 
@@ -105,11 +95,6 @@ impl QrOptions {
         self.workers
     }
 
-    /// Configured dispatch policy.
-    pub fn get_schedule(&self) -> SchedulePolicy {
-        self.schedule
-    }
-
     /// Configured fault-tolerance bounds (`None` = fail fast).
     pub fn get_fault_tolerance(&self) -> Option<FaultTolerance> {
         self.fault_tolerance
@@ -121,15 +106,14 @@ impl QrOptions {
     }
 
     /// Derive a resident-service configuration from these options: the
-    /// worker count, schedule policy, and (if set) fault-tolerance budget
-    /// carry over; the admission bound takes the service default. Pair with
+    /// worker count and (if set) fault-tolerance budget carry over; the
+    /// admission bound takes the service default. Pair with
     /// [`TiledQr::factor_on`](crate::TiledQr::factor_on) to route the
     /// single-matrix path through one long-lived
     /// [`QrService`](tileqr_runtime::QrService).
     pub fn to_service_config(&self) -> ServiceConfig {
         ServiceConfig {
             workers: self.workers,
-            policy: self.schedule,
             fault_tolerance: self.fault_tolerance.unwrap_or_default(),
             ..ServiceConfig::default()
         }
@@ -149,7 +133,6 @@ mod tests {
             TreePolicy::Fixed(tileqr_dag::EliminationTree::Flat)
         );
         assert_eq!(o.get_workers(), 1);
-        assert_eq!(o.get_schedule(), SchedulePolicy::Fifo);
         assert_eq!(o.get_fault_tolerance(), None, "fail fast by default");
         assert!(!o.get_tracing().enabled, "tracing off by default");
     }
@@ -172,15 +155,13 @@ mod tests {
         let o = QrOptions::new()
             .tile_size(32)
             .tree(TreePolicy::Fixed(tileqr_dag::EliminationTree::Binary))
-            .workers(0)
-            .schedule(SchedulePolicy::CriticalPath);
+            .workers(0);
         assert_eq!(o.get_tile_size(), 32);
         assert_eq!(
             o.get_tree(),
             TreePolicy::Fixed(tileqr_dag::EliminationTree::Binary)
         );
         assert_eq!(o.get_workers(), 0);
-        assert_eq!(o.get_schedule(), SchedulePolicy::CriticalPath);
     }
 
     #[test]

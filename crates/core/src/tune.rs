@@ -19,9 +19,8 @@
 //!    profile, not per job — and the winner runs tagged
 //!    [`JobTuning::Tuned`] with its [`JobSpec::cost_model`] set to
 //!    [`tileqr_runtime::CostModel::Calibrated`]: the measured curves
-//!    price its WFQ charge always and rank its ready set under
-//!    `SchedulePolicy::CriticalPath`. This is the one road by which
-//!    measured costs reach a run.
+//!    price its WFQ charge. This is the one road by which measured costs
+//!    reach a run.
 //! 4. Fitted profiles **persist** as JSON
 //!    ([`tileqr_obs::ProfileStore`]): point `TILEQR_PROFILE` (or
 //!    [`TunerConfig::profile_path`]) at a store file and later services
@@ -350,12 +349,10 @@ fn parse_shape_key(key: &str) -> Option<(usize, usize)> {
 mod tests {
     use super::*;
     use tileqr_matrix::gen::random_matrix;
-    use tileqr_runtime::SchedulePolicy;
 
     fn service() -> TunedQrService<f64> {
         let config = ServiceConfig {
             workers: 2,
-            policy: SchedulePolicy::CriticalPath,
             ..ServiceConfig::default()
         };
         TunedQrService::start_with(

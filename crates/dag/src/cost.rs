@@ -7,13 +7,7 @@
 //! three classes and the one `TaskKind → class` mapping ([`KernelClass`]),
 //! the per-device table ([`ClassCosts`] — a simulated `DeviceProfile`
 //! carries one, `obs::calibrate` fits one, the profile JSON stores one)
-//! and the scheduler's choice of weight source ([`CostModel`]).
-//!
-//! Bottom-level priorities ([`crate::bottom_levels`]) are only as good as
-//! the per-task weights they sum. The flop model is a safe default but
-//! ignores launch overhead and memory traffic, which is exactly why
-//! critical-path priority can lose to FIFO on a real host;
-//! [`CostModel::Calibrated`] ranks by measured microseconds instead.
+//! and the price a service job's WFQ charge is counted in ([`CostModel`]).
 //!
 //! The types here are pure `Copy` data, so every layer — a service job
 //! (`JobSpec::cost_model`, set by the online tuner), the profile JSON,
@@ -137,15 +131,16 @@ impl ClassCosts {
     }
 }
 
-/// Where bottom-level task weights come from.
+/// What a service job's WFQ (weighted fair queuing) charge per task is
+/// priced in.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CostModel {
-    /// Kernel flop counts (the seed behaviour): cheap, portable, blind to
-    /// launch overhead and memory traffic.
+    /// Kernel flop counts: cheap, portable, blind to launch overhead and
+    /// memory traffic.
     #[default]
     Flops,
-    /// Measured microseconds from calibrated per-class curves; makes
-    /// `SchedulePolicy::CriticalPath` rank by predicted wall time.
+    /// Measured microseconds from calibrated per-class curves: the WFQ
+    /// charge of a tuned job is its predicted wall time.
     Calibrated(ClassCosts),
 }
 

@@ -20,11 +20,11 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Ready-set ordering replayed by [`list_makespan`].
 #[derive(Debug, Clone, Copy)]
 pub enum ListOrder<'a> {
-    /// Dispatch in readiness order (the runtime's FIFO policy).
+    /// Dispatch in readiness order (the runtime's one dispatch order).
     Fifo,
     /// Dispatch the ready task with the highest priority (ties to the
-    /// lower task id) — the runtime's critical-path policy when fed
-    /// bottom-level priorities.
+    /// lower task id) — the runtime's critical-path test adversary when
+    /// fed flop bottom-level priorities.
     Priority(&'a [f64]),
 }
 

@@ -23,7 +23,7 @@
 use crate::error::RuntimeError;
 use crate::pool::{model_weight, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
-use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};
+use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use tileqr_dag::{CostModel, TaskGraph, TaskId, TaskKind};
@@ -184,7 +184,6 @@ impl Tally {
     pub(crate) fn into_report(
         self,
         max_ready_depth: usize,
-        policy: SchedulePolicy,
         elapsed: Duration,
         trace: Option<Trace>,
         counters: HotPathCounters,
@@ -195,7 +194,6 @@ impl Tally {
             stage_wait: self.stage_wait,
             commit_wait: self.commit_wait,
             max_ready_depth,
-            policy,
             retries: self.retries,
             requeues: self.requeues,
             worker_deaths: self.worker_deaths,
@@ -232,20 +230,20 @@ pub struct DagRun {
 
 impl DagRun {
     /// Start a run of `graph` at tile size `b` over `workers` worker
-    /// slots, with the sources already in the ready set. `cost` weighs
-    /// the bottom levels of a priority order. `lane`, when tracing, is
-    /// the manager's recorder plus the run's epoch.
+    /// slots, with the sources already in the ready set. A priority order
+    /// ranks by flop bottom levels at `b`. `lane`, when tracing, is the
+    /// manager's recorder plus the run's epoch.
     pub fn new(
         graph: &TaskGraph,
         order: DispatchOrder,
-        cost: CostModel,
         b: usize,
         workers: usize,
         lane: Option<(WorkerRecorder, Instant)>,
     ) -> Self {
+        let flops = model_weight(CostModel::Flops, b);
         let mut run = DagRun {
             tracker: ReadyTracker::new(graph),
-            queue: ReadyQueue::for_order(order, graph, model_weight(cost, b)),
+            queue: ReadyQueue::for_order(order, graph, flops),
             committed: vec![false; graph.len()],
             attempts: vec![0; graph.len()],
             in_flight: 0,
@@ -443,9 +441,8 @@ impl DagRun {
         trace: Option<Trace>,
         counters: HotPathCounters,
     ) -> RunReport {
-        let (depth, policy) = (self.queue.max_depth(), self.queue.policy());
-        self.tally
-            .into_report(depth, policy, elapsed, trace, counters)
+        let depth = self.queue.max_depth();
+        self.tally.into_report(depth, elapsed, trace, counters)
     }
 }
 

@@ -18,10 +18,10 @@
 //! schedule) is guaranteed because every task writes a disjoint tile set.
 //!
 //! One engine, one driver: everything a scheduler does *per DAG* —
-//! readiness ([`ReadyTracker`]), [`SchedulePolicy`] order
-//! ([`ReadyQueue`]), the commit fence, the retry budget, the stall
-//! watchdog's bookkeeping — and the worker-side body
-//! of one task attempt live once, thread-free, in [`engine`]; the threads
+//! readiness ([`ReadyTracker`]), FIFO dispatch ([`ReadyQueue`]; its other
+//! [`DispatchOrder`]s are test adversaries), the commit fence, the retry
+//! budget, the stall watchdog's bookkeeping — and the worker-side body of
+//! one task attempt live once, thread-free, in [`engine`]; the threads
 //! around it — self-scheduling workers over a table of engine runs behind
 //! one lock, one thread keeping the clock, every lost worker respawned —
 //! live once in [`service`]. [`QrService`] keeps one instance of that
@@ -67,7 +67,7 @@ pub use pool::{
     parallel_factor_traced, PoolConfig, RunReport,
 };
 pub use recovery::{FaultInjector, FaultTolerance, InjectedFault, NoFaults, ScriptedFaults};
-pub use scheduler::{DispatchOrder, ReadyQueue, ReadyTracker, SchedulePolicy};
+pub use scheduler::{DispatchOrder, ReadyQueue, ReadyTracker};
 pub use service::{
     FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, JobTuning, PriorityClass,
     QrService, ServiceConfig, ServiceError, ServiceStats, WaitTimeout,

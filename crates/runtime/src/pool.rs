@@ -14,7 +14,7 @@
 use crate::engine::Tally;
 use crate::error::RuntimeError;
 use crate::recovery::{FaultInjector, FaultTolerance};
-use crate::scheduler::{DispatchOrder, SchedulePolicy};
+use crate::scheduler::DispatchOrder;
 use crate::service::run_pool;
 use std::time::{Duration, Instant};
 use tileqr_dag::{CostModel, TaskGraph, TaskKind};
@@ -31,8 +31,6 @@ use tileqr_obs::{
 pub struct PoolConfig {
     /// Number of computing threads. `0` means one per available core.
     pub workers: usize,
-    /// Dispatch order for ready tasks.
-    pub policy: SchedulePolicy,
     /// Lifecycle tracing. Disabled by default; when disabled the pool
     /// allocates no recorders and reads no extra clocks.
     pub trace: TraceConfig,
@@ -65,8 +63,6 @@ pub struct RunReport {
     pub commit_wait: Duration,
     /// High-water mark of the ready-set depth.
     pub max_ready_depth: usize,
-    /// Dispatch policy the run used.
-    pub policy: SchedulePolicy,
     /// Extra attempts scheduled after a failed attempt (transient kernel
     /// error, worker panic, or stall).
     pub retries: u64,
@@ -129,10 +125,9 @@ impl RunReport {
     }
 }
 
-/// Task weight under a job's [`CostModel`] at tile size `b`: kernel flop
-/// counts (a one-shot run's, and a service job's by default — bottom
-/// levels reflect real work, not just DAG depth) or the calibrated
-/// microseconds a tuned job carries.
+/// Task weight under a [`CostModel`] at tile size `b`: kernel flop counts
+/// (what the priority adversaries rank by, and a service job's WFQ charge
+/// by default) or the calibrated microseconds a tuned job is charged.
 pub fn model_weight(cost: CostModel, b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
     move |t| match cost {
         CostModel::Flops => flops::task_flops(t, b) as f64,
@@ -140,7 +135,8 @@ pub fn model_weight(cost: CostModel, b: usize) -> impl Fn(TaskKind) -> f64 + Cop
     }
 }
 
-/// Execute every task of `graph` over `state`, in parallel.
+/// Execute every task of `graph` over `state`, in parallel, dispatching
+/// ready tasks in FIFO order.
 ///
 /// Returns the completed state. Any kernel error aborts the run and is
 /// propagated (the pool drains cleanly first).
@@ -160,9 +156,9 @@ pub fn parallel_factor_traced<T: Scalar>(
 ) -> Result<(FactorState<T>, RunReport)> {
     if config.effective_workers() <= 1 {
         // Degenerate pool: run inline in program order.
-        return run_inline(state, graph, config.policy, Instant::now(), config.trace);
+        return run_inline(state, graph, Instant::now(), config.trace);
     }
-    parallel_factor_ordered(state, graph, config, DispatchOrder::Policy(config.policy))
+    parallel_factor_ordered(state, graph, config, DispatchOrder::Fifo)
 }
 
 /// [`parallel_factor_traced`] dispatching under an explicit
@@ -180,7 +176,7 @@ pub fn parallel_factor_ordered<T: Scalar>(
 ) -> Result<(FactorState<T>, RunReport)> {
     let started = Instant::now();
     if graph.len() <= 1 {
-        return run_inline(state, graph, order.base_policy(), started, config.trace);
+        return run_inline(state, graph, started, config.trace);
     }
     run_pool(state, graph, config, order, None, None).map_err(MatrixError::from)
 }
@@ -209,20 +205,12 @@ pub fn parallel_factor_ft<T: Scalar>(
     ft: Option<FaultTolerance>,
     injector: Option<&dyn FaultInjector>,
 ) -> std::result::Result<(FactorState<T>, RunReport), RuntimeError> {
-    run_pool(
-        state,
-        graph,
-        config,
-        DispatchOrder::Policy(config.policy),
-        ft,
-        injector,
-    )
+    run_pool(state, graph, config, DispatchOrder::Fifo, ft, injector)
 }
 
 fn run_inline<T: Scalar>(
     mut state: FactorState<T>,
     graph: &TaskGraph,
-    policy: SchedulePolicy,
     started: Instant,
     trace_cfg: TraceConfig,
 ) -> Result<(FactorState<T>, RunReport)> {
@@ -249,13 +237,8 @@ fn run_inline<T: Scalar>(
         workspace_bytes: state.workspace_bytes(),
         workspace_resizes: state.workspace_resizes(),
     };
-    let report = Tally::one_lane(1, 0, graph.len() as u64).into_report(
-        0,
-        policy,
-        started.elapsed(),
-        trace,
-        counters,
-    );
+    let tally = Tally::one_lane(1, 0, graph.len() as u64);
+    let report = tally.into_report(0, started.elapsed(), trace, counters);
     Ok((state, report))
 }
 
@@ -323,36 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_policy_matches_fifo_bitwise() {
-        let a = random_matrix::<f64>(24, 24, 2);
-        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
-
-        let fifo = parallel_factor(
-            FactorState::new(tiled.clone()),
-            &g,
-            PoolConfig {
-                workers: 4,
-                policy: SchedulePolicy::Fifo,
-                ..PoolConfig::default()
-            },
-        )
-        .unwrap();
-        let cp = parallel_factor(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 4,
-                policy: SchedulePolicy::CriticalPath,
-                ..PoolConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fifo.tiles().to_matrix(), cp.tiles().to_matrix());
-        assert_eq!(fifo.r_matrix(), cp.r_matrix());
-    }
-
-    #[test]
     fn parallel_factorization_is_correct() {
         let (a, st, g) = factor_parallel(32, 8, 4);
         let (pm, _) = st.tiles().padded_dims();
@@ -386,7 +339,6 @@ mod tests {
     fn default_config_uses_all_cores() {
         let c = PoolConfig::default();
         assert!(c.effective_workers() >= 1);
-        assert_eq!(c.policy, SchedulePolicy::Fifo);
     }
 
     #[test]
@@ -394,14 +346,14 @@ mod tests {
         let a = random_matrix::<f64>(32, 8, 5);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(8, 2, EliminationTree::Binary);
-        let st = parallel_factor(
+        let (st, _) = parallel_factor_ordered(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 4,
-                policy: SchedulePolicy::CriticalPath,
                 ..PoolConfig::default()
             },
+            DispatchOrder::CriticalPath,
         )
         .unwrap();
         let (pm, _) = st.tiles().padded_dims();
@@ -422,7 +374,6 @@ mod tests {
             &g,
             PoolConfig {
                 workers: 3,
-                policy: SchedulePolicy::CriticalPath,
                 ..PoolConfig::default()
             },
         )
@@ -432,7 +383,6 @@ mod tests {
         assert!(report.imbalance() >= 1.0);
         assert!(report.elapsed.as_nanos() > 0);
         assert!(report.max_ready_depth >= 1);
-        assert_eq!(report.policy, SchedulePolicy::CriticalPath);
         // A clean run records no recovery activity.
         assert_eq!(report.retries, 0);
         assert_eq!(report.requeues, 0);
@@ -453,6 +403,7 @@ mod tests {
         let seq_tiles = seq.tiles().to_matrix();
 
         for order in [
+            DispatchOrder::CriticalPath,
             DispatchOrder::Lifo,
             DispatchOrder::ReversePriority,
             DispatchOrder::Seeded(7),
@@ -496,7 +447,6 @@ mod tests {
             PoolConfig {
                 workers: 3,
                 trace: TraceConfig::enabled(),
-                ..PoolConfig::default()
             },
         )
         .unwrap();
@@ -538,7 +488,6 @@ mod tests {
             stage_wait: Duration::ZERO,
             commit_wait: Duration::ZERO,
             max_ready_depth: 0,
-            policy: SchedulePolicy::Fifo,
             retries: 0,
             requeues: 0,
             worker_deaths: 0,

@@ -4,71 +4,32 @@ use std::collections::{BinaryHeap, VecDeque};
 use tileqr_dag::{TaskGraph, TaskId};
 use tileqr_matrix::Rng64;
 
-/// Order in which ready tasks are handed to idle workers.
+/// Order in which the driver hands ready tasks to idle workers. Production
+/// runs dispatch [`Fifo`](Self::Fifo), the order `dag::listsim` is asked
+/// about (DESIGN.md §9); the rest is the seam the testkit's schedule
+/// explorer uses, through
+/// [`parallel_factor_ordered`](crate::parallel_factor_ordered), to drive
+/// the real driver through adversarial and seeded permutations of the
+/// legal interleaving space. Every order is deterministic given its
+/// parameters, so any failure reproduces from the order alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
+pub enum DispatchOrder {
     /// Discovery order: tasks dispatch in the order they became ready.
-    /// This is the behaviour of naive worklist runtimes — and the
-    /// anti-pattern that lets bulk trailing updates starve the panel
-    /// factorizations on the critical path.
     #[default]
     Fifo,
-    /// Highest static bottom level first: the ready task with the longest
-    /// weighted path to a sink dispatches first, keeping the DAG's
-    /// critical path (GEQRT/TSQRT chain) moving through the bulk updates.
+    /// Highest flop-weighted bottom level first: the ready task with the
+    /// longest path to a sink dispatches first.
     CriticalPath,
-}
-
-impl SchedulePolicy {
-    /// Stable lowercase name, used in benchmark JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulePolicy::Fifo => "fifo",
-            SchedulePolicy::CriticalPath => "critical_path",
-        }
-    }
-}
-
-/// Dispatch orders beyond the production [`SchedulePolicy`] pair — the
-/// hook the testkit's schedule explorer uses to drive the manager's ready
-/// set through adversarial and seeded permutations of the legal
-/// interleaving space. Every order is deterministic given its parameters,
-/// so any failure reproduces from the order alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DispatchOrder {
-    /// A production policy, unchanged.
-    Policy(SchedulePolicy),
     /// Newest-ready-first: a stack, starving the oldest ready tasks —
     /// the single-worker-starvation adversary.
     Lifo,
-    /// *Lowest* static bottom level first: the exact inverse of
-    /// [`SchedulePolicy::CriticalPath`], aggressively deferring the
+    /// *Lowest* bottom level first: the exact inverse of
+    /// [`CriticalPath`](Self::CriticalPath), aggressively deferring the
     /// critical path whenever legally possible.
     ReversePriority,
     /// Uniform seeded choice among the ready tasks; distinct seeds explore
     /// distinct legal interleavings reproducibly.
     Seeded(u64),
-}
-
-impl DispatchOrder {
-    /// The production policy this order perturbs (used for reporting).
-    pub fn base_policy(self) -> SchedulePolicy {
-        match self {
-            DispatchOrder::Policy(p) => p,
-            DispatchOrder::Lifo | DispatchOrder::Seeded(_) => SchedulePolicy::Fifo,
-            DispatchOrder::ReversePriority => SchedulePolicy::CriticalPath,
-        }
-    }
-
-    /// Stable lowercase name for diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            DispatchOrder::Policy(p) => p.name(),
-            DispatchOrder::Lifo => "lifo",
-            DispatchOrder::ReversePriority => "reverse_priority",
-            DispatchOrder::Seeded(_) => "seeded",
-        }
-    }
 }
 
 /// Heap entry: priority-ordered, ties broken toward the lower task id so
@@ -116,76 +77,61 @@ enum QueueRepr {
 
 /// The manager's ready set, yielding tasks in [`DispatchOrder`] order.
 ///
-/// FIFO keeps a queue; critical-path keeps a max-heap over the static
-/// priorities computed once per run; the exploration orders keep a stack,
-/// an inverted heap, or a seeded grab bag. Also records the high-water
-/// depth of the ready set — a cheap observability hook for how much
-/// dispatch slack the scheduler actually had.
+/// FIFO keeps a queue; the priority orders keep a heap over the static
+/// priorities computed once per run; the other adversaries keep a stack
+/// or a seeded grab bag. Also records the high-water depth of the ready
+/// set — a cheap observability hook for how much dispatch slack the
+/// scheduler actually had.
 #[derive(Debug)]
 pub struct ReadyQueue {
-    order: DispatchOrder,
     repr: QueueRepr,
     max_depth: usize,
 }
 
 impl ReadyQueue {
+    fn new(repr: QueueRepr) -> Self {
+        ReadyQueue { repr, max_depth: 0 }
+    }
+
     /// FIFO dispatch.
     pub fn fifo() -> Self {
-        ReadyQueue {
-            order: DispatchOrder::Policy(SchedulePolicy::Fifo),
-            repr: QueueRepr::Fifo(VecDeque::new()),
-            max_depth: 0,
-        }
+        Self::new(QueueRepr::Fifo(VecDeque::new()))
     }
 
     /// Newest-ready-first dispatch (exploration adversary).
     pub fn lifo() -> Self {
-        ReadyQueue {
-            order: DispatchOrder::Lifo,
-            repr: QueueRepr::Lifo(Vec::new()),
-            max_depth: 0,
-        }
+        Self::new(QueueRepr::Lifo(Vec::new()))
     }
 
     /// Highest-priority-first dispatch; `priorities[id]` is task `id`'s
     /// static priority (e.g. its bottom level).
     pub fn critical_path(priorities: Vec<f64>) -> Self {
-        ReadyQueue {
-            order: DispatchOrder::Policy(SchedulePolicy::CriticalPath),
-            repr: QueueRepr::Heap {
-                heap: BinaryHeap::new(),
-                priorities,
-                sign: 1.0,
-            },
-            max_depth: 0,
-        }
+        Self::heap(priorities, 1.0)
     }
 
     /// *Lowest*-priority-first dispatch over the same priorities — the
     /// exact inverse of [`ReadyQueue::critical_path`].
     pub fn reverse_priority(priorities: Vec<f64>) -> Self {
-        ReadyQueue {
-            order: DispatchOrder::ReversePriority,
-            repr: QueueRepr::Heap {
-                heap: BinaryHeap::new(),
-                priorities,
-                sign: -1.0,
-            },
-            max_depth: 0,
-        }
+        Self::heap(priorities, -1.0)
+    }
+
+    fn heap(priorities: Vec<f64>, sign: f64) -> Self {
+        let heap = BinaryHeap::new();
+        Self::new(QueueRepr::Heap {
+            heap,
+            priorities,
+            sign,
+        })
     }
 
     /// Seeded uniform dispatch: each pop draws one of the ready tasks via
     /// a deterministic [`Rng64`] stream.
     pub fn seeded(seed: u64) -> Self {
-        ReadyQueue {
-            order: DispatchOrder::Seeded(seed),
-            repr: QueueRepr::Seeded {
-                rng: Rng64::seed_from_u64(seed),
-                items: Vec::new(),
-            },
-            max_depth: 0,
-        }
+        let rng = Rng64::seed_from_u64(seed);
+        Self::new(QueueRepr::Seeded {
+            rng,
+            items: Vec::new(),
+        })
     }
 
     /// Build a queue for any [`DispatchOrder`], computing priorities from
@@ -195,28 +141,14 @@ impl ReadyQueue {
         graph: &TaskGraph,
         weight: impl Fn(tileqr_dag::TaskKind) -> f64,
     ) -> Self {
+        let bottom_levels = || tileqr_dag::critical_path::bottom_levels(graph, weight);
         match order {
-            DispatchOrder::Policy(SchedulePolicy::Fifo) => Self::fifo(),
-            DispatchOrder::Policy(SchedulePolicy::CriticalPath) => {
-                Self::critical_path(tileqr_dag::critical_path::bottom_levels(graph, weight))
-            }
+            DispatchOrder::Fifo => Self::fifo(),
+            DispatchOrder::CriticalPath => Self::critical_path(bottom_levels()),
             DispatchOrder::Lifo => Self::lifo(),
-            DispatchOrder::ReversePriority => {
-                Self::reverse_priority(tileqr_dag::critical_path::bottom_levels(graph, weight))
-            }
+            DispatchOrder::ReversePriority => Self::reverse_priority(bottom_levels()),
             DispatchOrder::Seeded(seed) => Self::seeded(seed),
         }
-    }
-
-    /// The policy this queue dispatches under (exploration orders report
-    /// the production policy they perturb).
-    pub fn policy(&self) -> SchedulePolicy {
-        self.order.base_policy()
-    }
-
-    /// The full dispatch order, including exploration variants.
-    pub fn order(&self) -> DispatchOrder {
-        self.order
     }
 
     /// Add a ready task.
@@ -426,8 +358,6 @@ mod tests {
         // Equal priorities still break toward the lower id.
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.order(), DispatchOrder::ReversePriority);
-        assert_eq!(q.policy(), SchedulePolicy::CriticalPath);
     }
 
     #[test]
@@ -439,7 +369,6 @@ mod tests {
         assert_eq!(q.pop(), Some(9));
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), Some(7));
-        assert_eq!(q.policy(), SchedulePolicy::Fifo);
     }
 
     #[test]
@@ -465,19 +394,17 @@ mod tests {
     #[test]
     fn every_order_drains_a_dag_safely() {
         // The dispatch-safety invariant must hold under every exploration
-        // order, not just the production policies.
+        // order, not just the production one.
         let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let orders = [
-            DispatchOrder::Policy(SchedulePolicy::Fifo),
-            DispatchOrder::Policy(SchedulePolicy::CriticalPath),
+            DispatchOrder::Fifo,
+            DispatchOrder::CriticalPath,
             DispatchOrder::Lifo,
             DispatchOrder::ReversePriority,
             DispatchOrder::Seeded(99),
         ];
         for order in orders {
             let mut q = ReadyQueue::for_order(order, &g, |_| 1.0);
-            assert_eq!(q.order(), order);
-            assert_eq!(q.policy(), order.base_policy());
             let mut tr = ReadyTracker::new(&g);
             let mut done = vec![false; g.len()];
             for t in tr.initial_ready(&g) {

@@ -75,7 +75,7 @@ use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
 use crate::pool::{model_weight, PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
-use crate::scheduler::{DispatchOrder, SchedulePolicy};
+use crate::scheduler::DispatchOrder;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
@@ -142,8 +142,6 @@ impl PriorityClass {
 pub struct ServiceConfig {
     /// Computing threads. `0` means one per available core.
     pub workers: usize,
-    /// Per-job ready-set ordering (FIFO or critical-path priority).
-    pub policy: SchedulePolicy,
     /// Admission bound: maximum submitted-but-unfinished jobs. `0` means
     /// unbounded (no backpressure).
     pub max_in_flight: usize,
@@ -156,7 +154,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 0,
-            policy: SchedulePolicy::default(),
             max_in_flight: 64,
             fault_tolerance: FaultTolerance::default(),
         }
@@ -279,11 +276,10 @@ impl<T: Scalar> JobSpec<T> {
         self
     }
 
-    /// The [`CostModel`] that weighs this job's tasks (default
-    /// [`CostModel::Flops`]): its WFQ charge per task always, and its
-    /// bottom-level priorities under [`SchedulePolicy::CriticalPath`].
-    /// The one way measured costs enter a run — the online tuner sets
-    /// [`CostModel::Calibrated`] on every tuned job.
+    /// The [`CostModel`] that prices this job's WFQ charge per task
+    /// (default [`CostModel::Flops`]). The one way measured costs enter a
+    /// run — the online tuner sets [`CostModel::Calibrated`] on every
+    /// tuned job.
     pub fn cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
         self
@@ -1069,7 +1065,7 @@ impl<T: Scalar> Shared<T> {
             (rec, epoch)
         });
         let job = Box::new(JobState {
-            run: DagRun::new(&meta.graph, order, cost, b, self.workers, lane),
+            run: DagRun::new(&meta.graph, order, b, self.workers, lane),
             meta,
             shared: Arc::new(SharedFactorState::new(state)),
             b,
@@ -1643,7 +1639,6 @@ pub(crate) fn run_pool<T: Scalar>(
     let started = Instant::now();
     let cfg = ServiceConfig {
         workers: config.effective_workers(),
-        policy: config.policy,
         max_in_flight: 0,
         fault_tolerance: ft.unwrap_or_default(),
     };
@@ -1792,9 +1787,8 @@ impl<T: Scalar> QrService<T> {
         let (mt, nt) = (tiled.tile_rows(), tiled.tile_cols());
         let graph = TaskGraph::build_tree(mt, nt, spec.tree.resolve(mt, nt));
         let sh = &self.shared;
-        let order = DispatchOrder::Policy(sh.cfg.policy);
         let state = FactorState::new(tiled);
-        let (mut job, reply) = sh.job(state, graph, order, spec.cost, spec.payload);
+        let (mut job, reply) = sh.job(state, graph, DispatchOrder::Fifo, spec.cost, spec.payload);
         job.meta.class = spec.priority;
         job.meta.deadline = spec.deadline.map(|d| job.meta.submitted + d);
         job.injector = spec.injector;
@@ -2173,9 +2167,14 @@ mod tests {
         let job = || {
             let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(8, 8, 1), 4).unwrap();
             let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
-            let order = DispatchOrder::Policy(SchedulePolicy::Fifo);
             let state = FactorState::new(tiled);
-            sh.job(state, graph, order, CostModel::Flops, Payload::Factor)
+            sh.job(
+                state,
+                graph,
+                DispatchOrder::Fifo,
+                CostModel::Flops,
+                Payload::Factor,
+            )
         };
         let (admitted, reply) = job();
         sh.admit(sh.lock(), admitted, JobTuning::Standard, false)

@@ -250,7 +250,6 @@ pub fn run_storm(cfg: &ChaosConfig, truth: &mut GroundTruth) -> StormReport {
             stall_timeout: cfg.stall_timeout,
             ..FaultTolerance::default()
         },
-        ..ServiceConfig::default()
     });
 
     let stall_armed = cfg.stall_timeout.is_some();

@@ -11,23 +11,26 @@
 //! adversarial rule. Every exploration is reproducible from its
 //! [`ExploreStrategy`] alone.
 
-use tileqr_dag::{EliminationTree, TaskGraph, TaskId, TaskKind};
+use tileqr_dag::{CostModel, EliminationTree, TaskGraph, TaskId};
 use tileqr_kernels::exec::{FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Result, Rng64, Scalar, TiledMatrix};
-use tileqr_runtime::SchedulePolicy;
+use tileqr_runtime::model_weight;
 
 /// How the virtual machine resolves its two nondeterministic choices.
+/// Bottom levels are the driver's: flop-weighted at the tile size in use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExploreStrategy {
-    /// Dispatch per `policy` (FIFO or highest bottom level first);
-    /// the *completion* order among in-flight tasks is a seeded random
-    /// permutation — the honest model of workers racing to finish.
+    /// Dispatch FIFO — the driver's order — or, with `critical_path`,
+    /// highest bottom level first (the `DispatchOrder::CriticalPath`
+    /// adversary); the *completion* order among in-flight tasks is a
+    /// seeded random permutation — the honest model of workers racing to
+    /// finish.
     Seeded {
         /// RNG seed for the completion choices.
         seed: u64,
-        /// Dispatch-side ordering of the ready set.
-        policy: SchedulePolicy,
+        /// Dispatch highest bottom level first instead of FIFO.
+        critical_path: bool,
     },
     /// Dispatch the ready task with the *lowest* bottom level (the exact
     /// inverse of the critical-path heuristic) and complete in-flight
@@ -75,18 +78,6 @@ impl<T: Scalar> Exploration<T> {
     }
 }
 
-/// Per-task weight mirroring the kernel flop counts the runtime uses for
-/// its critical-path priorities (GEQRT 2b³/3, elimination 2b³ class
-/// weights collapse to constants since every task shares the tile size).
-fn flop_weight(task: TaskKind) -> f64 {
-    match task {
-        TaskKind::Geqrt { .. } => 2.0 / 3.0,
-        TaskKind::Unmqr { .. } => 2.0,
-        TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. } => 2.0 / 3.0,
-        TaskKind::Tsmqr { .. } | TaskKind::Ttmqr { .. } => 4.0,
-    }
-}
-
 /// Run one interleaving of `graph` over `tiles` on a virtual
 /// `workers`-slot machine. Returns the reassembled state and the
 /// completion order.
@@ -97,7 +88,8 @@ pub fn explore<T: Scalar>(
     strategy: ExploreStrategy,
 ) -> Result<Exploration<T>> {
     let cap = strategy.workers_cap(workers);
-    let priorities = tileqr_dag::critical_path::bottom_levels(graph, flop_weight);
+    let flops = model_weight(CostModel::Flops, tiles.tile_size());
+    let priorities = tileqr_dag::critical_path::bottom_levels(graph, flops);
     let mut ws = Workspace::new(tiles.tile_size(), tiles.tile_size());
     let shared = SharedFactorState::new(FactorState::new(tiles));
 
@@ -156,10 +148,14 @@ fn pick_dispatch(
     last_column: usize,
 ) -> usize {
     match strategy {
-        ExploreStrategy::Seeded { policy, .. } => match policy {
-            SchedulePolicy::Fifo => 0,
-            SchedulePolicy::CriticalPath => argbest(ready, |t| priorities[t]),
-        },
+        ExploreStrategy::Seeded {
+            critical_path: false,
+            ..
+        } => 0,
+        ExploreStrategy::Seeded {
+            critical_path: true,
+            ..
+        } => argbest(ready, |t| priorities[t]),
         ExploreStrategy::ReversePriority => argbest(ready, |t| -priorities[t]),
         ExploreStrategy::AntiAffinity => argbest(ready, |t| {
             (graph.task(t).home_column() as f64 - last_column as f64).abs()
@@ -227,11 +223,11 @@ mod tests {
         for strategy in [
             ExploreStrategy::Seeded {
                 seed: 3,
-                policy: SchedulePolicy::Fifo,
+                critical_path: false,
             },
             ExploreStrategy::Seeded {
                 seed: 3,
-                policy: SchedulePolicy::CriticalPath,
+                critical_path: true,
             },
             ExploreStrategy::ReversePriority,
             ExploreStrategy::AntiAffinity,
@@ -251,7 +247,7 @@ mod tests {
         let run = |seed| {
             let strategy = ExploreStrategy::Seeded {
                 seed,
-                policy: SchedulePolicy::Fifo,
+                critical_path: false,
             };
             explore_tree_vs_sequential(&a, 8, EliminationTree::Flat, 4, strategy)
                 .unwrap()

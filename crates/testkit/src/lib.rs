@@ -26,10 +26,9 @@
 //!   invariants: no job lost or hung, unaffected jobs bit-identical,
 //!   lifecycle counters consistent with observed outcomes.
 //!
-//! The integration suites live under `tests/` and read two environment
-//! variables so CI can sweep configurations without recompiling:
-//! `TILEQR_TESTKIT_WORKERS` (comma-separated worker counts) and
-//! `TILEQR_TESTKIT_POLICY` (`fifo`, `critical_path`, or `both`).
+//! The integration suites live under `tests/` and read one environment
+//! variable so CI can sweep configurations without recompiling:
+//! `TILEQR_TESTKIT_WORKERS` (comma-separated worker counts).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +39,6 @@ pub mod oracle;
 
 use std::sync::mpsc;
 use std::time::Duration;
-use tileqr_runtime::SchedulePolicy;
 
 /// Run `body` on its own thread and fail — instead of hanging — if it
 /// has not returned within `limit`: the guard every lost-wake-up test of
@@ -83,31 +81,16 @@ pub fn workers_under_test() -> Vec<usize> {
     }
 }
 
-/// Schedule policies the integration suites should sweep. Reads
-/// `TILEQR_TESTKIT_POLICY` (`fifo`, `critical_path` or `both`); defaults
-/// to both.
-pub fn policies_under_test() -> Vec<SchedulePolicy> {
-    match std::env::var("TILEQR_TESTKIT_POLICY").as_deref() {
-        Ok("fifo") => vec![SchedulePolicy::Fifo],
-        Ok("critical_path") => vec![SchedulePolicy::CriticalPath],
-        Ok("both") | Err(_) => vec![SchedulePolicy::Fifo, SchedulePolicy::CriticalPath],
-        Ok(other) => panic!("bad TILEQR_TESTKIT_POLICY {other:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_cover_the_ci_matrix() {
-        // CI sets the env vars per job; the in-process default is the
+        // CI sets the env var per job; the in-process default is the
         // full matrix (serial tests must not mutate the environment).
         if std::env::var("TILEQR_TESTKIT_WORKERS").is_err() {
             assert_eq!(workers_under_test(), vec![1, 2, 4]);
-        }
-        if std::env::var("TILEQR_TESTKIT_POLICY").is_err() {
-            assert_eq!(policies_under_test().len(), 2);
         }
     }
 }

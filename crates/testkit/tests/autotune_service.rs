@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 use tileqr::dag::TreePolicy;
-use tileqr::runtime::{SchedulePolicy, ServiceConfig};
+use tileqr::runtime::ServiceConfig;
 use tileqr::{JobPlan, QrOptions, TiledQr, TunedQrService, TunerConfig};
 use tileqr_dag::{ClassCosts, CostCurve};
 use tileqr_matrix::gen::random_matrix;
@@ -47,7 +47,6 @@ fn synthetic_profile(cores: usize) -> DeviceProfile {
 fn service_config() -> ServiceConfig {
     ServiceConfig {
         workers: 2,
-        policy: SchedulePolicy::CriticalPath,
         ..ServiceConfig::default()
     }
 }

@@ -1,26 +1,32 @@
-//! The calibration loop's scheduling half: measured-cost priorities may
-//! change *when* tasks run, never *what* they compute.
+//! The calibration loop's scheduling half: a measured cost model may
+//! change *when* tasks run, never *what* they compute — and the
+//! dispatch-order decision the same simulator settled.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! 1. **Bit identity** — factors of service jobs carrying a
 //!    [`CostModel::Calibrated`] model through [`JobSpec::cost_model`] (the
-//!    one road measured costs take into a run) are byte-equal to the
-//!    sequential run across the workers × policies × trees sweep.
+//!    one road measured costs take into a run, where they price the WFQ
+//!    charge) are byte-equal to the sequential run across the workers ×
+//!    trees sweep.
 //! 2. **Simulator goldens** — on synthetic multi-core profiles the
 //!    deterministic list scheduler shows critical-path-by-measured-µs
 //!    makespans no worse than FIFO and no worse than
 //!    critical-path-by-flops on the reference grids.
+//! 3. **The decision** — over the `perf` geometries, critical path by
+//!    flops (what every untuned run would dispatch) loses to FIFO by more
+//!    than 1 % somewhere, so FIFO is the driver's one order (DESIGN.md §9).
 
 use tileqr::dag::{
     bottom_levels, list_makespan, ClassCosts, CostCurve, CostModel, EliminationTree, ListOrder,
     TaskGraph, TaskKind, TreePolicy,
 };
+use tileqr::obs::kind_index;
 use tileqr::runtime::{model_weight, JobSpec, QrService, ServiceConfig};
 use tileqr::{QrOptions, TiledQr};
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::Matrix;
-use tileqr_testkit::{policies_under_test, workers_under_test};
+use tileqr_testkit::workers_under_test;
 
 /// A measured-cost profile where update kernels are far cheaper per
 /// flop than panel kernels — the regime where flop weights and
@@ -46,7 +52,7 @@ fn sequential(a: &Matrix<f64>, b: usize, tree: EliminationTree) -> Matrix<f64> {
 }
 
 /// Calibrated weights through `JobSpec::cost_model` across workers ×
-/// policies × trees: bit identity.
+/// trees: bit identity.
 #[test]
 fn calibrated_weights_bit_identical_across_sweep() {
     let a = random_matrix::<f64>(40, 40, 91);
@@ -59,26 +65,23 @@ fn calibrated_weights_bit_identical_across_sweep() {
     let model = CostModel::Calibrated(measured_costs());
     let want: Vec<_> = trees.iter().map(|&t| sequential(&a, b, t)).collect();
     for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            let service = QrService::<f64>::start(ServiceConfig {
-                workers,
-                policy,
-                ..ServiceConfig::default()
-            });
-            for (&tree, want) in trees.iter().zip(&want) {
-                let spec = JobSpec::factor(a.clone())
-                    .tile_size(b)
-                    .tree(TreePolicy::Fixed(tree))
-                    .cost_model(model);
-                let got = service.submit(spec).unwrap().wait().unwrap();
-                assert_eq!(
-                    &got.output.factor().state.tiles().to_matrix(),
-                    want,
-                    "calibrated priorities changed bits (workers={workers}, policy={policy:?}, tree={tree:?})"
-                );
-            }
-            service.shutdown();
+        let service = QrService::<f64>::start(ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        });
+        for (&tree, want) in trees.iter().zip(&want) {
+            let spec = JobSpec::factor(a.clone())
+                .tile_size(b)
+                .tree(TreePolicy::Fixed(tree))
+                .cost_model(model);
+            let got = service.submit(spec).unwrap().wait().unwrap();
+            assert_eq!(
+                &got.output.factor().state.tiles().to_matrix(),
+                want,
+                "a calibrated cost model changed bits (workers={workers}, tree={tree:?})"
+            );
         }
+        service.shutdown();
     }
 }
 
@@ -124,5 +127,115 @@ fn measured_priorities_golden_on_reference_grids() {
     assert!(
         cp_measured < cp_flops && cp_flops < fifo,
         "expected a strict win on 8x8/4w: measured {cp_measured}, flops {cp_flops}, fifo {fifo}"
+    );
+}
+
+// ---- The dispatch-order decision: FIFO, because flop CP loses. ----
+
+/// Host time per task, ns, of geqrt, unmqr, tsqrt, tsmqr, ttqrt, ttmqr
+/// (`kind_index` order) at b = 16 and b = 64 — pinned from the six-kernel
+/// table of the ROADMAP re-anchor after PR 25 ("Where the time is now").
+const HOST_NS_B16: [f64; 6] = [1_685.0, 908.0, 2_443.0, 876.0, 1_672.0, 668.0];
+const HOST_NS_B64: [f64; 6] = [20_900.0, 14_000.0, 24_200.0, 18_400.0, 20_800.0, 15_200.0];
+
+/// Duration of one task under a kernel-time profile.
+type KernelTime = Box<dyn Fn(TaskKind) -> f64>;
+
+/// The `perf` geometries as `(label, mt, nt, b, tree)`: `square_fine`,
+/// `square_coarse`, `tall_skinny` under `Auto`, the ten `service_small`
+/// shapes (b = 16, the default flat tree), and four TT trees on the two
+/// square grids and the TSQR grid.
+fn decision_cells() -> Vec<(String, usize, usize, usize, EliminationTree)> {
+    use EliminationTree::{Binary, Fibonacci, Flat, FlatTt, Greedy};
+    let auto = TreePolicy::Auto.resolve(256, 2);
+    let mut cells = vec![
+        ("square_fine".to_string(), 32, 32, 16, Flat),
+        ("square_coarse".to_string(), 16, 16, 64, Flat),
+        ("tall_skinny".to_string(), 256, 2, 64, auto),
+    ];
+    let service = [
+        (16, 16),
+        (32, 16),
+        (32, 32),
+        (48, 48),
+        (64, 64),
+        (96, 64),
+        (128, 128),
+        (192, 64),
+        (160, 160),
+        (256, 128),
+    ];
+    for (rows, cols) in service {
+        let label = format!("service {rows}x{cols}");
+        cells.push((label, rows / 16, cols / 16, 16, Flat));
+    }
+    for tree in [FlatTt, Binary, Fibonacci, Greedy] {
+        for (mt, nt, b) in [(32, 32, 16), (16, 16, 64), (256, 2, 64)] {
+            cells.push((format!("{tree} {mt}x{nt} b={b}"), mt, nt, b, tree));
+        }
+    }
+    cells
+}
+
+/// ROADMAP item 6's rule: critical path becomes the driver's order only if
+/// it never loses to FIFO by more than 1 % in `listsim`. Swept over the
+/// `perf` geometries × k ∈ {2, 4, 16, 64} cores, under the host's measured
+/// kernel times and under the GPU-like `measured_costs()`, flop-weighted
+/// CP — what every one-shot run and untuned job would dispatch — loses by
+/// more than that, so FIFO is the order. Should a change flip this (item
+/// 2's six kernel classes, say), this fails and the question reopens.
+#[test]
+fn flop_critical_path_loses_to_fifo_so_fifo_is_the_order() {
+    // (flop CP vs FIFO, measured CP vs FIFO, cell), as makespan ratios - 1.
+    let mut rows = Vec::new();
+    for (label, mt, nt, b, tree) in decision_cells() {
+        let graph = TaskGraph::build_tree(mt, nt, tree);
+        let host = if b == 16 { HOST_NS_B16 } else { HOST_NS_B64 };
+        let gpu = measured_costs();
+        let profiles: [(&str, KernelTime); 2] = [
+            ("host", Box::new(move |k| host[kind_index(k)])),
+            ("measured_costs", Box::new(move |k| gpu.cost_us(k, b))),
+        ];
+        let flop_pri = bottom_levels(&graph, model_weight(CostModel::Flops, b));
+        for (profile, dur) in &profiles {
+            let measured_pri = bottom_levels(&graph, dur);
+            for k in [2usize, 4, 16, 64] {
+                let fifo = list_makespan(&graph, k, ListOrder::Fifo, dur);
+                let loss = |pri: &[f64]| {
+                    list_makespan(&graph, k, ListOrder::Priority(pri), dur) / fifo - 1.0
+                };
+                let cell = format!("{label} {profile} k={k}");
+                rows.push((loss(&flop_pri), loss(&measured_pri), cell));
+            }
+        }
+    }
+    for (flop, measured, cell) in &rows {
+        println!(
+            "{cell}: flop CP {:+.2} %, measured CP {:+.2} %",
+            flop * 1e2,
+            measured * 1e2
+        );
+    }
+    let worst_flop = rows.iter().max_by(|x, y| x.0.total_cmp(&y.0)).unwrap();
+    let worst_measured = rows.iter().max_by(|x, y| x.1.total_cmp(&y.1)).unwrap();
+    let best_measured = rows.iter().min_by(|x, y| x.1.total_cmp(&y.1)).unwrap();
+    println!(
+        "measured CP vs FIFO: worst {:+.2} % ({}), best {:+.2} % ({})",
+        worst_measured.1 * 1e2,
+        worst_measured.2,
+        best_measured.1 * 1e2,
+        best_measured.2
+    );
+    assert!(
+        worst_flop.0 > 0.01,
+        "flop-weighted CP never loses to FIFO by more than 1 % (worst {:+.2} % at {}): \
+         the dispatch-order question is open again (DESIGN.md §9)",
+        worst_flop.0 * 1e2,
+        worst_flop.2
+    );
+    println!(
+        "worst flop CP vs FIFO: {:+.2} % ({})",
+        worst_flop.0 * 1e2,
+        worst_flop.2
     );
 }

@@ -20,7 +20,7 @@
 //! stage/compute/commit protocol itself.
 
 use std::time::{Duration, Instant};
-use tileqr_dag::{CostModel, EliminationTree, TaskGraph, TaskId};
+use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
 use tileqr_kernels::exec::{FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::gen::random_matrix;
@@ -29,7 +29,6 @@ use tileqr_obs::HotPathCounters;
 use tileqr_runtime::engine::{run_attempt, DagRun, Outcome, Slots};
 use tileqr_runtime::{
     DispatchOrder, FaultInjector, FaultTolerance, InjectedFault, RunReport, RuntimeError,
-    SchedulePolicy,
 };
 use tileqr_testkit::explorer::assert_bit_identical;
 
@@ -114,7 +113,7 @@ impl<'g> Machine<'g> {
         Machine {
             graph,
             shared: SharedFactorState::new(FactorState::new(tiled)),
-            run: DagRun::new(graph, order, CostModel::Flops, B, WORKERS, None),
+            run: DagRun::new(graph, order, B, WORKERS, None),
             slots: Slots::new(WORKERS),
             idle: (0..WORKERS).rev().collect(),
             ws: Workspace::new(B, B),
@@ -294,8 +293,8 @@ fn storm(tiled: TiledMatrix<f64>, g: &TaskGraph, order: DispatchOrder, seed: u64
 #[test]
 fn seeded_event_storms_converge_bit_identically() {
     let orders = [
-        DispatchOrder::Policy(SchedulePolicy::Fifo),
-        DispatchOrder::Policy(SchedulePolicy::CriticalPath),
+        DispatchOrder::Fifo,
+        DispatchOrder::CriticalPath,
         DispatchOrder::Lifo,
         DispatchOrder::Seeded(11),
     ];
@@ -325,7 +324,7 @@ fn reports_after_commit_never_charge_the_budget() {
     ] {
         let (tiled, g) = fixture(16, 16, EliminationTree::Flat);
         let reference = sequential(&tiled, &g);
-        let fifo = DispatchOrder::Policy(SchedulePolicy::Fifo);
+        let fifo = DispatchOrder::Fifo;
         // One retry is the whole budget: a second charge would be fatal.
         let mut m = Machine::new(tiled, &g, fifo, 2);
         let w = m.idle.pop().unwrap();

@@ -2,7 +2,7 @@
 //!
 //! Every scenario scripts faults at exact `(task, attempt)` coordinates
 //! with [`ScriptedFaults`], runs the fault-tolerant pool across the CI
-//! worker/policy sweep, and holds the recovered factorization to **bit
+//! worker sweep, and holds the recovered factorization to **bit
 //! identity** with the sequential path — recovery must be invisible in
 //! the numbers, visible only in the [`RunReport`] counters. The commit
 //! protocol makes that possible: a requeued attempt stages the same
@@ -20,7 +20,7 @@ use tileqr_runtime::{
     parallel_factor_ft, FaultTolerance, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
 };
 use tileqr_testkit::oracle::verify_qr;
-use tileqr_testkit::{policies_under_test, workers_under_test};
+use tileqr_testkit::workers_under_test;
 
 /// Sequential ground truth: factored tile matrix plus the task graph.
 fn sequential(a: &Matrix<f64>, b: usize) -> (TiledMatrix<f64>, TaskGraph, Matrix<f64>) {
@@ -36,7 +36,6 @@ fn ft_run(
     tiled: &TiledMatrix<f64>,
     g: &TaskGraph,
     workers: usize,
-    policy: tileqr_runtime::SchedulePolicy,
     ft: FaultTolerance,
     injector: &ScriptedFaults,
 ) -> Result<(FactorState<f64>, RunReport), RuntimeError> {
@@ -45,7 +44,6 @@ fn ft_run(
         g,
         PoolConfig {
             workers,
-            policy,
             ..PoolConfig::default()
         },
         Some(ft),
@@ -58,23 +56,20 @@ fn panic_recovery_is_bit_identical_across_the_sweep() {
     let a = random_matrix::<f64>(32, 32, 0xF1);
     let (tiled, g, seq) = sequential(&a, 8);
     for workers in workers_under_test().into_iter().filter(|&w| w >= 2) {
-        for policy in policies_under_test() {
-            // One panic mid-graph: kills its worker, task requeues.
-            let victim = g.len() / 2;
-            let inj = ScriptedFaults::new().panic_on(victim, 1);
-            let (state, report) =
-                ft_run(&tiled, &g, workers, policy, FaultTolerance::default(), &inj)
-                    .expect("recovery must succeed");
-            assert_eq!(
-                state.tiles().to_matrix(),
-                seq,
-                "workers={workers} policy={policy:?}: recovered factors must be bit-identical"
-            );
-            assert_eq!(report.worker_deaths, 1, "workers={workers}");
-            assert_eq!(report.requeues, 1);
-            assert_eq!(report.retries, 1);
-            assert_eq!(report.total_tasks(), g.len() as u64);
-        }
+        // One panic mid-graph: kills its worker, task requeues.
+        let victim = g.len() / 2;
+        let inj = ScriptedFaults::new().panic_on(victim, 1);
+        let (state, report) = ft_run(&tiled, &g, workers, FaultTolerance::default(), &inj)
+            .expect("recovery must succeed");
+        assert_eq!(
+            state.tiles().to_matrix(),
+            seq,
+            "workers={workers}: recovered factors must be bit-identical"
+        );
+        assert_eq!(report.worker_deaths, 1, "workers={workers}");
+        assert_eq!(report.requeues, 1);
+        assert_eq!(report.retries, 1);
+        assert_eq!(report.total_tasks(), g.len() as u64);
     }
 }
 
@@ -84,24 +79,22 @@ fn multiple_panics_and_transients_recover_together() {
     let (tiled, g, seq) = sequential(&a, 8);
     let last = g.len() - 1;
     for workers in workers_under_test().into_iter().filter(|&w| w >= 2) {
-        for policy in policies_under_test() {
-            // A panic early, transient failures in the middle and on the
-            // final task — the pool must survive losing a worker *and*
-            // burning retries elsewhere in the same run.
-            let inj = ScriptedFaults::new()
-                .panic_on(1, 1)
-                .fail_on(g.len() / 3, 2)
-                .fail_on(last, 1);
-            let ft = FaultTolerance {
-                max_attempts: 4,
-                ..FaultTolerance::default()
-            };
-            let (state, report) = ft_run(&tiled, &g, workers, policy, ft, &inj)
-                .expect("mixed faults within budget must recover");
-            assert_eq!(state.tiles().to_matrix(), seq, "workers={workers}");
-            assert_eq!(report.worker_deaths, 1);
-            assert_eq!(report.retries, 4, "1 panic + 2 + 1 transients");
-        }
+        // A panic early, transient failures in the middle and on the
+        // final task — the pool must survive losing a worker *and*
+        // burning retries elsewhere in the same run.
+        let inj = ScriptedFaults::new()
+            .panic_on(1, 1)
+            .fail_on(g.len() / 3, 2)
+            .fail_on(last, 1);
+        let ft = FaultTolerance {
+            max_attempts: 4,
+            ..FaultTolerance::default()
+        };
+        let (state, report) =
+            ft_run(&tiled, &g, workers, ft, &inj).expect("mixed faults within budget must recover");
+        assert_eq!(state.tiles().to_matrix(), seq, "workers={workers}");
+        assert_eq!(report.worker_deaths, 1);
+        assert_eq!(report.retries, 4, "1 panic + 2 + 1 transients");
     }
 }
 
@@ -119,24 +112,17 @@ fn recovery_is_bit_identical_for_every_elimination_tree() {
         let mut seq = FactorState::new(tiled.clone());
         seq.run_all(&g).unwrap();
         let expect = seq.tiles().to_matrix();
-        for policy in policies_under_test() {
-            let inj = ScriptedFaults::new()
-                .panic_on(g.len() / 2, 1)
-                .fail_on(g.len() - 1, 1);
-            let ft = FaultTolerance {
-                max_attempts: 3,
-                ..FaultTolerance::default()
-            };
-            let (state, report) =
-                ft_run(&tiled, &g, 4, policy, ft, &inj).expect("recovery must succeed");
-            assert_eq!(
-                state.tiles().to_matrix(),
-                expect,
-                "tree={tree} policy={policy:?}"
-            );
-            assert_eq!(report.worker_deaths, 1, "tree={tree}");
-            assert_eq!(report.retries, 2, "tree={tree}: panic + transient");
-        }
+        let inj = ScriptedFaults::new()
+            .panic_on(g.len() / 2, 1)
+            .fail_on(g.len() - 1, 1);
+        let ft = FaultTolerance {
+            max_attempts: 3,
+            ..FaultTolerance::default()
+        };
+        let (state, report) = ft_run(&tiled, &g, 4, ft, &inj).expect("recovery must succeed");
+        assert_eq!(state.tiles().to_matrix(), expect, "tree={tree}");
+        assert_eq!(report.worker_deaths, 1, "tree={tree}");
+        assert_eq!(report.retries, 2, "tree={tree}: panic + transient");
     }
 }
 
@@ -150,15 +136,8 @@ fn stalled_worker_is_retired_by_watchdog_and_run_recovers() {
     };
     for workers in [2usize, 4] {
         let inj = ScriptedFaults::new().stall_on(2, 1, Duration::from_millis(400));
-        let (state, report) = ft_run(
-            &tiled,
-            &g,
-            workers,
-            tileqr_runtime::SchedulePolicy::Fifo,
-            ft,
-            &inj,
-        )
-        .expect("watchdog recovery must succeed");
+        let (state, report) =
+            ft_run(&tiled, &g, workers, ft, &inj).expect("watchdog recovery must succeed");
         assert_eq!(state.tiles().to_matrix(), seq, "workers={workers}");
         assert!(report.worker_deaths >= 1, "stalled worker retired");
         assert!(report.requeues >= 1);
@@ -174,15 +153,7 @@ fn exhausted_retry_budget_is_a_structured_error_not_a_hang() {
         max_attempts: 2,
         ..FaultTolerance::default()
     };
-    let err = ft_run(
-        &tiled,
-        &g,
-        2,
-        tileqr_runtime::SchedulePolicy::Fifo,
-        ft,
-        &inj,
-    )
-    .expect_err("budget must run out");
+    let err = ft_run(&tiled, &g, 2, ft, &inj).expect_err("budget must run out");
     match err {
         RuntimeError::RetriesExhausted { task, attempts, .. } => {
             assert_eq!(task, 0);
@@ -202,18 +173,16 @@ fn fenced_run_fails_at_a_poisoned_panel_factor() {
         .position(|t| matches!(t, TaskKind::Tsqrt { .. }))
         .unwrap();
     for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            for victim in [0, later] {
-                let inj = ScriptedFaults::new().poison_on(victim, 1);
-                let err = ft_run(&tiled, &g, workers, policy, FaultTolerance::default(), &inj)
-                    .expect_err("a poisoned panel factor must not commit");
-                match &err {
-                    RuntimeError::Kernel { task, source } => {
-                        assert_eq!(*task, victim, "workers={workers}");
-                        assert!(source.to_string().contains("non-finite"), "{source}");
-                    }
-                    other => panic!("expected Kernel, got {other}"),
+        for victim in [0, later] {
+            let inj = ScriptedFaults::new().poison_on(victim, 1);
+            let err = ft_run(&tiled, &g, workers, FaultTolerance::default(), &inj)
+                .expect_err("a poisoned panel factor must not commit");
+            match &err {
+                RuntimeError::Kernel { task, source } => {
+                    assert_eq!(*task, victim, "workers={workers}");
+                    assert!(source.to_string().contains("non-finite"), "{source}");
                 }
+                other => panic!("expected Kernel, got {other}"),
             }
         }
     }

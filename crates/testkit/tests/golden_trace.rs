@@ -1,6 +1,7 @@
 //! Golden-trace suite: lock down the observability layer's guarantees
-//! on the *real* pool, swept across worker counts and schedule policies
-//! (`TILEQR_TESTKIT_WORKERS` / `TILEQR_TESTKIT_POLICY`).
+//! on the *real* pool, swept across worker counts
+//! (`TILEQR_TESTKIT_WORKERS`) and dispatch rules (FIFO and the
+//! critical-path adversary).
 //!
 //! For a fixed seed and tile geometry, every traced run must produce a
 //! trace that is
@@ -22,7 +23,7 @@ use tileqr_runtime::{
     parallel_factor_ft, parallel_factor_ordered, DispatchOrder, FaultTolerance, PoolConfig,
     ScriptedFaults,
 };
-use tileqr_testkit::{policies_under_test, workers_under_test};
+use tileqr_testkit::workers_under_test;
 
 const N: usize = 32;
 const B: usize = 4;
@@ -61,7 +62,7 @@ fn assert_complete(trace: &Trace, g: &TaskGraph) {
 fn golden_traces_across_workers_and_policies() {
     let (tiled, g) = fixture();
     for &workers in &workers_under_test() {
-        for &policy in &policies_under_test() {
+        for order in [DispatchOrder::Fifo, DispatchOrder::CriticalPath] {
             // `parallel_factor_ordered` runs the real manager loop even
             // at one worker, so the single-lane golden trace exercises
             // the same recording paths as the multi-worker runs.
@@ -70,21 +71,20 @@ fn golden_traces_across_workers_and_policies() {
                 &g,
                 PoolConfig {
                     workers,
-                    policy,
                     trace: TraceConfig::enabled(),
                 },
-                DispatchOrder::Policy(policy),
+                order,
             )
             .unwrap();
             let trace = report
                 .trace
                 .as_ref()
-                .unwrap_or_else(|| panic!("workers={workers} {policy:?}: trace missing"));
+                .unwrap_or_else(|| panic!("workers={workers} {order:?}: trace missing"));
 
             assert_complete(trace, &g);
             trace
                 .validate(true)
-                .unwrap_or_else(|e| panic!("workers={workers} {policy:?}: {e}"));
+                .unwrap_or_else(|e| panic!("workers={workers} {order:?}: {e}"));
             assert_eq!(
                 trace.lanes.len(),
                 workers + 1,
@@ -111,7 +111,7 @@ fn golden_traces_across_workers_and_policies() {
                 assert_eq!(
                     trace.events_of(kind).count(),
                     0,
-                    "workers={workers} {policy:?}: unexpected {kind:?}"
+                    "workers={workers} {order:?}: unexpected {kind:?}"
                 );
             }
         }
@@ -131,7 +131,6 @@ fn golden_trace_ft_clean_run_has_no_recovery_events() {
             PoolConfig {
                 workers,
                 trace: TraceConfig::enabled(),
-                ..PoolConfig::default()
             },
             Some(FaultTolerance::default()),
             None,
@@ -165,7 +164,6 @@ fn golden_trace_records_retries_iff_faults_injected() {
         PoolConfig {
             workers: 2,
             trace: TraceConfig::enabled(),
-            ..PoolConfig::default()
         },
         Some(FaultTolerance::default()),
         Some(&faults),
@@ -204,7 +202,6 @@ fn golden_trace_worker_death_leaves_marker() {
         PoolConfig {
             workers: 3,
             trace: TraceConfig::enabled(),
-            ..PoolConfig::default()
         },
         Some(FaultTolerance::default()),
         Some(&faults),
@@ -230,7 +227,7 @@ fn traced_and_untraced_runs_factor_identically() {
             workers: 2,
             ..PoolConfig::default()
         },
-        DispatchOrder::Policy(Default::default()),
+        DispatchOrder::Fifo,
     )
     .unwrap()
     .0;
@@ -240,9 +237,8 @@ fn traced_and_untraced_runs_factor_identically() {
         PoolConfig {
             workers: 2,
             trace: TraceConfig::enabled(),
-            ..PoolConfig::default()
         },
-        DispatchOrder::Policy(Default::default()),
+        DispatchOrder::Fifo,
     )
     .unwrap()
     .0;

@@ -17,9 +17,9 @@ use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
     parallel_factor_ft, parallel_factor_ordered, DispatchOrder, FaultInjector, FaultTolerance,
-    InjectedFault, PoolConfig, RunReport, RuntimeError, SchedulePolicy, ScriptedFaults,
+    InjectedFault, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
 };
-use tileqr_testkit::{policies_under_test, within, workers_under_test};
+use tileqr_testkit::{within, workers_under_test};
 
 const B: usize = 4;
 
@@ -39,10 +39,9 @@ fn flat3() -> (TiledMatrix<f64>, TaskGraph, Matrix<f64>) {
     case(3, 3, EliminationTree::Flat)
 }
 
-fn config(workers: usize, policy: SchedulePolicy) -> PoolConfig {
+fn config(workers: usize) -> PoolConfig {
     PoolConfig {
         workers,
-        policy,
         ..PoolConfig::default()
     }
 }
@@ -97,8 +96,8 @@ fn narrow_graphs_never_lose_a_wakeup() {
         ("3x3 flat", flat3()),
     ];
     let orders = [
-        DispatchOrder::Policy(SchedulePolicy::Fifo),
-        DispatchOrder::Policy(SchedulePolicy::CriticalPath),
+        DispatchOrder::Fifo,
+        DispatchOrder::CriticalPath,
         DispatchOrder::Lifo,
         DispatchOrder::ReversePriority,
         DispatchOrder::Seeded(0xA11),
@@ -113,7 +112,7 @@ fn narrow_graphs_never_lose_a_wakeup() {
                         let (st, report) = parallel_factor_ordered(
                             FactorState::new(tiled.clone()),
                             &g,
-                            config(workers, order.base_policy()),
+                            config(workers),
                             order,
                         )
                         .unwrap();
@@ -129,35 +128,33 @@ fn narrow_graphs_never_lose_a_wakeup() {
 #[test]
 fn unfenced_fault_ends_the_run_while_the_others_sleep() {
     for workers in workers_under_test().into_iter().filter(|&w| w >= 2) {
-        for policy in policies_under_test() {
-            let err = within(Duration::from_secs(30), "unfenced panic", move || {
+        let err = within(Duration::from_secs(30), "unfenced panic", move || {
+            let (tiled, g, _) = flat3();
+            let inj = held(ScriptedFaults::new().panic_on(0, 1));
+            let err = ft_run(&tiled, &g, config(workers), None, &inj).unwrap_err();
+            assert_eq!(inj.script.attempts_seen(), vec![(0, 0)]);
+            err
+        });
+        assert!(
+            matches!(err, RuntimeError::TaskPanicked { task: 0, .. }),
+            "workers={workers}: {err}"
+        );
+
+        let err = within(
+            Duration::from_secs(30),
+            "unfenced kernel error",
+            move || {
                 let (tiled, g, _) = flat3();
-                let inj = held(ScriptedFaults::new().panic_on(0, 1));
-                let err = ft_run(&tiled, &g, config(workers, policy), None, &inj).unwrap_err();
+                let inj = held(ScriptedFaults::new().fail_on(0, 1));
+                let err = ft_run(&tiled, &g, config(workers), None, &inj).unwrap_err();
                 assert_eq!(inj.script.attempts_seen(), vec![(0, 0)]);
                 err
-            });
-            assert!(
-                matches!(err, RuntimeError::TaskPanicked { task: 0, .. }),
-                "workers={workers}: {err}"
-            );
-
-            let err = within(
-                Duration::from_secs(30),
-                "unfenced kernel error",
-                move || {
-                    let (tiled, g, _) = flat3();
-                    let inj = held(ScriptedFaults::new().fail_on(0, 1));
-                    let err = ft_run(&tiled, &g, config(workers, policy), None, &inj).unwrap_err();
-                    assert_eq!(inj.script.attempts_seen(), vec![(0, 0)]);
-                    err
-                },
-            );
-            assert!(
-                matches!(err, RuntimeError::Kernel { task: 0, .. }),
-                "workers={workers}: {err}"
-            );
-        }
+            },
+        );
+        assert!(
+            matches!(err, RuntimeError::Kernel { task: 0, .. }),
+            "workers={workers}: {err}"
+        );
     }
 }
 
@@ -167,23 +164,20 @@ fn timer_wakes_a_sleeping_pool_for_a_parked_retry() {
     // parked, *every* worker is asleep, so only the calling thread's
     // timer can get the run going again.
     for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            within(Duration::from_secs(30), "parked retry", move || {
-                let (tiled, g, r) = flat3();
-                let inj = ScriptedFaults::new().fail_on(0, 1);
-                let ft = FaultTolerance {
-                    backoff_base: Duration::from_millis(20),
-                    ..FaultTolerance::default()
-                };
-                // `parallel_factor_ft` runs the pool even at one worker.
-                let (st, report) =
-                    ft_run(&tiled, &g, config(workers, policy), Some(ft), &inj).unwrap();
-                assert_eq!(st.r_matrix(), r, "workers={workers}");
-                assert_eq!(report.retries, 1);
-                assert_eq!(report.worker_deaths, 0);
-                assert_eq!(report.total_tasks() as usize, g.len());
-            });
-        }
+        within(Duration::from_secs(30), "parked retry", move || {
+            let (tiled, g, r) = flat3();
+            let inj = ScriptedFaults::new().fail_on(0, 1);
+            let ft = FaultTolerance {
+                backoff_base: Duration::from_millis(20),
+                ..FaultTolerance::default()
+            };
+            // `parallel_factor_ft` runs the pool even at one worker.
+            let (st, report) = ft_run(&tiled, &g, config(workers), Some(ft), &inj).unwrap();
+            assert_eq!(st.r_matrix(), r, "workers={workers}");
+            assert_eq!(report.retries, 1);
+            assert_eq!(report.worker_deaths, 0);
+            assert_eq!(report.total_tasks() as usize, g.len());
+        });
     }
 }
 
@@ -193,22 +187,20 @@ fn watchdog_retires_a_stalled_worker_while_the_other_sleeps() {
     // sleeps. The watchdog retires the staller and parks the retry, the
     // timer wakes the sleeper, and the staller's late result finds the
     // task committed and is dropped at the fence.
-    for policy in policies_under_test() {
-        within(Duration::from_secs(30), "watchdog", move || {
-            let (tiled, g, r) = flat3();
-            let inj = ScriptedFaults::new().stall_on(0, 1, Duration::from_millis(300));
-            let ft = FaultTolerance {
-                stall_timeout: Some(Duration::from_millis(30)),
-                ..FaultTolerance::default()
-            };
-            let (st, report) = ft_run(&tiled, &g, config(2, policy), Some(ft), &inj).unwrap();
-            assert_eq!(st.r_matrix(), r);
-            assert!(report.worker_deaths >= 1);
-            assert!(report.requeues >= 1);
-            assert!(report.retries >= 1);
-            assert_eq!(report.total_tasks() as usize, g.len());
-        });
-    }
+    within(Duration::from_secs(30), "watchdog", move || {
+        let (tiled, g, r) = flat3();
+        let inj = ScriptedFaults::new().stall_on(0, 1, Duration::from_millis(300));
+        let ft = FaultTolerance {
+            stall_timeout: Some(Duration::from_millis(30)),
+            ..FaultTolerance::default()
+        };
+        let (st, report) = ft_run(&tiled, &g, config(2), Some(ft), &inj).unwrap();
+        assert_eq!(st.r_matrix(), r);
+        assert!(report.worker_deaths >= 1);
+        assert!(report.requeues >= 1);
+        assert!(report.retries >= 1);
+        assert_eq!(report.total_tasks() as usize, g.len());
+    });
 }
 
 /// Panics attempt 0 of tasks 0 and 1 — the two sources of a 2 × 1 binary
@@ -230,16 +222,14 @@ impl FaultInjector for BothDie {
 fn a_run_whose_first_threads_all_die_finishes_on_respawned_ones() {
     // Every lost slot is respawned, so the run ends on threads that did not
     // exist when it started.
-    for policy in policies_under_test() {
-        within(Duration::from_secs(30), "respawn", move || {
-            let (tiled, g, r) = case(2, 1, EliminationTree::Binary);
-            let inj = BothDie(std::sync::Barrier::new(2));
-            let ft = Some(FaultTolerance::default());
-            let (st, report) = ft_run(&tiled, &g, config(2, policy), ft, &inj).unwrap();
-            assert_eq!(st.r_matrix(), r);
-            assert_eq!(report.worker_deaths, 2);
-            assert_eq!((report.requeues, report.retries), (2, 2));
-            assert_eq!(report.total_tasks() as usize, g.len());
-        });
-    }
+    within(Duration::from_secs(30), "respawn", move || {
+        let (tiled, g, r) = case(2, 1, EliminationTree::Binary);
+        let inj = BothDie(std::sync::Barrier::new(2));
+        let ft = Some(FaultTolerance::default());
+        let (st, report) = ft_run(&tiled, &g, config(2), ft, &inj).unwrap();
+        assert_eq!(st.r_matrix(), r);
+        assert_eq!(report.worker_deaths, 2);
+        assert_eq!((report.requeues, report.retries), (2, 2));
+        assert_eq!(report.total_tasks() as usize, g.len());
+    });
 }

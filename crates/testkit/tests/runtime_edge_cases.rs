@@ -2,16 +2,15 @@
 //!
 //! Non-square, single-tile and tall-skinny (p×1 tile grid) matrices
 //! exercise the degenerate corners of the DAG (no TS/TT updates, no
-//! eliminations, single panel) across worker counts and both schedule
-//! policies — each run held to bit-identity with the sequential path and
-//! to the numerical oracle.
+//! eliminations, single panel) across worker counts — each run held to
+//! bit-identity with the sequential path and to the numerical oracle.
 
 use tileqr::{QrOptions, TiledQr};
 use tileqr_dag::{EliminationTree, TreePolicy};
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::Matrix;
 use tileqr_testkit::oracle::verify_qr;
-use tileqr_testkit::{policies_under_test, workers_under_test};
+use tileqr_testkit::workers_under_test;
 
 /// (label, rows, cols, tile size) — every degenerate grid shape:
 /// single tile (1×1 grid), tall-skinny (p×1 grid), single tile row
@@ -38,18 +37,9 @@ fn edge_geometries_are_bit_identical_across_workers_and_policies() {
         let seq = TiledQr::factor(&a, &QrOptions::new().tile_size(b)).unwrap();
         let seq_r = seq.r();
         for workers in workers_under_test().into_iter().chain([8]) {
-            for policy in policies_under_test() {
-                let opts = QrOptions::new()
-                    .tile_size(b)
-                    .workers(workers)
-                    .schedule(policy);
-                let f = TiledQr::factor(&a, &opts).unwrap();
-                assert_eq!(
-                    f.r(),
-                    seq_r,
-                    "{name}: diverged at {workers} workers, {policy:?}"
-                );
-            }
+            let opts = QrOptions::new().tile_size(b).workers(workers);
+            let f = TiledQr::factor(&a, &opts).unwrap();
+            assert_eq!(f.r(), seq_r, "{name}: diverged at {workers} workers");
         }
     }
 }

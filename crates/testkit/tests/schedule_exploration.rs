@@ -2,10 +2,10 @@
 //!
 //! The runtime's correctness claim is that *every* legal interleaving of
 //! the task DAG commits a bit-identical factorization. These tests drive
-//! well over a hundred distinct interleavings per schedule policy through
-//! the virtual explorer, plus adversarial dispatch orders through the
-//! real thread pool, and hold each one to bit-identity against the
-//! sequential factorization.
+//! well over a hundred distinct interleavings per dispatch rule (FIFO and
+//! the critical-path adversary) through the virtual explorer, plus
+//! adversarial dispatch orders through the real thread pool, and hold
+//! each one to bit-identity against the sequential factorization.
 
 use std::collections::HashSet;
 
@@ -13,11 +13,11 @@ use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::TiledMatrix;
-use tileqr_runtime::{parallel_factor_ordered, DispatchOrder, PoolConfig, SchedulePolicy};
+use tileqr_runtime::{parallel_factor_ordered, DispatchOrder, PoolConfig};
 use tileqr_testkit::explorer::{
     assert_bit_identical, explore, explore_tree_vs_sequential, ExploreStrategy,
 };
-use tileqr_testkit::{policies_under_test, workers_under_test};
+use tileqr_testkit::workers_under_test;
 
 const N: usize = 32;
 const B: usize = 8;
@@ -36,20 +36,21 @@ fn hundred_plus_distinct_seeded_interleavings_per_policy() {
     let (reference, graph) = sequential_reference(&a);
     let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
 
-    for policy in policies_under_test() {
+    for critical_path in [false, true] {
         let mut fingerprints = HashSet::new();
         let mut seed = 0u64;
         // Distinct interleavings, not merely distinct seeds: keep drawing
         // until 100 unique completion orders have been exercised.
         while fingerprints.len() < 100 {
-            assert!(seed < 400, "schedule space collapsed for {policy:?}");
-            let exp = explore(
-                tiled.clone(),
-                &graph,
-                4,
-                ExploreStrategy::Seeded { seed, policy },
-            )
-            .unwrap();
+            assert!(
+                seed < 400,
+                "schedule space collapsed (critical_path={critical_path})"
+            );
+            let strategy = ExploreStrategy::Seeded {
+                seed,
+                critical_path,
+            };
+            let exp = explore(tiled.clone(), &graph, 4, strategy).unwrap();
             fingerprints.insert(exp.fingerprint());
             assert_bit_identical(&exp.state, &reference);
             seed += 1;
@@ -81,7 +82,7 @@ fn exploration_covers_binary_tree_elimination_too() {
         for seed in 0..25 {
             let strategy = ExploreStrategy::Seeded {
                 seed,
-                policy: SchedulePolicy::CriticalPath,
+                critical_path: true,
             };
             let (exp, reference) = explore_tree_vs_sequential(&a, B, order, 3, strategy).unwrap();
             assert_bit_identical(&exp.state, &reference);
@@ -100,8 +101,8 @@ fn real_pool_honors_adversarial_dispatch_orders() {
             DispatchOrder::Lifo,
             DispatchOrder::ReversePriority,
             DispatchOrder::Seeded(workers as u64),
-            DispatchOrder::Policy(SchedulePolicy::Fifo),
-            DispatchOrder::Policy(SchedulePolicy::CriticalPath),
+            DispatchOrder::Fifo,
+            DispatchOrder::CriticalPath,
         ];
         for order in orders {
             let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
@@ -110,7 +111,6 @@ fn real_pool_honors_adversarial_dispatch_orders() {
                 &graph,
                 PoolConfig {
                     workers,
-                    policy: order.base_policy(),
                     ..PoolConfig::default()
                 },
                 order,
@@ -121,8 +121,7 @@ fn real_pool_honors_adversarial_dispatch_orders() {
             assert_eq!(
                 state.r_matrix(),
                 expect_r,
-                "order {} diverged at {workers} workers",
-                order.name()
+                "order {order:?} diverged at {workers} workers"
             );
         }
     }
@@ -141,7 +140,6 @@ fn pool_seeded_orders_sample_many_interleavings_safely() {
             &graph,
             PoolConfig {
                 workers: 4,
-                policy: SchedulePolicy::Fifo,
                 ..PoolConfig::default()
             },
             DispatchOrder::Seeded(seed),

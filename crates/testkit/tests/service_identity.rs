@@ -1,7 +1,7 @@
 //! Service-path bit-identity: every job factored through a resident
 //! [`QrService`] must produce **bit-identical** factors to the same
-//! matrix factored sequentially — across worker counts, schedule
-//! policies, concurrent job counts, and job sizes down to one task. The
+//! matrix factored sequentially — across worker counts, concurrent job
+//! counts, and job sizes down to one task. The
 //! service interleaves many job DAGs through one shared ready queue, so
 //! this is the strongest statement that per-job
 //! `SharedFactorState` isolation plus the fenced commit protocol keep
@@ -13,7 +13,7 @@ use tileqr_dag::{EliminationTree, TaskGraph, TreePolicy};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
-use tileqr_testkit::{policies_under_test, workers_under_test};
+use tileqr_testkit::workers_under_test;
 
 /// Sequential ground truth for one job: the factored tile matrix.
 fn sequential(a: &Matrix<f64>, b: usize, order: EliminationTree) -> Matrix<f64> {
@@ -38,40 +38,37 @@ fn job_matrix(i: u64) -> (Matrix<f64>, usize, EliminationTree) {
     (random_matrix::<f64>(m, n, 1000 + i), 8, order)
 }
 
-/// The acceptance sweep: workers x policies x {1, 4, 16} concurrent
+/// The acceptance sweep: workers x {1, 4, 16} concurrent
 /// mixed-size jobs, every factor bit-identical to the sequential run.
 #[test]
 fn service_factor_bit_identical_across_sweep() {
     for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            for &jobs in &[1usize, 4, 16] {
-                let svc = QrService::<f64>::start(ServiceConfig {
-                    workers,
-                    policy,
-                    ..ServiceConfig::default()
-                });
-                let mut handles = Vec::new();
-                let mut expected = Vec::new();
-                for i in 0..jobs as u64 {
-                    let (a, b, order) = job_matrix(i);
-                    expected.push(sequential(&a, b, order));
-                    let spec = JobSpec::factor(a)
-                        .tile_size(b)
-                        .tree(TreePolicy::Fixed(order));
-                    handles.push(svc.submit(spec).unwrap());
-                }
-                for (h, want) in handles.into_iter().zip(expected) {
-                    let res = h.wait().unwrap();
-                    let got = res.output.factor().state.tiles().to_matrix();
-                    assert_eq!(
-                        got, want,
-                        "service factor diverged (workers={workers}, policy={policy:?}, jobs={jobs})"
-                    );
-                }
-                let stats = svc.shutdown();
-                assert_eq!(stats.jobs_completed, jobs as u64);
-                assert_eq!(stats.jobs_failed, 0);
+        for &jobs in &[1usize, 4, 16] {
+            let svc = QrService::<f64>::start(ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            });
+            let mut handles = Vec::new();
+            let mut expected = Vec::new();
+            for i in 0..jobs as u64 {
+                let (a, b, order) = job_matrix(i);
+                expected.push(sequential(&a, b, order));
+                let spec = JobSpec::factor(a)
+                    .tile_size(b)
+                    .tree(TreePolicy::Fixed(order));
+                handles.push(svc.submit(spec).unwrap());
             }
+            for (h, want) in handles.into_iter().zip(expected) {
+                let res = h.wait().unwrap();
+                let got = res.output.factor().state.tiles().to_matrix();
+                assert_eq!(
+                    got, want,
+                    "service factor diverged (workers={workers}, jobs={jobs})"
+                );
+            }
+            let stats = svc.shutdown();
+            assert_eq!(stats.jobs_completed, jobs as u64);
+            assert_eq!(stats.jobs_failed, 0);
         }
     }
 }

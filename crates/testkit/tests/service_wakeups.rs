@@ -19,10 +19,10 @@ use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::service::WaitTimeout;
 use tileqr_runtime::{
-    FaultInjector, FaultTolerance, InjectedFault, JobHandle, JobSpec, QrService, SchedulePolicy,
-    ScriptedFaults, ServiceConfig, ServiceError,
+    FaultInjector, FaultTolerance, InjectedFault, JobHandle, JobSpec, QrService, ScriptedFaults,
+    ServiceConfig, ServiceError,
 };
-use tileqr_testkit::{policies_under_test, within, workers_under_test};
+use tileqr_testkit::{within, workers_under_test};
 
 const B: usize = 4;
 const LIMIT: Duration = Duration::from_secs(60);
@@ -49,10 +49,9 @@ fn spec(a: &Matrix<f64>, tree: EliminationTree) -> JobSpec<f64> {
         .tree(TreePolicy::Fixed(tree))
 }
 
-fn service(workers: usize, policy: SchedulePolicy, ft: FaultTolerance) -> QrService<f64> {
+fn service(workers: usize, ft: FaultTolerance) -> QrService<f64> {
     QrService::start(ServiceConfig {
         workers,
-        policy,
         fault_tolerance: ft,
         ..ServiceConfig::default()
     })
@@ -106,25 +105,23 @@ fn narrow_jobs_never_lose_a_wakeup() {
     for (name, mt, nt, tree) in cases {
         let (a, tasks, r) = case(mt, nt, tree);
         for workers in workers_under_test() {
-            for policy in policies_under_test() {
-                let what = format!("{name} workers={workers} {policy:?}");
-                let (a, r) = (a.clone(), r.clone());
-                within(LIMIT, &what.clone(), move || {
-                    let svc = service(workers, policy, FaultTolerance::default());
-                    for round in 0..50 {
-                        let handles: Vec<_> = (0..4)
-                            .map(|_| svc.submit(spec(&a, tree)).unwrap())
-                            .collect();
-                        for h in handles {
-                            let res = h.wait().unwrap();
-                            assert_eq!(res.output.factor().r_matrix(), r, "{what} round={round}");
-                            assert_eq!(res.report.total_tasks() as usize, tasks, "{what}");
-                        }
+            let what = format!("{name} workers={workers}");
+            let (a, r) = (a.clone(), r.clone());
+            within(LIMIT, &what.clone(), move || {
+                let svc = service(workers, FaultTolerance::default());
+                for round in 0..50 {
+                    let handles: Vec<_> = (0..4)
+                        .map(|_| svc.submit(spec(&a, tree)).unwrap())
+                        .collect();
+                    for h in handles {
+                        let res = h.wait().unwrap();
+                        assert_eq!(res.output.factor().r_matrix(), r, "{what} round={round}");
+                        assert_eq!(res.report.total_tasks() as usize, tasks, "{what}");
                     }
-                    let stats = svc.shutdown();
-                    assert_eq!((stats.jobs_completed, stats.jobs_failed), (200, 0));
-                });
-            }
+                }
+                let stats = svc.shutdown();
+                assert_eq!((stats.jobs_completed, stats.jobs_failed), (200, 0));
+            });
         }
     }
 }
@@ -137,27 +134,25 @@ fn narrow_jobs_never_lose_a_wakeup() {
 #[test]
 fn a_burst_of_one_task_jobs_wakes_a_sleeping_pool() {
     for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            within(LIMIT, "one-task burst", move || {
-                let (a, tasks, r) = case(1, 1, EliminationTree::Flat);
-                assert_eq!(tasks, 1);
-                let svc = service(workers, policy, FaultTolerance::default());
-                let jobs = workers.saturating_sub(1).max(1);
-                for round in 0..50 {
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|_| svc.submit(spec(&a, EliminationTree::Flat)).unwrap())
-                        .collect();
-                    for h in handles {
-                        let res = h.wait().unwrap();
-                        assert_eq!(res.output.factor().r_matrix(), r, "round={round}");
-                        assert_eq!(res.class_tasks.iter().sum::<u64>(), 1);
-                    }
+        within(LIMIT, "one-task burst", move || {
+            let (a, tasks, r) = case(1, 1, EliminationTree::Flat);
+            assert_eq!(tasks, 1);
+            let svc = service(workers, FaultTolerance::default());
+            let jobs = workers.saturating_sub(1).max(1);
+            for round in 0..50 {
+                let handles: Vec<_> = (0..jobs)
+                    .map(|_| svc.submit(spec(&a, EliminationTree::Flat)).unwrap())
+                    .collect();
+                for h in handles {
+                    let res = h.wait().unwrap();
+                    assert_eq!(res.output.factor().r_matrix(), r, "round={round}");
+                    assert_eq!(res.class_tasks.iter().sum::<u64>(), 1);
                 }
-                let stats = svc.shutdown();
-                assert_eq!(stats.jobs_completed as usize, 50 * jobs);
-                assert_eq!(stats.tasks_dispatched, stats.jobs_completed);
-            });
-        }
+            }
+            let stats = svc.shutdown();
+            assert_eq!(stats.jobs_completed as usize, 50 * jobs);
+            assert_eq!(stats.tasks_dispatched, stats.jobs_completed);
+        });
     }
 }
 
@@ -169,26 +164,24 @@ fn a_burst_of_one_task_jobs_wakes_a_sleeping_pool() {
 #[test]
 fn timer_wakes_a_sleeping_service_for_a_parked_retry() {
     for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            within(LIMIT, "parked retry", move || {
-                let (a, tasks, r) = flat3();
-                let ft = FaultTolerance {
-                    backoff_base: Duration::from_millis(20),
-                    ..FaultTolerance::default()
-                };
-                let svc = service(workers, policy, ft);
-                let faults = Arc::new(ScriptedFaults::new().fail_on(0, 1));
-                let h = svc
-                    .submit(spec(&a, EliminationTree::Flat).faults(faults))
-                    .unwrap();
-                let res = h.wait().unwrap();
-                assert_eq!(res.output.factor().r_matrix(), r, "workers={workers}");
-                assert_eq!(res.report.retries, 1);
-                assert_eq!(res.report.worker_deaths, 0);
-                assert_eq!(res.report.total_tasks() as usize, tasks);
-                svc.shutdown();
-            });
-        }
+        within(LIMIT, "parked retry", move || {
+            let (a, tasks, r) = flat3();
+            let ft = FaultTolerance {
+                backoff_base: Duration::from_millis(20),
+                ..FaultTolerance::default()
+            };
+            let svc = service(workers, ft);
+            let faults = Arc::new(ScriptedFaults::new().fail_on(0, 1));
+            let h = svc
+                .submit(spec(&a, EliminationTree::Flat).faults(faults))
+                .unwrap();
+            let res = h.wait().unwrap();
+            assert_eq!(res.output.factor().r_matrix(), r, "workers={workers}");
+            assert_eq!(res.report.retries, 1);
+            assert_eq!(res.report.worker_deaths, 0);
+            assert_eq!(res.report.total_tasks() as usize, tasks);
+            svc.shutdown();
+        });
     }
 }
 
@@ -202,41 +195,39 @@ fn timer_wakes_a_sleeping_service_for_a_parked_retry() {
 #[test]
 fn watchdog_retires_a_stalled_worker_while_the_others_sleep() {
     for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            within(LIMIT, "watchdog", move || {
-                let (a, tasks, r) = flat3();
-                let bound = Duration::from_millis(30);
-                let ft = FaultTolerance {
-                    stall_timeout: Some(bound),
-                    ..FaultTolerance::default()
-                };
-                let svc = service(workers, policy, ft);
-                // A clean job first, then long enough with nothing in
-                // flight for the timer to have stopped polling.
-                assert_eq!(
-                    r_of(svc.submit(spec(&a, EliminationTree::Flat)).unwrap()),
-                    r
-                );
-                std::thread::sleep(3 * bound);
-                let stall = ScriptedFaults::new().stall_on(0, 1, 10 * bound);
-                let h = svc
-                    .submit(spec(&a, EliminationTree::Flat).faults(Arc::new(stall)))
-                    .unwrap();
-                let res = h.wait().unwrap();
-                assert_eq!(res.output.factor().r_matrix(), r, "workers={workers}");
-                assert_eq!(res.report.worker_deaths, 1);
-                assert_eq!((res.report.requeues, res.report.retries), (1, 1));
-                assert_eq!(res.report.total_tasks() as usize, tasks);
-                // The pool did not shrink: a clean job still finds a worker.
-                assert_eq!(
-                    r_of(svc.submit(spec(&a, EliminationTree::Flat)).unwrap()),
-                    r
-                );
-                let stats = svc.shutdown();
-                assert_eq!(stats.lifecycle.watchdog_retirements, 1);
-                assert_eq!((stats.jobs_completed, stats.jobs_failed), (3, 0));
-            });
-        }
+        within(LIMIT, "watchdog", move || {
+            let (a, tasks, r) = flat3();
+            let bound = Duration::from_millis(30);
+            let ft = FaultTolerance {
+                stall_timeout: Some(bound),
+                ..FaultTolerance::default()
+            };
+            let svc = service(workers, ft);
+            // A clean job first, then long enough with nothing in
+            // flight for the timer to have stopped polling.
+            assert_eq!(
+                r_of(svc.submit(spec(&a, EliminationTree::Flat)).unwrap()),
+                r
+            );
+            std::thread::sleep(3 * bound);
+            let stall = ScriptedFaults::new().stall_on(0, 1, 10 * bound);
+            let h = svc
+                .submit(spec(&a, EliminationTree::Flat).faults(Arc::new(stall)))
+                .unwrap();
+            let res = h.wait().unwrap();
+            assert_eq!(res.output.factor().r_matrix(), r, "workers={workers}");
+            assert_eq!(res.report.worker_deaths, 1);
+            assert_eq!((res.report.requeues, res.report.retries), (1, 1));
+            assert_eq!(res.report.total_tasks() as usize, tasks);
+            // The pool did not shrink: a clean job still finds a worker.
+            assert_eq!(
+                r_of(svc.submit(spec(&a, EliminationTree::Flat)).unwrap()),
+                r
+            );
+            let stats = svc.shutdown();
+            assert_eq!(stats.lifecycle.watchdog_retirements, 1);
+            assert_eq!((stats.jobs_completed, stats.jobs_failed), (3, 0));
+        });
     }
 }
 
@@ -249,40 +240,38 @@ fn watchdog_retires_a_stalled_worker_while_the_others_sleep() {
 #[test]
 fn shutdown_and_drop_return_asleep_or_busy() {
     for workers in workers_under_test() {
-        for policy in policies_under_test() {
-            within(LIMIT, "idle shutdown", move || {
-                let (a, _, r) = flat3();
-                let svc = service(workers, policy, FaultTolerance::default());
-                // Run one job so the pool has been awake and gone back to sleep.
-                assert_eq!(
-                    r_of(svc.submit(spec(&a, EliminationTree::Flat)).unwrap()),
-                    r
-                );
-                assert_eq!(svc.shutdown().jobs_completed, 1);
-                drop(service(workers, policy, FaultTolerance::default()));
-            });
-            within(LIMIT, "busy shutdown", move || {
-                let (a, _, r) = case(32, 2, EliminationTree::Binary);
-                for by_drop in [false, true] {
-                    let svc = service(workers, policy, FaultTolerance::default());
-                    let handles: Vec<_> = (0..12)
-                        .map(|_| svc.submit(spec(&a, EliminationTree::Binary)).unwrap())
-                        .collect();
-                    if by_drop {
-                        drop(svc);
-                    } else {
-                        assert_eq!(svc.shutdown().jobs_completed, 12);
-                    }
-                    for h in handles {
-                        // Drained, so already resolved: no waiting left.
-                        let res = h
-                            .wait_timeout(Duration::ZERO)
-                            .expect("resolved by the drain");
-                        assert_eq!(res.unwrap().output.factor().r_matrix(), r);
-                    }
+        within(LIMIT, "idle shutdown", move || {
+            let (a, _, r) = flat3();
+            let svc = service(workers, FaultTolerance::default());
+            // Run one job so the pool has been awake and gone back to sleep.
+            assert_eq!(
+                r_of(svc.submit(spec(&a, EliminationTree::Flat)).unwrap()),
+                r
+            );
+            assert_eq!(svc.shutdown().jobs_completed, 1);
+            drop(service(workers, FaultTolerance::default()));
+        });
+        within(LIMIT, "busy shutdown", move || {
+            let (a, _, r) = case(32, 2, EliminationTree::Binary);
+            for by_drop in [false, true] {
+                let svc = service(workers, FaultTolerance::default());
+                let handles: Vec<_> = (0..12)
+                    .map(|_| svc.submit(spec(&a, EliminationTree::Binary)).unwrap())
+                    .collect();
+                if by_drop {
+                    drop(svc);
+                } else {
+                    assert_eq!(svc.shutdown().jobs_completed, 12);
                 }
-            });
-        }
+                for h in handles {
+                    // Drained, so already resolved: no waiting left.
+                    let res = h
+                        .wait_timeout(Duration::ZERO)
+                        .expect("resolved by the drain");
+                    assert_eq!(res.unwrap().output.factor().r_matrix(), r);
+                }
+            }
+        });
     }
 }
 
@@ -296,7 +285,7 @@ fn cancel_during_a_stalled_attempt_resolves_when_it_drains() {
     for workers in workers_under_test() {
         within(LIMIT, "cancel", move || {
             let (a, tasks, r) = flat3();
-            let svc = service(workers, SchedulePolicy::Fifo, FaultTolerance::default());
+            let svc = service(workers, FaultTolerance::default());
             let hold = Duration::from_millis(200);
             let (held, started) = HeldSource::new(hold);
             let submitted_at = Instant::now();
@@ -386,7 +375,7 @@ fn queued_deadline_is_shed_by_the_timer_behind_a_held_worker() {
         within(LIMIT, "deadline", move || {
             let (a, tasks, r) = flat3();
             let (doomed_a, _, _) = case(doomed_grid, doomed_grid, EliminationTree::Flat);
-            let svc = service(1, SchedulePolicy::Fifo, FaultTolerance::default());
+            let svc = service(1, FaultTolerance::default());
             let (held, started) = HeldSource::new(Duration::from_millis(400));
             let blocker = svc
                 .submit(spec(&a, EliminationTree::Flat).faults(held))

@@ -6,7 +6,8 @@
 //! trees introduce `TTQRT`/`TTMQR` tasks with different read/write
 //! shapes, and the TSQR fast path emits a domain-major program order.
 //! These tests drive 100+ distinct fingerprinted interleavings per
-//! tree × schedule policy through the virtual explorer, then hold each
+//! tree × dispatch rule (FIFO, the critical-path adversary) through the
+//! virtual explorer, then hold each
 //! tree's factors to the condition-scaled numerical oracles over the
 //! adversarial generator family. The flat and binary trees repeat both in
 //! `f32`, the paper's element type, at `f32`-scaled budgets; Greedy,
@@ -19,7 +20,7 @@ use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::{graded, hilbert_like, near_rank_deficient, random_matrix};
 use tileqr_matrix::{Matrix, TiledMatrix};
-use tileqr_runtime::{QrService, SchedulePolicy};
+use tileqr_runtime::QrService;
 use tileqr_testkit::explorer::{assert_bit_identical, explore_tree_vs_sequential, ExploreStrategy};
 use tileqr_testkit::oracle::verify_qr;
 use tileqr_testkit::workers_under_test;
@@ -39,24 +40,22 @@ fn hundred_plus_distinct_interleavings_per_tree_and_policy() {
     // tree's schedule space is large.
     let a = random_matrix::<f64>(48, 16, 0x7EE);
     for tree in trees_under_test() {
-        for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
+        for critical_path in [false, true] {
             let mut fingerprints = HashSet::new();
             let mut seed = 0u64;
             while fingerprints.len() < 100 {
                 assert!(
                     seed < 800,
-                    "{tree} {policy:?}: schedule space collapsed \
+                    "{tree} critical_path={critical_path}: schedule space collapsed \
                      ({} distinct after {seed} seeds)",
                     fingerprints.len()
                 );
-                let (exp, reference) = explore_tree_vs_sequential(
-                    &a,
-                    8,
-                    tree,
-                    4,
-                    ExploreStrategy::Seeded { seed, policy },
-                )
-                .unwrap();
+                let strategy = ExploreStrategy::Seeded {
+                    seed,
+                    critical_path,
+                };
+                let (exp, reference) =
+                    explore_tree_vs_sequential(&a, 8, tree, 4, strategy).unwrap();
                 fingerprints.insert(exp.fingerprint());
                 assert_bit_identical(&exp.state, &reference);
                 seed += 1;
@@ -97,8 +96,11 @@ fn f32_interleavings_are_bit_identical_on_flat_and_binary_trees() {
                 ExploreStrategy::AntiAffinity,
                 ExploreStrategy::LifoStarvation,
             ];
-            for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
-                strategies.extend((0..12).map(|seed| ExploreStrategy::Seeded { seed, policy }));
+            for critical_path in [false, true] {
+                strategies.extend((0..12).map(|seed| ExploreStrategy::Seeded {
+                    seed,
+                    critical_path,
+                }));
             }
             let mut fingerprints = HashSet::new();
             for strategy in strategies {

@@ -3,7 +3,7 @@
 //! The workspace arena changed *where* kernel scratch lives, and packing
 //! changed *how* reflector blocks are traversed — neither may change a
 //! single bit of the output. Every test here runs the factorization on
-//! the pool's reused per-worker arenas across the CI worker/policy sweep,
+//! the pool's reused per-worker arenas across the CI worker sweep,
 //! then holds the full factored tile matrix **and every stored `T` factor** (panel factors
 //! via [`FactorState::geqrt_factor`], elimination factors via
 //! [`FactorState::elim_factor_any`]) to byte identity with the sequential
@@ -17,7 +17,7 @@ use tileqr_runtime::{
     parallel_factor_ft, parallel_factor_traced, FaultTolerance, JobSpec, PoolConfig, QrService,
     ScriptedFaults, ServiceConfig,
 };
-use tileqr_testkit::{policies_under_test, workers_under_test};
+use tileqr_testkit::workers_under_test;
 
 /// Sequential ground truth (which itself runs on a reused arena).
 fn sequential(a: &Matrix<f64>, b: usize) -> (TiledMatrix<f64>, TaskGraph, FactorState<f64>) {
@@ -63,24 +63,21 @@ fn arena_runs_match_the_sequential_path_bitwise() {
         let a = random_matrix::<f64>(rows, cols, 0xA1);
         let (tiled, g, seq) = sequential(&a, b);
         for workers in workers_under_test() {
-            for policy in policies_under_test() {
-                let (state, report) = parallel_factor_traced(
-                    FactorState::new(tiled.clone()),
-                    &g,
-                    PoolConfig {
-                        workers,
-                        policy,
-                        ..PoolConfig::default()
-                    },
-                )
-                .expect("factorization");
-                let ctx = format!("{rows}x{cols} b={b} workers={workers} policy={policy:?}");
-                assert_factors_identical(&state, &seq, &ctx);
-                assert_eq!(
-                    report.counters.workspace_resizes, 0,
-                    "{ctx}: pre-sized arenas must never regrow"
-                );
-            }
+            let (state, report) = parallel_factor_traced(
+                FactorState::new(tiled.clone()),
+                &g,
+                PoolConfig {
+                    workers,
+                    ..PoolConfig::default()
+                },
+            )
+            .expect("factorization");
+            let ctx = format!("{rows}x{cols} b={b} workers={workers}");
+            assert_factors_identical(&state, &seq, &ctx);
+            assert_eq!(
+                report.counters.workspace_resizes, 0,
+                "{ctx}: pre-sized arenas must never regrow"
+            );
         }
     }
 }
@@ -90,38 +87,35 @@ fn arena_runs_with_fault_injection_stay_bit_identical() {
     let a = random_matrix::<f64>(32, 32, 0xA2);
     let (tiled, g, seq) = sequential(&a, 8);
     for workers in workers_under_test().into_iter().filter(|&w| w >= 2) {
-        for policy in policies_under_test() {
-            // A worker death plus transient kernel failures: requeued
-            // attempts re-run on a *different* worker's arena, which
-            // must be invisible in the factors.
-            let inj = ScriptedFaults::new()
-                .panic_on(g.len() / 2, 1)
-                .fail_on(g.len() / 4, 1)
-                .fail_on(g.len() - 1, 1);
-            let (state, report) = parallel_factor_ft(
-                FactorState::new(tiled.clone()),
-                &g,
-                PoolConfig {
-                    workers,
-                    policy,
-                    ..PoolConfig::default()
-                },
-                Some(FaultTolerance {
-                    max_attempts: 4,
-                    ..FaultTolerance::default()
-                }),
-                Some(&inj),
-            )
-            .expect("recovery must succeed");
-            let ctx = format!("workers={workers} policy={policy:?}");
-            assert_factors_identical(&state, &seq, &ctx);
-            assert!(report.retries >= 2, "{ctx}: the injected faults must fire");
-            assert_eq!(
-                report.counters.cow_clones, 0,
-                "{ctx}: ft staging clones are deliberate copies, never counted COW falls"
-            );
-            assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
-        }
+        // A worker death plus transient kernel failures: requeued
+        // attempts re-run on a *different* worker's arena, which
+        // must be invisible in the factors.
+        let inj = ScriptedFaults::new()
+            .panic_on(g.len() / 2, 1)
+            .fail_on(g.len() / 4, 1)
+            .fail_on(g.len() - 1, 1);
+        let (state, report) = parallel_factor_ft(
+            FactorState::new(tiled.clone()),
+            &g,
+            PoolConfig {
+                workers,
+                ..PoolConfig::default()
+            },
+            Some(FaultTolerance {
+                max_attempts: 4,
+                ..FaultTolerance::default()
+            }),
+            Some(&inj),
+        )
+        .expect("recovery must succeed");
+        let ctx = format!("workers={workers}");
+        assert_factors_identical(&state, &seq, &ctx);
+        assert!(report.retries >= 2, "{ctx}: the injected faults must fire");
+        assert_eq!(
+            report.counters.cow_clones, 0,
+            "{ctx}: ft staging clones are deliberate copies, never counted COW falls"
+        );
+        assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
     }
 }
 
@@ -175,22 +169,18 @@ fn recursive_panel_arena_runs_match_sequential_bitwise() {
             let mut seq = FactorState::new(tiled.clone());
             seq.run_all(&g).unwrap();
             for workers in [1, 2, 4] {
-                for policy in policies_under_test() {
-                    let (state, report) = parallel_factor_traced(
-                        FactorState::new(tiled.clone()),
-                        &g,
-                        PoolConfig {
-                            workers,
-                            policy,
-                            ..PoolConfig::default()
-                        },
-                    )
-                    .expect("factorization");
-                    let ctx =
-                        format!("{rows}x{cols} b={b} tree={tree} workers={workers} {policy:?}");
-                    assert_factors_identical(&state, &seq, &ctx);
-                    assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
-                }
+                let (state, report) = parallel_factor_traced(
+                    FactorState::new(tiled.clone()),
+                    &g,
+                    PoolConfig {
+                        workers,
+                        ..PoolConfig::default()
+                    },
+                )
+                .expect("factorization");
+                let ctx = format!("{rows}x{cols} b={b} tree={tree} workers={workers}");
+                assert_factors_identical(&state, &seq, &ctx);
+                assert_eq!(report.counters.workspace_resizes, 0, "{ctx}");
             }
             let svc = QrService::<f64>::start(ServiceConfig {
                 workers: 2,

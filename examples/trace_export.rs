@@ -24,7 +24,6 @@ fn main() {
     let opts = QrOptions::new()
         .tile_size(b)
         .workers(workers)
-        .schedule(SchedulePolicy::CriticalPath)
         .tracing(TraceConfig::enabled());
     let (qr, report) = TiledQr::factor_traced(&a, &opts).expect("factorization");
     let trace = report.trace.as_ref().expect("tracing was enabled");

@@ -42,7 +42,11 @@
 #   * one road for measured costs into a run: `JobSpec::cost_model`, set by
 #     the tuner — no drift re-weighting, no cost or drift field on a public
 #     config, and the helpers nothing called (`ReadyQueue::for_policy`,
-#     `RunReport::lock_fraction`, `CostModel::name`) stay deleted.
+#     `RunReport::lock_fraction`, `CostModel::name`) stay deleted;
+#   * one dispatch order: the driver runs FIFO, so no policy type, config
+#     or report field, testkit policy axis or second flop vocabulary (the
+#     explorer's `flop_weight` mirror) comes back, and `DagRun` takes no
+#     cost model (a job's `CostModel` prices only its WFQ charge).
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -168,6 +172,14 @@ fi
 expect 0 'fn name\b' "CostModel::name (nothing called it)" crates/dag/src/cost.rs
 expect 0 'pub (cost|drift):' "a public config field carrying a cost model" crates/runtime crates/core
 expect 1 'pub fn cost_model\(' "public cost-model setters (JobSpec's is the one)" crates/runtime crates/core
+# Tests and examples count for the retired names here too.
+order='SchedulePolicy|policies_under_test|TILEQR_TESTKIT_POLICY|fn (get_schedule|base_policy)\b|fn flop_weight\b'
+if hits=$(grep -rnE "$order" crates tests examples); then
+    fail "a dispatch policy is back beside FIFO (CriticalPath is a DispatchOrder test adversary):" "$hits"
+fi
+expect 0 'pub policy:' "a public config or report field carrying a dispatch policy" crates/runtime crates/core
+expect 0 'cost: CostModel' "a cost model reaching DagRun (it prices only the WFQ charge)" \
+    crates/runtime/src/engine.rs
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status

@@ -7,7 +7,7 @@
 
 use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::kernels::FactorState;
-use tileqr::runtime::{parallel_factor, PoolConfig, SchedulePolicy};
+use tileqr::runtime::{parallel_factor_ordered, DispatchOrder, PoolConfig};
 use tileqr::{Matrix, Scalar, TiledMatrix};
 
 fn factor_sequential<T: Scalar>(a: &Matrix<T>, b: usize, order: EliminationTree) -> FactorState<T> {
@@ -20,25 +20,25 @@ fn factor_sequential<T: Scalar>(a: &Matrix<T>, b: usize, order: EliminationTree)
 
 const FLAT_AND_BINARY: [EliminationTree; 2] = [EliminationTree::Flat, EliminationTree::Binary];
 
-/// The driver at every worker count and policy against `run_all`, on each
-/// of `trees`.
+/// The driver at every worker count, under FIFO and the critical-path
+/// adversary, against `run_all`, on each of `trees`.
 fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize], trees: &[EliminationTree]) {
     for &order in trees {
         let seq = factor_sequential(a, b, order);
         let seq_tiles = seq.tiles().to_matrix();
         let seq_r = seq.r_matrix();
         for &workers in workers {
-            for policy in [SchedulePolicy::Fifo, SchedulePolicy::CriticalPath] {
+            for rule in [DispatchOrder::Fifo, DispatchOrder::CriticalPath] {
                 let tiled = TiledMatrix::from_matrix(a, b).unwrap();
                 let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
-                let st = parallel_factor(
+                let (st, _) = parallel_factor_ordered(
                     FactorState::new(tiled),
                     &g,
                     PoolConfig {
                         workers,
-                        policy,
                         ..PoolConfig::default()
                     },
+                    rule,
                 )
                 .unwrap();
                 // Bit-identical, not approximately equal: `==` on the raw
@@ -46,12 +46,12 @@ fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize], trees: &[Elimina
                 assert_eq!(
                     st.tiles().to_matrix(),
                     seq_tiles,
-                    "{order:?} b={b} workers={workers} {policy:?}: factored tiles diverged"
+                    "{order:?} b={b} workers={workers} {rule:?}: factored tiles diverged"
                 );
                 assert_eq!(
                     st.r_matrix(),
                     seq_r,
-                    "{order:?} b={b} workers={workers} {policy:?}: R diverged"
+                    "{order:?} b={b} workers={workers} {rule:?}: R diverged"
                 );
             }
         }
