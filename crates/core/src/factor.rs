@@ -4,8 +4,7 @@ use crate::options::QrOptions;
 use tileqr_dag::TaskGraph;
 use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
-use tileqr_runtime::service::{JobOutput, JobSpec, QrService};
-use tileqr_runtime::{parallel_factor_ft, parallel_factor_traced, PoolConfig, RunReport};
+use tileqr_runtime::{parallel_factor_traced, RunReport};
 
 /// A completed tiled QR factorization `A = Q R`.
 ///
@@ -47,20 +46,7 @@ impl<T: Scalar> TiledQr<T> {
             .get_tree()
             .resolve(tiled.tile_rows(), tiled.tile_cols());
         let graph = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), tree);
-        let state = FactorState::new(tiled);
-        let config = PoolConfig {
-            workers: opts.get_workers(),
-            trace: opts.get_tracing(),
-        };
-        let (state, report) = match opts.get_fault_tolerance() {
-            // A single worker runs inline either way, so fault tolerance
-            // only engages the recovering pool on a real pool.
-            Some(ft) if opts.get_workers() != 1 => {
-                parallel_factor_ft(state, &graph, config, Some(ft), None)
-                    .map_err(MatrixError::from)?
-            }
-            _ => parallel_factor_traced(state, &graph, config)?,
-        };
+        let (state, report) = parallel_factor_traced(FactorState::new(tiled), &graph, opts.run)?;
         Ok((
             TiledQr {
                 state,
@@ -72,34 +58,8 @@ impl<T: Scalar> TiledQr<T> {
         ))
     }
 
-    /// Factor `a` through a resident [`QrService`] — the single-matrix
-    /// path expressed as a one-job service call. The job inherits the
-    /// tile size and elimination-tree policy from `opts` (worker count
-    /// and fault tolerance are properties of the service itself — see
-    /// [`QrOptions::to_service_config`]). Blocks
-    /// until the service completes the job; the returned [`RunReport`]
-    /// covers this job alone.
-    pub fn factor_on(
-        service: &QrService<T>,
-        a: &Matrix<T>,
-        opts: &QrOptions,
-    ) -> Result<(Self, RunReport)> {
-        let spec = JobSpec::factor(a.clone())
-            .tile_size(opts.get_tile_size())
-            .tree(opts.get_tree());
-        let handle = service.submit(spec).map_err(MatrixError::from)?;
-        let result = handle.wait().map_err(MatrixError::from)?;
-        let report = result.report;
-        let JobOutput::Factored(f) = result.output else {
-            return Err(MatrixError::Runtime {
-                reason: "service returned a non-factor output for a factor job".to_string(),
-            });
-        };
-        Ok((Self::from_job(f), report))
-    }
-
-    /// Wrap a completed service factor job (crate-internal: the
-    /// service and tuner paths both end here).
+    /// Wrap a completed service factor job (crate-internal: the tuner's
+    /// path ends here).
     pub(crate) fn from_job(f: tileqr_runtime::service::FactoredJob<T>) -> Self {
         TiledQr {
             state: f.state,

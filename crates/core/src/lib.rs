@@ -70,11 +70,11 @@ pub mod dag {
 
 /// Parallel runtime (re-export of `tileqr-runtime`).
 pub mod runtime {
+    #[doc(hidden)]
+    pub use tileqr_runtime::run_pool;
     pub use tileqr_runtime::{
-        model_weight, parallel_factor, parallel_factor_ft, parallel_factor_ordered,
-        parallel_factor_traced, DispatchOrder, FaultInjector, FaultTolerance, InjectedFault,
-        NoFaults, PoolConfig, ReadyQueue, ReadyTracker, RunReport, RuntimeError, ScriptedFaults,
-        TraceConfig,
+        model_weight, parallel_factor_traced, DispatchOrder, FaultInjector, FaultTolerance,
+        InjectedFault, PoolConfig, RunReport, RuntimeError, ScriptedFaults, TraceConfig,
     };
     pub use tileqr_runtime::{ClassCosts, CostCurve, CostModel};
     pub use tileqr_runtime::{

@@ -1,16 +1,15 @@
 //! Factorization options.
 
 use tileqr_dag::TreePolicy;
-use tileqr_runtime::{FaultTolerance, ServiceConfig, TraceConfig};
+use tileqr_runtime::{FaultTolerance, PoolConfig, TraceConfig};
 
-/// Options controlling a [`crate::TiledQr`] factorization.
+/// Options controlling a [`crate::TiledQr`] factorization: the tile size
+/// and elimination tree of the plan, and the [`PoolConfig`] of the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QrOptions {
     tile_size: usize,
     tree: TreePolicy,
-    workers: usize,
-    fault_tolerance: Option<FaultTolerance>,
-    tracing: TraceConfig,
+    pub(crate) run: PoolConfig,
 }
 
 impl Default for QrOptions {
@@ -20,9 +19,10 @@ impl Default for QrOptions {
         QrOptions {
             tile_size: 16,
             tree: TreePolicy::default(),
-            workers: 1,
-            fault_tolerance: None,
-            tracing: TraceConfig::default(),
+            run: PoolConfig {
+                workers: 1,
+                ..PoolConfig::default()
+            },
         }
     }
 }
@@ -35,8 +35,9 @@ impl QrOptions {
 
     /// Tile side length `b`. The paper uses 16; larger tiles amortize
     /// per-kernel overhead on the host at the cost of less parallelism.
+    /// `0` is stored as given and refused by [`crate::TiledQr::factor`]
+    /// with [`crate::MatrixError::BadTileSize`].
     pub fn tile_size(mut self, b: usize) -> Self {
-        assert!(b > 0, "tile size must be positive");
         self.tile_size = b;
         self
     }
@@ -54,7 +55,7 @@ impl QrOptions {
     /// Number of computing threads; `1` runs sequentially, `0` uses every
     /// available core.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+        self.run.workers = workers;
         self
     }
 
@@ -62,10 +63,12 @@ impl QrOptions {
     /// are retried within `ft`'s budget instead of failing the run, and
     /// stalled workers are retired by the watchdog. Costs one tile-clone
     /// per task staging (so requeues are possible) plus commits
-    /// serialized behind the engine's fence; the factors remain bit-identical to the sequential run.
-    /// Irrelevant when `workers == 1`.
+    /// serialized behind the engine's fence; the factors remain
+    /// bit-identical to the sequential run. Irrelevant when the run has
+    /// one effective worker — `workers == 1`, or `workers == 0` on a
+    /// one-core host — which runs inline on the calling thread.
     pub fn fault_tolerance(mut self, ft: FaultTolerance) -> Self {
-        self.fault_tolerance = Some(ft);
+        self.run.fault_tolerance = Some(ft);
         self
     }
 
@@ -76,7 +79,7 @@ impl QrOptions {
     /// [`tileqr_runtime::RunReport::trace`]. Off by default — a disabled
     /// config costs nothing on the execution hot path.
     pub fn tracing(mut self, trace: TraceConfig) -> Self {
-        self.tracing = trace;
+        self.run.trace = trace;
         self
     }
 
@@ -88,35 +91,6 @@ impl QrOptions {
     /// Configured elimination-tree policy.
     pub fn get_tree(&self) -> TreePolicy {
         self.tree
-    }
-
-    /// Configured worker count (`0` = all cores).
-    pub fn get_workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Configured fault-tolerance bounds (`None` = fail fast).
-    pub fn get_fault_tolerance(&self) -> Option<FaultTolerance> {
-        self.fault_tolerance
-    }
-
-    /// Configured tracing (disabled by default).
-    pub fn get_tracing(&self) -> TraceConfig {
-        self.tracing
-    }
-
-    /// Derive a resident-service configuration from these options: the
-    /// worker count and (if set) fault-tolerance budget carry over; the
-    /// admission bound takes the service default. Pair with
-    /// [`TiledQr::factor_on`](crate::TiledQr::factor_on) to route the
-    /// single-matrix path through one long-lived
-    /// [`QrService`](tileqr_runtime::QrService).
-    pub fn to_service_config(&self) -> ServiceConfig {
-        ServiceConfig {
-            workers: self.workers,
-            fault_tolerance: self.fault_tolerance.unwrap_or_default(),
-            ..ServiceConfig::default()
-        }
     }
 }
 
@@ -132,22 +106,22 @@ mod tests {
             o.get_tree(),
             TreePolicy::Fixed(tileqr_dag::EliminationTree::Flat)
         );
-        assert_eq!(o.get_workers(), 1);
-        assert_eq!(o.get_fault_tolerance(), None, "fail fast by default");
-        assert!(!o.get_tracing().enabled, "tracing off by default");
+        assert_eq!(o.run.workers, 1);
+        assert_eq!(o.run.fault_tolerance, None, "fail fast by default");
+        assert!(!o.run.trace.enabled, "tracing off by default");
     }
 
     #[test]
     fn tracing_knob() {
         let o = QrOptions::new().tracing(TraceConfig::enabled());
-        assert!(o.get_tracing().enabled);
+        assert!(o.run.trace.enabled);
     }
 
     #[test]
     fn fault_tolerance_knob() {
         let ft = FaultTolerance::default();
         let o = QrOptions::new().workers(4).fault_tolerance(ft);
-        assert_eq!(o.get_fault_tolerance(), Some(ft));
+        assert_eq!(o.run.fault_tolerance, Some(ft));
     }
 
     #[test]
@@ -161,7 +135,7 @@ mod tests {
             o.get_tree(),
             TreePolicy::Fixed(tileqr_dag::EliminationTree::Binary)
         );
-        assert_eq!(o.get_workers(), 0);
+        assert_eq!(o.run.workers, 0);
     }
 
     #[test]
@@ -174,8 +148,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn zero_tile_rejected() {
-        let _ = QrOptions::new().tile_size(0);
+        // Stored as given; the tiling refuses it, as an error, not a panic.
+        let o = QrOptions::new().tile_size(0);
+        assert_eq!(o.get_tile_size(), 0);
+        let a = tileqr_matrix::gen::random_matrix::<f64>(8, 8, 1);
+        let err = crate::TiledQr::factor(&a, &o).unwrap_err();
+        assert_eq!(err, tileqr_matrix::MatrixError::BadTileSize { tile: 0 });
     }
 }

@@ -18,25 +18,29 @@
 //! schedule) is guaranteed because every task writes a disjoint tile set.
 //!
 //! One engine, one driver: everything a scheduler does *per DAG* —
-//! readiness ([`ReadyTracker`]), FIFO dispatch ([`ReadyQueue`]; its other
-//! [`DispatchOrder`]s are test adversaries), the commit fence, the retry
-//! budget, the stall watchdog's bookkeeping — and the worker-side body of
-//! one task attempt live once, thread-free, in [`engine`]; the threads
-//! around it — self-scheduling workers over a table of engine runs behind
-//! one lock, one thread keeping the clock, every lost worker respawned —
-//! live once in [`service`]. [`QrService`] keeps one instance of that
-//! driver resident, one engine run per job; a one-shot run
-//! ([`parallel_factor`] and friends) is a one-job instance scoped to the
-//! call, with the calling thread as its clock.
+//! readiness, FIFO dispatch (its other [`DispatchOrder`]s are test
+//! adversaries), the commit fence, the retry budget, the stall watchdog's
+//! bookkeeping — and the worker-side body of one task attempt live once,
+//! thread-free, in [`engine`]; the threads around it — self-scheduling
+//! workers over a table of engine runs behind one lock, one thread keeping
+//! the clock, every lost worker respawned — live once in [`service`].
+//! [`QrService`] keeps one instance of that driver resident, one engine
+//! run per job. A one-shot run has one way in, [`parallel_factor_traced`]
+//! over a [`PoolConfig`]: inline at one effective worker, otherwise a
+//! one-job instance of the driver scoped to the call, with the calling
+//! thread as its clock.
 //!
 //! Fault tolerance: attempts run under `catch_unwind`, so a panic never
-//! hangs or aborts the process. [`parallel_factor_ft`] goes further —
-//! non-destructive staging plus the engine's first-commit-wins fence
-//! make task re-execution idempotent, so panicked or stalled workers are
-//! retired and replaced and their tasks retried (bounded attempts,
-//! deterministic backoff). Failures surface as
+//! hangs or aborts the process. A [`PoolConfig::fault_tolerance`] budget
+//! goes further — non-destructive staging plus the engine's
+//! first-commit-wins fence make task re-execution idempotent, so panicked
+//! or stalled workers are retired and replaced and their tasks retried
+//! (bounded attempts, deterministic backoff). Failures surface as
 //! structured [`RuntimeError`]s and recovery activity is reported in
-//! [`RunReport`]'s `retries` / `requeues` / `worker_deaths` fields.
+//! [`RunReport`]'s `retries` / `requeues` / `worker_deaths` fields. The
+//! deterministic [`FaultInjector`] seam, like a [`DispatchOrder`]
+//! adversary, reaches a one-shot run only through the doc-hidden
+//! `run_pool`.
 //!
 //! Observability: enabling [`TraceConfig`] in the [`PoolConfig`] makes
 //! every worker record its task lifecycle (stage/compute/commit spans,
@@ -62,12 +66,11 @@ mod scheduler;
 pub mod service;
 
 pub use error::RuntimeError;
-pub use pool::{
-    model_weight, parallel_factor, parallel_factor_ft, parallel_factor_ordered,
-    parallel_factor_traced, PoolConfig, RunReport,
-};
-pub use recovery::{FaultInjector, FaultTolerance, InjectedFault, NoFaults, ScriptedFaults};
-pub use scheduler::{DispatchOrder, ReadyQueue, ReadyTracker};
+pub use pool::{model_weight, parallel_factor_traced, PoolConfig, RunReport};
+pub use recovery::{FaultInjector, FaultTolerance, InjectedFault, ScriptedFaults};
+pub use scheduler::DispatchOrder;
+#[doc(hidden)]
+pub use service::run_pool;
 pub use service::{
     FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, JobTuning, PriorityClass,
     QrService, ServiceConfig, ServiceError, ServiceStats, WaitTimeout,

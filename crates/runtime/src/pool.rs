@@ -1,39 +1,50 @@
-//! One-shot runs: configuration, report and entry points.
+//! One-shot runs: configuration, report and the one entry point,
+//! [`parallel_factor_traced`].
 //!
-//! A multi-worker run is a one-job, call-scoped instance of the host
-//! driver in [`service`](crate::service) (DESIGN.md §9): self-scheduling
-//! workers behind one lock, the calling thread as its clock. Without a
-//! [`FaultTolerance`] it runs **unfenced** — zero-copy staging,
-//! worker-side commits; a worker panic or kernel error is *isolated* (no
-//! hang, no abort) but fatal to the run, because the destructively-staged
-//! inputs of the failed task are gone. With one ([`parallel_factor_ft`])
-//! attempts are fenced, so re-execution is idempotent, exactly as for a
-//! job of the resident service. [`parallel_factor`] at `workers == 1` runs
-//! inline on the calling thread: no thread, no lock, program order.
+//! At one effective worker a run executes inline on the calling thread: no
+//! thread, no lock, program order. Otherwise it is a one-job, call-scoped
+//! instance of the host driver in [`service`](crate::service) (DESIGN.md
+//! §9): self-scheduling workers behind one lock, the calling thread as its
+//! clock. Without a [`PoolConfig::fault_tolerance`] budget it runs
+//! **unfenced** — zero-copy staging, worker-side commits; a worker panic or
+//! kernel error is *isolated* (no hang, no abort) but fatal to the run,
+//! because the destructively-staged inputs of the failed task are gone.
+//! With one, attempts are fenced, so re-execution is idempotent, exactly as
+//! for a job of the resident service. The driver's test seams — a
+//! [`DispatchOrder`](crate::DispatchOrder) adversary and a borrowed
+//! [`FaultInjector`](crate::FaultInjector) — reach it through the
+//! doc-hidden [`run_pool`](crate::run_pool) alone.
 
 use crate::engine::Tally;
-use crate::error::RuntimeError;
-use crate::recovery::{FaultInjector, FaultTolerance};
+use crate::recovery::FaultTolerance;
 use crate::scheduler::DispatchOrder;
 use crate::service::run_pool;
 use std::time::{Duration, Instant};
 use tileqr_dag::{CostModel, TaskGraph, TaskKind};
 use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::flops;
-use tileqr_matrix::{MatrixError, Result, Scalar};
+use tileqr_matrix::{Result, Scalar};
 use tileqr_obs::{
     merge_recorders, HotPathCounters, KernelHistograms, RawEvent, RawKind, Trace, TraceConfig,
     WorkerRecorder,
 };
 
-/// Worker-pool configuration.
-#[derive(Debug, Clone, Copy, Default)]
+/// Configuration of a one-shot run.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PoolConfig {
     /// Number of computing threads. `0` means one per available core.
     pub workers: usize,
     /// Lifecycle tracing. Disabled by default; when disabled the pool
     /// allocates no recorders and reads no extra clocks.
     pub trace: TraceConfig,
+    /// Recovery budget of a multi-worker run: with `Some`, worker panics,
+    /// transient kernel failures and (with a watchdog) stalls are retried
+    /// within it, and a panel factor that comes out non-finite fails the
+    /// run at that task ([`RuntimeError::Kernel`](crate::RuntimeError)).
+    /// `None` (the default) is the unfenced fast path.
+    /// [`parallel_factor_traced`] at one effective worker runs inline and
+    /// ignores it.
+    pub fault_tolerance: Option<FaultTolerance>,
 }
 
 impl PoolConfig {
@@ -135,77 +146,22 @@ pub fn model_weight(cost: CostModel, b: usize) -> impl Fn(TaskKind) -> f64 + Cop
     }
 }
 
-/// Execute every task of `graph` over `state`, in parallel, dispatching
-/// ready tasks in FIFO order.
+/// Execute every task of `graph` over `state` and report the run.
 ///
-/// Returns the completed state. Any kernel error aborts the run and is
-/// propagated (the pool drains cleanly first).
-pub fn parallel_factor<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    config: PoolConfig,
-) -> Result<FactorState<T>> {
-    parallel_factor_traced(state, graph, config).map(|(state, _)| state)
-}
-
-/// [`parallel_factor`] with a per-worker [`RunReport`].
+/// At one effective worker the run is inline, in program order; otherwise
+/// ready tasks dispatch FIFO over `config.workers` self-scheduling threads,
+/// fenced iff `config.fault_tolerance` is set. Returns the completed state.
+/// A failure the run cannot recover from aborts it and is propagated (the
+/// workers drain cleanly first).
 pub fn parallel_factor_traced<T: Scalar>(
     state: FactorState<T>,
     graph: &TaskGraph,
     config: PoolConfig,
 ) -> Result<(FactorState<T>, RunReport)> {
     if config.effective_workers() <= 1 {
-        // Degenerate pool: run inline in program order.
         return run_inline(state, graph, Instant::now(), config.trace);
     }
-    parallel_factor_ordered(state, graph, config, DispatchOrder::Fifo)
-}
-
-/// [`parallel_factor_traced`] dispatching under an explicit
-/// [`DispatchOrder`] — the testkit's hook for driving the *real* driver
-/// (threads, wake-ups, staged commits and all) through adversarial and
-/// seeded ready-set orders. Unlike [`parallel_factor_traced`], a
-/// single-worker config still runs the driver, so `workers == 1`
-/// honours the requested order instead of falling back to program order
-/// (the single-worker-starvation scenario).
-pub fn parallel_factor_ordered<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    config: PoolConfig,
-    order: DispatchOrder,
-) -> Result<(FactorState<T>, RunReport)> {
-    let started = Instant::now();
-    if graph.len() <= 1 {
-        return run_inline(state, graph, started, config.trace);
-    }
-    run_pool(state, graph, config, order, None, None).map_err(MatrixError::from)
-}
-
-/// Fault-tolerant (or fault-isolated) parallel factorization.
-///
-/// With `ft = Some(..)` the run recovers from worker panics, transient
-/// kernel failures, and stalls: the worker is retired and a fresh thread
-/// takes its slot (or the error is absorbed), the task is requeued after
-/// deterministic backoff — failing only with a structured
-/// [`RuntimeError`] once the per-task attempt budget is exhausted — and a
-/// panel factor that comes out non-finite fails the run at that task
-/// ([`RuntimeError::Kernel`]) instead of spreading. With `ft = None` the
-/// run takes the zero-copy fast path: a fault still cannot hang or abort
-/// the process (every attempt's panics are caught), but it fails the
-/// run, because destructive staging makes re-execution unsafe.
-///
-/// `injector` is the deterministic test seam — consulted before every
-/// attempt, it can script panics, transient failures, and stalls at exact
-/// `(task, attempt)` coordinates (see
-/// [`ScriptedFaults`](crate::recovery::ScriptedFaults)).
-pub fn parallel_factor_ft<T: Scalar>(
-    state: FactorState<T>,
-    graph: &TaskGraph,
-    config: PoolConfig,
-    ft: Option<FaultTolerance>,
-    injector: Option<&dyn FaultInjector>,
-) -> std::result::Result<(FactorState<T>, RunReport), RuntimeError> {
-    run_pool(state, graph, config, DispatchOrder::Fifo, ft, injector)
+    Ok(run_pool(state, graph, config, DispatchOrder::Fifo, None)?)
 }
 
 fn run_inline<T: Scalar>(
@@ -245,6 +201,7 @@ fn run_inline<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RuntimeError;
     use crate::recovery::ScriptedFaults;
     use tileqr_dag::EliminationTree;
     use tileqr_kernels::exec::{apply_q_dense, FactorState};
@@ -260,7 +217,7 @@ mod tests {
         let a = random_matrix::<f64>(n, n, 99);
         let tiled = TiledMatrix::from_matrix(&a, b).unwrap();
         let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), EliminationTree::Flat);
-        let st = parallel_factor(
+        let st = parallel_factor_traced(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -268,7 +225,8 @@ mod tests {
                 ..PoolConfig::default()
             },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         (a, st, g)
     }
 
@@ -291,7 +249,7 @@ mod tests {
         let mut seq = FactorState::new(tiled.clone());
         seq.run_all(&g).unwrap();
 
-        let par = parallel_factor(
+        let par = parallel_factor_traced(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -299,7 +257,8 @@ mod tests {
                 ..PoolConfig::default()
             },
         )
-        .unwrap();
+        .unwrap()
+        .0;
         // Tiled QR is deterministic at the task level, so parallel and
         // sequential results are bit-identical.
         assert_eq!(seq.tiles().to_matrix(), par.tiles().to_matrix());
@@ -346,7 +305,7 @@ mod tests {
         let a = random_matrix::<f64>(32, 8, 5);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(8, 2, EliminationTree::Binary);
-        let (st, _) = parallel_factor_ordered(
+        let (st, _) = run_pool(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -354,6 +313,7 @@ mod tests {
                 ..PoolConfig::default()
             },
             DispatchOrder::CriticalPath,
+            None,
         )
         .unwrap();
         let (pm, _) = st.tiles().padded_dims();
@@ -369,7 +329,7 @@ mod tests {
         let a = random_matrix::<f64>(32, 32, 5);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
-        let (_, report) = super::parallel_factor_traced(
+        let (_, report) = parallel_factor_traced(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -409,7 +369,7 @@ mod tests {
             DispatchOrder::Seeded(7),
         ] {
             for workers in [1usize, 3] {
-                let (st, report) = super::parallel_factor_ordered(
+                let (st, report) = super::run_pool(
                     FactorState::new(tiled.clone()),
                     &g,
                     PoolConfig {
@@ -417,6 +377,7 @@ mod tests {
                         ..PoolConfig::default()
                     },
                     order,
+                    None,
                 )
                 .unwrap();
                 assert_eq!(
@@ -441,12 +402,13 @@ mod tests {
         let a = random_matrix::<f64>(24, 24, 8);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
-        let (_, report) = super::parallel_factor_traced(
+        let (_, report) = parallel_factor_traced(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 3,
                 trace: TraceConfig::enabled(),
+                ..PoolConfig::default()
             },
         )
         .unwrap();
@@ -465,7 +427,7 @@ mod tests {
         let a = random_matrix::<f64>(16, 16, 9);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
-        let (_, report) = super::parallel_factor_traced(
+        let (_, report) = parallel_factor_traced(
             FactorState::new(tiled),
             &g,
             PoolConfig {
@@ -510,7 +472,7 @@ mod tests {
             // Freshly-tiled input each run: no external handle may survive,
             // or the first take of each shared tile would count as a COW.
             let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-            let (st, report) = super::parallel_factor_traced(
+            let (st, report) = parallel_factor_traced(
                 FactorState::new(tiled),
                 &g,
                 PoolConfig {
@@ -534,14 +496,15 @@ mod tests {
         let a = random_matrix::<f64>(16, 16, 43);
         let (tiled, g, seq_tiles) = sequential_tiles(&a, 4);
         let faults = ScriptedFaults::new().panic_on(2, 1).fail_on(5, 1);
-        let (st, report) = parallel_factor_ft(
+        let (st, report) = run_pool(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 3,
+                fault_tolerance: Some(FaultTolerance::default()),
                 ..PoolConfig::default()
             },
-            Some(FaultTolerance::default()),
+            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap();
@@ -559,14 +522,15 @@ mod tests {
         // the task is requeued, and the run completes on the survivors.
         let victim = g.len() / 2;
         let faults = ScriptedFaults::new().panic_on(victim, 1);
-        let (st, report) = parallel_factor_ft(
+        let (st, report) = run_pool(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 3,
+                fault_tolerance: Some(FaultTolerance::default()),
                 ..PoolConfig::default()
             },
-            Some(FaultTolerance::default()),
+            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap();
@@ -582,14 +546,15 @@ mod tests {
         let a = random_matrix::<f64>(16, 16, 32);
         let (tiled, g, seq_tiles) = sequential_tiles(&a, 4);
         let faults = ScriptedFaults::new().fail_on(0, 2).fail_on(g.len() - 1, 1);
-        let (st, report) = parallel_factor_ft(
+        let (st, report) = run_pool(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
+                fault_tolerance: Some(FaultTolerance::default()),
                 ..PoolConfig::default()
             },
-            Some(FaultTolerance::default()),
+            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap();
@@ -606,17 +571,18 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let faults = ScriptedFaults::new().fail_on(1, 99);
-        let err = parallel_factor_ft(
+        let err = run_pool(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
+                fault_tolerance: Some(FaultTolerance {
+                    max_attempts: 2,
+                    ..FaultTolerance::default()
+                }),
                 ..PoolConfig::default()
             },
-            Some(FaultTolerance {
-                max_attempts: 2,
-                ..FaultTolerance::default()
-            }),
+            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap_err();
@@ -638,17 +604,18 @@ mod tests {
         // lost slot is respawned, so what runs out is the attempt budget,
         // not the pool.
         let faults = ScriptedFaults::new().panic_on(0, 99);
-        let err = parallel_factor_ft(
+        let err = run_pool(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
+                fault_tolerance: Some(FaultTolerance {
+                    max_attempts: 5,
+                    ..FaultTolerance::default()
+                }),
                 ..PoolConfig::default()
             },
-            Some(FaultTolerance {
-                max_attempts: 5,
-                ..FaultTolerance::default()
-            }),
+            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap_err();
@@ -668,14 +635,14 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let faults = ScriptedFaults::new().panic_on(2, 1);
-        let err = parallel_factor_ft(
+        let err = run_pool(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 3,
                 ..PoolConfig::default()
             },
-            None,
+            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap_err();
@@ -693,17 +660,18 @@ mod tests {
         // retired, the task re-runs elsewhere, and the eventual late
         // result is deduplicated at the commit fence.
         let faults = ScriptedFaults::new().stall_on(1, 1, Duration::from_millis(400));
-        let (st, report) = parallel_factor_ft(
+        let (st, report) = run_pool(
             FactorState::new(tiled),
             &g,
             PoolConfig {
                 workers: 2,
+                fault_tolerance: Some(FaultTolerance {
+                    stall_timeout: Some(Duration::from_millis(50)),
+                    ..FaultTolerance::default()
+                }),
                 ..PoolConfig::default()
             },
-            Some(FaultTolerance {
-                stall_timeout: Some(Duration::from_millis(50)),
-                ..FaultTolerance::default()
-            }),
+            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap();

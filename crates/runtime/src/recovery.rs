@@ -86,16 +86,6 @@ pub trait FaultInjector: Sync {
     fn before_attempt(&self, task: TaskId, attempt: u32) -> InjectedFault;
 }
 
-/// The no-op injector.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {
-    fn before_attempt(&self, _task: TaskId, _attempt: u32) -> InjectedFault {
-        InjectedFault::None
-    }
-}
-
 /// Deterministic scripted injector: each task maps to a number of leading
 /// attempts that panic, fail transiently, or stall. Attempt indices past
 /// the scripted count run clean, so a bounded-retry pool always converges
@@ -111,7 +101,7 @@ pub struct ScriptedFaults {
 }
 
 impl ScriptedFaults {
-    /// Empty script (equivalent to [`NoFaults`]).
+    /// Empty script: every attempt runs clean.
     pub fn new() -> Self {
         Self::default()
     }

@@ -7,10 +7,9 @@ use tileqr_matrix::Rng64;
 /// Order in which the driver hands ready tasks to idle workers. Production
 /// runs dispatch [`Fifo`](Self::Fifo), the order `dag::listsim` is asked
 /// about (DESIGN.md §9); the rest is the seam the testkit's schedule
-/// explorer uses, through
-/// [`parallel_factor_ordered`](crate::parallel_factor_ordered), to drive
-/// the real driver through adversarial and seeded permutations of the
-/// legal interleaving space. Every order is deterministic given its
+/// explorer uses, through the doc-hidden [`run_pool`](crate::run_pool), to
+/// drive the real driver through adversarial and seeded permutations of
+/// the legal interleaving space. Every order is deterministic given its
 /// parameters, so any failure reproduces from the order alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchOrder {
@@ -83,7 +82,7 @@ enum QueueRepr {
 /// set — a cheap observability hook for how much dispatch slack the
 /// scheduler actually had.
 #[derive(Debug)]
-pub struct ReadyQueue {
+pub(crate) struct ReadyQueue {
     repr: QueueRepr,
     max_depth: usize,
 }
@@ -196,11 +195,6 @@ impl ReadyQueue {
         }
     }
 
-    /// `true` when no task is ready.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// High-water mark of the ready-set depth over the queue's lifetime.
     pub fn max_depth(&self) -> usize {
         self.max_depth
@@ -210,7 +204,7 @@ impl ReadyQueue {
 /// Tracks which tasks are ready as predecessors complete. Pure and
 /// single-threaded by design; the drivers own the concurrency.
 #[derive(Debug)]
-pub struct ReadyTracker {
+pub(crate) struct ReadyTracker {
     remaining_preds: Vec<usize>,
     completed: usize,
     total: usize,
@@ -247,11 +241,6 @@ impl ReadyTracker {
     /// `true` once every task has completed.
     pub fn all_done(&self) -> bool {
         self.completed == self.total
-    }
-
-    /// Number of completed tasks.
-    pub fn completed(&self) -> usize {
-        self.completed
     }
 }
 

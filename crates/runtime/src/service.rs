@@ -1,8 +1,8 @@
 //! `QrService`: a resident multi-matrix throughput service — and the one
 //! host driver every multi-worker run goes through.
 //!
-//! Where [`parallel_factor`](crate::parallel_factor) runs one matrix and
-//! returns, the service keeps a **long-lived worker pool** and accepts a
+//! Where [`parallel_factor_traced`](crate::parallel_factor_traced) runs one
+//! matrix and returns, the service keeps a **long-lived worker pool** and accepts a
 //! *stream* of jobs — factor, least-squares solve, Q-apply — through a
 //! submission handle. Tasks from many concurrent job DAGs are interleaved
 //! through one shared ready structure with per-job **fair-share
@@ -161,13 +161,14 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Resolve `workers == 0` to the host's available parallelism.
+    /// Resolve `workers == 0` to the host's available parallelism, as
+    /// [`PoolConfig::effective_workers`] does.
     pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, |v| v.get())
-        }
+        let run = PoolConfig {
+            workers: self.workers,
+            ..PoolConfig::default()
+        };
+        run.effective_workers()
     }
 }
 
@@ -236,9 +237,10 @@ impl<T: Scalar> JobSpec<T> {
         )
     }
 
-    /// Tile size `b` (default 16, clamped to at least 1).
+    /// Tile size `b` (default 16). `0` is refused at submission with
+    /// [`MatrixError::BadTileSize`].
     pub fn tile_size(mut self, b: usize) -> Self {
-        self.tile_size = b.max(1);
+        self.tile_size = b;
         self
     }
 
@@ -947,8 +949,9 @@ impl<T: Scalar> Core<T> {
 /// the engine's. A [`QrService`] keeps one instance resident; a one-shot
 /// [`run_pool`] keeps one on its stack for the length of the call.
 struct Shared<T: Scalar> {
-    cfg: ServiceConfig,
     workers: usize,
+    /// Admission bound (`0`: unbounded).
+    max_in_flight: usize,
     /// `Some`: fenced attempts, retried within this budget. `None`, the
     /// one-shot fast mode: zero-copy staging and worker-side commits, so a
     /// lost attempt fails its job at once — its inputs are gone.
@@ -968,15 +971,15 @@ struct Shared<T: Scalar> {
 
 impl<T: Scalar> Shared<T> {
     fn new(
-        cfg: ServiceConfig,
+        workers: usize,
+        max_in_flight: usize,
         ft: Option<FaultTolerance>,
         trace: Option<(TraceConfig, Instant)>,
     ) -> Self {
-        let workers = cfg.effective_workers().max(1);
         let lanes = trace.map_or(0, |_| workers + 1);
         Shared {
-            cfg,
             workers,
+            max_in_flight,
             ft,
             trace,
             core: Mutex::new(Core {
@@ -1087,7 +1090,7 @@ impl<T: Scalar> Shared<T> {
         tuning: JobTuning,
         block: bool,
     ) -> Result<JobId, ServiceError> {
-        let max_in_flight = self.cfg.max_in_flight;
+        let max_in_flight = self.max_in_flight;
         while !core.draining && max_in_flight > 0 && core.in_flight >= max_in_flight {
             if !block {
                 return Err(ServiceError::Saturated {
@@ -1621,29 +1624,30 @@ fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
     });
 }
 
-/// A one-shot run ([`parallel_factor`](crate::parallel_factor) and
-/// friends, `workers > 1`) as a one-job instance of this driver on the
-/// caller's stack: `state` over `graph` is admitted as its only job,
-/// admission closes behind it, and the calling thread keeps the clock
-/// until the instance has drained. What a one-shot run sets that the
-/// resident service does not: `ft` may be `None` (the unfenced fast mode),
-/// tracing may be on, and `injector` is borrowed for the call.
-pub(crate) fn run_pool<T: Scalar>(
+/// A one-shot run as a one-job instance of this driver on the caller's
+/// stack: `state` over `graph` is admitted as its only job, admission
+/// closes behind it, and the calling thread keeps the clock until the
+/// instance has drained. What a one-shot run sets that the resident
+/// service does not: `config.fault_tolerance` may be `None` (the unfenced
+/// fast mode), tracing may be on, and `injector` is borrowed for the call.
+///
+/// [`parallel_factor_traced`](crate::parallel_factor_traced) calls it with
+/// FIFO dispatch and no injector once it has more than one worker. Called
+/// directly, it is the test seam: it always runs the driver — at one
+/// worker, on a one-task graph — so a [`DispatchOrder`] adversary and a
+/// [`FaultInjector`] reach the real threads, wake-ups and commits.
+#[doc(hidden)]
+pub fn run_pool<T: Scalar>(
     state: FactorState<T>,
     graph: &TaskGraph,
     config: PoolConfig,
     order: DispatchOrder,
-    ft: Option<FaultTolerance>,
     injector: Option<&dyn FaultInjector>,
 ) -> Result<(FactorState<T>, RunReport), RuntimeError> {
     let started = Instant::now();
-    let cfg = ServiceConfig {
-        workers: config.effective_workers(),
-        max_in_flight: 0,
-        fault_tolerance: ft.unwrap_or_default(),
-    };
     let trace = config.trace.enabled.then_some((config.trace, started));
-    let sh = Shared::new(cfg, ft, trace);
+    let ft = config.fault_tolerance;
+    let sh = Shared::new(config.effective_workers(), 0, ft, trace);
     let (job, reply) = sh.job(
         state,
         graph.clone(),
@@ -1719,7 +1723,8 @@ pub struct QrService<T: Scalar> {
 impl<T: Scalar> QrService<T> {
     /// Spawn the timer thread, which spawns the resident worker pool.
     pub fn start(config: ServiceConfig) -> Self {
-        let shared = Arc::new(Shared::new(config, Some(config.fault_tolerance), None));
+        let (workers, ft) = (config.effective_workers(), Some(config.fault_tolerance));
+        let shared = Arc::new(Shared::new(workers, config.max_in_flight, ft, None));
         let sh = Arc::clone(&shared);
         let timer = std::thread::Builder::new()
             .name("qr-service-timer".into())
@@ -1980,10 +1985,16 @@ mod tests {
         ));
         let a = random_matrix::<f64>(16, 16, 2);
         assert!(matches!(
-            service.submit(JobSpec::solve(a, vec![0.0; 3])),
+            service.submit(JobSpec::solve(a.clone(), vec![0.0; 3])),
             Err(ServiceError::Numeric(_))
         ));
-        service.shutdown();
+        // A tile size of 0 is stored as given and refused here, not
+        // silently planned at b = 1.
+        assert!(matches!(
+            service.submit(JobSpec::factor(a).tile_size(0)),
+            Err(ServiceError::Numeric(MatrixError::BadTileSize { tile: 0 }))
+        ));
+        assert_eq!(service.shutdown().jobs_submitted, 0);
     }
 
     #[test]
@@ -2163,7 +2174,7 @@ mod tests {
 
     #[test]
     fn poisoned_lock_fails_every_job_without_a_second_panic() {
-        let sh = Shared::<f64>::new(ServiceConfig::default(), None, None);
+        let sh = Shared::<f64>::new(1, 64, None, None);
         let job = || {
             let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(8, 8, 1), 4).unwrap();
             let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);

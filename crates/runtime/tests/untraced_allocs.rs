@@ -61,7 +61,11 @@ fn largest_block(trace: TraceConfig) -> usize {
     let a = random_matrix::<f64>(32, 32, 7);
     let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
     let graph = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
-    let config = PoolConfig { workers: 2, trace };
+    let config = PoolConfig {
+        workers: 2,
+        trace,
+        ..PoolConfig::default()
+    };
     LARGEST.store(0, Ordering::Relaxed);
     let (_, report) = parallel_factor_traced(FactorState::new(tiled), &graph, config).unwrap();
     assert_eq!(report.trace.is_some(), trace.enabled);

@@ -17,7 +17,7 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
-    parallel_factor_ft, FaultTolerance, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
+    run_pool, DispatchOrder, FaultTolerance, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
 };
 use tileqr_testkit::oracle::verify_qr;
 use tileqr_testkit::workers_under_test;
@@ -39,16 +39,13 @@ fn ft_run(
     ft: FaultTolerance,
     injector: &ScriptedFaults,
 ) -> Result<(FactorState<f64>, RunReport), RuntimeError> {
-    parallel_factor_ft(
-        FactorState::new(tiled.clone()),
-        g,
-        PoolConfig {
-            workers,
-            ..PoolConfig::default()
-        },
-        Some(ft),
-        Some(injector),
-    )
+    let config = PoolConfig {
+        workers,
+        fault_tolerance: Some(ft),
+        ..PoolConfig::default()
+    };
+    let state = FactorState::new(tiled.clone());
+    run_pool(state, g, config, DispatchOrder::Fifo, Some(injector))
 }
 
 #[test]
@@ -193,8 +190,8 @@ fn fenced_run_fails_at_a_poisoned_panel_factor() {
         workers: 2,
         ..PoolConfig::default()
     };
-    let (state, _) =
-        parallel_factor_ft(FactorState::new(tiled), &g, config, None, Some(&inj)).unwrap();
+    let state = FactorState::new(tiled);
+    let (state, _) = run_pool(state, &g, config, DispatchOrder::Fifo, Some(&inj)).unwrap();
     assert!(state.r_matrix().first_non_finite().is_some());
 }
 

@@ -20,8 +20,7 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::TiledMatrix;
 use tileqr_obs::{kind_index, EventKind, Phase, Trace, TraceConfig};
 use tileqr_runtime::{
-    parallel_factor_ft, parallel_factor_ordered, DispatchOrder, FaultTolerance, PoolConfig,
-    ScriptedFaults,
+    parallel_factor_traced, run_pool, DispatchOrder, FaultTolerance, PoolConfig, ScriptedFaults,
 };
 use tileqr_testkit::workers_under_test;
 
@@ -63,17 +62,19 @@ fn golden_traces_across_workers_and_policies() {
     let (tiled, g) = fixture();
     for &workers in &workers_under_test() {
         for order in [DispatchOrder::Fifo, DispatchOrder::CriticalPath] {
-            // `parallel_factor_ordered` runs the real manager loop even
-            // at one worker, so the single-lane golden trace exercises
-            // the same recording paths as the multi-worker runs.
-            let (_, report) = parallel_factor_ordered(
+            // `run_pool` runs the real driver even at one worker, so the
+            // single-lane golden trace exercises the same recording paths
+            // as the multi-worker runs.
+            let (_, report) = run_pool(
                 FactorState::new(tiled.clone()),
                 &g,
                 PoolConfig {
                     workers,
                     trace: TraceConfig::enabled(),
+                    ..PoolConfig::default()
                 },
                 order,
+                None,
             )
             .unwrap();
             let trace = report
@@ -123,17 +124,17 @@ fn golden_trace_ft_clean_run_has_no_recovery_events() {
     let (tiled, g) = fixture();
     for &workers in &workers_under_test() {
         if workers < 2 {
-            continue; // the recovering pool needs a real pool
+            continue; // one effective worker runs inline, unfenced
         }
-        let (_, report) = parallel_factor_ft(
+        // The public fault-tolerant path: the budget rides on the config.
+        let (_, report) = parallel_factor_traced(
             FactorState::new(tiled.clone()),
             &g,
             PoolConfig {
                 workers,
                 trace: TraceConfig::enabled(),
+                fault_tolerance: Some(FaultTolerance::default()),
             },
-            Some(FaultTolerance::default()),
-            None,
         )
         .unwrap();
         let trace = report.trace.as_ref().unwrap();
@@ -158,14 +159,15 @@ fn golden_trace_records_retries_iff_faults_injected() {
     // Two scripted transient failures: attempt 0 of two tasks errors
     // before staging, so the retried attempts are the only compute spans.
     let faults = ScriptedFaults::new().fail_on(1, 1).fail_on(g.len() / 2, 1);
-    let (_, report) = parallel_factor_ft(
+    let (_, report) = run_pool(
         FactorState::new(tiled),
         &g,
         PoolConfig {
             workers: 2,
             trace: TraceConfig::enabled(),
+            fault_tolerance: Some(FaultTolerance::default()),
         },
-        Some(FaultTolerance::default()),
+        DispatchOrder::Fifo,
         Some(&faults),
     )
     .unwrap();
@@ -196,14 +198,15 @@ fn golden_trace_worker_death_leaves_marker() {
     let (tiled, g) = fixture();
     let victim = g.len() / 3;
     let faults = ScriptedFaults::new().panic_on(victim, 1);
-    let (_, report) = parallel_factor_ft(
+    let (_, report) = run_pool(
         FactorState::new(tiled),
         &g,
         PoolConfig {
             workers: 3,
             trace: TraceConfig::enabled(),
+            fault_tolerance: Some(FaultTolerance::default()),
         },
-        Some(FaultTolerance::default()),
+        DispatchOrder::Fifo,
         Some(&faults),
     )
     .unwrap();
@@ -220,25 +223,24 @@ fn golden_trace_worker_death_leaves_marker() {
 #[test]
 fn traced_and_untraced_runs_factor_identically() {
     let (tiled, g) = fixture();
-    let plain = parallel_factor_ordered(
+    let plain = parallel_factor_traced(
         FactorState::new(tiled.clone()),
         &g,
         PoolConfig {
             workers: 2,
             ..PoolConfig::default()
         },
-        DispatchOrder::Fifo,
     )
     .unwrap()
     .0;
-    let traced = parallel_factor_ordered(
+    let traced = parallel_factor_traced(
         FactorState::new(tiled),
         &g,
         PoolConfig {
             workers: 2,
             trace: TraceConfig::enabled(),
+            ..PoolConfig::default()
         },
-        DispatchOrder::Fifo,
     )
     .unwrap()
     .0;

@@ -16,8 +16,8 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
-    parallel_factor_ft, parallel_factor_ordered, DispatchOrder, FaultInjector, FaultTolerance,
-    InjectedFault, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
+    run_pool, DispatchOrder, FaultInjector, FaultTolerance, InjectedFault, PoolConfig, RunReport,
+    RuntimeError, ScriptedFaults,
 };
 use tileqr_testkit::{within, workers_under_test};
 
@@ -53,13 +53,12 @@ fn ft_run(
     ft: Option<FaultTolerance>,
     injector: &dyn FaultInjector,
 ) -> Result<(FactorState<f64>, RunReport), RuntimeError> {
-    parallel_factor_ft(
-        FactorState::new(tiled.clone()),
-        g,
-        config,
-        ft,
-        Some(injector),
-    )
+    let config = PoolConfig {
+        fault_tolerance: ft,
+        ..config
+    };
+    let state = FactorState::new(tiled.clone());
+    run_pool(state, g, config, DispatchOrder::Fifo, Some(injector))
 }
 
 /// Holds attempt 0 of task 0 back for `hold`, so the other workers have
@@ -109,11 +108,12 @@ fn narrow_graphs_never_lose_a_wakeup() {
                 let (tiled, g, r) = (tiled.clone(), g.clone(), r.clone());
                 within(Duration::from_secs(60), &what.clone(), move || {
                     for rep in 0..200 {
-                        let (st, report) = parallel_factor_ordered(
+                        let (st, report) = run_pool(
                             FactorState::new(tiled.clone()),
                             &g,
                             config(workers),
                             order,
+                            None,
                         )
                         .unwrap();
                         assert_eq!(st.r_matrix(), r, "{what} rep={rep}");
@@ -171,7 +171,7 @@ fn timer_wakes_a_sleeping_pool_for_a_parked_retry() {
                 backoff_base: Duration::from_millis(20),
                 ..FaultTolerance::default()
             };
-            // `parallel_factor_ft` runs the pool even at one worker.
+            // `run_pool` runs the driver even at one worker.
             let (st, report) = ft_run(&tiled, &g, config(workers), Some(ft), &inj).unwrap();
             assert_eq!(st.r_matrix(), r, "workers={workers}");
             assert_eq!(report.retries, 1);

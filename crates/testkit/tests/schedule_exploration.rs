@@ -13,7 +13,7 @@ use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::TiledMatrix;
-use tileqr_runtime::{parallel_factor_ordered, DispatchOrder, PoolConfig};
+use tileqr_runtime::{run_pool, DispatchOrder, PoolConfig};
 use tileqr_testkit::explorer::{
     assert_bit_identical, explore, explore_tree_vs_sequential, ExploreStrategy,
 };
@@ -106,7 +106,7 @@ fn real_pool_honors_adversarial_dispatch_orders() {
         ];
         for order in orders {
             let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
-            let (state, report) = parallel_factor_ordered(
+            let (state, report) = run_pool(
                 FactorState::new(tiled),
                 &graph,
                 PoolConfig {
@@ -114,6 +114,7 @@ fn real_pool_honors_adversarial_dispatch_orders() {
                     ..PoolConfig::default()
                 },
                 order,
+                None,
             )
             .unwrap();
             let run: u64 = report.tasks_per_worker.iter().sum();
@@ -135,7 +136,7 @@ fn pool_seeded_orders_sample_many_interleavings_safely() {
     let expect_r = reference.r_matrix();
     for seed in 0..20 {
         let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
-        let (state, _) = parallel_factor_ordered(
+        let (state, _) = run_pool(
             FactorState::new(tiled),
             &graph,
             PoolConfig {
@@ -143,6 +144,7 @@ fn pool_seeded_orders_sample_many_interleavings_safely() {
                 ..PoolConfig::default()
             },
             DispatchOrder::Seeded(seed),
+            None,
         )
         .unwrap();
         assert_eq!(state.r_matrix(), expect_r, "seed {seed} diverged");

@@ -7,7 +7,7 @@
 //! `SharedFactorState` isolation plus the fenced commit protocol keep
 //! jobs from perturbing each other's numbers.
 
-use tileqr::runtime::{JobOutput, JobSpec, PriorityClass, QrService, ServiceConfig};
+use tileqr::runtime::{JobOutput, JobResult, JobSpec, PriorityClass, QrService, ServiceConfig};
 use tileqr::{QrOptions, TiledQr};
 use tileqr_dag::{EliminationTree, TaskGraph, TreePolicy};
 use tileqr_kernels::exec::FactorState;
@@ -171,26 +171,30 @@ fn variant_name<T: tileqr::Scalar>(o: &JobOutput<T>) -> &'static str {
     }
 }
 
-/// The single-matrix API routed through a resident service
-/// ([`TiledQr::factor_on`] + [`QrOptions::to_service_config`]) is
-/// bit-identical to the standalone factorization.
+/// A single matrix routed through a resident service (`JobSpec` +
+/// `submit`) is bit-identical to the standalone factorization.
 #[test]
-fn factor_on_matches_standalone_factor() {
+fn service_job_matches_standalone_factor() {
     let a = random_matrix::<f64>(48, 32, 5);
     let opts = QrOptions::new().tile_size(8).workers(2);
 
     let standalone = TiledQr::factor(&a, &opts).unwrap();
 
-    let svc = QrService::<f64>::start(opts.to_service_config());
-    let (via_service, report) = TiledQr::factor_on(&svc, &a, &opts).unwrap();
+    let svc = QrService::<f64>::start(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    let spec = JobSpec::factor(a).tile_size(8);
+    let JobResult { output, report, .. } = svc.submit(spec).unwrap().wait().unwrap();
     svc.shutdown();
+    let via_service = output.into_factor();
 
     assert_eq!(
-        via_service.state().tiles().to_matrix(),
+        via_service.state.tiles().to_matrix(),
         standalone.state().tiles().to_matrix()
     );
-    assert_eq!(via_service.r(), standalone.r());
-    assert_eq!(report.total_tasks(), via_service.graph().len() as u64);
+    assert_eq!(via_service.r_matrix(), standalone.r());
+    assert_eq!(report.total_tasks(), via_service.graph.len() as u64);
 }
 
 /// Priority classes never change the numbers — only scheduling order.

@@ -20,7 +20,7 @@ use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::{graded, hilbert_like, near_rank_deficient, random_matrix};
 use tileqr_matrix::{Matrix, TiledMatrix};
-use tileqr_runtime::QrService;
+use tileqr_runtime::{JobSpec, QrService, ServiceConfig};
 use tileqr_testkit::explorer::{assert_bit_identical, explore_tree_vs_sequential, ExploreStrategy};
 use tileqr_testkit::oracle::verify_qr;
 use tileqr_testkit::workers_under_test;
@@ -173,10 +173,15 @@ fn f32_greedy_fibonacci_and_auto_agree_across_one_shot_service_and_sequential() 
             let one_shot = TiledQr::factor(&a, &opts).unwrap();
             assert_eq!(one_shot.graph().tree(), tree, "{policy:?}");
             assert_bit_identical(one_shot.state(), &sequential);
-            let service = QrService::start(opts.to_service_config());
-            let (job, _) = TiledQr::factor_on(&service, &a, &opts).unwrap();
-            assert_eq!(job.graph().tree(), tree, "{policy:?} on the service");
-            assert_bit_identical(job.state(), &sequential);
+            let service = QrService::start(ServiceConfig {
+                workers,
+                ..ServiceConfig::default()
+            });
+            let spec = JobSpec::factor(a.clone()).tile_size(b).tree(policy);
+            let job = service.submit(spec).unwrap().wait().unwrap();
+            let job = job.output.into_factor();
+            assert_eq!(job.graph.tree(), tree, "{policy:?} on the service");
+            assert_bit_identical(&job.state, &sequential);
             service.shutdown();
             let rep = verify_qr(&a, &one_shot.q().unwrap(), &one_shot.r(), Some(1e2)).unwrap();
             assert!(rep.passes(), "{tree} workers={workers} (f32): {rep:?}");

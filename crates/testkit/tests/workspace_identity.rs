@@ -14,8 +14,8 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
-    parallel_factor_ft, parallel_factor_traced, FaultTolerance, JobSpec, PoolConfig, QrService,
-    ScriptedFaults, ServiceConfig,
+    parallel_factor_traced, run_pool, DispatchOrder, FaultTolerance, JobSpec, PoolConfig,
+    QrService, ScriptedFaults, ServiceConfig,
 };
 use tileqr_testkit::workers_under_test;
 
@@ -94,17 +94,18 @@ fn arena_runs_with_fault_injection_stay_bit_identical() {
             .panic_on(g.len() / 2, 1)
             .fail_on(g.len() / 4, 1)
             .fail_on(g.len() - 1, 1);
-        let (state, report) = parallel_factor_ft(
+        let (state, report) = run_pool(
             FactorState::new(tiled.clone()),
             &g,
             PoolConfig {
                 workers,
+                fault_tolerance: Some(FaultTolerance {
+                    max_attempts: 4,
+                    ..FaultTolerance::default()
+                }),
                 ..PoolConfig::default()
             },
-            Some(FaultTolerance {
-                max_attempts: 4,
-                ..FaultTolerance::default()
-            }),
+            DispatchOrder::Fifo,
             Some(&inj),
         )
         .expect("recovery must succeed");

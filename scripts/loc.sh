@@ -47,6 +47,11 @@
 #     or report field, testkit policy axis or second flop vocabulary (the
 #     explorer's `flop_weight` mirror) comes back, and `DagRun` takes no
 #     cost model (a job's `CostModel` prices only its WFQ charge).
+#   * one way into a one-shot run: `parallel_factor_traced` over a
+#     `PoolConfig` that carries the fault-tolerance budget; the other entry
+#     points, the service shims of `TiledQr`/`QrOptions`, their run-field
+#     getters and the no-op injector stay deleted, tests included (the
+#     test seams go through the doc-hidden `run_pool`).
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -180,6 +185,12 @@ fi
 expect 0 'pub policy:' "a public config or report field carrying a dispatch policy" crates/runtime crates/core
 expect 0 'cost: CostModel' "a cost model reaching DagRun (it prices only the WFQ charge)" \
     crates/runtime/src/engine.rs
+# Tests and examples count for the retired names here too.
+oneshot='\bparallel_factor(_ft|_ordered)?\b|fn (factor_on|to_service_config|get_workers|get_fault_tolerance|get_tracing)\b|NoFaults'
+if hits=$(grep -rnE "$oneshot" crates tests examples); then
+    fail "a second way into a one-shot run is back (parallel_factor_traced is the one):" "$hits"
+fi
+expect 1 'pub fn parallel_factor' "public one-shot entry points" crates/runtime
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status

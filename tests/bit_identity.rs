@@ -7,7 +7,7 @@
 
 use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::kernels::FactorState;
-use tileqr::runtime::{parallel_factor_ordered, DispatchOrder, PoolConfig};
+use tileqr::runtime::{run_pool, DispatchOrder, PoolConfig};
 use tileqr::{Matrix, Scalar, TiledMatrix};
 
 fn factor_sequential<T: Scalar>(a: &Matrix<T>, b: usize, order: EliminationTree) -> FactorState<T> {
@@ -31,7 +31,7 @@ fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize], trees: &[Elimina
             for rule in [DispatchOrder::Fifo, DispatchOrder::CriticalPath] {
                 let tiled = TiledMatrix::from_matrix(a, b).unwrap();
                 let g = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), order);
-                let (st, _) = parallel_factor_ordered(
+                let (st, _) = run_pool(
                     FactorState::new(tiled),
                     &g,
                     PoolConfig {
@@ -39,6 +39,7 @@ fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize], trees: &[Elimina
                         ..PoolConfig::default()
                     },
                     rule,
+                    None,
                 )
                 .unwrap();
                 // Bit-identical, not approximately equal: `==` on the raw
