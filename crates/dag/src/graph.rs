@@ -1,8 +1,7 @@
 //! DAG construction from per-tile read/write sets.
 
-use crate::task::{TaskId, TaskKind, TileCoord};
+use crate::task::{TaskId, TaskKind};
 use crate::tree::{EliminationTree, MergeKind};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The tiled-QR task DAG.
@@ -10,82 +9,110 @@ use std::sync::Arc;
 /// Tasks are stored in program order; edges are derived from tile-level
 /// data-flow (read-after-write, write-after-read, write-after-write), which
 /// reproduces exactly the dependence structure of the paper's Fig. 3.
-/// Immutable once built, so a clone shares the vectors: `clone()` is O(1).
+/// Immutable once built: `clone()` is one reference count.
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
     mt: usize,
     nt: usize,
     tree: EliminationTree,
-    tasks: Arc<Vec<TaskKind>>,
-    preds: Arc<Vec<Vec<TaskId>>>,
-    succs: Arc<Vec<Vec<TaskId>>>,
+    csr: Arc<Csr>,
 }
 
-/// Per-tile data-flow state used during construction.
-#[derive(Default)]
-struct TileFlow {
-    last_writer: Option<TaskId>,
-    readers_since_write: Vec<TaskId>,
+/// Tasks and both edge directions in compressed-sparse-row form: task
+/// `t`'s predecessors are `preds[pred_off[t]..pred_off[t + 1]]`, ascending,
+/// and likewise its successors.
+#[derive(Debug, Default)]
+struct Csr {
+    tasks: Vec<TaskKind>,
+    pred_off: Vec<usize>,
+    preds: Vec<TaskId>,
+    succ_off: Vec<usize>,
+    succs: Vec<TaskId>,
 }
+
+/// "No task has written this tile yet."
+const NO_WRITER: TaskId = TaskId::MAX;
 
 /// Incremental DAG builder: push tasks in program order and edges appear
-/// from the declared tile accesses.
+/// from the declared tile accesses. Per-tile state is dense, indexed
+/// `i * nt + j`, and predecessors go straight onto the flat CSR array.
 struct Builder {
-    tasks: Vec<TaskKind>,
-    preds: Vec<Vec<TaskId>>,
-    flow: HashMap<TileCoord, TileFlow>,
+    nt: usize,
+    csr: Csr,
+    last_writer: Vec<TaskId>,
+    readers_since_write: Vec<Vec<TaskId>>,
 }
 
 impl Builder {
-    fn new() -> Self {
+    fn new(mt: usize, nt: usize) -> Self {
         Builder {
-            tasks: Vec::new(),
-            preds: Vec::new(),
-            flow: HashMap::new(),
+            nt,
+            csr: Csr::default(),
+            last_writer: vec![NO_WRITER; mt * nt],
+            readers_since_write: vec![Vec::new(); mt * nt],
         }
     }
 
-    fn push(&mut self, kind: TaskKind) -> TaskId {
-        let id = self.tasks.len();
-        let mut preds: Vec<TaskId> = Vec::new();
-        for tile in kind.reads() {
-            let f = self.flow.entry(tile).or_default();
-            if let Some(w) = f.last_writer {
-                preds.push(w);
+    fn push(&mut self, kind: TaskKind) {
+        let id = self.csr.tasks.len();
+        let preds = &mut self.csr.preds;
+        let start = preds.len();
+        self.csr.pred_off.push(start);
+        for &(i, j) in kind.reads().iter() {
+            let t = i * self.nt + j;
+            if self.last_writer[t] != NO_WRITER {
+                preds.push(self.last_writer[t]);
             }
-            f.readers_since_write.push(id);
+            self.readers_since_write[t].push(id);
         }
-        for tile in kind.writes() {
-            let f = self.flow.entry(tile).or_default();
-            if let Some(w) = f.last_writer {
-                preds.push(w);
+        for &(i, j) in kind.writes().iter() {
+            let t = i * self.nt + j;
+            if self.last_writer[t] != NO_WRITER {
+                preds.push(self.last_writer[t]);
             }
-            preds.extend(f.readers_since_write.iter().copied());
-            f.last_writer = Some(id);
-            f.readers_since_write.clear();
+            preds.append(&mut self.readers_since_write[t]);
+            self.last_writer[t] = id;
         }
-        preds.sort_unstable();
-        preds.dedup();
-        preds.retain(|&p| p != id);
-        self.tasks.push(kind);
-        self.preds.push(preds);
-        id
+        // Sort and deduplicate this task's tail in place. (A task's reads
+        // and writes are disjoint, so it is never its own predecessor.)
+        preds[start..].sort_unstable();
+        let mut kept = start;
+        for r in start..preds.len() {
+            if kept == start || preds[kept - 1] != preds[r] {
+                preds[kept] = preds[r];
+                kept += 1;
+            }
+        }
+        preds.truncate(kept);
+        self.csr.tasks.push(kind);
     }
 
-    fn finish(self, mt: usize, nt: usize, tree: EliminationTree) -> TaskGraph {
-        let mut succs = vec![Vec::new(); self.tasks.len()];
-        for (id, preds) in self.preds.iter().enumerate() {
-            for &p in preds {
-                succs[p].push(id);
+    /// Lay out the successors by one counting pass over the predecessors
+    /// in id order, so each task's successors come out ascending.
+    fn finish(mut self, mt: usize, nt: usize, tree: EliminationTree) -> TaskGraph {
+        let c = &mut self.csr;
+        let n = c.tasks.len();
+        c.pred_off.push(c.preds.len());
+        c.succ_off = vec![0; n + 1];
+        for &p in &c.preds {
+            c.succ_off[p + 1] += 1;
+        }
+        for t in 0..n {
+            c.succ_off[t + 1] += c.succ_off[t];
+        }
+        let mut next = c.succ_off.clone();
+        c.succs = vec![0; c.preds.len()];
+        for id in 0..n {
+            for &p in &c.preds[c.pred_off[id]..c.pred_off[id + 1]] {
+                c.succs[next[p]] = id;
+                next[p] += 1;
             }
         }
         TaskGraph {
             mt,
             nt,
             tree,
-            tasks: Arc::new(self.tasks),
-            preds: Arc::new(self.preds),
-            succs: Arc::new(succs),
+            csr: Arc::new(self.csr),
         }
     }
 }
@@ -104,10 +131,10 @@ impl TaskGraph {
         assert!(mt > 0 && nt > 0, "empty tile grid");
         if let EliminationTree::Tsqr(d) = tree {
             if nt <= 2 {
-                return Self::build_tsqr_impl(mt, nt, d);
+                return Self::build_tsqr(mt, nt, d);
             }
         }
-        let mut b = Builder::new();
+        let mut b = Builder::new(mt, nt);
         let kmax = mt.min(nt);
         for k in 0..kmax {
             let m = mt - k;
@@ -161,12 +188,8 @@ impl TaskGraph {
             "TSQR fast path requires a tall-skinny grid (nt <= 2)"
         );
         assert!(mt > 0 && nt > 0, "empty tile grid");
-        Self::build_tsqr_impl(mt, nt, d)
-    }
-
-    fn build_tsqr_impl(mt: usize, nt: usize, d: usize) -> Self {
         assert!(d > 0, "zero TSQR domain size");
-        let mut b = Builder::new();
+        let mut b = Builder::new(mt, nt);
         let kmax = mt.min(nt);
         for k in 0..kmax {
             let m = mt - k;
@@ -229,51 +252,51 @@ impl TaskGraph {
 
     /// Total number of tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.csr.tasks.len()
     }
 
     /// `true` when the graph has no tasks (never happens for valid grids).
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.csr.tasks.is_empty()
     }
 
     /// Task kind of `id`.
     pub fn task(&self, id: TaskId) -> TaskKind {
-        self.tasks[id]
+        self.csr.tasks[id]
     }
 
     /// All tasks in program order.
     pub fn tasks(&self) -> &[TaskKind] {
-        &self.tasks
+        &self.csr.tasks
     }
 
-    /// Direct predecessors of `id`.
+    /// Direct predecessors of `id`, ascending.
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
-        &self.preds[id]
+        &self.csr.preds[self.csr.pred_off[id]..self.csr.pred_off[id + 1]]
     }
 
-    /// Direct successors of `id`.
+    /// Direct successors of `id`, ascending.
     pub fn succs(&self, id: TaskId) -> &[TaskId] {
-        &self.succs[id]
+        &self.csr.succs[self.csr.succ_off[id]..self.csr.succ_off[id + 1]]
     }
 
     /// In-degree vector (predecessor counts), the ready-tracking state used
     /// by every executor in the workspace.
     pub fn indegrees(&self) -> Vec<usize> {
-        self.preds.iter().map(Vec::len).collect()
+        self.csr.pred_off.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
     /// Ids of tasks with no predecessors.
     pub fn sources(&self) -> Vec<TaskId> {
         (0..self.len())
-            .filter(|&i| self.preds[i].is_empty())
+            .filter(|&i| self.preds(i).is_empty())
             .collect()
     }
 
     /// Ids of tasks with no successors.
     pub fn sinks(&self) -> Vec<TaskId> {
         (0..self.len())
-            .filter(|&i| self.succs[i].is_empty())
+            .filter(|&i| self.succs(i).is_empty())
             .collect()
     }
 }
@@ -282,6 +305,7 @@ impl TaskGraph {
 mod tests {
     use super::*;
     use crate::StepClass;
+    use std::collections::HashMap;
 
     #[test]
     fn three_by_three_ts_matches_paper_fig2() {

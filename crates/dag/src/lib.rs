@@ -31,5 +31,5 @@ pub use cost::{ClassCosts, CostCurve, CostModel, KernelClass};
 pub use critical_path::bottom_levels;
 pub use graph::TaskGraph;
 pub use listsim::{list_makespan, ListOrder};
-pub use task::{StepClass, TaskId, TaskKind, TileCoord};
+pub use task::{StepClass, TaskId, TaskKind, TileCoord, Tiles};
 pub use tree::{EliminationTree, MergeKind, MergeOp, TreePolicy};

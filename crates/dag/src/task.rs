@@ -1,10 +1,30 @@
 //! Task vocabulary of tiled QR.
 
+use std::ops::Deref;
+
 /// Index of a task within its [`crate::TaskGraph`].
 pub type TaskId = usize;
 
 /// Tile coordinate `(tile_row, tile_col)` in the tile grid.
 pub type TileCoord = (usize, usize);
+
+/// A task's read or write set: at most two tile coordinates held inline,
+/// so asking a task for its accesses allocates nothing. Derefs to
+/// `[TileCoord]`; unused slots hold `(0, 0)`, so equality is slice equality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tiles(usize, [TileCoord; 2]);
+
+impl Tiles {
+    const NONE: Tiles = Tiles(0, [(0, 0); 2]);
+}
+
+impl Deref for Tiles {
+    type Target = [TileCoord];
+
+    fn deref(&self) -> &[TileCoord] {
+        &self.1[..self.0]
+    }
+}
 
 /// The four step classes of the paper (§II-B), used for accounting and for
 /// routing work between the main computing device and update devices.
@@ -139,22 +159,23 @@ impl TaskKind {
     }
 
     /// Tiles this task reads but does not modify.
-    pub fn reads(self) -> Vec<TileCoord> {
+    pub fn reads(self) -> Tiles {
         match self {
-            TaskKind::Geqrt { .. } | TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. } => vec![],
-            TaskKind::Unmqr { i, k, .. } => vec![(i, k)],
-            TaskKind::Tsmqr { i, k, .. } | TaskKind::Ttmqr { i, k, .. } => vec![(i, k)],
+            TaskKind::Geqrt { .. } | TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. } => Tiles::NONE,
+            TaskKind::Unmqr { i, k, .. }
+            | TaskKind::Tsmqr { i, k, .. }
+            | TaskKind::Ttmqr { i, k, .. } => Tiles(1, [(i, k), (0, 0)]),
         }
     }
 
     /// Tiles this task modifies.
-    pub fn writes(self) -> Vec<TileCoord> {
+    pub fn writes(self) -> Tiles {
         match self {
-            TaskKind::Geqrt { i, k } => vec![(i, k)],
-            TaskKind::Unmqr { i, j, .. } => vec![(i, j)],
-            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => vec![(p, k), (i, k)],
+            TaskKind::Geqrt { i, k } => Tiles(1, [(i, k), (0, 0)]),
+            TaskKind::Unmqr { i, j, .. } => Tiles(1, [(i, j), (0, 0)]),
+            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => Tiles(2, [(p, k), (i, k)]),
             TaskKind::Tsmqr { p, i, j, .. } | TaskKind::Ttmqr { p, i, j, .. } => {
-                vec![(p, j), (i, j)]
+                Tiles(2, [(p, j), (i, j)])
             }
         }
     }
@@ -225,8 +246,9 @@ mod tests {
         };
         let reads = t.reads();
         let writes = t.writes();
-        assert_eq!(reads, vec![(2, 0)]);
-        assert_eq!(writes, vec![(0, 3), (2, 3)]);
+        assert_eq!(*reads, [(2, 0)]);
+        assert_eq!(*writes, [(0, 3), (2, 3)]);
+        assert!(TaskKind::Geqrt { i: 1, k: 1 }.reads().is_empty());
         assert!(reads.iter().all(|r| !writes.contains(r)));
     }
 

@@ -157,3 +157,45 @@ fn f32_factor_and_apply_pass_f32_scaled_oracles() {
         );
     }
 }
+
+/// Tall and very skinny: 2048×16 and 16384×16 at b = 16 are 128×1 and
+/// 1024×1 tile grids, the tallest DAGs the builder lays out. Every tree,
+/// `f64` and `f32`, on columns graded over four decades. The thin
+/// `Q₁ = Q [I; 0]` (forming the full `m × m` `Q` would take gigabytes)
+/// must be orthogonal and `A = Q₁ R₁` must hold at the plain
+/// `ε·poly(m, n)` budget: Householder QR is backward stable whatever the
+/// column scaling, so no condition allowance widens it.
+#[test]
+fn tall_and_very_skinny_grids_stay_orthogonal_on_every_tree() {
+    use tileqr::{EliminationTree, Scalar, TreePolicy};
+    use tileqr_kernels::validate::{check_qr, qr_tolerance};
+    use tileqr_matrix::gen::random_matrix;
+
+    fn check<T: Scalar>(m: usize, tree: EliminationTree) {
+        let n = 16;
+        let mut a = random_matrix::<T>(m, n, m as u64);
+        for j in 0..n {
+            let scale = T::from_f64(10f64.powf(-4.0 * j as f64 / (n - 1) as f64));
+            for i in 0..m {
+                a[(i, j)] *= scale;
+            }
+        }
+        let opts = QrOptions::new().tile_size(16).tree(TreePolicy::Fixed(tree));
+        let f = TiledQr::factor(&a, &opts).unwrap();
+        let top = |i: usize, j: usize| T::from_f64(if i == j { 1.0 } else { 0.0 });
+        let q1 = f.apply_q(&Matrix::from_fn(m, n, top)).unwrap();
+        let r1 = f.r().submatrix(0, 0, n, n).unwrap();
+        let tol = qr_tolerance::<T>(m, n);
+        let rep = check_qr(&a, &q1, &r1).unwrap();
+        assert!(rep.passes(tol), "{m}x{n} {tree}: {rep:?} vs {tol:?}");
+    }
+
+    for m in [2048, 16384] {
+        let mut trees = EliminationTree::zoo();
+        trees.push(EliminationTree::Tsqr(EliminationTree::tsqr_domain(m / 16)));
+        for tree in trees {
+            check::<f64>(m, tree);
+            check::<f32>(m, tree);
+        }
+    }
+}

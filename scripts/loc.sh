@@ -52,6 +52,10 @@
 #     points, the service shims of `TiledQr`/`QrOptions`, their run-field
 #     getters and the no-op injector stay deleted, tests included (the
 #     test seams go through the doc-hidden `run_pool`).
+#   * one flat DAG: `TaskGraph` keeps its edges in CSR arrays built from a
+#     dense tile table, so no `HashMap` in non-test `dag/src/graph.rs`, and
+#     no access set returns a `Vec<TileCoord>` anywhere in non-test
+#     `crates/dag` (a build allocates per tile, not per task).
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -87,7 +91,6 @@ while read -r layer budget; do
     printf '%-26s %6d  (budget %d)\n' "$layer" "$n" "$budget"
     [ "$n" -le "$budget" ] || fail "$layer has $n non-test lines, budget is $budget"
 done < <(grep -v '^#' scripts/loc_budget)
-printf '%-26s %6d\n' crates/dag "$(count crates/dag)"
 
 # `where` (directories) must hold exactly `want` non-test lines matching
 # the extended regex `pattern`.
@@ -191,6 +194,8 @@ if hits=$(grep -rnE "$oneshot" crates tests examples); then
     fail "a second way into a one-shot run is back (parallel_factor_traced is the one):" "$hits"
 fi
 expect 1 'pub fn parallel_factor' "public one-shot entry points" crates/runtime
+expect 0 'HashMap' "hash maps in the DAG builder (the tile table is dense)" crates/dag/src/graph.rs
+expect 0 '[-]> Vec<TileCoord>' "allocating access sets (reads/writes return Tiles)" crates/dag
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
