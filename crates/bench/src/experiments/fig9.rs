@@ -71,7 +71,7 @@ pub fn print() {
         &["size", "GTX580 (ours)", "GTX680", "None", "CPU"],
         &table,
     );
-    let sel = main_select::select_main_device(&platform, 1000, 1000);
+    let sel = main_select::select_main_device(&platform, 1000, 1000, &[]);
     println!(
         "Algorithm 2 selects: {} (device {})",
         platform.device(sel.device).name,
@@ -112,7 +112,10 @@ mod tests {
         let platform = profiles::paper_testbed(TILE);
         for &n in &SIZES {
             let nt = n / TILE;
-            assert_eq!(main_select::select_main_device(&platform, nt, nt).device, 0);
+            assert_eq!(
+                main_select::select_main_device(&platform, nt, nt, &[]).device,
+                0
+            );
         }
     }
 }

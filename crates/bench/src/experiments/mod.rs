@@ -24,7 +24,7 @@ pub fn simulate(
     force_p: Option<usize>,
 ) -> SimStats {
     let nt = n.div_ceil(TILE).max(1);
-    let hp = plan::plan_with(platform, nt, nt, policy, strategy, force_p);
+    let hp = plan::plan_with(platform, nt, nt, policy, strategy, force_p, &[]);
     fastsim::simulate_fast(platform, &hp, nt, nt)
 }
 

@@ -50,7 +50,7 @@ pub fn run() -> Vec<Row> {
         .into_iter()
         .map(|n| {
             let nt = n.div_ceil(TILE);
-            let sel = device_count::select_device_count(&platform, 0, nt, nt);
+            let sel = device_count::select_device_count(&platform, 0, nt, nt, &[]);
             let mut predicted = [0.0; 3];
             for pred in &sel.predictions {
                 predicted[pred.p - 1] = pred.total_us();

@@ -67,9 +67,9 @@
 //!   jobs — then joins all threads.
 //!
 //! Instrumentation flows through the existing `tileqr-obs` types: per-job
-//! task-compute [`LatencyHistogram`]s ride on each [`JobResult`], and
-//! service-wide queue-wait / latency histograms plus queue-depth
-//! high-water marks are readable at any time via [`QrService::stats`].
+//! per-class compute totals ride on each [`JobResult`], and service-wide
+//! queue-wait / latency [`LatencyHistogram`]s plus queue-depth high-water
+//! marks are readable at any time via [`QrService::stats`].
 
 use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
@@ -125,14 +125,6 @@ impl PriorityClass {
             PriorityClass::Interactive => "interactive",
             PriorityClass::Standard => "standard",
             PriorityClass::Bulk => "bulk",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            PriorityClass::Interactive => 0,
-            PriorityClass::Standard => 1,
-            PriorityClass::Bulk => 2,
         }
     }
 }
@@ -392,8 +384,6 @@ pub struct JobResult<T: Scalar> {
     /// Jobs with pending work at the moment this job was admitted
     /// (the backlog it had to share the pool with).
     pub backlog_at_submit: u64,
-    /// Per-task kernel compute latencies of this job alone.
-    pub task_latency: LatencyHistogram,
     /// Total measured kernel time per timing-class slot
     /// (`[triangulation, elimination, update]`, µs) — the raw material
     /// the online autotuner fits profiles from.
@@ -681,8 +671,6 @@ pub struct ServiceStats {
     pub queue_wait: LatencyHistogram,
     /// Submission → result delivery, across all completed jobs.
     pub latency: LatencyHistogram,
-    /// Per-class latency histograms, indexed interactive/standard/bulk.
-    pub class_latency: [LatencyHistogram; 3],
     /// Lifecycle-event counters: jobs shed past their deadline, jobs
     /// cancelled, poisoned panel factors contained, and stalled workers
     /// retired by the watchdog.
@@ -691,13 +679,6 @@ pub struct ServiceStats {
     pub probe_jobs: u64,
     /// Jobs submitted tagged [`JobTuning::Tuned`] (ran on measured plans).
     pub tuned_jobs: u64,
-}
-
-impl ServiceStats {
-    /// Latency histogram of one priority class.
-    pub fn latency_for(&self, class: PriorityClass) -> &LatencyHistogram {
-        &self.class_latency[class.index()]
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -725,7 +706,6 @@ struct JobMeta<T: Scalar> {
     payload: Payload<T>,
     class_compute_us: [f64; 3],
     class_tasks: [u64; 3],
-    task_latency: LatencyHistogram,
 }
 
 /// A job whose DAG is complete and whose state is nobody else's any more:
@@ -1060,7 +1040,6 @@ impl<T: Scalar> Shared<T> {
             payload,
             class_compute_us: [0.0; 3],
             class_tasks: [0; 3],
-            task_latency: LatencyHistogram::new(),
         };
         let b = state.tiles().tile_size();
         let lane = self.trace.map(|(cfg, epoch)| {
@@ -1287,7 +1266,6 @@ impl<T: Scalar> Shared<T> {
             m.jobs_completed += 1;
             m.queue_wait.record_ns(meta.queue_wait.as_nanos() as u64);
             m.latency.record_ns(latency.as_nanos() as u64);
-            m.class_latency[meta.class.index()].record_ns(latency.as_nanos() as u64);
             self.release(&mut core);
         }
         let result = JobResult {
@@ -1299,7 +1277,6 @@ impl<T: Scalar> Shared<T> {
             latency,
             dispatch_delay_tasks: meta.dispatch_delay_tasks,
             backlog_at_submit: meta.backlog_at_submit,
-            task_latency: meta.task_latency,
             class_compute_us: meta.class_compute_us,
             class_tasks: meta.class_tasks,
         };
@@ -1356,7 +1333,6 @@ impl<T: Scalar> Shared<T> {
         let lost = match outcome {
             Outcome::Done(done) => {
                 let compute_ns = done.compute.as_nanos() as u64;
-                job.meta.task_latency.record_ns(compute_ns);
                 // Poison fence: the output must not become an input of
                 // downstream tasks.
                 if let Some(tile) = poisoned.filter(|_| job.run.accepts(task)) {

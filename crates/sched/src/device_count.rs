@@ -42,19 +42,10 @@ pub struct CountSelection {
     pub predictions: Vec<CountPrediction>,
 }
 
-/// Devices ordered for Algorithm 3: main first, the rest by update
-/// throughput descending (ties by id for determinism).
-pub fn ordered_devices(platform: &Platform, main: DeviceId) -> Vec<DeviceId> {
-    ordered_devices_excluding(platform, main, &[])
-}
-
-/// [`ordered_devices`] with a device blacklist (the re-planning path).
-/// `main` must not itself be excluded.
-pub fn ordered_devices_excluding(
-    platform: &Platform,
-    main: DeviceId,
-    exclude: &[DeviceId],
-) -> Vec<DeviceId> {
+/// Devices ordered for Algorithm 3: main first, the rest of the devices
+/// not on the `exclude` blacklist by update throughput descending (ties by
+/// id for determinism). `main` must not itself be excluded.
+pub fn ordered_devices(platform: &Platform, main: DeviceId, exclude: &[DeviceId]) -> Vec<DeviceId> {
     assert!(
         !exclude.contains(&main),
         "main device {main} is on the blacklist"
@@ -132,12 +123,7 @@ pub fn top_us(platform: &Platform, devices: &[DeviceId], mt: usize, nt: usize) -
 /// next panel column comes back to the main device. The batched-transfer
 /// setup latency, paid every panel per destination, is what makes few
 /// devices optimal for small matrices (Table III).
-pub fn tcomm_us(platform: &Platform, devices: &[DeviceId], mt: usize) -> f64 {
-    tcomm_us_grid(platform, devices, mt, mt)
-}
-
-/// [`tcomm_us`] for a non-square `mt x nt` grid.
-pub fn tcomm_us_grid(platform: &Platform, devices: &[DeviceId], mt: usize, nt: usize) -> f64 {
+pub fn tcomm_us(platform: &Platform, devices: &[DeviceId], mt: usize, nt: usize) -> f64 {
     if devices.len() < 2 {
         return 0.0; // speed(x, x) = ∞: a lone device never pays.
     }
@@ -156,33 +142,23 @@ pub fn tcomm_us_grid(platform: &Platform, devices: &[DeviceId], mt: usize, nt: u
     t
 }
 
-/// Run Algorithm 3: choose the `p` (1 ≤ p ≤ #devices) minimizing
-/// `Top(p) + Tcomm(p)`.
+/// Run Algorithm 3: choose the `p` (1 ≤ p ≤ #survivors) minimizing
+/// `Top(p) + Tcomm(p)`. Prefixes are drawn from the ordered devices not on
+/// the `exclude` blacklist (empty for a healthy plan), so a dead device can
+/// never be a participant.
 pub fn select_device_count(
-    platform: &Platform,
-    main: DeviceId,
-    mt: usize,
-    nt: usize,
-) -> CountSelection {
-    select_device_count_excluding(platform, main, mt, nt, &[])
-}
-
-/// [`select_device_count`] over the non-blacklisted devices only (the
-/// re-planning path): prefixes are drawn from the surviving ordered list,
-/// so a dead device can never be a participant.
-pub fn select_device_count_excluding(
     platform: &Platform,
     main: DeviceId,
     mt: usize,
     nt: usize,
     exclude: &[DeviceId],
 ) -> CountSelection {
-    let ordered = ordered_devices_excluding(platform, main, exclude);
+    let ordered = ordered_devices(platform, main, exclude);
     let mut predictions = Vec::with_capacity(ordered.len());
     for p in 1..=ordered.len() {
         let devices = ordered[..p].to_vec();
         let top = top_us(platform, &devices, mt, nt);
-        let tcomm = tcomm_us_grid(platform, &devices, mt, nt);
+        let tcomm = tcomm_us(platform, &devices, mt, nt);
         predictions.push(CountPrediction {
             p,
             devices,
@@ -209,7 +185,7 @@ mod tests {
     #[test]
     fn ordering_puts_main_first_then_by_update_speed() {
         let p = profiles::paper_testbed(16);
-        let ord = ordered_devices(&p, 0);
+        let ord = ordered_devices(&p, 0, &[]);
         assert_eq!(ord[0], 0, "main (GTX580) first");
         assert_eq!(&ord[1..3], &[1, 2], "GTX680s next");
         assert_eq!(ord[3], 3, "CPU last");
@@ -218,10 +194,10 @@ mod tests {
     #[test]
     fn tcomm_grows_with_device_count() {
         let p = profiles::paper_testbed(16);
-        let ord = ordered_devices(&p, 0);
-        let t1 = tcomm_us(&p, &ord[..1], 100);
-        let t2 = tcomm_us(&p, &ord[..2], 100);
-        let t3 = tcomm_us(&p, &ord[..3], 100);
+        let ord = ordered_devices(&p, 0, &[]);
+        let t1 = tcomm_us(&p, &ord[..1], 100, 100);
+        let t2 = tcomm_us(&p, &ord[..2], 100, 100);
+        let t3 = tcomm_us(&p, &ord[..3], 100, 100);
         assert_eq!(t1, 0.0, "single device never touches the bus");
         assert!(t2 > t1 && t3 > t2);
     }
@@ -229,7 +205,7 @@ mod tests {
     #[test]
     fn top_shrinks_with_device_count_at_large_sizes() {
         let p = profiles::paper_testbed(16);
-        let ord = ordered_devices(&p, 0);
+        let ord = ordered_devices(&p, 0, &[]);
         let mt = 500;
         let t1 = top_us(&p, &ord[..1], mt, mt);
         let t2 = top_us(&p, &ord[..2], mt, mt);
@@ -244,8 +220,8 @@ mod tests {
         // beyond ~2720. Exact crossovers depend on calibration; the
         // monotone trend is the invariant worth locking down.
         let gpus = profiles::testbed_subset(3, false, 16);
-        let tiny = select_device_count(&gpus, 0, 160 / 16, 160 / 16);
-        let huge = select_device_count(&gpus, 0, 4000 / 16, 4000 / 16);
+        let tiny = select_device_count(&gpus, 0, 160 / 16, 160 / 16, &[]);
+        let huge = select_device_count(&gpus, 0, 4000 / 16, 4000 / 16, &[]);
         assert!(tiny.p <= huge.p);
         assert_eq!(huge.p, 3, "the largest size must use all GPUs");
         assert_eq!(tiny.p, 1, "the smallest size must use one GPU");
@@ -254,7 +230,7 @@ mod tests {
     #[test]
     fn predictions_cover_all_prefixes() {
         let p = profiles::paper_testbed(16);
-        let sel = select_device_count(&p, 0, 50, 50);
+        let sel = select_device_count(&p, 0, 50, 50, &[]);
         assert_eq!(sel.predictions.len(), 4);
         for (i, pred) in sel.predictions.iter().enumerate() {
             assert_eq!(pred.p, i + 1);
@@ -270,7 +246,7 @@ mod tests {
     #[test]
     fn exclusion_removes_devices_from_every_prefix() {
         let p = profiles::paper_testbed(16);
-        let sel = select_device_count_excluding(&p, 0, 200, 200, &[1]);
+        let sel = select_device_count(&p, 0, 200, 200, &[1]);
         assert_eq!(sel.predictions.len(), 3, "one device blacklisted");
         for pred in &sel.predictions {
             assert!(!pred.devices.contains(&1));
@@ -281,7 +257,7 @@ mod tests {
     #[test]
     fn exclusion_to_single_device_still_plans() {
         let p = profiles::paper_testbed(16);
-        let sel = select_device_count_excluding(&p, 3, 20, 20, &[0, 1, 2]);
+        let sel = select_device_count(&p, 3, 20, 20, &[0, 1, 2]);
         assert_eq!(sel.p, 1);
         assert_eq!(sel.devices, vec![3]);
     }
@@ -290,13 +266,13 @@ mod tests {
     #[should_panic]
     fn excluded_main_panics() {
         let p = profiles::paper_testbed(16);
-        let _ = ordered_devices_excluding(&p, 0, &[0]);
+        let _ = ordered_devices(&p, 0, &[0]);
     }
 
     #[test]
     fn single_device_platform_selects_one() {
         let p = profiles::testbed_subset(1, false, 16);
-        let sel = select_device_count(&p, 0, 20, 20);
+        let sel = select_device_count(&p, 0, 20, 20, &[]);
         assert_eq!(sel.p, 1);
     }
 }

@@ -103,15 +103,6 @@ impl Distribution {
         }
     }
 
-    /// Distribution that keeps every column on a single device.
-    pub fn single_device(dev: DeviceId) -> Self {
-        Distribution {
-            main: dev,
-            guide: vec![dev],
-            strategy: DistributionStrategy::Even,
-        }
-    }
-
     /// The main computing device.
     pub fn main(&self) -> DeviceId {
         self.main
@@ -199,14 +190,6 @@ mod tests {
         let c1 = d.columns_owned(1, 1, 401);
         let ratio = c1 as f64 / c0 as f64;
         assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
-    }
-
-    #[test]
-    fn single_device_owns_everything() {
-        let d = Distribution::single_device(2);
-        for j in 0..10 {
-            assert_eq!(d.owner(j), 2);
-        }
     }
 
     #[test]

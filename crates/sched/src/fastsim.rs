@@ -22,11 +22,12 @@
 //! Integration tests validate it against the exact simulator on grids
 //! where both run.
 
-use crate::plan::{HeteroPlan, MainDevicePolicy};
+use crate::plan::HeteroPlan;
+use crate::replan::{simulate_adaptive, ReplanPolicy};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tileqr_dag::KernelClass;
-use tileqr_sim::{Platform, SimStats};
+use tileqr_sim::{FaultPlan, Platform, SimStats};
 
 /// Total-ordering wrapper so `f64` times can live in a heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,10 +68,10 @@ impl Lanes {
     }
 }
 
-/// Mutable state of the column-chain pipeline, factored out of
-/// [`simulate_fast`] so the adaptive re-planning simulator
-/// ([`crate::replan`]) can advance it panel by panel, inspect the clock at
-/// panel boundaries, and splice in migration transfers.
+/// Mutable state of the column-chain pipeline, advanced panel by panel by
+/// the one panel loop ([`crate::replan::simulate_adaptive`]), which also
+/// inspects the clock at panel boundaries and splices in migration
+/// transfers.
 pub(crate) struct PipelineState {
     /// Per column: when its first row-block is up to date.
     pub(crate) head: Vec<f64>,
@@ -233,34 +234,26 @@ pub(crate) fn panel_step(
     }
 }
 
-/// Simulate a full tiled QR of an `mt x nt` tile grid under `plan`.
+/// Simulate a full tiled QR of an `mt x nt` tile grid under `plan`: the
+/// adaptive run ([`crate::replan::simulate_adaptive`]) with no faults and
+/// re-planning off, so the pipeline has one panel loop.
 pub fn simulate_fast(platform: &Platform, plan: &HeteroPlan, mt: usize, nt: usize) -> SimStats {
-    assert!(mt > 0 && nt > 0);
-    let ndev = platform.num_devices();
-    let dist = &plan.distribution;
-    let owner: Vec<usize> = (0..nt).map(|j| dist.owner(j)).collect();
-    let mut state = PipelineState::new(platform, nt);
-    let nominal = vec![1.0f64; ndev];
-
-    let kmax = mt.min(nt);
-    for k in 0..kmax {
-        let te_dev = match plan.policy {
-            MainDevicePolicy::None => owner[k],
-            _ => plan.main,
-        };
-        panel_step(&mut state, &owner, te_dev, k, mt, nt, &nominal);
-    }
-
-    let mut stats = state.stats;
-    stats.makespan_us = state.full.iter().cloned().fold(0.0, f64::max);
-    stats
+    simulate_adaptive(
+        platform,
+        plan,
+        mt,
+        nt,
+        &FaultPlan::none(),
+        &ReplanPolicy::disabled(),
+    )
+    .stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distribution::DistributionStrategy;
-    use crate::plan::plan_with;
+    use crate::plan::{plan_with, MainDevicePolicy};
     use tileqr_sim::profiles;
 
     fn run(nt: usize, force_p: Option<usize>, policy: MainDevicePolicy) -> SimStats {
@@ -272,6 +265,7 @@ mod tests {
             policy,
             DistributionStrategy::GuideArray,
             force_p,
+            &[],
         );
         simulate_fast(&p, &plan, nt, nt)
     }
@@ -366,6 +360,7 @@ mod tests {
             MainDevicePolicy::Auto,
             DistributionStrategy::GuideArray,
             Some(3),
+            &[],
         );
         let tall = simulate_fast(&p, &plan, 40, 10);
         assert!(tall.makespan_us > 0.0);
@@ -376,6 +371,7 @@ mod tests {
             MainDevicePolicy::Auto,
             DistributionStrategy::GuideArray,
             Some(3),
+            &[],
         );
         let wide = simulate_fast(&p, &plan_w, 10, 40);
         assert!(wide.makespan_us > 0.0);

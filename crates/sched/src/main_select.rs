@@ -63,18 +63,13 @@ fn update_time_without_us(
     }
 }
 
-/// Run Algorithm 2 over every device of `platform` for an `mt x nt` tile
-/// grid.
-pub fn select_main_device(platform: &Platform, mt: usize, nt: usize) -> MainSelection {
-    select_main_device_excluding(platform, mt, nt, &[])
-}
-
-/// [`select_main_device`] with a device blacklist — the re-planning path:
-/// after a mid-run device death, Algorithm 2 is re-run over the survivors
-/// only. `te_time_us` still covers every device (diagnostics), but
-/// excluded devices can neither be candidates nor win the fallback.
-/// Panics if exclusion leaves no device.
-pub fn select_main_device_excluding(
+/// Run Algorithm 2 for an `mt x nt` tile grid over the devices of
+/// `platform` not on the `exclude` blacklist (empty for a healthy plan;
+/// after a mid-run device death, the re-planner passes the dead devices).
+/// `te_time_us` still covers every device (diagnostics), but excluded
+/// devices can neither be candidates nor win the fallback. Panics if
+/// exclusion leaves no device.
+pub fn select_main_device(
     platform: &Platform,
     mt: usize,
     nt: usize,
@@ -150,7 +145,7 @@ mod tests {
         let p = profiles::paper_testbed(16);
         for size in [3200usize, 6400, 9600, 12800, 16000] {
             let nt = size / 16;
-            let sel = select_main_device(&p, nt, nt);
+            let sel = select_main_device(&p, nt, nt, &[]);
             assert_eq!(sel.device, 0, "size {size}: {sel:?}");
         }
     }
@@ -159,7 +154,7 @@ mod tests {
     fn cpu_never_main_when_gpus_exist() {
         let p = profiles::paper_testbed(16);
         for nt in [5, 10, 50, 100, 400, 1000] {
-            let sel = select_main_device(&p, nt, nt);
+            let sel = select_main_device(&p, nt, nt, &[]);
             assert_ne!(sel.device, 3, "CPU selected at nt={nt}");
         }
     }
@@ -170,7 +165,7 @@ mod tests {
         // hide the T/E chain. On the calibrated testbed that takes a very
         // wide grid; the mechanism itself is what this test locks down.
         let p = profiles::paper_testbed(16);
-        let sel = select_main_device(&p, 20_000, 20_000);
+        let sel = select_main_device(&p, 20_000, 20_000, &[]);
         assert!(sel.candidates.contains(&0));
         assert!(sel.candidates.contains(&1));
         assert!(!sel.candidates.contains(&3), "CPU cannot keep up");
@@ -180,14 +175,14 @@ mod tests {
     #[test]
     fn single_device_platform() {
         let p = profiles::testbed_subset(1, false, 16);
-        let sel = select_main_device(&p, 10, 10);
+        let sel = select_main_device(&p, 10, 10, &[]);
         assert_eq!(sel.device, 0);
     }
 
     #[test]
     fn cpu_only_platform_selects_cpu() {
         let p = profiles::testbed_subset(0, true, 16);
-        let sel = select_main_device(&p, 10, 10);
+        let sel = select_main_device(&p, 10, 10, &[]);
         assert_eq!(sel.device, 0);
     }
 
@@ -196,16 +191,16 @@ mod tests {
         // With a tiny panel no device passes the candidate test; the
         // fastest T/E pipeline (GTX580) must still be chosen.
         let p = profiles::paper_testbed(16);
-        let sel = select_main_device(&p, 2, 2);
+        let sel = select_main_device(&p, 2, 2, &[]);
         assert_eq!(sel.device, 0);
     }
 
     #[test]
     fn excluding_the_winner_promotes_a_survivor() {
         let p = profiles::paper_testbed(16);
-        let sel = select_main_device(&p, 400, 400);
+        let sel = select_main_device(&p, 400, 400, &[]);
         assert_eq!(sel.device, 0);
-        let degraded = select_main_device_excluding(&p, 400, 400, &[0]);
+        let degraded = select_main_device(&p, 400, 400, &[0]);
         assert_ne!(degraded.device, 0, "dead device must not be re-selected");
         assert!(!degraded.candidates.contains(&0));
     }
@@ -213,7 +208,7 @@ mod tests {
     #[test]
     fn exclusion_down_to_one_device_selects_it() {
         let p = profiles::paper_testbed(16);
-        let sel = select_main_device_excluding(&p, 50, 50, &[0, 1, 2]);
+        let sel = select_main_device(&p, 50, 50, &[0, 1, 2]);
         assert_eq!(sel.device, 3, "only the CPU remains");
         assert_eq!(sel.candidates, vec![3]);
     }
@@ -222,13 +217,13 @@ mod tests {
     #[should_panic]
     fn excluding_everything_panics() {
         let p = profiles::testbed_subset(1, false, 16);
-        let _ = select_main_device_excluding(&p, 10, 10, &[0]);
+        let _ = select_main_device(&p, 10, 10, &[0]);
     }
 
     #[test]
     fn te_times_ordering() {
         let p = profiles::paper_testbed(16);
-        let sel = select_main_device(&p, 100, 100);
+        let sel = select_main_device(&p, 100, 100, &[]);
         // Chain latency: GTX580 < GTX680 << CPU (Fig. 4 curve ordering).
         assert!(sel.te_time_us[0] < sel.te_time_us[1]);
         assert!(sel.te_time_us[1] < sel.te_time_us[3]);

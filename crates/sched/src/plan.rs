@@ -1,10 +1,8 @@
 //! End-to-end planning: Algorithm 2 → Algorithm 3 → Algorithm 4.
 
-use crate::device_count::{
-    ordered_devices_excluding, select_device_count_excluding, CountSelection,
-};
+use crate::device_count::{select_device_count, CountSelection};
 use crate::distribution::{Distribution, DistributionStrategy};
-use crate::main_select::{select_main_device_excluding, MainSelection};
+use crate::main_select::{select_main_device, MainSelection};
 use tileqr_sim::{DeviceId, Platform};
 
 /// How the main computing device is chosen.
@@ -41,23 +39,6 @@ pub struct HeteroPlan {
     pub excluded: Vec<DeviceId>,
 }
 
-impl HeteroPlan {
-    /// Columns of a `nt`-column grid owned by each device (index =
-    /// device id), the input to [`Platform::memory_feasible`].
-    pub fn columns_per_device(&self, platform: &Platform, nt: usize) -> Vec<usize> {
-        (0..platform.num_devices())
-            .map(|d| self.distribution.columns_owned(d, 0, nt))
-            .collect()
-    }
-
-    /// `true` when every device's working set under this plan fits its
-    /// memory capacity (always true for unbounded platforms — the paper's
-    /// assumption; its §VIII names the bounded case as future work).
-    pub fn fits_memory(&self, platform: &Platform, mt: usize, nt: usize) -> bool {
-        platform.memory_feasible(mt, &self.columns_per_device(platform, nt))
-    }
-}
-
 /// Full planning pipeline with the paper's defaults: Algorithm 2 selects
 /// the main device, Algorithm 3 the device count, Algorithm 4 the
 /// distribution guide array.
@@ -69,33 +50,22 @@ pub fn plan(platform: &Platform, mt: usize, nt: usize) -> HeteroPlan {
         MainDevicePolicy::Auto,
         DistributionStrategy::GuideArray,
         None,
+        &[],
     )
 }
 
 /// Planning pipeline with every knob exposed — used by the experiment
-/// harness to build the paper's baselines.
+/// harness to build the paper's baselines, and by mid-run re-planning.
 ///
 /// `force_p` overrides Algorithm 3 with a fixed participant count
-/// (clamped to the number of devices).
-pub fn plan_with(
-    platform: &Platform,
-    mt: usize,
-    nt: usize,
-    policy: MainDevicePolicy,
-    strategy: DistributionStrategy,
-    force_p: Option<usize>,
-) -> HeteroPlan {
-    plan_degraded(platform, mt, nt, policy, strategy, force_p, &[])
-}
-
-/// [`plan_with`] over the survivors of a device blacklist — the mid-run
-/// re-planning entry point. Algorithms 2, 3 and 4 all run on the
-/// non-excluded devices only, so a dead device can be neither main nor a
-/// participant. With an empty blacklist this *is* `plan_with`.
+/// (clamped to the number of surviving devices). Algorithms 2, 3 and 4 all
+/// run on the devices not on the `exclude` blacklist (empty for a healthy
+/// plan), so a dead device can be neither main nor a participant; a device
+/// listed twice is excluded once.
 ///
-/// Panics if the blacklist covers every device, or if
-/// [`MainDevicePolicy::Fixed`] names an excluded device.
-pub fn plan_degraded(
+/// Panics on an unknown device id, if the blacklist covers every device,
+/// or if [`MainDevicePolicy::Fixed`] names an excluded device.
+pub fn plan_with(
     platform: &Platform,
     mt: usize,
     nt: usize,
@@ -104,9 +74,12 @@ pub fn plan_degraded(
     force_p: Option<usize>,
     exclude: &[DeviceId],
 ) -> HeteroPlan {
+    for &d in exclude {
+        assert!(d < platform.num_devices(), "unknown device {d}");
+    }
     let (main, main_selection) = match policy {
         MainDevicePolicy::Auto | MainDevicePolicy::None => {
-            let sel = select_main_device_excluding(platform, mt, nt, exclude);
+            let sel = select_main_device(platform, mt, nt, exclude);
             (sel.device, Some(sel))
         }
         MainDevicePolicy::Fixed(d) => {
@@ -116,13 +89,13 @@ pub fn plan_degraded(
         }
     };
 
-    let count = select_device_count_excluding(platform, main, mt, nt, exclude);
-    let survivors = platform.num_devices() - exclude.len();
+    // Alg. 3 predicts every prefix of the surviving ordered list, so its
+    // last prediction holds all the survivors.
+    let count = select_device_count(platform, main, mt, nt, exclude);
     let participants = match force_p {
-        Some(p) => {
-            let p = p.clamp(1, survivors);
-            ordered_devices_excluding(platform, main, exclude)[..p].to_vec()
-        }
+        Some(p) => count.predictions[p.clamp(1, count.predictions.len()) - 1]
+            .devices
+            .clone(),
         None => count.devices.clone(),
     };
 
@@ -163,6 +136,7 @@ mod tests {
             MainDevicePolicy::Fixed(3),
             DistributionStrategy::GuideArray,
             None,
+            &[],
         );
         assert_eq!(plan.main, 3);
         assert!(plan.main_selection.is_none());
@@ -178,6 +152,7 @@ mod tests {
             MainDevicePolicy::Auto,
             DistributionStrategy::Even,
             Some(2),
+            &[],
         );
         assert_eq!(plan.participants.len(), 2);
         let plan9 = plan_with(
@@ -187,6 +162,7 @@ mod tests {
             MainDevicePolicy::Auto,
             DistributionStrategy::Even,
             Some(9),
+            &[],
         );
         assert_eq!(plan9.participants.len(), 4, "clamped to device count");
     }
@@ -201,59 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_feasibility_of_plans() {
-        use tileqr_sim::{Link, SimConfig};
-        let unbounded = profiles::paper_testbed(16);
-        let p = plan(&unbounded, 100, 100);
-        assert!(p.fits_memory(&unbounded, 100, 100), "unbounded always fits");
-        let cols = p.columns_per_device(&unbounded, 100);
-        assert_eq!(cols.iter().sum::<usize>(), 100);
-
-        // A 1 MiB straitjacket on every device: a 100x100 grid cannot fit.
-        let tiny = tileqr_sim::Platform::new(
-            unbounded.devices().to_vec(),
-            Link::pcie2_x16(),
-            SimConfig {
-                tile_size: 16,
-                elem_bytes: 4,
-            },
-        )
-        .with_device_memory(vec![Some(1 << 20); 4]);
-        let p2 = plan(&tiny, 100, 100);
-        assert!(!p2.fits_memory(&tiny, 100, 100));
-        // A small grid still fits.
-        assert!(plan(&tiny, 8, 8).fits_memory(&tiny, 8, 8));
-    }
-
-    #[test]
-    fn planning_with_xeon_phi_extension() {
-        // Future-work device class: the algorithms must handle it without
-        // special cases — the Phi ranks between CPU and GPUs on updates.
-        use tileqr_sim::{Link, SimConfig};
-        let platform = tileqr_sim::Platform::new(
-            vec![
-                profiles::gtx580(),
-                profiles::gtx680(),
-                profiles::xeon_phi(),
-                profiles::cpu_i7_3820(),
-            ],
-            Link::pcie2_x16(),
-            SimConfig {
-                tile_size: 16,
-                elem_bytes: 4,
-            },
-        );
-        let hp = plan(&platform, 400, 400);
-        assert_eq!(hp.main, 0, "GTX580 still wins Alg. 2");
-        let phi_thr = platform.device(2).update_throughput(16);
-        assert!(phi_thr > platform.device(3).update_throughput(16));
-        assert!(phi_thr < platform.device(1).update_throughput(16));
-        // And the fast simulator runs it.
-        let stats = crate::fastsim::simulate_fast(&platform, &hp, 400, 400);
-        assert!(stats.makespan_us > 0.0);
-    }
-
-    #[test]
     fn degraded_plan_excludes_dead_devices_everywhere() {
         let p = profiles::paper_testbed(16);
         let healthy = plan(&p, 400, 400);
@@ -262,7 +185,7 @@ mod tests {
 
         // Kill the healthy main device: the degraded plan must promote a
         // survivor and keep device 0 out of every structure.
-        let degraded = plan_degraded(
+        let degraded = plan_with(
             &p,
             400,
             400,
@@ -283,7 +206,7 @@ mod tests {
     #[test]
     fn degraded_to_single_survivor_is_a_valid_plan() {
         let p = profiles::paper_testbed(16);
-        let solo = plan_degraded(
+        let solo = plan_with(
             &p,
             50,
             50,
@@ -300,10 +223,46 @@ mod tests {
     }
 
     #[test]
+    fn repeated_blacklist_entries_count_each_device_once() {
+        // Devices 0, 2 and 3 survive `[1, 1]`: a forced count of 9 clamps
+        // to all three, not to 4 - 2 = 2.
+        let p = profiles::paper_testbed(16);
+        let plan_p = |force_p, exclude: &[DeviceId]| {
+            plan_with(
+                &p,
+                100,
+                100,
+                MainDevicePolicy::Auto,
+                DistributionStrategy::GuideArray,
+                Some(force_p),
+                exclude,
+            )
+        };
+        assert_eq!(plan_p(9, &[1, 1]).participants, vec![0, 2, 3]);
+        // Devices 0 and 3 survive `[1, 1, 2, 2]`; the clamp must not panic.
+        assert_eq!(plan_p(2, &[1, 1, 2, 2]).participants, vec![0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown device 7")]
+    fn unknown_excluded_device_panics() {
+        let p = profiles::paper_testbed(16);
+        let _ = plan_with(
+            &p,
+            10,
+            10,
+            MainDevicePolicy::Fixed(0),
+            DistributionStrategy::Even,
+            None,
+            &[7],
+        );
+    }
+
+    #[test]
     #[should_panic]
     fn degraded_fixed_main_on_blacklist_panics() {
         let p = profiles::paper_testbed(16);
-        let _ = plan_degraded(
+        let _ = plan_with(
             &p,
             10,
             10,
@@ -325,6 +284,7 @@ mod tests {
             MainDevicePolicy::Fixed(17),
             DistributionStrategy::Even,
             None,
+            &[],
         );
     }
 }

@@ -9,9 +9,10 @@
 //! already priced in) it re-runs
 //!
 //! 1. Algorithm 2 over the survivors
-//!    ([`crate::main_select::select_main_device_excluding`]),
+//!    ([`crate::main_select::select_main_device`] with the dead devices as
+//!    its blacklist),
 //! 2. Algorithm 3 over the survivors
-//!    ([`crate::device_count::select_device_count_excluding`]),
+//!    ([`crate::device_count::select_device_count`], likewise),
 //! 3. Algorithm 4 on the *observed* platform
 //!    ([`tileqr_sim::Platform::observed`]) for the remaining
 //!    `(mt−k) × (nt−k)` grid,
@@ -23,7 +24,7 @@
 //! panel immutable — no in-flight state needs rescue.
 
 use crate::fastsim::{panel_step, PipelineState};
-use crate::plan::{plan_degraded, HeteroPlan, MainDevicePolicy};
+use crate::plan::{plan_with, HeteroPlan, MainDevicePolicy};
 use tileqr_sim::{DeviceId, FaultPlan, Platform, SimStats};
 
 /// When the adaptive simulator is allowed to re-plan.
@@ -92,8 +93,9 @@ pub struct AdaptiveRun {
 /// Simulate an `mt × nt` tiled QR under `initial`, injecting `faults` and
 /// re-planning per `policy`.
 ///
-/// With an empty fault plan this reproduces [`crate::fastsim::simulate_fast`]
-/// bit for bit (every kernel time is multiplied by exactly `1.0`). A dead
+/// This is the crate's one panel loop: [`crate::fastsim::simulate_fast`] is
+/// this run with no faults and re-planning off (every kernel time is then
+/// multiplied by exactly `1.0`, and no trigger can fire). A dead
 /// device makes every chain scheduled on it infinitely long, so the
 /// disabled-policy baseline reports an infinite makespan whenever a dead
 /// device still owns columns — the quantity the adaptive run is measured
@@ -158,7 +160,7 @@ pub fn simulate_adaptive(
                         .map(|&s| if s.is_finite() { s } else { 1.0 })
                         .collect();
                     let observed = platform.observed(&factors);
-                    let new_plan = plan_degraded(
+                    let new_plan = plan_with(
                         &observed,
                         mt - k,
                         nt - k,
@@ -248,6 +250,7 @@ mod tests {
             MainDevicePolicy::Auto,
             DistributionStrategy::GuideArray,
             Some(4),
+            &[],
         );
         (p, plan)
     }
@@ -350,6 +353,7 @@ mod tests {
             MainDevicePolicy::Auto,
             DistributionStrategy::GuideArray,
             Some(1),
+            &[],
         );
         let faults = FaultPlan::none().with_device_death(3, 0.0);
         let run = simulate_adaptive(&p, &plan, 30, 30, &faults, &ReplanPolicy::default());

@@ -121,6 +121,7 @@ mod tests {
             crate::plan::MainDevicePolicy::Fixed(0),
             crate::distribution::DistributionStrategy::GuideArray,
             Some(3),
+            &[],
         );
         let col = engine::simulate(
             &g,

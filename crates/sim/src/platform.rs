@@ -26,10 +26,6 @@ pub struct Platform {
     devices: Vec<DeviceProfile>,
     link: Link,
     config: SimConfig,
-    /// Per-device memory capacity in bytes (None = unbounded, the paper's
-    /// working assumption: "Our current work assumes that there is no
-    /// problem about memory size", §VIII).
-    device_memory: Vec<Option<u64>>,
 }
 
 impl Platform {
@@ -38,49 +34,11 @@ impl Platform {
     pub fn new(devices: Vec<DeviceProfile>, link: Link, config: SimConfig) -> Self {
         assert!(!devices.is_empty(), "platform needs at least one device");
         assert!(config.tile_size > 0, "tile size must be positive");
-        let n = devices.len();
         Platform {
             devices,
             link,
             config,
-            device_memory: vec![None; n],
         }
-    }
-
-    /// Set per-device memory capacities (bytes); `None` entries are
-    /// unbounded. Addresses the paper's future-work point on very large
-    /// matrices: [`Platform::memory_feasible`] checks whether a
-    /// distribution's working set fits.
-    pub fn with_device_memory(mut self, capacities: Vec<Option<u64>>) -> Self {
-        assert_eq!(capacities.len(), self.devices.len());
-        self.device_memory = capacities;
-        self
-    }
-
-    /// Memory capacity of device `id` (None = unbounded).
-    pub fn device_memory(&self, id: DeviceId) -> Option<u64> {
-        self.device_memory[id]
-    }
-
-    /// Bytes device `id` must hold to own `columns` tile columns of an
-    /// `mt`-row grid, plus one panel column of factors in flight.
-    pub fn working_set_bytes(&self, mt: usize, columns: usize) -> u64 {
-        let col = mt as u64 * self.config.tile_bytes();
-        // Owned columns + the broadcast V/T factors of the active panel.
-        columns as u64 * col + 3 * col
-    }
-
-    /// `true` when every device's working set for the given per-device
-    /// column counts fits its memory.
-    pub fn memory_feasible(&self, mt: usize, columns_per_device: &[usize]) -> bool {
-        assert_eq!(columns_per_device.len(), self.devices.len());
-        self.device_memory
-            .iter()
-            .zip(columns_per_device)
-            .all(|(cap, &cols)| match cap {
-                None => true,
-                Some(bytes) => self.working_set_bytes(mt, cols) <= *bytes,
-            })
     }
 
     /// Observed-profile copy of this platform: device `d`'s timing
@@ -100,7 +58,6 @@ impl Platform {
             devices,
             link: self.link,
             config: self.config,
-            device_memory: self.device_memory.clone(),
         }
     }
 
@@ -200,26 +157,6 @@ mod tests {
         let t_gpu = p.task_time_us(0, TaskKind::Geqrt { i: 0, k: 0 });
         let t_cpu = p.task_time_us(3, TaskKind::Geqrt { i: 0, k: 0 });
         assert!(t_cpu > t_gpu);
-    }
-
-    #[test]
-    fn memory_feasibility() {
-        let p =
-            profiles::paper_testbed(16).with_device_memory(vec![Some(1 << 20), None, None, None]);
-        // 1 MiB on device 0: a 16-row grid column is 16 KiB; ~60 columns fit.
-        assert!(p.memory_feasible(16, &[10, 1000, 1000, 0]));
-        assert!(!p.memory_feasible(16, &[100, 0, 0, 0]));
-        // Unbounded devices always fit, but even a column-less bounded
-        // device must hold the in-flight panel factors (3 columns' worth).
-        assert!(p.memory_feasible(16, &[0, 100_000, 0, 0]));
-        assert!(!p.memory_feasible(1000, &[0, 100_000, 0, 0]));
-    }
-
-    #[test]
-    fn working_set_scales_with_columns_and_rows() {
-        let p = profiles::paper_testbed(16);
-        assert!(p.working_set_bytes(10, 5) < p.working_set_bytes(10, 6));
-        assert!(p.working_set_bytes(10, 5) < p.working_set_bytes(20, 5));
     }
 
     #[test]

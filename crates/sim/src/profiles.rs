@@ -106,38 +106,6 @@ pub fn cpu_i7_3820() -> DeviceProfile {
     }
 }
 
-/// Hypothetical Intel Xeon Phi coprocessor — the "other computing
-/// devices" the paper's introduction cites and its future work proposes
-/// extending to (§VIII). 61 in-order cores with 4-way SMT behave like a
-/// very wide CPU: per-kernel latencies between CPU and GPU, parallelism
-/// modelled as 244 hardware threads. This profile is *not* calibrated to
-/// measurements (the paper has none); it exists to exercise the
-/// algorithms on a third device class.
-pub fn xeon_phi() -> DeviceProfile {
-    DeviceProfile {
-        name: "XeonPhi-5110P".to_string(),
-        kind: DeviceKind::Cpu,
-        cores: 244,
-        times: ClassCosts {
-            triangulation: CostCurve {
-                c0: 35.0,
-                c1: 0.060,
-                c2: 0.0600,
-            },
-            elimination: CostCurve {
-                c0: 32.0,
-                c1: 0.050,
-                c2: 0.0500,
-            },
-            update: CostCurve {
-                c0: 16.0,
-                c1: 0.015,
-                c2: 0.0150,
-            },
-        },
-    }
-}
-
 /// The paper's full evaluation node (Table II): one CPU, one GTX580 and
 /// two GTX680s. Device order: `[GTX580, GTX680, GTX680, CPU]`.
 pub fn paper_testbed(tile_size: usize) -> Platform {

@@ -1,9 +1,10 @@
-//! Execution timeline recording and text-Gantt rendering.
+//! Execution timeline recording.
 //!
 //! [`engine::simulate_traced`] returns, alongside the usual stats, the
 //! `(start, end, device, task)` interval of every kernel and every bus
-//! transfer — the raw material for utilization analysis and for eyeballing
-//! schedules the way the paper's authors would have profiled theirs.
+//! transfer — the raw material for utilization analysis and, lifted into
+//! an `obs::Trace`, for eyeballing schedules as a text Gantt chart the way
+//! the paper's authors would have profiled theirs.
 //!
 //! [`engine::simulate_traced`]: crate::engine::simulate_traced
 
@@ -50,18 +51,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Spans executed by one device, in start order.
-    pub fn device_spans(&self, dev: DeviceId) -> Vec<TaskSpan> {
-        let mut v: Vec<TaskSpan> = self
-            .tasks
-            .iter()
-            .copied()
-            .filter(|s| s.device == dev)
-            .collect();
-        v.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-        v
-    }
-
     /// Peak number of concurrently running kernels on a device (must never
     /// exceed its slot count — asserted by tests).
     pub fn peak_concurrency(&self, dev: DeviceId) -> usize {
@@ -78,40 +67,6 @@ impl Timeline {
             peak = peak.max(cur);
         }
         peak.max(0) as usize
-    }
-
-    /// Render a coarse text Gantt chart: one row per device, `width`
-    /// character columns spanning `[0, makespan]`, each cell showing the
-    /// step class that dominates that time bucket (`.` = idle).
-    pub fn gantt(&self, num_devices: usize, width: usize) -> String {
-        let makespan = self
-            .tasks
-            .iter()
-            .map(|s| s.end_us)
-            .fold(0.0f64, f64::max)
-            .max(1e-9);
-        let mut out = String::new();
-        for dev in 0..num_devices {
-            let mut row = vec!['.'; width];
-            for s in self.tasks.iter().filter(|s| s.device == dev) {
-                let a = ((s.start_us / makespan) * width as f64) as usize;
-                let b = (((s.end_us / makespan) * width as f64).ceil() as usize).min(width);
-                let ch = match s.kind.class().shorthand() {
-                    "T" => 'T',
-                    "E" => 'E',
-                    "UT" => 'u',
-                    _ => 'U',
-                };
-                for cell in row.iter_mut().take(b).skip(a.min(width)) {
-                    // Later-starting kernels overwrite; fine for a sketch.
-                    *cell = ch;
-                }
-            }
-            out.push_str(&format!("dev{dev} |"));
-            out.extend(row);
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -143,29 +98,5 @@ mod tests {
         assert_eq!(tl.peak_concurrency(0), 3);
         assert_eq!(tl.peak_concurrency(1), 1);
         assert_eq!(tl.peak_concurrency(2), 0);
-    }
-
-    #[test]
-    fn device_spans_sorted() {
-        let tl = Timeline {
-            tasks: vec![span(0, 0, 5.0, 6.0), span(1, 0, 1.0, 2.0)],
-            transfers: vec![],
-        };
-        let spans = tl.device_spans(0);
-        assert!(spans[0].start_us < spans[1].start_us);
-    }
-
-    #[test]
-    fn gantt_renders_rows() {
-        let tl = Timeline {
-            tasks: vec![span(0, 0, 0.0, 50.0), span(1, 1, 50.0, 100.0)],
-            transfers: vec![],
-        };
-        let g = tl.gantt(2, 20);
-        let lines: Vec<&str> = g.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains('T'));
-        assert!(lines[1].ends_with('T'));
-        assert!(lines[1].contains('.'));
     }
 }

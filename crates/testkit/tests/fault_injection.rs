@@ -19,7 +19,7 @@ use tileqr_sim::profiles;
 use tileqr_sim::{DeviceId, FaultPlan, Link, Platform, SimConfig};
 
 fn testbed_assignment(g: &TaskGraph, platform: &Platform) -> Vec<DeviceId> {
-    let main = select_main_device(platform, g.tile_rows(), g.tile_cols()).device;
+    let main = select_main_device(platform, g.tile_rows(), g.tile_cols(), &[]).device;
     let devices: Vec<DeviceId> = (0..platform.num_devices()).collect();
     let dist = Distribution::build(
         platform,
@@ -132,13 +132,13 @@ fn transient_kernel_failures_conserve_work() {
 fn alg2_selection_shifts_off_a_degraded_main_device() {
     let b = 16;
     let fresh = profiles::paper_testbed(b);
-    let baseline = select_main_device(&fresh, 16, 16);
+    let baseline = select_main_device(&fresh, 16, 16, &[]);
     assert_eq!(baseline.device, 0, "paper picks the GTX580 when healthy");
 
     // Slow the GTX580's kernels far down: it can no longer keep the T/E
     // chain ahead of the others' updates, so Alg. 2 must abandon it.
     let degraded = degraded_testbed(0, 64.0, b);
-    let sel = select_main_device(&degraded, 16, 16);
+    let sel = select_main_device(&degraded, 16, 16, &[]);
     assert_ne!(sel.device, 0, "degraded device kept main duty");
     assert!(sel.device < degraded.num_devices());
     assert!(
@@ -153,7 +153,7 @@ fn alg2_selection_remains_valid_across_degradation_levels() {
     for slow_device in 0..4 {
         for factor in [1.0, 2.0, 8.0, 32.0] {
             let platform = degraded_testbed(slow_device, factor, b);
-            let sel = select_main_device(&platform, 12, 12);
+            let sel = select_main_device(&platform, 12, 12, &[]);
             assert!(sel.device < platform.num_devices());
             assert!(
                 sel.candidates.is_empty() || sel.candidates.contains(&sel.device),
@@ -168,8 +168,8 @@ fn alg3_choice_stays_argmin_under_degradation() {
     let b = 16;
     for factor in [1.0, 4.0, 16.0] {
         let platform = degraded_testbed(1, factor, b);
-        let main = select_main_device(&platform, 32, 32).device;
-        let sel = select_device_count(&platform, main, 32, 32);
+        let main = select_main_device(&platform, 32, 32, &[]).device;
+        let sel = select_device_count(&platform, main, 32, 32, &[]);
         let chosen = sel.predictions[sel.p - 1].total_us();
         for pred in &sel.predictions {
             assert!(
@@ -192,11 +192,11 @@ fn alg3_predictions_worsen_as_participants_degrade() {
     // a faster run for the prefix containing it.
     let b = 16;
     let healthy = profiles::paper_testbed(b);
-    let main = select_main_device(&healthy, 24, 24).device;
-    let healthy_sel = select_device_count(&healthy, main, 24, 24);
+    let main = select_main_device(&healthy, 24, 24, &[]).device;
+    let healthy_sel = select_device_count(&healthy, main, 24, 24, &[]);
 
     let degraded = degraded_testbed(1, 8.0, b);
-    let degraded_sel = select_device_count(&degraded, main, 24, 24);
+    let degraded_sel = select_device_count(&degraded, main, 24, 24, &[]);
     // Compare predictions at equal p where device 1 participates.
     for (h, d) in healthy_sel
         .predictions

@@ -9,7 +9,7 @@
 use tileqr_matrix::Rng64;
 use tileqr_sched::distribution::DistributionStrategy;
 use tileqr_sched::guide::{column_owner, generate_guide_array};
-use tileqr_sched::plan::{plan_degraded, MainDevicePolicy};
+use tileqr_sched::plan::{plan_with, MainDevicePolicy};
 use tileqr_sim::{profiles, DeviceId};
 
 fn random_config(rng: &mut Rng64) -> (Vec<DeviceId>, Vec<u64>) {
@@ -127,7 +127,7 @@ fn blacklisting_down_to_one_survivor_yields_a_valid_single_device_guide() {
     let n = p.num_devices();
     for survivor in 0..n {
         let exclude: Vec<DeviceId> = (0..n).filter(|&d| d != survivor).collect();
-        let plan = plan_degraded(
+        let plan = plan_with(
             &p,
             40,
             40,
@@ -175,7 +175,7 @@ fn random_blacklists_never_leak_excluded_devices_into_the_guide() {
         let nt = rng.range_i64(2, 60) as usize;
         let mt = nt + rng.range_i64(0, 20) as usize;
         let strategy = strategies[round % strategies.len()];
-        let plan = plan_degraded(&p, mt, nt, MainDevicePolicy::Auto, strategy, None, &exclude);
+        let plan = plan_with(&p, mt, nt, MainDevicePolicy::Auto, strategy, None, &exclude);
         assert!(!exclude.contains(&plan.main));
         for &d in plan.distribution.guide() {
             assert!(

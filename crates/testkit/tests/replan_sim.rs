@@ -11,7 +11,7 @@
 
 use tileqr_sched::distribution::DistributionStrategy;
 use tileqr_sched::fastsim::simulate_fast;
-use tileqr_sched::plan::{plan, plan_degraded, MainDevicePolicy};
+use tileqr_sched::plan::{plan, plan_with, MainDevicePolicy};
 use tileqr_sched::replan::{simulate_adaptive, ReplanPolicy};
 use tileqr_sched::HeteroPlan;
 use tileqr_sim::{profiles, DeviceId, FaultPlan, Platform};
@@ -155,7 +155,7 @@ fn degraded_planning_after_blacklist_matches_direct_plan_on_survivors() {
     // scratch on the survivor platform modulo device numbering — the
     // exclusion path is a restriction, not a different algorithm.
     let p = profiles::paper_testbed(16);
-    let degraded = plan_degraded(
+    let degraded = plan_with(
         &p,
         100,
         100,

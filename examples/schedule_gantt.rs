@@ -25,6 +25,7 @@ fn main() {
         MainDevicePolicy::Auto,
         DistributionStrategy::GuideArray,
         Some(platform.num_devices()),
+        &[],
     );
     let graph = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let assignment = assign::assign_tasks(&graph, &hp.distribution, hp.policy);

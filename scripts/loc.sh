@@ -56,6 +56,12 @@
 #     dense tile table, so no `HashMap` in non-test `dag/src/graph.rs`, and
 #     no access set returns a `Vec<TileCoord>` anywhere in non-test
 #     `crates/dag` (a build allocates per tile, not per task).
+#   * one planner entry per algorithm: a healthy plan is a plan with an
+#     empty blacklist, so no `_excluding` twin, `plan_degraded` or
+#     `tcomm_us_grid`; nothing plans with a device-memory model or the
+#     uncalibrated `xeon_phi` profile, and nothing reads per-task or
+#     per-class service latencies, so those stay deleted, tests included;
+#     and one panel loop: `simulate_fast` is the fault-free adaptive run.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -194,6 +200,13 @@ if hits=$(grep -rnE "$oneshot" crates tests examples); then
     fail "a second way into a one-shot run is back (parallel_factor_traced is the one):" "$hits"
 fi
 expect 1 'pub fn parallel_factor' "public one-shot entry points" crates/runtime
+# Tests and examples count for the retired names here too.
+twins='fn \w+_excluding\b|plan_degraded|tcomm_us_grid|with_device_memory|memory_feasible|fits_memory|fn xeon_phi|task_latency|class_latency'
+if hits=$(grep -rnE "$twins" crates tests examples); then
+    fail "a second planner entry or a capability nothing reads is back (a healthy plan is a plan with an empty blacklist):" "$hits"
+fi
+expect 1 'for k in 0\.\.kmax' "panel loops in the fast simulator (simulate_fast is the fault-free adaptive run)" \
+    crates/sched/src/fastsim.rs crates/sched/src/replan.rs
 expect 0 'HashMap' "hash maps in the DAG builder (the tile table is dense)" crates/dag/src/graph.rs
 expect 0 '[-]> Vec<TileCoord>' "allocating access sets (reads/writes return Tiles)" crates/dag
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)

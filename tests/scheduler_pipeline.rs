@@ -29,7 +29,7 @@ fn device_count_crossovers_are_monotone() {
     let mut seen = Vec::new();
     for size in (160..=4000).step_by(160) {
         let nt = size / 16;
-        let sel = device_count::select_device_count(&gpus, 0, nt, nt);
+        let sel = device_count::select_device_count(&gpus, 0, nt, nt, &[]);
         assert!(
             sel.p >= last_p,
             "optimal p regressed from {last_p} to {} at size {size}",
@@ -53,7 +53,7 @@ fn predicted_optimum_matches_simulated_optimum_mostly() {
     let mut total = 0;
     for size in (160..=4000).step_by(320) {
         let nt = size / 16;
-        let sel = device_count::select_device_count(&gpus, 0, nt, nt);
+        let sel = device_count::select_device_count(&gpus, 0, nt, nt, &[]);
         let mut best_actual = (f64::INFINITY, 0usize);
         for p in 1..=3 {
             let hp = plan::plan_with(
@@ -63,6 +63,7 @@ fn predicted_optimum_matches_simulated_optimum_mostly() {
                 MainDevicePolicy::Fixed(0),
                 DistributionStrategy::GuideArray,
                 Some(p),
+                &[],
             );
             let t = fastsim::simulate_fast(&gpus, &hp, nt, nt).makespan_us;
             if t < best_actual.0 {
@@ -94,6 +95,7 @@ fn main_device_ordering_of_fig9() {
             policy,
             DistributionStrategy::GuideArray,
             Some(4),
+            &[],
         );
         fastsim::simulate_fast(&p, &hp, nt, nt).makespan_s()
     };
@@ -108,7 +110,7 @@ fn main_device_ordering_of_fig9() {
         "CPU-main must be far slower: {dcpu} vs {d580}"
     );
     // Algorithm 2 agrees with the measurement.
-    assert_eq!(main_select::select_main_device(&p, nt, nt).device, 0);
+    assert_eq!(main_select::select_main_device(&p, nt, nt, &[]).device, 0);
 }
 
 #[test]
@@ -117,7 +119,15 @@ fn distribution_strategies_ordering_of_fig10() {
     let p = profiles::paper_testbed(16);
     let nt = 1000; // 16000²
     let time_for = |strategy| {
-        let hp = plan::plan_with(&p, nt, nt, MainDevicePolicy::Fixed(0), strategy, Some(4));
+        let hp = plan::plan_with(
+            &p,
+            nt,
+            nt,
+            MainDevicePolicy::Fixed(0),
+            strategy,
+            Some(4),
+            &[],
+        );
         fastsim::simulate_fast(&p, &hp, nt, nt).makespan_s()
     };
     let guide = time_for(DistributionStrategy::GuideArray);
@@ -149,6 +159,7 @@ fn scalability_of_fig8() {
             MainDevicePolicy::Auto,
             DistributionStrategy::GuideArray,
             Some(p.num_devices()),
+            &[],
         );
         let t = fastsim::simulate_fast(&p, &hp, nt, nt).makespan_s();
         assert!(

@@ -15,6 +15,7 @@ fn both_makespans(nt: usize, force_p: usize) -> (f64, f64) {
         MainDevicePolicy::Fixed(0),
         DistributionStrategy::GuideArray,
         Some(force_p),
+        &[],
     );
     let g = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let a = assign::assign_tasks(&g, &hp.distribution, hp.policy);
@@ -80,6 +81,7 @@ fn both_charge_zero_comm_for_single_device() {
         MainDevicePolicy::Fixed(0),
         DistributionStrategy::GuideArray,
         Some(1),
+        &[],
     );
     let g = TaskGraph::build_tree(12, 12, EliminationTree::Flat);
     let a = assign::assign_tasks(&g, &hp.distribution, hp.policy);
@@ -99,6 +101,7 @@ fn busy_times_match_exactly_between_simulators() {
         MainDevicePolicy::Fixed(0),
         DistributionStrategy::GuideArray,
         Some(3),
+        &[],
     );
     let g = TaskGraph::build_tree(20, 20, EliminationTree::Flat);
     let a = assign::assign_tasks(&g, &hp.distribution, hp.policy);

@@ -33,6 +33,7 @@ fn sim_trace() -> (Trace, usize) {
         MainDevicePolicy::Auto,
         DistributionStrategy::GuideArray,
         Some(platform.num_devices()),
+        &[],
     );
     let graph = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let assignment = assign::assign_tasks(&graph, &hp.distribution, hp.policy);
