@@ -15,55 +15,51 @@
 //!   at which the following rows become ready — so panel `k+1` starts as
 //!   soon as the head of column `k+1`'s update is done, exactly like the
 //!   lookahead execution of the real runtime,
-//! * devices expose `slots` parallel chain lanes; the PCIe bus serializes
-//!   the per-panel factor broadcasts and next-column moves as batched
-//!   transfers (Eq. 11 payloads).
+//! * devices expose `slots` parallel chain lanes, kept as one ascending
+//!   run of free times: a chain takes the front lane and returns it at
+//!   `max(lane, ready) + dur`, never below the minimum just taken, so the
+//!   minimum only rises; a device's chains in one panel share a duration
+//!   and mostly rising ready times, so a back-scan places the new free time
+//!   within a few slots (a binary heap sifts `log slots` levels both ways),
+//! * the PCIe bus serializes the per-panel factor broadcasts and
+//!   next-column moves as batched transfers (Eq. 11 payloads).
 //!
 //! Integration tests validate it against the exact simulator on grids
 //! where both run.
 
 use crate::plan::HeteroPlan;
 use crate::replan::{simulate_adaptive, ReplanPolicy};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use tileqr_dag::KernelClass;
 use tileqr_sim::{FaultPlan, Platform, SimStats};
 
-/// Total-ordering wrapper so `f64` times can live in a heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Time(f64);
-impl Eq for Time {}
-impl PartialOrd for Time {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Time {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Per-device lane pool: the earliest-available of `slots` chain lanes.
+/// Per-device lane pool: the free times of `slots` chain lanes, kept as one
+/// ascending run `free[head..]`. The taken prefix is dropped once it is over
+/// half of `free`, so its one allocation of `2 * slots + 1` never regrows.
 pub(crate) struct Lanes {
-    heap: BinaryHeap<Reverse<Time>>,
+    free: Vec<f64>,
+    head: usize,
 }
 
 impl Lanes {
     fn new(slots: usize) -> Self {
-        let mut heap = BinaryHeap::with_capacity(slots);
-        for _ in 0..slots {
-            heap.push(Reverse(Time(0.0)));
-        }
-        Lanes { heap }
+        let mut free = Vec::with_capacity(2 * slots + 1);
+        free.resize(slots, 0.0);
+        Lanes { free, head: 0 }
     }
 
     /// Occupy the earliest lane from `max(lane, ready)` for `dur`; returns
     /// the start time.
     fn occupy(&mut self, ready: f64, dur: f64) -> f64 {
-        let Reverse(Time(lane)) = self.heap.pop().expect("at least one lane");
-        let start = lane.max(ready);
-        self.heap.push(Reverse(Time(start + dur)));
+        let start = self.free[self.head].max(ready);
+        self.head += 1;
+        let end = start + dur;
+        let run = &self.free[self.head..];
+        let at = run.iter().rposition(|t| t.total_cmp(&end).is_le());
+        self.free.insert(self.head + at.map_or(0, |i| i + 1), end);
+        if 2 * self.head > self.free.len() {
+            self.free.drain(..self.head);
+            self.head = 0;
+        }
         start
     }
 }
@@ -175,8 +171,9 @@ pub(crate) fn panel_step(
 
     // T/E chain on the T/E device: starts when the column head is
     // there, finishes no earlier than its own serial chain and no
-    // earlier than the column's last row plus one elimination.
-    let chain = tt + (m - 1) as f64 * te;
+    // earlier than the column's last row plus one elimination. A one-row
+    // panel has no elimination (on a dead device `0 × ∞` would be NaN).
+    let chain = tt + if m > 1 { (m - 1) as f64 * te } else { 0.0 };
     let te_start = state.lanes[te_dev].occupy(in_head, chain);
     let te_head = te_start + tt + if m > 1 { te } else { 0.0 };
     let te_full = (te_start + chain).max(in_full + te);
@@ -254,7 +251,9 @@ mod tests {
     use super::*;
     use crate::distribution::DistributionStrategy;
     use crate::plan::{plan_with, MainDevicePolicy};
-    use tileqr_sim::profiles;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use tileqr_sim::{profiles, Link};
 
     fn run(nt: usize, force_p: Option<usize>, policy: MainDevicePolicy) -> SimStats {
         let p = profiles::paper_testbed(16);
@@ -375,5 +374,99 @@ mod tests {
         );
         let wide = simulate_fast(&p, &plan_w, 10, 40);
         assert!(wide.makespan_us > 0.0);
+    }
+
+    /// The lane pool the sorted run replaced: a min-heap of free times under
+    /// `f64::total_cmp`, keyed by the same integer order `total_cmp` uses.
+    struct HeapLanes(BinaryHeap<Reverse<(i64, u64)>>);
+
+    impl HeapLanes {
+        fn new(slots: usize) -> Self {
+            HeapLanes((0..slots).map(|_| Reverse((0, 0.0f64.to_bits()))).collect())
+        }
+
+        fn occupy(&mut self, ready: f64, dur: f64) -> f64 {
+            let Reverse((_, lane)) = self.0.pop().unwrap();
+            let start = f64::from_bits(lane).max(ready);
+            let end = start + dur;
+            let bits = end.to_bits() as i64;
+            let key = bits ^ (((bits >> 63) as u64) >> 1) as i64;
+            self.0.push(Reverse((key, end.to_bits())));
+            start
+        }
+    }
+
+    #[test]
+    fn sorted_lanes_match_a_binary_heap_bit_for_bit() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for slots in [1, 4, 256, 768] {
+            for with_inf in [false, true] {
+                let (mut lanes, mut heap) = (Lanes::new(slots), HeapLanes::new(slots));
+                let cap = lanes.free.capacity();
+                let (mut clock, mut last) = (0.0f64, 0.0f64);
+                for call in 0..20 * slots + 2000 {
+                    let r = next();
+                    // Quantized times make ties between lanes and readies
+                    // common; some readies jump back or lie below every lane.
+                    let ready = match r % 8 {
+                        0 => 0.0,
+                        1 => last,
+                        2 => (clock - (r >> 8) as f64 % 500.0).max(0.0),
+                        _ => {
+                            clock += ((r >> 8) % 4) as f64 * 0.5;
+                            clock
+                        }
+                    };
+                    // Every 97th chain of an `∞` stream lands on a dead lane.
+                    let dur = match (r >> 40) % 64 {
+                        _ if with_inf && call % 97 == 50 => f64::INFINITY,
+                        0 | 1 => 0.0,
+                        k => (k % 6 + 1) as f64 * 2.5,
+                    };
+                    last = lanes.occupy(ready, dur);
+                    let want = heap.occupy(ready, dur);
+                    assert_eq!(last.to_bits(), want.to_bits(), "slots {slots}, call {call}");
+                    assert!(lanes.free.len() <= 2 * slots + 1);
+                    assert_eq!(lanes.free.capacity(), cap, "the run never regrows");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_device_beats_two_at_640_even_on_a_free_link() {
+        // A model limit, not a bus effect: with transfers free, the T/E
+        // chain on the main device still keeps p = 1 ahead at n = 640
+        // (nt = 40). The paper has p = 2 win from 640 on.
+        let testbed = profiles::paper_testbed(16);
+        let free = Platform::new(
+            testbed.devices().to_vec(),
+            Link {
+                bandwidth_bytes_per_us: 1e12,
+                batch_latency_us: 0.0,
+                message_latency_us: 0.0,
+            },
+            testbed.config(),
+        );
+        let makespan = |p| {
+            let plan = plan_with(
+                &free,
+                40,
+                40,
+                MainDevicePolicy::Auto,
+                DistributionStrategy::GuideArray,
+                Some(p),
+                &[],
+            );
+            simulate_fast(&free, &plan, 40, 40).makespan_us
+        };
+        let (one, two) = (makespan(1), makespan(2));
+        assert!(one < two, "free link: 1 device {one} !< 2 devices {two}");
     }
 }

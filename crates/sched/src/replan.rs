@@ -343,6 +343,31 @@ mod tests {
     }
 
     #[test]
+    fn dead_te_device_leaves_no_nan() {
+        // A one-row panel on a dead T/E device is an infinite chain, not
+        // `0 × ∞`: busy time and the comm share stay numbers.
+        let no_nan = |s: &SimStats| {
+            !s.makespan_us.is_nan()
+                && !s.bus_busy_us.is_nan()
+                && !s.device_busy_us.iter().any(|x| x.is_nan())
+                && !s.comm_fraction().is_nan()
+        };
+        let (p, plan) = testbed_plan(200);
+        let healthy = simulate_fast(&p, &plan, 200, 200).makespan_us;
+        let faults = FaultPlan::none().with_device_death(plan.main, healthy * 0.4);
+        let main_dies = simulate_adaptive(&p, &plan, 200, 200, &faults, &ReplanPolicy::disabled());
+        assert!(no_nan(&main_dies.stats), "{:?}", main_dies.stats);
+
+        let (p, plan) = testbed_plan(20);
+        let mut faults = FaultPlan::none();
+        for d in 0..p.num_devices() {
+            faults = faults.with_device_death(d, 0.0);
+        }
+        let all_dead = simulate_adaptive(&p, &plan, 20, 20, &faults, &ReplanPolicy::default());
+        assert!(no_nan(&all_dead.stats), "{:?}", all_dead.stats);
+    }
+
+    #[test]
     fn dead_inactive_device_is_ignored_silently() {
         // Only device 0 participates; device 3 dying must not trigger.
         let p = profiles::paper_testbed(16);

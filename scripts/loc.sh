@@ -62,6 +62,9 @@
 #     uncalibrated `xeon_phi` profile, and nothing reads per-task or
 #     per-class service latencies, so those stay deleted, tests included;
 #     and one panel loop: `simulate_fast` is the fault-free adaptive run.
+#   * one sorted lane run: the fast simulator keeps each device's lane free
+#     times as one ascending run scanned from the back, so no binary heap
+#     comes back to its lane pool (the reference heap lives in its tests).
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -207,6 +210,7 @@ if hits=$(grep -rnE "$twins" crates tests examples); then
 fi
 expect 1 'for k in 0\.\.kmax' "panel loops in the fast simulator (simulate_fast is the fault-free adaptive run)" \
     crates/sched/src/fastsim.rs crates/sched/src/replan.rs
+expect 0 'BinaryHeap' "a heap in the fast simulator's lane pool (one sorted run)" crates/sched/src/fastsim.rs
 expect 0 'HashMap' "hash maps in the DAG builder (the tile table is dense)" crates/dag/src/graph.rs
 expect 0 '[-]> Vec<TileCoord>' "allocating access sets (reads/writes return Tiles)" crates/dag
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
