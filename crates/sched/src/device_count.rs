@@ -135,9 +135,9 @@ pub fn tcomm_us(platform: &Platform, devices: &[DeviceId], mt: usize, nt: usize)
         let q_bytes = 3 * m * cfg.tile_bytes();
         let col_bytes = m.saturating_sub(1) * cfg.tile_bytes();
         for &_d in &devices[1..] {
-            t += platform.batch_transfer_time_us(q_bytes);
+            t += platform.link().batch_time_us(q_bytes);
         }
-        t += platform.batch_transfer_time_us(col_bytes);
+        t += platform.link().batch_time_us(col_bytes);
     }
     t
 }

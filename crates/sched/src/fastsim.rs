@@ -76,7 +76,7 @@ pub(crate) struct PipelineState {
     /// Per device: the `slots` parallel chain lanes.
     pub(crate) lanes: Vec<Lanes>,
     /// When the shared bus next frees up.
-    pub(crate) bus_free: f64,
+    bus_free: f64,
     /// Accumulated statistics (makespan filled in at the end).
     pub(crate) stats: SimStats,
     /// Per-device nominal kernel times, microseconds.
@@ -130,6 +130,18 @@ impl PipelineState {
         }
     }
 
+    /// Book one batched transfer of `bytes` on the shared bus: it starts
+    /// when both the bus and the data are `ready` and holds the bus for
+    /// `occupancy`. Returns the start time.
+    pub(crate) fn book_bus(&mut self, ready: f64, occupancy: f64, bytes: u64) -> f64 {
+        let t0 = self.bus_free.max(ready);
+        self.bus_free = t0 + occupancy;
+        self.stats.bus_busy_us += occupancy;
+        self.stats.bytes_transferred += bytes;
+        self.stats.transfer_count += 1;
+        t0
+    }
+
     /// Makespan seen so far: the latest column completion.
     pub(crate) fn frontier_us(&self) -> f64 {
         self.full.iter().cloned().fold(0.0, f64::max)
@@ -159,12 +171,8 @@ pub(crate) fn panel_step(
     // one setup, then tiles stream at wire rate).
     let (mut in_head, mut in_full) = (state.head[k], state.full[k]);
     if owner[k] != te_dev {
-        let t0 = state.bus_free.max(in_head);
         let occupancy = state.batch_lat + m as f64 * state.per_tile_wire;
-        state.bus_free = t0 + occupancy;
-        state.stats.bus_busy_us += occupancy;
-        state.stats.bytes_transferred += m as u64 * state.tile_bytes;
-        state.stats.transfer_count += 1;
+        let t0 = state.book_bus(in_head, occupancy, m as u64 * state.tile_bytes);
         in_head = t0 + state.batch_lat + state.per_tile_wire;
         in_full = in_full.max(t0 + occupancy);
     }
@@ -198,13 +206,9 @@ pub(crate) fn panel_step(
         if d == te_dev || !needs[d] {
             continue;
         }
-        let t0 = state.bus_free.max(te_head);
         let payload = 3 * m as u64 * state.tile_bytes;
         let occupancy = state.batch_lat + payload as f64 / state.bandwidth;
-        state.bus_free = t0 + occupancy;
-        state.stats.bus_busy_us += occupancy;
-        state.stats.bytes_transferred += payload;
-        state.stats.transfer_count += 1;
+        let t0 = state.book_bus(te_head, occupancy, payload);
         // The first V+T block lands after the setup; the last when the
         // stream drains and the chain has produced it.
         factor_head[d] = t0 + state.batch_lat + 2.0 * state.per_tile_wire;
@@ -450,7 +454,6 @@ mod tests {
             Link {
                 bandwidth_bytes_per_us: 1e12,
                 batch_latency_us: 0.0,
-                message_latency_us: 0.0,
             },
             testbed.config(),
         );

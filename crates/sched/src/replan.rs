@@ -179,14 +179,10 @@ pub fn simulate_adaptive(
                         let new_owner = new_plan.distribution.owner(j - k);
                         if new_owner != *own {
                             let tiles = (mt - k) as u64;
-                            let t0 = state.bus_free.max(now);
                             let occupancy = state.batch_lat + tiles as f64 * state.per_tile_wire;
-                            state.bus_free = t0 + occupancy;
-                            state.stats.bus_busy_us += occupancy;
                             let bytes = tiles * state.tile_bytes;
-                            state.stats.bytes_transferred += bytes;
+                            let t0 = state.book_bus(now, occupancy, bytes);
                             state.stats.migrated_bytes += bytes;
-                            state.stats.transfer_count += 1;
                             migrated += bytes;
                             state.head[j] =
                                 state.head[j].max(t0 + state.batch_lat + state.per_tile_wire);

@@ -7,7 +7,8 @@
 //! lives, and eliminations across bands use the TT tree kernels. The paper
 //! argues column distribution suits a single shared-bus node better; this
 //! module provides the row-block assignment so the claim can be measured
-//! (this module's unit tests run both schemes through `sim::engine`).
+//! (this module's unit tests run both schemes through `sim::engine`; on
+//! three GPUs the row bands win, see EXPERIMENTS).
 
 use tileqr_dag::{TaskGraph, TaskKind};
 use tileqr_sim::DeviceId;
@@ -105,34 +106,36 @@ mod tests {
     }
 
     #[test]
-    fn paper_column_distribution_beats_rowblocks_on_one_node() {
+    fn rowblocks_beat_the_column_plan_at_three_gpus() {
         // §VII: "in our work, we use a column by column tile distribution
-        // … since there is not much communication cost for our system" —
-        // on the shared-bus single node, the paper's column scheme must
-        // not lose to the CAQR-style row bands.
+        // … since there is not much communication cost for our system".
+        // Measured on three GPUs it does not reproduce: the CAQR-style row
+        // bands beat the paper's column plan at every size, and one GPU
+        // beats both until the row bands overtake it at nt = 90.
         let p = profiles::testbed_subset(3, false, 16);
-        let nt = 24;
-        let g = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
-        let row = engine::simulate(&g, &p, &assign_rowblocks(&g, nt, 3));
-        let hp = crate::plan::plan_with(
-            &p,
-            nt,
-            nt,
-            crate::plan::MainDevicePolicy::Fixed(0),
-            crate::distribution::DistributionStrategy::GuideArray,
-            Some(3),
-            &[],
-        );
-        let col = engine::simulate(
-            &g,
-            &p,
-            &crate::assign::assign_tasks(&g, &hp.distribution, hp.policy),
-        );
-        assert!(
-            col.makespan_us <= row.makespan_us * 1.05,
-            "column {} should not lose to row-block {}",
-            col.makespan_us,
-            row.makespan_us
-        );
+        for nt in [8, 24, 40, 90] {
+            let g = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
+            let row = engine::simulate(&g, &p, &assign_rowblocks(&g, nt, 3)).makespan_us;
+            let col = |gpus| {
+                let hp = crate::plan::plan_with(
+                    &p,
+                    nt,
+                    nt,
+                    crate::plan::MainDevicePolicy::Fixed(0),
+                    crate::distribution::DistributionStrategy::GuideArray,
+                    Some(gpus),
+                    &[],
+                );
+                let a = crate::assign::assign_tasks(&g, &hp.distribution, hp.policy);
+                engine::simulate(&g, &p, &a).makespan_us
+            };
+            let (col3, col1) = (col(3), col(1));
+            assert!(row < col3, "nt={nt}: row-block {row} !< column {col3}");
+            if nt <= 40 {
+                assert!(col1 < row, "nt={nt}: one GPU {col1} !< row-block {row}");
+            } else {
+                assert!(row < col1, "nt={nt}: row-block {row} !< one GPU {col1}");
+            }
+        }
     }
 }

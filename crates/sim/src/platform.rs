@@ -110,18 +110,6 @@ impl Platform {
             }
         }
     }
-
-    /// Bus time for one streamed per-kernel message of `bytes`,
-    /// microseconds (used by the exact task-level simulator).
-    pub fn transfer_time_us(&self, bytes: u64) -> f64 {
-        self.link.message_time_us(bytes)
-    }
-
-    /// Bus time for one batched per-panel transfer of `bytes`, microseconds
-    /// (used by the Eq. 10–11 predictor and the fast panel simulator).
-    pub fn batch_transfer_time_us(&self, bytes: u64) -> f64 {
-        self.link.batch_time_us(bytes)
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@ pub struct SimStats {
     pub bus_busy_us: f64,
     /// Total bytes moved across the bus.
     pub bytes_transferred: u64,
-    /// Number of bus transfers.
+    /// Number of batched bus transfers, i.e. setups paid: one per panel
+    /// copy (the engine: per source device, destination device and panel).
     pub transfer_count: u64,
     /// Per-device task counts.
     pub tasks_per_device: Vec<u64>,

@@ -26,7 +26,8 @@ pub struct TaskSpan {
     pub end_us: f64,
 }
 
-/// One bus transfer.
+/// One bus message: a producer's output to one device (a batch is the
+/// messages of one source, destination and panel).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferSpan {
     /// Producing task.
@@ -46,7 +47,7 @@ pub struct TransferSpan {
 pub struct Timeline {
     /// Every kernel execution, in completion order.
     pub tasks: Vec<TaskSpan>,
-    /// Every bus transfer, in issue order.
+    /// Every bus message, in issue order.
     pub transfers: Vec<TransferSpan>,
 }
 

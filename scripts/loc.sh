@@ -65,6 +65,10 @@
 #   * one sorted lane run: the fast simulator keeps each device's lane free
 #     times as one ascending run scanned from the back, so no binary heap
 #     comes back to its lane pool (the reference heap lives in its tests).
+#   * one bus: both simulators charge the per-panel batched copy of Eq. 11
+#     (`Link::batch_time_us`, one setup per source, destination and panel),
+#     so no per-message overhead or `Platform` pass-through for bus time
+#     comes back anywhere, tests, examples and the benchmark included.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -213,6 +217,11 @@ expect 1 'for k in 0\.\.kmax' "panel loops in the fast simulator (simulate_fast 
 expect 0 'BinaryHeap' "a heap in the fast simulator's lane pool (one sorted run)" crates/sched/src/fastsim.rs
 expect 0 'HashMap' "hash maps in the DAG builder (the tile table is dense)" crates/dag/src/graph.rs
 expect 0 '[-]> Vec<TileCoord>' "allocating access sets (reads/writes return Tiles)" crates/dag
+# Tests, examples and the benchmark count here too.
+if hits=$(grep -rnE --include='*.rs' 'message_latency_us|message_time_us|fn (batch_)?transfer_time_us' \
+    crates tests examples perf); then
+    fail "a second bus regime is back (one batched copy per stream, priced by Link::batch_time_us):" "$hits"
+fi
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status

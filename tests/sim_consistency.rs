@@ -3,10 +3,10 @@
 
 use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::hetero::{
-    assign, engine, fastsim, plan, profiles, DistributionStrategy, MainDevicePolicy,
+    assign, engine, fastsim, plan, profiles, DistributionStrategy, MainDevicePolicy, SimStats,
 };
 
-fn both_makespans(nt: usize, force_p: usize) -> (f64, f64) {
+fn both_stats(nt: usize, force_p: usize) -> (SimStats, SimStats) {
     let p = profiles::paper_testbed(16);
     let hp = plan::plan_with(
         &p,
@@ -19,32 +19,44 @@ fn both_makespans(nt: usize, force_p: usize) -> (f64, f64) {
     );
     let g = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let a = assign::assign_tasks(&g, &hp.distribution, hp.policy);
-    let exact = engine::simulate(&g, &p, &a).makespan_us;
-    let fast = fastsim::simulate_fast(&p, &hp, nt, nt).makespan_us;
+    let exact = engine::simulate(&g, &p, &a);
+    let fast = fastsim::simulate_fast(&p, &hp, nt, nt);
     (exact, fast)
 }
 
+fn both_makespans(nt: usize, force_p: usize) -> (f64, f64) {
+    let (exact, fast) = both_stats(nt, force_p);
+    (exact.makespan_us, fast.makespan_us)
+}
+
 #[test]
-fn fast_sim_tracks_exact_sim_within_factor_three() {
-    // The two simulators model transfers at different granularities
-    // (streamed per-task messages vs batched per-panel copies), so exact
-    // agreement is not expected — same order of magnitude is the contract.
-    for (nt, p) in [(8, 1), (8, 3), (16, 2), (24, 4), (32, 3)] {
-        let (exact, fast) = both_makespans(nt, p);
-        let ratio = fast / exact;
-        assert!(
-            (0.33..=3.0).contains(&ratio),
-            "nt={nt} p={p}: fast {fast:.0}us vs exact {exact:.0}us (ratio {ratio:.2})"
-        );
+fn fast_sim_tracks_exact_sim_within_seven_percent() {
+    // Both simulators charge the same bus: one batched copy per (source
+    // device, destination device, panel). What is left between them is the
+    // chain approximation of the fast simulator (0.935-1.036 measured).
+    for nt in [8, 16, 40, 90, 120] {
+        for p in 1..=3 {
+            let (exact, fast) = both_stats(nt, p);
+            let ratio = fast.makespan_us / exact.makespan_us;
+            assert!(
+                (ratio - 1.0).abs() <= 0.07,
+                "nt={nt} p={p}: fast {:.0}us vs exact {:.0}us (ratio {ratio:.3})",
+                fast.makespan_us,
+                exact.makespan_us
+            );
+            assert_eq!(
+                exact.transfer_count, fast.transfer_count,
+                "nt={nt} p={p}: batches"
+            );
+        }
     }
 }
 
 #[test]
 fn simulators_agree_on_device_scaling_direction() {
-    // Both must say three devices beat one on a big-enough grid. The
-    // exact simulator streams per-task messages, so its bus costs more
-    // and its crossover sits later (nt ≈ 170) than the batched fast
-    // simulator's (nt ≈ 90, Table III) — at nt = 200 both are past it.
+    // Both must say three devices beat one on a big-enough grid. Measured
+    // on this platform, the exact simulator's crossover is nt = 104 and the
+    // fast simulator's nt = 99; at nt = 200 both are well past it.
     let (e1, f1) = both_makespans(200, 1);
     let (e3, f3) = both_makespans(200, 3);
     assert!(e3 < e1, "exact: {e3} !< {e1}");
