@@ -36,7 +36,8 @@ use crate::{
     geqrt_apply_ws, geqrt_ws, tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws, ApplySide,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 use tileqr_dag::{TaskGraph, TaskKind};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
 
@@ -59,6 +60,23 @@ fn unique<T: Scalar>(mut a: Arc<Matrix<T>>, cow: &AtomicU64) -> Arc<Matrix<T>> {
 /// `stage_preserving`): the task holds its only handle until commit.
 fn owned<T: Scalar>(a: &mut Arc<Matrix<T>>) -> &mut Matrix<T> {
     Arc::get_mut(a).expect("a staged tile has one handle")
+}
+
+/// Lock a slot of a [`SharedFactorState`]. The uncontended fast path reads
+/// no clock; only a lock that blocks is timed, into `wait_ns`.
+fn lock_slot<'a, X>(slot: &'a Mutex<X>, wait_ns: &AtomicU64) -> MutexGuard<'a, X> {
+    if let Ok(guard) = slot.try_lock() {
+        return guard;
+    }
+    let t0 = Instant::now();
+    let guard = slot.lock().expect("slot poisoned");
+    wait_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    guard
+}
+
+/// The value of a slot no thread can hold any more.
+fn inner<X>(slot: Mutex<X>) -> X {
+    slot.into_inner().expect("no poisoned slots")
 }
 
 /// An elimination `T` factor together with the pivot row it merged into.
@@ -187,11 +205,6 @@ impl<T: Scalar> FactorState<T> {
     /// The (partially) factored tiles.
     pub fn tiles(&self) -> &TiledMatrix<T> {
         &self.tiles
-    }
-
-    /// Consume the state, returning the tiled matrix.
-    pub fn into_tiles(self) -> TiledMatrix<T> {
-        self.tiles
     }
 
     /// How many copy-on-write fallback clones [`unique`] took.
@@ -371,6 +384,13 @@ pub struct SharedFactorState<T: Scalar> {
     elim_t: Vec<Mutex<Option<ElimFactor<T>>>>,
     empty: Arc<Matrix<T>>,
     cow: Arc<AtomicU64>,
+    /// Nanoseconds spent blocked on a contended slot lock while staging
+    /// and while committing.
+    stage_wait_ns: AtomicU64,
+    commit_wait_ns: AtomicU64,
+    /// Tiles a fenced commit displaced while nothing else held them:
+    /// preserving staging copies into these instead of allocating.
+    spare: Mutex<Vec<Arc<Matrix<T>>>>,
     /// Sequential-path arena, parked here so it round-trips through
     /// [`into_state`](Self::into_state); workers bring their own.
     ws: Workspace<T>,
@@ -403,30 +423,24 @@ impl<T: Scalar> SharedFactorState<T> {
             elim_t: elim_t.into_iter().map(Mutex::new).collect(),
             empty,
             cow,
+            stage_wait_ns: AtomicU64::new(0),
+            commit_wait_ns: AtomicU64::new(0),
+            spare: Mutex::new(Vec::new()),
             ws,
         }
     }
 
     /// Reassemble the sequential state after all tasks have committed.
     pub fn into_state(self) -> FactorState<T> {
-        let mut tiles = self.template.into_inner().expect("no poisoned slots");
+        let mut tiles = inner(self.template);
         for (idx, slot) in self.tiles.into_iter().enumerate() {
-            let arc = slot.into_inner().expect("no poisoned slots");
-            tiles.set_tile_shared(idx / self.nt, idx % self.nt, arc);
+            tiles.set_tile_shared(idx / self.nt, idx % self.nt, inner(slot));
         }
         FactorState {
             tiles,
             nt: self.nt,
-            geqrt_t: self
-                .geqrt_t
-                .into_iter()
-                .map(|m| m.into_inner().expect("no poisoned slots"))
-                .collect(),
-            elim_t: self
-                .elim_t
-                .into_iter()
-                .map(|m| m.into_inner().expect("no poisoned slots"))
-                .collect(),
+            geqrt_t: self.geqrt_t.into_iter().map(inner).collect(),
+            elim_t: self.elim_t.into_iter().map(inner).collect(),
             empty: self.empty,
             cow: self.cow,
             ws: self.ws,
@@ -439,6 +453,13 @@ impl<T: Scalar> SharedFactorState<T> {
         self.cow.load(Ordering::Relaxed)
     }
 
+    /// Time blocked on contended slot locks so far, `(stage, commit)`:
+    /// zero when no lock had to wait.
+    pub fn lock_waits(&self) -> (Duration, Duration) {
+        let read = |ns: &AtomicU64| Duration::from_nanos(ns.load(Ordering::Relaxed));
+        (read(&self.stage_wait_ns), read(&self.commit_wait_ns))
+    }
+
     #[inline]
     fn idx(&self, i: usize, j: usize) -> usize {
         i * self.nt + j
@@ -446,37 +467,44 @@ impl<T: Scalar> SharedFactorState<T> {
 
     /// Shared read of tile `(i, j)`: lock the slot, clone the pointer.
     fn read_tile(&self, i: usize, j: usize) -> Arc<Matrix<T>> {
-        Arc::clone(
-            &self.tiles[self.idx(i, j)]
-                .lock()
-                .expect("tile slot poisoned"),
-        )
+        Arc::clone(&lock_slot(&self.tiles[self.idx(i, j)], &self.stage_wait_ns))
     }
 
     /// Take tile `(i, j)` for writing. The swap happens under the slot
     /// lock; the (normally free) uniqueness check happens outside it.
     fn take_tile(&self, i: usize, j: usize) -> Arc<Matrix<T>> {
-        let arc = {
-            let mut slot = self.tiles[self.idx(i, j)]
-                .lock()
-                .expect("tile slot poisoned");
-            std::mem::replace(&mut *slot, Arc::clone(&self.empty))
-        };
+        let mut slot = lock_slot(&self.tiles[self.idx(i, j)], &self.stage_wait_ns);
+        let arc = std::mem::replace(&mut *slot, Arc::clone(&self.empty));
+        drop(slot);
         unique(arc, &self.cow)
     }
 
     /// Copy tile `(i, j)` for writing, leaving the slot's contents in
-    /// place. Costs an `O(b²)` clone, which buys the fault-tolerant pool
-    /// its requeue safety: if the attempt dies mid-kernel, the slot still
-    /// holds the pre-task value and a retry stages clean inputs.
+    /// place. Costs an `O(b²)` copy — into a spare tile when a commit left
+    /// one, else into a fresh allocation — which buys the fault-tolerant
+    /// pool its requeue safety: if the attempt dies mid-kernel, the slot
+    /// still holds the pre-task value and a retry stages clean inputs.
     fn clone_tile(&self, i: usize, j: usize) -> Arc<Matrix<T>> {
-        Arc::new((*self.read_tile(i, j)).clone())
+        let src = self.read_tile(i, j);
+        let spare = self.spare.lock().expect("spare tiles poisoned").pop();
+        let Some(mut tile) = spare else {
+            return Arc::new((*src).clone());
+        };
+        let dst = owned(&mut tile);
+        dst.as_mut_slice().copy_from_slice(src.as_slice());
+        tile
     }
 
+    /// Store `tile` in slot `(i, j)`. The tile it displaces becomes a spare
+    /// if nothing else holds it (a fenced commit; an unfenced one displaces
+    /// the shared placeholder, and a straggler's handle keeps its tile out).
     fn put_tile(&self, i: usize, j: usize, tile: Arc<Matrix<T>>) {
-        *self.tiles[self.idx(i, j)]
-            .lock()
-            .expect("tile slot poisoned") = tile;
+        let mut slot = lock_slot(&self.tiles[self.idx(i, j)], &self.commit_wait_ns);
+        let mut old = std::mem::replace(&mut *slot, tile);
+        drop(slot);
+        if Arc::get_mut(&mut old).is_some() {
+            self.spare.lock().expect("spare tiles poisoned").push(old);
+        }
     }
 
     /// Phase 1 (parallel): identical contract to [`FactorState::stage`] but
@@ -508,9 +536,7 @@ impl<T: Scalar> SharedFactorState<T> {
                 tile: written(self, i, k),
             },
             TaskKind::Unmqr { i, j, k } => {
-                let tfac = self.geqrt_t[self.idx(i, k)]
-                    .lock()
-                    .expect("factor slot poisoned")
+                let tfac = lock_slot(&self.geqrt_t[self.idx(i, k)], &self.stage_wait_ns)
                     .as_ref()
                     .ok_or_else(missing_factor_err)?
                     .clone();
@@ -525,10 +551,8 @@ impl<T: Scalar> SharedFactorState<T> {
                 a2: written(self, i, k),
             },
             TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k } => {
-                let tfac = match &*self.elim_t[self.idx(i, k)]
-                    .lock()
-                    .expect("factor slot poisoned")
-                {
+                let slot = &self.elim_t[self.idx(i, k)];
+                let tfac = match &*lock_slot(slot, &self.stage_wait_ns) {
                     Some(e) if e.p == p => Arc::clone(&e.tfac),
                     _ => return Err(missing_factor_err()),
                 };
@@ -548,9 +572,8 @@ impl<T: Scalar> SharedFactorState<T> {
         match (done.task, done.outputs) {
             (TaskKind::Geqrt { i, k }, Outputs::Factor { tile, tfac }) => {
                 self.put_tile(i, k, tile);
-                *self.geqrt_t[self.idx(i, k)]
-                    .lock()
-                    .expect("factor slot poisoned") = Some(Arc::new(tfac));
+                let tfac = Some(Arc::new(tfac));
+                *lock_slot(&self.geqrt_t[self.idx(i, k)], &self.commit_wait_ns) = tfac;
             }
             (TaskKind::Unmqr { i, j, .. }, Outputs::Update { c }) => {
                 self.put_tile(i, j, c);
@@ -561,12 +584,11 @@ impl<T: Scalar> SharedFactorState<T> {
             ) => {
                 self.put_tile(p, k, r1);
                 self.put_tile(i, k, a2);
-                *self.elim_t[self.idx(i, k)]
-                    .lock()
-                    .expect("factor slot poisoned") = Some(ElimFactor {
+                let tfac = Some(ElimFactor {
                     p,
                     tfac: Arc::new(tfac),
                 });
+                *lock_slot(&self.elim_t[self.idx(i, k)], &self.commit_wait_ns) = tfac;
             }
             (
                 TaskKind::Tsmqr { p, i, j, .. } | TaskKind::Ttmqr { p, i, j, .. },
@@ -633,19 +655,9 @@ impl<T: Scalar> StagedTask<T> {
             outputs,
         })
     }
-
-    /// The task this staging belongs to.
-    pub fn task(&self) -> TaskKind {
-        self.task
-    }
 }
 
 impl<T: Scalar> CompletedTask<T> {
-    /// The task these outputs belong to.
-    pub fn task(&self) -> TaskKind {
-        self.task
-    }
-
     /// Scan every output (written tiles *and* reflector `T` factors) for
     /// non-finite values and return the grid coordinates of the first
     /// poisoned tile, or `None` when the outputs are clean. A runtime can
@@ -662,27 +674,15 @@ impl<T: Scalar> CompletedTask<T> {
             (
                 TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
                 Outputs::Elim { r1, a2, tfac },
-            ) => {
-                if dirty(r1) {
-                    Some((*p, *k))
-                } else if dirty(a2) || dirty(tfac) {
-                    Some((*i, *k))
-                } else {
-                    None
-                }
-            }
+            ) => dirty(r1)
+                .then_some((*p, *k))
+                .or((dirty(a2) || dirty(tfac)).then_some((*i, *k))),
             (
                 TaskKind::Tsmqr { p, i, j, .. } | TaskKind::Ttmqr { p, i, j, .. },
                 Outputs::PairUpdate { a1, a2 },
-            ) => {
-                if dirty(a1) {
-                    Some((*p, *j))
-                } else if dirty(a2) {
-                    Some((*i, *j))
-                } else {
-                    None
-                }
-            }
+            ) => dirty(a1)
+                .then_some((*p, *j))
+                .or(dirty(a2).then_some((*i, *j))),
             _ => unreachable!("task/output kind mismatch"),
         }
     }
@@ -1111,5 +1111,92 @@ mod tests {
         assert_eq!(shared.cow_clones(), 0);
         let st = shared.into_state();
         assert_eq!(st.cow_clones(), 0);
+    }
+
+    #[test]
+    fn contended_slot_lock_is_timed_into_stage() {
+        use std::sync::atomic::AtomicBool;
+        let a = random_matrix::<f64>(8, 8, 19);
+        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
+        let shared = SharedFactorState::new(FactorState::new(tiled));
+        let held = shared.tiles[0].lock().unwrap();
+        let started = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let stager = s.spawn(|| {
+                started.store(true, Ordering::Release);
+                shared.stage(TaskKind::Geqrt { i: 0, k: 0 }).is_ok()
+            });
+            while !started.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            // Long past the stager's next step: its `try_lock` fails and
+            // it blocks for most of this.
+            std::thread::sleep(Duration::from_millis(25));
+            drop(held);
+            assert!(stager.join().unwrap());
+        });
+        let (stage, commit) = shared.lock_waits();
+        assert!(stage >= Duration::from_millis(5), "stage wait {stage:?}");
+        assert_eq!(commit, Duration::ZERO);
+    }
+
+    #[test]
+    fn uncontended_replay_times_no_lock_wait() {
+        // Both stagings over a whole 8 x 8 graph on one thread: every lock
+        // takes the fast path, so neither counter moves, and the preserving
+        // replay (which copies into recycled tiles) is bit-identical.
+        let a = random_matrix::<f64>(32, 32, 23);
+        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
+        let g = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
+        let mut seq = FactorState::new(tiled.clone());
+        seq.run_all(&g).unwrap();
+        for stage in [
+            SharedFactorState::stage,
+            SharedFactorState::stage_preserving,
+        ] {
+            let shared = SharedFactorState::new(FactorState::new(tiled.clone()));
+            let mut ws = Workspace::new(4, 4);
+            for &t in g.tasks() {
+                let staged = stage(&shared, t).unwrap();
+                shared.commit(staged.compute_with(&mut ws).unwrap());
+            }
+            assert_eq!(shared.lock_waits(), (Duration::ZERO, Duration::ZERO));
+            assert_eq!(
+                shared.into_state().tiles().to_matrix(),
+                seq.tiles().to_matrix()
+            );
+        }
+    }
+
+    #[test]
+    fn fenced_commit_recycles_only_unshared_tiles() {
+        let a = random_matrix::<f64>(8, 8, 29);
+        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
+        let shared = SharedFactorState::new(FactorState::new(tiled));
+        let mut ws = Workspace::new(4, 4);
+        let mut run = |task| {
+            let staged = shared.stage_preserving(task).unwrap();
+            shared.commit(staged.compute_with(&mut ws).unwrap());
+        };
+        // A straggler's handle keeps the displaced tile out of the list.
+        let straggler = shared.read_tile(0, 0);
+        run(TaskKind::Geqrt { i: 0, k: 0 });
+        assert!(shared.spare.lock().unwrap().is_empty());
+        drop(straggler);
+        // An unshared one goes in, and the next preserving copy lands in it.
+        let displaced = Arc::as_ptr(&shared.read_tile(0, 1));
+        run(TaskKind::Unmqr { i: 0, j: 1, k: 0 });
+        assert_eq!(shared.spare.lock().unwrap().len(), 1);
+        let staged = shared
+            .stage_preserving(TaskKind::Tsqrt { p: 0, i: 1, k: 0 })
+            .unwrap();
+        match &staged.inputs {
+            Inputs::Elim { r1, .. } => {
+                assert_eq!(Arc::as_ptr(r1), displaced);
+                assert_eq!(**r1, *shared.read_tile(0, 0));
+            }
+            _ => panic!("TSQRT staged wrong input kind"),
+        }
+        assert!(shared.spare.lock().unwrap().is_empty());
     }
 }

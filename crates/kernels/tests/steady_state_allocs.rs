@@ -8,29 +8,40 @@
 //! a tile-sized [`Workspace`] that never grows. A `GEQRT`, `TSQRT` or
 //! `TTQRT` task acquires exactly its output — the `T` matrix and the `Arc`
 //! it is shared through — and nothing for the recursion inside the kernel:
-//! its applies, merges and staged `V` blocks fit the same arena.
+//! its applies, merges and staged `V` blocks fit the same arena. The same
+//! holds for the fenced path (`stage_preserving`): its copy of each
+//! written tile lands in a tile an earlier commit displaced.
 //!
-//! The counter is process-wide, so this binary holds exactly one `#[test]`:
-//! nothing else may allocate while a region is being counted.
+//! The counter is per thread, so the test harness's own allocations on
+//! other threads do not land in a counted region; this binary still holds
+//! exactly one `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use tileqr_dag::{EliminationTree, KernelClass, TaskGraph, TaskKind};
 use tileqr_kernels::exec::{FactorState, SharedFactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::TiledMatrix;
 
-static ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ACQUISITIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// The system allocator plus one relaxed counter bump per acquisition.
+/// One bump of the calling thread's counter (none while the thread is
+/// being torn down).
+fn count() {
+    let _ = ACQUISITIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// The system allocator plus one counter bump per acquisition.
 struct CountingAlloc;
 
 // SAFETY: every operation defers directly to `System` with the caller's
 // arguments; the counter bump has no effect on the memory handed out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -41,13 +52,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -56,11 +67,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap acquisitions made while `f` runs.
+/// Heap acquisitions the calling thread makes while `f` runs.
 fn acquisitions(f: impl FnOnce()) -> u64 {
-    let before = ACQUISITIONS.load(Ordering::Relaxed);
+    let before = ACQUISITIONS.with(Cell::get);
     f();
-    ACQUISITIONS.load(Ordering::Relaxed) - before
+    ACQUISITIONS.with(Cell::get) - before
 }
 
 /// The two ways column 0 of a 2 x 2-tile matrix gets eliminated (a tile has
@@ -123,18 +134,28 @@ fn update_tasks_allocate_nothing_in_steady_state() {
             assert_eq!(state.cow_clones(), 0);
 
             // Shared state: per-slot locks, the worker brings the arena.
+            // Fenced (preserving) staging copies each written tile into
+            // one a commit displaced, so once warm it allocates no more
+            // than the swapping path does.
             let shared = SharedFactorState::new(state);
             let mut ws = Workspace::new(b, b);
-            for (&task, want) in
-                (updates.iter().map(|t| (t, 0))).chain(factors.iter().map(|t| (t, T_OUTPUT)))
-            {
-                let mut cycle = || {
-                    let staged = shared.stage(task).unwrap();
-                    shared.commit(staged.compute_with(&mut ws).unwrap());
-                };
-                cycle();
-                let n = acquisitions(|| (0..3).for_each(|_| cycle()));
-                assert_eq!(n, 3 * want, "SharedFactorState, b = {b}: {task:?}");
+            let stagings = [
+                SharedFactorState::stage,
+                SharedFactorState::stage_preserving,
+            ];
+            for (stage, fenced) in stagings.into_iter().zip([false, true]) {
+                for (&task, want) in
+                    (updates.iter().map(|t| (t, 0))).chain(factors.iter().map(|t| (t, T_OUTPUT)))
+                {
+                    let mut cycle = || {
+                        let staged = stage(&shared, task).unwrap();
+                        shared.commit(staged.compute_with(&mut ws).unwrap());
+                    };
+                    cycle();
+                    let n = acquisitions(|| (0..3).for_each(|_| cycle()));
+                    let path = if fenced { "fenced" } else { "unfenced" };
+                    assert_eq!(n, 3 * want, "SharedFactorState {path}, b = {b}: {task:?}");
+                }
             }
             assert_eq!(ws.resizes(), 0, "worker arena grew at b = {b}");
             assert_eq!(shared.cow_clones(), 0);

@@ -60,11 +60,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct Attempt<T: Scalar> {
     /// The task's outputs, awaiting the manager's fenced commit. `None`
     /// when the worker already committed them itself (unfenced mode).
-    pub completed: Option<Box<CompletedTask<T>>>,
-    /// Time inside `stage` (slot lock waits + pointer swaps).
-    pub stage_wait: Duration,
-    /// Time inside the worker-side `commit` (zero when fenced).
-    pub commit_wait: Duration,
+    pub completed: Option<CompletedTask<T>>,
     /// Kernel-only duration — a job's task latency and per-class compute
     /// time (the tuner's probe samples).
     pub compute: Duration,
@@ -87,8 +83,9 @@ pub enum Outcome<T: Scalar> {
 /// for the manager to commit behind [`DagRun`]'s fence. Unfenced, staging
 /// swaps tiles out (zero-copy) and the worker commits its own result — a
 /// failed attempt is then unrecoverable, because its inputs are gone.
-/// `lane` is the worker's recorder plus the run's epoch when tracing.
-/// Panics are caught and reported, never propagated.
+/// `lane` is the worker's recorder plus the run's epoch when tracing; an
+/// untraced attempt reads the clock only around its kernel. Panics are
+/// caught and reported, never propagated.
 pub fn run_attempt<T: Scalar>(
     shared: &SharedFactorState<T>,
     kind: TaskKind,
@@ -110,7 +107,7 @@ pub fn run_attempt<T: Scalar>(
             }
             InjectedFault::Stall(d) => std::thread::sleep(d),
         }
-        let t0 = Instant::now();
+        let t0 = lane.as_ref().map(|_| Instant::now());
         let staged = if fenced {
             shared.stage_preserving(kind)
         } else {
@@ -124,13 +121,13 @@ pub fn run_attempt<T: Scalar>(
             // a driver's poison scan ahead of the commit fence.
             done.poison();
         }
-        let (completed, t_end) = if fenced {
-            (Some(Box::new(done)), t_done)
+        let completed = if fenced {
+            Some(done)
         } else {
             shared.commit(done);
-            (None, Instant::now())
+            None
         };
-        if let Some((rec, epoch)) = lane {
+        if let (Some((rec, epoch)), Some(t0)) = (lane, t0) {
             let (s0, s1, s2) = (
                 ns_at(epoch, t0),
                 ns_at(epoch, t_staged),
@@ -139,14 +136,12 @@ pub fn run_attempt<T: Scalar>(
             rec.record(RawEvent::interval(RawKind::Stage, task, attempt, s0, s1));
             rec.record(RawEvent::interval(RawKind::Compute, task, attempt, s1, s2));
             if !fenced {
-                let s3 = ns_at(epoch, t_end);
+                let s3 = ns_at(epoch, Instant::now());
                 rec.record(RawEvent::interval(RawKind::Commit, task, attempt, s2, s3));
             }
         }
         Ok(Attempt {
             completed,
-            stage_wait: t_staged.duration_since(t0),
-            commit_wait: t_end.duration_since(t_done),
             compute: t_done.duration_since(t_staged),
         })
     }));
@@ -161,8 +156,6 @@ pub fn run_attempt<T: Scalar>(
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
     tasks_per_worker: Vec<u64>,
-    stage_wait: Duration,
-    commit_wait: Duration,
     retries: u64,
     requeues: u64,
     worker_deaths: u64,
@@ -181,6 +174,8 @@ impl Tally {
         }
     }
 
+    /// The report, with no lock wait: the driver reads those off the
+    /// factor state it retires.
     pub(crate) fn into_report(
         self,
         max_ready_depth: usize,
@@ -191,8 +186,8 @@ impl Tally {
         RunReport {
             tasks_per_worker: self.tasks_per_worker,
             elapsed,
-            stage_wait: self.stage_wait,
-            commit_wait: self.commit_wait,
+            stage_wait: Duration::ZERO,
+            commit_wait: Duration::ZERO,
             max_ready_depth,
             retries: self.retries,
             requeues: self.requeues,
@@ -349,19 +344,18 @@ impl DagRun {
         done: Attempt<T>,
     ) -> bool {
         self.settle(expected);
-        self.tally.stage_wait += done.stage_wait;
-        self.tally.commit_wait += done.commit_wait;
         if !self.accepts(t) {
             return false;
         }
         if let Some(outputs) = done.completed {
-            let t0 = Instant::now();
-            shared.commit(*outputs);
-            let t1 = Instant::now();
-            self.tally.commit_wait += t1.duration_since(t0);
+            // Only a traced commit is clocked: its span is the one reader.
             if let Some((rec, epoch)) = self.lane.as_mut() {
-                let (c0, c1) = (ns_at(*epoch, t0), ns_at(*epoch, t1));
+                let c0 = ns_at(*epoch, Instant::now());
+                shared.commit(outputs);
+                let c1 = ns_at(*epoch, Instant::now());
                 rec.record(RawEvent::interval(RawKind::Commit, t, attempt, c0, c1));
+            } else {
+                shared.commit(outputs);
             }
         }
         self.committed[t] = true;

@@ -67,10 +67,12 @@ pub struct RunReport {
     pub tasks_per_worker: Vec<u64>,
     /// Wall-clock duration of the run.
     pub elapsed: std::time::Duration,
-    /// Total time workers spent inside `stage` (slot lock waits + pointer
-    /// swaps), summed across workers.
+    /// Time blocked on a contended tile-slot lock while staging, summed
+    /// across workers; zero when none was contended.
     pub stage_wait: Duration,
-    /// Total time workers spent inside `commit`, summed across workers.
+    /// Time blocked on a contended tile-slot lock while committing, summed
+    /// across workers and the manager's fenced commits; zero when none was
+    /// contended.
     pub commit_wait: Duration,
     /// High-water mark of the ready-set depth.
     pub max_ready_depth: usize,

@@ -1214,8 +1214,8 @@ impl<T: Scalar> Shared<T> {
     /// back for the timer to try again.
     fn retire(&self, core: &mut Core<T>, id: JobId) -> Option<Finished<T>> {
         let mut job = core.jobs.remove(&id)?;
-        let state = match Arc::try_unwrap(job.shared) {
-            Ok(shared) => shared.into_state(),
+        let (lock_waits, state) = match Arc::try_unwrap(job.shared) {
+            Ok(shared) => (shared.lock_waits(), shared.into_state()),
             Err(shared) => {
                 job.shared = shared;
                 core.jobs.insert(id, job);
@@ -1234,7 +1234,8 @@ impl<T: Scalar> Shared<T> {
             ..HotPathCounters::default()
         };
         let elapsed = job.started.map(|s| s.elapsed()).unwrap_or_default();
-        let report = job.run.into_report(elapsed, None, counters);
+        let mut report = job.run.into_report(elapsed, None, counters);
+        (report.stage_wait, report.commit_wait) = lock_waits;
         Some((job.meta, state, report))
     }
 
@@ -1480,7 +1481,7 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
         // last task, the state is then unique and reclaimed on the spot.
         drop(shared);
         let scanned = if let (Outcome::Done(done), true) = (&outcome, is_panel_factor(kind)) {
-            done.completed.as_deref()
+            done.completed.as_ref()
         } else {
             None
         };

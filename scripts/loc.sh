@@ -69,6 +69,11 @@
 #     (`Link::batch_time_us`, one setup per source, destination and panel),
 #     so no per-message overhead or `Platform` pass-through for bus time
 #     comes back anywhere, tests, examples and the benchmark included.
+#   * one copy per fenced write: preserving staging copies into a tile a
+#     commit displaced, the outputs travel to the fence unboxed, and an
+#     attempt times only its kernel (slot-lock waits are timed on the state,
+#     and only when contended) — so no `Box<CompletedTask`, no fresh
+#     `Arc::new` around a read tile, and no per-attempt wait field.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -222,6 +227,11 @@ if hits=$(grep -rnE --include='*.rs' 'message_latency_us|message_time_us|fn (bat
     crates tests examples perf); then
     fail "a second bus regime is back (one batched copy per stream, priced by Link::batch_time_us):" "$hits"
 fi
+expect 0 'Box<CompletedTask|Arc::new\(\(\*self\.read_tile' \
+    "a boxed output or a fresh allocation per fenced tile copy" crates/kernels crates/runtime
+hits=$(non_test crates/runtime/src/engine.rs |
+    awk '/pub struct Attempt[<{ ]/ { on = 1 } on && /(stage|commit)_wait/ { print } on && /:}$/ { on = 0 }')
+[ -z "$hits" ] || fail "Attempt clocks its stage or commit again (slot-lock waits live on the state):" "$hits"
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
