@@ -1087,7 +1087,7 @@ mod tests {
             let (a, st, g) = factor(40, 20, order);
             let t = st.geqrt_factor(0, 0).expect("GEQRT(0,0) ran");
             assert_eq!(t.dims(), (20, 20));
-            assert!(t[(0, 18)] != 0.0, "T's off-diagonal blocks are filled");
+            assert!(t[(18, 0)] != 0.0, "Tᵀ's off-diagonal blocks are filled");
             let q = form_q(&st, &g);
             let qr = matmul(&q, &st.r_matrix()).unwrap();
             assert!(qr.approx_eq(&a, 1e-11), "{order:?}: QR != A");

@@ -16,15 +16,15 @@
 //! otherwise:           factor [s, mid)
 //!                      C ← Q₁ᵀ C for the columns [mid, e)   3 tile products
 //!                      factor [mid, e)
-//!                      T₁₂ = −T₁₁ (U₁ᵀU₂) T₂₂               3 tile products
+//!                      T₁₂ᵀ = −T₂₂ᵀ (U₂ᵀU₁) T₁₁ᵀ            3 tile products
 //! ```
 //!
 //! so all but the `BASE_WIDTH`-wide diagonal blocks of the work runs on
 //! [`micro::gemm_tn`] / [`micro::gemm_nn_sub`]. The output is the format
-//! the update kernels read: one full `n x n` `T`, zeros stored below its
-//! diagonal. The split is a function of the panel width alone, so the
-//! operation sequence — and with it every rounding — is a function of the
-//! tile shape (the determinism contract of [`micro`]).
+//! the update kernels read: one full `n x n` `Tᵀ`, zeros stored above its
+//! diagonal (DESIGN §14). The split is a function of the panel width alone,
+//! so the operation sequence — and with it every rounding — is a function
+//! of the tile shape (the determinism contract of [`micro`]).
 
 use crate::householder::larfg;
 use crate::micro::{self, Cols, Shape};
@@ -146,7 +146,7 @@ impl<T: Scalar> Panel<'_, T> {
             }
         }
 
-        // T[i,k] = −τ_k · Σ_{i ≤ l < k} T[i,l] · (u_lᵀu_k), column by column.
+        // T[i,k] = −τ_k · Σ_{i ≤ l < k} T[i,l] · (u_lᵀu_k), row by row of Tᵀ.
         let rows = self.support(s, e);
         let (g, _, vs) = ws.apply_scratch(pw, pw, self.staged_len(&rows, pw));
         let (u, shape) = self.top.block(self.v, m, s..e, &rows, vs);
@@ -155,8 +155,8 @@ impl<T: Scalar> Panel<'_, T> {
         for k in 1..pw {
             let tau = t[k * n + k];
             for i in 0..k {
-                let dot = (i..k).fold(T::ZERO, |acc, l| acc + t[l * n + i] * g[k * pw + l]);
-                t[k * n + i] = -tau * dot;
+                let dot = (i..k).fold(T::ZERO, |acc, l| acc + t[i * n + l] * g[k * pw + l]);
+                t[i * n + k] = -tau * dot;
             }
         }
     }
@@ -180,7 +180,9 @@ impl<T: Scalar> Panel<'_, T> {
             }
         }
         let t11 = (&self.t[s * n + s..], n);
-        micro::gemm_tn(t11, Shape::Upper, (w, pw), None, (tw, pw), (pw, nc, pw));
+        tw.fill(T::ZERO);
+        micro::gemm_nn_sub(t11, Shape::Lower, (w, pw), (tw, pw), (pw, nc, pw));
+        tw.iter_mut().for_each(|x| *x = -*x);
         if let Top::Square(r1) | Top::Triangle(r1) = &mut self.top {
             for (j, twj) in tw.chunks_exact(pw).enumerate() {
                 let head = &mut r1[(mid + j) * n + s..][..pw];
@@ -190,10 +192,10 @@ impl<T: Scalar> Panel<'_, T> {
         micro::gemm_nn_sub(v1, shape, (tw, pw), (c, m), (rows.len(), nc, pw));
     }
 
-    /// `T[s..mid, mid..e] = −T₁₁ (U₁ᵀU₂) T₂₂`: `Xᵀ = V₂ᵀV₁` over the rows
-    /// both blocks occupy (plus, for `GEQRT`, `U₂`'s unit entries against
-    /// `V₁`, which staging `V₂` with its diagonal provides), `X·T₂₂`, and
-    /// the product with `T₁₁` subtracted from the zeroed block.
+    /// `Tᵀ[mid..e, s..mid] = −T₂₂ᵀ (U₂ᵀU₁) T₁₁ᵀ`: `X = V₁ᵀV₂` over the rows
+    /// both blocks occupy (plus, for `GEQRT`, `V₁` against `U₂`'s unit
+    /// entries, which staging `V₂` with its diagonal provides), `Xᵀ·T₁₁ᵀ`,
+    /// and the product with `T₂₂ᵀ` subtracted from the zeroed block.
     fn merge(&mut self, s: usize, mid: usize, e: usize, ws: &mut Workspace<T>) {
         let (m, n) = (self.m, self.n);
         let (pw, pr) = (mid - s, e - mid);
@@ -202,23 +204,23 @@ impl<T: Scalar> Panel<'_, T> {
         let staged = if let Top::Own = self.top { pr } else { pw };
         let (w, tw, vs) = ws.apply_scratch(pw, pr, self.staged_len(&rows, staged));
         let v = &*self.v;
-        let (v2, shape, v1) = match self.top {
+        let (v1, shape, v2) = match self.top {
             Top::Own => {
-                let (v2, shape) = self.top.block(v, m, mid..e, &rows, vs);
-                (v2, shape, (&v[s * m + rows.start..], m))
+                let (v2, _) = self.top.block(v, m, mid..e, &rows, vs);
+                ((&v[s * m + rows.start..], m), Shape::Dense, v2)
             }
-            Top::Square(_) => ((&v[mid * m..], m), Shape::Dense, (&v[s * m..], m)),
+            Top::Square(_) => ((&v[s * m..], m), Shape::Dense, (&v[mid * m..], m)),
             Top::Triangle(_) => {
-                let (v1, _) = self.top.block(v, m, s..mid, &rows, vs);
-                ((&v[mid * m..], m), Shape::Dense, v1)
+                let (v1, shape) = self.top.block(v, m, s..mid, &rows, vs);
+                (v1, shape, (&v[mid * m..], m))
             }
         };
-        micro::gemm_tn(v2, shape, v1, None, (w, pr), (pr, pw, rows.len()));
-        let t22 = (&self.t[mid * n + mid..], n);
-        micro::gemm_tn((w, pr), Shape::Dense, t22, None, (tw, pw), (pw, pr, pr));
+        micro::gemm_tn(v1, shape, v2, None, (w, pw), (pw, pr, rows.len()));
+        let t11 = (&self.t[s * n + s..], n);
+        micro::gemm_tn((w, pw), Shape::Dense, t11, None, (tw, pr), (pr, pw, pw));
         let (t_left, t_right) = self.t.split_at_mut(mid * n);
-        let (t11, t12) = ((&t_left[s * n + s..], n), (&mut t_right[s..], n));
-        micro::gemm_nn_sub(t11, Shape::Upper, (tw, pw), t12, (pw, pr, pw));
+        let (t22, t21) = ((&t_right[mid..], n), (&mut t_left[s * n + mid..], n));
+        micro::gemm_nn_sub(t22, Shape::Lower, (tw, pr), t21, (pr, pw, pr));
     }
 
     /// Scratch a staged `rows x width` block of `V` needs (none for `TSQRT`).

@@ -20,9 +20,9 @@ use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 ///
 /// `a` is `m x n` with `m >= n`. On exit the upper triangle of `a` is `R`
 /// and the strict lower part stores the Householder vectors. The `n x n`
-/// upper-triangular block-reflector factor `T` is written into `tfac`
-/// (overwritten) and all scratch is borrowed from `ws` — no heap
-/// allocation.
+/// block-reflector factor is written into `tfac` (overwritten) as `Tᵀ`:
+/// lower triangular, zeros stored above the diagonal. All scratch is
+/// borrowed from `ws` — no heap allocation.
 pub fn geqrt_ws<T: Scalar>(
     a: &mut Matrix<T>,
     tfac: &mut Matrix<T>,
@@ -56,9 +56,9 @@ pub fn geqrt_ws<T: Scalar>(
 
 /// Apply the block reflector from [`geqrt_ws`] to `c`.
 ///
-/// `vr` is the factored tile (V below the diagonal), `tfac` its `T` factor
-/// as the factor kernel wrote it (upper triangular, zeros stored below the
-/// diagonal). Computes `c ← Qᵀ c` ([`ApplySide::Transpose`]) or `c ← Q c`
+/// `vr` is the factored tile (V below the diagonal), `tfac` its factor as
+/// the factor kernel wrote it (`Tᵀ`: lower triangular, zeros stored above
+/// the diagonal). Computes `c ← Qᵀ c` ([`ApplySide::Transpose`]) or `c ← Q c`
 /// ([`ApplySide::NoTranspose`]) where `Q = I − V T Vᵀ`. All scratch is
 /// borrowed from `ws` — no heap allocation when the workspace is presized.
 pub fn geqrt_apply_ws<T: Scalar>(
@@ -102,11 +102,11 @@ pub fn geqrt_apply_ws<T: Scalar>(
 ///
 /// ```text
 /// W  = [top +] vᵀ c        micro::gemm_tn
-/// W' = op(T) W             micro::gemm_tn (Tᵀ) / micro::gemm_nn_sub (T)
+/// W' = op(T) W             micro::gemm_nn_sub (Tᵀ) / micro::gemm_tn (T)
 /// top −= W';  c −= v W'    micro::gemm_nn_sub
 /// ```
 ///
-/// `v` is `rows x n` with the zeros `shape` promises, `tfac` is upper
+/// `v` is `rows x n` with the zeros `shape` promises, `tfac` is `Tᵀ`, lower
 /// triangular **with its zeros stored** (what every factor kernel writes),
 /// `w`/`tw` are `n·nc` scratch.
 #[allow(clippy::too_many_arguments)]
@@ -121,22 +121,20 @@ pub(crate) fn apply_reflector<T: Scalar>(
     (w, tw): (&mut [T], &mut [T]),
 ) {
     let n = tfac.rows();
-    let t = (tfac.as_slice(), n);
+    let (t, dims) = ((tfac.as_slice(), n), (n, nc, n));
     let add = top.as_deref().map(|a1| (a1, n));
     micro::gemm_tn(v, shape, (c, ldc), add, (w, n), (n, nc, rows));
     match side {
-        ApplySide::Transpose => micro::gemm_tn(t, Shape::Upper, (w, n), None, (tw, n), (n, nc, n)),
-        ApplySide::NoTranspose => {
+        ApplySide::Transpose => {
             // The one subtracting primitive on a zeroed block, negated.
             tw.fill(T::ZERO);
-            micro::gemm_nn_sub(t, Shape::Upper, (w, n), (tw, n), (n, nc, n));
+            micro::gemm_nn_sub(t, Shape::Lower, (w, n), (tw, n), dims);
             tw.iter_mut().for_each(|x| *x = -*x);
         }
+        ApplySide::NoTranspose => micro::gemm_tn(t, Shape::Lower, (w, n), None, (tw, n), dims),
     }
     if let Some(a1) = top {
-        for (a, &x) in a1.iter_mut().zip(tw.iter()) {
-            *a -= x;
-        }
+        a1.iter_mut().zip(&*tw).for_each(|(a, &x)| *a -= x);
     }
     micro::gemm_nn_sub(v, shape, (tw, n), (c, ldc), (rows, nc, n));
 }
@@ -217,12 +215,47 @@ mod tests {
     }
 
     #[test]
-    fn tfac_is_upper_triangular() {
-        let mut a = random_matrix::<f64>(6, 6, 3);
-        let t = factor(&mut a, &mut Workspace::new(6, 6)).unwrap();
-        for j in 0..6 {
-            for i in j + 1..6 {
-                assert_eq!(t[(i, j)], 0.0);
+    fn tfac_is_stored_transposed() {
+        // Every factor kernel writes `Tᵀ`: lower triangular, zeros stored
+        // strictly above the diagonal, and its update kernel inverts
+        // itself through it. The TT tile keeps foreign data below its
+        // diagonal, as a tile that went through `GEQRT` does.
+        use crate::{tsmqr_apply_ws, tsqrt_ws, ttmqr_apply_ws, ttqrt_ws};
+        for b in [1usize, 7, 16, 17, 64] {
+            let ws = &mut Workspace::new(b, b);
+            for kernel in ["geqrt", "tsqrt", "ttqrt"] {
+                let seed = 40 * b as u64;
+                let mut v = random_matrix::<f64>(b, b, seed);
+                let mut r1 = random_matrix::<f64>(b, b, seed + 1).upper_triangular();
+                let mut t = Matrix::filled(b, b, f64::NAN);
+                match kernel {
+                    "geqrt" => geqrt_ws(&mut v, &mut t, ws),
+                    "tsqrt" => tsqrt_ws(&mut r1, &mut v, &mut t, ws),
+                    _ => ttqrt_ws(&mut r1, &mut v, &mut t, ws),
+                }
+                .unwrap();
+                for j in 0..b {
+                    for i in 0..j {
+                        assert_eq!(t[(i, j)], 0.0, "{kernel} b={b}: Tᵀ[{i},{j}]");
+                    }
+                }
+                // (A square GEQRT's last reflector is the identity.)
+                assert!(b == 1 || t[(b - 2, 0)] != 0.0, "{kernel} b={b}: T₀,ₙ₋₂");
+                let (c1_0, c2_0) = (random_matrix(b, 5, seed + 2), random_matrix(b, 5, seed + 3));
+                let (mut c1, mut c2) = (c1_0.clone(), c2_0.clone());
+                for side in [ApplySide::Transpose, ApplySide::NoTranspose] {
+                    match kernel {
+                        "geqrt" => geqrt_apply_ws(&v, &t, &mut c2, side, ws),
+                        "tsqrt" => tsmqr_apply_ws(&v, &t, &mut c1, &mut c2, side, ws),
+                        _ => ttmqr_apply_ws(&v, &t, &mut c1, &mut c2, side, ws),
+                    }
+                    .unwrap();
+                }
+                let ctx = format!("{kernel} b={b}: Q(QᵀC) != C");
+                assert!(
+                    c1.approx_eq(&c1_0, 1e-12) && c2.approx_eq(&c2_0, 1e-12),
+                    "{ctx}"
+                );
             }
         }
     }

@@ -28,10 +28,10 @@ use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 /// `CORE_tsqrt`).
 ///
 /// `r1` is `n x n` (upper triangular on entry and exit); `a2` is `m2 x n`
-/// and on exit stores the Householder block `V2`. The `n x n`
-/// upper-triangular `T` factor of the block reflector `Q = I − V T Vᵀ`
-/// with `V = [I; V2]` is written into `tfac` (overwritten) and all scratch
-/// is borrowed from `ws` — no heap allocation.
+/// and on exit stores the Householder block `V2`. The `n x n` factor of
+/// the block reflector `Q = I − V T Vᵀ` with `V = [I; V2]` is written into
+/// `tfac` (overwritten) as `Tᵀ`: lower triangular, zeros stored above the
+/// diagonal. All scratch is borrowed from `ws` — no heap allocation.
 pub fn tsqrt_ws<T: Scalar>(
     r1: &mut Matrix<T>,
     a2: &mut Matrix<T>,
@@ -72,8 +72,8 @@ pub fn tsqrt_ws<T: Scalar>(
 /// update-for-elimination step `TSMQR` (Eq. 9).
 ///
 /// `v2` is the Householder block stored where the eliminated tile was,
-/// `tfac` the `T` factor as [`tsqrt_ws`] wrote it (upper triangular, zeros
-/// stored below the diagonal). `a1` is `n x nc`, `a2` is `m2 x nc`. All
+/// `tfac` the factor as [`tsqrt_ws`] wrote it (`Tᵀ`: lower triangular,
+/// zeros stored above the diagonal). `a1` is `n x nc`, `a2` is `m2 x nc`. All
 /// scratch is borrowed from `ws`. The three products — `W = A1 + V2ᵀA2`,
 /// `op(T)·W`, `A2 −= V2·W` — run as level-3 register tiles straight off
 /// the tile storage: `V2`'s columns are contiguous, so nothing is packed.
@@ -85,8 +85,8 @@ pub fn tsmqr_apply_ws<T: Scalar>(
     side: ApplySide,
     ws: &mut Workspace<T>,
 ) -> Result<()> {
-    let n = tfac.rows();
-    if v2.cols() != n || a1.rows() != n || a2.rows() != v2.rows() || a1.cols() != a2.cols() {
+    let n = v2.cols();
+    if tfac.dims() != (n, n) || a1.rows() != n || a2.rows() != v2.rows() || a1.cols() != a2.cols() {
         return Err(MatrixError::DimensionMismatch {
             op: "tsmqr (shapes)",
             lhs: v2.dims(),
@@ -265,6 +265,11 @@ mod tests {
         let mut a2_bad = Matrix::<f64>::zeros(5, 2);
         assert!(
             tsmqr_apply_ws(&v2, &t, &mut a1_ok, &mut a2_bad, ApplySide::Transpose, ws).is_err()
+        );
+        // A factor one column short is an error, not a panic.
+        let t43 = Matrix::<f64>::zeros(4, 3);
+        assert!(
+            tsmqr_apply_ws(&v2, &t43, &mut a1_ok, &mut a2_ok, ApplySide::Transpose, ws).is_err()
         );
     }
 

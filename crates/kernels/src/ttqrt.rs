@@ -22,9 +22,9 @@ use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 ///
 /// Both tiles are `n x n`. On exit `r1` holds the merged triangular factor
 /// and the upper triangle of `r2` stores the (triangular) Householder block
-/// `V2`. The `n x n` `T` factor with `Q = I − V T Vᵀ`, `V = [I; V2]`, is
-/// written into `tfac` (overwritten) and all scratch is borrowed from `ws`
-/// — no heap allocation.
+/// `V2`. `Tᵀ` of `Q = I − V T Vᵀ`, `V = [I; V2]`, is written into `tfac`
+/// (overwritten; lower triangular, zeros stored above the diagonal) and
+/// all scratch is borrowed from `ws` — no heap allocation.
 pub fn ttqrt_ws<T: Scalar>(
     r1: &mut Matrix<T>,
     r2: &mut Matrix<T>,
@@ -63,8 +63,8 @@ pub fn ttqrt_ws<T: Scalar>(
 /// Apply the block reflector from [`ttqrt_ws`] to a stacked pair
 /// `[a1; a2]`, exploiting the triangular structure of `v2` — with
 /// [`ApplySide::Transpose`] this is the TT update-for-elimination step
-/// `TTMQR`. `tfac` is the `T` factor as [`ttqrt_ws`] wrote it (upper
-/// triangular, zeros stored below the diagonal). All scratch is borrowed
+/// `TTMQR`. `tfac` is the factor as [`ttqrt_ws`] wrote it (`Tᵀ`: lower
+/// triangular, zeros stored above the diagonal). All scratch is borrowed
 /// from `ws` — no heap allocation. Below its diagonal the `v2` tile still
 /// holds the `GEQRT` reflectors of that tile, so its upper triangle is
 /// staged once into the workspace with the zeros written out (`n²` copies
@@ -78,7 +78,7 @@ pub fn ttmqr_apply_ws<T: Scalar>(
     ws: &mut Workspace<T>,
 ) -> Result<()> {
     let n = tfac.rows();
-    if v2.dims() != (n, n) || a1.rows() != n || a2.rows() != n || a1.cols() != a2.cols() {
+    if v2.dims() != (n, n) || tfac.cols() != n || a1.rows() != n || a1.dims() != a2.dims() {
         return Err(MatrixError::DimensionMismatch {
             op: "ttmqr (shapes)",
             lhs: v2.dims(),
@@ -245,6 +245,10 @@ mod tests {
         let mut a1 = Matrix::<f64>::zeros(4, 2);
         let mut a2 = Matrix::<f64>::zeros(3, 2);
         assert!(ttmqr_apply_ws(&v2, &t, &mut a1, &mut a2, ApplySide::Transpose, ws).is_err());
+        // A factor one column short is an error, not a panic.
+        let t43 = Matrix::<f64>::zeros(4, 3);
+        let mut a2 = Matrix::<f64>::zeros(4, 2);
+        assert!(ttmqr_apply_ws(&v2, &t43, &mut a1, &mut a2, ApplySide::Transpose, ws).is_err());
     }
 
     #[test]

@@ -241,7 +241,7 @@ enum Kernel {
 }
 
 /// A factor kernel's result in dense form: the stacked input, `U` (unit
-/// entries written out), `T`, and the stacked output `[R; 0]`.
+/// entries written out), `Tᵀ` as stored, and the stacked output `[R; 0]`.
 struct Factored {
     input: Matrix<f64>,
     u: Matrix<f64>,
@@ -417,25 +417,27 @@ fn check_factored(what: &str, f: &Factored, eps: f64) {
         f.t.all_finite() && f.u.all_finite() && f.r.all_finite(),
         "{what}: non-finite output"
     );
+    // The kernels store `Tᵀ`.
+    let t = f.t.transpose();
     for j in 0..n {
         for i in j + 1..n {
-            // `Shape::Upper` is a promise about stored values.
+            // `Shape::Lower` is a promise about stored values.
             assert!(
-                f.t[(i, j)] == 0.0,
+                t[(i, j)] == 0.0,
                 "{what}: T[{i},{j}] = {} below the diagonal",
-                f.t[(i, j)]
+                t[(i, j)]
             );
         }
     }
-    let want = larft_reference(&f.u, &f.t);
-    let err = frobenius_norm(&f.t.sub(&want).unwrap());
+    let want = larft_reference(&f.u, &t);
+    let err = frobenius_norm(&t.sub(&want).unwrap());
     assert!(
         err <= 1e-13 * eps * n as f64,
         "{what}: T off its larft reference by {err:e}"
     );
 
     // Q = I − U T Uᵀ, dense.
-    let ut = matmul(&f.u, &f.t).unwrap();
+    let ut = matmul(&f.u, &t).unwrap();
     let q = Matrix::identity(rows)
         .sub(&matmul(&ut, &f.u.transpose()).unwrap())
         .unwrap();

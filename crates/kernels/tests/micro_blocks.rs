@@ -22,7 +22,8 @@
 //! a cube of shapes that straddles every tile edge of every core, and the
 //! update kernels built on them are held to `apply_q ∘ apply_qt = I` and
 //! `QᵀA = R` for TS, TT and GEQRT factors, at tile widths on both sides of
-//! the factor kernels' recursion threshold.
+//! the factor kernels' recursion threshold and at the paper's 16, in `f64`
+//! and `f32`.
 
 use std::sync::Mutex;
 use tileqr_kernels::micro::{
@@ -458,41 +459,54 @@ fn gemm_tiles_match_naive_over_the_shape_cube() {
     unpin();
 }
 
-/// `‖a − b‖_max` over two equal-shape matrices.
-fn max_diff(a: &Matrix<f64>, b: &Matrix<f64>) -> f64 {
+/// `‖a − b‖_max` over two equal-shape matrices, in `f64`.
+fn max_diff<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> f64 {
     assert_eq!(a.dims(), b.dims());
     let pairs = a.as_slice().iter().zip(b.as_slice());
-    pairs.map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+    pairs
+        .map(|(x, y)| (x.to_f64() - y.to_f64()).abs())
+        .fold(0.0, f64::max)
 }
 
-/// The column counts the update kernels are swept over at tile size `b`.
+/// Tile sizes the update kernels are swept at: both sides of the factor
+/// recursion's threshold, the paper's 16 and its ragged neighbour 17.
+const TILES: [usize; 9] = [1, 3, 8, 10, 12, 16, 17, 20, 64];
+
+/// The column counts the update kernels are swept over at tile size `b`:
+/// the solve's one column, `apply_qt`'s few and a trailing update's `b`.
 fn widths_at(b: usize) -> [usize; 5] {
     [1, 3, 4, 5, b]
 }
 
+/// Round-trip budget at tile size `b`, scaled by the element type's `ε`.
+fn tol_at<T: Scalar>(b: usize) -> f64 {
+    1e-13 * (b as f64).max(4.0) * T::EPSILON.to_f64() / f64::EPSILON
+}
+
 /// TS and TT pair updates: `Qᵀ[R1; A2] = [R; 0]` and `Q(QᵀC) = C`, with the
 /// eliminated TT tile carrying foreign data below its diagonal (as a tile
-/// that went through `GEQRT` does).
+/// that went through `GEQRT` does), in `f64` and in `f32`.
 #[test]
 fn pair_updates_invert_and_triangularize() {
     let _guard = BACKEND_LOCK.lock().unwrap();
     for core in cores() {
         core.set();
-        pair_updates(core.name);
+        pair_updates::<f64>(core.name);
+        pair_updates::<f32>(core.name);
     }
     unpin();
 }
 
-fn pair_updates(core: &str) {
-    for &b in &[1usize, 3, 8, 10, 12, 20, 64] {
-        let tol = 1e-13 * (b as f64).max(4.0);
-        let ws = &mut Workspace::new(b, b);
-        let r1_0 = random_matrix::<f64>(b, b, 500 + b as u64).upper_triangular();
-        let below_0 = random_matrix::<f64>(b, b, 600 + b as u64);
+fn pair_updates<T: Scalar>(core: &str) {
+    for b in TILES {
+        let tol = tol_at::<T>(b);
+        let ws = &mut Workspace::<T>::new(b, b);
+        let r1_0 = random_matrix::<T>(b, b, 500 + b as u64).upper_triangular();
+        let below_0 = random_matrix::<T>(b, b, 600 + b as u64);
         for tt in [false, true] {
             let (mut r1, mut v2) = (r1_0.clone(), below_0.clone());
             let mut tfac = Matrix::zeros(b, b);
-            let (apply, eliminated): (ApplyPair, _) = if tt {
+            let (apply, eliminated): (ApplyPair<T>, _) = if tt {
                 ttqrt_ws(&mut r1, &mut v2, &mut tfac, ws).unwrap();
                 (ttmqr_apply_ws, below_0.upper_triangular())
             } else {
@@ -510,8 +524,8 @@ fn pair_updates(core: &str) {
                 "{core}: QᵀA bottom, b={b} tt={tt}"
             );
             for nc in widths_at(b) {
-                let c1_0 = random_matrix::<f64>(b, nc, 700 + nc as u64);
-                let c2_0 = random_matrix::<f64>(b, nc, 800 + nc as u64);
+                let c1_0 = random_matrix::<T>(b, nc, 700 + nc as u64);
+                let c2_0 = random_matrix::<T>(b, nc, 800 + nc as u64);
                 let (mut c1, mut c2) = (c1_0.clone(), c2_0.clone());
                 apply(&v2, &tfac, &mut c1, &mut c2, ApplySide::Transpose, ws).unwrap();
                 apply(&v2, &tfac, &mut c1, &mut c2, ApplySide::NoTranspose, ws).unwrap();
@@ -523,31 +537,32 @@ fn pair_updates(core: &str) {
     }
 }
 
-type ApplyPair = fn(
-    &Matrix<f64>,
-    &Matrix<f64>,
-    &mut Matrix<f64>,
-    &mut Matrix<f64>,
+type ApplyPair<T> = fn(
+    &Matrix<T>,
+    &Matrix<T>,
+    &mut Matrix<T>,
+    &mut Matrix<T>,
     ApplySide,
-    &mut Workspace<f64>,
+    &mut Workspace<T>,
 ) -> tileqr_matrix::Result<()>;
 
-/// GEQRT panels: `QᵀA = R` and `Q(QᵀC) = C`.
+/// GEQRT panels: `QᵀA = R` and `Q(QᵀC) = C`, in `f64` and in `f32`.
 #[test]
 fn panel_updates_invert_and_triangularize() {
     let _guard = BACKEND_LOCK.lock().unwrap();
     for core in cores() {
         core.set();
-        panel_updates(core.name);
+        panel_updates::<f64>(core.name);
+        panel_updates::<f32>(core.name);
     }
     unpin();
 }
 
-fn panel_updates(core: &str) {
-    for &b in &[1usize, 3, 8, 10, 12, 20, 64] {
-        let tol = 1e-13 * (b as f64).max(4.0);
-        let ws = &mut Workspace::new(b, b);
-        let a0 = random_matrix::<f64>(b, b, 900 + b as u64);
+fn panel_updates<T: Scalar>(core: &str) {
+    for b in TILES {
+        let tol = tol_at::<T>(b);
+        let ws = &mut Workspace::<T>::new(b, b);
+        let a0 = random_matrix::<T>(b, b, 900 + b as u64);
         let mut vr = a0.clone();
         let mut tfac = Matrix::zeros(b, b);
         geqrt_ws(&mut vr, &mut tfac, ws).unwrap();
@@ -558,7 +573,7 @@ fn panel_updates(core: &str) {
             "{core}: QᵀA = R, b={b}"
         );
         for nc in widths_at(b) {
-            let c0 = random_matrix::<f64>(b, nc, 950 + nc as u64);
+            let c0 = random_matrix::<T>(b, nc, 950 + nc as u64);
             let mut c = c0.clone();
             geqrt_apply_ws(&vr, &tfac, &mut c, ApplySide::Transpose, ws).unwrap();
             geqrt_apply_ws(&vr, &tfac, &mut c, ApplySide::NoTranspose, ws).unwrap();

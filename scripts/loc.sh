@@ -26,7 +26,10 @@
 #     type: no `f64`-only gate (`fn supported`, which tested `TypeId`) and
 #     no load-mask table (`TAIL_MASK`) beside the native masks;
 #   * one apply path: the update kernels are the level-3 register tiles, so
-#     the level-1.5 sweeps they replaced stay deleted;
+#     the level-1.5 sweeps they replaced stay deleted; and Qᵀ applies
+#     multiply by a stored Tᵀ: the factor kernels write `Tᵀ` (lower
+#     triangular), so `TᵀW` is an outer-product tile and no kernel hands the
+#     factor to a tile as an upper-triangular operand again;
 #   * one factor path: GEQRT/TSQRT/TTQRT share one recursive routine with
 #     one reflector loop (`larfg` has one call site in the kernels),
 #     and the inner block size is derived, not an option — no `ib` knob, no
@@ -167,6 +170,8 @@ expect 0 'fn supported\b|TAIL_MASK' \
     "the f64-only vector gate / the AVX2 tail-mask table (one generic vector body)" crates/kernels
 expect 0 '\b(axpyf_sub|axpyf_tri_sub|axpyf_lo_sub|dotf_lo|apply_tfac_in_place)\b' \
     "level-1.5 apply primitives (the update kernels are gemm_tn/gemm_nn_sub tiles)" crates/kernels
+expect 0 '\(t[0-9]*, Shape::Upper' \
+    "Qᵀ applies multiply by a stored Tᵀ (the factor \`t\`/\`t11\`/\`t22\` as a Shape::Upper operand)" crates/kernels
 
 # Tests and benches count for the knob, like the `simd` feature above.
 if hits=$(grep -rnE 'geqrt_ib|PanelFactor|inner_block|with_inner_block' crates --include='*.rs' --include=Cargo.toml); then
