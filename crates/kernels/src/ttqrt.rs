@@ -10,9 +10,8 @@
 //! arithmetic, and unlike TSQRT its updates to different row pairs commute,
 //! which is what enables reduction trees.
 
-use crate::factor::{stage_upper, Panel, Top};
-use crate::geqrt::apply_reflector;
-use crate::micro::Shape;
+use crate::factor::{Panel, Top};
+use crate::geqrt::pair_update;
 use crate::workspace::Workspace;
 use crate::ApplySide;
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
@@ -77,20 +76,7 @@ pub fn ttmqr_apply_ws<T: Scalar>(
     side: ApplySide,
     ws: &mut Workspace<T>,
 ) -> Result<()> {
-    let n = tfac.rows();
-    if v2.dims() != (n, n) || tfac.cols() != n || a1.rows() != n || a1.dims() != a2.dims() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "ttmqr (shapes)",
-            lhs: v2.dims(),
-            rhs: a1.dims(),
-        });
-    }
-    let nc = a1.cols();
-    let (w, tw, vs) = ws.apply_scratch(n, nc, n * n);
-    stage_upper(v2.as_slice(), n, 0..n, vs);
-    let (v, top, c) = ((&*vs, n), a1.as_mut_slice(), (a2.as_mut_slice(), n));
-    apply_reflector(v, Shape::Upper, tfac, Some(top), c, (n, nc), side, (w, tw));
-    Ok(())
+    pair_update(v2, None, tfac, a1, a2, side, true, ws)
 }
 
 #[cfg(test)]

@@ -29,7 +29,13 @@
 #     the level-1.5 sweeps they replaced stay deleted; and Qᵀ applies
 #     multiply by a stored Tᵀ: the factor kernels write `Tᵀ` (lower
 #     triangular), so `TᵀW` is an outer-product tile and no kernel hands the
-#     factor to a tile as an upper-triangular operand again;
+#     factor to a tile as an upper-triangular operand again; and
+#     factorization updates multiply by a stored −V₂ᵀ: an elimination task
+#     with two or more trailing updates leaves `−V₂ᵀ` for them, and
+#     `StagedTask::compute_with`
+#     forms their `W` on the outer-product tile and never reaches the
+#     public `tsmqr_apply_ws` / `ttmqr_apply_ws` (the dot-product form
+#     every apply after the factorization keeps);
 #   * one factor path: GEQRT/TSQRT/TTQRT share one recursive routine with
 #     one reflector loop (`larfg` has one call site in the kernels),
 #     and the inner block size is derived, not an option — no `ib` knob, no
@@ -172,6 +178,10 @@ expect 0 '\b(axpyf_sub|axpyf_tri_sub|axpyf_lo_sub|dotf_lo|apply_tfac_in_place)\b
     "level-1.5 apply primitives (the update kernels are gemm_tn/gemm_nn_sub tiles)" crates/kernels
 expect 0 '\(t[0-9]*, Shape::Upper' \
     "Qᵀ applies multiply by a stored Tᵀ (the factor \`t\`/\`t11\`/\`t22\` as a Shape::Upper operand)" crates/kernels
+hits=$(non_test crates/kernels/src/exec.rs |
+    awk '/fn compute_with\(/ { on = 1 } on { print } on && /:    }$/ { on = 0 }' |
+    grep -E '\b(tsmqr|ttmqr)_apply_ws\b' || true)
+[ -z "$hits" ] || fail "factorization updates multiply by a stored −V₂ᵀ (StagedTask::compute_with reaches the public pair-update entry):" "$hits"
 
 # Tests and benches count for the knob, like the `simd` feature above.
 if hits=$(grep -rnE 'geqrt_ib|PanelFactor|inner_block|with_inner_block' crates --include='*.rs' --include=Cargo.toml); then
