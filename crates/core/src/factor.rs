@@ -106,7 +106,7 @@ impl<T: Scalar> TiledQr<T> {
 
     /// Materialize the orthogonal factor `Q` (`rows x rows`).
     pub fn q(&self) -> Result<Matrix<T>> {
-        let (pm, _) = self.state.tiles().padded_dims();
+        let (pm, _) = self.state.padded_dims();
         let mut q = Matrix::identity(pm);
         apply_q_dense(&self.state, &self.graph, &mut q)?;
         q.submatrix(0, 0, self.rows, self.rows)
@@ -136,7 +136,7 @@ impl<T: Scalar> TiledQr<T> {
                 rhs: c.dims(),
             });
         }
-        let (pm, _) = self.state.tiles().padded_dims();
+        let (pm, _) = self.state.padded_dims();
         let mut out = Matrix::zeros(pm, c.cols());
         out.set_submatrix(0, 0, c)?;
         Ok(out)

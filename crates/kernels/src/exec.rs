@@ -11,16 +11,14 @@
 //!    (written) and `Arc`-shared (read) data,
 //! 3. [`FactorState::commit`] — put results back (pointer swaps again).
 //!
-//! `T` factors live in dense `Vec`s indexed by tile: a `GEQRT` factor by its
-//! panel tile `(i, k)`, an elimination factor by its eliminated tile
-//! `(i, k)`, which fixes the pivot `p` (stored alongside: row `i` is
-//! eliminated once per panel in every elimination order), and `−V₂ᵀ` while
-//! its updates run (DESIGN §13).
-//!
-//! [`SharedFactorState`] is the parallel counterpart: the same data behind
-//! *per-slot* mutexes so independent tasks stage and commit concurrently.
-//! [`FactorState::execute`] chains the phases for sequential use. After a
-//! [`TaskGraph`] has run, [`apply_qt_dense`] / [`apply_q_dense`] replay the
+//! Every tile and `T` factor sits in its own mutex slot, dense-indexed by
+//! tile: a `GEQRT` factor by its panel tile `(i, k)`, an elimination factor
+//! by its eliminated tile `(i, k)`, which fixes the pivot `p` (stored
+//! alongside), and `−V₂ᵀ` while its updates run (DESIGN §13). One stage
+//! body and one commit body reach the slots two ways (DESIGN §9): under
+//! `&mut self` (`execute`, `run_all`) through `Mutex::get_mut`, with no
+//! lock; under `&self` (a parallel runtime's workers) by locking only the
+//! slots the task touches. [`apply_qt_dense`] / [`apply_q_dense`] replay the
 //! factor kernels over a dense right-hand side in program order, so `Q`
 //! does not depend on the (nondeterministic) parallel schedule.
 
@@ -28,6 +26,7 @@ use crate::factor::store_neg_transpose;
 use crate::geqrt::pair_update;
 use crate::workspace::Workspace;
 use crate::{geqrt_apply_ws, geqrt_ws, tsqrt_ws, ttqrt_ws, ApplySide};
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -41,7 +40,7 @@ use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
 /// the clone fallback only fires if an external handle is still alive, and
 /// every such full-tile copy is counted — it is the copy-on-write slow
 /// path the runtime surfaces as `RunReport::cow_clones`.
-fn unique<T: Scalar>(mut a: Arc<Matrix<T>>, cow: &AtomicU64) -> Arc<Matrix<T>> {
+fn unique<T: Scalar>(mut a: Tile<T>, cow: &AtomicU64) -> Tile<T> {
     if Arc::get_mut(&mut a).is_none() {
         cow.fetch_add(1, Ordering::Relaxed);
         a = Arc::new((*a).clone());
@@ -50,30 +49,17 @@ fn unique<T: Scalar>(mut a: Arc<Matrix<T>>, cow: &AtomicU64) -> Arc<Matrix<T>> {
 }
 
 /// Write access to a tile staged by [`unique`] (or freshly cloned by
-/// `stage_preserving`): the task holds its only handle until commit.
-fn owned<T: Scalar>(a: &mut Arc<Matrix<T>>) -> &mut Matrix<T> {
+/// `stage_preserving`, or a spare): the task holds its only handle until
+/// commit.
+fn owned<T: Scalar>(a: &mut Tile<T>) -> &mut Matrix<T> {
     Arc::get_mut(a).expect("a staged tile has one handle")
 }
 
-/// Tiles a fenced commit displaced and spent `−V₂ᵀ` blocks, kept while
-/// nothing else holds them: staged copies and new blocks reuse these.
-type Spares<T> = Mutex<Vec<Arc<Matrix<T>>>>;
+/// A tile's handle: shared to read, unique to write.
+type Tile<T> = Arc<Matrix<T>>;
 
-/// A spare tile, or a fresh copy of the all-zero placeholder.
-fn spare_tile<T: Scalar>(spare: &Spares<T>, empty: &Matrix<T>) -> Arc<Matrix<T>> {
-    let tile = spare.lock().expect("spare tiles poisoned").pop();
-    tile.unwrap_or_else(|| Arc::new(empty.clone()))
-}
-
-/// Keep `tile` as a spare if no other handle holds it (out of its slot, it gains none).
-fn recycle<T: Scalar>(spare: &Spares<T>, tile: Option<Arc<Matrix<T>>>) {
-    if let Some(tile) = tile.filter(|t| Arc::strong_count(t) == 1) {
-        spare.lock().expect("spare tiles poisoned").push(tile);
-    }
-}
-
-/// Lock a slot of a [`SharedFactorState`]. The uncontended fast path reads
-/// no clock; only a lock that blocks is timed, into `wait_ns`.
+/// Lock a slot for a body run under `&self`. The uncontended fast path
+/// reads no clock; only a lock that blocks is timed, into `wait_ns`.
 fn lock_slot<'a, X>(slot: &'a Mutex<X>, wait_ns: &AtomicU64) -> MutexGuard<'a, X> {
     if let Ok(guard) = slot.try_lock() {
         return guard;
@@ -84,9 +70,14 @@ fn lock_slot<'a, X>(slot: &'a Mutex<X>, wait_ns: &AtomicU64) -> MutexGuard<'a, X
     guard
 }
 
-/// The value of a slot no thread can hold any more.
-fn inner<X>(slot: Mutex<X>) -> X {
-    slot.into_inner().expect("no poisoned slots")
+/// A slot's value, read under its lock outside any stage or commit.
+fn read<X: Clone>(slot: &Mutex<X>) -> X {
+    slot.lock().expect("slot poisoned").clone()
+}
+
+/// A slot under `&mut`: no lock, no atomic.
+fn exclusive<X>(slot: &mut Mutex<X>) -> &mut X {
+    slot.get_mut().expect("slot poisoned")
 }
 
 /// An elimination `T` factor, its pivot row and, for a factor with two or
@@ -94,54 +85,247 @@ fn inner<X>(slot: Mutex<X>) -> X {
 #[derive(Debug, Clone)]
 struct ElimFactor<T: Scalar> {
     p: usize,
-    tfac: Arc<Matrix<T>>,
-    vt: Option<Arc<Matrix<T>>>,
+    tfac: Tile<T>,
+    vt: Option<Tile<T>>,
     pending: usize,
 }
 
-impl<T: Scalar> ElimFactor<T> {
-    /// One trailing update committed: the last one takes `−V₂ᵀ` out.
-    fn settle(&mut self) -> Option<Arc<Matrix<T>>> {
-        self.pending = self.pending.saturating_sub(1);
-        self.vt.take_if(|_| self.pending == 0)
+/// One trailing update of the factor in `slot` committed: the last one takes
+/// `−V₂ᵀ` out.
+fn settle<T: Scalar>(slot: &mut Option<ElimFactor<T>>) -> Option<Tile<T>> {
+    let e = slot.as_mut()?;
+    e.pending = e.pending.saturating_sub(1);
+    e.vt.take_if(|_| e.pending == 0)
+}
+
+/// Every tile and factor in its own slot, dense-indexed by tile `i*nt+j`,
+/// and the spare list.
+#[derive(Debug)]
+struct Slots<T: Scalar> {
+    tiles: Vec<Mutex<Tile<T>>>,
+    /// `T` factors of `GEQRT`, by the factored tile.
+    geqrt_t: Vec<Mutex<Option<Tile<T>>>>,
+    /// `T` factors of `TSQRT`/`TTQRT`, by the *eliminated* tile (which
+    /// determines the pivot `p`, stored alongside).
+    elim_t: Vec<Mutex<Option<ElimFactor<T>>>>,
+    /// Tiles a fenced commit displaced and spent `−V₂ᵀ` blocks that nothing
+    /// else holds: staged copies, `T` outputs and new blocks reuse these.
+    spare: Mutex<Vec<Tile<T>>>,
+}
+
+/// How the stage and commit bodies reach a slot: [`Slots`] itself under
+/// `&mut` (no lock), or [`Locked`].
+trait Road<T: Scalar> {
+    fn tile(&mut self, idx: usize) -> impl DerefMut<Target = Tile<T>> + '_;
+    fn geqrt(&mut self, idx: usize) -> impl DerefMut<Target = Option<Tile<T>>> + '_;
+    fn elim(&mut self, idx: usize) -> impl DerefMut<Target = Option<ElimFactor<T>>> + '_;
+    fn spare(&mut self) -> impl DerefMut<Target = Vec<Tile<T>>> + '_;
+}
+
+impl<T: Scalar> Road<T> for Slots<T> {
+    fn tile(&mut self, idx: usize) -> impl DerefMut<Target = Tile<T>> + '_ {
+        exclusive(&mut self.tiles[idx])
+    }
+    fn geqrt(&mut self, idx: usize) -> impl DerefMut<Target = Option<Tile<T>>> + '_ {
+        exclusive(&mut self.geqrt_t[idx])
+    }
+    fn elim(&mut self, idx: usize) -> impl DerefMut<Target = Option<ElimFactor<T>>> + '_ {
+        exclusive(&mut self.elim_t[idx])
+    }
+    fn spare(&mut self) -> impl DerefMut<Target = Vec<Tile<T>>> + '_ {
+        exclusive(&mut self.spare)
     }
 }
 
-/// Mutable factorization state: the tiled matrix plus reflector factors.
+/// The slots under `&self`: each one locked on its own, a lock that blocks
+/// timed into the counter.
+struct Locked<'a, T: Scalar>(&'a Slots<T>, &'a AtomicU64);
+
+impl<T: Scalar> Road<T> for Locked<'_, T> {
+    fn tile(&mut self, idx: usize) -> impl DerefMut<Target = Tile<T>> + '_ {
+        lock_slot(&self.0.tiles[idx], self.1)
+    }
+    fn geqrt(&mut self, idx: usize) -> impl DerefMut<Target = Option<Tile<T>>> + '_ {
+        lock_slot(&self.0.geqrt_t[idx], self.1)
+    }
+    fn elim(&mut self, idx: usize) -> impl DerefMut<Target = Option<ElimFactor<T>>> + '_ {
+        lock_slot(&self.0.elim_t[idx], self.1)
+    }
+    fn spare(&mut self) -> impl DerefMut<Target = Vec<Tile<T>>> + '_ {
+        self.0.spare.lock().expect("spare tiles poisoned")
+    }
+}
+
+/// Keep `tile` as a spare if no other handle holds it (out of its slot, it gains none).
+fn recycle<T: Scalar>(road: &mut impl Road<T>, tile: Option<Tile<T>>) {
+    if let Some(tile) = tile.filter(|t| Arc::strong_count(t) == 1) {
+        road.spare().push(tile);
+    }
+}
+
+/// What the stage and commit bodies read and never replace.
 #[derive(Debug)]
-pub struct FactorState<T: Scalar> {
-    tiles: TiledMatrix<T>,
-    nt: usize,
-    /// `T` factors of `GEQRT`, dense-indexed by the factored tile `i*nt+k`.
-    geqrt_t: Vec<Option<Arc<Matrix<T>>>>,
-    /// `T` factors of `TSQRT`/`TTQRT`, dense-indexed by the *eliminated*
-    /// tile `i*nt+k` (which determines the pivot `p`, stored alongside).
-    elim_t: Vec<Option<ElimFactor<T>>>,
+struct Frame<T: Scalar> {
+    /// The geometry: every tile is the placeholder (`tiles` fills them in).
+    grid: TiledMatrix<T>,
     /// Shared all-zero placeholder swapped in when a tile is staged out.
-    empty: Arc<Matrix<T>>,
+    empty: Tile<T>,
     /// Copy-on-write fallback counter: full-tile clones taken because an
     /// `Arc` that should have been unique was still shared.
-    cow: Arc<AtomicU64>,
-    /// Recycled `−V₂ᵀ` blocks: the next elimination writes into one.
-    spare: Spares<T>,
-    /// Scratch arena for the sequential execution path.
+    cow: AtomicU64,
+    /// Nanoseconds blocked on contended slot locks, staging and committing.
+    stage_wait_ns: AtomicU64,
+    commit_wait_ns: AtomicU64,
+}
+
+impl<T: Scalar> Frame<T> {
+    fn idx(&self, i: usize, j: usize) -> usize {
+        i * self.grid.tile_cols() + j
+    }
+
+    /// A spare tile, or a fresh one. Every user overwrites it whole.
+    fn spare_tile(&self, road: &mut impl Road<T>) -> Tile<T> {
+        let tile = road.spare().pop();
+        tile.unwrap_or_else(|| Arc::new(Matrix::zeros(self.empty.rows(), self.empty.cols())))
+    }
+
+    /// Tile `(i, j)` for a task to read: its slot is held for an `Arc` clone.
+    fn read_tile(&self, road: &mut impl Road<T>, (i, j): (usize, usize)) -> Tile<T> {
+        Arc::clone(&road.tile(self.idx(i, j)))
+    }
+
+    /// Tile `(i, j)` for a task to write. Taken, it is a pointer swap
+    /// against the placeholder and the handle that comes out is (normally)
+    /// unique. Kept, it is an `O(b²)` copy into a spare tile and the slot
+    /// keeps the pre-task value.
+    fn written(&self, road: &mut impl Road<T>, (i, j): (usize, usize), keep: bool) -> Tile<T> {
+        let slot = self.idx(i, j);
+        if !keep {
+            let arc = std::mem::replace(&mut *road.tile(slot), Arc::clone(&self.empty));
+            return unique(arc, &self.cow);
+        }
+        let src = self.read_tile(road, (i, j));
+        let mut tile = self.spare_tile(road);
+        let copy = owned(&mut tile).as_mut_slice();
+        copy.copy_from_slice(src.as_slice());
+        tile
+    }
+
+    /// The one stage body: take (or keep and copy) the tiles `task` writes,
+    /// share the ones it reads, and hand it a spare for its `T` and `−V₂ᵀ`
+    /// outputs. A missing reflector factor fails before any slot changes.
+    fn stage(&self, road: &mut impl Road<T>, task: TaskKind, keep: bool) -> Result<StagedTask<T>> {
+        let tiles = match task {
+            TaskKind::Geqrt { i, k } => Tiles::Factor {
+                tile: self.written(road, (i, k), keep),
+                tfac: self.spare_tile(road),
+            },
+            TaskKind::Unmqr { i, j, k } => {
+                let tfac = road.geqrt(self.idx(i, k)).clone();
+                let tfac = tfac.ok_or_else(missing_factor_err)?;
+                Tiles::Update {
+                    vr: self.read_tile(road, (i, k)),
+                    tfac,
+                    c: self.written(road, (i, j), keep),
+                }
+            }
+            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => Tiles::Elim {
+                r1: self.written(road, (p, k), keep),
+                a2: self.written(road, (i, k), keep),
+                tfac: self.spare_tile(road),
+                vt: (k + 2 < self.grid.tile_cols()).then(|| self.spare_tile(road)),
+            },
+            TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k } => {
+                let (tfac, vt) = match &*road.elim(self.idx(i, k)) {
+                    Some(e) if e.p == p => (Arc::clone(&e.tfac), e.vt.clone()),
+                    _ => return Err(missing_factor_err()),
+                };
+                Tiles::PairUpdate {
+                    v2: self.read_tile(road, (i, k)),
+                    tfac,
+                    vt,
+                    a1: self.written(road, (p, j), keep),
+                    a2: self.written(road, (i, j), keep),
+                }
+            }
+        };
+        Ok(StagedTask { task, tiles })
+    }
+
+    /// Store `tile` in slot `(i, j)`. The tile it displaces becomes a spare
+    /// if nothing else holds it (a fenced commit; an unfenced one displaces
+    /// the shared placeholder, and a straggler's handle keeps its tile out).
+    fn put(&self, road: &mut impl Road<T>, (i, j): (usize, usize), tile: Tile<T>) {
+        let old = std::mem::replace(&mut *road.tile(self.idx(i, j)), tile);
+        recycle(road, Some(old));
+    }
+
+    /// The one commit body: write a completed task's outputs back.
+    fn commit(&self, road: &mut impl Road<T>, done: CompletedTask<T>) {
+        match (done.task, done.tiles) {
+            (TaskKind::Geqrt { i, k }, Tiles::Factor { tile, tfac }) => {
+                self.put(road, (i, k), tile);
+                *road.geqrt(self.idx(i, k)) = Some(tfac);
+            }
+            (TaskKind::Unmqr { i, j, .. }, Tiles::Update { c, .. }) => self.put(road, (i, j), c),
+            (
+                TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
+                Tiles::Elim { r1, a2, tfac, vt },
+            ) => {
+                self.put(road, (p, k), r1);
+                self.put(road, (i, k), a2);
+                let pending = self.grid.tile_cols() - 1 - k;
+                *road.elim(self.idx(i, k)) = Some(ElimFactor {
+                    p,
+                    tfac,
+                    vt,
+                    pending,
+                });
+            }
+            (
+                TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k },
+                Tiles::PairUpdate { a1, a2, vt, .. },
+            ) => {
+                // The task's own handle goes first, so the last update's
+                // settle finds the block unshared and recycles it.
+                drop(vt);
+                self.put(road, (p, j), a1);
+                self.put(road, (i, j), a2);
+                let spent = settle(&mut road.elim(self.idx(i, k)));
+                recycle(road, spent);
+            }
+            _ => unreachable!("task/output kind mismatch"),
+        }
+    }
+}
+
+/// Mutable factorization state: the tiled matrix plus reflector factors,
+/// every one in its own slot. Through `&mut self` a task reaches its slots
+/// with no lock; through `&self` independent tasks stage and commit
+/// concurrently, each critical section a pointer swap or `Arc` clone —
+/// `O(1)`, never `O(b²)` — and no lock held across a kernel or while
+/// another slot is locked.
+#[derive(Debug)]
+pub struct FactorState<T: Scalar> {
+    frame: Frame<T>,
+    slots: Slots<T>,
+    /// Scratch arena for `execute`; a runtime's workers bring their own.
     ws: Workspace<T>,
 }
 
+/// The copy shares every tile and factor (its first write to a tile takes
+/// a counted copy-on-write clone) and starts from the original's counts.
 impl<T: Scalar> Clone for FactorState<T> {
     fn clone(&self) -> Self {
-        FactorState {
-            tiles: self.tiles.clone(),
-            nt: self.nt,
-            geqrt_t: self.geqrt_t.clone(),
-            elim_t: self.elim_t.clone(),
-            empty: Arc::clone(&self.empty),
-            // The clone gets its own counter (seeded with the current
-            // value) so two states never alias their slow-path accounting.
-            cow: Arc::new(AtomicU64::new(self.cow.load(Ordering::Relaxed))),
-            spare: Spares::default(),
-            ws: self.ws.clone(),
+        fn copied<X: Clone>(slots: &[Mutex<X>]) -> Vec<Mutex<X>> {
+            slots.iter().map(|s| Mutex::new(read(s))).collect()
         }
+        let mut copy = FactorState::new(self.tiles());
+        copy.slots.geqrt_t = copied(&self.slots.geqrt_t);
+        copy.slots.elim_t = copied(&self.slots.elim_t);
+        *copy.frame.cow.get_mut() = self.cow_clones();
+        copy.ws = self.ws.clone();
+        copy
     }
 }
 
@@ -149,59 +333,42 @@ impl<T: Scalar> Clone for FactorState<T> {
 /// without touching the shared state.
 pub struct StagedTask<T: Scalar> {
     task: TaskKind,
-    inputs: Inputs<T>,
-}
-
-enum Inputs<T: Scalar> {
-    /// GEQRT: the tile to factor (taken).
-    Factor { tile: Arc<Matrix<T>> },
-    /// UNMQR: shared factored tile + its T factor, plus the target (taken).
-    Update {
-        vr: Arc<Matrix<T>>,
-        tfac: Arc<Matrix<T>>,
-        c: Arc<Matrix<T>>,
-    },
-    /// TSQRT/TTQRT: pivot and eliminated tiles (taken), a tile for `−V₂ᵀ`.
-    Elim {
-        r1: Arc<Matrix<T>>,
-        a2: Arc<Matrix<T>>,
-        vt: Option<Arc<Matrix<T>>>,
-    },
-    /// TSMQR/TTMQR: shared V2, T factor and `−V₂ᵀ`, both targets (taken).
-    PairUpdate {
-        v2: Arc<Matrix<T>>,
-        tfac: Arc<Matrix<T>>,
-        vt: Option<Arc<Matrix<T>>>,
-        a1: Arc<Matrix<T>>,
-        a2: Arc<Matrix<T>>,
-    },
+    tiles: Tiles<T>,
 }
 
 /// A finished task, ready to be committed back into the state.
 pub struct CompletedTask<T: Scalar> {
     task: TaskKind,
-    outputs: Outputs<T>,
+    tiles: Tiles<T>,
 }
 
-/// Written tiles travel as the handles they were staged with, so commit is
-/// a pointer store: the update tasks allocate nothing.
-enum Outputs<T: Scalar> {
-    Factor {
-        tile: Arc<Matrix<T>>,
-        tfac: Matrix<T>,
-    },
+/// A task's tiles, from staging through commit: the ones it writes (taken
+/// or copied), the `Arc`-shared ones it reads, and the spare tiles its `T`
+/// and `−V₂ᵀ` outputs go into. Written tiles travel back as the handles they
+/// were staged with, so commit is a pointer store: it allocates nothing.
+enum Tiles<T: Scalar> {
+    /// GEQRT: the tile to factor, a tile for `T`.
+    Factor { tile: Tile<T>, tfac: Tile<T> },
+    /// UNMQR: the factored tile and its `T` factor, plus the target.
     Update {
-        c: Arc<Matrix<T>>,
+        vr: Tile<T>,
+        tfac: Tile<T>,
+        c: Tile<T>,
     },
+    /// TSQRT/TTQRT: pivot and eliminated tiles, tiles for `T` and `−V₂ᵀ`.
     Elim {
-        r1: Arc<Matrix<T>>,
-        a2: Arc<Matrix<T>>,
-        tfac: Matrix<T>,
-        vt: Option<Arc<Matrix<T>>>,
+        r1: Tile<T>,
+        a2: Tile<T>,
+        tfac: Tile<T>,
+        vt: Option<Tile<T>>,
     },
+    /// TSMQR/TTMQR: `V₂`, its `T` factor and `−V₂ᵀ`, both targets.
     PairUpdate {
-        a1: Arc<Matrix<T>>,
-        a2: Arc<Matrix<T>>,
+        v2: Tile<T>,
+        tfac: Tile<T>,
+        vt: Option<Tile<T>>,
+        a1: Tile<T>,
+        a2: Tile<T>,
     },
 }
 
@@ -215,24 +382,62 @@ fn missing_factor_err() -> MatrixError {
 
 impl<T: Scalar> FactorState<T> {
     /// Wrap a tiled matrix for factorization.
-    pub fn new(tiles: TiledMatrix<T>) -> Self {
-        let (mt, nt) = (tiles.tile_rows(), tiles.tile_cols());
-        let b = tiles.tile_size();
+    pub fn new(mut grid: TiledMatrix<T>) -> Self {
+        let (mt, nt, b) = (grid.tile_rows(), grid.tile_cols(), grid.tile_size());
+        let empty = Arc::new(Matrix::zeros(b, b));
+        let tiles = (0..mt * nt)
+            .map(|t| Mutex::new(grid.swap_tile_shared(t / nt, t % nt, Arc::clone(&empty))))
+            .collect();
+        let count = AtomicU64::new;
         FactorState {
-            tiles,
-            nt,
-            geqrt_t: vec![None; mt * nt],
-            elim_t: vec![None; mt * nt],
-            empty: Arc::new(Matrix::zeros(b, b)),
-            cow: Arc::new(AtomicU64::new(0)),
-            spare: Spares::default(),
+            frame: Frame {
+                grid,
+                empty,
+                cow: count(0),
+                stage_wait_ns: count(0),
+                commit_wait_ns: count(0),
+            },
+            slots: Slots {
+                tiles,
+                geqrt_t: (0..mt * nt).map(|_| Mutex::new(None)).collect(),
+                elim_t: (0..mt * nt).map(|_| Mutex::new(None)).collect(),
+                spare: Mutex::default(),
+            },
             ws: Workspace::new(b, b),
         }
     }
 
-    /// The (partially) factored tiles.
-    pub fn tiles(&self) -> &TiledMatrix<T> {
-        &self.tiles
+    /// A snapshot of the (partially) factored tiles: `Arc` clones of the
+    /// slots' tiles, no tile data copied. A snapshot still held when a task
+    /// stages one of its tiles for writing costs that task one counted
+    /// copy-on-write clone ([`cow_clones`](Self::cow_clones)).
+    pub fn tiles(&self) -> TiledMatrix<T> {
+        let mut tiles = self.frame.grid.clone();
+        let nt = tiles.tile_cols();
+        for (t, slot) in self.slots.tiles.iter().enumerate() {
+            tiles.set_tile_shared(t / nt, t % nt, read(slot));
+        }
+        tiles
+    }
+
+    /// Tile `(i, j)`, shared.
+    fn tile(&self, i: usize, j: usize) -> Tile<T> {
+        read(&self.slots.tiles[self.frame.idx(i, j)])
+    }
+
+    /// Tile side `b`.
+    pub fn tile_size(&self) -> usize {
+        self.frame.grid.tile_size()
+    }
+
+    /// `(rows, cols)` of the matrix before padding.
+    pub fn dense_dims(&self) -> (usize, usize) {
+        self.frame.grid.dense_dims()
+    }
+
+    /// `(rows, cols)` of the padded tile grid.
+    pub fn padded_dims(&self) -> (usize, usize) {
+        self.frame.grid.padded_dims()
     }
 
     /// How many copy-on-write fallback clones [`unique`] took.
@@ -240,7 +445,7 @@ impl<T: Scalar> FactorState<T> {
     /// staging) keeps this at 0; every increment is a full `O(b²)` tile
     /// copy that should not have happened.
     pub fn cow_clones(&self) -> u64 {
-        self.cow.load(Ordering::Relaxed)
+        self.frame.cow.load(Ordering::Relaxed)
     }
 
     /// Bytes held by the sequential-path scratch arena.
@@ -253,119 +458,74 @@ impl<T: Scalar> FactorState<T> {
         self.ws.resizes()
     }
 
+    /// Close a run driven through `&self`: drop the spare tiles its commits
+    /// left, so a finished state holds none, and return the time its slot
+    /// locks blocked, `(stage, commit)` — zero when none had to wait —
+    /// restarting both counts.
+    pub fn end_run(&mut self) -> (Duration, Duration) {
+        exclusive(&mut self.slots.spare).clear();
+        let f = &mut self.frame;
+        let [stage, commit] = [&mut f.stage_wait_ns, &mut f.commit_wait_ns]
+            .map(|ns| Duration::from_nanos(std::mem::take(ns.get_mut())));
+        (stage, commit)
+    }
+
     /// `T` factor of `GEQRT` on tile `(i, k)`, if computed.
-    pub fn geqrt_factor(&self, i: usize, k: usize) -> Option<&Matrix<T>> {
-        self.geqrt_t[i * self.nt + k].as_deref()
+    pub fn geqrt_factor(&self, i: usize, k: usize) -> Option<Arc<Matrix<T>>> {
+        read(&self.slots.geqrt_t[self.frame.idx(i, k)])
     }
 
     /// `T` factor of the elimination `(p, i, k)`, if computed.
-    pub fn elim_factor(&self, p: usize, i: usize, k: usize) -> Option<&Matrix<T>> {
-        match &self.elim_t[i * self.nt + k] {
-            Some(e) if e.p == p => Some(&e.tfac),
-            _ => None,
-        }
+    pub fn elim_factor(&self, p: usize, i: usize, k: usize) -> Option<Arc<Matrix<T>>> {
+        self.elim_factor_any(i, k)
+            .and_then(|(q, t)| (q == p).then_some(t))
     }
 
     /// Elimination factor of eliminated tile `(i, k)` with its pivot row,
     /// whatever the pivot was (used by bit-identity sweeps that compare
     /// every stored factor).
-    pub fn elim_factor_any(&self, i: usize, k: usize) -> Option<(usize, &Matrix<T>)> {
-        self.elim_t[i * self.nt + k]
-            .as_ref()
-            .map(|e| (e.p, &*e.tfac))
-    }
-
-    /// Move tile `(i, j)` out for writing: a pointer swap against the shared
-    /// zero placeholder; the handle that comes out is (normally) unique.
-    fn take_tile(&mut self, i: usize, j: usize) -> Arc<Matrix<T>> {
-        let arc = self.tiles.swap_tile_shared(i, j, Arc::clone(&self.empty));
-        unique(arc, &self.cow)
+    pub fn elim_factor_any(&self, i: usize, k: usize) -> Option<(usize, Arc<Matrix<T>>)> {
+        read(&self.slots.elim_t[self.frame.idx(i, k)]).map(|e| (e.p, e.tfac))
     }
 
     /// Phase 1: extract this task's inputs (take written tiles, share read
-    /// tiles). Fails if a required reflector factor is missing — i.e. the
-    /// caller violated the DAG order.
-    pub fn stage(&mut self, task: TaskKind) -> Result<StagedTask<T>> {
-        let inputs = match task {
-            TaskKind::Geqrt { i, k } => Inputs::Factor {
-                tile: self.take_tile(i, k),
-            },
-            TaskKind::Unmqr { i, j, k } => {
-                let tfac = self.geqrt_t[i * self.nt + k]
-                    .as_ref()
-                    .ok_or_else(missing_factor_err)?
-                    .clone();
-                Inputs::Update {
-                    vr: self.tiles.tile_shared(i, k),
-                    tfac,
-                    c: self.take_tile(i, j),
-                }
-            }
-            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => Inputs::Elim {
-                r1: self.take_tile(p, k),
-                a2: self.take_tile(i, k),
-                vt: (k + 2 < self.nt).then(|| spare_tile(&self.spare, &self.empty)),
-            },
-            TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k } => {
-                let (tfac, vt) = match &self.elim_t[i * self.nt + k] {
-                    Some(e) if e.p == p => (Arc::clone(&e.tfac), e.vt.clone()),
-                    _ => return Err(missing_factor_err()),
-                };
-                Inputs::PairUpdate {
-                    v2: self.tiles.tile_shared(i, k),
-                    tfac,
-                    vt,
-                    a1: self.take_tile(p, j),
-                    a2: self.take_tile(i, j),
-                }
-            }
-        };
-        Ok(StagedTask { task, inputs })
+    /// tiles), locking only the slots it touches, so independent tasks
+    /// stage concurrently. Fails if a required reflector factor is missing
+    /// — i.e. the caller violated the DAG order.
+    pub fn stage(&self, task: TaskKind) -> Result<StagedTask<T>> {
+        let road = &mut Locked(&self.slots, &self.frame.stage_wait_ns);
+        self.frame.stage(road, task, false)
     }
 
-    /// Phase 3: write a completed task's outputs back (pointer swaps).
-    pub fn commit(&mut self, done: CompletedTask<T>) {
-        match (done.task, done.outputs) {
-            (TaskKind::Geqrt { i, k }, Outputs::Factor { tile, tfac }) => {
-                self.tiles.set_tile_shared(i, k, tile);
-                self.geqrt_t[i * self.nt + k] = Some(Arc::new(tfac));
-            }
-            (TaskKind::Unmqr { i, j, .. }, Outputs::Update { c }) => {
-                self.tiles.set_tile_shared(i, j, c);
-            }
-            (
-                TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
-                Outputs::Elim { r1, a2, tfac, vt },
-            ) => {
-                self.tiles.set_tile_shared(p, k, r1);
-                self.tiles.set_tile_shared(i, k, a2);
-                self.elim_t[i * self.nt + k] = Some(ElimFactor {
-                    p,
-                    tfac: Arc::new(tfac),
-                    vt,
-                    pending: self.nt - 1 - k,
-                });
-            }
-            (
-                TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k },
-                Outputs::PairUpdate { a1, a2 },
-            ) => {
-                self.tiles.set_tile_shared(p, j, a1);
-                self.tiles.set_tile_shared(i, j, a2);
-                let done = self.elim_t[i * self.nt + k].as_mut();
-                recycle(&self.spare, done.and_then(ElimFactor::settle));
-            }
-            _ => unreachable!("task/output kind mismatch"),
-        }
+    /// Non-destructive variant of [`stage`](Self::stage): written tiles are
+    /// *copied* out instead of swapped out (into a spare tile when a commit
+    /// left one), so the state is left exactly as it was. An attempt staged
+    /// this way can panic, stall, or fail mid-kernel and the task remains
+    /// retryable — nothing is lost until [`commit`](Self::commit) swaps the
+    /// outputs in. The fast path keeps the zero-copy [`stage`](Self::stage);
+    /// this one trades an `O(b²)` copy per written tile (small next to the
+    /// `O(b³)` kernel) for idempotent re-execution.
+    pub fn stage_preserving(&self, task: TaskKind) -> Result<StagedTask<T>> {
+        let road = &mut Locked(&self.slots, &self.frame.stage_wait_ns);
+        self.frame.stage(road, task, true)
     }
 
-    /// Run one task start to finish (sequential convenience). Kernels
+    /// Phase 3: write a completed task's outputs back (pointer swaps under
+    /// per-slot locks).
+    pub fn commit(&self, done: CompletedTask<T>) {
+        let road = &mut Locked(&self.slots, &self.frame.commit_wait_ns);
+        self.frame.commit(road, done);
+    }
+
+    /// Run one task start to finish (sequential convenience): the same
+    /// stage and commit bodies, reaching the slots without a lock. Kernels
     /// borrow scratch from the state-owned arena, so the steady state
-    /// performs no heap allocation beyond the task's `T`-factor output.
+    /// performs no heap allocation beyond a `T`-factor output no spare
+    /// tile was free for.
     pub fn execute(&mut self, task: TaskKind) -> Result<()> {
-        let staged = self.stage(task)?;
+        let staged = self.frame.stage(&mut self.slots, task, false)?;
         let done = staged.compute_with(&mut self.ws)?;
-        self.commit(done);
+        self.frame.commit(&mut self.slots, done);
         Ok(())
     }
 
@@ -381,318 +541,61 @@ impl<T: Scalar> FactorState<T> {
     /// Assembled `R` factor: the upper-triangular result, dense, with the
     /// original (unpadded) dimensions.
     pub fn r_matrix(&self) -> Matrix<T> {
-        self.r_rows(self.tiles.dense_dims().0)
+        self.r_rows(self.dense_dims().0)
     }
 
     /// The first `m` rows of [`r_matrix`](Self::r_matrix) (a solve reads
-    /// `cols`), by column runs out of the tiles on and above the diagonal.
+    /// `cols`), by column runs out of the tiles on and above the diagonal,
+    /// each tile's slot read once.
     pub fn r_rows(&self, m: usize) -> Matrix<T> {
-        let (b, n) = (self.tiles.tile_size(), self.tiles.dense_dims().1);
+        let (b, n) = (self.tile_size(), self.dense_dims().1);
         let mut r = Matrix::zeros(m, n);
-        for j in 0..n {
-            let (tj, cj) = (j / b, j % b);
-            let live = (j + 1).min(m);
-            for ti in 0..live.div_ceil(b) {
-                let len = (live - ti * b).min(b);
-                let run = &self.tiles.tile(ti, tj).col(cj)[..len];
-                r.col_mut(j)[ti * b..ti * b + len].copy_from_slice(run);
+        for j0 in (0..n).step_by(b) {
+            for i0 in (0..m.min(j0 + b)).step_by(b) {
+                let tile = self.tile(i0 / b, j0 / b);
+                for j in j0..n.min(j0 + b) {
+                    let len = (j + 1).min(m).saturating_sub(i0).min(b);
+                    r.col_mut(j)[i0..i0 + len].copy_from_slice(&tile.col(j - j0)[..len]);
+                }
             }
         }
         r
     }
 }
 
-/// Parallel factorization state: the same tiles and `T` factors as
-/// [`FactorState`], each behind its **own** mutex so independent tasks
-/// stage and commit concurrently. Every critical section is a pointer
-/// swap or `Arc` clone — `O(1)`, never `O(b²)` — and no lock is ever held
-/// across a kernel or while another slot is locked.
-#[derive(Debug)]
-pub struct SharedFactorState<T: Scalar> {
-    /// Geometry template: an all-placeholder tiled matrix the `Arc`s swap
-    /// back into on [`into_state`](Self::into_state).
-    template: Mutex<TiledMatrix<T>>,
-    nt: usize,
-    tiles: Vec<Mutex<Arc<Matrix<T>>>>,
-    geqrt_t: Vec<Mutex<Option<Arc<Matrix<T>>>>>,
-    elim_t: Vec<Mutex<Option<ElimFactor<T>>>>,
-    empty: Arc<Matrix<T>>,
-    cow: Arc<AtomicU64>,
-    /// Nanoseconds spent blocked on a contended slot lock while staging
-    /// and while committing.
-    stage_wait_ns: AtomicU64,
-    commit_wait_ns: AtomicU64,
-    spare: Spares<T>,
-    /// Sequential-path arena, parked here so it round-trips through
-    /// [`into_state`](Self::into_state); workers bring their own.
-    ws: Workspace<T>,
-}
-
-impl<T: Scalar> SharedFactorState<T> {
-    /// Split a sequential state into per-slot shared form.
-    pub fn new(state: FactorState<T>) -> Self {
-        let FactorState {
-            mut tiles,
-            nt,
-            geqrt_t,
-            elim_t,
-            empty,
-            cow,
-            spare,
-            ws,
-        } = state;
-        let mt = tiles.tile_rows();
-        let mut slots = Vec::with_capacity(mt * nt);
-        for i in 0..mt {
-            for j in 0..nt {
-                slots.push(Mutex::new(tiles.swap_tile_shared(i, j, Arc::clone(&empty))));
-            }
-        }
-        SharedFactorState {
-            template: Mutex::new(tiles),
-            nt,
-            tiles: slots,
-            geqrt_t: geqrt_t.into_iter().map(Mutex::new).collect(),
-            elim_t: elim_t.into_iter().map(Mutex::new).collect(),
-            empty,
-            cow,
-            stage_wait_ns: AtomicU64::new(0),
-            commit_wait_ns: AtomicU64::new(0),
-            spare,
-            ws,
-        }
-    }
-
-    /// Reassemble the sequential state after all tasks have committed.
-    pub fn into_state(self) -> FactorState<T> {
-        let mut tiles = inner(self.template);
-        for (idx, slot) in self.tiles.into_iter().enumerate() {
-            tiles.set_tile_shared(idx / self.nt, idx % self.nt, inner(slot));
-        }
-        FactorState {
-            tiles,
-            nt: self.nt,
-            geqrt_t: self.geqrt_t.into_iter().map(inner).collect(),
-            elim_t: self.elim_t.into_iter().map(inner).collect(),
-            empty: self.empty,
-            cow: self.cow,
-            spare: Spares::default(),
-            ws: self.ws,
-        }
-    }
-
-    /// Copy-on-write fallback clones taken so far (see
-    /// [`FactorState::cow_clones`]).
-    pub fn cow_clones(&self) -> u64 {
-        self.cow.load(Ordering::Relaxed)
-    }
-
-    /// Time blocked on contended slot locks so far, `(stage, commit)`:
-    /// zero when no lock had to wait.
-    pub fn lock_waits(&self) -> (Duration, Duration) {
-        let read = |ns: &AtomicU64| Duration::from_nanos(ns.load(Ordering::Relaxed));
-        (read(&self.stage_wait_ns), read(&self.commit_wait_ns))
-    }
-
-    #[inline]
-    fn idx(&self, i: usize, j: usize) -> usize {
-        i * self.nt + j
-    }
-
-    /// Shared read of tile `(i, j)`: lock the slot, clone the pointer.
-    fn read_tile(&self, i: usize, j: usize) -> Arc<Matrix<T>> {
-        Arc::clone(&lock_slot(&self.tiles[self.idx(i, j)], &self.stage_wait_ns))
-    }
-
-    /// Take tile `(i, j)` for writing. The swap happens under the slot
-    /// lock; the (normally free) uniqueness check happens outside it.
-    fn take_tile(&self, i: usize, j: usize) -> Arc<Matrix<T>> {
-        let mut slot = lock_slot(&self.tiles[self.idx(i, j)], &self.stage_wait_ns);
-        let arc = std::mem::replace(&mut *slot, Arc::clone(&self.empty));
-        drop(slot);
-        unique(arc, &self.cow)
-    }
-
-    /// Copy tile `(i, j)` for writing, leaving the slot's contents in
-    /// place. Costs an `O(b²)` copy — into a spare tile when a commit left
-    /// one, else into a fresh allocation — which buys the fault-tolerant
-    /// pool its requeue safety: if the attempt dies mid-kernel, the slot
-    /// still holds the pre-task value and a retry stages clean inputs.
-    fn clone_tile(&self, i: usize, j: usize) -> Arc<Matrix<T>> {
-        let src = self.read_tile(i, j);
-        let mut tile = spare_tile(&self.spare, &self.empty);
-        owned(&mut tile)
-            .as_mut_slice()
-            .copy_from_slice(src.as_slice());
-        tile
-    }
-
-    /// Store `tile` in slot `(i, j)`. The tile it displaces becomes a spare
-    /// if nothing else holds it (a fenced commit; an unfenced one displaces
-    /// the shared placeholder, and a straggler's handle keeps its tile out).
-    fn put_tile(&self, i: usize, j: usize, tile: Arc<Matrix<T>>) {
-        let mut slot = lock_slot(&self.tiles[self.idx(i, j)], &self.commit_wait_ns);
-        let old = std::mem::replace(&mut *slot, tile);
-        drop(slot);
-        recycle(&self.spare, Some(old));
-    }
-
-    /// Phase 1 (parallel): identical contract to [`FactorState::stage`] but
-    /// takes `&self` and locks only the slots this task touches.
-    pub fn stage(&self, task: TaskKind) -> Result<StagedTask<T>> {
-        self.stage_with(task, Self::take_tile)
-    }
-
-    /// Non-destructive variant of [`stage`](Self::stage): written tiles are
-    /// *cloned* out instead of swapped out, so the shared state is left
-    /// exactly as it was. An attempt staged this way can panic, stall, or
-    /// fail mid-kernel and the task remains retryable — nothing is lost
-    /// until [`commit`](Self::commit) swaps the outputs in. The fast path
-    /// keeps the zero-copy [`stage`](Self::stage); this one trades an
-    /// `O(b²)` copy per written tile (small next to the `O(b³)` kernel)
-    /// for idempotent re-execution.
-    pub fn stage_preserving(&self, task: TaskKind) -> Result<StagedTask<T>> {
-        self.stage_with(task, Self::clone_tile)
-    }
-
-    /// Stage `task`, taking each tile it writes through `written`.
-    fn stage_with(
-        &self,
-        task: TaskKind,
-        written: fn(&Self, usize, usize) -> Arc<Matrix<T>>,
-    ) -> Result<StagedTask<T>> {
-        let inputs = match task {
-            TaskKind::Geqrt { i, k } => Inputs::Factor {
-                tile: written(self, i, k),
-            },
-            TaskKind::Unmqr { i, j, k } => {
-                let tfac = lock_slot(&self.geqrt_t[self.idx(i, k)], &self.stage_wait_ns)
-                    .as_ref()
-                    .ok_or_else(missing_factor_err)?
-                    .clone();
-                Inputs::Update {
-                    vr: self.read_tile(i, k),
-                    tfac,
-                    c: written(self, i, j),
-                }
-            }
-            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => Inputs::Elim {
-                r1: written(self, p, k),
-                a2: written(self, i, k),
-                vt: (k + 2 < self.nt).then(|| spare_tile(&self.spare, &self.empty)),
-            },
-            TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k } => {
-                let slot = &self.elim_t[self.idx(i, k)];
-                let (tfac, vt) = match &*lock_slot(slot, &self.stage_wait_ns) {
-                    Some(e) if e.p == p => (Arc::clone(&e.tfac), e.vt.clone()),
-                    _ => return Err(missing_factor_err()),
-                };
-                Inputs::PairUpdate {
-                    v2: self.read_tile(i, k),
-                    tfac,
-                    vt,
-                    a1: written(self, p, j),
-                    a2: written(self, i, j),
-                }
-            }
-        };
-        Ok(StagedTask { task, inputs })
-    }
-
-    /// Phase 3 (parallel): write back under per-slot locks only.
-    pub fn commit(&self, done: CompletedTask<T>) {
-        match (done.task, done.outputs) {
-            (TaskKind::Geqrt { i, k }, Outputs::Factor { tile, tfac }) => {
-                self.put_tile(i, k, tile);
-                let tfac = Some(Arc::new(tfac));
-                *lock_slot(&self.geqrt_t[self.idx(i, k)], &self.commit_wait_ns) = tfac;
-            }
-            (TaskKind::Unmqr { i, j, .. }, Outputs::Update { c }) => {
-                self.put_tile(i, j, c);
-            }
-            (
-                TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
-                Outputs::Elim { r1, a2, tfac, vt },
-            ) => {
-                self.put_tile(p, k, r1);
-                self.put_tile(i, k, a2);
-                let tfac = Some(ElimFactor {
-                    p,
-                    tfac: Arc::new(tfac),
-                    vt,
-                    pending: self.nt - 1 - k,
-                });
-                *lock_slot(&self.elim_t[self.idx(i, k)], &self.commit_wait_ns) = tfac;
-            }
-            (
-                TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k },
-                Outputs::PairUpdate { a1, a2 },
-            ) => {
-                self.put_tile(p, j, a1);
-                self.put_tile(i, j, a2);
-                let slot = &self.elim_t[self.idx(i, k)];
-                let done = lock_slot(slot, &self.commit_wait_ns)
-                    .as_mut()
-                    .and_then(ElimFactor::settle);
-                recycle(&self.spare, done);
-            }
-            _ => unreachable!("task/output kind mismatch"),
-        }
-    }
-}
-
 impl<T: Scalar> StagedTask<T> {
     /// Phase 2: the actual kernel, on owned/shared data — runs without any
-    /// lock. All scratch is borrowed from `ws`; once the arena has warmed
-    /// up to the tile size, the only heap allocations left are the task's
-    /// own `T`-factor outputs.
-    pub fn compute_with(self, ws: &mut Workspace<T>) -> Result<CompletedTask<T>> {
-        let outputs = match (self.task, self.inputs) {
-            (TaskKind::Geqrt { .. }, Inputs::Factor { mut tile }) => {
-                let n = tile.cols();
-                let mut tfac = Matrix::zeros(n, n);
-                geqrt_ws(owned(&mut tile), &mut tfac, ws)?;
-                Outputs::Factor { tile, tfac }
+    /// lock. All scratch is borrowed from `ws`, and every output tile was
+    /// handed over by staging, so once the arena has warmed up to the tile
+    /// size the kernel allocates nothing. The factor kernels zero the `T`
+    /// tile before they write it.
+    pub fn compute_with(mut self, ws: &mut Workspace<T>) -> Result<CompletedTask<T>> {
+        let tt = matches!(self.task, TaskKind::Ttqrt { .. } | TaskKind::Ttmqr { .. });
+        match &mut self.tiles {
+            Tiles::Factor { tile, tfac } => geqrt_ws(owned(tile), owned(tfac), ws)?,
+            Tiles::Update { vr, tfac, c } => {
+                geqrt_apply_ws(vr, tfac, owned(c), ApplySide::Transpose, ws)?
             }
-            (TaskKind::Unmqr { .. }, Inputs::Update { vr, tfac, mut c }) => {
-                geqrt_apply_ws(&vr, &tfac, owned(&mut c), ApplySide::Transpose, ws)?;
-                Outputs::Update { c }
-            }
-            (
-                task @ (TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. }),
-                Inputs::Elim { r1, a2, vt },
-            ) => {
-                let (mut r1, mut a2, mut vt) = (r1, a2, vt);
-                let mut tfac = Matrix::zeros(r1.cols(), r1.cols());
-                let (top, v2) = (owned(&mut r1), owned(&mut a2));
-                let tt = matches!(task, TaskKind::Ttqrt { .. });
+            Tiles::Elim { r1, a2, tfac, vt } => {
+                let (top, v2) = (owned(r1), owned(a2));
                 let factor = if tt { ttqrt_ws } else { tsqrt_ws };
-                factor(top, v2, &mut tfac, ws)?;
+                factor(top, v2, owned(tfac), ws)?;
                 vt.iter_mut()
                     .for_each(|vt| store_neg_transpose(v2, tt, owned(vt)));
-                Outputs::Elim { r1, a2, tfac, vt }
             }
-            (
-                task @ (TaskKind::Tsmqr { .. } | TaskKind::Ttmqr { .. }),
-                Inputs::PairUpdate {
-                    v2,
-                    tfac,
-                    vt,
-                    mut a1,
-                    mut a2,
-                },
-            ) => {
-                let tt = matches!(task, TaskKind::Ttmqr { .. });
-                let (c1, c2, side) = (owned(&mut a1), owned(&mut a2), ApplySide::Transpose);
-                pair_update(&v2, vt.as_deref(), &tfac, c1, c2, side, tt, ws)?;
-                Outputs::PairUpdate { a1, a2 }
+            Tiles::PairUpdate {
+                v2,
+                tfac,
+                vt,
+                a1,
+                a2,
+            } => {
+                let (c1, c2, side) = (owned(a1), owned(a2), ApplySide::Transpose);
+                pair_update(v2, vt.as_deref(), tfac, c1, c2, side, tt, ws)?;
             }
-            _ => unreachable!("task/input kind mismatch"),
-        };
-        Ok(CompletedTask {
-            task: self.task,
-            outputs,
-        })
+        }
+        let StagedTask { task, tiles } = self;
+        Ok(CompletedTask { task, tiles })
     }
 }
 
@@ -705,20 +608,20 @@ impl<T: Scalar> CompletedTask<T> {
     /// downstream tiles.
     pub fn first_non_finite(&self) -> Option<(usize, usize)> {
         let dirty = |m: &Matrix<T>| !m.all_finite();
-        match (&self.task, &self.outputs) {
-            (TaskKind::Geqrt { i, k }, Outputs::Factor { tile, tfac }) => {
+        match (&self.task, &self.tiles) {
+            (TaskKind::Geqrt { i, k }, Tiles::Factor { tile, tfac }) => {
                 (dirty(tile) || dirty(tfac)).then_some((*i, *k))
             }
-            (TaskKind::Unmqr { i, j, .. }, Outputs::Update { c }) => dirty(c).then_some((*i, *j)),
+            (TaskKind::Unmqr { i, j, .. }, Tiles::Update { c, .. }) => dirty(c).then_some((*i, *j)),
             (
                 TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
-                Outputs::Elim { r1, a2, tfac, .. },
+                Tiles::Elim { r1, a2, tfac, .. },
             ) => dirty(r1)
                 .then_some((*p, *k))
                 .or((dirty(a2) || dirty(tfac)).then_some((*i, *k))),
             (
                 TaskKind::Tsmqr { p, i, j, .. } | TaskKind::Ttmqr { p, i, j, .. },
-                Outputs::PairUpdate { a1, a2, .. },
+                Tiles::PairUpdate { a1, a2, .. },
             ) => dirty(a1)
                 .then_some((*p, *j))
                 .or(dirty(a2).then_some((*i, *j))),
@@ -731,11 +634,11 @@ impl<T: Scalar> CompletedTask<T> {
     /// by fault injectors to exercise commit-fence poison detection.
     pub fn poison(&mut self) {
         let nan = T::from_f64(f64::NAN);
-        let target = match &mut self.outputs {
-            Outputs::Factor { tile, .. } => tile,
-            Outputs::Update { c } => c,
-            Outputs::Elim { r1, .. } => r1,
-            Outputs::PairUpdate { a1, .. } => a1,
+        let target = match &mut self.tiles {
+            Tiles::Factor { tile, .. } => tile,
+            Tiles::Update { c, .. } => c,
+            Tiles::Elim { r1, .. } => r1,
+            Tiles::PairUpdate { a1, .. } => a1,
         };
         if let Some(v) = owned(target).as_mut_slice().first_mut() {
             *v = nan;
@@ -764,13 +667,7 @@ pub fn apply_qt_dense<T: Scalar>(
     graph: &TaskGraph,
     c: &mut Matrix<T>,
 ) -> Result<()> {
-    check_rows(state, c)?;
-    let b = state.tiles.tile_size();
-    let mut ws = Workspace::new(b, b);
-    for &task in graph.tasks() {
-        apply_factor_task(state, task, c, ApplySide::Transpose, &mut ws)?;
-    }
-    Ok(())
+    replay(state, graph.tasks().iter(), c, ApplySide::Transpose)
 }
 
 /// Apply `Q` (not transposed) of a completed factorization to a dense `c`:
@@ -781,23 +678,27 @@ pub fn apply_q_dense<T: Scalar>(
     graph: &TaskGraph,
     c: &mut Matrix<T>,
 ) -> Result<()> {
-    check_rows(state, c)?;
-    let b = state.tiles.tile_size();
-    let mut ws = Workspace::new(b, b);
-    for &task in graph.tasks().iter().rev() {
-        apply_factor_task(state, task, c, ApplySide::NoTranspose, &mut ws)?;
-    }
-    Ok(())
+    replay(state, graph.tasks().iter().rev(), c, ApplySide::NoTranspose)
 }
 
-fn check_rows<T: Scalar>(state: &FactorState<T>, c: &Matrix<T>) -> Result<()> {
-    let (pm, _) = state.tiles.padded_dims();
+fn replay<'g, T: Scalar>(
+    state: &FactorState<T>,
+    tasks: impl Iterator<Item = &'g TaskKind>,
+    c: &mut Matrix<T>,
+    side: ApplySide,
+) -> Result<()> {
+    let (pm, _) = state.padded_dims();
     if c.rows() != pm {
         return Err(MatrixError::DimensionMismatch {
             op: "apply_q (C rows must equal padded rows)",
             lhs: (pm, 0),
             rhs: c.dims(),
         });
+    }
+    let b = state.tile_size();
+    let mut ws = Workspace::new(b, b);
+    for &task in tasks {
+        apply_factor_task(state, task, c, side, &mut ws)?;
     }
     Ok(())
 }
@@ -809,22 +710,21 @@ fn apply_factor_task<T: Scalar>(
     side: ApplySide,
     ws: &mut Workspace<T>,
 ) -> Result<()> {
-    let b = state.tiles.tile_size();
+    let b = state.tile_size();
     match task {
         TaskKind::Geqrt { i, k } => {
-            let vr = state.tiles.tile(i, k);
             let tfac = state.geqrt_factor(i, k).ok_or_else(missing_factor_err)?;
             let mut block = row_block(c, i, b);
-            geqrt_apply_ws(vr, tfac, &mut block, side, ws)?;
+            geqrt_apply_ws(&state.tile(i, k), &tfac, &mut block, side, ws)?;
             set_row_block(c, i, &block);
         }
         TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => {
-            let v2 = state.tiles.tile(i, k);
+            let v2 = state.tile(i, k);
             let tfac = state.elim_factor(p, i, k).ok_or_else(missing_factor_err)?;
             let mut a1 = row_block(c, p, b);
             let mut a2 = row_block(c, i, b);
             let tt = matches!(task, TaskKind::Ttqrt { .. });
-            pair_update(v2, None, tfac, &mut a1, &mut a2, side, tt, ws)?;
+            pair_update(&v2, None, &tfac, &mut a1, &mut a2, side, tt, ws)?;
             set_row_block(c, p, &a1);
             set_row_block(c, i, &a2);
         }
@@ -889,10 +789,11 @@ mod tests {
         // Compare on the unpadded block: Q's top-left 10x12 times padded R.
         let padded_r = {
             let mut pr = Matrix::zeros(12, 12);
+            let tiles = st.tiles();
             for j in 0..12 {
                 for i in 0..=j {
                     // reconstruct from tiles directly
-                    let tile = st.tiles().tile(i / 4, j / 4);
+                    let tile = tiles.tile(i / 4, j / 4);
                     pr[(i, j)] = tile[(i % 4, j % 4)];
                 }
             }
@@ -957,7 +858,7 @@ mod tests {
     fn stage_rejects_missing_factor() {
         let a = random_matrix::<f64>(8, 8, 1);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let mut st = FactorState::new(tiled);
+        let st = FactorState::new(tiled);
         // UNMQR before its GEQRT: must fail cleanly.
         assert!(st.stage(TaskKind::Unmqr { i: 0, j: 1, k: 0 }).is_err());
     }
@@ -978,7 +879,7 @@ mod tests {
         let mut st1 = FactorState::new(tiled.clone());
         st1.run_all(&g).unwrap();
 
-        let mut st2 = FactorState::new(tiled);
+        let st2 = FactorState::new(tiled);
         for &t in g.tasks() {
             let staged = st2.stage(t).unwrap();
             let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
@@ -998,15 +899,15 @@ mod tests {
         st.execute(TaskKind::Geqrt { i: 0, k: 0 }).unwrap();
 
         let staged = st.stage(TaskKind::Unmqr { i: 0, j: 1, k: 0 }).unwrap();
-        match &staged.inputs {
-            Inputs::Update { vr, tfac, .. } => {
+        match &staged.tiles {
+            Tiles::Update { vr, tfac, .. } => {
                 assert!(
                     Arc::ptr_eq(vr, &st.tiles().tile_shared(0, 0)),
                     "read tile must be Arc-shared, not copied"
                 );
-                let held = st.geqrt_t[0].as_ref().unwrap();
+                let held = st.geqrt_factor(0, 0).unwrap();
                 assert!(
-                    Arc::ptr_eq(tfac, held),
+                    Arc::ptr_eq(tfac, &held),
                     "T factor must be Arc-shared, not copied"
                 );
             }
@@ -1024,11 +925,11 @@ mod tests {
         // receives is the same allocation the state held.
         let a = random_matrix::<f64>(8, 8, 6);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let mut st = FactorState::new(tiled);
+        let st = FactorState::new(tiled);
         let before = st.tiles().tile(0, 0).as_slice().as_ptr() as usize;
         let staged = st.stage(TaskKind::Geqrt { i: 0, k: 0 }).unwrap();
-        match &staged.inputs {
-            Inputs::Factor { tile, .. } => {
+        match &staged.tiles {
+            Tiles::Factor { tile, .. } => {
                 // Same heap buffer: the payload was moved out of the unique
                 // Arc, not cloned.
                 assert_eq!(tile.as_slice().as_ptr() as usize, before);
@@ -1053,17 +954,21 @@ mod tests {
             let mut seq = FactorState::new(tiled.clone());
             seq.run_all(&g).unwrap();
 
-            let shared = SharedFactorState::new(FactorState::new(tiled));
+            // The same state driven through `&self`, as a runtime's workers do.
+            let st = FactorState::new(tiled);
             for &t in g.tasks() {
-                let staged = shared.stage(t).unwrap();
+                let staged = st.stage(t).unwrap();
                 let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
-                shared.commit(done);
+                st.commit(done);
             }
-            let st = shared.into_state();
             assert_eq!(seq.tiles().to_matrix(), st.tiles().to_matrix());
             assert_eq!(seq.r_matrix(), st.r_matrix());
-            // Factors must round-trip through the shared form too.
-            assert!(st.geqrt_factor(0, 0).is_some());
+            for (i, k) in [(0, 0), (3, 3)] {
+                assert_eq!(st.geqrt_factor(i, k), seq.geqrt_factor(i, k));
+            }
+            for k in 0..3 {
+                assert_eq!(st.elim_factor_any(3, k), seq.elim_factor_any(3, k));
+            }
         }
     }
 
@@ -1126,15 +1031,21 @@ mod tests {
         let a = random_matrix::<f64>(8, 8, 17);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
-        let shared = SharedFactorState::new(FactorState::new(tiled));
+        let mut st = FactorState::new(tiled);
         for &t in g.tasks() {
-            let staged = shared.stage(t).unwrap();
+            let staged = st.stage(t).unwrap();
             let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
-            shared.commit(done);
+            st.commit(done);
         }
-        assert_eq!(shared.cow_clones(), 0);
-        let st = shared.into_state();
         assert_eq!(st.cow_clones(), 0);
+        // A snapshot held across a staging costs one counted clone, and
+        // closing the run keeps the count.
+        let snapshot = st.tiles();
+        st.execute(TaskKind::Geqrt { i: 1, k: 1 }).unwrap();
+        assert_eq!(st.cow_clones(), 1);
+        drop(snapshot);
+        st.end_run();
+        assert_eq!(st.cow_clones(), 1);
     }
 
     #[test]
@@ -1142,8 +1053,8 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let a = random_matrix::<f64>(8, 8, 19);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let shared = SharedFactorState::new(FactorState::new(tiled));
-        let held = shared.tiles[0].lock().unwrap();
+        let mut shared = FactorState::new(tiled);
+        let held = shared.slots.tiles[0].lock().unwrap();
         let started = AtomicBool::new(false);
         std::thread::scope(|s| {
             let stager = s.spawn(|| {
@@ -1159,9 +1070,10 @@ mod tests {
             drop(held);
             assert!(stager.join().unwrap());
         });
-        let (stage, commit) = shared.lock_waits();
+        let (stage, commit) = shared.end_run();
         assert!(stage >= Duration::from_millis(5), "stage wait {stage:?}");
         assert_eq!(commit, Duration::ZERO);
+        assert_eq!(shared.end_run(), (Duration::ZERO, Duration::ZERO));
     }
 
     #[test]
@@ -1174,21 +1086,15 @@ mod tests {
         let g = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
         let mut seq = FactorState::new(tiled.clone());
         seq.run_all(&g).unwrap();
-        for stage in [
-            SharedFactorState::stage,
-            SharedFactorState::stage_preserving,
-        ] {
-            let shared = SharedFactorState::new(FactorState::new(tiled.clone()));
+        for stage in [FactorState::stage, FactorState::stage_preserving] {
+            let mut shared = FactorState::new(tiled.clone());
             let mut ws = Workspace::new(4, 4);
             for &t in g.tasks() {
                 let staged = stage(&shared, t).unwrap();
                 shared.commit(staged.compute_with(&mut ws).unwrap());
             }
-            assert_eq!(shared.lock_waits(), (Duration::ZERO, Duration::ZERO));
-            assert_eq!(
-                shared.into_state().tiles().to_matrix(),
-                seq.tiles().to_matrix()
-            );
+            assert_eq!(shared.end_run(), (Duration::ZERO, Duration::ZERO));
+            assert_eq!(shared.tiles().to_matrix(), seq.tiles().to_matrix());
         }
     }
 
@@ -1196,49 +1102,84 @@ mod tests {
     fn fenced_commit_recycles_only_unshared_tiles() {
         let a = random_matrix::<f64>(8, 8, 29);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let shared = SharedFactorState::new(FactorState::new(tiled));
+        let shared = FactorState::new(tiled);
+        let spares = || shared.slots.spare.lock().unwrap().len();
         let mut ws = Workspace::new(4, 4);
-        let mut run = |task| {
+        let run = |task, ws: &mut Workspace<f64>| {
             let staged = shared.stage_preserving(task).unwrap();
-            shared.commit(staged.compute_with(&mut ws).unwrap());
+            shared.commit(staged.compute_with(ws).unwrap());
         };
         // A straggler's handle keeps the displaced tile out of the list.
-        let straggler = shared.read_tile(0, 0);
-        run(TaskKind::Geqrt { i: 0, k: 0 });
-        assert!(shared.spare.lock().unwrap().is_empty());
+        let straggler = shared.tile(0, 0);
+        run(TaskKind::Geqrt { i: 0, k: 0 }, &mut ws);
+        assert_eq!(spares(), 0);
         drop(straggler);
         // An unshared one goes in, and the next preserving copy lands in it.
-        let displaced = Arc::as_ptr(&shared.read_tile(0, 1));
-        run(TaskKind::Unmqr { i: 0, j: 1, k: 0 });
-        assert_eq!(shared.spare.lock().unwrap().len(), 1);
+        let displaced = Arc::as_ptr(&shared.tile(0, 1));
+        run(TaskKind::Unmqr { i: 0, j: 1, k: 0 }, &mut ws);
+        assert_eq!(spares(), 1);
         let staged = shared
             .stage_preserving(TaskKind::Tsqrt { p: 0, i: 1, k: 0 })
             .unwrap();
-        match &staged.inputs {
-            Inputs::Elim { r1, .. } => {
+        match &staged.tiles {
+            Tiles::Elim { r1, .. } => {
                 assert_eq!(Arc::as_ptr(r1), displaced);
-                assert_eq!(**r1, *shared.read_tile(0, 0));
+                assert_eq!(**r1, *shared.tile(0, 0));
             }
             _ => panic!("TSQRT staged wrong input kind"),
         }
-        assert!(shared.spare.lock().unwrap().is_empty());
+        assert_eq!(spares(), 0);
     }
 
-    /// Elimination factors of a sequential state that still hold `−V₂ᵀ`.
+    /// A factor task's `T` output is a spare tile when one is free, however
+    /// stale its contents, and the factor is the one a fresh tile gives:
+    /// GEQRT, TSQRT and TTQRT.
+    #[test]
+    fn factor_output_reuses_a_spare_tile() {
+        let a = random_matrix::<f64>(8, 8, 31);
+        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
+        let (p, i, k) = (0, 1, 0);
+        let elim = [TaskKind::Tsqrt { p, i, k }, TaskKind::Ttqrt { p, i, k }];
+        for (tt, elim) in elim.into_iter().enumerate() {
+            let mut tasks = vec![TaskKind::Geqrt { i: 0, k }];
+            tasks.extend((tt == 1).then_some(TaskKind::Geqrt { i, k }));
+            tasks.push(elim);
+            let mut seq = FactorState::new(tiled.clone());
+            let mut st = FactorState::new(tiled.clone());
+            for (n, &task) in tasks.iter().enumerate() {
+                seq.execute(task).unwrap();
+                let stale = Arc::new(Matrix::from_fn(4, 4, |r, c| (n + r * 4 + c) as f64));
+                let at = Arc::as_ptr(&stale);
+                exclusive(&mut st.slots.spare).push(stale);
+                let staged = st.stage(task).unwrap();
+                match &staged.tiles {
+                    Tiles::Factor { tfac, .. } | Tiles::Elim { tfac, .. } => {
+                        assert_eq!(Arc::as_ptr(tfac), at, "{task:?}: T is not the spare")
+                    }
+                    _ => panic!("{task:?} staged wrong input kind"),
+                }
+                st.commit(staged.compute_with(&mut Workspace::new(4, 4)).unwrap());
+            }
+            for i in 0..=tt {
+                assert_eq!(st.geqrt_factor(i, k), seq.geqrt_factor(i, k), "{elim:?}");
+            }
+            assert_eq!(
+                st.elim_factor_any(i, k),
+                seq.elim_factor_any(i, k),
+                "{elim:?}"
+            );
+            assert_eq!(spares(&st), 0);
+        }
+    }
+
+    /// Elimination factors that still hold `−V₂ᵀ`.
     fn live_blocks<T: Scalar>(st: &FactorState<T>) -> usize {
-        st.elim_t
-            .iter()
-            .flatten()
-            .filter(|e| e.vt.is_some())
-            .count()
+        let held = |s: &Mutex<Option<ElimFactor<T>>>| read(s).is_some_and(|e| e.vt.is_some());
+        st.slots.elim_t.iter().filter(|s| held(s)).count()
     }
 
-    /// The same count on a shared state.
-    fn live_shared_blocks<T: Scalar>(st: &SharedFactorState<T>) -> usize {
-        let held = |s: &Mutex<Option<ElimFactor<T>>>| {
-            s.lock().unwrap().as_ref().is_some_and(|e| e.vt.is_some())
-        };
-        st.elim_t.iter().filter(|s| held(s)).count()
+    fn spares<T: Scalar>(st: &FactorState<T>) -> usize {
+        st.slots.spare.lock().unwrap().len()
     }
 
     /// Trees whose eliminations are TS, TT and both on a 5 x 4 grid, plus
@@ -1314,7 +1255,7 @@ mod tests {
                 };
                 st.execute(factor).unwrap();
                 let v2 = st.tiles().tile(i, k).clone();
-                let vt = st.elim_t[i * st.nt + k].as_ref().unwrap().vt.clone();
+                let vt = read(&st.slots.elim_t[st.frame.idx(i, k)]).unwrap().vt;
                 let vt = vt.expect("a factor with two updates stores −V₂ᵀ");
                 for r in 0..b {
                     for c in 0..b {
@@ -1326,7 +1267,7 @@ mod tests {
                 // The update forms `W` from exactly this block.
                 let (mut top, mut bot) =
                     (st.tiles().tile(p, 1).clone(), st.tiles().tile(i, 1).clone());
-                let tfac = st.elim_factor(p, i, k).unwrap().clone();
+                let tfac = st.elim_factor(p, i, k).unwrap();
                 let ws = &mut Workspace::new(b, b);
                 let side = ApplySide::Transpose;
                 pair_update(&v2, Some(&vt), &tfac, &mut top, &mut bot, side, tt, ws).unwrap();
@@ -1355,11 +1296,7 @@ mod tests {
                     0,
                     "b={b} tt={tt}: block outlived its updates"
                 );
-                assert_eq!(
-                    st.spare.lock().unwrap().len(),
-                    1,
-                    "b={b} tt={tt}: not recycled"
-                );
+                assert_eq!(spares(&st), 1, "b={b} tt={tt}: not recycled");
             }
         }
     }
@@ -1397,7 +1334,7 @@ mod tests {
             let mut seq = FactorState::new(t.clone());
             seq.run_all(&g).unwrap();
             for fenced in [false, true] {
-                let shared = SharedFactorState::new(FactorState::new(t.clone()));
+                let mut shared = FactorState::new(t.clone());
                 let mut ws = Workspace::new(8, 8);
                 let mut most = 0;
                 for task in factors_first(&g) {
@@ -1409,17 +1346,17 @@ mod tests {
                         drop(stage(task).compute_with(&mut ws).unwrap());
                     }
                     shared.commit(stage(task).compute_with(&mut ws).unwrap());
-                    most = most.max(live_shared_blocks(&shared));
+                    most = most.max(live_blocks(&shared));
                 }
                 let ctx = format!("{tree:?} fenced={fenced}");
-                assert_eq!(
-                    live_shared_blocks(&shared),
-                    0,
-                    "{ctx}: a block outlived its run"
-                );
+                assert_eq!(live_blocks(&shared), 0, "{ctx}: a block outlived its run");
                 assert!(g.tile_cols() <= 2 || most > 1, "{ctx}: order held {most}");
-                let st = shared.into_state();
-                assert_eq!(st.tiles().to_matrix(), seq.tiles().to_matrix(), "{ctx}");
+                assert_eq!(shared.tiles().to_matrix(), seq.tiles().to_matrix(), "{ctx}");
+                // Fenced commits displace tiles that nothing holds; closing
+                // the run releases them.
+                assert!(!fenced || spares(&shared) > 0, "{ctx}: nothing recycled");
+                shared.end_run();
+                assert_eq!(spares(&shared), 0, "{ctx}: spares outlived the run");
             }
         }
     }

@@ -59,7 +59,7 @@ fn case<T: Scalar>(rows: usize, cols: usize, b: usize) {
         let graph = TaskGraph::build_tree(mt, nt, tree);
         let mut state = FactorState::new(tiled.clone());
         state.run_all(&graph).unwrap();
-        tiles_aligned("factored", state.tiles());
+        tiles_aligned("factored", &state.tiles());
         for k in 0..mt.min(nt) {
             for i in k..mt {
                 if let Some(t) = state.geqrt_factor(i, k) {
@@ -71,7 +71,7 @@ fn case<T: Scalar>(rows: usize, cols: usize, b: usize) {
             }
         }
         let copy = state.clone();
-        tiles_aligned("state clone", copy.tiles());
+        tiles_aligned("state clone", &copy.tiles());
         aligned("R", state.r_matrix().as_slice());
     }
 

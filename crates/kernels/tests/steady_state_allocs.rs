@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tileqr_dag::{EliminationTree, KernelClass, TaskGraph, TaskKind};
-use tileqr_kernels::exec::{FactorState, SharedFactorState};
+use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::TiledMatrix;
@@ -102,9 +102,10 @@ fn cases() -> [(Vec<TaskKind>, Vec<TaskKind>); 2] {
 /// Acquisitions of one factor task: its `T` matrix and the `Arc` around it.
 const T_OUTPUT: u64 = 2;
 
-/// Acquisitions of the first `−V₂ᵀ` block of a sequential run: its matrix,
-/// the `Arc` around it and the spare list it is recycled into.
-const BLOCK_ONCE: u64 = 3;
+/// Acquisitions a sequential run makes once: the spare list its first spent
+/// `−V₂ᵀ` block is recycled into. Every block is a factor task's tile, for
+/// its `T` or its `−V₂ᵀ`, so the blocks count in `T_OUTPUT`.
+const SPARE_LIST: u64 = 1;
 
 #[test]
 fn update_tasks_allocate_nothing_in_steady_state() {
@@ -141,12 +142,9 @@ fn update_tasks_allocate_nothing_in_steady_state() {
             // Fenced (preserving) staging copies each written tile into
             // one a commit displaced, so once warm it allocates no more
             // than the swapping path does.
-            let shared = SharedFactorState::new(state);
+            let shared = state;
             let mut ws = Workspace::new(b, b);
-            let stagings = [
-                SharedFactorState::stage,
-                SharedFactorState::stage_preserving,
-            ];
+            let stagings = [FactorState::stage, FactorState::stage_preserving];
             for (stage, fenced) in stagings.into_iter().zip([false, true]) {
                 for (&task, want) in
                     (updates.iter().map(|t| (t, 0))).chain(factors.iter().map(|t| (t, T_OUTPUT)))
@@ -158,7 +156,7 @@ fn update_tasks_allocate_nothing_in_steady_state() {
                     cycle();
                     let n = acquisitions(|| (0..3).for_each(|_| cycle()));
                     let path = if fenced { "fenced" } else { "unfenced" };
-                    assert_eq!(n, 3 * want, "SharedFactorState {path}, b = {b}: {task:?}");
+                    assert_eq!(n, 3 * want, "shared {path}, b = {b}: {task:?}");
                 }
             }
             assert_eq!(ws.resizes(), 0, "worker arena grew at b = {b}");
@@ -167,10 +165,10 @@ fn update_tasks_allocate_nothing_in_steady_state() {
     }
 
     // A whole factorization, not one task at a time: the paper's 8 x 8
-    // grid at b = 16 acquires its factor tasks' outputs and, once, the
-    // `−V₂ᵀ` block its eliminations share — in program order each factor's
-    // updates all commit before the next elimination, which writes into
-    // the block they recycled.
+    // grid at b = 16 acquires one tile per factor task and, once, the spare
+    // list — in program order each factor's updates all commit before the
+    // next factor task, which takes the `−V₂ᵀ` block they recycled for its
+    // `T` or its own block.
     let (nt, b) = (8, 16);
     let g = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let is_factor = |t: &&TaskKind| KernelClass::of(**t) != KernelClass::Update;
@@ -178,6 +176,6 @@ fn update_tasks_allocate_nothing_in_steady_state() {
     let a = random_matrix::<f64>(nt * b, nt * b, 78);
     let mut state = FactorState::new(TiledMatrix::from_matrix(&a, b).unwrap());
     let n = acquisitions(|| state.run_all(&g).unwrap());
-    assert_eq!(n, T_OUTPUT * factors + BLOCK_ONCE, "run_all, 8 x 8 tiles");
+    assert_eq!(n, T_OUTPUT * factors + SPARE_LIST, "run_all, 8 x 8 tiles");
     assert_eq!(state.workspace_resizes(), 0);
 }

@@ -27,7 +27,7 @@ use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use tileqr_dag::{CostModel, TaskGraph, TaskId, TaskKind};
-use tileqr_kernels::exec::{CompletedTask, SharedFactorState};
+use tileqr_kernels::exec::{CompletedTask, FactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
 use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder};
@@ -87,7 +87,7 @@ pub enum Outcome<T: Scalar> {
 /// untraced attempt reads the clock only around its kernel. Panics are
 /// caught and reported, never propagated.
 pub fn run_attempt<T: Scalar>(
-    shared: &SharedFactorState<T>,
+    state: &FactorState<T>,
     kind: TaskKind,
     (task, attempt): (TaskId, u32),
     injector: Option<&dyn FaultInjector>,
@@ -109,9 +109,9 @@ pub fn run_attempt<T: Scalar>(
         }
         let t0 = lane.as_ref().map(|_| Instant::now());
         let staged = if fenced {
-            shared.stage_preserving(kind)
+            state.stage_preserving(kind)
         } else {
-            shared.stage(kind)
+            state.stage(kind)
         }?;
         let t_staged = Instant::now();
         let mut done = staged.compute_with(ws)?;
@@ -124,7 +124,7 @@ pub fn run_attempt<T: Scalar>(
         let completed = if fenced {
             Some(done)
         } else {
-            shared.commit(done);
+            state.commit(done);
             None
         };
         if let (Some((rec, epoch)), Some(t0)) = (lane, t0) {
@@ -332,12 +332,12 @@ impl DagRun {
     /// whether it is the report the manager was waiting on for that slot;
     /// a late `Done` from a retired worker still gets its shot at the
     /// fence. Returns `true` when this result was committed (outputs
-    /// applied to `shared`, successors readied), `false` when it was
+    /// applied to `state`, successors readied), `false` when it was
     /// dropped as a duplicate or because the run is halted.
     pub fn on_done<T: Scalar>(
         &mut self,
         graph: &TaskGraph,
-        shared: &SharedFactorState<T>,
+        state: &FactorState<T>,
         (t, attempt): (TaskId, u32),
         w: usize,
         expected: bool,
@@ -351,11 +351,11 @@ impl DagRun {
             // Only a traced commit is clocked: its span is the one reader.
             if let Some((rec, epoch)) = self.lane.as_mut() {
                 let c0 = ns_at(*epoch, Instant::now());
-                shared.commit(outputs);
+                state.commit(outputs);
                 let c1 = ns_at(*epoch, Instant::now());
                 rec.record(RawEvent::interval(RawKind::Commit, t, attempt, c0, c1));
             } else {
-                shared.commit(outputs);
+                state.commit(outputs);
             }
         }
         self.committed[t] = true;

@@ -10,12 +10,12 @@
 //! crates).
 //!
 //! Concurrency design: tiles and T factors live in per-slot locked cells
-//! of a [`SharedFactorState`](tileqr_kernels::exec::SharedFactorState);
-//! *staging* a task clones `Arc` handles for its read inputs and swaps its
-//! written tiles out, so each critical section is a pointer exchange on one
-//! slot — the `O(b³)` kernel itself runs lock-free on owned data and
-//! *commit* swaps results back in. Determinism of the *result* (not the
-//! schedule) is guaranteed because every task writes a disjoint tile set.
+//! of the one [`FactorState`](tileqr_kernels::exec::FactorState), shared
+//! through `&self`; *staging* a task clones `Arc` handles for its read
+//! inputs and swaps its written tiles out, so each critical section is a
+//! pointer exchange on one slot — the `O(b³)` kernel runs lock-free on
+//! owned data and *commit* swaps results back in. The *result* (not the
+//! schedule) is deterministic because every task writes a disjoint tile set.
 //!
 //! One engine, one driver: everything a scheduler does *per DAG* —
 //! readiness, FIFO dispatch (its other [`DispatchOrder`]s are test

@@ -84,7 +84,7 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{CostModel, KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
-use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, SharedFactorState};
+use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
 use tileqr_obs::{
@@ -721,7 +721,7 @@ struct Unit<T: Scalar> {
     key: AttemptKey,
     kind: TaskKind,
     b: usize,
-    shared: Arc<SharedFactorState<T>>,
+    state: Arc<FactorState<T>>,
     injector: Option<SharedInjector>,
 }
 
@@ -729,14 +729,14 @@ struct Unit<T: Scalar> {
 /// requested output, replaying the reflectors for solve/apply payloads.
 ///
 /// The solve path mirrors `TiledQr::solve` exactly (pad, `Qᵀ b`, back
-/// substitution on the leading `cols` entries) so a service solve is
-/// bit-identical to the single-matrix API.
+/// substitution against `r_rows(cols)` on the leading `cols` entries) so a
+/// service solve is bit-identical to the single-matrix API.
 fn finish_output<T: Scalar>(
     state: FactorState<T>,
     graph: TaskGraph,
     payload: Payload<T>,
 ) -> Result<JobOutput<T>, MatrixError> {
-    let (rows, cols) = state.tiles().dense_dims();
+    let (rows, cols) = state.dense_dims();
     let wrap = |state, graph| FactoredJob {
         state,
         graph,
@@ -746,12 +746,12 @@ fn finish_output<T: Scalar>(
     match payload {
         Payload::Factor => Ok(JobOutput::Factored(wrap(state, graph))),
         Payload::Solve { rhs } => {
-            let (pm, _) = state.tiles().padded_dims();
+            let (pm, _) = state.padded_dims();
             let bm = Matrix::from_col_major(rows, 1, rhs)?;
             let mut work = Matrix::zeros(pm, 1);
             work.set_submatrix(0, 0, &bm)?;
             apply_qt_dense(&state, &graph, &mut work)?;
-            let r_sq = state.r_matrix().submatrix(0, 0, cols, cols)?;
+            let r_sq = state.r_rows(cols);
             let x = tileqr_matrix::ops::solve_upper_triangular(&r_sq, &work.as_slice()[..cols])?;
             Ok(JobOutput::Solved {
                 x,
@@ -759,7 +759,7 @@ fn finish_output<T: Scalar>(
             })
         }
         Payload::Apply { c, transpose } => {
-            let (pm, _) = state.tiles().padded_dims();
+            let (pm, _) = state.padded_dims();
             let mut work = Matrix::zeros(pm, c.cols());
             work.set_submatrix(0, 0, &c)?;
             if transpose {
@@ -790,7 +790,7 @@ struct JobState<T: Scalar> {
     meta: JobMeta<T>,
     /// Workers clone the handle for the length of one attempt; when the
     /// DAG is done it is unique again and the state is reclaimed.
-    shared: Arc<SharedFactorState<T>>,
+    state: Arc<FactorState<T>>,
     b: usize,
     cost: CostModel,
     vtime: f64,
@@ -1041,7 +1041,7 @@ impl<T: Scalar> Shared<T> {
             class_compute_us: [0.0; 3],
             class_tasks: [0; 3],
         };
-        let b = state.tiles().tile_size();
+        let b = state.tile_size();
         let lane = self.trace.map(|(cfg, epoch)| {
             let rec = WorkerRecorder::new(cfg.capacity_per_lane);
             (rec, epoch)
@@ -1049,7 +1049,7 @@ impl<T: Scalar> Shared<T> {
         let job = Box::new(JobState {
             run: DagRun::new(&meta.graph, order, b, self.workers, lane),
             meta,
-            shared: Arc::new(SharedFactorState::new(state)),
+            state: Arc::new(state),
             b,
             cost,
             vtime: 0.0,
@@ -1214,10 +1214,10 @@ impl<T: Scalar> Shared<T> {
     /// back for the timer to try again.
     fn retire(&self, core: &mut Core<T>, id: JobId) -> Option<Finished<T>> {
         let mut job = core.jobs.remove(&id)?;
-        let (lock_waits, state) = match Arc::try_unwrap(job.shared) {
-            Ok(shared) => (shared.lock_waits(), shared.into_state()),
-            Err(shared) => {
-                job.shared = shared;
+        let mut state = match Arc::try_unwrap(job.state) {
+            Ok(state) => state,
+            Err(state) => {
+                job.state = state;
                 core.jobs.insert(id, job);
                 core.finalize_pending.push(id);
                 self.timer.notify_one();
@@ -1235,7 +1235,7 @@ impl<T: Scalar> Shared<T> {
         };
         let elapsed = job.started.map(|s| s.elapsed()).unwrap_or_default();
         let mut report = job.run.into_report(elapsed, None, counters);
-        (report.stage_wait, report.commit_wait) = lock_waits;
+        (report.stage_wait, report.commit_wait) = state.end_run();
         Some((job.meta, state, report))
     }
 
@@ -1349,7 +1349,7 @@ impl<T: Scalar> Shared<T> {
                 let at = (task, attempt);
                 if job
                     .run
-                    .on_done(&job.meta.graph, &job.shared, at, w, expected, done)
+                    .on_done(&job.meta.graph, &job.state, at, w, expected, done)
                 {
                     let slot = KernelClass::of(job.meta.graph.task(task)).slot();
                     job.meta.class_compute_us[slot] += compute_ns as f64 / 1e3;
@@ -1425,7 +1425,7 @@ impl<T: Scalar> Shared<T> {
             key,
             kind,
             b: job.b,
-            shared: Arc::clone(&job.shared),
+            state: Arc::clone(&job.state),
             injector: job.injector.clone(),
         })
     }
@@ -1467,7 +1467,7 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
             key,
             kind,
             b,
-            shared,
+            state,
             injector: own,
         } = unit;
         if b > sized_for {
@@ -1476,10 +1476,10 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
         let own = own.as_deref().map(|f| f as &dyn FaultInjector);
         let lane = rec.as_mut().zip(sh.trace.map(|(_, epoch)| epoch));
         let (at, fenced) = ((key.1, key.2), sh.ft.is_some());
-        let outcome = run_attempt(&shared, kind, at, own.or(injector), fenced, &mut ws, lane);
+        let outcome = run_attempt(&state, kind, at, own.or(injector), fenced, &mut ws, lane);
         // Drop the state handle *before* settling: if this was the job's
         // last task, the state is then unique and reclaimed on the spot.
-        drop(shared);
+        drop(state);
         let scanned = if let (Outcome::Done(done), true) = (&outcome, is_panel_factor(kind)) {
             done.completed.as_ref()
         } else {

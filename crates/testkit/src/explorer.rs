@@ -12,7 +12,7 @@
 //! [`ExploreStrategy`] alone.
 
 use tileqr_dag::{CostModel, EliminationTree, TaskGraph, TaskId};
-use tileqr_kernels::exec::{FactorState, SharedFactorState};
+use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Result, Rng64, Scalar, TiledMatrix};
 use tileqr_runtime::model_weight;
@@ -91,7 +91,7 @@ pub fn explore<T: Scalar>(
     let flops = model_weight(CostModel::Flops, tiles.tile_size());
     let priorities = tileqr_dag::critical_path::bottom_levels(graph, flops);
     let mut ws = Workspace::new(tiles.tile_size(), tiles.tile_size());
-    let shared = SharedFactorState::new(FactorState::new(tiles));
+    let shared = FactorState::new(tiles);
 
     let mut indegree: Vec<usize> = graph.indegrees();
     let mut ready: Vec<TaskId> = graph.sources();
@@ -136,7 +136,7 @@ pub fn explore<T: Scalar>(
 
     Ok(Exploration {
         completion_order,
-        state: shared.into_state(),
+        state: shared,
     })
 }
 

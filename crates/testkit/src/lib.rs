@@ -7,7 +7,7 @@
 //! the gap with three instruments:
 //!
 //! * [`explorer`] — a virtual `k`-worker scheduler that drives
-//!   [`tileqr_kernels::exec::SharedFactorState`] through seeded and
+//!   a [`tileqr_kernels::exec::FactorState`] through seeded and
 //!   adversarial dispatch/completion interleavings and hands back the
 //!   final state for bit-identity comparison against the sequential
 //!   factorization. Hundreds of distinct legal schedules per test, each

@@ -21,7 +21,7 @@
 
 use std::time::{Duration, Instant};
 use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
-use tileqr_kernels::exec::{FactorState, SharedFactorState};
+use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Rng64, TiledMatrix};
@@ -88,7 +88,7 @@ struct Counts {
 /// Both halves of the protocol around one [`DagRun`].
 struct Machine<'g> {
     graph: &'g TaskGraph,
-    shared: SharedFactorState<f64>,
+    shared: FactorState<f64>,
     run: DagRun,
     slots: Slots<Key>,
     /// The model's own idle-slot stack: which slots a driver could hand
@@ -112,7 +112,7 @@ impl<'g> Machine<'g> {
     ) -> Self {
         Machine {
             graph,
-            shared: SharedFactorState::new(FactorState::new(tiled)),
+            shared: FactorState::new(tiled),
             run: DagRun::new(graph, order, B, WORKERS, None),
             slots: Slots::new(WORKERS),
             idle: (0..WORKERS).rev().collect(),
@@ -241,7 +241,7 @@ impl<'g> Machine<'g> {
         assert_eq!(got, self.want, "recovery counters follow the charging rule");
         if done {
             assert_eq!(report.total_tasks() as usize, self.graph.len());
-            assert_bit_identical(&self.shared.into_state(), reference);
+            assert_bit_identical(&self.shared, reference);
         }
         report
     }

@@ -83,6 +83,11 @@
 #     attempt times only its kernel (slot-lock waits are timed on the state,
 #     and only when contended) — so no `Box<CompletedTask`, no fresh
 #     `Arc::new` around a read tile, and no per-attempt wait field.
+#   * one factor state: `FactorState` keeps every tile and factor in its
+#     own slot, and one stage body and one commit body serve `run_all` (no
+#     lock), the pool and the service (per-slot locks), so no second state
+#     type (`SharedFactorState`) and no conversion into or out of one
+#     (`into_state`) in non-test code under `crates/`.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -247,6 +252,8 @@ expect 0 'Box<CompletedTask|Arc::new\(\(\*self\.read_tile' \
 hits=$(non_test crates/runtime/src/engine.rs |
     awk '/pub struct Attempt[<{ ]/ { on = 1 } on && /(stage|commit)_wait/ { print } on && /:}$/ { on = 0 }')
 [ -z "$hits" ] || fail "Attempt clocks its stage or commit again (slot-lock waits live on the state):" "$hits"
+expect 0 'SharedFactorState|into_state\b' \
+    "one factor state (a second state type or a conversion into one is back)" crates
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
