@@ -1,7 +1,7 @@
 //! Real-thread analogue of the paper's Fig. 8 on the machine we actually
 //! have: tiled QR wall time versus computing-thread count, with per-worker
-//! load balance (FIFO dispatch) and `lock_wait_s`: time blocked on a
-//! contended tile-slot lock, staging plus committing — 0 when none was.
+//! load balance (FIFO dispatch) and `lock_wait_s`: time workers blocked
+//! on the driver's lock, staging plus committing — 0 when none did.
 //!
 //! Usage: `repro_host_scaling [n] [b] [--json out.json]`
 

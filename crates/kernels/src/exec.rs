@@ -11,14 +11,13 @@
 //!    (written) and `Arc`-shared (read) data,
 //! 3. [`FactorState::commit`] — put results back (pointer swaps again).
 //!
-//! Every tile and `T` factor sits in its own mutex slot, dense-indexed by
-//! tile: a `GEQRT` factor by its panel tile `(i, k)`, an elimination factor
-//! by its eliminated tile `(i, k)`, which fixes the pivot `p` (stored
-//! alongside), and `−V₂ᵀ` while its updates run (DESIGN §13). One stage
-//! body and one commit body reach the slots two ways (DESIGN §9): under
-//! `&mut self` (`execute`, `run_all`) through `Mutex::get_mut`, with no
-//! lock; under `&self` (a parallel runtime's workers) by locking only the
-//! slots the task touches. [`apply_qt_dense`] / [`apply_q_dense`] replay the
+//! Every tile and `T` factor sits in a plain slot, dense-indexed by tile: a
+//! `GEQRT` factor by its panel tile `(i, k)`, an elimination factor by its
+//! eliminated tile `(i, k)`, which fixes the pivot `p` (stored alongside),
+//! and `−V₂ᵀ` while its updates run (DESIGN §13). Staging and commit take
+//! `&mut self`: a parallel runtime calls them inside its own critical
+//! section, and only the kernel — with a fenced stage's tile copies — runs
+//! outside it (DESIGN §9). [`apply_qt_dense`] / [`apply_q_dense`] replay the
 //! factor kernels over a dense right-hand side in program order, so `Q`
 //! does not depend on the (nondeterministic) parallel schedule.
 
@@ -26,59 +25,19 @@ use crate::factor::store_neg_transpose;
 use crate::geqrt::pair_update;
 use crate::workspace::Workspace;
 use crate::{geqrt_apply_ws, geqrt_ws, tsqrt_ws, ttqrt_ws, ApplySide};
-use std::ops::DerefMut;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 use tileqr_dag::{TaskGraph, TaskKind};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
 
-/// Make a staged tile's handle the only one, so the task can write through
-/// it and commit can put the same allocation back. The DAG's WAR/WAW edges
-/// guarantee the handle is unique when a writer stages a tile (all readers
-/// have committed and dropped their clones), so this is normally a no-op;
-/// the clone fallback only fires if an external handle is still alive, and
-/// every such full-tile copy is counted — it is the copy-on-write slow
-/// path the runtime surfaces as `RunReport::cow_clones`.
-fn unique<T: Scalar>(mut a: Tile<T>, cow: &AtomicU64) -> Tile<T> {
-    if Arc::get_mut(&mut a).is_none() {
-        cow.fetch_add(1, Ordering::Relaxed);
-        a = Arc::new((*a).clone());
-    }
-    a
-}
-
-/// Write access to a tile staged by [`unique`] (or freshly cloned by
-/// `stage_preserving`, or a spare): the task holds its only handle until
-/// commit.
+/// Write access to a written tile once [`StagedTask::compute_with`] has
+/// copied any shared one, or to a spare: the task holds its only handle
+/// until commit.
 fn owned<T: Scalar>(a: &mut Tile<T>) -> &mut Matrix<T> {
     Arc::get_mut(a).expect("a staged tile has one handle")
 }
 
 /// A tile's handle: shared to read, unique to write.
 type Tile<T> = Arc<Matrix<T>>;
-
-/// Lock a slot for a body run under `&self`. The uncontended fast path
-/// reads no clock; only a lock that blocks is timed, into `wait_ns`.
-fn lock_slot<'a, X>(slot: &'a Mutex<X>, wait_ns: &AtomicU64) -> MutexGuard<'a, X> {
-    if let Ok(guard) = slot.try_lock() {
-        return guard;
-    }
-    let t0 = Instant::now();
-    let guard = slot.lock().expect("slot poisoned");
-    wait_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    guard
-}
-
-/// A slot's value, read under its lock outside any stage or commit.
-fn read<X: Clone>(slot: &Mutex<X>) -> X {
-    slot.lock().expect("slot poisoned").clone()
-}
-
-/// A slot under `&mut`: no lock, no atomic.
-fn exclusive<X>(slot: &mut Mutex<X>) -> &mut X {
-    slot.get_mut().expect("slot poisoned")
-}
 
 /// An elimination `T` factor, its pivot row and, for a factor with two or
 /// more trailing updates, `−V₂ᵀ` until the `pending` ones have committed.
@@ -98,234 +57,48 @@ fn settle<T: Scalar>(slot: &mut Option<ElimFactor<T>>) -> Option<Tile<T>> {
     e.vt.take_if(|_| e.pending == 0)
 }
 
-/// Every tile and factor in its own slot, dense-indexed by tile `i*nt+j`,
-/// and the spare list.
+/// Mutable factorization state: the tiled matrix plus reflector factors,
+/// each in its own slot. Staging and commit are pointer swaps and `Arc`
+/// clones — `O(1)`, never `O(b²)` — so a runtime that serializes them
+/// under its own lock holds it for a few stores per task.
 #[derive(Debug)]
-struct Slots<T: Scalar> {
-    tiles: Vec<Mutex<Tile<T>>>,
-    /// `T` factors of `GEQRT`, by the factored tile.
-    geqrt_t: Vec<Mutex<Option<Tile<T>>>>,
-    /// `T` factors of `TSQRT`/`TTQRT`, by the *eliminated* tile (which
-    /// determines the pivot `p`, stored alongside).
-    elim_t: Vec<Mutex<Option<ElimFactor<T>>>>,
-    /// Tiles a fenced commit displaced and spent `−V₂ᵀ` blocks that nothing
-    /// else holds: staged copies, `T` outputs and new blocks reuse these.
-    spare: Mutex<Vec<Tile<T>>>,
-}
-
-/// How the stage and commit bodies reach a slot: [`Slots`] itself under
-/// `&mut` (no lock), or [`Locked`].
-trait Road<T: Scalar> {
-    fn tile(&mut self, idx: usize) -> impl DerefMut<Target = Tile<T>> + '_;
-    fn geqrt(&mut self, idx: usize) -> impl DerefMut<Target = Option<Tile<T>>> + '_;
-    fn elim(&mut self, idx: usize) -> impl DerefMut<Target = Option<ElimFactor<T>>> + '_;
-    fn spare(&mut self) -> impl DerefMut<Target = Vec<Tile<T>>> + '_;
-}
-
-impl<T: Scalar> Road<T> for Slots<T> {
-    fn tile(&mut self, idx: usize) -> impl DerefMut<Target = Tile<T>> + '_ {
-        exclusive(&mut self.tiles[idx])
-    }
-    fn geqrt(&mut self, idx: usize) -> impl DerefMut<Target = Option<Tile<T>>> + '_ {
-        exclusive(&mut self.geqrt_t[idx])
-    }
-    fn elim(&mut self, idx: usize) -> impl DerefMut<Target = Option<ElimFactor<T>>> + '_ {
-        exclusive(&mut self.elim_t[idx])
-    }
-    fn spare(&mut self) -> impl DerefMut<Target = Vec<Tile<T>>> + '_ {
-        exclusive(&mut self.spare)
-    }
-}
-
-/// The slots under `&self`: each one locked on its own, a lock that blocks
-/// timed into the counter.
-struct Locked<'a, T: Scalar>(&'a Slots<T>, &'a AtomicU64);
-
-impl<T: Scalar> Road<T> for Locked<'_, T> {
-    fn tile(&mut self, idx: usize) -> impl DerefMut<Target = Tile<T>> + '_ {
-        lock_slot(&self.0.tiles[idx], self.1)
-    }
-    fn geqrt(&mut self, idx: usize) -> impl DerefMut<Target = Option<Tile<T>>> + '_ {
-        lock_slot(&self.0.geqrt_t[idx], self.1)
-    }
-    fn elim(&mut self, idx: usize) -> impl DerefMut<Target = Option<ElimFactor<T>>> + '_ {
-        lock_slot(&self.0.elim_t[idx], self.1)
-    }
-    fn spare(&mut self) -> impl DerefMut<Target = Vec<Tile<T>>> + '_ {
-        self.0.spare.lock().expect("spare tiles poisoned")
-    }
-}
-
-/// Keep `tile` as a spare if no other handle holds it (out of its slot, it gains none).
-fn recycle<T: Scalar>(road: &mut impl Road<T>, tile: Option<Tile<T>>) {
-    if let Some(tile) = tile.filter(|t| Arc::strong_count(t) == 1) {
-        road.spare().push(tile);
-    }
-}
-
-/// What the stage and commit bodies read and never replace.
-#[derive(Debug)]
-struct Frame<T: Scalar> {
-    /// The geometry: every tile is the placeholder (`tiles` fills them in).
+pub struct FactorState<T: Scalar> {
+    /// The geometry: every tile is the placeholder (`tiles` holds them).
     grid: TiledMatrix<T>,
     /// Shared all-zero placeholder swapped in when a tile is staged out.
     empty: Tile<T>,
-    /// Copy-on-write fallback counter: full-tile clones taken because an
-    /// `Arc` that should have been unique was still shared.
-    cow: AtomicU64,
-    /// Nanoseconds blocked on contended slot locks, staging and committing.
-    stage_wait_ns: AtomicU64,
-    commit_wait_ns: AtomicU64,
-}
-
-impl<T: Scalar> Frame<T> {
-    fn idx(&self, i: usize, j: usize) -> usize {
-        i * self.grid.tile_cols() + j
-    }
-
-    /// A spare tile, or a fresh one. Every user overwrites it whole.
-    fn spare_tile(&self, road: &mut impl Road<T>) -> Tile<T> {
-        let tile = road.spare().pop();
-        tile.unwrap_or_else(|| Arc::new(Matrix::zeros(self.empty.rows(), self.empty.cols())))
-    }
-
-    /// Tile `(i, j)` for a task to read: its slot is held for an `Arc` clone.
-    fn read_tile(&self, road: &mut impl Road<T>, (i, j): (usize, usize)) -> Tile<T> {
-        Arc::clone(&road.tile(self.idx(i, j)))
-    }
-
-    /// Tile `(i, j)` for a task to write. Taken, it is a pointer swap
-    /// against the placeholder and the handle that comes out is (normally)
-    /// unique. Kept, it is an `O(b²)` copy into a spare tile and the slot
-    /// keeps the pre-task value.
-    fn written(&self, road: &mut impl Road<T>, (i, j): (usize, usize), keep: bool) -> Tile<T> {
-        let slot = self.idx(i, j);
-        if !keep {
-            let arc = std::mem::replace(&mut *road.tile(slot), Arc::clone(&self.empty));
-            return unique(arc, &self.cow);
-        }
-        let src = self.read_tile(road, (i, j));
-        let mut tile = self.spare_tile(road);
-        let copy = owned(&mut tile).as_mut_slice();
-        copy.copy_from_slice(src.as_slice());
-        tile
-    }
-
-    /// The one stage body: take (or keep and copy) the tiles `task` writes,
-    /// share the ones it reads, and hand it a spare for its `T` and `−V₂ᵀ`
-    /// outputs. A missing reflector factor fails before any slot changes.
-    fn stage(&self, road: &mut impl Road<T>, task: TaskKind, keep: bool) -> Result<StagedTask<T>> {
-        let tiles = match task {
-            TaskKind::Geqrt { i, k } => Tiles::Factor {
-                tile: self.written(road, (i, k), keep),
-                tfac: self.spare_tile(road),
-            },
-            TaskKind::Unmqr { i, j, k } => {
-                let tfac = road.geqrt(self.idx(i, k)).clone();
-                let tfac = tfac.ok_or_else(missing_factor_err)?;
-                Tiles::Update {
-                    vr: self.read_tile(road, (i, k)),
-                    tfac,
-                    c: self.written(road, (i, j), keep),
-                }
-            }
-            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => Tiles::Elim {
-                r1: self.written(road, (p, k), keep),
-                a2: self.written(road, (i, k), keep),
-                tfac: self.spare_tile(road),
-                vt: (k + 2 < self.grid.tile_cols()).then(|| self.spare_tile(road)),
-            },
-            TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k } => {
-                let (tfac, vt) = match &*road.elim(self.idx(i, k)) {
-                    Some(e) if e.p == p => (Arc::clone(&e.tfac), e.vt.clone()),
-                    _ => return Err(missing_factor_err()),
-                };
-                Tiles::PairUpdate {
-                    v2: self.read_tile(road, (i, k)),
-                    tfac,
-                    vt,
-                    a1: self.written(road, (p, j), keep),
-                    a2: self.written(road, (i, j), keep),
-                }
-            }
-        };
-        Ok(StagedTask { task, tiles })
-    }
-
-    /// Store `tile` in slot `(i, j)`. The tile it displaces becomes a spare
-    /// if nothing else holds it (a fenced commit; an unfenced one displaces
-    /// the shared placeholder, and a straggler's handle keeps its tile out).
-    fn put(&self, road: &mut impl Road<T>, (i, j): (usize, usize), tile: Tile<T>) {
-        let old = std::mem::replace(&mut *road.tile(self.idx(i, j)), tile);
-        recycle(road, Some(old));
-    }
-
-    /// The one commit body: write a completed task's outputs back.
-    fn commit(&self, road: &mut impl Road<T>, done: CompletedTask<T>) {
-        match (done.task, done.tiles) {
-            (TaskKind::Geqrt { i, k }, Tiles::Factor { tile, tfac }) => {
-                self.put(road, (i, k), tile);
-                *road.geqrt(self.idx(i, k)) = Some(tfac);
-            }
-            (TaskKind::Unmqr { i, j, .. }, Tiles::Update { c, .. }) => self.put(road, (i, j), c),
-            (
-                TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
-                Tiles::Elim { r1, a2, tfac, vt },
-            ) => {
-                self.put(road, (p, k), r1);
-                self.put(road, (i, k), a2);
-                let pending = self.grid.tile_cols() - 1 - k;
-                *road.elim(self.idx(i, k)) = Some(ElimFactor {
-                    p,
-                    tfac,
-                    vt,
-                    pending,
-                });
-            }
-            (
-                TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k },
-                Tiles::PairUpdate { a1, a2, vt, .. },
-            ) => {
-                // The task's own handle goes first, so the last update's
-                // settle finds the block unshared and recycles it.
-                drop(vt);
-                self.put(road, (p, j), a1);
-                self.put(road, (i, j), a2);
-                let spent = settle(&mut road.elim(self.idx(i, k)));
-                recycle(road, spent);
-            }
-            _ => unreachable!("task/output kind mismatch"),
-        }
-    }
-}
-
-/// Mutable factorization state: the tiled matrix plus reflector factors,
-/// every one in its own slot. Through `&mut self` a task reaches its slots
-/// with no lock; through `&self` independent tasks stage and commit
-/// concurrently, each critical section a pointer swap or `Arc` clone —
-/// `O(1)`, never `O(b²)` — and no lock held across a kernel or while
-/// another slot is locked.
-#[derive(Debug)]
-pub struct FactorState<T: Scalar> {
-    frame: Frame<T>,
-    slots: Slots<T>,
+    /// Every tile, by `i*nt+j`.
+    tiles: Vec<Tile<T>>,
+    /// `T` factors of `GEQRT`, by the factored tile.
+    geqrt_t: Vec<Option<Tile<T>>>,
+    /// `T` factors of `TSQRT`/`TTQRT`, by the *eliminated* tile (which
+    /// determines the pivot `p`, stored alongside).
+    elim_t: Vec<Option<ElimFactor<T>>>,
+    /// Tiles a fenced commit displaced and spent `−V₂ᵀ` blocks that nothing
+    /// else holds: staged copies, `T` outputs and new blocks reuse these.
+    spare: Vec<Tile<T>>,
+    /// Copy-on-write fallback counter: written tiles staged while a handle
+    /// that should have been gone still shared them.
+    cow: u64,
     /// Scratch arena for `execute`; a runtime's workers bring their own.
     ws: Workspace<T>,
 }
 
 /// The copy shares every tile and factor (its first write to a tile takes
-/// a counted copy-on-write clone) and starts from the original's counts.
+/// a counted copy-on-write clone), starts from the original's counts and
+/// holds no spare.
 impl<T: Scalar> Clone for FactorState<T> {
     fn clone(&self) -> Self {
-        fn copied<X: Clone>(slots: &[Mutex<X>]) -> Vec<Mutex<X>> {
-            slots.iter().map(|s| Mutex::new(read(s))).collect()
+        FactorState {
+            grid: self.grid.clone(),
+            empty: Arc::clone(&self.empty),
+            tiles: self.tiles.clone(),
+            geqrt_t: self.geqrt_t.clone(),
+            elim_t: self.elim_t.clone(),
+            spare: Vec::new(),
+            cow: self.cow,
+            ws: self.ws.clone(),
         }
-        let mut copy = FactorState::new(self.tiles());
-        copy.slots.geqrt_t = copied(&self.slots.geqrt_t);
-        copy.slots.elim_t = copied(&self.slots.elim_t);
-        *copy.frame.cow.get_mut() = self.cow_clones();
-        copy.ws = self.ws.clone();
-        copy
     }
 }
 
@@ -334,6 +107,9 @@ impl<T: Scalar> Clone for FactorState<T> {
 pub struct StagedTask<T: Scalar> {
     task: TaskKind,
     tiles: Tiles<T>,
+    /// Per written tile (in [`Tiles::written`] order), the spare a fenced
+    /// stage copies it into before the kernel runs.
+    copy_into: [Option<Tile<T>>; 2],
 }
 
 /// A finished task, ready to be committed back into the state.
@@ -372,6 +148,19 @@ enum Tiles<T: Scalar> {
     },
 }
 
+impl<T: Scalar> Tiles<T> {
+    /// The tiles the task writes, first the one staging took first.
+    fn written(&mut self) -> [Option<&mut Tile<T>>; 2] {
+        match self {
+            Tiles::Factor { tile, .. } => [Some(tile), None],
+            Tiles::Update { c, .. } => [Some(c), None],
+            Tiles::Elim { r1, a2, .. } | Tiles::PairUpdate { a1: r1, a2, .. } => {
+                [Some(r1), Some(a2)]
+            }
+        }
+    }
+}
+
 fn missing_factor_err() -> MatrixError {
     MatrixError::DimensionMismatch {
         op: "reflector factor missing (DAG order violated)",
@@ -386,25 +175,22 @@ impl<T: Scalar> FactorState<T> {
         let (mt, nt, b) = (grid.tile_rows(), grid.tile_cols(), grid.tile_size());
         let empty = Arc::new(Matrix::zeros(b, b));
         let tiles = (0..mt * nt)
-            .map(|t| Mutex::new(grid.swap_tile_shared(t / nt, t % nt, Arc::clone(&empty))))
+            .map(|t| grid.swap_tile_shared(t / nt, t % nt, Arc::clone(&empty)))
             .collect();
-        let count = AtomicU64::new;
         FactorState {
-            frame: Frame {
-                grid,
-                empty,
-                cow: count(0),
-                stage_wait_ns: count(0),
-                commit_wait_ns: count(0),
-            },
-            slots: Slots {
-                tiles,
-                geqrt_t: (0..mt * nt).map(|_| Mutex::new(None)).collect(),
-                elim_t: (0..mt * nt).map(|_| Mutex::new(None)).collect(),
-                spare: Mutex::default(),
-            },
+            grid,
+            empty,
+            tiles,
+            geqrt_t: vec![None; mt * nt],
+            elim_t: vec![None; mt * nt],
+            spare: Vec::new(),
+            cow: 0,
             ws: Workspace::new(b, b),
         }
+    }
+
+    fn idx(&self, i: usize, j: usize) -> usize {
+        i * self.grid.tile_cols() + j
     }
 
     /// A snapshot of the (partially) factored tiles: `Arc` clones of the
@@ -412,40 +198,40 @@ impl<T: Scalar> FactorState<T> {
     /// stages one of its tiles for writing costs that task one counted
     /// copy-on-write clone ([`cow_clones`](Self::cow_clones)).
     pub fn tiles(&self) -> TiledMatrix<T> {
-        let mut tiles = self.frame.grid.clone();
+        let mut tiles = self.grid.clone();
         let nt = tiles.tile_cols();
-        for (t, slot) in self.slots.tiles.iter().enumerate() {
-            tiles.set_tile_shared(t / nt, t % nt, read(slot));
+        for (t, tile) in self.tiles.iter().enumerate() {
+            tiles.set_tile_shared(t / nt, t % nt, Arc::clone(tile));
         }
         tiles
     }
 
     /// Tile `(i, j)`, shared.
     fn tile(&self, i: usize, j: usize) -> Tile<T> {
-        read(&self.slots.tiles[self.frame.idx(i, j)])
+        Arc::clone(&self.tiles[self.idx(i, j)])
     }
 
     /// Tile side `b`.
     pub fn tile_size(&self) -> usize {
-        self.frame.grid.tile_size()
+        self.grid.tile_size()
     }
 
     /// `(rows, cols)` of the matrix before padding.
     pub fn dense_dims(&self) -> (usize, usize) {
-        self.frame.grid.dense_dims()
+        self.grid.dense_dims()
     }
 
     /// `(rows, cols)` of the padded tile grid.
     pub fn padded_dims(&self) -> (usize, usize) {
-        self.frame.grid.padded_dims()
+        self.grid.padded_dims()
     }
 
-    /// How many copy-on-write fallback clones [`unique`] took.
-    /// Single-owner execution (sequential, or the pool's move-based
-    /// staging) keeps this at 0; every increment is a full `O(b²)` tile
-    /// copy that should not have happened.
+    /// How many copy-on-write fallback clones staging took. Single-owner
+    /// execution (sequential, or the pool's move-based staging) keeps this
+    /// at 0; every increment is a full `O(b²)` tile copy that should not
+    /// have happened.
     pub fn cow_clones(&self) -> u64 {
-        self.frame.cow.load(Ordering::Relaxed)
+        self.cow
     }
 
     /// Bytes held by the sequential-path scratch arena.
@@ -458,21 +244,15 @@ impl<T: Scalar> FactorState<T> {
         self.ws.resizes()
     }
 
-    /// Close a run driven through `&self`: drop the spare tiles its commits
-    /// left, so a finished state holds none, and return the time its slot
-    /// locks blocked, `(stage, commit)` — zero when none had to wait —
-    /// restarting both counts.
-    pub fn end_run(&mut self) -> (Duration, Duration) {
-        exclusive(&mut self.slots.spare).clear();
-        let f = &mut self.frame;
-        let [stage, commit] = [&mut f.stage_wait_ns, &mut f.commit_wait_ns]
-            .map(|ns| Duration::from_nanos(std::mem::take(ns.get_mut())));
-        (stage, commit)
+    /// Close a staged run: drop the spare tiles its commits left, so a
+    /// finished state holds none.
+    pub fn end_run(&mut self) {
+        self.spare.clear();
     }
 
     /// `T` factor of `GEQRT` on tile `(i, k)`, if computed.
     pub fn geqrt_factor(&self, i: usize, k: usize) -> Option<Arc<Matrix<T>>> {
-        read(&self.slots.geqrt_t[self.frame.idx(i, k)])
+        self.geqrt_t[self.idx(i, k)].clone()
     }
 
     /// `T` factor of the elimination `(p, i, k)`, if computed.
@@ -485,47 +265,170 @@ impl<T: Scalar> FactorState<T> {
     /// whatever the pivot was (used by bit-identity sweeps that compare
     /// every stored factor).
     pub fn elim_factor_any(&self, i: usize, k: usize) -> Option<(usize, Arc<Matrix<T>>)> {
-        read(&self.slots.elim_t[self.frame.idx(i, k)]).map(|e| (e.p, e.tfac))
+        let e = self.elim_t[self.idx(i, k)].as_ref()?;
+        Some((e.p, Arc::clone(&e.tfac)))
     }
 
-    /// Phase 1: extract this task's inputs (take written tiles, share read
-    /// tiles), locking only the slots it touches, so independent tasks
-    /// stage concurrently. Fails if a required reflector factor is missing
-    /// — i.e. the caller violated the DAG order.
-    pub fn stage(&self, task: TaskKind) -> Result<StagedTask<T>> {
-        let road = &mut Locked(&self.slots, &self.frame.stage_wait_ns);
-        self.frame.stage(road, task, false)
+    /// A spare tile, or a fresh one. Every user overwrites it whole.
+    fn spare_tile(&mut self) -> Tile<T> {
+        let (b, tile) = (self.tile_size(), self.spare.pop());
+        tile.unwrap_or_else(|| Arc::new(Matrix::zeros(b, b)))
     }
 
-    /// Non-destructive variant of [`stage`](Self::stage): written tiles are
-    /// *copied* out instead of swapped out (into a spare tile when a commit
-    /// left one), so the state is left exactly as it was. An attempt staged
-    /// this way can panic, stall, or fail mid-kernel and the task remains
-    /// retryable — nothing is lost until [`commit`](Self::commit) swaps the
-    /// outputs in. The fast path keeps the zero-copy [`stage`](Self::stage);
-    /// this one trades an `O(b²)` copy per written tile (small next to the
+    /// Keep `tile` as a spare if no other handle holds it (out of its slot,
+    /// it gains none).
+    fn recycle(&mut self, tile: Option<Tile<T>>) {
+        if let Some(tile) = tile.filter(|t| Arc::strong_count(t) == 1) {
+            self.spare.push(tile);
+        }
+    }
+
+    /// Tile `(i, j)` for a task to write. Taken, it is a pointer swap
+    /// against the placeholder, and the handle that comes out is normally
+    /// unique: the task writes it in place. Kept, the slot keeps the
+    /// pre-task value and the task gets a shared handle plus a spare in
+    /// `copy_into`. Either way a still-shared handle is copied by
+    /// [`StagedTask::compute_with`], not here — for a taken tile that is
+    /// the counted copy-on-write fallback.
+    fn written(
+        &mut self,
+        (i, j): (usize, usize),
+        keep: bool,
+        copy_into: &mut Option<Tile<T>>,
+    ) -> Tile<T> {
+        let slot = self.idx(i, j);
+        if keep {
+            *copy_into = self.spare.pop();
+            return Arc::clone(&self.tiles[slot]);
+        }
+        let tile = std::mem::replace(&mut self.tiles[slot], Arc::clone(&self.empty));
+        self.cow += u64::from(Arc::strong_count(&tile) > 1);
+        tile
+    }
+
+    /// The one stage body: take (or keep) the tiles `task` writes, share
+    /// the ones it reads, and hand it a spare for its `T` and `−V₂ᵀ`
+    /// outputs. A missing reflector factor fails before any slot changes.
+    fn stage_tiles(&mut self, task: TaskKind, keep: bool) -> Result<StagedTask<T>> {
+        let mut into = [None, None];
+        let [first, second] = &mut into;
+        let tiles = match task {
+            TaskKind::Geqrt { i, k } => Tiles::Factor {
+                tile: self.written((i, k), keep, first),
+                tfac: self.spare_tile(),
+            },
+            TaskKind::Unmqr { i, j, k } => {
+                let tfac = self.geqrt_factor(i, k).ok_or_else(missing_factor_err)?;
+                Tiles::Update {
+                    vr: self.tile(i, k),
+                    tfac,
+                    c: self.written((i, j), keep, first),
+                }
+            }
+            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => Tiles::Elim {
+                r1: self.written((p, k), keep, first),
+                a2: self.written((i, k), keep, second),
+                tfac: self.spare_tile(),
+                vt: (k + 2 < self.grid.tile_cols()).then(|| self.spare_tile()),
+            },
+            TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k } => {
+                let (tfac, vt) = match &self.elim_t[self.idx(i, k)] {
+                    Some(e) if e.p == p => (Arc::clone(&e.tfac), e.vt.clone()),
+                    _ => return Err(missing_factor_err()),
+                };
+                Tiles::PairUpdate {
+                    v2: self.tile(i, k),
+                    tfac,
+                    vt,
+                    a1: self.written((p, j), keep, first),
+                    a2: self.written((i, j), keep, second),
+                }
+            }
+        };
+        Ok(StagedTask {
+            task,
+            tiles,
+            copy_into: into,
+        })
+    }
+
+    /// Phase 1: extract this task's inputs — take written tiles, share
+    /// read tiles. Fails if a required reflector factor is missing — i.e.
+    /// the caller violated the DAG order.
+    pub fn stage(&mut self, task: TaskKind) -> Result<StagedTask<T>> {
+        self.stage_tiles(task, false)
+    }
+
+    /// Non-destructive variant of [`stage`](Self::stage): the state is left
+    /// exactly as it was, and each written tile is *copied* — into a spare
+    /// tile when a commit left one — by [`StagedTask::compute_with`], so
+    /// the copy runs wherever the kernel does. An attempt staged this way
+    /// can panic, stall, or fail mid-kernel and the task remains retryable
+    /// — nothing is lost until [`commit`](Self::commit) swaps the outputs
+    /// in. The fast path keeps the zero-copy [`stage`](Self::stage); this
+    /// one trades an `O(b²)` copy per written tile (small next to the
     /// `O(b³)` kernel) for idempotent re-execution.
-    pub fn stage_preserving(&self, task: TaskKind) -> Result<StagedTask<T>> {
-        let road = &mut Locked(&self.slots, &self.frame.stage_wait_ns);
-        self.frame.stage(road, task, true)
+    pub fn stage_preserving(&mut self, task: TaskKind) -> Result<StagedTask<T>> {
+        self.stage_tiles(task, true)
     }
 
-    /// Phase 3: write a completed task's outputs back (pointer swaps under
-    /// per-slot locks).
-    pub fn commit(&self, done: CompletedTask<T>) {
-        let road = &mut Locked(&self.slots, &self.frame.commit_wait_ns);
-        self.frame.commit(road, done);
+    /// Store `tile` in slot `(i, j)`. The tile it displaces becomes a spare
+    /// if nothing else holds it (a fenced commit; an unfenced one displaces
+    /// the shared placeholder, and a straggler's handle keeps its tile out).
+    fn put(&mut self, (i, j): (usize, usize), tile: Tile<T>) {
+        let slot = self.idx(i, j);
+        let old = std::mem::replace(&mut self.tiles[slot], tile);
+        self.recycle(Some(old));
+    }
+
+    /// Phase 3: write a completed task's outputs back (pointer swaps).
+    pub fn commit(&mut self, done: CompletedTask<T>) {
+        match (done.task, done.tiles) {
+            (TaskKind::Geqrt { i, k }, Tiles::Factor { tile, tfac }) => {
+                self.put((i, k), tile);
+                let slot = self.idx(i, k);
+                self.geqrt_t[slot] = Some(tfac);
+            }
+            (TaskKind::Unmqr { i, j, .. }, Tiles::Update { c, .. }) => self.put((i, j), c),
+            (
+                TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
+                Tiles::Elim { r1, a2, tfac, vt },
+            ) => {
+                self.put((p, k), r1);
+                self.put((i, k), a2);
+                let (slot, pending) = (self.idx(i, k), self.grid.tile_cols() - 1 - k);
+                self.elim_t[slot] = Some(ElimFactor {
+                    p,
+                    tfac,
+                    vt,
+                    pending,
+                });
+            }
+            (
+                TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k },
+                Tiles::PairUpdate { a1, a2, vt, .. },
+            ) => {
+                // The task's own handle goes first, so the last update's
+                // settle finds the block unshared and recycles it.
+                drop(vt);
+                self.put((p, j), a1);
+                self.put((i, j), a2);
+                let slot = self.idx(i, k);
+                let spent = settle(&mut self.elim_t[slot]);
+                self.recycle(spent);
+            }
+            _ => unreachable!("task/output kind mismatch"),
+        }
     }
 
     /// Run one task start to finish (sequential convenience): the same
-    /// stage and commit bodies, reaching the slots without a lock. Kernels
-    /// borrow scratch from the state-owned arena, so the steady state
-    /// performs no heap allocation beyond a `T`-factor output no spare
-    /// tile was free for.
+    /// stage and commit bodies. Kernels borrow scratch from the state-owned
+    /// arena, so the steady state performs no heap allocation beyond a
+    /// `T`-factor output no spare tile was free for.
     pub fn execute(&mut self, task: TaskKind) -> Result<()> {
-        let staged = self.frame.stage(&mut self.slots, task, false)?;
+        let staged = self.stage(task)?;
         let done = staged.compute_with(&mut self.ws)?;
-        self.frame.commit(&mut self.slots, done);
+        self.commit(done);
         Ok(())
     }
 
@@ -564,12 +467,34 @@ impl<T: Scalar> FactorState<T> {
 }
 
 impl<T: Scalar> StagedTask<T> {
-    /// Phase 2: the actual kernel, on owned/shared data — runs without any
-    /// lock. All scratch is borrowed from `ws`, and every output tile was
-    /// handed over by staging, so once the arena has warmed up to the tile
-    /// size the kernel allocates nothing. The factor kernels zero the `T`
-    /// tile before they write it.
+    /// Give each written tile still shared — every one a fenced stage kept,
+    /// or a taken one a handle outside the state holds — a copy of its own:
+    /// the spare staging set aside, or a fresh tile.
+    fn fill(&mut self) {
+        let written = self.tiles.written().into_iter().flatten();
+        for (tile, into) in written.zip(&mut self.copy_into) {
+            if Arc::get_mut(tile).is_none() {
+                *tile = match into.take() {
+                    Some(mut copy) => {
+                        owned(&mut copy)
+                            .as_mut_slice()
+                            .copy_from_slice(tile.as_slice());
+                        copy
+                    }
+                    None => Arc::new((**tile).clone()),
+                };
+            }
+        }
+    }
+
+    /// Phase 2: a fenced stage's tile copies, then the actual kernel, on
+    /// owned/shared data — it runs without any lock. All scratch is
+    /// borrowed from `ws`, and every output tile was handed over by
+    /// staging, so once the arena has warmed up to the tile size the kernel
+    /// allocates nothing. The factor kernels zero the `T` tile before they
+    /// write it.
     pub fn compute_with(mut self, ws: &mut Workspace<T>) -> Result<CompletedTask<T>> {
+        self.fill();
         let tt = matches!(self.task, TaskKind::Ttqrt { .. } | TaskKind::Ttmqr { .. });
         match &mut self.tiles {
             Tiles::Factor { tile, tfac } => geqrt_ws(owned(tile), owned(tfac), ws)?,
@@ -594,7 +519,7 @@ impl<T: Scalar> StagedTask<T> {
                 pair_update(v2, vt.as_deref(), tfac, c1, c2, side, tt, ws)?;
             }
         }
-        let StagedTask { task, tiles } = self;
+        let StagedTask { task, tiles, .. } = self;
         Ok(CompletedTask { task, tiles })
     }
 }
@@ -633,15 +558,10 @@ impl<T: Scalar> CompletedTask<T> {
     /// tile with NaN, as if the kernel had numerically broken down. Used
     /// by fault injectors to exercise commit-fence poison detection.
     pub fn poison(&mut self) {
-        let nan = T::from_f64(f64::NAN);
-        let target = match &mut self.tiles {
-            Tiles::Factor { tile, .. } => tile,
-            Tiles::Update { c, .. } => c,
-            Tiles::Elim { r1, .. } => r1,
-            Tiles::PairUpdate { a1, .. } => a1,
-        };
-        if let Some(v) = owned(target).as_mut_slice().first_mut() {
-            *v = nan;
+        if let [Some(target), _] = self.tiles.written() {
+            if let Some(v) = owned(target).as_mut_slice().first_mut() {
+                *v = T::from_f64(f64::NAN);
+            }
         }
     }
 }
@@ -858,7 +778,7 @@ mod tests {
     fn stage_rejects_missing_factor() {
         let a = random_matrix::<f64>(8, 8, 1);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let st = FactorState::new(tiled);
+        let mut st = FactorState::new(tiled);
         // UNMQR before its GEQRT: must fail cleanly.
         assert!(st.stage(TaskKind::Unmqr { i: 0, j: 1, k: 0 }).is_err());
     }
@@ -879,7 +799,7 @@ mod tests {
         let mut st1 = FactorState::new(tiled.clone());
         st1.run_all(&g).unwrap();
 
-        let st2 = FactorState::new(tiled);
+        let mut st2 = FactorState::new(tiled);
         for &t in g.tasks() {
             let staged = st2.stage(t).unwrap();
             let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
@@ -925,7 +845,7 @@ mod tests {
         // receives is the same allocation the state held.
         let a = random_matrix::<f64>(8, 8, 6);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let st = FactorState::new(tiled);
+        let mut st = FactorState::new(tiled);
         let before = st.tiles().tile(0, 0).as_slice().as_ptr() as usize;
         let staged = st.stage(TaskKind::Geqrt { i: 0, k: 0 }).unwrap();
         match &staged.tiles {
@@ -954,8 +874,8 @@ mod tests {
             let mut seq = FactorState::new(tiled.clone());
             seq.run_all(&g).unwrap();
 
-            // The same state driven through `&self`, as a runtime's workers do.
-            let st = FactorState::new(tiled);
+            // Staged, computed apart and committed, as a runtime's workers do.
+            let mut st = FactorState::new(tiled);
             for &t in g.tasks() {
                 let staged = st.stage(t).unwrap();
                 let done = staged.compute_with(&mut Workspace::new(4, 4)).unwrap();
@@ -1049,78 +969,29 @@ mod tests {
     }
 
     #[test]
-    fn contended_slot_lock_is_timed_into_stage() {
-        use std::sync::atomic::AtomicBool;
-        let a = random_matrix::<f64>(8, 8, 19);
-        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let mut shared = FactorState::new(tiled);
-        let held = shared.slots.tiles[0].lock().unwrap();
-        let started = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let stager = s.spawn(|| {
-                started.store(true, Ordering::Release);
-                shared.stage(TaskKind::Geqrt { i: 0, k: 0 }).is_ok()
-            });
-            while !started.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-            // Long past the stager's next step: its `try_lock` fails and
-            // it blocks for most of this.
-            std::thread::sleep(Duration::from_millis(25));
-            drop(held);
-            assert!(stager.join().unwrap());
-        });
-        let (stage, commit) = shared.end_run();
-        assert!(stage >= Duration::from_millis(5), "stage wait {stage:?}");
-        assert_eq!(commit, Duration::ZERO);
-        assert_eq!(shared.end_run(), (Duration::ZERO, Duration::ZERO));
-    }
-
-    #[test]
-    fn uncontended_replay_times_no_lock_wait() {
-        // Both stagings over a whole 8 x 8 graph on one thread: every lock
-        // takes the fast path, so neither counter moves, and the preserving
-        // replay (which copies into recycled tiles) is bit-identical.
-        let a = random_matrix::<f64>(32, 32, 23);
-        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
-        let mut seq = FactorState::new(tiled.clone());
-        seq.run_all(&g).unwrap();
-        for stage in [FactorState::stage, FactorState::stage_preserving] {
-            let mut shared = FactorState::new(tiled.clone());
-            let mut ws = Workspace::new(4, 4);
-            for &t in g.tasks() {
-                let staged = stage(&shared, t).unwrap();
-                shared.commit(staged.compute_with(&mut ws).unwrap());
-            }
-            assert_eq!(shared.end_run(), (Duration::ZERO, Duration::ZERO));
-            assert_eq!(shared.tiles().to_matrix(), seq.tiles().to_matrix());
-        }
-    }
-
-    #[test]
     fn fenced_commit_recycles_only_unshared_tiles() {
         let a = random_matrix::<f64>(8, 8, 29);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let shared = FactorState::new(tiled);
-        let spares = || shared.slots.spare.lock().unwrap().len();
+        let mut shared = FactorState::new(tiled);
         let mut ws = Workspace::new(4, 4);
-        let run = |task, ws: &mut Workspace<f64>| {
+        let run = |shared: &mut FactorState<f64>, task, ws: &mut Workspace<f64>| {
             let staged = shared.stage_preserving(task).unwrap();
             shared.commit(staged.compute_with(ws).unwrap());
         };
         // A straggler's handle keeps the displaced tile out of the list.
         let straggler = shared.tile(0, 0);
-        run(TaskKind::Geqrt { i: 0, k: 0 }, &mut ws);
-        assert_eq!(spares(), 0);
+        run(&mut shared, TaskKind::Geqrt { i: 0, k: 0 }, &mut ws);
+        assert_eq!(spares(&shared), 0);
         drop(straggler);
         // An unshared one goes in, and the next preserving copy lands in it.
         let displaced = Arc::as_ptr(&shared.tile(0, 1));
-        run(TaskKind::Unmqr { i: 0, j: 1, k: 0 }, &mut ws);
-        assert_eq!(spares(), 1);
-        let staged = shared
+        run(&mut shared, TaskKind::Unmqr { i: 0, j: 1, k: 0 }, &mut ws);
+        assert_eq!(spares(&shared), 1);
+        let mut staged = shared
             .stage_preserving(TaskKind::Tsqrt { p: 0, i: 1, k: 0 })
             .unwrap();
+        // The copy runs with the kernel, outside the caller's lock.
+        staged.fill();
         match &staged.tiles {
             Tiles::Elim { r1, .. } => {
                 assert_eq!(Arc::as_ptr(r1), displaced);
@@ -1128,7 +999,7 @@ mod tests {
             }
             _ => panic!("TSQRT staged wrong input kind"),
         }
-        assert_eq!(spares(), 0);
+        assert_eq!(spares(&shared), 0);
     }
 
     /// A factor task's `T` output is a spare tile when one is free, however
@@ -1150,7 +1021,7 @@ mod tests {
                 seq.execute(task).unwrap();
                 let stale = Arc::new(Matrix::from_fn(4, 4, |r, c| (n + r * 4 + c) as f64));
                 let at = Arc::as_ptr(&stale);
-                exclusive(&mut st.slots.spare).push(stale);
+                st.spare.push(stale);
                 let staged = st.stage(task).unwrap();
                 match &staged.tiles {
                     Tiles::Factor { tfac, .. } | Tiles::Elim { tfac, .. } => {
@@ -1174,12 +1045,12 @@ mod tests {
 
     /// Elimination factors that still hold `−V₂ᵀ`.
     fn live_blocks<T: Scalar>(st: &FactorState<T>) -> usize {
-        let held = |s: &Mutex<Option<ElimFactor<T>>>| read(s).is_some_and(|e| e.vt.is_some());
-        st.slots.elim_t.iter().filter(|s| held(s)).count()
+        let held = |e: &&Option<ElimFactor<T>>| e.as_ref().is_some_and(|e| e.vt.is_some());
+        st.elim_t.iter().filter(held).count()
     }
 
     fn spares<T: Scalar>(st: &FactorState<T>) -> usize {
-        st.slots.spare.lock().unwrap().len()
+        st.spare.len()
     }
 
     /// Trees whose eliminations are TS, TT and both on a 5 x 4 grid, plus
@@ -1255,7 +1126,7 @@ mod tests {
                 };
                 st.execute(factor).unwrap();
                 let v2 = st.tiles().tile(i, k).clone();
-                let vt = read(&st.slots.elim_t[st.frame.idx(i, k)]).unwrap().vt;
+                let vt = st.elim_t[st.idx(i, k)].clone().unwrap().vt;
                 let vt = vt.expect("a factor with two updates stores −V₂ᵀ");
                 for r in 0..b {
                     for c in 0..b {
@@ -1338,14 +1209,15 @@ mod tests {
                 let mut ws = Workspace::new(8, 8);
                 let mut most = 0;
                 for task in factors_first(&g) {
-                    let stage = |task| match fenced {
-                        true => shared.stage_preserving(task).unwrap(),
-                        false => shared.stage(task).unwrap(),
+                    let stage = |st: &mut FactorState<f64>, task| match fenced {
+                        true => st.stage_preserving(task).unwrap(),
+                        false => st.stage(task).unwrap(),
                     };
                     if fenced {
-                        drop(stage(task).compute_with(&mut ws).unwrap());
+                        drop(stage(&mut shared, task).compute_with(&mut ws).unwrap());
                     }
-                    shared.commit(stage(task).compute_with(&mut ws).unwrap());
+                    let done = stage(&mut shared, task).compute_with(&mut ws).unwrap();
+                    shared.commit(done);
                     most = most.max(live_blocks(&shared));
                 }
                 let ctx = format!("{tree:?} fenced={fenced}");

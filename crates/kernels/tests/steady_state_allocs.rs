@@ -138,11 +138,11 @@ fn update_tasks_allocate_nothing_in_steady_state() {
             assert_eq!(state.workspace_resizes(), 0, "arena grew at b = {b}");
             assert_eq!(state.cow_clones(), 0);
 
-            // Shared state: per-slot locks, the worker brings the arena.
+            // Staged apart, as a runtime's workers do: they bring the arena.
             // Fenced (preserving) staging copies each written tile into
             // one a commit displaced, so once warm it allocates no more
             // than the swapping path does.
-            let shared = state;
+            let mut shared = state;
             let mut ws = Workspace::new(b, b);
             let stagings = [FactorState::stage, FactorState::stage_preserving];
             for (stage, fenced) in stagings.into_iter().zip([false, true]) {
@@ -150,7 +150,7 @@ fn update_tasks_allocate_nothing_in_steady_state() {
                     (updates.iter().map(|t| (t, 0))).chain(factors.iter().map(|t| (t, T_OUTPUT)))
                 {
                     let mut cycle = || {
-                        let staged = stage(&shared, task).unwrap();
+                        let staged = stage(&mut shared, task).unwrap();
                         shared.commit(staged.compute_with(&mut ws).unwrap());
                     };
                     cycle();

@@ -7,8 +7,9 @@
 //! holds the [`DagRun`]: a worker, or the driver's clock thread, inside
 //! the driver's one lock):
 //!
-//! * [`run_attempt`] — the worker-side body of one task attempt: fault
-//!   seam, staging, kernel, optional worker-side commit, optional spans.
+//! * [`run_attempt`] — the worker-side body of one task attempt the
+//!   manager staged: fault seam, kernel (with a fenced stage's tile
+//!   copies), optional compute span.
 //! * [`DagRun`] — the per-DAG state machine: readiness, dispatch order,
 //!   the `committed` fence, the per-task attempt budget, and the
 //!   counters that become a [`RunReport`].
@@ -26,15 +27,15 @@ use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
 use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use tileqr_dag::{CostModel, TaskGraph, TaskId, TaskKind};
-use tileqr_kernels::exec::{CompletedTask, FactorState};
+use tileqr_dag::{CostModel, TaskGraph, TaskId};
+use tileqr_kernels::exec::{CompletedTask, FactorState, StagedTask};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
 use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder};
 
 /// Nanosecond trace timestamp of `t` relative to the run's `epoch`.
 #[inline]
-fn ns_at(epoch: Instant, t: Instant) -> u64 {
+pub(crate) fn ns_at(epoch: Instant, t: Instant) -> u64 {
     t.duration_since(epoch).as_nanos() as u64
 }
 
@@ -58,11 +59,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// What one attempt that ran to completion hands back.
 pub struct Attempt<T: Scalar> {
-    /// The task's outputs, awaiting the manager's fenced commit. `None`
-    /// when the worker already committed them itself (unfenced mode).
-    pub completed: Option<CompletedTask<T>>,
-    /// Kernel-only duration — a job's task latency and per-class compute
-    /// time (the tuner's probe samples).
+    /// The task's outputs, awaiting the manager's commit.
+    pub completed: CompletedTask<T>,
+    /// Kernel-only duration (a fenced stage's copies included) — a job's
+    /// per-class compute time (the tuner's probe samples). Zero for an
+    /// attempt that was neither clocked nor traced.
     pub compute: Duration,
 }
 
@@ -76,23 +77,23 @@ pub enum Outcome<T: Scalar> {
     Panicked(String),
 }
 
-/// Run attempt `attempt` (0-based) of `task` on the calling worker thread.
+/// Run attempt `attempt` (0-based) of `task` on the calling worker thread,
+/// over what the manager staged for it — or the staging error it met (a
+/// reflector factor missing), reported as a failed attempt.
 ///
-/// `fenced` selects the fault-tolerant discipline: staging clones written
-/// tiles so the shared state stays untouched, and the outputs travel back
-/// for the manager to commit behind [`DagRun`]'s fence. Unfenced, staging
-/// swaps tiles out (zero-copy) and the worker commits its own result — a
-/// failed attempt is then unrecoverable, because its inputs are gone.
-/// `lane` is the worker's recorder plus the run's epoch when tracing; an
-/// untraced attempt reads the clock only around its kernel. Panics are
-/// caught and reported, never propagated.
+/// The outputs travel back for the manager to commit through
+/// [`DagRun::on_done`]. A fenced stage left the shared state untouched and
+/// copied nothing yet: its written-tile copies run here, in
+/// `compute_with`, ahead of the kernel. `clocked` times the kernel into
+/// [`Attempt::compute`]; `lane`, the worker's recorder plus the run's epoch
+/// when tracing, gets its compute span. An attempt that is neither reads
+/// no clock. Panics are caught and reported, never propagated.
 pub fn run_attempt<T: Scalar>(
-    state: &FactorState<T>,
-    kind: TaskKind,
+    staged: Result<StagedTask<T>, MatrixError>,
     (task, attempt): (TaskId, u32),
     injector: Option<&dyn FaultInjector>,
-    fenced: bool,
     ws: &mut Workspace<T>,
+    clocked: bool,
     lane: Option<(&mut WorkerRecorder, Instant)>,
 ) -> Outcome<T> {
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<Attempt<T>, MatrixError> {
@@ -107,42 +108,21 @@ pub fn run_attempt<T: Scalar>(
             }
             InjectedFault::Stall(d) => std::thread::sleep(d),
         }
-        let t0 = lane.as_ref().map(|_| Instant::now());
-        let staged = if fenced {
-            state.stage_preserving(kind)
-        } else {
-            state.stage(kind)
-        }?;
-        let t_staged = Instant::now();
-        let mut done = staged.compute_with(ws)?;
-        let t_done = Instant::now();
+        let t0 = (clocked || lane.is_some()).then(Instant::now);
+        let mut completed = staged?.compute_with(ws)?;
+        let span = t0.map(|t0| (t0, Instant::now()));
         if fault == InjectedFault::PoisonNan {
             // NaN-corrupt the output *after* the kernel ran: the seam for
             // a driver's poison scan ahead of the commit fence.
-            done.poison();
+            completed.poison();
         }
-        let completed = if fenced {
-            Some(done)
-        } else {
-            state.commit(done);
-            None
-        };
-        if let (Some((rec, epoch)), Some(t0)) = (lane, t0) {
-            let (s0, s1, s2) = (
-                ns_at(epoch, t0),
-                ns_at(epoch, t_staged),
-                ns_at(epoch, t_done),
-            );
-            rec.record(RawEvent::interval(RawKind::Stage, task, attempt, s0, s1));
-            rec.record(RawEvent::interval(RawKind::Compute, task, attempt, s1, s2));
-            if !fenced {
-                let s3 = ns_at(epoch, Instant::now());
-                rec.record(RawEvent::interval(RawKind::Commit, task, attempt, s2, s3));
-            }
+        if let (Some((rec, epoch)), Some((t0, t1))) = (lane, span) {
+            let (s0, s1) = (ns_at(epoch, t0), ns_at(epoch, t1));
+            rec.record(RawEvent::interval(RawKind::Compute, task, attempt, s0, s1));
         }
         Ok(Attempt {
             completed,
-            compute: t_done.duration_since(t_staged),
+            compute: span.map_or(Duration::ZERO, |(t0, t1)| t1 - t0),
         })
     }));
     match result {
@@ -174,8 +154,8 @@ impl Tally {
         }
     }
 
-    /// The report, with no lock wait: the driver reads those off the
-    /// factor state it retires.
+    /// The report, with no lock wait: the driver fills in how long its
+    /// workers blocked on its lock for the run.
     pub(crate) fn into_report(
         self,
         max_ready_depth: usize,
@@ -218,7 +198,7 @@ pub struct DagRun {
     in_flight: usize,
     halted: bool,
     /// The manager's own trace lane (ready/dispatch/recovery instants and
-    /// the fenced commits) plus the run's epoch.
+    /// the commits) plus the run's epoch.
     lane: Option<(WorkerRecorder, Instant)>,
     tally: Tally,
 }
@@ -333,11 +313,12 @@ impl DagRun {
     /// a late `Done` from a retired worker still gets its shot at the
     /// fence. Returns `true` when this result was committed (outputs
     /// applied to `state`, successors readied), `false` when it was
-    /// dropped as a duplicate or because the run is halted.
+    /// dropped as a duplicate or because the run is halted. Every commit
+    /// of a run happens here, fenced or not.
     pub fn on_done<T: Scalar>(
         &mut self,
         graph: &TaskGraph,
-        state: &FactorState<T>,
+        state: &mut FactorState<T>,
         (t, attempt): (TaskId, u32),
         w: usize,
         expected: bool,
@@ -347,16 +328,14 @@ impl DagRun {
         if !self.accepts(t) {
             return false;
         }
-        if let Some(outputs) = done.completed {
-            // Only a traced commit is clocked: its span is the one reader.
-            if let Some((rec, epoch)) = self.lane.as_mut() {
-                let c0 = ns_at(*epoch, Instant::now());
-                state.commit(outputs);
-                let c1 = ns_at(*epoch, Instant::now());
-                rec.record(RawEvent::interval(RawKind::Commit, t, attempt, c0, c1));
-            } else {
-                state.commit(outputs);
-            }
+        // Only a traced commit is clocked: its span is the one reader.
+        if let Some((rec, epoch)) = self.lane.as_mut() {
+            let c0 = ns_at(*epoch, Instant::now());
+            state.commit(done.completed);
+            let c1 = ns_at(*epoch, Instant::now());
+            rec.record(RawEvent::interval(RawKind::Commit, t, attempt, c0, c1));
+        } else {
+            state.commit(done.completed);
         }
         self.committed[t] = true;
         self.tally.tasks_per_worker[w] += 1;

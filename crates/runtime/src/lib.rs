@@ -9,12 +9,12 @@
 //! lock. The manager survives where it feeds *devices* (the simulator
 //! crates).
 //!
-//! Concurrency design: tiles and T factors live in per-slot locked cells
-//! of the one [`FactorState`](tileqr_kernels::exec::FactorState), shared
-//! through `&self`; *staging* a task clones `Arc` handles for its read
-//! inputs and swaps its written tiles out, so each critical section is a
-//! pointer exchange on one slot — the `O(b³)` kernel runs lock-free on
-//! owned data and *commit* swaps results back in. The *result* (not the
+//! Concurrency design: a job's tiles and T factors live in plain slots of
+//! its one [`FactorState`](tileqr_kernels::exec::FactorState), guarded by
+//! the driver's lock alone: *staging* a task under it clones `Arc` handles
+//! for its read inputs and swaps its written tiles out, the `O(b³)` kernel
+//! runs lock-free on what the worker carries, and *commit*, under the lock
+//! again, swaps results back in. The *result* (not the
 //! schedule) is deterministic because every task writes a disjoint tile set.
 //!
 //! One engine, one driver: everything a scheduler does *per DAG* —

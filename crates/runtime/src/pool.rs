@@ -6,7 +6,7 @@
 //! instance of the host driver in [`service`](crate::service) (DESIGN.md
 //! §9): self-scheduling workers behind one lock, the calling thread as its
 //! clock. Without a [`PoolConfig::fault_tolerance`] budget it runs
-//! **unfenced** — zero-copy staging, worker-side commits; a worker panic or
+//! **unfenced** — zero-copy staging; a worker panic or
 //! kernel error is *isolated* (no hang, no abort) but fatal to the run,
 //! because the destructively-staged inputs of the failed task are gone.
 //! With one, attempts are fenced, so re-execution is idempotent, exactly as
@@ -67,12 +67,12 @@ pub struct RunReport {
     pub tasks_per_worker: Vec<u64>,
     /// Wall-clock duration of the run.
     pub elapsed: std::time::Duration,
-    /// Time blocked on a contended tile-slot lock while staging, summed
-    /// across workers; zero when none was contended.
+    /// Time workers blocked taking the driver's lock to dispatch and stage
+    /// a task, summed; zero when it was never contended (and for an inline
+    /// run, which has no lock).
     pub stage_wait: Duration,
-    /// Time blocked on a contended tile-slot lock while committing, summed
-    /// across workers and the manager's fenced commits; zero when none was
-    /// contended.
+    /// Time workers blocked taking the driver's lock to settle and commit
+    /// a task, summed; zero when it was never contended.
     pub commit_wait: Duration,
     /// High-water mark of the ready-set depth.
     pub max_ready_depth: usize,
@@ -86,8 +86,7 @@ pub struct RunReport {
     pub worker_deaths: u64,
     /// Unified lifecycle trace of the run — `Some` iff the run's
     /// [`TraceConfig`] was enabled. One lane per worker plus a `manager`
-    /// lane carrying ready/dispatch/recovery instants (and, in
-    /// fault-tolerant mode, the fenced commits).
+    /// lane carrying ready/dispatch/recovery instants and the commits.
     pub trace: Option<Trace>,
     /// Memory-discipline counters: copy-on-write fallback clones plus
     /// workspace-arena bytes and growths, summed over all workers. Jobs

@@ -12,8 +12,9 @@
 //!
 //! Architecture: `workers` computing threads that **schedule themselves**
 //! — all the scheduling state (the job table, the queues, the stats) is
-//! one `Core` behind one lock, and a worker loops *lock → settle its
-//! previous attempt → pick the next `(job, task)` → unlock → run it*,
+//! one `Core` behind one lock, and a worker loops *lock → settle and
+//! commit its previous attempt → pick the next `(job, task)` and stage it
+//! → unlock → run it*,
 //! sleeping only while nothing is ready; no thread stands between the
 //! DAGs and the workers (the departure from the paper's Fig. 7 manager
 //! that a few-µs task forces on host cores, see `DESIGN.md` §9).
@@ -34,12 +35,12 @@
 //!   after it, and a heavy job cannot monopolise the pool. A one-task job
 //!   is a job like any other: it takes the same route, one task long.
 //! * **Execution and recovery**: every job owns one [`DagRun`] of the
-//!   shared [`engine`](crate::engine), and workers run its fenced
-//!   [`run_attempt`]. Non-destructive staging plus the engine's commit
-//!   fence make re-execution idempotent, so bit-identity survives DAG
-//!   interleaving, and a lost attempt is charged to the *victim job's*
-//!   budget alone: exhausting it fails that one job with a structured
-//!   [`ServiceError::Runtime`]. A panicked worker — or, with
+//!   shared [`engine`](crate::engine), and workers run its
+//!   [`run_attempt`] on what they staged. Non-destructive staging plus the
+//!   engine's commit fence make re-execution idempotent, so bit-identity
+//!   survives DAG interleaving, and a lost attempt is charged to the
+//!   *victim job's* budget alone: exhausting it fails that one job with a
+//!   structured [`ServiceError::Runtime`]. A panicked worker — or, with
 //!   [`FaultTolerance::stall_timeout`] set, one the **stall watchdog**
 //!   finds past the bound — is retired and its slot *respawned* by the
 //!   timer (the pool never shrinks). A thread that panics *holding the
@@ -71,7 +72,7 @@
 //! queue-wait / latency [`LatencyHistogram`]s plus queue-depth high-water
 //! marks are readable at any time via [`QrService::stats`].
 
-use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots};
+use crate::engine::{ns_at, panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
 use crate::pool::{model_weight, PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
@@ -84,12 +85,12 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{CostModel, KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
-use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState};
+use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, StagedTask};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
 use tileqr_obs::{
-    merge_recorders, HotPathCounters, LatencyHistogram, LifecycleCounters, TraceConfig,
-    WorkerRecorder,
+    merge_recorders, HotPathCounters, LatencyHistogram, LifecycleCounters, RawEvent, RawKind,
+    TraceConfig, WorkerRecorder,
 };
 
 /// Job identifier, unique per service instance (1-based).
@@ -716,12 +717,16 @@ type Finished<T> = (JobMeta<T>, FactorState<T>, RunReport);
 type AttemptKey = (JobId, TaskId, u32);
 
 /// What a worker takes from the core to run with the lock released: one
-/// fenced attempt of one task of one job.
+/// attempt of one task of one job, staged under the lock — or the error
+/// staging met.
 struct Unit<T: Scalar> {
     key: AttemptKey,
     kind: TaskKind,
     b: usize,
-    state: Arc<FactorState<T>>,
+    staged: Result<StagedTask<T>, MatrixError>,
+    /// When staging ran (traced instances only).
+    stage_span: Option<(Instant, Instant)>,
+    clocked: bool,
     injector: Option<SharedInjector>,
 }
 
@@ -788,9 +793,13 @@ fn finish_output<T: Scalar>(
 /// virtual time are filled in under the lock, at admission.
 struct JobState<T: Scalar> {
     meta: JobMeta<T>,
-    /// Workers clone the handle for the length of one attempt; when the
-    /// DAG is done it is unique again and the state is reclaimed.
-    state: Arc<FactorState<T>>,
+    /// Staged from and committed into under the lock; an attempt carries
+    /// its tiles, not the state.
+    state: FactorState<T>,
+    /// Attempts time their kernel (a service job's per-class compute time).
+    clocked: bool,
+    /// Time workers blocked on the lock to stage, and to commit, its tasks.
+    lock_wait: [Duration; 2],
     b: usize,
     cost: CostModel,
     vtime: f64,
@@ -815,8 +824,6 @@ struct Core<T: Scalar> {
     /// they have no per-task retry identity for the watchdog to requeue.
     slots: Slots<AttemptKey>,
     jobs: BTreeMap<JobId, Box<JobState<T>>>,
-    /// Completed DAGs whose state a straggler attempt still shares.
-    finalize_pending: Vec<JobId>,
     parked: BinaryHeap<Reverse<(Instant, JobId, TaskId)>>,
     /// Slots whose worker is lost — it reported a panic and left, or the
     /// watchdog retired it — for the timer to respawn.
@@ -918,6 +925,16 @@ impl<T: Scalar> Core<T> {
     fn has_ready(&self) -> bool {
         self.jobs.values().any(|j| j.run.ready_len() > 0)
     }
+
+    /// Charge `blocked`, what a worker waited for the lock to stage
+    /// (`phase` 0) or commit (1) a task of `id`, to that job.
+    fn charge_lock_wait(&mut self, id: JobId, phase: usize, blocked: Duration) {
+        if !blocked.is_zero() {
+            if let Some(job) = self.jobs.get_mut(&id) {
+                job.lock_wait[phase] += blocked;
+            }
+        }
+    }
 }
 
 /// The host driver's shared half: the core and its one lock, the wait
@@ -933,8 +950,8 @@ struct Shared<T: Scalar> {
     /// Admission bound (`0`: unbounded).
     max_in_flight: usize,
     /// `Some`: fenced attempts, retried within this budget. `None`, the
-    /// one-shot fast mode: zero-copy staging and worker-side commits, so a
-    /// lost attempt fails its job at once — its inputs are gone.
+    /// one-shot fast mode: zero-copy staging, so a lost attempt fails its
+    /// job at once — its inputs are gone.
     ft: Option<FaultTolerance>,
     /// `Some`: every worker thread and every job's run record a lane,
     /// timestamped from this epoch.
@@ -968,7 +985,6 @@ impl<T: Scalar> Shared<T> {
                 next_job: 0,
                 slots: Slots::new(workers),
                 jobs: BTreeMap::new(),
-                finalize_pending: Vec::new(),
                 parked: BinaryHeap::new(),
                 dead: Vec::new(),
                 vclock: 0.0,
@@ -986,6 +1002,17 @@ impl<T: Scalar> Shared<T> {
 
     fn lock(&self) -> MutexGuard<'_, Core<T>> {
         self.guard(self.core.lock())
+    }
+
+    /// The lock, and how long taking it blocked. The uncontended fast path
+    /// (`try_lock`) reads no clock; only a lock that blocks is timed.
+    fn lock_timed(&self) -> (MutexGuard<'_, Core<T>>, Duration) {
+        if let Ok(core) = self.core.try_lock() {
+            return (core, Duration::ZERO);
+        }
+        let t0 = Instant::now();
+        let core = self.lock();
+        (core, t0.elapsed())
     }
 
     /// The guard out of a lock or wait result. A poisoned lock means a
@@ -1049,7 +1076,9 @@ impl<T: Scalar> Shared<T> {
         let job = Box::new(JobState {
             run: DagRun::new(&meta.graph, order, b, self.workers, lane),
             meta,
-            state: Arc::new(state),
+            state,
+            clocked: true,
+            lock_wait: [Duration::ZERO; 2],
             b,
             cost,
             vtime: 0.0,
@@ -1207,36 +1236,25 @@ impl<T: Scalar> Shared<T> {
         self.finish_if_drained(core, id);
     }
 
-    /// `id`'s DAG is complete: take the job out of the table and reclaim
-    /// unique ownership of its state. Workers drop their state handles
-    /// before they settle, so this almost always succeeds on the spot; a
-    /// straggler clone (the late attempt of a retired worker) puts the job
-    /// back for the timer to try again.
+    /// `id`'s DAG is complete: take the job, its state with it, out of the
+    /// table. A straggler (the late attempt of a retired worker) holds only
+    /// the tiles it staged, so nothing waits for it.
     fn retire(&self, core: &mut Core<T>, id: JobId) -> Option<Finished<T>> {
         let mut job = core.jobs.remove(&id)?;
-        let mut state = match Arc::try_unwrap(job.state) {
-            Ok(state) => state,
-            Err(state) => {
-                job.state = state;
-                core.jobs.insert(id, job);
-                core.finalize_pending.push(id);
-                self.timer.notify_one();
-                return None;
-            }
-        };
         if let Some(lane) = job.run.take_lane() {
             deposit(&mut core.lanes[self.workers], lane);
         }
         // The arenas outlive the job, so only the state's own
         // copy-on-write count is attributable to it.
         let counters = HotPathCounters {
-            cow_clones: state.cow_clones(),
+            cow_clones: job.state.cow_clones(),
             ..HotPathCounters::default()
         };
         let elapsed = job.started.map(|s| s.elapsed()).unwrap_or_default();
         let mut report = job.run.into_report(elapsed, None, counters);
-        (report.stage_wait, report.commit_wait) = state.end_run();
-        Some((job.meta, state, report))
+        [report.stage_wait, report.commit_wait] = job.lock_wait;
+        job.state.end_run();
+        Some((job.meta, job.state, report))
     }
 
     /// Run a finished job's epilogue and resolve its handle — the result
@@ -1349,7 +1367,7 @@ impl<T: Scalar> Shared<T> {
                 let at = (task, attempt);
                 if job
                     .run
-                    .on_done(&job.meta.graph, &job.state, at, w, expected, done)
+                    .on_done(&job.meta.graph, &mut job.state, at, w, expected, done)
                 {
                     let slot = KernelClass::of(job.meta.graph.task(task)).slot();
                     job.meta.class_compute_us[slot] += compute_ns as f64 / 1e3;
@@ -1384,7 +1402,8 @@ impl<T: Scalar> Shared<T> {
     }
 
     /// Take the next unit for worker `w`: a task of the backlogged job
-    /// with the smallest virtual time, charged and stamped as dispatched.
+    /// with the smallest virtual time, charged and stamped as dispatched,
+    /// and staged.
     fn next_unit(&self, core: &mut Core<T>, w: usize) -> Option<Unit<T>> {
         loop {
             let (best, ready) = core.pick_wfq_job();
@@ -1421,11 +1440,20 @@ impl<T: Scalar> Shared<T> {
         if self.stall_bound().is_some() {
             core.slots.watch(w, key);
         }
+        // Staging is `O(1)` under the lock: a fenced stage takes handles
+        // and spares, and the worker copies.
+        let t0 = self.trace.map(|_| Instant::now());
+        let staged = match self.ft {
+            Some(_) => job.state.stage_preserving(kind),
+            None => job.state.stage(kind),
+        };
         Some(Unit {
             key,
             kind,
             b: job.b,
-            state: Arc::clone(&job.state),
+            staged,
+            stage_span: t0.map(|t0| (t0, Instant::now())),
+            clocked: job.clocked,
             injector: job.injector.clone(),
         })
     }
@@ -1435,18 +1463,18 @@ impl<T: Scalar> Shared<T> {
 // the threads of an instance
 // ---------------------------------------------------------------------------
 
-/// A computing thread on slot `w`: take a unit under the lock, run it with
-/// the lock released, settle it under the lock, and — for the commit that
-/// completes a job — run that job's epilogue and deliver its result, again
-/// with the lock released. Sleeps on `work` only while the core has
-/// nothing ready. `injector` stands in for jobs that carry none of their
-/// own (a one-shot run's borrowed test seam).
+/// A computing thread on slot `w`: take and stage a unit under the lock,
+/// run it with the lock released, settle and commit it under the lock,
+/// and — for the commit that completes a job — run that job's epilogue and
+/// deliver its result, again with the lock released. Sleeps on `work` only
+/// while the core has nothing ready. `injector` stands in for jobs that
+/// carry none of their own (a one-shot run's borrowed test seam).
 fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultInjector>) {
     let mut rec = (sh.trace).map(|(cfg, _)| WorkerRecorder::new(cfg.capacity_per_lane));
     // One arena per thread, re-sized when a unit's tile size exceeds the
     // largest the worker has seen — steady state allocates nothing.
     let (mut ws, mut sized_for) = (Workspace::<T>::new(0, 0), 0);
-    let mut core = sh.lock();
+    let (mut core, mut blocked) = sh.lock_timed();
     loop {
         let Some(unit) = sh.next_unit(&mut core, w) else {
             if core.draining && core.in_flight == 0 {
@@ -1455,48 +1483,47 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
             core.sleepers += 1;
             core = sh.guard(sh.work.wait(core));
             core.sleepers -= 1;
+            blocked = Duration::ZERO;
             continue;
         };
+        let (key, b) = (unit.key, unit.b);
+        core.charge_lock_wait(key.0, 0, blocked);
         // Wake a sleeper only when there is one and a unit left for it,
         // so a busy instance makes no futex call per task.
         if core.sleepers > 0 && core.has_ready() {
             sh.work.notify_one();
         }
         drop(core);
-        let Unit {
-            key,
-            kind,
-            b,
-            state,
-            injector: own,
-        } = unit;
         if b > sized_for {
             (ws, sized_for) = (Workspace::new(b, b), b);
         }
-        let own = own.as_deref().map(|f| f as &dyn FaultInjector);
-        let lane = rec.as_mut().zip(sh.trace.map(|(_, epoch)| epoch));
-        let (at, fenced) = ((key.1, key.2), sh.ft.is_some());
-        let outcome = run_attempt(&state, kind, at, own.or(injector), fenced, &mut ws, lane);
-        // Drop the state handle *before* settling: if this was the job's
-        // last task, the state is then unique and reclaimed on the spot.
-        drop(state);
-        let scanned = if let (Outcome::Done(done), true) = (&outcome, is_panel_factor(kind)) {
-            done.completed.as_ref()
-        } else {
-            None
+        let epoch = sh.trace.map(|(_, epoch)| epoch);
+        if let (Some(rec), Some(epoch), Some((s0, s1))) = (rec.as_mut(), epoch, unit.stage_span) {
+            let (s0, s1) = (ns_at(epoch, s0), ns_at(epoch, s1));
+            rec.record(RawEvent::interval(RawKind::Stage, key.1, key.2, s0, s1));
+        }
+        let own = unit.injector.as_deref().map(|f| f as &dyn FaultInjector);
+        let (at, faults, lane) = ((key.1, key.2), own.or(injector), rec.as_mut().zip(epoch));
+        let outcome = run_attempt(unit.staged, at, faults, &mut ws, unit.clocked, lane);
+        // The poison fence of a fenced run, on its panel factors.
+        let fence = sh.ft.is_some() && is_panel_factor(unit.kind);
+        let poisoned = match &outcome {
+            Outcome::Done(done) if fence => done.completed.first_non_finite(),
+            _ => None,
         };
-        let poisoned = scanned.and_then(|c| c.first_non_finite());
         let panicked = matches!(outcome, Outcome::Panicked(_));
-        core = sh.lock();
+        (core, blocked) = sh.lock_timed();
+        core.charge_lock_wait(key.0, 1, blocked);
         // Is this the attempt slot `w` is clocked for? Not if the watchdog
         // retired this thread while it was away: the slot belongs to its
         // replacement, and this thread must leave.
         let expected = sh.stall_bound().is_none() || core.slots.settle(w, key);
         let finished = sh.settle(&mut core, w, key, expected, outcome, poisoned);
+        blocked = Duration::ZERO;
         if let Some(job) = finished {
             drop(core);
             sh.finish(job, w);
-            core = sh.lock();
+            (core, blocked) = sh.lock_timed();
         }
         if panicked || !expected {
             // A thread that panicked retires (its slot is the timer's to
@@ -1522,8 +1549,7 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
 /// out — and does what only a clock can start: wake parked retries, shed
 /// queued jobs at their deadline, retire workers stalled past the watchdog
 /// bound, respawn every lost worker (retired, or gone after reporting a
-/// panic — an instance never shrinks), finalize a completed job once the
-/// straggler sharing its state lets go, and stop the instance when
+/// panic — an instance never shrinks), and stop the instance when
 /// admission is closed and the core has drained. Between those it sleeps
 /// on `timer`.
 fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
@@ -1541,19 +1567,6 @@ fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
             core.wake_parked();
             sh.sweep_shed(&mut core);
             sh.sweep_watchdog(&mut core);
-            let pending = std::mem::take(&mut core.finalize_pending);
-            let finished: Vec<_> = pending
-                .into_iter()
-                .filter_map(|id| sh.retire(&mut core, id))
-                .collect();
-            if !finished.is_empty() {
-                drop(core);
-                for job in finished {
-                    sh.finish(job, 0);
-                }
-                core = sh.lock();
-                continue;
-            }
             if core.draining && core.in_flight == 0 {
                 break;
             }
@@ -1565,8 +1578,8 @@ fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
             }
             // Sleep until the earliest of: a parked retry, a queued job's
             // deadline, a watchdog expiry (no attempt that starts after
-            // `now` can expire before `now + bound`), the next look at a
-            // deferred finalization. Whoever sets an earlier one notifies.
+            // `now` can expire before `now + bound`). Whoever sets an
+            // earlier one notifies.
             let now = Instant::now();
             let clocked = sh.stall_bound().filter(|_| !core.jobs.is_empty());
             let wake = [
@@ -1576,7 +1589,6 @@ fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
                     let expiry = core.slots.earliest_stall_expiry(bound);
                     expiry.unwrap_or(now + bound)
                 }),
-                (!core.finalize_pending.is_empty()).then(|| now + Duration::from_millis(1)),
             ];
             core = sh.guard(match wake.into_iter().flatten().min() {
                 None => sh.timer.wait(core),
@@ -1625,13 +1637,15 @@ pub fn run_pool<T: Scalar>(
     let trace = config.trace.enabled.then_some((config.trace, started));
     let ft = config.fault_tolerance;
     let sh = Shared::new(config.effective_workers(), 0, ft, trace);
-    let (job, reply) = sh.job(
+    let (mut job, reply) = sh.job(
         state,
         graph.clone(),
         order,
         CostModel::Flops,
         Payload::Factor,
     );
+    // Its result carries no per-class compute time to clock.
+    job.clocked = false;
     let admitted = sh.admit(sh.lock(), job, JobTuning::Standard, false);
     sh.lock().draining = true;
     timer_loop(&sh, injector);
@@ -2191,6 +2205,72 @@ mod tests {
             sh.admit(sh.lock(), late, JobTuning::Standard, true),
             Err(ServiceError::ShuttingDown)
         ));
+    }
+
+    /// A job admitted to `sh` and never dispatched.
+    fn idle_job(sh: &Shared<f64>) -> JobId {
+        let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(8, 8, 19), 4).unwrap();
+        let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
+        let state = FactorState::new(tiled);
+        let (job, _) = sh.job(
+            state,
+            graph,
+            DispatchOrder::Fifo,
+            CostModel::Flops,
+            Payload::Factor,
+        );
+        sh.admit(sh.lock(), job, JobTuning::Standard, false)
+            .unwrap()
+    }
+
+    #[test]
+    fn contended_driver_lock_is_timed_into_stage() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let sh = Shared::<f64>::new(1, 0, None, None);
+        let id = idle_job(&sh);
+        let held = sh.lock();
+        let started = AtomicBool::new(false);
+        let blocked = std::thread::scope(|s| {
+            let taker = s.spawn(|| {
+                started.store(true, Ordering::Release);
+                sh.lock_timed().1
+            });
+            while !started.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            // Long past the taker's next step: its `try_lock` fails and it
+            // blocks for most of this.
+            std::thread::sleep(Duration::from_millis(25));
+            drop(held);
+            taker.join().unwrap()
+        });
+        let mut core = sh.lock();
+        core.charge_lock_wait(id, 0, blocked);
+        let (_, _, report) = sh.retire(&mut core, id).unwrap();
+        assert!(
+            report.stage_wait >= Duration::from_millis(5),
+            "stage wait {:?}",
+            report.stage_wait
+        );
+        assert_eq!(report.commit_wait, Duration::ZERO);
+    }
+
+    #[test]
+    fn uncontended_driver_lock_times_no_wait() {
+        // Every take on one thread finds the lock free: the fast path, so
+        // neither count moves.
+        let sh = Shared::<f64>::new(1, 0, None, None);
+        let id = idle_job(&sh);
+        for phase in (0..2).cycle().take(1000) {
+            let (mut core, blocked) = sh.lock_timed();
+            assert_eq!(blocked, Duration::ZERO);
+            core.charge_lock_wait(id, phase, blocked);
+        }
+        let (_, _, report) = sh.retire(&mut sh.lock(), id).unwrap();
+        assert_eq!(
+            (report.stage_wait, report.commit_wait),
+            (Duration::ZERO, Duration::ZERO)
+        );
     }
 
     /// A handle on a reply slot of its own, with no service behind it.

@@ -91,7 +91,7 @@ pub fn explore<T: Scalar>(
     let flops = model_weight(CostModel::Flops, tiles.tile_size());
     let priorities = tileqr_dag::critical_path::bottom_levels(graph, flops);
     let mut ws = Workspace::new(tiles.tile_size(), tiles.tile_size());
-    let shared = FactorState::new(tiles);
+    let mut shared = FactorState::new(tiles);
 
     let mut indegree: Vec<usize> = graph.indegrees();
     let mut ready: Vec<TaskId> = graph.sources();

@@ -134,12 +134,11 @@ impl<'g> Machine<'g> {
         let kind = self.graph.task(key.0);
         let injector = Always(fault);
         run_attempt(
-            &self.shared,
-            kind,
+            self.shared.stage_preserving(kind),
             key,
             Some(&injector),
-            true,
             &mut self.ws,
+            false,
             None,
         )
     }
@@ -181,7 +180,7 @@ impl<'g> Machine<'g> {
             Outcome::Done(done) => {
                 let won = self
                     .run
-                    .on_done(self.graph, &self.shared, key, w, expected, done);
+                    .on_done(self.graph, &mut self.shared, key, w, expected, done);
                 assert_eq!(won, live, "task {t}: the first Done wins, only the first");
                 self.committed[t] |= won;
             }

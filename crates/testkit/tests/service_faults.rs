@@ -216,6 +216,42 @@ fn concurrent_panics_all_recover_with_correct_attribution() {
     svc.shutdown();
 }
 
+/// A watchdog-retired straggler holds only the tiles it staged, not its
+/// job: the job resolves once the retry and the rest of its DAG have run,
+/// long before the stalled attempt wakes, with the bits of `run_all`.
+#[test]
+fn retired_straggler_does_not_hold_its_finished_job() {
+    let stall = Duration::from_millis(600);
+    let svc = QrService::<f64>::start(ServiceConfig {
+        workers: 2,
+        fault_tolerance: FaultTolerance {
+            stall_timeout: Some(Duration::from_millis(50)),
+            ..FaultTolerance::default()
+        },
+        ..ServiceConfig::default()
+    });
+    let a = random_matrix::<f64>(64, 64, 61);
+    let want = sequential(&a, 16);
+    let submitted = std::time::Instant::now();
+    let handle = svc
+        .submit(
+            JobSpec::factor(a)
+                .tile_size(16)
+                .faults(Arc::new(ScriptedFaults::new().stall_on(1, 1, stall))),
+        )
+        .unwrap();
+    let done = handle.wait().unwrap();
+    let waited = submitted.elapsed();
+    assert!(
+        waited < stall / 2,
+        "the job waited {waited:?} on a straggler stalled for {stall:?}"
+    );
+    // Every factored tile, `R` included, is `run_all`'s bits.
+    assert_eq!(done.output.factor().state.tiles().to_matrix(), want);
+    assert!(done.report.worker_deaths >= 1, "the stall was retired");
+    svc.shutdown();
+}
+
 /// Without `stall_timeout` configured there is no watchdog: a scripted
 /// stall delays its job but is not an error — the stalled job and its
 /// neighbours all complete with no deaths and no retries. (With the

@@ -4,7 +4,7 @@
 //! counts, and job sizes down to one task. The
 //! service interleaves many job DAGs through one shared ready queue, so
 //! this is the strongest statement that per-job
-//! `SharedFactorState` isolation plus the fenced commit protocol keep
+//! `FactorState` isolation plus the fenced commit protocol keep
 //! jobs from perturbing each other's numbers.
 
 use tileqr::runtime::{JobOutput, JobResult, JobSpec, PriorityClass, QrService, ServiceConfig};

@@ -80,14 +80,20 @@
 #     comes back anywhere, tests, examples and the benchmark included.
 #   * one copy per fenced write: preserving staging copies into a tile a
 #     commit displaced, the outputs travel to the fence unboxed, and an
-#     attempt times only its kernel (slot-lock waits are timed on the state,
-#     and only when contended) — so no `Box<CompletedTask`, no fresh
-#     `Arc::new` around a read tile, and no per-attempt wait field.
+#     attempt times only its kernel (driver-lock waits are timed by the
+#     driver, and only when contended) — so no `Box<CompletedTask`, no
+#     fresh `Arc::new` around a read tile, and no per-attempt wait field.
 #   * one factor state: `FactorState` keeps every tile and factor in its
-#     own slot, and one stage body and one commit body serve `run_all` (no
-#     lock), the pool and the service (per-slot locks), so no second state
-#     type (`SharedFactorState`) and no conversion into or out of one
-#     (`into_state`) in non-test code under `crates/`.
+#     own slot, and one stage body and one commit body serve `run_all`, the
+#     pool and the service, so no second state type (`SharedFactorState`)
+#     and no conversion into or out of one (`into_state`) in non-test code
+#     under `crates/`.
+#   * one road to a slot: a worker stages and commits inside the driver's
+#     critical section, through the same `&mut` stage and commit bodies
+#     `run_all` takes, and carries only its staged task — so no `Mutex`,
+#     `lock_slot`, `Locked` or `trait Road` in non-test `exec.rs`, and no
+#     `Arc<FactorState` or `finalize_pending` (a finished job waiting for a
+#     straggler's state handle) in non-test `crates/runtime`.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -251,9 +257,13 @@ expect 0 'Box<CompletedTask|Arc::new\(\(\*self\.read_tile' \
     "a boxed output or a fresh allocation per fenced tile copy" crates/kernels crates/runtime
 hits=$(non_test crates/runtime/src/engine.rs |
     awk '/pub struct Attempt[<{ ]/ { on = 1 } on && /(stage|commit)_wait/ { print } on && /:}$/ { on = 0 }')
-[ -z "$hits" ] || fail "Attempt clocks its stage or commit again (slot-lock waits live on the state):" "$hits"
+[ -z "$hits" ] || fail "Attempt clocks its stage or commit again (lock waits are the driver's):" "$hits"
 expect 0 'SharedFactorState|into_state\b' \
     "one factor state (a second state type or a conversion into one is back)" crates
+hits=$(non_test crates/kernels/src/exec.rs | grep -E 'Mutex|lock_slot|Locked|trait Road' || true)
+[ -z "$hits" ] || fail "one road to a slot (the factor state's slots are plain; stage and commit run under the driver's lock):" "$hits"
+expect 0 'Arc<FactorState|finalize_pending' \
+    "one road to a slot (a worker carries its staged task, never the job's state)" crates/runtime
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
