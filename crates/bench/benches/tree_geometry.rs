@@ -3,7 +3,7 @@
 //! against the measured best (`BENCH_trees.json`).
 //!
 //! For each geometry the full candidate zoo (flat, binary, Fibonacci,
-//! greedy, plateau, and — on tall-skinny grids — the TSQR fast path) is
+//! greedy, plateau, and — on tall-skinny grids — the TSQR plateau) is
 //! built, its DAG metrics recorded (task count, unit critical path), its
 //! makespan predicted by the discrete-event simulator under a profile
 //! *calibrated from this host's own traced kernels*, and — where the
@@ -86,7 +86,7 @@ fn main() {
     let guard = harness::cores_guard("per-tree makespans and the selector-vs-oracle gap");
     let workers = guard.cores;
 
-    // Tall-skinny (the TSQR fast path's home turf), square, a wide panel
+    // Tall-skinny (the TSQR tree's home turf), square, a wide panel
     // (factorable: rows > cols but nearly square), and a wide tile grid
     // (rows < cols: DAG/sim metrics only — QR needs rows >= cols).
     let geometries: Vec<(&'static str, usize, usize, usize)> = if smoke {

@@ -1,7 +1,7 @@
 //! The user-facing factorization object.
 
 use crate::options::QrOptions;
-use tileqr_dag::TaskGraph;
+use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
 use tileqr_runtime::{parallel_factor_traced, RunReport};
@@ -42,10 +42,16 @@ impl<T: Scalar> TiledQr<T> {
             });
         }
         let tiled = TiledMatrix::from_matrix(a, opts.get_tile_size())?;
-        let tree = opts
-            .get_tree()
-            .resolve(tiled.tile_rows(), tiled.tile_cols());
-        let graph = TaskGraph::build_tree(tiled.tile_rows(), tiled.tile_cols(), tree);
+        let (mt, nt) = (tiled.tile_rows(), tiled.tile_cols());
+        let tree = opts.get_tree().resolve(mt, nt);
+        if tree == EliminationTree::Plateau(0) {
+            return Err(MatrixError::DimensionMismatch {
+                op: "TiledQr::factor (a plateau domain needs >= 1 tile row)",
+                lhs: (mt, nt),
+                rhs: (0, nt),
+            });
+        }
+        let graph = TaskGraph::build_tree(mt, nt, tree);
         let (state, report) = parallel_factor_traced(FactorState::new(tiled), &graph, opts.run)?;
         Ok((
             TiledQr {

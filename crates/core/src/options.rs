@@ -42,11 +42,11 @@ impl QrOptions {
         self
     }
 
-    /// Elimination-tree policy: pin a specific
-    /// [`tileqr_dag::EliminationTree`] from the zoo (flat, binary,
-    /// Fibonacci, greedy, plateau, TSQR), or let [`TreePolicy::Auto`]
-    /// pick per geometry — the TSQR reduction tree on tall-skinny grids,
-    /// greedy on very tall ones, the flat TS chain otherwise.
+    /// Elimination-tree policy: pin a tree from the zoo (a `Plateau(0)`
+    /// is refused by [`crate::TiledQr::factor`]), or let
+    /// [`TreePolicy::Auto`] pick per geometry — TSQR, `Plateau(⌈√mt⌉)`, on
+    /// tall-skinny grids, greedy on very tall ones, the flat TS chain
+    /// otherwise.
     pub fn tree(mut self, policy: TreePolicy) -> Self {
         self.tree = policy;
         self
@@ -155,5 +155,21 @@ mod tests {
         let a = tileqr_matrix::gen::random_matrix::<f64>(8, 8, 1);
         let err = crate::TiledQr::factor(&a, &o).unwrap_err();
         assert_eq!(err, tileqr_matrix::MatrixError::BadTileSize { tile: 0 });
+    }
+
+    #[test]
+    fn zero_plateau_domain_rejected() {
+        // A plateau of zero-row domains is an error, not a panic.
+        use tileqr_dag::EliminationTree::Plateau;
+        use tileqr_matrix::MatrixError::DimensionMismatch;
+        let o = QrOptions::new()
+            .tile_size(4)
+            .tree(TreePolicy::Fixed(Plateau(0)));
+        let a = tileqr_matrix::gen::random_matrix::<f64>(16, 8, 1);
+        let err = crate::TiledQr::factor(&a, &o).unwrap_err();
+        assert!(
+            matches!(err, DimensionMismatch { lhs: (4, 2), .. }),
+            "{err:?}"
+        );
     }
 }

@@ -224,9 +224,7 @@ mod tests {
 
     #[test]
     fn tree_counts_match_dag_per_kind() {
-        let mut trees = EliminationTree::zoo();
-        trees.push(EliminationTree::Tsqr(2));
-        for tree in trees {
+        for tree in EliminationTree::zoo() {
             for (mt, nt) in [(1, 1), (6, 1), (6, 2), (5, 4), (3, 6), (8, 8)] {
                 let g = TaskGraph::build_tree(mt, nt, tree);
                 let c = tree_counts(mt, nt, tree);

@@ -122,18 +122,10 @@ impl TaskGraph {
     /// elimination zoo. Per panel `k` the builder emits one `GEQRT` (plus
     /// its `UNMQR` row updates) for every panel row that is not a TS
     /// victim, then the tree's merge rounds in order — so program order
-    /// is always a valid topological order. [`EliminationTree::Tsqr`] on
-    /// a grid of at most two tile columns dispatches to the dedicated
-    /// [`TaskGraph::build_tsqr`] fast path; on wider grids it falls back
-    /// to the (semantically identical) generic plateau construction.
-    /// Panics if the grid is empty.
+    /// is always a valid topological order. Panics if the grid is empty
+    /// or the tree is a plateau of zero-row domains.
     pub fn build_tree(mt: usize, nt: usize, tree: EliminationTree) -> Self {
         assert!(mt > 0 && nt > 0, "empty tile grid");
-        if let EliminationTree::Tsqr(d) = tree {
-            if nt <= 2 {
-                return Self::build_tsqr(mt, nt, d);
-            }
-        }
         let mut b = Builder::new(mt, nt);
         let kmax = mt.min(nt);
         for k in 0..kmax {
@@ -171,68 +163,6 @@ impl TaskGraph {
             }
         }
         b.finish(mt, nt, tree)
-    }
-
-    /// Dedicated TSQR fast path for tall-skinny grids (`nt <= 2`): builds
-    /// the reduction tree *directly* — per panel, `GEQRT` each domain
-    /// head, run each domain's `TSQRT` chain to completion, then binary
-    /// TT-merge the domain heads — instead of driving the general
-    /// per-round panel machinery. The resulting DAG has exactly the task
-    /// set and dependence structure of [`EliminationTree::Plateau`]`(d)`
-    /// (only the program order differs: domain-major instead of
-    /// round-major). Panics if the grid is empty or has more than two
-    /// tile columns.
-    pub fn build_tsqr(mt: usize, nt: usize, d: usize) -> Self {
-        assert!(
-            nt <= 2,
-            "TSQR fast path requires a tall-skinny grid (nt <= 2)"
-        );
-        assert!(mt > 0 && nt > 0, "empty tile grid");
-        assert!(d > 0, "zero TSQR domain size");
-        let mut b = Builder::new(mt, nt);
-        let kmax = mt.min(nt);
-        for k in 0..kmax {
-            let m = mt - k;
-            let heads: Vec<usize> = (0..m).step_by(d).collect();
-            // Triangularize every domain head.
-            for &h in &heads {
-                let i = k + h;
-                b.push(TaskKind::Geqrt { i, k });
-                for j in k + 1..nt {
-                    b.push(TaskKind::Unmqr { i, j, k });
-                }
-            }
-            // Run each domain's TS chain to completion, domain-major.
-            for &h in &heads {
-                let p = k + h;
-                for t in 1..d {
-                    if h + t >= m {
-                        break;
-                    }
-                    let i = k + h + t;
-                    b.push(TaskKind::Tsqrt { p, i, k });
-                    for j in k + 1..nt {
-                        b.push(TaskKind::Tsmqr { p, i, j, k });
-                    }
-                }
-            }
-            // Binary reduction tree over the domain heads.
-            let mut stride = 1;
-            while stride < heads.len() {
-                let mut hp = 0;
-                while hp + stride < heads.len() {
-                    let p = k + heads[hp];
-                    let i = k + heads[hp + stride];
-                    b.push(TaskKind::Ttqrt { p, i, k });
-                    for j in k + 1..nt {
-                        b.push(TaskKind::Ttmqr { p, i, j, k });
-                    }
-                    hp += 2 * stride;
-                }
-                stride *= 2;
-            }
-        }
-        b.finish(mt, nt, EliminationTree::Tsqr(d))
     }
 
     /// Number of tile rows.
@@ -305,7 +235,6 @@ impl TaskGraph {
 mod tests {
     use super::*;
     use crate::StepClass;
-    use std::collections::HashMap;
 
     #[test]
     fn three_by_three_ts_matches_paper_fig2() {
@@ -461,15 +390,9 @@ mod tests {
         let _ = TaskGraph::build_tree(0, 3, EliminationTree::Flat);
     }
 
-    fn zoo_plus_tsqr() -> Vec<EliminationTree> {
-        let mut trees = EliminationTree::zoo();
-        trees.push(EliminationTree::Tsqr(2));
-        trees
-    }
-
     #[test]
     fn every_tree_edges_point_forward() {
-        for tree in zoo_plus_tsqr() {
+        for tree in EliminationTree::zoo() {
             for (mt, nt) in [(1, 1), (5, 1), (6, 2), (5, 4), (4, 6)] {
                 let g = TaskGraph::build_tree(mt, nt, tree);
                 assert_eq!(g.tree(), tree);
@@ -483,81 +406,17 @@ mod tests {
     }
 
     #[test]
-    fn tsqr_fast_path_matches_plateau_dag() {
-        // Same task multiset and same edge set; only program order
-        // (domain-major vs round-major) differs.
-        for (mt, nt, d) in [(8, 1, 3), (8, 2, 3), (12, 2, 4), (5, 1, 2), (3, 2, 8)] {
-            let fast = TaskGraph::build_tsqr(mt, nt, d);
-            let generic = {
-                // Force the generic builder by asking for Plateau.
-                TaskGraph::build_tree(mt, nt, EliminationTree::Plateau(d))
-            };
-            assert_eq!(fast.len(), generic.len());
-            let index_of = |g: &TaskGraph| {
-                g.tasks()
-                    .iter()
-                    .enumerate()
-                    .map(|(id, &t)| (t, id))
-                    .collect::<HashMap<_, _>>()
-            };
-            let fi = index_of(&fast);
-            let gi = index_of(&generic);
-            assert_eq!(fi.len(), fast.len(), "duplicate tasks in fast path");
-            let edge_set = |g: &TaskGraph, idx: &HashMap<TaskKind, usize>| {
-                let mut edges: Vec<(usize, usize)> = Vec::new();
-                for id in 0..g.len() {
-                    for &p in g.preds(id) {
-                        edges.push((idx[&g.task(p)], idx[&g.task(id)]));
-                    }
-                }
-                edges.sort_unstable();
-                edges
-            };
-            // Map both graphs' edges through the *generic* task->index map
-            // so they are comparable.
-            let fast_edges: Vec<(usize, usize)> = {
-                let mut edges: Vec<(usize, usize)> = Vec::new();
-                for id in 0..fast.len() {
-                    for &p in fast.preds(id) {
-                        edges.push((gi[&fast.task(p)], gi[&fast.task(id)]));
-                    }
-                }
-                edges.sort_unstable();
-                edges
-            };
-            let generic_edges = edge_set(&generic, &gi);
-            assert_eq!(fast_edges, generic_edges, "mt={mt} nt={nt} d={d}");
-            let _ = fi;
-        }
-    }
-
-    #[test]
     fn tsqr_fast_path_beats_flat_critical_path() {
-        // The acceptance metric: fewer unit critical-path steps than the
-        // paper's flat chain on p x 1 tall-skinny grids.
+        // The TSQR tree `Auto` picks takes fewer unit critical-path steps
+        // than the paper's flat chain on p x 1 tall-skinny grids.
         for p in [4, 8, 16, 32] {
+            let d = EliminationTree::tsqr_domain(p);
             let flat = TaskGraph::build_tree(p, 1, EliminationTree::Flat);
-            let tsqr = TaskGraph::build_tsqr(p, 1, EliminationTree::tsqr_domain(p));
+            let tsqr = TaskGraph::build_tree(p, 1, EliminationTree::Plateau(d));
             let unit = |_: TaskKind| 1.0;
             let flat_cp = crate::critical_path::critical_path_length(&flat, unit);
             let tsqr_cp = crate::critical_path::critical_path_length(&tsqr, unit);
             assert!(tsqr_cp < flat_cp, "p={p}: tsqr {tsqr_cp} !< flat {flat_cp}");
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn tsqr_fast_path_rejects_wide_grids() {
-        let _ = TaskGraph::build_tsqr(8, 3, 2);
-    }
-
-    #[test]
-    fn tsqr_tree_falls_back_to_plateau_on_wide_grids() {
-        // build_tree with Tsqr on nt > 2 uses the generic plateau path
-        // instead of panicking (service robustness).
-        let g = TaskGraph::build_tree(6, 4, EliminationTree::Tsqr(2));
-        let p = TaskGraph::build_tree(6, 4, EliminationTree::Plateau(2));
-        assert_eq!(g.len(), p.len());
-        assert_eq!(g.tasks(), p.tasks());
     }
 }

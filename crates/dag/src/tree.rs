@@ -27,12 +27,9 @@
 //! * [`EliminationTree::Plateau`]`(k)` — TS domains of size `k`: each
 //!   domain head `GEQRT`s and TS-absorbs its `k - 1` rows as a chain,
 //!   then a binary TT tree merges the domain heads. `Plateau(1)` is
-//!   `Binary`; `Plateau(m)` is `Flat`.
-//! * [`EliminationTree::Tsqr`]`(d)` — the dedicated tall-skinny fast
-//!   path: semantically a `Plateau(d)` reduction, but for grids of at
-//!   most two tile columns [`crate::TaskGraph::build_tree`] emits the
-//!   reduction tree directly (domain chains then the head tree) instead
-//!   of running the general per-round panel machinery.
+//!   `Binary`; `Plateau(m)` is `Flat`. TSQR on a tall-skinny grid is
+//!   `Plateau(⌈√mt⌉)` ([`EliminationTree::tsqr_domain`]), which is what
+//!   [`TreePolicy::Auto`] picks there.
 //!
 //! Every tree produces the *same factorization bits for its own DAG* —
 //! the runtime guarantees bit-identity across schedules of one DAG, and
@@ -75,10 +72,6 @@ pub enum EliminationTree {
     Greedy,
     /// TS domains of size `k` merged by a binary TT tree (`k >= 1`).
     Plateau(usize),
-    /// Tall-skinny TSQR fast path with domain size `d` (`d >= 1`):
-    /// `Plateau(d)` semantics, direct reduction-tree construction for
-    /// grids with at most two tile columns.
-    Tsqr(usize),
 }
 
 impl EliminationTree {
@@ -123,7 +116,7 @@ impl EliminationTree {
                     fa.min(alive / 2)
                 })
             }
-            EliminationTree::Plateau(k) | EliminationTree::Tsqr(k) => plateau_rounds(m, k),
+            EliminationTree::Plateau(k) => plateau_rounds(m, k),
         }
     }
 
@@ -148,7 +141,7 @@ impl EliminationTree {
     /// * `Flat`/`FlatTt`: `m`
     /// * `Binary`/`Greedy`: `1 + ⌈log₂ m⌉`
     /// * `Fibonacci`: `1 +` the number of Fibonacci-capped rounds
-    /// * `Plateau(k)`/`Tsqr(k)`: `1 + (min(k, m) − 1) + ⌈log₂ ⌈m/k⌉⌉`
+    /// * `Plateau(k)`: `1 + (min(k, m) − 1) + ⌈log₂ ⌈m/k⌉⌉`
     ///
     /// Equals `1 + rounds(m).len()` for every tree (each round chains on
     /// the previous one through a shared row).
@@ -158,7 +151,7 @@ impl EliminationTree {
             EliminationTree::Flat | EliminationTree::FlatTt => m,
             EliminationTree::Binary | EliminationTree::Greedy => 1 + ceil_log2(m),
             EliminationTree::Fibonacci => 1 + self.rounds(m).len(),
-            EliminationTree::Plateau(k) | EliminationTree::Tsqr(k) => {
+            EliminationTree::Plateau(k) => {
                 assert!(k > 0, "zero domain size");
                 1 + (k.min(m) - 1) + ceil_log2(m.div_ceil(k))
             }
@@ -166,7 +159,7 @@ impl EliminationTree {
     }
 
     /// Stable lowercase label for artifacts and trace metadata
-    /// (`"flat"`, `"binary"`, `"plateau4"`, `"tsqr3"`, …).
+    /// (`"flat"`, `"binary"`, `"plateau4"`, …).
     pub fn label(&self) -> String {
         match *self {
             EliminationTree::Flat => "flat".into(),
@@ -175,13 +168,11 @@ impl EliminationTree {
             EliminationTree::Fibonacci => "fibonacci".into(),
             EliminationTree::Greedy => "greedy".into(),
             EliminationTree::Plateau(k) => format!("plateau{k}"),
-            EliminationTree::Tsqr(d) => format!("tsqr{d}"),
         }
     }
 
-    /// The canonical zoo members valid on *every* grid geometry (no
-    /// [`EliminationTree::Tsqr`], which the fast-path builder restricts
-    /// to `nt <= 2`; push it yourself for tall-skinny sweeps).
+    /// The canonical zoo members (push `Plateau(tsqr_domain(mt))`
+    /// yourself for tall-skinny sweeps).
     pub fn zoo() -> Vec<EliminationTree> {
         vec![
             EliminationTree::Flat,
@@ -194,7 +185,7 @@ impl EliminationTree {
         ]
     }
 
-    /// Worker-agnostic default TSQR domain size for `mt` tile rows:
+    /// Worker-agnostic TSQR domain size for `mt` tile rows:
     /// `⌈√mt⌉` balances the in-domain TS chain against the head tree
     /// when the worker count is unknown (a calibrated selector does
     /// better).
@@ -203,12 +194,12 @@ impl EliminationTree {
     }
 
     /// The geometry heuristic [`TreePolicy::Auto`] resolves to, no
-    /// calibration profile needed: tall-skinny grids (`nt <= 2`) take the
-    /// TSQR fast path, markedly tall grids take `Greedy`, everything else
-    /// the paper's `Flat` chain.
+    /// calibration profile needed: tall-skinny grids (`nt <= 2`) take
+    /// TSQR, `Plateau(⌈√mt⌉)`, markedly tall grids take `Greedy`,
+    /// everything else the paper's `Flat` chain.
     pub fn default_for(mt: usize, nt: usize) -> EliminationTree {
         if nt <= 2 && mt >= 4 {
-            EliminationTree::Tsqr(Self::tsqr_domain(mt))
+            EliminationTree::Plateau(Self::tsqr_domain(mt))
         } else if mt >= 4 * nt {
             EliminationTree::Greedy
         } else {
@@ -333,7 +324,7 @@ mod tests {
 
     fn all_trees() -> Vec<EliminationTree> {
         let mut zoo = EliminationTree::zoo();
-        zoo.push(EliminationTree::Tsqr(3));
+        zoo.push(EliminationTree::Plateau(3));
         zoo
     }
 
@@ -425,26 +416,14 @@ mod tests {
     }
 
     #[test]
-    fn tsqr_is_plateau() {
-        for m in 1..=20 {
-            assert_eq!(
-                EliminationTree::Tsqr(3).rounds(m),
-                EliminationTree::Plateau(3).rounds(m)
-            );
-        }
-    }
-
-    #[test]
     fn auto_policy_heuristics() {
-        // Tall-skinny: TSQR fast path.
-        assert!(matches!(
-            TreePolicy::Auto.resolve(16, 1),
-            EliminationTree::Tsqr(_)
-        ));
-        assert!(matches!(
-            TreePolicy::Auto.resolve(12, 2),
-            EliminationTree::Tsqr(_)
-        ));
+        // Tall-skinny: TSQR, the plateau of ⌈√mt⌉-row domains.
+        assert_eq!(TreePolicy::Auto.resolve(16, 1), EliminationTree::Plateau(4));
+        assert_eq!(TreePolicy::Auto.resolve(12, 2), EliminationTree::Plateau(4));
+        assert_eq!(
+            TreePolicy::Auto.resolve(256, 2),
+            EliminationTree::Plateau(16)
+        );
         // Markedly tall: greedy.
         assert_eq!(TreePolicy::Auto.resolve(16, 4), EliminationTree::Greedy);
         // Square / mildly tall: the paper's flat chain.
@@ -461,7 +440,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(EliminationTree::Plateau(4).label(), "plateau4");
-        assert_eq!(EliminationTree::Tsqr(2).label(), "tsqr2");
         assert_eq!(EliminationTree::Greedy.to_string(), "greedy");
     }
 

@@ -55,7 +55,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn building_a_graph_allocates_per_tile_not_per_task() {
     for (mt, nt) in [(32, 32), (256, 2)] {
         let mut trees = EliminationTree::zoo();
-        trees.push(EliminationTree::Tsqr(EliminationTree::tsqr_domain(mt)));
+        trees.push(EliminationTree::Plateau(EliminationTree::tsqr_domain(mt)));
         for tree in trees {
             let before = ALLOCS.load(Ordering::Relaxed);
             let g = TaskGraph::build_tree(mt, nt, tree);

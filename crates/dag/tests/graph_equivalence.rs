@@ -17,8 +17,7 @@ use tileqr_dag::{
 };
 
 /// Program order of `build_tree`: per panel, `GEQRT` + `UNMQR`s on every
-/// row that is not a TS victim, then the merge rounds; the TSQR fast path
-/// (`nt <= 2`) goes domain-major instead.
+/// row that is not a TS victim, then the merge rounds.
 fn program(mt: usize, nt: usize, tree: EliminationTree) -> Vec<TaskKind> {
     let mut out = Vec::new();
     for k in 0..mt.min(nt) {
@@ -37,39 +36,12 @@ fn program(mt: usize, nt: usize, tree: EliminationTree) -> Vec<TaskKind> {
                 out.extend((k + 1..nt).map(|j| TaskKind::Ttmqr { p, i, j, k }));
             }
         };
-        match tree {
-            EliminationTree::Tsqr(d) if nt <= 2 => {
-                let heads: Vec<usize> = (0..m).step_by(d).collect();
-                for &h in &heads {
-                    factor(&mut out, k + h);
-                }
-                for &h in &heads {
-                    for i in h + 1..(h + d).min(m) {
-                        merge(&mut out, MergeKind::Ts, k + h, k + i);
-                    }
-                }
-                let mut stride = 1;
-                while stride < heads.len() {
-                    for hp in (0..heads.len() - stride).step_by(2 * stride) {
-                        merge(
-                            &mut out,
-                            MergeKind::Tt,
-                            k + heads[hp],
-                            k + heads[hp + stride],
-                        );
-                    }
-                    stride *= 2;
-                }
-            }
-            _ => {
-                let victims = tree.ts_victims(m);
-                for li in (0..m).filter(|&li| !victims[li]) {
-                    factor(&mut out, k + li);
-                }
-                for op in tree.rounds(m).into_iter().flatten() {
-                    merge(&mut out, op.kind, k + op.pivot, k + op.victim);
-                }
-            }
+        let victims = tree.ts_victims(m);
+        for li in (0..m).filter(|&li| !victims[li]) {
+            factor(&mut out, k + li);
+        }
+        for op in tree.rounds(m).into_iter().flatten() {
+            merge(&mut out, op.kind, k + op.pivot, k + op.victim);
         }
     }
     out
@@ -174,7 +146,7 @@ fn csr_graph_matches_the_hash_map_builder_edge_for_edge() {
     let cost = |k: TaskKind| 1.0 + 0.37 * KernelClass::of(k).slot() as f64;
     for (mt, nt) in grids {
         let mut trees = EliminationTree::zoo();
-        trees.push(EliminationTree::Tsqr(EliminationTree::tsqr_domain(mt)));
+        trees.push(EliminationTree::Plateau(EliminationTree::tsqr_domain(mt)));
         for tree in trees {
             let g = TaskGraph::build_tree(mt, nt, tree);
             let tasks = program(mt, nt, tree);

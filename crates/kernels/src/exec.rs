@@ -1054,7 +1054,7 @@ mod tests {
     }
 
     /// Trees whose eliminations are TS, TT and both on a 5 x 4 grid, plus
-    /// the TSQR fast path on a two-column grid, where every elimination has
+    /// the TSQR tree on a two-column grid, where every elimination has
     /// one trailing update and so stores no block.
     fn block_cases() -> Vec<(TiledMatrix<f64>, TaskGraph)> {
         let trees = [
@@ -1066,7 +1066,7 @@ mod tests {
         ];
         let grids = trees.map(|t| (40, 32, t)).into_iter();
         grids
-            .chain([(96, 16, EliminationTree::Tsqr(3))])
+            .chain([(96, 16, EliminationTree::Plateau(3))])
             .map(|(m, n, tree)| {
                 let a = random_matrix::<f64>(m, n, 12);
                 let t = TiledMatrix::from_matrix(&a, 8).unwrap();

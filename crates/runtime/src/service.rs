@@ -237,9 +237,9 @@ impl<T: Scalar> JobSpec<T> {
         self
     }
 
-    /// Elimination-tree policy for the task DAG (default: fixed flat TS
-    /// chain). [`TreePolicy::Auto`] resolves at admission to the geometry
-    /// heuristic ([`TreePolicy::resolve`]).
+    /// Elimination-tree policy (default: the flat TS chain; `Plateau(0)` is
+    /// refused at submission). [`TreePolicy::Auto`] resolves at admission to
+    /// `Plateau(⌈√mt⌉)` on tall-skinny grids ([`TreePolicy::resolve`]).
     pub fn tree(mut self, policy: TreePolicy) -> Self {
         self.tree = policy;
         self
@@ -1781,7 +1781,15 @@ impl<T: Scalar> QrService<T> {
             });
         }
         let (mt, nt) = (tiled.tile_rows(), tiled.tile_cols());
-        let graph = TaskGraph::build_tree(mt, nt, spec.tree.resolve(mt, nt));
+        let tree = spec.tree.resolve(mt, nt);
+        if tree == tileqr_dag::EliminationTree::Plateau(0) {
+            return Err(ServiceError::Numeric(MatrixError::DimensionMismatch {
+                op: "service QR (a plateau domain needs >= 1 tile row)",
+                lhs: (mt, nt),
+                rhs: (0, nt),
+            }));
+        }
+        let graph = TaskGraph::build_tree(mt, nt, tree);
         let sh = &self.shared;
         let state = FactorState::new(tiled);
         let (mut job, reply) = sh.job(state, graph, DispatchOrder::Fifo, spec.cost, spec.payload);
@@ -1898,15 +1906,43 @@ mod tests {
             workers: 2,
             ..ServiceConfig::default()
         });
-        // 64x8 at b=8 -> 8x1 grid: the heuristic picks the TSQR tree.
+        // 64x8 at b=8 -> 8x1 grid: the heuristic picks TSQR, Plateau(⌈√8⌉).
         let a = random_matrix::<f64>(64, 8, 32);
         let h = service
             .submit(JobSpec::factor(a).tile_size(8).tree(TreePolicy::Auto))
             .unwrap();
         let tree = h.wait().unwrap().output.factor().graph.tree();
         assert_eq!(tree, EliminationTree::default_for(8, 1));
-        assert!(matches!(tree, EliminationTree::Tsqr(_)));
+        assert_eq!(tree, EliminationTree::Plateau(3));
         service.shutdown();
+    }
+
+    #[test]
+    fn zero_plateau_domain_is_refused_at_submission() {
+        // An error on the submitter's thread, not a panic, and no slot
+        // spent: the service still runs the next job.
+        let service = QrService::<f64>::start(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        });
+        let a = random_matrix::<f64>(32, 16, 33);
+        let zero = TreePolicy::Fixed(EliminationTree::Plateau(0));
+        let Err(err) = service.submit(JobSpec::factor(a.clone()).tile_size(8).tree(zero)) else {
+            panic!("a Plateau(0) job was admitted");
+        };
+        let ServiceError::Numeric(err) = err else {
+            panic!("{err:?}");
+        };
+        let zero_domain = MatrixError::DimensionMismatch {
+            op: "service QR (a plateau domain needs >= 1 tile row)",
+            lhs: (4, 2),
+            rhs: (0, 2),
+        };
+        assert_eq!(err, zero_domain);
+        let ok = service.submit(JobSpec::factor(a).tile_size(8)).unwrap();
+        assert!(ok.wait().is_ok());
+        let stats = service.shutdown();
+        assert_eq!((stats.jobs_completed, stats.jobs_failed), (1, 0));
     }
 
     #[test]

@@ -49,19 +49,15 @@ pub struct Selection {
     pub ranked: Vec<TreeScore>,
 }
 
-/// The candidate trees worth simulating for an `mt x nt` grid: the
-/// all-geometry zoo, plus the TSQR fast path on tall-skinny grids.
+/// The candidate trees worth simulating for an `mt x nt` grid: the zoo
+/// but its `FlatTt` ablation, plus TSQR's `Plateau(⌈√mt⌉)` on tall-skinny
+/// grids, each listed once.
 pub fn candidate_trees(mt: usize, nt: usize) -> Vec<EliminationTree> {
-    let mut trees = vec![
-        EliminationTree::Flat,
-        EliminationTree::Binary,
-        EliminationTree::Fibonacci,
-        EliminationTree::Greedy,
-        EliminationTree::Plateau(2),
-        EliminationTree::Plateau(4),
-    ];
-    if nt <= 2 && mt >= 2 {
-        trees.push(EliminationTree::Tsqr(EliminationTree::tsqr_domain(mt)));
+    let mut trees = EliminationTree::zoo();
+    trees.retain(|&t| t != EliminationTree::FlatTt);
+    let tsqr = EliminationTree::Plateau(EliminationTree::tsqr_domain(mt));
+    if nt <= 2 && mt >= 2 && !trees.contains(&tsqr) {
+        trees.push(tsqr);
     }
     trees
 }
@@ -173,6 +169,18 @@ mod tests {
         // The winner's predicted makespan is the ranking minimum.
         for s in &sel.ranked {
             assert!(sel.best.makespan_us <= s.makespan_us);
+        }
+    }
+
+    #[test]
+    fn candidates_are_listed_once() {
+        for mt in 1..=40 {
+            for nt in 1..=3 {
+                let trees = candidate_trees(mt, nt);
+                for (i, tree) in trees.iter().enumerate() {
+                    assert!(!trees[..i].contains(tree), "{mt}x{nt}: {tree} twice");
+                }
+            }
         }
     }
 

@@ -18,7 +18,7 @@ const SHAPE_1024_64: &[Row] = &[
     (EliminationTree::Flat, 16, 630, 0x40e5847db22d0e50),
     (EliminationTree::Plateau(4), 16, 780, 0x40eadd4e978d4fd9),
     (EliminationTree::Plateau(2), 16, 937, 0x40f051df7ced9166),
-    (EliminationTree::Tsqr(6), 32, 110, 0x40f3e6f374bc6a7e),
+    (EliminationTree::Plateau(6), 32, 110, 0x40f3e6f374bc6a7e),
     (EliminationTree::Plateau(4), 32, 116, 0x40f4b5c95810624b),
     (EliminationTree::Fibonacci, 16, 1250, 0x40f60686872b020a),
     (EliminationTree::Greedy, 16, 1250, 0x40f60759db22d0e3),

@@ -179,9 +179,8 @@ fn argbest(ready: &[TaskId], score: impl Fn(TaskId) -> f64) -> usize {
 }
 
 /// Convenience wrapper: tile `a`, explore one interleaving of any member of
-/// the elimination zoo (including the TSQR fast-path DAG on tall-skinny
-/// grids), and return it alongside the sequential reference state for
-/// bit-identity checks.
+/// the elimination zoo, and return it alongside the sequential reference
+/// state for bit-identity checks.
 pub fn explore_tree_vs_sequential<T: Scalar>(
     a: &Matrix<T>,
     tile_size: usize,

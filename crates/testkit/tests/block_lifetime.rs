@@ -16,8 +16,8 @@ use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{run_pool, DispatchOrder, FaultTolerance, PoolConfig, ScriptedFaults};
 
-/// Trees whose eliminations are TS, TT and both, plus the TSQR fast path
-/// (domain-major program order) on a tall two-column grid.
+/// Trees whose eliminations are TS, TT and both, plus the TSQR tree
+/// (`Plateau(3)`) on a tall two-column grid.
 fn cases() -> Vec<(usize, usize, EliminationTree)> {
     let mut cases: Vec<_> = [
         EliminationTree::Flat,
@@ -29,7 +29,7 @@ fn cases() -> Vec<(usize, usize, EliminationTree)> {
     .into_iter()
     .map(|tree| (40, 32, tree))
     .collect();
-    cases.push((96, 16, EliminationTree::Tsqr(3)));
+    cases.push((96, 16, EliminationTree::Plateau(3)));
     cases
 }
 

@@ -36,13 +36,13 @@ const B: usize = 4;
 const WORKERS: usize = 3;
 
 /// The reference grids: single tile, square flat-TS, rectangular greedy,
-/// tall-skinny TSQR.
+/// tall-skinny plateau.
 fn grids() -> Vec<(usize, usize, EliminationTree)> {
     vec![
         (4, 4, EliminationTree::Flat),
         (16, 16, EliminationTree::Flat),
         (24, 12, EliminationTree::Greedy),
-        (32, 8, EliminationTree::Tsqr(2)),
+        (32, 8, EliminationTree::Plateau(2)),
     ]
 }
 

@@ -192,7 +192,8 @@ fn tall_and_very_skinny_grids_stay_orthogonal_on_every_tree() {
 
     for m in [2048, 16384] {
         let mut trees = EliminationTree::zoo();
-        trees.push(EliminationTree::Tsqr(EliminationTree::tsqr_domain(m / 16)));
+        let tsqr = EliminationTree::tsqr_domain(m / 16);
+        trees.push(EliminationTree::Plateau(tsqr));
         for tree in trees {
             check::<f64>(m, tree);
             check::<f32>(m, tree);

@@ -91,7 +91,7 @@ fn narrow_graphs_never_lose_a_wakeup() {
         ("1x1", case(1, 1, EliminationTree::Flat)),
         ("2x1", case(2, 1, EliminationTree::Flat)),
         ("32x2 binary", case(32, 2, EliminationTree::Binary)),
-        ("32x2 tsqr", case(32, 2, EliminationTree::Tsqr(4))),
+        ("32x2 plateau4", case(32, 2, EliminationTree::Plateau(4))),
         ("3x3 flat", flat3()),
     ];
     let orders = [

@@ -99,7 +99,7 @@ fn narrow_jobs_never_lose_a_wakeup() {
         ("2x1", 2, 1, EliminationTree::Flat),
         ("6x1 chain", 6, 1, EliminationTree::Flat),
         ("32x2 binary", 32, 2, EliminationTree::Binary),
-        ("32x2 tsqr", 32, 2, EliminationTree::Tsqr(4)),
+        ("32x2 plateau4", 32, 2, EliminationTree::Plateau(4)),
         ("3x3 flat", 3, 3, EliminationTree::Flat),
     ];
     for (name, mt, nt, tree) in cases {

@@ -4,8 +4,7 @@
 //! commits the same factorization — must hold for *every* member of the
 //! elimination-tree zoo, not just the paper's flat TS chain: the TT
 //! trees introduce `TTQRT`/`TTMQR` tasks with different read/write
-//! shapes, and the TSQR fast path emits a domain-major program order.
-//! These tests drive 100+ distinct fingerprinted interleavings per
+//! shapes. These tests drive 100+ distinct fingerprinted interleavings per
 //! tree × dispatch rule (FIFO, the critical-path adversary) through the
 //! virtual explorer, then hold each
 //! tree's factors to the condition-scaled numerical oracles over the
@@ -25,18 +24,18 @@ use tileqr_testkit::explorer::{assert_bit_identical, explore_tree_vs_sequential,
 use tileqr_testkit::oracle::verify_qr;
 use tileqr_testkit::workers_under_test;
 
-/// The full sweep: geometry-generic zoo plus the TSQR fast path (the
-/// test matrix is 6 x 2 tiles, so `Tsqr` takes the dedicated builder).
+/// The full sweep: the zoo plus the TSQR tree `TreePolicy::Auto` picks
+/// for the 6 x 2 test grid, `Plateau(3)`.
 fn trees_under_test() -> Vec<EliminationTree> {
     let mut trees = EliminationTree::zoo();
-    trees.push(EliminationTree::Tsqr(EliminationTree::tsqr_domain(6)));
+    trees.push(EliminationTree::Plateau(EliminationTree::tsqr_domain(6)));
     trees
 }
 
 #[test]
 fn hundred_plus_distinct_interleavings_per_tree_and_policy() {
     // 48 x 16 at b = 8: a 6 x 2 tall-skinny tile grid — the geometry the
-    // TSQR fast path exists for, with enough trailing work that every
+    // TSQR tree is for, with enough trailing work that every
     // tree's schedule space is large.
     let a = random_matrix::<f64>(48, 16, 0x7EE);
     for tree in trees_under_test() {
@@ -152,7 +151,10 @@ fn f32_greedy_fibonacci_and_auto_agree_across_one_shot_service_and_sequential() 
     let (rows, cols, b) = (192, 32, 16);
     let a = random_matrix::<f32>(rows, cols, 0xF33);
     let auto = EliminationTree::default_for(rows / b, cols / b);
-    assert!(matches!(auto, EliminationTree::Tsqr(_)));
+    assert_eq!(
+        auto,
+        EliminationTree::Plateau(EliminationTree::tsqr_domain(rows / b))
+    );
     for (policy, tree) in [
         (
             TreePolicy::Fixed(EliminationTree::Greedy),

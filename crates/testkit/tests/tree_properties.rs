@@ -10,7 +10,7 @@
 //! 4. unit-weight critical paths on `p x 1` panels match the
 //!    Bouwmeester-style closed forms per tree (flat `p`, binary
 //!    `1 + ceil(log2 p)`, greedy likewise, Fibonacci in between), and
-//!    the TSQR fast path beats the flat chain.
+//!    the TSQR tree (`Plateau(⌈√p⌉)`) beats the flat chain.
 
 use std::collections::HashMap;
 
@@ -18,15 +18,6 @@ use tileqr_dag::counts::{class_totals, tree_counts};
 use tileqr_dag::critical_path::critical_path_length;
 use tileqr_dag::topo::{is_acyclic, topological_order};
 use tileqr_dag::{EliminationTree, TaskGraph, TaskKind};
-
-/// Every tree the suite sweeps: the geometry-generic zoo plus TSQR
-/// domains (valid on any grid via the plateau fallback).
-fn all_trees() -> Vec<EliminationTree> {
-    let mut trees = EliminationTree::zoo();
-    trees.push(EliminationTree::Tsqr(2));
-    trees.push(EliminationTree::Tsqr(4));
-    trees
-}
 
 /// Geometry grid: tall, square, and wide tile shapes up to 12 x 12.
 fn geometries() -> Vec<(usize, usize)> {
@@ -46,7 +37,7 @@ fn geometries() -> Vec<(usize, usize)> {
 
 #[test]
 fn every_subdiagonal_tile_eliminated_exactly_once() {
-    for tree in all_trees() {
+    for tree in EliminationTree::zoo() {
         for (mt, nt) in geometries() {
             let g = TaskGraph::build_tree(mt, nt, tree);
             let mut eliminated: HashMap<(usize, usize), usize> = HashMap::new();
@@ -77,7 +68,7 @@ fn every_subdiagonal_tile_eliminated_exactly_once() {
 
 #[test]
 fn topological_replay_respects_every_edge() {
-    for tree in all_trees() {
+    for tree in EliminationTree::zoo() {
         for (mt, nt) in geometries() {
             let g = TaskGraph::build_tree(mt, nt, tree);
             assert!(is_acyclic(&g), "{tree} {mt}x{nt}: cycle");
@@ -109,7 +100,7 @@ fn topological_replay_respects_every_edge() {
 fn edges_cover_every_data_hazard() {
     // Any two tasks touching a common tile, at least one writing, must be
     // ordered by a dependency path — otherwise some interleaving races.
-    for tree in all_trees() {
+    for tree in EliminationTree::zoo() {
         for (mt, nt) in [(6, 1), (5, 3), (4, 4), (8, 2)] {
             let g = TaskGraph::build_tree(mt, nt, tree);
             let n = g.len();
@@ -149,7 +140,7 @@ fn edges_cover_every_data_hazard() {
 
 #[test]
 fn tree_counts_are_exact_on_the_geometry_grid() {
-    for tree in all_trees() {
+    for tree in EliminationTree::zoo() {
         for (mt, nt) in geometries() {
             let g = TaskGraph::build_tree(mt, nt, tree);
             let c = tree_counts(mt, nt, tree);
@@ -220,7 +211,7 @@ fn p_by_one_critical_paths_match_closed_forms() {
         let fib = unit_cp(EliminationTree::Fibonacci, p);
         assert!(expect_bal <= fib && fib <= p, "fibonacci p={p}: {fib}");
         // Every tree's DAG critical path equals its merge-schedule depth.
-        for tree in all_trees() {
+        for tree in EliminationTree::zoo() {
             assert_eq!(unit_cp(tree, p), tree.unit_depth(p), "{tree} p={p}");
         }
     }
@@ -230,7 +221,7 @@ fn p_by_one_critical_paths_match_closed_forms() {
 fn tsqr_fast_path_shortens_the_critical_path() {
     for p in [4usize, 8, 16, 32] {
         let d = EliminationTree::tsqr_domain(p);
-        let tsqr = TaskGraph::build_tsqr(p, 1, d);
+        let tsqr = TaskGraph::build_tree(p, 1, EliminationTree::Plateau(d));
         let flat = TaskGraph::build_tree(p, 1, EliminationTree::Flat);
         let cp_tsqr = critical_path_length(&tsqr, |_| 1.0);
         let cp_flat = critical_path_length(&flat, |_| 1.0);

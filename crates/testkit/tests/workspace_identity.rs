@@ -126,8 +126,7 @@ fn arena_runs_stay_bit_identical_for_every_elimination_tree() {
     // scratch shapes differ from the TS chain — the arena must serve
     // them all without changing a bit, in the scalar tiers (b = 8) and in
     // the vector tier (b = 32) alike. Both geometries are 5×2 tile grids.
-    let mut trees = EliminationTree::zoo();
-    trees.push(EliminationTree::Tsqr(2));
+    let trees = EliminationTree::zoo();
     for (rows, cols, b) in [(40, 16, 8), (160, 64, 32)] {
         let a = random_matrix::<f64>(rows, cols, 0xA5);
         for &tree in &trees {

@@ -94,6 +94,10 @@
 #     `lock_slot`, `Locked` or `trait Road` in non-test `exec.rs`, and no
 #     `Arc<FactorState` or `finalize_pending` (a finished job waiting for a
 #     straggler's state handle) in non-test `crates/runtime`.
+#   * one tree builder: TSQR is `Plateau(⌈√mt⌉)`, built by `build_tree` like
+#     every other tree, so no `EliminationTree::Tsqr` variant and no
+#     `build_tsqr` in any `.rs` under `crates/`, `tests/` or `examples/`,
+#     tests included.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -264,6 +268,10 @@ hits=$(non_test crates/kernels/src/exec.rs | grep -E 'Mutex|lock_slot|Locked|tra
 [ -z "$hits" ] || fail "one road to a slot (the factor state's slots are plain; stage and commit run under the driver's lock):" "$hits"
 expect 0 'Arc<FactorState|finalize_pending' \
     "one road to a slot (a worker carries its staged task, never the job's state)" crates/runtime
+# Tests and examples count here too.
+if hits=$(grep -rnE --include='*.rs' 'build_tsqr|EliminationTree::Tsqr\b' crates tests examples); then
+    fail "one tree builder (TSQR is Plateau(tsqr_domain(mt)), built by build_tree):" "$hits"
+fi
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
