@@ -2,7 +2,7 @@
 //! `tree_geometry` (speed claims live in `perf/`, not here).
 //!
 //! The container has no external benchmarking framework, so the target is
-//! a plain `fn main()` that calls [`bench`] and prints one formatted row per
+//! a plain `fn main()` that calls [`bench()`] and prints one formatted row per
 //! case: median / min over a fixed number of timed runs after a warmup.
 
 use std::time::Instant;
@@ -52,7 +52,7 @@ pub fn bench<F: FnMut()>(group: &str, case: &str, samples: usize, f: F) -> Stats
     stats
 }
 
-/// Print the column header matching [`bench`]'s rows.
+/// Print the column header matching [`bench()`]'s rows.
 pub fn header(title: &str) {
     println!("\n== {title} ==");
     println!("{:<40} {:>12} {:>12}", "case", "median", "min");

@@ -73,13 +73,12 @@ pub mod runtime {
     #[doc(hidden)]
     pub use tileqr_runtime::run_pool;
     pub use tileqr_runtime::{
-        model_weight, parallel_factor_traced, DispatchOrder, FaultInjector, FaultTolerance,
-        InjectedFault, PoolConfig, RunReport, RuntimeError, ScriptedFaults, TraceConfig,
+        parallel_factor_traced, DispatchOrder, FaultInjector, FaultTolerance, InjectedFault,
+        PoolConfig, RunReport, RuntimeError, ScriptedFaults, TraceConfig,
     };
-    pub use tileqr_runtime::{ClassCosts, CostCurve, CostModel};
     pub use tileqr_runtime::{
-        FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, JobTuning, PriorityClass,
-        QrService, ServiceConfig, ServiceError, ServiceStats, WaitTimeout,
+        FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, PriorityClass, QrService,
+        ServiceConfig, ServiceError, ServiceStats, WaitTimeout,
     };
 }
 

@@ -4,8 +4,8 @@
 //! profile cache that closes the calibration loop end to end:
 //!
 //! 1. The **first jobs** of each `(rows, cols)` shape class run as
-//!    *calibration probes* — one per candidate tile size, tagged
-//!    [`JobTuning::Probe`] — and their per-class kernel timings
+//!    *calibration probes* — one per candidate tile size — and their
+//!    per-class kernel timings
 //!    ([`tileqr_runtime::JobResult::class_compute_us`]) are folded into a
 //!    sample set.
 //! 2. Once three distinct tile sizes have produced samples for every
@@ -16,11 +16,10 @@
 //!    profile selects: at the flip, `tileqr_sched::select::select_plan`
 //!    list-schedules `(tile size, elimination tree)` candidates over the
 //!    fitted curves (`tileqr_dag::list_makespan`) — once per fitted
-//!    profile, not per job — and the winner runs tagged
-//!    [`JobTuning::Tuned`] with its [`JobSpec::cost_model`] set to
-//!    [`tileqr_runtime::CostModel::Calibrated`]: the measured curves
-//!    price its WFQ charge. This is the one road by which measured costs
-//!    reach a run.
+//!    profile, not per job — and the winner's tile size and tree are the
+//!    job's plan. This is the one road by which measured costs reach a
+//!    run: the service prices a tuned job's fair share in flops like any
+//!    other, so it shares the pool with untuned jobs submitted beside it.
 //! 4. Fitted profiles **persist** as JSON
 //!    ([`tileqr_obs::ProfileStore`]): point `TILEQR_PROFILE` (or
 //!    [`TunerConfig::profile_path`]) at a store file and later services
@@ -43,12 +42,10 @@ use crate::factor::TiledQr;
 use tileqr_dag::{EliminationTree, KernelClass, TreePolicy};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 use tileqr_obs::{
-    cost_model, default_profile_path, fit_step_times, fitted_profile, KernelSample, ProfileStore,
+    default_profile_path, fit_step_times, fitted_profile, KernelSample, ProfileStore,
 };
-use tileqr_runtime::service::{
-    JobOutput, JobResult, JobSpec, JobTuning, QrService, ServiceConfig, ServiceStats,
-};
-use tileqr_runtime::RunReport;
+use tileqr_runtime::service::{JobOutput, JobResult, JobSpec};
+use tileqr_runtime::{QrService, RunReport, ServiceConfig, ServiceStats};
 use tileqr_sched::select::{select_plan, Selection};
 use tileqr_sim::{DeviceKind, DeviceProfile};
 
@@ -103,13 +100,13 @@ impl ShapeEntry {
 /// The plan one job runs under (resolved at submit time).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobPlan {
-    /// Calibration probe at a fixed tile size (flat tree, flop costs).
+    /// Calibration probe at a fixed tile size (flat tree).
     Probe {
         /// Tile size being probed.
         tile_size: usize,
     },
-    /// Measured plan: selector-chosen tile size and tree, calibrated
-    /// priorities.
+    /// Measured plan: the tile size and tree the selector picked from the
+    /// fitted profile.
     Tuned {
         /// Selector-chosen tile size.
         tile_size: usize,
@@ -131,11 +128,19 @@ impl JobPlan {
     }
 }
 
+/// The shape table and the jobs planned from it, behind one lock.
+#[derive(Default)]
+struct Shapes {
+    table: HashMap<(usize, usize), ShapeEntry>,
+    probe_jobs: u64,
+    tuned_jobs: u64,
+}
+
 /// A resident [`QrService`] with an online per-shape autotuner in front
 /// of it — see the [module docs](self) for the calibration loop.
 pub struct TunedQrService<T: Scalar> {
     service: QrService<T>,
-    shapes: Mutex<HashMap<(usize, usize), ShapeEntry>>,
+    shapes: Mutex<Shapes>,
     probe_tiles: Vec<usize>,
     path: Option<PathBuf>,
     cores: usize,
@@ -158,15 +163,12 @@ impl<T: Scalar> TunedQrService<T> {
         );
         let cores = config.effective_workers().max(1);
         let path = tuner.profile_path.or_else(default_profile_path);
-        let mut shapes = HashMap::new();
-        if let Some(p) = &path {
-            if let Ok(store) = ProfileStore::load(p) {
-                for (key, profile) in store.entries {
-                    if let Some((rows, cols)) = parse_shape_key(&key) {
-                        let entry = ShapeEntry::ready(profile, rows, cols, &tuner.probe_tiles);
-                        shapes.insert((rows, cols), entry);
-                    }
-                }
+        let mut shapes = Shapes::default();
+        let store = path.as_deref().and_then(|p| ProfileStore::load(p).ok());
+        for (key, profile) in store.into_iter().flat_map(|s| s.entries) {
+            if let Some((rows, cols)) = parse_shape_key(&key) {
+                let entry = ShapeEntry::ready(profile, rows, cols, &tuner.probe_tiles);
+                shapes.table.insert((rows, cols), entry);
             }
         }
         TunedQrService {
@@ -182,7 +184,7 @@ impl<T: Scalar> TunedQrService<T> {
     /// hostile samples — leaves it structurally valid (the shape is still
     /// `Probing`, with the samples it had), so a poisoned lock is taken
     /// anyway: later submissions degrade to probing instead of panicking.
-    fn shapes(&self) -> MutexGuard<'_, HashMap<(usize, usize), ShapeEntry>> {
+    fn shapes(&self) -> MutexGuard<'_, Shapes> {
         self.shapes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -193,7 +195,7 @@ impl<T: Scalar> TunedQrService<T> {
 
     /// Fitted profile for a shape class, once calibrated.
     pub fn profile_for(&self, rows: usize, cols: usize) -> Option<DeviceProfile> {
-        match self.shapes().get(&(rows, cols)) {
+        match self.shapes().table.get(&(rows, cols)) {
             Some(ShapeEntry::Ready { profile, .. }) => Some(profile.clone()),
             _ => None,
         }
@@ -202,7 +204,7 @@ impl<T: Scalar> TunedQrService<T> {
     /// The full selector ranking a tuned shape's next job would plan
     /// from (`None` while the shape is still probing).
     pub fn selection_for(&self, rows: usize, cols: usize) -> Option<Selection> {
-        match self.shapes().get(&(rows, cols)) {
+        match self.shapes().table.get(&(rows, cols)) {
             Some(ShapeEntry::Ready { selection, .. }) => Some(selection.clone()),
             _ => None,
         }
@@ -211,7 +213,7 @@ impl<T: Scalar> TunedQrService<T> {
     /// The plan the *next* `factor` call of this shape would run under
     /// (does not consume a probe slot).
     pub fn plan_for(&self, rows: usize, cols: usize) -> JobPlan {
-        match self.shapes().get(&(rows, cols)) {
+        match self.shapes().table.get(&(rows, cols)) {
             Some(ShapeEntry::Ready { selection, .. }) => JobPlan::tuned(selection),
             Some(ShapeEntry::Probing { probed, .. }) => {
                 match self.probe_tiles.iter().find(|b| !probed.contains(b)) {
@@ -232,19 +234,10 @@ impl<T: Scalar> TunedQrService<T> {
         let (rows, cols) = a.dims();
         let plan = self.claim_plan(rows, cols);
         let spec = match &plan {
-            JobPlan::Probe { tile_size } => JobSpec::factor(a.clone())
+            JobPlan::Probe { tile_size } => JobSpec::factor(a.clone()).tile_size(*tile_size),
+            JobPlan::Tuned { tile_size, tree } => JobSpec::factor(a.clone())
                 .tile_size(*tile_size)
-                .tuning(JobTuning::Probe),
-            JobPlan::Tuned { tile_size, tree } => {
-                let profile = self
-                    .profile_for(rows, cols)
-                    .expect("tuned plan implies a fitted profile");
-                JobSpec::factor(a.clone())
-                    .tile_size(*tile_size)
-                    .tree(TreePolicy::Fixed(*tree))
-                    .cost_model(cost_model(&profile))
-                    .tuning(JobTuning::Tuned)
-            }
+                .tree(TreePolicy::Fixed(*tree)),
             JobPlan::Standard => JobSpec::factor(a.clone()),
         };
         let handle = self.service.submit(spec).map_err(MatrixError::from)?;
@@ -261,11 +254,16 @@ impl<T: Scalar> TunedQrService<T> {
         Ok((TiledQr::from_job(f), report, plan))
     }
 
-    /// Snapshot of the wrapped service's counters (probe vs tuned job
-    /// counts live in [`ServiceStats::probe_jobs`] /
-    /// [`ServiceStats::tuned_jobs`]).
+    /// Snapshot of the wrapped service's counters.
     pub fn stats(&self) -> ServiceStats {
         self.service.stats()
+    }
+
+    /// How many `(probe, tuned)` jobs this tuner has planned so far (a job
+    /// the service then refuses at submission counts too).
+    pub fn tuning_counts(&self) -> (u64, u64) {
+        let shapes = self.shapes();
+        (shapes.probe_jobs, shapes.tuned_jobs)
     }
 
     /// Drain and stop the wrapped service.
@@ -275,19 +273,24 @@ impl<T: Scalar> TunedQrService<T> {
 
     /// Resolve (and claim, for probes) the plan for one submission.
     fn claim_plan(&self, rows: usize, cols: usize) -> JobPlan {
-        let mut shapes = self.shapes();
+        let shapes = &mut *self.shapes();
         let entry = shapes
+            .table
             .entry((rows, cols))
             .or_insert_with(|| ShapeEntry::Probing {
                 samples: Vec::new(),
                 probed: Vec::new(),
             });
         match entry {
-            ShapeEntry::Ready { selection, .. } => JobPlan::tuned(selection),
+            ShapeEntry::Ready { selection, .. } => {
+                shapes.tuned_jobs += 1;
+                JobPlan::tuned(selection)
+            }
             ShapeEntry::Probing { probed, .. } => {
                 match self.probe_tiles.iter().find(|b| !probed.contains(b)) {
                     Some(&b) => {
                         probed.push(b);
+                        shapes.probe_jobs += 1;
                         JobPlan::Probe { tile_size: b }
                     }
                     None => JobPlan::Standard,
@@ -300,7 +303,7 @@ impl<T: Scalar> TunedQrService<T> {
     /// and fit a profile once enough distinct tile sizes reported.
     fn absorb_probe(&self, rows: usize, cols: usize, b: usize, result: &JobResult<T>) {
         let mut shapes = self.shapes();
-        let Some(ShapeEntry::Probing { samples, .. }) = shapes.get_mut(&(rows, cols)) else {
+        let Some(ShapeEntry::Probing { samples, .. }) = shapes.table.get_mut(&(rows, cols)) else {
             return;
         };
         for class in KernelClass::ALL {
@@ -323,7 +326,7 @@ impl<T: Scalar> TunedQrService<T> {
             );
             self.persist(rows, cols, &profile);
             let entry = ShapeEntry::ready(profile, rows, cols, &self.probe_tiles);
-            shapes.insert((rows, cols), entry);
+            shapes.table.insert((rows, cols), entry);
         }
     }
 
@@ -384,7 +387,7 @@ mod tests {
         assert_eq!(plan, JobPlan::Probe { tile_size: 8 });
         let seq = TiledQr::factor(&a, &crate::QrOptions::new().tile_size(8)).unwrap();
         assert_eq!(f.r(), seq.r());
-        assert_eq!(svc.shutdown().probe_jobs, 2);
+        assert_eq!(svc.tuning_counts(), (2, 0));
     }
 
     #[test]
@@ -421,9 +424,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f.r(), seq.r(), "tuned jobs stay bit-exact");
-        let stats = svc.shutdown();
-        assert_eq!(stats.probe_jobs, 3);
-        assert_eq!(stats.tuned_jobs, 1);
+        assert_eq!(svc.tuning_counts(), (3, 1));
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! module owns that datum for every layer: the curve ([`CostCurve`]), the
 //! three classes and the one `TaskKind → class` mapping ([`KernelClass`]),
 //! the per-device table ([`ClassCosts`] — a simulated `DeviceProfile`
-//! carries one, `obs::calibrate` fits one, the profile JSON stores one)
-//! and the price a service job's WFQ charge is counted in ([`CostModel`]).
+//! carries one, `obs::calibrate` fits one, the profile JSON stores one).
+//! None of it prices a service job's fair share: the WFQ charge is flops.
 //!
-//! The types here are pure `Copy` data, so every layer — a service job
-//! (`JobSpec::cost_model`, set by the online tuner), the profile JSON,
-//! the simulator — can carry them without growing its dependency graph.
+//! The types here are pure `Copy` data, so every layer — the plan
+//! selector, the profile JSON, the simulator — can carry them without
+//! growing its dependency graph.
 //! The per-task accessors are `#[inline]`: the simulators in other crates
 //! call them once per simulated task (without it `sim::engine` measured
 //! ~8 % fewer tasks per second).
@@ -131,19 +131,6 @@ impl ClassCosts {
     }
 }
 
-/// What a service job's WFQ (weighted fair queuing) charge per task is
-/// priced in.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum CostModel {
-    /// Kernel flop counts: cheap, portable, blind to launch overhead and
-    /// memory traffic.
-    #[default]
-    Flops,
-    /// Measured microseconds from calibrated per-class curves: the WFQ
-    /// charge of a tuned job is its predicted wall time.
-    Calibrated(ClassCosts),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,14 +230,5 @@ mod tests {
             let (got, base) = (c.curve(class).eval_us(8), costs().curve(class).eval_us(8));
             assert!((got - 3.0 * base).abs() < 1e-9, "{class:?}");
         }
-    }
-
-    #[test]
-    fn model_names_and_extraction() {
-        // The default stays inert: a job that names no model is weighed
-        // by flops, exactly as a one-shot run.
-        assert_eq!(CostModel::default(), CostModel::Flops);
-        let m = CostModel::Calibrated(costs());
-        assert!(matches!(m, CostModel::Calibrated(c) if c == costs()));
     }
 }

@@ -27,7 +27,7 @@ mod task;
 pub mod topo;
 pub mod tree;
 
-pub use cost::{ClassCosts, CostCurve, CostModel, KernelClass};
+pub use cost::{ClassCosts, CostCurve, KernelClass};
 pub use critical_path::bottom_levels;
 pub use graph::TaskGraph;
 pub use listsim::{list_makespan, ListOrder};

@@ -44,7 +44,7 @@
 //! sweeps assert). That contract is over *shapes*, not over one global
 //! loop order: a level-1.5 primitive runs on the detected vector core from
 //! that core's `MIN_WORK` touched elements, and otherwise as a plain
-//! sequential per-column loop below [`NAIVE_MAX_WORK`] and in the
+//! sequential per-column loop below `NAIVE_MAX_WORK` and in the
 //! lane-blocked scalar order above it. The tier is chosen by shape and
 //! host, never by data. The cores differ by rounding only (FMA contracts
 //! `a·b+c` to one rounding, a wider vector sums in a different order), so

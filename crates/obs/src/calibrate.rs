@@ -14,9 +14,7 @@
 //! paper-constant-driven into measurement-driven.
 
 use crate::span::{Phase, Trace};
-use tileqr_dag::{
-    list_makespan, ClassCosts, CostCurve, CostModel, KernelClass, ListOrder, TaskGraph,
-};
+use tileqr_dag::{list_makespan, ClassCosts, CostCurve, KernelClass, ListOrder, TaskGraph};
 use tileqr_sim::{DeviceKind, DeviceProfile};
 
 /// One measured kernel execution: class, tile size it ran at, duration.
@@ -139,12 +137,6 @@ pub fn fitted_profile(
     }
 }
 
-/// The [`CostModel`] a calibrated profile induces: the measured-microsecond
-/// weights the tuner sets on a tuned job (`JobSpec::cost_model`).
-pub fn cost_model(profile: &DeviceProfile) -> CostModel {
-    CostModel::Calibrated(profile.times)
-}
-
 /// Maximum relative error of `fitted` vs `truth`, per kernel class, over
 /// the tile sizes in `bs`: `[triangulation, elimination, update]`.
 pub fn profile_error(fitted: &ClassCosts, truth: &ClassCosts, bs: &[usize]) -> [f64; 3] {
@@ -261,12 +253,5 @@ mod tests {
     fn solve3_rejects_singular() {
         let m = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]];
         assert!(solve3(m, [1.0, 2.0, 3.0]).is_none());
-    }
-
-    #[test]
-    fn cost_model_of_profile_is_calibrated() {
-        let p = profiles::gtx580();
-        let m = cost_model(&p);
-        assert_eq!(m, CostModel::Calibrated(p.times));
     }
 }

@@ -31,8 +31,8 @@ pub mod recorder;
 pub mod span;
 
 pub use calibrate::{
-    cost_model, fit_step_times, fitted_profile, profile_error, samples_from_trace, sim_vs_real,
-    KernelSample, SimVsReal,
+    fit_step_times, fitted_profile, profile_error, samples_from_trace, sim_vs_real, KernelSample,
+    SimVsReal,
 };
 pub use counters::{HotPathCounters, LifecycleCounters};
 pub use hist::{bucket_bounds, bucket_of, KernelHistograms, LatencyHistogram, NUM_BUCKETS};

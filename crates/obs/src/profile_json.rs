@@ -289,7 +289,7 @@ mod tests {
     }
 
     /// The store is the one input from outside the process that reaches a
-    /// job's cost model (the tuner's `JobSpec::cost_model`). Several
+    /// job's plan (the tile size and tree the tuner selects). Several
     /// hundred seeded mutations of a valid two-entry document — truncated,
     /// one number replaced by `NaN` / `-1` / `1e400` / nothing, one byte
     /// dropped or doubled — never panic the reader, and whatever it still

@@ -22,14 +22,14 @@
 //! late, and post-commit reports) without sleeps.
 
 use crate::error::RuntimeError;
-use crate::pool::{model_weight, RunReport};
+use crate::pool::RunReport;
 use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
 use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use tileqr_dag::{CostModel, TaskGraph, TaskId};
+use tileqr_dag::{TaskGraph, TaskId};
 use tileqr_kernels::exec::{CompletedTask, FactorState, StagedTask};
-use tileqr_kernels::Workspace;
+use tileqr_kernels::{flops, Workspace};
 use tileqr_matrix::{MatrixError, Scalar};
 use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder};
 
@@ -215,10 +215,9 @@ impl DagRun {
         workers: usize,
         lane: Option<(WorkerRecorder, Instant)>,
     ) -> Self {
-        let flops = model_weight(CostModel::Flops, b);
         let mut run = DagRun {
             tracker: ReadyTracker::new(graph),
-            queue: ReadyQueue::for_order(order, graph, flops),
+            queue: ReadyQueue::for_order(order, graph, |t| flops::task_flops(t, b) as f64),
             committed: vec![false; graph.len()],
             attempts: vec![0; graph.len()],
             in_flight: 0,

@@ -66,14 +66,13 @@ mod scheduler;
 pub mod service;
 
 pub use error::RuntimeError;
-pub use pool::{model_weight, parallel_factor_traced, PoolConfig, RunReport};
+pub use pool::{parallel_factor_traced, PoolConfig, RunReport};
 pub use recovery::{FaultInjector, FaultTolerance, InjectedFault, ScriptedFaults};
 pub use scheduler::DispatchOrder;
 #[doc(hidden)]
 pub use service::run_pool;
 pub use service::{
-    FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, JobTuning, PriorityClass,
-    QrService, ServiceConfig, ServiceError, ServiceStats, WaitTimeout,
+    FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, PriorityClass, QrService,
+    ServiceConfig, ServiceError, ServiceStats, WaitTimeout,
 };
-pub use tileqr_dag::{ClassCosts, CostCurve, CostModel};
 pub use tileqr_obs::TraceConfig;

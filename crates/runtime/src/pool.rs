@@ -20,9 +20,8 @@ use crate::recovery::FaultTolerance;
 use crate::scheduler::DispatchOrder;
 use crate::service::run_pool;
 use std::time::{Duration, Instant};
-use tileqr_dag::{CostModel, TaskGraph, TaskKind};
+use tileqr_dag::TaskGraph;
 use tileqr_kernels::exec::FactorState;
-use tileqr_kernels::flops;
 use tileqr_matrix::{Result, Scalar};
 use tileqr_obs::{
     merge_recorders, HotPathCounters, KernelHistograms, RawEvent, RawKind, Trace, TraceConfig,
@@ -134,16 +133,6 @@ impl RunReport {
     /// `None` when the run was not traced.
     pub fn kernel_histograms(&self) -> Option<KernelHistograms> {
         self.trace.as_ref().map(KernelHistograms::from_trace)
-    }
-}
-
-/// Task weight under a [`CostModel`] at tile size `b`: kernel flop counts
-/// (what the priority adversaries rank by, and a service job's WFQ charge
-/// by default) or the calibrated microseconds a tuned job is charged.
-pub fn model_weight(cost: CostModel, b: usize) -> impl Fn(TaskKind) -> f64 + Copy {
-    move |t| match cost {
-        CostModel::Flops => flops::task_flops(t, b) as f64,
-        CostModel::Calibrated(c) => c.cost_us(t, b),
     }
 }
 

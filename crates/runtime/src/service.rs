@@ -27,9 +27,9 @@
 //!   [`QrService::submit`] blocks for a slot (backpressure);
 //!   [`QrService::try_submit`] fails fast with [`ServiceError::Saturated`].
 //! * **Fair share**: each job carries a virtual time; dispatching a task
-//!   advances it by `task_cost / class_weight`, the cost in flops or in
-//!   the calibrated µs of the job's [`JobSpec::cost_model`]. A worker
-//!   always takes from the backlogged job with the smallest virtual time,
+//!   advances it by `task_cost / class_weight`, the task's kernel
+//!   megaflops — one unit for every job, tuned or not. A worker always
+//!   takes from the backlogged job with the smallest virtual time,
 //!   and a newly admitted job starts at the *minimum* virtual time of the
 //!   current backlog — it can never be scheduled behind work that arrived
 //!   after it, and a heavy job cannot monopolise the pool. A one-task job
@@ -74,7 +74,7 @@
 
 use crate::engine::{ns_at, panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
-use crate::pool::{model_weight, PoolConfig, RunReport};
+use crate::pool::{PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
 use crate::scheduler::DispatchOrder;
 use std::cmp::Reverse;
@@ -84,9 +84,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tileqr_dag::{CostModel, KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
+use tileqr_dag::{KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
 use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, StagedTask};
-use tileqr_kernels::Workspace;
+use tileqr_kernels::{flops, Workspace};
 use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
 use tileqr_obs::{
     merge_recorders, HotPathCounters, LatencyHistogram, LifecycleCounters, RawEvent, RawKind,
@@ -185,8 +185,6 @@ pub struct JobSpec<T: Scalar> {
     priority: PriorityClass,
     deadline: Option<Duration>,
     injector: Option<Arc<dyn FaultInjector + Send + Sync>>,
-    cost: CostModel,
-    tuning: JobTuning,
 }
 
 impl<T: Scalar> JobSpec<T> {
@@ -199,8 +197,6 @@ impl<T: Scalar> JobSpec<T> {
             priority: PriorityClass::Standard,
             deadline: None,
             injector: None,
-            cost: CostModel::Flops,
-            tuning: JobTuning::Standard,
         }
     }
 
@@ -270,37 +266,6 @@ impl<T: Scalar> JobSpec<T> {
         self.injector = Some(injector);
         self
     }
-
-    /// The [`CostModel`] that prices this job's WFQ charge per task
-    /// (default [`CostModel::Flops`]). The one way measured costs enter a
-    /// run — the online tuner sets [`CostModel::Calibrated`] on every
-    /// tuned job.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Tag the job's place in the online-autotuning pipeline (counted in
-    /// [`ServiceStats::probe_jobs`] / [`ServiceStats::tuned_jobs`]).
-    pub fn tuning(mut self, tuning: JobTuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-}
-
-/// A job's role in the service-level online autotuner — purely an
-/// accounting tag; the tuner sets it so `ServiceStats` can show how many
-/// jobs paid calibration cost versus ran on measured plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JobTuning {
-    /// Not part of a tuning pipeline.
-    #[default]
-    Standard,
-    /// A calibration probe: its measurements feed a profile fit.
-    Probe,
-    /// Planned from a calibrated profile (tile size, tree, and cost model
-    /// chosen by the selector).
-    Tuned,
 }
 
 /// A completed factorization: the tile/reflector state plus the DAG that
@@ -676,10 +641,6 @@ pub struct ServiceStats {
     /// cancelled, poisoned panel factors contained, and stalled workers
     /// retired by the watchdog.
     pub lifecycle: LifecycleCounters,
-    /// Jobs submitted tagged [`JobTuning::Probe`] (paid calibration).
-    pub probe_jobs: u64,
-    /// Jobs submitted tagged [`JobTuning::Tuned`] (ran on measured plans).
-    pub tuned_jobs: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -801,7 +762,6 @@ struct JobState<T: Scalar> {
     /// Time workers blocked on the lock to stage, and to commit, its tasks.
     lock_wait: [Duration; 2],
     b: usize,
-    cost: CostModel,
     vtime: f64,
     /// Readiness, fence, retry budget and counters. A cancelled
     /// job is a halted run: nothing more dispatches or commits, and the
@@ -841,12 +801,11 @@ struct Core<T: Scalar> {
     arenas: HotPathCounters,
 }
 
-/// Cost of one task under the job's model, scaled to keep virtual times
-/// in a sane range (megaflops for the flop model, microseconds for a
-/// calibrated one — WFQ only compares within the service, so any
-/// monotone unit works).
-fn task_cost(cost: CostModel, b: usize, kind: TaskKind) -> f64 {
-    (model_weight(cost, b)(kind) / 1.0e6).max(1.0e-9)
+/// WFQ charge of one task: its kernel megaflops at tile size `b`, the one
+/// unit every job is priced in (a `b ≥ 1` kernel counts at least one
+/// flop, so the charge is positive).
+fn task_cost(b: usize, kind: TaskKind) -> f64 {
+    flops::task_flops(kind, b) as f64 / 1.0e6
 }
 
 /// Panel-factor kinds are the poison chokepoint: every downstream update
@@ -1049,7 +1008,6 @@ impl<T: Scalar> Shared<T> {
         state: FactorState<T>,
         graph: TaskGraph,
         order: DispatchOrder,
-        cost: CostModel,
         payload: Payload<T>,
     ) -> (Box<JobState<T>>, Arc<ReplySlot<T>>) {
         let (reply, reply_tx) = ReplySlot::open();
@@ -1080,7 +1038,6 @@ impl<T: Scalar> Shared<T> {
             clocked: true,
             lock_wait: [Duration::ZERO; 2],
             b,
-            cost,
             vtime: 0.0,
             injector: None,
             started: None,
@@ -1095,7 +1052,6 @@ impl<T: Scalar> Shared<T> {
         &self,
         mut core: MutexGuard<'_, Core<T>>,
         mut job: Box<JobState<T>>,
-        tuning: JobTuning,
         block: bool,
     ) -> Result<JobId, ServiceError> {
         let max_in_flight = self.max_in_flight;
@@ -1123,11 +1079,6 @@ impl<T: Scalar> Shared<T> {
         let m = &mut core.stats;
         m.jobs_submitted += 1;
         m.max_jobs_in_flight = m.max_jobs_in_flight.max(core.in_flight);
-        match tuning {
-            JobTuning::Standard => {}
-            JobTuning::Probe => m.probe_jobs += 1,
-            JobTuning::Tuned => m.tuned_jobs += 1,
-        }
         core.jobs.insert(id, job);
         if core.sleepers > 0 {
             self.work.notify_one();
@@ -1435,7 +1386,7 @@ impl<T: Scalar> Shared<T> {
         let key = (id, task, attempt);
         core.dispatch_count += 1;
         core.vclock = job.vtime;
-        job.vtime += task_cost(job.cost, job.b, kind) / job.meta.class.weight();
+        job.vtime += task_cost(job.b, kind) / job.meta.class.weight();
         core.stats.tasks_dispatched += 1;
         if self.stall_bound().is_some() {
             core.slots.watch(w, key);
@@ -1637,16 +1588,10 @@ pub fn run_pool<T: Scalar>(
     let trace = config.trace.enabled.then_some((config.trace, started));
     let ft = config.fault_tolerance;
     let sh = Shared::new(config.effective_workers(), 0, ft, trace);
-    let (mut job, reply) = sh.job(
-        state,
-        graph.clone(),
-        order,
-        CostModel::Flops,
-        Payload::Factor,
-    );
+    let (mut job, reply) = sh.job(state, graph.clone(), order, Payload::Factor);
     // Its result carries no per-class compute time to clock.
     job.clocked = false;
-    let admitted = sh.admit(sh.lock(), job, JobTuning::Standard, false);
+    let admitted = sh.admit(sh.lock(), job, false);
     sh.lock().draining = true;
     timer_loop(&sh, injector);
     let result = admitted.and_then(|_| reply.take(None).unwrap_or(Err(ServiceError::Lost)));
@@ -1792,11 +1737,11 @@ impl<T: Scalar> QrService<T> {
         let graph = TaskGraph::build_tree(mt, nt, tree);
         let sh = &self.shared;
         let state = FactorState::new(tiled);
-        let (mut job, reply) = sh.job(state, graph, DispatchOrder::Fifo, spec.cost, spec.payload);
+        let (mut job, reply) = sh.job(state, graph, DispatchOrder::Fifo, spec.payload);
         job.meta.class = spec.priority;
         job.meta.deadline = spec.deadline.map(|d| job.meta.submitted + d);
         job.injector = spec.injector;
-        let id = sh.admit(sh.lock(), job, spec.tuning, block)?;
+        let id = sh.admit(sh.lock(), job, block)?;
         Ok(JobHandle {
             id,
             reply,
@@ -2206,17 +2151,10 @@ mod tests {
             let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(8, 8, 1), 4).unwrap();
             let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
             let state = FactorState::new(tiled);
-            sh.job(
-                state,
-                graph,
-                DispatchOrder::Fifo,
-                CostModel::Flops,
-                Payload::Factor,
-            )
+            sh.job(state, graph, DispatchOrder::Fifo, Payload::Factor)
         };
         let (admitted, reply) = job();
-        sh.admit(sh.lock(), admitted, JobTuning::Standard, false)
-            .unwrap();
+        sh.admit(sh.lock(), admitted, false).unwrap();
         // A thread dying mid-bookkeeping poisons the lock...
         let died = std::thread::scope(|s| {
             s.spawn(|| {
@@ -2238,7 +2176,7 @@ mod tests {
         );
         let (late, _) = job();
         assert!(matches!(
-            sh.admit(sh.lock(), late, JobTuning::Standard, true),
+            sh.admit(sh.lock(), late, true),
             Err(ServiceError::ShuttingDown)
         ));
     }
@@ -2248,15 +2186,8 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(8, 8, 19), 4).unwrap();
         let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
         let state = FactorState::new(tiled);
-        let (job, _) = sh.job(
-            state,
-            graph,
-            DispatchOrder::Fifo,
-            CostModel::Flops,
-            Payload::Factor,
-        );
-        sh.admit(sh.lock(), job, JobTuning::Standard, false)
-            .unwrap()
+        let (job, _) = sh.job(state, graph, DispatchOrder::Fifo, Payload::Factor);
+        sh.admit(sh.lock(), job, false).unwrap()
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! adversarial rule. Every exploration is reproducible from its
 //! [`ExploreStrategy`] alone.
 
-use tileqr_dag::{CostModel, EliminationTree, TaskGraph, TaskId};
+use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
 use tileqr_kernels::exec::FactorState;
-use tileqr_kernels::Workspace;
+use tileqr_kernels::{flops, Workspace};
 use tileqr_matrix::{Matrix, Result, Rng64, Scalar, TiledMatrix};
-use tileqr_runtime::model_weight;
 
 /// How the virtual machine resolves its two nondeterministic choices.
 /// Bottom levels are the driver's: flop-weighted at the tile size in use.
@@ -88,9 +87,10 @@ pub fn explore<T: Scalar>(
     strategy: ExploreStrategy,
 ) -> Result<Exploration<T>> {
     let cap = strategy.workers_cap(workers);
-    let flops = model_weight(CostModel::Flops, tiles.tile_size());
-    let priorities = tileqr_dag::critical_path::bottom_levels(graph, flops);
-    let mut ws = Workspace::new(tiles.tile_size(), tiles.tile_size());
+    let b = tiles.tile_size();
+    let flop_weights = |t| flops::task_flops(t, b) as f64;
+    let priorities = tileqr_dag::critical_path::bottom_levels(graph, flop_weights);
+    let mut ws = Workspace::new(b, b);
     let mut shared = FactorState::new(tiles);
 
     let mut indegree: Vec<usize> = graph.indegrees();

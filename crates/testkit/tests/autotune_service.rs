@@ -6,14 +6,17 @@
 //! - **Warm start**: a second service pointed at the first one's store
 //!   runs every job tuned — zero probes — and its plans match the ones
 //!   the first service converged to.
-//! - **Accounting**: [`ServiceStats::probe_jobs`] /
-//!   [`ServiceStats::tuned_jobs`] count the transition per shape class.
+//! - **Accounting**: [`TunedQrService::tuning_counts`] counts the
+//!   transition per shape class.
 //! - **Bit identity**: probe and tuned jobs alike match the sequential
 //!   run of the same plan.
+//! - **Fair share**: a tuned job shares the pool with the standard jobs
+//!   beside it.
 
 use std::path::PathBuf;
+use std::time::Duration;
 use tileqr::dag::TreePolicy;
-use tileqr::runtime::ServiceConfig;
+use tileqr::runtime::{JobSpec, ServiceConfig};
 use tileqr::{JobPlan, QrOptions, TiledQr, TunedQrService, TunerConfig};
 use tileqr_dag::{ClassCosts, CostCurve};
 use tileqr_matrix::gen::random_matrix;
@@ -101,9 +104,8 @@ fn warm_start_skips_probing() {
         assert!(matches!(plan, JobPlan::Probe { .. }), "got {plan:?}");
     }
     let cold_selection = cold.selection_for(48, 48).expect("profile fitted");
-    let cold_stats = cold.shutdown();
-    assert_eq!(cold_stats.probe_jobs, 3);
-    assert_eq!(cold_stats.tuned_jobs, 0);
+    assert_eq!(cold.tuning_counts(), (3, 0), "three probes, none tuned");
+    cold.shutdown();
     assert!(path.exists(), "fitted profile must persist to the store");
 
     // Warm service: the same path, no probes, identical plan.
@@ -121,14 +123,13 @@ fn warm_start_skips_probing() {
     );
     let (_, _, plan) = warm.factor(&a).unwrap();
     assert!(matches!(plan, JobPlan::Tuned { .. }), "got {plan:?}");
-    let warm_stats = warm.shutdown();
-    assert_eq!(warm_stats.probe_jobs, 0, "warm start must never probe");
-    assert_eq!(warm_stats.tuned_jobs, 1);
+    assert_eq!(warm.tuning_counts(), (0, 1), "warm start must never probe");
+    warm.shutdown();
     let _ = std::fs::remove_file(&path);
 }
 
 /// Probe and tuned jobs both produce factors bit-identical to the
-/// sequential run of the same (tile, tree) plan; the stats counters
+/// sequential run of the same (tile, tree) plan; the tuner's counters
 /// track the per-shape transition.
 #[test]
 fn tuned_jobs_bit_identical_and_counted() {
@@ -153,9 +154,10 @@ fn tuned_jobs_bit_identical_and_counted() {
             "round {round} ({plan:?}) diverged from sequential"
         );
     }
+    let (probe_jobs, tuned_jobs) = svc.tuning_counts();
     let stats = svc.shutdown();
-    assert_eq!(stats.probe_jobs, 3, "one probe per candidate tile");
-    assert_eq!(stats.tuned_jobs, 2, "remaining jobs run tuned");
+    assert_eq!(probe_jobs, 3, "one probe per candidate tile");
+    assert_eq!(tuned_jobs, 2, "remaining jobs run tuned");
     assert_eq!(stats.jobs_completed, 5);
     assert_eq!(stats.jobs_failed, 0);
 }
@@ -180,9 +182,8 @@ fn shape_classes_tune_independently() {
     let (_, _, p2) = svc.factor(&tall).unwrap();
     assert!(matches!(p1, JobPlan::Tuned { .. }));
     assert!(matches!(p2, JobPlan::Tuned { .. }));
-    let stats = svc.shutdown();
-    assert_eq!(stats.probe_jobs, 6);
-    assert_eq!(stats.tuned_jobs, 2);
+    assert_eq!(svc.tuning_counts(), (6, 2));
+    svc.shutdown();
 }
 
 /// A hostile profile file — a megabyte of open brackets — is an `Err`
@@ -207,7 +208,8 @@ fn deeply_nested_document_is_an_error_not_an_abort() {
         assert_eq!(hostile.plan_for(48, 48), no_file.plan_for(48, 48), "{tag}");
         let (_, _, plan) = hostile.factor(&a).unwrap();
         assert_eq!(plan, JobPlan::Probe { tile_size: 4 }, "{tag}");
-        assert_eq!(hostile.shutdown().probe_jobs, 1, "{tag}");
+        assert_eq!(hostile.tuning_counts(), (1, 0), "{tag}");
+        hostile.shutdown();
         no_file.shutdown();
         let _ = std::fs::remove_file(&path);
     }
@@ -247,7 +249,8 @@ fn oversized_cores_entry_is_no_profile_not_a_panic() {
     }
     let (_, _, plan) = svc.factor(&random_matrix::<f64>(64, 32, 43)).unwrap();
     assert_eq!(plan, JobPlan::Probe { tile_size: 4 });
-    assert_eq!(svc.shutdown().probe_jobs, 1);
+    assert_eq!(svc.tuning_counts(), (1, 0));
+    svc.shutdown();
 
     std::fs::write(&path, &clean).unwrap();
     let warm: TunedQrService<f64> =
@@ -287,6 +290,44 @@ fn rejected_profile_document_probes_bit_identically() {
         seq.r(),
         "a probe after a rejected store stays bit-exact"
     );
-    assert_eq!(svc.shutdown().probe_jobs, 1);
+    assert_eq!(svc.tuning_counts(), (1, 0));
+    svc.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A tuned job and a standard job share a one-worker pool fairly: both
+/// are charged their kernel flops, so the smaller standard job, submitted
+/// first, resolves before the tuned one. A tuned job charged in its
+/// profile's microseconds instead (several hundred times less per task
+/// here) would run almost alone and resolve first. The standard job runs
+/// at b = 8, so it is still running when the tuned job is admitted.
+#[test]
+fn tuned_job_does_not_starve_a_standard_job_beside_it() {
+    let (small, large) = (256usize, 512usize);
+    let path = scratch_path("fairshare");
+    let mut store = ProfileStore::new();
+    store.insert(&format!("{large}x{large}"), synthetic_profile(1));
+    store.save(&path).unwrap();
+    let config = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    };
+    let svc: TunedQrService<f64> =
+        TunedQrService::start_with(config, tuner(&[16], Some(path.clone())));
+    let (a, big) = (
+        random_matrix(small, small, 53),
+        random_matrix(large, large, 59),
+    );
+    let standard = svc
+        .service()
+        .submit(JobSpec::factor(a).tile_size(8))
+        .unwrap();
+    let (_, _, plan) = svc.factor(&big).unwrap();
+    assert!(matches!(plan, JobPlan::Tuned { .. }), "got {plan:?}");
+    assert!(
+        matches!(standard.wait_timeout(Duration::ZERO), Ok(Ok(_))),
+        "the {small}² standard job is still running after the {large}² tuned job"
+    );
+    svc.shutdown();
     let _ = std::fs::remove_file(&path);
 }

@@ -1,32 +1,25 @@
-//! The calibration loop's scheduling half: a measured cost model may
-//! change *when* tasks run, never *what* they compute — and the
-//! dispatch-order decision the same simulator settled.
+//! The calibration loop's scheduling half: what ranking the DAG by
+//! measured costs would buy the dispatch order, and the decision the same
+//! simulator settled. Measured costs reach a real run only as the tile
+//! size and tree the tuner selects (`autotune_service.rs`); the service
+//! prices every job's fair share in flops.
 //!
-//! Three layers of evidence:
+//! Two layers of evidence:
 //!
-//! 1. **Bit identity** — factors of service jobs carrying a
-//!    [`CostModel::Calibrated`] model through [`JobSpec::cost_model`] (the
-//!    one road measured costs take into a run, where they price the WFQ
-//!    charge) are byte-equal to the sequential run across the workers ×
-//!    trees sweep.
-//! 2. **Simulator goldens** — on synthetic multi-core profiles the
+//! 1. **Simulator goldens** — on synthetic multi-core profiles the
 //!    deterministic list scheduler shows critical-path-by-measured-µs
 //!    makespans no worse than FIFO and no worse than
 //!    critical-path-by-flops on the reference grids.
-//! 3. **The decision** — over the `perf` geometries, critical path by
-//!    flops (what every untuned run would dispatch) loses to FIFO by more
-//!    than 1 % somewhere, so FIFO is the driver's one order (DESIGN.md §9).
+//! 2. **The decision** — over the `perf` geometries, critical path by
+//!    flops (what every run would dispatch) loses to FIFO by more than
+//!    1 % somewhere, so FIFO is the driver's one order (DESIGN.md §9).
 
 use tileqr::dag::{
-    bottom_levels, list_makespan, ClassCosts, CostCurve, CostModel, EliminationTree, ListOrder,
-    TaskGraph, TaskKind, TreePolicy,
+    bottom_levels, list_makespan, ClassCosts, CostCurve, EliminationTree, ListOrder, TaskGraph,
+    TaskKind, TreePolicy,
 };
+use tileqr::kernels::flops::task_flops;
 use tileqr::obs::kind_index;
-use tileqr::runtime::{model_weight, JobSpec, QrService, ServiceConfig};
-use tileqr::{QrOptions, TiledQr};
-use tileqr_matrix::gen::random_matrix;
-use tileqr_matrix::Matrix;
-use tileqr_testkit::workers_under_test;
 
 /// A measured-cost profile where update kernels are far cheaper per
 /// flop than panel kernels — the regime where flop weights and
@@ -40,57 +33,12 @@ fn measured_costs() -> ClassCosts {
     }
 }
 
-fn sequential(a: &Matrix<f64>, b: usize, tree: EliminationTree) -> Matrix<f64> {
-    TiledQr::factor(
-        &a.clone(),
-        &QrOptions::new().tile_size(b).tree(TreePolicy::Fixed(tree)),
-    )
-    .unwrap()
-    .state()
-    .tiles()
-    .to_matrix()
-}
-
-/// Calibrated weights through `JobSpec::cost_model` across workers ×
-/// trees: bit identity.
-#[test]
-fn calibrated_weights_bit_identical_across_sweep() {
-    let a = random_matrix::<f64>(40, 40, 91);
-    let b = 8;
-    let trees = [
-        EliminationTree::Flat,
-        EliminationTree::Binary,
-        EliminationTree::Greedy,
-    ];
-    let model = CostModel::Calibrated(measured_costs());
-    let want: Vec<_> = trees.iter().map(|&t| sequential(&a, b, t)).collect();
-    for workers in workers_under_test() {
-        let service = QrService::<f64>::start(ServiceConfig {
-            workers,
-            ..ServiceConfig::default()
-        });
-        for (&tree, want) in trees.iter().zip(&want) {
-            let spec = JobSpec::factor(a.clone())
-                .tile_size(b)
-                .tree(TreePolicy::Fixed(tree))
-                .cost_model(model);
-            let got = service.submit(spec).unwrap().wait().unwrap();
-            assert_eq!(
-                &got.output.factor().state.tiles().to_matrix(),
-                want,
-                "a calibrated cost model changed bits (workers={workers}, tree={tree:?})"
-            );
-        }
-        service.shutdown();
-    }
-}
-
 // ---- Simulator goldens: measured beats (or ties) flops. ----
 
 /// On the reference grids at 4 and 16 simulated cores, critical path
 /// ranked by measured microseconds is never worse than FIFO and never
-/// worse than critical path ranked by flops — the whole point of
-/// feeding calibration back into the scheduler.
+/// worse than critical path ranked by flops — what ranking by
+/// calibration would buy a scheduler.
 #[test]
 fn measured_priorities_golden_on_reference_grids() {
     let b = 16;
@@ -98,7 +46,7 @@ fn measured_priorities_golden_on_reference_grids() {
     let dur = |k: TaskKind| costs.cost_us(k, b);
     for (mt, nt) in [(8usize, 8usize), (32, 2)] {
         let graph = TaskGraph::build_tree(mt, nt, EliminationTree::Flat);
-        let flop_pri = bottom_levels(&graph, model_weight(CostModel::Flops, b));
+        let flop_pri = bottom_levels(&graph, |k| task_flops(k, b) as f64);
         let cal_pri = bottom_levels(&graph, dur);
         for workers in [4usize, 16] {
             let fifo = list_makespan(&graph, workers, ListOrder::Fifo, dur);
@@ -122,7 +70,7 @@ fn measured_priorities_golden_on_reference_grids() {
     let fifo = list_makespan(&graph, 4, ListOrder::Fifo, dur4);
     let cal_pri = bottom_levels(&graph, dur4);
     let cp_measured = list_makespan(&graph, 4, ListOrder::Priority(&cal_pri), dur4);
-    let flop_pri = bottom_levels(&graph, model_weight(CostModel::Flops, b));
+    let flop_pri = bottom_levels(&graph, |k| task_flops(k, b) as f64);
     let cp_flops = list_makespan(&graph, 4, ListOrder::Priority(&flop_pri), dur4);
     assert!(
         cp_measured < cp_flops && cp_flops < fifo,
@@ -181,7 +129,7 @@ fn decision_cells() -> Vec<(String, usize, usize, usize, EliminationTree)> {
 /// it never loses to FIFO by more than 1 % in `listsim`. Swept over the
 /// `perf` geometries × k ∈ {2, 4, 16, 64} cores, under the host's measured
 /// kernel times and under the GPU-like `measured_costs()`, flop-weighted
-/// CP — what every one-shot run and untuned job would dispatch — loses by
+/// CP — what every run would dispatch — loses by
 /// more than that, so FIFO is the order. Should a change flip this (item
 /// 2's six kernel classes, say), this fails and the question reopens.
 #[test]
@@ -196,7 +144,7 @@ fn flop_critical_path_loses_to_fifo_so_fifo_is_the_order() {
             ("host", Box::new(move |k| host[kind_index(k)])),
             ("measured_costs", Box::new(move |k| gpu.cost_us(k, b))),
         ];
-        let flop_pri = bottom_levels(&graph, model_weight(CostModel::Flops, b));
+        let flop_pri = bottom_levels(&graph, |k| task_flops(k, b) as f64);
         for (profile, dur) in &profiles {
             let measured_pri = bottom_levels(&graph, dur);
             for k in [2usize, 4, 16, 64] {

@@ -48,14 +48,17 @@
 #     `select_plan`): no selector hook in the service, no second tuner, and
 #     the k-identical-cores question goes to `dag::listsim`, so nothing in
 #     `sched` or `obs` puts a bus behind a one-device question;
-#   * one road for measured costs into a run: `JobSpec::cost_model`, set by
-#     the tuner — no drift re-weighting, no cost or drift field on a public
-#     config, and the helpers nothing called (`ReadyQueue::for_policy`,
+#   * one road for measured costs into a run: the tile size and tree the
+#     tuner selects — no drift re-weighting, no cost or drift field on a
+#     public config, and the helpers nothing called (`ReadyQueue::for_policy`,
 #     `RunReport::lock_fraction`, `CostModel::name`) stay deleted;
+#   * fair share in one unit: the service charges every job its kernel
+#     flops, so no cost-model type, setter or weight helper and no tuning
+#     tag (`CostModel`, `cost_model`, `model_weight`, `JobTuning`) appears
+#     in any `.rs` under `crates/`, `tests/` or `examples/`, tests included;
 #   * one dispatch order: the driver runs FIFO, so no policy type, config
 #     or report field, testkit policy axis or second flop vocabulary (the
-#     explorer's `flop_weight` mirror) comes back, and `DagRun` takes no
-#     cost model (a job's `CostModel` prices only its WFQ charge).
+#     explorer's `flop_weight` mirror) comes back.
 #   * one way into a one-shot run: `parallel_factor_traced` over a
 #     `PoolConfig` that carries the fault-tolerance budget; the other entry
 #     points, the service shims of `TiledQr`/`QrOptions`, their run-field
@@ -223,19 +226,20 @@ expect 0 'pcie2_x16' "a bus behind a one-device question" crates/sched crates/ob
 # Tests and examples count for the retired names here too.
 drift='DriftConfig|DriftDetector|drift_reweights|fn (reprioritize|expected_us|for_policy|lock_fraction)\b'
 if hits=$(grep -rnE "$drift" crates tests examples); then
-    fail "a second road for measured costs is back (JobSpec::cost_model is the one):" "$hits"
+    fail "a second road for measured costs is back (the tuner's tile size and tree are the one):" "$hits"
 fi
 expect 0 'fn name\b' "CostModel::name (nothing called it)" crates/dag/src/cost.rs
 expect 0 'pub (cost|drift):' "a public config field carrying a cost model" crates/runtime crates/core
-expect 1 'pub fn cost_model\(' "public cost-model setters (JobSpec's is the one)" crates/runtime crates/core
+# Tests and examples count here too.
+if hits=$(grep -rnE --include='*.rs' 'CostModel|cost_model|model_weight|JobTuning' crates tests examples); then
+    fail "a job's fair share is priced in a second unit again (every WFQ charge is kernel flops):" "$hits"
+fi
 # Tests and examples count for the retired names here too.
 order='SchedulePolicy|policies_under_test|TILEQR_TESTKIT_POLICY|fn (get_schedule|base_policy)\b|fn flop_weight\b'
 if hits=$(grep -rnE "$order" crates tests examples); then
     fail "a dispatch policy is back beside FIFO (CriticalPath is a DispatchOrder test adversary):" "$hits"
 fi
 expect 0 'pub policy:' "a public config or report field carrying a dispatch policy" crates/runtime crates/core
-expect 0 'cost: CostModel' "a cost model reaching DagRun (it prices only the WFQ charge)" \
-    crates/runtime/src/engine.rs
 # Tests and examples count for the retired names here too.
 oneshot='\bparallel_factor(_ft|_ordered)?\b|fn (factor_on|to_service_config|get_workers|get_fault_tolerance|get_tracing)\b|NoFaults'
 if hits=$(grep -rnE "$oneshot" crates tests examples); then
