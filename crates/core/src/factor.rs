@@ -1,9 +1,10 @@
 //! The user-facing factorization object.
 
 use crate::options::QrOptions;
-use tileqr_dag::{EliminationTree, TaskGraph};
-use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState};
-use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
+use tileqr_dag::TaskGraph;
+use tileqr_kernels::exec::FactorState;
+use tileqr_kernels::ApplySide;
+use tileqr_matrix::{Matrix, MatrixError, Result, Scalar};
 use tileqr_runtime::{parallel_factor_traced, RunReport};
 
 /// A completed tiled QR factorization `A = Q R`.
@@ -17,8 +18,6 @@ use tileqr_runtime::{parallel_factor_traced, RunReport};
 pub struct TiledQr<T: Scalar> {
     state: FactorState<T>,
     graph: TaskGraph,
-    rows: usize,
-    cols: usize,
 }
 
 impl<T: Scalar> TiledQr<T> {
@@ -33,35 +32,9 @@ impl<T: Scalar> TiledQr<T> {
     /// (`report.trace`), ready for Chrome-trace export, latency
     /// histograms, or calibration via the `obs` module.
     pub fn factor_traced(a: &Matrix<T>, opts: &QrOptions) -> Result<(Self, RunReport)> {
-        let (rows, cols) = a.dims();
-        if rows < cols {
-            return Err(MatrixError::DimensionMismatch {
-                op: "TiledQr::factor (needs rows >= cols)",
-                lhs: (rows, cols),
-                rhs: (cols, cols),
-            });
-        }
-        let tiled = TiledMatrix::from_matrix(a, opts.get_tile_size())?;
-        let (mt, nt) = (tiled.tile_rows(), tiled.tile_cols());
-        let tree = opts.get_tree().resolve(mt, nt);
-        if tree == EliminationTree::Plateau(0) {
-            return Err(MatrixError::DimensionMismatch {
-                op: "TiledQr::factor (a plateau domain needs >= 1 tile row)",
-                lhs: (mt, nt),
-                rhs: (0, nt),
-            });
-        }
-        let graph = TaskGraph::build_tree(mt, nt, tree);
-        let (state, report) = parallel_factor_traced(FactorState::new(tiled), &graph, opts.run)?;
-        Ok((
-            TiledQr {
-                state,
-                graph,
-                rows,
-                cols,
-            },
-            report,
-        ))
+        let (state, graph) = FactorState::plan(a, opts.get_tile_size(), opts.get_tree())?;
+        let (state, report) = parallel_factor_traced(state, &graph, opts.run)?;
+        Ok((TiledQr { state, graph }, report))
     }
 
     /// Wrap a completed service factor job (crate-internal: the tuner's
@@ -70,14 +43,12 @@ impl<T: Scalar> TiledQr<T> {
         TiledQr {
             state: f.state,
             graph: f.graph,
-            rows: f.rows,
-            cols: f.cols,
         }
     }
 
     /// Original (unpadded) dimensions of the factored matrix.
     pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        self.state.dense_dims()
     }
 
     /// The task graph the factorization executed.
@@ -92,109 +63,57 @@ impl<T: Scalar> TiledQr<T> {
 
     /// The upper-triangular factor `R` (`rows x cols`, unpadded).
     pub fn r(&self) -> Matrix<T> {
-        let full = self.state.r_matrix();
-        // r_matrix returns the unpadded dims already.
-        debug_assert_eq!(full.dims(), (self.rows, self.cols));
-        full
-    }
-
-    /// The `cols x cols` triangle of `R` a solve reads (an out-of-bounds
-    /// error for a wide matrix, which has none).
-    fn r_square(&self) -> Result<Matrix<T>> {
-        if self.rows < self.cols {
-            return Err(MatrixError::OutOfBounds {
-                index: (self.cols, self.cols),
-                dims: (self.rows, self.cols),
-            });
-        }
-        Ok(self.state.r_rows(self.cols))
+        self.state.r_matrix()
     }
 
     /// Materialize the orthogonal factor `Q` (`rows x rows`).
     pub fn q(&self) -> Result<Matrix<T>> {
-        let (pm, _) = self.state.padded_dims();
-        let mut q = Matrix::identity(pm);
-        apply_q_dense(&self.state, &self.graph, &mut q)?;
-        q.submatrix(0, 0, self.rows, self.rows)
+        self.apply_q(&Matrix::identity(self.dims().0))
     }
 
     /// Compute `Qᵀ c` for a dense `c` with `rows` rows, without forming `Q`.
     pub fn apply_qt(&self, c: &Matrix<T>) -> Result<Matrix<T>> {
-        let padded = self.pad_rows(c)?;
-        let mut work = padded;
-        apply_qt_dense(&self.state, &self.graph, &mut work)?;
-        work.submatrix(0, 0, self.rows, c.cols())
+        self.state.apply(&self.graph, c, ApplySide::Transpose)
     }
 
     /// Compute `Q c` for a dense `c` with `rows` rows, without forming `Q`.
     pub fn apply_q(&self, c: &Matrix<T>) -> Result<Matrix<T>> {
-        let padded = self.pad_rows(c)?;
-        let mut work = padded;
-        apply_q_dense(&self.state, &self.graph, &mut work)?;
-        work.submatrix(0, 0, self.rows, c.cols())
-    }
-
-    fn pad_rows(&self, c: &Matrix<T>) -> Result<Matrix<T>> {
-        if c.rows() != self.rows {
-            return Err(MatrixError::DimensionMismatch {
-                op: "apply_q/apply_qt (row count)",
-                lhs: (self.rows, 0),
-                rhs: c.dims(),
-            });
-        }
-        let (pm, _) = self.state.padded_dims();
-        let mut out = Matrix::zeros(pm, c.cols());
-        out.set_submatrix(0, 0, c)?;
-        Ok(out)
+        self.state.apply(&self.graph, c, ApplySide::NoTranspose)
     }
 
     /// Solve `A x = b` (square `A`) or the least-squares problem
     /// `min ‖A x − b‖₂` (tall `A`): `x = R⁻¹ (Qᵀ b)₁..ₙ` (paper Eqs. 2–3).
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
-        if b.len() != self.rows {
-            return Err(MatrixError::DimensionMismatch {
-                op: "solve (rhs length)",
-                lhs: (self.rows, 1),
-                rhs: (b.len(), 1),
-            });
-        }
-        let bm = Matrix::from_col_major(self.rows, 1, b.to_vec())?;
-        let qtb = self.apply_qt(&bm)?;
-        let r_sq = self.r_square()?;
-        tileqr_matrix::ops::solve_upper_triangular(&r_sq, &qtb.as_slice()[..self.cols])
+        let b = Matrix::from_col_major(b.len(), 1, b.to_vec())?;
+        Ok(self.solve_matrix(&b)?.as_slice().to_vec())
     }
 
     /// Solve against multiple right-hand sides at once.
     pub fn solve_matrix(&self, b: &Matrix<T>) -> Result<Matrix<T>> {
-        let qtb = self.apply_qt(b)?;
-        let r_sq = self.r_square()?;
-        let top = qtb.submatrix(0, 0, self.cols, b.cols())?;
-        tileqr_matrix::ops::solve_upper_triangular_matrix(&r_sq, &top)
+        self.state.solve(&self.graph, b)
     }
 
     /// Estimate the 2-norm condition number of a square `A` from its `R`
     /// factor (`κ₂(A) = κ₂(R)` since `Q` is orthogonal), by power
     /// iteration with triangular solves. Errors on exactly singular `R`.
     pub fn condition_estimate(&self) -> Result<T> {
-        if self.rows != self.cols {
-            return Err(MatrixError::NotSquare {
-                dims: (self.rows, self.cols),
-            });
+        let (rows, cols) = self.dims();
+        if rows != cols {
+            return Err(MatrixError::NotSquare { dims: (rows, cols) });
         }
-        tileqr_matrix::ops::triangular_condition_est(&self.state.r_rows(self.cols), 30)
+        tileqr_matrix::ops::triangular_condition_est(&self.state.r_rows(cols), 30)
     }
 
     /// Absolute value of `det(A)` for square `A`: the product of `|R|`'s
     /// diagonal (`|det Q| = 1`).
     pub fn det_abs(&self) -> Result<T> {
-        if self.rows != self.cols {
-            return Err(MatrixError::NotSquare {
-                dims: (self.rows, self.cols),
-            });
+        let (rows, cols) = self.dims();
+        if rows != cols {
+            return Err(MatrixError::NotSquare { dims: (rows, cols) });
         }
-        let r = self.state.r_rows(self.cols);
+        let r = self.state.r_rows(cols);
         let mut d = T::ONE;
-        for i in 0..self.cols {
+        for i in 0..cols {
             d *= r[(i, i)].abs();
         }
         Ok(d)
@@ -248,6 +167,64 @@ mod tests {
     fn wide_matrix_rejected() {
         let a = random_matrix::<f64>(5, 9, 5);
         assert!(TiledQr::factor(&a, &QrOptions::default()).is_err());
+    }
+
+    #[test]
+    fn both_doors_refuse_alike() {
+        // `TiledQr::factor` and `QrService::submit` come in through one
+        // plan: the same error for the same fault, and a refused
+        // submission spends no admission slot (a one-slot service still
+        // takes the next job without blocking).
+        use tileqr_dag::{EliminationTree::Plateau, TreePolicy};
+        use tileqr_runtime::{JobSpec, QrService, ServiceConfig, ServiceError};
+        use MatrixError::{BadTileSize, DimensionMismatch};
+        let service = QrService::<f64>::start(ServiceConfig {
+            workers: 2,
+            max_in_flight: 1,
+            ..ServiceConfig::default()
+        });
+        let (tall, wide) = (
+            random_matrix::<f64>(16, 8, 1),
+            random_matrix::<f64>(5, 9, 5),
+        );
+        let zero_domain = TreePolicy::Fixed(Plateau(0));
+        let table = [
+            (
+                &wide,
+                4,
+                TreePolicy::default(),
+                DimensionMismatch {
+                    op: "tiled QR (needs rows >= cols)",
+                    lhs: (5, 9),
+                    rhs: (9, 9),
+                },
+            ),
+            (&tall, 0, TreePolicy::default(), BadTileSize { tile: 0 }),
+            (
+                &tall,
+                4,
+                zero_domain,
+                DimensionMismatch {
+                    op: "tiled QR (a plateau domain needs >= 1 tile row)",
+                    lhs: (4, 2),
+                    rhs: (0, 2),
+                },
+            ),
+        ];
+        for (a, b, tree, want) in table {
+            let opts = QrOptions::new().tile_size(b).tree(tree);
+            assert_eq!(TiledQr::factor(a, &opts).unwrap_err(), want);
+            let spec = JobSpec::factor(a.clone()).tile_size(b).tree(tree);
+            match service.try_submit(spec) {
+                Err(ServiceError::Numeric(err)) => assert_eq!(err, want),
+                Err(err) => panic!("{err:?}"),
+                Ok(_) => panic!("{want:?} was admitted"),
+            }
+        }
+        let ok = service.try_submit(JobSpec::factor(tall.clone()).tile_size(4));
+        assert!(ok.unwrap().wait().is_ok());
+        let stats = service.shutdown();
+        assert_eq!((stats.jobs_submitted, stats.jobs_completed), (1, 1));
     }
 
     #[test]

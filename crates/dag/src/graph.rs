@@ -222,13 +222,6 @@ impl TaskGraph {
             .filter(|&i| self.preds(i).is_empty())
             .collect()
     }
-
-    /// Ids of tasks with no successors.
-    pub fn sinks(&self) -> Vec<TaskId> {
-        (0..self.len())
-            .filter(|&i| self.succs(i).is_empty())
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -20,13 +20,15 @@
 //! outside it (DESIGN §9). [`apply_qt_dense`] / [`apply_q_dense`] replay the
 //! factor kernels over a dense right-hand side in program order, so `Q`
 //! does not depend on the (nondeterministic) parallel schedule.
+//! Every door to a factorization plans through [`FactorState::plan`] and
+//! answers through [`FactorState::apply`] / [`FactorState::solve`].
 
 use crate::factor::store_neg_transpose;
 use crate::geqrt::pair_update;
 use crate::workspace::Workspace;
 use crate::{geqrt_apply_ws, geqrt_ws, tsqrt_ws, ttqrt_ws, ApplySide};
 use std::sync::Arc;
-use tileqr_dag::{TaskGraph, TaskKind};
+use tileqr_dag::{EliminationTree, TaskGraph, TaskKind, TreePolicy};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
 
 /// Write access to a written tile once [`StagedTask::compute_with`] has
@@ -187,6 +189,31 @@ impl<T: Scalar> FactorState<T> {
             cow: 0,
             ws: Workspace::new(b, b),
         }
+    }
+
+    /// The way in: refuse a wide `a`, tile it at `b`, resolve `tree` for
+    /// the grid, refuse a plateau of zero-row domains, and build the graph
+    /// the state is to run.
+    pub fn plan(a: &Matrix<T>, b: usize, tree: TreePolicy) -> Result<(Self, TaskGraph)> {
+        let (rows, cols) = a.dims();
+        if rows < cols {
+            return Err(MatrixError::DimensionMismatch {
+                op: "tiled QR (needs rows >= cols)",
+                lhs: (rows, cols),
+                rhs: (cols, cols),
+            });
+        }
+        let tiled = TiledMatrix::from_matrix(a, b)?;
+        let (mt, nt) = (tiled.tile_rows(), tiled.tile_cols());
+        let tree = tree.resolve(mt, nt);
+        if tree == EliminationTree::Plateau(0) {
+            return Err(MatrixError::DimensionMismatch {
+                op: "tiled QR (a plateau domain needs >= 1 tile row)",
+                lhs: (mt, nt),
+                rhs: (0, nt),
+            });
+        }
+        Ok((Self::new(tiled), TaskGraph::build_tree(mt, nt, tree)))
     }
 
     fn idx(&self, i: usize, j: usize) -> usize {
@@ -463,6 +490,37 @@ impl<T: Scalar> FactorState<T> {
             }
         }
         r
+    }
+
+    /// The way out for `Q c` / `Qᵀ c`: `c` has the matrix's rows, is padded
+    /// to the grid's, has the factor kernels of `graph` replayed over it
+    /// and is cut back.
+    pub fn apply(&self, graph: &TaskGraph, c: &Matrix<T>, side: ApplySide) -> Result<Matrix<T>> {
+        let rows = self.dense_dims().0;
+        if c.rows() != rows {
+            return Err(MatrixError::DimensionMismatch {
+                op: "apply / solve (row count)",
+                lhs: (rows, 0),
+                rhs: c.dims(),
+            });
+        }
+        let mut work = Matrix::zeros(self.padded_dims().0, c.cols());
+        work.set_submatrix(0, 0, c)?;
+        match side {
+            ApplySide::Transpose => apply_qt_dense(self, graph, &mut work)?,
+            ApplySide::NoTranspose => apply_q_dense(self, graph, &mut work)?,
+        }
+        work.submatrix(0, 0, rows, c.cols())
+    }
+
+    /// The way out for a solve: `X = R⁻¹ (Qᵀ B)₁..ₙ` column by column (paper
+    /// Eqs. 2–3) — `A X = B` for a square matrix, `min ‖A X − B‖₂` for a
+    /// tall one.
+    pub fn solve(&self, graph: &TaskGraph, b: &Matrix<T>) -> Result<Matrix<T>> {
+        let cols = self.dense_dims().1;
+        let qtb = self.apply(graph, b, ApplySide::Transpose)?;
+        let top = qtb.submatrix(0, 0, cols, b.cols())?;
+        tileqr_matrix::ops::solve_upper_triangular_matrix(&self.r_rows(cols), &top)
     }
 }
 

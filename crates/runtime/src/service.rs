@@ -85,9 +85,9 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
-use tileqr_kernels::exec::{apply_q_dense, apply_qt_dense, FactorState, StagedTask};
-use tileqr_kernels::{flops, Workspace};
-use tileqr_matrix::{Matrix, MatrixError, Scalar, TiledMatrix};
+use tileqr_kernels::exec::{FactorState, StagedTask};
+use tileqr_kernels::{flops, ApplySide, Workspace};
+use tileqr_matrix::{Matrix, MatrixError, Scalar};
 use tileqr_obs::{
     merge_recorders, HotPathCounters, LatencyHistogram, LifecycleCounters, RawEvent, RawKind,
     TraceConfig, WorkerRecorder,
@@ -169,14 +169,15 @@ impl ServiceConfig {
 enum Payload<T: Scalar> {
     Factor,
     Solve { rhs: Vec<T> },
-    Apply { c: Matrix<T>, transpose: bool },
+    Apply { c: Matrix<T>, side: ApplySide },
 }
 
 /// A single unit of work submitted to a [`QrService`].
 ///
 /// Built with [`JobSpec::factor`] / [`JobSpec::solve`] /
 /// [`JobSpec::apply_qt`] / [`JobSpec::apply_q`] plus builder-style
-/// options mirroring `QrOptions`.
+/// options: the plan's tile size and tree, and the job's own class,
+/// deadline and faults.
 pub struct JobSpec<T: Scalar> {
     a: Matrix<T>,
     payload: Payload<T>,
@@ -212,18 +213,14 @@ impl<T: Scalar> JobSpec<T> {
 
     /// Factor `a` and compute `Qᵀ c` (`c.rows() == a.rows()`).
     pub fn apply_qt(a: Matrix<T>, c: Matrix<T>) -> Self {
-        Self::new(a, Payload::Apply { c, transpose: true })
+        let side = ApplySide::Transpose;
+        Self::new(a, Payload::Apply { c, side })
     }
 
     /// Factor `a` and compute `Q c` (`c.rows() == a.rows()`).
     pub fn apply_q(a: Matrix<T>, c: Matrix<T>) -> Self {
-        Self::new(
-            a,
-            Payload::Apply {
-                c,
-                transpose: false,
-            },
-        )
+        let side = ApplySide::NoTranspose;
+        Self::new(a, Payload::Apply { c, side })
     }
 
     /// Tile size `b` (default 16). `0` is refused at submission with
@@ -269,16 +266,12 @@ impl<T: Scalar> JobSpec<T> {
 }
 
 /// A completed factorization: the tile/reflector state plus the DAG that
-/// produced it and the original (unpadded) dimensions.
+/// produced it.
 pub struct FactoredJob<T: Scalar> {
     /// Tiles and T factors after the DAG ran to completion.
     pub state: FactorState<T>,
     /// The task graph that was executed.
     pub graph: TaskGraph,
-    /// Original row count of the input.
-    pub rows: usize,
-    /// Original column count of the input.
-    pub cols: usize,
 }
 
 impl<T: Scalar> FactoredJob<T> {
@@ -692,54 +685,27 @@ struct Unit<T: Scalar> {
 }
 
 /// Run the epilogue of a finished DAG: wrap the state into the job's
-/// requested output, replaying the reflectors for solve/apply payloads.
-///
-/// The solve path mirrors `TiledQr::solve` exactly (pad, `Qᵀ b`, back
-/// substitution against `r_rows(cols)` on the leading `cols` entries) so a
-/// service solve is bit-identical to the single-matrix API.
+/// requested output, answering a solve or apply payload through the
+/// state's own way out.
 fn finish_output<T: Scalar>(
     state: FactorState<T>,
     graph: TaskGraph,
     payload: Payload<T>,
 ) -> Result<JobOutput<T>, MatrixError> {
-    let (rows, cols) = state.dense_dims();
-    let wrap = |state, graph| FactoredJob {
-        state,
-        graph,
-        rows,
-        cols,
-    };
-    match payload {
-        Payload::Factor => Ok(JobOutput::Factored(wrap(state, graph))),
+    Ok(match payload {
+        Payload::Factor => JobOutput::Factored(FactoredJob { state, graph }),
         Payload::Solve { rhs } => {
-            let (pm, _) = state.padded_dims();
-            let bm = Matrix::from_col_major(rows, 1, rhs)?;
-            let mut work = Matrix::zeros(pm, 1);
-            work.set_submatrix(0, 0, &bm)?;
-            apply_qt_dense(&state, &graph, &mut work)?;
-            let r_sq = state.r_rows(cols);
-            let x = tileqr_matrix::ops::solve_upper_triangular(&r_sq, &work.as_slice()[..cols])?;
-            Ok(JobOutput::Solved {
-                x,
-                factor: wrap(state, graph),
-            })
+            let b = Matrix::from_col_major(rhs.len(), 1, rhs)?;
+            let x = state.solve(&graph, &b)?.as_slice().to_vec();
+            let factor = FactoredJob { state, graph };
+            JobOutput::Solved { x, factor }
         }
-        Payload::Apply { c, transpose } => {
-            let (pm, _) = state.padded_dims();
-            let mut work = Matrix::zeros(pm, c.cols());
-            work.set_submatrix(0, 0, &c)?;
-            if transpose {
-                apply_qt_dense(&state, &graph, &mut work)?;
-            } else {
-                apply_q_dense(&state, &graph, &mut work)?;
-            }
-            let out = work.submatrix(0, 0, rows, c.cols())?;
-            Ok(JobOutput::Applied {
-                c: out,
-                factor: wrap(state, graph),
-            })
+        Payload::Apply { c, side } => {
+            let c = state.apply(&graph, &c, side)?;
+            let factor = FactoredJob { state, graph };
+            JobOutput::Applied { c, factor }
         }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1688,14 +1654,9 @@ impl<T: Scalar> QrService<T> {
         // Validate, tile, plan and build the job's run state on the
         // caller's thread, before the lock; spec errors cost no admission
         // slot.
-        let (rows, cols) = (spec.a.rows(), spec.a.cols());
-        if rows < cols {
-            return Err(ServiceError::Numeric(MatrixError::DimensionMismatch {
-                op: "service QR (rows < cols)",
-                lhs: (rows, cols),
-                rhs: (rows, cols),
-            }));
-        }
+        let (state, graph) =
+            FactorState::plan(&spec.a, spec.tile_size, spec.tree).map_err(ServiceError::Numeric)?;
+        let rows = spec.a.rows();
         match &spec.payload {
             Payload::Solve { rhs } if rhs.len() != rows => {
                 return Err(ServiceError::Numeric(MatrixError::DimensionMismatch {
@@ -1713,30 +1674,17 @@ impl<T: Scalar> QrService<T> {
             }
             _ => {}
         }
-        let tiled =
-            TiledMatrix::from_matrix(&spec.a, spec.tile_size).map_err(ServiceError::Numeric)?;
-        let b = tiled.tile_size();
         // Poison containment starts at the front door: a NaN/Inf input
         // would corrupt every downstream tile, so reject it here — on the
         // caller's thread, before it costs an admission slot.
         if let Some((i, j)) = spec.a.first_non_finite() {
+            let b = state.tile_size();
             return Err(ServiceError::NumericalBreakdown {
                 task: None,
                 tile: (i / b, j / b),
             });
         }
-        let (mt, nt) = (tiled.tile_rows(), tiled.tile_cols());
-        let tree = spec.tree.resolve(mt, nt);
-        if tree == tileqr_dag::EliminationTree::Plateau(0) {
-            return Err(ServiceError::Numeric(MatrixError::DimensionMismatch {
-                op: "service QR (a plateau domain needs >= 1 tile row)",
-                lhs: (mt, nt),
-                rhs: (0, nt),
-            }));
-        }
-        let graph = TaskGraph::build_tree(mt, nt, tree);
         let sh = &self.shared;
-        let state = FactorState::new(tiled);
         let (mut job, reply) = sh.job(state, graph, DispatchOrder::Fifo, spec.payload);
         job.meta.class = spec.priority;
         job.meta.deadline = spec.deadline.map(|d| job.meta.submitted + d);
@@ -1788,6 +1736,7 @@ mod tests {
     use super::*;
     use tileqr_dag::EliminationTree;
     use tileqr_matrix::gen::random_matrix;
+    use tileqr_matrix::TiledMatrix;
 
     fn sequential_tiles(a: &Matrix<f64>, b: usize, order: EliminationTree) -> Matrix<f64> {
         let tiled = TiledMatrix::from_matrix(a, b).unwrap();
@@ -1872,18 +1821,8 @@ mod tests {
         });
         let a = random_matrix::<f64>(32, 16, 33);
         let zero = TreePolicy::Fixed(EliminationTree::Plateau(0));
-        let Err(err) = service.submit(JobSpec::factor(a.clone()).tile_size(8).tree(zero)) else {
-            panic!("a Plateau(0) job was admitted");
-        };
-        let ServiceError::Numeric(err) = err else {
-            panic!("{err:?}");
-        };
-        let zero_domain = MatrixError::DimensionMismatch {
-            op: "service QR (a plateau domain needs >= 1 tile row)",
-            lhs: (4, 2),
-            rhs: (0, 2),
-        };
-        assert_eq!(err, zero_domain);
+        let refused = service.submit(JobSpec::factor(a.clone()).tile_size(8).tree(zero));
+        assert!(matches!(refused, Err(ServiceError::Numeric(_))));
         let ok = service.submit(JobSpec::factor(a).tile_size(8)).unwrap();
         assert!(ok.wait().is_ok());
         let stats = service.shutdown();

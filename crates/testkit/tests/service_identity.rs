@@ -119,46 +119,52 @@ fn small_jobs_bit_identical_to_sequential() {
 
 /// Solve and Q-apply jobs must match the direct single-matrix
 /// [`TiledQr`] path exactly: the epilogue replays the same Householder
-/// program in the same order, so even floating point agrees bitwise.
+/// program in the same order, so even floating point agrees bitwise — on a
+/// grid that tiles exactly, one padded in both dimensions, a tall-skinny
+/// grid under [`TreePolicy::Auto`] (the TSQR plateau) and the greedy tree.
 #[test]
 fn solve_and_apply_jobs_match_direct_path() {
-    let a = random_matrix::<f64>(32, 16, 31);
-    let rhs: Vec<f64> = (0..32).map(|i| (i as f64 * 0.37).sin()).collect();
-    let c = random_matrix::<f64>(32, 3, 77);
-
-    let direct = TiledQr::factor(&a, &QrOptions::new().tile_size(8)).unwrap();
-    let x_direct = direct.solve(&rhs).unwrap();
-    let qtc_direct = direct.apply_qt(&c).unwrap();
-    let qc_direct = direct.apply_q(&c).unwrap();
-
+    let cases = [
+        (32, 16, TreePolicy::Fixed(EliminationTree::Flat)),
+        (37, 21, TreePolicy::Fixed(EliminationTree::Flat)),
+        (128, 16, TreePolicy::Auto),
+        (48, 24, TreePolicy::Fixed(EliminationTree::Greedy)),
+    ];
     let svc = QrService::<f64>::start(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
     });
-    let h_solve = svc
-        .submit(JobSpec::solve(a.clone(), rhs.clone()).tile_size(8))
-        .unwrap();
-    let h_qt = svc
-        .submit(JobSpec::apply_qt(a.clone(), c.clone()).tile_size(8))
-        .unwrap();
-    let h_q = svc
-        .submit(JobSpec::apply_q(a.clone(), c.clone()).tile_size(8))
-        .unwrap();
+    for (m, n, tree) in cases {
+        let case = format!("{m}x{n} {tree:?}");
+        let a = random_matrix::<f64>(m, n, 31);
+        let rhs: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
+        let c = random_matrix::<f64>(m, 3, 77);
 
-    match h_solve.wait().unwrap().output {
-        JobOutput::Solved { x, factor } => {
-            assert_eq!(x, x_direct, "service solve must be bit-identical");
-            assert_eq!(factor.r_matrix(), direct.r());
+        let direct = TiledQr::factor(&a, &QrOptions::new().tile_size(8).tree(tree)).unwrap();
+        let x_direct = direct.solve(&rhs).unwrap();
+        let qtc_direct = direct.apply_qt(&c).unwrap();
+        let qc_direct = direct.apply_q(&c).unwrap();
+
+        let submit = |spec: JobSpec<f64>| svc.submit(spec.tile_size(8).tree(tree)).unwrap();
+        let h_solve = submit(JobSpec::solve(a.clone(), rhs.clone()));
+        let h_qt = submit(JobSpec::apply_qt(a.clone(), c.clone()));
+        let h_q = submit(JobSpec::apply_q(a.clone(), c.clone()));
+
+        match h_solve.wait().unwrap().output {
+            JobOutput::Solved { x, factor } => {
+                assert_eq!(x, x_direct, "{case}: service solve must be bit-identical");
+                assert_eq!(factor.r_matrix(), direct.r(), "{case}");
+            }
+            other => panic!("expected Solved, got {:?} variant", variant_name(&other)),
         }
-        other => panic!("expected Solved, got {:?} variant", variant_name(&other)),
-    }
-    match h_qt.wait().unwrap().output {
-        JobOutput::Applied { c: qtc, .. } => assert_eq!(qtc, qtc_direct),
-        other => panic!("expected Applied, got {:?} variant", variant_name(&other)),
-    }
-    match h_q.wait().unwrap().output {
-        JobOutput::Applied { c: qc, .. } => assert_eq!(qc, qc_direct),
-        other => panic!("expected Applied, got {:?} variant", variant_name(&other)),
+        match h_qt.wait().unwrap().output {
+            JobOutput::Applied { c: qtc, .. } => assert_eq!(qtc, qtc_direct, "{case}"),
+            other => panic!("expected Applied, got {:?} variant", variant_name(&other)),
+        }
+        match h_q.wait().unwrap().output {
+            JobOutput::Applied { c: qc, .. } => assert_eq!(qc, qc_direct, "{case}"),
+            other => panic!("expected Applied, got {:?} variant", variant_name(&other)),
+        }
     }
     svc.shutdown();
 }

@@ -101,6 +101,12 @@
 #     every other tree, so no `EliminationTree::Tsqr` variant and no
 #     `build_tsqr` in any `.rs` under `crates/`, `tests/` or `examples/`,
 #     tests included.
+#   * one way in, one way out: `TiledQr` and `QrService` plan a matrix
+#     through `FactorState::plan` (rows >= cols, tiling, tree, the graph)
+#     and answer solve/apply through `FactorState::apply` / `solve`, so one
+#     graph build and one back substitution in non-test core + runtime +
+#     kernels (the `reference.rs` oracle keeps its own), and no public
+#     `rows` / `cols` copy of the state's dimensions in `service.rs`.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -276,6 +282,14 @@ expect 0 'Arc<FactorState|finalize_pending' \
 if hits=$(grep -rnE --include='*.rs' 'build_tsqr|EliminationTree::Tsqr\b' crates tests examples); then
     fail "one tree builder (TSQR is Plateau(tsqr_domain(mt)), built by build_tree):" "$hits"
 fi
+expect 1 'TaskGraph::build_tree\(' "graph builds behind a door (FactorState::plan is the way in)" \
+    crates/core crates/runtime crates/kernels
+hits=$(for f in $(find crates/core/src crates/runtime/src crates/kernels/src -name '*.rs' ! -name reference.rs | sort); do
+    non_test "$f"
+done | grep -E 'solve_upper_triangular' || true)
+n=$(printf '%s' "$hits" | grep -c . || true)
+[ "$n" -eq 1 ] || fail "back substitutions behind a door: found $n, want 1 (FactorState::solve is the way out):" "$hits"
+expect 0 'pub (rows|cols):' "a public copy of the state's dimensions on a job" crates/runtime/src/service.rs
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
