@@ -95,7 +95,8 @@ impl<T: Scalar> TiledQr<T> {
 
     /// Estimate the 2-norm condition number of a square `A` from its `R`
     /// factor (`κ₂(A) = κ₂(R)` since `Q` is orthogonal), by power
-    /// iteration with triangular solves. Errors on exactly singular `R`.
+    /// iteration with triangular solves, on a dense copy of `R` (the
+    /// iteration multiplies by `R` and `Rᵀ`). Errors on exactly singular `R`.
     pub fn condition_estimate(&self) -> Result<T> {
         let (rows, cols) = self.dims();
         if rows != cols {
@@ -105,18 +106,15 @@ impl<T: Scalar> TiledQr<T> {
     }
 
     /// Absolute value of `det(A)` for square `A`: the product of `|R|`'s
-    /// diagonal (`|det Q| = 1`).
+    /// diagonal (`|det Q| = 1`), read from the diagonal tiles.
     pub fn det_abs(&self) -> Result<T> {
         let (rows, cols) = self.dims();
         if rows != cols {
             return Err(MatrixError::NotSquare { dims: (rows, cols) });
         }
-        let r = self.state.r_rows(cols);
-        let mut d = T::ONE;
-        for i in 0..cols {
-            d *= r[(i, i)].abs();
-        }
-        Ok(d)
+        let (tiles, b) = (self.state.tiles(), self.state.tile_size());
+        let diag = (0..cols).map(|i| tiles.tile(i / b, i / b)[(i % b, i % b)].abs());
+        Ok(diag.fold(T::ONE, |d, r| d * r))
     }
 }
 

@@ -474,9 +474,9 @@ impl<T: Scalar> FactorState<T> {
         self.r_rows(self.dense_dims().0)
     }
 
-    /// The first `m` rows of [`r_matrix`](Self::r_matrix) (a solve reads
-    /// `cols`), by column runs out of the tiles on and above the diagonal,
-    /// each tile's slot read once.
+    /// The first `m` rows of [`r_matrix`](Self::r_matrix), a dense copy for
+    /// callers that multiply by `R`, by column runs out of the tiles on and
+    /// above the diagonal, each tile's slot read once.
     pub fn r_rows(&self, m: usize) -> Matrix<T> {
         let (b, n) = (self.tile_size(), self.dense_dims().1);
         let mut r = Matrix::zeros(m, n);
@@ -496,6 +496,12 @@ impl<T: Scalar> FactorState<T> {
     /// to the grid's, has the factor kernels of `graph` replayed over it
     /// and is cut back.
     pub fn apply(&self, graph: &TaskGraph, c: &Matrix<T>, side: ApplySide) -> Result<Matrix<T>> {
+        self.padded_apply(graph, c, side)?
+            .submatrix(0, 0, c.rows(), c.cols())
+    }
+
+    /// `c` (the matrix's rows) padded to the grid's, with `graph`'s factor kernels replayed.
+    fn padded_apply(&self, graph: &TaskGraph, c: &Matrix<T>, side: ApplySide) -> Result<Matrix<T>> {
         let rows = self.dense_dims().0;
         if c.rows() != rows {
             return Err(MatrixError::DimensionMismatch {
@@ -510,17 +516,50 @@ impl<T: Scalar> FactorState<T> {
             ApplySide::Transpose => apply_qt_dense(self, graph, &mut work)?,
             ApplySide::NoTranspose => apply_q_dense(self, graph, &mut work)?,
         }
-        work.submatrix(0, 0, rows, c.cols())
+        Ok(work)
     }
 
     /// The way out for a solve: `X = R⁻¹ (Qᵀ B)₁..ₙ` column by column (paper
     /// Eqs. 2–3) — `A X = B` for a square matrix, `min ‖A X − B‖₂` for a
-    /// tall one.
+    /// tall one — `Qᵀ B` replayed into one padded block, solved on `R`'s tiles.
     pub fn solve(&self, graph: &TaskGraph, b: &Matrix<T>) -> Result<Matrix<T>> {
         let cols = self.dense_dims().1;
-        let qtb = self.apply(graph, b, ApplySide::Transpose)?;
-        let top = qtb.submatrix(0, 0, cols, b.cols())?;
-        tileqr_matrix::ops::solve_upper_triangular_matrix(&self.r_rows(cols), &top)
+        let mut work = self.padded_apply(graph, b, ApplySide::Transpose)?;
+        for j in 0..b.cols() {
+            self.back_substitute(&mut work.col_mut(j)[..cols])?;
+        }
+        work.submatrix(0, 0, cols, b.cols())
+    }
+
+    /// `x ← R⁻¹ x` (`x` has `cols` rows) on `R`'s tiles, tile columns last to
+    /// first: a column-oriented solve on the diagonal tile's first columns,
+    /// then an axpy per column into each tile above. The first exact zero on
+    /// the diagonal from the bottom is [`MatrixError::Singular`].
+    fn back_substitute(&self, x: &mut [T]) -> Result<()> {
+        let (b, n) = (self.tile_size(), x.len());
+        for j0 in (0..n).step_by(b).rev() {
+            let (above, xk) = x[..n.min(j0 + b)].split_at_mut(j0);
+            for jj in (0..xk.len()).rev() {
+                let col = self.tiles[self.idx(j0 / b, j0 / b)].col(jj);
+                if col[jj] == T::ZERO {
+                    return Err(MatrixError::Singular { index: j0 + jj });
+                }
+                xk[jj] /= col[jj];
+                let xj = xk[jj];
+                for (y, &r) in xk[..jj].iter_mut().zip(col) {
+                    *y -= r * xj;
+                }
+            }
+            for (i, xi) in above.chunks_mut(b).enumerate() {
+                let tile = &self.tiles[self.idx(i, j0 / b)];
+                for (jj, &xj) in xk.iter().enumerate() {
+                    for (y, &r) in xi.iter_mut().zip(tile.col(jj)) {
+                        *y -= r * xj;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -624,16 +663,14 @@ impl<T: Scalar> CompletedTask<T> {
     }
 }
 
-/// Extract row-block `i` (a `b x cols` matrix) of a dense `c`.
-fn row_block<T: Scalar>(c: &Matrix<T>, i: usize, b: usize) -> Matrix<T> {
-    c.submatrix(i * b, 0, b, c.cols())
-        .expect("row block in range")
-}
-
-fn set_row_block<T: Scalar>(c: &mut Matrix<T>, i: usize, block: &Matrix<T>) {
+/// Copy row block `i` of `c` into `block` (`b x cols`), or back with `back`.
+fn copy_rows<T: Scalar>(c: &mut Matrix<T>, block: &mut Matrix<T>, i: usize, back: bool) {
     let b = block.rows();
-    c.set_submatrix(i * b, 0, block)
-        .expect("row block in range");
+    for j in 0..c.cols() {
+        let (rows, blk) = (&mut c.col_mut(j)[i * b..(i + 1) * b], block.col_mut(j));
+        let (dst, src) = if back { (rows, blk) } else { (blk, rows) };
+        dst.copy_from_slice(src);
+    }
 }
 
 /// Apply `Qᵀ` of a completed factorization to a dense `c` whose row count
@@ -675,39 +712,27 @@ fn replay<'g, T: Scalar>(
     }
     let b = state.tile_size();
     let mut ws = Workspace::new(b, b);
+    let (mut a1, mut a2) = (Matrix::zeros(b, c.cols()), Matrix::zeros(b, c.cols()));
     for &task in tasks {
-        apply_factor_task(state, task, c, side, &mut ws)?;
-    }
-    Ok(())
-}
-
-fn apply_factor_task<T: Scalar>(
-    state: &FactorState<T>,
-    task: TaskKind,
-    c: &mut Matrix<T>,
-    side: ApplySide,
-    ws: &mut Workspace<T>,
-) -> Result<()> {
-    let b = state.tile_size();
-    match task {
-        TaskKind::Geqrt { i, k } => {
-            let tfac = state.geqrt_factor(i, k).ok_or_else(missing_factor_err)?;
-            let mut block = row_block(c, i, b);
-            geqrt_apply_ws(&state.tile(i, k), &tfac, &mut block, side, ws)?;
-            set_row_block(c, i, &block);
+        match task {
+            TaskKind::Geqrt { i, k } => {
+                let tfac = state.geqrt_factor(i, k).ok_or_else(missing_factor_err)?;
+                copy_rows(c, &mut a1, i, false);
+                geqrt_apply_ws(&state.tile(i, k), &tfac, &mut a1, side, &mut ws)?;
+                copy_rows(c, &mut a1, i, true);
+            }
+            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => {
+                let tfac = state.elim_factor(p, i, k).ok_or_else(missing_factor_err)?;
+                copy_rows(c, &mut a1, p, false);
+                copy_rows(c, &mut a2, i, false);
+                let (tt, v2) = (matches!(task, TaskKind::Ttqrt { .. }), state.tile(i, k));
+                pair_update(&v2, None, &tfac, &mut a1, &mut a2, side, tt, &mut ws)?;
+                copy_rows(c, &mut a1, p, true);
+                copy_rows(c, &mut a2, i, true);
+            }
+            // Update kernels touch only the factored matrix, not C.
+            TaskKind::Unmqr { .. } | TaskKind::Tsmqr { .. } | TaskKind::Ttmqr { .. } => {}
         }
-        TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => {
-            let v2 = state.tile(i, k);
-            let tfac = state.elim_factor(p, i, k).ok_or_else(missing_factor_err)?;
-            let mut a1 = row_block(c, p, b);
-            let mut a2 = row_block(c, i, b);
-            let tt = matches!(task, TaskKind::Ttqrt { .. });
-            pair_update(&v2, None, &tfac, &mut a1, &mut a2, side, tt, ws)?;
-            set_row_block(c, p, &a1);
-            set_row_block(c, i, &a2);
-        }
-        // Update kernels touch only the factored matrix, not C.
-        TaskKind::Unmqr { .. } | TaskKind::Tsmqr { .. } | TaskKind::Ttmqr { .. } => {}
     }
     Ok(())
 }
@@ -1288,6 +1313,72 @@ mod tests {
                 shared.end_run();
                 assert_eq!(spares(&shared), 0, "{ctx}: spares outlived the run");
             }
+        }
+    }
+
+    /// The dense oracle for a solve: the same `Qᵀ B`, cut to `cols` rows and
+    /// back-substituted row by row over `r_rows(cols)`.
+    fn dense_solve(st: &FactorState<f64>, g: &TaskGraph, rhs: &Matrix<f64>) -> Result<Matrix<f64>> {
+        let cols = st.dense_dims().1;
+        let (r, qtb) = (st.r_rows(cols), st.apply(g, rhs, ApplySide::Transpose)?);
+        let mut x = Matrix::zeros(cols, rhs.cols());
+        for j in 0..rhs.cols() {
+            let xj = tileqr_matrix::ops::solve_upper_triangular(&r, &qtb.col(j)[..cols])?;
+            x.col_mut(j).copy_from_slice(&xj);
+        }
+        Ok(x)
+    }
+
+    #[test]
+    fn tile_solve_matches_dense_back_substitution() {
+        use tileqr_matrix::ops::triangular_condition_est;
+        for b in [1, 7, 16, 17, 64] {
+            for cols in [1, b - 1, b, b + 1, 2 * b + 3]
+                .into_iter()
+                .filter(|&c| c > 0)
+            {
+                for rows in [cols, 3 * cols + 5] {
+                    let a = random_matrix::<f64>(rows, cols, (b * 1000 + cols * 10 + rows) as u64);
+                    let mut trees = vec![TreePolicy::Fixed(EliminationTree::Flat)];
+                    trees.extend((rows > cols).then_some(TreePolicy::Auto));
+                    for tree in trees {
+                        let (mut st, g) = FactorState::plan(&a, b, tree).unwrap();
+                        st.run_all(&g).unwrap();
+                        let kappa = triangular_condition_est(&st.r_rows(cols), 30).unwrap();
+                        for nrhs in [1, 3] {
+                            let rhs = random_matrix::<f64>(rows, nrhs, rows as u64);
+                            let (x, want) = (
+                                st.solve(&g, &rhs).unwrap(),
+                                dense_solve(&st, &g, &rhs).unwrap(),
+                            );
+                            let scale = want.max_abs().max(1.0);
+                            let dev = x.sub(&want).unwrap().max_abs() / scale;
+                            let budget = 100.0 * f64::EPSILON * kappa * cols as f64;
+                            let ctx = format!("b={b} {rows}x{cols} {tree:?} nrhs={nrhs}");
+                            assert!(dev <= budget, "{ctx}: deviation {dev:e} over {budget:e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_column_is_singular_at_the_parents_index() {
+        // 37 columns at b = 8: the last tile column holds 32..37.
+        for zero in [34, 5] {
+            let mut a = random_matrix::<f64>(37, 37, 9);
+            a.col_mut(zero).fill(0.0);
+            let (mut st, g) = FactorState::plan(&a, 8, TreePolicy::default()).unwrap();
+            st.run_all(&g).unwrap();
+            let rhs = random_matrix::<f64>(37, 2, 10);
+            let want = Err(MatrixError::Singular { index: zero });
+            assert_eq!(
+                dense_solve(&st, &g, &rhs),
+                want,
+                "oracle, zero column {zero}"
+            );
+            assert_eq!(st.solve(&g, &rhs), want, "tile solve, zero column {zero}");
         }
     }
 }

@@ -276,16 +276,6 @@ pub fn solve_upper_triangular<T: Scalar>(r: &Matrix<T>, b: &[T]) -> Result<Vec<T
     Ok(x)
 }
 
-/// Solve `R X = B` column-by-column for upper-triangular `R`.
-pub fn solve_upper_triangular_matrix<T: Scalar>(r: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>> {
-    let mut x = Matrix::zeros(b.rows(), b.cols());
-    for j in 0..b.cols() {
-        let xj = solve_upper_triangular(r, b.col(j))?;
-        x.col_mut(j).copy_from_slice(&xj);
-    }
-    Ok(x)
-}
-
 /// Solve `L x = b` for lower-triangular `L` by forward substitution.
 pub fn solve_lower_triangular<T: Scalar>(l: &Matrix<T>, b: &[T]) -> Result<Vec<T>> {
     if !l.is_square() {
@@ -522,15 +512,6 @@ mod tests {
         let x = solve_lower_triangular(&l, &[4.0, 9.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-14);
         assert!((x[1] - 1.75).abs() < 1e-14);
-    }
-
-    #[test]
-    fn matrix_triangular_solve() {
-        let r = m(&[&[1.0, 2.0], &[0.0, 3.0]]);
-        let b = m(&[&[5.0, 8.0], &[6.0, 9.0]]);
-        let x = solve_upper_triangular_matrix(&r, &b).unwrap();
-        let back = matmul(&r, &x).unwrap();
-        assert!(back.approx_eq(&b, 1e-12));
     }
 
     #[test]
