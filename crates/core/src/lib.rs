@@ -73,8 +73,8 @@ pub mod runtime {
     #[doc(hidden)]
     pub use tileqr_runtime::run_pool;
     pub use tileqr_runtime::{
-        parallel_factor_traced, DispatchOrder, FaultInjector, FaultTolerance, InjectedFault,
-        PoolConfig, RunReport, RuntimeError, ScriptedFaults, TraceConfig,
+        parallel_factor_traced, FaultInjector, FaultTolerance, InjectedFault, PoolConfig,
+        RunReport, RuntimeError, ScriptedFaults, TraceConfig,
     };
     pub use tileqr_runtime::{
         FactoredJob, JobHandle, JobId, JobOutput, JobResult, JobSpec, PriorityClass, QrService,

@@ -10,8 +10,8 @@
 //! * [`run_attempt`] — the worker-side body of one task attempt the
 //!   manager staged: fault seam, kernel (with a fenced stage's tile
 //!   copies), optional compute span.
-//! * [`DagRun`] — the per-DAG state machine: readiness, dispatch order,
-//!   the `committed` fence, the per-task attempt budget, and the
+//! * [`DagRun`] — the per-DAG state machine: readiness, the FIFO ready
+//!   set, the `committed` fence, the per-task attempt budget, and the
 //!   counters that become a [`RunReport`].
 //! * [`Slots`] — which worker slot is running what since when: the "is
 //!   this the report I am waiting for" test and the stall watchdog's
@@ -24,12 +24,12 @@
 use crate::error::RuntimeError;
 use crate::pool::RunReport;
 use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
-use crate::scheduler::{DispatchOrder, ReadyQueue, ReadyTracker};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use tileqr_dag::{TaskGraph, TaskId};
 use tileqr_kernels::exec::{CompletedTask, FactorState, StagedTask};
-use tileqr_kernels::{flops, Workspace};
+use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
 use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder};
 
@@ -191,8 +191,14 @@ impl Tally {
 /// from the slot the manager is waiting on *and* the task is still
 /// uncommitted; late or superseded reports are ignored.
 pub struct DagRun {
-    tracker: ReadyTracker,
-    queue: ReadyQueue,
+    /// Predecessors of each task not yet committed.
+    remaining_preds: Vec<usize>,
+    /// Tasks committed so far.
+    completed: usize,
+    /// The ready set, in the order its tasks became ready.
+    ready: VecDeque<TaskId>,
+    /// High-water mark of the ready set.
+    max_ready: usize,
     committed: Vec<bool>,
     attempts: Vec<u32>,
     in_flight: usize,
@@ -204,20 +210,15 @@ pub struct DagRun {
 }
 
 impl DagRun {
-    /// Start a run of `graph` at tile size `b` over `workers` worker
-    /// slots, with the sources already in the ready set. A priority order
-    /// ranks by flop bottom levels at `b`. `lane`, when tracing, is the
+    /// Start a run of `graph` over `workers` worker slots, with the
+    /// sources already in the ready set. `lane`, when tracing, is the
     /// manager's recorder plus the run's epoch.
-    pub fn new(
-        graph: &TaskGraph,
-        order: DispatchOrder,
-        b: usize,
-        workers: usize,
-        lane: Option<(WorkerRecorder, Instant)>,
-    ) -> Self {
+    pub fn new(graph: &TaskGraph, workers: usize, lane: Option<(WorkerRecorder, Instant)>) -> Self {
         let mut run = DagRun {
-            tracker: ReadyTracker::new(graph),
-            queue: ReadyQueue::for_order(order, graph, |t| flops::task_flops(t, b) as f64),
+            remaining_preds: graph.indegrees(),
+            completed: 0,
+            ready: VecDeque::new(),
+            max_ready: 0,
             committed: vec![false; graph.len()],
             attempts: vec![0; graph.len()],
             in_flight: 0,
@@ -228,16 +229,21 @@ impl DagRun {
                 ..Tally::default()
             },
         };
-        for t in run.tracker.initial_ready(graph) {
+        for t in graph.sources() {
             mark(&mut run.lane, RawKind::Ready, t, 0);
-            run.queue.push(t);
+            run.push(t);
         }
         run
     }
 
+    fn push(&mut self, t: TaskId) {
+        self.ready.push_back(t);
+        self.max_ready = self.max_ready.max(self.ready.len());
+    }
+
     /// Whether every task has been committed.
     pub fn all_done(&self) -> bool {
-        self.tracker.all_done()
+        self.completed == self.committed.len()
     }
 
     /// Attempts dispatched and not yet reported (or retired).
@@ -251,7 +257,7 @@ impl DagRun {
         if self.halted {
             0
         } else {
-            self.queue.len()
+            self.ready.len()
         }
     }
 
@@ -273,16 +279,27 @@ impl DagRun {
         self.halted
     }
 
-    /// Next task for worker slot `w` under the run's dispatch order, with
-    /// its 0-based attempt number — charged to the task's budget and
-    /// counted in flight. Entries superseded by a harvested late result
-    /// are skipped.
-    pub fn pop_ready(&mut self, w: usize) -> Option<(TaskId, u32)> {
+    /// Next task for worker slot `w`, with its 0-based attempt number —
+    /// charged to the task's budget and counted in flight. The ready set
+    /// is FIFO; a test `seam` [`pick`](FaultInjector::pick)s from it
+    /// instead. Entries superseded by a harvested late result are skipped.
+    pub fn pop_ready(
+        &mut self,
+        w: usize,
+        seam: Option<&dyn FaultInjector>,
+    ) -> Option<(TaskId, u32)> {
         if self.halted {
             return None;
         }
         loop {
-            let t = self.queue.pop()?;
+            let t = match seam {
+                None => self.ready.pop_front()?,
+                Some(_) if self.ready.is_empty() => return None,
+                Some(seam) => {
+                    let i = seam.pick(self.ready.make_contiguous());
+                    self.ready.remove(i).expect("a pick indexes the ready set")
+                }
+            };
             if self.committed[t] {
                 continue;
             }
@@ -297,7 +314,7 @@ impl DagRun {
     /// late result committed it in the meantime.
     pub fn wake(&mut self, t: TaskId) {
         if !self.committed[t] {
-            self.queue.push(t);
+            self.push(t);
         }
     }
 
@@ -336,14 +353,22 @@ impl DagRun {
         } else {
             state.commit(done.completed);
         }
-        self.committed[t] = true;
         self.tally.tasks_per_worker[w] += 1;
-        let (queue, lane) = (&mut self.queue, &mut self.lane);
-        self.tracker.complete(graph, t, |r| {
-            mark(lane, RawKind::Ready, r, 0);
-            queue.push(r);
-        });
+        self.complete(graph, t);
         true
+    }
+
+    /// `t` committed: ready each successor whose last predecessor it was.
+    fn complete(&mut self, graph: &TaskGraph, t: TaskId) {
+        self.committed[t] = true;
+        self.completed += 1;
+        for &s in graph.succs(t) {
+            self.remaining_preds[s] -= 1;
+            if self.remaining_preds[s] == 0 {
+                mark(&mut self.lane, RawKind::Ready, s, 0);
+                self.push(s);
+            }
+        }
     }
 
     /// An attempt of `t` returned an error. Returns whether the driver
@@ -413,8 +438,8 @@ impl DagRun {
         trace: Option<Trace>,
         counters: HotPathCounters,
     ) -> RunReport {
-        let depth = self.queue.max_depth();
-        self.tally.into_report(depth, elapsed, trace, counters)
+        self.tally
+            .into_report(self.max_ready, elapsed, trace, counters)
     }
 }
 
@@ -471,5 +496,53 @@ impl<K: Copy + PartialEq> Slots<K> {
             }
         }
         stalled
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tileqr_dag::EliminationTree;
+
+    #[test]
+    fn drains_whole_graph() {
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
+        let mut run = DagRun::new(&g, 1, None);
+        let mut seen = 0;
+        while let Some((t, _)) = run.pop_ready(0, None) {
+            seen += 1;
+            run.complete(&g, t);
+        }
+        assert_eq!(seen, g.len());
+        assert!(run.all_done());
+    }
+
+    #[test]
+    fn readiness_only_after_all_preds() {
+        let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
+        let mut run = DagRun::new(&g, 1, None);
+        // Completing the first GEQRT readies its direct successors only.
+        assert_eq!(run.pop_ready(0, None), Some((0, 0)));
+        run.complete(&g, 0);
+        assert!(!run.ready.is_empty());
+        for &t in &run.ready {
+            assert!(g.preds(t).iter().all(|&p| p == 0));
+        }
+        assert!(!run.all_done());
+    }
+
+    #[test]
+    fn fifo_queue_preserves_arrival_order() {
+        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
+        let mut run = DagRun::new(&g, 1, None);
+        run.ready.clear();
+        for id in [7, 3, 9] {
+            run.push(id);
+        }
+        assert_eq!(run.pop_ready(0, None), Some((7, 0)));
+        assert_eq!(run.pop_ready(0, None), Some((3, 0)));
+        assert_eq!(run.pop_ready(0, None), Some((9, 0)));
+        assert_eq!(run.pop_ready(0, None), None);
+        assert_eq!(run.max_ready, 3);
     }
 }

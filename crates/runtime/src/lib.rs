@@ -18,17 +18,17 @@
 //! schedule) is deterministic because every task writes a disjoint tile set.
 //!
 //! One engine, one driver: everything a scheduler does *per DAG* —
-//! readiness, FIFO dispatch (its other [`DispatchOrder`]s are test
-//! adversaries), the commit fence, the retry budget, the stall watchdog's
-//! bookkeeping — and the worker-side body of one task attempt live once,
-//! thread-free, in [`engine`]; the threads around it — self-scheduling
-//! workers over a table of engine runs behind one lock, one thread keeping
-//! the clock, every lost worker respawned — live once in [`service`].
-//! [`QrService`] keeps one instance of that driver resident, one engine
-//! run per job. A one-shot run has one way in, [`parallel_factor_traced`]
-//! over a [`PoolConfig`]: inline at one effective worker, otherwise a
-//! one-job instance of the driver scoped to the call, with the calling
-//! thread as its clock.
+//! readiness, FIFO dispatch (schedule adversaries are test pick hooks,
+//! [`FaultInjector::pick`]), the commit fence, the retry budget, the
+//! stall watchdog's bookkeeping — and the worker-side body of one task
+//! attempt live once, thread-free, in [`engine`]; the threads around it —
+//! self-scheduling workers over a table of engine runs behind one lock,
+//! one thread keeping the clock, every lost worker respawned — live once
+//! in [`service`]. [`QrService`] keeps one instance of that driver
+//! resident, one engine run per job. A one-shot run has one way in,
+//! [`parallel_factor_traced`] over a [`PoolConfig`]: inline at one
+//! effective worker, otherwise a one-job instance of the driver scoped to
+//! the call, with the calling thread as its clock.
 //!
 //! Fault tolerance: attempts run under `catch_unwind`, so a panic never
 //! hangs or aborts the process. A [`PoolConfig::fault_tolerance`] budget
@@ -38,8 +38,8 @@
 //! (bounded attempts, deterministic backoff). Failures surface as
 //! structured [`RuntimeError`]s and recovery activity is reported in
 //! [`RunReport`]'s `retries` / `requeues` / `worker_deaths` fields. The
-//! deterministic [`FaultInjector`] seam, like a [`DispatchOrder`]
-//! adversary, reaches a one-shot run only through the doc-hidden
+//! deterministic [`FaultInjector`] seam, and with it any schedule
+//! adversary's pick, reaches a one-shot run only through the doc-hidden
 //! `run_pool`.
 //!
 //! Observability: enabling [`TraceConfig`] in the [`PoolConfig`] makes
@@ -62,13 +62,11 @@ pub mod engine;
 mod error;
 mod pool;
 pub mod recovery;
-mod scheduler;
 pub mod service;
 
 pub use error::RuntimeError;
 pub use pool::{parallel_factor_traced, PoolConfig, RunReport};
 pub use recovery::{FaultInjector, FaultTolerance, InjectedFault, ScriptedFaults};
-pub use scheduler::DispatchOrder;
 #[doc(hidden)]
 pub use service::run_pool;
 pub use service::{

@@ -10,14 +10,14 @@
 //! kernel error is *isolated* (no hang, no abort) but fatal to the run,
 //! because the destructively-staged inputs of the failed task are gone.
 //! With one, attempts are fenced, so re-execution is idempotent, exactly as
-//! for a job of the resident service. The driver's test seams — a
-//! [`DispatchOrder`](crate::DispatchOrder) adversary and a borrowed
-//! [`FaultInjector`](crate::FaultInjector) — reach it through the
-//! doc-hidden [`run_pool`](crate::run_pool) alone.
+//! for a job of the resident service. The driver dispatches FIFO; its test
+//! seam, a borrowed [`FaultInjector`](crate::FaultInjector) whose
+//! [`pick`](crate::FaultInjector::pick) may stand in a schedule adversary
+//! for the FIFO order, reaches it through the doc-hidden
+//! [`run_pool`](crate::run_pool) alone.
 
 use crate::engine::Tally;
 use crate::recovery::FaultTolerance;
-use crate::scheduler::DispatchOrder;
 use crate::service::run_pool;
 use std::time::{Duration, Instant};
 use tileqr_dag::TaskGraph;
@@ -151,7 +151,7 @@ pub fn parallel_factor_traced<T: Scalar>(
     if config.effective_workers() <= 1 {
         return run_inline(state, graph, Instant::now(), config.trace);
     }
-    Ok(run_pool(state, graph, config, DispatchOrder::Fifo, None)?)
+    Ok(run_pool(state, graph, config, None)?)
 }
 
 fn run_inline<T: Scalar>(
@@ -291,30 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn tt_order_in_parallel() {
-        let a = random_matrix::<f64>(32, 8, 5);
-        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build_tree(8, 2, EliminationTree::Binary);
-        let (st, _) = run_pool(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 4,
-                ..PoolConfig::default()
-            },
-            DispatchOrder::CriticalPath,
-            None,
-        )
-        .unwrap();
-        let (pm, _) = st.tiles().padded_dims();
-        let mut q = Matrix::identity(pm);
-        apply_q_dense(&st, &g, &mut q).unwrap();
-        let r = st.r_matrix();
-        let qr = matmul(&q, &r).unwrap();
-        assert!(qr.approx_eq(&a, 1e-10));
-    }
-
-    #[test]
     fn run_report_accounts_every_task() {
         let a = random_matrix::<f64>(32, 32, 5);
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
@@ -341,43 +317,6 @@ mod tests {
         // commit, summed over the 3 workers) is a sliver of the run.
         let lock_path = report.stage_wait + report.commit_wait;
         assert!(lock_path.as_secs_f64() < 0.5 * 3.0 * report.elapsed.as_secs_f64());
-    }
-
-    #[test]
-    fn adversarial_orders_match_sequential_bitwise() {
-        let a = random_matrix::<f64>(24, 24, 17);
-        let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-        let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
-        let mut seq = FactorState::new(tiled.clone());
-        seq.run_all(&g).unwrap();
-        let seq_tiles = seq.tiles().to_matrix();
-
-        for order in [
-            DispatchOrder::CriticalPath,
-            DispatchOrder::Lifo,
-            DispatchOrder::ReversePriority,
-            DispatchOrder::Seeded(7),
-        ] {
-            for workers in [1usize, 3] {
-                let (st, report) = super::run_pool(
-                    FactorState::new(tiled.clone()),
-                    &g,
-                    PoolConfig {
-                        workers,
-                        ..PoolConfig::default()
-                    },
-                    order,
-                    None,
-                )
-                .unwrap();
-                assert_eq!(
-                    st.tiles().to_matrix(),
-                    seq_tiles,
-                    "{order:?} workers={workers}"
-                );
-                assert_eq!(report.total_tasks() as usize, g.len());
-            }
-        }
     }
 
     #[test]
@@ -494,7 +433,6 @@ mod tests {
                 fault_tolerance: Some(FaultTolerance::default()),
                 ..PoolConfig::default()
             },
-            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap();
@@ -520,7 +458,6 @@ mod tests {
                 fault_tolerance: Some(FaultTolerance::default()),
                 ..PoolConfig::default()
             },
-            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap();
@@ -544,7 +481,6 @@ mod tests {
                 fault_tolerance: Some(FaultTolerance::default()),
                 ..PoolConfig::default()
             },
-            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap();
@@ -572,7 +508,6 @@ mod tests {
                 }),
                 ..PoolConfig::default()
             },
-            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap_err();
@@ -605,7 +540,6 @@ mod tests {
                 }),
                 ..PoolConfig::default()
             },
-            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap_err();
@@ -632,7 +566,6 @@ mod tests {
                 workers: 3,
                 ..PoolConfig::default()
             },
-            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap_err();
@@ -661,7 +594,6 @@ mod tests {
                 }),
                 ..PoolConfig::default()
             },
-            DispatchOrder::Fifo,
             Some(&faults),
         )
         .unwrap();

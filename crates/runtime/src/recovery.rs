@@ -12,7 +12,9 @@
 //! [`FaultInjector`] is the test seam: the pool consults it before every
 //! attempt, so suites can script panics, transient kernel failures, and
 //! stalls at exact (task, attempt) coordinates and replay them
-//! deterministically.
+//! deterministically — and, through [`pick`](FaultInjector::pick), at
+//! every dispatch, so a schedule adversary can choose which ready task
+//! goes next in place of the driver's FIFO order.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -77,13 +79,21 @@ pub enum InjectedFault {
     PoisonNan,
 }
 
-/// Test seam consulted by the pool before every task attempt.
+/// Test seam consulted by the pool before every task attempt and at
+/// every dispatch.
 ///
 /// Implementations must be deterministic functions of `(task, attempt)`
 /// for runs to replay; the built-in [`ScriptedFaults`] is.
 pub trait FaultInjector: Sync {
     /// Fault to apply to attempt `attempt` (0-based) of `task`.
     fn before_attempt(&self, task: TaskId, attempt: u32) -> InjectedFault;
+
+    /// Index into `ready` — the non-empty ready set, oldest first — of the
+    /// task to dispatch next. The default, `0`, is the driver's own FIFO
+    /// order. Called under the driver's lock.
+    fn pick(&self, _ready: &[TaskId]) -> usize {
+        0
+    }
 }
 
 /// Deterministic scripted injector: each task maps to a number of leading

@@ -76,7 +76,6 @@ use crate::engine::{ns_at, panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
 use crate::pool::{PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
-use crate::scheduler::DispatchOrder;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
@@ -973,7 +972,6 @@ impl<T: Scalar> Shared<T> {
         &self,
         state: FactorState<T>,
         graph: TaskGraph,
-        order: DispatchOrder,
         payload: Payload<T>,
     ) -> (Box<JobState<T>>, Arc<ReplySlot<T>>) {
         let (reply, reply_tx) = ReplySlot::open();
@@ -998,7 +996,7 @@ impl<T: Scalar> Shared<T> {
             (rec, epoch)
         });
         let job = Box::new(JobState {
-            run: DagRun::new(&meta.graph, order, b, self.workers, lane),
+            run: DagRun::new(&meta.graph, self.workers, lane),
             meta,
             state,
             clocked: true,
@@ -1320,21 +1318,33 @@ impl<T: Scalar> Shared<T> {
 
     /// Take the next unit for worker `w`: a task of the backlogged job
     /// with the smallest virtual time, charged and stamped as dispatched,
-    /// and staged.
-    fn next_unit(&self, core: &mut Core<T>, w: usize) -> Option<Unit<T>> {
+    /// and staged. `seam` picks the task for a job that carries no
+    /// injector of its own.
+    fn next_unit(
+        &self,
+        core: &mut Core<T>,
+        w: usize,
+        seam: Option<&dyn FaultInjector>,
+    ) -> Option<Unit<T>> {
         loop {
             let (best, ready) = core.pick_wfq_job();
             let (_, id) = best?;
             // `None`: the pick was shed, or all its ready entries were
             // superseded by a racing retry. Choose again.
-            if let Some(unit) = self.take_task(core, w, id) {
+            if let Some(unit) = self.take_task(core, w, id, seam) {
                 core.stats.max_ready_depth = core.stats.max_ready_depth.max(ready - 1);
                 return Some(unit);
             }
         }
     }
 
-    fn take_task(&self, core: &mut Core<T>, w: usize, id: JobId) -> Option<Unit<T>> {
+    fn take_task(
+        &self,
+        core: &mut Core<T>,
+        w: usize,
+        id: JobId,
+        seam: Option<&dyn FaultInjector>,
+    ) -> Option<Unit<T>> {
         let job = core.jobs.get_mut(&id).expect("picked from the job table");
         let first = job.started.is_none().then(Instant::now);
         // A deadline bounds waiting: a job past it is shed, not started.
@@ -1342,7 +1352,8 @@ impl<T: Scalar> Shared<T> {
             self.sweep_shed(core);
             return None;
         }
-        let (task, attempt) = job.run.pop_ready(w)?;
+        let own = job.injector.as_deref().map(|f| f as &dyn FaultInjector);
+        let (task, attempt) = job.run.pop_ready(w, own.or(seam))?;
         if let Some(now) = first {
             job.started = Some(now);
             job.meta.queue_wait = now.duration_since(job.meta.submitted);
@@ -1393,7 +1404,7 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
     let (mut ws, mut sized_for) = (Workspace::<T>::new(0, 0), 0);
     let (mut core, mut blocked) = sh.lock_timed();
     loop {
-        let Some(unit) = sh.next_unit(&mut core, w) else {
+        let Some(unit) = sh.next_unit(&mut core, w, injector) else {
             if core.draining && core.in_flight == 0 {
                 break;
             }
@@ -1538,23 +1549,23 @@ fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
 /// fast mode), tracing may be on, and `injector` is borrowed for the call.
 ///
 /// [`parallel_factor_traced`](crate::parallel_factor_traced) calls it with
-/// FIFO dispatch and no injector once it has more than one worker. Called
-/// directly, it is the test seam: it always runs the driver — at one
-/// worker, on a one-task graph — so a [`DispatchOrder`] adversary and a
-/// [`FaultInjector`] reach the real threads, wake-ups and commits.
+/// no injector once it has more than one worker. Called directly, it is
+/// the test seam: it always runs the driver — at one worker, on a
+/// one-task graph — so a [`FaultInjector`], and a schedule adversary
+/// through its [`pick`](FaultInjector::pick), reach the real threads,
+/// wake-ups and commits.
 #[doc(hidden)]
 pub fn run_pool<T: Scalar>(
     state: FactorState<T>,
     graph: &TaskGraph,
     config: PoolConfig,
-    order: DispatchOrder,
     injector: Option<&dyn FaultInjector>,
 ) -> Result<(FactorState<T>, RunReport), RuntimeError> {
     let started = Instant::now();
     let trace = config.trace.enabled.then_some((config.trace, started));
     let ft = config.fault_tolerance;
     let sh = Shared::new(config.effective_workers(), 0, ft, trace);
-    let (mut job, reply) = sh.job(state, graph.clone(), order, Payload::Factor);
+    let (mut job, reply) = sh.job(state, graph.clone(), Payload::Factor);
     // Its result carries no per-class compute time to clock.
     job.clocked = false;
     let admitted = sh.admit(sh.lock(), job, false);
@@ -1685,7 +1696,7 @@ impl<T: Scalar> QrService<T> {
             });
         }
         let sh = &self.shared;
-        let (mut job, reply) = sh.job(state, graph, DispatchOrder::Fifo, spec.payload);
+        let (mut job, reply) = sh.job(state, graph, spec.payload);
         job.meta.class = spec.priority;
         job.meta.deadline = spec.deadline.map(|d| job.meta.submitted + d);
         job.injector = spec.injector;
@@ -2090,7 +2101,7 @@ mod tests {
             let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(8, 8, 1), 4).unwrap();
             let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
             let state = FactorState::new(tiled);
-            sh.job(state, graph, DispatchOrder::Fifo, Payload::Factor)
+            sh.job(state, graph, Payload::Factor)
         };
         let (admitted, reply) = job();
         sh.admit(sh.lock(), admitted, false).unwrap();
@@ -2125,7 +2136,7 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(8, 8, 19), 4).unwrap();
         let graph = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
         let state = FactorState::new(tiled);
-        let (job, _) = sh.job(state, graph, DispatchOrder::Fifo, Payload::Factor);
+        let (job, _) = sh.job(state, graph, Payload::Factor);
         sh.admit(sh.lock(), job, false).unwrap()
     }
 

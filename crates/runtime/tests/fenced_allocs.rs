@@ -19,7 +19,7 @@ use tileqr_dag::{EliminationTree, KernelClass, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::TiledMatrix;
-use tileqr_runtime::{run_pool, DispatchOrder, FaultTolerance, PoolConfig};
+use tileqr_runtime::{run_pool, FaultTolerance, PoolConfig};
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
@@ -77,7 +77,7 @@ fn fenced_run_allocates_per_tile_not_per_task() {
     };
     let state = FactorState::new(TiledMatrix::from_matrix(&a, b).unwrap());
     let before = ALLOCS.load(Ordering::Relaxed);
-    let (state, report) = run_pool(state, &g, config, DispatchOrder::Fifo, None).unwrap();
+    let (state, report) = run_pool(state, &g, config, None).unwrap();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(report.total_tasks() as usize, g.len());
     assert_eq!(report.retries, 0);

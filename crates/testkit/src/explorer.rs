@@ -8,23 +8,23 @@
 //! stage/compute/commit protocol on a **virtual** `k`-worker machine
 //! whose two free choices — *which ready task to dispatch* and *which
 //! in-flight task finishes next* — are driven by a seeded RNG or an
-//! adversarial rule. Every exploration is reproducible from its
-//! [`ExploreStrategy`] alone.
+//! adversarial rule (an [`Adversary`] picks, as on the real driver).
+//! Every exploration is reproducible from its [`ExploreStrategy`] alone.
 
+use crate::adversary::{Adversary, Rule};
 use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
 use tileqr_kernels::exec::FactorState;
-use tileqr_kernels::{flops, Workspace};
+use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Result, Rng64, Scalar, TiledMatrix};
+use tileqr_runtime::FaultInjector;
 
 /// How the virtual machine resolves its two nondeterministic choices.
-/// Bottom levels are the driver's: flop-weighted at the tile size in use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExploreStrategy {
     /// Dispatch FIFO — the driver's order — or, with `critical_path`,
-    /// highest bottom level first (the `DispatchOrder::CriticalPath`
-    /// adversary); the *completion* order among in-flight tasks is a
-    /// seeded random permutation — the honest model of workers racing to
-    /// finish.
+    /// highest bottom level first ([`Rule::CriticalPath`]); the
+    /// *completion* order among in-flight tasks is a seeded random
+    /// permutation — the honest model of workers racing to finish.
     Seeded {
         /// RNG seed for the completion choices.
         seed: u64,
@@ -49,6 +49,20 @@ impl ExploreStrategy {
         match self {
             ExploreStrategy::LifoStarvation => 1,
             _ => workers.max(1),
+        }
+    }
+
+    /// The dispatch rule.
+    fn rule(self) -> Rule {
+        match self {
+            ExploreStrategy::Seeded {
+                critical_path: false,
+                ..
+            } => Rule::Fifo,
+            ExploreStrategy::Seeded { .. } => Rule::CriticalPath,
+            ExploreStrategy::ReversePriority => Rule::ReversePriority,
+            ExploreStrategy::AntiAffinity => Rule::AntiAffinity,
+            ExploreStrategy::LifoStarvation => Rule::Lifo,
         }
     }
 }
@@ -88,8 +102,7 @@ pub fn explore<T: Scalar>(
 ) -> Result<Exploration<T>> {
     let cap = strategy.workers_cap(workers);
     let b = tiles.tile_size();
-    let flop_weights = |t| flops::task_flops(t, b) as f64;
-    let priorities = tileqr_dag::critical_path::bottom_levels(graph, flop_weights);
+    let adversary = Adversary::new(strategy.rule(), graph, b);
     let mut ws = Workspace::new(b, b);
     let mut shared = FactorState::new(tiles);
 
@@ -102,16 +115,13 @@ pub fn explore<T: Scalar>(
         ExploreStrategy::Seeded { seed, .. } => Rng64::seed_from_u64(seed),
         _ => Rng64::seed_from_u64(0),
     };
-    let mut last_column: usize = 0;
 
     while completion_order.len() < graph.len() {
         // Fill the virtual worker slots.
         while in_flight.len() < cap && !ready.is_empty() {
-            let pick = pick_dispatch(strategy, &ready, &priorities, graph, last_column);
             // `remove` keeps `ready` in arrival order, which the FIFO and
-            // LIFO strategies depend on.
-            let task = ready.remove(pick);
-            last_column = graph.task(task).home_column();
+            // LIFO rules depend on.
+            let task = ready.remove(adversary.pick(&ready));
             let staged = shared.stage(graph.task(task))?;
             in_flight.push((task, staged));
         }
@@ -138,44 +148,6 @@ pub fn explore<T: Scalar>(
         completion_order,
         state: shared,
     })
-}
-
-fn pick_dispatch(
-    strategy: ExploreStrategy,
-    ready: &[TaskId],
-    priorities: &[f64],
-    graph: &TaskGraph,
-    last_column: usize,
-) -> usize {
-    match strategy {
-        ExploreStrategy::Seeded {
-            critical_path: false,
-            ..
-        } => 0,
-        ExploreStrategy::Seeded {
-            critical_path: true,
-            ..
-        } => argbest(ready, |t| priorities[t]),
-        ExploreStrategy::ReversePriority => argbest(ready, |t| -priorities[t]),
-        ExploreStrategy::AntiAffinity => argbest(ready, |t| {
-            (graph.task(t).home_column() as f64 - last_column as f64).abs()
-        }),
-        ExploreStrategy::LifoStarvation => ready.len() - 1,
-    }
-}
-
-/// Index of the ready task maximizing `score`, ties toward the lower
-/// task id so every strategy stays deterministic.
-fn argbest(ready: &[TaskId], score: impl Fn(TaskId) -> f64) -> usize {
-    let mut best = 0;
-    for idx in 1..ready.len() {
-        let (s, t) = (score(ready[idx]), ready[idx]);
-        let (bs, bt) = (score(ready[best]), ready[best]);
-        if s > bs || (s == bs && t < bt) {
-            best = idx;
-        }
-    }
-    best
 }
 
 /// Convenience wrapper: tile `a`, explore one interleaving of any member of

@@ -4,8 +4,10 @@
 //! their inputs* — but the space of inputs a production run can see
 //! (thread interleavings, device misbehavior, pathological matrices) is
 //! far larger than what unit tests naturally cover. This crate closes
-//! the gap with three instruments:
+//! the gap with five instruments:
 //!
+//! * [`adversary`] — the dispatch rules (critical path, LIFO, seeded, …)
+//!   written once, as pick hooks for the real driver and the explorer.
 //! * [`explorer`] — a virtual `k`-worker scheduler that drives
 //!   a [`tileqr_kernels::exec::FactorState`] through seeded and
 //!   adversarial dispatch/completion interleavings and hands back the
@@ -33,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod adversary;
 pub mod chaos;
 pub mod explorer;
 pub mod oracle;

@@ -14,7 +14,7 @@ use tileqr_dag::{EliminationTree, TaskGraph, TaskKind, TreePolicy};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
-use tileqr_runtime::{run_pool, DispatchOrder, FaultTolerance, PoolConfig, ScriptedFaults};
+use tileqr_runtime::{run_pool, FaultTolerance, PoolConfig, ScriptedFaults};
 
 /// Trees whose eliminations are TS, TT and both, plus the TSQR tree
 /// (`Plateau(3)`) on a tall two-column grid.
@@ -61,7 +61,7 @@ fn pool_and_service_runs_match_the_sequential_bits() {
                 ..PoolConfig::default()
             };
             let state = FactorState::new(t.clone());
-            let (state, _) = run_pool(state, &g, config, DispatchOrder::Fifo, None).unwrap();
+            let (state, _) = run_pool(state, &g, config, None).unwrap();
             let mode = if ft.is_some() { "fenced" } else { "unfenced" };
             assert_eq!(state.tiles().to_matrix(), want, "{tree:?}: {mode} bits");
         }
@@ -104,7 +104,7 @@ fn a_retried_last_update_restages_the_block() {
     };
     let faults = ScriptedFaults::new().fail_on(victim, 1);
     let state = FactorState::new(t);
-    let (state, report) = run_pool(state, &g, config, DispatchOrder::Fifo, Some(&faults)).unwrap();
+    let (state, report) = run_pool(state, &g, config, Some(&faults)).unwrap();
     assert_eq!(report.retries, 1);
     let got: Matrix<f64> = state.tiles().to_matrix();
     assert_eq!(got, seq.tiles().to_matrix(), "the retry changed the bits");

@@ -27,9 +27,8 @@ use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Rng64, TiledMatrix};
 use tileqr_obs::HotPathCounters;
 use tileqr_runtime::engine::{run_attempt, DagRun, Outcome, Slots};
-use tileqr_runtime::{
-    DispatchOrder, FaultInjector, FaultTolerance, InjectedFault, RunReport, RuntimeError,
-};
+use tileqr_runtime::{FaultInjector, FaultTolerance, InjectedFault, RunReport, RuntimeError};
+use tileqr_testkit::adversary::{Adversary, Rule};
 use tileqr_testkit::explorer::assert_bit_identical;
 
 const B: usize = 4;
@@ -90,6 +89,8 @@ struct Machine<'g> {
     graph: &'g TaskGraph,
     shared: FactorState<f64>,
     run: DagRun,
+    /// The dispatch rule's pick hook; `None` is the driver's FIFO.
+    adversary: Option<Adversary>,
     slots: Slots<Key>,
     /// The model's own idle-slot stack: which slots a driver could hand
     /// the next task to (the engine only tracks what is in flight).
@@ -107,13 +108,14 @@ impl<'g> Machine<'g> {
     fn new(
         tiled: TiledMatrix<f64>,
         graph: &'g TaskGraph,
-        order: DispatchOrder,
+        order: Option<Rule>,
         budget: u32,
     ) -> Self {
         Machine {
             graph,
             shared: FactorState::new(tiled),
-            run: DagRun::new(graph, order, B, WORKERS, None),
+            run: DagRun::new(graph, WORKERS, None),
+            adversary: order.map(|rule| Adversary::new(rule, graph, B)),
             slots: Slots::new(WORKERS),
             idle: (0..WORKERS).rev().collect(),
             ws: Workspace::new(B, B),
@@ -146,7 +148,8 @@ impl<'g> Machine<'g> {
     /// Hand slot `w` the next ready task, if any, running it with `fault`.
     /// The report stays in flight until [`deliver`](Self::deliver)ed.
     fn dispatch(&mut self, w: usize, fault: InjectedFault) -> Option<Key> {
-        let Some(key) = self.run.pop_ready(w) else {
+        let seam = self.adversary.as_ref().map(|a| a as &dyn FaultInjector);
+        let Some(key) = self.run.pop_ready(w, seam) else {
             self.idle.push(w);
             return None;
         };
@@ -249,7 +252,7 @@ impl<'g> Machine<'g> {
 /// One seeded storm: every dispatch and every delivery draws its
 /// mischief from `seed`. The budget is effectively unbounded, so the run
 /// must converge whatever the draw.
-fn storm(tiled: TiledMatrix<f64>, g: &TaskGraph, order: DispatchOrder, seed: u64) -> RunReport {
+fn storm(tiled: TiledMatrix<f64>, g: &TaskGraph, order: Option<Rule>, seed: u64) -> RunReport {
     let reference = sequential(&tiled, g);
     let mut m = Machine::new(tiled, g, order, u32::MAX);
     let mut rng = Rng64::seed_from_u64(seed);
@@ -292,10 +295,10 @@ fn storm(tiled: TiledMatrix<f64>, g: &TaskGraph, order: DispatchOrder, seed: u64
 #[test]
 fn seeded_event_storms_converge_bit_identically() {
     let orders = [
-        DispatchOrder::Fifo,
-        DispatchOrder::CriticalPath,
-        DispatchOrder::Lifo,
-        DispatchOrder::Seeded(11),
+        None,
+        Some(Rule::CriticalPath),
+        Some(Rule::Lifo),
+        Some(Rule::Seeded(11)),
     ];
     let mut recoveries = 0;
     for (rows, cols, tree) in grids() {
@@ -308,6 +311,59 @@ fn seeded_event_storms_converge_bit_identically() {
         }
     }
     assert!(recoveries > 100, "the storms must actually storm");
+}
+
+/// Drains the whole DAG through `rule`'s pick hook and checks dispatch
+/// safety: no task pops before every predecessor has committed — however
+/// the rule reorders the ready set.
+fn drain_safely(tree: EliminationTree, rule: Rule) {
+    let (tiled, g) = fixture(20, 20, tree);
+    let reference = sequential(&tiled, &g);
+    let mut m = Machine::new(tiled, &g, Some(rule), 1);
+    while !m.run.all_done() {
+        while let Some(w) = m.idle.pop() {
+            let Some((t, _)) = m.dispatch(w, InjectedFault::None) else {
+                break;
+            };
+            assert!(
+                g.preds(t).iter().all(|&p| m.committed[p]),
+                "{tree:?} {rule:?}: task {t} dispatched before a predecessor"
+            );
+        }
+        m.deliver(0);
+    }
+    let report = m.finish(&reference);
+    assert_eq!(report.total_tasks() as usize, g.len(), "{tree:?} {rule:?}");
+}
+
+/// Dispatch safety under every dispatch rule, on both elimination trees.
+#[test]
+fn every_order_drains_a_dag_safely() {
+    let rules = [
+        Rule::Fifo,
+        Rule::CriticalPath,
+        Rule::ReversePriority,
+        Rule::Lifo,
+        Rule::AntiAffinity,
+        Rule::Seeded(99),
+    ];
+    for tree in [EliminationTree::Flat, EliminationTree::Binary] {
+        for rule in rules {
+            drain_safely(tree, rule);
+        }
+    }
+}
+
+/// The priority rules reorder the ready set hardest — reverse priority
+/// prefers late tasks whenever it legally can — and still never dispatch
+/// a task ahead of its predecessors.
+#[test]
+fn priority_dispatch_never_readies_before_preds_complete() {
+    for tree in [EliminationTree::Flat, EliminationTree::Binary] {
+        for rule in [Rule::CriticalPath, Rule::ReversePriority] {
+            drain_safely(tree, rule);
+        }
+    }
 }
 
 /// The defect the two hand-ported loops disagreed on, as a script: a slot
@@ -323,9 +379,8 @@ fn reports_after_commit_never_charge_the_budget() {
     ] {
         let (tiled, g) = fixture(16, 16, EliminationTree::Flat);
         let reference = sequential(&tiled, &g);
-        let fifo = DispatchOrder::Fifo;
         // One retry is the whole budget: a second charge would be fatal.
-        let mut m = Machine::new(tiled, &g, fifo, 2);
+        let mut m = Machine::new(tiled, &g, None, 2);
         let w = m.idle.pop().unwrap();
         assert_eq!(m.dispatch(w, late), Some((0, 0)));
         m.watchdog();
@@ -358,7 +413,7 @@ fn reports_after_commit_never_charge_the_budget() {
 fn late_done_from_retired_slot_is_harvested_first() {
     let (tiled, g) = fixture(16, 16, EliminationTree::Flat);
     let reference = sequential(&tiled, &g);
-    let mut m = Machine::new(tiled, &g, DispatchOrder::Lifo, 2);
+    let mut m = Machine::new(tiled, &g, Some(Rule::Lifo), 2);
     let w = m.idle.pop().unwrap();
     assert_eq!(m.dispatch(w, InjectedFault::None), Some((0, 0)));
     m.watchdog();
@@ -386,7 +441,7 @@ fn exhausted_budget_surfaces_exactly_once() {
     let (tiled, g) = fixture(24, 12, EliminationTree::Greedy);
     let reference = sequential(&tiled, &g);
     // Newest-ready-first, so a woken retry is the very next dispatch.
-    let mut m = Machine::new(tiled, &g, DispatchOrder::Lifo, 2);
+    let mut m = Machine::new(tiled, &g, Some(Rule::Lifo), 2);
     // Every slot takes a source that fails its first attempt.
     let mut sources = Vec::new();
     while let Some(w) = m.idle.pop() {
@@ -422,7 +477,12 @@ fn exhausted_budget_surfaces_exactly_once() {
     assert_eq!(m.errors, vec![exhausted]);
     assert!(m.run.is_halted() && !m.run.all_done());
     let w = m.idle.pop().unwrap();
-    assert_eq!(m.run.pop_ready(w), None, "a halted run dispatches nothing");
+    let seam = m.adversary.as_ref().map(|a| a as &dyn FaultInjector);
+    assert_eq!(
+        m.run.pop_ready(w, seam),
+        None,
+        "a halted run dispatches nothing"
+    );
     m.idle.push(w);
     let report = m.finish(&reference);
     assert_eq!(report.retries, 1);

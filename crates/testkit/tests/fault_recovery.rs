@@ -17,7 +17,7 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
-    run_pool, DispatchOrder, FaultTolerance, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
+    run_pool, FaultTolerance, PoolConfig, RunReport, RuntimeError, ScriptedFaults,
 };
 use tileqr_testkit::oracle::verify_qr;
 use tileqr_testkit::workers_under_test;
@@ -45,7 +45,7 @@ fn ft_run(
         ..PoolConfig::default()
     };
     let state = FactorState::new(tiled.clone());
-    run_pool(state, g, config, DispatchOrder::Fifo, Some(injector))
+    run_pool(state, g, config, Some(injector))
 }
 
 #[test]
@@ -189,7 +189,7 @@ fn fenced_run_fails_at_a_poisoned_panel_factor() {
         ..PoolConfig::default()
     };
     let state = FactorState::new(tiled);
-    let (state, _) = run_pool(state, &g, config, DispatchOrder::Fifo, Some(&inj)).unwrap();
+    let (state, _) = run_pool(state, &g, config, Some(&inj)).unwrap();
     assert!(state.r_matrix().first_non_finite().is_some());
 }
 

@@ -1,7 +1,7 @@
 //! Golden-trace suite: lock down the observability layer's guarantees
 //! on the *real* pool, swept across worker counts
-//! (`TILEQR_TESTKIT_WORKERS`) and dispatch rules (FIFO and the
-//! critical-path adversary).
+//! (`TILEQR_TESTKIT_WORKERS`) and dispatch rules (the driver's FIFO and
+//! the critical-path adversary, lent as a pick hook).
 //!
 //! For a fixed seed and tile geometry, every traced run must produce a
 //! trace that is
@@ -20,8 +20,9 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::TiledMatrix;
 use tileqr_obs::{kind_index, EventKind, Phase, Trace, TraceConfig};
 use tileqr_runtime::{
-    parallel_factor_traced, run_pool, DispatchOrder, FaultTolerance, PoolConfig, ScriptedFaults,
+    parallel_factor_traced, run_pool, FaultInjector, FaultTolerance, PoolConfig, ScriptedFaults,
 };
+use tileqr_testkit::adversary::{Adversary, Rule};
 use tileqr_testkit::workers_under_test;
 
 const N: usize = 32;
@@ -61,7 +62,8 @@ fn assert_complete(trace: &Trace, g: &TaskGraph) {
 fn golden_traces_across_workers_and_policies() {
     let (tiled, g) = fixture();
     for &workers in &workers_under_test() {
-        for order in [DispatchOrder::Fifo, DispatchOrder::CriticalPath] {
+        for order in [None, Some(Rule::CriticalPath)] {
+            let adversary = order.map(|rule| Adversary::new(rule, &g, B));
             // `run_pool` runs the real driver even at one worker, so the
             // single-lane golden trace exercises the same recording paths
             // as the multi-worker runs.
@@ -73,8 +75,7 @@ fn golden_traces_across_workers_and_policies() {
                     trace: TraceConfig::enabled(),
                     ..PoolConfig::default()
                 },
-                order,
-                None,
+                adversary.as_ref().map(|a| a as &dyn FaultInjector),
             )
             .unwrap();
             let trace = report
@@ -116,6 +117,36 @@ fn golden_traces_across_workers_and_policies() {
                 );
             }
         }
+    }
+}
+
+/// The driver's one order, pinned: with no seam, the manager lane
+/// dispatches tasks in exactly the order they became ready — the order
+/// `dag::listsim` and the tree selector assume.
+#[test]
+fn unseamed_driver_dispatches_in_ready_order() {
+    let (tiled, g) = fixture();
+    for &workers in &workers_under_test() {
+        let (_, report) = run_pool(
+            FactorState::new(tiled.clone()),
+            &g,
+            PoolConfig {
+                workers,
+                trace: TraceConfig::enabled(),
+                ..PoolConfig::default()
+            },
+            None,
+        )
+        .unwrap();
+        let trace = report.trace.as_ref().unwrap();
+        let manager = trace.lanes.len() - 1;
+        let on_manager = |kind| -> Vec<Option<usize>> {
+            let events = trace.events_of(kind).filter(|e| e.lane == manager);
+            events.map(|e| e.task).collect()
+        };
+        let ready = on_manager(EventKind::Ready);
+        assert_eq!(ready.len(), g.len(), "workers={workers}");
+        assert_eq!(on_manager(EventKind::Dispatch), ready, "workers={workers}");
     }
 }
 
@@ -167,7 +198,6 @@ fn golden_trace_records_retries_iff_faults_injected() {
             trace: TraceConfig::enabled(),
             fault_tolerance: Some(FaultTolerance::default()),
         },
-        DispatchOrder::Fifo,
         Some(&faults),
     )
     .unwrap();
@@ -206,7 +236,6 @@ fn golden_trace_worker_death_leaves_marker() {
             trace: TraceConfig::enabled(),
             fault_tolerance: Some(FaultTolerance::default()),
         },
-        DispatchOrder::Fifo,
         Some(&faults),
     )
     .unwrap();

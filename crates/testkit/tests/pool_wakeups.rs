@@ -16,9 +16,10 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
-    run_pool, DispatchOrder, FaultInjector, FaultTolerance, InjectedFault, PoolConfig, RunReport,
-    RuntimeError, ScriptedFaults,
+    run_pool, FaultInjector, FaultTolerance, InjectedFault, PoolConfig, RunReport, RuntimeError,
+    ScriptedFaults,
 };
+use tileqr_testkit::adversary::{Adversary, Rule};
 use tileqr_testkit::{within, workers_under_test};
 
 const B: usize = 4;
@@ -58,7 +59,7 @@ fn ft_run(
         ..config
     };
     let state = FactorState::new(tiled.clone());
-    run_pool(state, g, config, DispatchOrder::Fifo, Some(injector))
+    run_pool(state, g, config, Some(injector))
 }
 
 /// Holds attempt 0 of task 0 back for `hold`, so the other workers have
@@ -95,11 +96,11 @@ fn narrow_graphs_never_lose_a_wakeup() {
         ("3x3 flat", flat3()),
     ];
     let orders = [
-        DispatchOrder::Fifo,
-        DispatchOrder::CriticalPath,
-        DispatchOrder::Lifo,
-        DispatchOrder::ReversePriority,
-        DispatchOrder::Seeded(0xA11),
+        None,
+        Some(Rule::CriticalPath),
+        Some(Rule::Lifo),
+        Some(Rule::ReversePriority),
+        Some(Rule::Seeded(0xA11)),
     ];
     for (name, (tiled, g, r)) in cases {
         for workers in [1usize, 2, 3, 8] {
@@ -108,12 +109,12 @@ fn narrow_graphs_never_lose_a_wakeup() {
                 let (tiled, g, r) = (tiled.clone(), g.clone(), r.clone());
                 within(Duration::from_secs(60), &what.clone(), move || {
                     for rep in 0..200 {
+                        let adversary = order.map(|rule| Adversary::new(rule, &g, B));
                         let (st, report) = run_pool(
                             FactorState::new(tiled.clone()),
                             &g,
                             config(workers),
-                            order,
-                            None,
+                            adversary.as_ref().map(|a| a as &dyn FaultInjector),
                         )
                         .unwrap();
                         assert_eq!(st.r_matrix(), r, "{what} rep={rep}");

@@ -3,17 +3,20 @@
 //! The runtime's correctness claim is that *every* legal interleaving of
 //! the task DAG commits a bit-identical factorization. These tests drive
 //! well over a hundred distinct interleavings per dispatch rule (FIFO and
-//! the critical-path adversary) through the virtual explorer, plus
-//! adversarial dispatch orders through the real thread pool, and hold
-//! each one to bit-identity against the sequential factorization.
+//! the critical-path adversary) through the virtual explorer, plus the
+//! same adversaries, lent as pick hooks, through the real thread pool,
+//! and hold each one to bit-identity against the sequential
+//! factorization.
 
 use std::collections::HashSet;
 
 use tileqr_dag::{EliminationTree, TaskGraph};
-use tileqr_kernels::exec::FactorState;
+use tileqr_kernels::exec::{apply_q_dense, FactorState};
 use tileqr_matrix::gen::random_matrix;
-use tileqr_matrix::TiledMatrix;
-use tileqr_runtime::{run_pool, DispatchOrder, PoolConfig};
+use tileqr_matrix::ops::matmul;
+use tileqr_matrix::{Matrix, TiledMatrix};
+use tileqr_runtime::{run_pool, FaultInjector, PoolConfig};
+use tileqr_testkit::adversary::{Adversary, Rule};
 use tileqr_testkit::explorer::{
     assert_bit_identical, explore, explore_tree_vs_sequential, ExploreStrategy,
 };
@@ -98,13 +101,14 @@ fn real_pool_honors_adversarial_dispatch_orders() {
 
     for workers in workers_under_test() {
         let orders = [
-            DispatchOrder::Lifo,
-            DispatchOrder::ReversePriority,
-            DispatchOrder::Seeded(workers as u64),
-            DispatchOrder::Fifo,
-            DispatchOrder::CriticalPath,
+            Some(Rule::Lifo),
+            Some(Rule::ReversePriority),
+            Some(Rule::Seeded(workers as u64)),
+            None,
+            Some(Rule::CriticalPath),
         ];
         for order in orders {
+            let adversary = order.map(|rule| Adversary::new(rule, &graph, B));
             let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
             let (state, report) = run_pool(
                 FactorState::new(tiled),
@@ -113,8 +117,7 @@ fn real_pool_honors_adversarial_dispatch_orders() {
                     workers,
                     ..PoolConfig::default()
                 },
-                order,
-                None,
+                adversary.as_ref().map(|a| a as &dyn FaultInjector),
             )
             .unwrap();
             let run: u64 = report.tasks_per_worker.iter().sum();
@@ -136,6 +139,7 @@ fn pool_seeded_orders_sample_many_interleavings_safely() {
     let expect_r = reference.r_matrix();
     for seed in 0..20 {
         let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
+        let adversary = Adversary::new(Rule::Seeded(seed), &graph, B);
         let (state, _) = run_pool(
             FactorState::new(tiled),
             &graph,
@@ -143,10 +147,70 @@ fn pool_seeded_orders_sample_many_interleavings_safely() {
                 workers: 4,
                 ..PoolConfig::default()
             },
-            DispatchOrder::Seeded(seed),
-            None,
+            Some(&adversary),
         )
         .unwrap();
         assert_eq!(state.r_matrix(), expect_r, "seed {seed} diverged");
+    }
+}
+
+#[test]
+fn tt_order_in_parallel() {
+    let a = random_matrix::<f64>(32, 8, 5);
+    let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
+    let g = TaskGraph::build_tree(8, 2, EliminationTree::Binary);
+    let adversary = Adversary::new(Rule::CriticalPath, &g, 4);
+    let (st, _) = run_pool(
+        FactorState::new(tiled),
+        &g,
+        PoolConfig {
+            workers: 4,
+            ..PoolConfig::default()
+        },
+        Some(&adversary),
+    )
+    .unwrap();
+    let (pm, _) = st.tiles().padded_dims();
+    let mut q = Matrix::identity(pm);
+    apply_q_dense(&st, &g, &mut q).unwrap();
+    let r = st.r_matrix();
+    let qr = matmul(&q, &r).unwrap();
+    assert!(qr.approx_eq(&a, 1e-10));
+}
+
+#[test]
+fn adversarial_orders_match_sequential_bitwise() {
+    let a = random_matrix::<f64>(24, 24, 17);
+    let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
+    let g = TaskGraph::build_tree(6, 6, EliminationTree::Flat);
+    let mut seq = FactorState::new(tiled.clone());
+    seq.run_all(&g).unwrap();
+    let seq_tiles = seq.tiles().to_matrix();
+
+    for order in [
+        Rule::CriticalPath,
+        Rule::Lifo,
+        Rule::ReversePriority,
+        Rule::Seeded(7),
+    ] {
+        for workers in [1usize, 3] {
+            let adversary = Adversary::new(order, &g, 4);
+            let (st, report) = run_pool(
+                FactorState::new(tiled.clone()),
+                &g,
+                PoolConfig {
+                    workers,
+                    ..PoolConfig::default()
+                },
+                Some(&adversary),
+            )
+            .unwrap();
+            assert_eq!(
+                st.tiles().to_matrix(),
+                seq_tiles,
+                "{order:?} workers={workers}"
+            );
+            assert_eq!(report.total_tasks() as usize, g.len());
+        }
     }
 }

@@ -14,8 +14,8 @@ use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::{
-    parallel_factor_traced, run_pool, DispatchOrder, FaultTolerance, JobSpec, PoolConfig,
-    QrService, ScriptedFaults, ServiceConfig,
+    parallel_factor_traced, run_pool, FaultTolerance, JobSpec, PoolConfig, QrService,
+    ScriptedFaults, ServiceConfig,
 };
 use tileqr_testkit::workers_under_test;
 
@@ -105,7 +105,6 @@ fn arena_runs_with_fault_injection_stay_bit_identical() {
                 }),
                 ..PoolConfig::default()
             },
-            DispatchOrder::Fifo,
             Some(&inj),
         )
         .expect("recovery must succeed");

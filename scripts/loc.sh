@@ -109,6 +109,13 @@
 #     dense `solve_upper_triangular` there (the `reference.rs` oracle keeps
 #     its own) — and no public `rows` / `cols` copy of the state's
 #     dimensions in `service.rs`.
+#   * one adversary model: the driver's ready set is a FIFO queue inside
+#     `engine::DagRun`, and a schedule adversary is a test pick hook
+#     (`FaultInjector::pick`) written once, in the testkit — so no dispatch
+#     order type, ranked ready queue or its heap entries come back anywhere
+#     under `crates/`, `tests/` or `examples/`, tests included, and non-test
+#     runtime code ranks nothing: no seeded stream, no bottom levels, and
+#     one binary heap (the service's parked retries, keyed by due time).
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -245,9 +252,15 @@ fi
 # Tests and examples count for the retired names here too.
 order='SchedulePolicy|policies_under_test|TILEQR_TESTKIT_POLICY|fn (get_schedule|base_policy)\b|fn flop_weight\b'
 if hits=$(grep -rnE "$order" crates tests examples); then
-    fail "a dispatch policy is back beside FIFO (CriticalPath is a DispatchOrder test adversary):" "$hits"
+    fail "a dispatch policy is back beside FIFO (critical path is a testkit adversary, lent as a pick hook):" "$hits"
 fi
 expect 0 'pub policy:' "a public config or report field carrying a dispatch policy" crates/runtime crates/core
+# Tests and examples count for the retired names here too.
+if hits=$(grep -rnE 'DispatchOrder|ReadyQueue|QueueRepr|Prioritized|for_order' crates tests examples); then
+    fail "a second dispatch order is back in the runtime (the ready set is FIFO; adversaries are testkit pick hooks):" "$hits"
+fi
+expect 0 'Rng64|critical_path::' "a seeded stream or bottom levels in the runtime (the driver ranks nothing)" crates/runtime
+expect 1 'BinaryHeap<' "binary heaps in the runtime (the service's parked retries are the one)" crates/runtime
 # Tests and examples count for the retired names here too.
 oneshot='\bparallel_factor(_ft|_ordered)?\b|fn (factor_on|to_service_config|get_workers|get_fault_tolerance|get_tracing)\b|NoFaults'
 if hits=$(grep -rnE "$oneshot" crates tests examples); then
