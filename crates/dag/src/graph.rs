@@ -210,8 +210,8 @@ impl TaskGraph {
         &self.csr.succs[self.csr.succ_off[id]..self.csr.succ_off[id + 1]]
     }
 
-    /// In-degree vector (predecessor counts), the ready-tracking state used
-    /// by every executor in the workspace.
+    /// In-degree vector (predecessor counts): the starting state of a
+    /// [`Frontier`](crate::Frontier) and of `sim::engine`'s device queues.
     pub fn indegrees(&self) -> Vec<usize> {
         self.csr.pred_off.windows(2).map(|w| w[1] - w[0]).collect()
     }

@@ -30,6 +30,7 @@ pub mod tree;
 pub use cost::{ClassCosts, CostCurve, KernelClass};
 pub use critical_path::bottom_levels;
 pub use graph::TaskGraph;
-pub use listsim::{list_makespan, ListOrder};
+pub use listsim::list_makespan;
 pub use task::{StepClass, TaskId, TaskKind, TileCoord, Tiles};
+pub use topo::{Frontier, Pick};
 pub use tree::{EliminationTree, MergeKind, MergeOp, TreePolicy};

@@ -1,40 +1,28 @@
-//! Deterministic list-scheduling makespan simulator.
-//!
-//! A minimal discrete-event replay of the runtime's dispatch loop: `w`
-//! identical workers, a ready set ordered either FIFO (by readiness) or
-//! by static priority, each task occupying one worker for its modelled
-//! duration. It answers the k-identical-cores questions — the tree
-//! selector's "which tree finishes first on this profile?", calibration's
-//! "would the fitted costs have predicted this run?", the goldens' "does
-//! critical-path priority beat FIFO here?" — without threads, noise, or
-//! a device and bus model (that is `sim::engine`'s domain, DESIGN §7).
-//!
-//! Every tie (ready order, completion order) breaks by task id, so the
-//! simulation is a pure function of its inputs.
+//! Deterministic list-scheduling makespan simulator: the runtime's
+//! dispatch loop replayed on `w` identical workers stepping one
+//! [`Frontier`], FIFO or by a lent [`Pick`], each task holding a worker for
+//! its modelled duration. It answers the k-identical-cores questions — the
+//! tree selector's "which tree finishes first on this profile?",
+//! calibration's "would the fitted costs have predicted this run?", the
+//! goldens' "does critical-path priority beat FIFO here?" — without
+//! threads, noise, devices or a bus (`sim::engine`'s domain, DESIGN §7).
+//! Completion ties break by task id: the result is a pure function of the
+//! inputs.
 
 use crate::graph::TaskGraph;
 use crate::task::TaskKind;
+use crate::topo::{Frontier, Pick};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Ready-set ordering replayed by [`list_makespan`].
-#[derive(Debug, Clone, Copy)]
-pub enum ListOrder<'a> {
-    /// Dispatch in readiness order (the runtime's one dispatch order).
-    Fifo,
-    /// Dispatch the ready task with the highest priority (ties to the
-    /// lower task id) — the runtime's critical-path test adversary when
-    /// fed flop bottom-level priorities.
-    Priority(&'a [f64]),
-}
+use std::collections::BinaryHeap;
 
 /// Simulated makespan of `graph` on `workers` identical workers, where
-/// task `t` runs for `duration(kind)` time units. Returns 0 for an empty
-/// graph; panics when `workers == 0`.
+/// task `t` runs for `duration(kind)` time units and an idle worker takes
+/// the oldest ready task, or the one `pick` chooses. Returns 0 for an
+/// empty graph; panics when `workers == 0`.
 pub fn list_makespan(
     graph: &TaskGraph,
     workers: usize,
-    order: ListOrder<'_>,
+    pick: Option<Pick<'_>>,
     duration: impl Fn(TaskKind) -> f64,
 ) -> f64 {
     assert!(workers > 0, "need at least one worker");
@@ -42,39 +30,20 @@ pub fn list_makespan(
     if n == 0 {
         return 0.0;
     }
-    if let ListOrder::Priority(p) = order {
-        assert_eq!(p.len(), n, "one priority per task");
-    }
-
-    let mut remaining_preds: Vec<usize> = graph.indegrees();
-    // Ready pool: FIFO keeps arrival order; priority scans for the max.
-    let mut ready: VecDeque<usize> = (0..n).filter(|&t| remaining_preds[t] == 0).collect();
+    let mut frontier = Frontier::new(graph);
     // Running tasks as a min-heap of (finish time, task id). Finish times
     // are never negative, so their bit patterns order like the values.
     // `workers` can come from a profile file: no more than `n` tasks ever
     // run at once, so never allocate by it.
     let mut running = BinaryHeap::with_capacity(workers.min(n));
     let mut now = 0.0f64;
-    let mut done = 0usize;
 
-    while done < n {
-        // Fill idle workers from the ready pool.
-        while running.len() < workers && !ready.is_empty() {
-            let pick = match order {
-                ListOrder::Fifo => 0,
-                ListOrder::Priority(p) => {
-                    let mut best = 0;
-                    for (i, &t) in ready.iter().enumerate() {
-                        let (bt, bp) = (ready[best], p[ready[best]]);
-                        // Higher priority wins; ties go to the lower id.
-                        if p[t] > bp || (p[t] == bp && t < bt) {
-                            best = i;
-                        }
-                    }
-                    best
-                }
+    while frontier.completed() < n {
+        // Fill idle workers from the ready set.
+        while running.len() < workers {
+            let Some(task) = frontier.pop(pick) else {
+                break;
             };
-            let task = ready.remove(pick).expect("pick indexes the ready pool");
             let finish = now + duration(graph.task(task)).max(0.0);
             running.push(Reverse((finish.to_bits(), task)));
         }
@@ -83,13 +52,7 @@ pub fn list_makespan(
             .pop()
             .expect("non-empty running set while tasks remain");
         now = f64::from_bits(finish);
-        done += 1;
-        for &s in graph.succs(task) {
-            remaining_preds[s] -= 1;
-            if remaining_preds[s] == 0 {
-                ready.push_back(s);
-            }
-        }
+        frontier.complete(graph, task, |_| {});
     }
     now
 }
@@ -98,24 +61,36 @@ pub fn list_makespan(
 mod tests {
     use super::*;
     use crate::critical_path::bottom_levels;
-    use crate::EliminationTree;
+    use crate::{EliminationTree, TaskId};
 
     fn unit(_: TaskKind) -> f64 {
         1.0
     }
 
+    /// Pick the ready task with the highest level, the lower id on a tie.
+    fn highest(levels: &[f64]) -> impl Fn(&[TaskId]) -> usize + '_ {
+        |ready| {
+            (0..ready.len())
+                .max_by(|&i, &j| {
+                    let (s, t) = (ready[i], ready[j]);
+                    levels[s].total_cmp(&levels[t]).then(t.cmp(&s))
+                })
+                .expect("a non-empty ready set")
+        }
+    }
+
     #[test]
     fn serial_makespan_is_total_work() {
         let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
-        let m = list_makespan(&g, 1, ListOrder::Fifo, unit);
+        let m = list_makespan(&g, 1, None, unit);
         assert_eq!(m, g.len() as f64);
     }
 
     #[test]
     fn more_workers_never_hurt_with_unit_tasks() {
         let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
-        let m1 = list_makespan(&g, 1, ListOrder::Fifo, unit);
-        let m4 = list_makespan(&g, 4, ListOrder::Fifo, unit);
+        let m1 = list_makespan(&g, 1, None, unit);
+        let m4 = list_makespan(&g, 4, None, unit);
         assert!(m4 <= m1);
         // Cannot beat the critical path.
         let cp = crate::critical_path::critical_path_length(&g, |_| 1.0);
@@ -126,8 +101,8 @@ mod tests {
     fn deterministic_per_input() {
         let g = TaskGraph::build_tree(5, 4, EliminationTree::Flat);
         let levels = bottom_levels(&g, |_| 1.0);
-        let a = list_makespan(&g, 3, ListOrder::Priority(&levels), unit);
-        let b = list_makespan(&g, 3, ListOrder::Priority(&levels), unit);
+        let a = list_makespan(&g, 3, Some(&highest(&levels)), unit);
+        let b = list_makespan(&g, 3, Some(&highest(&levels)), unit);
         assert_eq!(a, b);
     }
 
@@ -136,8 +111,8 @@ mod tests {
         // One worker executes the same total work regardless of order.
         let g = TaskGraph::build_tree(4, 3, EliminationTree::Flat);
         let levels = bottom_levels(&g, |_| 1.0);
-        let f = list_makespan(&g, 1, ListOrder::Fifo, unit);
-        let p = list_makespan(&g, 1, ListOrder::Priority(&levels), unit);
+        let f = list_makespan(&g, 1, None, unit);
+        let p = list_makespan(&g, 1, Some(&highest(&levels)), unit);
         assert_eq!(f, p);
     }
 
@@ -148,13 +123,13 @@ mod tests {
         let g = TaskGraph::build_tree(6, 4, EliminationTree::Greedy);
         let weight = |k: TaskKind| 1.0 + crate::KernelClass::of(k).slot() as f64;
         let cp = crate::critical_path::critical_path_length(&g, weight);
-        assert_eq!(list_makespan(&g, usize::MAX, ListOrder::Fifo, weight), cp);
+        assert_eq!(list_makespan(&g, usize::MAX, None, weight), cp);
     }
 
     #[test]
     fn empty_graph_is_zero() {
         let g = TaskGraph::build_tree(1, 1, EliminationTree::Flat);
         // A 1x1 grid has exactly one task; exercise the non-empty floor.
-        assert_eq!(list_makespan(&g, 2, ListOrder::Fifo, unit), 1.0);
+        assert_eq!(list_makespan(&g, 2, None, unit), 1.0);
     }
 }

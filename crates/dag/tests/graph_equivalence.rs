@@ -12,8 +12,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use tileqr_dag::{
-    list_makespan, EliminationTree, KernelClass, ListOrder, MergeKind, TaskGraph, TaskId, TaskKind,
-    TileCoord,
+    list_makespan, EliminationTree, KernelClass, MergeKind, TaskGraph, TaskId, TaskKind, TileCoord,
 };
 
 /// Program order of `build_tree`: per panel, `GEQRT` + `UNMQR`s on every
@@ -159,7 +158,7 @@ fn csr_graph_matches_the_hash_map_builder_edge_for_edge() {
             let want: Vec<usize> = preds.iter().map(Vec::len).collect();
             assert_eq!(g.indegrees(), want, "{tree} {mt}x{nt}: indegrees");
             for k in [1, 4, 16] {
-                let got = list_makespan(&g, k, ListOrder::Fifo, cost);
+                let got = list_makespan(&g, k, None, cost);
                 let want = reference_fifo(&tasks, &preds, &succs, k, cost);
                 assert_eq!(
                     got.to_bits(),

@@ -305,21 +305,6 @@ impl<T: Scalar> Matrix<T> {
         })
     }
 
-    /// Lower-triangular copy with ones on the diagonal and the strictly
-    /// lower part of `self` (LAPACK "unit lower" extraction, used to pull
-    /// Householder vectors out of a factored tile).
-    pub fn unit_lower(&self) -> Matrix<T> {
-        Matrix::from_fn(self.rows, self.cols, |i, j| {
-            if i == j {
-                T::ONE
-            } else if i > j {
-                self[(i, j)]
-            } else {
-                T::ZERO
-            }
-        })
-    }
-
     /// Element-wise sum. Errors on shape mismatch.
     pub fn add(&self, other: &Matrix<T>) -> Result<Matrix<T>> {
         self.zip_with(other, "add", |a, b| a + b)
@@ -350,17 +335,12 @@ impl<T: Scalar> Matrix<T> {
         Ok(out)
     }
 
-    /// Scale every element by `s` in place.
-    pub fn scale_mut(&mut self, s: T) {
-        for v in self.data.iter_mut() {
-            *v *= s;
-        }
-    }
-
     /// Scaled copy.
     pub fn scaled(&self, s: T) -> Matrix<T> {
         let mut m = self.clone();
-        m.scale_mut(s);
+        for v in m.data.iter_mut() {
+            *v *= s;
+        }
         m
     }
 
@@ -532,11 +512,6 @@ mod tests {
         let u = m.upper_triangular();
         assert_eq!(u[(1, 0)], 0.0);
         assert_eq!(u[(0, 1)], 2.0);
-        let l = m.unit_lower();
-        assert_eq!(l[(0, 0)], 1.0);
-        assert_eq!(l[(1, 1)], 1.0);
-        assert_eq!(l[(1, 0)], 3.0);
-        assert_eq!(l[(0, 1)], 0.0);
     }
 
     #[test]

@@ -227,24 +227,6 @@ pub fn frobenius_norm<T: Scalar>(a: &Matrix<T>) -> T {
     nrm2(a.as_slice())
 }
 
-/// Maximum absolute column sum (operator 1-norm).
-pub fn one_norm<T: Scalar>(a: &Matrix<T>) -> T {
-    (0..a.cols())
-        .map(|j| a.col(j).iter().map(|v| v.abs()).sum::<T>())
-        .fold(T::ZERO, Scalar::max)
-}
-
-/// Maximum absolute row sum (operator infinity-norm).
-pub fn inf_norm<T: Scalar>(a: &Matrix<T>) -> T {
-    let mut sums = vec![T::ZERO; a.rows()];
-    for j in 0..a.cols() {
-        for (s, &v) in sums.iter_mut().zip(a.col(j)) {
-            *s += v.abs();
-        }
-    }
-    sums.into_iter().fold(T::ZERO, Scalar::max)
-}
-
 /// Solve `R x = b` for upper-triangular `R` by back substitution.
 ///
 /// `R` must be square; errors with [`MatrixError::Singular`] on a zero
@@ -487,8 +469,6 @@ mod tests {
     fn norms() {
         let a = m(&[&[1.0, -2.0], &[-3.0, 4.0]]);
         assert!((frobenius_norm(&a) - (30.0f64).sqrt()).abs() < 1e-12);
-        assert_eq!(one_norm(&a), 6.0);
-        assert_eq!(inf_norm(&a), 7.0);
     }
 
     #[test]

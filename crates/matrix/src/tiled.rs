@@ -147,13 +147,6 @@ impl<T: Scalar> TiledMatrix<T> {
         Arc::make_mut(&mut self.tiles[i * self.nt + j])
     }
 
-    /// Replace tile `(i, j)` wholesale.
-    pub fn set_tile(&mut self, i: usize, j: usize, tile: Matrix<T>) {
-        assert_eq!(tile.dims(), (self.tile_size, self.tile_size));
-        assert!(i < self.mt && j < self.nt, "tile ({i},{j}) out of range");
-        self.tiles[i * self.nt + j] = Arc::new(tile);
-    }
-
     /// Replace tile `(i, j)` with an already-shared handle (pointer swap).
     pub fn set_tile_shared(&mut self, i: usize, j: usize, tile: Arc<Matrix<T>>) {
         assert_eq!(tile.dims(), (self.tile_size, self.tile_size));
@@ -172,27 +165,6 @@ impl<T: Scalar> TiledMatrix<T> {
         assert_eq!(replacement.dims(), (self.tile_size, self.tile_size));
         assert!(i < self.mt && j < self.nt, "tile ({i},{j}) out of range");
         std::mem::replace(&mut self.tiles[i * self.nt + j], replacement)
-    }
-
-    /// Borrow two distinct tiles mutably (e.g. the `[A1; A2]` pair consumed
-    /// by TSQRT/TSMQR). Panics if the coordinates coincide.
-    pub fn two_tiles_mut(
-        &mut self,
-        a: (usize, usize),
-        b: (usize, usize),
-    ) -> (&mut Matrix<T>, &mut Matrix<T>) {
-        assert!(a != b, "tiles must be distinct");
-        assert!(a.0 < self.mt && a.1 < self.nt && b.0 < self.mt && b.1 < self.nt);
-        let ia = a.0 * self.nt + a.1;
-        let ib = b.0 * self.nt + b.1;
-        if ia < ib {
-            let (lo, hi) = self.tiles.split_at_mut(ib);
-            (Arc::make_mut(&mut lo[ia]), Arc::make_mut(&mut hi[0]))
-        } else {
-            let (lo, hi) = self.tiles.split_at_mut(ia);
-            let second = Arc::make_mut(&mut lo[ib]);
-            (Arc::make_mut(&mut hi[0]), second)
-        }
     }
 
     /// Iterate over `(tile_row, tile_col, &tile)`.
@@ -323,33 +295,9 @@ mod tests {
         let mut t = TiledMatrix::from_matrix(&a, 2).unwrap();
         t.tile_mut(0, 0)[(0, 0)] = -1.0;
         assert_eq!(t.to_matrix()[(0, 0)], -1.0);
-        t.set_tile(1, 1, Matrix::identity(2));
+        t.set_tile_shared(1, 1, Arc::new(Matrix::identity(2)));
         assert_eq!(t.to_matrix()[(2, 2)], 1.0);
         assert_eq!(t.to_matrix()[(3, 2)], 0.0);
-    }
-
-    #[test]
-    fn two_tiles_mut_disjoint_both_orders() {
-        let a = seq_matrix(4, 4);
-        let mut t = TiledMatrix::from_matrix(&a, 2).unwrap();
-        {
-            let (x, y) = t.two_tiles_mut((0, 0), (1, 0));
-            x[(0, 0)] = -5.0;
-            y[(0, 0)] = -6.0;
-        }
-        assert_eq!(t.tile(0, 0)[(0, 0)], -5.0);
-        assert_eq!(t.tile(1, 0)[(0, 0)], -6.0);
-        let (y, x) = t.two_tiles_mut((1, 0), (0, 0));
-        assert_eq!(y[(0, 0)], -6.0);
-        assert_eq!(x[(0, 0)], -5.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn two_tiles_mut_same_tile_panics() {
-        let a = seq_matrix(4, 4);
-        let mut t = TiledMatrix::from_matrix(&a, 2).unwrap();
-        let _ = t.two_tiles_mut((0, 0), (0, 0));
     }
 
     #[test]

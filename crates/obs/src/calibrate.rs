@@ -14,7 +14,7 @@
 //! paper-constant-driven into measurement-driven.
 
 use crate::span::{Phase, Trace};
-use tileqr_dag::{list_makespan, ClassCosts, CostCurve, KernelClass, ListOrder, TaskGraph};
+use tileqr_dag::{list_makespan, ClassCosts, CostCurve, KernelClass, TaskGraph};
 use tileqr_sim::{DeviceKind, DeviceProfile};
 
 /// One measured kernel execution: class, tile size it ran at, duration.
@@ -194,7 +194,7 @@ pub fn sim_vs_real(
     let cost = |kind| fitted.cost_us(kind, tile_size);
     SimVsReal {
         real_makespan_us: trace.makespan_us(),
-        sim_makespan_us: list_makespan(graph, workers.max(1), ListOrder::Fifo, cost),
+        sim_makespan_us: list_makespan(graph, workers.max(1), None, cost),
         real_compute_us: trace
             .phase_spans(Phase::Compute)
             .map(|s| s.duration_us())

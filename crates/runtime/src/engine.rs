@@ -10,9 +10,9 @@
 //! * [`run_attempt`] — the worker-side body of one task attempt the
 //!   manager staged: fault seam, kernel (with a fenced stage's tile
 //!   copies), optional compute span.
-//! * [`DagRun`] — the per-DAG state machine: readiness, the FIFO ready
-//!   set, the `committed` fence, the per-task attempt budget, and the
-//!   counters that become a [`RunReport`].
+//! * [`DagRun`] — the per-DAG state machine: the DAG's [`Frontier`]
+//!   (readiness and the FIFO ready set), the `committed` fence, the
+//!   per-task attempt budget, and the counters that become a [`RunReport`].
 //! * [`Slots`] — which worker slot is running what since when: the "is
 //!   this the report I am waiting for" test and the stall watchdog's
 //!   scan.
@@ -24,10 +24,9 @@
 use crate::error::RuntimeError;
 use crate::pool::RunReport;
 use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use tileqr_dag::{TaskGraph, TaskId};
+use tileqr_dag::{Frontier, Pick, TaskGraph, TaskId};
 use tileqr_kernels::exec::{CompletedTask, FactorState, StagedTask};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
@@ -191,14 +190,8 @@ impl Tally {
 /// from the slot the manager is waiting on *and* the task is still
 /// uncommitted; late or superseded reports are ignored.
 pub struct DagRun {
-    /// Predecessors of each task not yet committed.
-    remaining_preds: Vec<usize>,
-    /// Tasks committed so far.
-    completed: usize,
-    /// The ready set, in the order its tasks became ready.
-    ready: VecDeque<TaskId>,
-    /// High-water mark of the ready set.
-    max_ready: usize,
+    /// Readiness and the FIFO ready set: a commit completes a task.
+    frontier: Frontier,
     committed: Vec<bool>,
     attempts: Vec<u32>,
     in_flight: usize,
@@ -215,10 +208,7 @@ impl DagRun {
     /// manager's recorder plus the run's epoch.
     pub fn new(graph: &TaskGraph, workers: usize, lane: Option<(WorkerRecorder, Instant)>) -> Self {
         let mut run = DagRun {
-            remaining_preds: graph.indegrees(),
-            completed: 0,
-            ready: VecDeque::new(),
-            max_ready: 0,
+            frontier: Frontier::new(graph),
             committed: vec![false; graph.len()],
             attempts: vec![0; graph.len()],
             in_flight: 0,
@@ -229,21 +219,15 @@ impl DagRun {
                 ..Tally::default()
             },
         };
-        for t in graph.sources() {
+        for &t in run.frontier.ready() {
             mark(&mut run.lane, RawKind::Ready, t, 0);
-            run.push(t);
         }
         run
     }
 
-    fn push(&mut self, t: TaskId) {
-        self.ready.push_back(t);
-        self.max_ready = self.max_ready.max(self.ready.len());
-    }
-
     /// Whether every task has been committed.
     pub fn all_done(&self) -> bool {
-        self.completed == self.committed.len()
+        self.frontier.completed() == self.committed.len()
     }
 
     /// Attempts dispatched and not yet reported (or retired).
@@ -257,7 +241,7 @@ impl DagRun {
         if self.halted {
             0
         } else {
-            self.ready.len()
+            self.frontier.ready().len()
         }
     }
 
@@ -291,36 +275,23 @@ impl DagRun {
         if self.halted {
             return None;
         }
-        loop {
-            let t = match seam {
-                None => self.ready.pop_front()?,
-                Some(_) if self.ready.is_empty() => return None,
-                Some(seam) => {
-                    let i = seam.pick(self.ready.make_contiguous());
-                    self.ready.remove(i).expect("a pick indexes the ready set")
-                }
-            };
-            if self.committed[t] {
-                continue;
-            }
-            self.attempts[t] += 1;
-            self.in_flight += 1;
-            mark(&mut self.lane, RawKind::Dispatch, t, w as u64);
-            return Some((t, self.attempts[t] - 1));
+        let pick = |ready: &[TaskId]| seam.map_or(0, |s| s.pick(ready));
+        let pick = seam.is_some().then_some(&pick as Pick<'_>);
+        let mut t = self.frontier.pop(pick)?;
+        while self.committed[t] {
+            t = self.frontier.pop(pick)?;
         }
+        self.attempts[t] += 1;
+        self.in_flight += 1;
+        mark(&mut self.lane, RawKind::Dispatch, t, w as u64);
+        Some((t, self.attempts[t] - 1))
     }
 
     /// A parked retry of `t` is due: back into the ready set, unless a
     /// late result committed it in the meantime.
     pub fn wake(&mut self, t: TaskId) {
         if !self.committed[t] {
-            self.push(t);
-        }
-    }
-
-    fn settle(&mut self, expected: bool) {
-        if expected {
-            self.in_flight -= 1;
+            self.frontier.push(t);
         }
     }
 
@@ -340,7 +311,7 @@ impl DagRun {
         expected: bool,
         done: Attempt<T>,
     ) -> bool {
-        self.settle(expected);
+        self.in_flight -= usize::from(expected);
         if !self.accepts(t) {
             return false;
         }
@@ -354,28 +325,18 @@ impl DagRun {
             state.commit(done.completed);
         }
         self.tally.tasks_per_worker[w] += 1;
-        self.complete(graph, t);
-        true
-    }
-
-    /// `t` committed: ready each successor whose last predecessor it was.
-    fn complete(&mut self, graph: &TaskGraph, t: TaskId) {
         self.committed[t] = true;
-        self.completed += 1;
-        for &s in graph.succs(t) {
-            self.remaining_preds[s] -= 1;
-            if self.remaining_preds[s] == 0 {
-                mark(&mut self.lane, RawKind::Ready, s, 0);
-                self.push(s);
-            }
-        }
+        let lane = &mut self.lane;
+        self.frontier
+            .complete(graph, t, |s| mark(lane, RawKind::Ready, s, 0));
+        true
     }
 
     /// An attempt of `t` returned an error. Returns whether the driver
     /// should [`charge_retry`](Self::charge_retry) (or, unfenced, fail the
     /// run): only for the expected report of a still-uncommitted task.
     pub fn on_failed(&mut self, t: TaskId, expected: bool) -> bool {
-        self.settle(expected);
+        self.in_flight -= usize::from(expected);
         expected && self.accepts(t)
     }
 
@@ -385,7 +346,7 @@ impl DagRun {
     /// death; returns whether the task needs a retry, as
     /// [`on_failed`](Self::on_failed) does.
     pub fn on_panicked(&mut self, t: TaskId, w: usize, expected: bool) -> bool {
-        self.settle(expected);
+        self.in_flight -= usize::from(expected);
         if !expected {
             return false;
         }
@@ -400,16 +361,16 @@ impl DagRun {
         true
     }
 
-    /// Charge a lost attempt of `t` to its budget. `Ok(when)`: park the
-    /// task and [`wake`](Self::wake) it at `when` (deterministic backoff).
-    /// `Err`: the budget is spent — the run halts, so this surfaces at
-    /// most once per run.
+    /// Charge a lost attempt of `t` to its budget. `Ok(backoff)`: park the
+    /// task and [`wake`](Self::wake) it once `backoff` (deterministic)
+    /// has passed on the driver's clock. `Err`: the budget is spent — the
+    /// run halts, so this surfaces at most once per run.
     pub fn charge_retry(
         &mut self,
         ft: &FaultTolerance,
         t: TaskId,
         last: String,
-    ) -> Result<Instant, RuntimeError> {
+    ) -> Result<Duration, RuntimeError> {
         let attempts = self.attempts[t];
         if attempts >= ft.max_attempts {
             self.halted = true;
@@ -421,7 +382,7 @@ impl DagRun {
         }
         self.tally.retries += 1;
         mark(&mut self.lane, RawKind::Retry, t, u64::from(attempts));
-        Ok(Instant::now() + ft.backoff(attempts))
+        Ok(ft.backoff(attempts))
     }
 
     /// Detach the manager's trace lane for merging (`None` if untraced).
@@ -439,7 +400,7 @@ impl DagRun {
         counters: HotPathCounters,
     ) -> RunReport {
         self.tally
-            .into_report(self.max_ready, elapsed, trace, counters)
+            .into_report(self.frontier.max_ready(), elapsed, trace, counters)
     }
 }
 
@@ -505,44 +466,24 @@ mod tests {
     use tileqr_dag::EliminationTree;
 
     #[test]
-    fn drains_whole_graph() {
-        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
+    fn charge_retry_returns_the_backoff_and_reads_no_clock() {
+        let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
+        let ft = FaultTolerance {
+            backoff_base: Duration::from_millis(3),
+            ..FaultTolerance::default()
+        };
         let mut run = DagRun::new(&g, 1, None);
-        let mut seen = 0;
-        while let Some((t, _)) = run.pop_ready(0, None) {
-            seen += 1;
-            run.complete(&g, t);
+        for retry in 1..ft.max_attempts {
+            let (t, attempt) = run.pop_ready(0, None).unwrap();
+            assert_eq!((t, attempt + 1), (0, retry));
+            assert!(run.on_failed(t, true));
+            let backoff = run.charge_retry(&ft, t, "scripted".into()).unwrap();
+            assert_eq!(backoff, ft.backoff(retry));
+            run.wake(t);
         }
-        assert_eq!(seen, g.len());
-        assert!(run.all_done());
-    }
-
-    #[test]
-    fn readiness_only_after_all_preds() {
-        let g = TaskGraph::build_tree(3, 3, EliminationTree::Flat);
-        let mut run = DagRun::new(&g, 1, None);
-        // Completing the first GEQRT readies its direct successors only.
-        assert_eq!(run.pop_ready(0, None), Some((0, 0)));
-        run.complete(&g, 0);
-        assert!(!run.ready.is_empty());
-        for &t in &run.ready {
-            assert!(g.preds(t).iter().all(|&p| p == 0));
-        }
-        assert!(!run.all_done());
-    }
-
-    #[test]
-    fn fifo_queue_preserves_arrival_order() {
-        let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
-        let mut run = DagRun::new(&g, 1, None);
-        run.ready.clear();
-        for id in [7, 3, 9] {
-            run.push(id);
-        }
-        assert_eq!(run.pop_ready(0, None), Some((7, 0)));
-        assert_eq!(run.pop_ready(0, None), Some((3, 0)));
-        assert_eq!(run.pop_ready(0, None), Some((9, 0)));
-        assert_eq!(run.pop_ready(0, None), None);
-        assert_eq!(run.max_ready, 3);
+        let (t, _) = run.pop_ready(0, None).unwrap();
+        assert!(run.on_failed(t, true));
+        assert!(run.charge_retry(&ft, t, "scripted".into()).is_err());
+        assert!(run.is_halted());
     }
 }

@@ -1239,8 +1239,8 @@ impl<T: Scalar> Shared<T> {
             return;
         };
         match job.run.charge_retry(ft, task, last) {
-            Ok(wake) => {
-                core.parked.push(Reverse((wake, id, task)));
+            Ok(wait) => {
+                core.parked.push(Reverse((Instant::now() + wait, id, task)));
                 self.timer.notify_one();
             }
             Err(e) => self.fail_job(core, id, ServiceError::Runtime(e)),

@@ -21,7 +21,7 @@
 //! list scheduler breaks every tie by task id, so two calls always return
 //! the same ranking.
 
-use tileqr_dag::{list_makespan, EliminationTree, ListOrder, TaskGraph};
+use tileqr_dag::{list_makespan, EliminationTree, TaskGraph};
 use tileqr_sim::DeviceProfile;
 
 /// Predicted cost of one `(tree, tile-size)` candidate.
@@ -74,7 +74,7 @@ pub fn select_tree(profile: &DeviceProfile, mt: usize, nt: usize, b: usize) -> S
             tile_size: b,
             grid: (mt, nt),
             tasks: g.len(),
-            makespan_us: list_makespan(&g, profile.slots(b), ListOrder::Fifo, cost),
+            makespan_us: list_makespan(&g, profile.slots(b), None, cost),
         }
     };
     rank(candidate_trees(mt, nt).into_iter().map(score).collect())

@@ -63,7 +63,7 @@ impl FaultInjector for Adversary {
         let (rng, last) = &mut *state;
         let i = match self.rule {
             Rule::Fifo => 0,
-            Rule::CriticalPath => argbest(ready, |t| self.levels[t]),
+            Rule::CriticalPath => highest_level(&self.levels)(ready),
             Rule::ReversePriority => argbest(ready, |t| -self.levels[t]),
             Rule::Lifo => ready.len() - 1,
             Rule::AntiAffinity => argbest(ready, |t| self.homes[t].abs_diff(*last) as f64),
@@ -72,6 +72,11 @@ impl FaultInjector for Adversary {
         *last = self.homes[ready[i]];
         i
     }
+}
+
+/// [`Rule::CriticalPath`] over any `levels`, as a pick for `list_makespan`.
+pub fn highest_level(levels: &[f64]) -> impl Fn(&[TaskId]) -> usize + '_ {
+    move |ready| argbest(ready, |t| levels[t])
 }
 
 /// Index of the ready task with the highest `score`, the lower id on a tie.

@@ -8,11 +8,12 @@
 //! stage/compute/commit protocol on a **virtual** `k`-worker machine
 //! whose two free choices — *which ready task to dispatch* and *which
 //! in-flight task finishes next* — are driven by a seeded RNG or an
-//! adversarial rule (an [`Adversary`] picks, as on the real driver).
+//! adversarial rule (an [`Adversary`] picks from the DAG's [`Frontier`],
+//! as on the real driver).
 //! Every exploration is reproducible from its [`ExploreStrategy`] alone.
 
 use crate::adversary::{Adversary, Rule};
-use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
+use tileqr_dag::{EliminationTree, Frontier, TaskGraph, TaskId};
 use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Result, Rng64, Scalar, TiledMatrix};
@@ -106,8 +107,7 @@ pub fn explore<T: Scalar>(
     let mut ws = Workspace::new(b, b);
     let mut shared = FactorState::new(tiles);
 
-    let mut indegree: Vec<usize> = graph.indegrees();
-    let mut ready: Vec<TaskId> = graph.sources();
+    let mut frontier = Frontier::new(graph);
     // In-flight tasks, oldest first: (task id, staged inputs).
     let mut in_flight: Vec<(TaskId, tileqr_kernels::exec::StagedTask<T>)> = Vec::new();
     let mut completion_order = Vec::with_capacity(graph.len());
@@ -118,10 +118,10 @@ pub fn explore<T: Scalar>(
 
     while completion_order.len() < graph.len() {
         // Fill the virtual worker slots.
-        while in_flight.len() < cap && !ready.is_empty() {
-            // `remove` keeps `ready` in arrival order, which the FIFO and
-            // LIFO rules depend on.
-            let task = ready.remove(adversary.pick(&ready));
+        while in_flight.len() < cap {
+            let Some(task) = frontier.pop(Some(&|ready| adversary.pick(ready))) else {
+                break;
+            };
             let staged = shared.stage(graph.task(task))?;
             in_flight.push((task, staged));
         }
@@ -136,12 +136,7 @@ pub fn explore<T: Scalar>(
         let (task, staged) = in_flight.remove(done_idx);
         shared.commit(staged.compute_with(&mut ws)?);
         completion_order.push(task);
-        for &s in graph.succs(task) {
-            indegree[s] -= 1;
-            if indegree[s] == 0 {
-                ready.push(s);
-            }
-        }
+        frontier.complete(graph, task, |_| {});
     }
 
     Ok(Exploration {

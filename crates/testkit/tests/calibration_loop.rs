@@ -15,11 +15,12 @@
 //!    1 % somewhere, so FIFO is the driver's one order (DESIGN.md §9).
 
 use tileqr::dag::{
-    bottom_levels, list_makespan, ClassCosts, CostCurve, EliminationTree, ListOrder, TaskGraph,
-    TaskKind, TreePolicy,
+    bottom_levels, list_makespan, ClassCosts, CostCurve, EliminationTree, TaskGraph, TaskKind,
+    TreePolicy,
 };
 use tileqr::kernels::flops::task_flops;
 use tileqr::obs::kind_index;
+use tileqr_testkit::adversary::highest_level;
 
 /// A measured-cost profile where update kernels are far cheaper per
 /// flop than panel kernels — the regime where flop weights and
@@ -49,9 +50,9 @@ fn measured_priorities_golden_on_reference_grids() {
         let flop_pri = bottom_levels(&graph, |k| task_flops(k, b) as f64);
         let cal_pri = bottom_levels(&graph, dur);
         for workers in [4usize, 16] {
-            let fifo = list_makespan(&graph, workers, ListOrder::Fifo, dur);
-            let cp_flops = list_makespan(&graph, workers, ListOrder::Priority(&flop_pri), dur);
-            let cp_measured = list_makespan(&graph, workers, ListOrder::Priority(&cal_pri), dur);
+            let fifo = list_makespan(&graph, workers, None, dur);
+            let cp_flops = list_makespan(&graph, workers, Some(&highest_level(&flop_pri)), dur);
+            let cp_measured = list_makespan(&graph, workers, Some(&highest_level(&cal_pri)), dur);
             assert!(
                 cp_measured <= fifo + 1e-9,
                 "{mt}x{nt}/{workers}w: measured CP {cp_measured} worse than FIFO {fifo}"
@@ -67,11 +68,11 @@ fn measured_priorities_golden_on_reference_grids() {
     // pinned by the deterministic scheduler).
     let graph = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
     let dur4 = |k: TaskKind| costs.cost_us(k, b);
-    let fifo = list_makespan(&graph, 4, ListOrder::Fifo, dur4);
+    let fifo = list_makespan(&graph, 4, None, dur4);
     let cal_pri = bottom_levels(&graph, dur4);
-    let cp_measured = list_makespan(&graph, 4, ListOrder::Priority(&cal_pri), dur4);
+    let cp_measured = list_makespan(&graph, 4, Some(&highest_level(&cal_pri)), dur4);
     let flop_pri = bottom_levels(&graph, |k| task_flops(k, b) as f64);
-    let cp_flops = list_makespan(&graph, 4, ListOrder::Priority(&flop_pri), dur4);
+    let cp_flops = list_makespan(&graph, 4, Some(&highest_level(&flop_pri)), dur4);
     assert!(
         cp_measured < cp_flops && cp_flops < fifo,
         "expected a strict win on 8x8/4w: measured {cp_measured}, flops {cp_flops}, fifo {fifo}"
@@ -148,9 +149,9 @@ fn flop_critical_path_loses_to_fifo_so_fifo_is_the_order() {
         for (profile, dur) in &profiles {
             let measured_pri = bottom_levels(&graph, dur);
             for k in [2usize, 4, 16, 64] {
-                let fifo = list_makespan(&graph, k, ListOrder::Fifo, dur);
+                let fifo = list_makespan(&graph, k, None, dur);
                 let loss = |pri: &[f64]| {
-                    list_makespan(&graph, k, ListOrder::Priority(pri), dur) / fifo - 1.0
+                    list_makespan(&graph, k, Some(&highest_level(pri)), dur) / fifo - 1.0
                 };
                 let cell = format!("{label} {profile} k={k}");
                 rows.push((loss(&flop_pri), loss(&measured_pri), cell));

@@ -15,8 +15,10 @@
 //! An independent model of the charging rule (a lost attempt counts only
 //! if it is the report its slot is waiting on *and* the task is still
 //! uncommitted) predicts every recovery counter, and the final state must
-//! be bit-identical to [`FactorState::run_all`]. The virtual machine in
-//! `tileqr_testkit::explorer` stays the independent reference for the
+//! be bit-identical to [`FactorState::run_all`]. Readiness is not modelled
+//! twice: [`DagRun`] and the virtual machine in `tileqr_testkit::explorer`
+//! step the same `tileqr_dag::Frontier`, and the explorer, which stages
+//! and commits on its own, stays the independent reference for the
 //! stage/compute/commit protocol itself.
 
 use std::time::{Duration, Instant};

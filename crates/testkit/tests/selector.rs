@@ -11,12 +11,11 @@
 //! simulators sit apart on the one-device domain they share.
 
 use tileqr::prelude::*;
-use tileqr_dag::{
-    list_makespan, ClassCosts, CostCurve, EliminationTree, ListOrder, TaskGraph, TreePolicy,
-};
+use tileqr_dag::{list_makespan, ClassCosts, CostCurve, EliminationTree, TaskGraph, TreePolicy};
 use tileqr_matrix::gen::random_matrix;
 use tileqr_sched::select::{candidate_trees, select_tree};
 use tileqr_sim::{engine, DeviceKind, DeviceProfile, Link, Platform, SimConfig};
+use tileqr_testkit::adversary::highest_level;
 
 fn synthetic_profile(cores: usize) -> DeviceProfile {
     let t = |c0: f64, c2: f64| CostCurve { c0, c1: 0.0, c2 };
@@ -83,7 +82,7 @@ fn predicted_winner_matches_measured_min_tree() {
                 let by_id = list_makespan(
                     &g,
                     profile.slots(b),
-                    ListOrder::Priority(&vec![0.0; g.len()]),
+                    Some(&highest_level(&vec![0.0; g.len()])),
                     |k| profile.times.cost_us(k, b),
                 );
                 let off = |us: f64| (us - engine_us).abs() / engine_us;

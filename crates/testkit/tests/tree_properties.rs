@@ -10,14 +10,18 @@
 //! 4. unit-weight critical paths on `p x 1` panels match the
 //!    Bouwmeester-style closed forms per tree (flat `p`, binary
 //!    `1 + ceil(log2 p)`, greedy likewise, Fibonacci in between), and
-//!    the TSQR tree (`Plateau(⌈√p⌉)`) beats the flat chain.
+//!    the TSQR tree (`Plateau(⌈√p⌉)`) beats the flat chain, and
+//! 5. a `dag::Frontier` drained under every schedule adversary pops each
+//!    task exactly once, and only after all of its predecessors.
 
 use std::collections::HashMap;
 
 use tileqr_dag::counts::{class_totals, tree_counts};
 use tileqr_dag::critical_path::critical_path_length;
 use tileqr_dag::topo::{is_acyclic, topological_order};
-use tileqr_dag::{EliminationTree, TaskGraph, TaskKind};
+use tileqr_dag::{EliminationTree, Frontier, TaskGraph, TaskId, TaskKind};
+use tileqr_runtime::FaultInjector;
+use tileqr_testkit::adversary::{Adversary, Rule};
 
 /// Geometry grid: tall, square, and wide tile shapes up to 12 x 12.
 fn geometries() -> Vec<(usize, usize)> {
@@ -91,6 +95,51 @@ fn topological_replay_respects_every_edge() {
                         "{tree} {mt}x{nt}: replay ran {s} before its dep {id}"
                     );
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_frontier_pops_each_task_once_after_its_preds_under_every_rule() {
+    use Rule::{AntiAffinity, CriticalPath, Fifo, Lifo, ReversePriority, Seeded};
+    let rules = [
+        Fifo,
+        CriticalPath,
+        ReversePriority,
+        Lifo,
+        AntiAffinity,
+        Seeded(7),
+        Seeded(8),
+    ];
+    for tree in EliminationTree::zoo() {
+        for (mt, nt) in [(1, 1), (12, 1), (7, 2), (4, 4), (9, 5), (3, 8)] {
+            let g = TaskGraph::build_tree(mt, nt, tree);
+            for rule in rules {
+                let adversary = Adversary::new(rule, &g, 16);
+                let pick = |ready: &[TaskId]| adversary.pick(ready);
+                let mut frontier = Frontier::new(&g);
+                let (mut popped, mut done) = (vec![false; g.len()], vec![false; g.len()]);
+                // Up to three tasks in flight, completed oldest first, so
+                // the ready set mixes tasks readied by different commits.
+                let mut in_flight = std::collections::VecDeque::new();
+                while frontier.completed() < g.len() {
+                    while in_flight.len() < 3 {
+                        let Some(t) = frontier.pop(Some(&pick)) else {
+                            break;
+                        };
+                        let at = format!("{tree} {mt}x{nt} {rule:?}: task {t}");
+                        assert!(!popped[t], "{at} popped twice");
+                        assert!(g.preds(t).iter().all(|&p| done[p]), "{at} popped early");
+                        popped[t] = true;
+                        in_flight.push_back(t);
+                    }
+                    let t = in_flight.pop_front().expect("a legal DAG never wedges");
+                    done[t] = true;
+                    frontier.complete(&g, t, |s| assert!(!popped[s] && !done[s]));
+                }
+                assert!(popped.iter().all(|&p| p), "{tree} {mt}x{nt} {rule:?}");
+                assert!(frontier.ready().is_empty() && frontier.pop(Some(&pick)).is_none());
             }
         }
     }

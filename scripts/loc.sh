@@ -116,6 +116,15 @@
 #     under `crates/`, `tests/` or `examples/`, tests included, and non-test
 #     runtime code ranks nothing: no seeded stream, no bottom levels, and
 #     one binary heap (the service's parked retries, keyed by due time).
+#   * one frontier: readiness (remaining-predecessor counts and the FIFO
+#     ready set) is written once, as `dag::Frontier`, and the driver's
+#     `DagRun`, `list_makespan`, `topo` and the testkit's explorer step it,
+#     with a lent pick (`Fn(&[TaskId]) -> usize`) for any other order — so
+#     no non-test code but the frontier and `sim::engine`'s per-device
+#     queues reads `indegrees()`, and no `ListOrder` comes back.
+#   * what nothing called stays deleted: `ops::{inf_norm, one_norm}`,
+#     `Matrix::{scale_mut, unit_lower}`, `TiledMatrix::{set_tile,
+#     two_tiles_mut}`, tests included.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -305,6 +314,14 @@ hits=$(for f in $(find crates/core/src crates/runtime/src crates/kernels/src -na
 done | grep -E 'solve_upper_triangular' || true)
 [ -z "$hits" ] || fail "a dense back substitution behind a door (the way out solves on R's tiles):" "$hits"
 expect 0 'pub (rows|cols):' "a public copy of the state's dimensions on a job" crates/runtime/src/service.rs
+hits=$(non_test_all crates | grep -E '\.indegrees\(\)' |
+    grep -vE '^crates/(dag/src/topo|sim/src/engine)\.rs:' || true)
+[ -z "$hits" ] || fail "a second readiness loop (dag::Frontier and sim::engine's device queues read indegrees()):" "$hits"
+# Tests and examples count for the retired names here too.
+if hits=$(grep -rnE --include='*.rs' 'ListOrder|\b(inf_norm|one_norm|scale_mut|unit_lower|set_tile|two_tiles_mut)\b' \
+    crates tests examples); then
+    fail "a retired name is back (a pick hook replaced ListOrder; nothing called the matrix helpers):" "$hits"
+fi
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
