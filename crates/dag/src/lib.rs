@@ -20,7 +20,6 @@
 pub mod cost;
 pub mod counts;
 pub mod critical_path;
-pub mod export;
 mod graph;
 pub mod listsim;
 mod task;

@@ -72,22 +72,6 @@ pub fn qr_flops(m: usize, n: usize) -> u64 {
     2 * m * n * n - (2 * n * n * n) / 3
 }
 
-/// Total kernel-level flops of a tiled QR on an `mt x nt` grid of `b x b`
-/// tiles using TS (flat) elimination.
-pub fn tiled_qr_flops(mt: usize, nt: usize, b: usize) -> u64 {
-    let kmax = mt.min(nt);
-    let mut total = 0u64;
-    for k in 0..kmax {
-        let rows_below = (mt - k - 1) as u64;
-        let cols_right = (nt - k - 1) as u64;
-        total += geqrt_flops(b);
-        total += cols_right * unmqr_flops(b);
-        total += rows_below * tsqrt_flops(b);
-        total += rows_below * cols_right * tsmqr_flops(b);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,30 +99,45 @@ mod tests {
         assert!((got - expect).abs() / expect < 0.01);
     }
 
+    /// Kernel-level flops of every task of a TS (flat) tiled QR on an
+    /// `mt x nt` grid of `b x b` tiles.
+    fn tiled_qr_total(mt: usize, nt: usize, b: usize) -> u64 {
+        let g = tileqr_dag::TaskGraph::build_tree(mt, nt, tileqr_dag::EliminationTree::Flat);
+        g.tasks().iter().map(|&t| task_flops(t, b)).sum()
+    }
+
     #[test]
     fn tiled_total_close_to_dense_total() {
         // Tiled QR does ~constant-factor more flops than dense QR, but the
         // totals must agree to within that small factor (< 4x) and scale
         // identically with problem size.
         let b = 16;
-        let t1 = tiled_qr_flops(8, 8, b) as f64;
+        let t1 = tiled_qr_total(8, 8, b) as f64;
         let dense1 = qr_flops(8 * b, 8 * b) as f64;
         assert!(
             t1 > dense1 * 0.9 && t1 < dense1 * 4.0,
             "t={t1} dense={dense1}"
         );
 
-        let t2 = tiled_qr_flops(16, 16, b) as f64;
+        let t2 = tiled_qr_total(16, 16, b) as f64;
         let ratio = t2 / t1;
         assert!(ratio > 6.0 && ratio < 9.0, "bad cubic scaling: {ratio}");
     }
 
     #[test]
     fn task_flops_sums_to_the_tiled_total() {
-        use tileqr_dag::{EliminationTree, TaskGraph, TaskKind};
+        use tileqr_dag::{counts, EliminationTree, TaskGraph, TaskKind};
         let g = TaskGraph::build_tree(5, 3, EliminationTree::Flat);
         let sum: u64 = g.tasks().iter().map(|&t| task_flops(t, 16)).sum();
-        assert_eq!(sum, tiled_qr_flops(5, 3, 16));
+        let (t, e, ut, ue) = counts::class_totals(&g);
+        let per_class = [
+            (t, geqrt_flops(16)),
+            (e, tsqrt_flops(16)),
+            (ut, unmqr_flops(16)),
+            (ue, tsmqr_flops(16)),
+        ];
+        let total: u64 = per_class.iter().map(|&(n, f)| n as u64 * f).sum();
+        assert_eq!(sum, total);
         let (p, i, j, k) = (0, 1, 1, 0);
         assert_eq!(task_flops(TaskKind::Ttqrt { p, i, k }, 16), ttqrt_flops(16));
         assert_eq!(
@@ -149,6 +148,6 @@ mod tests {
 
     #[test]
     fn single_tile_grid_is_just_geqrt() {
-        assert_eq!(tiled_qr_flops(1, 1, 16), geqrt_flops(16));
+        assert_eq!(tiled_qr_total(1, 1, 16), geqrt_flops(16));
     }
 }

@@ -5,8 +5,6 @@
 //!
 //! * [`Matrix`] — an owned, column-major dense matrix generic over
 //!   [`Scalar`] (`f32`/`f64`),
-//! * [`MatrixViewMut`] — a borrowed column-major view over workspace
-//!   scratch, so kernels can reuse one arena instead of allocating,
 //! * BLAS-like operations ([`ops`]) — `gemm`, triangular solves, norms,
 //! * a tiled layout ([`TiledMatrix`]) that splits a matrix into square tiles
 //!   as required by tiled QR decomposition,
@@ -26,14 +24,12 @@ pub mod ops;
 pub mod rng;
 mod scalar;
 mod tiled;
-mod view;
 
 pub use dense::Matrix;
 pub use error::MatrixError;
 pub use rng::Rng64;
 pub use scalar::Scalar;
 pub use tiled::TiledMatrix;
-pub use view::MatrixViewMut;
 
 /// Convenient result alias for fallible matrix operations.
 pub type Result<T> = std::result::Result<T, MatrixError>;

@@ -1,44 +1,23 @@
 //! BLAS-like dense operations.
 //!
 //! Free functions over [`Matrix`], mirroring the small subset of BLAS /
-//! LAPACK auxiliary routines that the tiled QR kernels need. Tiles fit in
-//! L1/L2 at the paper's sizes, so the win is not cache blocking but keeping
-//! the innermost loops branch-free: [`gemm`] dispatches once on its two
-//! [`Trans`] flags to one of four monomorphized column-major microkernels
-//! (`NN`/`TN`/`NT`/`TT`) whose inner loops are contiguous slice `axpy`/`dot`
-//! sweeps with no per-element index arithmetic or transpose branch, which
+//! LAPACK auxiliary routines that the tests, oracles and diagnostics need
+//! (the factorization's own kernels live in `tileqr-kernels`). The two
+//! products, [`matmul`] (`A·B`) and [`matmul_tn`] (`Aᵀ·B`), each run one
+//! column-major loop whose inner loop is a contiguous slice `axpy`/`dot`
+//! sweep with no per-element index arithmetic or transpose branch, which
 //! the compiler autovectorizes.
 //!
-//! Microkernel invariants:
+//! Loop invariants:
 //! * the inner loop always walks *columns* of the stored operands
-//!   (column-major contiguity) — transposed reads are restructured as
-//!   column dots (`TN`), scalar-hoisted row walks (`NT`), or a row gather
-//!   into a stack buffer (`TT`), never strided inner loops;
+//!   (column-major contiguity) — the transposed read of `Aᵀ·B` is
+//!   restructured as column dots, never a strided inner loop;
 //! * `beta == 0` writes `C` without reading it (BLAS convention: existing
 //!   `NaN`/garbage in `C` must not leak through `0 * C`);
-//! * shape validation happens once at dispatch; kernels use
-//!   `debug_assert`-checked slices only.
+//! * shape validation happens once, in the product's entry point; the
+//!   loops use `debug_assert`-checked slices only.
 
 use crate::{Matrix, MatrixError, Result, Scalar};
-
-/// Transposition selector for [`gemm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Trans {
-    /// Use the operand as stored.
-    No,
-    /// Use the transpose of the operand.
-    Yes,
-}
-
-impl Trans {
-    /// Dimensions of `a` after applying this transposition.
-    fn dims_of<T: Scalar>(self, a: &Matrix<T>) -> (usize, usize) {
-        match self {
-            Trans::No => a.dims(),
-            Trans::Yes => (a.cols(), a.rows()),
-        }
-    }
-}
 
 /// Prepare a `C` column for accumulation: `c *= beta`, with `beta == 0`
 /// overwriting (never reading) per BLAS convention.
@@ -85,92 +64,36 @@ fn gemm_tn<T: Scalar>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut M
     }
 }
 
-/// `C = alpha * A * Bᵀ + beta * C`: column sweeps over `A` with the strided
-/// `B[j, p]` read hoisted to one scalar load per sweep.
-fn gemm_nt<T: Scalar>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
-    let ka = a.cols();
-    for j in 0..c.cols() {
-        let ccol = c.col_mut(j);
-        scale_col(beta, ccol);
-        for p in 0..ka {
-            axpy(alpha * b[(j, p)], a.col(p), ccol);
-        }
-    }
-}
-
-/// `C = alpha * Aᵀ * Bᵀ + beta * C`: row `j` of `B` is gathered once into a
-/// contiguous buffer, then each output element is a column `dot`.
-fn gemm_tt<T: Scalar>(alpha: T, a: &Matrix<T>, b: &Matrix<T>, beta: T, c: &mut Matrix<T>) {
-    let ka = b.cols();
-    let mut brow = vec![T::ZERO; ka];
-    for j in 0..c.cols() {
-        for (p, bp) in brow.iter_mut().enumerate() {
-            *bp = b[(j, p)];
-        }
-        let ccol = c.col_mut(j);
-        if beta == T::ZERO {
-            for (i, ci) in ccol.iter_mut().enumerate() {
-                *ci = alpha * dot(a.col(i), &brow);
-            }
-        } else {
-            for (i, ci) in ccol.iter_mut().enumerate() {
-                *ci = alpha * dot(a.col(i), &brow) + beta * *ci;
-            }
-        }
-    }
-}
-
-/// General matrix multiply-accumulate: `C = alpha * op(A) * op(B) + beta * C`.
-///
-/// Shapes must satisfy `op(A): m x k`, `op(B): k x n`, `C: m x n`. The
-/// `(ta, tb)` pair is dispatched once to a branch-free microkernel (see the
-/// module docs for the per-variant loop structure).
-pub fn gemm<T: Scalar>(
-    alpha: T,
-    a: &Matrix<T>,
-    ta: Trans,
+/// `op(A) * B` for `matmul` (`op(A) = A`) and `matmul_tn` (`op(A) = Aᵀ`):
+/// checks that `op(A)`, `(m, k)`, and `B` agree, then runs `kernel` into a
+/// zeroed `m x n` product.
+fn product<T: Scalar>(
+    op: &'static str,
+    (m, ka): (usize, usize),
     b: &Matrix<T>,
-    tb: Trans,
-    beta: T,
-    c: &mut Matrix<T>,
-) -> Result<()> {
-    let (m, ka) = ta.dims_of(a);
-    let (kb, n) = tb.dims_of(b);
-    if ka != kb {
+    kernel: impl FnOnce(&mut Matrix<T>),
+) -> Result<Matrix<T>> {
+    if ka != b.rows() {
         return Err(MatrixError::DimensionMismatch {
-            op: "gemm (inner)",
-            lhs: ta.dims_of(a),
-            rhs: tb.dims_of(b),
+            op,
+            lhs: (m, ka),
+            rhs: b.dims(),
         });
     }
-    if c.dims() != (m, n) {
-        return Err(MatrixError::DimensionMismatch {
-            op: "gemm (output)",
-            lhs: (m, n),
-            rhs: c.dims(),
-        });
-    }
-    match (ta, tb) {
-        (Trans::No, Trans::No) => gemm_nn(alpha, a, b, beta, c),
-        (Trans::Yes, Trans::No) => gemm_tn(alpha, a, b, beta, c),
-        (Trans::No, Trans::Yes) => gemm_nt(alpha, a, b, beta, c),
-        (Trans::Yes, Trans::Yes) => gemm_tt(alpha, a, b, beta, c),
-    }
-    Ok(())
+    let mut c = Matrix::zeros(m, b.cols());
+    kernel(&mut c);
+    Ok(c)
 }
 
-/// Convenience product `A * B` (fresh allocation).
+/// Product `A * B` (fresh allocation).
 pub fn matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>> {
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm(T::ONE, a, Trans::No, b, Trans::No, T::ZERO, &mut c)?;
-    Ok(c)
+    product("matmul", a.dims(), b, |c| gemm_nn(T::ONE, a, b, T::ZERO, c))
 }
 
-/// Convenience product `Aᵀ * B` (fresh allocation).
+/// Product `Aᵀ * B` (fresh allocation).
 pub fn matmul_tn<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>> {
-    let mut c = Matrix::zeros(a.cols(), b.cols());
-    gemm(T::ONE, a, Trans::Yes, b, Trans::No, T::ZERO, &mut c)?;
-    Ok(c)
+    let dims = (a.cols(), a.rows());
+    product("matmul_tn", dims, b, |c| gemm_tn(T::ONE, a, b, T::ZERO, c))
 }
 
 /// Matrix-vector product `y = A x` (fresh allocation).
@@ -258,34 +181,6 @@ pub fn solve_upper_triangular<T: Scalar>(r: &Matrix<T>, b: &[T]) -> Result<Vec<T
     Ok(x)
 }
 
-/// Solve `L x = b` for lower-triangular `L` by forward substitution.
-pub fn solve_lower_triangular<T: Scalar>(l: &Matrix<T>, b: &[T]) -> Result<Vec<T>> {
-    if !l.is_square() {
-        return Err(MatrixError::NotSquare { dims: l.dims() });
-    }
-    if l.rows() != b.len() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "solve_lower_triangular",
-            lhs: l.dims(),
-            rhs: (b.len(), 1),
-        });
-    }
-    let n = l.rows();
-    let mut x = b.to_vec();
-    for i in 0..n {
-        let mut acc = x[i];
-        for j in 0..i {
-            acc -= l[(i, j)] * x[j];
-        }
-        let d = l[(i, i)];
-        if d == T::ZERO {
-            return Err(MatrixError::Singular { index: i });
-        }
-        x[i] = acc / d;
-    }
-    Ok(x)
-}
-
 /// Relative factorization residual `||A - QR||_F / (||A||_F * max(m, n))`.
 ///
 /// This is the standard LAPACK-style backward-error metric used throughout
@@ -330,8 +225,7 @@ mod tests {
         let a = m(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]); // 2x3
         let b = m(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]); // 3x2
                                                              // A^T: 3x2, B^T: 2x3 -> C 3x3
-        let mut c = Matrix::zeros(3, 3);
-        gemm(1.0, &a, Trans::Yes, &b, Trans::Yes, 0.0, &mut c).unwrap();
+        let c = matmul_tn(&a, &b.transpose()).unwrap();
         let expect = matmul(&a.transpose(), &b.transpose()).unwrap();
         assert!(c.approx_eq(&expect, 1e-12));
     }
@@ -341,7 +235,7 @@ mod tests {
         let a = Matrix::<f64>::identity(2);
         let b = m(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let mut c = Matrix::filled(2, 2, 1.0);
-        gemm(2.0, &a, Trans::No, &b, Trans::No, 3.0, &mut c).unwrap();
+        gemm_nn(2.0, &a, &b, 3.0, &mut c);
         assert!(c.approx_eq(&m(&[&[5.0, 7.0], &[9.0, 11.0]]), 1e-12));
     }
 
@@ -349,40 +243,31 @@ mod tests {
     fn gemm_shape_errors() {
         let a = Matrix::<f64>::zeros(2, 3);
         let b = Matrix::<f64>::zeros(2, 3);
-        let mut c = Matrix::<f64>::zeros(2, 3);
-        assert!(gemm(1.0, &a, Trans::No, &b, Trans::No, 0.0, &mut c).is_err());
+        assert!(matmul(&a, &b).is_err());
         let b2 = Matrix::<f64>::zeros(3, 3);
-        let mut c_bad = Matrix::<f64>::zeros(3, 3);
-        assert!(gemm(1.0, &a, Trans::No, &b2, Trans::No, 0.0, &mut c_bad).is_err());
+        assert!(matmul_tn(&a, &b2).is_err());
     }
 
-    /// Naive reference used to cross-check every microkernel variant.
+    /// The two kernels, `A·B` and `Aᵀ·B`, by whether `A` is transposed.
+    type Kernel = fn(f64, &Matrix<f64>, &Matrix<f64>, f64, &mut Matrix<f64>);
+    const KERNELS: [(bool, Kernel); 2] = [(false, gemm_nn), (true, gemm_tn)];
+
+    /// Naive reference used to cross-check both kernels.
     fn gemm_ref(
         alpha: f64,
         a: &Matrix<f64>,
-        ta: Trans,
+        ta: bool,
         b: &Matrix<f64>,
-        tb: Trans,
         beta: f64,
         c: &mut Matrix<f64>,
     ) {
-        let at = |i: usize, p: usize| match ta {
-            Trans::No => a[(i, p)],
-            Trans::Yes => a[(p, i)],
-        };
-        let bt = |p: usize, j: usize| match tb {
-            Trans::No => b[(p, j)],
-            Trans::Yes => b[(j, p)],
-        };
-        let ka = match ta {
-            Trans::No => a.cols(),
-            Trans::Yes => a.rows(),
-        };
+        let at = |i: usize, p: usize| if ta { a[(p, i)] } else { a[(i, p)] };
+        let ka = if ta { a.rows() } else { a.cols() };
         for j in 0..c.cols() {
             for i in 0..c.rows() {
                 let mut acc = 0.0;
                 for p in 0..ka {
-                    acc += at(i, p) * bt(p, j);
+                    acc += at(i, p) * b[(p, j)];
                 }
                 let old = if beta == 0.0 { 0.0 } else { beta * c[(i, j)] };
                 c[(i, j)] = alpha * acc + old;
@@ -394,29 +279,22 @@ mod tests {
     fn microkernels_match_reference() {
         use crate::gen::random_matrix;
         let (m_, n_, k_) = (5, 7, 4);
-        for (ta, tb) in [
-            (Trans::No, Trans::No),
-            (Trans::Yes, Trans::No),
-            (Trans::No, Trans::Yes),
-            (Trans::Yes, Trans::Yes),
-        ] {
-            let a = match ta {
-                Trans::No => random_matrix::<f64>(m_, k_, 1),
-                Trans::Yes => random_matrix::<f64>(k_, m_, 1),
+        for (ta, kernel) in KERNELS {
+            let a = if ta {
+                random_matrix::<f64>(k_, m_, 1)
+            } else {
+                random_matrix::<f64>(m_, k_, 1)
             };
-            let b = match tb {
-                Trans::No => random_matrix::<f64>(k_, n_, 2),
-                Trans::Yes => random_matrix::<f64>(n_, k_, 2),
-            };
+            let b = random_matrix::<f64>(k_, n_, 2);
             for beta in [0.0, 1.0, 2.5] {
                 let seed_c = random_matrix::<f64>(m_, n_, 3);
                 let mut got = seed_c.clone();
                 let mut want = seed_c.clone();
-                gemm(1.25, &a, ta, &b, tb, beta, &mut got).unwrap();
-                gemm_ref(1.25, &a, ta, &b, tb, beta, &mut want);
+                kernel(1.25, &a, &b, beta, &mut got);
+                gemm_ref(1.25, &a, ta, &b, beta, &mut want);
                 assert!(
                     got.approx_eq(&want, 1e-12),
-                    "mismatch for ({ta:?},{tb:?}) beta={beta}"
+                    "mismatch for ta={ta} beta={beta}"
                 );
             }
         }
@@ -426,15 +304,10 @@ mod tests {
     fn gemm_beta_zero_never_reads_c() {
         let a = Matrix::<f64>::identity(2);
         let b = m(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        for (ta, tb) in [
-            (Trans::No, Trans::No),
-            (Trans::Yes, Trans::No),
-            (Trans::No, Trans::Yes),
-            (Trans::Yes, Trans::Yes),
-        ] {
+        for (ta, kernel) in KERNELS {
             let mut c = Matrix::filled(2, 2, f64::NAN);
-            gemm(1.0, &a, ta, &b, tb, 0.0, &mut c).unwrap();
-            assert!(c.all_finite(), "beta=0 leaked NaN for ({ta:?},{tb:?})");
+            kernel(1.0, &a, &b, 0.0, &mut c);
+            assert!(c.all_finite(), "beta=0 leaked NaN for ta={ta}");
         }
     }
 
@@ -484,14 +357,6 @@ mod tests {
         ));
         assert!(solve_upper_triangular(&r, &[1.0]).is_err());
         assert!(solve_upper_triangular(&Matrix::zeros(2, 3), &[1.0, 1.0]).is_err());
-    }
-
-    #[test]
-    fn forward_substitution() {
-        let l = m(&[&[2.0, 0.0], &[1.0, 4.0]]);
-        let x = solve_lower_triangular(&l, &[4.0, 9.0]).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-14);
-        assert!((x[1] - 1.75).abs() < 1e-14);
     }
 
     #[test]
@@ -560,7 +425,6 @@ pub fn triangular_condition_est<T: Scalar>(r: &Matrix<T>, iters: usize) -> Resul
     }
     let sigma_max = spectral_norm_est(r, iters);
     // Power iteration for sigma_max(R^{-1}) via v <- R^{-T} R^{-1} v.
-    let rt = r.transpose();
     let mut v: Vec<T> = (0..n)
         .map(|i| T::from_f64(((i * 40503 % 997) as f64) / 997.0 + 0.1))
         .collect();
@@ -575,7 +439,12 @@ pub fn triangular_condition_est<T: Scalar>(r: &Matrix<T>, iters: usize) -> Resul
         }
         let y = solve_upper_triangular(r, &v)?;
         inv_sigma = nrm2(&y);
-        v = solve_lower_triangular(&rt, &y)?;
+        // v <- R^{-T} y: forward substitution down R's columns (its
+        // diagonal is nonzero, or the solve above failed).
+        v = y;
+        for i in 0..n {
+            v[i] = (v[i] - dot(&r.col(i)[..i], &v[..i])) / r[(i, i)];
+        }
     }
     Ok(sigma_max * inv_sigma)
 }

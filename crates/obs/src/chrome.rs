@@ -121,7 +121,6 @@ pub fn export_compute_only(trace: &Trace) -> String {
             .collect(),
         events: Vec::new(),
         lanes: trace.lanes.clone(),
-        dropped: trace.dropped,
         hot_path_reallocations: trace.hot_path_reallocations,
     };
     export(&compute)
@@ -186,7 +185,6 @@ mod tests {
                 aux: 0,
             }],
             lanes: vec!["worker0".into(), "worker1".into(), "manager".into()],
-            dropped: 0,
             hot_path_reallocations: 0,
         }
     }

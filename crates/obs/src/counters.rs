@@ -73,11 +73,6 @@ impl LifecycleCounters {
         self.poison_detected += other.poison_detected;
         self.watchdog_retirements += other.watchdog_retirements;
     }
-
-    /// True when no job left the normal lifecycle path.
-    pub fn is_quiet(&self) -> bool {
-        *self == LifecycleCounters::default()
-    }
 }
 
 #[cfg(test)]
@@ -101,8 +96,7 @@ mod tests {
             watchdog_retirements: 4,
             ..Default::default()
         };
-        assert!(LifecycleCounters::default().is_quiet());
-        assert!(!a.is_quiet());
+        assert_ne!(a, LifecycleCounters::default());
         a.merge(&b);
         assert_eq!(
             a,

@@ -1,9 +1,10 @@
 //! Unified observability for the tiled-QR system.
 //!
 //! One span model ([`Span`]/[`Trace`]) covers both execution engines: the
-//! real thread pool records per-worker ring buffers of task lifecycle
-//! events ([`WorkerRecorder`], merged at join by [`merge_recorders`]),
-//! and the simulator's [`tileqr_sim::Timeline`] converts losslessly via
+//! real thread pool records every task lifecycle event of a run into one
+//! recorder sized from its graph ([`WorkerRecorder`], turned into a trace
+//! by [`WorkerRecorder::into_trace`] when the run retires), and the
+//! simulator's [`tileqr_sim::Timeline`] converts losslessly via
 //! [`Trace::from_timeline`]. On top of the shared model sit three
 //! consumers:
 //!
@@ -15,8 +16,8 @@
 //!   `t(b) = c0 + c1·b² + c2·b³` kernel curves from measured spans, and
 //!   sim-vs-real makespan error reports.
 //!
-//! Everything is allocation-free on the recording hot path and entirely
-//! inert when [`TraceConfig::enabled`] is false.
+//! Recording allocates nothing on a clean run (its recorder is sized up
+//! front) and is entirely inert when [`TraceConfig::enabled`] is false.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,5 @@ pub use hist::{bucket_bounds, bucket_of, KernelHistograms, LatencyHistogram, NUM
 pub use profile_json::{
     default_profile_path, profile_from_json, profile_to_json, ProfileStore, PROFILE_ENV,
 };
-pub use recorder::{
-    merge_recorders, RawEvent, RawKind, TraceConfig, WorkerRecorder, DEFAULT_CAPACITY_PER_LANE,
-};
+pub use recorder::{RawEvent, RawKind, TraceConfig, WorkerRecorder};
 pub use span::{kind_index, EventKind, Phase, Span, Trace, TraceEvent, KIND_NAMES, NUM_KINDS};

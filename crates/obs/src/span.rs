@@ -11,6 +11,7 @@
 //! the lane names, and is what the Chrome exporter, the latency
 //! histograms and the calibration fitter all consume.
 
+use std::collections::HashMap;
 use tileqr_dag::{TaskId, TaskKind};
 use tileqr_sim::Timeline;
 
@@ -117,10 +118,8 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Display name per lane (`worker0`, `manager`, `GTX580`, …).
     pub lanes: Vec<String>,
-    /// Events lost to ring-buffer overwrites, summed over recorders.
-    pub dropped: u64,
-    /// Hot-path buffer growths observed by the recorders. Always 0 —
-    /// asserted by the overhead regression suite.
+    /// Whether the run's recorder grew past the room it was sized for:
+    /// 0 on a clean run — asserted by the overhead regression suite.
     pub hot_path_reallocations: u64,
 }
 
@@ -182,7 +181,6 @@ impl Trace {
             spans,
             events: Vec::new(),
             lanes,
-            dropped: 0,
             hot_path_reallocations: 0,
         }
     }
@@ -244,14 +242,24 @@ impl Trace {
                 return Err(format!("event {:?} on unknown lane {}", e.kind, e.lane));
             }
         }
-        // Well-nesting per (task, attempt).
-        let bound = |task: TaskId, attempt: u32, phase: Phase| {
-            self.spans
-                .iter()
-                .find(|s| s.task == task && s.attempt == attempt && s.phase == phase)
-        };
+        // Well-nesting per (task, attempt), against the first stage and
+        // the first commit span of each, indexed in one pass.
+        let mut bounds: HashMap<(TaskId, u32), [Option<&Span>; 2]> = HashMap::new();
+        for s in &self.spans {
+            let side = match s.phase {
+                Phase::Stage => 0,
+                Phase::Commit => 1,
+                Phase::Compute => continue,
+            };
+            let first = &mut bounds.entry((s.task, s.attempt)).or_default()[side];
+            first.get_or_insert(s);
+        }
         for s in self.phase_spans(Phase::Compute) {
-            if let Some(stage) = bound(s.task, s.attempt, Phase::Stage) {
+            let [stage, commit] = bounds
+                .get(&(s.task, s.attempt))
+                .copied()
+                .unwrap_or_default();
+            if let Some(stage) = stage {
                 if stage.end_us > s.start_us {
                     return Err(format!(
                         "task {} attempt {}: stage ends after compute starts",
@@ -259,7 +267,7 @@ impl Trace {
                     ));
                 }
             }
-            if let Some(commit) = bound(s.task, s.attempt, Phase::Commit) {
+            if let Some(commit) = commit {
                 if s.end_us > commit.start_us {
                     return Err(format!(
                         "task {} attempt {}: compute ends after commit starts",
@@ -336,7 +344,6 @@ mod tests {
             spans,
             events: vec![],
             lanes: (0..lanes).map(|i| format!("worker{i}")).collect(),
-            dropped: 0,
             hot_path_reallocations: 0,
         }
     }

@@ -9,10 +9,11 @@
 //!
 //! * [`run_attempt`] — the worker-side body of one task attempt the
 //!   manager staged: fault seam, kernel (with a fenced stage's tile
-//!   copies), optional compute span.
+//!   copies), optional compute interval.
 //! * [`DagRun`] — the per-DAG state machine: the DAG's [`Frontier`]
 //!   (readiness and the FIFO ready set), the `committed` fence, the
-//!   per-task attempt budget, and the counters that become a [`RunReport`].
+//!   per-task attempt budget, the counters that become a [`RunReport`],
+//!   and, when traced, the run's one recorder: every lane's events.
 //! * [`Slots`] — which worker slot is running what since when: the "is
 //!   this the report I am waiting for" test and the stall watchdog's
 //!   scan.
@@ -32,17 +33,43 @@ use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
 use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder};
 
-/// Nanosecond trace timestamp of `t` relative to the run's `epoch`.
-#[inline]
-pub(crate) fn ns_at(epoch: Instant, t: Instant) -> u64 {
-    t.duration_since(epoch).as_nanos() as u64
+/// Events a clean run records per task: Ready, Dispatch, Stage, Compute
+/// and Commit. A traced run's recorder is sized to this, so only a retried
+/// attempt's extra events can grow it.
+const EVENTS_PER_TASK: usize = 5;
+
+/// A traced run's recorder: every lane's events, timestamped from the
+/// run's epoch. Lanes `0..manager` are the worker slots; `manager` is the
+/// lane of the manager's instants and the commits.
+struct Recording {
+    rec: WorkerRecorder,
+    epoch: Instant,
+    manager: usize,
 }
 
-/// Record an instant on a manager `lane` (no-op when untraced).
-fn mark(lane: &mut Option<(WorkerRecorder, Instant)>, kind: RawKind, task: TaskId, aux: u64) {
-    if let Some((rec, epoch)) = lane {
-        let now = ns_at(*epoch, Instant::now());
-        rec.record(RawEvent::instant(kind, task, aux, now));
+impl Recording {
+    fn ns(&self, t: Instant) -> u64 {
+        t.duration_since(self.epoch).as_nanos() as u64
+    }
+
+    fn span(
+        &mut self,
+        kind: RawKind,
+        lane: usize,
+        at: (TaskId, u32),
+        (t0, t1): (Instant, Instant),
+    ) {
+        let (t0, t1) = (self.ns(t0), self.ns(t1));
+        self.rec.record(RawEvent::interval(kind, lane, at, t0, t1));
+    }
+}
+
+/// Record an instant on the manager's lane (no-op when untraced).
+fn mark(trace: &mut Option<Recording>, kind: RawKind, task: TaskId, aux: u64) {
+    if let Some(tr) = trace {
+        let now = tr.ns(Instant::now());
+        tr.rec
+            .record(RawEvent::instant(kind, tr.manager, task, aux, now));
     }
 }
 
@@ -60,10 +87,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 pub struct Attempt<T: Scalar> {
     /// The task's outputs, awaiting the manager's commit.
     pub completed: CompletedTask<T>,
-    /// Kernel-only duration (a fenced stage's copies included) — a job's
-    /// per-class compute time (the tuner's probe samples). Zero for an
-    /// attempt that was neither clocked nor traced.
-    pub compute: Duration,
+    /// When the kernel ran (a fenced stage's copies included): a job's
+    /// per-class compute time (the tuner's probe samples) and a traced
+    /// run's compute span. `None` for an attempt that was not clocked.
+    pub compute: Option<(Instant, Instant)>,
 }
 
 /// How one attempt ended, as a worker reports it to its manager.
@@ -84,16 +111,14 @@ pub enum Outcome<T: Scalar> {
 /// [`DagRun::on_done`]. A fenced stage left the shared state untouched and
 /// copied nothing yet: its written-tile copies run here, in
 /// `compute_with`, ahead of the kernel. `clocked` times the kernel into
-/// [`Attempt::compute`]; `lane`, the worker's recorder plus the run's epoch
-/// when tracing, gets its compute span. An attempt that is neither reads
-/// no clock. Panics are caught and reported, never propagated.
+/// [`Attempt::compute`] (a clocked or a traced run); an unclocked attempt
+/// reads no clock. Panics are caught and reported, never propagated.
 pub fn run_attempt<T: Scalar>(
     staged: Result<StagedTask<T>, MatrixError>,
     (task, attempt): (TaskId, u32),
     injector: Option<&dyn FaultInjector>,
     ws: &mut Workspace<T>,
     clocked: bool,
-    lane: Option<(&mut WorkerRecorder, Instant)>,
 ) -> Outcome<T> {
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<Attempt<T>, MatrixError> {
         let fault = injector.map_or(InjectedFault::None, |f| f.before_attempt(task, attempt));
@@ -107,22 +132,15 @@ pub fn run_attempt<T: Scalar>(
             }
             InjectedFault::Stall(d) => std::thread::sleep(d),
         }
-        let t0 = (clocked || lane.is_some()).then(Instant::now);
+        let t0 = clocked.then(Instant::now);
         let mut completed = staged?.compute_with(ws)?;
-        let span = t0.map(|t0| (t0, Instant::now()));
+        let compute = t0.map(|t0| (t0, Instant::now()));
         if fault == InjectedFault::PoisonNan {
             // NaN-corrupt the output *after* the kernel ran: the seam for
             // a driver's poison scan ahead of the commit fence.
             completed.poison();
         }
-        if let (Some((rec, epoch)), Some((t0, t1))) = (lane, span) {
-            let (s0, s1) = (ns_at(epoch, t0), ns_at(epoch, t1));
-            rec.record(RawEvent::interval(RawKind::Compute, task, attempt, s0, s1));
-        }
-        Ok(Attempt {
-            completed,
-            compute: span.map_or(Duration::ZERO, |(t0, t1)| t1 - t0),
-        })
+        Ok(Attempt { completed, compute })
     }));
     match result {
         Ok(Ok(done)) => Outcome::Done(done),
@@ -196,33 +214,52 @@ pub struct DagRun {
     attempts: Vec<u32>,
     in_flight: usize,
     halted: bool,
-    /// The manager's own trace lane (ready/dispatch/recovery instants and
-    /// the commits) plus the run's epoch.
-    lane: Option<(WorkerRecorder, Instant)>,
+    /// The run's recorder, when traced: the manager's instants and
+    /// commits, and the workers' stage and compute spans.
+    trace: Option<Recording>,
     tally: Tally,
 }
 
 impl DagRun {
     /// Start a run of `graph` over `workers` worker slots, with the
-    /// sources already in the ready set. `lane`, when tracing, is the
-    /// manager's recorder plus the run's epoch.
-    pub fn new(graph: &TaskGraph, workers: usize, lane: Option<(WorkerRecorder, Instant)>) -> Self {
+    /// sources already in the ready set. `epoch`, when tracing, is the
+    /// instant the run's timestamps count from; the run then records every
+    /// event into one recorder sized from `graph`.
+    pub fn new(graph: &TaskGraph, workers: usize, epoch: Option<Instant>) -> Self {
+        let trace = epoch.map(|epoch| Recording {
+            rec: WorkerRecorder::new(EVENTS_PER_TASK * graph.len()),
+            epoch,
+            manager: workers,
+        });
         let mut run = DagRun {
             frontier: Frontier::new(graph),
             committed: vec![false; graph.len()],
             attempts: vec![0; graph.len()],
             in_flight: 0,
             halted: false,
-            lane,
+            trace,
             tally: Tally {
                 tasks_per_worker: vec![0; workers],
                 ..Tally::default()
             },
         };
         for &t in run.frontier.ready() {
-            mark(&mut run.lane, RawKind::Ready, t, 0);
+            mark(&mut run.trace, RawKind::Ready, t, 0);
         }
         run
+    }
+
+    /// Whether the run records a trace.
+    pub fn traced(&self) -> bool {
+        self.trace.is_some()
+    }
+
+    /// Slot `w` staged attempt `at`, from `t0` until now: its stage span,
+    /// when traced (`t0` is `None` otherwise).
+    pub fn staged(&mut self, w: usize, at: (TaskId, u32), t0: Option<Instant>) {
+        if let (Some(tr), Some(t0)) = (self.trace.as_mut(), t0) {
+            tr.span(RawKind::Stage, w, at, (t0, Instant::now()));
+        }
     }
 
     /// Whether every task has been committed.
@@ -283,7 +320,7 @@ impl DagRun {
         }
         self.attempts[t] += 1;
         self.in_flight += 1;
-        mark(&mut self.lane, RawKind::Dispatch, t, w as u64);
+        mark(&mut self.trace, RawKind::Dispatch, t, w as u64);
         Some((t, self.attempts[t] - 1))
     }
 
@@ -301,7 +338,8 @@ impl DagRun {
     /// fence. Returns `true` when this result was committed (outputs
     /// applied to `state`, successors readied), `false` when it was
     /// dropped as a duplicate or because the run is halted. Every commit
-    /// of a run happens here, fenced or not.
+    /// of a run happens here, fenced or not. A traced run records the
+    /// attempt's compute span first, so a dropped result keeps its span.
     pub fn on_done<T: Scalar>(
         &mut self,
         graph: &TaskGraph,
@@ -312,23 +350,26 @@ impl DagRun {
         done: Attempt<T>,
     ) -> bool {
         self.in_flight -= usize::from(expected);
+        if let (Some(tr), Some(compute)) = (self.trace.as_mut(), done.compute) {
+            tr.span(RawKind::Compute, w, (t, attempt), compute);
+        }
         if !self.accepts(t) {
             return false;
         }
         // Only a traced commit is clocked: its span is the one reader.
-        if let Some((rec, epoch)) = self.lane.as_mut() {
-            let c0 = ns_at(*epoch, Instant::now());
+        if let Some(tr) = self.trace.as_mut() {
+            let c0 = Instant::now();
             state.commit(done.completed);
-            let c1 = ns_at(*epoch, Instant::now());
-            rec.record(RawEvent::interval(RawKind::Commit, t, attempt, c0, c1));
+            let manager = tr.manager;
+            tr.span(RawKind::Commit, manager, (t, attempt), (c0, Instant::now()));
         } else {
             state.commit(done.completed);
         }
         self.tally.tasks_per_worker[w] += 1;
         self.committed[t] = true;
-        let lane = &mut self.lane;
+        let trace = &mut self.trace;
         self.frontier
-            .complete(graph, t, |s| mark(lane, RawKind::Ready, s, 0));
+            .complete(graph, t, |s| mark(trace, RawKind::Ready, s, 0));
         true
     }
 
@@ -352,12 +393,12 @@ impl DagRun {
         }
         self.tally.worker_deaths += 1;
         let no_task = RawEvent::NO_TASK;
-        mark(&mut self.lane, RawKind::WorkerDeath, no_task, w as u64);
+        mark(&mut self.trace, RawKind::WorkerDeath, no_task, w as u64);
         if !self.accepts(t) {
             return false;
         }
         self.tally.requeues += 1;
-        mark(&mut self.lane, RawKind::Requeue, t, w as u64);
+        mark(&mut self.trace, RawKind::Requeue, t, w as u64);
         true
     }
 
@@ -381,24 +422,25 @@ impl DagRun {
             });
         }
         self.tally.retries += 1;
-        mark(&mut self.lane, RawKind::Retry, t, u64::from(attempts));
+        mark(&mut self.trace, RawKind::Retry, t, u64::from(attempts));
         Ok(ft.backoff(attempts))
     }
 
-    /// Detach the manager's trace lane for merging (`None` if untraced).
-    pub fn take_lane(&mut self) -> Option<WorkerRecorder> {
-        self.lane.take().map(|(rec, _)| rec)
-    }
-
-    /// Close the books: the run's counters as a [`RunReport`]. `elapsed`,
-    /// the merged `trace` and the memory `counters` are the driver's to
-    /// measure.
+    /// Close the books: the run's counters, and its trace of `graph` when
+    /// traced (lanes `worker0`, `worker1`, …, then `manager`), as a
+    /// [`RunReport`]. `elapsed` and the memory `counters` are the driver's
+    /// to measure.
     pub fn into_report(
         self,
+        graph: &TaskGraph,
         elapsed: Duration,
-        trace: Option<Trace>,
         counters: HotPathCounters,
     ) -> RunReport {
+        let trace = self.trace.map(|tr| {
+            let mut lanes: Vec<String> = (0..tr.manager).map(|w| format!("worker{w}")).collect();
+            lanes.push("manager".to_string());
+            tr.rec.into_trace(lanes, graph)
+        });
         self.tally
             .into_report(self.frontier.max_ready(), elapsed, trace, counters)
     }

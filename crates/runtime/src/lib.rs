@@ -43,10 +43,11 @@
 //! `run_pool`.
 //!
 //! Observability: enabling [`TraceConfig`] in the [`PoolConfig`] makes
-//! every worker record its task lifecycle (stage/compute/commit spans,
-//! plus the scheduler's ready/dispatch/recovery instants on a `manager`
-//! lane) into a per-thread ring buffer, merged at join into the unified
-//! [`Trace`](tileqr_obs::Trace) carried by [`RunReport::trace`] — see
+//! the run record every task's lifecycle (stage/compute/commit spans on
+//! the workers' lanes, plus the scheduler's ready/dispatch/recovery
+//! instants on a `manager` lane) into one recorder sized from its graph,
+//! which becomes the unified [`Trace`](tileqr_obs::Trace) carried by
+//! [`RunReport::trace`] — see
 //! the `tileqr-obs` crate for Chrome-trace export, latency histograms,
 //! and sim-vs-real calibration built on top.
 //!

@@ -23,10 +23,7 @@ use std::time::{Duration, Instant};
 use tileqr_dag::TaskGraph;
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::{Result, Scalar};
-use tileqr_obs::{
-    merge_recorders, HotPathCounters, KernelHistograms, RawEvent, RawKind, Trace, TraceConfig,
-    WorkerRecorder,
-};
+use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, TraceConfig, WorkerRecorder};
 
 /// Configuration of a one-shot run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -34,7 +31,7 @@ pub struct PoolConfig {
     /// Number of computing threads. `0` means one per available core.
     pub workers: usize,
     /// Lifecycle tracing. Disabled by default; when disabled the pool
-    /// allocates no recorders and reads no extra clocks.
+    /// allocates no recorder and reads no extra clocks.
     pub trace: TraceConfig,
     /// Recovery budget of a multi-worker run: with `Some`, worker panics,
     /// transient kernel failures and (with a watchdog) stalls are retried
@@ -84,8 +81,9 @@ pub struct RunReport {
     /// Workers retired mid-run (panicked or stalled past the watchdog).
     pub worker_deaths: u64,
     /// Unified lifecycle trace of the run — `Some` iff the run's
-    /// [`TraceConfig`] was enabled. One lane per worker plus a `manager`
-    /// lane carrying ready/dispatch/recovery instants and the commits.
+    /// [`TraceConfig`] was enabled. Every event of the run: one lane per
+    /// worker (stage and compute spans) plus a `manager` lane carrying
+    /// ready/dispatch/recovery instants and the commits.
     pub trace: Option<Trace>,
     /// Memory-discipline counters: copy-on-write fallback clones plus
     /// workspace-arena bytes and growths, summed over all workers. Jobs
@@ -128,12 +126,6 @@ impl RunReport {
             .unwrap_or_default() as f64;
         max / avg
     }
-
-    /// Per-kernel latency histograms over the run's compute spans.
-    /// `None` when the run was not traced.
-    pub fn kernel_histograms(&self) -> Option<KernelHistograms> {
-        self.trace.as_ref().map(KernelHistograms::from_trace)
-    }
 }
 
 /// Execute every task of `graph` over `state` and report the run.
@@ -164,13 +156,13 @@ fn run_inline<T: Scalar>(
         // Inline runs have no staging or commit contention; one compute
         // span per task on the single worker lane is the whole story.
         let ns = || started.elapsed().as_nanos() as u64;
-        let mut rec = WorkerRecorder::new(trace_cfg.capacity_per_lane.max(graph.len()));
+        let mut rec = WorkerRecorder::new(graph.len());
         for tid in 0..graph.len() {
             let t0 = ns();
             state.execute(graph.task(tid))?;
-            rec.record(RawEvent::interval(RawKind::Compute, tid, 0, t0, ns()));
+            rec.record(RawEvent::interval(RawKind::Compute, 0, (tid, 0), t0, ns()));
         }
-        Some(merge_recorders(&[rec], vec!["worker0".to_string()], graph))
+        Some(rec.into_trace(vec!["worker0".to_string()], graph))
     } else {
         state.run_all(graph)?;
         None
@@ -198,6 +190,7 @@ mod tests {
     use tileqr_matrix::gen::random_matrix;
     use tileqr_matrix::ops::matmul;
     use tileqr_matrix::{Matrix, TiledMatrix};
+    use tileqr_obs::KernelHistograms;
 
     fn factor_parallel(
         n: usize,
@@ -344,10 +337,9 @@ mod tests {
         let trace = report.trace.as_ref().expect("tracing was enabled");
         assert_eq!(trace.compute_span_count(), g.len());
         assert_eq!(trace.lanes.len(), 4, "3 workers + manager");
-        assert_eq!(trace.dropped, 0);
         assert_eq!(trace.hot_path_reallocations, 0);
         trace.validate(true).unwrap();
-        let hists = report.kernel_histograms().unwrap();
+        let hists = KernelHistograms::from_trace(trace);
         assert_eq!(hists.total(), g.len() as u64);
     }
 
@@ -366,7 +358,11 @@ mod tests {
         )
         .unwrap();
         assert!(report.trace.is_none());
-        assert!(report.kernel_histograms().is_none());
+        assert!(report
+            .trace
+            .as_ref()
+            .map(KernelHistograms::from_trace)
+            .is_none());
     }
 
     #[test]

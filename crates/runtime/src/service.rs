@@ -72,7 +72,7 @@
 //! queue-wait / latency [`LatencyHistogram`]s plus queue-depth high-water
 //! marks are readable at any time via [`QrService::stats`].
 
-use crate::engine::{ns_at, panic_message, run_attempt, DagRun, Outcome, Slots};
+use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
 use crate::pool::{PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
@@ -87,10 +87,7 @@ use tileqr_dag::{KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
 use tileqr_kernels::exec::{FactorState, StagedTask};
 use tileqr_kernels::{flops, ApplySide, Workspace};
 use tileqr_matrix::{Matrix, MatrixError, Scalar};
-use tileqr_obs::{
-    merge_recorders, HotPathCounters, LatencyHistogram, LifecycleCounters, RawEvent, RawKind,
-    TraceConfig, WorkerRecorder,
-};
+use tileqr_obs::{HotPathCounters, LatencyHistogram, LifecycleCounters};
 
 /// Job identifier, unique per service instance (1-based).
 pub type JobId = u64;
@@ -677,8 +674,7 @@ struct Unit<T: Scalar> {
     kind: TaskKind,
     b: usize,
     staged: Result<StagedTask<T>, MatrixError>,
-    /// When staging ran (traced instances only).
-    stage_span: Option<(Instant, Instant)>,
+    /// Time the kernel: the job is clocked, or its run traced.
     clocked: bool,
     injector: Option<SharedInjector>,
 }
@@ -758,9 +754,6 @@ struct Core<T: Scalar> {
     /// Workers asleep waiting for a ready unit.
     sleepers: usize,
     stats: ServiceStats,
-    /// What a traced instance's threads and retired runs leave behind: one
-    /// lane per worker slot, then the manager's. Empty when untraced.
-    lanes: Vec<Option<WorkerRecorder>>,
     /// Final size and growth count of every arena a thread that has left
     /// held, summed.
     arenas: HotPathCounters,
@@ -781,15 +774,6 @@ fn is_panel_factor(kind: TaskKind) -> bool {
         kind,
         TaskKind::Geqrt { .. } | TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. }
     )
-}
-
-/// Leave `rec` on `lane`. A respawned slot is one lane: the later thread's
-/// events join the earlier one's.
-fn deposit(lane: &mut Option<WorkerRecorder>, rec: WorkerRecorder) {
-    match lane {
-        Some(held) => rec.events().into_iter().for_each(|ev| held.record(ev)),
-        None => *lane = Some(rec),
-    }
 }
 
 impl<T: Scalar> Core<T> {
@@ -877,9 +861,9 @@ struct Shared<T: Scalar> {
     /// one-shot fast mode: zero-copy staging, so a lost attempt fails its
     /// job at once — its inputs are gone.
     ft: Option<FaultTolerance>,
-    /// `Some`: every worker thread and every job's run record a lane,
-    /// timestamped from this epoch.
-    trace: Option<(TraceConfig, Instant)>,
+    /// `Some`: every job's run records a trace, timestamped from this
+    /// epoch.
+    trace: Option<Instant>,
     core: Mutex<Core<T>>,
     /// Workers sleep here while nothing is ready.
     work: Condvar,
@@ -895,9 +879,8 @@ impl<T: Scalar> Shared<T> {
         workers: usize,
         max_in_flight: usize,
         ft: Option<FaultTolerance>,
-        trace: Option<(TraceConfig, Instant)>,
+        trace: Option<Instant>,
     ) -> Self {
-        let lanes = trace.map_or(0, |_| workers + 1);
         Shared {
             workers,
             max_in_flight,
@@ -915,7 +898,6 @@ impl<T: Scalar> Shared<T> {
                 dispatch_count: 0,
                 sleepers: 0,
                 stats: ServiceStats::default(),
-                lanes: (0..lanes).map(|_| None).collect(),
                 arenas: HotPathCounters::default(),
             }),
             work: Condvar::new(),
@@ -991,12 +973,8 @@ impl<T: Scalar> Shared<T> {
             class_tasks: [0; 3],
         };
         let b = state.tile_size();
-        let lane = self.trace.map(|(cfg, epoch)| {
-            let rec = WorkerRecorder::new(cfg.capacity_per_lane);
-            (rec, epoch)
-        });
         let job = Box::new(JobState {
-            run: DagRun::new(&meta.graph, self.workers, lane),
+            run: DagRun::new(&meta.graph, self.workers, self.trace),
             meta,
             state,
             clocked: true,
@@ -1156,9 +1134,6 @@ impl<T: Scalar> Shared<T> {
     /// the tiles it staged, so nothing waits for it.
     fn retire(&self, core: &mut Core<T>, id: JobId) -> Option<Finished<T>> {
         let mut job = core.jobs.remove(&id)?;
-        if let Some(lane) = job.run.take_lane() {
-            deposit(&mut core.lanes[self.workers], lane);
-        }
         // The arenas outlive the job, so only the state's own
         // copy-on-write count is attributable to it.
         let counters = HotPathCounters {
@@ -1166,7 +1141,7 @@ impl<T: Scalar> Shared<T> {
             ..HotPathCounters::default()
         };
         let elapsed = job.started.map(|s| s.elapsed()).unwrap_or_default();
-        let mut report = job.run.into_report(elapsed, None, counters);
+        let mut report = job.run.into_report(&job.meta.graph, elapsed, counters);
         [report.stage_wait, report.commit_wait] = job.lock_wait;
         job.state.end_run();
         Some((job.meta, job.state, report))
@@ -1266,7 +1241,7 @@ impl<T: Scalar> Shared<T> {
         let job = core.jobs.get_mut(&id)?;
         let lost = match outcome {
             Outcome::Done(done) => {
-                let compute_ns = done.compute.as_nanos() as u64;
+                let compute = done.compute.map_or(Duration::ZERO, |(t0, t1)| t1 - t0);
                 // Poison fence: the output must not become an input of
                 // downstream tasks.
                 if let Some(tile) = poisoned.filter(|_| job.run.accepts(task)) {
@@ -1285,7 +1260,7 @@ impl<T: Scalar> Shared<T> {
                     .on_done(&job.meta.graph, &mut job.state, at, w, expected, done)
                 {
                     let slot = KernelClass::of(job.meta.graph.task(task)).slot();
-                    job.meta.class_compute_us[slot] += compute_ns as f64 / 1e3;
+                    job.meta.class_compute_us[slot] += compute.as_nanos() as f64 / 1e3;
                     job.meta.class_tasks[slot] += 1;
                     // The common case ends here, without another look-up.
                     let last = job.run.all_done();
@@ -1370,18 +1345,18 @@ impl<T: Scalar> Shared<T> {
         }
         // Staging is `O(1)` under the lock: a fenced stage takes handles
         // and spares, and the worker copies.
-        let t0 = self.trace.map(|_| Instant::now());
+        let t0 = job.run.traced().then(Instant::now);
         let staged = match self.ft {
             Some(_) => job.state.stage_preserving(kind),
             None => job.state.stage(kind),
         };
+        job.run.staged(w, (task, attempt), t0);
         Some(Unit {
             key,
             kind,
             b: job.b,
             staged,
-            stage_span: t0.map(|t0| (t0, Instant::now())),
-            clocked: job.clocked,
+            clocked: job.clocked || job.run.traced(),
             injector: job.injector.clone(),
         })
     }
@@ -1398,7 +1373,6 @@ impl<T: Scalar> Shared<T> {
 /// while the core has nothing ready. `injector` stands in for jobs that
 /// carry none of their own (a one-shot run's borrowed test seam).
 fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultInjector>) {
-    let mut rec = (sh.trace).map(|(cfg, _)| WorkerRecorder::new(cfg.capacity_per_lane));
     // One arena per thread, re-sized when a unit's tile size exceeds the
     // largest the worker has seen — steady state allocates nothing.
     let (mut ws, mut sized_for) = (Workspace::<T>::new(0, 0), 0);
@@ -1425,14 +1399,9 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
         if b > sized_for {
             (ws, sized_for) = (Workspace::new(b, b), b);
         }
-        let epoch = sh.trace.map(|(_, epoch)| epoch);
-        if let (Some(rec), Some(epoch), Some((s0, s1))) = (rec.as_mut(), epoch, unit.stage_span) {
-            let (s0, s1) = (ns_at(epoch, s0), ns_at(epoch, s1));
-            rec.record(RawEvent::interval(RawKind::Stage, key.1, key.2, s0, s1));
-        }
         let own = unit.injector.as_deref().map(|f| f as &dyn FaultInjector);
-        let (at, faults, lane) = ((key.1, key.2), own.or(injector), rec.as_mut().zip(epoch));
-        let outcome = run_attempt(unit.staged, at, faults, &mut ws, unit.clocked, lane);
+        let (at, faults) = ((key.1, key.2), own.or(injector));
+        let outcome = run_attempt(unit.staged, at, faults, &mut ws, unit.clocked);
         // The poison fence of a fenced run, on its panel factors.
         let fence = sh.ft.is_some() && is_panel_factor(unit.kind);
         let poisoned = match &outcome {
@@ -1466,9 +1435,6 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
     }
     core.arenas.workspace_bytes += ws.bytes();
     core.arenas.workspace_resizes += ws.resizes();
-    if let Some(rec) = rec {
-        deposit(&mut core.lanes[w], rec);
-    }
 }
 
 /// The clock of an instance, on the service's timer thread or on the
@@ -1562,7 +1528,7 @@ pub fn run_pool<T: Scalar>(
     injector: Option<&dyn FaultInjector>,
 ) -> Result<(FactorState<T>, RunReport), RuntimeError> {
     let started = Instant::now();
-    let trace = config.trace.enabled.then_some((config.trace, started));
+    let trace = config.trace.enabled.then_some(started);
     let ft = config.fault_tolerance;
     let sh = Shared::new(config.effective_workers(), 0, ft, trace);
     let (mut job, reply) = sh.job(state, graph.clone(), Payload::Factor);
@@ -1589,20 +1555,10 @@ pub fn run_pool<T: Scalar>(
         // Nothing else can happen to the one job of a scoped instance.
         _ => RuntimeError::Disconnected { in_flight: 0 },
     })?;
-    let Shared { workers, core, .. } = sh;
-    let core = core.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let core = sh.core.into_inner().unwrap_or_else(PoisonError::into_inner);
     report.elapsed = started.elapsed();
     report.counters.workspace_bytes = core.arenas.workspace_bytes;
     report.counters.workspace_resizes = core.arenas.workspace_resizes;
-    if trace.is_some() {
-        let lanes = core.lanes.into_iter();
-        let recorders: Vec<_> = lanes
-            .map(|lane| lane.unwrap_or_else(|| WorkerRecorder::new(1)))
-            .collect();
-        let mut names: Vec<String> = (0..workers).map(|w| format!("worker{w}")).collect();
-        names.push("manager".to_string());
-        report.trace = Some(merge_recorders(&recorders, names, graph));
-    }
     Ok((output.into_factor().state, report))
 }
 

@@ -1,14 +1,15 @@
 //! "Tracing off allocates no recorder", held by a `#[global_allocator]`
 //! that records the largest single acquisition.
 //!
-//! A default-capacity [`WorkerRecorder`](tileqr_obs::WorkerRecorder) is one
-//! block of a few megabytes; nothing else a small run acquires comes near
-//! 64 KiB (thread stacks are mapped, not allocated). So an untraced run
-//! whose largest block stays under that line built no recorder anywhere —
-//! not per worker, not for the manager lane, not at merge time — and a
-//! traced run of the same input shows the line is one a recorder crosses.
-//! Freeing blocks that size at the end of every untraced run is what makes
-//! the allocator trim the heap and the *next* call re-fault its pages.
+//! A traced run's [`WorkerRecorder`](tileqr_obs::WorkerRecorder) is one
+//! block of five events per task; nothing else a small untraced run
+//! acquires comes near 64 KiB (thread stacks are mapped, not allocated).
+//! So an untraced run of an 8 × 8 grid whose largest block stays under that
+//! line built no recorder anywhere, and a traced run of a 16 × 16 grid —
+//! whose recorder holds 7 480 events — shows the line is one a recorder
+//! crosses. Freeing blocks that size at the end of every untraced run is
+//! what makes the allocator trim the heap and the *next* call re-fault its
+//! pages.
 //!
 //! The high-water mark is process-wide, so this binary holds exactly one
 //! `#[test]`.
@@ -56,11 +57,12 @@ unsafe impl GlobalAlloc for HighWaterAlloc {
 #[global_allocator]
 static GLOBAL: HighWaterAlloc = HighWaterAlloc;
 
-/// Largest block acquired by a two-worker run of an 8 × 8 grid at b = 4.
-fn largest_block(trace: TraceConfig) -> usize {
-    let a = random_matrix::<f64>(32, 32, 7);
+/// Largest block acquired by a two-worker run of an `nt × nt` grid at
+/// b = 4.
+fn largest_block(nt: usize, trace: TraceConfig) -> usize {
+    let a = random_matrix::<f64>(4 * nt, 4 * nt, 7);
     let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
-    let graph = TaskGraph::build_tree(8, 8, EliminationTree::Flat);
+    let graph = TaskGraph::build_tree(nt, nt, EliminationTree::Flat);
     let config = PoolConfig {
         workers: 2,
         trace,
@@ -75,8 +77,8 @@ fn largest_block(trace: TraceConfig) -> usize {
 #[test]
 fn an_untraced_run_builds_no_recorder() {
     const LINE: usize = 64 << 10;
-    let untraced = largest_block(TraceConfig::default());
+    let untraced = largest_block(8, TraceConfig::default());
     assert!(untraced < LINE, "untraced run acquired {untraced} bytes");
-    let traced = largest_block(TraceConfig::enabled());
+    let traced = largest_block(16, TraceConfig::enabled());
     assert!(traced >= LINE, "a recorder is only {traced} bytes");
 }

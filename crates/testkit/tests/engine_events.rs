@@ -143,7 +143,6 @@ impl<'g> Machine<'g> {
             Some(&injector),
             &mut self.ws,
             false,
-            None,
         )
     }
 
@@ -236,7 +235,7 @@ impl<'g> Machine<'g> {
         let done = self.run.all_done();
         let report = self
             .run
-            .into_report(Duration::ZERO, None, HotPathCounters::default());
+            .into_report(self.graph, Duration::ZERO, HotPathCounters::default());
         let got = Counts {
             retries: report.retries,
             requeues: report.requeues,

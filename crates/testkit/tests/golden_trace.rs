@@ -92,7 +92,6 @@ fn golden_traces_across_workers_and_policies() {
                 workers + 1,
                 "one lane per worker plus the manager"
             );
-            assert_eq!(trace.dropped, 0, "default capacity never overwrites");
             assert_eq!(
                 trace.hot_path_reallocations, 0,
                 "hot path allocates nothing"
@@ -118,6 +117,33 @@ fn golden_traces_across_workers_and_policies() {
             }
         }
     }
+}
+
+/// A trace holds the whole run, however large: a traced two-worker run of
+/// a 48 × 48 grid (38 024 tasks, 190 120 events) records every task's five
+/// events, nested, into a recorder that never grows.
+#[test]
+fn a_large_traced_run_keeps_every_event() {
+    let a = tileqr_matrix::gen::random_matrix::<f64>(48 * B, 48 * B, SEED);
+    let tiled = TiledMatrix::from_matrix(&a, B).unwrap();
+    let g = TaskGraph::build_tree(48, 48, EliminationTree::Flat);
+    assert_eq!(g.len(), 38_024);
+    let config = PoolConfig {
+        workers: 2,
+        trace: TraceConfig::enabled(),
+        ..PoolConfig::default()
+    };
+    let (_, report) = run_pool(FactorState::new(tiled), &g, config, None).unwrap();
+    let trace = report.trace.as_ref().unwrap();
+    for kind in [EventKind::Ready, EventKind::Dispatch] {
+        assert_eq!(trace.events_of(kind).count(), g.len(), "{kind:?}");
+    }
+    for phase in [Phase::Stage, Phase::Compute, Phase::Commit] {
+        assert_eq!(trace.phase_spans(phase).count(), g.len(), "{phase:?}");
+    }
+    assert_complete(trace, &g);
+    trace.validate(true).unwrap();
+    assert_eq!(trace.hot_path_reallocations, 0);
 }
 
 /// The driver's one order, pinned: with no seam, the manager lane

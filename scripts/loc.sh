@@ -124,7 +124,16 @@
 #     queues reads `indegrees()`, and no `ListOrder` comes back.
 #   * what nothing called stays deleted: `ops::{inf_norm, one_norm}`,
 #     `Matrix::{scale_mut, unit_lower}`, `TiledMatrix::{set_tile,
-#     two_tiles_mut}`, tests included.
+#     two_tiles_mut}`, `dag::export::to_dot`, `MatrixViewMut`,
+#     `ops::{gemm, Trans}` and its NT/TT loops, `solve_lower_triangular`,
+#     `RunReport::kernel_histograms`, `LifecycleCounters::is_quiet` and
+#     `flops::tiled_qr_flops`, tests included.
+#   * one trace recorder per run: a traced run's `DagRun` owns one
+#     recorder, sized from its graph, that keeps every event, so no ring,
+#     capacity knob, loss counter, per-worker recorder or merge of lanes
+#     comes back anywhere under `crates/`, `tests/` or `examples/`, tests
+#     included, and non-test runtime code builds a recorder only in
+#     `engine.rs` (the run's) and `pool.rs` (the inline path's).
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -322,6 +331,19 @@ if hits=$(grep -rnE --include='*.rs' 'ListOrder|\b(inf_norm|one_norm|scale_mut|u
     crates tests examples); then
     fail "a retired name is back (a pick hook replaced ListOrder; nothing called the matrix helpers):" "$hits"
 fi
+if hits=$(grep -rnE --include='*.rs' \
+    '\bto_dot\b|MatrixViewMut|\bgemm(_nt|_tt)?\(|enum Trans\b|Trans::|solve_lower_triangular|\bkernel_histograms\b|\bis_quiet\b|tiled_qr_flops' \
+    crates tests examples); then
+    fail "a retired name is back (nothing called it):" "$hits"
+fi
+# Tests and examples count for the retired names here too.
+knob='capacity_per_lane|DEFAULT_CAPACITY_PER_LANE|TraceConfig::with_capacity|fn with_capacity\b|\boverwritten\(|\bdropped:|\.dropped\b|core\.lanes\b|\bdeposit\(|merge_recorders'
+if hits=$(grep -rnE --include='*.rs' "$knob" crates tests examples); then
+    fail "a lossy or per-worker trace recorder is back (a run records every event into one recorder sized from its graph):" "$hits"
+fi
+hits=$(non_test_all crates/runtime | grep -E 'WorkerRecorder::new' |
+    grep -vE '^crates/runtime/src/(engine|pool)\.rs:' || true)
+[ -z "$hits" ] || fail "a recorder built outside the run's DagRun and the inline path:" "$hits"
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
