@@ -9,7 +9,9 @@
 //! [`TraceEvent`] is an instantaneous lifecycle marker (ready, dispatch,
 //! retry, requeue, worker death). A [`Trace`] collects both, along with
 //! the lane names, and is what the Chrome exporter, the latency
-//! histograms and the calibration fitter all consume.
+//! histograms and the calibration fitter all consume. These are also the
+//! types a traced pool run records, pushed into its `Trace` as each event
+//! happens: the recording vocabulary and the consumers' are one.
 
 use std::collections::HashMap;
 use tileqr_dag::{TaskId, TaskKind};
@@ -112,14 +114,20 @@ pub struct TraceEvent {
 /// A complete recorded run: spans + events + lane names.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    /// All spans, sorted by start time.
+    /// All spans, in record order. A real run pushes each as its phase
+    /// ends, so they are not sorted by start time
+    /// ([`lane_spans`](Self::lane_spans) sorts one lane, and the Chrome
+    /// exporter sorts its output); a simulator trace is.
     pub spans: Vec<Span>,
-    /// All instantaneous events, sorted by timestamp.
+    /// All instantaneous events, in record order — a real run stamps each
+    /// as it records it, so this is also timestamp order.
     pub events: Vec<TraceEvent>,
     /// Display name per lane (`worker0`, `manager`, `GTX580`, …).
     pub lanes: Vec<String>,
-    /// Whether the run's recorder grew past the room it was sized for:
-    /// 0 on a clean run — asserted by the overhead regression suite.
+    /// Whether the run's trace grew past the room it was sized for
+    /// ([`with_room`](Self::with_room)), as [`push_span`](Self::push_span)
+    /// and [`push_event`](Self::push_event) count it: 0 on a clean run —
+    /// asserted by the overhead regression suite.
     pub hot_path_reallocations: u64,
 }
 
@@ -142,6 +150,29 @@ pub const NUM_KINDS: usize = 6;
 pub const KIND_NAMES: [&str; NUM_KINDS] = ["geqrt", "unmqr", "tsqrt", "tsmqr", "ttqrt", "ttmqr"];
 
 impl Trace {
+    /// An empty trace on `lanes` with room for `spans` spans and `events`
+    /// instants: what a run records when nothing goes wrong.
+    pub fn with_room(lanes: Vec<String>, spans: usize, events: usize) -> Trace {
+        Trace {
+            spans: Vec::with_capacity(spans),
+            events: Vec::with_capacity(events),
+            lanes,
+            hot_path_reallocations: 0,
+        }
+    }
+
+    /// Append `span`, noting a push past the room the trace was sized for.
+    pub fn push_span(&mut self, span: Span) {
+        self.hot_path_reallocations |= u64::from(self.spans.len() == self.spans.capacity());
+        self.spans.push(span);
+    }
+
+    /// Append `event`, noting a push past the room the trace was sized for.
+    pub fn push_event(&mut self, event: TraceEvent) {
+        self.hot_path_reallocations |= u64::from(self.events.len() == self.events.capacity());
+        self.events.push(event);
+    }
+
     /// Convert a simulator [`Timeline`] into the unified model: every
     /// kernel becomes a `Compute` span on its device's lane.
     ///
@@ -185,7 +216,7 @@ impl Trace {
         }
     }
 
-    /// Spans in `phase`, in stored (start-time) order.
+    /// Spans in `phase`, in stored order.
     pub fn phase_spans(&self, phase: Phase) -> impl Iterator<Item = &Span> {
         self.spans.iter().filter(move |s| s.phase == phase)
     }
@@ -377,6 +408,30 @@ mod tests {
         assert_eq!(t.spans[1].lane, 2);
         assert!((t.makespan_us() - 9.0).abs() < 1e-12);
         t.validate(true).unwrap();
+    }
+
+    #[test]
+    fn a_trace_grows_only_past_its_room_and_keeps_every_push() {
+        let mut t = Trace::with_room(vec!["worker0".into()], 2, 1);
+        t.push_span(compute(1, 0, 5.0, 9.0));
+        t.push_span(compute(0, 0, 0.0, 4.0));
+        assert_eq!(t.hot_path_reallocations, 0);
+        t.push_span(compute(2, 0, 9.0, 12.0));
+        assert_eq!(t.hot_path_reallocations, 1, "a third span outgrew the room");
+        let order: Vec<TaskId> = t.spans.iter().map(|s| s.task).collect();
+        assert_eq!(order, [1, 0, 2], "record order, unsorted");
+        let mut t = Trace::with_room(vec!["manager".into()], 0, 1);
+        let ready = |task| TraceEvent {
+            kind: EventKind::Ready,
+            task: Some(task),
+            lane: 0,
+            at_us: 0.0,
+            aux: 0,
+        };
+        t.push_event(ready(0));
+        assert_eq!(t.hot_path_reallocations, 0);
+        t.push_event(ready(1));
+        assert_eq!((t.hot_path_reallocations, t.events.len()), (1, 2));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`DagRun`] — the per-DAG state machine: the DAG's [`Frontier`]
 //!   (readiness and the FIFO ready set), the `committed` fence, the
 //!   per-task attempt budget, the counters that become a [`RunReport`],
-//!   and, when traced, the run's one recorder: every lane's events.
+//!   and, when traced, the run's [`Trace`]: every lane's spans and
+//!   instants, pushed as they happen.
 //! * [`Slots`] — which worker slot is running what since when: the "is
 //!   this the report I am waiting for" test and the stall watchdog's
 //!   scan.
@@ -27,49 +28,61 @@ use crate::pool::RunReport;
 use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use tileqr_dag::{Frontier, Pick, TaskGraph, TaskId};
+use tileqr_dag::{Frontier, Pick, TaskGraph, TaskId, TaskKind};
 use tileqr_kernels::exec::{CompletedTask, FactorState, StagedTask};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
-use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, WorkerRecorder};
+use tileqr_obs::{EventKind, HotPathCounters, Phase, Span, Trace, TraceEvent};
 
-/// Events a clean run records per task: Ready, Dispatch, Stage, Compute
-/// and Commit. A traced run's recorder is sized to this, so only a retried
-/// attempt's extra events can grow it.
-const EVENTS_PER_TASK: usize = 5;
+/// Spans (Stage, Compute, Commit) and instants (Ready, Dispatch) a clean
+/// run records per task: only a retried attempt's records outgrow them.
+const ROOM_PER_TASK: [usize; 2] = [3, 2];
 
-/// A traced run's recorder: every lane's events, timestamped from the
-/// run's epoch. Lanes `0..manager` are the worker slots; `manager` is the
-/// lane of the manager's instants and the commits.
-struct Recording {
-    rec: WorkerRecorder,
-    epoch: Instant,
-    manager: usize,
+/// A traced run's [`Trace`], recorded as the run goes, and the epoch its
+/// timestamps count from. A run's lanes `0..workers` are the worker slots;
+/// the last, `manager`, carries the manager's instants and the commits.
+pub(crate) struct Recording {
+    pub(crate) trace: Trace,
+    pub(crate) epoch: Instant,
 }
 
 impl Recording {
-    fn ns(&self, t: Instant) -> u64 {
-        t.duration_since(self.epoch).as_nanos() as u64
+    fn us(&self, t: Instant) -> f64 {
+        t.duration_since(self.epoch).as_nanos() as f64 / 1e3
     }
 
-    fn span(
+    /// Push the `phase` span of attempt `at` of a `kind` task on `lane`.
+    pub(crate) fn span(
         &mut self,
-        kind: RawKind,
-        lane: usize,
-        at: (TaskId, u32),
+        (phase, lane): (Phase, usize),
+        kind: TaskKind,
+        (task, attempt): (TaskId, u32),
         (t0, t1): (Instant, Instant),
     ) {
-        let (t0, t1) = (self.ns(t0), self.ns(t1));
-        self.rec.record(RawEvent::interval(kind, lane, at, t0, t1));
+        let (start_us, end_us) = (self.us(t0), self.us(t1));
+        self.trace.push_span(Span {
+            task,
+            kind,
+            lane,
+            phase,
+            attempt,
+            start_us,
+            end_us,
+        });
     }
 }
 
 /// Record an instant on the manager's lane (no-op when untraced).
-fn mark(trace: &mut Option<Recording>, kind: RawKind, task: TaskId, aux: u64) {
+fn mark(trace: &mut Option<Recording>, kind: EventKind, task: Option<TaskId>, aux: u64) {
     if let Some(tr) = trace {
-        let now = tr.ns(Instant::now());
-        tr.rec
-            .record(RawEvent::instant(kind, tr.manager, task, aux, now));
+        let (at_us, lane) = (tr.us(Instant::now()), tr.trace.lanes.len() - 1);
+        tr.trace.push_event(TraceEvent {
+            kind,
+            task,
+            lane,
+            at_us,
+            aux,
+        });
     }
 }
 
@@ -160,13 +173,10 @@ pub(crate) struct Tally {
 
 impl Tally {
     /// A run that needed no manager: `tasks` tasks in program order on
-    /// lane `worker` of `workers` (the inline path), with nothing else to
-    /// report.
-    pub(crate) fn one_lane(workers: usize, worker: usize, tasks: u64) -> Self {
-        let mut tasks_per_worker = vec![0; workers];
-        tasks_per_worker[worker] = tasks;
+    /// one lane (the inline path), with nothing else to report.
+    pub(crate) fn inline(tasks: u64) -> Self {
         Tally {
-            tasks_per_worker,
+            tasks_per_worker: vec![tasks],
             ..Tally::default()
         }
     }
@@ -214,8 +224,8 @@ pub struct DagRun {
     attempts: Vec<u32>,
     in_flight: usize,
     halted: bool,
-    /// The run's recorder, when traced: the manager's instants and
-    /// commits, and the workers' stage and compute spans.
+    /// The run's trace, when traced: the manager's instants and commits,
+    /// and the workers' stage and compute spans.
     trace: Option<Recording>,
     tally: Tally,
 }
@@ -224,12 +234,15 @@ impl DagRun {
     /// Start a run of `graph` over `workers` worker slots, with the
     /// sources already in the ready set. `epoch`, when tracing, is the
     /// instant the run's timestamps count from; the run then records every
-    /// event into one recorder sized from `graph`.
+    /// span and instant straight into one [`Trace`] sized from `graph`.
     pub fn new(graph: &TaskGraph, workers: usize, epoch: Option<Instant>) -> Self {
+        let lanes = (0..workers)
+            .map(|w| format!("worker{w}"))
+            .chain(["manager".into()]);
+        let [spans, events] = ROOM_PER_TASK.map(|r| r * graph.len());
         let trace = epoch.map(|epoch| Recording {
-            rec: WorkerRecorder::new(EVENTS_PER_TASK * graph.len()),
+            trace: Trace::with_room(lanes.collect(), spans, events),
             epoch,
-            manager: workers,
         });
         let mut run = DagRun {
             frontier: Frontier::new(graph),
@@ -244,7 +257,7 @@ impl DagRun {
             },
         };
         for &t in run.frontier.ready() {
-            mark(&mut run.trace, RawKind::Ready, t, 0);
+            mark(&mut run.trace, EventKind::Ready, Some(t), 0);
         }
         run
     }
@@ -254,11 +267,11 @@ impl DagRun {
         self.trace.is_some()
     }
 
-    /// Slot `w` staged attempt `at`, from `t0` until now: its stage span,
-    /// when traced (`t0` is `None` otherwise).
-    pub fn staged(&mut self, w: usize, at: (TaskId, u32), t0: Option<Instant>) {
+    /// Slot `w` staged attempt `at` of a `kind` task, from `t0` until
+    /// now: its stage span, when traced (`t0` is `None` otherwise).
+    pub fn staged(&mut self, w: usize, kind: TaskKind, at: (TaskId, u32), t0: Option<Instant>) {
         if let (Some(tr), Some(t0)) = (self.trace.as_mut(), t0) {
-            tr.span(RawKind::Stage, w, at, (t0, Instant::now()));
+            tr.span((Phase::Stage, w), kind, at, (t0, Instant::now()));
         }
     }
 
@@ -320,7 +333,7 @@ impl DagRun {
         }
         self.attempts[t] += 1;
         self.in_flight += 1;
-        mark(&mut self.trace, RawKind::Dispatch, t, w as u64);
+        mark(&mut self.trace, EventKind::Dispatch, Some(t), w as u64);
         Some((t, self.attempts[t] - 1))
     }
 
@@ -351,25 +364,23 @@ impl DagRun {
     ) -> bool {
         self.in_flight -= usize::from(expected);
         if let (Some(tr), Some(compute)) = (self.trace.as_mut(), done.compute) {
-            tr.span(RawKind::Compute, w, (t, attempt), compute);
+            tr.span((Phase::Compute, w), graph.task(t), (t, attempt), compute);
         }
         if !self.accepts(t) {
             return false;
         }
         // Only a traced commit is clocked: its span is the one reader.
-        if let Some(tr) = self.trace.as_mut() {
-            let c0 = Instant::now();
-            state.commit(done.completed);
-            let manager = tr.manager;
-            tr.span(RawKind::Commit, manager, (t, attempt), (c0, Instant::now()));
-        } else {
-            state.commit(done.completed);
+        let c0 = self.trace.is_some().then(Instant::now);
+        state.commit(done.completed);
+        if let (Some(tr), Some(c0)) = (self.trace.as_mut(), c0) {
+            let manager = (Phase::Commit, tr.trace.lanes.len() - 1);
+            tr.span(manager, graph.task(t), (t, attempt), (c0, Instant::now()));
         }
         self.tally.tasks_per_worker[w] += 1;
         self.committed[t] = true;
         let trace = &mut self.trace;
         self.frontier
-            .complete(graph, t, |s| mark(trace, RawKind::Ready, s, 0));
+            .complete(graph, t, |s| mark(trace, EventKind::Ready, Some(s), 0));
         true
     }
 
@@ -392,13 +403,12 @@ impl DagRun {
             return false;
         }
         self.tally.worker_deaths += 1;
-        let no_task = RawEvent::NO_TASK;
-        mark(&mut self.trace, RawKind::WorkerDeath, no_task, w as u64);
+        mark(&mut self.trace, EventKind::WorkerDeath, None, w as u64);
         if !self.accepts(t) {
             return false;
         }
         self.tally.requeues += 1;
-        mark(&mut self.trace, RawKind::Requeue, t, w as u64);
+        mark(&mut self.trace, EventKind::Requeue, Some(t), w as u64);
         true
     }
 
@@ -422,27 +432,17 @@ impl DagRun {
             });
         }
         self.tally.retries += 1;
-        mark(&mut self.trace, RawKind::Retry, t, u64::from(attempts));
+        mark(&mut self.trace, EventKind::Retry, Some(t), attempts.into());
         Ok(ft.backoff(attempts))
     }
 
-    /// Close the books: the run's counters, and its trace of `graph` when
+    /// Close the books: the run's counters, and its trace as recorded when
     /// traced (lanes `worker0`, `worker1`, …, then `manager`), as a
     /// [`RunReport`]. `elapsed` and the memory `counters` are the driver's
     /// to measure.
-    pub fn into_report(
-        self,
-        graph: &TaskGraph,
-        elapsed: Duration,
-        counters: HotPathCounters,
-    ) -> RunReport {
-        let trace = self.trace.map(|tr| {
-            let mut lanes: Vec<String> = (0..tr.manager).map(|w| format!("worker{w}")).collect();
-            lanes.push("manager".to_string());
-            tr.rec.into_trace(lanes, graph)
-        });
-        self.tally
-            .into_report(self.frontier.max_ready(), elapsed, trace, counters)
+    pub fn into_report(self, elapsed: Duration, counters: HotPathCounters) -> RunReport {
+        let (max_ready, trace) = (self.frontier.max_ready(), self.trace.map(|tr| tr.trace));
+        self.tally.into_report(max_ready, elapsed, trace, counters)
     }
 }
 

@@ -45,9 +45,9 @@
 //! Observability: enabling [`TraceConfig`] in the [`PoolConfig`] makes
 //! the run record every task's lifecycle (stage/compute/commit spans on
 //! the workers' lanes, plus the scheduler's ready/dispatch/recovery
-//! instants on a `manager` lane) into one recorder sized from its graph,
-//! which becomes the unified [`Trace`](tileqr_obs::Trace) carried by
-//! [`RunReport::trace`] — see
+//! instants on a `manager` lane) straight into the unified
+//! [`Trace`](tileqr_obs::Trace) it carries in [`RunReport::trace`], sized
+//! from its graph — see
 //! the `tileqr-obs` crate for Chrome-trace export, latency histograms,
 //! and sim-vs-real calibration built on top.
 //!

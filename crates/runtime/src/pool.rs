@@ -16,14 +16,14 @@
 //! for the FIFO order, reaches it through the doc-hidden
 //! [`run_pool`](crate::run_pool) alone.
 
-use crate::engine::Tally;
+use crate::engine::{Recording, Tally};
 use crate::recovery::FaultTolerance;
 use crate::service::run_pool;
 use std::time::{Duration, Instant};
 use tileqr_dag::TaskGraph;
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::{Result, Scalar};
-use tileqr_obs::{HotPathCounters, RawEvent, RawKind, Trace, TraceConfig, WorkerRecorder};
+use tileqr_obs::{HotPathCounters, Phase, Trace, TraceConfig};
 
 /// Configuration of a one-shot run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -31,7 +31,7 @@ pub struct PoolConfig {
     /// Number of computing threads. `0` means one per available core.
     pub workers: usize,
     /// Lifecycle tracing. Disabled by default; when disabled the pool
-    /// allocates no recorder and reads no extra clocks.
+    /// allocates no trace and reads no extra clocks.
     pub trace: TraceConfig,
     /// Recovery budget of a multi-worker run: with `Some`, worker panics,
     /// transient kernel failures and (with a watchdog) stalls are retried
@@ -46,12 +46,16 @@ pub struct PoolConfig {
 impl PoolConfig {
     /// Resolve `workers == 0` to the hardware parallelism.
     pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+        effective_workers(self.workers)
     }
+}
+
+/// `workers`, or one per available core when it is 0: the one rule behind
+/// both configs' `effective_workers`.
+pub(crate) fn effective_workers(workers: usize) -> usize {
+    let cores = || std::thread::available_parallelism().ok();
+    let n = std::num::NonZeroUsize::new(workers).or_else(cores);
+    n.map_or(1, |n| n.get())
 }
 
 /// Per-run report from [`parallel_factor_traced`].
@@ -149,20 +153,20 @@ pub fn parallel_factor_traced<T: Scalar>(
 fn run_inline<T: Scalar>(
     mut state: FactorState<T>,
     graph: &TaskGraph,
-    started: Instant,
+    epoch: Instant,
     trace_cfg: TraceConfig,
 ) -> Result<(FactorState<T>, RunReport)> {
     let trace = if trace_cfg.enabled {
         // Inline runs have no staging or commit contention; one compute
         // span per task on the single worker lane is the whole story.
-        let ns = || started.elapsed().as_nanos() as u64;
-        let mut rec = WorkerRecorder::new(graph.len());
-        for tid in 0..graph.len() {
-            let t0 = ns();
-            state.execute(graph.task(tid))?;
-            rec.record(RawEvent::interval(RawKind::Compute, 0, (tid, 0), t0, ns()));
+        let trace = Trace::with_room(vec!["worker0".to_string()], graph.len(), 0);
+        let mut rec = Recording { trace, epoch };
+        for (task, &kind) in graph.tasks().iter().enumerate() {
+            let t0 = Instant::now();
+            state.execute(kind)?;
+            rec.span((Phase::Compute, 0), kind, (task, 0), (t0, Instant::now()));
         }
-        Some(rec.into_trace(vec!["worker0".to_string()], graph))
+        Some(rec.trace)
     } else {
         state.run_all(graph)?;
         None
@@ -175,8 +179,8 @@ fn run_inline<T: Scalar>(
         workspace_bytes: state.workspace_bytes(),
         workspace_resizes: state.workspace_resizes(),
     };
-    let tally = Tally::one_lane(1, 0, graph.len() as u64);
-    let report = tally.into_report(0, started.elapsed(), trace, counters);
+    let tally = Tally::inline(graph.len() as u64);
+    let report = tally.into_report(0, epoch.elapsed(), trace, counters);
     Ok((state, report))
 }
 

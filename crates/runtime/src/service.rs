@@ -74,7 +74,7 @@
 
 use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots};
 use crate::error::RuntimeError;
-use crate::pool::{PoolConfig, RunReport};
+use crate::pool::{effective_workers, PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -153,11 +153,7 @@ impl ServiceConfig {
     /// Resolve `workers == 0` to the host's available parallelism, as
     /// [`PoolConfig::effective_workers`] does.
     pub fn effective_workers(&self) -> usize {
-        let run = PoolConfig {
-            workers: self.workers,
-            ..PoolConfig::default()
-        };
-        run.effective_workers()
+        effective_workers(self.workers)
     }
 }
 
@@ -1141,7 +1137,7 @@ impl<T: Scalar> Shared<T> {
             ..HotPathCounters::default()
         };
         let elapsed = job.started.map(|s| s.elapsed()).unwrap_or_default();
-        let mut report = job.run.into_report(&job.meta.graph, elapsed, counters);
+        let mut report = job.run.into_report(elapsed, counters);
         [report.stage_wait, report.commit_wait] = job.lock_wait;
         job.state.end_run();
         Some((job.meta, job.state, report))
@@ -1350,7 +1346,7 @@ impl<T: Scalar> Shared<T> {
             Some(_) => job.state.stage_preserving(kind),
             None => job.state.stage(kind),
         };
-        job.run.staged(w, (task, attempt), t0);
+        job.run.staged(w, kind, (task, attempt), t0);
         Some(Unit {
             key,
             kind,

@@ -1,15 +1,15 @@
-//! "Tracing off allocates no recorder", held by a `#[global_allocator]`
+//! "Tracing off allocates no trace", held by a `#[global_allocator]`
 //! that records the largest single acquisition.
 //!
-//! A traced run's [`WorkerRecorder`](tileqr_obs::WorkerRecorder) is one
-//! block of five events per task; nothing else a small untraced run
-//! acquires comes near 64 KiB (thread stacks are mapped, not allocated).
-//! So an untraced run of an 8 × 8 grid whose largest block stays under that
-//! line built no recorder anywhere, and a traced run of a 16 × 16 grid —
-//! whose recorder holds 7 480 events — shows the line is one a recorder
-//! crosses. Freeing blocks that size at the end of every untraced run is
-//! what makes the allocator trim the heap and the *next* call re-fault its
-//! pages.
+//! A traced run's [`Trace`](tileqr_obs::Trace) is sized up front: one block
+//! of three spans per task and one of two instants per task; nothing else a
+//! small untraced run acquires comes near 64 KiB (thread stacks are mapped,
+//! not allocated). So an untraced run of an 8 × 8 grid whose largest block
+//! stays under that line built no trace anywhere, and a traced run of a
+//! 16 × 16 grid — whose span block holds 4 488 spans — shows the line is
+//! one a trace crosses. Freeing blocks that size at the end of every
+//! untraced run is what makes the allocator trim the heap and the *next*
+//! call re-fault its pages.
 //!
 //! The high-water mark is process-wide, so this binary holds exactly one
 //! `#[test]`.

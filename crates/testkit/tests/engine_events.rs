@@ -235,7 +235,7 @@ impl<'g> Machine<'g> {
         let done = self.run.all_done();
         let report = self
             .run
-            .into_report(self.graph, Duration::ZERO, HotPathCounters::default());
+            .into_report(Duration::ZERO, HotPathCounters::default());
         let got = Counts {
             retries: report.retries,
             requeues: report.requeues,

@@ -121,7 +121,7 @@ fn golden_traces_across_workers_and_policies() {
 
 /// A trace holds the whole run, however large: a traced two-worker run of
 /// a 48 × 48 grid (38 024 tasks, 190 120 events) records every task's five
-/// events, nested, into a recorder that never grows.
+/// events, nested, into a trace that never grows.
 #[test]
 fn a_large_traced_run_keeps_every_event() {
     let a = tileqr_matrix::gen::random_matrix::<f64>(48 * B, 48 * B, SEED);
@@ -236,6 +236,8 @@ fn golden_trace_records_retries_iff_faults_injected() {
         "one retry instant per injected transient failure"
     );
     assert_eq!(report.retries, 2, "report and trace agree");
+    // The retried attempts record past the room of a clean run.
+    assert_eq!(trace.hot_path_reallocations, 1);
     // Transient failures kill no workers.
     assert_eq!(trace.events_of(EventKind::WorkerDeath).count(), 0);
     // The retried tasks carry attempt 1 on their compute span.

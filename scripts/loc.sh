@@ -341,9 +341,10 @@ knob='capacity_per_lane|DEFAULT_CAPACITY_PER_LANE|TraceConfig::with_capacity|fn 
 if hits=$(grep -rnE --include='*.rs' "$knob" crates tests examples); then
     fail "a lossy or per-worker trace recorder is back (a run records every event into one recorder sized from its graph):" "$hits"
 fi
-hits=$(non_test_all crates/runtime | grep -E 'WorkerRecorder::new' |
-    grep -vE '^crates/runtime/src/(engine|pool)\.rs:' || true)
-[ -z "$hits" ] || fail "a recorder built outside the run's DagRun and the inline path:" "$hits"
+if hits=$(grep -rnE --include='*.rs' '\b(RawEvent|RawKind|WorkerRecorder|into_trace)\b' \
+    crates tests examples); then
+    fail "a second trace vocabulary is back (a traced run pushes Spans and TraceEvents straight into its Trace):" "$hits"
+fi
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
