@@ -34,7 +34,7 @@ pub fn run() -> Vec<Point> {
             );
             out.push(Point {
                 n,
-                cores: platform.total_cores(),
+                cores: platform.devices().iter().map(|d| d.cores).sum(),
                 seconds: stats.makespan_s(),
             });
         }

@@ -27,14 +27,6 @@ pub struct HotPathCounters {
 }
 
 impl HotPathCounters {
-    /// Fold another set of counters (e.g. from another worker) into this
-    /// one. Counts add; byte totals add (each worker owns its arena).
-    pub fn merge(&mut self, other: &HotPathCounters) {
-        self.cow_clones += other.cow_clones;
-        self.workspace_bytes += other.workspace_bytes;
-        self.workspace_resizes += other.workspace_resizes;
-    }
-
     /// True when the run stayed on the zero-allocation fast path: no COW
     /// clones and no arena growth.
     pub fn is_clean(&self) -> bool {
@@ -65,16 +57,6 @@ pub struct LifecycleCounters {
     pub watchdog_retirements: u64,
 }
 
-impl LifecycleCounters {
-    /// Fold another set of lifecycle counters into this one.
-    pub fn merge(&mut self, other: &LifecycleCounters) {
-        self.jobs_shed += other.jobs_shed;
-        self.jobs_cancelled += other.jobs_cancelled;
-        self.poison_detected += other.poison_detected;
-        self.watchdog_retirements += other.watchdog_retirements;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,50 +64,6 @@ mod tests {
     #[test]
     fn default_is_clean() {
         assert!(HotPathCounters::default().is_clean());
-    }
-
-    #[test]
-    fn lifecycle_merge_adds_and_quiet_detects() {
-        let mut a = LifecycleCounters {
-            jobs_shed: 1,
-            ..Default::default()
-        };
-        let b = LifecycleCounters {
-            jobs_cancelled: 2,
-            poison_detected: 3,
-            watchdog_retirements: 4,
-            ..Default::default()
-        };
-        assert_ne!(a, LifecycleCounters::default());
-        a.merge(&b);
-        assert_eq!(
-            a,
-            LifecycleCounters {
-                jobs_shed: 1,
-                jobs_cancelled: 2,
-                poison_detected: 3,
-                watchdog_retirements: 4,
-            }
-        );
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = HotPathCounters {
-            cow_clones: 1,
-            workspace_bytes: 100,
-            workspace_resizes: 0,
-        };
-        let b = HotPathCounters {
-            cow_clones: 2,
-            workspace_bytes: 50,
-            workspace_resizes: 3,
-        };
-        a.merge(&b);
-        assert_eq!(a.cow_clones, 3);
-        assert_eq!(a.workspace_bytes, 150);
-        assert_eq!(a.workspace_resizes, 3);
-        assert!(!a.is_clean());
     }
 
     #[test]

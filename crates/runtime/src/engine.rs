@@ -14,14 +14,17 @@
 //!   (readiness and the FIFO ready set), the `committed` fence, the
 //!   per-task attempt budget, the counters that become a [`RunReport`],
 //!   and, when traced, the run's [`Trace`]: every lane's spans and
-//!   instants, pushed as they happen.
+//!   instants, pushed as they happen. [`DagRun::settle`] is the one
+//!   mapping from a worker's report to its [`Verdict`]: committed,
+//!   dropped, or lost.
 //! * [`Slots`] — which worker slot is running what since when: the "is
 //!   this the report I am waiting for" test and the stall watchdog's
 //!   scan.
 //!
-//! Because none of it touches a thread or a channel, the testkit drives
-//! [`DagRun`] directly through adversarial event orders (duplicate,
-//! late, and post-commit reports) without sleeps.
+//! Because none of it touches a thread or a channel, the testkit's one
+//! virtual driver (`tileqr_testkit::explorer::Machine`) steps [`DagRun`]
+//! on one thread, without sleeps: every explored interleaving, and every
+//! adversarial event order (duplicate, late, and post-commit reports).
 
 use crate::error::RuntimeError;
 use crate::pool::RunReport;
@@ -121,7 +124,7 @@ pub enum Outcome<T: Scalar> {
 /// reflector factor missing), reported as a failed attempt.
 ///
 /// The outputs travel back for the manager to commit through
-/// [`DagRun::on_done`]. A fenced stage left the shared state untouched and
+/// [`DagRun::settle`]. A fenced stage left the shared state untouched and
 /// copied nothing yet: its written-tile copies run here, in
 /// `compute_with`, ahead of the kernel. `clocked` times the kernel into
 /// [`Attempt::compute`] (a clocked or a traced run); an unclocked attempt
@@ -129,7 +132,7 @@ pub enum Outcome<T: Scalar> {
 pub fn run_attempt<T: Scalar>(
     staged: Result<StagedTask<T>, MatrixError>,
     (task, attempt): (TaskId, u32),
-    injector: Option<&dyn FaultInjector>,
+    injector: Option<&(dyn FaultInjector + Send + Sync)>,
     ws: &mut Workspace<T>,
     clocked: bool,
 ) -> Outcome<T> {
@@ -160,6 +163,17 @@ pub fn run_attempt<T: Scalar>(
         Ok(Err(e)) => Outcome::Failed(e),
         Err(payload) => Outcome::Panicked(panic_message(payload.as_ref())),
     }
+}
+
+/// What [`DagRun::settle`] made of a report.
+#[derive(Debug, PartialEq)]
+pub enum Verdict {
+    /// Committed; its kernel ran this long (zero when not clocked).
+    Committed(Duration),
+    /// A duplicate, late or superseded report, or a halted run's.
+    Dropped,
+    /// Its task still needs a result: charge a retry, or fail the run.
+    Lost(RuntimeError),
 }
 
 /// The counters a run accumulates on its way to a [`RunReport`].
@@ -211,7 +225,7 @@ impl Tally {
 /// blocks, spawns, or sends.
 ///
 /// Re-execution is safe because of the **commit fence**: a task's outputs
-/// are applied at most once, by [`on_done`](Self::on_done), and the first
+/// are applied at most once, by [`settle`](Self::settle), and the first
 /// result wins — duplicate attempts staged identical inputs (nothing that
 /// conflicts runs before the commit), so their outputs are bit-identical.
 /// A failure is charged to a task's attempt budget only when it comes
@@ -320,7 +334,7 @@ impl DagRun {
     pub fn pop_ready(
         &mut self,
         w: usize,
-        seam: Option<&dyn FaultInjector>,
+        seam: Option<&(dyn FaultInjector + Send + Sync)>,
     ) -> Option<(TaskId, u32)> {
         if self.halted {
             return None;
@@ -345,29 +359,56 @@ impl DagRun {
         }
     }
 
-    /// Attempt `attempt` of `t` completed on slot `w`. `expected` says
-    /// whether it is the report the manager was waiting on for that slot;
-    /// a late `Done` from a retired worker still gets its shot at the
-    /// fence. Returns `true` when this result was committed (outputs
-    /// applied to `state`, successors readied), `false` when it was
-    /// dropped as a duplicate or because the run is halted. Every commit
-    /// of a run happens here, fenced or not. A traced run records the
-    /// attempt's compute span first, so a dropped result keeps its span.
-    pub fn on_done<T: Scalar>(
+    /// Settle how attempt `attempt` of `t` ended on slot `w`: the one
+    /// mapping from a worker's report to its effect. `expected`: the slot
+    /// was waiting on this report (a watchdog retirement is an expected
+    /// `Panicked`). The first `Done` of a live run commits — every commit
+    /// happens here, fenced or not — and any other is dropped, a traced
+    /// run keeping its compute span. A `Failed` or `Panicked` is lost only
+    /// when expected and its task uncommitted; an expected `Panicked`
+    /// counts a worker death.
+    pub fn settle<T: Scalar>(
         &mut self,
         graph: &TaskGraph,
         state: &mut FactorState<T>,
         (t, attempt): (TaskId, u32),
         w: usize,
         expected: bool,
-        done: Attempt<T>,
-    ) -> bool {
+        outcome: Outcome<T>,
+    ) -> Verdict {
         self.in_flight -= usize::from(expected);
+        match outcome {
+            Outcome::Done(done) => self.on_done(graph, state, (t, attempt), w, done),
+            Outcome::Failed(source) if expected && self.accepts(t) => {
+                Verdict::Lost(RuntimeError::Kernel { task: t, source })
+            }
+            // The guard counts the death of an expected report's worker.
+            Outcome::Panicked(message) if self.on_panicked(t, w, expected) => {
+                Verdict::Lost(RuntimeError::TaskPanicked {
+                    task: t,
+                    worker: w,
+                    message,
+                })
+            }
+            _ => Verdict::Dropped,
+        }
+    }
+
+    /// Commit a `Done` if it is the first and the run is live, after
+    /// recording its compute span when traced.
+    fn on_done<T: Scalar>(
+        &mut self,
+        graph: &TaskGraph,
+        state: &mut FactorState<T>,
+        (t, attempt): (TaskId, u32),
+        w: usize,
+        done: Attempt<T>,
+    ) -> Verdict {
         if let (Some(tr), Some(compute)) = (self.trace.as_mut(), done.compute) {
             tr.span((Phase::Compute, w), graph.task(t), (t, attempt), compute);
         }
         if !self.accepts(t) {
-            return false;
+            return Verdict::Dropped;
         }
         // Only a traced commit is clocked: its span is the one reader.
         let c0 = self.trace.is_some().then(Instant::now);
@@ -381,24 +422,12 @@ impl DagRun {
         let trace = &mut self.trace;
         self.frontier
             .complete(graph, t, |s| mark(trace, EventKind::Ready, Some(s), 0));
-        true
+        Verdict::Committed(done.compute.map_or(Duration::ZERO, |(t0, t1)| t1 - t0))
     }
 
-    /// An attempt of `t` returned an error. Returns whether the driver
-    /// should [`charge_retry`](Self::charge_retry) (or, unfenced, fail the
-    /// run): only for the expected report of a still-uncommitted task.
-    pub fn on_failed(&mut self, t: TaskId, expected: bool) -> bool {
-        self.in_flight -= usize::from(expected);
-        expected && self.accepts(t)
-    }
-
-    /// The worker on slot `w` was lost mid-attempt of `t`: it reported a
-    /// panic, or the stall watchdog retired it (then `expected` is true by
-    /// construction — the watchdog only scans live slots). Counts the
-    /// death; returns whether the task needs a retry, as
-    /// [`on_failed`](Self::on_failed) does.
-    pub fn on_panicked(&mut self, t: TaskId, w: usize, expected: bool) -> bool {
-        self.in_flight -= usize::from(expected);
+    /// Slot `w`'s worker was lost mid-attempt of `t`: count the death if
+    /// expected, and answer whether the task needs a retry.
+    fn on_panicked(&mut self, t: TaskId, w: usize, expected: bool) -> bool {
         if !expected {
             return false;
         }
@@ -506,26 +535,136 @@ impl<K: Copy + PartialEq> Slots<K> {
 mod tests {
     use super::*;
     use tileqr_dag::EliminationTree;
+    use tileqr_matrix::{gen::random_matrix, TiledMatrix};
+
+    /// A 2×2 flat-tree graph and a random 8×8 state at b = 4.
+    fn fixture() -> (TaskGraph, FactorState<f64>) {
+        let tiles = TiledMatrix::from_matrix(&random_matrix(8, 8, 3), 4).unwrap();
+        let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
+        (g, FactorState::new(tiles))
+    }
+
+    /// Attempt `at`, run and clocked over a fenced stage.
+    fn done(g: &TaskGraph, state: &mut FactorState<f64>, at: (TaskId, u32)) -> Outcome<f64> {
+        let ws = &mut Workspace::new(4, 4);
+        run_attempt(state.stage_preserving(g.task(at.0)), at, None, ws, true)
+    }
+
+    fn scripted() -> MatrixError {
+        MatrixError::Runtime {
+            reason: "scripted".into(),
+        }
+    }
+
+    #[test]
+    fn settle_commits_the_first_done_and_drops_the_rest_with_their_spans() {
+        let (g, mut state) = fixture();
+        let mut dag = DagRun::new(&g, 1, Some(Instant::now()));
+        let at = dag.pop_ready(0, None).unwrap();
+        let (first, twin) = (done(&g, &mut state, at), done(&g, &mut state, at));
+        let verdict = dag.settle(&g, &mut state, at, 0, true, first);
+        assert!(matches!(verdict, Verdict::Committed(_)), "{verdict:?}");
+        assert_eq!(
+            dag.settle(&g, &mut state, at, 0, false, twin),
+            Verdict::Dropped
+        );
+        let next = dag.pop_ready(0, None).unwrap();
+        let late = done(&g, &mut state, next);
+        dag.halt();
+        assert_eq!(
+            dag.settle(&g, &mut state, next, 0, true, late),
+            Verdict::Dropped
+        );
+        let report = dag.into_report(Duration::ZERO, HotPathCounters::default());
+        assert_eq!((report.total_tasks(), report.retries), (1, 0));
+        // Every clocked attempt keeps its compute span; one commit.
+        let spans = report.trace.unwrap().spans;
+        let count = |phase| spans.iter().filter(|s| s.phase == phase).count();
+        assert_eq!((count(Phase::Compute), count(Phase::Commit)), (3, 1));
+    }
+
+    #[test]
+    fn settle_loses_only_an_expected_report_of_an_uncommitted_task() {
+        for (committed, expected, panics) in (0..8).map(|i| (i & 4 > 0, i & 2 > 0, i & 1 > 0)) {
+            let (g, mut state) = fixture();
+            let mut dag = DagRun::new(&g, 2, None);
+            let mut at = dag.pop_ready(0, None).unwrap();
+            if committed {
+                // The watchdog retires slot 0 and the retry goes to slot 1,
+                // but the retired attempt's late `Done` wins the fence.
+                let stale = done(&g, &mut state, at);
+                let stalled = Outcome::Panicked("stalled".into());
+                assert!(matches!(
+                    dag.settle(&g, &mut state, at, 0, true, stalled),
+                    Verdict::Lost(_)
+                ));
+                dag.wake(at.0);
+                let retry = dag.pop_ready(1, None).unwrap();
+                let verdict = dag.settle(&g, &mut state, at, 0, false, stale);
+                assert!(matches!(verdict, Verdict::Committed(_)), "{verdict:?}");
+                at = retry;
+            }
+            let (task, worker, message) = (at.0, 1, "boom".to_string());
+            let (outcome, cause) = match panics {
+                true => (
+                    Outcome::Panicked(message.clone()),
+                    RuntimeError::TaskPanicked {
+                        task,
+                        worker,
+                        message,
+                    },
+                ),
+                false => (
+                    Outcome::Failed(scripted()),
+                    RuntimeError::Kernel {
+                        task,
+                        source: scripted(),
+                    },
+                ),
+            };
+            let want = match expected && !committed {
+                true => Verdict::Lost(cause),
+                false => Verdict::Dropped,
+            };
+            let case = format!("committed {committed}, expected {expected}, panics {panics}");
+            assert_eq!(
+                dag.settle(&g, &mut state, at, worker, expected, outcome),
+                want,
+                "{case}"
+            );
+            // Only an expected panic is a death (the watchdog's retirement
+            // is one), and settling charges no retry.
+            let report = dag.into_report(Duration::ZERO, HotPathCounters::default());
+            let deaths = u64::from(committed) + u64::from(expected && panics);
+            assert_eq!(
+                (report.worker_deaths, report.retries),
+                (deaths, 0),
+                "{case}"
+            );
+        }
+    }
 
     #[test]
     fn charge_retry_returns_the_backoff_and_reads_no_clock() {
-        let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
+        let (g, mut state) = fixture();
         let ft = FaultTolerance {
             backoff_base: Duration::from_millis(3),
             ..FaultTolerance::default()
         };
-        let mut run = DagRun::new(&g, 1, None);
-        for retry in 1..ft.max_attempts {
-            let (t, attempt) = run.pop_ready(0, None).unwrap();
-            assert_eq!((t, attempt + 1), (0, retry));
-            assert!(run.on_failed(t, true));
-            let backoff = run.charge_retry(&ft, t, "scripted".into()).unwrap();
-            assert_eq!(backoff, ft.backoff(retry));
-            run.wake(t);
+        let mut dag = DagRun::new(&g, 1, None);
+        for retry in 1..=ft.max_attempts {
+            let at = dag.pop_ready(0, None).unwrap();
+            assert_eq!((at.0, at.1 + 1), (0, retry));
+            let lost = dag.settle(&g, &mut state, at, 0, true, Outcome::Failed(scripted()));
+            assert!(matches!(lost, Verdict::Lost(_)), "{lost:?}");
+            let charged = dag.charge_retry(&ft, at.0, "scripted".into());
+            if retry == ft.max_attempts {
+                assert!(charged.is_err());
+                break;
+            }
+            assert_eq!(charged, Ok(ft.backoff(retry)));
+            dag.wake(at.0);
         }
-        let (t, _) = run.pop_ready(0, None).unwrap();
-        assert!(run.on_failed(t, true));
-        assert!(run.charge_retry(&ft, t, "scripted".into()).is_err());
-        assert!(run.is_halted());
+        assert!(dag.is_halted());
     }
 }

@@ -11,10 +11,10 @@
 //! because the destructively-staged inputs of the failed task are gone.
 //! With one, attempts are fenced, so re-execution is idempotent, exactly as
 //! for a job of the resident service. The driver dispatches FIFO; its test
-//! seam, a borrowed [`FaultInjector`](crate::FaultInjector) whose
+//! seam, a [`FaultInjector`](crate::FaultInjector) whose
 //! [`pick`](crate::FaultInjector::pick) may stand in a schedule adversary
-//! for the FIFO order, reaches it through the doc-hidden
-//! [`run_pool`](crate::run_pool) alone.
+//! for the FIFO order, reaches it as the one-shot job's own injector,
+//! through the doc-hidden [`run_pool`](crate::run_pool) alone.
 
 use crate::engine::{Recording, Tally};
 use crate::recovery::FaultTolerance;
@@ -189,6 +189,7 @@ mod tests {
     use super::*;
     use crate::error::RuntimeError;
     use crate::recovery::ScriptedFaults;
+    use std::sync::Arc;
     use tileqr_dag::EliminationTree;
     use tileqr_kernels::exec::{apply_q_dense, FactorState};
     use tileqr_matrix::gen::random_matrix;
@@ -225,6 +226,22 @@ mod tests {
         seq.run_all(&g).unwrap();
         let m = seq.tiles().to_matrix();
         (tiled, g, m)
+    }
+
+    /// A run of `tiled` on `workers` slots, fenced by `ft`, under `faults`.
+    fn faulted(
+        tiled: TiledMatrix<f64>,
+        g: &TaskGraph,
+        workers: usize,
+        fault_tolerance: Option<FaultTolerance>,
+        faults: ScriptedFaults,
+    ) -> std::result::Result<(FactorState<f64>, RunReport), RuntimeError> {
+        let config = PoolConfig {
+            workers,
+            fault_tolerance,
+            ..PoolConfig::default()
+        };
+        run_pool(FactorState::new(tiled), g, config, Some(Arc::new(faults)))
     }
 
     #[test]
@@ -425,17 +442,8 @@ mod tests {
         let a = random_matrix::<f64>(16, 16, 43);
         let (tiled, g, seq_tiles) = sequential_tiles(&a, 4);
         let faults = ScriptedFaults::new().panic_on(2, 1).fail_on(5, 1);
-        let (st, report) = run_pool(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 3,
-                fault_tolerance: Some(FaultTolerance::default()),
-                ..PoolConfig::default()
-            },
-            Some(&faults),
-        )
-        .unwrap();
+        let ft = Some(FaultTolerance::default());
+        let (st, report) = faulted(tiled, &g, 3, ft, faults).unwrap();
         assert_eq!(st.tiles().to_matrix(), seq_tiles);
         assert!(report.retries >= 2);
         assert_eq!(report.cow_clones(), 0);
@@ -450,17 +458,8 @@ mod tests {
         // the task is requeued, and the run completes on the survivors.
         let victim = g.len() / 2;
         let faults = ScriptedFaults::new().panic_on(victim, 1);
-        let (st, report) = run_pool(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 3,
-                fault_tolerance: Some(FaultTolerance::default()),
-                ..PoolConfig::default()
-            },
-            Some(&faults),
-        )
-        .unwrap();
+        let ft = Some(FaultTolerance::default());
+        let (st, report) = faulted(tiled, &g, 3, ft, faults).unwrap();
         assert_eq!(st.tiles().to_matrix(), seq_tiles);
         assert_eq!(report.total_tasks() as usize, g.len());
         assert_eq!(report.worker_deaths, 1);
@@ -473,17 +472,8 @@ mod tests {
         let a = random_matrix::<f64>(16, 16, 32);
         let (tiled, g, seq_tiles) = sequential_tiles(&a, 4);
         let faults = ScriptedFaults::new().fail_on(0, 2).fail_on(g.len() - 1, 1);
-        let (st, report) = run_pool(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 2,
-                fault_tolerance: Some(FaultTolerance::default()),
-                ..PoolConfig::default()
-            },
-            Some(&faults),
-        )
-        .unwrap();
+        let ft = Some(FaultTolerance::default());
+        let (st, report) = faulted(tiled, &g, 2, ft, faults).unwrap();
         assert_eq!(st.tiles().to_matrix(), seq_tiles);
         assert_eq!(report.retries, 3);
         // Transient failures don't kill workers.
@@ -497,20 +487,11 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let faults = ScriptedFaults::new().fail_on(1, 99);
-        let err = run_pool(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 2,
-                fault_tolerance: Some(FaultTolerance {
-                    max_attempts: 2,
-                    ..FaultTolerance::default()
-                }),
-                ..PoolConfig::default()
-            },
-            Some(&faults),
-        )
-        .unwrap_err();
+        let ft = FaultTolerance {
+            max_attempts: 2,
+            ..FaultTolerance::default()
+        };
+        let err = faulted(tiled, &g, 2, Some(ft), faults).unwrap_err();
         match err {
             RuntimeError::RetriesExhausted { task, attempts, .. } => {
                 assert_eq!(task, 1);
@@ -529,20 +510,11 @@ mod tests {
         // lost slot is respawned, so what runs out is the attempt budget,
         // not the pool.
         let faults = ScriptedFaults::new().panic_on(0, 99);
-        let err = run_pool(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 2,
-                fault_tolerance: Some(FaultTolerance {
-                    max_attempts: 5,
-                    ..FaultTolerance::default()
-                }),
-                ..PoolConfig::default()
-            },
-            Some(&faults),
-        )
-        .unwrap_err();
+        let ft = FaultTolerance {
+            max_attempts: 5,
+            ..FaultTolerance::default()
+        };
+        let err = faulted(tiled, &g, 2, Some(ft), faults).unwrap_err();
         match err {
             RuntimeError::RetriesExhausted { task, attempts, .. } => {
                 assert_eq!((task, attempts), (0, 5));
@@ -559,16 +531,7 @@ mod tests {
         let tiled = TiledMatrix::from_matrix(&a, 4).unwrap();
         let g = TaskGraph::build_tree(4, 4, EliminationTree::Flat);
         let faults = ScriptedFaults::new().panic_on(2, 1);
-        let err = run_pool(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 3,
-                ..PoolConfig::default()
-            },
-            Some(&faults),
-        )
-        .unwrap_err();
+        let err = faulted(tiled, &g, 3, None, faults).unwrap_err();
         match err {
             RuntimeError::TaskPanicked { task, .. } => assert_eq!(task, 2),
             other => panic!("expected TaskPanicked, got {other}"),
@@ -583,20 +546,11 @@ mod tests {
         // retired, the task re-runs elsewhere, and the eventual late
         // result is deduplicated at the commit fence.
         let faults = ScriptedFaults::new().stall_on(1, 1, Duration::from_millis(400));
-        let (st, report) = run_pool(
-            FactorState::new(tiled),
-            &g,
-            PoolConfig {
-                workers: 2,
-                fault_tolerance: Some(FaultTolerance {
-                    stall_timeout: Some(Duration::from_millis(50)),
-                    ..FaultTolerance::default()
-                }),
-                ..PoolConfig::default()
-            },
-            Some(&faults),
-        )
-        .unwrap();
+        let ft = FaultTolerance {
+            stall_timeout: Some(Duration::from_millis(50)),
+            ..FaultTolerance::default()
+        };
+        let (st, report) = faulted(tiled, &g, 2, Some(ft), faults).unwrap();
         assert_eq!(st.tiles().to_matrix(), seq_tiles);
         assert_eq!(report.total_tasks() as usize, g.len());
         assert!(report.worker_deaths >= 1);

@@ -72,7 +72,7 @@
 //! queue-wait / latency [`LatencyHistogram`]s plus queue-depth high-water
 //! marks are readable at any time via [`QrService::stats`].
 
-use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots};
+use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots, Verdict};
 use crate::error::RuntimeError;
 use crate::pool::{effective_workers, PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
@@ -1086,17 +1086,18 @@ impl<T: Scalar> Shared<T> {
         let Some((ft, bound)) = self.ft.and_then(|ft| Some((ft, ft.stall_timeout?))) else {
             return;
         };
-        for (w, (id, task, _)) in core.slots.take_stalled(bound, Instant::now()) {
+        for (w, (id, task, attempt)) in core.slots.take_stalled(bound, Instant::now()) {
             core.dead.push(w);
             core.stats.lifecycle.watchdog_retirements += 1;
             let Some(job) = core.jobs.get_mut(&id) else {
                 continue;
             };
-            if job.run.on_panicked(task, w, true) {
-                let last = format!("worker {w} stalled past {bound:?}");
-                self.retry_or_fail(core, &ft, id, task, last);
-            } else {
-                self.finish_if_drained(core, id);
+            let last = format!("worker {w} stalled past {bound:?}");
+            let (run, graph, at) = (&mut job.run, &job.meta.graph, (task, attempt));
+            let stalled = Outcome::Panicked(last.clone());
+            match run.settle(graph, &mut job.state, at, w, true, stalled) {
+                Verdict::Lost(_) => self.retry_or_fail(core, &ft, id, task, last),
+                _ => self.finish_if_drained(core, id),
             }
         }
     }
@@ -1235,87 +1236,57 @@ impl<T: Scalar> Shared<T> {
     ) -> Option<Finished<T>> {
         // Job already failed and was removed: drop the late result.
         let job = core.jobs.get_mut(&id)?;
-        let lost = match outcome {
-            Outcome::Done(done) => {
-                let compute = done.compute.map_or(Duration::ZERO, |(t0, t1)| t1 - t0);
-                // Poison fence: the output must not become an input of
-                // downstream tasks.
-                if let Some(tile) = poisoned.filter(|_| job.run.accepts(task)) {
-                    // Fail only the victim: its state is dropped before the
-                    // NaN was ever committed, so no other tile (or job) saw
-                    // it.
-                    core.stats.lifecycle.poison_detected += 1;
-                    let task = Some(task);
-                    let err = ServiceError::NumericalBreakdown { task, tile };
-                    self.fail_job(core, id, err);
-                    return None;
-                }
-                let at = (task, attempt);
-                if job
-                    .run
-                    .on_done(&job.meta.graph, &mut job.state, at, w, expected, done)
-                {
-                    let slot = KernelClass::of(job.meta.graph.task(task)).slot();
-                    job.meta.class_compute_us[slot] += compute.as_nanos() as f64 / 1e3;
-                    job.meta.class_tasks[slot] += 1;
-                    // The common case ends here, without another look-up.
-                    let last = job.run.all_done();
-                    return last.then(|| self.retire(core, id)).flatten();
-                }
-                None
+        // Poison fence: the output must not become an input of downstream
+        // tasks.
+        if let Some(tile) = poisoned.filter(|_| job.run.accepts(task)) {
+            // Fail only the victim: its state is dropped before the NaN was
+            // ever committed, so no other tile (or job) saw it.
+            core.stats.lifecycle.poison_detected += 1;
+            let err = ServiceError::NumericalBreakdown {
+                task: Some(task),
+                tile,
+            };
+            self.fail_job(core, id, err);
+            return None;
+        }
+        let (run, graph, at) = (&mut job.run, &job.meta.graph, (task, attempt));
+        match run.settle(graph, &mut job.state, at, w, expected, outcome) {
+            Verdict::Committed(compute) => {
+                let slot = KernelClass::of(graph.task(task)).slot();
+                job.meta.class_compute_us[slot] += compute.as_nanos() as f64 / 1e3;
+                job.meta.class_tasks[slot] += 1;
+                // The common case ends here, without another look-up.
+                let last = job.run.all_done();
+                return last.then(|| self.retire(core, id)).flatten();
             }
-            Outcome::Failed(source) => job
-                .run
-                .on_failed(task, expected)
-                .then_some(RuntimeError::Kernel { task, source }),
-            Outcome::Panicked(message) => {
-                let lost = job.run.on_panicked(task, w, expected);
-                lost.then_some(RuntimeError::TaskPanicked {
-                    task,
-                    worker: w,
-                    message,
-                })
-            }
-        };
-        // A lost attempt costs a retry when fenced, the job when not
-        // (destructive staging lost the task's inputs).
-        match (lost, self.ft) {
-            (None, _) => self.finish_if_drained(core, id),
-            (Some(cause), None) => self.fail_job(core, id, ServiceError::Runtime(cause)),
-            (Some(cause), Some(ft)) => self.retry_or_fail(core, &ft, id, task, cause.to_string()),
+            Verdict::Dropped => self.finish_if_drained(core, id),
+            // A lost attempt costs a retry when fenced, the job when not
+            // (destructive staging lost the task's inputs).
+            Verdict::Lost(cause) => match self.ft {
+                None => self.fail_job(core, id, ServiceError::Runtime(cause)),
+                Some(ft) => self.retry_or_fail(core, &ft, id, task, cause.to_string()),
+            },
         }
         None
     }
 
     /// Take the next unit for worker `w`: a task of the backlogged job
     /// with the smallest virtual time, charged and stamped as dispatched,
-    /// and staged. `seam` picks the task for a job that carries no
-    /// injector of its own.
-    fn next_unit(
-        &self,
-        core: &mut Core<T>,
-        w: usize,
-        seam: Option<&dyn FaultInjector>,
-    ) -> Option<Unit<T>> {
+    /// and staged.
+    fn next_unit(&self, core: &mut Core<T>, w: usize) -> Option<Unit<T>> {
         loop {
             let (best, ready) = core.pick_wfq_job();
             let (_, id) = best?;
             // `None`: the pick was shed, or all its ready entries were
             // superseded by a racing retry. Choose again.
-            if let Some(unit) = self.take_task(core, w, id, seam) {
+            if let Some(unit) = self.take_task(core, w, id) {
                 core.stats.max_ready_depth = core.stats.max_ready_depth.max(ready - 1);
                 return Some(unit);
             }
         }
     }
 
-    fn take_task(
-        &self,
-        core: &mut Core<T>,
-        w: usize,
-        id: JobId,
-        seam: Option<&dyn FaultInjector>,
-    ) -> Option<Unit<T>> {
+    fn take_task(&self, core: &mut Core<T>, w: usize, id: JobId) -> Option<Unit<T>> {
         let job = core.jobs.get_mut(&id).expect("picked from the job table");
         let first = job.started.is_none().then(Instant::now);
         // A deadline bounds waiting: a job past it is shed, not started.
@@ -1323,8 +1294,7 @@ impl<T: Scalar> Shared<T> {
             self.sweep_shed(core);
             return None;
         }
-        let own = job.injector.as_deref().map(|f| f as &dyn FaultInjector);
-        let (task, attempt) = job.run.pop_ready(w, own.or(seam))?;
+        let (task, attempt) = job.run.pop_ready(w, job.injector.as_deref())?;
         if let Some(now) = first {
             job.started = Some(now);
             job.meta.queue_wait = now.duration_since(job.meta.submitted);
@@ -1366,15 +1336,14 @@ impl<T: Scalar> Shared<T> {
 /// run it with the lock released, settle and commit it under the lock,
 /// and — for the commit that completes a job — run that job's epilogue and
 /// deliver its result, again with the lock released. Sleeps on `work` only
-/// while the core has nothing ready. `injector` stands in for jobs that
-/// carry none of their own (a one-shot run's borrowed test seam).
-fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultInjector>) {
+/// while the core has nothing ready.
+fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
     // One arena per thread, re-sized when a unit's tile size exceeds the
     // largest the worker has seen — steady state allocates nothing.
     let (mut ws, mut sized_for) = (Workspace::<T>::new(0, 0), 0);
     let (mut core, mut blocked) = sh.lock_timed();
     loop {
-        let Some(unit) = sh.next_unit(&mut core, w, injector) else {
+        let Some(unit) = sh.next_unit(&mut core, w) else {
             if core.draining && core.in_flight == 0 {
                 break;
             }
@@ -1395,9 +1364,8 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
         if b > sized_for {
             (ws, sized_for) = (Workspace::new(b, b), b);
         }
-        let own = unit.injector.as_deref().map(|f| f as &dyn FaultInjector);
-        let (at, faults) = ((key.1, key.2), own.or(injector));
-        let outcome = run_attempt(unit.staged, at, faults, &mut ws, unit.clocked);
+        let faults = unit.injector.as_deref();
+        let outcome = run_attempt(unit.staged, (key.1, key.2), faults, &mut ws, unit.clocked);
         // The poison fence of a fenced run, on its panel factors.
         let fence = sh.ft.is_some() && is_panel_factor(unit.kind);
         let poisoned = match &outcome {
@@ -1442,13 +1410,13 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize, injector: Option<&dyn FaultI
 /// panic — an instance never shrinks), and stop the instance when
 /// admission is closed and the core has drained. Between those it sleeps
 /// on `timer`.
-fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
+fn timer_loop<T: Scalar>(sh: &Shared<T>) {
     std::thread::scope(|scope| {
         let mut threads = Vec::new();
         let mut spawn = |w: usize| {
             let thread = std::thread::Builder::new()
                 .name(format!("qr-worker-{w}"))
-                .spawn_scoped(scope, move || worker_loop(sh, w, injector));
+                .spawn_scoped(scope, move || worker_loop(sh, w));
             threads.push(thread.expect("spawn worker"));
         };
         (0..sh.workers).for_each(&mut spawn);
@@ -1508,7 +1476,8 @@ fn timer_loop<T: Scalar>(sh: &Shared<T>, injector: Option<&dyn FaultInjector>) {
 /// closes behind it, and the calling thread keeps the clock until the
 /// instance has drained. What a one-shot run sets that the resident
 /// service does not: `config.fault_tolerance` may be `None` (the unfenced
-/// fast mode), tracing may be on, and `injector` is borrowed for the call.
+/// fast mode), tracing may be on, and the job carries `injector`, as a
+/// service job carries [`JobSpec::faults`].
 ///
 /// [`parallel_factor_traced`](crate::parallel_factor_traced) calls it with
 /// no injector once it has more than one worker. Called directly, it is
@@ -1521,7 +1490,7 @@ pub fn run_pool<T: Scalar>(
     state: FactorState<T>,
     graph: &TaskGraph,
     config: PoolConfig,
-    injector: Option<&dyn FaultInjector>,
+    injector: Option<Arc<dyn FaultInjector + Send + Sync>>,
 ) -> Result<(FactorState<T>, RunReport), RuntimeError> {
     let started = Instant::now();
     let trace = config.trace.enabled.then_some(started);
@@ -1529,10 +1498,10 @@ pub fn run_pool<T: Scalar>(
     let sh = Shared::new(config.effective_workers(), 0, ft, trace);
     let (mut job, reply) = sh.job(state, graph.clone(), Payload::Factor);
     // Its result carries no per-class compute time to clock.
-    job.clocked = false;
+    (job.clocked, job.injector) = (false, injector);
     let admitted = sh.admit(sh.lock(), job, false);
     sh.lock().draining = true;
-    timer_loop(&sh, injector);
+    timer_loop(&sh);
     let result = admitted.and_then(|_| reply.take(None).unwrap_or(Err(ServiceError::Lost)));
     let JobResult {
         output, mut report, ..
@@ -1593,7 +1562,7 @@ impl<T: Scalar> QrService<T> {
         let sh = Arc::clone(&shared);
         let timer = std::thread::Builder::new()
             .name("qr-service-timer".into())
-            .spawn(move || timer_loop(&sh, None))
+            .spawn(move || timer_loop(&sh))
             .expect("spawn service timer");
         QrService {
             shared,

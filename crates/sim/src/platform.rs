@@ -86,11 +86,6 @@ impl Platform {
         self.config
     }
 
-    /// Total cores across all devices (the x-axis of Fig. 8).
-    pub fn total_cores(&self) -> usize {
-        self.devices.iter().map(|d| d.cores).sum()
-    }
-
     /// Execution time of `task` on device `dev`, microseconds.
     pub fn task_time_us(&self, dev: DeviceId, task: TaskKind) -> f64 {
         self.devices[dev].kernel_time_us(KernelClass::of(task), self.config.tile_size)

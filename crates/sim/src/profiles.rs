@@ -179,15 +179,16 @@ mod tests {
         assert_eq!(p.num_devices(), 4);
         assert_eq!(p.device(0).name, "GTX580");
         assert_eq!(p.device(3).kind, DeviceKind::Cpu);
-        assert_eq!(p.total_cores(), 512 + 1536 + 1536 + 4);
+        let cores: usize = p.devices().iter().map(|d| d.cores).sum();
+        assert_eq!(cores, 512 + 1536 + 1536 + 4);
     }
 
     #[test]
     fn subset_sizes_match_fig8_core_counts() {
         // Fig. 8 x-axis: 4, 516, 2052, 3588 cores.
-        assert_eq!(testbed_subset(0, true, 16).total_cores(), 4);
-        assert_eq!(testbed_subset(1, true, 16).total_cores(), 516);
-        assert_eq!(testbed_subset(2, true, 16).total_cores(), 2052);
-        assert_eq!(testbed_subset(3, true, 16).total_cores(), 3588);
+        for (gpus, want) in [(0, 4), (1, 516), (2, 2052), (3, 3588)] {
+            let p = testbed_subset(gpus, true, 16);
+            assert_eq!(p.devices().iter().map(|d| d.cores).sum::<usize>(), want);
+        }
     }
 }

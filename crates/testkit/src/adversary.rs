@@ -1,8 +1,8 @@
-//! Schedule adversaries, written once. An [`Adversary`] injects no fault;
-//! its [`pick`](FaultInjector::pick) chooses the next ready task in place
-//! of the driver's FIFO order wherever it is lent: the doc-hidden
-//! `tileqr_runtime::run_pool`, `DagRun::pop_ready`, or the
-//! [`explorer`](crate::explorer). A failure reproduces from its rule.
+//! Schedule adversaries, written once. An [`Adversary`]'s
+//! [`pick`](FaultInjector::pick) replaces the driver's FIFO order wherever
+//! `DagRun::pop_ready` is lent it: as a job's own injector (in an `Arc`
+//! given to the doc-hidden `tileqr_runtime::run_pool`), or by the virtual
+//! [`explorer::Machine`](crate::explorer::Machine). It injects no fault.
 
 use std::sync::Mutex;
 use tileqr_dag::{TaskGraph, TaskId};

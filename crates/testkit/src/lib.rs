@@ -8,12 +8,12 @@
 //!
 //! * [`adversary`] — the dispatch rules (critical path, LIFO, seeded, …)
 //!   written once, as pick hooks for the real driver and the explorer.
-//! * [`explorer`] — a virtual `k`-worker scheduler that drives
-//!   a [`tileqr_kernels::exec::FactorState`] through seeded and
-//!   adversarial dispatch/completion interleavings and hands back the
-//!   final state for bit-identity comparison against the sequential
-//!   factorization. Hundreds of distinct legal schedules per test, each
-//!   fully reproducible from a seed.
+//! * [`explorer`] — the one virtual `k`-worker driver, which steps the
+//!   runtime's own `DagRun` through seeded and adversarial interleavings
+//!   (and, in a storm, faults) and hands back the final state for
+//!   bit-identity comparison against the sequential factorization.
+//!   Hundreds of distinct legal schedules per test, each fully
+//!   reproducible from a seed.
 //! * fault injection — [`tileqr_sim::FaultPlan`] scenarios (device
 //!   slowdown spikes, bus stalls and storms, transient kernel failures)
 //!   replayed through the discrete-event engine, with the paper's

@@ -6,6 +6,7 @@
 //! own FIFO order; here the highest flop bottom level goes first, lent to
 //! the driver as a pick hook.
 
+use std::sync::Arc;
 use tileqr::dag::{EliminationTree, TaskGraph};
 use tileqr::kernels::FactorState;
 use tileqr::runtime::{run_pool, PoolConfig};
@@ -40,7 +41,7 @@ fn sweep<T: Scalar>(a: &Matrix<T>, b: usize, workers: &[usize], trees: &[Elimina
                     workers,
                     ..PoolConfig::default()
                 },
-                Some(&adversary),
+                Some(Arc::new(adversary)),
             )
             .unwrap();
             // Bit-identical, not approximately equal: `==` on the raw

@@ -9,6 +9,7 @@
 //! bit for bit, and so does a fenced retry of a factor's last pending
 //! update.
 
+use std::sync::Arc;
 use tileqr::runtime::{JobSpec, QrService, ServiceConfig};
 use tileqr_dag::{EliminationTree, TaskGraph, TaskKind, TreePolicy};
 use tileqr_kernels::exec::FactorState;
@@ -104,7 +105,7 @@ fn a_retried_last_update_restages_the_block() {
     };
     let faults = ScriptedFaults::new().fail_on(victim, 1);
     let state = FactorState::new(t);
-    let (state, report) = run_pool(state, &g, config, Some(&faults)).unwrap();
+    let (state, report) = run_pool(state, &g, config, Some(Arc::new(faults))).unwrap();
     assert_eq!(report.retries, 1);
     let got: Matrix<f64> = state.tiles().to_matrix();
     assert_eq!(got, seq.tiles().to_matrix(), "the retry changed the bits");

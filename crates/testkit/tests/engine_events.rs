@@ -1,10 +1,11 @@
 //! Event-order tests for the runtime's DAG engine — no threads, no sleeps.
 //!
-//! [`DagRun`] is channel-free, so this suite plays *both* sides of the
-//! manager/worker protocol on one thread: it dispatches, runs each
-//! attempt through the real [`run_attempt`], and then delivers the
-//! reports in seeded adversarial orders the live drivers only meet under
-//! faults and unlucky timing:
+//! The testkit's one virtual driver, [`Machine`], plays *both* sides of
+//! the manager/worker protocol on one thread over the real `DagRun`: it
+//! dispatches, runs each attempt through the real `run_attempt`, and
+//! settles each report through `DagRun::settle`, the code the service
+//! runs — here in seeded adversarial orders the live drivers only meet
+//! under faults and unlucky timing:
 //!
 //! * a `Done` delivered twice for one attempt,
 //! * a watchdog sweep retiring every busy slot, whose attempts then report
@@ -12,26 +13,20 @@
 //! * `Failed` / `Panicked` reports for tasks that are already committed,
 //! * retries woken before and after a late result superseded them.
 //!
-//! An independent model of the charging rule (a lost attempt counts only
-//! if it is the report its slot is waiting on *and* the task is still
-//! uncommitted) predicts every recovery counter, and the final state must
-//! be bit-identical to [`FactorState::run_all`]. Readiness is not modelled
-//! twice: [`DagRun`] and the virtual machine in `tileqr_testkit::explorer`
-//! step the same `tileqr_dag::Frontier`, and the explorer, which stages
-//! and commits on its own, stays the independent reference for the
-//! stage/compute/commit protocol itself.
+//! The suite keeps its own model of the charging rule (a lost attempt
+//! counts only if it is the report its slot is waiting on *and* the task
+//! is still uncommitted), holds every verdict of the engine to it and
+//! predicts every recovery counter, and the final state must be
+//! bit-identical to [`FactorState::run_all`], the independent reference.
 
-use std::time::{Duration, Instant};
-use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
+use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
-use tileqr_kernels::Workspace;
 use tileqr_matrix::gen::random_matrix;
-use tileqr_matrix::{Rng64, TiledMatrix};
-use tileqr_obs::HotPathCounters;
-use tileqr_runtime::engine::{run_attempt, DagRun, Outcome, Slots};
-use tileqr_runtime::{FaultInjector, FaultTolerance, InjectedFault, RunReport, RuntimeError};
-use tileqr_testkit::adversary::{Adversary, Rule};
-use tileqr_testkit::explorer::assert_bit_identical;
+use tileqr_matrix::{MatrixError, TiledMatrix};
+use tileqr_runtime::engine::Verdict;
+use tileqr_runtime::{FaultTolerance, InjectedFault, RunReport, RuntimeError};
+use tileqr_testkit::adversary::Rule;
+use tileqr_testkit::explorer::{assert_bit_identical, Finish, Machine, Report, Settled};
 
 const B: usize = 4;
 const WORKERS: usize = 3;
@@ -60,24 +55,6 @@ fn sequential(tiled: &TiledMatrix<f64>, g: &TaskGraph) -> FactorState<f64> {
     seq
 }
 
-/// The same fault on every attempt it is consulted for.
-struct Always(InjectedFault);
-
-impl FaultInjector for Always {
-    fn before_attempt(&self, _: TaskId, _: u32) -> InjectedFault {
-        self.0
-    }
-}
-
-type Key = (TaskId, u32);
-
-/// An attempt that has run but whose report the manager has not seen.
-struct Flight {
-    w: usize,
-    key: Key,
-    outcome: Outcome<f64>,
-}
-
 /// What the charging rule says the report counters must read.
 #[derive(Debug, Default, PartialEq)]
 struct Counts {
@@ -86,168 +63,85 @@ struct Counts {
     worker_deaths: u64,
 }
 
-/// Both halves of the protocol around one [`DagRun`].
-struct Machine<'g> {
-    graph: &'g TaskGraph,
-    shared: FactorState<f64>,
-    run: DagRun,
-    /// The dispatch rule's pick hook; `None` is the driver's FIFO.
-    adversary: Option<Adversary>,
-    slots: Slots<Key>,
-    /// The model's own idle-slot stack: which slots a driver could hand
-    /// the next task to (the engine only tracks what is in flight).
-    idle: Vec<usize>,
-    ws: Workspace<f64>,
-    ft: FaultTolerance,
-    flights: Vec<Flight>,
-    parked: Vec<TaskId>,
+/// The suite's own model of a run: which tasks committed, whether the run
+/// halted, and the counters the charging rule predicts.
+struct Model {
     committed: Vec<bool>,
+    halted: bool,
     want: Counts,
-    errors: Vec<RuntimeError>,
 }
 
-impl<'g> Machine<'g> {
-    fn new(
-        tiled: TiledMatrix<f64>,
-        graph: &'g TaskGraph,
-        order: Option<Rule>,
-        budget: u32,
-    ) -> Self {
-        Machine {
-            graph,
-            shared: FactorState::new(tiled),
-            run: DagRun::new(graph, WORKERS, None),
-            adversary: order.map(|rule| Adversary::new(rule, graph, B)),
-            slots: Slots::new(WORKERS),
-            idle: (0..WORKERS).rev().collect(),
-            ws: Workspace::new(B, B),
-            ft: FaultTolerance {
-                max_attempts: budget,
-                ..FaultTolerance::default()
-            },
-            flights: Vec::new(),
-            parked: Vec::new(),
-            committed: vec![false; graph.len()],
-            want: Counts::default(),
-            errors: Vec::new(),
-        }
-    }
-
-    /// Run attempt `key` on the spot (fenced: nothing is committed).
-    fn attempt(&mut self, key: Key, fault: InjectedFault) -> Outcome<f64> {
-        let kind = self.graph.task(key.0);
-        let injector = Always(fault);
-        run_attempt(
-            self.shared.stage_preserving(kind),
-            key,
-            Some(&injector),
-            &mut self.ws,
-            false,
-        )
-    }
-
-    /// Hand slot `w` the next ready task, if any, running it with `fault`.
-    /// The report stays in flight until [`deliver`](Self::deliver)ed.
-    fn dispatch(&mut self, w: usize, fault: InjectedFault) -> Option<Key> {
-        let seam = self.adversary.as_ref().map(|a| a as &dyn FaultInjector);
-        let Some(key) = self.run.pop_ready(w, seam) else {
-            self.idle.push(w);
-            return None;
-        };
-        let outcome = self.attempt(key, fault);
-        self.slots.watch(w, key);
-        self.flights.push(Flight { w, key, outcome });
-        Some(key)
-    }
-
-    /// A lost attempt of `t` that the rule says must be charged.
-    fn charge(&mut self, t: TaskId) {
-        match self.run.charge_retry(&self.ft, t, "scripted".to_string()) {
-            Ok(_) => {
-                self.want.retries += 1;
-                self.parked.push(t);
-            }
-            Err(e) => self.errors.push(e),
-        }
-    }
-
-    /// Deliver flight `i` to the manager side, the way both drivers do.
-    fn deliver(&mut self, i: usize) {
-        let Flight { w, key, outcome } = self.flights.swap_remove(i);
-        let t = key.0;
-        let expected = self.slots.settle(w, key);
-        if expected {
-            self.idle.push(w); // the same worker, or its respawned slot
-        }
-        let live = !self.run.is_halted() && !self.committed[t];
-        match outcome {
-            Outcome::Done(done) => {
-                let won = self
-                    .run
-                    .on_done(self.graph, &mut self.shared, key, w, expected, done);
+impl Model {
+    /// Hold one settled report to the charging rule.
+    fn check(&mut self, s: &Settled) {
+        let t = s.key.0;
+        let live = !self.halted && !self.committed[t];
+        let lost = matches!(s.verdict, Verdict::Lost(_));
+        match s.report {
+            Report::Done => {
+                let won = matches!(s.verdict, Verdict::Committed(_));
                 assert_eq!(won, live, "task {t}: the first Done wins, only the first");
                 self.committed[t] |= won;
             }
-            Outcome::Failed(_) => {
-                let charge = self.run.on_failed(t, expected);
+            Report::Failed => {
                 assert_eq!(
-                    charge,
-                    expected && live,
+                    lost,
+                    s.expected && live,
                     "task {t}: late/superseded failure"
                 );
-                if charge {
-                    self.charge(t);
-                }
             }
-            Outcome::Panicked(_) => {
-                let charge = self.run.on_panicked(t, w, expected);
-                assert_eq!(charge, expected && live, "task {t}: late/superseded panic");
-                self.want.worker_deaths += u64::from(expected);
-                if charge {
-                    self.want.requeues += 1;
-                    self.charge(t);
-                }
+            Report::Panicked => {
+                assert_eq!(lost, s.expected && live, "task {t}: late/superseded panic");
+                self.want.worker_deaths += u64::from(s.expected);
+                self.want.requeues += u64::from(lost);
             }
         }
+        // A charged loss parks a retry, or spends the budget: the run halts.
+        self.want.retries += u64::from(s.retried);
+        self.halted |= lost && !s.retried;
     }
+}
 
-    /// The stall watchdog fires on every busy slot at once: each is
-    /// retired and respawned, its task charged a retry — and its attempt
-    /// stays in flight, to report late.
-    fn watchdog(&mut self) {
-        let far = Instant::now() + Duration::from_secs(3600);
-        for (w, (t, _)) in self.slots.take_stalled(Duration::from_secs(1), far) {
-            self.idle.push(w); // respawned
-            let live = !self.run.is_halted() && !self.committed[t];
-            assert_eq!(self.run.on_panicked(t, w, true), live);
-            self.want.worker_deaths += 1;
-            if live {
-                self.want.requeues += 1;
-                self.charge(t);
-            }
-        }
-    }
+/// A `WORKERS`-slot machine with `budget` attempts per task, dispatching
+/// by `order`, and the suite's model of it.
+fn machine<'g>(
+    tiled: TiledMatrix<f64>,
+    g: &'g TaskGraph,
+    order: Option<Rule>,
+    budget: u32,
+) -> (Machine<'g>, Model) {
+    let ft = FaultTolerance {
+        max_attempts: budget,
+        ..FaultTolerance::default()
+    };
+    let model = Model {
+        committed: vec![false; g.len()],
+        halted: false,
+        want: Counts::default(),
+    };
+    (Machine::new(tiled, g, WORKERS, order, Some(ft)), model)
+}
 
-    /// Close the run and hold it to the invariants.
-    fn finish(self, reference: &FactorState<f64>) -> RunReport {
-        assert!(self.flights.is_empty() && self.parked.is_empty());
-        assert_eq!(self.run.in_flight(), 0, "every dispatch was settled once");
-        let done = self.run.all_done();
-        let report = self
-            .run
-            .into_report(Duration::ZERO, HotPathCounters::default());
-        let got = Counts {
-            retries: report.retries,
-            requeues: report.requeues,
-            worker_deaths: report.worker_deaths,
-        };
-        assert_eq!(got, self.want, "recovery counters follow the charging rule");
-        if done {
-            assert_eq!(report.total_tasks() as usize, self.graph.len());
-            assert_bit_identical(&self.shared, reference);
-        }
-        report
+/// Close the run and hold it to the invariants.
+fn finish(m: Machine, model: Model, reference: &FactorState<f64>) -> RunReport {
+    assert!(m.flights.is_empty() && m.parked.is_empty());
+    assert_eq!(m.run.in_flight(), 0, "every dispatch was settled once");
+    let done = m.run.all_done();
+    let (explored, report) = m.finish();
+    let got = Counts {
+        retries: report.retries,
+        requeues: report.requeues,
+        worker_deaths: report.worker_deaths,
+    };
+    assert_eq!(
+        got, model.want,
+        "recovery counters follow the charging rule"
+    );
+    if done {
+        assert_eq!(report.total_tasks() as usize, model.committed.len());
+        assert_bit_identical(&explored.state, reference);
     }
+    report
 }
 
 /// One seeded storm: every dispatch and every delivery draws its
@@ -255,42 +149,11 @@ impl<'g> Machine<'g> {
 /// must converge whatever the draw.
 fn storm(tiled: TiledMatrix<f64>, g: &TaskGraph, order: Option<Rule>, seed: u64) -> RunReport {
     let reference = sequential(&tiled, g);
-    let mut m = Machine::new(tiled, g, order, u32::MAX);
-    let mut rng = Rng64::seed_from_u64(seed);
-    let mut draw = move |n: u64| rng.next_u64() % n;
-    loop {
-        while let Some(w) = m.idle.pop() {
-            let fault = match draw(10) {
-                0 => InjectedFault::TransientError,
-                1 => InjectedFault::Panic,
-                _ => InjectedFault::None,
-            };
-            let Some(key) = m.dispatch(w, fault) else {
-                break;
-            };
-            if fault == InjectedFault::None && draw(5) == 0 {
-                // The same attempt reports twice (a duplicate `Done`,
-                // bit-identical because nothing was committed in between).
-                let outcome = m.attempt(key, fault);
-                m.flights.push(Flight { w, key, outcome });
-            }
-        }
-        if m.flights.is_empty() && m.parked.is_empty() {
-            break;
-        }
-        match draw(10) {
-            0 => m.watchdog(),
-            1 | 2 if !m.parked.is_empty() => {
-                let t = m.parked.swap_remove(draw(m.parked.len() as u64) as usize);
-                m.run.wake(t);
-            }
-            _ if !m.flights.is_empty() => m.deliver(draw(m.flights.len() as u64) as usize),
-            _ => {}
-        }
-    }
+    let (mut m, mut model) = machine(tiled, g, order, u32::MAX);
+    m.drive(Finish::Seeded(seed), true, |s| model.check(s));
     assert!(m.run.all_done(), "seed {seed}: the storm must converge");
     assert!(m.errors.is_empty(), "seed {seed}: {:?}", m.errors);
-    m.finish(&reference)
+    finish(m, model, &reference)
 }
 
 #[test]
@@ -320,20 +183,20 @@ fn seeded_event_storms_converge_bit_identically() {
 fn drain_safely(tree: EliminationTree, rule: Rule) {
     let (tiled, g) = fixture(20, 20, tree);
     let reference = sequential(&tiled, &g);
-    let mut m = Machine::new(tiled, &g, Some(rule), 1);
+    let (mut m, mut model) = machine(tiled, &g, Some(rule), 1);
     while !m.run.all_done() {
         while let Some(w) = m.idle.pop() {
             let Some((t, _)) = m.dispatch(w, InjectedFault::None) else {
                 break;
             };
             assert!(
-                g.preds(t).iter().all(|&p| m.committed[p]),
+                g.preds(t).iter().all(|&p| model.committed[p]),
                 "{tree:?} {rule:?}: task {t} dispatched before a predecessor"
             );
         }
-        m.deliver(0);
+        model.check(&m.deliver(0));
     }
-    let report = m.finish(&reference);
+    let report = finish(m, model, &reference);
     assert_eq!(report.total_tasks() as usize, g.len(), "{tree:?} {rule:?}");
 }
 
@@ -381,28 +244,21 @@ fn reports_after_commit_never_charge_the_budget() {
         let (tiled, g) = fixture(16, 16, EliminationTree::Flat);
         let reference = sequential(&tiled, &g);
         // One retry is the whole budget: a second charge would be fatal.
-        let mut m = Machine::new(tiled, &g, None, 2);
+        let (mut m, mut model) = machine(tiled, &g, None, 2);
         let w = m.idle.pop().unwrap();
         assert_eq!(m.dispatch(w, late), Some((0, 0)));
-        m.watchdog();
-        assert_eq!(m.want.retries, 1);
+        m.watchdog().iter().for_each(|s| model.check(s));
+        assert_eq!(model.want.retries, 1);
         m.run.wake(m.parked.pop().unwrap());
         let w = m.idle.pop().unwrap();
         assert_eq!(m.dispatch(w, InjectedFault::None), Some((0, 1)));
-        m.deliver(1); // the retry commits task 0 ...
-        assert!(m.committed[0]);
-        m.deliver(0); // ... and then the retired attempt reports
+        model.check(&m.deliver(1)); // the retry commits task 0 ...
+        assert!(model.committed[0]);
+        model.check(&m.deliver(0)); // ... and then the retired attempt reports
         assert!(m.errors.is_empty(), "late {late:?}: {:?}", m.errors);
-        // Drain the rest of the DAG cleanly.
-        while !m.run.all_done() {
-            while let Some(w) = m.idle.pop() {
-                if m.dispatch(w, InjectedFault::None).is_none() {
-                    break;
-                }
-            }
-            m.deliver(0);
-        }
-        let report = m.finish(&reference);
+        // Drain the rest of the DAG cleanly, oldest report first.
+        m.drive(Finish::Oldest, false, |s| model.check(s));
+        let report = finish(m, model, &reference);
         assert_eq!((report.retries, report.requeues), (1, 1), "late {late:?}");
     }
 }
@@ -414,12 +270,12 @@ fn reports_after_commit_never_charge_the_budget() {
 fn late_done_from_retired_slot_is_harvested_first() {
     let (tiled, g) = fixture(16, 16, EliminationTree::Flat);
     let reference = sequential(&tiled, &g);
-    let mut m = Machine::new(tiled, &g, Some(Rule::Lifo), 2);
+    let (mut m, mut model) = machine(tiled, &g, Some(Rule::Lifo), 2);
     let w = m.idle.pop().unwrap();
     assert_eq!(m.dispatch(w, InjectedFault::None), Some((0, 0)));
-    m.watchdog();
-    m.deliver(0); // late, unexpected — and first
-    assert!(m.committed[0]);
+    m.watchdog().iter().for_each(|s| model.check(s));
+    model.check(&m.deliver(0)); // late, unexpected — and first
+    assert!(model.committed[0]);
     m.run.wake(m.parked.pop().unwrap());
     while !m.run.all_done() {
         while let Some(w) = m.idle.pop() {
@@ -428,9 +284,9 @@ fn late_done_from_retired_slot_is_harvested_first() {
                 None => break,
             }
         }
-        m.deliver(0);
+        model.check(&m.deliver(0));
     }
-    let report = m.finish(&reference);
+    let report = finish(m, model, &reference);
     assert_eq!(report.tasks_per_worker.iter().sum::<u64>(), g.len() as u64);
     assert_eq!(report.worker_deaths, 1);
 }
@@ -442,7 +298,7 @@ fn exhausted_budget_surfaces_exactly_once() {
     let (tiled, g) = fixture(24, 12, EliminationTree::Greedy);
     let reference = sequential(&tiled, &g);
     // Newest-ready-first, so a woken retry is the very next dispatch.
-    let mut m = Machine::new(tiled, &g, Some(Rule::Lifo), 2);
+    let (mut m, mut model) = machine(tiled, &g, Some(Rule::Lifo), 2);
     // Every slot takes a source that fails its first attempt.
     let mut sources = Vec::new();
     while let Some(w) = m.idle.pop() {
@@ -456,7 +312,7 @@ fn exhausted_budget_surfaces_exactly_once() {
     }
     assert!(!sources.is_empty());
     let doomed = sources[0];
-    m.deliver(0);
+    model.check(&m.deliver(0));
     assert_eq!(m.parked, vec![doomed], "first failure parks a retry");
     m.run.wake(m.parked.pop().unwrap());
     let w = m.idle.pop().unwrap();
@@ -465,26 +321,30 @@ fn exhausted_budget_surfaces_exactly_once() {
         Some((doomed, 1))
     );
     let retry = m.flights.len() - 1;
-    m.deliver(retry);
+    model.check(&m.deliver(retry));
     // Whatever else was in flight now reports too: nothing more surfaces.
     while !m.flights.is_empty() {
-        m.deliver(0);
+        model.check(&m.deliver(0));
     }
+    // The budget is charged with what the driver reports: the lost
+    // attempt's own error.
+    let source = MatrixError::Runtime {
+        reason: format!("injected transient failure: task {doomed} attempt 1"),
+    };
     let exhausted = RuntimeError::RetriesExhausted {
         task: doomed,
         attempts: 2,
-        last: "scripted".to_string(),
+        last: RuntimeError::Kernel {
+            task: doomed,
+            source,
+        }
+        .to_string(),
     };
     assert_eq!(m.errors, vec![exhausted]);
     assert!(m.run.is_halted() && !m.run.all_done());
     let w = m.idle.pop().unwrap();
-    let seam = m.adversary.as_ref().map(|a| a as &dyn FaultInjector);
-    assert_eq!(
-        m.run.pop_ready(w, seam),
-        None,
-        "a halted run dispatches nothing"
-    );
-    m.idle.push(w);
-    let report = m.finish(&reference);
+    let dispatched = m.dispatch(w, InjectedFault::None);
+    assert_eq!(dispatched, None, "a halted run dispatches nothing");
+    let report = finish(m, model, &reference);
     assert_eq!(report.retries, 1);
 }

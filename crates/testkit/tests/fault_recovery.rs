@@ -10,6 +10,7 @@
 //! before the task commits), so the duplicate computes the identical
 //! tiles and the first result wins.
 
+use std::sync::Arc;
 use std::time::Duration;
 use tileqr::{QrOptions, TiledQr};
 use tileqr_dag::{EliminationTree, TaskGraph, TaskKind};
@@ -37,7 +38,7 @@ fn ft_run(
     g: &TaskGraph,
     workers: usize,
     ft: FaultTolerance,
-    injector: &ScriptedFaults,
+    injector: ScriptedFaults,
 ) -> Result<(FactorState<f64>, RunReport), RuntimeError> {
     let config = PoolConfig {
         workers,
@@ -45,7 +46,7 @@ fn ft_run(
         ..PoolConfig::default()
     };
     let state = FactorState::new(tiled.clone());
-    run_pool(state, g, config, Some(injector))
+    run_pool(state, g, config, Some(Arc::new(injector)))
 }
 
 #[test]
@@ -56,7 +57,7 @@ fn panic_recovery_is_bit_identical_across_the_sweep() {
         // One panic mid-graph: kills its worker, task requeues.
         let victim = g.len() / 2;
         let inj = ScriptedFaults::new().panic_on(victim, 1);
-        let (state, report) = ft_run(&tiled, &g, workers, FaultTolerance::default(), &inj)
+        let (state, report) = ft_run(&tiled, &g, workers, FaultTolerance::default(), inj)
             .expect("recovery must succeed");
         assert_eq!(
             state.tiles().to_matrix(),
@@ -88,7 +89,7 @@ fn multiple_panics_and_transients_recover_together() {
             ..FaultTolerance::default()
         };
         let (state, report) =
-            ft_run(&tiled, &g, workers, ft, &inj).expect("mixed faults within budget must recover");
+            ft_run(&tiled, &g, workers, ft, inj).expect("mixed faults within budget must recover");
         assert_eq!(state.tiles().to_matrix(), seq, "workers={workers}");
         assert_eq!(report.worker_deaths, 1);
         assert_eq!(report.retries, 4, "1 panic + 2 + 1 transients");
@@ -114,7 +115,7 @@ fn recovery_is_bit_identical_for_every_elimination_tree() {
             max_attempts: 3,
             ..FaultTolerance::default()
         };
-        let (state, report) = ft_run(&tiled, &g, 4, ft, &inj).expect("recovery must succeed");
+        let (state, report) = ft_run(&tiled, &g, 4, ft, inj).expect("recovery must succeed");
         assert_eq!(state.tiles().to_matrix(), expect, "tree={tree}");
         assert_eq!(report.worker_deaths, 1, "tree={tree}");
         assert_eq!(report.retries, 2, "tree={tree}: panic + transient");
@@ -132,7 +133,7 @@ fn stalled_worker_is_retired_by_watchdog_and_run_recovers() {
     for workers in [2usize, 4] {
         let inj = ScriptedFaults::new().stall_on(2, 1, Duration::from_millis(400));
         let (state, report) =
-            ft_run(&tiled, &g, workers, ft, &inj).expect("watchdog recovery must succeed");
+            ft_run(&tiled, &g, workers, ft, inj).expect("watchdog recovery must succeed");
         assert_eq!(state.tiles().to_matrix(), seq, "workers={workers}");
         assert!(report.worker_deaths >= 1, "stalled worker retired");
         assert!(report.requeues >= 1);
@@ -148,7 +149,7 @@ fn exhausted_retry_budget_is_a_structured_error_not_a_hang() {
         max_attempts: 2,
         ..FaultTolerance::default()
     };
-    let err = ft_run(&tiled, &g, 2, ft, &inj).expect_err("budget must run out");
+    let err = ft_run(&tiled, &g, 2, ft, inj).expect_err("budget must run out");
     match err {
         RuntimeError::RetriesExhausted { task, attempts, .. } => {
             assert_eq!(task, 0);
@@ -170,7 +171,7 @@ fn fenced_run_fails_at_a_poisoned_panel_factor() {
     for workers in workers_under_test() {
         for victim in [0, later] {
             let inj = ScriptedFaults::new().poison_on(victim, 1);
-            let err = ft_run(&tiled, &g, workers, FaultTolerance::default(), &inj)
+            let err = ft_run(&tiled, &g, workers, FaultTolerance::default(), inj)
                 .expect_err("a poisoned panel factor must not commit");
             match &err {
                 RuntimeError::Kernel { task, source } => {
@@ -189,7 +190,7 @@ fn fenced_run_fails_at_a_poisoned_panel_factor() {
         ..PoolConfig::default()
     };
     let state = FactorState::new(tiled);
-    let (state, _) = run_pool(state, &g, config, Some(&inj)).unwrap();
+    let (state, _) = run_pool(state, &g, config, Some(Arc::new(inj))).unwrap();
     assert!(state.r_matrix().first_non_finite().is_some());
 }
 

@@ -15,12 +15,13 @@
 //!    iff faults were injected.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use tileqr_dag::{counts, EliminationTree, TaskGraph};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::TiledMatrix;
 use tileqr_obs::{kind_index, EventKind, Phase, Trace, TraceConfig};
 use tileqr_runtime::{
-    parallel_factor_traced, run_pool, FaultInjector, FaultTolerance, PoolConfig, ScriptedFaults,
+    parallel_factor_traced, run_pool, FaultTolerance, PoolConfig, ScriptedFaults,
 };
 use tileqr_testkit::adversary::{Adversary, Rule};
 use tileqr_testkit::workers_under_test;
@@ -75,7 +76,7 @@ fn golden_traces_across_workers_and_policies() {
                     trace: TraceConfig::enabled(),
                     ..PoolConfig::default()
                 },
-                adversary.as_ref().map(|a| a as &dyn FaultInjector),
+                adversary.map(|a| Arc::new(a) as _),
             )
             .unwrap();
             let trace = report
@@ -224,7 +225,7 @@ fn golden_trace_records_retries_iff_faults_injected() {
             trace: TraceConfig::enabled(),
             fault_tolerance: Some(FaultTolerance::default()),
         },
-        Some(&faults),
+        Some(Arc::new(faults)),
     )
     .unwrap();
     let trace = report.trace.as_ref().unwrap();
@@ -264,7 +265,7 @@ fn golden_trace_worker_death_leaves_marker() {
             trace: TraceConfig::enabled(),
             fault_tolerance: Some(FaultTolerance::default()),
         },
-        Some(&faults),
+        Some(Arc::new(faults)),
     )
     .unwrap();
     let trace = report.trace.as_ref().unwrap();

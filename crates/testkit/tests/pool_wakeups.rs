@@ -10,6 +10,7 @@
 //! workers are asleep most of the time and every hand-over goes through
 //! a wake-up.
 
+use std::sync::Arc;
 use std::time::Duration;
 use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
 use tileqr_kernels::exec::FactorState;
@@ -52,7 +53,7 @@ fn ft_run(
     g: &TaskGraph,
     config: PoolConfig,
     ft: Option<FaultTolerance>,
-    injector: &dyn FaultInjector,
+    injector: Arc<impl FaultInjector + Send + 'static>,
 ) -> Result<(FactorState<f64>, RunReport), RuntimeError> {
     let config = PoolConfig {
         fault_tolerance: ft,
@@ -114,7 +115,7 @@ fn narrow_graphs_never_lose_a_wakeup() {
                             FactorState::new(tiled.clone()),
                             &g,
                             config(workers),
-                            adversary.as_ref().map(|a| a as &dyn FaultInjector),
+                            adversary.map(|a| Arc::new(a) as _),
                         )
                         .unwrap();
                         assert_eq!(st.r_matrix(), r, "{what} rep={rep}");
@@ -131,8 +132,8 @@ fn unfenced_fault_ends_the_run_while_the_others_sleep() {
     for workers in workers_under_test().into_iter().filter(|&w| w >= 2) {
         let err = within(Duration::from_secs(30), "unfenced panic", move || {
             let (tiled, g, _) = flat3();
-            let inj = held(ScriptedFaults::new().panic_on(0, 1));
-            let err = ft_run(&tiled, &g, config(workers), None, &inj).unwrap_err();
+            let inj = Arc::new(held(ScriptedFaults::new().panic_on(0, 1)));
+            let err = ft_run(&tiled, &g, config(workers), None, inj.clone()).unwrap_err();
             assert_eq!(inj.script.attempts_seen(), vec![(0, 0)]);
             err
         });
@@ -146,8 +147,8 @@ fn unfenced_fault_ends_the_run_while_the_others_sleep() {
             "unfenced kernel error",
             move || {
                 let (tiled, g, _) = flat3();
-                let inj = held(ScriptedFaults::new().fail_on(0, 1));
-                let err = ft_run(&tiled, &g, config(workers), None, &inj).unwrap_err();
+                let inj = Arc::new(held(ScriptedFaults::new().fail_on(0, 1)));
+                let err = ft_run(&tiled, &g, config(workers), None, inj.clone()).unwrap_err();
                 assert_eq!(inj.script.attempts_seen(), vec![(0, 0)]);
                 err
             },
@@ -173,7 +174,8 @@ fn timer_wakes_a_sleeping_pool_for_a_parked_retry() {
                 ..FaultTolerance::default()
             };
             // `run_pool` runs the driver even at one worker.
-            let (st, report) = ft_run(&tiled, &g, config(workers), Some(ft), &inj).unwrap();
+            let (st, report) =
+                ft_run(&tiled, &g, config(workers), Some(ft), Arc::new(inj)).unwrap();
             assert_eq!(st.r_matrix(), r, "workers={workers}");
             assert_eq!(report.retries, 1);
             assert_eq!(report.worker_deaths, 0);
@@ -195,7 +197,7 @@ fn watchdog_retires_a_stalled_worker_while_the_other_sleeps() {
             stall_timeout: Some(Duration::from_millis(30)),
             ..FaultTolerance::default()
         };
-        let (st, report) = ft_run(&tiled, &g, config(2), Some(ft), &inj).unwrap();
+        let (st, report) = ft_run(&tiled, &g, config(2), Some(ft), Arc::new(inj)).unwrap();
         assert_eq!(st.r_matrix(), r);
         assert!(report.worker_deaths >= 1);
         assert!(report.requeues >= 1);
@@ -227,7 +229,7 @@ fn a_run_whose_first_threads_all_die_finishes_on_respawned_ones() {
         let (tiled, g, r) = case(2, 1, EliminationTree::Binary);
         let inj = BothDie(std::sync::Barrier::new(2));
         let ft = Some(FaultTolerance::default());
-        let (st, report) = ft_run(&tiled, &g, config(2), ft, &inj).unwrap();
+        let (st, report) = ft_run(&tiled, &g, config(2), ft, Arc::new(inj)).unwrap();
         assert_eq!(st.r_matrix(), r);
         assert_eq!(report.worker_deaths, 2);
         assert_eq!((report.requeues, report.retries), (2, 2));

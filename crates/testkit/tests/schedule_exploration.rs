@@ -9,13 +9,14 @@
 //! factorization.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use tileqr_dag::{EliminationTree, TaskGraph};
 use tileqr_kernels::exec::{apply_q_dense, FactorState};
 use tileqr_matrix::gen::random_matrix;
 use tileqr_matrix::ops::matmul;
 use tileqr_matrix::{Matrix, TiledMatrix};
-use tileqr_runtime::{run_pool, FaultInjector, PoolConfig};
+use tileqr_runtime::{run_pool, PoolConfig};
 use tileqr_testkit::adversary::{Adversary, Rule};
 use tileqr_testkit::explorer::{
     assert_bit_identical, explore, explore_tree_vs_sequential, ExploreStrategy,
@@ -117,7 +118,7 @@ fn real_pool_honors_adversarial_dispatch_orders() {
                     workers,
                     ..PoolConfig::default()
                 },
-                adversary.as_ref().map(|a| a as &dyn FaultInjector),
+                adversary.map(|a| Arc::new(a) as _),
             )
             .unwrap();
             let run: u64 = report.tasks_per_worker.iter().sum();
@@ -147,7 +148,7 @@ fn pool_seeded_orders_sample_many_interleavings_safely() {
                 workers: 4,
                 ..PoolConfig::default()
             },
-            Some(&adversary),
+            Some(Arc::new(adversary)),
         )
         .unwrap();
         assert_eq!(state.r_matrix(), expect_r, "seed {seed} diverged");
@@ -167,7 +168,7 @@ fn tt_order_in_parallel() {
             workers: 4,
             ..PoolConfig::default()
         },
-        Some(&adversary),
+        Some(Arc::new(adversary)),
     )
     .unwrap();
     let (pm, _) = st.tiles().padded_dims();
@@ -202,7 +203,7 @@ fn adversarial_orders_match_sequential_bitwise() {
                     workers,
                     ..PoolConfig::default()
                 },
-                Some(&adversary),
+                Some(Arc::new(adversary)),
             )
             .unwrap();
             assert_eq!(

@@ -9,6 +9,7 @@
 //! [`FactorState::elim_factor_any`]) to byte identity with the sequential
 //! ground truth — with and without injected faults.
 
+use std::sync::Arc;
 use tileqr_dag::{EliminationTree, TaskGraph, TreePolicy};
 use tileqr_kernels::exec::FactorState;
 use tileqr_matrix::gen::random_matrix;
@@ -105,7 +106,7 @@ fn arena_runs_with_fault_injection_stay_bit_identical() {
                 }),
                 ..PoolConfig::default()
             },
-            Some(&inj),
+            Some(Arc::new(inj)),
         )
         .expect("recovery must succeed");
         let ctx = format!("workers={workers}");

@@ -126,8 +126,16 @@
 #     `Matrix::{scale_mut, unit_lower}`, `TiledMatrix::{set_tile,
 #     two_tiles_mut}`, `dag::export::to_dot`, `MatrixViewMut`,
 #     `ops::{gemm, Trans}` and its NT/TT loops, `solve_lower_triangular`,
-#     `RunReport::kernel_histograms`, `LifecycleCounters::is_quiet` and
-#     `flops::tiled_qr_flops`, tests included.
+#     `RunReport::kernel_histograms`, `LifecycleCounters::is_quiet`,
+#     `flops::tiled_qr_flops`, `Platform::total_cores` and the counters'
+#     `merge`s, tests included.
+#   * one virtual driver over the real engine: the testkit's `Machine`
+#     (`explorer.rs`) steps `DagRun` for every explored interleaving and
+#     every event storm, so testkit code keeps no frontier of its own and
+#     commits nothing itself, no second `struct Machine` comes back anywhere
+#     in the repo, and a report ends one way, `DagRun::settle`: `on_done` /
+#     `on_failed` stay private to `engine.rs`. Faults reach a run one way,
+#     as its job's own injector, so no driver function borrows one.
 #   * one trace recorder per run: a traced run's `DagRun` owns one
 #     recorder, sized from its graph, that keeps every event, so no ring,
 #     capacity knob, loss counter, per-worker recorder or merge of lanes
@@ -332,9 +340,12 @@ if hits=$(grep -rnE --include='*.rs' 'ListOrder|\b(inf_norm|one_norm|scale_mut|u
     fail "a retired name is back (a pick hook replaced ListOrder; nothing called the matrix helpers):" "$hits"
 fi
 if hits=$(grep -rnE --include='*.rs' \
-    '\bto_dot\b|MatrixViewMut|\bgemm(_nt|_tt)?\(|enum Trans\b|Trans::|solve_lower_triangular|\bkernel_histograms\b|\bis_quiet\b|tiled_qr_flops' \
+    '\btotal_cores\b|\bto_dot\b|MatrixViewMut|\bgemm(_nt|_tt)?\(|enum Trans\b|Trans::|solve_lower_triangular|\bkernel_histograms\b|\bis_quiet\b|tiled_qr_flops' \
     crates tests examples); then
     fail "a retired name is back (nothing called it):" "$hits"
+fi
+if hits=$(grep -nE '\bfn merge\b' crates/obs/src/counters.rs); then
+    fail "a counters merge is back (the driver sums worker arenas in place):" "$hits"
 fi
 # Tests and examples count for the retired names here too.
 knob='capacity_per_lane|DEFAULT_CAPACITY_PER_LANE|TraceConfig::with_capacity|fn with_capacity\b|\boverwritten\(|\bdropped:|\.dropped\b|core\.lanes\b|\bdeposit\(|merge_recorders'
@@ -345,6 +356,21 @@ if hits=$(grep -rnE --include='*.rs' '\b(RawEvent|RawKind|WorkerRecorder|into_tr
     crates tests examples); then
     fail "a second trace vocabulary is back (a traced run pushes Spans and TraceEvents straight into its Trace):" "$hits"
 fi
+expect 0 'Frontier|\.commit\(' "a second readiness loop or commit in the testkit (its Machine steps DagRun)" \
+    crates/testkit
+hits=$(grep -rnE --include='*.rs' 'struct Machine\b' crates tests examples perf || true)
+[ "$hits" = "$(grep -nE 'struct Machine\b' crates/testkit/src/explorer.rs | sed 's|^|crates/testkit/src/explorer.rs:|')" ] &&
+    [ -n "$hits" ] || fail "one virtual driver (the one \`struct Machine\` is the testkit's, in explorer.rs):" "$hits"
+if hits=$(grep -rnE --include='*.rs' '\bon_(done|failed)\(' crates tests examples perf |
+    grep -v '^crates/runtime/src/engine\.rs:'); then
+    fail "a report settled outside the engine (DagRun::settle is the one verdict):" "$hits"
+fi
+expect 0 'Option<&dyn FaultInjector>' "a borrowed injector threaded through the driver (a job owns its own)" \
+    crates/runtime
+# The engine lends a job's injector to one pop or one attempt; the driver
+# itself borrows none.
+expect 0 'Option<&\(?dyn FaultInjector' "a borrowed injector in the driver (a job owns its own)" \
+    crates/runtime/src/service.rs crates/runtime/src/pool.rs
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
