@@ -9,13 +9,12 @@ pub fn critical_path_length(g: &TaskGraph, weight: impl Fn(TaskKind) -> f64) -> 
     finish_times(g, weight).into_iter().fold(0.0, f64::max)
 }
 
-/// Earliest-finish time of every task under infinite parallelism.
+/// Earliest-finish time of every task under infinite parallelism, in
+/// program order: `build_tree`, a graph's only constructor, emits every
+/// task after its predecessors.
 pub fn finish_times(g: &TaskGraph, weight: impl Fn(TaskKind) -> f64) -> Vec<f64> {
-    // Program order is topological for our builders, but recompute a safe
-    // order so hand-built graphs also work.
-    let order = crate::topo::topological_order(g);
     let mut finish = vec![0.0f64; g.len()];
-    for &id in &order {
+    for id in 0..g.len() {
         let start = g
             .preds(id)
             .iter()
@@ -31,11 +30,11 @@ pub fn finish_times(g: &TaskGraph, weight: impl Fn(TaskKind) -> f64) -> Vec<f64>
 /// list-scheduling priority — dispatching the highest bottom level first
 /// keeps the DAG's critical path moving and is exactly the
 /// "triangulation before updates" preference of the paper's Alg. 2,
-/// derived from weights instead of hard-coded kernel classes.
+/// derived from weights instead of hard-coded kernel classes. Walks
+/// program order backwards.
 pub fn bottom_levels(g: &TaskGraph, weight: impl Fn(TaskKind) -> f64) -> Vec<f64> {
-    let order = crate::topo::topological_order(g);
     let mut level = vec![0.0f64; g.len()];
-    for &id in order.iter().rev() {
+    for id in (0..g.len()).rev() {
         let tail = g.succs(id).iter().map(|&s| level[s]).fold(0.0f64, f64::max);
         level[id] = tail + weight(g.task(id));
     }

@@ -97,8 +97,8 @@ pub fn topological_order(g: &TaskGraph) -> Vec<TaskId> {
 }
 
 /// `true` when the graph is acyclic (every task is reachable by Kahn's
-/// algorithm). Our builders guarantee this; the check exists for tests and
-/// for hand-built graphs.
+/// algorithm). `build_tree` guarantees this; the check is the tests'
+/// oracle.
 pub fn is_acyclic(g: &TaskGraph) -> bool {
     topological_order(g).len() == g.len()
 }

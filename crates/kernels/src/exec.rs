@@ -28,7 +28,7 @@ use crate::geqrt::pair_update;
 use crate::workspace::Workspace;
 use crate::{geqrt_apply_ws, geqrt_ws, tsqrt_ws, ttqrt_ws, ApplySide};
 use std::sync::Arc;
-use tileqr_dag::{EliminationTree, TaskGraph, TaskKind, TreePolicy};
+use tileqr_dag::{EliminationTree, TaskGraph, TaskKind, TileCoord, TreePolicy};
 use tileqr_matrix::{Matrix, MatrixError, Result, Scalar, TiledMatrix};
 
 /// Write access to a written tile once [`StagedTask::compute_with`] has
@@ -151,7 +151,8 @@ enum Tiles<T: Scalar> {
 }
 
 impl<T: Scalar> Tiles<T> {
-    /// The tiles the task writes, first the one staging took first.
+    /// The tiles the task writes, first the one staging took first: in
+    /// [`TaskKind::writes`] order.
     fn written(&mut self) -> [Option<&mut Tile<T>>; 2] {
         match self {
             Tiles::Factor { tile, .. } => [Some(tile), None],
@@ -159,6 +160,18 @@ impl<T: Scalar> Tiles<T> {
             Tiles::Elim { r1, a2, .. } | Tiles::PairUpdate { a1: r1, a2, .. } => {
                 [Some(r1), Some(a2)]
             }
+        }
+    }
+
+    /// Two pairs: the written tiles, as [`written`](Self::written) orders
+    /// them, then the `T` factor a factor kind computed and the `−V₂ᵀ`
+    /// handle the task holds. Read inputs are dropped.
+    fn into_outputs(self) -> [[Option<Tile<T>>; 2]; 2] {
+        match self {
+            Tiles::Factor { tile, tfac } => [[Some(tile), None], [Some(tfac), None]],
+            Tiles::Update { c, .. } => [[Some(c), None], [None, None]],
+            Tiles::Elim { r1, a2, tfac, vt } => [[Some(r1), Some(a2)], [Some(tfac), vt]],
+            Tiles::PairUpdate { a1, a2, vt, .. } => [[Some(a1), Some(a2)], [None, vt]],
         }
     }
 }
@@ -408,43 +421,37 @@ impl<T: Scalar> FactorState<T> {
         self.recycle(Some(old));
     }
 
-    /// Phase 3: write a completed task's outputs back (pointer swaps).
+    /// Phase 3: write a completed task's outputs back (pointer swaps):
+    /// each written tile into the slot [`TaskKind::writes`] names for it,
+    /// then its factors.
     pub fn commit(&mut self, done: CompletedTask<T>) {
-        match (done.task, done.tiles) {
-            (TaskKind::Geqrt { i, k }, Tiles::Factor { tile, tfac }) => {
-                self.put((i, k), tile);
+        let (task, [written, [tfac, vt]]) = (done.task, done.tiles.into_outputs());
+        for (&at, tile) in task.writes().iter().zip(written.into_iter().flatten()) {
+            self.put(at, tile);
+        }
+        match task {
+            TaskKind::Geqrt { i, k } => {
                 let slot = self.idx(i, k);
-                self.geqrt_t[slot] = Some(tfac);
+                self.geqrt_t[slot] = tfac;
             }
-            (TaskKind::Unmqr { i, j, .. }, Tiles::Update { c, .. }) => self.put((i, j), c),
-            (
-                TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
-                Tiles::Elim { r1, a2, tfac, vt },
-            ) => {
-                self.put((p, k), r1);
-                self.put((i, k), a2);
+            TaskKind::Unmqr { .. } => {}
+            TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k } => {
                 let (slot, pending) = (self.idx(i, k), self.grid.tile_cols() - 1 - k);
-                self.elim_t[slot] = Some(ElimFactor {
+                self.elim_t[slot] = tfac.map(|tfac| ElimFactor {
                     p,
                     tfac,
                     vt,
                     pending,
                 });
             }
-            (
-                TaskKind::Tsmqr { p, i, j, k } | TaskKind::Ttmqr { p, i, j, k },
-                Tiles::PairUpdate { a1, a2, vt, .. },
-            ) => {
+            TaskKind::Tsmqr { i, k, .. } | TaskKind::Ttmqr { i, k, .. } => {
                 // The task's own handle goes first, so the last update's
                 // settle finds the block unshared and recycles it.
                 drop(vt);
-                self.put((p, j), a1);
-                self.put((i, j), a2);
                 let slot = self.idx(i, k);
                 let spent = settle(&mut self.elim_t[slot]);
                 self.recycle(spent);
             }
-            _ => unreachable!("task/output kind mismatch"),
         }
     }
 
@@ -624,31 +631,22 @@ impl<T: Scalar> StagedTask<T> {
 impl<T: Scalar> CompletedTask<T> {
     /// Scan every output (written tiles *and* reflector `T` factors) for
     /// non-finite values and return the grid coordinates of the first
-    /// poisoned tile, or `None` when the outputs are clean. A runtime can
-    /// call this at its commit fence *before* the outputs touch shared
-    /// state, so a NaN/Inf produced by one task never propagates into
-    /// downstream tiles.
-    pub fn first_non_finite(&self) -> Option<(usize, usize)> {
+    /// poisoned tile — by [`TaskKind::writes`], a dirty `T` factor counting
+    /// against the last written tile — or `None` when the outputs are
+    /// clean. A runtime can call this at its commit fence *before* the
+    /// outputs touch shared state, so a NaN/Inf produced by one task never
+    /// propagates into downstream tiles.
+    pub fn first_non_finite(&mut self) -> Option<TileCoord> {
         let dirty = |m: &Matrix<T>| !m.all_finite();
-        match (&self.task, &self.tiles) {
-            (TaskKind::Geqrt { i, k }, Tiles::Factor { tile, tfac }) => {
-                (dirty(tile) || dirty(tfac)).then_some((*i, *k))
+        let writes = self.task.writes();
+        let written = self.tiles.written().into_iter().flatten();
+        let first = writes.iter().zip(written).find(|(_, tile)| dirty(tile));
+        first.map(|(&at, _)| at).or_else(|| match &self.tiles {
+            Tiles::Factor { tfac, .. } | Tiles::Elim { tfac, .. } if dirty(tfac) => {
+                writes.last().copied()
             }
-            (TaskKind::Unmqr { i, j, .. }, Tiles::Update { c, .. }) => dirty(c).then_some((*i, *j)),
-            (
-                TaskKind::Tsqrt { p, i, k } | TaskKind::Ttqrt { p, i, k },
-                Tiles::Elim { r1, a2, tfac, .. },
-            ) => dirty(r1)
-                .then_some((*p, *k))
-                .or((dirty(a2) || dirty(tfac)).then_some((*i, *k))),
-            (
-                TaskKind::Tsmqr { p, i, j, .. } | TaskKind::Ttmqr { p, i, j, .. },
-                Tiles::PairUpdate { a1, a2, .. },
-            ) => dirty(a1)
-                .then_some((*p, *j))
-                .or(dirty(a2).then_some((*i, *j))),
-            _ => unreachable!("task/output kind mismatch"),
-        }
+            _ => None,
+        })
     }
 
     /// Test seam: overwrite the first element of this task's first output
@@ -1083,6 +1081,46 @@ mod tests {
             _ => panic!("TSQRT staged wrong input kind"),
         }
         assert_eq!(spares(&shared), 0);
+    }
+
+    /// The scan names a NaN by the tile `TaskKind::writes` gives the
+    /// written tile it landed in, and one in a `T` factor by the last
+    /// written tile, for each of the six kinds; clean outputs read `None`.
+    #[test]
+    fn the_scan_names_the_written_tile_a_nan_landed_in() {
+        let nan = |m: &mut Tile<f64>| owned(m).as_mut_slice()[5] = f64::NAN;
+        let mut kinds = std::collections::HashSet::new();
+        for tree in [EliminationTree::Flat, EliminationTree::Binary] {
+            let tiled = TiledMatrix::from_matrix(&random_matrix::<f64>(12, 12, 37), 4).unwrap();
+            let g = TaskGraph::build_tree(3, 3, tree);
+            let (mut st, mut ws) = (FactorState::new(tiled), Workspace::new(4, 4));
+            for &task in g.tasks() {
+                kinds.insert(std::mem::discriminant(&task));
+                let mut run = || {
+                    st.stage_preserving(task)
+                        .unwrap()
+                        .compute_with(&mut ws)
+                        .unwrap()
+                };
+                let writes = task.writes();
+                for n in 0..writes.len() {
+                    let mut done = run();
+                    if let Some(tile) = done.tiles.written().into_iter().nth(n).flatten() {
+                        nan(tile);
+                    }
+                    assert_eq!(done.first_non_finite(), Some(writes[n]), "{task:?}");
+                }
+                let mut done = run();
+                if let Tiles::Factor { tfac, .. } | Tiles::Elim { tfac, .. } = &mut done.tiles {
+                    nan(tfac);
+                    assert_eq!(done.first_non_finite(), writes.last().copied(), "{task:?}");
+                }
+                let mut clean = run();
+                assert_eq!(clean.first_non_finite(), None, "{task:?}");
+                st.commit(clean);
+            }
+        }
+        assert_eq!(kinds.len(), 6);
     }
 
     /// A factor task's `T` output is a spare tile when one is free, however

@@ -7,16 +7,15 @@
 //! holds the [`DagRun`]: a worker, or the driver's clock thread, inside
 //! the driver's one lock):
 //!
-//! * [`run_attempt`] — the worker-side body of one task attempt the
-//!   manager staged: fault seam, kernel (with a fenced stage's tile
-//!   copies), optional compute interval.
-//! * [`DagRun`] — the per-DAG state machine: the DAG's [`Frontier`]
-//!   (readiness and the FIFO ready set), the `committed` fence, the
-//!   per-task attempt budget, the counters that become a [`RunReport`],
-//!   and, when traced, the run's [`Trace`]: every lane's spans and
-//!   instants, pushed as they happen. [`DagRun::settle`] is the one
-//!   mapping from a worker's report to its [`Verdict`]: committed,
-//!   dropped, or lost.
+//! * [`DagRun`] — the whole execution state of one DAG: its graph, its
+//!   [`FactorState`], its fault budget (which fixes the run's mode), its
+//!   [`Frontier`], the commit fence, the counters that become a
+//!   [`RunReport`] and, when traced, its [`Trace`]. [`DagRun::dispatch`]
+//!   pops and stages the next task; [`DagRun::settle`] maps a worker's
+//!   report to its [`Verdict`]: committed, dropped, retry, halt, poison.
+//! * [`run_attempt`] — the worker-side body of one [`Dispatch`]: fault
+//!   seam, kernel (with a fenced stage's tile copies), optional compute
+//!   interval, and the poison scan the run asked for.
 //! * [`Slots`] — which worker slot is running what since when: the "is
 //!   this the report I am waiting for" test and the stall watchdog's
 //!   scan.
@@ -31,7 +30,7 @@ use crate::pool::RunReport;
 use crate::recovery::{FaultInjector, FaultTolerance, InjectedFault};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use tileqr_dag::{Frontier, Pick, TaskGraph, TaskId, TaskKind};
+use tileqr_dag::{Frontier, Pick, TaskGraph, TaskId, TaskKind, TileCoord};
 use tileqr_kernels::exec::{CompletedTask, FactorState, StagedTask};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{MatrixError, Scalar};
@@ -107,6 +106,9 @@ pub struct Attempt<T: Scalar> {
     /// per-class compute time (the tuner's probe samples) and a traced
     /// run's compute span. `None` for an attempt that was not clocked.
     pub compute: Option<(Instant, Instant)>,
+    /// The first non-finite output tile of a scanned attempt (see
+    /// [`DagRun::dispatch`]); `None` when clean or not scanned.
+    pub poisoned: Option<TileCoord>,
 }
 
 /// How one attempt ended, as a worker reports it to its manager.
@@ -119,23 +121,34 @@ pub enum Outcome<T: Scalar> {
     Panicked(String),
 }
 
-/// Run attempt `attempt` (0-based) of `task` on the calling worker thread,
-/// over what the manager staged for it — or the staging error it met (a
-/// reflector factor missing), reported as a failed attempt.
+/// One attempt a run handed a worker slot: which task and attempt, what
+/// staging made of it in the run's mode (or the error it met), and
+/// whether its outputs are scanned. Only [`run_attempt`] opens it.
+pub struct Dispatch<T: Scalar> {
+    /// The task and its 0-based attempt number.
+    pub at: (TaskId, u32),
+    staged: Result<StagedTask<T>, MatrixError>,
+    scan: bool,
+}
+
+/// Run one dispatched attempt on the calling worker thread, over what the
+/// manager staged for it — or the staging error it met (a reflector
+/// factor missing), reported as a failed attempt.
 ///
 /// The outputs travel back for the manager to commit through
 /// [`DagRun::settle`]. A fenced stage left the shared state untouched and
 /// copied nothing yet: its written-tile copies run here, in
-/// `compute_with`, ahead of the kernel. `clocked` times the kernel into
+/// `compute_with`, ahead of the kernel, and a scanned attempt's outputs
+/// are checked for NaN/Inf after it. `clocked` times the kernel into
 /// [`Attempt::compute`] (a clocked or a traced run); an unclocked attempt
 /// reads no clock. Panics are caught and reported, never propagated.
 pub fn run_attempt<T: Scalar>(
-    staged: Result<StagedTask<T>, MatrixError>,
-    (task, attempt): (TaskId, u32),
+    dispatch: Dispatch<T>,
     injector: Option<&(dyn FaultInjector + Send + Sync)>,
     ws: &mut Workspace<T>,
     clocked: bool,
 ) -> Outcome<T> {
+    let ((task, attempt), scan) = (dispatch.at, dispatch.scan);
     let result = catch_unwind(AssertUnwindSafe(|| -> Result<Attempt<T>, MatrixError> {
         let fault = injector.map_or(InjectedFault::None, |f| f.before_attempt(task, attempt));
         match fault {
@@ -149,14 +162,19 @@ pub fn run_attempt<T: Scalar>(
             InjectedFault::Stall(d) => std::thread::sleep(d),
         }
         let t0 = clocked.then(Instant::now);
-        let mut completed = staged?.compute_with(ws)?;
+        let mut completed = dispatch.staged?.compute_with(ws)?;
         let compute = t0.map(|t0| (t0, Instant::now()));
         if fault == InjectedFault::PoisonNan {
             // NaN-corrupt the output *after* the kernel ran: the seam for
-            // a driver's poison scan ahead of the commit fence.
+            // the poison scan ahead of the commit fence.
             completed.poison();
         }
-        Ok(Attempt { completed, compute })
+        let poisoned = scan.then(|| completed.first_non_finite()).flatten();
+        Ok(Attempt {
+            completed,
+            compute,
+            poisoned,
+        })
     }));
     match result {
         Ok(Ok(done)) => Outcome::Done(done),
@@ -172,8 +190,15 @@ pub enum Verdict {
     Committed(Duration),
     /// A duplicate, late or superseded report, or a halted run's.
     Dropped,
-    /// Its task still needs a result: charge a retry, or fail the run.
-    Lost(RuntimeError),
+    /// Lost and charged: park the task and [`wake`](DagRun::wake) it once
+    /// this backoff has passed on the driver's clock.
+    Retry(Duration),
+    /// Lost for good, and the run halted: an unfenced run's loss, or a
+    /// spent budget (`RetriesExhausted`, at most once per run).
+    Failed(RuntimeError),
+    /// A scanned output was non-finite at this tile: refused, never
+    /// committed, and the run halted.
+    Poisoned(TileCoord),
 }
 
 /// The counters a run accumulates on its way to a [`RunReport`].
@@ -219,10 +244,17 @@ impl Tally {
     }
 }
 
-/// The state machine of one DAG execution, owned by whichever manager
-/// drives it. The driver feeds it events (a dispatch, a worker report,
-/// a watchdog retirement) and it answers with what to do next; it never
-/// blocks, spawns, or sends.
+/// The whole execution state of one DAG, owned by whichever manager
+/// drives it: its graph, its [`FactorState`] and its fault budget beside
+/// the bookkeeping. The driver feeds it events (a dispatch, a worker
+/// report, a watchdog retirement) and it answers with what to do next; it
+/// never blocks, spawns, or sends.
+///
+/// The budget decides the run's mode once. **Fenced** (`Some`): staging
+/// preserves the tiles, a lost attempt costs a retry within the budget,
+/// and a panel factor's outputs are scanned before they may commit.
+/// **Unfenced** (`None`): staging takes the tiles (zero-copy), so a lost
+/// attempt fails the run, and nothing is scanned.
 ///
 /// Re-execution is safe because of the **commit fence**: a task's outputs
 /// are applied at most once, by [`settle`](Self::settle), and the first
@@ -231,7 +263,12 @@ impl Tally {
 /// A failure is charged to a task's attempt budget only when it comes
 /// from the slot the manager is waiting on *and* the task is still
 /// uncommitted; late or superseded reports are ignored.
-pub struct DagRun {
+pub struct DagRun<T: Scalar> {
+    graph: TaskGraph,
+    /// Staged from and committed into under the driver's lock; an attempt
+    /// carries its tiles, not the state.
+    state: FactorState<T>,
+    ft: Option<FaultTolerance>,
     /// Readiness and the FIFO ready set: a commit completes a task.
     frontier: Frontier,
     committed: Vec<bool>,
@@ -244,12 +281,19 @@ pub struct DagRun {
     tally: Tally,
 }
 
-impl DagRun {
-    /// Start a run of `graph` over `workers` worker slots, with the
-    /// sources already in the ready set. `epoch`, when tracing, is the
-    /// instant the run's timestamps count from; the run then records every
-    /// span and instant straight into one [`Trace`] sized from `graph`.
-    pub fn new(graph: &TaskGraph, workers: usize, epoch: Option<Instant>) -> Self {
+impl<T: Scalar> DagRun<T> {
+    /// Start a run of `graph` over `state`, fenced iff `ft` is set, on
+    /// `workers` worker slots, with the sources already in the ready set.
+    /// `epoch`, when tracing, is the instant the run's timestamps count
+    /// from; the run then records every span and instant straight into
+    /// one [`Trace`] sized from `graph`.
+    pub fn new(
+        graph: TaskGraph,
+        state: FactorState<T>,
+        ft: Option<FaultTolerance>,
+        workers: usize,
+        epoch: Option<Instant>,
+    ) -> Self {
         let lanes = (0..workers)
             .map(|w| format!("worker{w}"))
             .chain(["manager".into()]);
@@ -259,9 +303,12 @@ impl DagRun {
             epoch,
         });
         let mut run = DagRun {
-            frontier: Frontier::new(graph),
+            frontier: Frontier::new(&graph),
             committed: vec![false; graph.len()],
             attempts: vec![0; graph.len()],
+            graph,
+            state,
+            ft,
             in_flight: 0,
             halted: false,
             trace,
@@ -276,17 +323,9 @@ impl DagRun {
         run
     }
 
-    /// Whether the run records a trace.
-    pub fn traced(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Slot `w` staged attempt `at` of a `kind` task, from `t0` until
-    /// now: its stage span, when traced (`t0` is `None` otherwise).
-    pub fn staged(&mut self, w: usize, kind: TaskKind, at: (TaskId, u32), t0: Option<Instant>) {
-        if let (Some(tr), Some(t0)) = (self.trace.as_mut(), t0) {
-            tr.span((Phase::Stage, w), kind, at, (t0, Instant::now()));
-        }
+    /// The graph the run executes.
+    pub fn graph(&self) -> &TaskGraph {
+        &self.graph
     }
 
     /// Whether every task has been committed.
@@ -299,7 +338,7 @@ impl DagRun {
         self.in_flight
     }
 
-    /// Ready tasks a [`pop_ready`](Self::pop_ready) could hand out now
+    /// Ready tasks a [`dispatch`](Self::dispatch) could hand out now
     /// (none once halted).
     pub fn ready_len(&self) -> usize {
         if self.halted {
@@ -311,13 +350,13 @@ impl DagRun {
 
     /// Whether a `Done` for `task` would still be committed: the run is
     /// live and no earlier result won the fence.
-    pub fn accepts(&self, task: TaskId) -> bool {
+    fn accepts(&self, task: TaskId) -> bool {
         !self.halted && !self.committed[task]
     }
 
     /// Stop dispatching and committing; in-flight attempts only drain.
-    /// The driver halts a run it is abandoning (a fatal error, a
-    /// cancelled job); an exhausted retry budget halts it by itself.
+    /// The driver halts a run it is abandoning (a cancelled job); a
+    /// halting verdict halts it by itself.
     pub fn halt(&mut self) {
         self.halted = true;
     }
@@ -327,15 +366,15 @@ impl DagRun {
         self.halted
     }
 
-    /// Next task for worker slot `w`, with its 0-based attempt number —
+    /// Hand worker slot `w` the next ready task, staged: its attempt is
     /// charged to the task's budget and counted in flight. The ready set
     /// is FIFO; a test `seam` [`pick`](FaultInjector::pick)s from it
     /// instead. Entries superseded by a harvested late result are skipped.
-    pub fn pop_ready(
+    pub fn dispatch(
         &mut self,
         w: usize,
         seam: Option<&(dyn FaultInjector + Send + Sync)>,
-    ) -> Option<(TaskId, u32)> {
+    ) -> Option<Dispatch<T>> {
         if self.halted {
             return None;
         }
@@ -348,7 +387,33 @@ impl DagRun {
         self.attempts[t] += 1;
         self.in_flight += 1;
         mark(&mut self.trace, EventKind::Dispatch, Some(t), w as u64);
-        Some((t, self.attempts[t] - 1))
+        Some(self.restage(w, (t, self.attempts[t] - 1)))
+    }
+
+    /// Stage attempt `at` on slot `w` in the run's mode — `O(1)`,
+    /// preserving iff fenced — and record its stage span when traced. Called
+    /// again for a dispatched attempt, it stages a twin that charges
+    /// nothing: the seam for an attempt that reports twice.
+    #[doc(hidden)]
+    pub fn restage(&mut self, w: usize, at: (TaskId, u32)) -> Dispatch<T> {
+        let kind = self.graph.task(at.0);
+        let t0 = self.trace.is_some().then(Instant::now);
+        let staged = match self.ft {
+            Some(_) => self.state.stage_preserving(kind),
+            None => self.state.stage(kind),
+        };
+        if let (Some(tr), Some(t0)) = (self.trace.as_mut(), t0) {
+            tr.span((Phase::Stage, w), kind, at, (t0, Instant::now()));
+        }
+        let scan = self.scans(kind);
+        Dispatch { at, staged, scan }
+    }
+
+    /// Whether an attempt of `kind` has its outputs scanned for NaN/Inf
+    /// (on the worker, in [`run_attempt`]): a fenced run's panel factors,
+    /// which every downstream update reads, so poison stops at one column.
+    fn scans(&self, kind: TaskKind) -> bool {
+        self.ft.is_some() && kind.class().is_main_device_work()
     }
 
     /// A parked retry of `t` is due: back into the ready set, unless a
@@ -363,63 +428,60 @@ impl DagRun {
     /// mapping from a worker's report to its effect. `expected`: the slot
     /// was waiting on this report (a watchdog retirement is an expected
     /// `Panicked`). The first `Done` of a live run commits — every commit
-    /// happens here, fenced or not — and any other is dropped, a traced
-    /// run keeping its compute span. A `Failed` or `Panicked` is lost only
-    /// when expected and its task uncommitted; an expected `Panicked`
-    /// counts a worker death.
-    pub fn settle<T: Scalar>(
+    /// happens here, fenced or not — unless its scan found poison; any
+    /// other is dropped, a traced run keeping its compute span. A `Failed`
+    /// or `Panicked` is lost only when expected and its task uncommitted,
+    /// and is charged here; an expected `Panicked` counts a worker death.
+    pub fn settle(
         &mut self,
-        graph: &TaskGraph,
-        state: &mut FactorState<T>,
         (t, attempt): (TaskId, u32),
         w: usize,
         expected: bool,
         outcome: Outcome<T>,
     ) -> Verdict {
         self.in_flight -= usize::from(expected);
-        match outcome {
-            Outcome::Done(done) => self.on_done(graph, state, (t, attempt), w, done),
+        let cause = match outcome {
+            Outcome::Done(done) => return self.on_done((t, attempt), w, done),
             Outcome::Failed(source) if expected && self.accepts(t) => {
-                Verdict::Lost(RuntimeError::Kernel { task: t, source })
+                RuntimeError::Kernel { task: t, source }
             }
             // The guard counts the death of an expected report's worker.
             Outcome::Panicked(message) if self.on_panicked(t, w, expected) => {
-                Verdict::Lost(RuntimeError::TaskPanicked {
+                RuntimeError::TaskPanicked {
                     task: t,
                     worker: w,
                     message,
-                })
+                }
             }
-            _ => Verdict::Dropped,
-        }
+            _ => return Verdict::Dropped,
+        };
+        self.charge_retry(t, cause)
     }
 
-    /// Commit a `Done` if it is the first and the run is live, after
-    /// recording its compute span when traced.
-    fn on_done<T: Scalar>(
-        &mut self,
-        graph: &TaskGraph,
-        state: &mut FactorState<T>,
-        (t, attempt): (TaskId, u32),
-        w: usize,
-        done: Attempt<T>,
-    ) -> Verdict {
+    /// Commit a `Done` if it is the first and the run is live and it is
+    /// clean, after recording its compute span when traced.
+    fn on_done(&mut self, (t, attempt): (TaskId, u32), w: usize, done: Attempt<T>) -> Verdict {
+        let kind = self.graph.task(t);
         if let (Some(tr), Some(compute)) = (self.trace.as_mut(), done.compute) {
-            tr.span((Phase::Compute, w), graph.task(t), (t, attempt), compute);
+            tr.span((Phase::Compute, w), kind, (t, attempt), compute);
         }
         if !self.accepts(t) {
             return Verdict::Dropped;
         }
+        if let Some(tile) = done.poisoned {
+            self.halted = true;
+            return Verdict::Poisoned(tile);
+        }
         // Only a traced commit is clocked: its span is the one reader.
         let c0 = self.trace.is_some().then(Instant::now);
-        state.commit(done.completed);
+        self.state.commit(done.completed);
         if let (Some(tr), Some(c0)) = (self.trace.as_mut(), c0) {
             let manager = (Phase::Commit, tr.trace.lanes.len() - 1);
-            tr.span(manager, graph.task(t), (t, attempt), (c0, Instant::now()));
+            tr.span(manager, kind, (t, attempt), (c0, Instant::now()));
         }
         self.tally.tasks_per_worker[w] += 1;
         self.committed[t] = true;
-        let trace = &mut self.trace;
+        let (graph, trace) = (&self.graph, &mut self.trace);
         self.frontier
             .complete(graph, t, |s| mark(trace, EventKind::Ready, Some(s), 0));
         Verdict::Committed(done.compute.map_or(Duration::ZERO, |(t0, t1)| t1 - t0))
@@ -441,37 +503,43 @@ impl DagRun {
         true
     }
 
-    /// Charge a lost attempt of `t` to its budget. `Ok(backoff)`: park the
-    /// task and [`wake`](Self::wake) it once `backoff` (deterministic)
-    /// has passed on the driver's clock. `Err`: the budget is spent — the
-    /// run halts, so this surfaces at most once per run.
-    pub fn charge_retry(
-        &mut self,
-        ft: &FaultTolerance,
-        t: TaskId,
-        last: String,
-    ) -> Result<Duration, RuntimeError> {
+    /// Charge a lost attempt of `t`, lost to `cause`. Fenced: a backoff to
+    /// park, or, once the budget is spent, `RetriesExhausted` — the run
+    /// halts, so that surfaces at most once. Unfenced: the run halts with
+    /// `cause`. Reads no clock.
+    fn charge_retry(&mut self, t: TaskId, cause: RuntimeError) -> Verdict {
+        let Some(ft) = self.ft else {
+            self.halted = true;
+            return Verdict::Failed(cause);
+        };
         let attempts = self.attempts[t];
         if attempts >= ft.max_attempts {
             self.halted = true;
-            return Err(RuntimeError::RetriesExhausted {
+            return Verdict::Failed(RuntimeError::RetriesExhausted {
                 task: t,
                 attempts,
-                last,
+                last: cause.to_string(),
             });
         }
         self.tally.retries += 1;
         mark(&mut self.trace, EventKind::Retry, Some(t), attempts.into());
-        Ok(ft.backoff(attempts))
+        Verdict::Retry(ft.backoff(attempts))
     }
 
-    /// Close the books: the run's counters, and its trace as recorded when
-    /// traced (lanes `worker0`, `worker1`, …, then `manager`), as a
-    /// [`RunReport`]. `elapsed` and the memory `counters` are the driver's
-    /// to measure.
-    pub fn into_report(self, elapsed: Duration, counters: HotPathCounters) -> RunReport {
+    /// Close the books: the state, its spares dropped, the graph, and a
+    /// [`RunReport`] of the run's counters, the state's copy-on-write
+    /// count and its trace as recorded when traced (lanes `worker0`,
+    /// `worker1`, …, then `manager`). `elapsed` is the driver's to
+    /// measure, and so are the arenas.
+    pub fn close(mut self, elapsed: Duration) -> (FactorState<T>, TaskGraph, RunReport) {
+        self.state.end_run();
+        let counters = HotPathCounters {
+            cow_clones: self.state.cow_clones(),
+            ..HotPathCounters::default()
+        };
         let (max_ready, trace) = (self.frontier.max_ready(), self.trace.map(|tr| tr.trace));
-        self.tally.into_report(max_ready, elapsed, trace, counters)
+        let report = self.tally.into_report(max_ready, elapsed, trace, counters);
+        (self.state, self.graph, report)
     }
 }
 
@@ -534,20 +602,22 @@ impl<K: Copy + PartialEq> Slots<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::ScriptedFaults;
     use tileqr_dag::EliminationTree;
     use tileqr_matrix::{gen::random_matrix, TiledMatrix};
 
-    /// A 2×2 flat-tree graph and a random 8×8 state at b = 4.
-    fn fixture() -> (TaskGraph, FactorState<f64>) {
+    /// A run of a 2×2 flat-tree graph (GEQRT, UNMQR, TSQRT, TSMQR, GEQRT)
+    /// over a random 8×8 state at b = 4, on `workers` slots.
+    fn fixture(workers: usize, ft: Option<FaultTolerance>, epoch: Option<Instant>) -> DagRun<f64> {
         let tiles = TiledMatrix::from_matrix(&random_matrix(8, 8, 3), 4).unwrap();
         let g = TaskGraph::build_tree(2, 2, EliminationTree::Flat);
-        (g, FactorState::new(tiles))
+        DagRun::new(g, FactorState::new(tiles), ft, workers, epoch)
     }
 
-    /// Attempt `at`, run and clocked over a fenced stage.
-    fn done(g: &TaskGraph, state: &mut FactorState<f64>, at: (TaskId, u32)) -> Outcome<f64> {
-        let ws = &mut Workspace::new(4, 4);
-        run_attempt(state.stage_preserving(g.task(at.0)), at, None, ws, true)
+    /// Run `dispatch`, clocked, with `faults` consulted.
+    fn run(dispatch: Dispatch<f64>, faults: Option<&ScriptedFaults>) -> Outcome<f64> {
+        let faults = faults.map(|f| f as &(dyn FaultInjector + Send + Sync));
+        run_attempt(dispatch, faults, &mut Workspace::new(4, 4), true)
     }
 
     fn scripted() -> MatrixError {
@@ -558,51 +628,51 @@ mod tests {
 
     #[test]
     fn settle_commits_the_first_done_and_drops_the_rest_with_their_spans() {
-        let (g, mut state) = fixture();
-        let mut dag = DagRun::new(&g, 1, Some(Instant::now()));
-        let at = dag.pop_ready(0, None).unwrap();
-        let (first, twin) = (done(&g, &mut state, at), done(&g, &mut state, at));
-        let verdict = dag.settle(&g, &mut state, at, 0, true, first);
+        let mut dag = fixture(1, Some(FaultTolerance::default()), Some(Instant::now()));
+        let first = dag.dispatch(0, None).unwrap();
+        let (at, twin) = (first.at, dag.restage(0, first.at));
+        let (first, twin) = (run(first, None), run(twin, None));
+        let verdict = dag.settle(at, 0, true, first);
         assert!(matches!(verdict, Verdict::Committed(_)), "{verdict:?}");
-        assert_eq!(
-            dag.settle(&g, &mut state, at, 0, false, twin),
-            Verdict::Dropped
-        );
-        let next = dag.pop_ready(0, None).unwrap();
-        let late = done(&g, &mut state, next);
+        assert_eq!(dag.settle(at, 0, false, twin), Verdict::Dropped);
+        let next = dag.dispatch(0, None).unwrap();
+        let (next, late) = (next.at, run(next, None));
         dag.halt();
-        assert_eq!(
-            dag.settle(&g, &mut state, next, 0, true, late),
-            Verdict::Dropped
-        );
-        let report = dag.into_report(Duration::ZERO, HotPathCounters::default());
+        assert_eq!(dag.settle(next, 0, true, late), Verdict::Dropped);
+        let (.., report) = dag.close(Duration::ZERO);
         assert_eq!((report.total_tasks(), report.retries), (1, 0));
-        // Every clocked attempt keeps its compute span; one commit.
+        // Every stage and every clocked attempt keeps its span; one commit.
         let spans = report.trace.unwrap().spans;
         let count = |phase| spans.iter().filter(|s| s.phase == phase).count();
-        assert_eq!((count(Phase::Compute), count(Phase::Commit)), (3, 1));
+        assert_eq!(
+            [Phase::Stage, Phase::Compute, Phase::Commit].map(count),
+            [3, 3, 1]
+        );
     }
 
     #[test]
     fn settle_loses_only_an_expected_report_of_an_uncommitted_task() {
-        for (committed, expected, panics) in (0..8).map(|i| (i & 4 > 0, i & 2 > 0, i & 1 > 0)) {
-            let (g, mut state) = fixture();
-            let mut dag = DagRun::new(&g, 2, None);
-            let mut at = dag.pop_ready(0, None).unwrap();
+        for i in 0..16 {
+            let [fenced, committed, expected, panics] = [8, 4, 2, 1].map(|bit| i & bit > 0);
+            if committed && !fenced {
+                continue; // an unfenced loss halts: nothing commits after it
+            }
+            let ft = fenced.then(FaultTolerance::default);
+            let mut dag = fixture(2, ft, None);
+            let first = dag.dispatch(0, None).unwrap();
+            let mut at = first.at;
             if committed {
                 // The watchdog retires slot 0 and the retry goes to slot 1,
                 // but the retired attempt's late `Done` wins the fence.
-                let stale = done(&g, &mut state, at);
+                let stale = run(first, None);
                 let stalled = Outcome::Panicked("stalled".into());
-                assert!(matches!(
-                    dag.settle(&g, &mut state, at, 0, true, stalled),
-                    Verdict::Lost(_)
-                ));
+                let verdict = dag.settle(at, 0, true, stalled);
+                assert!(matches!(verdict, Verdict::Retry(_)), "{verdict:?}");
                 dag.wake(at.0);
-                let retry = dag.pop_ready(1, None).unwrap();
-                let verdict = dag.settle(&g, &mut state, at, 0, false, stale);
+                let retry = dag.dispatch(1, None).unwrap();
+                let verdict = dag.settle(at, 0, false, stale);
                 assert!(matches!(verdict, Verdict::Committed(_)), "{verdict:?}");
-                at = retry;
+                at = retry.at;
             }
             let (task, worker, message) = (at.0, 1, "boom".to_string());
             let (outcome, cause) = match panics {
@@ -622,23 +692,27 @@ mod tests {
                     },
                 ),
             };
-            let want = match expected && !committed {
-                true => Verdict::Lost(cause),
-                false => Verdict::Dropped,
+            // A loss is charged where it is settled: a fenced one parks a
+            // retry, an unfenced one halts the run with its cause.
+            let lost = expected && !committed;
+            let want = match (lost, ft) {
+                (false, _) => Verdict::Dropped,
+                (true, Some(ft)) => Verdict::Retry(ft.backoff(1)),
+                (true, None) => Verdict::Failed(cause),
             };
-            let case = format!("committed {committed}, expected {expected}, panics {panics}");
-            assert_eq!(
-                dag.settle(&g, &mut state, at, worker, expected, outcome),
-                want,
-                "{case}"
+            let case = format!(
+                "fenced {fenced}, committed {committed}, expected {expected}, panics {panics}"
             );
+            assert_eq!(dag.settle(at, worker, expected, outcome), want, "{case}");
+            assert_eq!(dag.is_halted(), lost && !fenced, "{case}");
             // Only an expected panic is a death (the watchdog's retirement
-            // is one), and settling charges no retry.
-            let report = dag.into_report(Duration::ZERO, HotPathCounters::default());
+            // is one), and only a fenced loss a retry.
+            let (.., report) = dag.close(Duration::ZERO);
             let deaths = u64::from(committed) + u64::from(expected && panics);
+            let retries = u64::from(committed) + u64::from(lost && fenced);
             assert_eq!(
                 (report.worker_deaths, report.retries),
-                (deaths, 0),
+                (deaths, retries),
                 "{case}"
             );
         }
@@ -646,25 +720,67 @@ mod tests {
 
     #[test]
     fn charge_retry_returns_the_backoff_and_reads_no_clock() {
-        let (g, mut state) = fixture();
         let ft = FaultTolerance {
             backoff_base: Duration::from_millis(3),
             ..FaultTolerance::default()
         };
-        let mut dag = DagRun::new(&g, 1, None);
+        let mut dag = fixture(1, Some(ft), None);
         for retry in 1..=ft.max_attempts {
-            let at = dag.pop_ready(0, None).unwrap();
+            let at = dag.dispatch(0, None).unwrap().at;
             assert_eq!((at.0, at.1 + 1), (0, retry));
-            let lost = dag.settle(&g, &mut state, at, 0, true, Outcome::Failed(scripted()));
-            assert!(matches!(lost, Verdict::Lost(_)), "{lost:?}");
-            let charged = dag.charge_retry(&ft, at.0, "scripted".into());
+            let verdict = dag.settle(at, 0, true, Outcome::Failed(scripted()));
             if retry == ft.max_attempts {
-                assert!(charged.is_err());
+                let source = scripted();
+                let last = RuntimeError::Kernel { task: 0, source }.to_string();
+                let spent = RuntimeError::RetriesExhausted {
+                    task: 0,
+                    attempts: retry,
+                    last,
+                };
+                assert_eq!(verdict, Verdict::Failed(spent));
                 break;
             }
-            assert_eq!(charged, Ok(ft.backoff(retry)));
+            assert_eq!(verdict, Verdict::Retry(ft.backoff(retry)));
             dag.wake(at.0);
         }
-        assert!(dag.is_halted());
+        // Spent once: the run halted, dispatches nothing more, and a late
+        // loss is dropped, not charged again.
+        assert!(dag.is_halted() && dag.dispatch(0, None).is_none());
+        let late = dag.settle((0, 1), 0, false, Outcome::Failed(scripted()));
+        assert_eq!(late, Verdict::Dropped);
+        let (.., report) = dag.close(Duration::ZERO);
+        assert_eq!(report.retries, u64::from(ft.max_attempts - 1));
+    }
+
+    #[test]
+    fn a_run_stages_and_scans_in_its_own_mode() {
+        for fenced in [false, true] {
+            let mut dag = fixture(1, fenced.then(FaultTolerance::default), None);
+            let before = dag.state.tiles().to_matrix();
+            // The last task, GEQRT on tile (1, 1), comes out poisoned.
+            let faults = ScriptedFaults::new().poison_on(dag.graph.len() - 1, 1);
+            let first = dag.dispatch(0, None).unwrap();
+            // A fenced stage leaves GEQRT's tile (0, 0) in its slot; an
+            // unfenced one takes it, leaving the zero placeholder.
+            let staged = dag.state.tiles().to_matrix();
+            assert_eq!(staged == before, fenced, "fenced {fenced}");
+            let mut verdicts = vec![dag.settle(first.at, 0, true, run(first, Some(&faults)))];
+            while let Some(next) = dag.dispatch(0, None) {
+                verdicts.push(dag.settle(next.at, 0, true, run(next, Some(&faults))));
+            }
+            // Fenced, the poisoned factor is refused, named by its tile, and
+            // halts the run; unfenced, nothing is scanned and it commits.
+            let last = verdicts.pop().unwrap();
+            assert_eq!(verdicts.len(), 4, "fenced {fenced}");
+            assert!(verdicts.iter().all(|v| matches!(v, Verdict::Committed(_))));
+            match fenced {
+                true => assert_eq!(last, Verdict::Poisoned((1, 1))),
+                false => assert!(matches!(last, Verdict::Committed(_)), "{last:?}"),
+            }
+            assert_eq!(dag.is_halted(), fenced);
+            let (state, _, report) = dag.close(Duration::ZERO);
+            assert_eq!(state.tiles().to_matrix().all_finite(), fenced);
+            assert_eq!(report.total_tasks(), 4 + u64::from(!fenced));
+        }
     }
 }

@@ -5,12 +5,13 @@
 //! thread, no lock, program order. Otherwise it is a one-job, call-scoped
 //! instance of the host driver in [`service`](crate::service) (DESIGN.md
 //! §9): self-scheduling workers behind one lock, the calling thread as its
-//! clock. Without a [`PoolConfig::fault_tolerance`] budget it runs
-//! **unfenced** — zero-copy staging; a worker panic or
-//! kernel error is *isolated* (no hang, no abort) but fatal to the run,
-//! because the destructively-staged inputs of the failed task are gone.
-//! With one, attempts are fenced, so re-execution is idempotent, exactly as
-//! for a job of the resident service. The driver dispatches FIFO; its test
+//! clock. The job's engine run takes the [`PoolConfig::fault_tolerance`]
+//! budget and with it its mode. Without one it runs **unfenced** —
+//! zero-copy staging; a worker panic or kernel error is *isolated* (no
+//! hang, no abort) but fatal to the run, because the destructively-staged
+//! inputs of the failed task are gone. With one, attempts are fenced, so
+//! re-execution is idempotent, exactly as for a job of the resident
+//! service. The driver dispatches FIFO; its test
 //! seam, a [`FaultInjector`](crate::FaultInjector) whose
 //! [`pick`](crate::FaultInjector::pick) may stand in a schedule adversary
 //! for the FIFO order, reaches it as the one-shot job's own injector,

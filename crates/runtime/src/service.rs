@@ -34,13 +34,13 @@
 //!   current backlog — it can never be scheduled behind work that arrived
 //!   after it, and a heavy job cannot monopolise the pool. A one-task job
 //!   is a job like any other: it takes the same route, one task long.
-//! * **Execution and recovery**: every job owns one [`DagRun`] of the
-//!   shared [`engine`](crate::engine), and workers run its
-//!   [`run_attempt`] on what they staged. Non-destructive staging plus the
-//!   engine's commit fence make re-execution idempotent, so bit-identity
-//!   survives DAG interleaving, and a lost attempt is charged to the
-//!   *victim job's* budget alone: exhausting it fails that one job with a
-//!   structured [`ServiceError::Runtime`]. A panicked worker — or, with
+//! * **Execution and recovery**: every job is one [`DagRun`] of the
+//!   shared [`engine`](crate::engine) — graph, factor state and budget —
+//!   and workers run [`run_attempt`] on what it dispatched. Non-destructive
+//!   staging plus the engine's commit fence make re-execution idempotent,
+//!   so bit-identity survives DAG interleaving, and the run charges a lost
+//!   attempt to the *victim job's* budget alone: exhausting it fails that
+//!   one job with a structured [`ServiceError::Runtime`]. A panicked worker — or, with
 //!   [`FaultTolerance::stall_timeout`] set, one the **stall watchdog**
 //!   finds past the bound — is retired and its slot *respawned* by the
 //!   timer (the pool never shrinks). A thread that panics *holding the
@@ -59,10 +59,11 @@
 //!   admission slot and WFQ state are released, and concurrent jobs are
 //!   untouched ([`ServiceError::Cancelled`]).
 //! * **Poison containment**: submission rejects non-finite inputs
-//!   synchronously, and workers scan panel-factor outputs ahead of the
-//!   commit fence — a NaN/Inf produced mid-run fails only the victim job
-//!   with a structured [`ServiceError::NumericalBreakdown`] instead of
-//!   propagating through downstream tiles.
+//!   synchronously, and a fenced run has its panel-factor outputs scanned
+//!   on the worker and refuses a non-finite one at the commit fence — a
+//!   NaN/Inf produced mid-run fails only the victim job with a structured
+//!   [`ServiceError::NumericalBreakdown`] instead of propagating through
+//!   downstream tiles.
 //! * **Shutdown**: [`QrService::shutdown`] (and `Drop`) closes admission,
 //!   drains every queued and in-flight job to its handle — zero lost
 //!   jobs — then joins all threads.
@@ -72,7 +73,7 @@
 //! queue-wait / latency [`LatencyHistogram`]s plus queue-depth high-water
 //! marks are readable at any time via [`QrService::stats`].
 
-use crate::engine::{panic_message, run_attempt, DagRun, Outcome, Slots, Verdict};
+use crate::engine::{panic_message, run_attempt, DagRun, Dispatch, Outcome, Slots, Verdict};
 use crate::error::RuntimeError;
 use crate::pool::{effective_workers, PoolConfig, RunReport};
 use crate::recovery::{FaultInjector, FaultTolerance};
@@ -84,7 +85,7 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tileqr_dag::{KernelClass, TaskGraph, TaskId, TaskKind, TreePolicy};
-use tileqr_kernels::exec::{FactorState, StagedTask};
+use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::{flops, ApplySide, Workspace};
 use tileqr_matrix::{Matrix, MatrixError, Scalar};
 use tileqr_obs::{HotPathCounters, LatencyHistogram, LifecycleCounters};
@@ -635,8 +636,8 @@ pub struct ServiceStats {
 type SharedInjector = Arc<dyn FaultInjector + Send + Sync>;
 
 /// What of a job is carried from admission through its DAG and epilogue
-/// to delivery: identity, timing, the reply slot, the DAG and what to
-/// compute once it has run, and the per-job measurements that ride on the
+/// to delivery: identity, timing, the reply slot, what to compute once the
+/// DAG has run, and the per-job measurements that ride on the
 /// [`JobResult`].
 struct JobMeta<T: Scalar> {
     id: JobId,
@@ -649,7 +650,6 @@ struct JobMeta<T: Scalar> {
     queue_wait: Duration,
     dispatch_delay_tasks: u64,
     reply: ReplyTx<T>,
-    graph: TaskGraph,
     payload: Payload<T>,
     class_compute_us: [f64; 3],
     class_tasks: [u64; 3],
@@ -657,20 +657,19 @@ struct JobMeta<T: Scalar> {
 
 /// A job whose DAG is complete and whose state is nobody else's any more:
 /// what is left is the epilogue and the delivery, both outside the lock.
-type Finished<T> = (JobMeta<T>, FactorState<T>, RunReport);
+type Finished<T> = (JobMeta<T>, FactorState<T>, TaskGraph, RunReport);
 
 /// The in-flight attempt a worker slot is watched for.
 type AttemptKey = (JobId, TaskId, u32);
 
 /// What a worker takes from the core to run with the lock released: one
-/// attempt of one task of one job, staged under the lock — or the error
-/// staging met.
+/// attempt of one task of one job, dispatched and staged by the job's run
+/// under the lock.
 struct Unit<T: Scalar> {
     key: AttemptKey,
-    kind: TaskKind,
     b: usize,
-    staged: Result<StagedTask<T>, MatrixError>,
-    /// Time the kernel: the job is clocked, or its run traced.
+    dispatch: Dispatch<T>,
+    /// Time the kernel.
     clocked: bool,
     injector: Option<SharedInjector>,
 }
@@ -703,27 +702,25 @@ fn finish_output<T: Scalar>(
 // the core: what every thread of an instance shares, behind the one lock
 // ---------------------------------------------------------------------------
 
-/// One admitted job: the engine's [`DagRun`] plus what only the driver
+/// One admitted job: one engine [`DagRun`] plus what only the driver
 /// knows about it — its fair-share position and its lifecycle stamps,
-/// beside what it carries to delivery. [`Shared::job`]
-/// builds it on the caller's thread — everything that needs no lock, the
-/// run included; its id, its dispatch-count and backlog stamps and its
-/// virtual time are filled in under the lock, at admission.
+/// beside what it carries to delivery. [`Shared::job`] builds it on the
+/// caller's thread — everything that needs no lock, the run included; its
+/// id, its dispatch-count and backlog stamps and its virtual time are
+/// filled in under the lock, at admission.
 struct JobState<T: Scalar> {
     meta: JobMeta<T>,
-    /// Staged from and committed into under the lock; an attempt carries
-    /// its tiles, not the state.
-    state: FactorState<T>,
-    /// Attempts time their kernel (a service job's per-class compute time).
+    /// Attempts time their kernel: a service job's per-class compute time,
+    /// a traced run's compute spans.
     clocked: bool,
     /// Time workers blocked on the lock to stage, and to commit, its tasks.
     lock_wait: [Duration; 2],
     b: usize,
     vtime: f64,
-    /// Readiness, fence, retry budget and counters. A cancelled
-    /// job is a halted run: nothing more dispatches or commits, and the
-    /// job resolves once its in-flight attempts have drained.
-    run: DagRun,
+    /// Graph, state, readiness, fence, retry budget and counters. A
+    /// cancelled job is a halted run: nothing more dispatches or commits,
+    /// and the job resolves once its in-flight attempts have drained.
+    run: DagRun<T>,
     injector: Option<SharedInjector>,
     started: Option<Instant>,
 }
@@ -760,16 +757,6 @@ struct Core<T: Scalar> {
 /// flop, so the charge is positive).
 fn task_cost(b: usize, kind: TaskKind) -> f64 {
     flops::task_flops(kind, b) as f64 / 1.0e6
-}
-
-/// Panel-factor kinds are the poison chokepoint: every downstream update
-/// consumes their tiles or T factors, so scanning them ahead of the commit
-/// fence catches a NaN/Inf before it spreads beyond one tile column.
-fn is_panel_factor(kind: TaskKind) -> bool {
-    matches!(
-        kind,
-        TaskKind::Geqrt { .. } | TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. }
-    )
 }
 
 impl<T: Scalar> Core<T> {
@@ -853,9 +840,8 @@ struct Shared<T: Scalar> {
     workers: usize,
     /// Admission bound (`0`: unbounded).
     max_in_flight: usize,
-    /// `Some`: fenced attempts, retried within this budget. `None`, the
-    /// one-shot fast mode: zero-copy staging, so a lost attempt fails its
-    /// job at once — its inputs are gone.
+    /// Every job's fault budget, handed to its run (`None`: the one-shot
+    /// unfenced mode), and the stall watchdog's bound.
     ft: Option<FaultTolerance>,
     /// `Some`: every job's run records a trace, timestamped from this
     /// epoch.
@@ -963,16 +949,14 @@ impl<T: Scalar> Shared<T> {
             queue_wait: Duration::ZERO,
             dispatch_delay_tasks: 0,
             reply: reply_tx,
-            graph,
             payload,
             class_compute_us: [0.0; 3],
             class_tasks: [0; 3],
         };
         let b = state.tile_size();
         let job = Box::new(JobState {
-            run: DagRun::new(&meta.graph, self.workers, self.trace),
+            run: DagRun::new(graph, state, self.ft, self.workers, self.trace),
             meta,
-            state,
             clocked: true,
             lock_wait: [Duration::ZERO; 2],
             b,
@@ -1083,22 +1067,14 @@ impl<T: Scalar> Shared<T> {
     /// path. The stalled thread's eventual late result (if it ever wakes)
     /// is deduplicated at the commit fence like any other stale attempt.
     fn sweep_watchdog(&self, core: &mut Core<T>) {
-        let Some((ft, bound)) = self.ft.and_then(|ft| Some((ft, ft.stall_timeout?))) else {
+        let Some(bound) = self.stall_bound() else {
             return;
         };
-        for (w, (id, task, attempt)) in core.slots.take_stalled(bound, Instant::now()) {
+        for (w, key) in core.slots.take_stalled(bound, Instant::now()) {
             core.dead.push(w);
             core.stats.lifecycle.watchdog_retirements += 1;
-            let Some(job) = core.jobs.get_mut(&id) else {
-                continue;
-            };
-            let last = format!("worker {w} stalled past {bound:?}");
-            let (run, graph, at) = (&mut job.run, &job.meta.graph, (task, attempt));
-            let stalled = Outcome::Panicked(last.clone());
-            match run.settle(graph, &mut job.state, at, w, true, stalled) {
-                Verdict::Lost(_) => self.retry_or_fail(core, &ft, id, task, last),
-                _ => self.finish_if_drained(core, id),
-            }
+            let stalled = Outcome::Panicked(format!("stalled past {bound:?}"));
+            self.settle(core, w, key, true, stalled);
         }
     }
 
@@ -1130,18 +1106,12 @@ impl<T: Scalar> Shared<T> {
     /// table. A straggler (the late attempt of a retired worker) holds only
     /// the tiles it staged, so nothing waits for it.
     fn retire(&self, core: &mut Core<T>, id: JobId) -> Option<Finished<T>> {
-        let mut job = core.jobs.remove(&id)?;
-        // The arenas outlive the job, so only the state's own
-        // copy-on-write count is attributable to it.
-        let counters = HotPathCounters {
-            cow_clones: job.state.cow_clones(),
-            ..HotPathCounters::default()
-        };
+        let job = core.jobs.remove(&id)?;
+        // The arenas outlive the job: its report counts none of them.
         let elapsed = job.started.map(|s| s.elapsed()).unwrap_or_default();
-        let mut report = job.run.into_report(elapsed, counters);
+        let (state, graph, mut report) = job.run.close(elapsed);
         [report.stage_wait, report.commit_wait] = job.lock_wait;
-        job.state.end_run();
-        Some((job.meta, job.state, report))
+        Some((job.meta, state, graph, report))
     }
 
     /// Run a finished job's epilogue and resolve its handle — the result
@@ -1149,8 +1119,8 @@ impl<T: Scalar> Shared<T> {
     /// the calling thread (`worker`'s, or the timer's for a deferred job)
     /// with the lock released; it is taken only to count. A panicking
     /// epilogue fails its job instead of killing the worker.
-    fn finish(&self, (meta, state, report): Finished<T>, worker: usize) {
-        let (graph, payload) = (meta.graph, meta.payload);
+    fn finish(&self, (meta, state, graph, report): Finished<T>, worker: usize) {
+        let payload = meta.payload;
         let epilogue = move || finish_output(state, graph, payload);
         let output = catch_unwind(AssertUnwindSafe(epilogue))
             .map_err(|payload| {
@@ -1196,35 +1166,12 @@ impl<T: Scalar> Shared<T> {
         }
     }
 
-    /// Charge a lost attempt to the job's budget: park a retry (a new
-    /// deadline for the timer) or fail the job once the budget is spent.
-    /// Only this job is affected.
-    fn retry_or_fail(
-        &self,
-        core: &mut Core<T>,
-        ft: &FaultTolerance,
-        id: JobId,
-        task: TaskId,
-        last: String,
-    ) {
-        let Some(job) = core.jobs.get_mut(&id) else {
-            return;
-        };
-        match job.run.charge_retry(ft, task, last) {
-            Ok(wait) => {
-                core.parked.push(Reverse((Instant::now() + wait, id, task)));
-                self.timer.notify_one();
-            }
-            Err(e) => self.fail_job(core, id, ServiceError::Runtime(e)),
-        }
-    }
-
-    /// Settle how attempt `key` ended on slot `w`. `expected` is false if
-    /// the watchdog retired `w` while it was away: such a report must not
-    /// touch in-flight accounting (the watchdog already charged it), but a
-    /// stale `Done` still gets a shot at the commit fence — first result
-    /// wins, whoever produced it. `poisoned` is the worker's scan of a
-    /// panel-factor output. Returns the job, if this commit was its last.
+    /// Settle how attempt `key` ended on slot `w` through the job's run and
+    /// act on the verdict: count a commit, park a retry, or fail only this
+    /// job. `expected` is false if the watchdog retired `w` while it was
+    /// away: such a report must not touch in-flight accounting, but a stale
+    /// `Done` still gets a shot at the commit fence — first result wins,
+    /// whoever produced it. Returns the job, if this commit was its last.
     fn settle(
         &self,
         core: &mut Core<T>,
@@ -1232,27 +1179,12 @@ impl<T: Scalar> Shared<T> {
         (id, task, attempt): AttemptKey,
         expected: bool,
         outcome: Outcome<T>,
-        poisoned: Option<(usize, usize)>,
     ) -> Option<Finished<T>> {
         // Job already failed and was removed: drop the late result.
         let job = core.jobs.get_mut(&id)?;
-        // Poison fence: the output must not become an input of downstream
-        // tasks.
-        if let Some(tile) = poisoned.filter(|_| job.run.accepts(task)) {
-            // Fail only the victim: its state is dropped before the NaN was
-            // ever committed, so no other tile (or job) saw it.
-            core.stats.lifecycle.poison_detected += 1;
-            let err = ServiceError::NumericalBreakdown {
-                task: Some(task),
-                tile,
-            };
-            self.fail_job(core, id, err);
-            return None;
-        }
-        let (run, graph, at) = (&mut job.run, &job.meta.graph, (task, attempt));
-        match run.settle(graph, &mut job.state, at, w, expected, outcome) {
+        match job.run.settle((task, attempt), w, expected, outcome) {
             Verdict::Committed(compute) => {
-                let slot = KernelClass::of(graph.task(task)).slot();
+                let slot = KernelClass::of(job.run.graph().task(task)).slot();
                 job.meta.class_compute_us[slot] += compute.as_nanos() as f64 / 1e3;
                 job.meta.class_tasks[slot] += 1;
                 // The common case ends here, without another look-up.
@@ -1260,12 +1192,18 @@ impl<T: Scalar> Shared<T> {
                 return last.then(|| self.retire(core, id)).flatten();
             }
             Verdict::Dropped => self.finish_if_drained(core, id),
-            // A lost attempt costs a retry when fenced, the job when not
-            // (destructive staging lost the task's inputs).
-            Verdict::Lost(cause) => match self.ft {
-                None => self.fail_job(core, id, ServiceError::Runtime(cause)),
-                Some(ft) => self.retry_or_fail(core, &ft, id, task, cause.to_string()),
-            },
+            Verdict::Retry(wait) => {
+                core.parked.push(Reverse((Instant::now() + wait, id, task)));
+                self.timer.notify_one();
+            }
+            Verdict::Failed(cause) => self.fail_job(core, id, ServiceError::Runtime(cause)),
+            // The run refused the NaN before it was committed, so no other
+            // tile (or job) saw it: only the victim fails.
+            Verdict::Poisoned(tile) => {
+                core.stats.lifecycle.poison_detected += 1;
+                let task = Some(task);
+                self.fail_job(core, id, ServiceError::NumericalBreakdown { task, tile });
+            }
         }
         None
     }
@@ -1294,13 +1232,14 @@ impl<T: Scalar> Shared<T> {
             self.sweep_shed(core);
             return None;
         }
-        let (task, attempt) = job.run.pop_ready(w, job.injector.as_deref())?;
+        let dispatch = job.run.dispatch(w, job.injector.as_deref())?;
+        let (task, attempt) = dispatch.at;
         if let Some(now) = first {
             job.started = Some(now);
             job.meta.queue_wait = now.duration_since(job.meta.submitted);
             job.meta.dispatch_delay_tasks = core.dispatch_count - job.meta.submit_dispatch_count;
         }
-        let kind = job.meta.graph.task(task);
+        let kind = job.run.graph().task(task);
         let key = (id, task, attempt);
         core.dispatch_count += 1;
         core.vclock = job.vtime;
@@ -1309,20 +1248,11 @@ impl<T: Scalar> Shared<T> {
         if self.stall_bound().is_some() {
             core.slots.watch(w, key);
         }
-        // Staging is `O(1)` under the lock: a fenced stage takes handles
-        // and spares, and the worker copies.
-        let t0 = job.run.traced().then(Instant::now);
-        let staged = match self.ft {
-            Some(_) => job.state.stage_preserving(kind),
-            None => job.state.stage(kind),
-        };
-        job.run.staged(w, kind, (task, attempt), t0);
         Some(Unit {
             key,
-            kind,
             b: job.b,
-            staged,
-            clocked: job.clocked || job.run.traced(),
+            dispatch,
+            clocked: job.clocked,
             injector: job.injector.clone(),
         })
     }
@@ -1365,13 +1295,7 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
             (ws, sized_for) = (Workspace::new(b, b), b);
         }
         let faults = unit.injector.as_deref();
-        let outcome = run_attempt(unit.staged, (key.1, key.2), faults, &mut ws, unit.clocked);
-        // The poison fence of a fenced run, on its panel factors.
-        let fence = sh.ft.is_some() && is_panel_factor(unit.kind);
-        let poisoned = match &outcome {
-            Outcome::Done(done) if fence => done.completed.first_non_finite(),
-            _ => None,
-        };
+        let outcome = run_attempt(unit.dispatch, faults, &mut ws, unit.clocked);
         let panicked = matches!(outcome, Outcome::Panicked(_));
         (core, blocked) = sh.lock_timed();
         core.charge_lock_wait(key.0, 1, blocked);
@@ -1379,7 +1303,7 @@ fn worker_loop<T: Scalar>(sh: &Shared<T>, w: usize) {
         // retired this thread while it was away: the slot belongs to its
         // replacement, and this thread must leave.
         let expected = sh.stall_bound().is_none() || core.slots.settle(w, key);
-        let finished = sh.settle(&mut core, w, key, expected, outcome, poisoned);
+        let finished = sh.settle(&mut core, w, key, expected, outcome);
         blocked = Duration::ZERO;
         if let Some(job) = finished {
             drop(core);
@@ -1497,8 +1421,8 @@ pub fn run_pool<T: Scalar>(
     let ft = config.fault_tolerance;
     let sh = Shared::new(config.effective_workers(), 0, ft, trace);
     let (mut job, reply) = sh.job(state, graph.clone(), Payload::Factor);
-    // Its result carries no per-class compute time to clock.
-    (job.clocked, job.injector) = (false, injector);
+    // Its result carries no per-class compute time: only a trace clocks.
+    (job.clocked, job.injector) = (trace.is_some(), injector);
     let admitted = sh.admit(sh.lock(), job, false);
     sh.lock().draining = true;
     timer_loop(&sh);
@@ -2084,7 +2008,7 @@ mod tests {
         });
         let mut core = sh.lock();
         core.charge_lock_wait(id, 0, blocked);
-        let (_, _, report) = sh.retire(&mut core, id).unwrap();
+        let (.., report) = sh.retire(&mut core, id).unwrap();
         assert!(
             report.stage_wait >= Duration::from_millis(5),
             "stage wait {:?}",
@@ -2104,7 +2028,7 @@ mod tests {
             assert_eq!(blocked, Duration::ZERO);
             core.charge_lock_wait(id, phase, blocked);
         }
-        let (_, _, report) = sh.retire(&mut sh.lock(), id).unwrap();
+        let (.., report) = sh.retire(&mut sh.lock(), id).unwrap();
         assert_eq!(
             (report.stage_wait, report.commit_wait),
             (Duration::ZERO, Duration::ZERO)

@@ -1,6 +1,6 @@
 //! Schedule adversaries, written once. An [`Adversary`]'s
 //! [`pick`](FaultInjector::pick) replaces the driver's FIFO order wherever
-//! `DagRun::pop_ready` is lent it: as a job's own injector (in an `Arc`
+//! `DagRun::dispatch` is lent it: as a job's own injector (in an `Arc`
 //! given to the doc-hidden `tileqr_runtime::run_pool`), or by the virtual
 //! [`explorer::Machine`](crate::explorer::Machine). It injects no fault.
 

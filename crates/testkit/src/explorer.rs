@@ -2,13 +2,14 @@
 //!
 //! Every legal interleaving must commit a bit-identical factorization, but
 //! real threads sample only a few. A [`Machine`] plays both sides of the
-//! driver's protocol on one thread over the real engine — dispatch by
-//! [`DagRun::pop_ready`], staging in the driver's mode, [`run_attempt`],
-//! and [`DagRun::settle`] once a [`Finish`] rule delivers the [`Outcome`]
-//! — with an [`Adversary`] picking what goes next; a storm also draws
-//! faults, duplicate reports, watchdog sweeps and retry wakes from its
-//! seed. [`explore`] is the machine with no faults and no retry budget,
-//! held to the independent reference, [`FactorState::run_all`].
+//! driver's protocol on one thread over the real engine — a [`DagRun`] it
+//! builds and never second-guesses: [`DagRun::dispatch`] (which stages in
+//! the run's own mode), [`run_attempt`], and [`DagRun::settle`] once a
+//! [`Finish`] rule delivers the [`Outcome`] — with an [`Adversary`]
+//! picking what goes next; a storm also draws faults, duplicate reports,
+//! watchdog sweeps and retry wakes from its seed. [`explore`] is the
+//! machine with no faults and no retry budget, held to the independent
+//! reference, [`FactorState::run_all`].
 
 use crate::adversary::{Adversary, Rule};
 use std::time::{Duration, Instant};
@@ -16,8 +17,7 @@ use tileqr_dag::{EliminationTree, TaskGraph, TaskId};
 use tileqr_kernels::exec::FactorState;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Result, Rng64, Scalar, TiledMatrix};
-use tileqr_obs::HotPathCounters;
-use tileqr_runtime::engine::{run_attempt, DagRun, Outcome, Slots, Verdict};
+use tileqr_runtime::engine::{run_attempt, DagRun, Dispatch, Outcome, Slots, Verdict};
 use tileqr_runtime::{FaultInjector, FaultTolerance, InjectedFault, RunReport, RuntimeError};
 
 /// How [`explore`] resolves its two nondeterministic choices.
@@ -95,8 +95,6 @@ pub struct Settled {
     pub expected: bool,
     /// The engine's verdict.
     pub verdict: Verdict,
-    /// A lost attempt parked a retry (false: the budget was spent).
-    pub retried: bool,
 }
 
 /// Which in-flight attempt reports next.
@@ -121,65 +119,56 @@ impl FaultInjector for Always {
 
 /// Both halves of the driver's protocol around one [`DagRun`], on one
 /// thread: the testkit's one virtual driver.
-pub struct Machine<'g, T: Scalar = f64> {
-    graph: &'g TaskGraph,
-    explored: Exploration<T>,
-    /// The engine's run of the graph.
-    pub run: DagRun,
+pub struct Machine<T: Scalar = f64> {
+    /// Tasks in the order they committed.
+    completion_order: Vec<TaskId>,
+    /// The engine's run of the graph: its state, its mode and its budget.
+    pub run: DagRun<T>,
     adversary: Option<Adversary>,
     slots: Slots<Key>,
     /// Idle worker slots; the next dispatch takes the last.
     pub idle: Vec<usize>,
     ws: Workspace<T>,
-    /// `None`, as unfenced: destructive staging, and a loss ends the run.
-    ft: Option<FaultTolerance>,
     /// Attempts run and not yet reported, oldest first, with their slots.
     pub flights: Vec<(usize, Key, Outcome<T>)>,
     /// Tasks whose charged retry waits for a [`DagRun::wake`].
     pub parked: Vec<TaskId>,
-    /// An exhausted budget, or with none, a lost attempt's cause.
+    /// The causes the run halted with: a spent budget, or, unfenced, a
+    /// lost attempt's own.
     pub errors: Vec<RuntimeError>,
 }
 
-impl<'g, T: Scalar> Machine<'g, T> {
-    /// `workers` idle slots over `tiles`, dispatching by `rule` (`None`:
-    /// the driver's FIFO), retrying within `ft`'s attempt budget.
+impl<T: Scalar> Machine<T> {
+    /// `workers` idle slots running `graph` over `tiles`, dispatching by
+    /// `rule` (`None`: the driver's FIFO), fenced and retrying within
+    /// `ft`'s attempt budget when it is set.
     pub fn new(
         tiles: TiledMatrix<T>,
-        graph: &'g TaskGraph,
+        graph: &TaskGraph,
         workers: usize,
         rule: Option<Rule>,
         ft: Option<FaultTolerance>,
     ) -> Self {
         let b = tiles.tile_size();
-        let completion_order = Vec::with_capacity(graph.len());
+        let state = FactorState::new(tiles);
         Machine {
-            graph,
-            explored: Exploration {
-                completion_order,
-                state: FactorState::new(tiles),
-            },
-            run: DagRun::new(graph, workers, None),
+            completion_order: Vec::with_capacity(graph.len()),
+            run: DagRun::new(graph.clone(), state, ft, workers, None),
             adversary: rule.map(|rule| Adversary::new(rule, graph, b)),
             slots: Slots::new(workers),
             idle: (0..workers).rev().collect(),
             ws: Workspace::new(b, b),
-            ft,
             flights: Vec::new(),
             parked: Vec::new(),
             errors: Vec::new(),
         }
     }
 
-    /// Run attempt `key` with `fault` on slot `w`, staged in the driver's
-    /// mode (preserving only with a budget); its report stays in flight.
-    fn attempt(&mut self, w: usize, key: Key, fault: InjectedFault) {
-        let (kind, state) = (self.graph.task(key.0), &mut self.explored.state);
-        let staged = match self.ft {
-            Some(_) => state.stage_preserving(kind),
-            None => state.stage(kind),
-        };
-        let outcome = run_attempt(staged, key, Some(&Always(fault)), &mut self.ws, false);
+    /// Run `dispatch` with `fault` on slot `w`; its report stays in
+    /// flight.
+    fn attempt(&mut self, w: usize, dispatch: Dispatch<T>, fault: InjectedFault) {
+        let key = dispatch.at;
+        let outcome = run_attempt(dispatch, Some(&Always(fault)), &mut self.ws, false);
         self.flights.push((w, key, outcome));
     }
 
@@ -187,12 +176,13 @@ impl<'g, T: Scalar> Machine<'g, T> {
     /// puts `w` back.
     pub fn dispatch(&mut self, w: usize, fault: InjectedFault) -> Option<Key> {
         let pick = self.adversary.as_ref().map(|a| a as _);
-        let Some(key) = self.run.pop_ready(w, pick) else {
+        let Some(dispatch) = self.run.dispatch(w, pick) else {
             self.idle.push(w);
             return None;
         };
+        let key = dispatch.at;
         self.slots.watch(w, key);
-        self.attempt(w, key, fault);
+        self.attempt(w, dispatch, fault);
         Some(key)
     }
 
@@ -218,37 +208,26 @@ impl<'g, T: Scalar> Machine<'g, T> {
         stalled.collect()
     }
 
-    /// Settle a report through the engine and, as the driver does, charge
-    /// a lost attempt: park a retry, or surface the error.
+    /// Settle a report through the engine and, as the driver does, act on
+    /// its verdict: park a retry, or keep the cause the run halted with.
     fn settle(&mut self, w: usize, key: Key, expected: bool, outcome: Outcome<T>) -> Settled {
         let report = match outcome {
             Outcome::Done(_) => Report::Done,
             Outcome::Failed(_) => Report::Failed,
             Outcome::Panicked(_) => Report::Panicked,
         };
-        let (run, explored, parked) = (&mut self.run, &mut self.explored, self.parked.len());
-        let verdict = run.settle(self.graph, &mut explored.state, key, w, expected, outcome);
-        match (&verdict, self.ft) {
-            (Verdict::Committed(_), _) => explored.completion_order.push(key.0),
-            (Verdict::Dropped, _) => {}
-            (Verdict::Lost(cause), Some(ft)) => {
-                match run.charge_retry(&ft, key.0, cause.to_string()) {
-                    Ok(_) => self.parked.push(key.0),
-                    Err(e) => self.errors.push(e),
-                }
-            }
-            (Verdict::Lost(cause), None) => {
-                run.halt();
-                self.errors.push(cause.clone());
-            }
+        let verdict = self.run.settle(key, w, expected, outcome);
+        match &verdict {
+            Verdict::Committed(_) => self.completion_order.push(key.0),
+            Verdict::Retry(_) => self.parked.push(key.0),
+            Verdict::Failed(cause) => self.errors.push(cause.clone()),
+            Verdict::Dropped | Verdict::Poisoned(_) => {}
         }
-        let retried = self.parked.len() > parked;
         Settled {
             key,
             report,
             expected,
             verdict,
-            retried,
         }
     }
 
@@ -279,7 +258,8 @@ impl<'g, T: Scalar> Machine<'g, T> {
                 if storm && fault == InjectedFault::None && draw(5) == 0 {
                     // The same attempt reports twice (a duplicate `Done`,
                     // bit-identical because nothing committed in between).
-                    self.attempt(w, key, fault);
+                    let twin = self.run.restage(w, key);
+                    self.attempt(w, twin, fault);
                 }
             }
             if self.flights.is_empty() && self.parked.is_empty() {
@@ -306,11 +286,13 @@ impl<'g, T: Scalar> Machine<'g, T> {
 
     /// Close the run: the state and commit order, and the engine's report.
     pub fn finish(self) -> (Exploration<T>, RunReport) {
-        let counters = HotPathCounters::default();
-        (
-            self.explored,
-            self.run.into_report(Duration::ZERO, counters),
-        )
+        let (state, _, report) = self.run.close(Duration::ZERO);
+        let completion_order = self.completion_order;
+        let explored = Exploration {
+            completion_order,
+            state,
+        };
+        (explored, report)
     }
 }
 

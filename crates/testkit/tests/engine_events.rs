@@ -76,7 +76,8 @@ impl Model {
     fn check(&mut self, s: &Settled) {
         let t = s.key.0;
         let live = !self.halted && !self.committed[t];
-        let lost = matches!(s.verdict, Verdict::Lost(_));
+        let retried = matches!(s.verdict, Verdict::Retry(_));
+        let lost = retried || matches!(s.verdict, Verdict::Failed(_));
         match s.report {
             Report::Done => {
                 let won = matches!(s.verdict, Verdict::Committed(_));
@@ -97,19 +98,19 @@ impl Model {
             }
         }
         // A charged loss parks a retry, or spends the budget: the run halts.
-        self.want.retries += u64::from(s.retried);
-        self.halted |= lost && !s.retried;
+        self.want.retries += u64::from(retried);
+        self.halted |= lost && !retried;
     }
 }
 
 /// A `WORKERS`-slot machine with `budget` attempts per task, dispatching
 /// by `order`, and the suite's model of it.
-fn machine<'g>(
+fn machine(
     tiled: TiledMatrix<f64>,
-    g: &'g TaskGraph,
+    g: &TaskGraph,
     order: Option<Rule>,
     budget: u32,
-) -> (Machine<'g>, Model) {
+) -> (Machine, Model) {
     let ft = FaultTolerance {
         max_attempts: budget,
         ..FaultTolerance::default()

@@ -142,6 +142,13 @@
 #     comes back anywhere under `crates/`, `tests/` or `examples/`, tests
 #     included, and non-test runtime code builds a recorder only in
 #     `engine.rs` (the run's) and `pool.rs` (the inline path's).
+#   * a run owns what it runs: `engine::DagRun` holds its graph, its
+#     factor state and its fault budget, so how a task stages (preserving
+#     iff fenced), whether its output is scanned for poison and what a lost
+#     attempt costs are decided in `engine.rs` alone — no other non-test
+#     runtime or testkit code stages a task, charges a retry, names the
+#     panel factors, scans a completed task or hands a run its graph or
+#     state to settle.
 #
 # "Non-test" = the lines of each src/*.rs before its first `#[cfg(test)]`.
 set -euo pipefail
@@ -371,6 +378,10 @@ expect 0 'Option<&dyn FaultInjector>' "a borrowed injector threaded through the 
 # itself borrows none.
 expect 0 'Option<&\(?dyn FaultInjector' "a borrowed injector in the driver (a job owns its own)" \
     crates/runtime/src/service.rs crates/runtime/src/pool.rs
+hits=$(for f in $(find crates/runtime/src crates/testkit/src -name '*.rs' ! -name engine.rs | sort); do
+    non_test "$f"
+done | grep -E 'stage_preserving\(|\.stage\(|charge_retry|is_panel_factor|completed\.first_non_finite\(|\.settle\([^)]*\b(graph|state)\b' || true)
+[ -z "$hits" ] || fail "a run's mode decided outside engine.rs (DagRun stages, scans and charges in its own mode):" "$hits"
 hits=$(ls BENCH_*.json 2>/dev/null | grep -vx BENCH_trees.json || true)
 [ -z "$hits" ] || fail "BENCH_*.json of a retired bench target at the root (speed claims are perf/ rows):" "$hits"
 exit $status
